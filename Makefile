@@ -11,8 +11,11 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# gofmt -l exits 0 whatever it lists; grep prints the list and the
+# negation fails the target when there is one.
 vet:
 	$(GO) vet ./...
+	@! gofmt -l . | grep .
 
 test:
 	$(GO) test ./...
@@ -24,34 +27,11 @@ race:
 experiments:
 	$(GO) run ./cmd/experiments all
 
-# Hot-path + harness benchmarks and their JSON artefacts: the steady-state
-# zero-alloc guarantees (Scheduler.Schedule, Machine.Step), the worker-pool
-# runner at 1 vs 4 workers, then BENCH_hotpath.json, the farm allocator's
-# reallocation-pass cost + farm-powerfail wall-clock in BENCH_farm.json,
-# the tracing overhead in BENCH_obs.json (fails if the no-sink hot path
-# allocates), the request-serving quantum in BENCH_serve.json (fails if
-# the steady-state serving or admission path allocates), the
-# discrete-event engine trendline in BENCH_des.json (fails if timeline
-# dispatch allocates or the DES-vs-quantum speedup drops below its
-# floor), the cluster-transport codec round trip + relay-tree
-# pass-latency trendline in BENCH_netcluster.json (fails if the
-# steady-state binary poll cycle allocates), the exact optimal-assignment
-# solver vs the greedy hot path in BENCH_opt.json (fails if the DP blows
-# its per-op runtime budget), and per-experiment wall-clock/allocation
-# stats in BENCH_experiments.json.
+# The repository's one benchmark (bench/README.md): six workloads, the
+# end-to-end metrics and the traced per-layer metrics, each compared with
+# the committed baseline under bench/baseline/. Writes only bench/out/.
 bench:
-	$(GO) test -bench 'SchedulePass|MachineStep|RunAll' -benchmem \
-		./internal/fvsst/ ./internal/machine/ ./internal/experiments/
-	$(GO) run ./cmd/experiments hotpath
-	$(GO) run ./cmd/experiments farmbench
-	$(GO) run ./cmd/experiments obsbench
-	$(GO) run ./cmd/experiments servebench
-	$(GO) run ./cmd/experiments desbench
-	$(GO) run ./cmd/experiments netbench
-	$(GO) run ./cmd/experiments optbench
-	$(GO) run ./cmd/experiments -scale 0.05 -parallel 4 \
-		-bench-out BENCH_experiments.json all > /dev/null
-	@echo "(written to BENCH_experiments.json)"
+	bench/run.sh
 
 # One testing.B benchmark per table/figure plus microbenchmarks.
 bench-paper:

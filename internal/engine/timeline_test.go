@@ -27,7 +27,7 @@ func TestTimelineOrdersByTime(t *testing.T) {
 	tl := NewTimeline()
 	rec := &recorder{}
 	for _, at := range []float64{3, 1, 2, 0.5} {
-		if _, err := tl.Post(at, rec, uint64(at * 10)); err != nil {
+		if _, err := tl.Post(at, rec, uint64(at*10)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -12,7 +10,8 @@ import (
 // Result is one experiment's outcome under RunAll: the report and its
 // pre-rendered text (so deterministic byte comparison needs no further
 // calls), or the error, plus the runner's wall-clock and heap-allocation
-// stats for BENCH_experiments.json.
+// stats (bench/ reads them as experiments.*_ms and
+// experiments.allocs_per_pass).
 type Result struct {
 	ID       string
 	Report   Report
@@ -90,43 +89,4 @@ func runOne(opts Options, id string) Result {
 	res.Report = rep
 	res.Rendered = rep.Render()
 	return res
-}
-
-// benchEntry is one experiment's row in the benchmark JSON.
-type benchEntry struct {
-	ID          string  `json:"id"`
-	WallSeconds float64 `json:"wall_seconds"`
-	AllocBytes  uint64  `json:"alloc_bytes"`
-	Allocs      uint64  `json:"allocs"`
-	Error       string  `json:"error,omitempty"`
-}
-
-// benchFile is the BENCH_experiments.json shape.
-type benchFile struct {
-	Parallel    int          `json:"parallel"`
-	WallSeconds float64      `json:"wall_seconds"`
-	Experiments []benchEntry `json:"experiments"`
-}
-
-// WriteBenchJSON writes per-experiment wall-clock and allocation stats
-// (plus the whole run's wall time) as indented JSON, the
-// BENCH_experiments.json artefact of `make bench`.
-func WriteBenchJSON(path string, parallel int, totalWallSeconds float64, results []Result) error {
-	out := benchFile{
-		Parallel:    parallel,
-		WallSeconds: totalWallSeconds,
-		Experiments: make([]benchEntry, len(results)),
-	}
-	for i, r := range results {
-		e := benchEntry{ID: r.ID, WallSeconds: r.WallSeconds, AllocBytes: r.AllocBytes, Allocs: r.Allocs}
-		if r.Err != nil {
-			e.Error = r.Err.Error()
-		}
-		out.Experiments[i] = e
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -56,14 +56,14 @@ func hotspotSpecs() []hotspotClusterSpec {
 
 // HotspotClusterScore is one cluster's aggregate web score under a policy.
 type HotspotClusterScore struct {
-	Cluster    string
-	Offered    uint64
-	Completed  uint64
-	TimedOut   uint64
-	SLOOk      uint64
-	Attainment float64
-	P99S       float64 // worst node
-	MeanAllocW float64
+	Cluster     string
+	Offered     uint64
+	Completed   uint64
+	TimedOut    uint64
+	SLOOk       uint64
+	Attainment  float64
+	P99S        float64 // worst node
+	MeanAllocW  float64
 	PeakBacklog int
 }
 

@@ -7,52 +7,28 @@ import (
 	"repro/internal/units"
 )
 
-// DivideLeastLoss splits a power budget across member demand curves by
-// replaying the flat Step-2 greedy over their step keys: every member
+// DivideLeastLossExact splits a power budget across member demand curves
+// by replaying the flat Step-2 greedy over their step keys: every member
 // starts at its desire (point 0) and the member whose next point carries
 // the smallest key — absolute loss ascending, pre-demotion index
 // descending, flat processor index ascending — advances one point, until
-// the aggregate point power fits the budget. offsets[i] is member i's
-// first processor's index in the flat concatenated order; because each
-// member's curve is itself the least-loss demotion sequence over its own
-// processors, interleaving by key reproduces the demotion order of one
-// flat fvsst.FitToBudgetGrid pass over the union, and the returned point
-// index per member is that flat schedule, sliced.
+// the aggregate power fits the budget. Because each member's curve is
+// itself the least-loss demotion sequence over its own processors,
+// interleaving by key reproduces the demotion order of one flat
+// fvsst.FitToBudgetGrid pass over the union, and the returned point index
+// per member is that flat schedule, sliced.
 //
-// The stop test sums the members' current point powers, so it can differ
-// from the flat pass's per-processor summation by float rounding at the
-// boundary; DivideLeastLossExact removes that difference when the
-// per-processor data is available. met is false when every curve is at
-// its floor with the budget still exceeded. Empty curves are skipped.
-func DivideLeastLoss(curves []DemandCurve, offsets []int, budget units.Power) (pos []int, met bool) {
-	if len(offsets) != len(curves) {
-		panic(fmt.Sprintf("farm: %d offsets for %d curves", len(offsets), len(curves)))
-	}
-	pos = make([]int, len(curves))
-	for {
-		var sum units.Power
-		for i, c := range curves {
-			if len(c.Points) > 0 {
-				sum += c.Points[pos[i]].Power
-			}
-		}
-		if sum <= budget {
-			return pos, true
-		}
-		if !advanceLeastLoss(curves, offsets, pos) {
-			return pos, false
-		}
-	}
-}
-
-// DivideLeastLossExact is DivideLeastLoss with the flat pass's exact
-// stop arithmetic: desired[i] holds member i's initial per-processor
-// table indices (curve point 0), and the stop test re-sums
+// The stop test uses the flat pass's exact arithmetic rather than summing
+// the members' curve point powers, which could differ from it by float
+// rounding at the boundary: desired[i] holds member i's initial
+// per-processor table indices (curve point 0), and the stop test re-sums
 // table.PowerAtIndex over every processor in flat order each iteration —
 // bit for bit the loop in fvsst.FitToBudgetGrid. The division is then
 // byte-identical to the flat schedule on any input, at O(total
 // processors) per demotion. Curves must carry consistent step keys
-// (each advance demotes desired[i][Step.Proc] from Step.Idx).
+// (each advance demotes desired[i][Step.Proc] from Step.Idx). met is
+// false when every curve is at its floor with the budget still exceeded.
+// A member with no processors and an empty curve is skipped.
 func DivideLeastLossExact(curves []DemandCurve, desired [][]int, table *power.Table, budget units.Power) (pos []int, met bool, err error) {
 	if len(desired) != len(curves) {
 		return nil, false, fmt.Errorf("farm: %d desired sets for %d curves", len(desired), len(curves))
@@ -91,17 +67,6 @@ func DivideLeastLossExact(curves []DemandCurve, desired [][]int, table *power.Ta
 		actual[g] = step.Idx - 1
 		pos[best]++
 	}
-}
-
-// advanceLeastLoss moves the best member one point down its curve,
-// reporting false when every member is at its floor.
-func advanceLeastLoss(curves []DemandCurve, offsets, pos []int) bool {
-	best := bestHead(curves, offsets, pos)
-	if best < 0 {
-		return false
-	}
-	pos[best]++
-	return true
 }
 
 // bestHead picks the member whose next curve point has the smallest step

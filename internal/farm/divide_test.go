@@ -149,14 +149,10 @@ func TestDivideMatchesFlatGreedy(t *testing.T) {
 		nMembers := 2 + rng.Intn(3)
 		members := make([]member, nMembers)
 		curves := make([]DemandCurve, nMembers)
-		offsets := make([]int, nMembers)
 		desired := make([][]int, nMembers)
-		total := 0
 		for i := range members {
 			members[i] = randomMember(rng, 1+rng.Intn(4), tab.Len())
 			curves[i] = localGreedy(members[i], tab)
-			offsets[i] = total
-			total += len(members[i].desired)
 			desired[i] = members[i].desired
 		}
 		if err := curves[0].Validate(); err != nil {
@@ -188,20 +184,6 @@ func TestDivideMatchesFlatGreedy(t *testing.T) {
 						seed, budget, p, got[p], wantIdx[p], pos)
 				}
 			}
-
-			// The fast point-power variant must agree on this table: the
-			// curve point powers are sums of exact table powers, so both
-			// stop tests see the same values here.
-			fastPos, fastMet := DivideLeastLoss(curves, offsets, budget)
-			if fastMet != wantMet {
-				t.Fatalf("seed %d budget %v: fast met %v, flat %v", seed, budget, fastMet, wantMet)
-			}
-			for i := range pos {
-				if fastPos[i] != pos[i] {
-					t.Fatalf("seed %d budget %v member %d: fast pos %d, exact pos %d",
-						seed, budget, i, fastPos[i], pos[i])
-				}
-			}
 		}
 	}
 }
@@ -222,13 +204,4 @@ func TestDivideExactRejectsBadShapes(t *testing.T) {
 	if _, _, err := DivideLeastLossExact([]DemandCurve{curve}, [][]int{{0, 0}}, tab, units.Watts(1)); err == nil {
 		t.Error("inconsistent step keys accepted")
 	}
-}
-
-func TestDivideLeastLossPanicsOnOffsetMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on offset/curve count mismatch")
-		}
-	}()
-	DivideLeastLoss([]DemandCurve{{}}, nil, units.Watts(1))
 }

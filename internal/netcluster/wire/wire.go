@@ -106,8 +106,9 @@ var (
 
 // Stats counts codec work across every connection sharing the struct
 // (atomically — connections run on independent goroutines). The
-// coordinator emits them as pass-phase telemetry; the netbench experiment
-// reports them per run.
+// coordinator emits them as pass-phase telemetry; bench/ reports them per
+// round as wire.encode_ms_per_round, wire.decode_ms_per_round and
+// wire.bytes_per_round.
 type Stats struct {
 	BinFramesOut  atomic.Uint64
 	BinFramesIn   atomic.Uint64

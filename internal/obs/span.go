@@ -7,8 +7,9 @@ package obs
 //
 // Producers must emit spans only behind their `sink != nil` guard: span
 // construction allocates the event's JSON rendering downstream, and the
-// no-sink hot path's zero-allocation guarantee (TestScheduleZeroAlloc,
-// BENCH_obs.json) covers the guard, not the emission.
+// no-sink hot path's zero-allocation guarantee (TestScheduleZeroAlloc;
+// bench/ trends it as fvsst.schedule_allocs) covers the guard, not the
+// emission.
 func SpanEvent(at float64, passID uint64, node, name, parent string, durS float64) Event {
 	return Event{
 		Type:   EventSpan,

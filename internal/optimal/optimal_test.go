@@ -74,8 +74,8 @@ func TestSolveEmpty(t *testing.T) {
 func TestSolveValidation(t *testing.T) {
 	zero := func(int, int) float64 { return 0 }
 	cases := []optimal.Problem{
-		{Budget: units.Watts(1), Loss: zero},                                              // nil table
-		{Table: power.PaperTable1(), Budget: units.Watts(1)},                              // nil loss
+		{Budget: units.Watts(1), Loss: zero},                                               // nil table
+		{Table: power.PaperTable1(), Budget: units.Watts(1)},                               // nil loss
 		{Table: power.PaperTable1(), Budget: units.Watts(1), Upper: []int{99}, Loss: zero}, // upper out of range
 		{Table: power.PaperTable1(), Budget: units.Watts(1), Upper: []int{-1}, Loss: zero}, // negative upper
 	}
@@ -229,8 +229,8 @@ func TestSolveTooLarge(t *testing.T) {
 	}
 }
 
-// TestDPStatesReported sanity-checks the reported search effort so the
-// optbench runtime gate has a meaningful series to watch.
+// TestDPStatesReported sanity-checks the reported search effort, the
+// series that explains a move in bench/'s optimal.dp_us_16x16.
 func TestDPStatesReported(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p, _ := randProblem(rng, 4, 8)

@@ -16,8 +16,8 @@ func gridSet(t *testing.T) units.FrequencySet {
 func TestPredGridMatchesDecomposition(t *testing.T) {
 	set := gridSet(t)
 	decs := []Decomposition{
-		{InvAlpha: 1 / 1.4},                             // CPU-bound
-		{InvAlpha: 1 / 1.1, StallSecPerInstr: 8e-9},     // memory-bound
+		{InvAlpha: 1 / 1.4},                         // CPU-bound
+		{InvAlpha: 1 / 1.1, StallSecPerInstr: 8e-9}, // memory-bound
 		{InvAlpha: 1 / MaxAlpha, StallSecPerInstr: 2e-9},
 	}
 	var g PredGrid
