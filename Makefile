@@ -46,11 +46,14 @@ examples:
 
 # Short fuzz sessions over the parsers, the profile loader, the farm
 # budget-schedule parser, the arrival-spec parser, the JSON and binary
-# wire decoders, the event-timeline op sequencer, and the exact
+# wire decoders, the event-timeline op sequencer, the exact
 # optimal-assignment solver (feasibility, greedy domination,
-# permutation invariance).
+# permutation invariance), and the Step-2 walk (fvsst.FitToBudgetGrid
+# against its two independent statements, StepTwoReplay and
+# optimal.Greedy).
 fuzz:
 	$(GO) test -fuzz FuzzOptimalAssign -fuzztime 30s ./internal/optimal/
+	$(GO) test -fuzz FuzzStepTwoAgreement -fuzztime 30s ./internal/invariant/
 	$(GO) test -fuzz FuzzTimelineOps -fuzztime 30s ./internal/engine/
 	$(GO) test -fuzz FuzzParseFrequency -fuzztime 30s ./internal/units/
 	$(GO) test -fuzz FuzzParsePower -fuzztime 30s ./internal/units/

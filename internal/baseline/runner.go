@@ -107,13 +107,11 @@ func (r *Runner) schedule() error {
 			// blindness of utilisation-driven schemes.
 			in.Util[cpu] = 1 - delta.HaltedFraction()
 		}
-		fHz := delta.ObservedFrequencyHz()
-		if delta.Instructions == 0 || delta.Cycles == 0 || fHz <= 0 {
+		o, ok := perfmodel.ObservationFrom(delta)
+		if !ok {
 			continue
 		}
-		dec, err := r.predictor.Decompose(perfmodel.Observation{
-			Delta: delta, Freq: units.Frequency(fHz),
-		})
+		dec, err := r.predictor.Decompose(o)
 		if err != nil {
 			continue // unusable window; policy sees nil
 		}

@@ -335,11 +335,7 @@ func (c *Coordinator) observation(p ProcRef) (perfmodel.Observation, bool) {
 		agg = agg.Add(hist.Last(i))
 		count++
 	}
-	fHz := agg.ObservedFrequencyHz()
-	if agg.Instructions == 0 || agg.Cycles == 0 || fHz <= 0 {
-		return perfmodel.Observation{}, false
-	}
-	return perfmodel.Observation{Delta: agg, Freq: units.Frequency(fHz)}, true
+	return perfmodel.ObservationFrom(agg)
 }
 
 // buildInputs assembles the per-processor inputs a global pass sees: the

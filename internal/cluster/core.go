@@ -95,6 +95,11 @@ func NewCore(cfg fvsst.Config) (*Core, error) {
 // Config returns the core's scheduler configuration.
 func (c *Core) Config() fvsst.Config { return c.cfg }
 
+// Grid returns the prediction grid the core's last pass filled, for
+// read-only use until the next pass overwrites it: a counterfactual that
+// re-decides a pass reads its losses here instead of refilling a grid.
+func (c *Core) Grid() *perfmodel.PredGrid { return &c.grid }
+
 // stepOne runs Step 1 onto the core's scratch: reset the prediction grid,
 // fill every observed processor's frequency sweep, and pick each
 // processor's desired index (minimum for idle, maximum for unobserved,
@@ -158,11 +163,9 @@ func (c *Core) stepOne(inputs []ProcInput) error {
 // DemandCurve exports this processor set's budget→predicted-loss
 // trade-off for the farm allocator: the first point is the Step-1
 // ε-constrained desire, each further point applies one more least-loss
-// Step-2 demotion (the same selection rule as fvsst.FitToBudgetGrid —
-// invalid rows count as zero loss, ties break toward the higher current
-// index), and the last point is the floor with every processor at the
-// table minimum. Only the grid rows a scheduling pass fills anyway are
-// evaluated, so the curve costs no extra prediction work.
+// Step-2 demotion, and the last point is the floor with every processor
+// at the table minimum. Only the grid rows a scheduling pass fills anyway
+// are evaluated, so the curve costs no extra prediction work.
 func (c *Core) DemandCurve(inputs []ProcInput) (farm.DemandCurve, error) {
 	curve, _, err := c.DemandCurveDesired(inputs)
 	return curve, err
@@ -171,10 +174,12 @@ func (c *Core) DemandCurve(inputs []ProcInput) (farm.DemandCurve, error) {
 // DemandCurveDesired is DemandCurve plus a copy of the Step-1 desired
 // table index per processor — the relay tier ships both upward so a root
 // coordinator can replay the flat Step-2 arithmetic exactly
-// (farm.DivideLeastLossExact). Each point's Power is re-summed from
-// scratch in processor order, the same accumulation fvsst.FitToBudgetGrid
-// uses for its stop test, so a member handed Points[k].Power as its
-// budget demotes to exactly point k.
+// (farm.DivideLeastLossExact). The curve has no selection rule of its
+// own: fvsst.FitToBudgetGrid walks the set to the floor once and the
+// points replay its demotion list. Each point's Power is re-summed from
+// scratch in processor order, the accumulation FitToBudgetGrid uses for
+// its stop test, so a member handed Points[k].Power as its budget demotes
+// to exactly point k (TestDemandCurveMatchesSchedule).
 func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, error) {
 	if len(inputs) == 0 {
 		return farm.DemandCurve{}, nil, fmt.Errorf("cluster: demand curve needs at least one processor")
@@ -182,8 +187,12 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 	if err := c.stepOne(inputs); err != nil {
 		return farm.DemandCurve{}, nil, err
 	}
-	copy(c.actualIdx, c.desiredIdx)
 	desired := append([]int(nil), c.desiredIdx...)
+	copy(c.actualIdx, c.desiredIdx)
+	// No finite power sum fits −Inf, so the walk stops only at the floor.
+	demotions, _ := fvsst.FitToBudgetGrid(&c.grid, c.actualIdx, c.cfg.Table, units.Power(math.Inf(-1)), c.demo[:0])
+	c.demo = demotions[:0] // keep any grown backing array
+	copy(c.actualIdx, c.desiredIdx)
 
 	sumAt := func() units.Power {
 		var s units.Power
@@ -199,34 +208,17 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 		}
 	}
 	curve := farm.DemandCurve{Points: []farm.DemandPoint{{Power: sumAt(), Loss: sumLoss}}}
-	for {
-		best := -1
-		bestLoss := math.Inf(1)
-		for i, idx := range c.actualIdx {
-			if idx == 0 {
-				continue // already at minimum
-			}
-			loss := 0.0
-			if c.grid.Valid(i) {
-				loss = c.grid.Loss(i, idx-1)
-			}
-			if loss < bestLoss || (loss == bestLoss && best >= 0 && idx > c.actualIdx[best]) {
-				best, bestLoss = i, loss
-			}
+	for _, d := range demotions {
+		idx := c.actualIdx[d.CPU]
+		if c.grid.Valid(d.CPU) {
+			sumLoss += c.grid.Loss(d.CPU, idx-1) - c.grid.Loss(d.CPU, idx)
 		}
-		if best < 0 {
-			return curve, desired, nil // every processor at the floor
-		}
-		idx := c.actualIdx[best]
-		if c.grid.Valid(best) {
-			sumLoss += c.grid.Loss(best, idx-1) - c.grid.Loss(best, idx)
-		}
-		c.actualIdx[best] = idx - 1
+		c.actualIdx[d.CPU] = idx - 1
 		prev := curve.Points[len(curve.Points)-1]
 		p := farm.DemandPoint{
 			Power: sumAt(),
 			Loss:  sumLoss,
-			Step:  farm.StepKey{Loss: bestLoss, Idx: idx, Proc: best},
+			Step:  farm.StepKey{Loss: d.PredictedLoss, Idx: idx, Proc: d.CPU},
 		}
 		if p.Loss < prev.Loss {
 			p.Loss = prev.Loss // absorb float jitter; model loss is monotone in frequency
@@ -235,6 +227,7 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 			curve.Points = append(curve.Points, p)
 		}
 	}
+	return curve, desired, nil
 }
 
 // UniformLoss predicts the aggregate performance loss of pinning every

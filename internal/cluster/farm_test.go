@@ -43,9 +43,42 @@ func TestDemandCurveMatchesSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, inputs := c.buildInputs()
-	curve, err := c.core.DemandCurve(inputs)
+	curve, desired, err := c.core.DemandCurveDesired(inputs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Curve ≡ walk: handed point k's power as its budget, a pass stops on
+	// point k, and the demotion that got it there is the point's Step —
+	// same processor, same pre-demotion index, same loss bits. The desired
+	// indices shipped beside the curve are the pass's Step-1 desires.
+	table := c.core.Config().Table
+	for k, pt := range curve.Points {
+		res, err := c.core.Schedule(inputs, pt.Power)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TablePower != pt.Power || !res.BudgetMet {
+			t.Fatalf("point %d: pass under %v lands on %v (met=%v)", k, pt.Power, res.TablePower, res.BudgetMet)
+		}
+		for i, a := range res.Assignments {
+			if got := table.IndexOf(a.Desired); got != desired[i] {
+				t.Fatalf("point %d cpu %d: curve desired idx %d, pass desired idx %d", k, i, desired[i], got)
+			}
+		}
+		if k == 0 {
+			if len(res.Demotions) != 0 {
+				t.Fatalf("pass under the desire made %d demotions", len(res.Demotions))
+			}
+			continue
+		}
+		if len(res.Demotions) == 0 {
+			t.Fatalf("point %d: pass under %v made no demotion", k, pt.Power)
+		}
+		last := res.Demotions[len(res.Demotions)-1]
+		if last.CPU != pt.Step.Proc || table.IndexOf(last.From) != pt.Step.Idx ||
+			math.Float64bits(last.PredictedLoss) != math.Float64bits(pt.Step.Loss) {
+			t.Fatalf("point %d: step %+v, pass's last demotion %+v", k, pt.Step, last)
+		}
 	}
 	for _, budget := range []units.Power{curve.Desired() + 10, 600, 300, 150, curve.Floor()} {
 		res, err := c.core.Schedule(inputs, budget)

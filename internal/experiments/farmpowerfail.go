@@ -376,8 +376,7 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 					for k := 0; k < hist.Len() && k < cfg.SchedulePeriods; k++ {
 						agg = agg.Add(hist.Last(k))
 					}
-					if fHz := agg.ObservedFrequencyHz(); agg.Instructions > 0 && agg.Cycles > 0 && fHz > 0 {
-						o := perfmodel.Observation{Delta: agg, Freq: units.Frequency(fHz)}
+					if o, ok := perfmodel.ObservationFrom(agg); ok {
 						in.Obs = &o
 					}
 				}

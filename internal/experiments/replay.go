@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/counters"
 	"repro/internal/fvsst"
 	"repro/internal/obs"
@@ -38,32 +39,27 @@ type ReplayResult struct {
 
 // ReplayDecisions re-runs Steps 1–3 over the recorded passes of a
 // decision trace (obs.ReadDecisions) under perturbed policy knobs —
-// the open-loop arm of the counterfactual harness. With zero knobs the
-// replay reproduces the recorded desired/actual/voltage decisions to
-// the byte: Step 1 re-decomposes the recorded counter windows, the
-// budget is recovered exactly as BudgetW − ReservedW, and the greedy
-// allocator is the same code path the schedulers run. Passes without
-// recorded observations (obs.Replayable false) are counted in Skipped.
+// the open-loop arm of the counterfactual harness. Each recorded event
+// becomes the []cluster.ProcInput it was scheduled from and goes through
+// cluster.Core.Schedule under the ε knob, then, for debounce/allocator
+// knobs, the scenario.PolicyRewrite an in-run counterfactual applies. With
+// zero knobs the replay therefore reproduces the recorded desired/actual/
+// voltage decisions to the byte (TestReplayFidelity): counter windows are
+// recorded hertz-exact and the budget is recovered as BudgetW − ReservedW.
+// Passes without recorded observations (obs.Replayable false) are counted
+// in Skipped.
 func ReplayDecisions(events []obs.Event, cfg fvsst.Config, knobs scenario.PolicyKnobs) (*ReplayResult, error) {
-	pred, err := perfmodel.New(cfg.Hier)
+	if knobs.Epsilon > 0 {
+		cfg.Epsilon = knobs.Epsilon
+	}
+	core, err := cluster.NewCore(cfg)
 	if err != nil {
 		return nil, err
 	}
-	eps := cfg.Epsilon
-	if knobs.Epsilon > 0 {
-		eps = knobs.Epsilon
-	}
-	type procKey struct {
-		node string
-		cpu  int
-	}
-	held := map[procKey]int{}
-	last := map[procKey]int{}
-	run := map[procKey]int{}
-	var grid perfmodel.PredGrid
-	set := cfg.Table.Frequencies()
+	rewrite := scenario.NewPolicyRewrite(&knobs)
 	period := cfg.SamplePeriod * float64(cfg.SchedulePeriods)
 	res := &ReplayResult{}
+	var inputs []cluster.ProcInput
 	for _, ev := range events {
 		if ev.Type != obs.EventSchedule {
 			continue
@@ -72,19 +68,11 @@ func ReplayDecisions(events []obs.Event, cfg fvsst.Config, knobs scenario.Policy
 			res.Skipped++
 			continue
 		}
-		n := len(ev.CPUs)
-		grid.Reset(n, set)
-		nf := grid.NumFreqs()
-		desired := make([]int, n)
-		for i, ct := range ev.CPUs {
-			switch {
-			case cfg.UseIdleSignal && ct.Idle:
-				desired[i] = 0
-			case ct.Obs == nil:
-				desired[i] = nf - 1
-			default:
-				o := ct.Obs
-				dec, err := pred.Decompose(perfmodel.Observation{
+		inputs = inputs[:0]
+		for _, ct := range ev.CPUs {
+			in := cluster.ProcInput{Proc: cluster.ProcRef{CPU: ct.CPU}, Node: ct.Node, Idle: ct.Idle}
+			if o := ct.Obs; o != nil {
+				in.Obs = &perfmodel.Observation{
 					Delta: counters.Delta{
 						Window:       o.WindowS,
 						Instructions: o.Instructions,
@@ -95,63 +83,27 @@ func ReplayDecisions(events []obs.Event, cfg fvsst.Config, knobs scenario.Policy
 						MemRefs:      o.MemRefs,
 					},
 					Freq: units.Frequency(o.FreqHz),
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiments: replay t=%v cpu %d: %w", ev.At, ct.CPU, err)
 				}
-				grid.Fill(i, dec)
-				desired[i] = fvsst.EpsilonIndexGrid(&grid, i, eps)
 			}
-		}
-		if k := knobs.DebouncePasses; k >= 2 {
-			for i, ct := range ev.CPUs {
-				ref := procKey{ct.Node, ct.CPU}
-				cand := desired[i]
-				h, seen := held[ref]
-				switch {
-				case !seen:
-					h = cand
-				case cand == h:
-					run[ref] = 0
-				default:
-					if cand == last[ref] {
-						run[ref]++
-					} else {
-						run[ref] = 1
-					}
-					if run[ref] >= k {
-						h = cand
-						run[ref] = 0
-					}
-				}
-				last[ref] = cand
-				held[ref] = h
-				desired[i] = h
-			}
+			inputs = append(inputs, in)
 		}
 		budget := units.Watts(ev.BudgetW - ev.ReservedW)
-		idx, met, err := scenario.Allocate(knobs.Allocator, &grid, desired, cfg.Table, budget)
+		pass, err := core.Schedule(inputs, budget)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: replay t=%v: %w", ev.At, err)
 		}
-		rp := ReplayedPass{
-			At:         ev.At,
-			BudgetMet:  met,
-			DesiredMHz: make([]float64, n),
-			ActualMHz:  make([]float64, n),
-			VoltageV:   make([]float64, n),
-		}
-		var tablePower units.Power
-		for i, k := range idx {
-			rp.DesiredMHz[i] = cfg.Table.FrequencyAtIndex(desired[i]).MHz()
-			rp.ActualMHz[i] = cfg.Table.FrequencyAtIndex(k).MHz()
-			rp.VoltageV[i] = cfg.Table.VoltageAtIndex(k).V()
-			if grid.Valid(i) {
-				rp.Loss += grid.Loss(i, k)
+		if rewrite != nil {
+			if pass, err = rewrite(core, inputs, pass, budget); err != nil {
+				return nil, fmt.Errorf("experiments: replay t=%v: %w", ev.At, err)
 			}
-			tablePower += cfg.Table.PowerAtIndex(k)
 		}
-		rp.TablePowerW = tablePower.W()
+		rp := ReplayedPass{At: ev.At, BudgetMet: pass.BudgetMet, TablePowerW: pass.TablePower.W()}
+		for _, a := range pass.Assignments {
+			rp.DesiredMHz = append(rp.DesiredMHz, a.Desired.MHz())
+			rp.ActualMHz = append(rp.ActualMHz, a.Actual.MHz())
+			rp.VoltageV = append(rp.VoltageV, a.Voltage.V())
+			rp.Loss += a.PredictedLoss
+		}
 		res.TotalLoss += rp.Loss
 		res.EnergyProxyJ += rp.TablePowerW * period
 		res.Passes = append(res.Passes, rp)

@@ -55,12 +55,6 @@ func IdealEpsilonFrequency(dec perfmodel.Decomposition, set units.FrequencySet, 
 	return set.Max(), nil
 }
 
-// LossAt evaluates a processor's predicted loss at frequency f versus the
-// set maximum; a helper shared by the budget-fitting pass and diagnostics.
-func LossAt(dec perfmodel.Decomposition, set units.FrequencySet, f units.Frequency) float64 {
-	return dec.PerfLoss(set.Max(), f)
-}
-
 // Demotion records one Step-2 reduction: the budget fit lowered CPU from
 // From to To, a step predicted to cost PredictedLoss performance versus
 // f_max. The sequence of demotions is the scheduler's justification for
@@ -82,70 +76,30 @@ type Demotion struct {
 //
 // decs may contain a nil entry for an idle processor; idle processors are
 // treated as having zero loss at any frequency, so they are lowered first.
+//
+// It is an adapter over FitToBudgetGrid, not a second walk: the
+// decompositions are swept into a prediction grid and indices mapped back.
 func FitToBudget(decs []*perfmodel.Decomposition, assigned []units.Frequency, table *power.Table, budget units.Power) ([]units.Frequency, bool, error) {
-	out, _, met, err := FitToBudgetTraced(decs, assigned, table, budget)
-	return out, met, err
-}
-
-// FitToBudgetTraced is FitToBudget returning, in addition, the ordered
-// list of single-step reductions it took — the Step-2 attribution the
-// observability layer records per decision.
-func FitToBudgetTraced(decs []*perfmodel.Decomposition, assigned []units.Frequency, table *power.Table, budget units.Power) ([]units.Frequency, []Demotion, bool, error) {
 	if len(decs) != len(assigned) {
-		return nil, nil, false, fmt.Errorf("fvsst: %d decompositions for %d assignments", len(decs), len(assigned))
+		return nil, false, fmt.Errorf("fvsst: %d decompositions for %d assignments", len(decs), len(assigned))
 	}
-	set := table.Frequencies()
-	out := make([]units.Frequency, len(assigned))
-	copy(out, assigned)
-
-	totalPower := func() (units.Power, error) {
-		var sum units.Power
-		for _, f := range out {
-			p, err := table.PowerAt(f)
-			if err != nil {
-				return 0, err
-			}
-			sum += p
+	var grid perfmodel.PredGrid
+	grid.Reset(len(decs), table.Frequencies())
+	idx := make([]int, len(assigned))
+	for i, f := range assigned {
+		if idx[i] = table.IndexOf(f); idx[i] < 0 {
+			return nil, false, fmt.Errorf("fvsst: cpu %d: frequency %v not in table", i, f)
 		}
-		return sum, nil
+		if decs[i] != nil {
+			grid.Fill(i, *decs[i])
+		}
 	}
-
-	var demotions []Demotion
-	for {
-		sum, err := totalPower()
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if sum <= budget {
-			return out, demotions, true, nil
-		}
-		// Pick the processor whose next-lower setting costs least. Ties —
-		// common when several processors lack counter data (nil
-		// decomposition, zero predicted loss) — break toward the one at
-		// the highest frequency, so equal-loss reductions level the
-		// assignment instead of driving one processor to the floor.
-		best := -1
-		bestLoss := math.Inf(1)
-		var bestF units.Frequency
-		for i, f := range out {
-			less, ok := set.NextBelow(f)
-			if !ok {
-				continue // already at minimum
-			}
-			loss := 0.0
-			if decs[i] != nil {
-				loss = decs[i].PerfLoss(set.Max(), less)
-			}
-			if loss < bestLoss || (loss == bestLoss && best >= 0 && f > out[best]) {
-				best, bestLoss, bestF = i, loss, less
-			}
-		}
-		if best < 0 {
-			return out, demotions, false, nil // floor reached, budget still exceeded
-		}
-		demotions = append(demotions, Demotion{CPU: best, From: out[best], To: bestF, PredictedLoss: bestLoss})
-		out[best] = bestF
+	_, met := FitToBudgetGrid(&grid, idx, table, budget, nil)
+	out := make([]units.Frequency, len(idx))
+	for i, k := range idx {
+		out[i] = table.FrequencyAtIndex(k)
 	}
+	return out, met, nil
 }
 
 // EpsilonIndexGrid is Step 1 over a pre-evaluated prediction grid: the
@@ -170,10 +124,14 @@ func EpsilonIndexGrid(g *perfmodel.PredGrid, cpu int, epsilon float64) int {
 // unobserved processors) count as zero loss, so they are lowered first.
 // Demotions are appended to the caller's buffer (pass a len-0 slice to
 // reuse its backing array) and returned with met, which is false when the
-// floor is reached with the budget still exceeded. The decisions are
-// identical to FitToBudgetTraced over the same inputs; only the data
-// representation differs — no per-step frequency searches, no allocation
-// beyond demotion growth.
+// floor is reached with the budget still exceeded. No per-step frequency
+// searches, no allocation beyond demotion growth.
+//
+// This loop is the only production body of the Step-2 selection rule
+// (Scheduler, cluster.Core's pass and demand curve, FitToBudget and the
+// scenario policy rewrite all run it). invariant.StepTwoReplay and
+// optimal.Greedy state the rule independently to check it;
+// invariant.FuzzStepTwoAgreement holds the three to the same walk.
 func FitToBudgetGrid(g *perfmodel.PredGrid, actualIdx []int, table *power.Table, budget units.Power, demotions []Demotion) ([]Demotion, bool) {
 	for {
 		var sum units.Power
@@ -208,20 +166,6 @@ func FitToBudgetGrid(g *perfmodel.PredGrid, actualIdx []int, table *power.Table,
 		})
 		actualIdx[best]--
 	}
-}
-
-// Voltages performs Step 3: the minimum table voltage for each assigned
-// frequency.
-func Voltages(assigned []units.Frequency, table *power.Table) ([]units.Voltage, error) {
-	out := make([]units.Voltage, len(assigned))
-	for i, f := range assigned {
-		v, err := table.MinVoltage(f)
-		if err != nil {
-			return nil, fmt.Errorf("fvsst: voltage for cpu %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // TotalTablePower sums the table power of an assignment.

@@ -72,13 +72,6 @@ func TestEpsilonFrequencyAgreesWithIdealExtension(t *testing.T) {
 	}
 }
 
-func TestLossAt(t *testing.T) {
-	d := dec(1.4, 0)
-	if got := LossAt(d, sec5Set(), units.MHz(600)); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("LossAt = %v, want 0.4 (pure CPU at 60%% clock)", got)
-	}
-}
-
 func TestFitToBudgetNoActionWhenUnderBudget(t *testing.T) {
 	tab := power.Section5Table()
 	d1, d2 := dec(1.4, 0.1), dec(1.1, 8.44)
@@ -259,20 +252,6 @@ func TestWorkedExampleSection5(t *testing.T) {
 		if loss := d.PerfLoss(set.Max(), actual[i]); loss >= 0.05 {
 			t.Errorf("T1 loss[%d] = %v, want < ε", i, loss)
 		}
-	}
-}
-
-func TestVoltages(t *testing.T) {
-	tab := power.Section5Table()
-	vs, err := Voltages([]units.Frequency{units.MHz(600), units.GHz(1)}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 2 || vs[0] >= vs[1] {
-		t.Errorf("voltages = %v", vs)
-	}
-	if _, err := Voltages([]units.Frequency{units.MHz(123)}, tab); err == nil {
-		t.Error("off-grid voltage lookup accepted")
 	}
 }
 

@@ -356,12 +356,7 @@ func (s *Scheduler) Collect() (due bool, err error) {
 // observationFor builds the predictor observation for cpu from the last
 // scheduling window. ok is false when the window contains no usable work.
 func (s *Scheduler) observationFor(cpu int) (perfmodel.Observation, bool) {
-	delta := s.sampler.WindowAggregate(cpu, s.cfg.SchedulePeriods)
-	freqHz := delta.ObservedFrequencyHz()
-	if delta.Instructions == 0 || delta.Cycles == 0 || freqHz <= 0 {
-		return perfmodel.Observation{}, false
-	}
-	return perfmodel.Observation{Delta: delta, Freq: units.Frequency(freqHz)}, true
+	return perfmodel.ObservationFrom(s.sampler.WindowAggregate(cpu, s.cfg.SchedulePeriods))
 }
 
 // decompose derives the cycle decomposition for one CPU's window,

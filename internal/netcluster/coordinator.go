@@ -650,9 +650,8 @@ func (c *Coordinator) buildInputs(polls []poll) (inputs []cluster.ProcInput, nod
 				Node: ns.spec.Name,
 				Idle: rep.Idle,
 			}
-			delta := rep.Delta()
-			if fHz := delta.ObservedFrequencyHz(); delta.Instructions > 0 && delta.Cycles > 0 && fHz > 0 {
-				in.Obs = &perfmodel.Observation{Delta: delta, Freq: units.Frequency(fHz)}
+			if o, ok := perfmodel.ObservationFrom(rep.Delta()); ok {
+				in.Obs = &o
 			}
 			nodeInputs[i] = append(nodeInputs[i], len(inputs))
 			inputs = append(inputs, in)

@@ -181,7 +181,9 @@ func SolveLimits(p Problem, lim Limits) (Assignment, error) {
 // desired indices, repeatedly demote the CPU whose next-lower point costs
 // the least predicted loss, ties to the higher current index — and
 // returns the assignment it reaches. It is the baseline every gap is
-// measured against and is bit-compatible with fvsst.FitToBudgetGrid.
+// measured against: a pure-function statement of the rule, independent of
+// the one production body fvsst.FitToBudgetGrid and held bit-compatible
+// with it by invariant.FuzzStepTwoAgreement.
 func Greedy(p Problem) Assignment {
 	n := len(p.Upper)
 	idx := make([]int, n)

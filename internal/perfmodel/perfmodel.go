@@ -34,6 +34,18 @@ type Observation struct {
 	Freq  units.Frequency
 }
 
+// ObservationFrom is the usable-window predicate: a counter window becomes
+// an observation only if it retired instructions over a non-zero number
+// of cycles at a positive observed frequency (otherwise the schedulers
+// pin the processor at f_max). Must stay inlinable for the zero-alloc paths.
+func ObservationFrom(d counters.Delta) (Observation, bool) {
+	fHz := d.ObservedFrequencyHz()
+	if d.Instructions == 0 || d.Cycles == 0 || fHz <= 0 {
+		return Observation{}, false
+	}
+	return Observation{Delta: d, Freq: units.Frequency(fHz)}, true
+}
+
 // Validate checks the observation is usable for prediction.
 func (o Observation) Validate() error {
 	if o.Freq <= 0 {

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -26,10 +25,10 @@ import (
 // their degrade/rejoin edges coincide.
 const MissK = 2
 
-// SabotageStepTwoInvert replaces Step 2 with a copy whose loss comparison
-// is inverted — the deliberate bug the acceptance criteria plant to prove
-// the checkers catch it. The production algorithm is untouched; the
-// sabotage runs as a post-pass rewrite inside this package only.
+// SabotageStepTwoInvert rewrites each pass to what Step 2 would return
+// with its loss comparison inverted — the deliberate bug the acceptance
+// criteria plant to prove the checkers catch it. The production algorithm
+// is untouched; the sabotage is a post-pass rewrite inside this package.
 const SabotageStepTwoInvert = "step2-invert"
 
 // Options tunes a driver run.
@@ -212,12 +211,7 @@ func runClusterEngine(spec Spec, opt Options, des bool) (*RunResult, error) {
 		// natively and the full checker suite stays consistent with it.
 		fcfg.Epsilon = opt.Policy.Epsilon
 	}
-	var policy *policyState
-	if opt.Policy.rewrites() {
-		if policy, err = newPolicyState(*opt.Policy, fcfg); err != nil {
-			return nil, err
-		}
-	}
+	policy := NewPolicyRewrite(opt.Policy)
 	core, err := cluster.NewCore(fcfg)
 	if err != nil {
 		return nil, err
@@ -304,9 +298,8 @@ func runClusterEngine(spec Spec, opt Options, des bool) (*RunResult, error) {
 					Node: n.name,
 					Idle: rep.idle,
 				}
-				delta := rep.delta
-				if fHz := delta.ObservedFrequencyHz(); delta.Instructions > 0 && delta.Cycles > 0 && fHz > 0 {
-					in.Obs = &perfmodel.Observation{Delta: delta, Freq: units.Frequency(fHz)}
+				if o, ok := perfmodel.ObservationFrom(rep.delta); ok {
+					in.Obs = &o
 				}
 				nodeInputs[i] = append(nodeInputs[i], len(inputs))
 				inputs = append(inputs, in)
@@ -320,12 +313,10 @@ func runClusterEngine(spec Spec, opt Options, des bool) (*RunResult, error) {
 			return nil, err
 		}
 		if opt.Sabotage == SabotageStepTwoInvert {
-			if err := sabotageStepTwoInvert(fcfg, inputs, &pass, liveBudget); err != nil {
-				return nil, err
-			}
+			sabotageStepTwoInvert(table, &pass, liveBudget)
 		}
 		if policy != nil {
-			if err := policy.rewrite(inputs, &pass, liveBudget); err != nil {
+			if pass, err = policy(core, inputs, pass, liveBudget); err != nil {
 				return nil, err
 			}
 		}
@@ -552,71 +543,21 @@ func reportFor(d counters.Delta, idle bool) report {
 	return report{delta: d, idle: idle}
 }
 
-// sabotageStepTwoInvert re-runs Step 2 with the loss comparison
-// inverted — a copy of fvsst.FitToBudgetGrid's loop with `<` flipped to
-// `>` against a +Inf sentinel, the classic polarity bug. The rewrite
-// leaves desired frequencies in place (the broken loop never finds a
-// victim), recomputes the assignment fields, and drops the demotion log,
-// exactly as the production path would present such a bug.
-func sabotageStepTwoInvert(cfg fvsst.Config, inputs []cluster.ProcInput, pass *cluster.PassResult, budget units.Power) error {
-	pred, err := perfmodel.New(cfg.Hier)
-	if err != nil {
-		return err
-	}
-	var grid perfmodel.PredGrid
-	grid.Reset(len(inputs), cfg.Table.Frequencies())
-	for i, in := range inputs {
-		if (cfg.UseIdleSignal && in.Idle) || in.Obs == nil {
-			continue
-		}
-		d, err := pred.Decompose(*in.Obs)
-		if err != nil {
-			return err
-		}
-		grid.Fill(i, d)
-	}
-	idx := make([]int, len(inputs))
-	for i, a := range pass.Assignments {
-		idx[i] = cfg.Table.IndexOf(a.Desired)
-	}
-	met := false
-	for {
-		var sum units.Power
-		for i := range idx {
-			sum += cfg.Table.PowerAtIndex(idx[i])
-		}
-		if sum <= budget {
-			met = true
-			break
-		}
-		best, bestLoss := -1, math.Inf(1)
-		for i := range idx {
-			if idx[i] == 0 {
-				continue
-			}
-			loss := 0.0
-			if grid.Valid(i) {
-				loss = grid.Loss(i, idx[i]-1)
-			}
-			// The planted bug: inverted comparison never beats +Inf, so no
-			// CPU is ever demoted.
-			if loss > bestLoss || (loss == bestLoss && best >= 0 && idx[i] > idx[best]) {
-				best, bestLoss = i, loss
-			}
-		}
-		if best < 0 {
-			break
-		}
-		idx[best]--
-	}
-	pass.Demotions = nil
-	pass.BudgetMet = met
+// sabotageStepTwoInvert presents the pass as Step 2 would with its loss
+// comparison inverted (`<` flipped to `>` against the +Inf sentinel, the
+// classic polarity bug): such a loop never finds a victim, so every
+// processor stays at its desired frequency, nothing is logged, and the
+// budget counts as met only if the desires happened to fit.
+func sabotageStepTwoInvert(table *power.Table, pass *cluster.PassResult, budget units.Power) {
 	var total units.Power
 	for i := range pass.Assignments {
-		pass.Assignments[i].Actual = cfg.Table.FrequencyAtIndex(idx[i])
-		pass.Assignments[i].Voltage = cfg.Table.VoltageAtIndex(idx[i])
-		total += cfg.Table.PowerAtIndex(idx[i])
+		a := &pass.Assignments[i]
+		di := table.IndexOf(a.Desired)
+		a.Actual = a.Desired
+		a.Voltage = table.VoltageAtIndex(di)
+		total += table.PowerAtIndex(di)
 	}
+	pass.Demotions = nil
 	pass.TablePower = total
-	return nil
+	pass.BudgetMet = total <= budget
 }

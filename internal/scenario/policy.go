@@ -66,129 +66,113 @@ func (k *PolicyKnobs) rewrites() bool {
 	return k != nil && (k.DebouncePasses >= 2 || (k.Allocator != "" && k.Allocator != AllocGreedy))
 }
 
-// policyState carries the rewrite machinery across rounds: the debounce
-// streaks are keyed by stable proc identity, not pass position, because
+// PolicyRewrite re-decides the pass core just scheduled under the policy
+// knobs: Step-1 desires pass through the debounce filter, the chosen
+// allocator replaces Step 2 over the grid that pass filled (core.Grid, so
+// call it before the core's next pass), Step 3 re-reads the voltage
+// table. The demotion log is dropped — replacement allocators have no
+// least-loss demotion sequence to log. The scenario driver and
+// experiments.ReplayDecisions both run this one rewrite. The pass goes in
+// and out by value (its Assignments are rewritten in place): a pointer
+// through a func value would move every round's PassResult to the heap.
+type PolicyRewrite func(core *cluster.Core, inputs []cluster.ProcInput, pass cluster.PassResult, budget units.Power) (cluster.PassResult, error)
+
+// policyState carries the rewrite's debounce streaks across passes, keyed
+// by the trace identity (node name, CPU), not pass position, because
 // partitions shrink the input vector.
 type policyState struct {
-	knobs PolicyKnobs
-	cfg   fvsst.Config
-	pred  perfmodel.Predictor
-	grid  perfmodel.PredGrid
-	held  map[cluster.ProcRef]int
-	last  map[cluster.ProcRef]int
-	run   map[cluster.ProcRef]int
+	knobs   PolicyKnobs
+	streaks map[procKey]debounce
 }
 
-func newPolicyState(knobs PolicyKnobs, cfg fvsst.Config) (*policyState, error) {
-	pred, err := perfmodel.New(cfg.Hier)
-	if err != nil {
-		return nil, err
-	}
-	return &policyState{
-		knobs: knobs,
-		cfg:   cfg,
-		pred:  pred,
-		held:  map[cluster.ProcRef]int{},
-		last:  map[cluster.ProcRef]int{},
-		run:   map[cluster.ProcRef]int{},
-	}, nil
+type procKey struct {
+	node string
+	cpu  int
 }
 
-// rewrite re-decides the pass under the policy knobs, the same post-pass
-// rewrite shape as the sabotage hook: Step-1 desires pass through the
-// debounce filter, the chosen allocator replaces Step 2, Step 3 re-reads
-// the voltage table. The demotion log is dropped — replacement
-// allocators have no least-loss demotion sequence to log.
-func (st *policyState) rewrite(inputs []cluster.ProcInput, pass *cluster.PassResult, budget units.Power) error {
-	cfg := st.cfg
-	st.grid.Reset(len(inputs), cfg.Table.Frequencies())
-	for i, in := range inputs {
-		if (cfg.UseIdleSignal && in.Idle) || in.Obs == nil {
-			continue
-		}
-		d, err := st.pred.Decompose(*in.Obs)
-		if err != nil {
-			return err
-		}
-		st.grid.Fill(i, d)
+// debounce: a held Step-1 desire, the latest candidate and its streak.
+type debounce struct{ held, last, run int }
+
+// NewPolicyRewrite returns the rewrite for k, or nil when the knobs need
+// none (core.Schedule under k's ε already is the policy).
+func NewPolicyRewrite(k *PolicyKnobs) PolicyRewrite {
+	if !k.rewrites() {
+		return nil
 	}
+	st := &policyState{knobs: *k, streaks: map[procKey]debounce{}}
+	return st.rewrite
+}
+
+func (st *policyState) rewrite(core *cluster.Core, inputs []cluster.ProcInput, pass cluster.PassResult, budget units.Power) (cluster.PassResult, error) {
+	grid, table := core.Grid(), core.Config().Table
 	desired := make([]int, len(inputs))
 	for i, a := range pass.Assignments {
-		desired[i] = cfg.Table.IndexOf(a.Desired)
+		desired[i] = table.IndexOf(a.Desired)
 	}
 	if k := st.knobs.DebouncePasses; k >= 2 {
 		for i, in := range inputs {
-			ref := in.Proc
+			ref := procKey{in.Node, in.Proc.CPU}
 			cand := desired[i]
-			held, seen := st.held[ref]
+			d, seen := st.streaks[ref]
 			switch {
 			case !seen:
-				held = cand // first observation adopts immediately
-			case cand == held:
-				st.run[ref] = 0
+				d.held = cand // first observation adopts immediately
+			case cand == d.held:
+				d.run = 0
 			default:
-				if cand == st.last[ref] {
-					st.run[ref]++
+				if cand == d.last {
+					d.run++
 				} else {
-					st.run[ref] = 1
+					d.run = 1
 				}
-				if st.run[ref] >= k {
-					held = cand
-					st.run[ref] = 0
+				if d.run >= k {
+					d.held = cand
+					d.run = 0
 				}
 			}
-			st.last[ref] = cand
-			st.held[ref] = held
-			desired[i] = held
+			d.last = cand
+			st.streaks[ref] = d
+			desired[i] = d.held
 		}
 	}
-	idx, met, err := st.allocate(desired, budget)
+	idx, met, err := allocate(st.knobs.Allocator, grid, desired, table, budget)
 	if err != nil {
-		return err
+		return pass, err
 	}
 	pass.Demotions = nil
 	pass.BudgetMet = met
 	var total units.Power
 	for i := range pass.Assignments {
-		pass.Assignments[i].Desired = cfg.Table.FrequencyAtIndex(desired[i])
-		pass.Assignments[i].Actual = cfg.Table.FrequencyAtIndex(idx[i])
-		pass.Assignments[i].Voltage = cfg.Table.VoltageAtIndex(idx[i])
-		if st.grid.Valid(i) {
-			pass.Assignments[i].PredictedLoss = st.grid.Loss(i, idx[i])
-		} else {
-			pass.Assignments[i].PredictedLoss = 0
+		a := &pass.Assignments[i]
+		a.Desired = table.FrequencyAtIndex(desired[i])
+		a.Actual = table.FrequencyAtIndex(idx[i])
+		a.Voltage = table.VoltageAtIndex(idx[i])
+		a.PredictedLoss = 0
+		if grid.Valid(i) {
+			a.PredictedLoss = grid.Loss(i, idx[i])
 		}
-		total += cfg.Table.PowerAtIndex(idx[i])
+		total += table.PowerAtIndex(idx[i])
 	}
 	pass.TablePower = total
-	return nil
+	return pass, nil
 }
 
-// allocate runs the knob-selected Step-2 replacement from the (possibly
-// debounced) desired indices.
-func (st *policyState) allocate(desired []int, budget units.Power) ([]int, bool, error) {
-	return Allocate(st.knobs.Allocator, &st.grid, desired, st.cfg.Table, budget)
-}
-
-// Allocate runs one named Step-2 budget fit over a filled prediction
-// grid: actual indices capped by the desired ones, plus whether the
-// result fits the budget. It is shared by the in-run policy rewrite and
-// the trace replay harness so both arms of a counterfactual use the
-// byte-identical allocator.
-func Allocate(allocator string, grid *perfmodel.PredGrid, desired []int, table *power.Table, budget units.Power) ([]int, bool, error) {
-	lossAt := func(cpu, fi int) float64 {
-		if !grid.Valid(cpu) {
-			return 0
-		}
-		return grid.Loss(cpu, fi)
-	}
+// allocate runs one named Step-2 budget fit from the (possibly debounced)
+// desired indices over a filled prediction grid: actual indices capped by
+// the desired ones, plus whether the result fits the budget.
+func allocate(allocator string, grid *perfmodel.PredGrid, desired []int, table *power.Table, budget units.Power) ([]int, bool, error) {
 	switch allocator {
 	case AllocOptimal:
 		sol, err := optimal.Solve(optimal.Problem{
 			Table:  table,
 			Budget: budget,
 			Upper:  desired,
-			Loss:   lossAt,
+			Loss: func(cpu, fi int) float64 {
+				if !grid.Valid(cpu) {
+					return 0
+				}
+				return grid.Loss(cpu, fi)
+			},
 		})
 		if err != nil {
 			return nil, false, err
@@ -218,10 +202,10 @@ func Allocate(allocator string, grid *perfmodel.PredGrid, desired []int, table *
 			}
 			idx[best]--
 		}
-	default: // greedy under debounced desires
-		p := optimal.Problem{Table: table, Budget: budget, Upper: desired, Loss: lossAt}
-		g := optimal.Greedy(p)
-		return g.Idx, g.Feasible, nil
+	default: // the paper's greedy, from the debounced desires
+		idx := append([]int(nil), desired...)
+		_, met := fvsst.FitToBudgetGrid(grid, idx, table, budget, nil)
+		return idx, met, nil
 	}
 }
 

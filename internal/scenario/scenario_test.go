@@ -3,6 +3,8 @@ package scenario
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestGenerateDeterministicAndValid(t *testing.T) {
@@ -136,6 +138,27 @@ func TestSabotageDetected(t *testing.T) {
 	}
 	if spec.Rounds == 0 {
 		t.Fatalf("no seed in 1..40 triggered both checkers under sabotage (got %v)", got)
+	}
+
+	// The property that defines the planted bug: an inverted comparison
+	// never finds a victim, so every round leaves every processor at its
+	// desire and logs no demotion.
+	var events obs.Buffer
+	r, err := RunCluster(spec, Options{Sabotage: SabotageStepTwoInvert, Sink: &events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range r.Trace {
+		for _, p := range rt.Procs {
+			if p.ActualMHz != p.DesiredMHz {
+				t.Fatalf("round %d %s/cpu%d: sabotaged pass moved %v→%v", rt.Round, p.Node, p.CPU, p.DesiredMHz, p.ActualMHz)
+			}
+		}
+	}
+	for _, ev := range events.Events() {
+		if ev.Type == obs.EventSchedule && len(ev.Demotions) != 0 {
+			t.Fatalf("t=%v: sabotaged pass logged %d demotions", ev.At, len(ev.Demotions))
+		}
 	}
 
 	fails := func(s Spec) bool {
