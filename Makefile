@@ -64,9 +64,11 @@ fuzz:
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s ./internal/netcluster/wire/
 
 # Randomized invariant soak: generated scenarios through the in-process
-# mirror, the differential (in-process vs networked) driver, the farm
-# allocator, and the quantum-vs-DES engine differential, with every
-# contract in docs/invariants.md checked each round.
+# mirror (on the event-skipping engine, the one that ships), the
+# differential (in-process vs networked) driver, the farm allocator, and
+# the engine differential (-des: the shipped engine against the
+# per-quantum oracle, byte for byte), with every contract in
+# docs/invariants.md checked each round.
 soak:
 	$(GO) run ./cmd/experiments soak -seeds 200 -diff 25 -farm 50 -des 50 -parallel 4
 

@@ -12,8 +12,11 @@ import (
 // runSoak drives the invariant soak harness: N random cluster scenarios
 // through the in-process mirror and the full invariant suite (each run
 // twice and byte-compared for determinism), M differential scenarios
-// through both the in-process and networked stacks, and K farm-layer
-// scenarios through the allocator contract checks. Exits nonzero on any
+// through both the in-process and networked stacks, K farm-layer
+// scenarios through the allocator contract checks, and D engine
+// differentials. The cluster scenarios run on the event-skipping engine
+// (scenario.RunCluster, the one that ships); -des compares it byte for
+// byte with the per-quantum oracle. Exits nonzero on any
 // violation, divergence or error; failing cluster seeds are shrunk to a
 // minimal reproducer printed with the report.
 func runSoak(args []string) error {

@@ -317,7 +317,11 @@ func budgetConfig(o options, ccfg *netcluster.Config) error {
 		if err != nil {
 			return err
 		}
-		ccfg.Budgets = sched
+		src, err := farm.FromSchedule(sched)
+		if err != nil {
+			return err
+		}
+		ccfg.Source = src
 	}
 	return nil
 }
@@ -341,6 +345,96 @@ func fvsstConfig(o options) fvsst.Config {
 	cfg.Epsilon = o.epsilon
 	cfg.UseIdleSignal = true
 	return cfg
+}
+
+// roundLine is what the drive loop reads off one round's decision, flat
+// or hierarchical.
+type roundLine struct {
+	at                        float64
+	trigger                   string
+	budget, charged, reserved units.Power
+	met                       bool
+	degraded                  []string
+	// pass is the round's wall-clock latency; only the relay tree
+	// measures it.
+	pass time.Duration
+}
+
+// drive is the run loop both topologies share: cut and heal the partition
+// target on the fabric, step one round, count budget violations and log
+// the rounds of interest (budget changes, degraded rounds, every
+// -log-every'th timer round). It returns the rounds run and the peak
+// charged/budget ratio for the summary.
+func drive(o options, out io.Writer, fabric *faultnet.Network, partitionName string,
+	now func() float64, step func() (roundLine, error), res *result) (rounds int, worst float64, err error) {
+	partitionEnd := o.partitionAt + o.partitionFor
+	cut := false
+	timerRounds := 0
+	for now() < o.duration {
+		t := now()
+		if partitionName != "" {
+			if !cut && t >= o.partitionAt && t < partitionEnd {
+				fabric.Partition(partitionName)
+				cut = true
+				fmt.Fprintf(out, "t=%.2f  PARTITION %s cut off\n", t, partitionName)
+			}
+			if cut && t >= partitionEnd {
+				fabric.Heal(partitionName)
+				cut = false
+				fmt.Fprintf(out, "t=%.2f  HEAL     %s reachable again\n", t, partitionName)
+			}
+		}
+		d, err := step()
+		if err != nil {
+			return rounds, worst, err
+		}
+		rounds++
+		if d.pass > res.maxPass {
+			res.maxPass = d.pass
+		}
+		if d.charged > d.budget {
+			res.violations++
+		}
+		if r := d.charged.W() / d.budget.W(); r > worst {
+			worst = r
+		}
+		interesting := d.trigger != "timer" || len(d.degraded) > 0 || d.charged > d.budget
+		if d.trigger == "timer" {
+			timerRounds++
+		}
+		if interesting || (o.logEvery > 0 && timerRounds%o.logEvery == 0) {
+			pass := ""
+			if o.relays > 0 {
+				pass = fmt.Sprintf(" pass=%v", d.pass.Round(time.Microsecond))
+			}
+			degraded := ""
+			if len(d.degraded) > 0 {
+				degraded = "  degraded=" + strings.Join(d.degraded, ",")
+			}
+			fmt.Fprintf(out, "t=%.2f  %-13s budget=%v charged=%v reserved=%v met=%v%s%s\n",
+				d.at, d.trigger, d.budget, d.charged, d.reserved, d.met, pass, degraded)
+		}
+	}
+	return rounds, worst, nil
+}
+
+// summarize prints the end-of-run status table (res.status) and the
+// budget-safety line.
+func summarize(o options, out io.Writer, end float64, rounds int, worst float64, res *result) {
+	latency, width := "", 6
+	if o.relays > 0 {
+		latency, width = fmt.Sprintf("; peak pass latency %v", res.maxPass.Round(time.Microsecond)), 8
+	}
+	fmt.Fprintf(out, "\nfinished at t=%.2fs after %d rounds%s\n", end, rounds, latency)
+	for _, st := range res.status {
+		state := "ok"
+		if st.Degraded {
+			state = "DEGRADED"
+		}
+		fmt.Fprintf(out, "  %-*s %-8s charge-if-silent %v\n", width, st.Name, state, st.ChargedIfSilent)
+	}
+	fmt.Fprintf(out, "budget safety: %d violations across %d rounds; peak charged/budget %.0f%%\n",
+		res.violations, rounds, 100*worst)
 }
 
 // runFlat drives the fleet through one flat coordinator (the original
@@ -375,64 +469,22 @@ func runFlat(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metric
 	if o.partition >= 0 {
 		partitionName = specs[o.partition].Name
 	}
-	partitionEnd := o.partitionAt + o.partitionFor
-	cut := false
-	timerRounds := 0
 	fmt.Fprintf(out, "%d nodes up; budget %.0fW; seed %d\n", o.nodes, o.budgetW, o.seed)
-	for coord.Now() < o.duration {
-		now := coord.Now()
-		if partitionName != "" {
-			if !cut && now >= o.partitionAt && now < partitionEnd {
-				fabric.Partition(partitionName)
-				cut = true
-				fmt.Fprintf(out, "t=%.2f  PARTITION %s cut off\n", now, partitionName)
-			}
-			if cut && now >= partitionEnd {
-				fabric.Heal(partitionName)
-				cut = false
-				fmt.Fprintf(out, "t=%.2f  HEAL     %s reachable again\n", now, partitionName)
-			}
-		}
+	rounds, worst, err := drive(o, out, fabric, partitionName, coord.Now, func() (roundLine, error) {
 		if err := coord.RunRound(); err != nil {
-			return err
+			return roundLine{}, err
 		}
-		d := coord.Decisions()[len(coord.Decisions())-1]
-		if d.Charged > d.Budget {
-			res.violations++
-		}
-		interesting := d.Trigger != "timer" || len(d.Degraded) > 0 || d.Charged > d.Budget
-		if d.Trigger == "timer" {
-			timerRounds++
-		}
-		if interesting || (o.logEvery > 0 && timerRounds%o.logEvery == 0) {
-			degraded := ""
-			if len(d.Degraded) > 0 {
-				degraded = "  degraded=" + strings.Join(d.Degraded, ",")
-			}
-			fmt.Fprintf(out, "t=%.2f  %-13s budget=%v charged=%v reserved=%v met=%v%s\n",
-				d.At, d.Trigger, d.Budget, d.Charged, d.Reserved, d.BudgetMet, degraded)
-		}
+		decs := coord.Decisions()
+		d := decs[len(decs)-1]
+		return roundLine{at: d.At, trigger: d.Trigger, budget: d.Budget, charged: d.Charged,
+			reserved: d.Reserved, met: d.BudgetMet, degraded: d.Degraded}, nil
+	}, res)
+	if err != nil {
+		return err
 	}
-
 	res.decisions = coord.Decisions()
 	res.status = coord.Status()
-
-	fmt.Fprintf(out, "\nfinished at t=%.2fs after %d rounds\n", coord.Now(), len(res.decisions))
-	for _, st := range res.status {
-		state := "ok"
-		if st.Degraded {
-			state = "DEGRADED"
-		}
-		fmt.Fprintf(out, "  %-6s %-8s charge-if-silent %v\n", st.Name, state, st.ChargedIfSilent)
-	}
-	worst := 0.0
-	for _, d := range res.decisions {
-		if r := d.Charged.W() / d.Budget.W(); r > worst {
-			worst = r
-		}
-	}
-	fmt.Fprintf(out, "budget safety: %d violations across %d rounds; peak charged/budget %.0f%%\n",
-		res.violations, len(res.decisions), 100*worst)
+	summarize(o, out, coord.Now(), rounds, worst, res)
 	return nil
 }
 
@@ -530,74 +582,27 @@ func runTree(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metric
 	if o.partition >= 0 {
 		partitionName = relaySpecs[o.partition].Name
 	}
-	partitionEnd := o.partitionAt + o.partitionFor
-	cut := false
-	timerRounds := 0
 	transport := o.transport
 	if transport == "" {
 		transport = "tcp"
 	}
 	fmt.Fprintf(out, "%d nodes up behind %d relays (%s transport); budget %.0fW; seed %d\n",
 		o.nodes, o.relays, transport, o.budgetW, o.seed)
-	for root.Now() < o.duration {
-		now := root.Now()
-		if partitionName != "" {
-			if !cut && now >= o.partitionAt && now < partitionEnd {
-				fabric.Partition(partitionName)
-				cut = true
-				fmt.Fprintf(out, "t=%.2f  PARTITION %s cut off\n", now, partitionName)
-			}
-			if cut && now >= partitionEnd {
-				fabric.Heal(partitionName)
-				cut = false
-				fmt.Fprintf(out, "t=%.2f  HEAL     %s reachable again\n", now, partitionName)
-			}
-		}
+	rounds, worst, err := drive(o, out, fabric, partitionName, root.Now, func() (roundLine, error) {
 		if err := root.RunRound(); err != nil {
-			return err
+			return roundLine{}, err
 		}
 		decs := root.RootDecisions()
 		d := decs[len(decs)-1]
-		if d.PassDur > res.maxPass {
-			res.maxPass = d.PassDur
-		}
-		if d.Charged > d.Budget {
-			res.violations++
-		}
-		interesting := d.Trigger != "timer" || len(d.Degraded) > 0 || d.Charged > d.Budget
-		if d.Trigger == "timer" {
-			timerRounds++
-		}
-		if interesting || (o.logEvery > 0 && timerRounds%o.logEvery == 0) {
-			degraded := ""
-			if len(d.Degraded) > 0 {
-				degraded = "  degraded=" + strings.Join(d.Degraded, ",")
-			}
-			fmt.Fprintf(out, "t=%.2f  %-13s budget=%v charged=%v reserved=%v met=%v pass=%v%s\n",
-				d.At, d.Trigger, d.Budget, d.Charged, d.Reserved, d.BudgetMet, d.PassDur.Round(time.Microsecond), degraded)
-		}
+		return roundLine{at: d.At, trigger: d.Trigger, budget: d.Budget, charged: d.Charged,
+			reserved: d.Reserved, met: d.BudgetMet, degraded: d.Degraded, pass: d.PassDur}, nil
+	}, res)
+	if err != nil {
+		return err
 	}
-
 	res.rootDecs = root.RootDecisions()
 	res.status = root.Status()
-
-	fmt.Fprintf(out, "\nfinished at t=%.2fs after %d rounds; peak pass latency %v\n",
-		root.Now(), len(res.rootDecs), res.maxPass.Round(time.Microsecond))
-	for _, st := range res.status {
-		state := "ok"
-		if st.Degraded {
-			state = "DEGRADED"
-		}
-		fmt.Fprintf(out, "  %-8s %-8s charge-if-silent %v\n", st.Name, state, st.ChargedIfSilent)
-	}
-	worst := 0.0
-	for _, d := range res.rootDecs {
-		if r := d.Charged.W() / d.Budget.W(); r > worst {
-			worst = r
-		}
-	}
-	fmt.Fprintf(out, "budget safety: %d violations across %d rounds; peak charged/budget %.0f%%\n",
-		res.violations, len(res.rootDecs), 100*worst)
+	summarize(o, out, root.Now(), rounds, worst, res)
 	if codec == wire.CodecName {
 		snap := stats.Snapshot()
 		fmt.Fprintf(out, "wire: %d binary frames out, %d in; %d delta reports received\n",

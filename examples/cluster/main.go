@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"repro/internal/cluster"
+	"repro/internal/farm"
 	"repro/internal/fvsst"
 	"repro/internal/machine"
 	"repro/internal/power"
@@ -31,12 +32,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	coord.Budgets, err = power.NewBudgetSchedule(units.Watts(1680),
+	sched, err := power.NewBudgetSchedule(units.Watts(1680),
 		power.BudgetEvent{At: 1.0, Budget: units.Watts(900), Label: "site capping request"},
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
+	capping, err := farm.FromSchedule(sched)
+	if err != nil {
+		log.Fatal(err)
+	}
+	coord.SetBudgetSource(capping)
 
 	report := func(when string) {
 		fmt.Printf("%s: t=%.2fs, cluster CPU power %v (budget %v)\n",

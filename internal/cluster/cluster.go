@@ -20,7 +20,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
-	"repro/internal/power"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -91,11 +90,9 @@ type Coordinator struct {
 	core   *Core
 	nodes  []*Node
 	budget units.Power
-	// Budgets optionally drives the global budget over time.
-	Budgets *power.BudgetSchedule
-	// source, when set, overrides Budgets with a farm-layer budget source —
-	// a lease Holder under a farm allocator, a UPS runway governor, or a
-	// schedule adapter. Either way a change fires the budget-change trigger.
+	// source, when set, drives the budget over time — a lease Holder under
+	// a farm allocator, a UPS runway governor, or a schedule adapter
+	// (farm.FromSchedule). A change fires the budget-change trigger.
 	source farm.BudgetSource
 
 	pending   []pendingActuation
@@ -116,9 +113,6 @@ type Coordinator struct {
 	// homogeneous records whether every machine shares the coordinator's
 	// cadence quantum (the exact-lockstep fast case).
 	homogeneous bool
-	// wakers bound how far RunDES may skip while quantum hooks are
-	// installed (see AddWaker).
-	wakers []Waker
 }
 
 // New builds a coordinator over the nodes with a global processor power
@@ -200,9 +194,10 @@ func (c *Coordinator) SetQuantumHook(before, after func(now float64)) {
 }
 
 // SetBudgetSource drives the global budget from a farm.BudgetSource
-// instead of the Budgets schedule (the source wins when both are set).
-// This is how a cluster plugs into the farm layer: hand it the farm.Holder
-// holding its lease and every grant or expiry becomes a budget-change pass.
+// instead of the constant handed to New. This is how a cluster plugs into
+// the farm layer: hand it the farm.Holder holding its lease and every
+// grant or expiry becomes a budget-change pass; a power.BudgetSchedule
+// goes through farm.FromSchedule.
 func (c *Coordinator) SetBudgetSource(src farm.BudgetSource) { c.source = src }
 
 // Now returns the cluster simulation time.
@@ -451,16 +446,6 @@ func (c *Coordinator) Decisions() []Decision {
 	out := make([]Decision, len(c.decisions))
 	copy(out, c.decisions)
 	return out
-}
-
-// Run advances the cluster until simulation time t.
-func (c *Coordinator) Run(until float64) error {
-	for c.loop.Now() < until {
-		if err := c.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AllJobsDone reports whether every node's workload completed.

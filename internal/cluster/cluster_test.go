@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/farm"
 	"repro/internal/fvsst"
 	"repro/internal/machine"
 	"repro/internal/memhier"
@@ -67,6 +68,21 @@ func newTwoNodeCluster(t *testing.T, budget units.Power) *Coordinator {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// scheduleSource wraps a budget schedule the way every caller hands one
+// to SetBudgetSource.
+func scheduleSource(t *testing.T, initial units.Power, events ...power.BudgetEvent) farm.BudgetSource {
+	t.Helper()
+	sched, err := power.NewBudgetSchedule(initial, events...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := farm.FromSchedule(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
 }
 
 func TestNewValidation(t *testing.T) {
@@ -183,12 +199,8 @@ func TestActuationDelayedByRTT(t *testing.T) {
 
 func TestBudgetScheduleTriggersGlobalReschedule(t *testing.T) {
 	c := newTwoNodeCluster(t, units.Watts(1120))
-	sched, err := power.NewBudgetSchedule(units.Watts(1120),
-		power.BudgetEvent{At: 0.3, Budget: units.Watts(500), Label: "site cap"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Budgets = sched
+	c.SetBudgetSource(scheduleSource(t, units.Watts(1120),
+		power.BudgetEvent{At: 0.3, Budget: units.Watts(500), Label: "site cap"}))
 	if err := c.Run(0.8); err != nil {
 		t.Fatal(err)
 	}

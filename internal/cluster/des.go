@@ -1,10 +1,11 @@
-// Discrete-event advancement for the cluster coordinator. RunDES is
-// byte-identical to Run — same decisions, counters, energy, trace — but
-// instead of paying full coordinator overhead every 10 ms quantum it
-// classifies each upcoming quantum as interesting (a schedule edge, a
-// budget edge, a pending actuation, a waker's next event) or quiet, and
-// fast-forwards machines through quiet spans on their probe-and-replay
-// path while samplers keep collecting per-quantum windows.
+// Discrete-event advancement for the cluster coordinator. Run is
+// byte-identical to calling Step every quantum — same decisions,
+// counters, energy, trace — but instead of paying full coordinator
+// overhead every 10 ms quantum it classifies each upcoming quantum as
+// interesting (a schedule edge, a budget edge, a pending actuation) or
+// quiet, and fast-forwards machines through quiet spans on their
+// probe-and-replay path while samplers keep collecting per-quantum
+// windows. des_test.go keeps the stepped loop as the reference.
 package cluster
 
 import (
@@ -14,49 +15,25 @@ import (
 	"repro/internal/units"
 )
 
-// Waker bounds DES skipping for a per-quantum hook participant (a serving
-// station's feeder, a fault injector): NextWakeAt returns the earliest
-// future time the participant needs a real coordinator Step, +Inf when it
-// never does again, or a time ≤ now when it cannot bound one (which
-// disables skipping). Implementations must be conservative — waking too
-// early costs a quantum, waking late changes the simulation.
-type Waker interface {
-	NextWakeAt(now float64) float64
-}
-
-// QuantaSkipper is the optional Waker extension for participants that
-// keep their own per-quantum counters (a station's emit cadence): they
-// are told how many quanta a skip covered so the counters stay aligned.
-type QuantaSkipper interface {
-	SkipQuanta(n int)
-}
-
-// AddWaker registers a skip bound. With quantum hooks installed but no
-// wakers, RunDES never skips — hooks see every quantum either way.
-func (c *Coordinator) AddWaker(w Waker) { c.wakers = append(c.wakers, w) }
-
 // budgetWant returns the budget the next Step would see in force.
 func (c *Coordinator) budgetWant() units.Power {
-	switch {
-	case c.source != nil:
+	if c.source != nil {
 		return c.source.BudgetAt(c.loop.Now())
-	case c.Budgets != nil:
-		return c.Budgets.At(c.loop.Now())
 	}
 	return c.budget
 }
 
 // quietSpan returns how many upcoming quanta need no coordinator work —
-// no trace emission, no budget change, no actuation landing, no schedule
-// pass, no waker event — and may therefore be skipped. 0 means the next
-// quantum must be a real Step.
+// no trace emission, no quantum hook, no budget change, no actuation
+// landing, no schedule pass — and may therefore be skipped. 0 means the
+// next quantum must be a real Step.
 func (c *Coordinator) quietSpan(until float64) int {
 	if c.sink != nil {
 		// Tracing observes every quantum; nothing is quiet.
 		return 0
 	}
-	if (c.beforeQuantum != nil || c.afterQuantum != nil) && len(c.wakers) == 0 {
-		// Hooks without wakers could need any quantum.
+	if c.beforeQuantum != nil || c.afterQuantum != nil {
+		// Hooks see every quantum.
 		return 0
 	}
 	if c.budgetWant() != c.budget {
@@ -77,8 +54,7 @@ func (c *Coordinator) quietSpan(until float64) int {
 	}
 	bound(until)
 	// Budget edges: a source that cannot announce them disables skipping.
-	switch {
-	case c.source != nil:
+	if c.source != nil {
 		es, ok := c.source.(farm.EdgeSource)
 		if !ok {
 			return 0
@@ -88,18 +64,9 @@ func (c *Coordinator) quietSpan(until float64) int {
 			return 0
 		}
 		bound(t)
-	case c.Budgets != nil:
-		bound(c.Budgets.NextChangeAt(now))
 	}
 	for _, p := range c.pending {
 		bound(p.due)
-	}
-	for _, w := range c.wakers {
-		t := w.NextWakeAt(now)
-		if t <= now {
-			return 0
-		}
-		bound(t)
 	}
 	if n < 0 {
 		return 0
@@ -131,23 +98,13 @@ func (c *Coordinator) skipSpan(n int) error {
 			}
 		}
 	}
-	if err := c.loop.SkipTicks(n); err != nil {
-		return err
-	}
-	for _, w := range c.wakers {
-		if s, ok := w.(QuantaSkipper); ok {
-			s.SkipQuanta(n)
-		}
-	}
-	return nil
+	return c.loop.SkipTicks(n)
 }
 
-// RunDES advances the cluster until simulation time t on the event
-// timeline: real Steps at every interesting quantum, bulk fast-forwards
-// through quiet spans. The result is byte-identical to Run(until) — the
-// differential harness pins it — so callers may pick either purely on
-// wall-clock cost.
-func (c *Coordinator) RunDES(until float64) error {
+// Run advances the cluster until simulation time t: real Steps at every
+// interesting quantum, bulk fast-forwards through quiet spans. With a
+// sink or a quantum hook installed every quantum is interesting.
+func (c *Coordinator) Run(until float64) error {
 	for c.loop.Now() < until {
 		if n := c.quietSpan(until); n > 0 {
 			if err := c.skipSpan(n); err != nil {

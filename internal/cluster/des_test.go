@@ -5,13 +5,26 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/farm"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
 
-// clusterFingerprint renders everything RunDES must preserve: every
+// runStepped is the reference Run is pinned against: one real Step per
+// quantum, nothing skipped.
+func runStepped(c *Coordinator, until float64) error {
+	for c.Now() < until {
+		if err := c.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// clusterFingerprint renders everything Run must preserve: every
 // decision with its assignments, every node machine's clock, energy and
 // counters, and the completion log — all through %v so single-bit float
 // drift shows.
@@ -41,22 +54,22 @@ func clusterFingerprint(c *Coordinator) string {
 	return b.String()
 }
 
-// diffCluster builds two coordinators via mk, runs one with the quantum
-// engine and one on the DES path, and requires byte-identical state at
+// diffCluster builds two coordinators via mk, steps one quantum by quantum
+// and runs the other through Run, and requires byte-identical state at
 // every checkpoint.
 func diffCluster(t *testing.T, mk func() *Coordinator, checkpoints []float64) {
 	t.Helper()
 	ref, des := mk(), mk()
 	for _, ck := range checkpoints {
-		if err := ref.Run(ck); err != nil {
-			t.Fatalf("Run(%v): %v", ck, err)
+		if err := runStepped(ref, ck); err != nil {
+			t.Fatalf("stepped to %v: %v", ck, err)
 		}
-		if err := des.RunDES(ck); err != nil {
-			t.Fatalf("RunDES(%v): %v", ck, err)
+		if err := des.Run(ck); err != nil {
+			t.Fatalf("Run(%v): %v", ck, err)
 		}
 		want, got := clusterFingerprint(ref), clusterFingerprint(des)
 		if got != want {
-			t.Fatalf("diverged at t=%v:\n--- Run ---\n%s--- RunDES ---\n%s", ck, want, got)
+			t.Fatalf("diverged at t=%v:\n--- stepped ---\n%s--- Run ---\n%s", ck, want, got)
 		}
 	}
 }
@@ -79,17 +92,120 @@ func TestRunDESMatchesRunTiered(t *testing.T) {
 func TestRunDESMatchesRunBudgetSchedule(t *testing.T) {
 	mk := func() *Coordinator {
 		c := newTwoNodeCluster(t, units.Watts(900))
-		sched, err := power.NewBudgetSchedule(units.Watts(900),
+		c.SetBudgetSource(scheduleSource(t, units.Watts(900),
 			power.BudgetEvent{At: 0.8, Budget: units.Watts(500), Label: "fail"},
 			power.BudgetEvent{At: 2.2, Budget: units.Watts(900), Label: "restore"},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Budgets = sched
+		))
 		return c
 	}
 	diffCluster(t, mk, []float64{0.5, 1.0, 3.0, 5.0})
+}
+
+func TestRunDESMatchesRunLeaseExpiry(t *testing.T) {
+	// The lease runs out at 0.155, inside what would otherwise be a quiet
+	// span: quietSpan must stop short of it, and the one lease-expire event
+	// Holder.BudgetAt emits on its first call past expiry must carry the
+	// same time whether quietSpan or Step made that call.
+	var sinks []*obs.Buffer
+	mk := func() *Coordinator {
+		c := newTwoNodeCluster(t, units.Watts(900))
+		buf := &obs.Buffer{}
+		sinks = append(sinks, buf)
+		h, err := farm.NewHolder("pair", units.Watts(200), buf, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Grant(farm.Lease{Member: "pair", Budget: units.Watts(600), Expires: 0.155})
+		c.SetBudgetSource(h)
+		return c
+	}
+	diffCluster(t, mk, []float64{0.14, 0.3, 1.0})
+	var at []float64
+	for _, buf := range sinks {
+		if n := buf.Count(obs.EventLeaseExpire, ""); n != 1 {
+			t.Fatalf("%d lease-expire events, want 1", n)
+		}
+		for _, e := range buf.Events() {
+			if e.Type == obs.EventLeaseExpire {
+				at = append(at, e.At)
+			}
+		}
+	}
+	if at[0] != at[1] {
+		t.Errorf("lease-expire at %v stepped, %v under Run", at[0], at[1])
+	}
+}
+
+// TestQuietSpan pins what Run treats as interesting, so the byte
+// comparisons above cannot pass because nothing was ever skipped.
+func TestQuietSpan(t *testing.T) {
+	const until = 10.0
+	// idle returns a two-node cluster with no work, two quanta past its
+	// first pass: the actuations have landed and the next pass is 8 away.
+	idle := func(t *testing.T) *Coordinator {
+		var nodes []*Node
+		for _, name := range []string{"a", "b"} {
+			m, err := machine.New(quietMachineConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, &Node{Name: name, M: m, RTT: 0.005})
+		}
+		c, err := New(clusterConfig(), units.Watts(900), nodes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := runStepped(c, 0.115); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.pending) != 0 {
+			t.Fatalf("%d actuations still pending at t=%v", len(c.pending), c.Now())
+		}
+		return c
+	}
+	if got := idle(t).quietSpan(until); got != 7 {
+		t.Errorf("idle cluster at t=0.12: span %d, want 7 (up to the next pass)", got)
+	}
+	sched := func(at float64) farm.BudgetSource {
+		return scheduleSource(t, units.Watts(900), power.BudgetEvent{At: at, Budget: units.Watts(500)})
+	}
+	for _, tc := range []struct {
+		name string
+		arm  func(c *Coordinator)
+		want int
+	}{
+		{"sink", func(c *Coordinator) { c.SetSink(obs.NopSink{}) }, 0},
+		{"quantum hook", func(c *Coordinator) { c.SetQuantumHook(nil, func(float64) {}) }, 0},
+		{"pending actuation", func(c *Coordinator) { c.pending = append(c.pending, pendingActuation{due: c.Now()}) }, 0},
+		{"budget edge at now", func(c *Coordinator) { c.SetBudgetSource(sched(c.Now())) }, 0},
+		{"non-EdgeSource source", func(c *Coordinator) {
+			c.SetBudgetSource(budgetFunc(func(float64) units.Power { return units.Watts(900) }))
+		}, 0},
+		{"budget edge three quanta out", func(c *Coordinator) { c.SetBudgetSource(sched(c.Now() + 0.035)) }, 3},
+	} {
+		c := idle(t)
+		tc.arm(c)
+		if got := c.quietSpan(until); got != tc.want {
+			t.Errorf("%s: span %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// budgetFunc is a BudgetSource that cannot announce its edges.
+type budgetFunc func(now float64) units.Power
+
+func (f budgetFunc) BudgetAt(now float64) units.Power { return f(now) }
+
+func TestRunWithQuantumHookStepsEveryQuantum(t *testing.T) {
+	c := newTwoNodeCluster(t, units.Watts(900))
+	var before, after int
+	c.SetQuantumHook(func(float64) { before++ }, func(float64) { after++ })
+	if err := c.Run(1.0); err != nil {
+		t.Fatal(err)
+	}
+	if want := c.loop.Ticks(); before != want || after != want {
+		t.Errorf("hooks ran %d/%d times over %d quanta", before, after, want)
+	}
 }
 
 func TestRunDESMatchesRunWithArrivals(t *testing.T) {

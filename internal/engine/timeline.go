@@ -238,59 +238,3 @@ func (t *Timeline) checkHeap() error {
 	}
 	return nil
 }
-
-// Metronome is a recurring timer on a timeline: it fires every `every`
-// intervals of `interval` seconds, starting at every·interval. Fire times
-// are derived by multiplication — the k-th fire is exactly
-// float64(k·every)·interval — never by accumulation, so they bit-match
-// drivers that compute step times as float64(step)·dt. It replaces the
-// hand-rolled tick-counting Cadence in timeline-driven loops: the farm
-// allocator's periodic reallocation pass posts here instead of counting
-// polls. TakeDue consumes the fired flag, preserving the old accumulator's
-// drop-on-preempt semantics (a pass triggered by something else between
-// fires does not defer the timer).
-type Metronome struct {
-	tl       *Timeline
-	interval float64
-	every    int
-	fired    int
-	due      bool
-}
-
-// NewMetronome posts the first fire at every·interval on tl.
-func NewMetronome(tl *Timeline, interval float64, every int) (*Metronome, error) {
-	if tl == nil {
-		return nil, fmt.Errorf("engine: metronome: nil timeline")
-	}
-	if !(interval > 0) {
-		return nil, fmt.Errorf("engine: metronome: interval %v must be positive", interval)
-	}
-	if every < 1 {
-		return nil, fmt.Errorf("engine: metronome: every %d must be ≥ 1", every)
-	}
-	m := &Metronome{tl: tl, interval: interval, every: every}
-	if _, err := tl.Post(float64(every)*interval, m, 0); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// HandleEvent implements Handler: latch the due flag and repost the next
-// fire at its multiplicative time.
-func (m *Metronome) HandleEvent(float64, uint64) error {
-	m.fired++
-	m.due = true
-	_, err := m.tl.Post(float64((m.fired+1)*m.every)*m.interval, m, 0)
-	return err
-}
-
-// TakeDue reports whether the metronome fired since the last TakeDue and
-// clears the flag.
-func (m *Metronome) TakeDue() bool {
-	d := m.due
-	m.due = false
-	return d
-}
-
-// Fired returns how many times the metronome has fired.
-func (m *Metronome) Fired() int { return m.fired }

@@ -398,38 +398,6 @@ func BenchmarkTimelineDispatch(b *testing.B) {
 	}
 }
 
-// TestMetronomeMatchesSteppedCadence pins the bit-identity contract with
-// tick-counting drivers: a driver stepping now = float64(step)·dt with a
-// Cadence due every n steps sees the metronome due at exactly the same
-// steps, and the metronome's event times equal the driver's float64
-// step-derived times bit for bit.
-func TestMetronomeMatchesSteppedCadence(t *testing.T) {
-	const dt = 0.05
-	const every = 7
-	tl := NewTimeline()
-	met, err := NewMetronome(tl, dt, every)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cad, err := NewCadence(every)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 1; step <= 400; step++ {
-		now := float64(step) * dt
-		if err := tl.AdvanceTo(now); err != nil {
-			t.Fatal(err)
-		}
-		wantDue := cad.Tick()
-		if got := met.TakeDue(); got != wantDue {
-			t.Fatalf("step %d: metronome due %v, cadence due %v", step, got, wantDue)
-		}
-	}
-	if met.Fired() != 400/every {
-		t.Fatalf("fired %d, want %d", met.Fired(), 400/every)
-	}
-}
-
 func TestLoopSkipTicks(t *testing.T) {
 	l, err := NewLoop(0.010, 5)
 	if err != nil {

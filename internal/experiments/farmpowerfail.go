@@ -244,8 +244,7 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 		ClusterLoss:  map[string]float64{},
 		MinRunwaySec: math.Inf(1),
 	}
-	tl := engine.NewTimeline()
-	met, err := engine.NewMetronome(tl, quantum, farmPeriods)
+	cadence, err := engine.NewCadence(farmPeriods)
 	if err != nil {
 		return FarmPolicyOutcome{}, err
 	}
@@ -256,10 +255,7 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 	for i := 0; i < steps; i++ {
 		now := float64(i) * quantum
 		if i > 0 {
-			if err := tl.AdvanceTo(now); err != nil {
-				return FarmPolicyOutcome{}, err
-			}
-			if trig, due := alloc.Trigger(now, met.TakeDue()); due {
+			if trig, due := alloc.Trigger(now, cadence.Tick()); due {
 				if err := pass(now, trig); err != nil {
 					return FarmPolicyOutcome{}, err
 				}

@@ -218,8 +218,7 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 	if err := pass(0, "initial"); err != nil {
 		return HotspotOutcome{}, err
 	}
-	tl := engine.NewTimeline()
-	met, err := engine.NewMetronome(tl, quantum, hotspotPeriods)
+	cadence, err := engine.NewCadence(hotspotPeriods)
 	if err != nil {
 		return HotspotOutcome{}, err
 	}
@@ -247,10 +246,7 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 			}
 		}
 		if i > 0 {
-			if err := tl.AdvanceTo(now); err != nil {
-				return HotspotOutcome{}, err
-			}
-			if trig, due := alloc.Trigger(now, met.TakeDue()); due {
+			if trig, due := alloc.Trigger(now, cadence.Tick()); due {
 				if err := pass(now, trig); err != nil {
 					return HotspotOutcome{}, err
 				}

@@ -69,8 +69,7 @@ type AllocatorConfig struct {
 	// lease bookkeeping index.
 	Members []Member
 	// Periods is the reallocation cadence in dispatch quanta: the driving
-	// loop arranges a timer edge every Periods quanta (an engine.Metronome
-	// on its timeline, or an engine.Cadence it ticks itself) and passes it
+	// loop ticks an engine.Cadence every quantum and passes its due edge
 	// to Trigger, which adds the immediate budget-change trigger whenever
 	// the source budget falls below the charged total.
 	Periods int
@@ -185,8 +184,8 @@ func (a *Allocator) Charged(now float64) units.Power {
 // "budget-change" immediately whenever the source budget has fallen below
 // the charged total (a supply failure, or UPS decay outpacing the safety
 // margin), else "timer" when the driver's cadence fired this quantum. A
-// budget-change pass consumes the timer edge — the caller took it off its
-// metronome before calling, and the pass it triggers resets the urgency
+// budget-change pass consumes the timer edge — the caller ticked its
+// cadence before calling, and the pass it triggers resets the urgency
 // either way. Callers then gather demand curves and call Allocate.
 func (a *Allocator) Trigger(now float64, timerDue bool) (trigger string, due bool) {
 	if a.cfg.Source.BudgetAt(now) < a.Charged(now) {
@@ -196,20 +195,6 @@ func (a *Allocator) Trigger(now float64, timerDue bool) (trigger string, due boo
 		return "timer", true
 	}
 	return "", false
-}
-
-// NextChargeEdgeAt returns the earliest future lease expiry — the next
-// time the charged total can change without an Allocate call — or +Inf
-// when nothing is outstanding. With an EdgeSource budget it bounds the
-// allocator's next possible budget-change trigger for DES drivers.
-func (a *Allocator) NextChargeEdgeAt(now float64) float64 {
-	next := math.Inf(1)
-	for i := range a.cfg.Members {
-		if a.hasLease[i] && now < a.leases[i].Expires && a.leases[i].Expires < next {
-			next = a.leases[i].Expires
-		}
-	}
-	return next
 }
 
 // Allocate runs one reallocation pass at now. demands must be indexed

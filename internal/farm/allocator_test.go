@@ -251,7 +251,7 @@ func TestAllocateRejectsBadDemands(t *testing.T) {
 	}
 }
 
-// TestTriggerEdges: the driver's metronome fires every Periods quanta,
+// TestTriggerEdges: the driver's cadence fires every Periods quanta,
 // and a budget falling below the charged total fires immediately.
 func TestTriggerEdges(t *testing.T) {
 	sched, err := power.NewBudgetSchedule(units.Watts(200),
@@ -274,23 +274,19 @@ func TestTriggerEdges(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	tl := engine.NewTimeline()
-	met, err := engine.NewMetronome(tl, 0.1, 5)
+	cadence, err := engine.NewCadence(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var triggers []string
 	for i := 1; i <= 5; i++ {
 		now := float64(i) * 0.1
-		if err := tl.AdvanceTo(now); err != nil {
-			t.Fatal(err)
-		}
-		if trig, due := a.Trigger(now, met.TakeDue()); due {
+		if trig, due := a.Trigger(now, cadence.Tick()); due {
 			triggers = append(triggers, trig)
 		}
 	}
 	// Quanta at 0.1..0.5: the 0.4 quantum sees the 0.35 drop (50 < 150
-	// charged) before the metronome would fire at 0.5.
+	// charged) before the cadence would fire at 0.5.
 	want := []string{"budget-change", "budget-change"}
 	if len(triggers) != 2 || triggers[0] != "budget-change" {
 		t.Fatalf("triggers = %v, want %v (drop detected at t=0.4 and t=0.5)", triggers, want)

@@ -219,8 +219,7 @@ func runConservation(t *testing.T, seed int64) string {
 		fp.WriteByte('\n')
 	}
 
-	tl := engine.NewTimeline()
-	met, err := engine.NewMetronome(tl, propDT, propPeriods)
+	cadence, err := engine.NewCadence(propPeriods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +233,7 @@ func runConservation(t *testing.T, seed int64) string {
 				t.Fatalf("seed %d t=%.2f: %v", seed, now, err)
 			}
 		}
-		if err := tl.AdvanceTo(now); err != nil {
-			t.Fatalf("seed %d t=%.2f: %v", seed, now, err)
-		}
-		if trig, due := a.Trigger(now, met.TakeDue()); due {
+		if trig, due := a.Trigger(now, cadence.Tick()); due {
 			pass(now, trig)
 		}
 		// The invariant, checked at every tick whether or not a pass ran:

@@ -8,7 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/telemetry"
-	"repro/internal/units"
 )
 
 // ErrCascade is returned by Driver.Step when the power plant cascade-fails:
@@ -267,21 +266,6 @@ func (d *Driver) RunUntilAllDone(deadline float64) (bool, error) {
 		}
 	}
 	return d.M.AllJobsDone(), nil
-}
-
-// RunScenario is the one-call entry point most experiments use: build a
-// machine, a scheduler with the given CPU budget, couple them and run to
-// the deadline or completion.
-func RunScenario(m *machine.Machine, cfg Config, budget units.Power, deadline float64) (*Driver, error) {
-	s, err := New(cfg, m, budget)
-	if err != nil {
-		return nil, err
-	}
-	drv := NewDriver(m, s)
-	if _, err := drv.RunUntilAllDone(deadline); err != nil {
-		return nil, err
-	}
-	return drv, nil
 }
 
 var _ Target = (*machine.Machine)(nil)

@@ -337,19 +337,6 @@ func TestDriverTelemetry(t *testing.T) {
 	}
 }
 
-func TestRunScenario(t *testing.T) {
-	m := quietMachine(t)
-	mix, _ := workload.NewMix(cpuProgram("quick", 5e8))
-	m.SetMix(0, mix)
-	drv, err := RunScenario(m, noOverheadConfig(), units.Watts(560), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !drv.M.AllJobsDone() {
-		t.Error("scenario did not complete")
-	}
-}
-
 func TestPredictedVersusObservedIPCClose(t *testing.T) {
 	// Table 2's premise: on steady phases the predictor's IPC matches the
 	// observed IPC closely. Compare prediction for the *current* frequency

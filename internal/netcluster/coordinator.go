@@ -16,7 +16,6 @@ import (
 	"repro/internal/netcluster/wire"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
-	"repro/internal/power"
 	"repro/internal/units"
 )
 
@@ -53,13 +52,9 @@ type Config struct {
 	Fvsst fvsst.Config
 	// Budget is the initial global processor power budget.
 	Budget units.Power
-	// Budgets optionally drives the budget over time (supply failures,
-	// site capping).
-	Budgets *power.BudgetSchedule
-	// Source optionally drives the budget from a farm-layer budget source
-	// (a lease Holder, a UPS runway governor). It wins over Budgets when
-	// both are set, so farm plumbing can wrap an existing schedule via
-	// farm.FromSchedule without touching the older field.
+	// Source optionally drives the budget over time: a lease Holder, a UPS
+	// runway governor, or a power.BudgetSchedule (supply failures, site
+	// capping) wrapped by farm.FromSchedule.
 	Source farm.BudgetSource
 	// MissK is how many consecutive failed rounds mark a node degraded.
 	// Degraded or not, an unreachable node is always charged its
@@ -205,8 +200,8 @@ type Decision struct {
 }
 
 // Coordinator runs the global two-step fvsst pass over the wire. Create
-// with NewCoordinator, then Connect, then drive rounds with Run or
-// RunRound. Not safe for concurrent use.
+// with NewCoordinator, then Connect, then drive rounds with RunRound. Not
+// safe for concurrent use.
 type Coordinator struct {
 	cfg    Config
 	core   *cluster.Core
@@ -739,6 +734,27 @@ func (c *Coordinator) settle(polls []poll, nodeInputs [][]int, assignments []clu
 	return l, nil
 }
 
+// openRound is the opening the flat and hierarchical rounds share: refuse
+// to run before Connect (peer names the children in the error), take the
+// next pass id, and fire the budget-change trigger when the source's
+// budget moved.
+func (c *Coordinator) openRound(peer string) (passID uint64, trigger string, err error) {
+	for _, ns := range c.nodes {
+		if ns.caps == nil {
+			return 0, "", fmt.Errorf("netcluster: %s %s never connected; call Connect first", peer, ns.spec.Name)
+		}
+	}
+	c.passID++
+	trigger = "timer"
+	if c.cfg.Source != nil {
+		if want := c.cfg.Source.BudgetAt(c.clock.Now()); want != c.budget {
+			c.budget = want
+			trigger = "budget-change"
+		}
+	}
+	return c.passID, trigger, nil
+}
+
 // RunRound executes one scheduling period over the wire: heartbeat and
 // poll every node in parallel, run the shared global pass with the
 // budget reduced by the worst-case charge of every unreachable node,
@@ -746,31 +762,14 @@ func (c *Coordinator) settle(polls []poll, nodeInputs [][]int, assignments []clu
 // they convert into charges — so the returned error indicates a
 // scheduling-core problem only.
 func (c *Coordinator) RunRound() error {
-	for _, ns := range c.nodes {
-		if ns.caps == nil {
-			return fmt.Errorf("netcluster: node %s never connected; call Connect first", ns.spec.Name)
-		}
-	}
-	c.passID++
-	passID := c.passID
 	trace := c.cfg.Sink != nil
 	var passStart time.Time
 	if trace {
 		passStart = time.Now()
 	}
-	trigger := "timer"
-	var want units.Power
-	switch {
-	case c.cfg.Source != nil:
-		want = c.cfg.Source.BudgetAt(c.clock.Now())
-	case c.cfg.Budgets != nil:
-		want = c.cfg.Budgets.At(c.clock.Now())
-	default:
-		want = c.budget
-	}
-	if want != c.budget {
-		c.budget = want
-		trigger = "budget-change"
+	passID, trigger, err := c.openRound("node")
+	if err != nil {
+		return err
 	}
 
 	// Phase 1: parallel liveness + counter poll.
@@ -915,14 +914,4 @@ func rpcSpan(at float64, passID uint64, node, name string, phaseStart time.Time,
 		wire = 0
 	}
 	return obs.RPCSpanEvent(at, passID, node, name, rt.rtt.Seconds(), queue, wire, rt.service)
-}
-
-// Run drives rounds until the coordinator epoch reaches t seconds.
-func (c *Coordinator) Run(until float64) error {
-	for c.clock.Now() < until {
-		if err := c.RunRound(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -4,31 +4,22 @@ import (
 	"testing"
 
 	"repro/internal/farm"
-	"repro/internal/power"
 	"repro/internal/units"
 )
 
 // TestBudgetSourceDrivesRounds: a farm.BudgetSource plugged into the
-// networked coordinator fires the budget-change trigger, and it wins over
-// the legacy Budgets schedule when both are set.
+// networked coordinator fires the budget-change trigger.
 func TestBudgetSourceDrivesRounds(t *testing.T) {
 	a0, _ := startAgent(t, "n0", 1, 0, nil)
-	// A decoy schedule that would drop to 300 W — Source must shadow it.
-	decoy, err := power.NewBudgetSchedule(units.Watts(900),
-		power.BudgetEvent{At: 0, Budget: units.Watts(300)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	src, err := farm.ParseScheduleSpec("900,0.1:600")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Fvsst:   testFvsst(),
-		Budget:  units.Watts(900),
-		Budgets: decoy,
-		Source:  src,
-		Seed:    5,
+		Fvsst:  testFvsst(),
+		Budget: units.Watts(900),
+		Source: src,
+		Seed:   5,
 	}
 	fastRetry(&cfg)
 	c, err := NewCoordinator(cfg, NodeSpec{Name: "n0", Addr: a0.Addr()})
@@ -49,7 +40,7 @@ func TestBudgetSourceDrivesRounds(t *testing.T) {
 		t.Fatalf("%d decisions", len(decs))
 	}
 	if got := decs[0].Budget; got.W() != 900 {
-		t.Errorf("first round budget %v, want the source's 900W (not the decoy schedule's 300W)", got)
+		t.Errorf("first round budget %v, want the source's 900W", got)
 	}
 	last := decs[len(decs)-1]
 	if got := last.Budget; got.W() != 600 {

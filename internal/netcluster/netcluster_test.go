@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/farm"
 	"repro/internal/fvsst"
 	"repro/internal/machine"
 	"repro/internal/memhier"
@@ -361,11 +362,15 @@ func TestPartitionDegradeRejoinBudgetSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	source, err := farm.FromSchedule(budgets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	met := NewMetrics()
 	cfg := Config{
 		Fvsst:   testFvsst(),
 		Budget:  units.Watts(900),
-		Budgets: budgets,
+		Source:  source,
 		MissK:   2,
 		Seed:    9,
 		Dialer:  fabric,

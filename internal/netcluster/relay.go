@@ -502,28 +502,11 @@ func (r *Root) demandPhase(passID uint64) []demandPoll {
 // failures convert into frozen-subtree charges, never aborted rounds.
 func (r *Root) RunRound() error {
 	c := r.Coordinator
-	for _, ns := range c.nodes {
-		if ns.caps == nil {
-			return fmt.Errorf("netcluster: relay %s never connected; call Connect first", ns.spec.Name)
-		}
-	}
-	c.passID++
-	passID := c.passID
 	trace := c.cfg.Sink != nil
 	passStart := time.Now()
-	trigger := "timer"
-	var want units.Power
-	switch {
-	case c.cfg.Source != nil:
-		want = c.cfg.Source.BudgetAt(c.clock.Now())
-	case c.cfg.Budgets != nil:
-		want = c.cfg.Budgets.At(c.clock.Now())
-	default:
-		want = c.budget
-	}
-	if want != c.budget {
-		c.budget = want
-		trigger = "budget-change"
+	passID, trigger, err := c.openRound("relay")
+	if err != nil {
+		return err
 	}
 
 	// Phase 1: parallel demand poll.
@@ -672,15 +655,5 @@ func (r *Root) RunRound() error {
 	}
 
 	c.clock.Tick()
-	return nil
-}
-
-// Run drives hierarchical rounds until the root epoch reaches t seconds.
-func (r *Root) Run(until float64) error {
-	for r.clock.Now() < until {
-		if err := r.RunRound(); err != nil {
-			return err
-		}
-	}
 	return nil
 }

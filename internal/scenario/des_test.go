@@ -60,19 +60,3 @@ func TestDESDifferentialFaultySpecs(t *testing.T) {
 		requireEquivalent(t, seed)
 	}
 }
-
-func TestRunClusterDESDeterministic(t *testing.T) {
-	seed := pickSeeds(t, 1, func(s Spec) bool { return s.Serving != nil })[0]
-	spec := Generate(seed)
-	a, err := RunClusterDES(spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunClusterDES(spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Hash != b.Hash || a.Text != b.Text {
-		t.Fatalf("DES run not deterministic: %s vs %s", a.Hash, b.Hash)
-	}
-}

@@ -1,10 +1,10 @@
-// Discrete-event scenario driver: the same round loop as RunCluster,
-// but a live node with nothing interesting inside the round — no
-// serving work in flight, no arrival maturing — crosses it on the
-// machine's probe-and-replay fast-forward path instead of five
-// hand-stepped quanta. The result is byte-identical to RunCluster
-// (RunDESDifferential pins it), so the two engines are interchangeable
-// on everything except wall-clock cost.
+// How a live node crosses a round, and the differential that keeps it
+// honest. RunCluster skips: a node with nothing interesting inside the
+// round — no serving work in flight, no arrival maturing — crosses it
+// on the machine's probe-and-replay fast-forward path instead of
+// hand-stepped quanta. The per-quantum arm survives only as the
+// reference RunDESDifferential compares RunCluster against, byte for
+// byte; nothing else in the package can reach it.
 package scenario
 
 import (
@@ -12,22 +12,15 @@ import (
 	"math"
 )
 
-// RunClusterDES runs the scenario on the discrete-event engine. Trace,
-// hash and violations match RunCluster byte for byte; quiet rounds are
-// fast-forwarded in bulk while samplers keep collecting per-quantum
-// windows.
-func RunClusterDES(spec Spec, opt Options) (*RunResult, error) {
-	return runClusterEngine(spec, opt, true)
-}
-
-// advanceNodeRound carries one live node across a round's quanta. The
-// reference engine (des=false) hand-steps every quantum with the serving
-// bracket. The DES engine first asks roundSkippable whether the round
-// can touch anything beyond plain machine time; if so it fast-forwards —
+// advanceNodeRound carries one live node across a round's quanta.
+// RunCluster (stepped=false) first asks roundSkippable whether the round
+// can touch anything beyond plain machine time; if not it fast-forwards —
 // FastForwardQuanta itself falls back to real steps for any quantum that
 // is not a certified fixed point, so skipping is always byte-safe.
-func advanceNodeRound(n *nodeRun, periods int, des bool) error {
-	if des && n.roundSkippable(periods) {
+// Otherwise, and always on the differential's reference side
+// (stepped=true), it hand-steps every quantum with the serving bracket.
+func advanceNodeRound(n *nodeRun, periods int, stepped bool) error {
+	if !stepped && n.roundSkippable(periods) {
 		if err := n.m.FastForwardQuanta(periods, n.sampler.Collect); err != nil {
 			return fmt.Errorf("scenario: %s fast-forward: %w", n.name, err)
 		}
@@ -47,7 +40,9 @@ func advanceNodeRound(n *nodeRun, periods int, des bool) error {
 			n.feeder.DeliverUpTo(t, n.st)
 			n.st.BeforeQuantum(t)
 		}
-		n.m.Step()
+		if err := n.m.StepQuantum(); err != nil {
+			return fmt.Errorf("scenario: %s step: %w", n.name, err)
+		}
 		if n.st != nil {
 			n.st.AfterQuantum(n.m.Now())
 		}
@@ -76,7 +71,8 @@ func (n *nodeRun) roundSkippable(periods int) bool {
 }
 
 // DESDiffResult is one quantum-vs-DES differential: the same spec
-// through both engines, required byte-identical.
+// stepped quantum by quantum (Ref) and through RunCluster (DES),
+// required byte-identical.
 type DESDiffResult struct {
 	Spec Spec       `json:"spec"`
 	Ref  *RunResult `json:"ref"`
@@ -88,16 +84,16 @@ type DESDiffResult struct {
 	Equivalent  bool         `json:"equivalent"`
 }
 
-// RunDESDifferential runs the scenario through the quantum reference
-// engine and the DES engine and compares round by round. No allowance
-// is made for faults, UPS or serving — the DES engine must reproduce
-// all of them exactly.
+// RunDESDifferential runs the scenario on the per-quantum reference arm
+// and through RunCluster and compares round by round. No allowance is
+// made for faults, UPS or serving — the engine that ships must
+// reproduce all of them exactly.
 func RunDESDifferential(spec Spec, opt Options) (*DESDiffResult, error) {
-	ref, err := RunCluster(spec, opt)
+	ref, err := runCluster(spec, opt, true)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: quantum run: %w", err)
 	}
-	des, err := RunClusterDES(spec, opt)
+	des, err := RunCluster(spec, opt)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: DES run: %w", err)
 	}

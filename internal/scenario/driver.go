@@ -181,15 +181,16 @@ type nodeRun struct {
 // same budget trigger, the same counter windows, the same reserved
 // worst-case charge for partitioned nodes, the same ledger — so its
 // trace is directly comparable with RunNet's. Every pass and every
-// round ledger runs under the invariant checkers.
+// round ledger runs under the invariant checkers. Live nodes cross
+// quiet rounds on the machine's fast-forward path (see advanceNodeRound).
 func RunCluster(spec Spec, opt Options) (*RunResult, error) {
-	return runClusterEngine(spec, opt, false)
+	return runCluster(spec, opt, false)
 }
 
-// runClusterEngine is the shared round loop behind RunCluster (quantum
-// reference engine) and RunClusterDES (event-skipping engine). The two
-// differ only in how a live node crosses a round — see advanceNodeRound.
-func runClusterEngine(spec Spec, opt Options, des bool) (*RunResult, error) {
+// runCluster is RunCluster's round loop; stepped selects the per-quantum
+// reference arm of advanceNodeRound and is true only under
+// RunDESDifferential.
+func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -286,7 +287,7 @@ func runClusterEngine(spec Spec, opt Options, des bool) (*RunResult, error) {
 				continue
 			}
 			live[i] = true
-			if err := advanceNodeRound(n, spec.SchedulePeriods, des); err != nil {
+			if err := advanceNodeRound(n, spec.SchedulePeriods, stepped); err != nil {
 				return nil, err
 			}
 			for cpu := 0; cpu < n.m.NumCPUs(); cpu++ {

@@ -229,8 +229,7 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 		return nil
 	}
 
-	tl := engine.NewTimeline()
-	met, err := engine.NewMetronome(tl, farmDT, farmPeriods)
+	cadence, err := engine.NewCadence(farmPeriods)
 	if err != nil {
 		return nil, err
 	}
@@ -245,10 +244,7 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 				return nil, err
 			}
 		}
-		if err := tl.AdvanceTo(now); err != nil {
-			return nil, err
-		}
-		if trig, due := alloc.Trigger(now, met.TakeDue()); due {
+		if trig, due := alloc.Trigger(now, cadence.Tick()); due {
 			if err := pass(now, trig); err != nil {
 				return nil, err
 			}

@@ -22,7 +22,8 @@ type SoakConfig struct {
 	// FarmSeeds is the number of farm-layer scenarios.
 	FarmSeeds int `json:"farm_seeds"`
 	// DESSeeds is the number of quantum-vs-DES engine differentials
-	// (RunCluster vs RunClusterDES, required byte-identical).
+	// (the per-quantum reference arm vs RunCluster, required
+	// byte-identical).
 	DESSeeds int `json:"des_seeds"`
 	// BaseSeed offsets every seed range; 0 means 1.
 	BaseSeed int64 `json:"base_seed,omitempty"`
@@ -104,7 +105,8 @@ type SoakReport struct {
 // mirror plus the full invariant suite (twice each, byte-comparing the
 // traces), differential scenarios through both stacks, farm scenarios
 // through the allocator contract checks, and DES scenarios through the
-// quantum-vs-DES engine differential (byte-comparing per-round traces).
+// quantum-vs-DES engine differential (RunCluster against its per-quantum
+// reference, byte-comparing per-round traces).
 // Failing cluster seeds are shrunk to minimal reproducers.
 func Soak(cfg SoakConfig) *SoakReport {
 	start := time.Now()

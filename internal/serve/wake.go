@@ -1,8 +1,9 @@
-// Waker adapters: how the serving subsystem tells a discrete-event
-// driver when it next needs a real quantum. A drained station with no
-// trace sink is quiet until its next arrival, so the driver may skip the
-// span in bulk; anything in flight pins per-quantum processing (timeouts
-// age and completions rebind within quanta).
+// Wake bounds: how the serving subsystem tells a discrete-event driver
+// (scenario.RunCluster's roundSkippable) when it next needs a real
+// quantum. A drained station with no trace sink is quiet until its next
+// arrival, so the driver may skip the span in bulk; anything in flight
+// pins per-quantum processing (timeouts age and completions rebind
+// within quanta).
 package serve
 
 import "math"
@@ -35,27 +36,3 @@ func (f *Feeder) NextAt() float64 {
 	}
 	return next
 }
-
-// TimelineWaker bundles a station with the feeder driving it into one
-// cluster-facing waker: wake at the next arrival, or immediately while
-// the station still holds work. It satisfies cluster.Waker and
-// cluster.QuantaSkipper without serve importing cluster.
-type TimelineWaker struct {
-	St   *Station
-	Feed *Feeder
-}
-
-// NextWakeAt returns the earlier of the station's own bound and the next
-// arrival.
-func (w TimelineWaker) NextWakeAt(now float64) float64 {
-	next := w.St.NextWakeAt(now)
-	if w.Feed != nil {
-		if t := w.Feed.NextAt(); t < next {
-			next = t
-		}
-	}
-	return next
-}
-
-// SkipQuanta forwards the skip to the station's emit cadence.
-func (w TimelineWaker) SkipQuanta(n int) { w.St.SkipQuanta(n) }

@@ -79,36 +79,3 @@ func TestFeederNextAt(t *testing.T) {
 		t.Fatalf("NextAt after delivery = %v, want > %v", got, next)
 	}
 }
-
-func TestTimelineWaker(t *testing.T) {
-	m := quietMachine(t, 1)
-	st, err := NewStation(m, Config{Classes: []Class{webClass()}, Clients: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := ParseArrivalSpec("poisson:50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stm, err := spec.NewStream(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f Feeder
-	f.Add(0, 0, stm)
-	w := TimelineWaker{St: st, Feed: &f}
-	// Drained station: the wake bound is the next arrival.
-	if got, want := w.NextWakeAt(0), f.NextAt(); got != want {
-		t.Fatalf("NextWakeAt = %v, want next arrival %v", got, want)
-	}
-	// Backlog wins once work is in flight.
-	st.Offer(0, 0, 0)
-	if got := w.NextWakeAt(0); got != 0 {
-		t.Fatalf("NextWakeAt with backlog = %v, want now", got)
-	}
-	before := st.quanta
-	w.SkipQuanta(3)
-	if st.quanta != before+3 {
-		t.Fatalf("SkipQuanta did not reach the station")
-	}
-}
