@@ -176,10 +176,13 @@ func (c *Core) DemandCurve(inputs []ProcInput) (farm.DemandCurve, error) {
 // coordinator can replay the flat Step-2 arithmetic exactly
 // (farm.DivideLeastLossExact). The curve has no selection rule of its
 // own: fvsst.FitToBudgetGrid walks the set to the floor once and the
-// points replay its demotion list. Each point's Power is re-summed from
-// scratch in processor order, the accumulation FitToBudgetGrid uses for
-// its stop test, so a member handed Points[k].Power as its budget demotes
-// to exactly point k (TestDemandCurveMatchesSchedule).
+// points replay its demotion list. Each point's Power carries the bits of
+// the processor-order sum FitToBudgetGrid's stop test compares, so a
+// member handed Points[k].Power as its budget demotes to exactly point k
+// (TestDemandCurveMatchesSchedule). As there, power.Table.DemotedSum
+// carries the aggregate from point to point: a running difference when
+// whole-watt sums cannot round, a processor-order re-sum per point for
+// any other table.
 func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, error) {
 	if len(inputs) == 0 {
 		return farm.DemandCurve{}, nil, fmt.Errorf("cluster: demand curve needs at least one processor")
@@ -194,29 +197,25 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 	c.demo = demotions[:0] // keep any grown backing array
 	copy(c.actualIdx, c.desiredIdx)
 
-	sumAt := func() units.Power {
-		var s units.Power
-		for _, idx := range c.actualIdx {
-			s += c.cfg.Table.PowerAtIndex(idx)
-		}
-		return s
-	}
+	table := c.cfg.Table
+	sum := table.SumAtIndices(c.actualIdx)
 	var sumLoss float64
 	for i, idx := range c.actualIdx {
 		if c.grid.Valid(i) {
 			sumLoss += c.grid.Loss(i, idx)
 		}
 	}
-	curve := farm.DemandCurve{Points: []farm.DemandPoint{{Power: sumAt(), Loss: sumLoss}}}
+	curve := farm.DemandCurve{Points: []farm.DemandPoint{{Power: sum, Loss: sumLoss}}}
 	for _, d := range demotions {
 		idx := c.actualIdx[d.CPU]
 		if c.grid.Valid(d.CPU) {
 			sumLoss += c.grid.Loss(d.CPU, idx-1) - c.grid.Loss(d.CPU, idx)
 		}
 		c.actualIdx[d.CPU] = idx - 1
+		sum = table.DemotedSum(sum, c.actualIdx, idx)
 		prev := curve.Points[len(curve.Points)-1]
 		p := farm.DemandPoint{
-			Power: sumAt(),
+			Power: sum,
 			Loss:  sumLoss,
 			Step:  farm.StepKey{Loss: d.PredictedLoss, Idx: idx, Proc: d.CPU},
 		}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/farm"
+	"repro/internal/fvsst"
+	"repro/internal/power"
 	"repro/internal/units"
 )
 
@@ -43,43 +45,7 @@ func TestDemandCurveMatchesSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, inputs := c.buildInputs()
-	curve, desired, err := c.core.DemandCurveDesired(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Curve ≡ walk: handed point k's power as its budget, a pass stops on
-	// point k, and the demotion that got it there is the point's Step —
-	// same processor, same pre-demotion index, same loss bits. The desired
-	// indices shipped beside the curve are the pass's Step-1 desires.
-	table := c.core.Config().Table
-	for k, pt := range curve.Points {
-		res, err := c.core.Schedule(inputs, pt.Power)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.TablePower != pt.Power || !res.BudgetMet {
-			t.Fatalf("point %d: pass under %v lands on %v (met=%v)", k, pt.Power, res.TablePower, res.BudgetMet)
-		}
-		for i, a := range res.Assignments {
-			if got := table.IndexOf(a.Desired); got != desired[i] {
-				t.Fatalf("point %d cpu %d: curve desired idx %d, pass desired idx %d", k, i, desired[i], got)
-			}
-		}
-		if k == 0 {
-			if len(res.Demotions) != 0 {
-				t.Fatalf("pass under the desire made %d demotions", len(res.Demotions))
-			}
-			continue
-		}
-		if len(res.Demotions) == 0 {
-			t.Fatalf("point %d: pass under %v made no demotion", k, pt.Power)
-		}
-		last := res.Demotions[len(res.Demotions)-1]
-		if last.CPU != pt.Step.Proc || table.IndexOf(last.From) != pt.Step.Idx ||
-			math.Float64bits(last.PredictedLoss) != math.Float64bits(pt.Step.Loss) {
-			t.Fatalf("point %d: step %+v, pass's last demotion %+v", k, pt.Step, last)
-		}
-	}
+	curve := checkCurveIsWalk(t, c.core, inputs, 1)
 	for _, budget := range []units.Power{curve.Desired() + 10, 600, 300, 150, curve.Floor()} {
 		res, err := c.core.Schedule(inputs, budget)
 		if err != nil {
@@ -108,6 +74,79 @@ func TestDemandCurveMatchesSchedule(t *testing.T) {
 			t.Errorf("budget %v: pass table power %v is not a curve point", budget, res.TablePower)
 		}
 	}
+}
+
+// checkCurveIsWalk holds Curve ≡ walk at every stride-th curve point (and
+// the floor): handed point k's power as its budget, a pass stops on point
+// k, and the demotion that got it there is the point's Step — same
+// processor, same pre-demotion index, same loss bits. The desired indices
+// shipped beside the curve are the pass's Step-1 desires.
+func checkCurveIsWalk(t *testing.T, core *Core, inputs []ProcInput, stride int) farm.DemandCurve {
+	t.Helper()
+	curve, desired, err := core.DemandCurveDesired(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := core.Config().Table
+	for k, pt := range curve.Points {
+		if k%stride != 0 && k != len(curve.Points)-1 {
+			continue
+		}
+		res, err := core.Schedule(inputs, pt.Power)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TablePower != pt.Power || !res.BudgetMet {
+			t.Fatalf("point %d: pass under %v lands on %v (met=%v)", k, pt.Power, res.TablePower, res.BudgetMet)
+		}
+		for i, a := range res.Assignments {
+			if got := table.IndexOf(a.Desired); got != desired[i] {
+				t.Fatalf("point %d cpu %d: curve desired idx %d, pass desired idx %d", k, i, desired[i], got)
+			}
+		}
+		if len(res.Demotions) != k {
+			t.Fatalf("point %d: pass under %v made %d demotions", k, pt.Power, len(res.Demotions))
+		}
+		if k == 0 {
+			continue
+		}
+		last := res.Demotions[len(res.Demotions)-1]
+		if last.CPU != pt.Step.Proc || table.IndexOf(last.From) != pt.Step.Idx ||
+			math.Float64bits(last.PredictedLoss) != math.Float64bits(pt.Step.Loss) {
+			t.Fatalf("point %d: step %+v, pass's last demotion %+v", k, pt.Step, last)
+		}
+	}
+	return curve
+}
+
+// TestDemandCurveMatchesScheduleWide is the same property over 512
+// synthetic processors — a heap nine levels deep and a curve of several
+// thousand points, sampled every 37th.
+func TestDemandCurveMatchesScheduleWide(t *testing.T) {
+	curve := checkCurveIsWalk(t, scaleCore(t), syntheticInputs(512, 3), 37)
+	if len(curve.Points) < 4*512 {
+		t.Fatalf("curve has %d points over 512 CPUs; want several demotions each", len(curve.Points))
+	}
+}
+
+// TestDemandCurveMatchesScheduleFractionalWatts runs the property over a
+// V²-scaled table: its sums are not exact, so both the pass and the curve
+// take the re-summing stop test, and must still agree to the bit.
+func TestDemandCurveMatchesScheduleFractionalWatts(t *testing.T) {
+	cfg := fvsst.DefaultConfig()
+	scaled, err := power.WithVoltageVariation(cfg.Table, []float64{1.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Table = scaled[0]
+	if cfg.Table.ExactSums(48) {
+		t.Fatal("scaled table still reports exact sums")
+	}
+	core, err := NewCore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCurveIsWalk(t, core, syntheticInputs(48, 4), 1)
 }
 
 // TestCoordinatorBudgetSourceHolder plugs a farm lease Holder in as the

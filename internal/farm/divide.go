@@ -21,14 +21,21 @@ import (
 // The stop test uses the flat pass's exact arithmetic rather than summing
 // the members' curve point powers, which could differ from it by float
 // rounding at the boundary: desired[i] holds member i's initial
-// per-processor table indices (curve point 0), and the stop test re-sums
-// table.PowerAtIndex over every processor in flat order each iteration —
-// bit for bit the loop in fvsst.FitToBudgetGrid. The division is then
-// byte-identical to the flat schedule on any input, at O(total
-// processors) per demotion. Curves must carry consistent step keys
-// (each advance demotes desired[i][Step.Proc] from Step.Idx). met is
-// false when every curve is at its floor with the budget still exceeded.
-// A member with no processors and an empty curve is skipped.
+// per-processor table indices (curve point 0), summed once in flat
+// processor order. After that power.Table.DemotedSum carries it exactly
+// as in fvsst.FitToBudgetGrid: when sums of whole watts cannot round,
+// each advance costs sum −= P[idx] − P[idx−1], which is bit for bit what
+// re-summing would give; for any other table every processor is
+// re-summed in flat order per advance. The division is then
+// byte-identical to the flat schedule on any input, at O(members) per
+// demotion on the tables that ship. met is false when every curve is at
+// its floor with the budget still exceeded. A member with no processors
+// and an empty curve is skipped.
+//
+// Curves and desired indices arrive off the wire from relays, so they are
+// checked, not trusted: a desired index outside the table, or a step key
+// that does not demote desired[i][Step.Proc] from Step.Idx ≥ 1, is an
+// error naming the member, processor and index.
 func DivideLeastLossExact(curves []DemandCurve, desired [][]int, table *power.Table, budget units.Power) (pos []int, met bool, err error) {
 	if len(desired) != len(curves) {
 		return nil, false, fmt.Errorf("farm: %d desired sets for %d curves", len(desired), len(curves))
@@ -41,17 +48,19 @@ func DivideLeastLossExact(curves []DemandCurve, desired [][]int, table *power.Ta
 		if len(curves[i].Points) == 0 && len(d) > 0 {
 			return nil, false, fmt.Errorf("farm: member %d has %d processors but an empty curve", i, len(d))
 		}
+		for proc, idx := range d {
+			if idx < 0 || idx >= table.Len() {
+				return nil, false, fmt.Errorf("farm: member %d processor %d desired index %d outside table of %d points", i, proc, idx, table.Len())
+			}
+		}
 	}
 	actual := make([]int, 0, total)
 	for _, d := range desired {
 		actual = append(actual, d...)
 	}
 	pos = make([]int, len(curves))
+	sum := table.SumAtIndices(actual)
 	for {
-		var sum units.Power
-		for _, idx := range actual {
-			sum += table.PowerAtIndex(idx)
-		}
 		if sum <= budget {
 			return pos, true, nil
 		}
@@ -61,11 +70,15 @@ func DivideLeastLossExact(curves []DemandCurve, desired [][]int, table *power.Ta
 		}
 		step := curves[best].Points[pos[best]+1].Step
 		g := offsets[best] + step.Proc
+		if step.Idx < 1 {
+			return nil, false, fmt.Errorf("farm: member %d processor %d step key demotes from index %d, below the table floor", best, step.Proc, step.Idx)
+		}
 		if g < 0 || g >= len(actual) || actual[g] != step.Idx {
 			return nil, false, fmt.Errorf("farm: member %d step key (proc %d idx %d) inconsistent with its desired indices", best, step.Proc, step.Idx)
 		}
 		actual[g] = step.Idx - 1
 		pos[best]++
+		sum = table.DemotedSum(sum, actual, step.Idx)
 	}
 }
 

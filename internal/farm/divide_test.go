@@ -1,7 +1,9 @@
 package farm
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/power"
@@ -139,50 +141,88 @@ func randomMember(rng *rand.Rand, nProc, tableLen int) member {
 	return m
 }
 
+// scaledTable is divideTable with every voltage scaled 5 %: its powers are
+// no longer whole watts, so the division must take the re-summing stop
+// test instead of the running sum.
+func scaledTable(t *testing.T) *power.Table {
+	t.Helper()
+	tabs, err := power.WithVoltageVariation(divideTable(t), []float64{1.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tabs[0].ExactSums(1) {
+		t.Fatal("voltage-scaled table still reports exact sums")
+	}
+	return tabs[0]
+}
+
 // TestDivideMatchesFlatGreedy is the merge property the relay tier
 // depends on: interleaving locally-greedy demand curves by step key
-// reproduces the flat greedy over the union, for every budget level.
+// reproduces the flat greedy over the union, for every budget level —
+// on small random fleets and on a 40-member × 50-processor one, over a
+// whole-watt table (running-sum stop test) and a scaled one (re-sum).
 func TestDivideMatchesFlatGreedy(t *testing.T) {
-	tab := divideTable(t)
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		nMembers := 2 + rng.Intn(3)
-		members := make([]member, nMembers)
-		curves := make([]DemandCurve, nMembers)
-		desired := make([][]int, nMembers)
-		for i := range members {
-			members[i] = randomMember(rng, 1+rng.Intn(4), tab.Len())
-			curves[i] = localGreedy(members[i], tab)
-			desired[i] = members[i].desired
-		}
-		if err := curves[0].Validate(); err != nil {
-			t.Fatalf("seed %d: invalid curve: %v", seed, err)
-		}
-		// Sweep budgets from below the floor to above the desire.
-		var floor, desire units.Power
-		for _, c := range curves {
-			floor += c.Floor()
-			desire += c.Desired()
-		}
-		for _, budget := range []units.Power{floor - 1, floor, (floor + desire) / 2, desire, desire + 10} {
-			wantIdx, wantMet := flatGreedy(members, tab, budget)
-
-			pos, met, err := DivideLeastLossExact(curves, desired, tab, budget)
-			if err != nil {
-				t.Fatalf("seed %d budget %v: %v", seed, budget, err)
-			}
-			if met != wantMet {
-				t.Fatalf("seed %d budget %v: met %v, flat %v", seed, budget, met, wantMet)
-			}
-			var got []int
-			for i := range members {
-				got = append(got, applyCurve(members[i], curves[i], pos[i])...)
-			}
-			for p := range got {
-				if got[p] != wantIdx[p] {
-					t.Fatalf("seed %d budget %v proc %d: divide idx %d, flat %d (pos %v)",
-						seed, budget, p, got[p], wantIdx[p], pos)
+	tables := []struct {
+		name string
+		tab  *power.Table
+	}{{"integral", divideTable(t)}, {"scaled", scaledTable(t)}}
+	for _, tc := range tables {
+		t.Run(tc.name+"/small", func(t *testing.T) {
+			for seed := int64(0); seed < 30; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				members := make([]member, 2+rng.Intn(3))
+				for i := range members {
+					members[i] = randomMember(rng, 1+rng.Intn(4), tc.tab.Len())
 				}
+				checkDivideMatchesFlat(t, seed, members, tc.tab)
+			}
+		})
+		t.Run(tc.name+"/40x50", func(t *testing.T) {
+			rng := rand.New(rand.NewSource(99))
+			members := make([]member, 40)
+			for i := range members {
+				members[i] = randomMember(rng, 50, tc.tab.Len())
+			}
+			checkDivideMatchesFlat(t, 99, members, tc.tab)
+		})
+	}
+}
+
+func checkDivideMatchesFlat(t *testing.T, seed int64, members []member, tab *power.Table) {
+	t.Helper()
+	curves := make([]DemandCurve, len(members))
+	desired := make([][]int, len(members))
+	for i := range members {
+		curves[i] = localGreedy(members[i], tab)
+		desired[i] = members[i].desired
+	}
+	if err := curves[0].Validate(); err != nil {
+		t.Fatalf("seed %d: invalid curve: %v", seed, err)
+	}
+	// Sweep budgets from below the floor to above the desire.
+	var floor, desire units.Power
+	for _, c := range curves {
+		floor += c.Floor()
+		desire += c.Desired()
+	}
+	for _, budget := range []units.Power{floor - 1, floor, (floor + desire) / 2, desire, desire + 10} {
+		wantIdx, wantMet := flatGreedy(members, tab, budget)
+
+		pos, met, err := DivideLeastLossExact(curves, desired, tab, budget)
+		if err != nil {
+			t.Fatalf("seed %d budget %v: %v", seed, budget, err)
+		}
+		if met != wantMet {
+			t.Fatalf("seed %d budget %v: met %v, flat %v", seed, budget, met, wantMet)
+		}
+		var got []int
+		for i := range members {
+			got = append(got, applyCurve(members[i], curves[i], pos[i])...)
+		}
+		for p := range got {
+			if got[p] != wantIdx[p] {
+				t.Fatalf("seed %d budget %v proc %d: divide idx %d, flat %d (pos %v)",
+					seed, budget, p, got[p], wantIdx[p], pos)
 			}
 		}
 	}
@@ -204,4 +244,56 @@ func TestDivideExactRejectsBadShapes(t *testing.T) {
 	if _, _, err := DivideLeastLossExact([]DemandCurve{curve}, [][]int{{0, 0}}, tab, units.Watts(1)); err == nil {
 		t.Error("inconsistent step keys accepted")
 	}
+
+	// The two shapes a malformed relay report used to panic the root
+	// with: a desired index outside the table, and a step key demoting a
+	// processor that is already at the floor. Both must be farm: errors
+	// naming the member, the processor and the index.
+	for _, bad := range []int{99, -1} {
+		_, _, err := DivideLeastLossExact([]DemandCurve{curve, curve}, [][]int{m.desired, {2, bad}}, tab, units.Watts(1))
+		wantErrNaming(t, err, "member 1", "processor 1", fmt.Sprintf("index %d", bad))
+	}
+	floorStep := DemandCurve{Points: []DemandPoint{
+		{Power: tab.PowerAtIndex(0)},
+		{Step: StepKey{Idx: 0, Proc: 0}},
+	}}
+	_, _, err := DivideLeastLossExact([]DemandCurve{floorStep}, [][]int{{0}}, tab, units.Watts(1))
+	wantErrNaming(t, err, "member 0", "processor 0", "index 0")
+}
+
+func wantErrNaming(t *testing.T, err error, parts ...string) {
+	t.Helper()
+	if err == nil {
+		t.Errorf("malformed report accepted, want an error naming %v", parts)
+		return
+	}
+	for _, p := range append([]string{"farm:"}, parts...) {
+		if !strings.Contains(err.Error(), p) {
+			t.Errorf("error %q does not name %q", err, p)
+		}
+	}
+}
+
+// BenchmarkDivideLeastLossExact is the root's division at the shape the
+// bench times as farm.divide_us_20x50: 20 relays' curves of 50 processors
+// each over Table 1, 40 W per CPU.
+func BenchmarkDivideLeastLossExact(b *testing.B) {
+	b.Run("20x50", func(b *testing.B) {
+		tab := power.PaperTable1()
+		rng := rand.New(rand.NewSource(10))
+		curves := make([]DemandCurve, 20)
+		desired := make([][]int, 20)
+		for i := range curves {
+			m := randomMember(rng, 50, tab.Len())
+			curves[i], desired[i] = localGreedy(m, tab), m.desired
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, met, err := DivideLeastLossExact(curves, desired, tab, units.Watts(40*1000))
+			if err != nil || !met {
+				b.Fatalf("division: met=%v err=%v", met, err)
+			}
+		}
+	})
 }

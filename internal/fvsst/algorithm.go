@@ -19,6 +19,7 @@ package fvsst
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/perfmodel"
 	"repro/internal/power"
@@ -119,53 +120,137 @@ func EpsilonIndexGrid(g *perfmodel.PredGrid, cpu int, epsilon float64) int {
 // FitToBudgetGrid is Step 2 in index space: actualIdx[i] indexes processor
 // i's current setting in the table (ascending); the fit lowers indices —
 // always the processor whose next step down has the smallest grid loss,
-// ties toward the higher current index — until the aggregate table power
-// fits the budget, mutating actualIdx in place. Invalid grid rows (idle or
-// unobserved processors) count as zero loss, so they are lowered first.
-// Demotions are appended to the caller's buffer (pass a len-0 slice to
-// reuse its backing array) and returned with met, which is false when the
-// floor is reached with the budget still exceeded. No per-step frequency
-// searches, no allocation beyond demotion growth.
+// ties toward the higher current index, then the lower processor number —
+// until the aggregate table power fits the budget, mutating actualIdx in
+// place. Invalid grid rows (idle or unobserved processors) count as zero
+// loss, so they are lowered first; a next step whose loss is NaN or +Inf
+// is never taken. Demotions are appended to the caller's buffer (pass a
+// len-0 slice to reuse its backing array) and returned with met, which is
+// false when no step is left to take with the budget still exceeded.
+//
+// Selection is a binary min-heap over every processor's next step, ordered
+// (loss ascending, current index descending, processor ascending) — the
+// total order whose minimum a left-to-right scan under "loss < best ||
+// (loss == best && idx > best's idx)" finds, −0 tying +0 and non-monotone
+// loss rows included (stepKey). A demotion changes only the demoted
+// processor's key, so each costs O(log n); the heap is built, in the
+// grid's scratch, only once the desire is found not to fit.
+//
+// The stop test is the aggregate table power summed in processor order,
+// carried across demotions by power.Table.DemotedSum: a running sum −=
+// P[idx] − P[idx−1] when the table's sums are exact in any order (whole
+// watts, n·P_max < 2⁵³ — Table 1 and the §5 table), which is then bit for
+// bit the re-sum; an O(n) re-sum per demotion for any other table
+// (Model.Tabulate, WithVoltageVariation), so the stop point is the same
+// on any input.
 //
 // This loop is the only production body of the Step-2 selection rule
 // (Scheduler, cluster.Core's pass and demand curve, FitToBudget and the
 // scenario policy rewrite all run it). invariant.StepTwoReplay and
-// optimal.Greedy state the rule independently to check it;
+// optimal.Greedy state the rule independently, as scans, to check it;
 // invariant.FuzzStepTwoAgreement holds the three to the same walk.
 func FitToBudgetGrid(g *perfmodel.PredGrid, actualIdx []int, table *power.Table, budget units.Power, demotions []Demotion) ([]Demotion, bool) {
-	for {
-		var sum units.Power
-		for _, idx := range actualIdx {
-			sum += table.PowerAtIndex(idx)
+	sum := table.SumAtIndices(actualIdx)
+	if sum <= budget {
+		return demotions, true
+	}
+	h := g.DemotionHeap()
+	for i, idx := range actualIdx {
+		if key, ok := stepKey(g, i, idx); ok {
+			h = append(h, key)
 		}
-		if sum <= budget {
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
+		cpu, idx := int(uint32(h[0].Lo)), int(^uint32(h[0].Lo>>32))
+		demotions = append(demotions, Demotion{
+			CPU:           cpu,
+			From:          table.FrequencyAtIndex(idx),
+			To:            table.FrequencyAtIndex(idx - 1),
+			PredictedLoss: nextLoss(g, cpu, idx),
+		})
+		actualIdx[cpu] = idx - 1
+		if key, ok := stepKey(g, cpu, idx-1); ok {
+			h[0] = key
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+		if sum = table.DemotedSum(sum, actualIdx, idx); sum <= budget {
 			return demotions, true
 		}
-		best := -1
-		bestLoss := math.Inf(1)
-		for i, idx := range actualIdx {
-			if idx == 0 {
-				continue // already at minimum
-			}
-			loss := 0.0
-			if g.Valid(i) {
-				loss = g.Loss(i, idx-1)
-			}
-			if loss < bestLoss || (loss == bestLoss && best >= 0 && idx > actualIdx[best]) {
-				best, bestLoss = i, loss
-			}
-		}
-		if best < 0 {
-			return demotions, false // floor reached, budget still exceeded
-		}
-		demotions = append(demotions, Demotion{
-			CPU:           best,
-			From:          table.FrequencyAtIndex(actualIdx[best]),
-			To:            table.FrequencyAtIndex(actualIdx[best] - 1),
-			PredictedLoss: bestLoss,
-		})
-		actualIdx[best]--
 	}
+	return demotions, false // nothing left to demote, budget still exceeded
+}
+
+// nextLoss is the grid loss of cpu's step down from table index idx ≥ 1:
+// zero for an invalid row.
+func nextLoss(g *perfmodel.PredGrid, cpu, idx int) float64 {
+	if !g.Valid(cpu) {
+		return 0
+	}
+	return g.Loss(cpu, idx-1)
+}
+
+// stepKey packs cpu's next step, from table index idx, into a heap entry.
+// ok is false when there is no step to take: idx is the floor, or the loss
+// is NaN or +Inf, which no "loss < best" comparison ever selects.
+//
+// Hi is the loss under the usual order-preserving map of non-NaN floats
+// onto unsigned integers (negative values bit-flipped, the rest offset by
+// the sign bit), after +0 has folded −0 onto +0 so the two tie as they do
+// under ==. Lo is ^idx above cpu. Ascending (Hi, Lo) is therefore loss
+// ascending by float comparison, then index descending, then processor
+// ascending — and one 128-bit subtraction compares two entries without a
+// branch, which is what the sift spends its time on.
+func stepKey(g *perfmodel.PredGrid, cpu, idx int) (perfmodel.DemotionKey, bool) {
+	if idx == 0 {
+		return perfmodel.DemotionKey{}, false
+	}
+	loss := nextLoss(g, cpu, idx)
+	hi := math.Float64bits(loss + 0)
+	if hi>>63 != 0 {
+		hi = ^hi
+	} else {
+		hi |= 1 << 63
+	}
+	return perfmodel.DemotionKey{Hi: hi, Lo: uint64(^uint32(idx))<<32 | uint64(uint32(cpu))}, loss < math.Inf(1)
+}
+
+// before is 1 when a orders strictly before b, else 0: the borrow out of
+// the 128-bit subtraction a − b.
+func before(a, b perfmodel.DemotionKey) uint64 {
+	_, borrow := bits.Sub64(a.Lo, b.Lo, 0)
+	_, borrow = bits.Sub64(a.Hi, b.Hi, borrow)
+	return borrow
+}
+
+// siftDown restores the min-heap property below position i. Which child
+// is smaller is a coin toss to the branch predictor, so it is added, not
+// branched on.
+func siftDown(h []perfmodel.DemotionKey, i int) {
+	if i >= len(h) {
+		return
+	}
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) {
+			c += int(before(h[r], h[c]))
+		}
+		if before(h[c], x) == 0 {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // TotalTablePower sums the table power of an assignment.

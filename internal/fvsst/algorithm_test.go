@@ -2,6 +2,7 @@ package fvsst
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -302,5 +303,33 @@ func TestMinEpsilonFor(t *testing.T) {
 	fine := MinEpsilonFor(power.PaperTable1().Frequencies())
 	if math.Abs(fine-50.0/300.0) > 1e-9 {
 		t.Errorf("fine MinEpsilonFor = %v", fine)
+	}
+}
+
+// TestStepTwoOrderByHand spells the selection order out on four CPUs over
+// the §5 table: equal losses go to the higher current index, then to the
+// lower CPU number, and a CPU whose next step reads NaN is never moved —
+// not even when it is all that stands between the fit and its budget.
+func TestStepTwoOrderByHand(t *testing.T) {
+	tab := power.Section5Table()
+	var g perfmodel.PredGrid
+	g.Reset(4, tab.Frequencies())
+	g.Fill(2, perfmodel.Decomposition{InvAlpha: math.NaN()})
+	// CPUs 0, 1 and 3 have no prediction: zero loss at every step.
+	idx := []int{2, 3, 4, 3}
+	demotions, met := FitToBudgetGrid(&g, idx, tab, units.Watts(1), nil)
+	if met {
+		t.Fatal("1 W budget reported met")
+	}
+	if want := []int{0, 0, 4, 0}; !slices.Equal(idx, want) {
+		t.Fatalf("floor reached at %v, want %v (cpu 2 untouched)", idx, want)
+	}
+	var order []int
+	for _, d := range demotions {
+		order = append(order, d.CPU)
+	}
+	// From index 3: cpu 1 then cpu 3; from 2: cpus 0, 1, 3; from 1 likewise.
+	if want := []int{1, 3, 0, 1, 3, 0, 1, 3}; !slices.Equal(order, want) {
+		t.Fatalf("demotion order %v, want %v", order, want)
 	}
 }

@@ -23,6 +23,23 @@ type PredGrid struct {
 	loss  []float64
 	valid []bool
 	decs  []Decomposition
+	heap  []DemotionKey // Step-2 scratch, see DemotionHeap
+}
+
+// DemotionKey is one entry of Step 2's demotion heap: two words whose
+// order as one 128-bit number, Hi first, is the order in which
+// fvsst.FitToBudgetGrid takes steps. The packing lives there; to the grid
+// the entries are opaque.
+type DemotionKey struct{ Hi, Lo uint64 }
+
+// DemotionHeap returns the grid's reusable backing for Step 2's heap:
+// length 0, capacity at least NumCPUs. The grid only owns the memory, so
+// a scheduler that keeps its grid across passes allocates the heap once.
+func (g *PredGrid) DemotionHeap() []DemotionKey {
+	if cap(g.heap) < g.nCPU {
+		g.heap = make([]DemotionKey, 0, g.nCPU)
+	}
+	return g.heap[:0]
 }
 
 // Reset prepares the grid for one scheduling pass over nCPU processors and

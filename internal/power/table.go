@@ -8,6 +8,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/units"
@@ -29,6 +30,9 @@ type OperatingPoint struct {
 // paper prescribes for processors with a small fixed frequency set.
 type Table struct {
 	points []OperatingPoint
+	// integral is true when every power is a whole number of watts (see
+	// ExactSums).
+	integral bool
 }
 
 // NewTable validates and sorts the given operating points: frequencies must
@@ -42,7 +46,11 @@ func NewTable(points []OperatingPoint) (*Table, error) {
 	ps := make([]OperatingPoint, len(points))
 	copy(ps, points)
 	sort.Slice(ps, func(i, j int) bool { return ps[i].F < ps[j].F })
+	integral := true
 	for i, p := range ps {
+		if w := p.P.W(); w != math.Trunc(w) {
+			integral = false
+		}
 		if p.F <= 0 {
 			return nil, fmt.Errorf("power: operating point %d has non-positive frequency %v", i, p.F)
 		}
@@ -65,7 +73,7 @@ func NewTable(points []OperatingPoint) (*Table, error) {
 			}
 		}
 	}
-	return &Table{points: ps}, nil
+	return &Table{points: ps, integral: integral}, nil
 }
 
 // MustTable is NewTable for static tables; it panics on error.
@@ -129,6 +137,42 @@ func (t *Table) PowerAtIndex(i int) units.Power { return t.points[i].P }
 // VoltageAtIndex returns the i-th operating point's minimum voltage. It
 // panics on an out-of-range index, like a slice.
 func (t *Table) VoltageAtIndex(i int) units.Voltage { return t.points[i].V }
+
+// SumAtIndices adds the peak powers at the given indices left to right —
+// the aggregate table power of an assignment held in index space, in
+// processor order, which is the accumulation Step 2's stop test is defined
+// by.
+func (t *Table) SumAtIndices(indices []int) units.Power {
+	var sum units.Power
+	for _, i := range indices {
+		sum += t.points[i].P
+	}
+	return sum
+}
+
+// ExactSums reports whether a sum of n of this table's powers is exact in
+// float64 whatever the order of the additions: every power is a whole
+// number of watts and n·P_max stays below 2⁵³, so every partial sum and
+// every difference of two powers is an integer float64 holds exactly.
+func (t *Table) ExactSums(n int) bool {
+	const maxExact = 1 << 53
+	return t.integral && float64(n)*t.points[len(t.points)-1].P.W() < maxExact
+}
+
+// DemotedSum returns SumAtIndices(indices) for an assignment one of whose
+// entries has just stepped down from index from to from−1, given the
+// aggregate sum before the step — the stop-test arithmetic Step 2, the
+// demand curve and the farm divide share. When ExactSums holds (Table 1,
+// the §5 table) it is sum − (P[from] − P[from−1]), whose bits are the
+// re-sum's because no whole-watt sum rounds; for any other table
+// (Model.Tabulate, WithVoltageVariation) it re-sums in order, the only
+// arithmetic that is bit-faithful there.
+func (t *Table) DemotedSum(sum units.Power, indices []int, from int) units.Power {
+	if t.ExactSums(len(indices)) {
+		return sum - (t.points[from].P - t.points[from-1].P)
+	}
+	return t.SumAtIndices(indices)
+}
 
 // PowerAt returns the peak power at exactly the table frequency f.
 func (t *Table) PowerAt(f units.Frequency) (units.Power, error) {

@@ -193,3 +193,68 @@ func TestMustTablePanics(t *testing.T) {
 	}()
 	MustTable(nil)
 }
+
+// TestExactSums pins the property the Step-2 running sum rests on: true
+// for the whole-watt tables every shipped path builds, false as soon as a
+// power is fractional or n of the largest could reach 2⁵³.
+func TestExactSums(t *testing.T) {
+	for name, tab := range map[string]*Table{"PaperTable1": PaperTable1(), "Section5Table": Section5Table()} {
+		if !tab.ExactSums(2000) {
+			t.Errorf("%s: ExactSums(2000) = false, want true (whole watts)", name)
+		}
+	}
+	tabulated, err := Model{C: units.Farads(80e-9), B: 1, Curve: DefaultVoltageCurve()}.Tabulate(PaperTable1().Frequencies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tabulated.ExactSums(1) {
+		t.Error("Tabulate: ExactSums = true for analytic powers")
+	}
+	varied, err := WithVoltageVariation(PaperTable1(), []float64{1.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if varied[0].ExactSums(1) {
+		t.Error("WithVoltageVariation: ExactSums = true for V²-scaled powers")
+	}
+
+	// 2⁵³ / 140 W: the last n that keeps n·P_max below 2⁵³, and the first
+	// that does not.
+	const limit = (1 << 53) / 140
+	if tab := PaperTable1(); !tab.ExactSums(limit) || tab.ExactSums(limit+1) {
+		t.Errorf("PaperTable1: ExactSums(%d) = %v, ExactSums(%d) = %v, want true then false",
+			limit, tab.ExactSums(limit), limit+1, tab.ExactSums(limit+1))
+	}
+}
+
+func TestSumAtIndices(t *testing.T) {
+	tab := Section5Table()
+	if got := tab.SumAtIndices([]int{0, 4, 2}); got != units.Watts(48+140+84) {
+		t.Errorf("SumAtIndices = %v, want 272 W", got)
+	}
+	if got := tab.SumAtIndices(nil); got != 0 {
+		t.Errorf("SumAtIndices(nil) = %v, want 0", got)
+	}
+}
+
+// TestDemotedSumIsTheResum: on a whole-watt table (running difference)
+// and on a V²-scaled one (re-sum) alike, carrying the aggregate down a
+// walk gives the bits of summing each assignment afresh.
+func TestDemotedSumIsTheResum(t *testing.T) {
+	varied, err := WithVoltageVariation(PaperTable1(), []float64{1.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range []*Table{PaperTable1(), varied[0]} {
+		idx := []int{15, 3, 9, 15, 1, 12}
+		sum := tab.SumAtIndices(idx)
+		for _, cpu := range []int{0, 3, 0, 2, 5, 1, 4, 0} {
+			from := idx[cpu]
+			idx[cpu]--
+			sum = tab.DemotedSum(sum, idx, from)
+			if want := tab.SumAtIndices(idx); math.Float64bits(sum.W()) != math.Float64bits(want.W()) {
+				t.Fatalf("exact=%v: after cpu %d steps down from %d: carried %v, re-sum %v", tab.ExactSums(len(idx)), cpu, from, sum, want)
+			}
+		}
+	}
+}
