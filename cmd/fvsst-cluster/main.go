@@ -77,8 +77,8 @@ type options struct {
 
 // result summarises a run for the safety check and the smoke test.
 type result struct {
-	decisions  []netcluster.Decision
-	rootDecs   []netcluster.RootDecision
+	// decisions holds one header per round run, flat or hierarchical.
+	decisions  []netcluster.Round
 	status     []netcluster.NodeStatus
 	violations int
 	degrades   int
@@ -259,12 +259,7 @@ func run(o options, out io.Writer) (result, error) {
 		}()
 	}
 
-	if o.relays > 0 {
-		err = runTree(o, out, sink, metrics, wireStats, codec, pd, specs, &res)
-	} else {
-		err = runFlat(o, out, sink, metrics, wireStats, codec, pd, specs, &res)
-	}
-	if err != nil {
+	if err := runFleet(o, out, sink, metrics, wireStats, codec, pd, specs, &res); err != nil {
 		return res, err
 	}
 	res.degrades = transitions.degrades
@@ -326,52 +321,17 @@ func budgetConfig(o options, ccfg *netcluster.Config) error {
 	return nil
 }
 
-// newFabric builds the seeded fault fabric over the selected transport;
-// every connection shares the run's codec counters.
-func newFabric(o options, pd *netcluster.PipeDialer, stats *wire.Stats) *faultnet.Network {
-	fabric := faultnet.New(o.seed + 1000)
-	if pd != nil {
-		fabric.SetTransport(pd.DialTransport)
-	} else {
-		fabric.SetTransport(func(addr string, timeout time.Duration) (proto.Conn, error) {
-			return wire.DialStats(addr, timeout, stats)
-		})
-	}
-	return fabric
-}
-
-func fvsstConfig(o options) fvsst.Config {
-	cfg := fvsst.DefaultConfig()
-	cfg.Epsilon = o.epsilon
-	cfg.UseIdleSignal = true
-	return cfg
-}
-
-// roundLine is what the drive loop reads off one round's decision, flat
-// or hierarchical.
-type roundLine struct {
-	at                        float64
-	trigger                   string
-	budget, charged, reserved units.Power
-	met                       bool
-	degraded                  []string
-	// pass is the round's wall-clock latency; only the relay tree
-	// measures it.
-	pass time.Duration
-}
-
-// drive is the run loop both topologies share: cut and heal the partition
-// target on the fabric, step one round, count budget violations and log
-// the rounds of interest (budget changes, degraded rounds, every
-// -log-every'th timer round). It returns the rounds run and the peak
-// charged/budget ratio for the summary.
-func drive(o options, out io.Writer, fabric *faultnet.Network, partitionName string,
-	now func() float64, step func() (roundLine, error), res *result) (rounds int, worst float64, err error) {
+// drive is the run loop: cut and heal the partition target on the fabric,
+// step one round, count budget violations and log the rounds of interest
+// (budget changes, degraded rounds, every -log-every'th timer round). It
+// returns the peak charged/budget ratio for the summary.
+func drive(o options, out io.Writer, fabric *faultnet.Network, partitionName string, fleet *netcluster.Fleet, res *result) (float64, error) {
 	partitionEnd := o.partitionAt + o.partitionFor
 	cut := false
 	timerRounds := 0
-	for now() < o.duration {
-		t := now()
+	worst := 0.0
+	for fleet.Now() < o.duration {
+		t := fleet.Now()
 		if partitionName != "" {
 			if !cut && t >= o.partitionAt && t < partitionEnd {
 				fabric.Partition(partitionName)
@@ -384,43 +344,40 @@ func drive(o options, out io.Writer, fabric *faultnet.Network, partitionName str
 				fmt.Fprintf(out, "t=%.2f  HEAL     %s reachable again\n", t, partitionName)
 			}
 		}
-		d, err := step()
+		d, err := fleet.RunRound()
 		if err != nil {
-			return rounds, worst, err
+			return worst, err
 		}
-		rounds++
-		if d.pass > res.maxPass {
-			res.maxPass = d.pass
-		}
-		if d.charged > d.budget {
+		res.decisions = append(res.decisions, d)
+		res.maxPass = max(res.maxPass, d.PassDur)
+		if d.Charged > d.Budget {
 			res.violations++
 		}
-		if r := d.charged.W() / d.budget.W(); r > worst {
-			worst = r
-		}
-		interesting := d.trigger != "timer" || len(d.degraded) > 0 || d.charged > d.budget
-		if d.trigger == "timer" {
+		worst = max(worst, d.Charged.W()/d.Budget.W())
+		interesting := d.Trigger != "timer" || len(d.Degraded) > 0 || d.Charged > d.Budget
+		if d.Trigger == "timer" {
 			timerRounds++
 		}
 		if interesting || (o.logEvery > 0 && timerRounds%o.logEvery == 0) {
 			pass := ""
 			if o.relays > 0 {
-				pass = fmt.Sprintf(" pass=%v", d.pass.Round(time.Microsecond))
+				pass = fmt.Sprintf(" pass=%v", d.PassDur.Round(time.Microsecond))
 			}
 			degraded := ""
-			if len(d.degraded) > 0 {
-				degraded = "  degraded=" + strings.Join(d.degraded, ",")
+			if len(d.Degraded) > 0 {
+				degraded = "  degraded=" + strings.Join(d.Degraded, ",")
 			}
 			fmt.Fprintf(out, "t=%.2f  %-13s budget=%v charged=%v reserved=%v met=%v%s%s\n",
-				d.at, d.trigger, d.budget, d.charged, d.reserved, d.met, pass, degraded)
+				d.At, d.Trigger, d.Budget, d.Charged, d.Reserved, d.BudgetMet, pass, degraded)
 		}
 	}
-	return rounds, worst, nil
+	return worst, nil
 }
 
 // summarize prints the end-of-run status table (res.status) and the
 // budget-safety line.
-func summarize(o options, out io.Writer, end float64, rounds int, worst float64, res *result) {
+func summarize(o options, out io.Writer, end float64, worst float64, res *result) {
+	rounds := len(res.decisions)
 	latency, width := "", 6
 	if o.relays > 0 {
 		latency, width = fmt.Sprintf("; peak pass latency %v", res.maxPass.Round(time.Microsecond)), 8
@@ -437,173 +394,82 @@ func summarize(o options, out io.Writer, end float64, rounds int, worst float64,
 		res.violations, rounds, 100*worst)
 }
 
-// runFlat drives the fleet through one flat coordinator (the original
-// topology): every agent is a direct child.
-func runFlat(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metrics, stats *wire.Stats, codec string, pd *netcluster.PipeDialer, specs []netcluster.NodeSpec, res *result) error {
-	fabric := newFabric(o, pd, stats)
-	ccfg := netcluster.Config{
-		Fvsst:      fvsstConfig(o),
+// runFleet drives the agents through one flat coordinator (the original
+// topology: every agent a direct child) or, with -relays, a 2-level tree:
+// contiguous groups of nodes each behind a relay (agent protocol upward,
+// coordinator protocol downward) under one root dividing the global
+// budget across the relays' aggregated demand curves. The fault fabric
+// sits on the top tier's links, so in a tree the partition flag targets a
+// relay: cutting a root↔relay link freezes a whole subtree, which the
+// root charges at its last acknowledged draw.
+func runFleet(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metrics, stats *wire.Stats, codec string, pd *netcluster.PipeDialer, specs []netcluster.NodeSpec, res *result) error {
+	fcfg := fvsst.DefaultConfig()
+	fcfg.Epsilon = o.epsilon
+	fcfg.UseIdleSignal = true
+	// The seeded fault fabric over the selected transport; every connection
+	// shares the run's codec counters.
+	fabric := faultnet.New(o.seed + 1000)
+	if pd != nil {
+		fabric.SetTransport(pd.DialTransport)
+	} else {
+		fabric.SetTransport(func(addr string, timeout time.Duration) (proto.Conn, error) {
+			return wire.DialStats(addr, timeout, stats)
+		})
+	}
+	// A relay's sub-coordinator reaches its agents directly — no fault
+	// fabric, sink or metrics — and its budget arrives by grant.
+	sub := netcluster.Config{
+		Fvsst:      fcfg,
 		Budget:     units.Watts(o.budgetW),
 		MissK:      o.missK,
 		RPCTimeout: o.rpcTimeout,
-		Seed:       o.seed,
-		Dialer:     fabric,
-		Sink:       sink,
-		Metrics:    metrics,
+		Dialer:     &netcluster.TCPDialer{Stats: stats},
 		Codec:      codec,
-		WireStats:  stats,
 	}
-	if err := budgetConfig(o, &ccfg); err != nil {
+	if pd != nil {
+		sub.Dialer = pd
+	}
+	top := sub
+	top.Seed, top.Dialer = o.seed, fabric
+	top.Sink, top.Metrics, top.WireStats = sink, metrics, stats
+	if err := budgetConfig(o, &top); err != nil {
 		return err
 	}
-	coord, err := netcluster.NewCoordinator(ccfg, specs...)
+	fleet, err := netcluster.NewFleet(specs, o.relays, pd, func(name string, group int) netcluster.Config {
+		c := top
+		if group >= 0 {
+			c = sub
+			c.Seed = o.seed + int64(group) + 1
+		}
+		c.Name = name
+		return c
+	})
 	if err != nil {
 		return err
 	}
-	if err := coord.Connect(); err != nil {
-		return err
-	}
-	defer coord.Close()
+	defer fleet.Close()
 
 	partitionName := ""
 	if o.partition >= 0 {
-		partitionName = specs[o.partition].Name
+		partitionName = fleet.Status()[o.partition].Name
 	}
-	fmt.Fprintf(out, "%d nodes up; budget %.0fW; seed %d\n", o.nodes, o.budgetW, o.seed)
-	rounds, worst, err := drive(o, out, fabric, partitionName, coord.Now, func() (roundLine, error) {
-		if err := coord.RunRound(); err != nil {
-			return roundLine{}, err
+	if o.relays > 0 {
+		transport := o.transport
+		if transport == "" {
+			transport = "tcp"
 		}
-		decs := coord.Decisions()
-		d := decs[len(decs)-1]
-		return roundLine{at: d.At, trigger: d.Trigger, budget: d.Budget, charged: d.Charged,
-			reserved: d.Reserved, met: d.BudgetMet, degraded: d.Degraded}, nil
-	}, res)
+		fmt.Fprintf(out, "%d nodes up behind %d relays (%s transport); budget %.0fW; seed %d\n",
+			o.nodes, o.relays, transport, o.budgetW, o.seed)
+	} else {
+		fmt.Fprintf(out, "%d nodes up; budget %.0fW; seed %d\n", o.nodes, o.budgetW, o.seed)
+	}
+	worst, err := drive(o, out, fabric, partitionName, fleet, res)
 	if err != nil {
 		return err
 	}
-	res.decisions = coord.Decisions()
-	res.status = coord.Status()
-	summarize(o, out, coord.Now(), rounds, worst, res)
-	return nil
-}
-
-// runTree drives the fleet through a 2-level tree: the nodes split into
-// contiguous groups, each behind a relay (agent protocol upward,
-// coordinator protocol downward), with one root dividing the global
-// budget across the relays' aggregated demand curves. The partition flag
-// targets a relay: cutting a root↔relay link freezes a whole subtree,
-// which the root charges at its last acknowledged draw.
-func runTree(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metrics, stats *wire.Stats, codec string, pd *netcluster.PipeDialer, specs []netcluster.NodeSpec, res *result) error {
-	cfg := fvsstConfig(o)
-	relays := make([]*netcluster.Relay, 0, o.relays)
-	defer func() {
-		for _, r := range relays {
-			r.Close()
-		}
-	}()
-	relaySpecs := make([]netcluster.NodeSpec, o.relays)
-	base, extra := o.nodes/o.relays, o.nodes%o.relays
-	lo := 0
-	for j := 0; j < o.relays; j++ {
-		size := base
-		if j < extra {
-			size++
-		}
-		var dialer netcluster.Dialer
-		if pd != nil {
-			dialer = pd
-		} else {
-			dialer = &netcluster.TCPDialer{Stats: stats}
-		}
-		name := fmt.Sprintf("relay%d", j)
-		sub, err := netcluster.NewCoordinator(netcluster.Config{
-			Name:       name,
-			Fvsst:      cfg,
-			Budget:     units.Watts(o.budgetW),
-			MissK:      o.missK,
-			RPCTimeout: o.rpcTimeout,
-			Seed:       o.seed + int64(j) + 1,
-			Dialer:     dialer,
-			Codec:      codec,
-		}, specs[lo:lo+size]...)
-		if err != nil {
-			return err
-		}
-		if err := sub.Connect(); err != nil {
-			sub.Close()
-			return err
-		}
-		lo += size
-		relay, err := netcluster.NewRelay(netcluster.RelayConfig{Name: name}, sub)
-		if err != nil {
-			sub.Close()
-			return err
-		}
-		relays = append(relays, relay)
-		if pd != nil {
-			pd.Register(name, relay)
-			relaySpecs[j] = netcluster.NodeSpec{Name: name, Addr: name}
-		} else {
-			if err := relay.Start(); err != nil {
-				return err
-			}
-			relaySpecs[j] = netcluster.NodeSpec{Name: name, Addr: relay.Addr()}
-		}
-	}
-
-	fabric := newFabric(o, pd, stats)
-	ccfg := netcluster.Config{
-		Name:       "root",
-		Fvsst:      cfg,
-		Budget:     units.Watts(o.budgetW),
-		MissK:      o.missK,
-		RPCTimeout: o.rpcTimeout,
-		Seed:       o.seed,
-		Dialer:     fabric,
-		Sink:       sink,
-		Metrics:    metrics,
-		Codec:      codec,
-		WireStats:  stats,
-	}
-	if err := budgetConfig(o, &ccfg); err != nil {
-		return err
-	}
-	root, err := netcluster.NewRoot(ccfg, relaySpecs...)
-	if err != nil {
-		return err
-	}
-	if err := root.Connect(); err != nil {
-		return err
-	}
-	defer root.Close()
-
-	partitionName := ""
-	if o.partition >= 0 {
-		partitionName = relaySpecs[o.partition].Name
-	}
-	transport := o.transport
-	if transport == "" {
-		transport = "tcp"
-	}
-	fmt.Fprintf(out, "%d nodes up behind %d relays (%s transport); budget %.0fW; seed %d\n",
-		o.nodes, o.relays, transport, o.budgetW, o.seed)
-	rounds, worst, err := drive(o, out, fabric, partitionName, root.Now, func() (roundLine, error) {
-		if err := root.RunRound(); err != nil {
-			return roundLine{}, err
-		}
-		decs := root.RootDecisions()
-		d := decs[len(decs)-1]
-		return roundLine{at: d.At, trigger: d.Trigger, budget: d.Budget, charged: d.Charged,
-			reserved: d.Reserved, met: d.BudgetMet, degraded: d.Degraded, pass: d.PassDur}, nil
-	}, res)
-	if err != nil {
-		return err
-	}
-	res.rootDecs = root.RootDecisions()
-	res.status = root.Status()
-	summarize(o, out, root.Now(), rounds, worst, res)
-	if codec == wire.CodecName {
+	res.status = fleet.Status()
+	summarize(o, out, fleet.Now(), worst, res)
+	if o.relays > 0 && codec == wire.CodecName {
 		snap := stats.Snapshot()
 		fmt.Fprintf(out, "wire: %d binary frames out, %d in; %d delta reports received\n",
 			snap.BinFramesOut, snap.BinFramesIn, snap.DeltaIn)

@@ -239,7 +239,7 @@ func TestRelayTreeScenario(t *testing.T) {
 	if res.violations != 0 {
 		t.Errorf("charged power exceeded the budget in %d rounds\noutput:\n%s", res.violations, out.String())
 	}
-	if len(res.rootDecs) == 0 {
+	if len(res.decisions) == 0 {
 		t.Fatal("no root decisions recorded")
 	}
 	if res.maxPass <= 0 {
@@ -253,7 +253,7 @@ func TestRelayTreeScenario(t *testing.T) {
 			t.Errorf("%s still degraded at the end of the run", st.Name)
 		}
 	}
-	first, last := res.rootDecs[0], res.rootDecs[len(res.rootDecs)-1]
+	first, last := res.decisions[0], res.decisions[len(res.decisions)-1]
 	if first.Budget.W() != 1800 || last.Budget.W() != 1200 {
 		t.Errorf("budget trajectory %v → %v, want 1800W → 1200W", first.Budget, last.Budget)
 	}

@@ -71,7 +71,9 @@ func (r *Runner) Step() error {
 			return err
 		}
 	}
-	r.M.Step()
+	if err := r.M.StepQuantum(); err != nil {
+		return err
+	}
 	if err := r.sampler.Collect(); err != nil {
 		return err
 	}

@@ -82,7 +82,9 @@ func (d *Driver) Step() error {
 		}
 	}
 
-	d.M.Step()
+	if err := d.M.StepQuantum(); err != nil {
+		return err
+	}
 
 	// Trigger 1: a budget change takes effect the moment the simulation
 	// clock reaches it — checked right after the step so any decision

@@ -329,7 +329,9 @@ func (a *Agent) handleCounters(req proto.CounterRequest) *proto.Message {
 	defer a.mu.Unlock()
 	m := a.cfg.M
 	for i := 0; i < req.AdvanceQuanta; i++ {
-		m.Step()
+		if err := m.StepQuantum(); err != nil {
+			return fail("step: %v", err)
+		}
 		if err := a.sampler.Collect(); err != nil {
 			return fail("collect: %v", err)
 		}

@@ -171,22 +171,34 @@ type NodeStatus struct {
 	ChargedIfSilent units.Power
 }
 
-// Decision is one networked scheduling round.
-type Decision struct {
+// Round is the header every scheduling round logs, flat or hierarchical:
+// what Fleet.RunRound returns.
+type Round struct {
 	At      float64
 	Trigger string
 	Budget  units.Power
-	// TablePower is the live nodes' assigned table power.
-	TablePower units.Power
-	// Reserved is the worst-case charge held for unreachable nodes.
+	// Reserved is the worst-case charge held outside the pass: for
+	// unreachable nodes, or at a root for silent relays (their
+	// frozen-subtree bounds) plus reachable relays' own reservations.
 	Reserved units.Power
 	// Charged is the total held against the budget: acknowledged live
-	// assignments plus Reserved.
+	// assignments (or subtree ledgers) plus the worst case of the rest.
 	Charged units.Power
 	// BudgetMet reports Charged ≤ Budget.
 	BudgetMet bool
-	// Degraded lists nodes currently marked degraded.
-	Degraded    []string
+	// Degraded lists the peers currently marked degraded: nodes, or at a
+	// root relays.
+	Degraded []string
+	// PassDur is the round's wall-clock latency, demand fan-out through
+	// grant settlement; only a root measures it.
+	PassDur time.Duration
+}
+
+// Decision is one networked scheduling round.
+type Decision struct {
+	Round
+	// TablePower is the live nodes' assigned table power.
+	TablePower  units.Power
 	Assignments []cluster.Assignment
 	// NodeCharged is the per-node charge in node order: the acknowledged
 	// assignment's table power for acked nodes, the worst case under
@@ -575,71 +587,106 @@ func (c *Coordinator) recordAlive(ns *nodeState) {
 	}
 }
 
+// eachNode runs fn once per node, each call on its own goroutine, and
+// waits for all of them: the one fan-out every per-peer phase of every
+// tier goes through (counter poll, actuation, demand poll, grant). fn owns
+// node i's state and its slot in any result slice for the duration;
+// between phases access is single-threaded.
+func (c *Coordinator) eachNode(fn func(i int, ns *nodeState)) {
+	var wg sync.WaitGroup
+	wg.Add(len(c.nodes))
+	for i, ns := range c.nodes {
+		go func() {
+			defer wg.Done()
+			fn(i, ns)
+		}()
+	}
+	wg.Wait()
+}
+
 // poll is one node's round result.
 type poll struct {
 	ok        bool
 	reports   []proto.CPUReport
 	cpuPowerW float64
-	// rpc is the counter-poll timing for the node's rpc:counters span.
-	rpc rpcTime
 }
 
-// pollPhase is phase 1 of a round: parallel liveness + counter poll.
-// Each goroutine owns its node's state; results land in per-node slots.
-// Every request carries the round's trace context, which agents echo on
-// the ack. A relay runs the same phase over its children when answering
-// an upstream demand request.
-func (c *Coordinator) pollPhase(passID uint64) []poll {
-	polls := make([]poll, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, ns := range c.nodes {
-		wg.Add(1)
-		go func(i int, ns *nodeState) {
-			defer wg.Done()
-			if _, _, err := c.rpc(ns, proto.KindHeartbeat, func(id uint64) *proto.Message {
-				return &proto.Message{Kind: proto.KindHeartbeat, ID: id, Trace: &proto.TraceContext{PassID: passID}}
-			}); err != nil {
-				c.recordMiss(ns, err)
-				return
-			}
-			resp, rt, err := c.rpc(ns, proto.KindCounterRequest, func(id uint64) *proto.Message {
-				return &proto.Message{Kind: proto.KindCounterRequest, ID: id, Trace: &proto.TraceContext{PassID: passID}, CounterRequest: &proto.CounterRequest{
-					AdvanceQuanta: c.cfg.Fvsst.SchedulePeriods,
-					WindowQuanta:  c.cfg.Fvsst.SchedulePeriods,
-				}}
-			})
-			if err != nil || resp.CounterReport == nil {
-				c.recordMiss(ns, err)
-				return
-			}
-			if len(resp.CounterReport.CPUs) != ns.caps.NumCPUs {
-				c.recordMiss(ns, fmt.Errorf("report covers %d of %d CPUs", len(resp.CounterReport.CPUs), ns.caps.NumCPUs))
-				return
-			}
-			polls[i] = poll{ok: true, reports: resp.CounterReport.CPUs, cpuPowerW: resp.CounterReport.CPUPowerW, rpc: rt}
-		}(i, ns)
-	}
-	wg.Wait()
-	return polls
+// polledRound is the poll half of a round: the counter windows of every
+// reachable node as scheduler inputs (nodeInputs maps node → its input
+// indices, in CPU order) and the worst-case charge of every unreachable
+// one. The flat coordinator settles it at once; a relay holds it from the
+// demand-request to the grant, so the subtree is advanced exactly once per
+// round and the grant schedules the very counter windows the exported
+// curve was derived from.
+type polledRound struct {
+	passID     uint64
+	polls      []poll
+	inputs     []cluster.ProcInput
+	nodeInputs [][]int
+	reserved   units.Power
 }
 
-// buildInputs is phase 2's input assembly: the reachable nodes' counter
-// windows become scheduler inputs (nodeInputs maps node → its input
-// indices, in CPU order), and every unreachable node adds its worst-case
-// charge to reserved.
+// roundTimes is a round's wall-clock skeleton, flat or hierarchical: a
+// per-peer poll fan-out, a local middle phase, a per-peer actuate
+// fan-out. A flat round makes one only with a sink attached, and the
+// halves read the clock only when handed it; the root always does, its
+// pass latency being part of the decision. A zero rpcTime is a peer whose
+// RPC left no span.
+type roundTimes struct {
+	passStart, actStart time.Time
+	poll, mid, act      time.Duration
+	pollRPC, actRPC     []rpcTime
+}
+
+func (c *Coordinator) newRoundTimes(passStart time.Time) *roundTimes {
+	return &roundTimes{passStart: passStart, pollRPC: make([]rpcTime, len(c.nodes)), actRPC: make([]rpcTime, len(c.nodes))}
+}
+
+// pollRound is the first half of a round: parallel liveness + counter
+// poll, then input assembly. Every request carries the round's trace
+// context, which agents echo on the ack.
 //
 // A poll's report slice may be conn-owned (the binary codec reuses its
 // decode buffers), so inputs must be fully built before the next message
 // is received on that node's connection — which holds: actuation only
-// starts after the scheduling pass.
-func (c *Coordinator) buildInputs(polls []poll) (inputs []cluster.ProcInput, nodeInputs [][]int, reserved units.Power) {
-	nodeInputs = make([][]int, len(c.nodes))
+// starts in the settle half.
+func (c *Coordinator) pollRound(passID uint64, t *roundTimes) *polledRound {
+	p := &polledRound{passID: passID, polls: make([]poll, len(c.nodes)), nodeInputs: make([][]int, len(c.nodes))}
+	c.eachNode(func(i int, ns *nodeState) {
+		if _, _, err := c.rpc(ns, proto.KindHeartbeat, func(id uint64) *proto.Message {
+			return &proto.Message{Kind: proto.KindHeartbeat, ID: id, Trace: &proto.TraceContext{PassID: passID}}
+		}); err != nil {
+			c.recordMiss(ns, err)
+			return
+		}
+		resp, rt, err := c.rpc(ns, proto.KindCounterRequest, func(id uint64) *proto.Message {
+			return &proto.Message{Kind: proto.KindCounterRequest, ID: id, Trace: &proto.TraceContext{PassID: passID}, CounterRequest: &proto.CounterRequest{
+				AdvanceQuanta: c.cfg.Fvsst.SchedulePeriods,
+				WindowQuanta:  c.cfg.Fvsst.SchedulePeriods,
+			}}
+		})
+		if err != nil || resp.CounterReport == nil {
+			c.recordMiss(ns, err)
+			return
+		}
+		if len(resp.CounterReport.CPUs) != ns.caps.NumCPUs {
+			c.recordMiss(ns, fmt.Errorf("report covers %d of %d CPUs", len(resp.CounterReport.CPUs), ns.caps.NumCPUs))
+			return
+		}
+		p.polls[i] = poll{ok: true, reports: resp.CounterReport.CPUs, cpuPowerW: resp.CounterReport.CPUPowerW}
+		if t != nil {
+			t.pollRPC[i] = rt
+		}
+	})
+	if t != nil {
+		t.poll = time.Since(t.passStart)
+	}
 	for i, ns := range c.nodes {
-		if !polls[i].ok {
-			reserved += c.worstCharge(ns)
+		if !p.polls[i].ok {
+			p.reserved += c.worstCharge(ns)
 			continue
 		}
-		for cpu, rep := range polls[i].reports {
+		for cpu, rep := range p.polls[i].reports {
 			in := cluster.ProcInput{
 				Proc: cluster.ProcRef{Node: i, CPU: cpu},
 				Node: ns.spec.Name,
@@ -648,90 +695,43 @@ func (c *Coordinator) buildInputs(polls []poll) (inputs []cluster.ProcInput, nod
 			if o, ok := perfmodel.ObservationFrom(rep.Delta()); ok {
 				in.Obs = &o
 			}
-			nodeInputs[i] = append(nodeInputs[i], len(inputs))
-			inputs = append(inputs, in)
+			p.nodeInputs[i] = append(p.nodeInputs[i], len(p.inputs))
+			p.inputs = append(p.inputs, in)
 		}
 	}
-	return inputs, nodeInputs, reserved
+	return p
 }
 
-// actuatePhase is phase 3: parallel actuation of every polled node. The
-// last acknowledged assignment is the node's charge while silent, so it
-// only advances on ack.
-func (c *Coordinator) actuatePhase(passID uint64, polls []poll, nodeInputs [][]int, assignments []cluster.Assignment) (acked []bool, actRPC []rpcTime) {
+// actuatePhase is parallel actuation of every polled node. The last
+// acknowledged assignment is the node's charge while silent, so it only
+// advances on ack.
+func (c *Coordinator) actuatePhase(p *polledRound, assignments []cluster.Assignment, t *roundTimes) (acked []bool) {
 	acked = make([]bool, len(c.nodes))
-	actRPC = make([]rpcTime, len(c.nodes))
-	var awg sync.WaitGroup
-	for i, ns := range c.nodes {
-		if !polls[i].ok {
-			continue
+	c.eachNode(func(i int, ns *nodeState) {
+		if !p.polls[i].ok {
+			return
 		}
-		freqs := make([]units.Frequency, len(nodeInputs[i]))
-		mhz := make([]float64, len(nodeInputs[i]))
-		for cpu, idx := range nodeInputs[i] {
+		freqs := make([]units.Frequency, len(p.nodeInputs[i]))
+		mhz := make([]float64, len(p.nodeInputs[i]))
+		for cpu, idx := range p.nodeInputs[i] {
 			freqs[cpu] = assignments[idx].Actual
 			mhz[cpu] = freqs[cpu].MHz()
 		}
-		awg.Add(1)
-		go func(i int, ns *nodeState, freqs []units.Frequency, mhz []float64) {
-			defer awg.Done()
-			_, rt, err := c.rpc(ns, proto.KindActuate, func(id uint64) *proto.Message {
-				return &proto.Message{Kind: proto.KindActuate, ID: id, Trace: &proto.TraceContext{PassID: passID}, Actuate: &proto.Actuate{FreqsMHz: mhz}}
-			})
-			if err != nil {
-				c.recordMiss(ns, err)
-				return
-			}
-			ns.lastFreqs = freqs
-			acked[i] = true
-			actRPC[i] = rt
-			c.recordAlive(ns)
-		}(i, ns, freqs, mhz)
-	}
-	awg.Wait()
-	return acked, actRPC
-}
-
-// ledger is phase 4's account of one round: per-node charges in node
-// order plus their order-preserving totals.
-type ledger struct {
-	charged       units.Power
-	reserved      units.Power
-	nodeCharged   []units.Power
-	degradedNames []string
-	degradedCount int
-	cpuPowerW     float64
-}
-
-// settle is phase 4: acknowledged nodes are charged their new
-// assignment's table power; everyone else their worst case under silence.
-func (c *Coordinator) settle(polls []poll, nodeInputs [][]int, assignments []cluster.Assignment, acked []bool) (ledger, error) {
-	l := ledger{nodeCharged: make([]units.Power, len(c.nodes))}
-	for i, ns := range c.nodes {
-		if acked[i] {
-			var sum units.Power
-			for _, idx := range nodeInputs[i] {
-				p, err := c.cfg.Fvsst.Table.PowerAt(assignments[idx].Actual)
-				if err != nil {
-					return ledger{}, err
-				}
-				sum += p
-			}
-			l.nodeCharged[i] = sum
-			l.charged += sum
-			l.cpuPowerW += polls[i].cpuPowerW
-			continue
+		_, rt, err := c.rpc(ns, proto.KindActuate, func(id uint64) *proto.Message {
+			return &proto.Message{Kind: proto.KindActuate, ID: id, Trace: &proto.TraceContext{PassID: p.passID}, Actuate: &proto.Actuate{FreqsMHz: mhz}}
+		})
+		if err != nil {
+			c.recordMiss(ns, err)
+			return
 		}
-		w := c.worstCharge(ns)
-		l.nodeCharged[i] = w
-		l.charged += w
-		l.reserved += w
-		if ns.degraded {
-			l.degradedCount++
-			l.degradedNames = append(l.degradedNames, ns.spec.Name)
+		ns.lastFreqs = freqs
+		acked[i] = true
+		if t != nil {
+			t.actRPC[i] = rt
 		}
-	}
-	return l, nil
+		c.recordAlive(ns)
+	})
+	return acked
 }
 
 // openRound is the opening the flat and hierarchical rounds share: refuse
@@ -755,148 +755,159 @@ func (c *Coordinator) openRound(peer string) (passID uint64, trigger string, err
 	return c.passID, trigger, nil
 }
 
+// settleRound is the second half of a round: run the shared global pass
+// over the polled inputs under live, actuate the survivors, charge the
+// ledger against budget — acknowledged nodes their new assignment's table
+// power, everyone else their worst case under silence — log the Decision
+// and advance the epoch clock. The flat coordinator settles under (its
+// budget, budget − reserved); a relay under (grant + reserved, grant),
+// since its root already holds the reservation against the global budget.
+// Transport failures never abort the round — they convert into charges —
+// so the returned error indicates a scheduling-core problem only.
+func (c *Coordinator) settleRound(p *polledRound, trigger string, budget, live units.Power, t *roundTimes) (Decision, cluster.PassResult, error) {
+	var schedStart time.Time
+	if t != nil {
+		schedStart = time.Now()
+	}
+	res, err := c.core.Schedule(p.inputs, live)
+	if err != nil {
+		return Decision{}, res, err
+	}
+	if t != nil {
+		t.actStart = time.Now()
+		t.mid = t.actStart.Sub(schedStart)
+	}
+	acked := c.actuatePhase(p, res.Assignments, t)
+	if t != nil {
+		t.act = time.Since(t.actStart)
+	}
+
+	dec := Decision{
+		Round:       Round{At: c.clock.Now(), Trigger: trigger, Budget: budget},
+		TablePower:  res.TablePower,
+		Assignments: res.Assignments,
+		NodeCharged: make([]units.Power, len(c.nodes)),
+		Acked:       acked,
+	}
+	for i, ns := range c.nodes {
+		var w units.Power
+		if acked[i] {
+			for _, idx := range p.nodeInputs[i] {
+				pw, err := c.cfg.Fvsst.Table.PowerAt(res.Assignments[idx].Actual)
+				if err != nil {
+					return Decision{}, res, err
+				}
+				w += pw
+			}
+		} else {
+			w = c.worstCharge(ns)
+			dec.Reserved += w
+			if ns.degraded {
+				dec.Degraded = append(dec.Degraded, ns.spec.Name)
+			}
+		}
+		dec.NodeCharged[i] = w
+		dec.Charged += w
+	}
+	dec.BudgetMet = dec.Charged <= budget
+	c.decisions = append(c.decisions, dec)
+	c.cfg.Metrics.setDegraded(len(dec.Degraded))
+	c.cfg.Metrics.setCharged(dec.Charged, dec.Reserved)
+	c.cfg.Metrics.setWire(c.cfg.WireStats)
+	c.clock.Tick()
+	return dec, res, nil
+}
+
 // RunRound executes one scheduling period over the wire: heartbeat and
-// poll every node in parallel, run the shared global pass with the
-// budget reduced by the worst-case charge of every unreachable node,
-// then actuate the survivors. Transport failures never abort the round —
-// they convert into charges — so the returned error indicates a
-// scheduling-core problem only.
+// poll every node in parallel, then settle the poll under the budget
+// reduced by the worst-case charge of every unreachable node. A relay
+// runs the same two halves with its root's grant arriving in between.
 func (c *Coordinator) RunRound() error {
-	trace := c.cfg.Sink != nil
-	var passStart time.Time
-	if trace {
-		passStart = time.Now()
+	var t *roundTimes
+	if c.cfg.Sink != nil {
+		t = c.newRoundTimes(time.Now())
 	}
 	passID, trigger, err := c.openRound("node")
 	if err != nil {
 		return err
 	}
-
-	// Phase 1: parallel liveness + counter poll.
-	polls := c.pollPhase(passID)
-	var pollDur time.Duration
-	if trace {
-		pollDur = time.Since(passStart)
-	}
-
-	// Phase 2: global pass over the reachable nodes, under the budget
-	// minus the silent nodes' worst-case charge.
-	inputs, nodeInputs, reserved := c.buildInputs(polls)
-	liveBudget := c.budget - reserved
-	var schedStart time.Time
-	if trace {
-		schedStart = time.Now()
-	}
-	res, err := c.core.Schedule(inputs, liveBudget)
-	if err != nil {
-		return err
-	}
-	var schedDur time.Duration
-	var actStart time.Time
-	if trace {
-		actStart = time.Now()
-		schedDur = actStart.Sub(schedStart)
-	}
-
-	// Phase 3: parallel actuation.
-	acked, actRPC := c.actuatePhase(passID, polls, nodeInputs, res.Assignments)
-	var actDur time.Duration
-	if trace {
-		actDur = time.Since(actStart)
-	}
-
-	// Phase 4: the round's ledger.
-	l, err := c.settle(polls, nodeInputs, res.Assignments, acked)
-	if err != nil {
+	p := c.pollRound(passID, t)
+	dec, res, err := c.settleRound(p, trigger, c.budget, c.budget-p.reserved, t)
+	if err != nil || t == nil {
 		return err
 	}
 
-	dec := Decision{
-		At:          c.clock.Now(),
-		Trigger:     trigger,
-		Budget:      c.budget,
-		TablePower:  res.TablePower,
-		Reserved:    l.reserved,
-		Charged:     l.charged,
-		BudgetMet:   l.charged <= c.budget,
-		Degraded:    l.degradedNames,
-		Assignments: res.Assignments,
-		NodeCharged: l.nodeCharged,
-		Acked:       acked,
+	at, sink := dec.At, c.cfg.Sink
+	ev := cluster.PassEvent(at, trigger, dec.Budget, p.inputs, res)
+	ev.PassID = passID
+	ev.ChargedW = dec.Charged.W()
+	ev.ReservedW = dec.Reserved.W()
+	ev.HeadroomW = (dec.Budget - dec.Charged).W()
+	ev.BudgetMissed = !dec.BudgetMet
+	sink.Emit(ev)
+	// Aggregate quantum sample (Node empty, carries the budget and the
+	// acked nodes' measured power), plus one per polled node so the energy
+	// ledger can integrate per-node Joules. Consumers treat the unnamed row
+	// as the cluster aggregate.
+	var cpuPowerW float64
+	for i := range p.polls {
+		if dec.Acked[i] {
+			cpuPowerW += p.polls[i].cpuPowerW
+		}
 	}
-	c.decisions = append(c.decisions, dec)
-
-	c.cfg.Metrics.setDegraded(l.degradedCount)
-	c.cfg.Metrics.setCharged(l.charged, l.reserved)
-	c.cfg.Metrics.setWire(c.cfg.WireStats)
-	if trace {
-		at := c.clock.Now()
-		sink := c.cfg.Sink
-		ev := cluster.PassEvent(at, trigger, c.budget, inputs, res)
-		ev.PassID = passID
-		ev.ChargedW = l.charged.W()
-		ev.ReservedW = l.reserved.W()
-		ev.HeadroomW = (c.budget - l.charged).W()
-		ev.BudgetMissed = !dec.BudgetMet
-		sink.Emit(ev)
-		// Aggregate quantum sample (Node empty, carries the budget), plus
-		// one per polled node so the energy ledger can integrate per-node
-		// Joules. Consumers treat the unnamed row as the cluster aggregate.
+	sink.Emit(obs.Event{
+		Type:      obs.EventQuantum,
+		At:        at,
+		PassID:    passID,
+		BudgetW:   dec.Budget.W(),
+		CPUPowerW: cpuPowerW,
+	})
+	for i, ns := range c.nodes {
+		if !p.polls[i].ok {
+			continue
+		}
 		sink.Emit(obs.Event{
 			Type:      obs.EventQuantum,
 			At:        at,
 			PassID:    passID,
-			BudgetW:   c.budget.W(),
-			CPUPowerW: l.cpuPowerW,
+			Node:      ns.spec.Name,
+			CPUPowerW: p.polls[i].cpuPowerW,
 		})
-		for i, ns := range c.nodes {
-			if !polls[i].ok {
-				continue
-			}
-			sink.Emit(obs.Event{
-				Type:      obs.EventQuantum,
-				At:        at,
-				PassID:    passID,
-				Node:      ns.spec.Name,
-				CPUPowerW: polls[i].cpuPowerW,
-			})
-		}
-		// The round's span tree: phase children, the Figure-3 step
-		// breakdown inside the schedule phase, per-node RPC spans with the
-		// queue/wire/apply split, codec time when instrumented, and the
-		// pass root last.
-		sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanPoll, obs.SpanPass, pollDur.Seconds()))
-		sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanSchedule, obs.SpanPass, schedDur.Seconds()))
-		cluster.EmitStepSpans(sink, at, passID, res.Timings)
-		sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanActuate, obs.SpanPass, actDur.Seconds()))
-		for i, ns := range c.nodes {
-			if polls[i].ok {
-				sink.Emit(rpcSpan(at, passID, ns.spec.Name, obs.SpanRPCCounters, passStart, polls[i].rpc))
-			}
-			if acked[i] {
-				sink.Emit(rpcSpan(at, passID, ns.spec.Name, obs.SpanRPCActuate, actStart, actRPC[i]))
-			}
-		}
-		c.emitCodecSpans(at, passID)
-		sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanPass, "", time.Since(passStart).Seconds()))
 	}
-
-	c.clock.Tick()
+	c.emitSpanTree(at, passID, t, obs.SpanSchedule, &res.Timings, obs.SpanRPCCounters, obs.SpanRPCActuate)
 	return nil
 }
 
-// emitCodecSpans reports the pass's share of the cumulative wire codec
-// time as encode/decode child spans. No-op without Config.WireStats.
-func (c *Coordinator) emitCodecSpans(at float64, passID uint64) {
-	if c.cfg.WireStats == nil {
-		return
+// emitSpanTree emits a round's span tree: the three phase children (mid
+// names the middle one and steps, when it has any, are its Figure-3
+// breakdown), per-peer RPC spans with the queue/wire/apply split, the
+// pass's share of the cumulative codec time when Config.WireStats is set,
+// and the pass root last.
+func (c *Coordinator) emitSpanTree(at float64, passID uint64, t *roundTimes, mid string, steps *cluster.PassTimings, pollRPC, actRPC string) {
+	sink := c.cfg.Sink
+	sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanPoll, obs.SpanPass, t.poll.Seconds()))
+	sink.Emit(obs.SpanEvent(at, passID, "", mid, obs.SpanPass, t.mid.Seconds()))
+	if steps != nil {
+		cluster.EmitStepSpans(sink, at, passID, *steps)
 	}
-	snap := c.cfg.WireStats.Snapshot()
-	encode := float64(snap.EncodeNanos-c.lastWire.EncodeNanos) / 1e9
-	decode := float64(snap.DecodeNanos-c.lastWire.DecodeNanos) / 1e9
-	c.lastWire = snap
-	c.cfg.Sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanEncode, obs.SpanPass, encode))
-	c.cfg.Sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanDecode, obs.SpanPass, decode))
+	sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanActuate, obs.SpanPass, t.act.Seconds()))
+	for i, ns := range c.nodes {
+		if rt := t.pollRPC[i]; !rt.sentAt.IsZero() {
+			sink.Emit(rpcSpan(at, passID, ns.spec.Name, pollRPC, t.passStart, rt))
+		}
+		if rt := t.actRPC[i]; !rt.sentAt.IsZero() {
+			sink.Emit(rpcSpan(at, passID, ns.spec.Name, actRPC, t.actStart, rt))
+		}
+	}
+	if c.cfg.WireStats != nil {
+		snap := c.cfg.WireStats.Snapshot()
+		encode := float64(snap.EncodeNanos-c.lastWire.EncodeNanos) / 1e9
+		decode := float64(snap.DecodeNanos-c.lastWire.DecodeNanos) / 1e9
+		c.lastWire = snap
+		sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanEncode, obs.SpanPass, encode))
+		sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanDecode, obs.SpanPass, decode))
+	}
+	sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanPass, "", time.Since(t.passStart).Seconds()))
 }
 
 // rpcSpan renders one node RPC as an rpc:* span: queue is how long the

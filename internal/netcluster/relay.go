@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/farm"
 	"repro/internal/netcluster/proto"
 	"repro/internal/netcluster/wire"
@@ -14,20 +13,24 @@ import (
 	"repro/internal/units"
 )
 
-// This file is the recursive coordinator tier. A Relay owns a Coordinator
-// over its children (leaf agents or further relays) and speaks the agent
-// protocol upward: it answers a demand-request by polling its subtree and
-// collapsing it into one aggregated demand curve (cluster.Core's
-// least-loss demotion sequence with flat-greedy step keys), and answers
-// the grant that follows by scheduling and actuating the subtree under
-// the granted budget. A Root divides its budget across relay demand
-// curves with farm.DivideLeastLossExact — the same greedy, the same stop
-// arithmetic, as one flat fvsst Step-2 pass over the union — so a
-// fault-free two-level tree produces byte-identical schedules to a flat
-// coordinator over the same nodes.
+// This file is the recursive coordinator tier. A round has one body in
+// two halves, Coordinator.pollRound and settleRound. The flat coordinator
+// runs them back to back under its own budget. A Relay owns a Coordinator
+// over its children (leaf agents or further relays), speaks the agent
+// protocol upward and runs the same halves with the wire in between: it
+// answers a demand-request with the poll half, collapsing the subtree
+// into one aggregated demand curve (cluster.Core's least-loss demotion
+// sequence with flat-greedy step keys), and the grant that follows with
+// the settle half under the granted budget. A Root divides its budget
+// across relay demand curves with farm.DivideLeastLossExact — the same
+// greedy, the same stop arithmetic, as one flat fvsst Step-2 pass over
+// the union — so a fault-free two-level tree produces byte-identical
+// schedules to a flat coordinator over the same nodes; its round is
+// relay-shaped but shares the flat round's opening, per-peer fan-out
+// (Coordinator.eachNode) and span tree. NewFleet wires either topology.
 //
 // Budget safety composes up the tree: a relay charges silent children
-// their worst case under silence (Coordinator.settle), reports that
+// their worst case under silence (Coordinator.settleRound), reports that
 // reservation upward at demand time, and acknowledges every grant with
 // its post-actuation ledger total (GrantAck.ChargedW). The root holds a
 // silent relay at its last acknowledged ChargedW — grants are the only
@@ -51,25 +54,14 @@ type Relay struct {
 	coord *Coordinator
 	ln    net.Listener
 
-	mu      sync.Mutex
-	conns   map[proto.Conn]struct{}
-	pending *pendingDemand
+	mu    sync.Mutex
+	conns map[proto.Conn]struct{}
+	// pending carries the poll a demand-request performed across to the
+	// grant that settles it.
+	pending *polledRound
 
 	closed chan struct{}
 	wg     sync.WaitGroup
-}
-
-// pendingDemand carries the poll a demand-request performed across to the
-// grant that settles it, so the subtree is advanced exactly once per
-// round and the grant schedules the very counter windows the exported
-// curve was derived from.
-type pendingDemand struct {
-	passID     uint64
-	polls      []poll
-	inputs     []cluster.ProcInput
-	nodeInputs [][]int
-	reserved   units.Power
-	cpuPowerW  float64
 }
 
 // NewRelay wraps a connected Coordinator. The Coordinator must have
@@ -244,7 +236,7 @@ func (r *Relay) handleHello() *proto.Message {
 	}
 }
 
-// handleDemand is the downward half of a round: poll the subtree (which
+// handleDemand is the poll half of a round: poll the subtree (which
 // advances every reachable child one scheduling period), export its
 // demand curve and Step-1 desire, and hold the poll for the grant.
 func (r *Relay) handleDemand(req *proto.Message) *proto.Message {
@@ -262,99 +254,64 @@ func (r *Relay) handleDemand(req *proto.Message) *proto.Message {
 	// PassID correlates spans and acks across every tier.
 	r.coord.passID = passID
 
-	polls := r.coord.pollPhase(passID)
-	inputs, nodeInputs, reserved := r.coord.buildInputs(polls)
-	rep := &proto.DemandReport{ReservedW: reserved.W()}
-	var cpuPowerW float64
-	for i := range polls {
-		if polls[i].ok {
-			cpuPowerW += polls[i].cpuPowerW
+	p := r.coord.pollRound(passID, nil)
+	rep := &proto.DemandReport{ReservedW: p.reserved.W()}
+	for i := range p.polls {
+		if p.polls[i].ok {
+			rep.CPUPowerW += p.polls[i].cpuPowerW
 		}
 	}
-	rep.CPUPowerW = cpuPowerW
 	for _, ns := range r.coord.nodes {
 		if ns.degraded {
 			rep.Degraded = append(rep.Degraded, ns.spec.Name)
 		}
 	}
-	if len(inputs) > 0 {
-		curve, desired, err := r.coord.core.DemandCurveDesired(inputs)
+	if len(p.inputs) > 0 {
+		curve, desired, err := r.coord.core.DemandCurveDesired(p.inputs)
 		if err != nil {
 			return fail("demand curve: %v", err)
 		}
 		rep.Points = make([]proto.DemandPoint, len(curve.Points))
-		for i, p := range curve.Points {
+		for i, pt := range curve.Points {
 			rep.Points[i] = proto.DemandPoint{
-				PowerW:   p.Power.W(),
-				Loss:     p.Loss,
-				StepLoss: p.Step.Loss,
-				StepIdx:  p.Step.Idx,
-				StepProc: p.Step.Proc,
+				PowerW:   pt.Power.W(),
+				Loss:     pt.Loss,
+				StepLoss: pt.Step.Loss,
+				StepIdx:  pt.Step.Idx,
+				StepProc: pt.Step.Proc,
 			}
 		}
 		rep.Desired = desired
 	}
-	r.pending = &pendingDemand{
-		passID:     passID,
-		polls:      polls,
-		inputs:     inputs,
-		nodeInputs: nodeInputs,
-		reserved:   reserved,
-		cpuPowerW:  cpuPowerW,
-	}
+	r.pending = p
 	return &proto.Message{Kind: proto.KindDemandReport, Now: r.coord.clock.Now(), DemandReport: rep}
 }
 
-// handleGrant settles the round the preceding demand-request opened:
-// schedule the held counter windows under the granted budget, actuate,
-// and acknowledge the resulting ledger.
+// handleGrant is the settle half of the round the preceding
+// demand-request opened: schedule the held counter windows under the
+// granted budget, actuate, and acknowledge the resulting ledger.
 func (r *Relay) handleGrant(req *proto.Message) *proto.Message {
 	p := r.pending
 	if p == nil {
 		return fail("grant without a preceding demand-request")
 	}
 	r.pending = nil
-	c := r.coord
-	grant := units.Watts(req.Grant.BudgetW)
-	res, err := c.core.Schedule(p.inputs, grant)
-	if err != nil {
-		return fail("schedule: %v", err)
-	}
-	acked, _ := c.actuatePhase(p.passID, p.polls, p.nodeInputs, res.Assignments)
-	l, err := c.settle(p.polls, p.nodeInputs, res.Assignments, acked)
-	if err != nil {
-		return fail("settle: %v", err)
-	}
 	// The relay's budget for ledger purposes is the grant plus the
 	// reservation it reported at demand time: the root already holds
 	// ReservedW against the global budget, so the grant covers only the
 	// reachable children.
-	budget := grant + p.reserved
-	dec := Decision{
-		At:          c.clock.Now(),
-		Trigger:     "grant",
-		Budget:      budget,
-		TablePower:  res.TablePower,
-		Reserved:    l.reserved,
-		Charged:     l.charged,
-		BudgetMet:   l.charged <= budget,
-		Degraded:    l.degradedNames,
-		Assignments: res.Assignments,
-		NodeCharged: l.nodeCharged,
-		Acked:       acked,
+	grant := units.Watts(req.Grant.BudgetW)
+	dec, _, err := r.coord.settleRound(p, "grant", grant+p.reserved, grant, nil)
+	if err != nil {
+		return fail("settle: %v", err)
 	}
-	c.decisions = append(c.decisions, dec)
-	c.cfg.Metrics.setDegraded(l.degradedCount)
-	c.cfg.Metrics.setCharged(l.charged, l.reserved)
-	c.cfg.Metrics.setWire(c.cfg.WireStats)
-	c.clock.Tick()
 	return &proto.Message{
 		Kind: proto.KindGrantAck,
-		Now:  c.clock.Now(),
+		Now:  r.coord.clock.Now(),
 		GrantAck: &proto.GrantAck{
-			ChargedW:    l.charged.W(),
-			TablePowerW: res.TablePower.W(),
-			ReservedW:   l.reserved.W(),
+			ChargedW:    dec.Charged.W(),
+			TablePowerW: dec.TablePower.W(),
+			ReservedW:   dec.Reserved.W(),
 			Met:         dec.BudgetMet,
 		},
 	}
@@ -380,26 +337,11 @@ type RelayGrant struct {
 
 // RootDecision is one hierarchical scheduling round at the tree root.
 type RootDecision struct {
-	At      float64
-	Trigger string
-	Budget  units.Power
-	// Reserved is the worst-case charge held outside the division: silent
-	// relays' frozen-subtree bounds plus reachable relays' own
-	// reservations for their silent children.
-	Reserved units.Power
-	// Charged is the total held against the budget across every subtree.
-	Charged units.Power
-	// BudgetMet reports Charged ≤ Budget.
-	BudgetMet bool
+	Round
 	// DivideMet reports whether the least-loss division fit the live
 	// budget without hitting every curve's floor.
 	DivideMet bool
-	// Degraded lists relays currently marked degraded.
-	Degraded []string
-	Grants   []RelayGrant
-	// PassDur is the round's wall-clock latency: demand fan-out through
-	// grant settlement.
-	PassDur time.Duration
+	Grants    []RelayGrant
 }
 
 // Root drives a tier of relays: demand poll, least-loss division of the
@@ -451,48 +393,41 @@ type demandPoll struct {
 	desired   []int
 	reservedW float64
 	cpuPowerW float64
-	rpc       rpcTime
 }
 
-// demandPhase polls every relay for its aggregated demand curve. Like
-// Coordinator.pollPhase, each goroutine owns its relay's state.
-func (r *Root) demandPhase(passID uint64) []demandPoll {
+// demandPhase polls every relay for its aggregated demand curve.
+func (r *Root) demandPhase(passID uint64, t *roundTimes) []demandPoll {
 	c := r.Coordinator
 	demands := make([]demandPoll, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, ns := range c.nodes {
-		wg.Add(1)
-		go func(i int, ns *nodeState) {
-			defer wg.Done()
-			resp, rt, err := c.rpc(ns, proto.KindDemandRequest, func(id uint64) *proto.Message {
-				return &proto.Message{Kind: proto.KindDemandRequest, ID: id, Trace: &proto.TraceContext{PassID: passID}, CounterRequest: &proto.CounterRequest{
-					AdvanceQuanta: c.cfg.Fvsst.SchedulePeriods,
-					WindowQuanta:  c.cfg.Fvsst.SchedulePeriods,
-				}}
-			})
-			if err != nil || resp.DemandReport == nil {
-				c.recordMiss(ns, err)
-				return
-			}
-			rep := resp.DemandReport
-			d := demandPoll{ok: true, reservedW: rep.ReservedW, cpuPowerW: rep.CPUPowerW, rpc: rt}
-			// The report's slices live in the connection's reusable decode
-			// buffers; copy before the grant RPC reuses them.
-			if len(rep.Points) > 0 {
-				d.curve.Points = make([]farm.DemandPoint, len(rep.Points))
-				for k, p := range rep.Points {
-					d.curve.Points[k] = farm.DemandPoint{
-						Power: units.Watts(p.PowerW),
-						Loss:  p.Loss,
-						Step:  farm.StepKey{Loss: p.StepLoss, Idx: p.StepIdx, Proc: p.StepProc},
-					}
+	c.eachNode(func(i int, ns *nodeState) {
+		resp, rt, err := c.rpc(ns, proto.KindDemandRequest, func(id uint64) *proto.Message {
+			return &proto.Message{Kind: proto.KindDemandRequest, ID: id, Trace: &proto.TraceContext{PassID: passID}, CounterRequest: &proto.CounterRequest{
+				AdvanceQuanta: c.cfg.Fvsst.SchedulePeriods,
+				WindowQuanta:  c.cfg.Fvsst.SchedulePeriods,
+			}}
+		})
+		if err != nil || resp.DemandReport == nil {
+			c.recordMiss(ns, err)
+			return
+		}
+		rep := resp.DemandReport
+		d := demandPoll{ok: true, reservedW: rep.ReservedW, cpuPowerW: rep.CPUPowerW}
+		// The report's slices live in the connection's reusable decode
+		// buffers; copy before the grant RPC reuses them.
+		if len(rep.Points) > 0 {
+			d.curve.Points = make([]farm.DemandPoint, len(rep.Points))
+			for k, p := range rep.Points {
+				d.curve.Points[k] = farm.DemandPoint{
+					Power: units.Watts(p.PowerW),
+					Loss:  p.Loss,
+					Step:  farm.StepKey{Loss: p.StepLoss, Idx: p.StepIdx, Proc: p.StepProc},
 				}
-				d.desired = append([]int(nil), rep.Desired...)
 			}
-			demands[i] = d
-		}(i, ns)
-	}
-	wg.Wait()
+			d.desired = append([]int(nil), rep.Desired...)
+		}
+		demands[i] = d
+		t.pollRPC[i] = rt
+	})
 	return demands
 }
 
@@ -502,90 +437,79 @@ func (r *Root) demandPhase(passID uint64) []demandPoll {
 // failures convert into frozen-subtree charges, never aborted rounds.
 func (r *Root) RunRound() error {
 	c := r.Coordinator
-	trace := c.cfg.Sink != nil
-	passStart := time.Now()
+	// Always timed: the pass latency is part of the decision.
+	t := c.newRoundTimes(time.Now())
 	passID, trigger, err := c.openRound("relay")
 	if err != nil {
 		return err
 	}
 
 	// Phase 1: parallel demand poll.
-	demands := r.demandPhase(passID)
-	demandDur := time.Since(passStart)
+	demands := r.demandPhase(passID, t)
+	t.poll = time.Since(t.passStart)
 
 	// Phase 2: hold the out-of-division charges, then divide the
 	// remainder across the reachable curves in exact flat-greedy order.
 	var reserved units.Power
+	var members []int
+	var curves []farm.DemandCurve
+	var desired [][]int
 	for i, ns := range c.nodes {
 		if !demands[i].ok {
 			reserved += r.rootWorstCharge(ns)
 			continue
 		}
 		reserved += units.Watts(demands[i].reservedW)
-	}
-	liveBudget := c.budget - reserved
-	var members []int
-	var curves []farm.DemandCurve
-	var desired [][]int
-	for i := range c.nodes {
-		if demands[i].ok && len(demands[i].curve.Points) > 0 {
+		if len(demands[i].curve.Points) > 0 {
 			members = append(members, i)
 			curves = append(curves, demands[i].curve)
 			desired = append(desired, demands[i].desired)
 		}
 	}
+	liveBudget := c.budget - reserved
 	divideStart := time.Now()
 	pos, divideMet, err := farm.DivideLeastLossExact(curves, desired, c.cfg.Fvsst.Table, liveBudget)
 	if err != nil {
 		return err
 	}
-	divideDur := time.Since(divideStart)
+	t.mid = time.Since(divideStart)
 
 	// Phase 3: parallel grant fan-out. Every relay that answered the
 	// demand gets a grant — 0 W when it has no reachable children — so a
 	// relay settles exactly one decision per round and its epoch clock
 	// stays in lockstep with the root's.
 	grants := make([]RelayGrant, len(c.nodes))
-	grantStart := time.Now()
-	grantRPC := make([]rpcTime, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, ns := range c.nodes {
-		grants[i].Relay = ns.spec.Name
-		if !demands[i].ok {
-			continue
-		}
-		var grantW units.Power
-		for m, idx := range members {
-			if idx == i {
-				grantW = curves[m].Points[pos[m]].Power
-				break
-			}
-		}
-		grants[i].Grant = grantW
-		wg.Add(1)
-		go func(i int, ns *nodeState, grantW units.Power) {
-			defer wg.Done()
-			resp, rt, err := c.rpc(ns, proto.KindGrant, func(id uint64) *proto.Message {
-				return &proto.Message{Kind: proto.KindGrant, ID: id, Trace: &proto.TraceContext{PassID: passID}, Grant: &proto.Grant{BudgetW: grantW.W()}}
-			})
-			if err != nil || resp.GrantAck == nil {
-				c.recordMiss(ns, err)
-				return
-			}
-			ack := resp.GrantAck
-			grants[i].Acked = true
-			grants[i].Charged = units.Watts(ack.ChargedW)
-			grants[i].TablePower = units.Watts(ack.TablePowerW)
-			grants[i].Reserved = units.Watts(ack.ReservedW)
-			grants[i].Met = ack.Met
-			grantRPC[i] = rt
-			ns.lastCharged = grants[i].Charged
-			ns.granted = true
-			c.recordAlive(ns)
-		}(i, ns, grantW)
+	for m, idx := range members {
+		grants[idx].Grant = curves[m].Points[pos[m]].Power
 	}
-	wg.Wait()
-	grantDur := time.Since(grantStart)
+	t.actStart = time.Now()
+	c.eachNode(func(i int, ns *nodeState) {
+		g := &grants[i]
+		g.Relay = ns.spec.Name
+		if !demands[i].ok {
+			return
+		}
+		resp, rt, err := c.rpc(ns, proto.KindGrant, func(id uint64) *proto.Message {
+			return &proto.Message{Kind: proto.KindGrant, ID: id, Trace: &proto.TraceContext{PassID: passID}, Grant: &proto.Grant{BudgetW: g.Grant.W()}}
+		})
+		if err != nil || resp.GrantAck == nil {
+			c.recordMiss(ns, err)
+			return
+		}
+		ack := resp.GrantAck
+		g.Acked = true
+		g.Charged = units.Watts(ack.ChargedW)
+		g.TablePower = units.Watts(ack.TablePowerW)
+		g.Reserved = units.Watts(ack.ReservedW)
+		g.Met = ack.Met
+		if g.Grant > 0 { // a 0 W grant leaves no rpc:grant span
+			t.actRPC[i] = rt
+		}
+		ns.lastCharged = g.Charged
+		ns.granted = true
+		c.recordAlive(ns)
+	})
+	t.act = time.Since(t.actStart)
 
 	// Phase 4: the round's ledger and decision.
 	var charged units.Power
@@ -604,33 +528,33 @@ func (r *Root) RunRound() error {
 			degradedNames = append(degradedNames, ns.spec.Name)
 		}
 	}
-	dec := RootDecision{
-		At:        c.clock.Now(),
-		Trigger:   trigger,
-		Budget:    c.budget,
-		Reserved:  reserved,
-		Charged:   charged,
-		BudgetMet: charged <= c.budget,
+	r.rootDecisions = append(r.rootDecisions, RootDecision{
+		Round: Round{
+			At:        c.clock.Now(),
+			Trigger:   trigger,
+			Budget:    c.budget,
+			Reserved:  reserved,
+			Charged:   charged,
+			BudgetMet: charged <= c.budget,
+			Degraded:  degradedNames,
+			PassDur:   time.Since(t.passStart),
+		},
 		DivideMet: divideMet,
-		Degraded:  degradedNames,
 		Grants:    grants,
-		PassDur:   time.Since(passStart),
-	}
-	r.rootDecisions = append(r.rootDecisions, dec)
+	})
 	c.cfg.Metrics.setDegraded(degradedCount)
 	c.cfg.Metrics.setCharged(charged, reserved)
 	c.cfg.Metrics.setWire(c.cfg.WireStats)
 
-	if trace {
+	if c.cfg.Sink != nil {
 		at := c.clock.Now()
-		sink := c.cfg.Sink
 		var cpuPowerW float64
 		for i := range demands {
 			if demands[i].ok {
 				cpuPowerW += demands[i].cpuPowerW
 			}
 		}
-		sink.Emit(obs.Event{
+		c.cfg.Sink.Emit(obs.Event{
 			Type:      obs.EventQuantum,
 			At:        at,
 			PassID:    passID,
@@ -639,19 +563,7 @@ func (r *Root) RunRound() error {
 			ChargedW:  charged.W(),
 			ReservedW: reserved.W(),
 		})
-		sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanPoll, obs.SpanPass, demandDur.Seconds()))
-		sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanDivide, obs.SpanPass, divideDur.Seconds()))
-		sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanActuate, obs.SpanPass, grantDur.Seconds()))
-		for i, ns := range c.nodes {
-			if demands[i].ok {
-				sink.Emit(rpcSpan(at, passID, ns.spec.Name, obs.SpanRPCDemand, passStart, demands[i].rpc))
-			}
-			if grants[i].Acked && grants[i].Grant > 0 {
-				sink.Emit(rpcSpan(at, passID, ns.spec.Name, obs.SpanRPCGrant, grantStart, grantRPC[i]))
-			}
-		}
-		c.emitCodecSpans(at, passID)
-		sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanPass, "", time.Since(passStart).Seconds()))
+		c.emitSpanTree(at, passID, t, obs.SpanDivide, nil, obs.SpanRPCDemand, obs.SpanRPCGrant)
 	}
 
 	c.clock.Tick()

@@ -25,57 +25,39 @@ func startFleet(t *testing.T, n int, baseSeed int64) []*Agent {
 
 func nodeName(i int) string { return "n" + strconv.Itoa(i) }
 
-// startTree builds a two-level tree over the agents: fanout children per
-// relay, each relay owning a connected sub-coordinator, plus a Root over
-// the relays. Every tier negotiates the given codec.
+// startTree builds a two-level tree over the agents through NewFleet:
+// fanout children per relay (fanout must divide the fleet, so the
+// builder's contiguous groups are the same), each relay owning a
+// connected sub-coordinator, plus a Root over the relays. Every tier
+// negotiates the given codec.
 func startTree(t *testing.T, agents []*Agent, fanout int, codec string, rootCfg Config) (*Root, []*Relay) {
 	t.Helper()
-	var relays []*Relay
-	var relaySpecs []NodeSpec
-	for lo := 0; lo < len(agents); lo += fanout {
-		hi := lo + fanout
-		if hi > len(agents) {
-			hi = len(agents)
+	if len(agents)%fanout != 0 {
+		t.Fatalf("fanout %d does not divide %d agents", fanout, len(agents))
+	}
+	specs := make([]NodeSpec, len(agents))
+	for i, a := range agents {
+		specs[i] = NodeSpec{Name: nodeName(i), Addr: a.Addr()}
+	}
+	rootCfg.Codec = codec
+	f, err := NewFleet(specs, len(agents)/fanout, nil, func(name string, group int) Config {
+		if group < 0 {
+			return rootCfg
 		}
-		var specs []NodeSpec
-		for i := lo; i < hi; i++ {
-			specs = append(specs, NodeSpec{Name: nodeName(i), Addr: agents[i].Addr()})
-		}
-		sub, err := NewCoordinator(Config{
-			Name:   "relay" + strconv.Itoa(len(relays)),
+		return Config{
+			Name:   name,
 			Fvsst:  rootCfg.Fvsst,
 			Budget: rootCfg.Budget,
 			MissK:  rootCfg.MissK,
-			Seed:   rootCfg.Seed + int64(100+len(relays)),
+			Seed:   rootCfg.Seed + int64(100+group),
 			Codec:  codec,
-		}, specs...)
-		if err != nil {
-			t.Fatal(err)
 		}
-		if err := sub.Connect(); err != nil {
-			t.Fatal(err)
-		}
-		relay, err := NewRelay(RelayConfig{Name: "relay" + strconv.Itoa(len(relays))}, sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := relay.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { relay.Close() })
-		relaySpecs = append(relaySpecs, NodeSpec{Name: relay.cfg.Name, Addr: relay.Addr()})
-		relays = append(relays, relay)
-	}
-	rootCfg.Codec = codec
-	root, err := NewRoot(rootCfg, relaySpecs...)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := root.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(root.Close)
-	return root, relays
+	t.Cleanup(f.Close)
+	return f.root, f.relays
 }
 
 // TestRelayTreeMatchesFlat is the tentpole differential: a fault-free

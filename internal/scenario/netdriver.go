@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"repro/internal/invariant"
-	"repro/internal/machine"
 	"repro/internal/netcluster"
 	"repro/internal/netcluster/faultnet"
 	"repro/internal/netcluster/wire"
+	"repro/internal/units"
 )
 
 // NetOptions tunes the loopback netcluster driver.
@@ -36,6 +36,35 @@ type NetOptions struct {
 // a budget source; nothing in the transport integrates battery energy),
 // so specs with a UPS must be stripped with WithoutUPS first.
 func RunNet(spec Spec, opt NetOptions) (*RunResult, error) {
+	return runNet(spec, opt, 0)
+}
+
+// RunRelayNet runs the scenario through the hierarchical networked
+// stack: the nodes split into opt.Relays contiguous groups, each group
+// behind a netcluster.Relay (agent protocol upward, coordinator protocol
+// downward), driven by one netcluster.Root that divides the global
+// budget across the relays' aggregated demand curves. The returned trace
+// has the same canonical shape as RunNet's, reassembled from the relays'
+// per-node decisions in global node order — on a fault-free spec it is
+// byte-identical to the flat driver's.
+//
+// Fault injection (partitions, message-fault policies) applies on the
+// relay→leaf links through one seeded faultnet per relay; root↔relay
+// links are never faulted by this driver, and the root's per-attempt
+// deadline covers the relay tier's worst-case phase, so every round
+// settles exactly one decision per relay and the logs stay aligned.
+func RunRelayNet(spec Spec, opt NetOptions) (*RunResult, error) {
+	nRelays := opt.Relays
+	if nRelays == 0 {
+		nRelays = 2
+	}
+	return runNet(spec, opt, min(nRelays, len(spec.Nodes)))
+}
+
+// runNet drives the scenario through a loopback netcluster.Fleet: flat
+// when nRelays is 0, a 2-level tree otherwise. A flat coordinator is the
+// one-leaf case of the tree's trace reassembly.
+func runNet(spec Spec, opt NetOptions, nRelays int) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -54,12 +83,7 @@ func RunNet(spec Spec, opt NetOptions) (*RunResult, error) {
 		return nil, err
 	}
 
-	net := faultnet.New(spec.Seed)
-	if opt.Codec == wire.CodecName {
-		net.SetTransport(wire.Dial)
-	}
 	agents := make([]*netcluster.Agent, len(spec.Nodes))
-	machines := make([]*machine.Machine, len(spec.Nodes))
 	specs := make([]netcluster.NodeSpec, len(spec.Nodes))
 	defer func() {
 		for _, a := range agents {
@@ -73,7 +97,6 @@ func RunNet(spec Spec, opt NetOptions) (*RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		machines[i] = m
 		name := fmt.Sprintf("n%d", i)
 		// FailsafeLease stays off: the agent watchdog would floor CPUs
 		// mid-partition and the healed node would re-report from a state
@@ -90,88 +113,144 @@ func RunNet(spec Spec, opt NetOptions) (*RunResult, error) {
 		specs[i] = netcluster.NodeSpec{Name: name, Addr: a.Addr()}
 	}
 
-	coord, err := netcluster.NewCoordinator(netcluster.Config{
-		Name:        "scenario",
-		Fvsst:       fcfg,
-		Budget:      source.BudgetAt(0),
-		Source:      source,
-		MissK:       MissK,
-		RPCTimeout:  opt.RPCTimeout,
-		Retries:     1,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-		Seed:        spec.Seed,
-		Dialer:      net,
-		Codec:       opt.Codec,
-	}, specs...)
+	// One fault fabric per coordinator that faces agents — the flat one, or
+	// each relay's — seeded like it (relay j offset by the group index, the
+	// shared seeding convention), so each group's fault streams are
+	// independent of the other groups' dial order.
+	fabrics := make([]*faultnet.Network, max(nRelays, 1))
+	fleet, err := netcluster.NewFleet(specs, nRelays, nil, func(name string, group int) netcluster.Config {
+		c := netcluster.Config{
+			Name:        name,
+			Fvsst:       fcfg,
+			Budget:      source.BudgetAt(0),
+			MissK:       MissK,
+			RPCTimeout:  opt.RPCTimeout,
+			Retries:     1,
+			BackoffBase: time.Millisecond,
+			BackoffMax:  2 * time.Millisecond,
+			Seed:        spec.Seed,
+			Codec:       opt.Codec,
+		}
+		if group < 0 {
+			c.Source = source
+			if nRelays > 0 {
+				// The root must outwait a relay whose leaf costs a timeout
+				// and a retry, or it retries the demand and loses that
+				// round's grant.
+				c.RPCTimeout = c.WorstCasePhase()
+				return c
+			}
+			group = 0
+		} else {
+			c.Seed += int64(1000 * (group + 1))
+		}
+		fabrics[group] = faultnet.New(c.Seed)
+		if opt.Codec == wire.CodecName {
+			fabrics[group].SetTransport(wire.Dial)
+		}
+		c.Dialer = fabrics[group]
+		return c
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := coord.Connect(); err != nil {
-		return nil, err
-	}
-	defer coord.Close()
+	defer fleet.Close()
 
-	for round := 0; round < spec.Rounds; round++ {
+	offsets := fleet.Offsets()
+	fabricOf := make([]*faultnet.Network, len(spec.Nodes))
+	for j, lo := range offsets {
+		for i := lo; i < len(fabricOf); i++ {
+			fabricOf[i] = fabrics[j]
+		}
+	}
+	res := &RunResult{Rounds: spec.Rounds}
+	rounds := make([]netcluster.Round, spec.Rounds)
+	for round := range rounds {
 		for i := range spec.Nodes {
-			name := fmt.Sprintf("n%d", i)
+			name := specs[i].Name
 			if spec.partitioned(i, round) {
-				net.Partition(name)
+				fabricOf[i].Partition(name)
 			} else {
-				net.Heal(name)
+				fabricOf[i].Heal(name)
 			}
-			if err := net.SetPolicy(name, policyAt(spec, i, round)); err != nil {
+			if err := fabricOf[i].SetPolicy(name, policyAt(spec, i, round)); err != nil {
 				return nil, err
 			}
 		}
-		if err := coord.RunRound(); err != nil {
+		if rounds[round], err = fleet.RunRound(); err != nil {
 			return nil, err
+		}
+		res.MaxPassLatencyS = max(res.MaxPassLatencyS, rounds[round].PassDur.Seconds())
+	}
+
+	leaves := fleet.Leaves()
+	for j, decs := range leaves {
+		if len(decs) != spec.Rounds {
+			return nil, fmt.Errorf("scenario: relay %d settled %d rounds of %d (root↔relay link faulted?)",
+				j, len(decs), spec.Rounds)
 		}
 	}
 
 	suite := invariant.NewSuite()
-	res := &RunResult{Rounds: spec.Rounds}
-	floor := fcfg.Table.FrequencyAtIndex(0)
-	for round, dec := range coord.Decisions() {
+	table := fcfg.Table
+	floor := table.FrequencyAtIndex(0)
+	for round, hdr := range rounds {
 		rt := RoundTrace{
-			Round:     round,
-			At:        dec.At,
-			Trigger:   dec.Trigger,
-			BudgetW:   dec.Budget.W(),
-			LiveW:     dec.TablePower.W(),
-			ReservedW: dec.Reserved.W(),
-			ChargedW:  dec.Charged.W(),
-			Met:       dec.BudgetMet,
-			Degraded:  dec.Degraded,
+			Round:   round,
+			At:      hdr.At,
+			Trigger: hdr.Trigger,
+			BudgetW: hdr.Budget.W(),
 		}
-		allAtFloor := true
-		for _, a := range dec.Assignments {
-			if a.Actual != floor {
-				allAtFloor = false
+		// Reassemble the flat ledger from the leaves' per-node accounts in
+		// global node order: the same values in the same accumulation
+		// order the flat coordinator uses, so fault-free traces match bit
+		// for bit across topologies.
+		var live, reserved, charged units.Power
+		// The floor side-condition: met=false with a live CPU above the
+		// floor is legitimate exactly when some polled node went unacked
+		// (it is charged its worst case while its assignment reads
+		// above-floor).
+		allAtFloor, unacked := true, false
+		for j, decs := range leaves {
+			d := decs[round]
+			for i, w := range d.NodeCharged {
+				charged += w
+				if !d.Acked[i] {
+					reserved += w
+				}
 			}
-			rt.Procs = append(rt.Procs, ProcTrace{
-				Node:       fmt.Sprintf("n%d", a.Proc.Node),
-				CPU:        a.Proc.CPU,
-				Idle:       a.Idle,
-				DesiredMHz: a.Desired.MHz(),
-				ActualMHz:  a.Actual.MHz(),
-				VoltageV:   a.Voltage.V(),
-			})
+			for _, a := range d.Assignments {
+				live += table.PowerAtIndex(table.IndexOf(a.Actual))
+				if a.Actual != floor {
+					allAtFloor = false
+				}
+				if !d.Acked[a.Proc.Node] {
+					unacked = true
+				}
+				rt.Procs = append(rt.Procs, ProcTrace{
+					Node:       fmt.Sprintf("n%d", offsets[j]+a.Proc.Node),
+					CPU:        a.Proc.CPU,
+					Idle:       a.Idle,
+					DesiredMHz: a.Desired.MHz(),
+					ActualMHz:  a.Actual.MHz(),
+					VoltageV:   a.Voltage.V(),
+				})
+			}
+			rt.Degraded = append(rt.Degraded, d.Degraded...)
 		}
+		rt.LiveW = live.W()
+		rt.ReservedW = reserved.W()
+		rt.ChargedW = charged.W()
+		rt.Met = charged <= hdr.Budget
 		res.Trace = append(res.Trace, rt)
-		// Under drop/dup policies a node can poll fine yet miss its
-		// actuation ack, leaving it charged conservatively while its
-		// assignment reads above-floor; the Decision does not expose the
-		// acked set, so the floor side-condition is only decidable
-		// without message-fault policies.
 		suite.Report(invariant.CheckLedger(invariant.Ledger{
-			At:             dec.At,
-			Budget:         dec.Budget,
-			Live:           dec.Charged - dec.Reserved,
-			Reserved:       dec.Reserved,
-			Charged:        dec.Charged,
-			Met:            dec.BudgetMet,
-			AllLiveAtFloor: allAtFloor || policyActive(spec, round),
+			At:             hdr.At,
+			Budget:         hdr.Budget,
+			Live:           charged - reserved,
+			Reserved:       reserved,
+			Charged:        charged,
+			Met:            rt.Met,
+			AllLiveAtFloor: allAtFloor || unacked,
 		})...)
 	}
 	finishResult(res, suite)
@@ -191,15 +270,4 @@ func policyAt(spec Spec, node, round int) faultnet.Policy {
 		}
 	}
 	return faultnet.Policy{}
-}
-
-// policyActive reports whether any message-fault policy has started by
-// the round (its accounting effects persist past the window).
-func policyActive(spec Spec, round int) bool {
-	for _, p := range spec.Policies {
-		if round >= p.From {
-			return true
-		}
-	}
-	return false
 }

@@ -81,29 +81,43 @@ func TestTierDifferential(t *testing.T) {
 
 // TestRelayNetFaultyBudgetSafety: the relay driver under leaf faults must
 // keep every round's ledger within budget (conservative charging at both
-// tiers) and produce no invariant violations.
+// tiers) and produce no invariant violations — under partitions, which
+// fail fast at dial, and under message-fault policies, where a dropped
+// leaf message costs the relay a timeout and a retry while the root
+// waits. Seeds 12, 13 and 31 are message-fault specs whose relay
+// outlasted a root sharing its RPC deadline and so lost a round's grant.
 func TestRelayNetFaultyBudgetSafety(t *testing.T) {
-	tested := 0
-	for seed := int64(1); seed <= 30 && tested < 3; seed++ {
-		spec := Generate(seed).WithoutUPS().WithoutServing()
-		if len(spec.Partitions) == 0 || len(spec.Nodes) < 2 {
-			continue
-		}
-		tested++
-		res, err := RunRelayNet(spec, NetOptions{Codec: wire.CodecName})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if len(res.Violations) != 0 {
-			t.Fatalf("seed %d: violations: %+v", seed, res.Violations[0])
-		}
-		for _, rt := range res.Trace {
-			if rt.ChargedW > rt.BudgetW {
-				t.Fatalf("seed %d round %d: charged %v over budget %v", seed, rt.Round, rt.ChargedW, rt.BudgetW)
-			}
+	seeds := []int64{12, 13, 31}
+	for _, seed := range seeds {
+		if len(Generate(seed).Policies) == 0 {
+			t.Fatalf("seed %d carries no message-fault policy", seed)
 		}
 	}
-	if tested < 3 {
-		t.Fatalf("only %d partitioned multi-node seeds in 1..30", tested)
+	partitioned := 0
+	for seed := int64(1); seed <= 30 && partitioned < 3; seed++ {
+		if spec := Generate(seed); len(spec.Partitions) > 0 && len(spec.Nodes) >= 2 {
+			partitioned++
+			seeds = append(seeds, seed)
+		}
+	}
+	if partitioned < 3 {
+		t.Fatalf("only %d partitioned multi-node seeds in 1..30", partitioned)
+	}
+	for _, seed := range seeds {
+		spec := Generate(seed).WithoutUPS().WithoutServing()
+		for _, codec := range []string{"", wire.CodecName} {
+			res, err := RunRelayNet(spec, NetOptions{Codec: codec})
+			if err != nil {
+				t.Fatalf("seed %d codec %q: %v", seed, codec, err)
+			}
+			if len(res.Violations) != 0 {
+				t.Fatalf("seed %d codec %q: violations: %+v", seed, codec, res.Violations[0])
+			}
+			for _, rt := range res.Trace {
+				if rt.ChargedW > rt.BudgetW {
+					t.Fatalf("seed %d codec %q round %d: charged %v over budget %v", seed, codec, rt.Round, rt.ChargedW, rt.BudgetW)
+				}
+			}
+		}
 	}
 }
