@@ -205,7 +205,8 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 			sumLoss += c.grid.Loss(i, idx)
 		}
 	}
-	curve := farm.DemandCurve{Points: []farm.DemandPoint{{Power: sum, Loss: sumLoss}}}
+	curve := farm.DemandCurve{Points: make([]farm.DemandPoint, 1, len(demotions)+1)}
+	curve.Points[0] = farm.DemandPoint{Power: sum, Loss: sumLoss}
 	for _, d := range demotions {
 		idx := c.actualIdx[d.CPU]
 		if c.grid.Valid(d.CPU) {

@@ -127,25 +127,27 @@ func (a *Agent) Start() error {
 // Addr returns the bound listen address (valid after Start).
 func (a *Agent) Addr() string { return a.ln.Addr().String() }
 
-// Close stops serving and waits for the handler goroutines.
+// Close stops serving and waits for the handler goroutines. A connection
+// that reaches the agent afterwards is hung up on unanswered.
 func (a *Agent) Close() error {
+	a.mu.Lock()
 	select {
 	case <-a.closed:
+		a.mu.Unlock()
 		return nil
 	default:
 	}
 	close(a.closed)
-	var err error
-	if a.ln != nil {
-		err = a.ln.Close()
-	}
 	// Unblock handlers parked in Recv: a coordinator that crashed or
 	// errored out mid-handshake never closes its end.
-	a.mu.Lock()
 	for c := range a.conns {
 		c.Close()
 	}
 	a.mu.Unlock()
+	var err error
+	if a.ln != nil {
+		err = a.ln.Close()
+	}
 	a.wg.Wait()
 	return err
 }
@@ -172,7 +174,6 @@ func (a *Agent) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		a.wg.Add(1)
 		// Mirror mode: the agent answers in whatever codec the
 		// coordinator speaks, switching to binary on its first binary
 		// frame. A JSON-only coordinator sees pure JSON.
@@ -183,9 +184,9 @@ func (a *Agent) acceptLoop() {
 // ServeConn serves one pre-established stream connection (e.g. one end of
 // a net.Pipe) until it closes, with the same codec mirroring as accepted
 // TCP connections. It blocks; run it on its own goroutine. Used by
-// in-process fleets too large for per-agent TCP sockets.
+// in-process fleets too large for per-agent TCP sockets. After Close it
+// hangs up at once, as a closed listener refuses the dial.
 func (a *Agent) ServeConn(conn net.Conn) {
-	a.wg.Add(1)
 	a.serve(wire.NewConn(conn, wire.Options{Mirror: true}))
 }
 
@@ -232,11 +233,27 @@ func (a *Agent) touch() {
 	a.mu.Unlock()
 }
 
-func (a *Agent) serve(c proto.Conn) {
-	defer a.wg.Done()
+// admit registers a new session unless the agent has closed. The closed
+// check and wg.Add share a.mu with Close, so Add never races Close's Wait.
+func (a *Agent) admit(c proto.Conn) bool {
 	a.mu.Lock()
+	defer a.mu.Unlock()
+	select {
+	case <-a.closed:
+		return false
+	default:
+	}
+	a.wg.Add(1)
 	a.conns[c] = struct{}{}
-	a.mu.Unlock()
+	return true
+}
+
+func (a *Agent) serve(c proto.Conn) {
+	if !a.admit(c) {
+		c.Close()
+		return
+	}
+	defer a.wg.Done()
 	defer func() {
 		a.mu.Lock()
 		delete(a.conns, c)

@@ -134,8 +134,8 @@ func (e *AgentError) Error() string {
 	return fmt.Sprintf("netcluster: agent %s: %s", e.Node, e.Reason)
 }
 
-// nodeState is the coordinator's view of one agent. During a round it is
-// touched only by that node's poll goroutine; between phases access is
+// nodeState is the coordinator's view of one agent. During a fan-out it is
+// touched only by that node's worker; between phases access is
 // single-threaded.
 type nodeState struct {
 	spec     NodeSpec
@@ -234,6 +234,13 @@ type Coordinator struct {
 	// lastWire is the previous round's codec counter snapshot, so the
 	// encode/decode spans report per-pass deltas of the cumulative stats.
 	lastWire wire.StatsSnapshot
+
+	// work[i] hands node i's worker its share of a fan-out (eachNode); nil
+	// while no workers run. phase counts one fan-out's unfinished calls,
+	// workers the goroutines Close has to wait out.
+	work    []chan func(i int, ns *nodeState)
+	phase   sync.WaitGroup
+	workers sync.WaitGroup
 }
 
 // NewCoordinator validates the configuration and prepares (but does not
@@ -298,8 +305,14 @@ func (c *Coordinator) Connect() error {
 	return nil
 }
 
-// Close tears down every connection.
+// Close stops the per-node workers, waits for them to exit and tears down
+// every connection. Like sessions, workers come back with the next round.
 func (c *Coordinator) Close() {
+	for _, ch := range c.work {
+		close(ch)
+	}
+	c.workers.Wait()
+	c.work = nil
 	for _, ns := range c.nodes {
 		if ns.conn != nil {
 			ns.conn.Close()
@@ -443,12 +456,14 @@ func (c *Coordinator) validateCaps(ns *nodeState, caps proto.Capabilities) error
 
 // exchange performs one deadline-bounded request/response on conn,
 // discarding responses whose ID does not match (late retransmissions,
-// faultnet duplicates).
+// faultnet duplicates). It arms the deadline and never clears it: exchange
+// is the only reader and writer of a coordinator-side conn and every
+// attempt, hello included, arms a fresh one before its first byte, so a
+// deadline left over from the last attempt can expire on nothing.
 func (c *Coordinator) exchange(conn proto.Conn, node string, req *proto.Message) (*proto.Message, error) {
 	if err := conn.SetDeadline(time.Now().Add(c.cfg.RPCTimeout)); err != nil {
 		return nil, err
 	}
-	defer conn.SetDeadline(time.Time{})
 	if err := conn.Send(req); err != nil {
 		return nil, err
 	}
@@ -554,7 +569,7 @@ func (c *Coordinator) recordMiss(ns *nodeState, cause error) {
 	ns.degraded = true
 	c.cfg.Metrics.countTransition(ns.spec.Name, "degrade")
 	if c.cfg.Sink != nil {
-		detail := fmt.Sprintf("missed %d heartbeats", ns.missed)
+		detail := fmt.Sprintf("missed %d rounds", ns.missed)
 		if cause != nil {
 			detail += ": " + cause.Error()
 		}
@@ -587,21 +602,41 @@ func (c *Coordinator) recordAlive(ns *nodeState) {
 	}
 }
 
-// eachNode runs fn once per node, each call on its own goroutine, and
-// waits for all of them: the one fan-out every per-peer phase of every
-// tier goes through (counter poll, actuation, demand poll, grant). fn owns
-// node i's state and its slot in any result slice for the duration;
-// between phases access is single-threaded.
+// eachNode runs fn once per node, all calls concurrently, and waits for
+// them: the one fan-out every per-peer phase of every tier goes through
+// (counter poll, actuation, demand poll, grant). fn owns node i's state and
+// its slot in any result slice for the duration; between phases access is
+// single-threaded. Call i runs on node i's long-lived worker — one per
+// connection, since an RPC spends its time blocked on its peer and a
+// smaller pool would serialise round trips. The first fan-out starts the
+// workers and Close stops them.
 func (c *Coordinator) eachNode(fn func(i int, ns *nodeState)) {
-	var wg sync.WaitGroup
-	wg.Add(len(c.nodes))
+	if c.work == nil {
+		c.startWorkers()
+	}
+	c.phase.Add(len(c.work))
+	for _, ch := range c.work {
+		ch <- fn
+	}
+	c.phase.Wait()
+}
+
+// startWorkers starts one goroutine per node, each running what eachNode
+// sends it until Close closes its channel.
+func (c *Coordinator) startWorkers() {
+	c.work = make([]chan func(int, *nodeState), len(c.nodes))
+	c.workers.Add(len(c.nodes))
 	for i, ns := range c.nodes {
+		ch := make(chan func(int, *nodeState))
+		c.work[i] = ch
 		go func() {
-			defer wg.Done()
-			fn(i, ns)
+			defer c.workers.Done()
+			for fn := range ch {
+				fn(i, ns)
+				c.phase.Done()
+			}
 		}()
 	}
-	wg.Wait()
 }
 
 // poll is one node's round result.
@@ -642,9 +677,10 @@ func (c *Coordinator) newRoundTimes(passStart time.Time) *roundTimes {
 	return &roundTimes{passStart: passStart, pollRPC: make([]rpcTime, len(c.nodes)), actRPC: make([]rpcTime, len(c.nodes))}
 }
 
-// pollRound is the first half of a round: parallel liveness + counter
-// poll, then input assembly. Every request carries the round's trace
-// context, which agents echo on the ack.
+// pollRound is the first half of a round: parallel counter poll, then
+// input assembly. The poll is the liveness probe too: a node that does not
+// answer it is charged its worst case for the round. Every request carries
+// the round's trace context, which agents echo on the ack.
 //
 // A poll's report slice may be conn-owned (the binary codec reuses its
 // decode buffers), so inputs must be fully built before the next message
@@ -653,12 +689,6 @@ func (c *Coordinator) newRoundTimes(passStart time.Time) *roundTimes {
 func (c *Coordinator) pollRound(passID uint64, t *roundTimes) *polledRound {
 	p := &polledRound{passID: passID, polls: make([]poll, len(c.nodes)), nodeInputs: make([][]int, len(c.nodes))}
 	c.eachNode(func(i int, ns *nodeState) {
-		if _, _, err := c.rpc(ns, proto.KindHeartbeat, func(id uint64) *proto.Message {
-			return &proto.Message{Kind: proto.KindHeartbeat, ID: id, Trace: &proto.TraceContext{PassID: passID}}
-		}); err != nil {
-			c.recordMiss(ns, err)
-			return
-		}
 		resp, rt, err := c.rpc(ns, proto.KindCounterRequest, func(id uint64) *proto.Message {
 			return &proto.Message{Kind: proto.KindCounterRequest, ID: id, Trace: &proto.TraceContext{PassID: passID}, CounterRequest: &proto.CounterRequest{
 				AdvanceQuanta: c.cfg.Fvsst.SchedulePeriods,
@@ -818,8 +848,8 @@ func (c *Coordinator) settleRound(p *polledRound, trigger string, budget, live u
 	return dec, res, nil
 }
 
-// RunRound executes one scheduling period over the wire: heartbeat and
-// poll every node in parallel, then settle the poll under the budget
+// RunRound executes one scheduling period over the wire: poll every node
+// in parallel, then settle the poll under the budget
 // reduced by the worst-case charge of every unreachable node. A relay
 // runs the same two halves with its root's grant arriving in between.
 func (c *Coordinator) RunRound() error {

@@ -6,16 +6,16 @@ import (
 )
 
 // WorstCasePhase bounds how long a coordinator configured like c can keep
-// its parent waiting on transport alone. Its longest phase is the poll:
-// two RPCs back to back (heartbeat, then counters), each up to Retries+1
-// attempts of a redial, a hello and the request itself, with a backoff
-// before every retry. A parent tier's per-attempt deadline must cover it:
-// a root that gives up first retries the demand, the relay polls (and
-// advances) its subtree twice, and that round's grant is lost.
+// its parent waiting on transport alone. Every phase is one RPC per peer,
+// all peers in parallel: up to Retries+1 attempts of a redial, a hello and
+// the request itself, with a backoff before every retry. A parent tier's
+// per-attempt deadline must cover it: a root that gives up first retries
+// the demand, the relay polls (and advances) its subtree twice, and that
+// round's grant is lost.
 func (c Config) WorstCasePhase() time.Duration {
 	c.applyDefaults()
 	attempt := c.DialTimeout + 2*c.RPCTimeout
-	return 2 * (time.Duration(c.Retries+1)*attempt + time.Duration(c.Retries)*c.BackoffMax)
+	return time.Duration(c.Retries+1)*attempt + time.Duration(c.Retries)*c.BackoffMax
 }
 
 // Fleet is one connected control plane over a set of agents: a flat

@@ -282,19 +282,19 @@ func TestTimeoutRetryAndRecovery(t *testing.T) {
 	if err := c.RunRound(); err != nil {
 		t.Fatal(err)
 	}
-	// Black-hole every frame: the heartbeat times out, the retry's
+	// Black-hole every frame: the counter poll times out, the retry's
 	// redial+hello times out too, and the round charges the node.
 	fabric.SetPolicy("n0", faultnet.Policy{DropProb: 1})
 	if err := c.RunRound(); err != nil {
 		t.Fatal(err)
 	}
-	if v := met.timeouts.With("n0", proto.KindHeartbeat).Value(); v < 1 {
+	if v := met.timeouts.With("n0", proto.KindCounterRequest).Value(); v < 1 {
 		t.Errorf("%v timeouts recorded", v)
 	}
-	if v := met.retries.With("n0", proto.KindHeartbeat).Value(); v < 1 {
+	if v := met.retries.With("n0", proto.KindCounterRequest).Value(); v < 1 {
 		t.Errorf("%v retries recorded", v)
 	}
-	if v := met.failures.With("n0", proto.KindHeartbeat).Value(); v != 1 {
+	if v := met.failures.With("n0", proto.KindCounterRequest).Value(); v != 1 {
 		t.Errorf("%v failures recorded", v)
 	}
 	if d := c.Decisions()[1]; d.Reserved == 0 || d.Charged > d.Budget {

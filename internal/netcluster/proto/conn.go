@@ -19,7 +19,10 @@ type Conn interface {
 	// mismatches.
 	Recv() (*Message, error)
 	// SetDeadline bounds both pending and future Send/Recv calls, like
-	// net.Conn.SetDeadline. The zero time clears it.
+	// net.Conn.SetDeadline. The zero time clears it, which the coordinator
+	// never does: it arms a fresh deadline before every attempt's first
+	// byte and nothing else reads its conns, so an expired leftover is
+	// harmless and clearing it would double the timer traffic.
 	SetDeadline(t time.Time) error
 	Close() error
 }

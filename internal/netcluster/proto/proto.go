@@ -45,7 +45,8 @@ const (
 	KindActuate = "actuate"
 	// KindActuateAck confirms the applied settings.
 	KindActuateAck = "actuate-ack"
-	// KindHeartbeat probes liveness between scheduling rounds.
+	// KindHeartbeat probes liveness. Agents and relays answer it; no
+	// scheduling round sends it, the round's first request being the probe.
 	KindHeartbeat = "heartbeat"
 	// KindHeartbeatAck answers a heartbeat.
 	KindHeartbeatAck = "heartbeat-ack"

@@ -112,23 +112,25 @@ func (r *Relay) Start() error {
 // Addr returns the bound upward listen address (valid after Start).
 func (r *Relay) Addr() string { return r.ln.Addr().String() }
 
-// Close stops serving upward and tears down the subtree sessions.
+// Close stops serving upward and tears down the subtree sessions. A
+// connection that reaches the relay afterwards is hung up on unanswered.
 func (r *Relay) Close() error {
+	r.mu.Lock()
 	select {
 	case <-r.closed:
+		r.mu.Unlock()
 		return nil
 	default:
 	}
 	close(r.closed)
-	var err error
-	if r.ln != nil {
-		err = r.ln.Close()
-	}
-	r.mu.Lock()
 	for c := range r.conns {
 		c.Close()
 	}
 	r.mu.Unlock()
+	var err error
+	if r.ln != nil {
+		err = r.ln.Close()
+	}
 	r.wg.Wait()
 	r.coord.Close()
 	return err
@@ -141,23 +143,38 @@ func (r *Relay) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		r.wg.Add(1)
 		go r.serve(wire.NewConn(conn, wire.Options{Mirror: true}))
 	}
 }
 
 // ServeConn serves one pre-established stream connection (e.g. one end of
 // a net.Pipe) until it closes. It blocks; run it on its own goroutine.
+// After Close it hangs up at once.
 func (r *Relay) ServeConn(conn net.Conn) {
-	r.wg.Add(1)
 	r.serve(wire.NewConn(conn, wire.Options{Mirror: true}))
 }
 
-func (r *Relay) serve(c proto.Conn) {
-	defer r.wg.Done()
+// admit registers a new session unless the relay has closed. The closed
+// check and wg.Add share r.mu with Close, so Add never races Close's Wait.
+func (r *Relay) admit(c proto.Conn) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	select {
+	case <-r.closed:
+		return false
+	default:
+	}
+	r.wg.Add(1)
 	r.conns[c] = struct{}{}
-	r.mu.Unlock()
+	return true
+}
+
+func (r *Relay) serve(c proto.Conn) {
+	if !r.admit(c) {
+		c.Close()
+		return
+	}
+	defer r.wg.Done()
 	defer func() {
 		r.mu.Lock()
 		delete(r.conns, c)

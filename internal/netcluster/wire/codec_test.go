@@ -440,6 +440,86 @@ func TestRecvTruncatedFrame(t *testing.T) {
 	}
 }
 
+// chunkConn delivers its chunks one per transport Read, the way a stream
+// hands a reader whatever has arrived, and counts the reads.
+type chunkConn struct {
+	memEnd
+	chunks [][]byte
+	reads  int
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	c.reads++
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+
+// reportFrame is a framed full counter report over nCPU processors and the
+// message it decodes to.
+func reportFrame(t *testing.T, id uint64, nCPU int) ([]byte, proto.Message) {
+	t.Helper()
+	m := &proto.Message{V: proto.Version, Kind: proto.KindCounterReport, ID: id, CounterReport: sampleReport(nCPU, int64(id))}
+	var ds deltaSendState
+	b, ok, err := appendMessage(nil, m, &ds, 0)
+	if err != nil || !ok {
+		t.Fatalf("appendMessage ok=%v err=%v", ok, err)
+	}
+	return frame(b), normalize(m)
+}
+
+// TestRecvCoalescedFrames: two frames that arrive in one transport read
+// decode in order from that one read; the second Recv is served from the
+// conn's buffer.
+func TestRecvCoalescedFrames(t *testing.T) {
+	f1, want1 := reportFrame(t, 1, 4)
+	f2, want2 := reportFrame(t, 2, 4)
+	cc := &chunkConn{chunks: [][]byte{append(append([]byte(nil), f1...), f2...)}}
+	c := NewConn(cc, Options{})
+	for i, want := range []proto.Message{want1, want2} {
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(normalize(got), want) {
+			t.Fatalf("frame %d:\n got %+v\nwant %+v", i, payloadOf(got), payloadOf(&want))
+		}
+		if cc.reads != 1 {
+			t.Fatalf("frame %d took %d transport reads, want 1 for both", i, cc.reads)
+		}
+	}
+	if _, err := c.Recv(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+}
+
+// TestRecvSplitFrame: a frame that arrives in two pieces, split at every
+// byte boundary (inside the header included), decodes whole — one that
+// fits the conn's read buffer and one that does not.
+func TestRecvSplitFrame(t *testing.T) {
+	for _, nCPU := range []int{4, 120} {
+		f, want := reportFrame(t, 9, nCPU)
+		if big := len(f) > recvBufSize; big != (nCPU == 120) {
+			t.Fatalf("%d-CPU frame is %d bytes against a %d-byte buffer", nCPU, len(f), recvBufSize)
+		}
+		for cut := 1; cut < len(f); cut++ {
+			c := NewConn(&chunkConn{chunks: [][]byte{f[:cut:cut], f[cut:]}}, Options{})
+			got, err := c.Recv()
+			if err != nil {
+				t.Fatalf("%d CPUs, cut at %d: %v", nCPU, cut, err)
+			}
+			if !reflect.DeepEqual(normalize(got), want) {
+				t.Fatalf("%d CPUs, cut at %d:\n got %+v\nwant %+v", nCPU, cut, payloadOf(got), payloadOf(&want))
+			}
+		}
+	}
+}
+
 func TestNegotiate(t *testing.T) {
 	if !Negotiate([]string{"json", CodecName}) {
 		t.Fatal("bin1 not negotiated")

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -34,7 +35,10 @@ type Options struct {
 // binary frames: it and everything it points to are valid only until the
 // next Recv on the same Conn.
 type Conn struct {
-	c    net.Conn
+	c net.Conn
+	// br is the only reader of c: Recv takes a frame's header and payload
+	// from it, so a frame that arrived whole costs one transport read.
+	br   *bufio.Reader
 	opts Options
 
 	binary bool
@@ -63,8 +67,13 @@ func (f *frameBuffer) Write(p []byte) (int, error) {
 // NewConn wraps a stream connection. The result implements proto.Conn
 // and proto.BinaryCapable.
 func NewConn(c net.Conn, opts Options) *Conn {
-	return &Conn{c: c, opts: opts}
+	return &Conn{c: c, br: bufio.NewReaderSize(c, recvBufSize), opts: opts}
 }
+
+// recvBufSize holds any hot frame of a round with room to spare (a 16-CPU
+// full counter report is under 1 KiB); bufio reads a larger payload's
+// remainder straight into the frame buffer.
+const recvBufSize = 4096
 
 // Dial connects to a listening agent and returns a codec-capable message
 // connection (transmitting JSON until enabled). It is the coordinator's
@@ -151,11 +160,17 @@ func (c *Conn) writeFrame() error {
 
 // Recv reads the next message. Binary frames decode into a conn-owned
 // Message valid until the next Recv; JSON frames decode into a fresh one.
+//
+// It reads through the conn's buffered reader, never the transport itself:
+// the peer writes a frame in one Write, so header and payload arrive in one
+// transport read (one syscall on TCP, one rendezvous with the writer on
+// net.Pipe) where reading them apart cost two. The length is checked
+// before any payload byte is waited for.
 func (c *Conn) Recv() (*proto.Message, error) {
 	// The header buffer is a conn field: a stack array would escape
 	// through the io.ReadFull interface call and cost an allocation per
 	// frame, which the steady-state zero-alloc gate forbids.
-	if _, err := io.ReadFull(c.c, c.hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 		return nil, err
 	}
 	size := binary.BigEndian.Uint32(c.hdr[:])
@@ -169,7 +184,7 @@ func (c *Conn) Recv() (*proto.Message, error) {
 		c.rbuf = make([]byte, size)
 	}
 	payload := c.rbuf[:size]
-	if _, err := io.ReadFull(c.c, payload); err != nil {
+	if _, err := io.ReadFull(c.br, payload); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
 	st := c.opts.Stats

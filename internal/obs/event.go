@@ -22,7 +22,7 @@ const (
 	EventSchedule = "schedule"
 	// EventQuantum is one dispatch quantum of machine state (power draw).
 	EventQuantum = "quantum"
-	// EventDegrade marks a cluster node that missed enough heartbeats to
+	// EventDegrade marks a cluster node that missed enough rounds to
 	// be charged its worst-case table power instead of scheduled.
 	EventDegrade = "degrade"
 	// EventRejoin marks a degraded node re-establishing its session.
@@ -68,7 +68,7 @@ const (
 	SpanStepThree = "step3"
 	// SpanActuate is frequency actuation (local machine or RPC fan-out).
 	SpanActuate = "actuate"
-	// SpanPoll is the networked coordinator's heartbeat + counter fan-out.
+	// SpanPoll is the networked coordinator's counter-poll fan-out.
 	SpanPoll = "poll"
 	// SpanSchedule is the networked coordinator's global core pass.
 	SpanSchedule = "schedule"
