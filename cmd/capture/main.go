@@ -70,7 +70,9 @@ func main() {
 	total, _ := prog.TotalInstructions()
 	deadline := float64(total)*20/f.Hz() + 10
 	for m.Now() < deadline && !m.AllJobsDone() {
-		m.Step()
+		if err := m.StepQuantum(); err != nil {
+			log.Fatal(err)
+		}
 		cur, err := m.ReadCounters(0)
 		if err != nil {
 			log.Fatal(err)

@@ -67,7 +67,6 @@ type options struct {
 	logEvery     int
 	relays       int
 	transport    string
-	codec        string
 	maxPassLat   time.Duration
 	tracePath    string
 	metricsPath  string
@@ -174,13 +173,6 @@ func run(o options, out io.Writer) (result, error) {
 	default:
 		return res, fmt.Errorf("-transport must be tcp or pipe, not %q", o.transport)
 	}
-	codec := o.codec
-	if codec == "json" {
-		codec = ""
-	}
-	if codec != "" && codec != wire.CodecName {
-		return res, fmt.Errorf("-codec must be json or %s, not %q", wire.CodecName, o.codec)
-	}
 	if o.relays > 0 {
 		if o.relays > o.nodes {
 			return res, fmt.Errorf("%d relays for %d nodes", o.relays, o.nodes)
@@ -259,7 +251,7 @@ func run(o options, out io.Writer) (result, error) {
 		}()
 	}
 
-	if err := runFleet(o, out, sink, metrics, wireStats, codec, pd, specs, &res); err != nil {
+	if err := runFleet(o, out, sink, metrics, wireStats, pd, specs, &res); err != nil {
 		return res, err
 	}
 	res.degrades = transitions.degrades
@@ -402,7 +394,7 @@ func summarize(o options, out io.Writer, end float64, worst float64, res *result
 // sits on the top tier's links, so in a tree the partition flag targets a
 // relay: cutting a root↔relay link freezes a whole subtree, which the
 // root charges at its last acknowledged draw.
-func runFleet(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metrics, stats *wire.Stats, codec string, pd *netcluster.PipeDialer, specs []netcluster.NodeSpec, res *result) error {
+func runFleet(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metrics, stats *wire.Stats, pd *netcluster.PipeDialer, specs []netcluster.NodeSpec, res *result) error {
 	fcfg := fvsst.DefaultConfig()
 	fcfg.Epsilon = o.epsilon
 	fcfg.UseIdleSignal = true
@@ -424,7 +416,6 @@ func runFleet(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metri
 		MissK:      o.missK,
 		RPCTimeout: o.rpcTimeout,
 		Dialer:     &netcluster.TCPDialer{Stats: stats},
-		Codec:      codec,
 	}
 	if pd != nil {
 		sub.Dialer = pd
@@ -469,7 +460,7 @@ func runFleet(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metri
 	}
 	res.status = fleet.Status()
 	summarize(o, out, fleet.Now(), worst, res)
-	if o.relays > 0 && codec == wire.CodecName {
+	if o.relays > 0 {
 		snap := stats.Snapshot()
 		fmt.Fprintf(out, "wire: %d binary frames out, %d in; %d delta reports received\n",
 			snap.BinFramesOut, snap.BinFramesIn, snap.DeltaIn)
@@ -483,7 +474,6 @@ func main() {
 	flag.IntVar(&o.cpus, "cpus", 0, "CPUs per node (0 = machine config default)")
 	flag.IntVar(&o.relays, "relays", 0, "relay coordinators in a 2-level tree (0 = flat single coordinator)")
 	flag.StringVar(&o.transport, "transport", "tcp", "agent transport: tcp sockets or in-process pipes (pipe scales past fd limits)")
-	flag.StringVar(&o.codec, "codec", "json", "hot-message codec: json or bin1 (negotiated binary with delta counter reports)")
 	flag.DurationVar(&o.maxPassLat, "max-pass-latency", 0, "fail the run if any relay-tree pass exceeds this wall-clock latency (0 = report only)")
 	flag.Float64Var(&o.budgetW, "budget", 900, "initial global CPU power budget (watts)")
 	flag.StringVar(&o.scheduleSpec, "budget-schedule", "", `budget schedule "W0,t1:W1,..." (overrides -budget/-drop-to/-drop-at)`)

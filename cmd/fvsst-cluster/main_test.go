@@ -207,7 +207,7 @@ func TestTraceReconstructsPasses(t *testing.T) {
 }
 
 // TestRelayTreeScenario drives the 2-level tree over the in-process pipe
-// transport with the binary codec: budget drop mid-run, one relay
+// transport: budget drop mid-run, one relay
 // partitioned and healed. Charged power must never exceed the budget
 // (the frozen subtree is charged its last acknowledged draw) and every
 // pass must report a latency.
@@ -216,7 +216,6 @@ func TestRelayTreeScenario(t *testing.T) {
 		nodes:        6,
 		relays:       2,
 		transport:    "pipe",
-		codec:        "bin1",
 		budgetW:      1800,
 		dropToW:      1200,
 		dropAt:       1,

@@ -52,7 +52,9 @@ func run(intensity float64, seconds float64, f units.Frequency, seed int64) (ins
 	if err := m.SetFrequency(0, f); err != nil {
 		return 0, err
 	}
-	if !m.RunUntilAllDone(seconds*30 + 10) {
+	if done, err := m.RunUntilAllDone(seconds*30 + 10); err != nil {
+		return 0, err
+	} else if !done {
 		return 0, fmt.Errorf("did not finish")
 	}
 	comps := m.Completions()

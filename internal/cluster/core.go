@@ -80,10 +80,29 @@ type Core struct {
 // sink is attached, keeping the no-sink hot path free of clock reads.
 func (c *Core) SetPhaseTiming(on bool) { c.timing = on }
 
-// NewCore validates the configuration and builds the shared core.
+// NewCore validates the configuration and builds the shared core. Of the
+// single-machine scheduler's options the core honours Epsilon,
+// UseIdleSignal and UseIdealFrequency; it refuses a configuration that
+// turns on one of the others rather than schedule a cluster without it.
 func NewCore(cfg fvsst.Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	ignored := ""
+	switch {
+	case cfg.UseHaltedCycles:
+		ignored = "UseHaltedCycles"
+	case cfg.UseTwoPointCalibration:
+		ignored = "UseTwoPointCalibration"
+	case cfg.LatencyBoundHi != 0:
+		ignored = "LatencyBoundLo/Hi"
+	case cfg.DebouncePasses >= 2:
+		ignored = "DebouncePasses"
+	case cfg.VoltageTables != nil:
+		ignored = "VoltageTables"
+	}
+	if ignored != "" {
+		return nil, fmt.Errorf("cluster: the cluster core does not implement fvsst.Config.%s", ignored)
 	}
 	pred, err := perfmodel.New(cfg.Hier)
 	if err != nil {

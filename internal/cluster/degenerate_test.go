@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/counters"
@@ -152,5 +153,34 @@ func TestEmptyInputs(t *testing.T) {
 	}
 	if _, err := core.DemandCurve(nil); err == nil {
 		t.Fatal("DemandCurve accepted zero processors")
+	}
+}
+
+// TestNewCoreRejectsIgnoredOptions: the core implements Epsilon,
+// UseIdleSignal and UseIdealFrequency of the single-machine scheduler's
+// options. Any other one switched on is an error naming the field, not a
+// cluster silently scheduled without it.
+func TestNewCoreRejectsIgnoredOptions(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*fvsst.Config)
+	}{
+		{"", func(c *fvsst.Config) { c.UseIdleSignal, c.UseIdealFrequency, c.Epsilon = true, true, 0.1 }},
+		{"", func(c *fvsst.Config) { c.DebouncePasses = 1 }}, // off, as in the scheduler
+		{"UseHaltedCycles", func(c *fvsst.Config) { c.UseHaltedCycles = true }},
+		{"UseTwoPointCalibration", func(c *fvsst.Config) { c.UseTwoPointCalibration = true }},
+		{"LatencyBoundLo/Hi", func(c *fvsst.Config) { c.LatencyBoundLo, c.LatencyBoundHi = 0.8, 1.2 }},
+		{"DebouncePasses", func(c *fvsst.Config) { c.DebouncePasses = 2 }},
+		{"VoltageTables", func(c *fvsst.Config) { c.VoltageTables = []*power.Table{c.Table} }},
+	} {
+		cfg := fvsst.DefaultConfig()
+		tc.set(&cfg)
+		_, err := NewCore(cfg)
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("supported options rejected: %v", err)
+		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), "fvsst.Config."+tc.field)):
+			t.Errorf("%s set: NewCore error %v, want one naming the field", tc.field, err)
+		}
 	}
 }

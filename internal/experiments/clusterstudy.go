@@ -66,7 +66,9 @@ func (o Options) clusterRun(budget units.Power, uniform bool) (map[string]float6
 		for !allDone(nodes) && now < 3600 {
 			var total units.Power
 			for _, n := range nodes {
-				n.M.Step()
+				if err := n.M.StepQuantum(); err != nil {
+					return nil, 0, false, err
+				}
 				total += n.M.TotalCPUPower()
 			}
 			if total > budget+units.Watts(1) {

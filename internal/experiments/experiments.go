@@ -142,7 +142,9 @@ func (o Options) fixedRun(prog workload.Program, f units.Frequency) (runResult, 
 	}
 	total, _ := prog.TotalInstructions()
 	deadline := float64(total)*20/f.Hz() + 10
-	if !m.RunUntilAllDone(deadline) {
+	if done, err := m.RunUntilAllDone(deadline); err != nil {
+		return runResult{}, err
+	} else if !done {
 		return runResult{}, fmt.Errorf("experiments: %s at %v did not finish", prog.Name, f)
 	}
 	comps := m.Completions()

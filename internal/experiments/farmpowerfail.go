@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/counters"
-	"repro/internal/engine"
 	"repro/internal/farm"
 	"repro/internal/machine"
 	"repro/internal/memhier"
@@ -244,10 +243,6 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 		ClusterLoss:  map[string]float64{},
 		MinRunwaySec: math.Inf(1),
 	}
-	cadence, err := engine.NewCadence(farmPeriods)
-	if err != nil {
-		return FarmPolicyOutcome{}, err
-	}
 	if err := pass(0, "initial"); err != nil {
 		return FarmPolicyOutcome{}, err
 	}
@@ -255,7 +250,7 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 	for i := 0; i < steps; i++ {
 		now := float64(i) * quantum
 		if i > 0 {
-			if trig, due := alloc.Trigger(now, cadence.Tick()); due {
+			if trig, due := alloc.Trigger(now); due {
 				if err := pass(now, trig); err != nil {
 					return FarmPolicyOutcome{}, err
 				}
@@ -420,7 +415,9 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 		}
 		var draw units.Power
 		for _, n := range nodes {
-			n.m.Step()
+			if err := n.m.StepQuantum(); err != nil {
+				return FarmPolicyOutcome{}, err
+			}
 			if err := n.sampler.Collect(); err != nil {
 				return FarmPolicyOutcome{}, err
 			}

@@ -227,7 +227,9 @@ func (o Options) serveDiurnalRun(uniform bool, period, horizon, dropStart, dropE
 				}
 				lastFi = fi
 			}
-			m.Step()
+			if err := m.StepQuantum(); err != nil {
+				return ServeDiurnalOutcome{}, err
+			}
 		} else if err := drv.Step(); err != nil {
 			return ServeDiurnalOutcome{}, err
 		}

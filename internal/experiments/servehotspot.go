@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/engine"
 	"repro/internal/farm"
 	"repro/internal/machine"
 	"repro/internal/serve"
@@ -218,10 +217,6 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 	if err := pass(0, "initial"); err != nil {
 		return HotspotOutcome{}, err
 	}
-	cadence, err := engine.NewCadence(hotspotPeriods)
-	if err != nil {
-		return HotspotOutcome{}, err
-	}
 
 	out := HotspotOutcome{Policy: string(policy), Jain: 1}
 	peakBacklog := make([]int, len(specs))
@@ -246,7 +241,7 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 			}
 		}
 		if i > 0 {
-			if trig, due := alloc.Trigger(now, cadence.Tick()); due {
+			if trig, due := alloc.Trigger(now); due {
 				if err := pass(now, trig); err != nil {
 					return HotspotOutcome{}, err
 				}

@@ -88,8 +88,8 @@ func (o Options) farmRun(managed bool, sched workload.Schedule, period, horizon 
 			if err := drv.Step(); err != nil {
 				return farmOutcome{}, err
 			}
-		} else {
-			m.Step()
+		} else if err := m.StepQuantum(); err != nil {
+			return farmOutcome{}, err
 		}
 		p := m.SystemPower().W()
 		powerSum += p

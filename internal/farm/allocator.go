@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/units"
 )
@@ -69,8 +70,8 @@ type AllocatorConfig struct {
 	// lease bookkeeping index.
 	Members []Member
 	// Periods is the reallocation cadence in dispatch quanta: the driving
-	// loop ticks an engine.Cadence every quantum and passes its due edge
-	// to Trigger, which adds the immediate budget-change trigger whenever
+	// loop calls Trigger once per quantum and every Periods-th call is a
+	// timer pass, on top of the immediate budget-change trigger whenever
 	// the source budget falls below the charged total.
 	Periods int
 	// LeaseTTL is the lifetime of each granted lease in seconds. It must
@@ -92,12 +93,13 @@ type AllocatorConfig struct {
 }
 
 // Allocator divides a time-varying global budget across clusters by least
-// marginal predicted loss, issuing expiring leases. The driving loop owns
-// the timer cadence; each quantum it calls Trigger with whether the timer
-// fired, and when a pass is due it gathers fresh demand curves and calls
-// Allocate. Not safe for concurrent use.
+// marginal predicted loss, issuing expiring leases. It owns the timer
+// cadence: the driving loop calls Trigger once per quantum, and when a
+// pass is due it gathers fresh demand curves and calls Allocate. Not safe
+// for concurrent use.
 type Allocator struct {
-	cfg AllocatorConfig
+	cfg     AllocatorConfig
+	cadence engine.Cadence
 
 	leases   []Lease
 	hasLease []bool
@@ -145,12 +147,14 @@ func NewAllocator(cfg AllocatorConfig) (*Allocator, error) {
 	default:
 		return nil, fmt.Errorf("farm: unknown policy %q", cfg.Policy)
 	}
-	if cfg.Periods < 1 {
-		return nil, fmt.Errorf("farm: allocator periods %d must be ≥ 1", cfg.Periods)
+	cadence, err := engine.NewCadence(cfg.Periods)
+	if err != nil {
+		return nil, fmt.Errorf("farm: allocator: %w", err)
 	}
 	n := len(cfg.Members)
 	return &Allocator{
 		cfg:       cfg,
+		cadence:   cadence,
 		leases:    make([]Lease, n),
 		hasLease:  make([]bool, n),
 		pos:       make([]int, n),
@@ -180,14 +184,15 @@ func (a *Allocator) Charged(now float64) units.Power {
 	return sum
 }
 
-// Trigger decides whether a reallocation pass is due now, and why:
+// Trigger ticks the reallocation cadence — call it exactly once per
+// dispatch quantum — and decides whether a pass is due now, and why:
 // "budget-change" immediately whenever the source budget has fallen below
 // the charged total (a supply failure, or UPS decay outpacing the safety
-// margin), else "timer" when the driver's cadence fired this quantum. A
-// budget-change pass consumes the timer edge — the caller ticked its
-// cadence before calling, and the pass it triggers resets the urgency
-// either way. Callers then gather demand curves and call Allocate.
-func (a *Allocator) Trigger(now float64, timerDue bool) (trigger string, due bool) {
+// margin), else "timer" on every Periods-th call. A budget-change pass
+// consumes the timer edge: the pass it triggers resets the urgency either
+// way. Callers then gather demand curves and call Allocate.
+func (a *Allocator) Trigger(now float64) (trigger string, due bool) {
+	timerDue := a.cadence.Tick()
 	if a.cfg.Source.BudgetAt(now) < a.Charged(now) {
 		return "budget-change", true
 	}

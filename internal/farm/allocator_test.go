@@ -3,7 +3,6 @@ package farm
 import (
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/units"
@@ -274,14 +273,10 @@ func TestTriggerEdges(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cadence, err := engine.NewCadence(5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var triggers []string
 	for i := 1; i <= 5; i++ {
 		now := float64(i) * 0.1
-		if trig, due := a.Trigger(now, cadence.Tick()); due {
+		if trig, due := a.Trigger(now); due {
 			triggers = append(triggers, trig)
 		}
 	}

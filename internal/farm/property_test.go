@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/power"
 	"repro/internal/units"
 )
@@ -219,10 +218,6 @@ func runConservation(t *testing.T, seed int64) string {
 		fp.WriteByte('\n')
 	}
 
-	cadence, err := engine.NewCadence(propPeriods)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pass(0, "initial")
 	for i := 1; i <= propSteps; i++ {
 		now := float64(i) * propDT
@@ -233,7 +228,7 @@ func runConservation(t *testing.T, seed int64) string {
 				t.Fatalf("seed %d t=%.2f: %v", seed, now, err)
 			}
 		}
-		if trig, due := a.Trigger(now, cadence.Tick()); due {
+		if trig, due := a.Trigger(now); due {
 			pass(now, trig)
 		}
 		// The invariant, checked at every tick whether or not a pass ran:

@@ -39,8 +39,8 @@ func TestSubmitDeliversArrivalsOnTime(t *testing.T) {
 		t.Error("cpu0 idle after its arrival")
 	}
 	// Run everything out.
-	if !m.RunUntilAllDone(2.0) {
-		t.Fatal("jobs did not finish")
+	if done, err := m.RunUntilAllDone(2.0); err != nil || !done {
+		t.Fatalf("jobs did not finish: %v", err)
 	}
 	comps := m.Completions()
 	if len(comps) != 3 {

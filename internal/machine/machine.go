@@ -423,10 +423,12 @@ func (m *Machine) admitArrivals() {
 	}
 }
 
-// Step advances the simulation by one dispatch quantum on every CPU. It
-// panics if the quantum cannot be accounted; drivers that must survive
-// accounting failures use StepQuantum (or AdvanceTo/FastForwardQuanta),
-// which surface a structured *StepError instead.
+// Step is StepQuantum for a caller with no error path: it panics if the
+// quantum cannot be accounted. Nothing that ships calls it — every driver,
+// experiment and the Run helpers below go through StepQuantum (or
+// AdvanceTo/FastForwardQuanta) and return the structured *StepError. It
+// stays for the benchmark's machine.step_ns probe (bench/probes.go), whose
+// timed loop has nowhere to put an error, and for tests.
 func (m *Machine) Step() {
 	if err := m.StepQuantum(); err != nil {
 		panic(err)
@@ -619,30 +621,39 @@ func (m *Machine) runJob(c *cpu, job *workload.Cursor, f units.Frequency, latSca
 	return used, postL1
 }
 
-// RunQuanta advances the simulation n quanta.
-func (m *Machine) RunQuanta(n int) {
+// RunQuanta advances the simulation n quanta, stopping at the first
+// *StepError.
+func (m *Machine) RunQuanta(n int) error {
 	for i := 0; i < n; i++ {
-		m.Step()
+		if err := m.StepQuantum(); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // RunUntil advances the simulation until simulation time t (inclusive of
-// the quantum containing t).
-func (m *Machine) RunUntil(t float64) {
+// the quantum containing t), stopping at the first *StepError.
+func (m *Machine) RunUntil(t float64) error {
 	for m.clock.Now() < t {
-		m.Step()
+		if err := m.StepQuantum(); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // RunUntilAllDone advances until every assigned job completes or the
 // deadline (simulation seconds) passes; it returns true when all jobs
-// finished.
-func (m *Machine) RunUntilAllDone(deadline float64) bool {
+// finished, or the *StepError that stopped it.
+func (m *Machine) RunUntilAllDone(deadline float64) (bool, error) {
 	for m.clock.Now() < deadline {
 		if m.AllJobsDone() {
-			return true
+			return true, nil
 		}
-		m.Step()
+		if err := m.StepQuantum(); err != nil {
+			return false, err
+		}
 	}
-	return m.AllJobsDone()
+	return m.AllJobsDone(), nil
 }

@@ -218,8 +218,8 @@ func TestJobCompletionRecorded(t *testing.T) {
 	prog := workload.Program{Name: "quick", Phases: []workload.Phase{cpuPhase(1, 1e6)}}
 	mix, _ := workload.NewMix(prog)
 	m.SetMix(2, mix)
-	if ok := m.RunUntilAllDone(1.0); !ok {
-		t.Fatal("job did not complete")
+	if ok, err := m.RunUntilAllDone(1.0); err != nil || !ok {
+		t.Fatalf("job did not complete: %v", err)
 	}
 	comps := m.Completions()
 	if len(comps) != 1 || comps[0].CPU != 2 || comps[0].Program != "quick" {
@@ -386,8 +386,8 @@ func TestRunUntilAllDoneDeadline(t *testing.T) {
 	m := newQuiet(t)
 	mix, _ := workload.NewMix(workload.Program{Name: "long", Phases: []workload.Phase{cpuPhase(1, 1e15)}})
 	m.SetMix(0, mix)
-	if m.RunUntilAllDone(0.05) {
-		t.Error("impossibly long job reported done")
+	if done, err := m.RunUntilAllDone(0.05); err != nil || done {
+		t.Errorf("impossibly long job: done %v, err %v", done, err)
 	}
 }
 

@@ -176,7 +176,7 @@ func (a *Agent) acceptLoop() {
 		}
 		// Mirror mode: the agent answers in whatever codec the
 		// coordinator speaks, switching to binary on its first binary
-		// frame. A JSON-only coordinator sees pure JSON.
+		// frame. The codec differential's JSON oracle sees pure JSON.
 		go a.serve(wire.NewConn(conn, wire.Options{Mirror: true}))
 	}
 }

@@ -31,8 +31,8 @@ type Dialer interface {
 	Dial(node, addr string, timeout time.Duration) (proto.Conn, error)
 }
 
-// TCPDialer is the production dialer. Its connections speak JSON until
-// the coordinator negotiates the binary codec (Config.Codec).
+// TCPDialer is the production dialer. Its connections speak JSON through
+// the hello handshake and bin1 hot frames after it.
 type TCPDialer struct {
 	// Stats, when non-nil, accumulates wire codec counters across every
 	// dialled connection.
@@ -79,10 +79,11 @@ type Config struct {
 	Seed int64
 	// Dialer defaults to TCPDialer.
 	Dialer Dialer
-	// Codec selects the hot-message payload encoding: "" or "json" for
-	// the inspectable default, wire.CodecName to negotiate the binary
-	// codec per node at hello time (nodes that do not advertise it keep
-	// speaking JSON — a mixed fleet is fine).
+	// Codec is the hot-message payload encoding. The zero value (or
+	// wire.CodecName) is the binary codec, which is what ships: a peer
+	// whose capabilities do not advertise it fails the handshake. "json"
+	// keeps hot frames on JSON for scenario.RunCodecDifferential's oracle
+	// arm, its only setter outside tests.
 	Codec string
 	// WireStats, when non-nil, is read each round to emit per-pass
 	// encode/decode spans and codec gauges. Point it at the same Stats
@@ -124,7 +125,8 @@ func (c *Config) applyDefaults() {
 // AgentError is a structured failure the agent returned (malformed
 // request, rejected actuation). It is terminal for the RPC — retrying the
 // same request would fail the same way — and does not cost the
-// connection.
+// connection. A handshake with a peer that does not advertise the binary
+// codec fails with one too; that one leaves no session behind.
 type AgentError struct {
 	Node   string
 	Reason string
@@ -379,9 +381,9 @@ func (c *Coordinator) ensureConn(ns *nodeState) error {
 	if err != nil {
 		return err
 	}
-	wantBinary := c.cfg.Codec == wire.CodecName
+	binary := c.cfg.Codec != "json"
 	hello := &proto.Hello{Coordinator: c.cfg.Name}
-	if wantBinary {
+	if binary {
 		hello.Codecs = []string{"json", wire.CodecName}
 	}
 	ns.reqID++
@@ -403,6 +405,12 @@ func (c *Coordinator) ensureConn(ns *nodeState) error {
 		conn.Close()
 		return err
 	}
+	if binary && !wire.Negotiate(caps.Codecs) {
+		// Fail closed: the node stays without a session, so every round
+		// charges it worst-case and never schedules it over JSON.
+		conn.Close()
+		return &AgentError{Node: ns.spec.Name, Reason: fmt.Sprintf("advertises codecs %q, not %s", caps.Codecs, wire.CodecName)}
+	}
 	if ns.caps != nil && ns.caps.NumCPUs != caps.NumCPUs {
 		// The node came back a different shape; the old actuation is
 		// meaningless.
@@ -413,16 +421,9 @@ func (c *Coordinator) ensureConn(ns *nodeState) error {
 		// single-threaded, so later concurrent rejoins only read it.
 		c.quantum = caps.QuantumSec
 	}
-	// Codec negotiation: the node advertised the binary codec and this
-	// coordinator wants it, so flip the connection's hot-message
-	// transmission. Selection is per node — a mixed fleet keeps JSON on
-	// the nodes that never advertised. The handshake itself, and every
+	// Hot frames go binary from here on; the handshake itself, and every
 	// future error frame, stays JSON.
-	if wantBinary && wire.Negotiate(caps.Codecs) {
-		if bc, ok := conn.(proto.BinaryCapable); ok {
-			bc.SetBinary(true)
-		}
-	}
+	conn.SetBinary(binary)
 	ns.caps = &caps
 	ns.conn = conn
 	c.cfg.Metrics.countReconnect(ns.spec.Name)

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/netcluster/proto"
+	"repro/internal/netcluster/wire"
 )
 
 // ErrPartitioned is returned by Dial for, and by Send/Recv on connections
@@ -76,15 +77,15 @@ type Network struct {
 func New(seed int64) *Network {
 	return &Network{
 		seed:        seed,
+		dial:        wire.Dial,
 		policies:    make(map[string]Policy),
 		partitioned: make(map[string]bool),
 	}
 }
 
 // SetTransport replaces the underlying dialer Dial wraps (default
-// proto.Dial's plain JSON transport). cmd and scenario code inject
-// wire.Dial here to run fault scenarios over the binary codec; the
-// fabric itself is codec-agnostic.
+// wire.Dial, TCP) — PipeDialer.DialTransport runs fault scenarios over
+// in-process pipes. The fabric itself is codec-agnostic.
 func (n *Network) SetTransport(dial func(addr string, timeout time.Duration) (proto.Conn, error)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -134,9 +135,6 @@ func (n *Network) Dial(node, addr string, timeout time.Duration) (proto.Conn, er
 	n.mu.Lock()
 	dial := n.dial
 	n.mu.Unlock()
-	if dial == nil {
-		dial = proto.Dial
-	}
 	c, err := dial(addr, timeout)
 	if err != nil {
 		return nil, err
@@ -222,10 +220,6 @@ func (f *faultConn) SetDeadline(t time.Time) error { return f.inner.SetDeadline(
 
 func (f *faultConn) Close() error { return f.inner.Close() }
 
-// SetBinary forwards codec selection to the wrapped connection when it
-// supports one (proto.BinaryCapable); fault injection is codec-agnostic.
-func (f *faultConn) SetBinary(on bool) {
-	if bc, ok := f.inner.(proto.BinaryCapable); ok {
-		bc.SetBinary(on)
-	}
-}
+// SetBinary forwards codec selection to the wrapped connection; fault
+// injection is codec-agnostic.
+func (f *faultConn) SetBinary(on bool) { f.inner.SetBinary(on) }

@@ -2,11 +2,20 @@ package faultnet
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/netcluster/proto"
+	"repro/internal/netcluster/wire"
 )
+
+// pipe returns two ends of an in-memory message connection: the stream
+// implementation the fabric wraps everywhere else.
+func pipe() (proto.Conn, proto.Conn) {
+	a, b := net.Pipe()
+	return wire.NewConn(a, wire.Options{}), wire.NewConn(b, wire.Options{})
+}
 
 // collect reads messages from c until an error (deadline, close) and
 // returns the IDs seen.
@@ -30,7 +39,7 @@ func deliveredIDs(t *testing.T, seed int64, pol Policy, n int) []uint64 {
 	if err := net.SetPolicy("n0", pol); err != nil {
 		t.Fatal(err)
 	}
-	a, b := proto.Pipe()
+	a, b := pipe()
 	fa := net.Wrap("n0", a)
 	defer fa.Close()
 	defer b.Close()
@@ -96,7 +105,7 @@ func TestDropEverything(t *testing.T) {
 func TestDelayStallsDelivery(t *testing.T) {
 	net := New(1)
 	net.SetPolicy("n0", Policy{Delay: 30 * time.Millisecond})
-	a, b := proto.Pipe()
+	a, b := pipe()
 	fa := net.Wrap("n0", a)
 	defer fa.Close()
 	defer b.Close()
@@ -115,7 +124,7 @@ func TestDelayJitterIsSeeded(t *testing.T) {
 	draw := func(seed int64) time.Duration {
 		net := New(seed)
 		net.SetPolicy("n0", Policy{DelayJitter: 50 * time.Millisecond})
-		a, b := proto.Pipe()
+		a, b := pipe()
 		fa := net.Wrap("n0", a)
 		defer fa.Close()
 		defer b.Close()
@@ -140,7 +149,7 @@ func TestDelayJitterIsSeeded(t *testing.T) {
 
 func TestPartitionRefusesDialAndEatsTraffic(t *testing.T) {
 	net := New(1)
-	a, b := proto.Pipe()
+	a, b := pipe()
 	fa := net.Wrap("n0", a)
 	defer fa.Close()
 	defer b.Close()
@@ -195,5 +204,26 @@ func TestPolicyValidation(t *testing.T) {
 		if err := net.SetPolicy("n0", p); err == nil {
 			t.Errorf("policy %+v accepted", p)
 		}
+	}
+}
+
+// TestSetBinaryReachesWrappedConn: codec selection passes through the
+// fabric, so a faulted link carries the same bin1 hot frames a bare one
+// does.
+func TestSetBinaryReachesWrappedConn(t *testing.T) {
+	a, b := net.Pipe()
+	var st wire.Stats
+	fa := New(1).Wrap("n0", wire.NewConn(a, wire.Options{Stats: &st}))
+	fb := wire.NewConn(b, wire.Options{})
+	defer fa.Close()
+	defer fb.Close()
+	fa.SetBinary(true)
+	go fa.Send(&proto.Message{Kind: proto.KindHeartbeat, ID: 1})
+	fb.SetDeadline(time.Now().Add(time.Second))
+	if m, err := fb.Recv(); err != nil || m.ID != 1 {
+		t.Fatalf("recv: %v, %+v", err, m)
+	}
+	if snap := st.Snapshot(); snap.BinFramesOut != 1 || snap.JSONFramesOut != 0 {
+		t.Errorf("heartbeat went out as %d binary + %d JSON frames, want 1 + 0", snap.BinFramesOut, snap.JSONFramesOut)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/memhier"
 	"repro/internal/netcluster/faultnet"
 	"repro/internal/netcluster/proto"
+	"repro/internal/netcluster/wire"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/units"
@@ -495,6 +497,98 @@ func TestConnectRejectsQuantumMismatch(t *testing.T) {
 	defer c.Close()
 	if err := c.Connect(); err == nil {
 		t.Fatal("mixed-quantum cluster accepted")
+	}
+}
+
+// legacyDialer dials the real transport but, while on, hides one node's
+// codec list from the coordinator: the hello-ack a pre-bin1 agent sends.
+type legacyDialer struct {
+	node string
+	on   atomic.Bool
+}
+
+func (d *legacyDialer) Dial(node, addr string, timeout time.Duration) (proto.Conn, error) {
+	c, err := wire.Dial(addr, timeout)
+	if err != nil || node != d.node || !d.on.Load() {
+		return c, err
+	}
+	return legacyConn{c}, nil
+}
+
+type legacyConn struct{ proto.Conn }
+
+func (c legacyConn) Recv() (*proto.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Capabilities != nil {
+		m.Capabilities.Codecs = nil
+	}
+	return m, err
+}
+
+// TestHandshakeRejectsPeerWithoutBin1: hot frames are bin1 or nothing. A
+// peer whose capabilities do not advertise the codec fails the handshake
+// with an AgentError naming it — at Connect outright, on a rejoin every
+// round — and is charged its worst case like any silent node; the
+// coordinator never polls or actuates it over JSON.
+func TestHandshakeRejectsPeerWithoutBin1(t *testing.T) {
+	a0, _ := startAgent(t, "n0", 1, 0, nil)
+	a1, _ := startAgent(t, "n1", 2, 0, nil)
+	dialer := &legacyDialer{node: "n1"}
+	dialer.on.Store(true)
+	cfg := Config{Fvsst: testFvsst(), Budget: units.Watts(500), MissK: 2, Seed: 3, Dialer: dialer}
+	fastRetry(&cfg)
+	c, err := NewCoordinator(cfg, NodeSpec{Name: "n0", Addr: a0.Addr()}, NodeSpec{Name: "n1", Addr: a1.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var ae *AgentError
+	if err := c.Connect(); !errors.As(err, &ae) || ae.Node != "n1" {
+		t.Fatalf("Connect against a peer without %s: %v, want an AgentError naming n1", wire.CodecName, err)
+	}
+
+	// The same peer, upgraded: two healthy rounds, then it comes back from
+	// a dropped session as its old self.
+	dialer.on.Store(false)
+	if err := c.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frozen, held := a1.Now(), c.Status()[1].ChargedIfSilent
+	dialer.on.Store(true)
+	c.nodes[1].conn.Close()
+	c.nodes[1].conn = nil
+	for i := 0; i < cfg.MissK; i++ {
+		if err := c.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, d := range c.Decisions()[2:] {
+		if d.Acked[1] || d.NodeCharged[1] != held || d.Reserved != held {
+			t.Errorf("legacy round %d: acked %v, charged %v, reserved %v; want unacked at the worst case %v",
+				k, d.Acked[1], d.NodeCharged[1], d.Reserved, held)
+		}
+		if d.Charged > d.Budget {
+			t.Errorf("legacy round %d: charged %v over budget %v", k, d.Charged, d.Budget)
+		}
+		for _, a := range d.Assignments {
+			if a.Proc.Node == 1 {
+				t.Fatalf("legacy round %d: scheduled %+v on the rejected peer", k, a)
+			}
+		}
+	}
+	if st := c.Status()[1]; st.Connected || !st.Degraded {
+		t.Errorf("rejected peer: connected %v, degraded %v after %d missed rounds", st.Connected, st.Degraded, cfg.MissK)
+	}
+	if a1.Now() != frozen {
+		t.Errorf("rejected peer advanced from %v to %v: it was polled over JSON", frozen, a1.Now())
+	}
+	if a0.Now() <= frozen {
+		t.Errorf("healthy peer at %v did not run on past %v", a0.Now(), frozen)
 	}
 }
 

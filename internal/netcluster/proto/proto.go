@@ -123,8 +123,9 @@ type Hello struct {
 	// Coordinator names the coordinator for the agent's logs.
 	Coordinator string `json:"coordinator"`
 	// Codecs lists the payload encodings the coordinator can read, for
-	// the agent's logs (selection is coordinator-driven: it enables a
-	// codec the capabilities advertise). Absent means JSON only.
+	// the agent's logs (selection is coordinator-driven: it sends binary
+	// hot frames and the agent answers in kind). Absent means JSON only,
+	// which only the codec differential's oracle arm sends.
 	Codecs []string `json:"codecs,omitempty"`
 }
 
@@ -145,9 +146,9 @@ type Capabilities struct {
 	// to its minimum frequency on its own. 0 means no failsafe.
 	FailsafeSec float64 `json:"failsafe_sec,omitempty"`
 	// Codecs lists the payload encodings this node can speak besides the
-	// implied "json" (e.g. the wire package's binary codec). The
-	// coordinator enables a mutually supported codec after the handshake;
-	// hello, capabilities and errors stay JSON regardless.
+	// implied "json". A coordinator refuses a node that does not list the
+	// wire package's binary codec, and switches its hot frames to it after
+	// the handshake; hello, capabilities and errors stay JSON regardless.
 	Codecs []string `json:"codecs,omitempty"`
 	// Tier distinguishes an aggregating relay ("relay", NumCPUs is the
 	// subtree's processor total) from a leaf agent (empty).

@@ -1,4 +1,8 @@
-package proto
+// The framing tests are an external package so they can run against the
+// one stream connection that implements proto.Conn, wire.Conn (which
+// imports proto): these pin its JSON side — length prefix, version check,
+// size bounds, deadlines — and package wire's own tests the binary side.
+package proto_test
 
 import (
 	"encoding/binary"
@@ -10,13 +14,24 @@ import (
 	"time"
 
 	"repro/internal/counters"
+	. "repro/internal/netcluster/proto"
+	"repro/internal/netcluster/wire"
 )
+
+// newConn wraps a stream as the message connection under test.
+func newConn(c net.Conn) Conn { return wire.NewConn(c, wire.Options{}) }
+
+// pipe returns two ends of an in-memory message connection.
+func pipe() (Conn, Conn) {
+	a, b := net.Pipe()
+	return newConn(a), newConn(b)
+}
 
 // sendRecv pushes m through an in-memory connection and returns what the
 // far end decodes.
 func sendRecv(t *testing.T, m *Message) *Message {
 	t.Helper()
-	a, b := Pipe()
+	a, b := pipe()
 	defer a.Close()
 	defer b.Close()
 	errc := make(chan error, 1)
@@ -82,7 +97,7 @@ func TestRecvRejectsVersionMismatch(t *testing.T) {
 		a.Write(hdr[:])
 		a.Write(payload)
 	}()
-	_, err := NewConn(b).Recv()
+	_, err := newConn(b).Recv()
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("version mismatch not rejected: %v", err)
 	}
@@ -94,7 +109,7 @@ func TestRecvRejectsOversizeAndZeroFrames(t *testing.T) {
 		var hdr [4]byte
 		binary.BigEndian.PutUint32(hdr[:], size)
 		go a.Write(hdr[:])
-		_, err := NewConn(b).Recv()
+		_, err := newConn(b).Recv()
 		if err == nil {
 			t.Errorf("frame length %d accepted", size)
 		}
@@ -113,14 +128,14 @@ func TestRecvReportsTruncatedFrame(t *testing.T) {
 		a.Write([]byte(`{"v":1`)) // only 6 of the promised 100 bytes
 		a.Close()
 	}()
-	_, err := NewConn(b).Recv()
+	_, err := newConn(b).Recv()
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("truncated frame not reported: %v", err)
 	}
 }
 
 func TestSendRejectsOversizeMessage(t *testing.T) {
-	a, _ := Pipe()
+	a, _ := pipe()
 	defer a.Close()
 	m := &Message{Kind: KindError, Error: strings.Repeat("x", MaxMessageSize)}
 	if err := a.Send(m); err == nil {
@@ -129,7 +144,7 @@ func TestSendRejectsOversizeMessage(t *testing.T) {
 }
 
 func TestDeadlineUnblocksRecv(t *testing.T) {
-	a, b := Pipe()
+	a, b := pipe()
 	defer a.Close()
 	defer b.Close()
 	if err := b.SetDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
@@ -156,7 +171,7 @@ func TestDialAndServeTCP(t *testing.T) {
 		if err != nil {
 			return
 		}
-		pc := NewConn(c)
+		pc := newConn(c)
 		defer pc.Close()
 		m, err := pc.Recv()
 		if err != nil {
@@ -164,7 +179,7 @@ func TestDialAndServeTCP(t *testing.T) {
 		}
 		pc.Send(&Message{Kind: KindHeartbeatAck, ID: m.ID, Node: "n0"})
 	}()
-	c, err := Dial(ln.Addr().String(), time.Second)
+	c, err := wire.Dial(ln.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

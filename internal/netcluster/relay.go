@@ -363,8 +363,8 @@ type RootDecision struct {
 
 // Root drives a tier of relays: demand poll, least-loss division of the
 // budget across the reported curves, grant fan-out. It reuses the
-// Coordinator's transport (dialing, retry, degrade/rejoin accounting,
-// codec negotiation) with relay-shaped rounds, and the division replays
+// Coordinator's transport (dialing, handshake, retry, degrade/rejoin
+// accounting) with relay-shaped rounds, and the division replays
 // the flat Step-2 greedy exactly, so a fault-free tree schedules
 // byte-identically to one flat coordinator over the same leaves.
 type Root struct {

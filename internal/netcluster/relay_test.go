@@ -3,11 +3,9 @@ package netcluster
 import (
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/netcluster/faultnet"
-	"repro/internal/netcluster/proto"
 	"repro/internal/netcluster/wire"
 	"repro/internal/units"
 )
@@ -28,9 +26,8 @@ func nodeName(i int) string { return "n" + strconv.Itoa(i) }
 // startTree builds a two-level tree over the agents through NewFleet:
 // fanout children per relay (fanout must divide the fleet, so the
 // builder's contiguous groups are the same), each relay owning a
-// connected sub-coordinator, plus a Root over the relays. Every tier
-// negotiates the given codec.
-func startTree(t *testing.T, agents []*Agent, fanout int, codec string, rootCfg Config) (*Root, []*Relay) {
+// connected sub-coordinator, plus a Root over the relays.
+func startTree(t *testing.T, agents []*Agent, fanout int, rootCfg Config) (*Root, []*Relay) {
 	t.Helper()
 	if len(agents)%fanout != 0 {
 		t.Fatalf("fanout %d does not divide %d agents", fanout, len(agents))
@@ -39,7 +36,6 @@ func startTree(t *testing.T, agents []*Agent, fanout int, codec string, rootCfg 
 	for i, a := range agents {
 		specs[i] = NodeSpec{Name: nodeName(i), Addr: a.Addr()}
 	}
-	rootCfg.Codec = codec
 	f, err := NewFleet(specs, len(agents)/fanout, nil, func(name string, group int) Config {
 		if group < 0 {
 			return rootCfg
@@ -50,7 +46,6 @@ func startTree(t *testing.T, agents []*Agent, fanout int, codec string, rootCfg 
 			Budget: rootCfg.Budget,
 			MissK:  rootCfg.MissK,
 			Seed:   rootCfg.Seed + int64(100+group),
-			Codec:  codec,
 		}
 	})
 	if err != nil {
@@ -61,10 +56,9 @@ func startTree(t *testing.T, agents []*Agent, fanout int, codec string, rootCfg 
 }
 
 // TestRelayTreeMatchesFlat is the tentpole differential: a fault-free
-// two-level tree (binary codec at every tier) must schedule every
-// processor byte-identically to one flat JSON coordinator over an
-// identical fleet, and the relays' per-node charges must replay the flat
-// ledger's float accumulation exactly.
+// two-level tree must schedule every processor byte-identically to one
+// flat coordinator over an identical fleet, and the relays' per-node
+// charges must replay the flat ledger's float accumulation exactly.
 func TestRelayTreeMatchesFlat(t *testing.T) {
 	const n, fanout, rounds = 4, 2, 6
 	budget := units.Watts(600) // tight enough to force Step-2 demotions
@@ -85,7 +79,7 @@ func TestRelayTreeMatchesFlat(t *testing.T) {
 
 	treeAgents := startFleet(t, n, 1)
 	st := &wire.Stats{}
-	root, relays := startTree(t, treeAgents, fanout, wire.CodecName, Config{
+	root, relays := startTree(t, treeAgents, fanout, Config{
 		Name:   "root",
 		Fvsst:  testFvsst(),
 		Budget: budget,
@@ -186,7 +180,6 @@ func TestRelayPartitionBudgetSafety(t *testing.T) {
 	budget := units.Watts(900)
 	agents := startFleet(t, n, 11)
 	fabric := faultnet.New(7)
-	fabric.SetTransport(wire.Dial)
 	cfg := Config{
 		Name:   "root",
 		Fvsst:  testFvsst(),
@@ -196,7 +189,7 @@ func TestRelayPartitionBudgetSafety(t *testing.T) {
 		Dialer: fabric,
 	}
 	fastRetry(&cfg)
-	root, _ := startTree(t, agents, fanout, wire.CodecName, cfg)
+	root, _ := startTree(t, agents, fanout, cfg)
 
 	run := func(k int) {
 		t.Helper()
@@ -247,94 +240,5 @@ func TestRelayPartitionBudgetSafety(t *testing.T) {
 	last := decs[6]
 	if !last.Grants[1].Acked || !last.BudgetMet {
 		t.Errorf("relay did not rejoin cleanly: %+v", last.Grants[1])
-	}
-}
-
-// mixedDialer speaks the binary-capable transport to some nodes and the
-// plain JSON transport to the rest, modelling a fleet mid-upgrade.
-type mixedDialer struct {
-	bin   map[string]bool
-	stats *wire.Stats
-}
-
-func (d mixedDialer) Dial(node, addr string, timeout time.Duration) (proto.Conn, error) {
-	if d.bin[node] {
-		return wire.DialStats(addr, timeout, d.stats)
-	}
-	return proto.Dial(addr, timeout)
-}
-
-// TestMixedFleetNegotiation runs one coordinator over a half-binary
-// half-JSON fleet and checks the schedules match an all-JSON reference
-// over an identical fleet: codec choice is per node and never changes
-// the scheduling arithmetic.
-func TestMixedFleetNegotiation(t *testing.T) {
-	const n, rounds = 2, 4
-	budget := units.Watts(400)
-
-	refAgents := startFleet(t, n, 21)
-	var refSpecs []NodeSpec
-	for i, a := range refAgents {
-		refSpecs = append(refSpecs, NodeSpec{Name: nodeName(i), Addr: a.Addr()})
-	}
-	ref, err := NewCoordinator(Config{Fvsst: testFvsst(), Budget: budget, Seed: 5}, refSpecs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-
-	mixAgents := startFleet(t, n, 21)
-	var mixSpecs []NodeSpec
-	for i, a := range mixAgents {
-		mixSpecs = append(mixSpecs, NodeSpec{Name: nodeName(i), Addr: a.Addr()})
-	}
-	st := &wire.Stats{}
-	mix, err := NewCoordinator(Config{
-		Fvsst:  testFvsst(),
-		Budget: budget,
-		Seed:   5,
-		Codec:  wire.CodecName,
-		Dialer: mixedDialer{bin: map[string]bool{nodeName(0): true}, stats: st},
-	}, mixSpecs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mix.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	defer mix.Close()
-
-	for i := 0; i < rounds; i++ {
-		if err := ref.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-		if err := mix.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	refDecs, mixDecs := ref.Decisions(), mix.Decisions()
-	for k := 0; k < rounds; k++ {
-		if len(refDecs[k].Assignments) != len(mixDecs[k].Assignments) {
-			t.Fatalf("round %d: assignment counts differ", k)
-		}
-		for i := range refDecs[k].Assignments {
-			if refDecs[k].Assignments[i] != mixDecs[k].Assignments[i] {
-				t.Errorf("round %d assignment %d: mixed %+v, json %+v",
-					k, i, mixDecs[k].Assignments[i], refDecs[k].Assignments[i])
-			}
-		}
-		if refDecs[k].Charged != mixDecs[k].Charged {
-			t.Errorf("round %d: mixed charged %v, json %v", k, mixDecs[k].Charged, refDecs[k].Charged)
-		}
-	}
-	snap := st.Snapshot()
-	if snap.BinFramesOut == 0 {
-		t.Error("binary node exchanged no binary frames")
-	}
-	if snap.DeltaIn == 0 {
-		t.Error("steady-state counter reports never went delta")
 	}
 }

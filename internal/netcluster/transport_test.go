@@ -67,7 +67,7 @@ func newPipeWorld(tb testing.TB, n, cpus, relays int) *pipeWorld {
 	fleet, err := NewFleet(specs, relays, topPD, func(name string, group int) Config {
 		cfg := Config{
 			Name: name, Fvsst: testFvsst(), Budget: units.Watts(40 * float64(n*cpus)),
-			RPCTimeout: 30 * time.Second, Seed: int64(group + 2), Dialer: leafPD, Codec: wire.CodecName,
+			RPCTimeout: 30 * time.Second, Seed: int64(group + 2), Dialer: leafPD,
 		}
 		if group < 0 {
 			cfg.Dialer = topPD

@@ -30,8 +30,8 @@ type Options struct {
 // mode, until the peer sends binary first. Hot kinds then go binary;
 // hello, capabilities and errors stay JSON always.
 //
-// Like proto's TCP conn, Send and Recv each require external
-// serialisation per logical stream. Recv returns a conn-owned Message for
+// It is the only stream implementation of proto.Conn. Send and Recv each
+// require external serialisation per logical stream. Recv returns a conn-owned Message for
 // binary frames: it and everything it points to are valid only until the
 // next Recv on the same Conn.
 type Conn struct {
@@ -64,8 +64,8 @@ func (f *frameBuffer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// NewConn wraps a stream connection. The result implements proto.Conn
-// and proto.BinaryCapable.
+// NewConn wraps a stream connection (TCP, unix, net.Pipe) as a
+// proto.Conn.
 func NewConn(c net.Conn, opts Options) *Conn {
 	return &Conn{c: c, br: bufio.NewReaderSize(c, recvBufSize), opts: opts}
 }
@@ -75,9 +75,9 @@ func NewConn(c net.Conn, opts Options) *Conn {
 // remainder straight into the frame buffer.
 const recvBufSize = 4096
 
-// Dial connects to a listening agent and returns a codec-capable message
-// connection (transmitting JSON until enabled). It is the coordinator's
-// default dialer.
+// Dial connects to a listening agent and returns its message connection
+// (transmitting JSON until SetBinary). It is the transport under both the
+// coordinator's default dialer and faultnet's.
 func Dial(addr string, timeout time.Duration) (proto.Conn, error) {
 	return DialStats(addr, timeout, nil)
 }
@@ -241,7 +241,4 @@ func (c *Conn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
 
-var (
-	_ proto.Conn          = (*Conn)(nil)
-	_ proto.BinaryCapable = (*Conn)(nil)
-)
+var _ proto.Conn = (*Conn)(nil)

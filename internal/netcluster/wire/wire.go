@@ -1,9 +1,11 @@
-// Package wire is the netcluster control plane's negotiated binary codec
-// for hot messages: heartbeats, counter polls, actuation, and the relay
-// tier's demand/grant exchange. Session-establishment traffic — hello,
-// capabilities, errors — stays JSON, so the handshake is always
-// inspectable and a coordinator can talk to a JSON-only agent without
-// negotiation.
+// Package wire is the netcluster control plane's stream connection and
+// its binary codec for hot messages: heartbeats, counter polls, actuation,
+// and the relay tier's demand/grant exchange. Session-establishment
+// traffic — hello, capabilities, errors — stays JSON, so the handshake is
+// always inspectable; a coordinator refuses a peer whose capabilities do
+// not name the codec. JSON hot frames still decode (and encode, until
+// SetBinary): that is the oracle scenario.RunCodecDifferential compares
+// the binary path against.
 //
 // Framing is unchanged from package proto: a 4-byte big-endian length
 // prefix bounds every payload. Inside the frame the first byte
@@ -51,7 +53,7 @@ const Magic = 0xB2
 const Version = 1
 
 // CodecName is the capability string agents advertise and coordinators
-// select to enable this codec.
+// require.
 const CodecName = "bin1"
 
 // Binary kind bytes, one per hot message kind. Kinds without a byte here
@@ -161,7 +163,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
-// Negotiate returns true when the peer's advertised codec list names this
+// Negotiate reports whether the peer's advertised codec list names this
 // codec. Order does not matter; "json" is always implied.
 func Negotiate(codecs []string) bool {
 	for _, c := range codecs {

@@ -3,44 +3,46 @@ package scenario
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/netcluster/wire"
 )
 
-// Divergence is one round whose traces differ outside every declared
-// fault window.
+// Divergence is one round whose traces differ with no fault window to
+// excuse it.
 type Divergence struct {
 	Round  int    `json:"round"`
 	Detail string `json:"detail"`
 }
 
-// DiffResult is one differential run: the same scenario through the
-// in-process mirror and the networked stack, compared round by round.
+// DiffResult is one differential run: the same scenario through two
+// stacks (InProc the reference arm, Net the variant), compared round by
+// round.
 type DiffResult struct {
 	Spec   Spec       `json:"spec"`
 	InProc *RunResult `json:"in_proc"`
 	Net    *RunResult `json:"net"`
-	// FaultRounds counts rounds inside declared fault windows, where the
-	// traces are allowed (not required) to differ.
+	// FaultRounds counts rounds inside declared fault windows, where
+	// RunDifferential allows (not requires) the traces to differ. The
+	// codec and tier differentials mask nothing and leave it zero.
 	FaultRounds int `json:"fault_rounds"`
 	// InWindowDiffs counts rounds that differed inside fault windows.
 	InWindowDiffs int `json:"in_window_diffs"`
-	// Divergences are rounds that differed OUTSIDE every fault window —
+	// Divergences are rounds that differed outside every masked window —
 	// each one a real equivalence violation.
 	Divergences []Divergence `json:"divergences,omitempty"`
-	// Equivalent reports no out-of-window divergence.
+	// Equivalent reports no divergence.
 	Equivalent bool `json:"equivalent"`
 }
 
 // RunDifferential runs the same scenario through cluster.Core in-process
-// and through netcluster over loopback+faultnet and compares the decision
-// traces round by round. Outside declared fault windows the rendered
-// rounds must match byte for byte; inside them (partition windows, plus
-// everything after a message-fault policy starts, since a dropped counter
-// response skews the remote machine's simulated time permanently)
-// differences are recorded but allowed. The UPS and the serving overlay
-// are stripped on both sides — the transport models neither battery
-// drain nor request streams.
+// and through netcluster over loopback+faultnet — the connection and
+// codec every binary dials — and compares the decision traces round by
+// round. Outside declared fault windows the rendered rounds must match
+// byte for byte; inside them (partition windows, plus everything after a
+// message-fault policy starts, since a dropped counter response skews the
+// remote machine's simulated time permanently) differences are recorded
+// but allowed: the mirror freezes a partitioned node by reading the spec
+// and models no message faults at all, while the networked arm lives both
+// through wall-clock RPC deadlines, and the two need not agree. The UPS and the serving overlay are stripped on both sides — the
+// transport models neither battery drain nor request streams.
 func RunDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 	spec = spec.WithoutUPS().WithoutServing()
 	inproc, err := RunCluster(spec, Options{})
@@ -51,64 +53,59 @@ func RunDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: networked run: %w", err)
 	}
-	return diffRuns(spec, inproc, netRun, "in-proc", "net"), nil
+	return diffRuns(spec, inproc, netRun, "in-proc", "net", spec.faultAffected), nil
 }
 
 // RunCodecDifferential runs the same scenario through the networked
-// stack twice — JSON payloads vs the negotiated binary codec with delta
-// counter reports — and compares the traces. The codecs carry the same
-// values losslessly (floats travel as their exact bit patterns), and
-// faultnet's fault draws depend only on send order, which the codec does
-// not change, so outside fault windows the rendered rounds must match
-// byte for byte.
+// stack twice — JSON hot frames, the oracle, against the binary codec
+// that ships — and compares the traces with no fault-window mask. The
+// codecs carry the same values losslessly (floats travel as their exact
+// bit patterns) and faultnet draws a message's fate before it is encoded,
+// keyed only on send order, which the codec does not change: both arms
+// see the same drops, duplicates and partitions, so every round must
+// match byte for byte, faulted or not.
 func RunCodecDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 	spec = spec.WithoutUPS().WithoutServing()
-	jsonOpt, binOpt := opt, opt
-	jsonOpt.Codec = ""
-	binOpt.Codec = wire.CodecName
-	jsonRun, err := RunNet(spec, jsonOpt)
+	jsonRun, err := runNet(spec, opt, 0, "json")
 	if err != nil {
 		return nil, fmt.Errorf("scenario: json run: %w", err)
 	}
-	binRun, err := RunNet(spec, binOpt)
+	binRun, err := RunNet(spec, opt)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: binary run: %w", err)
 	}
-	return diffRuns(spec, jsonRun, binRun, "json", "bin"), nil
+	return diffRuns(spec, jsonRun, binRun, "json", "bin", nil), nil
 }
 
 // RunTierDifferential runs the fault-free projection of the scenario
-// through the flat JSON coordinator and through the 2-level binary relay
-// tree and compares the traces, which must match byte for byte on every
-// round: the hierarchical divide is exact, the relay ledger reassembles
-// in global node order, and without faults no conservative-charge path
-// triggers. Faults are stripped (rather than windowed) because the two
-// topologies draw from differently-shaped fault streams, so in-window
-// behaviour is not comparable.
+// through the flat coordinator and through the 2-level relay tree — the
+// same codec on both, so topology is the only variable — and compares the
+// traces, which must match byte for byte on every round: the hierarchical
+// divide is exact, the relay ledger reassembles in global node order, and
+// without faults no conservative-charge path triggers. Faults are
+// stripped (rather than windowed) because the two topologies draw from
+// differently-shaped fault streams, so in-window behaviour is not
+// comparable.
 func RunTierDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 	spec = spec.FaultFree().WithoutUPS().WithoutServing()
-	flatOpt := opt
-	flatOpt.Codec = ""
-	treeOpt := opt
-	treeOpt.Codec = wire.CodecName
-	flat, err := RunNet(spec, flatOpt)
+	flat, err := RunNet(spec, opt)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: flat run: %w", err)
 	}
-	tree, err := RunRelayNet(spec, treeOpt)
+	tree, err := RunRelayNet(spec, opt)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: relay run: %w", err)
 	}
-	return diffRuns(spec, flat, tree, "flat", "tree"), nil
+	return diffRuns(spec, flat, tree, "flat", "tree", nil), nil
 }
 
-// diffRuns compares two runs of the same spec round by round: outside
-// declared fault windows the rendered rounds must match byte for byte;
-// inside them differences are recorded but allowed.
-func diffRuns(spec Spec, base, variant *RunResult, baseLabel, variantLabel string) *DiffResult {
+// diffRuns compares two runs of the same spec round by round. Rounds for
+// which masked reports true may differ (recorded, not failed); every
+// other difference is a divergence. A nil masked excuses nothing.
+func diffRuns(spec Spec, base, variant *RunResult, baseLabel, variantLabel string, masked func(round int) bool) *DiffResult {
 	d := &DiffResult{Spec: spec, InProc: base, Net: variant}
 	for r := 0; r < spec.Rounds; r++ {
-		inWindow := spec.faultAffected(r)
+		inWindow := masked != nil && masked(r)
 		if inWindow {
 			d.FaultRounds++
 		}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/engine"
 	"repro/internal/farm"
 	"repro/internal/invariant"
 	"repro/internal/power"
@@ -229,10 +228,6 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 		return nil
 	}
 
-	cadence, err := engine.NewCadence(farmPeriods)
-	if err != nil {
-		return nil, err
-	}
 	if err := pass(0, "initial"); err != nil {
 		return nil, err
 	}
@@ -244,7 +239,7 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 				return nil, err
 			}
 		}
-		if trig, due := alloc.Trigger(now, cadence.Tick()); due {
+		if trig, due := alloc.Trigger(now); due {
 			if err := pass(now, trig); err != nil {
 				return nil, err
 			}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/netcluster"
 	"repro/internal/netcluster/faultnet"
-	"repro/internal/netcluster/wire"
 	"repro/internal/units"
 )
 
@@ -16,10 +15,6 @@ type NetOptions struct {
 	// RPCTimeout bounds each RPC attempt; a partitioned node costs about
 	// one timeout per round. Default 150 ms.
 	RPCTimeout time.Duration
-	// Codec selects the hot-message payload encoding on every link: ""
-	// or "json" for the inspectable default, wire.CodecName for the
-	// negotiated binary codec with delta-encoded counter reports.
-	Codec string
 	// Relays is RunRelayNet's relay count (ignored by RunNet). Default
 	// 2, clamped to the node count; nodes split into contiguous groups.
 	Relays int
@@ -28,7 +23,8 @@ type NetOptions struct {
 // RunNet runs the scenario through the real networked stack: one TCP
 // agent per node on loopback, connected through a seeded faultnet that
 // applies the spec's partitions and message-fault policies at round
-// boundaries, driven by the production netcluster.Coordinator. The
+// boundaries, driven by the production netcluster.Coordinator over the
+// connection and codec every binary dials (wire.Conn, bin1 hot frames). The
 // returned trace has the same canonical shape as RunCluster's; every
 // round's ledger runs under the invariant checks.
 //
@@ -36,7 +32,7 @@ type NetOptions struct {
 // a budget source; nothing in the transport integrates battery energy),
 // so specs with a UPS must be stripped with WithoutUPS first.
 func RunNet(spec Spec, opt NetOptions) (*RunResult, error) {
-	return runNet(spec, opt, 0)
+	return runNet(spec, opt, 0, "")
 }
 
 // RunRelayNet runs the scenario through the hierarchical networked
@@ -58,13 +54,15 @@ func RunRelayNet(spec Spec, opt NetOptions) (*RunResult, error) {
 	if nRelays == 0 {
 		nRelays = 2
 	}
-	return runNet(spec, opt, min(nRelays, len(spec.Nodes)))
+	return runNet(spec, opt, min(nRelays, len(spec.Nodes)), "")
 }
 
 // runNet drives the scenario through a loopback netcluster.Fleet: flat
 // when nRelays is 0, a 2-level tree otherwise. A flat coordinator is the
-// one-leaf case of the tree's trace reassembly.
-func runNet(spec Spec, opt NetOptions, nRelays int) (*RunResult, error) {
+// one-leaf case of the tree's trace reassembly. codec is every tier's
+// netcluster.Config.Codec: "" (bin1 hot frames) for everything that ships,
+// "json" for RunCodecDifferential's oracle arm.
+func runNet(spec Spec, opt NetOptions, nRelays int, codec string) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -129,7 +127,7 @@ func runNet(spec Spec, opt NetOptions, nRelays int) (*RunResult, error) {
 			BackoffBase: time.Millisecond,
 			BackoffMax:  2 * time.Millisecond,
 			Seed:        spec.Seed,
-			Codec:       opt.Codec,
+			Codec:       codec,
 		}
 		if group < 0 {
 			c.Source = source
@@ -145,9 +143,6 @@ func runNet(spec Spec, opt NetOptions, nRelays int) (*RunResult, error) {
 			c.Seed += int64(1000 * (group + 1))
 		}
 		fabrics[group] = faultnet.New(c.Seed)
-		if opt.Codec == wire.CodecName {
-			fabrics[group].SetTransport(wire.Dial)
-		}
 		c.Dialer = fabrics[group]
 		return c
 	})

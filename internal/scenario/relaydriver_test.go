@@ -1,10 +1,6 @@
 package scenario
 
-import (
-	"testing"
-
-	"repro/internal/netcluster/wire"
-)
+import "testing"
 
 // TestCodecDifferentialFaultFree: JSON and binary payloads over the same
 // fault-free scenarios must render byte-identical traces — the binary
@@ -31,8 +27,8 @@ func TestCodecDifferentialFaultFree(t *testing.T) {
 
 // TestCodecDifferentialFaulty: under faults the codecs still see the same
 // fault draws (faultnet decides drops before encoding, keyed only on send
-// order), so even in-window the traces must never diverge outside the
-// declared windows.
+// order), so the comparison masks no fault window: every round of a
+// faulted scenario must match byte for byte, inside the windows too.
 func TestCodecDifferentialFaulty(t *testing.T) {
 	tested := 0
 	for seed := int64(1); seed <= 30 && tested < 4; seed++ {
@@ -46,7 +42,14 @@ func TestCodecDifferentialFaulty(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !d.Equivalent {
-			t.Errorf("seed %d: out-of-window divergence: %+v", seed, d.Divergences[0])
+			t.Errorf("seed %d: divergence: %+v", seed, d.Divergences[0])
+		}
+		if d.FaultRounds != 0 || d.InWindowDiffs != 0 {
+			t.Errorf("seed %d: %d rounds masked, %d differed under the mask; the codec differential masks none",
+				seed, d.FaultRounds, d.InWindowDiffs)
+		}
+		if d.InProc.Text != d.Net.Text {
+			t.Errorf("seed %d: full texts differ", seed)
 		}
 	}
 	if tested < 4 {
@@ -54,9 +57,9 @@ func TestCodecDifferentialFaulty(t *testing.T) {
 	}
 }
 
-// TestTierDifferential: the flat JSON coordinator and the 2-level binary
-// relay tree must render byte-identical traces on fault-free seeds —
-// the hierarchical division is exact and the relay ledger reassembles in
+// TestTierDifferential: the flat coordinator and the 2-level relay tree
+// must render byte-identical traces on fault-free seeds — the
+// hierarchical division is exact and the relay ledger reassembles in
 // global node order.
 func TestTierDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
@@ -105,18 +108,16 @@ func TestRelayNetFaultyBudgetSafety(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		spec := Generate(seed).WithoutUPS().WithoutServing()
-		for _, codec := range []string{"", wire.CodecName} {
-			res, err := RunRelayNet(spec, NetOptions{Codec: codec})
-			if err != nil {
-				t.Fatalf("seed %d codec %q: %v", seed, codec, err)
-			}
-			if len(res.Violations) != 0 {
-				t.Fatalf("seed %d codec %q: violations: %+v", seed, codec, res.Violations[0])
-			}
-			for _, rt := range res.Trace {
-				if rt.ChargedW > rt.BudgetW {
-					t.Fatalf("seed %d codec %q round %d: charged %v over budget %v", seed, codec, rt.Round, rt.ChargedW, rt.BudgetW)
-				}
+		res, err := RunRelayNet(spec, NetOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(res.Violations) != 0 {
+			t.Fatalf("seed %d: violations: %+v", seed, res.Violations[0])
+		}
+		for _, rt := range res.Trace {
+			if rt.ChargedW > rt.BudgetW {
+				t.Fatalf("seed %d round %d: charged %v over budget %v", seed, rt.Round, rt.ChargedW, rt.BudgetW)
 			}
 		}
 	}
