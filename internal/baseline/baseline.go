@@ -244,20 +244,22 @@ func (FVSST) Assign(in Input) ([]units.Frequency, error) {
 	if in.Epsilon <= 0 || in.Epsilon >= 1 {
 		return nil, fmt.Errorf("baseline: fvsst policy needs epsilon in (0,1), got %v", in.Epsilon)
 	}
-	set := in.Table.Frequencies()
-	desired := make([]units.Frequency, len(in.Decs))
+	p := fvsst.NewPass(fvsst.Config{Table: in.Table, Epsilon: in.Epsilon})
+	p.Begin(len(in.Decs))
 	for i, d := range in.Decs {
 		switch {
 		case in.Idle[i]:
-			desired[i] = set.Min()
+			p.Idle(i)
 		case d == nil:
-			desired[i] = set.Max()
+			p.Unobserved(i)
 		default:
-			desired[i] = fvsst.EpsilonFrequency(*d, set, in.Epsilon)
+			if err := p.Observe(i, *d); err != nil {
+				return nil, err
+			}
 		}
 	}
-	out, _, err := fvsst.FitToBudget(in.Decs, desired, in.Table, in.Budget)
-	return out, err
+	p.Fit(in.Budget)
+	return in.Table.FrequenciesAtIndices(p.Actual()), nil
 }
 
 // AggregatePerf estimates the total predicted performance (instructions

@@ -49,19 +49,3 @@ func TestMeanNormPerf(t *testing.T) {
 		t.Errorf("empty = %v", got)
 	}
 }
-
-func TestRunnerRunUntilAllDoneDeadline(t *testing.T) {
-	m := quietMachine(t)
-	loadDiverse(t, m) // 1e12-instruction jobs: never finish by 0.1 s
-	r, err := NewRunner(m, Uniform{}, units.Watts(294))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, err := r.RunUntilAllDone(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done {
-		t.Error("impossibly long jobs reported done")
-	}
-}

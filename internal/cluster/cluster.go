@@ -425,7 +425,7 @@ func (c *Coordinator) schedule(trigger string) error {
 		ev := PassEvent(now, trigger, c.budget, inputs, res)
 		ev.PassID = c.passID
 		c.sink.Emit(ev)
-		EmitStepSpans(c.sink, now, c.passID, res.Timings)
+		fvsst.EmitStepSpans(c.sink, now, c.passID, res.Timings)
 		c.sink.Emit(obs.SpanEvent(now, c.passID, "", obs.SpanActuate, obs.SpanPass, actDur.Seconds()))
 		c.sink.Emit(obs.SpanEvent(now, c.passID, "", obs.SpanPass, "", time.Since(passStart).Seconds()))
 	}

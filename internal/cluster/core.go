@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/farm"
 	"repro/internal/fvsst"
@@ -31,22 +30,12 @@ type PassResult struct {
 	BudgetMet   bool
 	// Timings carries the wall-clock phase breakdown when the owning core
 	// has SetPhaseTiming(true); the zero value means timing was off.
-	Timings PassTimings
+	Timings fvsst.PassTimings
 	// predIPC/predValid keep each processor's predicted IPC at its actual
 	// setting for trace enrichment (predValid is false for idle or
 	// unobserved processors).
 	predIPC   []float64
 	predValid []bool
-}
-
-// PassTimings is the wall-clock duration of each Figure-3 phase of one
-// pass, in seconds. GridFill (decompose + per-frequency sweeps) is broken
-// out of StepOne so the two child spans are disjoint.
-type PassTimings struct {
-	GridFill  float64
-	StepOne   float64
-	StepTwo   float64
-	StepThree float64
 }
 
 // Core is the transport-independent heart of the cluster scheduler: the
@@ -55,30 +44,20 @@ type PassTimings struct {
 // networked netcluster coordinator are two transports over this one core
 // — they differ only in how observations arrive and actuations depart.
 //
-// A Core owns a reusable prediction grid: each pass evaluates every
-// observed processor's frequency sweep exactly once and Steps 1–2 and the
-// trace enrichment read from it. Not safe for concurrent Schedule calls.
+// The steps run in the core's fvsst.Pass, which owns the prediction grid
+// and the rest of the per-pass scratch; the core's own part is translating
+// ProcInputs into the pass's marks and the pass's answer into node-labelled
+// assignments. Not safe for concurrent Schedule calls.
 type Core struct {
 	cfg  fvsst.Config
 	pred perfmodel.Predictor
-	set  units.FrequencySet
-
-	// Per-pass scratch (see docs/engine.md for the ownership rules).
-	grid       perfmodel.PredGrid
-	desiredIdx []int
-	actualIdx  []int
-	demo       []fvsst.Demotion
-
-	// timing gates the wall-clock phase breakdown (SetPhaseTiming);
-	// timings is the per-pass scratch it fills.
-	timing  bool
-	timings PassTimings
+	pass *fvsst.Pass
 }
 
 // SetPhaseTiming toggles the per-phase wall-clock breakdown on Schedule
 // results. Off by default: the coordinators enable it only when a trace
 // sink is attached, keeping the no-sink hot path free of clock reads.
-func (c *Core) SetPhaseTiming(on bool) { c.timing = on }
+func (c *Core) SetPhaseTiming(on bool) { c.pass.SetTiming(on) }
 
 // NewCore validates the configuration and builds the shared core. Of the
 // single-machine scheduler's options the core honours Epsilon,
@@ -108,7 +87,7 @@ func NewCore(cfg fvsst.Config) (*Core, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Core{cfg: cfg, pred: pred, set: cfg.Table.Frequencies()}, nil
+	return &Core{cfg: cfg, pred: pred, pass: fvsst.NewPass(cfg)}, nil
 }
 
 // Config returns the core's scheduler configuration.
@@ -117,64 +96,31 @@ func (c *Core) Config() fvsst.Config { return c.cfg }
 // Grid returns the prediction grid the core's last pass filled, for
 // read-only use until the next pass overwrites it: a counterfactual that
 // re-decides a pass reads its losses here instead of refilling a grid.
-func (c *Core) Grid() *perfmodel.PredGrid { return &c.grid }
+func (c *Core) Grid() *perfmodel.PredGrid { return c.pass.Grid() }
 
-// stepOne runs Step 1 onto the core's scratch: reset the prediction grid,
-// fill every observed processor's frequency sweep, and pick each
-// processor's desired index (minimum for idle, maximum for unobserved,
-// the ε-constrained setting otherwise). Shared by Schedule, DemandCurve
-// and UniformLoss.
-func (c *Core) stepOne(inputs []ProcInput) error {
-	var start time.Time
-	var fill time.Duration
-	if c.timing {
-		c.timings = PassTimings{}
-		start = time.Now()
-	}
-	n := len(inputs)
-	c.grid.Reset(n, c.set)
-	if cap(c.desiredIdx) < n {
-		c.desiredIdx = make([]int, n)
-		c.actualIdx = make([]int, n)
-	}
-	c.desiredIdx = c.desiredIdx[:n]
-	c.actualIdx = c.actualIdx[:n]
-	nf := c.grid.NumFreqs()
-
+// begin starts a pass over the inputs and marks each processor: idle when
+// the idle signal is enabled and raised, unobserved when no counter data
+// reached the coordinator, observed otherwise. Shared by Schedule,
+// DemandCurveDesired and UniformLoss.
+func (c *Core) begin(inputs []ProcInput) error {
+	p := c.pass
+	p.Begin(len(inputs))
 	for i, in := range inputs {
-		if c.cfg.UseIdleSignal && in.Idle {
-			c.desiredIdx[i] = 0 // set minimum
-			continue
-		}
-		if in.Obs == nil {
-			c.desiredIdx[i] = nf - 1 // set maximum
-			continue
-		}
-		var t0 time.Time
-		if c.timing {
-			t0 = time.Now()
-		}
-		dec, err := c.pred.Decompose(*in.Obs)
-		if err != nil {
-			return fmt.Errorf("cluster: %s cpu %d: %w", in.Node, in.Proc.CPU, err)
-		}
-		c.grid.Fill(i, dec)
-		if c.timing {
-			fill += time.Since(t0)
-		}
-		if c.cfg.UseIdealFrequency {
-			f, err := fvsst.IdealEpsilonFrequency(dec, c.set, c.cfg.Epsilon)
+		switch {
+		case c.cfg.UseIdleSignal && in.Idle:
+			p.Idle(i)
+		case in.Obs == nil:
+			p.Unobserved(i)
+		default:
+			p.StartFill()
+			dec, err := c.pred.Decompose(*in.Obs)
 			if err != nil {
+				return fmt.Errorf("cluster: %s cpu %d: %w", in.Node, in.Proc.CPU, err)
+			}
+			if err := p.Observe(i, dec); err != nil {
 				return err
 			}
-			c.desiredIdx[i] = c.cfg.Table.IndexOf(f)
-		} else {
-			c.desiredIdx[i] = fvsst.EpsilonIndexGrid(&c.grid, i, c.cfg.Epsilon)
 		}
-	}
-	if c.timing {
-		c.timings.GridFill = fill.Seconds()
-		c.timings.StepOne = (time.Since(start) - fill).Seconds()
 	}
 	return nil
 }
@@ -206,38 +152,40 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 	if len(inputs) == 0 {
 		return farm.DemandCurve{}, nil, fmt.Errorf("cluster: demand curve needs at least one processor")
 	}
-	if err := c.stepOne(inputs); err != nil {
+	if err := c.begin(inputs); err != nil {
 		return farm.DemandCurve{}, nil, err
 	}
-	desired := append([]int(nil), c.desiredIdx...)
-	copy(c.actualIdx, c.desiredIdx)
+	p, table := c.pass, c.cfg.Table
+	grid := p.Grid()
+	desired := append([]int(nil), p.Desired()...)
 	// No finite power sum fits −Inf, so the walk stops only at the floor.
-	demotions, _ := fvsst.FitToBudgetGrid(&c.grid, c.actualIdx, c.cfg.Table, units.Power(math.Inf(-1)), c.demo[:0])
-	c.demo = demotions[:0] // keep any grown backing array
-	copy(c.actualIdx, c.desiredIdx)
+	p.Fit(units.Power(math.Inf(-1)))
+	demotions := p.Demotions()
+	// Replay the walk from the desire, on the pass's own index scratch.
+	idx := p.Actual()
+	copy(idx, desired)
 
-	table := c.cfg.Table
-	sum := table.SumAtIndices(c.actualIdx)
+	sum := table.SumAtIndices(idx)
 	var sumLoss float64
-	for i, idx := range c.actualIdx {
-		if c.grid.Valid(i) {
-			sumLoss += c.grid.Loss(i, idx)
+	for i, k := range idx {
+		if grid.Valid(i) {
+			sumLoss += grid.Loss(i, k)
 		}
 	}
 	curve := farm.DemandCurve{Points: make([]farm.DemandPoint, 1, len(demotions)+1)}
 	curve.Points[0] = farm.DemandPoint{Power: sum, Loss: sumLoss}
 	for _, d := range demotions {
-		idx := c.actualIdx[d.CPU]
-		if c.grid.Valid(d.CPU) {
-			sumLoss += c.grid.Loss(d.CPU, idx-1) - c.grid.Loss(d.CPU, idx)
+		k := idx[d.CPU]
+		if grid.Valid(d.CPU) {
+			sumLoss += grid.Loss(d.CPU, k-1) - grid.Loss(d.CPU, k)
 		}
-		c.actualIdx[d.CPU] = idx - 1
-		sum = table.DemotedSum(sum, c.actualIdx, idx)
+		idx[d.CPU] = k - 1
+		sum = table.DemotedSum(sum, idx, k)
 		prev := curve.Points[len(curve.Points)-1]
 		p := farm.DemandPoint{
 			Power: sum,
 			Loss:  sumLoss,
-			Step:  farm.StepKey{Loss: d.PredictedLoss, Idx: idx, Proc: d.CPU},
+			Step:  farm.StepKey{Loss: d.PredictedLoss, Idx: k, Proc: d.CPU},
 		}
 		if p.Loss < prev.Loss {
 			p.Loss = prev.Loss // absorb float jitter; model loss is monotone in frequency
@@ -257,13 +205,14 @@ func (c *Core) UniformLoss(inputs []ProcInput, fi int) (float64, error) {
 	if fi < 0 || fi >= c.cfg.Table.Len() {
 		return 0, fmt.Errorf("cluster: uniform index %d outside table of %d points", fi, c.cfg.Table.Len())
 	}
-	if err := c.stepOne(inputs); err != nil {
+	if err := c.begin(inputs); err != nil {
 		return 0, err
 	}
+	grid := c.pass.Grid()
 	var sum float64
 	for i := range inputs {
-		if c.grid.Valid(i) {
-			sum += c.grid.Loss(i, fi)
+		if grid.Valid(i) {
+			sum += grid.Loss(i, fi)
 		}
 	}
 	return sum, nil
@@ -278,57 +227,42 @@ func (c *Core) UniformLoss(inputs []ProcInput, fi int) (float64, error) {
 // retain them in decision logs); the intermediate per-frequency work runs
 // on the core's reusable scratch.
 func (c *Core) Schedule(inputs []ProcInput, budget units.Power) (PassResult, error) {
-	if err := c.stepOne(inputs); err != nil {
+	if err := c.begin(inputs); err != nil {
 		return PassResult{}, err
 	}
-	n := len(inputs)
-	copy(c.actualIdx, c.desiredIdx)
-	var t2 time.Time
-	if c.timing {
-		t2 = time.Now()
-	}
-	demotions, met := fvsst.FitToBudgetGrid(&c.grid, c.actualIdx, c.cfg.Table, budget, c.demo[:0])
-	c.demo = demotions[:0] // keep any grown backing array
-	var t3 time.Time
-	if c.timing {
-		t3 = time.Now()
-		c.timings.StepTwo = t3.Sub(t2).Seconds()
-	}
+	p, table := c.pass, c.cfg.Table
+	met := p.Fit(budget)
 
-	var tablePower units.Power
+	n := len(inputs)
+	desired, actual := p.Desired(), p.Actual()
 	assignments := make([]Assignment, n)
 	predIPC := make([]float64, n)
 	predValid := make([]bool, n)
 	for i, in := range inputs {
-		ai := c.actualIdx[i]
-		tablePower += c.cfg.Table.PowerAtIndex(ai)
+		v, err := p.Voltage(i)
+		if err != nil {
+			return PassResult{}, fmt.Errorf("cluster: voltage for %s cpu %d: %w", in.Node, in.Proc.CPU, err)
+		}
 		a := Assignment{
 			Proc:    in.Proc,
-			Desired: c.cfg.Table.FrequencyAtIndex(c.desiredIdx[i]),
-			Actual:  c.cfg.Table.FrequencyAtIndex(ai),
-			Voltage: c.cfg.Table.VoltageAtIndex(ai),
+			Desired: table.FrequencyAtIndex(desired[i]),
+			Actual:  table.FrequencyAtIndex(actual[i]),
+			Voltage: v,
 			Idle:    in.Idle,
 		}
-		if c.grid.Valid(i) {
-			a.PredictedLoss = c.grid.Loss(i, ai)
-			predIPC[i] = c.grid.IPC(i, ai)
-			predValid[i] = true
-		}
+		a.PredictedLoss, predIPC[i], predValid[i] = p.Predicted(i)
 		assignments[i] = a
 	}
 	res := PassResult{
 		Assignments: assignments,
-		TablePower:  tablePower,
+		TablePower:  p.TablePower(),
 		BudgetMet:   met,
-		predIPC:     predIPC,
-		predValid:   predValid,
-	}
-	if c.timing {
 		// The assignment/voltage loop above is the Step-3 share of the pass.
-		c.timings.StepThree = time.Since(t3).Seconds()
-		res.Timings = c.timings
+		Timings:   p.Finish(),
+		predIPC:   predIPC,
+		predValid: predValid,
 	}
-	if len(demotions) > 0 {
+	if demotions := p.Demotions(); len(demotions) > 0 {
 		res.Demotions = append([]fvsst.Demotion(nil), demotions...)
 	}
 	return res, nil
@@ -387,14 +321,4 @@ func PassEvent(at float64, trigger string, budget units.Power, inputs []ProcInpu
 		})
 	}
 	return ev
-}
-
-// EmitStepSpans emits the Figure-3 phase children of one pass's span tree
-// (grid-fill, step1, step2, step3) from a timed PassResult. Callers emit
-// these only when a sink is attached and SetPhaseTiming was enabled.
-func EmitStepSpans(sink obs.Sink, at float64, passID uint64, t PassTimings) {
-	sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanGridFill, obs.SpanPass, t.GridFill))
-	sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanStepOne, obs.SpanPass, t.StepOne))
-	sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanStepTwo, obs.SpanPass, t.StepTwo))
-	sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanStepThree, obs.SpanPass, t.StepThree))
 }

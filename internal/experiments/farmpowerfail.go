@@ -361,15 +361,8 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 				in := cluster.ProcInput{Proc: cluster.ProcRef{Node: ni, CPU: cpu}, Node: n.m.Config().Name}
 				if n.m.IsIdle(cpu) {
 					in.Idle = true
-				} else {
-					var agg counters.Delta
-					hist := n.sampler.History(cpu)
-					for k := 0; k < hist.Len() && k < cfg.SchedulePeriods; k++ {
-						agg = agg.Add(hist.Last(k))
-					}
-					if o, ok := perfmodel.ObservationFrom(agg); ok {
-						in.Obs = &o
-					}
+				} else if o, ok := perfmodel.ObservationFrom(n.sampler.WindowAggregate(cpu, cfg.SchedulePeriods)); ok {
+					in.Obs = &o
 				}
 				out = append(out, in)
 			}

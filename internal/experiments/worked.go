@@ -34,7 +34,6 @@ type WorkedExampleReport struct {
 // that produce the paper's ε-constrained vectors.
 func WorkedExample() (*WorkedExampleReport, error) {
 	tab := power.Section5Table()
-	set := tab.Frequencies()
 	const eps = 0.05
 	budget := units.Watts(294)
 
@@ -48,24 +47,20 @@ func WorkedExample() (*WorkedExampleReport, error) {
 	}
 	rep := &WorkedExampleReport{BudgetW: budget.W()}
 
+	p := fvsst.NewPass(fvsst.Config{Table: tab, Epsilon: eps})
 	compute := func() ([]units.Frequency, []units.Frequency, float64, []float64, error) {
-		desired := make([]units.Frequency, len(decs))
+		p.Begin(len(decs))
 		for i, d := range decs {
-			desired[i] = fvsst.EpsilonFrequency(*d, set, eps)
+			if err := p.Observe(i, *d); err != nil {
+				return nil, nil, 0, nil, err
+			}
 		}
-		actual, _, err := fvsst.FitToBudget(decs, desired, tab, budget)
-		if err != nil {
-			return nil, nil, 0, nil, err
-		}
-		total, err := fvsst.TotalTablePower(actual, tab)
-		if err != nil {
-			return nil, nil, 0, nil, err
-		}
+		p.Fit(budget)
 		losses := make([]float64, len(decs))
-		for i, d := range decs {
-			losses[i] = d.PerfLoss(set.Max(), actual[i])
+		for i := range decs {
+			losses[i], _, _ = p.Predicted(i)
 		}
-		return desired, actual, total.W(), losses, nil
+		return tab.FrequenciesAtIndices(p.Desired()), tab.FrequenciesAtIndices(p.Actual()), p.TablePower().W(), losses, nil
 	}
 
 	var err error

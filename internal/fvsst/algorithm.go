@@ -78,29 +78,28 @@ type Demotion struct {
 // decs may contain a nil entry for an idle processor; idle processors are
 // treated as having zero loss at any frequency, so they are lowered first.
 //
-// It is an adapter over FitToBudgetGrid, not a second walk: the
-// decompositions are swept into a prediction grid and indices mapped back.
+// It is an adapter over Pass, not a second body: each processor is marked,
+// its desire overwritten with the given setting, and the pass fitted.
 func FitToBudget(decs []*perfmodel.Decomposition, assigned []units.Frequency, table *power.Table, budget units.Power) ([]units.Frequency, bool, error) {
 	if len(decs) != len(assigned) {
 		return nil, false, fmt.Errorf("fvsst: %d decompositions for %d assignments", len(decs), len(assigned))
 	}
-	var grid perfmodel.PredGrid
-	grid.Reset(len(decs), table.Frequencies())
-	idx := make([]int, len(assigned))
+	p := NewPass(Config{Table: table})
+	p.Begin(len(decs))
 	for i, f := range assigned {
-		if idx[i] = table.IndexOf(f); idx[i] < 0 {
+		idx := table.IndexOf(f)
+		if idx < 0 {
 			return nil, false, fmt.Errorf("fvsst: cpu %d: frequency %v not in table", i, f)
 		}
 		if decs[i] != nil {
-			grid.Fill(i, *decs[i])
+			if err := p.Observe(i, *decs[i]); err != nil {
+				return nil, false, err
+			}
 		}
+		p.Desired()[i] = idx
 	}
-	_, met := FitToBudgetGrid(&grid, idx, table, budget, nil)
-	out := make([]units.Frequency, len(idx))
-	for i, k := range idx {
-		out[i] = table.FrequencyAtIndex(k)
-	}
-	return out, met, nil
+	met := p.Fit(budget)
+	return table.FrequenciesAtIndices(p.Actual()), met, nil
 }
 
 // EpsilonIndexGrid is Step 1 over a pre-evaluated prediction grid: the
@@ -144,9 +143,10 @@ func EpsilonIndexGrid(g *perfmodel.PredGrid, cpu int, epsilon float64) int {
 // (Model.Tabulate, WithVoltageVariation), so the stop point is the same
 // on any input.
 //
-// This loop is the only production body of the Step-2 selection rule
-// (Scheduler, cluster.Core's pass and demand curve, FitToBudget and the
-// scenario policy rewrite all run it). invariant.StepTwoReplay and
+// This loop is the only production body of the Step-2 selection rule: Pass
+// runs it for every owner (Scheduler, cluster.Core's pass and demand
+// curve, FitToBudget, the baseline policy), the scenario policy rewrite
+// for its debounced counterfactual. invariant.StepTwoReplay and
 // optimal.Greedy state the rule independently, as scans, to check it;
 // invariant.FuzzStepTwoAgreement holds the three to the same walk.
 func FitToBudgetGrid(g *perfmodel.PredGrid, actualIdx []int, table *power.Table, budget units.Power, demotions []Demotion) ([]Demotion, bool) {

@@ -60,6 +60,16 @@ func TestProcessVariationVoltages(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := s.LastDecision()
+	// Step 3 reads each processor's own table, not the shared one.
+	for cpu, a := range d.Assignments {
+		want, err := tables[cpu].MinVoltage(a.Actual)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Voltage != want {
+			t.Errorf("cpu %d at %v: voltage %v, want its own table's %v", cpu, a.Actual, a.Voltage, want)
+		}
+	}
 	// CPUs 1 and 3 share scale 1.0 and (being hot-idle twins) frequency —
 	// equal voltages; CPU 1's 1.0-scale voltage is below a 1.10-scale
 	// voltage at the same frequency.

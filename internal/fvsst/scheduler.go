@@ -235,20 +235,12 @@ type Scheduler struct {
 	// stamps each pass's event and spans (obs.Event.PassID).
 	passID uint64
 
-	// Per-pass scratch, valid for the duration of one Schedule call and
-	// reused across passes so the steady-state hot path performs no
-	// allocation (see docs/engine.md for the ownership rules). Frequencies
-	// are handled as table indices: desiredIdx is Step 1's ε-constrained
-	// setting, actualIdx the post-Step-2 setting.
-	grid          perfmodel.PredGrid
-	desiredIdx    []int
-	actualIdx     []int
-	observed      []float64
-	obsOK         []bool
-	idle          []bool
-	volts         []units.Voltage
+	// pass runs Figure 3 and owns the grid, index and demotion scratch
+	// (see docs/engine.md for the ownership rules); scratchAssign is the
+	// scheduler's own reusable read-back, so the steady-state hot path
+	// performs no allocation.
+	pass          *Pass
 	scratchAssign []Assignment
-	scratchDemo   []Demotion
 	// logDecisions gates the decision log. On (the default) every pass
 	// copies its assignments and demotions into a fresh Decision and
 	// appends it; off, Schedule's Decision aliases the scratch buffers —
@@ -300,16 +292,10 @@ func New(cfg Config, target Target, budget units.Power) (*Scheduler, error) {
 		desireStreak:  make([]int, n),
 		lastPredIPC:   make([]float64, n),
 		lastPredValid: make([]bool, n),
-		desiredIdx:    make([]int, n),
-		actualIdx:     make([]int, n),
-		observed:      make([]float64, n),
-		obsOK:         make([]bool, n),
-		idle:          make([]bool, n),
-		volts:         make([]units.Voltage, n),
+		pass:          NewPass(cfg),
 		scratchAssign: make([]Assignment, n),
 		logDecisions:  true,
 	}
-	s.grid.Reset(n, s.set)
 	return s, nil
 }
 
@@ -317,7 +303,10 @@ func New(cfg Config, target Target, budget units.Power) (*Scheduler, error) {
 // trace event per scheduling pass (see internal/obs). A nil sink — the
 // default — disables tracing; the only hot-path cost left is a pointer
 // test, proven by the sink benchmarks in bench_test.go.
-func (s *Scheduler) SetSink(sink obs.Sink) { s.sink = sink }
+func (s *Scheduler) SetSink(sink obs.Sink) {
+	s.sink = sink
+	s.pass.SetTiming(sink != nil)
+}
 
 // SetDecisionLogging toggles the in-memory decision log (default on).
 // With logging off the Decision returned by Schedule aliases the
@@ -423,102 +412,60 @@ func (s *Scheduler) isIdle(cpu int) bool {
 	return false
 }
 
-// resetScratch prepares the per-pass buffers for a pass over n processors,
-// reusing their backing arrays.
-func (s *Scheduler) resetScratch(n int) {
-	s.grid.Reset(n, s.set)
-	if cap(s.desiredIdx) < n {
-		s.desiredIdx = make([]int, n)
-		s.actualIdx = make([]int, n)
-		s.observed = make([]float64, n)
-		s.obsOK = make([]bool, n)
-		s.idle = make([]bool, n)
-		s.volts = make([]units.Voltage, n)
-		s.scratchAssign = make([]Assignment, n)
-	}
-	s.desiredIdx = s.desiredIdx[:n]
-	s.actualIdx = s.actualIdx[:n]
-	s.observed = s.observed[:n]
-	s.obsOK = s.obsOK[:n]
-	s.idle = s.idle[:n]
-	s.volts = s.volts[:n]
-	s.scratchAssign = s.scratchAssign[:n]
-	for i := 0; i < n; i++ {
-		s.observed[i] = 0
-		s.obsOK[i] = false
-		s.idle[i] = false
-	}
-}
-
 // Schedule runs one full pass of the Figure 3 algorithm and actuates the
 // result. trigger labels the cause in the decision log ("timer",
 // "budget-change", "idle-transition").
 //
-// The pass works in operating-point index space over a per-scheduler
-// prediction grid: each busy CPU's frequency sweep is evaluated exactly
-// once (perfmodel.PredGrid) and Step 1, Step 2 and the decision
-// attribution all read from it. The decisions are identical to the direct
-// per-frequency computation — the grid stores the same bit patterns.
+// The steps themselves run in the scheduler's Pass, in operating-point
+// index space over its prediction grid. What is the scheduler's own is
+// around them: which processors count as idle, how a counter window becomes
+// a decomposition, the debounce between Step 1 and the fit, actuation,
+// scoring the previous prediction, and the decision log.
 func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 	s.passID++
 	// trace gates every clock read and span emission: with no sink the
 	// pass performs no timing work (TestScheduleZeroAlloc pins this path).
 	trace := s.sink != nil
 	var passStart time.Time
-	var fillDur time.Duration
 	if trace {
 		passStart = time.Now()
 	}
-	n := s.target.NumCPUs()
-	s.resetScratch(n)
-	nf := s.grid.NumFreqs()
+	p := s.pass
+	assign := s.scratchAssign[:s.target.NumCPUs()]
+	p.Begin(len(assign))
 
 	// Step 1: ε-constrained frequency per processor.
-	for cpu := 0; cpu < n; cpu++ {
+	for cpu := range assign {
+		assign[cpu] = Assignment{CPU: cpu}
 		if s.isIdle(cpu) {
-			s.idle[cpu] = true
-			s.desiredIdx[cpu] = 0 // set minimum
+			assign[cpu].Idle = true
+			p.Idle(cpu)
 			continue
 		}
 		obsv, ok := s.observationFor(cpu)
 		if !ok {
-			// No usable window (just started, or fully throttled):
-			// schedule conservatively at maximum.
-			s.desiredIdx[cpu] = nf - 1
+			p.Unobserved(cpu)
 			continue
 		}
-		var fillStart time.Time
-		if trace {
-			fillStart = time.Now()
-		}
+		p.StartFill()
 		dec, err := s.decompose(cpu, obsv)
 		if err != nil {
 			return Decision{}, fmt.Errorf("fvsst: cpu %d: %w", cpu, err)
 		}
-		s.grid.Fill(cpu, dec)
-		if trace {
-			fillDur += time.Since(fillStart)
+		if err := p.Observe(cpu, dec); err != nil {
+			return Decision{}, err
 		}
-		s.observed[cpu] = obsv.Delta.IPC()
-		s.obsOK[cpu] = true
-		if s.cfg.UseIdealFrequency {
-			f, err := IdealEpsilonFrequency(dec, s.set, s.cfg.Epsilon)
-			if err != nil {
-				return Decision{}, err
-			}
-			s.desiredIdx[cpu] = s.cfg.Table.IndexOf(f)
-		} else {
-			s.desiredIdx[cpu] = EpsilonIndexGrid(&s.grid, cpu, s.cfg.Epsilon)
-		}
+		assign[cpu].ObservedIPC = obsv.Delta.IPC()
 	}
 
 	// Debounce: a new ε-constrained frequency must persist for k passes
 	// before the scheduler acts on it; until then the processor holds its
 	// current setting. Step 2's forced downward moves are applied after
 	// this filter and are never debounced.
+	desired := p.Desired()
 	if k := s.cfg.DebouncePasses; k >= 2 {
-		for cpu := 0; cpu < n; cpu++ {
-			df := s.set[s.desiredIdx[cpu]]
+		for cpu := range assign {
+			df := s.set[desired[cpu]]
 			if df == s.lastDesired[cpu] {
 				s.desireStreak[cpu]++
 			} else {
@@ -527,93 +474,63 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 			}
 			cur := s.set.ClampTo(s.target.EffectiveFrequency(cpu))
 			if df != cur && s.desireStreak[cpu] < k {
-				s.desiredIdx[cpu] = s.cfg.Table.IndexOf(cur)
+				desired[cpu] = s.cfg.Table.IndexOf(cur)
 			}
 		}
 	}
 
-	// Step 2: fit the aggregate power to the budget, recording every
+	// Step 2: fit the aggregate power to the budget; the pass records every
 	// reduction for the decision's demotion attribution.
-	var step2Start time.Time
-	if trace {
-		step2Start = time.Now()
-	}
-	copy(s.actualIdx, s.desiredIdx)
-	demotions, met := FitToBudgetGrid(&s.grid, s.actualIdx, s.cfg.Table, s.budget, s.scratchDemo[:0])
-	s.scratchDemo = demotions[:0] // keep any grown backing array
-	var step3Start time.Time
-	if trace {
-		step3Start = time.Now()
-	}
+	met := p.Fit(s.budget)
 
-	// Step 3: voltages — per-CPU tables when the machine has process
-	// variation, otherwise index math on the shared table.
-	for cpu := 0; cpu < n; cpu++ {
-		if s.cfg.VoltageTables != nil {
-			v, err := s.cfg.VoltageTables[cpu].MinVoltage(s.cfg.Table.FrequencyAtIndex(s.actualIdx[cpu]))
-			if err != nil {
-				return Decision{}, fmt.Errorf("fvsst: voltage for cpu %d: %w", cpu, err)
-			}
-			s.volts[cpu] = v
-		} else {
-			s.volts[cpu] = s.cfg.Table.VoltageAtIndex(s.actualIdx[cpu])
+	// Step 3: voltages.
+	for cpu := range assign {
+		v, err := p.Voltage(cpu)
+		if err != nil {
+			return Decision{}, fmt.Errorf("fvsst: voltage for cpu %d: %w", cpu, err)
 		}
+		assign[cpu].Voltage = v
 	}
+	steps := p.Finish()
 
 	// Actuate and log.
 	var actStart time.Time
 	if trace {
 		actStart = time.Now()
 	}
-	var tablePower units.Power
-	for cpu := 0; cpu < n; cpu++ {
-		ai := s.actualIdx[cpu]
-		actualF := s.cfg.Table.FrequencyAtIndex(ai)
-		tablePower += s.cfg.Table.PowerAtIndex(ai)
-		if err := s.target.SetFrequency(cpu, actualF); err != nil {
+	for cpu, ai := range p.Actual() {
+		a := &assign[cpu]
+		a.Desired = s.cfg.Table.FrequencyAtIndex(desired[cpu])
+		a.Actual = s.cfg.Table.FrequencyAtIndex(ai)
+		if err := s.target.SetFrequency(cpu, a.Actual); err != nil {
 			return Decision{}, fmt.Errorf("fvsst: actuate cpu %d: %w", cpu, err)
-		}
-		a := Assignment{
-			CPU:     cpu,
-			Desired: s.cfg.Table.FrequencyAtIndex(s.desiredIdx[cpu]),
-			Actual:  actualF,
-			Voltage: s.volts[cpu],
-			Idle:    s.idle[cpu],
-		}
-		if s.grid.Valid(cpu) {
-			a.PredictedLoss = s.grid.Loss(cpu, ai)
-			a.PredictedIPC = s.grid.IPC(cpu, ai)
-			a.ObservedIPC = s.observed[cpu]
 		}
 		// Score the previous pass's prediction against the window that
 		// just elapsed, then bank this pass's prediction for the next.
-		if s.obsOK[cpu] && s.lastPredValid[cpu] && s.lastPredIPC[cpu] > 0 {
-			a.PredictionError = (s.observed[cpu] - s.lastPredIPC[cpu]) / s.lastPredIPC[cpu]
+		var predicted bool
+		a.PredictedLoss, a.PredictedIPC, predicted = p.Predicted(cpu)
+		if predicted && s.lastPredValid[cpu] && s.lastPredIPC[cpu] > 0 {
+			a.PredictionError = (a.ObservedIPC - s.lastPredIPC[cpu]) / s.lastPredIPC[cpu]
 			a.PredictionValid = true
 		}
-		if s.grid.Valid(cpu) {
-			s.lastPredIPC[cpu] = a.PredictedIPC
-			s.lastPredValid[cpu] = true
-		} else {
-			s.lastPredValid[cpu] = false
-		}
-		s.scratchAssign[cpu] = a
+		s.lastPredIPC[cpu], s.lastPredValid[cpu] = a.PredictedIPC, predicted
 	}
+	demotions := p.Demotions()
 	d := Decision{
 		At:         s.target.Now(),
 		Trigger:    trigger,
 		Budget:     s.budget,
-		TablePower: tablePower,
+		TablePower: p.TablePower(),
 		BudgetMet:  met,
 	}
 	if s.logDecisions {
-		d.Assignments = append([]Assignment(nil), s.scratchAssign...)
+		d.Assignments = append([]Assignment(nil), assign...)
 		if len(demotions) > 0 {
 			d.Demotions = append([]Demotion(nil), demotions...)
 		}
 		s.decisions = append(s.decisions, d)
 	} else {
-		d.Assignments = s.scratchAssign
+		d.Assignments = assign
 		if len(demotions) > 0 {
 			d.Demotions = demotions
 		}
@@ -626,13 +543,9 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 		// Span tree: debounce time rides inside step1's remainder; the
 		// grid fill (decompose + sweep) is broken out so children stay
 		// disjoint.
-		at := d.At
-		s.sink.Emit(obs.SpanEvent(at, s.passID, "", obs.SpanGridFill, obs.SpanPass, fillDur.Seconds()))
-		s.sink.Emit(obs.SpanEvent(at, s.passID, "", obs.SpanStepOne, obs.SpanPass, (step2Start.Sub(passStart) - fillDur).Seconds()))
-		s.sink.Emit(obs.SpanEvent(at, s.passID, "", obs.SpanStepTwo, obs.SpanPass, step3Start.Sub(step2Start).Seconds()))
-		s.sink.Emit(obs.SpanEvent(at, s.passID, "", obs.SpanStepThree, obs.SpanPass, actStart.Sub(step3Start).Seconds()))
-		s.sink.Emit(obs.SpanEvent(at, s.passID, "", obs.SpanActuate, obs.SpanPass, actDur.Seconds()))
-		s.sink.Emit(obs.SpanEvent(at, s.passID, "", obs.SpanPass, "", time.Since(passStart).Seconds()))
+		EmitStepSpans(s.sink, d.At, s.passID, steps)
+		s.sink.Emit(obs.SpanEvent(d.At, s.passID, "", obs.SpanActuate, obs.SpanPass, actDur.Seconds()))
+		s.sink.Emit(obs.SpanEvent(d.At, s.passID, "", obs.SpanPass, "", time.Since(passStart).Seconds()))
 	}
 	return d, nil
 }

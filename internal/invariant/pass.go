@@ -85,7 +85,7 @@ func NewPass(cfg fvsst.Config, at float64, budget units.Power, procs []Proc, dem
 		if pr.ActualIdx < 0 || pr.ActualIdx >= nf {
 			return nil, fmt.Errorf("invariant: proc %d actual index %d outside table [0,%d)", i, pr.ActualIdx, nf)
 		}
-		// Mirror cluster.Core.stepOne's fill rule: idle CPUs (when the idle
+		// Mirror cluster.Core's marking rule: idle CPUs (when the idle
 		// signal is honoured) and CPUs without counters get no prediction
 		// row; everyone else gets an independently decomposed row.
 		if cfg.UseIdleSignal && pr.Idle {

@@ -914,12 +914,12 @@ func (c *Coordinator) RunRound() error {
 // breakdown), per-peer RPC spans with the queue/wire/apply split, the
 // pass's share of the cumulative codec time when Config.WireStats is set,
 // and the pass root last.
-func (c *Coordinator) emitSpanTree(at float64, passID uint64, t *roundTimes, mid string, steps *cluster.PassTimings, pollRPC, actRPC string) {
+func (c *Coordinator) emitSpanTree(at float64, passID uint64, t *roundTimes, mid string, steps *fvsst.PassTimings, pollRPC, actRPC string) {
 	sink := c.cfg.Sink
 	sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanPoll, obs.SpanPass, t.poll.Seconds()))
 	sink.Emit(obs.SpanEvent(at, passID, "", mid, obs.SpanPass, t.mid.Seconds()))
 	if steps != nil {
-		cluster.EmitStepSpans(sink, at, passID, *steps)
+		fvsst.EmitStepSpans(sink, at, passID, *steps)
 	}
 	sink.Emit(obs.SpanEvent(at, passID, "", obs.SpanActuate, obs.SpanPass, t.act.Seconds()))
 	for i, ns := range c.nodes {

@@ -4,14 +4,14 @@ import (
 	"repro/internal/units"
 )
 
-// PredGrid is a reusable per-scheduler scratch holding, for every CPU and
+// PredGrid is a reusable per-pass scratch holding, for every CPU and
 // every frequency of the operating-point set, the predicted IPC and the
 // predicted performance loss versus the set maximum. The scheduling pass
 // fills each busy CPU's row exactly once (Fill) and Step-1's ε-search,
 // Step-2's greedy demotions and the decision attribution all read from it
 // — before the grid each of those recomputed IPC(f)/PerfLoss per use.
 //
-// Ownership rule (see docs/engine.md): the grid belongs to one scheduler
+// Ownership rule (see docs/engine.md): the grid belongs to one fvsst.Pass
 // and is valid for the duration of one scheduling pass; Reset begins a
 // pass and invalidates every row. The values are bit-identical to calling
 // Decomposition.IPCAt / PerfLoss directly — the grid changes where the

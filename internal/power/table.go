@@ -138,6 +138,16 @@ func (t *Table) PowerAtIndex(i int) units.Power { return t.points[i].P }
 // panics on an out-of-range index, like a slice.
 func (t *Table) VoltageAtIndex(i int) units.Voltage { return t.points[i].V }
 
+// FrequenciesAtIndices maps an assignment held in index space back to
+// frequencies, in a fresh slice.
+func (t *Table) FrequenciesAtIndices(indices []int) []units.Frequency {
+	out := make([]units.Frequency, len(indices))
+	for i, k := range indices {
+		out[i] = t.points[k].F
+	}
+	return out
+}
+
 // SumAtIndices adds the peak powers at the given indices left to right —
 // the aggregate table power of an assignment held in index space, in
 // processor order, which is the accumulation Step 2's stop test is defined

@@ -449,7 +449,7 @@ func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 				Type: obs.EventQuantum, At: now, PassID: passID,
 				BudgetW: budget.W(), CPUPowerW: totalPower,
 			})
-			cluster.EmitStepSpans(opt.Sink, now, passID, pass.Timings)
+			fvsst.EmitStepSpans(opt.Sink, now, passID, pass.Timings)
 			opt.Sink.Emit(obs.SpanEvent(now, passID, "", obs.SpanPass, "", time.Since(passStart).Seconds()))
 		}
 
