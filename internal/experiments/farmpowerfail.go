@@ -164,7 +164,6 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 	cfg := o.schedConfig()
 	cfg.UseIdleSignal = true
 	coords := make([]*cluster.Coordinator, len(specs))
-	holders := make([]*farm.Holder, len(specs))
 	members := make([]farm.Member, len(specs))
 	quantum := 0.0
 	for ci, spec := range specs {
@@ -177,15 +176,8 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 		if err != nil {
 			return FarmPolicyOutcome{}, err
 		}
-		floor := c.FloorPower()
-		h, err := farm.NewHolder(spec.name, floor, sink, metrics)
-		if err != nil {
-			return FarmPolicyOutcome{}, err
-		}
-		c.SetBudgetSource(h)
 		coords[ci] = c
-		holders[ci] = h
-		members[ci] = farm.Member{Name: spec.name, Floor: floor}
+		members[ci] = farm.Member{Name: spec.name, Floor: c.FloorPower()}
 	}
 
 	alloc, err := farm.NewAllocator(farm.AllocatorConfig{
@@ -201,41 +193,8 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 	if err != nil {
 		return FarmPolicyOutcome{}, err
 	}
-
-	partitioned := func(ci int, now float64) bool {
-		return specs[ci].name == "data" && now >= farmPartStart && now < farmPartEnd
-	}
-	gather := func(now float64) ([]farm.Demand, error) {
-		demands := make([]farm.Demand, len(coords))
-		for ci, c := range coords {
-			if partitioned(ci, now) {
-				continue
-			}
-			curve, err := c.DemandCurve()
-			if err != nil {
-				return nil, err
-			}
-			demands[ci] = farm.Demand{Curve: curve, Reachable: true}
-		}
-		return demands, nil
-	}
-	pass := func(now float64, trigger string) error {
-		demands, err := gather(now)
-		if err != nil {
-			return err
-		}
-		a, err := alloc.Allocate(now, trigger, demands)
-		if err != nil {
-			return err
-		}
-		for _, l := range a.Leases {
-			for ci := range specs {
-				if specs[ci].name == l.Member {
-					holders[ci].Grant(l)
-				}
-			}
-		}
-		return nil
+	for ci, c := range coords {
+		c.SetBudgetSource(alloc.Holder(ci))
 	}
 
 	out := FarmPolicyOutcome{
@@ -243,18 +202,19 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 		ClusterLoss:  map[string]float64{},
 		MinRunwaySec: math.Inf(1),
 	}
-	if err := pass(0, "initial"); err != nil {
-		return FarmPolicyOutcome{}, err
-	}
 	steps := int(farmDuration/quantum + 0.5)
 	for i := 0; i < steps; i++ {
 		now := float64(i) * quantum
-		if i > 0 {
-			if trig, due := alloc.Trigger(now); due {
-				if err := pass(now, trig); err != nil {
-					return FarmPolicyOutcome{}, err
-				}
+		// The data cluster is out of the allocator's reach for the
+		// partition window; everyone else answers with a fresh curve.
+		if _, _, err := alloc.Round(now, func(ci int) (farm.DemandCurve, bool, error) {
+			if specs[ci].name == "data" && now >= farmPartStart && now < farmPartEnd {
+				return farm.DemandCurve{}, false, nil
 			}
+			curve, err := coords[ci].DemandCurve()
+			return curve, true, err
+		}); err != nil {
+			return FarmPolicyOutcome{}, err
 		}
 		if float64(alloc.Charged(now)) > float64(src.BudgetAt(now))*(1+1e-9) {
 			out.OvershootSec += quantum
@@ -337,17 +297,6 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 		}
 	}
 
-	pinIndex := func(budget units.Power) int {
-		fi := 0
-		for i := 0; i < table.Len(); i++ {
-			if float64(table.PowerAtIndex(i))*float64(nProcs) <= float64(budget) {
-				fi = i
-			} else {
-				break
-			}
-		}
-		return fi
-	}
 	// inputs assembles one cluster's ProcInputs from the samplers, over
 	// the same aggregation window the coordinators use (without their RTT
 	// staleness — the baseline sees fresher data than the real policies).
@@ -381,7 +330,7 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 	for i := 0; i < steps; i++ {
 		now := float64(i) * quantum
 		budget := src.BudgetAt(now)
-		fi := pinIndex(budget)
+		fi := table.UniformIndexUnder(budget, nProcs)
 		if fi != lastFi {
 			f := table.FrequencyAtIndex(fi)
 			for _, n := range nodes {

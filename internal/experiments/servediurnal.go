@@ -209,15 +209,7 @@ func (o Options) serveDiurnalRun(uniform bool, period, horizon, dropStart, dropE
 		if uniform {
 			// Pin all CPUs at the highest table frequency whose 8-way power
 			// fits the current budget.
-			b := budgets.At(now)
-			fi := 0
-			for i := 0; i < table.Len(); i++ {
-				if float64(table.PowerAtIndex(i))*float64(m.NumCPUs()) <= float64(b) {
-					fi = i
-				} else {
-					break
-				}
-			}
+			fi := table.UniformIndexUnder(budgets.At(now), m.NumCPUs())
 			if fi != lastFi {
 				f := table.FrequencyAtIndex(fi)
 				for c := 0; c < m.NumCPUs(); c++ {

@@ -88,7 +88,6 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 	cfg.UseIdleSignal = true
 
 	coords := make([]*cluster.Coordinator, len(specs))
-	holders := make([]*farm.Holder, len(specs))
 	members := make([]farm.Member, len(specs))
 	nodesBy := make([][]hotspotNode, len(specs))
 	feeding := true
@@ -165,15 +164,8 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 					myNodes[k].st.AfterQuantum(now)
 				}
 			})
-		floor := c.FloorPower()
-		h, err := farm.NewHolder(spec.name, floor, nil, metrics)
-		if err != nil {
-			return HotspotOutcome{}, err
-		}
-		c.SetBudgetSource(h)
 		coords[ci] = c
-		holders[ci] = h
-		members[ci] = farm.Member{Name: spec.name, Floor: floor}
+		members[ci] = farm.Member{Name: spec.name, Floor: c.FloorPower()}
 	}
 
 	alloc, err := farm.NewAllocator(farm.AllocatorConfig{
@@ -188,35 +180,11 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 	if err != nil {
 		return HotspotOutcome{}, err
 	}
+	for ci, c := range coords {
+		c.SetBudgetSource(alloc.Holder(ci))
+	}
 	allocSum := make([]float64, len(specs))
 	allocN := 0
-	pass := func(now float64, trigger string) error {
-		demands := make([]farm.Demand, len(coords))
-		for ci, c := range coords {
-			curve, err := c.DemandCurve()
-			if err != nil {
-				return err
-			}
-			demands[ci] = farm.Demand{Curve: curve, Reachable: true}
-		}
-		a, err := alloc.Allocate(now, trigger, demands)
-		if err != nil {
-			return err
-		}
-		for _, l := range a.Leases {
-			for ci := range specs {
-				if specs[ci].name == l.Member {
-					holders[ci].Grant(l)
-					allocSum[ci] += float64(l.Budget)
-				}
-			}
-		}
-		allocN++
-		return nil
-	}
-	if err := pass(0, "initial"); err != nil {
-		return HotspotOutcome{}, err
-	}
 
 	out := HotspotOutcome{Policy: string(policy), Jain: 1}
 	peakBacklog := make([]int, len(specs))
@@ -240,12 +208,19 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 				return HotspotOutcome{}, fmt.Errorf("experiments: %s hotspot run did not drain", policy)
 			}
 		}
-		if i > 0 {
-			if trig, due := alloc.Trigger(now); due {
-				if err := pass(now, trig); err != nil {
-					return HotspotOutcome{}, err
-				}
+		_, ran, err := alloc.Round(now, func(ci int) (farm.DemandCurve, bool, error) {
+			curve, err := coords[ci].DemandCurve()
+			return curve, true, err
+		})
+		if err != nil {
+			return HotspotOutcome{}, err
+		}
+		if ran {
+			for ci := range specs {
+				l, _ := alloc.Holder(ci).Lease()
+				allocSum[ci] += float64(l.Budget)
 			}
+			allocN++
 		}
 		for ci, c := range coords {
 			if err := c.Step(); err != nil {

@@ -70,9 +70,9 @@ type AllocatorConfig struct {
 	// lease bookkeeping index.
 	Members []Member
 	// Periods is the reallocation cadence in dispatch quanta: the driving
-	// loop calls Trigger once per quantum and every Periods-th call is a
-	// timer pass, on top of the immediate budget-change trigger whenever
-	// the source budget falls below the charged total.
+	// loop calls Round once per quantum and every Periods-th call after
+	// the first is a timer pass, on top of the immediate budget-change
+	// trigger whenever the source budget falls below the charged total.
 	Periods int
 	// LeaseTTL is the lifetime of each granted lease in seconds. It must
 	// cover at least one reallocation period or leases would expire
@@ -93,20 +93,20 @@ type AllocatorConfig struct {
 }
 
 // Allocator divides a time-varying global budget across clusters by least
-// marginal predicted loss, issuing expiring leases. It owns the timer
-// cadence: the driving loop calls Trigger once per quantum, and when a
-// pass is due it gathers fresh demand curves and calls Allocate. Not safe
-// for concurrent use.
+// marginal predicted loss, issuing expiring leases. It owns both ends of
+// the in-process lease protocol: the timer cadence, one Holder per member
+// (the lease a member holds is the lease the allocator charges — there is
+// no second ledger) and the pass itself. The driving loop plugs Holder(i)
+// into member i's scheduler and calls Round once per quantum. Not safe for
+// concurrent use.
 type Allocator struct {
 	cfg     AllocatorConfig
 	cadence engine.Cadence
+	holders []Holder
 
-	leases   []Lease
-	hasLease []bool
-
-	// scratch reused across Allocate calls.
-	pos       []int
-	reachable []bool
+	// scratch reused across passes.
+	pos     []int
+	demands []Demand
 
 	// passID counts reallocation passes from the farm clock epoch; it
 	// stamps the realloc event and its alloc span (obs.Event.PassID).
@@ -152,27 +152,37 @@ func NewAllocator(cfg AllocatorConfig) (*Allocator, error) {
 		return nil, fmt.Errorf("farm: allocator: %w", err)
 	}
 	n := len(cfg.Members)
-	return &Allocator{
-		cfg:       cfg,
-		cadence:   cadence,
-		leases:    make([]Lease, n),
-		hasLease:  make([]bool, n),
-		pos:       make([]int, n),
-		reachable: make([]bool, n),
-	}, nil
+	a := &Allocator{
+		cfg:     cfg,
+		cadence: cadence,
+		holders: make([]Holder, n),
+		pos:     make([]int, n),
+		demands: make([]Demand, n),
+	}
+	for i, m := range cfg.Members {
+		a.holders[i] = Holder{name: m.Name, floor: m.Floor, sink: cfg.Sink, metrics: cfg.Metrics}
+	}
+	return a, nil
 }
 
 // Members returns the configured members.
 func (a *Allocator) Members() []Member { return a.cfg.Members }
 
+// Holder returns member i's end of the lease protocol: the BudgetSource
+// its scheduler runs against. Every pass installs the member's fresh
+// lease in it; expiry events and counts go to the allocator's Sink and
+// Metrics.
+func (a *Allocator) Holder(i int) *Holder { return &a.holders[i] }
+
 // charge is the power held against the budget for member i at now: its
 // outstanding lease while live, its floor after expiry (or before any
 // grant).
 func (a *Allocator) charge(i int, now float64) units.Power {
-	if a.hasLease[i] && now < a.leases[i].Expires {
-		return a.leases[i].Budget
+	h := &a.holders[i]
+	if h.live(now) {
+		return h.lease.Budget
 	}
-	return a.cfg.Members[i].Floor
+	return h.floor
 }
 
 // Charged returns Σ(outstanding leases, expired → floor) at now.
@@ -184,14 +194,42 @@ func (a *Allocator) Charged(now float64) units.Power {
 	return sum
 }
 
-// Trigger ticks the reallocation cadence — call it exactly once per
-// dispatch quantum — and decides whether a pass is due now, and why:
-// "budget-change" immediately whenever the source budget has fallen below
-// the charged total (a supply failure, or UPS decay outpacing the safety
-// margin), else "timer" on every Periods-th call. A budget-change pass
-// consumes the timer edge: the pass it triggers resets the urgency either
-// way. Callers then gather demand curves and call Allocate.
-func (a *Allocator) Trigger(now float64) (trigger string, due bool) {
+// Round is the whole per-quantum contract: call it exactly once per
+// dispatch quantum, before stepping the members. The first call — no pass
+// has run yet — is the "initial" pass and leaves the cadence alone; every
+// later call ticks the cadence once and, when a pass is due (see trigger),
+// runs it. A pass
+// asks gather for each member's fresh demand curve in member order
+// (ok == false: the member is unreachable and contributes no curve),
+// allocates, and installs every fresh lease in its member's Holder. The
+// returned bool reports whether a pass ran. A gather error comes back
+// naming the member, with no lease changed.
+func (a *Allocator) Round(now float64, gather func(i int) (DemandCurve, bool, error)) (Allocation, bool, error) {
+	trigger := "initial"
+	if a.passID > 0 {
+		var due bool
+		if trigger, due = a.trigger(now); !due {
+			return Allocation{}, false, nil
+		}
+	}
+	for i := range a.demands {
+		curve, ok, err := gather(i)
+		if err != nil {
+			return Allocation{}, false, fmt.Errorf("farm: member %s: %w", a.cfg.Members[i].Name, err)
+		}
+		a.demands[i] = Demand{Curve: curve, Reachable: ok}
+	}
+	alloc, err := a.Allocate(now, trigger, a.demands)
+	return alloc, err == nil, err
+}
+
+// trigger ticks the reallocation cadence and decides whether a pass is
+// due now, and why: "budget-change" immediately whenever the source budget
+// has fallen below the charged total (a supply failure, or UPS decay
+// outpacing the safety margin), else "timer" on every Periods-th call. A
+// budget-change pass consumes the timer edge: the pass it triggers resets
+// the urgency either way.
+func (a *Allocator) trigger(now float64) (trigger string, due bool) {
 	timerDue := a.cadence.Tick()
 	if a.cfg.Source.BudgetAt(now) < a.Charged(now) {
 		return "budget-change", true
@@ -202,11 +240,12 @@ func (a *Allocator) Trigger(now float64) (trigger string, due bool) {
 	return "", false
 }
 
-// Allocate runs one reallocation pass at now. demands must be indexed
-// like the configured members. Reachable members get fresh leases; an
-// unreachable member keeps its outstanding lease charged until TTL, then
-// its floor — so Σ(leased) ≤ budget holds through partitions without any
-// cooperation from the partitioned cluster.
+// Allocate runs one reallocation pass at now — the body of Round, for a
+// caller that already holds the demands. demands must be indexed like the
+// configured members. Reachable members get fresh leases, installed in
+// their Holders; an unreachable member keeps its outstanding lease charged
+// until TTL, then its floor — so Σ(leased) ≤ budget holds through
+// partitions without any cooperation from the partitioned cluster.
 func (a *Allocator) Allocate(now float64, trigger string, demands []Demand) (Allocation, error) {
 	if len(demands) != len(a.cfg.Members) {
 		return Allocation{}, fmt.Errorf("farm: %d demands for %d members", len(demands), len(a.cfg.Members))
@@ -222,7 +261,6 @@ func (a *Allocator) Allocate(now float64, trigger string, demands []Demand) (All
 	// Unreachable members are charged, not granted.
 	var unreachableCharge units.Power
 	for i, d := range demands {
-		a.reachable[i] = d.Reachable
 		if !d.Reachable {
 			unreachableCharge += a.charge(i, now)
 			continue
@@ -264,8 +302,7 @@ func (a *Allocator) Allocate(now float64, trigger string, demands []Demand) (All
 			Granted: now,
 			Expires: now + a.cfg.LeaseTTL,
 		}
-		a.leases[i] = l
-		a.hasLease[i] = true
+		a.holders[i].Grant(l)
 		alloc.Leases = append(alloc.Leases, l)
 	}
 	alloc.Charged = a.Charged(now)
@@ -375,9 +412,9 @@ func (a *Allocator) observe(alloc *Allocation, demands []Demand) {
 		if demands[i].Reachable {
 			ca.DesiredW = demands[i].Curve.Desired().W()
 			ca.PredictedLoss = demands[i].Curve.Points[a.pos[i]].Loss
-			ca.ExpiresAt = a.leases[i].Expires
-		} else if a.hasLease[i] {
-			ca.ExpiresAt = a.leases[i].Expires
+		}
+		if l, ok := a.holders[i].Lease(); ok {
+			ca.ExpiresAt = l.Expires
 		}
 		clusters = append(clusters, ca)
 	}

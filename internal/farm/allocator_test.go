@@ -1,6 +1,9 @@
 package farm
 
 import (
+	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -250,11 +253,19 @@ func TestAllocateRejectsBadDemands(t *testing.T) {
 	}
 }
 
-// TestTriggerEdges: the driver's cadence fires every Periods quanta,
-// and a budget falling below the charged total fires immediately.
-func TestTriggerEdges(t *testing.T) {
+// roundFixture is a two-member allocator on a 200 W feed that drops to
+// dropTo at t=0.35, and a gather serving fixed curves: a's walks down to
+// its floor, b wants 80 W or nothing. down marks members unreachable.
+type roundFixture struct {
+	a    *Allocator
+	down [2]bool
+	fail [2]error
+}
+
+func newRoundFixture(t *testing.T, periods int, ttl, dropTo float64) *roundFixture {
+	t.Helper()
 	sched, err := power.NewBudgetSchedule(units.Watts(200),
-		power.BudgetEvent{At: 0.35, Budget: units.Watts(50), Label: "drop"})
+		power.BudgetEvent{At: 0.35, Budget: units.Watts(dropTo), Label: "drop"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,29 +273,144 @@ func TestTriggerEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := mustAllocator(t, AllocatorConfig{
-		Source:   src,
-		Members:  []Member{{Name: "a", Floor: units.Watts(10)}},
-		Periods:  5,
-		LeaseTTL: 1,
-	})
-	if _, err := a.Allocate(0, "initial", []Demand{
-		{Curve: curveOf(150, 0, 10, 0.9), Reachable: true},
-	}); err != nil {
-		t.Fatal(err)
+	return &roundFixture{a: mustAllocator(t, AllocatorConfig{
+		Source: src,
+		Members: []Member{
+			{Name: "a", Floor: units.Watts(10)},
+			{Name: "b", Floor: units.Watts(10)},
+		},
+		Periods:  periods,
+		LeaseTTL: ttl,
+	})}
+}
+
+func (f *roundFixture) gather(i int) (DemandCurve, bool, error) {
+	curves := [2]DemandCurve{
+		curveOf(150, 0, 120, 0.1, 90, 0.3, 10, 0.9),
+		curveOf(80, 0, 10, 0.6),
 	}
-	var triggers []string
-	for i := 1; i <= 5; i++ {
-		now := float64(i) * 0.1
-		if trig, due := a.Trigger(now); due {
-			triggers = append(triggers, trig)
+	return curves[i], !f.down[i], f.fail[i]
+}
+
+// round runs quantum i (t = i·0.1) and returns the pass's trigger, "" when
+// none ran, checking Σ charged ≤ budget after it either way.
+func (f *roundFixture) round(t *testing.T, i int) string {
+	t.Helper()
+	now := float64(i) * 0.1
+	alloc, ran, err := f.a.Round(now, f.gather)
+	if err != nil {
+		t.Fatalf("t=%.1f: %v", now, err)
+	}
+	if charged, budget := f.a.Charged(now), f.a.cfg.Source.BudgetAt(now); charged > budget {
+		t.Fatalf("t=%.1f: charged %v exceeds budget %v", now, charged, budget)
+	}
+	if !ran {
+		return ""
+	}
+	return alloc.Trigger
+}
+
+// TestRoundCadence: the first call is the initial pass and does not tick;
+// with Periods = 3 a timer pass lands on every third later call and not
+// before.
+func TestRoundCadence(t *testing.T) {
+	f := newRoundFixture(t, 3, 1, 200)
+	if got := f.round(t, 0); got != "initial" {
+		t.Fatalf("first round ran %q, want the initial pass", got)
+	}
+	if n := f.a.cadence.Ticks(); n != 0 {
+		t.Fatalf("initial pass left the cadence at %d ticks, want 0", n)
+	}
+	for i := 0; i < 2; i++ {
+		h := f.a.Holder(i)
+		if l, ok := h.Lease(); !ok || l.Member != h.Name() || l.Granted != 0 {
+			t.Errorf("holder %d after the initial pass: lease %+v, granted %v", i, l, ok)
 		}
 	}
-	// Quanta at 0.1..0.5: the 0.4 quantum sees the 0.35 drop (50 < 150
-	// charged) before the cadence would fire at 0.5.
-	want := []string{"budget-change", "budget-change"}
-	if len(triggers) != 2 || triggers[0] != "budget-change" {
-		t.Fatalf("triggers = %v, want %v (drop detected at t=0.4 and t=0.5)", triggers, want)
+	var got []string
+	for i := 1; i <= 7; i++ {
+		got = append(got, f.round(t, i))
+	}
+	want := []string{"", "", "timer", "", "", "timer", ""}
+	if !slices.Equal(got, want) {
+		t.Errorf("rounds 1..7 ran %q, want %q", got, want)
+	}
+}
+
+// TestTriggerEdges: the drop at t=0.35 lands below the 200 W charged
+// (150+80 > 200, so the initial pass demotes a to 120 W), and quantum 4
+// runs a budget-change pass under the new 120 W whatever the cadence says.
+// With Periods = 5 that is one quantum before the timer edge, which then
+// runs its own pass; with Periods = 4 the two coincide and the
+// budget-change pass consumes the edge — one pass, and the next timer pass
+// a full period later.
+func TestTriggerEdges(t *testing.T) {
+	for _, tc := range []struct {
+		periods int
+		want    []string
+	}{
+		{5, []string{"initial", "", "", "", "budget-change", "timer", "", "", ""}},
+		{4, []string{"initial", "", "", "", "budget-change", "", "", "", "timer"}},
+	} {
+		f := newRoundFixture(t, tc.periods, 1, 120)
+		var got []string
+		for i := range tc.want {
+			got = append(got, f.round(t, i))
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("Periods %d: rounds ran %q, want %q", tc.periods, got, tc.want)
+		}
+		if n := f.a.cadence.Ticks(); n != len(tc.want)-1 {
+			t.Errorf("Periods %d: cadence at %d ticks after %d later rounds", tc.periods, n, len(tc.want)-1)
+		}
+	}
+}
+
+// TestRoundUnreachableMember: a member whose gather says ok == false is
+// not re-granted; its stale lease stays charged until TTL and its floor
+// after, and the reachable member is granted only what is left.
+func TestRoundUnreachableMember(t *testing.T) {
+	f := newRoundFixture(t, 1, 0.25, 200)
+	f.round(t, 0) // a 120 W, b 80 W, both expiring at t=0.25
+	f.down[1] = true
+	f.round(t, 1)
+	if l, _ := f.a.Holder(1).Lease(); l.Granted != 0 {
+		t.Errorf("unreachable b re-granted at t=%v", l.Granted)
+	}
+	if l, _ := f.a.Holder(0).Lease(); l.Granted != 0.1 || l.Budget.W() != 120 {
+		t.Errorf("a's lease = %+v, want 120 W granted at t=0.1 (b's 80 W still charged)", l)
+	}
+	if got := f.a.Charged(0.1).W(); got != 200 {
+		t.Errorf("charged %v W at t=0.1, want 200 (120 granted + 80 stale)", got)
+	}
+	f.round(t, 2)
+	f.round(t, 3) // past b's expiry at t=0.25: only its floor is charged
+	if l, _ := f.a.Holder(0).Lease(); l.Budget.W() != 150 {
+		t.Errorf("a leased %v after b fell to its floor, want its 150 W desire", l.Budget)
+	}
+	if got := f.a.Charged(0.3).W(); got != 160 {
+		t.Errorf("charged %v W at t=0.3, want 160 (150 granted + 10 floor)", got)
+	}
+	if got := f.a.Holder(1).BudgetAt(0.3).W(); got != 10 {
+		t.Errorf("b's holder yields %v W past its expiry, want the 10 W floor", got)
+	}
+}
+
+// TestRoundGatherError: a gather error comes back naming the member, and
+// no holder's lease has moved.
+func TestRoundGatherError(t *testing.T) {
+	f := newRoundFixture(t, 1, 1, 200)
+	f.round(t, 0)
+	boom := errors.New("curve unavailable")
+	f.fail[1] = boom
+	_, ran, err := f.a.Round(0.1, f.gather)
+	if ran || !errors.Is(err, boom) || !strings.Contains(err.Error(), "member b") {
+		t.Fatalf("Round = ran %v, err %v; want no pass and an error naming member b", ran, err)
+	}
+	for i := 0; i < 2; i++ {
+		if l, _ := f.a.Holder(i).Lease(); l.Granted != 0 {
+			t.Errorf("holder %d re-granted at t=%v by a failed round", i, l.Granted)
+		}
 	}
 }
 

@@ -27,7 +27,8 @@ type Lease struct {
 // expiry edge (engine.Lease-style once-only semantics — a re-Grant
 // re-arms it). Plugging a Holder into cluster.Coordinator.SetBudgetSource
 // gives the coordinator the paper's budget-change trigger at both the
-// grant and the expiry edge with no extra wiring.
+// grant and the expiry edge with no extra wiring. An Allocator builds one
+// per member (Allocator.Holder) and grants into it on every pass.
 //
 // Holder is not synchronised; like engine.Lease it belongs to whatever
 // single-threaded loop owns the cluster.
@@ -42,9 +43,10 @@ type Holder struct {
 	tripped bool
 }
 
-// NewHolder builds a lease holder for a cluster with the given floor
-// budget. Until the first Grant it yields the floor. sink and metrics may
-// be nil.
+// NewHolder builds a lone lease holder for a cluster with the given floor
+// budget, for a cluster driven without an Allocator; an Allocator's
+// members use Allocator.Holder. Until the first Grant it yields the floor.
+// sink and metrics may be nil.
 func NewHolder(name string, floor units.Power, sink obs.Sink, metrics *Metrics) (*Holder, error) {
 	if name == "" {
 		return nil, fmt.Errorf("farm: holder needs a name")
@@ -72,10 +74,13 @@ func (h *Holder) Grant(l Lease) {
 // Lease returns the current lease and whether one was ever granted.
 func (h *Holder) Lease() (Lease, bool) { return h.lease, h.granted }
 
-// Expired reports whether the holder has fallen back to its floor.
-func (h *Holder) Expired(now float64) bool {
-	return !h.granted || now >= h.lease.Expires
+// live reports whether a granted lease is still in force at now.
+func (h *Holder) live(now float64) bool {
+	return h.granted && now < h.lease.Expires
 }
+
+// Expired reports whether the holder has fallen back to its floor.
+func (h *Holder) Expired(now float64) bool { return !h.live(now) }
 
 // BudgetAt yields the budget the cluster may schedule against at now: the
 // leased budget while live, the floor after expiry. The first call past
@@ -105,7 +110,7 @@ func (h *Holder) BudgetAt(now float64) units.Power {
 // expiry; after the fall-back to the floor only the next Grant — which
 // the granting driver accounts for itself — changes the budget.
 func (h *Holder) NextChangeAt(now float64) float64 {
-	if h.granted && now < h.lease.Expires {
+	if h.live(now) {
 		return h.lease.Expires
 	}
 	return math.Inf(1)

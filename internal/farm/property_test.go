@@ -174,74 +174,51 @@ func runConservation(t *testing.T, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	holders := make([]*Holder, len(scn.members))
-	for i, m := range scn.members {
-		if holders[i], err = NewHolder(m.Name, m.Floor, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	var fp strings.Builder
-	demandsAt := func(now float64) []Demand {
-		demands := make([]Demand, len(scn.members))
-		for i, m := range scn.members {
-			if scn.reachable(i, now) {
-				demands[i] = Demand{Curve: randomCurve(rng, m.Floor), Reachable: true}
-			}
-		}
-		return demands
-	}
-	pass := func(now float64, trigger string) {
-		alloc, err := a.Allocate(now, trigger, demandsAt(now))
-		if err != nil {
-			t.Fatalf("seed %d t=%.2f: %v", seed, now, err)
-		}
-		for _, l := range alloc.Leases {
-			for i, m := range scn.members {
-				if m.Name != l.Member {
-					continue
-				}
-				if l.Budget < m.Floor {
-					t.Fatalf("seed %d t=%.2f: lease %s=%v below floor %v", seed, now, l.Member, l.Budget, m.Floor)
-				}
-				holders[i].Grant(l)
-			}
-		}
-		if scn.allReachable(now) && !alloc.Met {
-			t.Fatalf("seed %d t=%.2f: Met=false with every member reachable and budget %v above the floor minimum",
-				seed, now, alloc.Budget)
-		}
-		fmt.Fprintf(&fp, "%.2f %s %.6f", now, trigger, alloc.Charged.W())
-		for _, l := range alloc.Leases {
-			fmt.Fprintf(&fp, " %s=%.6f", l.Member, l.Budget.W())
-		}
-		fp.WriteByte('\n')
-	}
-
-	pass(0, "initial")
-	for i := 1; i <= propSteps; i++ {
-		now := float64(i) * propDT
-		prev := now - propDT
-		if ups != nil && prev >= scn.failAt {
+	for step := 0; step <= propSteps; step++ {
+		now := float64(step) * propDT
+		if prev := now - propDT; ups != nil && prev >= scn.failAt {
 			// The farm drew the charged power over the last quantum.
 			if err := ups.Drain(a.Charged(prev), propDT); err != nil {
 				t.Fatalf("seed %d t=%.2f: %v", seed, now, err)
 			}
 		}
-		if trig, due := a.Trigger(now); due {
-			pass(now, trig)
+		alloc, ran, err := a.Round(now, func(i int) (DemandCurve, bool, error) {
+			if !scn.reachable(i, now) {
+				return DemandCurve{}, false, nil
+			}
+			return randomCurve(rng, scn.members[i].Floor), true, nil
+		})
+		if err != nil {
+			t.Fatalf("seed %d t=%.2f: %v", seed, now, err)
+		}
+		if ran {
+			if scn.allReachable(now) && !alloc.Met {
+				t.Fatalf("seed %d t=%.2f: Met=false with every member reachable and budget %v above the floor minimum",
+					seed, now, alloc.Budget)
+			}
+			fmt.Fprintf(&fp, "%.2f %s %.6f", now, alloc.Trigger, alloc.Charged.W())
+			for _, l := range alloc.Leases {
+				fmt.Fprintf(&fp, " %s=%.6f", l.Member, l.Budget.W())
+			}
+			fp.WriteByte('\n')
 		}
 		// The invariant, checked at every tick whether or not a pass ran:
-		// Σ(charged) never exceeds the source budget, and every holder
-		// stays at or above its floor.
+		// Σ(charged) never exceeds the source budget, every holder stays at
+		// or above its floor, and a reachable member's holder carries the
+		// lease the pass just granted, itself at or above the floor.
 		budget, charged := src.BudgetAt(now), a.Charged(now)
 		if float64(charged) > float64(budget)*(1+1e-9) {
 			t.Fatalf("seed %d t=%.2f: charged %v exceeds budget %v", seed, now, charged, budget)
 		}
-		for i, h := range holders {
-			if got := h.BudgetAt(now); got < scn.members[i].Floor {
-				t.Fatalf("seed %d t=%.2f: holder %s budget %v below floor %v",
-					seed, now, h.Name(), got, scn.members[i].Floor)
+		for i, m := range scn.members {
+			h := a.Holder(i)
+			if got := h.BudgetAt(now); got < m.Floor {
+				t.Fatalf("seed %d t=%.2f: holder %s budget %v below floor %v", seed, now, h.Name(), got, m.Floor)
+			}
+			if l, _ := h.Lease(); ran && scn.reachable(i, now) && (l.Granted != now || l.Budget < m.Floor) {
+				t.Fatalf("seed %d t=%.2f: pass left reachable %s on lease %+v, floor %v", seed, now, m.Name, l, m.Floor)
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-package microsim
+package machine
 
 import (
 	"math"
@@ -18,12 +18,12 @@ func mcfLikePhase() workload.Phase {
 	}
 }
 
-func cpuPhase() workload.Phase {
+func microCPUPhase() workload.Phase {
 	return workload.Phase{Name: "cpu", Alpha: 1.4, Instructions: 1, NonMemStallCyclesPerInstr: 0.1}
 }
 
-func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig()
+func TestMicroConfigValidate(t *testing.T) {
+	good := defaultMicroConfig()
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,28 +49,29 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestRunValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	if _, err := Run(cfg, mcfLikePhase(), 0, 1000); err == nil {
+func TestMicroRunValidation(t *testing.T) {
+	cfg := defaultMicroConfig()
+	if _, err := microRun(cfg, mcfLikePhase(), 0, 1000); err == nil {
 		t.Error("zero frequency accepted")
 	}
-	if _, err := Run(cfg, mcfLikePhase(), units.GHz(1), 0); err == nil {
+	if _, err := microRun(cfg, mcfLikePhase(), units.GHz(1), 0); err == nil {
 		t.Error("zero instructions accepted")
 	}
-	if _, err := Run(cfg, workload.Phase{}, units.GHz(1), 1); err == nil {
+	if _, err := microRun(cfg, workload.Phase{}, units.GHz(1), 1); err == nil {
 		t.Error("invalid phase accepted")
 	}
 }
 
-// TestMicroMatchesAnalyticModel is the validation this package exists for:
-// the Monte-Carlo execution agrees with the closed-form CPI to well under
-// 1% for memory-bound and CPU-bound work across the frequency range.
+// TestMicroMatchesAnalyticModel is the validation the micro-simulator
+// exists for: the Monte-Carlo execution agrees with the closed-form CPI to
+// well under 1% for memory-bound and CPU-bound work across the frequency
+// range.
 func TestMicroMatchesAnalyticModel(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultMicroConfig()
 	const n = 2_000_000
-	for _, phase := range []workload.Phase{mcfLikePhase(), cpuPhase()} {
+	for _, phase := range []workload.Phase{mcfLikePhase(), microCPUPhase()} {
 		for _, f := range []units.Frequency{units.MHz(250), units.MHz(500), units.MHz(650), units.GHz(1)} {
-			rel, err := RelativeError(cfg, phase, f, n)
+			rel, err := microRelativeError(cfg, phase, f, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,14 +86,14 @@ func TestMicroMatchesAnalyticModel(t *testing.T) {
 // frequency for memory-bound work (the saturation mechanism) and is flat
 // for pure-CPU work.
 func TestMicroIPCFrequencyBehaviour(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultMicroConfig()
 	const n = 1_000_000
 	mem := mcfLikePhase()
-	lo, err := Run(cfg, mem, units.MHz(500), n)
+	lo, err := microRun(cfg, mem, units.MHz(500), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Run(cfg, mem, units.GHz(1), n)
+	hi, err := microRun(cfg, mem, units.GHz(1), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,20 +105,20 @@ func TestMicroIPCFrequencyBehaviour(t *testing.T) {
 		t.Error("higher frequency should still finish sooner")
 	}
 
-	cpu := cpuPhase()
-	loc, _ := Run(cfg, cpu, units.MHz(500), n)
-	hic, _ := Run(cfg, cpu, units.GHz(1), n)
+	cpu := microCPUPhase()
+	loc, _ := microRun(cfg, cpu, units.MHz(500), n)
+	hic, _ := microRun(cfg, cpu, units.GHz(1), n)
 	if math.Abs(loc.IPC()-hic.IPC()) > 1e-9 {
 		t.Errorf("pure-CPU IPC should be frequency-invariant: %v vs %v", loc.IPC(), hic.IPC())
 	}
 }
 
-// TestReferenceCountsMatchRates: the drawn reference counts converge to
+// TestMicroReferenceCountsMatchRates: the drawn reference counts converge to
 // the phase's rates.
-func TestReferenceCountsMatchRates(t *testing.T) {
-	cfg := DefaultConfig()
+func TestMicroReferenceCountsMatchRates(t *testing.T) {
+	cfg := defaultMicroConfig()
 	const n = 4_000_000
-	res, err := Run(cfg, mcfLikePhase(), units.GHz(1), n)
+	res, err := microRun(cfg, mcfLikePhase(), units.GHz(1), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,19 +139,19 @@ func TestReferenceCountsMatchRates(t *testing.T) {
 	}
 }
 
-// TestOverlapReducesCycles: memory-level parallelism (overlap < 1) can
+// TestMicroOverlapReducesCycles: memory-level parallelism (overlap < 1) can
 // only speed things up, and the analytic model (overlap = 1) is the upper
 // bound on cycles.
-func TestOverlapReducesCycles(t *testing.T) {
-	serial := DefaultConfig()
-	overlapped := DefaultConfig()
+func TestMicroOverlapReducesCycles(t *testing.T) {
+	serial := defaultMicroConfig()
+	overlapped := defaultMicroConfig()
 	overlapped.OverlapFactor = 0.6
 	const n = 500_000
-	a, err := Run(serial, mcfLikePhase(), units.GHz(1), n)
+	a, err := microRun(serial, mcfLikePhase(), units.GHz(1), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(overlapped, mcfLikePhase(), units.GHz(1), n)
+	b, err := microRun(overlapped, mcfLikePhase(), units.GHz(1), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +160,15 @@ func TestOverlapReducesCycles(t *testing.T) {
 	}
 }
 
-func TestDeterministicPerSeed(t *testing.T) {
-	cfg := DefaultConfig()
-	a, _ := Run(cfg, mcfLikePhase(), units.GHz(1), 100_000)
-	b, _ := Run(cfg, mcfLikePhase(), units.GHz(1), 100_000)
+func TestMicroDeterministicPerSeed(t *testing.T) {
+	cfg := defaultMicroConfig()
+	a, _ := microRun(cfg, mcfLikePhase(), units.GHz(1), 100_000)
+	b, _ := microRun(cfg, mcfLikePhase(), units.GHz(1), 100_000)
 	if a != b {
 		t.Error("same seed diverged")
 	}
 	cfg.Seed = 2
-	c, _ := Run(cfg, mcfLikePhase(), units.GHz(1), 100_000)
+	c, _ := microRun(cfg, mcfLikePhase(), units.GHz(1), 100_000)
 	if a == c {
 		t.Error("different seeds identical (suspicious)")
 	}
@@ -176,7 +177,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 // Property: for any physical rates, the micro-simulated cycle count stays
 // within a few percent of the analytic model even at small n.
 func TestMicroAnalyticAgreementProperty(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultMicroConfig()
 	err := quick.Check(func(l2Raw, memRaw, fRaw uint16) bool {
 		phase := workload.Phase{
 			Name: "p", Alpha: 1.2, Instructions: 1,
@@ -188,7 +189,7 @@ func TestMicroAnalyticAgreementProperty(t *testing.T) {
 		f := units.MHz(float64(fRaw%750) + 250)
 		// At n = 1M the Monte-Carlo σ on total cycles is ≲1%, so a 4%
 		// bound sits beyond 4σ.
-		rel, err := RelativeError(cfg, phase, f, 1_000_000)
+		rel, err := microRelativeError(cfg, phase, f, 1_000_000)
 		return err == nil && rel < 0.04
 	}, &quick.Config{MaxCount: 25})
 	if err != nil {

@@ -1,16 +1,18 @@
-// Package microsim is a discrete per-instruction-block simulator used to
-// validate the analytic execution model the fast machine simulator and
-// the predictor share. Where internal/machine computes cycles from the
-// closed-form CPI expression, microsim executes a phase as a stream of
-// instruction blocks whose cache behaviour is drawn stochastically
-// (Bernoulli per-level reference draws at the phase's rates) and whose
-// memory service times are summed individually — the Monte-Carlo ground
-// truth the closed form is a mean-field approximation of.
+package machine
+
+// The micro-simulator: a discrete per-instruction-block executor, the test
+// oracle for the analytic execution model the machine and the predictor
+// share. Where Machine computes cycles from the closed-form CPI expression
+// (workload.Phase.TrueCyclesPerInstr), microRun executes a phase as a
+// stream of instruction blocks whose cache behaviour is drawn
+// stochastically (Bernoulli per-level reference draws at the phase's
+// rates) and whose memory service times are summed individually — the
+// Monte-Carlo ground truth the closed form is a mean-field approximation
+// of.
 //
-// The validation tests assert the two agree to well under a percent over
-// the whole frequency range and rate space, which is what justifies using
-// the fast analytic machine everywhere else.
-package microsim
+// The tests in microsim_model_test.go assert the two agree to well under a
+// percent over the whole frequency range and rate space, which is what
+// justifies using the fast analytic machine everywhere else.
 
 import (
 	"fmt"
@@ -21,8 +23,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Result summarises one micro-simulation.
-type Result struct {
+// microResult summarises one micro-simulation.
+type microResult struct {
 	Instructions uint64
 	Cycles       float64
 	// Refs counts references serviced per level.
@@ -30,7 +32,7 @@ type Result struct {
 }
 
 // IPC returns instructions per cycle.
-func (r Result) IPC() float64 {
+func (r microResult) IPC() float64 {
 	if r.Cycles == 0 {
 		return 0
 	}
@@ -39,12 +41,12 @@ func (r Result) IPC() float64 {
 
 // Seconds returns the wall-clock time of the simulated stream at frequency
 // f.
-func (r Result) Seconds(f units.Frequency) float64 {
+func (r microResult) Seconds(f units.Frequency) float64 {
 	return r.Cycles / f.Hz()
 }
 
-// Config parameterises the micro-simulation.
-type Config struct {
+// microConfig parameterises the micro-simulation.
+type microConfig struct {
 	Hier memhier.Hierarchy
 	// BlockSize is how many instructions share one random draw; 1 is the
 	// purest model, larger blocks trade variance for speed.
@@ -56,13 +58,13 @@ type Config struct {
 	OverlapFactor float64
 }
 
-// DefaultConfig matches the analytic model's assumptions.
-func DefaultConfig() Config {
-	return Config{Hier: memhier.P630(), BlockSize: 64, Seed: 1, OverlapFactor: 1}
+// defaultMicroConfig matches the analytic model's assumptions.
+func defaultMicroConfig() microConfig {
+	return microConfig{Hier: memhier.P630(), BlockSize: 64, Seed: 1, OverlapFactor: 1}
 }
 
 // Validate checks the configuration.
-func (c Config) Validate() error {
+func (c microConfig) Validate() error {
 	if err := c.Hier.Validate(); err != nil {
 		return err
 	}
@@ -75,23 +77,23 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Run executes n instructions of phase p at frequency f and returns the
+// microRun executes n instructions of phase p at frequency f and returns the
 // measured counts. Core work costs 1/α + nonMemStall cycles per
 // instruction; each instruction independently references L2/L3/memory with
 // the phase's per-instruction probabilities, and a reference stalls the
 // core for its level's service time (converted to cycles at f).
-func Run(cfg Config, p workload.Phase, f units.Frequency, n uint64) (Result, error) {
+func microRun(cfg microConfig, p workload.Phase, f units.Frequency, n uint64) (microResult, error) {
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return microResult{}, err
 	}
 	if err := p.Validate(); err != nil {
-		return Result{}, err
+		return microResult{}, err
 	}
 	if f <= 0 {
-		return Result{}, fmt.Errorf("microsim: frequency %v must be positive", f)
+		return microResult{}, fmt.Errorf("microsim: frequency %v must be positive", f)
 	}
 	if n == 0 {
-		return Result{}, fmt.Errorf("microsim: need at least one instruction")
+		return microResult{}, fmt.Errorf("microsim: need at least one instruction")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	h := cfg.Hier
@@ -100,7 +102,7 @@ func Run(cfg Config, p workload.Phase, f units.Frequency, n uint64) (Result, err
 	cycPerL3 := h.CyclesAt(memhier.L3, f) * cfg.OverlapFactor
 	cycPerMem := h.CyclesAt(memhier.DRAM, f) * cfg.OverlapFactor
 
-	var res Result
+	var res microResult
 	block := cfg.BlockSize
 	for done := uint64(0); done < n; done += block {
 		b := block
@@ -143,20 +145,20 @@ func binomial(rng *rand.Rand, n uint64, p float64) uint64 {
 	return k
 }
 
-// AnalyticCycles returns the closed-form cycle count the machine simulator
-// would charge for the same work — the quantity Run validates.
-func AnalyticCycles(h memhier.Hierarchy, p workload.Phase, f units.Frequency, n uint64) float64 {
+// analyticCycles returns the closed-form cycle count the machine simulator
+// would charge for the same work — the quantity microRun validates.
+func analyticCycles(h memhier.Hierarchy, p workload.Phase, f units.Frequency, n uint64) float64 {
 	return p.TrueCyclesPerInstr(h, f.Hz(), 1) * float64(n)
 }
 
-// RelativeError runs the micro-simulation and returns |micro - analytic| /
+// microRelativeError runs the micro-simulation and returns |micro - analytic| /
 // analytic on total cycles.
-func RelativeError(cfg Config, p workload.Phase, f units.Frequency, n uint64) (float64, error) {
-	res, err := Run(cfg, p, f, n)
+func microRelativeError(cfg microConfig, p workload.Phase, f units.Frequency, n uint64) (float64, error) {
+	res, err := microRun(cfg, p, f, n)
 	if err != nil {
 		return 0, err
 	}
-	ana := AnalyticCycles(cfg.Hier, p, f, n)
+	ana := analyticCycles(cfg.Hier, p, f, n)
 	d := res.Cycles - ana
 	if d < 0 {
 		d = -d

@@ -240,6 +240,27 @@ func (t *Table) MaxFrequencyUnder(budget units.Power) (units.Frequency, bool) {
 	return best, ok
 }
 
+// UniformIndexUnder returns the highest table index whose n-way power,
+// P[i]·n, is at most budget: the one setting a uniform policy pins n
+// processors at. When even the table minimum overshoots it returns 0 — a
+// uniform pin has nowhere lower to go. The test is P·n ≤ budget, not
+// MaxFrequencyUnder(budget/n): on whole-watt tables the two agree, but
+// where powers are fractional the product and the quotient round
+// independently (0.2 W × 43 fits 8.6 W; 8.6 W / 43 is below 0.2 W), and
+// the studies that pin a fleet were written with the product.
+// baseline.Uniform, which hands each processor budget/n, keeps the other.
+func (t *Table) UniformIndexUnder(budget units.Power, n int) int {
+	fi := 0
+	for i, p := range t.points {
+		if float64(p.P)*float64(n) <= float64(budget) {
+			fi = i
+		} else {
+			break
+		}
+	}
+	return fi
+}
+
 // PaperTable1 returns the paper's Table 1 verbatim: sixteen operating
 // points from 250 MHz/9 W to 1 GHz/140 W in 50 MHz steps, the frequencies
 // available to the scheduler on the p630. Voltages come from

@@ -169,6 +169,41 @@ func TestMaxFrequencyUnder(t *testing.T) {
 	}
 }
 
+func TestUniformIndexUnder(t *testing.T) {
+	paper := PaperTable1()
+	tenths := MustTable([]OperatingPoint{
+		{F: units.MHz(100), V: units.Volts(1), P: units.Watts(0.1)},
+		{F: units.MHz(200), V: units.Volts(1), P: units.Watts(0.2)},
+	})
+	cases := []struct {
+		name   string
+		tab    *Table
+		budget float64
+		n      int
+		want   int
+	}{
+		{"48-way at the table maximum", paper, 6720, 48, 15},
+		{"one watt short of the maximum", paper, 6719, 48, 14},
+		{"paper's 75 W cap, one processor", paper, 75, 1, 10},
+		{"8-way 35 W each", paper, 280, 8, 5},
+		{"fractional budget between points", paper, 8*35 - 0.5, 8, 4},
+		{"exactly the 8-way minimum", paper, 72, 8, 0},
+		{"below the minimum pins the minimum", paper, 10, 8, 0},
+		// Where MaxFrequencyUnder(budget/n) answers one step lower: 0.2·43
+		// rounds to exactly 8.6, 8.6/43 to just under 0.2.
+		{"product fits where the quotient does not", tenths, 8.6, 43, 1},
+	}
+	for _, c := range cases {
+		if got := c.tab.UniformIndexUnder(units.Watts(c.budget), c.n); got != c.want {
+			t.Errorf("%s: UniformIndexUnder(%vW, %d) = %d, want %d", c.name, c.budget, c.n, got, c.want)
+		}
+	}
+	b, n := 8.6, 43.0 // variables: the constant expression 8.6/43 is exact
+	if f, _ := tenths.MaxFrequencyUnder(units.Watts(b / n)); f != units.MHz(100) {
+		t.Errorf("MaxFrequencyUnder(8.6W/43) = %v: the quotient form agrees, so the last row no longer shows the difference", f)
+	}
+}
+
 func TestFrequenciesSet(t *testing.T) {
 	set := PaperTable1().Frequencies()
 	if len(set) != 16 || set.Min() != units.MHz(250) || set.Max() != units.GHz(1) {

@@ -97,7 +97,7 @@ func GenerateFarm(seed int64) FarmSpec {
 	for i, k := 0, rng.Intn(4); i < k; i++ {
 		at := rng.Float64() * horizon
 		if at >= s.PStartSec-farmDT && at < s.PEndSec {
-			at = s.PEndSec + rng.Float64()*maxFloat(0, horizon-s.PEndSec)
+			at = s.PEndSec + rng.Float64()*max(0, horizon-s.PEndSec)
 		}
 		s.Events = append(s.Events, FarmEvent{
 			AtSec: at,
@@ -175,14 +175,8 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 	}
 
 	members := make([]farm.Member, len(spec.Members))
-	holders := make([]*farm.Holder, len(spec.Members))
 	for i, m := range spec.Members {
 		members[i] = farm.Member{Name: m.Name, Floor: units.Watts(m.FloorW)}
-		h, err := farm.NewHolder(m.Name, units.Watts(m.FloorW), nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		holders[i] = h
 	}
 	alloc, err := farm.NewAllocator(farm.AllocatorConfig{
 		Source:   src,
@@ -197,56 +191,38 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 
 	suite := invariant.NewSuite()
 	var fp strings.Builder
-	pass := func(now float64, trigger string) error {
-		demands := make([]farm.Demand, len(members))
-		for i, m := range members {
-			if spec.reachable(i, now) {
-				demands[i] = farm.Demand{Curve: randomFarmCurve(rng, m.Floor), Reachable: true}
-			}
-		}
-		a, err := alloc.Allocate(now, trigger, demands)
-		if err != nil {
-			return err
-		}
-		suite.Report(invariant.CheckAllocation(members, a)...)
-		if spec.allReachable(now) && !a.Met {
-			suite.Report(invariant.Violation{Checker: "farm-allocation", At: now,
-				Detail: fmt.Sprintf("met=false with every member reachable and budget %v above the floor minimum", a.Budget)})
-		}
-		for _, l := range a.Leases {
-			for i, m := range members {
-				if m.Name == l.Member {
-					holders[i].Grant(l)
-				}
-			}
-		}
-		fmt.Fprintf(&fp, "%.2f %s %.6f", now, trigger, a.Charged.W())
-		for _, l := range a.Leases {
-			fmt.Fprintf(&fp, " %s=%.6f", l.Member, l.Budget.W())
-		}
-		fp.WriteByte('\n')
-		return nil
-	}
-
-	if err := pass(0, "initial"); err != nil {
-		return nil, err
-	}
-	for step := 1; step <= spec.Steps; step++ {
+	for step := 0; step <= spec.Steps; step++ {
 		now := float64(step) * farmDT
-		prev := now - farmDT
-		if ups != nil && prev >= spec.FailAtSec {
+		// The farm drew the charged power over the quantum that just ended.
+		if prev := now - farmDT; ups != nil && prev >= spec.FailAtSec {
 			if err := ups.Drain(alloc.Charged(prev), farmDT); err != nil {
 				return nil, err
 			}
 		}
-		if trig, due := alloc.Trigger(now); due {
-			if err := pass(now, trig); err != nil {
-				return nil, err
+		a, ran, err := alloc.Round(now, func(i int) (farm.DemandCurve, bool, error) {
+			if !spec.reachable(i, now) {
+				return farm.DemandCurve{}, false, nil
 			}
+			return randomFarmCurve(rng, members[i].Floor), true, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		if ran {
+			suite.Report(invariant.CheckAllocation(members, a)...)
+			if spec.allReachable(now) && !a.Met {
+				suite.Report(invariant.Violation{Checker: "farm-allocation", At: now,
+					Detail: fmt.Sprintf("met=false with every member reachable and budget %v above the floor minimum", a.Budget)})
+			}
+			fmt.Fprintf(&fp, "%.2f %s %.6f", now, a.Trigger, a.Charged.W())
+			for _, l := range a.Leases {
+				fmt.Fprintf(&fp, " %s=%.6f", l.Member, l.Budget.W())
+			}
+			fp.WriteByte('\n')
 		}
 		suite.Report(invariant.CheckFarmCharge(now, src.BudgetAt(now), alloc.Charged(now))...)
-		for _, h := range holders {
-			suite.Report(invariant.CheckHolder(now, h)...)
+		for i := range members {
+			suite.Report(invariant.CheckHolder(now, alloc.Holder(i))...)
 		}
 	}
 
@@ -255,11 +231,4 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 	res.Hash = hex.EncodeToString(sum[:8])
 	res.Violations = suite.Violations()
 	return res, nil
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,15 +8,6 @@ import (
 )
 
 func TestHelperFunctions(t *testing.T) {
-	if maxFloat(1, 2) != 2 || maxFloat(3, -1) != 3 {
-		t.Error("maxFloat")
-	}
-	if maxInt(1, 2) != 2 || maxInt(3, -1) != 3 {
-		t.Error("maxInt")
-	}
-	if minInt(1, 2) != 1 || minInt(3, -1) != -1 {
-		t.Error("minInt")
-	}
 	if round1(1.26) != 1.3 || round3(0.12345) != 0.123 {
 		t.Error("rounding")
 	}

@@ -249,7 +249,7 @@ func Generate(seed int64) Spec {
 	if rng.Intn(10) < 3 {
 		runway := 2 + 8*rng.Float64()
 		s.UPS = &UPSSpec{
-			FailRound: 1 + rng.Intn(maxInt(1, s.Rounds/2)),
+			FailRound: 1 + rng.Intn(max(1, s.Rounds/2)),
 			RunwaySec: runway,
 			CapacityJ: round1(s.BudgetW * runway * (0.5 + 0.5*rng.Float64())),
 		}
@@ -353,7 +353,7 @@ func genWindow(rng *rand.Rand, nNodes, rounds int) (Window, bool) {
 	return Window{
 		Node: rng.Intn(nNodes),
 		From: from,
-		To:   from + 1 + rng.Intn(minInt(5, maxLen)),
+		To:   from + 1 + rng.Intn(min(5, maxLen)),
 	}, true
 }
 
@@ -661,17 +661,3 @@ func (s Spec) faultAffected(round int) bool {
 
 func round1(v float64) float64 { return float64(int(v*10+0.5)) / 10 }
 func round3(v float64) float64 { return float64(int(v*1000+0.5)) / 1000 }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
