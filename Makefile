@@ -48,7 +48,8 @@ examples:
 # budget-schedule parser, the arrival-spec parser, the JSON and binary
 # wire decoders, the event-timeline op sequencer, the exact
 # optimal-assignment solver (feasibility, greedy domination,
-# permutation invariance), and the Step-2 walk (fvsst.FitToBudgetGrid
+# permutation invariance, the DP's merge kernel against its sort
+# oracle), and the Step-2 walk (fvsst.FitToBudgetGrid
 # against its two independent statements, StepTwoReplay and
 # optimal.Greedy).
 fuzz:

@@ -11,8 +11,8 @@ import (
 
 // runOptGap measures the paper's greedy Step 2 against the exact
 // optimal comparator across a scenario corpus and renders the gap
-// table. Exits nonzero on invariant violations, run errors, or a worst
-// per-pass gap above -max-gap.
+// table. Exits nonzero on invariant violations, run errors, a failed
+// comparator, or a worst per-pass gap above -max-gap.
 func runOptGap(args []string) error {
 	fs := flag.NewFlagSet("optgap", flag.ExitOnError)
 	seeds := fs.Int("seeds", 300, "scenario seeds to measure")
@@ -43,6 +43,9 @@ func runOptGap(args []string) error {
 
 	if rep.Errors > 0 || rep.Violations > 0 {
 		return fmt.Errorf("%d error(s), %d violation(s)", rep.Errors, rep.Violations)
+	}
+	if rep.Total.Broken > 0 {
+		return fmt.Errorf("exact comparator failed on %d pass(es): %s", rep.Total.Broken, rep.Total.BrokenDetail)
 	}
 	if *maxGap > 0 && rep.Total.WorstGap > *maxGap {
 		return fmt.Errorf("worst per-pass gap %.9g exceeds -max-gap %g", rep.Total.WorstGap, *maxGap)

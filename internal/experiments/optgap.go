@@ -123,6 +123,9 @@ func (r *OptGapReport) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "total: greedy loss %.9g vs optimal %.9g (mean excess %.9g/pass), energy-optimal feasible %d/%d\n",
 			t.GreedyLoss, t.OptimalLoss, (t.GreedyLoss-t.OptimalLoss)/float64(t.Passes), t.EnergyFeasible, t.Passes)
 	}
+	if t.Broken > 0 {
+		fmt.Fprintf(w, "total: exact comparator failed on %d pass(es), first: %s\n", t.Broken, t.BrokenDetail)
+	}
 	if r.Errors > 0 || r.Violations > 0 {
 		fmt.Fprintf(w, "total: %d error(s), %d violation(s)\n", r.Errors, r.Violations)
 	}

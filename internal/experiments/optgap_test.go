@@ -38,6 +38,19 @@ func TestOptGapCampaign(t *testing.T) {
 	if !strings.Contains(s1.String(), "worst gap") {
 		t.Fatalf("rendering lacks the summary:\n%s", s1.String())
 	}
+
+	// A failed comparator is merged like any other count, keeps its first
+	// detail, and gets its own line; a clean campaign renders none.
+	if a.Total.Broken != 0 || strings.Contains(s1.String(), "comparator failed") {
+		t.Fatalf("clean campaign reports a failed comparator:\n%s", s1.String())
+	}
+	a.Total.Merge(scenario.OptGapStats{Broken: 2, BrokenDetail: "optimal: dp re-check failed"})
+	a.Total.Merge(scenario.OptGapStats{Broken: 1, BrokenDetail: "later"})
+	var s3 strings.Builder
+	a.WriteText(&s3)
+	if want := "total: exact comparator failed on 3 pass(es), first: optimal: dp re-check failed\n"; !strings.Contains(s3.String(), want) {
+		t.Fatalf("rendering lacks %q:\n%s", want, s3.String())
+	}
 }
 
 // TestPolicySearchNeverWorse: the descent starts from the defaults, so

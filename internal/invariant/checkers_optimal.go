@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -43,7 +44,10 @@ type StepTwoOptimal struct {
 
 func (StepTwoOptimal) Name() string { return "step2-optimal" }
 
-func (c StepTwoOptimal) Check(p *Pass) []Violation {
+func (c StepTwoOptimal) Check(p *Pass) []Violation { return c.check(p, p.Problem()) }
+
+// check is Check over an explicit Problem (p.Problem() outside tests).
+func (c StepTwoOptimal) check(p *Pass, prob optimal.Problem) []Violation {
 	gap := c.Gap
 	if gap <= 0 {
 		gap = DefaultGap
@@ -63,11 +67,18 @@ func (c StepTwoOptimal) Check(p *Pass) []Violation {
 	if !p.Met || n == 0 {
 		return out
 	}
-	sol, err := optimal.Solve(p.Problem())
-	if err != nil {
+	sol, err := optimal.Solve(prob)
+	if errors.Is(err, optimal.ErrTooLarge) {
 		// Beyond the solver limits (only reachable on synthetic tables):
-		// the replay and budget checkers still cover the pass.
+		// skip, never approximate — the replay and budget checkers still
+		// cover the pass.
 		return out
+	}
+	if err != nil {
+		// Anything else is the comparator contradicting itself (its exact
+		// re-check tripped), which must not pass for a skip.
+		return append(out, Violation{"step2-optimal", p.At,
+			fmt.Sprintf("exact comparator failed (%v): comparator broken", err)})
 	}
 	if !sol.Feasible {
 		out = append(out, Violation{"step2-optimal", p.At,
@@ -96,15 +107,23 @@ func (c StepTwoOptimal) Check(p *Pass) []Violation {
 // `experiments optgap` table): the greedy's CPU-order loss sum, the exact
 // optimum, and the unconstrained energy-per-instruction baseline. It
 // returns ok=false when the pass is infeasible, empty, or beyond the
-// solver limits — callers count those as unsolved rather than gap zero.
-func (p *Pass) OptGap() (greedy, opt float64, energy optimal.Assignment, ok bool) {
+// solver limits — callers count those as unsolved rather than gap zero —
+// and ok=false with the error when the comparator itself failed.
+func (p *Pass) OptGap() (greedy, opt float64, energy optimal.Assignment, ok bool, err error) {
+	return p.optGap(p.Problem())
+}
+
+// optGap is OptGap over an explicit Problem (p.Problem() outside tests).
+func (p *Pass) optGap(prob optimal.Problem) (greedy, opt float64, energy optimal.Assignment, ok bool, err error) {
 	if !p.Met || len(p.Procs) == 0 {
-		return 0, 0, optimal.Assignment{}, false
+		return 0, 0, optimal.Assignment{}, false, nil
 	}
-	prob := p.Problem()
 	sol, err := optimal.Solve(prob)
+	if errors.Is(err, optimal.ErrTooLarge) {
+		return 0, 0, optimal.Assignment{}, false, nil
+	}
 	if err != nil || !sol.Feasible {
-		return 0, 0, optimal.Assignment{}, false
+		return 0, 0, optimal.Assignment{}, false, err
 	}
 	g := p.Grid()
 	for i, pr := range p.Procs {
@@ -114,10 +133,10 @@ func (p *Pass) OptGap() (greedy, opt float64, energy optimal.Assignment, ok bool
 	}
 	energyA, err := optimal.EnergyOptimal(prob)
 	if err != nil {
-		return 0, 0, optimal.Assignment{}, false
+		return 0, 0, optimal.Assignment{}, false, err
 	}
 	if math.IsNaN(greedy) || math.IsNaN(sol.Loss) {
-		return 0, 0, optimal.Assignment{}, false
+		return 0, 0, optimal.Assignment{}, false, nil
 	}
-	return greedy, sol.Loss, energyA, true
+	return greedy, sol.Loss, energyA, true, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/invariant"
+	"repro/internal/optimal"
 	"repro/internal/units"
 )
 
@@ -61,9 +62,9 @@ func TestStepTwoOptimal(t *testing.T) {
 func TestPassOptGap(t *testing.T) {
 	cfg := testConfig()
 	p := cleanPass(t, cfg)
-	greedy, opt, energy, ok := p.OptGap()
-	if !ok {
-		t.Fatal("clean pass must be solvable")
+	greedy, opt, energy, ok, err := p.OptGap()
+	if !ok || err != nil {
+		t.Fatalf("clean pass must be solvable: ok=%v err=%v", ok, err)
 	}
 	if greedy < opt {
 		t.Fatalf("greedy %g below exact optimum %g", greedy, opt)
@@ -78,11 +79,52 @@ func TestPassOptGap(t *testing.T) {
 	// Infeasible and empty passes are unsolved, not gap zero.
 	infeasible := *p
 	infeasible.Met = false
-	if _, _, _, ok := infeasible.OptGap(); ok {
+	if _, _, _, ok, err := infeasible.OptGap(); ok || err != nil {
 		t.Fatal("met=false pass reported as solved")
 	}
 	empty := mustPass(t, cfg, units.Watts(1e6), nil, nil, 0, true)
-	if _, _, _, ok := empty.OptGap(); ok {
+	if _, _, _, ok, err := empty.OptGap(); ok || err != nil {
 		t.Fatal("empty pass reported as solved")
+	}
+}
+
+// TestStepTwoOptimalSolverFailure pins the difference between "beyond
+// the solver limits" (skip) and "the comparator failed" (report): a loss
+// surface that answers differently on every call makes optimal.Solve's
+// exact re-check trip, and that must surface as a comparator-broken
+// violation and an OptGap error, never as a silently skipped pass.
+func TestStepTwoOptimalSolverFailure(t *testing.T) {
+	cfg := testConfig()
+	p := cleanPass(t, cfg)
+	flaky := func() optimal.Problem {
+		prob, calls := p.Problem(), 0
+		loss := prob.Loss
+		prob.Loss = func(cpu, fi int) float64 {
+			calls++
+			return loss(cpu, fi) + 1e-3*float64(calls)
+		}
+		return prob
+	}
+	cases := []struct {
+		name       string
+		prob       optimal.Problem
+		wantBroken bool
+	}{
+		{"deterministic", p.Problem(), false},
+		{"flaky loss", flaky(), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			vs := invariant.StepTwoOptimal{}.CheckProblem(p, tc.prob)
+			broken := len(vs) == 1 && vs[0].Checker == "step2-optimal" &&
+				strings.Contains(vs[0].Detail, "re-check failed") && strings.Contains(vs[0].Detail, "comparator broken")
+			if broken != tc.wantBroken || (!tc.wantBroken && len(vs) != 0) {
+				t.Fatalf("violations = %v, want comparator-broken=%v", vs, tc.wantBroken)
+			}
+			_, _, _, ok, err := p.OptGapProblem(tc.prob)
+			if ok == tc.wantBroken || (err != nil) != tc.wantBroken {
+				t.Fatalf("OptGap ok=%v err=%v, want broken=%v", ok, err, tc.wantBroken)
+			}
+		})
 	}
 }

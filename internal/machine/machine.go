@@ -167,7 +167,9 @@ type Machine struct {
 	cpus []*cpu
 	// clock is the machine's simulated time source, advancing one dispatch
 	// quantum per Step.
-	clock  engine.SimClock
+	clock engine.SimClock
+	// rng is built by random on the first draw; only latency jitter and
+	// Monte-Carlo execution ever draw.
 	rng    *rand.Rand
 	meter  *power.Meter
 	energy power.EnergyMeter
@@ -201,7 +203,6 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:   cfg,
 		clock: *engine.NewSimClock(cfg.Quantum),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		meter: meter,
 	}
 	for i := 0; i < cfg.NumCPUs; i++ {
@@ -560,12 +561,23 @@ func (m *Machine) stepCPU(i int, c *cpu, dt float64, partnerRate float64) {
 	c.last = stats
 }
 
+// random returns the source seeded with cfg.Seed, building it on the first
+// draw: a source is 4.9 KB and 607 seeding steps, which a jitter-free
+// analytic machine (every node of a DES fleet) never uses. Same seed, same
+// first draw, so the stream is the one an eager source would give.
+func (m *Machine) random() *rand.Rand {
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(m.cfg.Seed))
+	}
+	return m.rng
+}
+
 // quantumLatencyScale draws this quantum's true memory-latency multiplier:
 // shared-cache contention times lognormal-ish jitter, floored at 0.5.
 func (m *Machine) quantumLatencyScale(partnerRate float64) float64 {
 	scale := m.cfg.Contention.Factor(partnerRate, m.cfg.ContentionSatRefs)
 	if m.cfg.LatencyJitterSigma > 0 {
-		scale *= 1 + m.rng.NormFloat64()*m.cfg.LatencyJitterSigma
+		scale *= 1 + m.random().NormFloat64()*m.cfg.LatencyJitterSigma
 	}
 	if scale < 0.5 {
 		scale = 0.5

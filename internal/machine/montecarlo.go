@@ -57,6 +57,7 @@ func (m *Machine) runJobMC(c *cpu, job *workload.Cursor, f units.Frequency, latS
 	tL2, tL3, tMem := h.ServiceTimes()
 	budgetCycles := avail * f.Hz()
 	var consumed float64
+	rng := m.random()
 	for consumed < budgetCycles && !job.Done() {
 		phase := job.Current()
 		n, _ := job.AdvanceWithinPhase(mcBlock)
@@ -65,9 +66,9 @@ func (m *Machine) runJobMC(c *cpu, job *workload.Cursor, f units.Frequency, latS
 		}
 		nf := float64(n)
 		core := (1/phase.Alpha + phase.NonMemStallCyclesPerInstr) * nf
-		l2 := poisson(m.rng, nf*phase.Rates.L2PerInstr)
-		l3 := poisson(m.rng, nf*phase.Rates.L3PerInstr)
-		mem := poisson(m.rng, nf*phase.Rates.MemPerInstr)
+		l2 := poisson(rng, nf*phase.Rates.L2PerInstr)
+		l3 := poisson(rng, nf*phase.Rates.L3PerInstr)
+		mem := poisson(rng, nf*phase.Rates.MemPerInstr)
 		memSeconds := latScale * (float64(l2)*tL2 + float64(l3)*tL3 + float64(mem)*tMem)
 		cyc := core + memSeconds*f.Hz()
 		consumed += cyc

@@ -2,7 +2,7 @@ package optimal
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"repro/internal/units"
 )
@@ -20,6 +20,13 @@ type state struct {
 	choice int32 // table index chosen for this stage's CPU
 }
 
+// run is one choice's walk along the previous frontier: its next
+// candidate extends prev[j] with table index k and draws pow.
+type run struct {
+	pow  units.Power
+	j, k int32
+}
+
 // solveDP runs the Pareto-frontier dynamic program. Stage i extends every
 // surviving prefix over CPUs 0..i-1 with each choice k ≤ Upper[i],
 // accumulating power and loss in CPU order so each state's sums are the
@@ -31,65 +38,86 @@ type state struct {
 // budget are dropped because table powers are strictly positive, so no
 // suffix can bring them back under. The minimum loss on the final
 // frontier is therefore bit-identical to exhaustive enumeration.
+//
+// A frontier is strictly increasing in power, so by the same monotonicity
+// each choice's extensions already come in non-decreasing power: a stage
+// is a k-way merge of those runs, not a sort. Candidates that land on one
+// power — across runs or along one — compete under the total order (loss,
+// prev, choice), and the winner is kept iff it is the stage's first state
+// or strictly beats every lower-power loss; that is what scanning the
+// candidates sorted by (power, loss, prev, choice) keeps, element for
+// element (dp_oracle_test.go holds that scan as the oracle). Stages share
+// one arena, stage i at arena[off[i]:off[i+1]].
 func solveDP(p *Problem, lim Limits) (Assignment, error) {
 	n := len(p.Upper)
-	stages := make([][]state, n+1)
-	stages[0] = []state{{prev: -1, choice: -1}}
-	kept := 1
-	cand := []state(nil)
+	width := 0
+	for _, u := range p.Upper {
+		width = max(width, u+1)
+	}
+	powers := make([]units.Power, width)
+	for k := range powers {
+		powers[k] = p.Table.PowerAtIndex(k)
+	}
+	losses := make([]float64, width)
+	runs := make([]run, width)
+	off := make([]int, n+2)
+	off[1] = 1
+	arena := append(make([]state, 0, 4*(n+1)), state{prev: -1, choice: -1})
 	for i := 0; i < n; i++ {
-		prevFrontier := stages[i]
-		cand = cand[:0]
-		for pi, ps := range prevFrontier {
-			for k := 0; k <= p.Upper[i]; k++ {
-				pow := ps.power + p.Table.PowerAtIndex(k)
-				if pow > p.Budget {
-					continue
+		prev := arena[off[i]:off[i+1]]
+		live := runs[:0]
+		for k := 0; k <= p.Upper[i]; k++ {
+			losses[k] = p.Loss(i, k)
+			if pow := prev[0].power + powers[k]; pow <= p.Budget {
+				live = append(live, run{pow: pow, k: int32(k)})
+			}
+		}
+		for len(live) > 0 {
+			low := live[0].pow
+			for _, r := range live[1:] {
+				low = min(low, r.pow)
+			}
+			best := state{choice: -1}
+			for ri := 0; ri < len(live); {
+				r := &live[ri]
+				for r.pow == low {
+					c := state{power: low, loss: prev[r.j].loss + losses[r.k], prev: r.j, choice: r.k}
+					if best.choice < 0 || c.loss < best.loss || c.loss == best.loss &&
+						(c.prev < best.prev || c.prev == best.prev && c.choice < best.choice) {
+						best = c
+					}
+					if r.j++; int(r.j) == len(prev) {
+						r.j = -1
+						break
+					}
+					r.pow = prev[r.j].power + powers[r.k]
 				}
-				cand = append(cand, state{
-					power:  pow,
-					loss:   ps.loss + p.Loss(i, k),
-					prev:   int32(pi),
-					choice: int32(k),
-				})
+				if r.j < 0 || r.pow > p.Budget { // the run is spent
+					live[ri] = live[len(live)-1]
+					live = live[:len(live)-1]
+				} else {
+					ri++
+				}
+			}
+			if last := len(arena) - 1; last < off[i+1] || best.loss < arena[last].loss {
+				if len(arena) == cap(arena) {
+					arena = slices.Grow(arena, len(arena)) // double: append's 1.25× copies a long arena 5×
+				}
+				arena = append(arena, best)
 			}
 		}
-		// Deterministic total order: power, then loss, then the canonical
-		// (prev, choice) pair, so ties always keep the same witness.
-		sort.Slice(cand, func(a, b int) bool {
-			ca, cb := cand[a], cand[b]
-			if ca.power != cb.power {
-				return ca.power < cb.power
-			}
-			if ca.loss != cb.loss {
-				return ca.loss < cb.loss
-			}
-			if ca.prev != cb.prev {
-				return ca.prev < cb.prev
-			}
-			return ca.choice < cb.choice
-		})
-		frontier := cand[:0:0]
-		bestLoss := 0.0
-		for ci, c := range cand {
-			if ci == 0 || c.loss < bestLoss {
-				frontier = append(frontier, c)
-				bestLoss = c.loss
-			}
-		}
-		if len(frontier) > lim.MaxFrontier {
+		off[i+2] = len(arena)
+		switch size := off[i+2] - off[i+1]; {
+		case size == 0:
+			// SolveLimits already handled the infeasible case; an empty
+			// frontier can only mean the floor fits but every extension was
+			// dropped, which cannot happen (the all-floor path survives).
+			return Assignment{}, errors.New("optimal: dp lost the floor assignment")
+		case size > lim.MaxFrontier:
 			return Assignment{}, errFrontier
 		}
-		stages[i+1] = frontier
-		kept += len(frontier)
 	}
-	final := stages[n]
-	if len(final) == 0 {
-		// SolveLimits already handled the infeasible case; an empty final
-		// frontier can only mean the floor fits but every extension was
-		// dropped, which cannot happen (the all-floor path survives).
-		return Assignment{}, errors.New("optimal: dp lost the floor assignment")
-	}
+	final := arena[off[n]:]
 	// Loss is strictly decreasing along the frontier, so the minimum sits
 	// at the end; scan anyway so the invariant is not load-bearing.
 	best := 0
@@ -101,7 +129,7 @@ func solveDP(p *Problem, lim Limits) (Assignment, error) {
 	idx := make([]int, n)
 	si := int32(best)
 	for i := n - 1; i >= 0; i-- {
-		s := stages[i+1][si]
+		s := arena[off[i+1]+int(si)]
 		idx[i] = int(s.choice)
 		si = s.prev
 	}
@@ -111,6 +139,6 @@ func solveDP(p *Problem, lim Limits) (Assignment, error) {
 		Power:    final[best].power,
 		Feasible: true,
 		Method:   "dp",
-		States:   kept,
+		States:   len(arena),
 	}, nil
 }

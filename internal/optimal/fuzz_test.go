@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzOptimalAssign drives Solve over randomized instances and checks
-// the three properties that make it a trustworthy comparator:
+// the four properties that make it a trustworthy comparator:
 //
 //  1. feasibility — a feasible result's power fits the budget and every
 //     index respects its upper bound (the in-solver re-check enforces
@@ -19,7 +19,10 @@ import (
 //     set, so the optimum's loss cannot exceed it;
 //  3. permutation invariance — relabelling CPUs changes only the float
 //     accumulation order, so the optimal loss moves by rounding at most
-//     (and feasibility not at all).
+//     (and feasibility not at all);
+//  4. the sort oracle — the DP's merge kernel agrees with the sort-based
+//     body it replaced (dp_oracle_test.go) on witness, loss bits, power,
+//     states and error, at the default frontier cap and at a small one.
 func FuzzOptimalAssign(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), 0.5)
 	f.Add(int64(42), uint8(1), uint8(8), 0.0)
@@ -73,6 +76,14 @@ func FuzzOptimalAssign(f *testing.F) {
 		}
 		if sol.Feasible && pow > budget {
 			t.Fatalf("feasible result draws %v over budget %v", pow, budget)
+		}
+
+		if sol.Feasible { // the floor fits: the DP kernel's precondition
+			for _, maxFrontier := range []int{optimal.DefaultMaxFrontier, 1 + int(nFreq)%40} {
+				if err := optimal.DiffSortOracle(p, optimal.Limits{MaxFrontier: maxFrontier}); err != nil {
+					t.Fatalf("frontier cap %d: %v", maxFrontier, err)
+				}
+			}
 		}
 
 		g := optimal.Greedy(p)

@@ -12,7 +12,10 @@ import (
 // the meter applies multiplicative Gaussian noise from a seeded source so
 // experiments are reproducible.
 type Meter struct {
-	rng *rand.Rand
+	// rng is built from seed by the first noisy Read (same seed, same first
+	// draw, same stream); a noise-free meter never pays for a source.
+	rng  *rand.Rand
+	seed int64
 	// NoiseSigma is the relative standard deviation of a reading
 	// (0.01 = 1% sensor noise). Zero disables noise.
 	NoiseSigma float64
@@ -23,13 +26,16 @@ func NewMeter(noiseSigma float64, seed int64) (*Meter, error) {
 	if noiseSigma < 0 || noiseSigma > 0.5 {
 		return nil, fmt.Errorf("power: meter noise sigma %v out of [0,0.5]", noiseSigma)
 	}
-	return &Meter{rng: rand.New(rand.NewSource(seed)), NoiseSigma: noiseSigma}, nil
+	return &Meter{seed: seed, NoiseSigma: noiseSigma}, nil
 }
 
 // Read returns a noisy observation of the true power, clamped non-negative.
 func (m *Meter) Read(truth units.Power) units.Power {
 	if m.NoiseSigma == 0 {
 		return truth
+	}
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(m.seed))
 	}
 	obs := truth * units.Power(1+m.rng.NormFloat64()*m.NoiseSigma)
 	if obs < 0 {

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/units"
@@ -272,6 +273,26 @@ func TestMeterDeterministicPerSeed(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if a.Read(units.Watts(50)) != b.Read(units.Watts(50)) {
 			t.Fatal("same seed produced different readings")
+		}
+	}
+}
+
+// TestMeterSeedsOnFirstDraw: a noise-free meter never builds a source, and
+// a noisy one starts the stream an eagerly seeded source would.
+func TestMeterSeedsOnFirstDraw(t *testing.T) {
+	quiet, _ := NewMeter(0, 7)
+	for i := 0; i < 1000; i++ {
+		quiet.Read(units.Watts(50))
+	}
+	if quiet.rng != nil {
+		t.Fatal("noise-free meter built a random source")
+	}
+	noisy, _ := NewMeter(0.05, 7)
+	eager := rand.New(rand.NewSource(7))
+	for i := 0; i < 10; i++ {
+		want := units.Watts(50) * units.Power(1+eager.NormFloat64()*0.05)
+		if got := noisy.Read(units.Watts(50)); got != want {
+			t.Fatalf("read %d = %b, eagerly seeded stream gives %b", i, got.W(), want.W())
 		}
 	}
 }

@@ -227,7 +227,9 @@ func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		sampler, err := counters.NewSampler(m, 256)
+		// The round only ever reads the last SchedulePeriods deltas; the
+		// depth is fvsst.NewScheduler's and cluster.New's.
+		sampler, err := counters.NewSampler(m, 4*spec.SchedulePeriods)
 		if err != nil {
 			return nil, err
 		}

@@ -230,6 +230,10 @@ type OptGapStats struct {
 	// counts infeasible, empty, or solver-limit passes.
 	Passes  int `json:"passes"`
 	Skipped int `json:"skipped,omitempty"`
+	// Broken counts passes on which the exact comparator itself failed
+	// (not a solver-limit skip); BrokenDetail keeps the first such error.
+	Broken       int    `json:"broken,omitempty"`
+	BrokenDetail string `json:"broken_detail,omitempty"`
 	// NonOptimal counts passes where the actual loss exceeded the exact
 	// optimum beyond float tolerance.
 	NonOptimal int `json:"non_optimal"`
@@ -247,7 +251,11 @@ type OptGapStats struct {
 
 // measure folds one pass into the stats.
 func (s *OptGapStats) measure(p *invariant.Pass) {
-	greedy, opt, energy, ok := p.OptGap()
+	greedy, opt, energy, ok, err := p.OptGap()
+	if err != nil {
+		s.broken(1, err.Error())
+		return
+	}
 	if !ok {
 		s.Skipped++
 		return
@@ -268,10 +276,19 @@ func (s *OptGapStats) measure(p *invariant.Pass) {
 	}
 }
 
+// broken records n comparator failures, keeping the first detail seen.
+func (s *OptGapStats) broken(n int, detail string) {
+	s.Broken += n
+	if s.BrokenDetail == "" {
+		s.BrokenDetail = detail
+	}
+}
+
 // Merge folds another run's stats into s (soak aggregation).
 func (s *OptGapStats) Merge(o OptGapStats) {
 	s.Passes += o.Passes
 	s.Skipped += o.Skipped
+	s.broken(o.Broken, o.BrokenDetail)
 	s.NonOptimal += o.NonOptimal
 	if o.WorstGap > s.WorstGap {
 		s.WorstGap = o.WorstGap
