@@ -110,9 +110,9 @@ func (l *transitionLog) Emit(e obs.Event) {
 // load.
 var apps = []string{"gzip", "mcf", "gap", "health"}
 
-// buildAgents spawns the node agents. With a pipe dialer the agents never
-// bind a listener: they register under their name, which doubles as the
-// dial address.
+// buildAgents spawns the node agents and makes each reachable: registered
+// on the pipe dialer under its name (no listener) when there is one, on
+// loopback TCP otherwise.
 func buildAgents(o options, sink obs.Sink, pd *netcluster.PipeDialer) ([]*netcluster.Agent, []netcluster.NodeSpec, error) {
 	agents := make([]*netcluster.Agent, o.nodes)
 	specs := make([]netcluster.NodeSpec, o.nodes)
@@ -149,16 +149,10 @@ func buildAgents(o options, sink obs.Sink, pd *netcluster.PipeDialer) ([]*netclu
 		if err != nil {
 			return nil, nil, err
 		}
-		if pd != nil {
-			pd.Register(name, a)
-			specs[i] = netcluster.NodeSpec{Name: name, Addr: name}
-		} else {
-			if err := a.Start(); err != nil {
-				return nil, nil, err
-			}
-			specs[i] = netcluster.NodeSpec{Name: name, Addr: a.Addr()}
-		}
 		agents[i] = a
+		if specs[i], err = a.Listen(pd); err != nil {
+			return nil, nil, err
+		}
 	}
 	return agents, specs, nil
 }
@@ -169,7 +163,9 @@ func run(o options, out io.Writer) (result, error) {
 		return res, fmt.Errorf("need at least one node")
 	}
 	switch o.transport {
-	case "", "tcp", "pipe":
+	case "":
+		o.transport = "tcp"
+	case "tcp", "pipe":
 	default:
 		return res, fmt.Errorf("-transport must be tcp or pipe, not %q", o.transport)
 	}
@@ -445,12 +441,10 @@ func runFleet(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metri
 		partitionName = fleet.Status()[o.partition].Name
 	}
 	if o.relays > 0 {
-		transport := o.transport
-		if transport == "" {
-			transport = "tcp"
-		}
-		fmt.Fprintf(out, "%d nodes up behind %d relays (%s transport); budget %.0fW; seed %d\n",
-			o.nodes, o.relays, transport, o.budgetW, o.seed)
+		// NewFleet's rule: the root outwaits a relay whose leaf costs it
+		// every timeout and retry it has.
+		fmt.Fprintf(out, "%d nodes up behind %d relays (%s transport, root deadline %v); budget %.0fW; seed %d\n",
+			o.nodes, o.relays, o.transport, max(top.RPCTimeout, sub.WorstCasePhase()), o.budgetW, o.seed)
 	} else {
 		fmt.Fprintf(out, "%d nodes up; budget %.0fW; seed %d\n", o.nodes, o.budgetW, o.seed)
 	}

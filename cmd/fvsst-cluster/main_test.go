@@ -227,7 +227,7 @@ func TestRelayTreeScenario(t *testing.T) {
 		scale:        0.5,
 		seed:         1,
 		missK:        3,
-		rpcTimeout:   200 * time.Millisecond,
+		rpcTimeout:   50 * time.Millisecond,
 		logEvery:     5,
 	}
 	var out strings.Builder
@@ -257,7 +257,9 @@ func TestRelayTreeScenario(t *testing.T) {
 		t.Errorf("budget trajectory %v → %v, want 1800W → 1200W", first.Budget, last.Budget)
 	}
 	text := out.String()
-	for _, want := range []string{"PARTITION relay1", "HEAL", "peak pass latency", "budget safety: 0 violations", "binary frames"} {
+	// The root's deadline is derived, not the flag: 3 attempts of dial,
+	// hello and request at 50 ms each plus 2 backoffs of at most 250 ms.
+	for _, want := range []string{"root deadline 950ms", "PARTITION relay1", "HEAL", "peak pass latency", "budget safety: 0 violations", "binary frames"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
 		}

@@ -14,7 +14,6 @@ package netcluster
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -22,7 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/netcluster/proto"
-	"repro/internal/netcluster/wire"
 	"repro/internal/obs"
 	"repro/internal/units"
 )
@@ -37,9 +35,6 @@ type AgentConfig struct {
 	// Addr is the TCP listen address; empty means loopback with an
 	// OS-assigned port (the spawned-agent default).
 	Addr string
-	// HistoryQuanta bounds the sampler's per-CPU delta ring; 0 selects a
-	// default generous enough for any coordinator window.
-	HistoryQuanta int
 	// FailsafeLease is the watchdog: after this much wall-clock silence
 	// from the coordinator, the agent drops every CPU to the minimum
 	// table frequency on its own, so a partitioned node can never draw
@@ -51,12 +46,15 @@ type AgentConfig struct {
 	Sink obs.Sink
 }
 
+// historyQuanta bounds the sampler's per-CPU delta ring: generous for any
+// coordinator window (Fvsst.SchedulePeriods quanta, 10 at the defaults).
+const historyQuanta = 256
+
 // Agent serves one node's observation/actuation surface to the
-// coordinator.
+// coordinator; the embedded server makes it reachable and closes it.
 type Agent struct {
-	cfg     AgentConfig
-	ln      net.Listener
-	quantum float64
+	server
+	cfg AgentConfig
 
 	mu      sync.Mutex
 	sampler *counters.Sampler
@@ -64,10 +62,6 @@ type Agent struct {
 	// wall clock), guarded by mu as the Lease itself is unsynchronized.
 	// Nil when the failsafe is disabled.
 	lease *engine.Lease
-	conns map[proto.Conn]struct{}
-
-	closed chan struct{}
-	wg     sync.WaitGroup
 }
 
 // NewAgent validates the configuration and prepares the agent.
@@ -78,78 +72,22 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.M == nil {
 		return nil, fmt.Errorf("netcluster: agent %s has no machine", cfg.Name)
 	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
-	if cfg.HistoryQuanta == 0 {
-		cfg.HistoryQuanta = 256
-	}
 	if cfg.FailsafeLease < 0 {
 		return nil, fmt.Errorf("netcluster: agent %s negative failsafe lease", cfg.Name)
 	}
-	sampler, err := counters.NewSampler(cfg.M, cfg.HistoryQuanta)
+	sampler, err := counters.NewSampler(cfg.M, historyQuanta)
 	if err != nil {
 		return nil, err
 	}
-	return &Agent{
-		cfg:     cfg,
-		quantum: cfg.M.Config().Quantum,
-		sampler: sampler,
-		conns:   make(map[proto.Conn]struct{}),
-		closed:  make(chan struct{}),
-	}, nil
-}
-
-// Start binds the listener and begins serving. Addr reports the bound
-// address afterwards.
-func (a *Agent) Start() error {
-	ln, err := net.Listen("tcp", a.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("netcluster: agent %s listen: %w", a.cfg.Name, err)
-	}
-	a.ln = ln
-	a.wg.Add(1)
-	go a.acceptLoop()
-	if a.cfg.FailsafeLease > 0 {
-		lease, err := engine.NewLease(a.cfg.FailsafeLease, nil)
-		if err != nil {
-			return err
+	a := &Agent{cfg: cfg, sampler: sampler}
+	a.setup(cfg.Name, cfg.Addr, a.handle)
+	if cfg.FailsafeLease > 0 {
+		if a.lease, err = engine.NewLease(cfg.FailsafeLease, nil); err != nil {
+			return nil, err
 		}
-		a.mu.Lock()
-		a.lease = lease
-		a.mu.Unlock()
-		a.wg.Add(1)
-		go a.watchdog()
+		a.daemon = a.watchdog
 	}
-	return nil
-}
-
-// Addr returns the bound listen address (valid after Start).
-func (a *Agent) Addr() string { return a.ln.Addr().String() }
-
-// Close stops serving and waits for the handler goroutines. A connection
-// that reaches the agent afterwards is hung up on unanswered.
-func (a *Agent) Close() error {
-	a.mu.Lock()
-	select {
-	case <-a.closed:
-		a.mu.Unlock()
-		return nil
-	default:
-	}
-	close(a.closed)
-	// Unblock handlers parked in Recv: a coordinator that crashed or
-	// errored out mid-handshake never closes its end.
-	for c := range a.conns {
-		c.Close()
-	}
-	a.mu.Unlock()
-	var err error
-	if a.ln != nil {
-		err = a.ln.Close()
-	}
-	a.wg.Wait()
-	return err
+	return a, nil
 }
 
 // Now returns the node's simulation time.
@@ -167,32 +105,11 @@ func (a *Agent) FailsafeTripped() bool {
 	return a.lease != nil && a.lease.Tripped()
 }
 
-func (a *Agent) acceptLoop() {
-	defer a.wg.Done()
-	for {
-		conn, err := a.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		// Mirror mode: the agent answers in whatever codec the
-		// coordinator speaks, switching to binary on its first binary
-		// frame. The codec differential's JSON oracle sees pure JSON.
-		go a.serve(wire.NewConn(conn, wire.Options{Mirror: true}))
-	}
-}
-
-// ServeConn serves one pre-established stream connection (e.g. one end of
-// a net.Pipe) until it closes, with the same codec mirroring as accepted
-// TCP connections. It blocks; run it on its own goroutine. Used by
-// in-process fleets too large for per-agent TCP sockets. After Close it
-// hangs up at once, as a closed listener refuses the dial.
-func (a *Agent) ServeConn(conn net.Conn) {
-	a.serve(wire.NewConn(conn, wire.Options{Mirror: true}))
-}
-
-// watchdog trips the failsafe after FailsafeLease of coordinator silence.
+// watchdog trips the failsafe after FailsafeLease of coordinator silence,
+// counted from Start.
 func (a *Agent) watchdog() {
 	defer a.wg.Done()
+	a.touch()
 	tick := time.NewTicker(a.cfg.FailsafeLease / 4)
 	defer tick.Stop()
 	for {
@@ -233,60 +150,9 @@ func (a *Agent) touch() {
 	a.mu.Unlock()
 }
 
-// admit registers a new session unless the agent has closed. The closed
-// check and wg.Add share a.mu with Close, so Add never races Close's Wait.
-func (a *Agent) admit(c proto.Conn) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	select {
-	case <-a.closed:
-		return false
-	default:
-	}
-	a.wg.Add(1)
-	a.conns[c] = struct{}{}
-	return true
-}
-
-func (a *Agent) serve(c proto.Conn) {
-	if !a.admit(c) {
-		c.Close()
-		return
-	}
-	defer a.wg.Done()
-	defer func() {
-		a.mu.Lock()
-		delete(a.conns, c)
-		a.mu.Unlock()
-		c.Close()
-	}()
-	for {
-		req, err := c.Recv()
-		if err != nil {
-			return // connection gone; coordinator will redial
-		}
-		start := time.Now()
-		a.touch()
-		resp := a.handle(req)
-		resp.ID = req.ID
-		resp.Node = a.cfg.Name
-		// Echo the request's trace context and report the handling time so
-		// the coordinator can split its measured round-trip into wire time
-		// and agent-side service/apply time (the rpc:* span breakdown).
-		resp.Trace = req.Trace
-		resp.ServiceSec = time.Since(start).Seconds()
-		if err := c.Send(resp); err != nil {
-			return
-		}
-	}
-}
-
-// fail builds an error response.
-func fail(format string, args ...any) *proto.Message {
-	return &proto.Message{Kind: proto.KindError, Error: fmt.Sprintf(format, args...)}
-}
-
+// handle answers one coordinator request; any request is contact.
 func (a *Agent) handle(req *proto.Message) *proto.Message {
+	a.touch()
 	switch req.Kind {
 	case proto.KindHello:
 		return a.handleHello()
@@ -311,28 +177,12 @@ func (a *Agent) handleHello() *proto.Message {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	m := a.cfg.M
-	table := m.Config().Table
-	var freqs []float64
-	for _, p := range table.Points() {
-		freqs = append(freqs, p.F.MHz())
-	}
-	maxP, err := table.PowerAt(table.MaxFrequency())
-	if err != nil {
-		return fail("capabilities: %v", err)
-	}
-	return &proto.Message{
-		Kind: proto.KindHelloAck,
-		Now:  m.Now(),
-		Capabilities: &proto.Capabilities{
-			Node:        a.cfg.Name,
-			NumCPUs:     m.NumCPUs(),
-			QuantumSec:  a.quantum,
-			FreqsMHz:    freqs,
-			MaxPowerW:   maxP.W(),
-			FailsafeSec: a.cfg.FailsafeLease.Seconds(),
-			Codecs:      []string{wire.CodecName},
-		},
-	}
+	return helloAck(m.Now(), m.Config().Table, proto.Capabilities{
+		Node:        a.cfg.Name,
+		NumCPUs:     m.NumCPUs(),
+		QuantumSec:  m.Config().Quantum,
+		FailsafeSec: a.cfg.FailsafeLease.Seconds(),
+	})
 }
 
 func (a *Agent) handleCounters(req proto.CounterRequest) *proto.Message {

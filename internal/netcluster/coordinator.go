@@ -61,10 +61,8 @@ type Config struct {
 	// worst-case-under-silence power; MissK only gates the degrade
 	// transition reported to operators. Default 3.
 	MissK int
-	// RPCTimeout bounds each RPC attempt. Default 500 ms.
+	// RPCTimeout bounds each RPC attempt and each dial. Default 500 ms.
 	RPCTimeout time.Duration
-	// DialTimeout bounds connection establishment. Defaults to RPCTimeout.
-	DialTimeout time.Duration
 	// Retries is how many times an RPC is retried after the first
 	// attempt, with exponential backoff and jitter between attempts.
 	// Default 2.
@@ -105,9 +103,6 @@ func (c *Config) applyDefaults() {
 	if c.RPCTimeout == 0 {
 		c.RPCTimeout = 500 * time.Millisecond
 	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = c.RPCTimeout
-	}
 	if c.Retries == 0 {
 		c.Retries = 2
 	}
@@ -145,18 +140,18 @@ type nodeState struct {
 	caps     *proto.Capabilities
 	missed   int
 	degraded bool
-	// lastFreqs is the last acknowledged actuation — the most the node
-	// can draw while silent, since settings only change on actuation
-	// (the agent failsafe can only lower them). Nil until first ack.
+	// lastFreqs is the last acknowledged actuation (nil until the first
+	// ack), kept for Status.
 	lastFreqs []units.Frequency
-	// lastCharged/granted are the relay-tier analogue of lastFreqs: the
-	// subtree charge a relay acknowledged on its last grant. A silent
-	// relay's children cannot raise their settings without grants flowing
-	// through it, so the frozen subtree can draw at most lastCharged.
-	lastCharged units.Power
-	granted     bool
-	rng         *rand.Rand
-	reqID       uint64
+	// held is the most the peer can draw while silent, once acked: the
+	// table power of a node's last acknowledged actuation (settings change
+	// only on actuation; the agent failsafe can only lower them), or the
+	// ChargedW of a relay's last grant-ack (its children's settings cannot
+	// rise without grants flowing through it).
+	held  units.Power
+	acked bool
+	rng   *rand.Rand
+	reqID uint64
 }
 
 // NodeStatus is a point-in-time external view of one node.
@@ -341,13 +336,11 @@ func (c *Coordinator) Status() []NodeStatus {
 	out := make([]NodeStatus, len(c.nodes))
 	for i, ns := range c.nodes {
 		st := NodeStatus{
-			Name:      ns.spec.Name,
-			Connected: ns.conn != nil,
-			Degraded:  ns.degraded,
-			Missed:    ns.missed,
-		}
-		if ns.lastFreqs != nil {
-			st.LastActuation = append([]units.Frequency(nil), ns.lastFreqs...)
+			Name:          ns.spec.Name,
+			Connected:     ns.conn != nil,
+			Degraded:      ns.degraded,
+			Missed:        ns.missed,
+			LastActuation: append([]units.Frequency(nil), ns.lastFreqs...),
 		}
 		if ns.caps != nil {
 			st.ChargedIfSilent = c.worstCharge(ns)
@@ -357,15 +350,12 @@ func (c *Coordinator) Status() []NodeStatus {
 	return out
 }
 
-// worstCharge is the power held against the budget for a silent node: the
-// table power of its last acknowledged actuation (settings cannot rise
-// without a new actuation), or every CPU at the table maximum when the
-// node was never actuated.
+// worstCharge is the power held against the budget for a silent peer, node
+// or relay: what it acknowledged last, or every CPU at the table maximum
+// when it never acknowledged anything in its current shape.
 func (c *Coordinator) worstCharge(ns *nodeState) units.Power {
-	if ns.lastFreqs != nil {
-		if p, err := fvsst.TotalTablePower(ns.lastFreqs, c.cfg.Fvsst.Table); err == nil {
-			return p
-		}
+	if ns.acked {
+		return ns.held
 	}
 	return units.Watts(float64(ns.caps.NumCPUs) * ns.caps.MaxPowerW)
 }
@@ -377,7 +367,7 @@ func (c *Coordinator) ensureConn(ns *nodeState) error {
 	if ns.conn != nil {
 		return nil
 	}
-	conn, err := c.cfg.Dialer.Dial(ns.spec.Name, ns.spec.Addr, c.cfg.DialTimeout)
+	conn, err := c.cfg.Dialer.Dial(ns.spec.Name, ns.spec.Addr, c.cfg.RPCTimeout)
 	if err != nil {
 		return err
 	}
@@ -412,9 +402,9 @@ func (c *Coordinator) ensureConn(ns *nodeState) error {
 		return &AgentError{Node: ns.spec.Name, Reason: fmt.Sprintf("advertises codecs %q, not %s", caps.Codecs, wire.CodecName)}
 	}
 	if ns.caps != nil && ns.caps.NumCPUs != caps.NumCPUs {
-		// The node came back a different shape; the old actuation is
-		// meaningless.
-		ns.lastFreqs = nil
+		// The peer came back a different shape; what it acknowledged
+		// before is meaningless.
+		ns.lastFreqs, ns.acked = nil, false
 	}
 	if c.quantum == 0 {
 		// The first handshake pins the cluster quantum; Connect is
@@ -733,9 +723,8 @@ func (c *Coordinator) pollRound(passID uint64, t *roundTimes) *polledRound {
 	return p
 }
 
-// actuatePhase is parallel actuation of every polled node. The last
-// acknowledged assignment is the node's charge while silent, so it only
-// advances on ack.
+// actuatePhase is parallel actuation of every polled node. lastFreqs only
+// advances on ack; settleRound charges it and holds the sum for silence.
 func (c *Coordinator) actuatePhase(p *polledRound, assignments []cluster.Assignment, t *roundTimes) (acked []bool) {
 	acked = make([]bool, len(c.nodes))
 	c.eachNode(func(i int, ns *nodeState) {
@@ -823,13 +812,10 @@ func (c *Coordinator) settleRound(p *polledRound, trigger string, budget, live u
 	for i, ns := range c.nodes {
 		var w units.Power
 		if acked[i] {
-			for _, idx := range p.nodeInputs[i] {
-				pw, err := c.cfg.Fvsst.Table.PowerAt(res.Assignments[idx].Actual)
-				if err != nil {
-					return Decision{}, res, err
-				}
-				w += pw
+			if w, err = fvsst.TotalTablePower(ns.lastFreqs, c.cfg.Fvsst.Table); err != nil {
+				return Decision{}, res, err
 			}
+			ns.held, ns.acked = w, true
 		} else {
 			w = c.worstCharge(ns)
 			dec.Reserved += w

@@ -8,14 +8,13 @@ import (
 // WorstCasePhase bounds how long a coordinator configured like c can keep
 // its parent waiting on transport alone. Every phase is one RPC per peer,
 // all peers in parallel: up to Retries+1 attempts of a redial, a hello and
-// the request itself, with a backoff before every retry. A parent tier's
-// per-attempt deadline must cover it: a root that gives up first retries
-// the demand, the relay polls (and advances) its subtree twice, and that
-// round's grant is lost.
+// the request itself, each within RPCTimeout, with a backoff before every
+// retry. A parent tier's per-attempt deadline must cover it (NewFleet sees
+// to that): a root that gives up first retries the demand, the relay polls
+// (and advances) its subtree twice, and that round's grant is lost.
 func (c Config) WorstCasePhase() time.Duration {
 	c.applyDefaults()
-	attempt := c.DialTimeout + 2*c.RPCTimeout
-	return time.Duration(c.Retries+1)*attempt + time.Duration(c.Retries)*c.BackoffMax
+	return time.Duration(c.Retries+1)*3*c.RPCTimeout + time.Duration(c.Retries)*c.BackoffMax
 }
 
 // Fleet is one connected control plane over a set of agents: a flat
@@ -40,7 +39,9 @@ type Fleet struct {
 //
 // cfg supplies each tier's Config: group is the relay index for a relay's
 // sub-coordinator and -1 for the top tier (name "root", or "coordinator"
-// when flat). On error everything already started is closed.
+// when flat). A root's RPCTimeout is raised to the relay configs' longest
+// WorstCasePhase when it is shorter: the tree is wired here, so the nested
+// deadline is worked out here. On error everything already started is closed.
 func NewFleet(nodes []NodeSpec, relays int, pd *PipeDialer, cfg func(name string, group int) Config) (_ *Fleet, err error) {
 	if relays < 0 || relays > len(nodes) {
 		return nil, fmt.Errorf("netcluster: %d relays for %d nodes", relays, len(nodes))
@@ -55,13 +56,16 @@ func NewFleet(nodes []NodeSpec, relays int, pd *PipeDialer, cfg func(name string
 	if relays > 0 {
 		peers, topName = make([]NodeSpec, relays), "root"
 	}
+	var subPhase time.Duration
 	for j, lo := 0, 0; j < relays; j++ {
 		hi := lo + len(nodes)/relays
 		if j < len(nodes)%relays {
 			hi++
 		}
 		name := fmt.Sprintf("relay%d", j)
-		sub, err := NewCoordinator(cfg(name, j), nodes[lo:hi]...)
+		subCfg := cfg(name, j)
+		subPhase = max(subPhase, subCfg.WorstCasePhase())
+		sub, err := NewCoordinator(subCfg, nodes[lo:hi]...)
 		if err != nil {
 			return nil, err
 		}
@@ -75,17 +79,15 @@ func NewFleet(nodes []NodeSpec, relays int, pd *PipeDialer, cfg func(name string
 			return nil, err
 		}
 		f.relays = append(f.relays, relay) // from here Close closes sub too
-		peers[j] = NodeSpec{Name: name, Addr: name}
-		if pd != nil {
-			pd.Register(name, relay)
-		} else if err := relay.Start(); err != nil {
+		if peers[j], err = relay.Listen(pd); err != nil {
 			return nil, err
-		} else {
-			peers[j].Addr = relay.Addr()
 		}
 		f.offsets[j], lo = lo, hi
 	}
-	if f.top, err = NewCoordinator(cfg(topName, -1), peers...); err != nil {
+	topCfg := cfg(topName, -1)
+	topCfg.applyDefaults()
+	topCfg.RPCTimeout = max(topCfg.RPCTimeout, subPhase)
+	if f.top, err = NewCoordinator(topCfg, peers...); err != nil {
 		return nil, err
 	}
 	if relays > 0 {

@@ -11,7 +11,7 @@ import (
 )
 
 // PipeServer is one end of the in-process transport: anything that can
-// serve a pre-established stream connection (Agent, Relay).
+// serve a pre-established stream connection (the server in Agent and Relay).
 type PipeServer interface{ ServeConn(net.Conn) }
 
 // PipeDialer connects coordinators to in-process servers over net.Pipe,

@@ -2,13 +2,11 @@ package netcluster
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"repro/internal/farm"
 	"repro/internal/netcluster/proto"
-	"repro/internal/netcluster/wire"
 	"repro/internal/obs"
 	"repro/internal/units"
 )
@@ -50,18 +48,14 @@ type RelayConfig struct {
 // Relay serves a coordinator subtree to an upstream Root. Create with
 // NewRelay over a connected Coordinator, then Start (or ServeConn).
 type Relay struct {
-	cfg   RelayConfig
-	coord *Coordinator
-	ln    net.Listener
-
-	mu    sync.Mutex
-	conns map[proto.Conn]struct{}
+	server
+	coord    *Coordinator
+	closeSub sync.Once
+	// mu serialises upward requests; see handle.
+	mu sync.Mutex
 	// pending carries the poll a demand-request performed across to the
 	// grant that settles it.
 	pending *polledRound
-
-	closed chan struct{}
-	wg     sync.WaitGroup
 }
 
 // NewRelay wraps a connected Coordinator. The Coordinator must have
@@ -81,15 +75,9 @@ func NewRelay(cfg RelayConfig, coord *Coordinator) (*Relay, error) {
 				cfg.Name, ns.spec.Name)
 		}
 	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
-	return &Relay{
-		cfg:    cfg,
-		coord:  coord,
-		conns:  make(map[proto.Conn]struct{}),
-		closed: make(chan struct{}),
-	}, nil
+	r := &Relay{coord: coord}
+	r.setup(cfg.Name, cfg.Addr, r.handle)
+	return r, nil
 }
 
 // Coordinator exposes the wrapped subtree coordinator, whose Decisions
@@ -97,105 +85,12 @@ func NewRelay(cfg RelayConfig, coord *Coordinator) (*Relay, error) {
 // every grant the relay settled.
 func (r *Relay) Coordinator() *Coordinator { return r.coord }
 
-// Start binds the upward listener and begins serving.
-func (r *Relay) Start() error {
-	ln, err := net.Listen("tcp", r.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("netcluster: relay %s listen: %w", r.cfg.Name, err)
-	}
-	r.ln = ln
-	r.wg.Add(1)
-	go r.acceptLoop()
-	return nil
-}
-
-// Addr returns the bound upward listen address (valid after Start).
-func (r *Relay) Addr() string { return r.ln.Addr().String() }
-
-// Close stops serving upward and tears down the subtree sessions. A
-// connection that reaches the relay afterwards is hung up on unanswered.
+// Close stops serving upward, then tears down the subtree sessions — once:
+// a second Close leaves a sub-coordinator that was reconnected alone.
 func (r *Relay) Close() error {
-	r.mu.Lock()
-	select {
-	case <-r.closed:
-		r.mu.Unlock()
-		return nil
-	default:
-	}
-	close(r.closed)
-	for c := range r.conns {
-		c.Close()
-	}
-	r.mu.Unlock()
-	var err error
-	if r.ln != nil {
-		err = r.ln.Close()
-	}
-	r.wg.Wait()
-	r.coord.Close()
+	err := r.server.Close()
+	r.closeSub.Do(r.coord.Close)
 	return err
-}
-
-func (r *Relay) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go r.serve(wire.NewConn(conn, wire.Options{Mirror: true}))
-	}
-}
-
-// ServeConn serves one pre-established stream connection (e.g. one end of
-// a net.Pipe) until it closes. It blocks; run it on its own goroutine.
-// After Close it hangs up at once.
-func (r *Relay) ServeConn(conn net.Conn) {
-	r.serve(wire.NewConn(conn, wire.Options{Mirror: true}))
-}
-
-// admit registers a new session unless the relay has closed. The closed
-// check and wg.Add share r.mu with Close, so Add never races Close's Wait.
-func (r *Relay) admit(c proto.Conn) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	select {
-	case <-r.closed:
-		return false
-	default:
-	}
-	r.wg.Add(1)
-	r.conns[c] = struct{}{}
-	return true
-}
-
-func (r *Relay) serve(c proto.Conn) {
-	if !r.admit(c) {
-		c.Close()
-		return
-	}
-	defer r.wg.Done()
-	defer func() {
-		r.mu.Lock()
-		delete(r.conns, c)
-		r.mu.Unlock()
-		c.Close()
-	}()
-	for {
-		req, err := c.Recv()
-		if err != nil {
-			return // root will redial
-		}
-		start := time.Now()
-		resp := r.handle(req)
-		resp.ID = req.ID
-		resp.Node = r.cfg.Name
-		resp.Trace = req.Trace
-		resp.ServiceSec = time.Since(start).Seconds()
-		if err := c.Send(resp); err != nil {
-			return
-		}
-	}
 }
 
 // handle serialises upward requests: the wrapped Coordinator is not
@@ -225,32 +120,16 @@ func (r *Relay) handle(req *proto.Message) *proto.Message {
 }
 
 func (r *Relay) handleHello() *proto.Message {
-	table := r.coord.cfg.Fvsst.Table
-	var freqs []float64
-	for _, p := range table.Points() {
-		freqs = append(freqs, p.F.MHz())
-	}
-	maxP, err := table.PowerAt(table.MaxFrequency())
-	if err != nil {
-		return fail("capabilities: %v", err)
-	}
 	numCPUs := 0
 	for _, ns := range r.coord.nodes {
 		numCPUs += ns.caps.NumCPUs
 	}
-	return &proto.Message{
-		Kind: proto.KindHelloAck,
-		Now:  r.coord.clock.Now(),
-		Capabilities: &proto.Capabilities{
-			Node:       r.cfg.Name,
-			NumCPUs:    numCPUs,
-			QuantumSec: r.coord.quantum,
-			FreqsMHz:   freqs,
-			MaxPowerW:  maxP.W(),
-			Codecs:     []string{wire.CodecName},
-			Tier:       "relay",
-		},
-	}
+	return helloAck(r.coord.clock.Now(), r.coord.cfg.Fvsst.Table, proto.Capabilities{
+		Node:       r.name,
+		NumCPUs:    numCPUs,
+		QuantumSec: r.coord.quantum,
+		Tier:       "relay",
+	})
 }
 
 // handleDemand is the poll half of a round: poll the subtree (which
@@ -391,17 +270,6 @@ func (r *Root) RootDecisions() []RootDecision {
 	return out
 }
 
-// rootWorstCharge bounds a silent relay's subtree draw: the ledger it
-// acknowledged on its last grant (settings below it cannot rise without
-// grants flowing through the relay), or the full subtree worst case when
-// it was never granted.
-func (r *Root) rootWorstCharge(ns *nodeState) units.Power {
-	if ns.granted {
-		return ns.lastCharged
-	}
-	return units.Watts(float64(ns.caps.NumCPUs) * ns.caps.MaxPowerW)
-}
-
 // demandPoll is one relay's demand-phase result, deep-copied out of the
 // connection-owned decode buffers inside the poll goroutine.
 type demandPoll struct {
@@ -473,7 +341,7 @@ func (r *Root) RunRound() error {
 	var desired [][]int
 	for i, ns := range c.nodes {
 		if !demands[i].ok {
-			reserved += r.rootWorstCharge(ns)
+			reserved += c.worstCharge(ns)
 			continue
 		}
 		reserved += units.Watts(demands[i].reservedW)
@@ -522,8 +390,7 @@ func (r *Root) RunRound() error {
 		if g.Grant > 0 { // a 0 W grant leaves no rpc:grant span
 			t.actRPC[i] = rt
 		}
-		ns.lastCharged = g.Charged
-		ns.granted = true
+		ns.held, ns.acked = g.Charged, true
 		c.recordAlive(ns)
 	})
 	t.act = time.Since(t.actStart)
@@ -531,19 +398,14 @@ func (r *Root) RunRound() error {
 	// Phase 4: the round's ledger and decision.
 	var charged units.Power
 	var degradedNames []string
-	degradedCount := 0
 	for i, ns := range c.nodes {
-		if grants[i].Acked {
-			charged += grants[i].Charged
-			continue
+		if !grants[i].Acked {
+			grants[i].Charged = c.worstCharge(ns)
+			if ns.degraded {
+				degradedNames = append(degradedNames, ns.spec.Name)
+			}
 		}
-		w := r.rootWorstCharge(ns)
-		grants[i].Charged = w
-		charged += w
-		if ns.degraded {
-			degradedCount++
-			degradedNames = append(degradedNames, ns.spec.Name)
-		}
+		charged += grants[i].Charged
 	}
 	r.rootDecisions = append(r.rootDecisions, RootDecision{
 		Round: Round{
@@ -559,7 +421,7 @@ func (r *Root) RunRound() error {
 		DivideMet: divideMet,
 		Grants:    grants,
 	})
-	c.cfg.Metrics.setDegraded(degradedCount)
+	c.cfg.Metrics.setDegraded(len(degradedNames))
 	c.cfg.Metrics.setCharged(charged, reserved)
 	c.cfg.Metrics.setWire(c.cfg.WireStats)
 

@@ -40,13 +40,12 @@ func startTree(t *testing.T, agents []*Agent, fanout int, rootCfg Config) (*Root
 		if group < 0 {
 			return rootCfg
 		}
-		return Config{
-			Name:   name,
-			Fvsst:  rootCfg.Fvsst,
-			Budget: rootCfg.Budget,
-			MissK:  rootCfg.MissK,
-			Seed:   rootCfg.Seed + int64(100+group),
-		}
+		// The relays keep the root's deadlines and retries, so the root
+		// deadline NewFleet derives from them stays test-sized.
+		sub := rootCfg
+		sub.Name, sub.Seed = name, rootCfg.Seed+int64(100+group)
+		sub.Source, sub.Dialer, sub.Sink, sub.Metrics, sub.WireStats = nil, nil, nil, nil, nil
+		return sub
 	})
 	if err != nil {
 		t.Fatal(err)

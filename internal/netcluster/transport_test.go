@@ -16,10 +16,11 @@ import (
 // so top counts the frames the flat coordinator (or the root) exchanges
 // and leaf those the relays exchange with the agents (zero when flat).
 type pipeWorld struct {
-	fleet     *Fleet
-	agents    []*Agent
-	machines  []*machine.Machine
-	top, leaf wire.Stats
+	fleet        *Fleet
+	agents       []*Agent
+	machines     []*machine.Machine
+	top, leaf    wire.Stats
+	topPD, agtPD *PipeDialer // where the relays and the agents are registered
 }
 
 // newPipeWorld builds n unstarted agents of cpus CPUs each — the four paper
@@ -28,12 +29,21 @@ type pipeWorld struct {
 // demotions to make.
 func newPipeWorld(tb testing.TB, n, cpus, relays int) *pipeWorld {
 	tb.Helper()
+	return newTunedPipeWorld(tb, n, cpus, relays, nil)
+}
+
+// newTunedPipeWorld is newPipeWorld with each tier's Config passed through
+// tune (group as in NewFleet) before the fleet connects: the place to put a
+// fault fabric over w.topPD or w.agtPD, or to shorten the deadlines.
+func newTunedPipeWorld(tb testing.TB, n, cpus, relays int, tune func(w *pipeWorld, cfg *Config, group int)) *pipeWorld {
+	tb.Helper()
 	w := &pipeWorld{agents: make([]*Agent, n), machines: make([]*machine.Machine, n)}
 	topPD, leafPD := NewPipeDialer(&w.top), NewPipeDialer(&w.leaf)
 	agentPD := leafPD
 	if relays == 0 {
 		agentPD = topPD
 	}
+	w.topPD, w.agtPD = topPD, agentPD
 	progs := workload.Apps(1)
 	for i := range progs {
 		progs[i].Loops = -1
@@ -71,6 +81,9 @@ func newPipeWorld(tb testing.TB, n, cpus, relays int) *pipeWorld {
 		}
 		if group < 0 {
 			cfg.Dialer = topPD
+		}
+		if tune != nil {
+			tune(w, &cfg, group)
 		}
 		return cfg
 	})
@@ -244,13 +257,12 @@ func TestWorkerLifecycle(t *testing.T) {
 // RPC's worth of attempts, not two.
 func TestWorstCasePhase(t *testing.T) {
 	cfg := Config{
-		RPCTimeout:  40 * time.Millisecond,
-		DialTimeout: 10 * time.Millisecond,
-		Retries:     3,
-		BackoffMax:  7 * time.Millisecond,
+		RPCTimeout: 40 * time.Millisecond,
+		Retries:    3,
+		BackoffMax: 7 * time.Millisecond,
 	}
-	// 4 attempts of (10 dial + 40 hello + 40 request) + 3 backoffs of 7.
-	if got, want := cfg.WorstCasePhase(), 381*time.Millisecond; got != want {
+	// 4 attempts of (40 dial + 40 hello + 40 request) + 3 backoffs of 7.
+	if got, want := cfg.WorstCasePhase(), 501*time.Millisecond; got != want {
 		t.Errorf("WorstCasePhase %v, want %v", got, want)
 	}
 	// The daemon's shape: only -rpc-timeout set, the rest defaulted.

@@ -46,9 +46,9 @@ func RunNet(spec Spec, opt NetOptions) (*RunResult, error) {
 //
 // Fault injection (partitions, message-fault policies) applies on the
 // relay→leaf links through one seeded faultnet per relay; root↔relay
-// links are never faulted by this driver, and the root's per-attempt
-// deadline covers the relay tier's worst-case phase, so every round
-// settles exactly one decision per relay and the logs stay aligned.
+// links are never faulted by this driver, and NewFleet makes the root's
+// per-attempt deadline cover the relay tier's worst-case phase, so every
+// round settles exactly one decision per relay and the logs stay aligned.
 func RunRelayNet(spec Spec, opt NetOptions) (*RunResult, error) {
 	nRelays := opt.Relays
 	if nRelays == 0 {
@@ -104,11 +104,10 @@ func runNet(spec Spec, opt NetOptions, nRelays int, codec string) (*RunResult, e
 		if err != nil {
 			return nil, err
 		}
-		if err := a.Start(); err != nil {
+		agents[i] = a
+		if specs[i], err = a.Listen(nil); err != nil {
 			return nil, err
 		}
-		agents[i] = a
-		specs[i] = netcluster.NodeSpec{Name: name, Addr: a.Addr()}
 	}
 
 	// One fault fabric per coordinator that faces agents — the flat one, or
@@ -132,11 +131,7 @@ func runNet(spec Spec, opt NetOptions, nRelays int, codec string) (*RunResult, e
 		if group < 0 {
 			c.Source = source
 			if nRelays > 0 {
-				// The root must outwait a relay whose leaf costs a timeout
-				// and a retry, or it retries the demand and loses that
-				// round's grant.
-				c.RPCTimeout = c.WorstCasePhase()
-				return c
+				return c // root↔relay links are never faulted
 			}
 			group = 0
 		} else {
