@@ -49,15 +49,17 @@ examples:
 # wire decoders, the event-timeline op sequencer, the exact
 # optimal-assignment solver (feasibility, greedy domination,
 # permutation invariance, the DP's merge kernel against its sort
-# oracle), and the Step-2 walk (fvsst.FitToBudgetGrid
+# oracle), the Step-2 walk (fvsst.FitToBudgetGrid
 # against its two independent statements, StepTwoReplay and
-# optimal.Greedy).
+# optimal.Greedy), and the closed-form repeated addition under the bulk
+# replay (units.AddRepeat against the k additions, on the bits).
 fuzz:
 	$(GO) test -fuzz FuzzOptimalAssign -fuzztime 30s ./internal/optimal/
 	$(GO) test -fuzz FuzzStepTwoAgreement -fuzztime 30s ./internal/invariant/
 	$(GO) test -fuzz FuzzTimelineOps -fuzztime 30s ./internal/engine/
 	$(GO) test -fuzz FuzzParseFrequency -fuzztime 30s ./internal/units/
 	$(GO) test -fuzz FuzzParsePower -fuzztime 30s ./internal/units/
+	$(GO) test -fuzz FuzzAddRepeat -fuzztime 30s ./internal/units/
 	$(GO) test -fuzz FuzzLoadProgram -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzParseScheduleSpec -fuzztime 30s ./internal/farm/
 	$(GO) test -fuzz FuzzParseArrivalSpec -fuzztime 30s ./internal/serve/

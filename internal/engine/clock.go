@@ -12,6 +12,8 @@ package engine
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/units"
 )
 
 // Clock is a monotone time source in seconds. The simulated implementation
@@ -50,22 +52,12 @@ func (c *SimClock) Quantum() float64 { return c.quantum }
 // Tick advances the clock by one quantum.
 func (c *SimClock) Tick() { c.now += c.quantum }
 
-// TickN advances the clock by n quanta, one addition per quantum. The
-// repeated addition is deliberate: Tick's accumulated rounding is
-// observable wherever times are compared bit-for-bit, so a fast-forward
-// over n quanta must reproduce it exactly rather than adding n·quantum
-// once.
-func (c *SimClock) TickN(n int) {
-	for i := 0; i < n; i++ {
-		c.now += c.quantum
-	}
-}
-
-// ReplayCell exposes the clock's time accumulator so a DES bulk replay
-// can fold the per-quantum tick into the same fused loop as the energy
-// meters' additions. The caller must add exactly one Quantum() per
-// replayed quantum, as Tick would; any other use voids the clock.
-func (c *SimClock) ReplayCell() *float64 { return &c.now }
+// TickN leaves the clock exactly where n Ticks would, bit for bit. Tick's
+// accumulated rounding is observable wherever times are compared
+// bit-for-bit, so a fast-forward over n quanta must reproduce it rather
+// than adding n·quantum once; units.AddRepeat computes the repeated
+// addition's result per binade crossed instead of per quantum.
+func (c *SimClock) TickN(n int) { c.now = units.AddRepeat(c.now, c.quantum, n) }
 
 // Advance moves the clock forward by dt seconds. It panics on negative dt
 // — simulated time never runs backwards.

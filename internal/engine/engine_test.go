@@ -26,6 +26,36 @@ func TestSimClockTickAndAdvance(t *testing.T) {
 	}
 }
 
+// TestTickNMatchesTick walks a 10 ms clock from 0 to 3600 s — some 18
+// binades — by Tick, and requires TickN to land on the same bits both in
+// one call from zero and continued in uneven pieces from wherever the last
+// piece ended.
+func TestTickNMatchesTick(t *testing.T) {
+	for _, q := range []float64{0.01, 0.001, 0.0125} {
+		ticked, pieces := NewSimClock(q), NewSimClock(q)
+		done := 0
+		for _, n := range []int{0, 1, 2, 3, 7, 100, 4096, 99_999, 360_000} {
+			pieces.TickN(n - done)
+			for ; done < n; done++ {
+				ticked.Tick()
+			}
+			whole := NewSimClock(q)
+			whole.TickN(n)
+			for _, c := range []*SimClock{whole, pieces} {
+				if math.Float64bits(c.Now()) != math.Float64bits(ticked.Now()) {
+					t.Fatalf("q=%v: TickN to %d quanta reads %v (%#x), %d Ticks read %v (%#x)",
+						q, n, c.Now(), math.Float64bits(c.Now()), n, ticked.Now(), math.Float64bits(ticked.Now()))
+				}
+			}
+		}
+		before := ticked.Now()
+		ticked.TickN(-5)
+		if ticked.Now() != before {
+			t.Fatalf("TickN(-5) moved the clock from %v to %v", before, ticked.Now())
+		}
+	}
+}
+
 func TestSimClockNegativeAdvancePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

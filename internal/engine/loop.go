@@ -86,8 +86,8 @@ func (l *Loop) TicksUntilDue() int { return l.cadence.TicksUntilDue() }
 // SkipTicks advances the loop n quanta in one call, erroring rather than
 // silently crossing a due edge: a DES driver may only skip strictly up to
 // the next pass (n < TicksUntilDue), so no pass can be jumped over. The
-// clock still accumulates one addition per quantum (see SimClock.TickN),
-// keeping skipped time bit-identical to ticked time.
+// clock lands on the bits n Ticks would leave (see SimClock.TickN), so
+// skipped time is bit-identical to ticked time.
 func (l *Loop) SkipTicks(n int) error {
 	if n < 0 {
 		return fmt.Errorf("engine: loop: cannot skip %d ticks", n)

@@ -10,9 +10,11 @@
 // produce identical counter deltas and quantum stats, every further
 // quantum in the span is that same pure function of state, so the span
 // is replayed in bulk — integer counter additions, one idle-cursor
-// advance, and the exact per-quantum floating-point accumulations on the
-// clock and both energy meters (repeated addition is observable;
-// summing once would round differently). Anything the probes cannot
+// advance, and the clock and both energy meters moved to exactly the bits
+// the per-quantum floating-point additions would leave (repeated addition
+// is observable; summing once would round differently — units.AddRepeat
+// computes its result per binade crossed, so a span costs the same
+// whether it is ten quanta or an hour). Anything the probes cannot
 // certify — jitter draws, Monte-Carlo execution, arrivals maturing,
 // idle-loop phase wrap — falls back to per-quantum stepping, so the fast
 // path is an optimisation, never a semantic.
@@ -20,9 +22,9 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/counters"
-	"repro/internal/units"
 )
 
 // StepError is the structured failure the advance paths surface when a
@@ -56,6 +58,25 @@ func (m *Machine) NextArrivalAt() (float64, bool) {
 		return 0, false
 	}
 	return m.arrivals[0].At, true
+}
+
+// AdvanceStats counts how the machine's quanta were accounted since it
+// was built — the split a fast-forward's cost follows from.
+type AdvanceStats struct {
+	Stepped    uint64 // quanta run through StepQuantum, probe quanta included
+	Replayed   uint64 // quanta applied by a certified replay, never executed
+	ProbePairs uint64 // steady-looking spans probed, two stepped quanta each
+	Certified  uint64 // probe pairs whose second quantum reproduced the first
+}
+
+// AdvanceStats returns the counts so far.
+func (m *Machine) AdvanceStats() AdvanceStats { return m.adv }
+
+// quantaUntil returns how many whole quanta separate now from t, clamped
+// while still a float: a quotient beyond int's range converts to an
+// implementation-defined value (negative on amd64).
+func (m *Machine) quantaUntil(t float64) int {
+	return int(max(0, min((t-m.clock.Now())/m.cfg.Quantum, math.MaxInt/2)))
 }
 
 // quantumDelta is one probe measurement: what a single Step changed on
@@ -170,6 +191,7 @@ func (m *Machine) fastForwardSpan(n int, after func() error) (int, error) {
 	}
 	m.ffBase = m.ffBase[:len(m.cpus)]
 	m.ffProbe = m.ffProbe[:len(m.cpus)]
+	m.adv.ProbePairs++
 
 	// Probe 1: a real quantum, measured. Its delta may still carry
 	// transients (contention coupling reaches steady state one quantum
@@ -206,6 +228,7 @@ func (m *Machine) fastForwardSpan(n int, after func() error) (int, error) {
 	if !steady {
 		return done, nil
 	}
+	m.adv.Certified++
 
 	// Bound the replay: stop a full quantum short of the next arrival
 	// (float-safe: probes and fallback steps absorb the boundary), and
@@ -214,7 +237,7 @@ func (m *Machine) fastForwardSpan(n int, after func() error) (int, error) {
 	// did.
 	k := n - done
 	if len(m.arrivals) > 0 {
-		if kArr := int((m.arrivals[0].At-m.clock.Now())/m.cfg.Quantum) - 1; kArr < k {
+		if kArr := m.quantaUntil(m.arrivals[0].At) - 1; kArr < k {
 			k = kArr
 		}
 	}
@@ -238,13 +261,18 @@ func (m *Machine) fastForwardSpan(n int, after func() error) (int, error) {
 	}
 
 	// Replay: the certified quantum, k times. Integer counter work is
-	// batched; the clock and energy meters run their per-quantum float
-	// additions so accumulated rounding matches the stepped engine bit
-	// for bit.
+	// batched; the clock and energy meters land on the bits k per-quantum
+	// float additions would leave (AccumulateRepeat, TickN).
 	dt := m.cfg.Quantum
 	cpuP := m.TotalCPUPower()
 	sysP := m.cfg.NonCPU + cpuP
 	if after == nil {
+		if err := m.cpuEnergy.AccumulateRepeat(cpuP, dt, k); err != nil {
+			return done, m.stepError("cpu-energy", err)
+		}
+		if err := m.energy.AccumulateRepeat(sysP, dt, k); err != nil {
+			return done, m.stepError("system-energy", err)
+		}
 		for i, c := range m.cpus {
 			p := &m.ffProbe[i]
 			addSampleN(&c.totals, p.d, uint64(k))
@@ -252,33 +280,8 @@ func (m *Machine) fastForwardSpan(n int, after func() error) (int, error) {
 				c.idleCursor.AdvanceWithinPhase(p.d.Instructions * uint64(k))
 			}
 		}
-		// Validate exactly as the per-meter calls would, then run all five
-		// accumulator chains (two meters' energy+elapsed, the clock) in one
-		// fused loop: each chain still performs its per-quantum addition in
-		// sequence — bit-identical to k separate Accumulate/Tick calls —
-		// but the independent chains overlap in the pipeline instead of
-		// running back to back.
-		if err := m.cpuEnergy.AccumulateRepeat(cpuP, dt, 0); err != nil {
-			return done, m.stepError("cpu-energy", err)
-		}
-		if err := m.energy.AccumulateRepeat(sysP, dt, 0); err != nil {
-			return done, m.stepError("system-energy", err)
-		}
-		cpuT, cpuN := m.cpuEnergy.ReplayCells()
-		sysT, sysN := m.energy.ReplayCells()
-		nowC := m.clock.ReplayCell()
-		cpuInc := units.EnergyOver(cpuP, dt)
-		sysInc := units.EnergyOver(sysP, dt)
-		q := m.clock.Quantum()
-		ct, cn, st, sn, now := *cpuT, *cpuN, *sysT, *sysN, *nowC
-		for j := 0; j < k; j++ {
-			ct += cpuInc
-			cn += dt
-			st += sysInc
-			sn += dt
-			now += q
-		}
-		*cpuT, *cpuN, *sysT, *sysN, *nowC = ct, cn, st, sn, now
+		m.clock.TickN(k)
+		m.adv.Replayed += uint64(k)
 		return done + k, nil
 	}
 	for j := 0; j < k; j++ {
@@ -296,6 +299,7 @@ func (m *Machine) fastForwardSpan(n int, after func() error) (int, error) {
 			return done, m.stepError("system-energy", err)
 		}
 		m.clock.Tick()
+		m.adv.Replayed++
 		done++
 		if err := after(); err != nil {
 			return done, err
@@ -307,14 +311,14 @@ func (m *Machine) fastForwardSpan(n int, after func() error) (int, error) {
 // AdvanceTo advances the machine to simulation time t — inclusive of the
 // quantum containing t, exactly like RunUntil — fast-forwarding steady
 // spans. The result is byte-identical to RunUntil(t) on every
-// configuration; the only difference is wall-clock cost.
+// configuration; the only difference is wall-clock cost. A NaN or
+// infinite t is a *StepError, not a silent no-op or a run without end.
 func (m *Machine) AdvanceTo(t float64) error {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return m.stepError("advance", fmt.Errorf("target time %v is not finite", t))
+	}
 	for m.clock.Now() < t {
-		n := int((t - m.clock.Now()) / m.cfg.Quantum)
-		if n < 1 {
-			n = 1
-		}
-		if err := m.FastForwardQuanta(n, nil); err != nil {
+		if err := m.FastForwardQuanta(max(1, m.quantaUntil(t)), nil); err != nil {
 			return err
 		}
 	}

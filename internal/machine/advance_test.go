@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,10 +11,13 @@ import (
 )
 
 // ffFingerprint renders every observable the DES fast path must preserve,
-// with %v so any bit-level float divergence shows.
+// with %v so any bit-level float divergence shows; the three accumulators
+// the replay computes in closed form are rendered as raw bits as well.
 func ffFingerprint(m *Machine) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "t=%v e=%v ce=%v pend=%d\n", m.Now(), m.Energy(), m.CPUEnergy(), m.PendingArrivals())
+	fmt.Fprintf(&b, "bits t=%#x e=%#x ce=%#x\n",
+		math.Float64bits(m.Now()), math.Float64bits(m.Energy().J()), math.Float64bits(m.CPUEnergy().J()))
 	for i := 0; i < m.NumCPUs(); i++ {
 		s, err := m.ReadCounters(i)
 		if err != nil {
@@ -89,14 +93,17 @@ func submitBursts(t *testing.T) func(m *Machine, ck float64) {
 func TestAdvanceToMatchesStepIdleHalt(t *testing.T) {
 	cfg := quietConfig()
 	cfg.Idle = IdleHalt
-	diffAdvance(t, cfg, []float64{0.25, 1.0, 2.0, 5.0, 12.0, 30.0}, submitBursts(t))
+	// The last checkpoint is one full simulated hour: a single replay of
+	// some 357 000 quanta across every binade between 30 s and 3600 s.
+	diffAdvance(t, cfg, []float64{0.25, 1.0, 2.0, 5.0, 12.0, 30.0, 3600.0}, submitBursts(t))
 }
 
 func TestAdvanceToMatchesStepIdleHot(t *testing.T) {
 	// Hot idle retires instructions every quantum, so the replay path must
 	// track the idle cursor across spans long enough to wrap its spin
-	// phase (~82 quanta per wrap at nominal frequency).
-	diffAdvance(t, quietConfig(), []float64{0.25, 1.0, 2.0, 5.0, 12.0, 60.0}, submitBursts(t))
+	// phase (~82 quanta per wrap at nominal frequency) — some 4 400 spans
+	// over the closing hour, each starting mid-binade.
+	diffAdvance(t, quietConfig(), []float64{0.25, 1.0, 2.0, 5.0, 12.0, 60.0, 3600.0}, submitBursts(t))
 }
 
 func TestAdvanceToMatchesStepFullNoise(t *testing.T) {
@@ -205,6 +212,27 @@ func TestFastForwardSpanReplaysIdleHalt(t *testing.T) {
 	if k != 500 {
 		t.Fatalf("fastForwardSpan advanced %d quanta, want 500 (replay did not engage)", k)
 	}
+	if got, want := m.AdvanceStats(), (AdvanceStats{Stepped: 2, Replayed: 498, ProbePairs: 1, Certified: 1}); got != want {
+		t.Fatalf("AdvanceStats = %+v, want %+v", got, want)
+	}
+}
+
+func TestFastForwardSpanFarArrivalStillReplays(t *testing.T) {
+	// An arrival more than MaxInt64 quanta away shares AdvanceTo's
+	// conversion: its replay bound used to come out negative, so a span
+	// ended at its two probes for as long as the arrival stayed pending.
+	cfg := quietConfig()
+	cfg.Idle = IdleHalt
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Submit(burst(1e30, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if k, err := m.fastForwardSpan(500, nil); err != nil || k != 500 {
+		t.Fatalf("fastForwardSpan = %d, %v; want 500 (a far arrival must not stop the replay)", k, err)
+	}
 }
 
 func TestFastForwardSpanReplaysIdleHot(t *testing.T) {
@@ -231,6 +259,58 @@ func TestFastForwardRejectsNegative(t *testing.T) {
 	}
 	if err := m.AdvanceTo(0); err != nil || m.Now() != 0 {
 		t.Fatalf("AdvanceTo(0) = %v at t=%v, want no-op", err, m.Now())
+	}
+}
+
+func TestAdvanceToRejectsNonFinite(t *testing.T) {
+	// NaN used to be a silent no-op and +Inf a run without end.
+	for _, target := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := newQuiet(t)
+		var se *StepError
+		if err := m.AdvanceTo(target); !errors.As(err, &se) || se.Op != "advance" {
+			t.Fatalf("AdvanceTo(%v) = %v, want *StepError with Op \"advance\"", target, err)
+		}
+		if m.Now() != 0 || m.AdvanceStats() != (AdvanceStats{}) {
+			t.Fatalf("AdvanceTo(%v) moved the machine: t=%v %+v", target, m.Now(), m.AdvanceStats())
+		}
+	}
+}
+
+func TestAdvanceToHugeTargetStillReplays(t *testing.T) {
+	// A target more than MaxInt64 quanta away used to convert to a negative
+	// count, clamp to 1 and step one quantum per iteration. No clock reaches
+	// such a target (past 2^53 quanta a tick no longer moves it), so the run
+	// is bounded by an arrival: the job's completion hook stops both engines
+	// at the same point, by a panic the test recovers.
+	const huge = 1e30
+	cfg := quietConfig()
+	cfg.Idle = IdleHalt
+	type stop struct{}
+	run := func(advance func(m *Machine) error) (m *Machine) {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Submit(burst(50.003, 1)); err != nil {
+			t.Fatal(err)
+		}
+		m.SetCompletionHook(func(JobCompletion) { panic(stop{}) })
+		defer func() {
+			if r := recover(); r != nil && r != (stop{}) {
+				panic(r)
+			}
+		}()
+		t.Fatalf("returned %v before the arrival completed", advance(m))
+		return nil
+	}
+	ref := run(func(m *Machine) error { return m.RunUntil(huge) })
+	des := run(func(m *Machine) error { return m.AdvanceTo(huge) })
+	if got, want := ffFingerprint(des), ffFingerprint(ref); got != want {
+		t.Fatalf("diverged at the completion:\n--- stepped ---\n%s--- advanced ---\n%s", want, got)
+	}
+	st := des.AdvanceStats()
+	if st.Stepped+st.Replayed != ref.AdvanceStats().Stepped || st.Replayed < 4990 {
+		t.Fatalf("AdvanceTo(%v) accounted %+v against %d stepped quanta; want the 50 idle seconds replayed", huge, st, ref.AdvanceStats().Stepped)
 	}
 }
 

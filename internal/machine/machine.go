@@ -188,6 +188,8 @@ type Machine struct {
 	// advance.go): per-CPU counter baselines and measured quantum deltas.
 	ffBase  []counters.Sample
 	ffProbe []quantumDelta
+	// adv counts stepped, replayed and probed quanta (see AdvanceStats).
+	adv AdvanceStats
 }
 
 // New builds a machine from the configuration. Every CPU starts at nominal
@@ -441,6 +443,7 @@ func (m *Machine) Step() {
 // accounting fails — the advance path the cluster coordinator and the
 // DES drivers run on.
 func (m *Machine) StepQuantum() error {
+	m.adv.Stepped++
 	m.admitArrivals()
 	dt := m.cfg.Quantum
 	// Contention couples through the *previous* quantum's traffic so each

@@ -66,12 +66,12 @@ func (e *EnergyMeter) Accumulate(p units.Power, dt float64) error {
 	return nil
 }
 
-// AccumulateRepeat applies Accumulate(p, dt) n times. The per-iteration
-// additions are deliberate: a DES fast-forward over n identical quanta
-// must reproduce the exact floating-point rounding of n separate
-// Accumulate calls (the integrated totals are rendered bit-for-bit in
-// differential traces), so only the per-quantum *work* is batched, never
-// the arithmetic.
+// AccumulateRepeat leaves the meter exactly as n Accumulate(p, dt) calls
+// would, bit for bit: a DES fast-forward over n identical quanta must
+// reproduce the stepped engine's accumulated rounding (the integrated
+// totals are rendered bit-for-bit in differential traces), so each
+// accumulator is advanced by units.AddRepeat — the n additions' result,
+// computed per binade — never by one addition of n·inc.
 func (e *EnergyMeter) AccumulateRepeat(p units.Power, dt float64, n int) error {
 	if n < 0 {
 		return fmt.Errorf("power: energy meter repeat count %d must be non-negative", n)
@@ -82,26 +82,12 @@ func (e *EnergyMeter) AccumulateRepeat(p units.Power, dt float64, n int) error {
 	if p < 0 {
 		return fmt.Errorf("power: energy meter power %v must be non-negative", p)
 	}
-	inc := units.EnergyOver(p, dt)
-	for i := 0; i < n; i++ {
-		e.total += inc
-		e.now += dt
-	}
+	e.total = units.Energy(units.AddRepeat(float64(e.total), float64(units.EnergyOver(p, dt)), n))
+	e.now = units.AddRepeat(e.now, dt, n)
 	if n > 0 {
 		e.begun = true
 	}
 	return nil
-}
-
-// ReplayCells exposes the meter's two accumulators — total energy and
-// elapsed seconds — so a DES bulk replay can interleave several meters'
-// per-quantum additions in one fused loop (serial dependent-add chains
-// overlap in the pipeline instead of running back to back). The caller
-// must apply exactly the additions Accumulate would, in the same order;
-// any other use voids the meter's invariants.
-func (e *EnergyMeter) ReplayCells() (total *units.Energy, elapsed *float64) {
-	e.begun = true
-	return &e.total, &e.now
 }
 
 // Total returns the accumulated energy.

@@ -325,6 +325,71 @@ func TestEnergyMeter(t *testing.T) {
 	}
 }
 
+// TestAccumulateRepeatMatchesAccumulate holds the closed-form repeat to the
+// n Accumulate calls it stands for — total, elapsed and begun, on the bits —
+// for Table 1's whole-watt powers and the fractional ones a V²-scaled table
+// produces, and to Accumulate's verdict on bad inputs.
+func TestAccumulateRepeatMatchesAccumulate(t *testing.T) {
+	varied, err := WithVoltageVariation(PaperTable1(), []float64{1.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var powers []units.Power
+	for _, tab := range []*Table{PaperTable1(), varied[0]} {
+		for _, pt := range tab.Points() {
+			powers = append(powers, pt.P, 4*pt.P+units.Watts(186))
+		}
+	}
+	powers = append(powers, 0)
+	for _, p := range powers {
+		for _, dt := range []float64{0.01, 0.001} {
+			// fresh repeats n quanta from zero; cont continues from the
+			// previous n, so its batches start mid-binade.
+			var loop, cont EnergyMeter
+			done := 0
+			for _, n := range []int{0, 1, 3, 1000, 360_000} {
+				var fresh EnergyMeter
+				if err := fresh.AccumulateRepeat(p, dt, n); err != nil {
+					t.Fatal(err)
+				}
+				if err := cont.AccumulateRepeat(p, dt, n-done); err != nil {
+					t.Fatal(err)
+				}
+				for ; done < n; done++ {
+					if err := loop.Accumulate(p, dt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, got := range []EnergyMeter{fresh, cont} {
+					if math.Float64bits(got.Total().J()) != math.Float64bits(loop.Total().J()) ||
+						math.Float64bits(got.Elapsed()) != math.Float64bits(loop.Elapsed()) || got.begun != loop.begun {
+						t.Fatalf("p=%v dt=%v n=%d: repeat %+v, %d Accumulates %+v", p, dt, n, got, n, loop)
+					}
+				}
+			}
+		}
+	}
+
+	for _, bad := range []struct {
+		p  units.Power
+		dt float64
+		n  int
+	}{{100, 0.01, -1}, {100, -0.01, 5}, {-100, 0.01, 5}, {-100, 0.01, 0}} {
+		e := EnergyMeter{total: 7, now: 3, begun: true}
+		if err := e.AccumulateRepeat(bad.p, bad.dt, bad.n); err == nil {
+			t.Errorf("AccumulateRepeat(%v, %v, %d) accepted", bad.p, bad.dt, bad.n)
+		}
+		if e != (EnergyMeter{total: 7, now: 3, begun: true}) {
+			t.Errorf("AccumulateRepeat(%v, %v, %d) moved the meter on error: %+v", bad.p, bad.dt, bad.n, e)
+		}
+		if bad.n >= 0 {
+			if err := new(EnergyMeter).Accumulate(bad.p, bad.dt); err == nil {
+				t.Errorf("Accumulate(%v, %v) accepted what AccumulateRepeat rejects", bad.p, bad.dt)
+			}
+		}
+	}
+}
+
 func TestSystemPowerMotivatingBreakdown(t *testing.T) {
 	s := MotivatingSystem()
 	if s.Base.W() != 186 {
