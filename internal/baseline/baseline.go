@@ -262,38 +262,6 @@ func (FVSST) Assign(in Input) ([]units.Frequency, error) {
 	return in.Table.FrequenciesAtIndices(p.Actual()), nil
 }
 
-// AggregatePerf estimates the total predicted performance (instructions
-// per second) of an assignment, counting powered-off processors as zero and
-// idle processors as zero useful work. It is the scoring function the
-// ablation benches report.
-func AggregatePerf(decs []*perfmodel.Decomposition, idle []bool, assigned []units.Frequency) float64 {
-	total := 0.0
-	for i, f := range assigned {
-		if f <= 0 || idle[i] || decs[i] == nil {
-			continue
-		}
-		total += decs[i].PerfAt(f)
-	}
-	return total
-}
-
-// AssignmentPower returns the table power of an assignment, with zero
-// frequency contributing zero watts (powered off).
-func AssignmentPower(assigned []units.Frequency, table *power.Table) (units.Power, error) {
-	var sum units.Power
-	for _, f := range assigned {
-		if f == 0 {
-			continue
-		}
-		p, err := table.PowerAt(f)
-		if err != nil {
-			return 0, err
-		}
-		sum += p
-	}
-	return sum, nil
-}
-
 // MeanNormPerf scores an assignment by the mean over busy processors of
 // Perf(f)/Perf(f_max) — each workload weighted equally, so sacrificing one
 // job entirely (power-down) costs its full share rather than vanishing

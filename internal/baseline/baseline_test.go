@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/perfmodel"
@@ -11,6 +10,23 @@ import (
 
 func dec(alpha, stallNs float64) *perfmodel.Decomposition {
 	return &perfmodel.Decomposition{InvAlpha: 1 / alpha, StallSecPerInstr: stallNs * 1e-9}
+}
+
+// assignmentPower is the table power of an assignment, a zero frequency
+// (powered off) drawing nothing.
+func assignmentPower(assigned []units.Frequency, table *power.Table) (units.Power, error) {
+	var sum units.Power
+	for _, f := range assigned {
+		if f == 0 {
+			continue
+		}
+		p, err := table.PowerAt(f)
+		if err != nil {
+			return 0, err
+		}
+		sum += p
+	}
+	return sum, nil
 }
 
 // fourCPUInput: CPU0 CPU-bound, CPU1 memory-bound, CPU2 moderate, CPU3 idle.
@@ -60,7 +76,7 @@ func TestNoManagementIgnoresBudget(t *testing.T) {
 			t.Errorf("cpu %d at %v", i, f)
 		}
 	}
-	p, _ := AssignmentPower(out, power.PaperTable1())
+	p, _ := assignmentPower(out, power.PaperTable1())
 	if p.W() != 560 {
 		t.Errorf("power = %v, want 560W (over the 100W budget, by design)", p)
 	}
@@ -77,7 +93,7 @@ func TestUniformFitsBudgetEqually(t *testing.T) {
 			t.Errorf("cpu %d at %v, want 700MHz", i, f)
 		}
 	}
-	p, _ := AssignmentPower(out, power.PaperTable1())
+	p, _ := assignmentPower(out, power.PaperTable1())
 	if p > units.Watts(294) {
 		t.Errorf("uniform power %v over budget", p)
 	}
@@ -116,7 +132,7 @@ func TestPowerDownKeepsBusiestCPUs(t *testing.T) {
 	if out[3] != 0 {
 		t.Errorf("idle CPU kept up at %v", out[3])
 	}
-	p, _ := AssignmentPower(out, power.PaperTable1())
+	p, _ := assignmentPower(out, power.PaperTable1())
 	if p > units.Watts(294) {
 		t.Errorf("power %v over budget", p)
 	}
@@ -179,7 +195,7 @@ func TestUtilizationDVSBudgetClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := AssignmentPower(out, in.Table)
+	p, _ := assignmentPower(out, in.Table)
 	if p > units.Watts(200) {
 		t.Errorf("clamped power %v over budget", p)
 	}
@@ -191,7 +207,7 @@ func TestFVSSTPolicyMatchesBudgetAndSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := AssignmentPower(out, in.Table)
+	p, _ := assignmentPower(out, in.Table)
 	if p > units.Watts(294) {
 		t.Errorf("fvsst power %v over budget", p)
 	}
@@ -213,7 +229,7 @@ func TestFVSSTPolicyMatchesBudgetAndSaturation(t *testing.T) {
 }
 
 // TestFVSSTBeatsComparatorsUnderBudget is the headline ablation: at the
-// motivating 294 W budget, fvsst retains more aggregate predicted
+// motivating 294 W budget, fvsst retains more mean normalised predicted
 // performance than uniform scaling and power-down, while keeping power
 // under the limit — the paper's core claim.
 func TestFVSSTBeatsComparatorsUnderBudget(t *testing.T) {
@@ -225,15 +241,14 @@ func TestFVSSTBeatsComparatorsUnderBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
-		p, err := AssignmentPower(out, in.Table)
+		p, err := assignmentPower(out, in.Table)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
 		if p > in.Budget {
 			t.Errorf("%s exceeds budget: %v", pol.Name(), p)
 		}
-		perf[pol.Name()] = AggregatePerf(in.Decs, in.Idle, out)
-		_ = set
+		perf[pol.Name()] = MeanNormPerf(in.Decs, in.Idle, out, set.Max())
 	}
 	if perf["fvsst"] <= perf["uniform"] {
 		t.Errorf("fvsst %v not above uniform %v", perf["fvsst"], perf["uniform"])
@@ -258,30 +273,5 @@ func TestWorstCaseLoss(t *testing.T) {
 	out, _ = (FVSST{}).Assign(in)
 	if got := WorstCaseLoss(in.Decs, in.Idle, out, set); got <= 0 || got > 0.5 {
 		t.Errorf("fvsst worst loss = %v", got)
-	}
-}
-
-func TestAggregatePerfIgnoresIdleAndOff(t *testing.T) {
-	decs := []*perfmodel.Decomposition{dec(1, 0), dec(1, 0), dec(1, 0)}
-	idle := []bool{false, true, false}
-	assigned := []units.Frequency{units.GHz(1), units.GHz(1), 0}
-	got := AggregatePerf(decs, idle, assigned)
-	// Only CPU0 counts: Perf = 1e9 instr/s at α=1, no stalls.
-	if math.Abs(got-1e9)/1e9 > 1e-9 {
-		t.Errorf("AggregatePerf = %v, want 1e9", got)
-	}
-}
-
-func TestAssignmentPowerSkipsOff(t *testing.T) {
-	tab := power.PaperTable1()
-	p, err := AssignmentPower([]units.Frequency{units.GHz(1), 0, 0, 0}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.W() != 140 {
-		t.Errorf("power = %v, want 140W", p)
-	}
-	if _, err := AssignmentPower([]units.Frequency{units.MHz(123)}, tab); err == nil {
-		t.Error("off-grid frequency accepted")
 	}
 }

@@ -57,7 +57,11 @@ func agreeRun(t *testing.T, ideal, idleSignal bool, seed int64, budget units.Pow
 		{Name: "cpu1", Phases: []workload.Phase{cpuBound}},
 		{Name: "turn2", Phases: []workload.Phase{memBound, cpuBound}},
 	} {
-		if err := m.SetMix(cpu, workload.MustMix(p)); err != nil {
+		mix, err := workload.NewMix(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetMix(cpu, mix); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -93,7 +93,17 @@ type AblationIdealReport struct {
 
 // AblationIdeal sweeps a grid of workload decompositions.
 func AblationIdeal() (*AblationIdealReport, error) {
-	set := power.PaperTable1().Frequencies()
+	tab := power.PaperTable1()
+	scanPass := fvsst.NewPass(fvsst.Config{Table: tab, Epsilon: 0.05})
+	idealPass := fvsst.NewPass(fvsst.Config{Table: tab, Epsilon: 0.05, UseIdealFrequency: true})
+	// stepOne is Step 1 for one processor through p: its ε-constrained setting.
+	stepOne := func(p *fvsst.Pass, d perfmodel.Decomposition) (units.Frequency, error) {
+		p.Begin(1)
+		if err := p.Observe(0, d); err != nil {
+			return 0, err
+		}
+		return tab.FrequencyAtIndex(p.Desired()[0]), nil
+	}
 	rep := &AblationIdealReport{}
 	var diffSum float64
 	for ai := 0; ai < 30; ai++ {
@@ -101,8 +111,11 @@ func AblationIdeal() (*AblationIdealReport, error) {
 			alpha := 0.5 + float64(ai)/10
 			stall := float64(si) * 0.3e-9
 			d := perfmodel.Decomposition{InvAlpha: 1 / alpha, StallSecPerInstr: stall}
-			scan := fvsst.EpsilonFrequency(d, set, 0.05)
-			ideal, err := fvsst.IdealEpsilonFrequency(d, set, 0.05)
+			scan, err := stepOne(scanPass, d)
+			if err != nil {
+				return nil, err
+			}
+			ideal, err := stepOne(idealPass, d)
 			if err != nil {
 				return nil, err
 			}

@@ -17,7 +17,6 @@
 package fvsst
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -25,20 +24,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/units"
 )
-
-// EpsilonFrequency performs Step 1 for one processor: the lowest frequency
-// in set whose predicted loss versus the set's maximum is under epsilon.
-// When even the second-highest setting loses too much, it returns the
-// maximum — the upward adjustment the paper notes Step 1 may make.
-func EpsilonFrequency(dec perfmodel.Decomposition, set units.FrequencySet, epsilon float64) units.Frequency {
-	fMax := set.Max()
-	for _, f := range set {
-		if dec.PerfLoss(fMax, f) < epsilon {
-			return f
-		}
-	}
-	return fMax
-}
 
 // IdealEpsilonFrequency is the continuous-frequency extension of §5/§9: it
 // computes f_ideal in closed form and snaps it to the lowest set member at
@@ -67,45 +52,9 @@ type Demotion struct {
 	PredictedLoss float64
 }
 
-// FitToBudget performs Step 2 across all processors: given the ε-constrained
-// assignment, it lowers frequencies — always the processor whose *next
-// lower* setting has the smallest predicted loss versus f_max — until the
-// aggregate table power fits the budget. It returns the adjusted
-// assignment and whether the budget was met (false means every processor
-// is already at the minimum setting and the budget is still exceeded; the
-// caller must rely on the safety margin / external action).
-//
-// decs may contain a nil entry for an idle processor; idle processors are
-// treated as having zero loss at any frequency, so they are lowered first.
-//
-// It is an adapter over Pass, not a second body: each processor is marked,
-// its desire overwritten with the given setting, and the pass fitted.
-func FitToBudget(decs []*perfmodel.Decomposition, assigned []units.Frequency, table *power.Table, budget units.Power) ([]units.Frequency, bool, error) {
-	if len(decs) != len(assigned) {
-		return nil, false, fmt.Errorf("fvsst: %d decompositions for %d assignments", len(decs), len(assigned))
-	}
-	p := NewPass(Config{Table: table})
-	p.Begin(len(decs))
-	for i, f := range assigned {
-		idx := table.IndexOf(f)
-		if idx < 0 {
-			return nil, false, fmt.Errorf("fvsst: cpu %d: frequency %v not in table", i, f)
-		}
-		if decs[i] != nil {
-			if err := p.Observe(i, *decs[i]); err != nil {
-				return nil, false, err
-			}
-		}
-		p.Desired()[i] = idx
-	}
-	met := p.Fit(budget)
-	return table.FrequenciesAtIndices(p.Actual()), met, nil
-}
-
 // EpsilonIndexGrid is Step 1 over a pre-evaluated prediction grid: the
 // index of the lowest set frequency whose predicted loss is under epsilon.
-// The loss at the set maximum is zero, so the scan always terminates; the
-// result is identical to EpsilonFrequency over the same decomposition.
+// The loss at the set maximum is zero, so the scan always terminates.
 func EpsilonIndexGrid(g *perfmodel.PredGrid, cpu int, epsilon float64) int {
 	n := g.NumFreqs()
 	for i := 0; i < n; i++ {
@@ -145,8 +94,8 @@ func EpsilonIndexGrid(g *perfmodel.PredGrid, cpu int, epsilon float64) int {
 //
 // This loop is the only production body of the Step-2 selection rule: Pass
 // runs it for every owner (Scheduler, cluster.Core's pass and demand
-// curve, FitToBudget, the baseline policy), the scenario policy rewrite
-// for its debounced counterfactual. invariant.StepTwoReplay and
+// curve, the baseline policy), the scenario policy rewrite for its
+// debounced counterfactual. invariant.StepTwoReplay and
 // optimal.Greedy state the rule independently, as scans, to check it;
 // invariant.FuzzStepTwoAgreement holds the three to the same walk.
 func FitToBudgetGrid(g *perfmodel.PredGrid, actualIdx []int, table *power.Table, budget units.Power, demotions []Demotion) ([]Demotion, bool) {

@@ -11,15 +11,47 @@ import (
 	"repro/internal/units"
 )
 
-func sec5Set() units.FrequencySet { return power.Section5Table().Frequencies() }
-
 func dec(alpha, stallNs float64) perfmodel.Decomposition {
 	return perfmodel.Decomposition{InvAlpha: 1 / alpha, StallSecPerInstr: stallNs * 1e-9}
 }
 
+// stepOne runs Step 1 for one processor through a Pass over tab and
+// returns its ε-constrained setting: the scan, or the closed form of §5
+// under ideal.
+func stepOne(t testing.TB, tab *power.Table, d perfmodel.Decomposition, eps float64, ideal bool) units.Frequency {
+	t.Helper()
+	p := NewPass(Config{Table: tab, Epsilon: eps, UseIdealFrequency: ideal})
+	p.Begin(1)
+	if err := p.Observe(0, d); err != nil {
+		t.Fatal(err)
+	}
+	return tab.FrequencyAtIndex(p.Desired()[0])
+}
+
+// fit runs Step 2 through a Pass over tab: decs[i] nil marks processor i
+// idle, each desire is overwritten with desired[i], and the pass is fitted
+// to budget. It returns the actual settings and whether the budget was met.
+func fit(t testing.TB, tab *power.Table, decs []*perfmodel.Decomposition, desired []units.Frequency, budget units.Power) ([]units.Frequency, bool) {
+	t.Helper()
+	p := NewPass(Config{Table: tab})
+	p.Begin(len(decs))
+	for i, d := range decs {
+		if d == nil {
+			p.Idle(i)
+		} else if err := p.Observe(i, *d); err != nil {
+			t.Fatal(err)
+		}
+		if p.Desired()[i] = tab.IndexOf(desired[i]); p.Desired()[i] < 0 {
+			t.Fatalf("cpu %d: %v not in the table", i, desired[i])
+		}
+	}
+	met := p.Fit(budget)
+	return tab.FrequenciesAtIndices(p.Actual()), met
+}
+
 func TestEpsilonFrequencyCPUBoundPinsMax(t *testing.T) {
 	d := dec(1.4, 0.05)
-	if got := EpsilonFrequency(d, sec5Set(), 0.05); got != units.GHz(1) {
+	if got := stepOne(t, power.Section5Table(), d, 0.05, false); got != units.GHz(1) {
 		t.Errorf("CPU-bound ε-frequency = %v, want 1GHz", got)
 	}
 }
@@ -28,13 +60,11 @@ func TestEpsilonFrequencyMemoryBoundSaturates(t *testing.T) {
 	// mcf-calibrated: α·S ≈ 9.3/GHz → 650 MHz would lose <5%, so on the
 	// §5 coarse set the lowest admissible setting is 700 MHz.
 	d := dec(1.1, 8.44)
-	got := EpsilonFrequency(d, sec5Set(), 0.05)
-	if got != units.MHz(700) {
+	if got := stepOne(t, power.Section5Table(), d, 0.05, false); got != units.MHz(700) {
 		t.Errorf("memory-bound ε-frequency = %v, want 700MHz", got)
 	}
 	// On the fine-grained Table 1 set, 650 MHz is available and chosen.
-	fine := power.PaperTable1().Frequencies()
-	if got := EpsilonFrequency(d, fine, 0.05); got != units.MHz(650) {
+	if got := stepOne(t, power.PaperTable1(), d, 0.05, false); got != units.MHz(650) {
 		t.Errorf("fine-set ε-frequency = %v, want 650MHz", got)
 	}
 }
@@ -42,22 +72,20 @@ func TestEpsilonFrequencyMemoryBoundSaturates(t *testing.T) {
 func TestEpsilonFrequencyPicksLowestAdmissible(t *testing.T) {
 	// Extremely memory-bound work admits even the lowest setting.
 	d := dec(1.0, 100)
-	if got := EpsilonFrequency(d, sec5Set(), 0.05); got != units.MHz(600) {
+	if got := stepOne(t, power.Section5Table(), d, 0.05, false); got != units.MHz(600) {
 		t.Errorf("ε-frequency = %v, want set minimum", got)
 	}
 }
 
 func TestEpsilonFrequencyAgreesWithIdealExtension(t *testing.T) {
-	set := power.PaperTable1().Frequencies()
+	tab := power.PaperTable1()
+	set := tab.Frequencies()
 	err := quick.Check(func(aRaw, sRaw uint16) bool {
 		alpha := 0.5 + float64(aRaw%30)/10
 		stall := float64(sRaw%1500) / 100 // 0 .. 15 ns
 		d := dec(alpha, stall)
-		scan := EpsilonFrequency(d, set, 0.05)
-		ideal, err := IdealEpsilonFrequency(d, set, 0.05)
-		if err != nil {
-			return false
-		}
+		scan := stepOne(t, tab, d, 0.05, false)
+		ideal := stepOne(t, tab, d, 0.05, true)
 		// The paper's closed form short-circuits to f_max whenever the
 		// predicted IPC at f_max exceeds 1 — deliberately coarser than the
 		// scan for high-IPC work. Outside that regime the two agree to
@@ -74,13 +102,9 @@ func TestEpsilonFrequencyAgreesWithIdealExtension(t *testing.T) {
 }
 
 func TestFitToBudgetNoActionWhenUnderBudget(t *testing.T) {
-	tab := power.Section5Table()
 	d1, d2 := dec(1.4, 0.1), dec(1.1, 8.44)
 	assigned := []units.Frequency{units.GHz(1), units.MHz(700)}
-	out, met, err := FitToBudget([]*perfmodel.Decomposition{&d1, &d2}, assigned, tab, units.Watts(300))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, met := fit(t, power.Section5Table(), []*perfmodel.Decomposition{&d1, &d2}, assigned, units.Watts(300))
 	if !met {
 		t.Error("budget not met")
 	}
@@ -90,17 +114,12 @@ func TestFitToBudgetNoActionWhenUnderBudget(t *testing.T) {
 }
 
 func TestFitToBudgetLowersCheapestFirst(t *testing.T) {
-	tab := power.Section5Table()
 	cpuBound := dec(1.4, 0.1)  // loses a lot per step
 	memBound := dec(1.1, 8.44) // loses little per step
 	assigned := []units.Frequency{units.GHz(1), units.GHz(1)}
 	// 140+140 = 280 W; budget 249 W forces one step down (→249 W max).
-	out, met, err := FitToBudget(
-		[]*perfmodel.Decomposition{&cpuBound, &memBound},
-		assigned, tab, units.Watts(249))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, met := fit(t, power.Section5Table(),
+		[]*perfmodel.Decomposition{&cpuBound, &memBound}, assigned, units.Watts(249))
 	if !met {
 		t.Error("budget not met")
 	}
@@ -111,16 +130,11 @@ func TestFitToBudgetLowersCheapestFirst(t *testing.T) {
 }
 
 func TestFitToBudgetIdleLoweredFirst(t *testing.T) {
-	tab := power.Section5Table()
 	busy := dec(1.4, 0.1)
 	assigned := []units.Frequency{units.GHz(1), units.GHz(1)}
-	// Nil decomposition = idle: zero loss at any frequency.
-	out, met, err := FitToBudget(
-		[]*perfmodel.Decomposition{&busy, nil},
-		assigned, tab, units.Watts(200))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// An idle processor has zero loss at any frequency.
+	out, met := fit(t, power.Section5Table(),
+		[]*perfmodel.Decomposition{&busy, nil}, assigned, units.Watts(200))
 	if !met {
 		t.Error("budget not met")
 	}
@@ -135,10 +149,7 @@ func TestFitToBudgetIdleLoweredFirst(t *testing.T) {
 func TestFitToBudgetInfeasible(t *testing.T) {
 	tab := power.Section5Table()
 	d := dec(1.4, 0.1)
-	out, met, err := FitToBudget([]*perfmodel.Decomposition{&d}, []units.Frequency{units.GHz(1)}, tab, units.Watts(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, met := fit(t, tab, []*perfmodel.Decomposition{&d}, []units.Frequency{units.GHz(1)}, units.Watts(10))
 	if met {
 		t.Error("10W budget reported met")
 	}
@@ -147,18 +158,11 @@ func TestFitToBudgetInfeasible(t *testing.T) {
 	}
 }
 
-func TestFitToBudgetLengthMismatch(t *testing.T) {
-	tab := power.Section5Table()
-	if _, _, err := FitToBudget(nil, []units.Frequency{units.GHz(1)}, tab, units.Watts(100)); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-// TestWorkedExampleSection5 reproduces the paper's §5 sample calculation:
-// four CPUs, frequency set {0.6..1.0 GHz}, 294 W budget. At T0 the
-// ε-constrained vector is [1.0, 0.7, 0.8, 0.8] GHz (348 W — over budget)
-// and Step 2 lowers it to [0.6, 0.6, 0.7, 0.7] GHz with power vector
-// [48, 48, 66, 66] = 228 W... the paper's published actual vector
+// TestWorkedExampleSection5 reproduces the paper's §5 sample
+// calculation: four CPUs, frequency set {0.6..1.0 GHz}, 294 W budget. At
+// T0 the ε-constrained vector is [1.0, 0.7, 0.8, 0.8] GHz (348 W — over
+// budget) and Step 2 lowers it to [0.6, 0.6, 0.7, 0.7] GHz with power
+// vector [48, 48, 66, 66] = 228 W... the paper's published actual vector
 // [0.6,0.6,0.7,0.7] has stated powers [109,48,66,66], an internal
 // inconsistency in the paper (109 W is the 0.9 GHz entry of its own Table
 // 1). We assert the algorithmic invariants the text states: the actual
@@ -167,40 +171,40 @@ func TestFitToBudgetLengthMismatch(t *testing.T) {
 func TestWorkedExampleSection5(t *testing.T) {
 	tab := power.Section5Table()
 	set := tab.Frequencies()
+	p := NewPass(Config{Table: tab, Epsilon: 0.05})
 
 	// Decompositions chosen so Step 1 yields the paper's ε-constrained
 	// vector [1.0GHz, 0.7GHz, 0.8GHz, 0.8GHz].
-	cpu0 := dec(1.4, 0.1)  // CPU-bound → 1.0 GHz
-	cpu1 := dec(1.1, 8.44) // strongly memory-bound → 0.7 GHz
-	cpu2 := dec(1.2, 5.2)  // moderately memory-bound → 0.8 GHz
-	cpu3 := dec(1.2, 5.2)  // same → 0.8 GHz
-	decs := []*perfmodel.Decomposition{&cpu0, &cpu1, &cpu2, &cpu3}
-
-	desired := make([]units.Frequency, 4)
-	for i, d := range decs {
-		desired[i] = EpsilonFrequency(*d, set, 0.05)
+	decs := []perfmodel.Decomposition{
+		dec(1.4, 0.1),  // CPU-bound → 1.0 GHz
+		dec(1.1, 8.44), // strongly memory-bound → 0.7 GHz
+		dec(1.2, 5.2),  // moderately memory-bound → 0.8 GHz
+		dec(1.2, 5.2),  // same → 0.8 GHz
 	}
-	want := []units.Frequency{units.GHz(1), units.MHz(700), units.MHz(800), units.MHz(800)}
-	for i := range want {
-		if desired[i] != want[i] {
-			t.Fatalf("ε-constrained[%d] = %v, want %v", i, desired[i], want[i])
+	// run is one pass over decs at the 294 W processor budget (the
+	// surviving 480 W supply minus the 186 W non-CPU base).
+	run := func() (desired, actual []units.Frequency, met bool) {
+		p.Begin(len(decs))
+		for i, d := range decs {
+			if err := p.Observe(i, d); err != nil {
+				t.Fatal(err)
+			}
 		}
+		desired = tab.FrequenciesAtIndices(p.Desired())
+		met = p.Fit(units.Watts(294))
+		return desired, tab.FrequenciesAtIndices(p.Actual()), met
 	}
 
-	// T0: 294 W processor budget (the surviving 480 W supply minus the
-	// 186 W non-CPU base).
-	actual, met, err := FitToBudget(decs, desired, tab, units.Watts(294))
-	if err != nil {
-		t.Fatal(err)
+	// T0.
+	desired, actual, met := run()
+	want := []units.Frequency{units.GHz(1), units.MHz(700), units.MHz(800), units.MHz(800)}
+	if !slices.Equal(desired, want) {
+		t.Fatalf("ε-constrained = %v, want %v", desired, want)
 	}
 	if !met {
 		t.Fatal("294W budget not met")
 	}
-	total, err := TotalTablePower(actual, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total > units.Watts(294) {
+	if total := p.TablePower(); total > units.Watts(294) {
 		t.Errorf("total %v exceeds budget", total)
 	}
 	for i := range actual {
@@ -226,24 +230,16 @@ func TestWorkedExampleSection5(t *testing.T) {
 	// T1: processor 0's workload turns memory-intensive; now everything
 	// fits at its ε-constrained frequency with power ≤ 282 W, and every
 	// aggregate loss is within ε — the paper's [ε,ε,ε,ε] vector.
-	memBound0 := dec(1.0, 12)
-	decs[0] = &memBound0
-	for i, d := range decs {
-		desired[i] = EpsilonFrequency(*d, set, 0.05)
-	}
+	decs[0] = dec(1.0, 12)
+	desired, actual, met = run()
 	if desired[0] != units.MHz(600) {
 		t.Fatalf("T1 ε-constrained[0] = %v, want 600MHz", desired[0])
-	}
-	actual, met, err = FitToBudget(decs, desired, tab, units.Watts(294))
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !met {
 		t.Fatal("T1 budget not met")
 	}
-	total, _ = TotalTablePower(actual, tab)
 	// Paper: [48, 66, 84, 84] W = 282 W.
-	if math.Abs(total.W()-282) > 1e-9 {
+	if total := p.TablePower(); math.Abs(total.W()-282) > 1e-9 {
 		t.Errorf("T1 total = %v, want 282W", total)
 	}
 	for i, d := range decs {
@@ -271,10 +267,7 @@ func TestFitToBudgetNeverRaisesFrequencies(t *testing.T) {
 			decs[i] = &d
 		}
 		budget := units.Watts(float64(budgetRaw%600) + 9)
-		out, met, err := FitToBudget(decs, assigned, tab, budget)
-		if err != nil {
-			return false
-		}
+		out, met := fit(t, tab, decs, assigned, budget)
 		for i := range out {
 			if out[i] > assigned[i] {
 				return false
@@ -290,19 +283,6 @@ func TestFitToBudgetNeverRaisesFrequencies(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMinEpsilonFor(t *testing.T) {
-	// §5 coarse set: the largest relative step is 100 MHz at 700 MHz.
-	got := MinEpsilonFor(sec5Set())
-	if math.Abs(got-100.0/700.0) > 1e-9 {
-		t.Errorf("MinEpsilonFor = %v, want %v", got, 100.0/700.0)
-	}
-	// Table 1's 50 MHz grid: largest step is 50/300.
-	fine := MinEpsilonFor(power.PaperTable1().Frequencies())
-	if math.Abs(fine-50.0/300.0) > 1e-9 {
-		t.Errorf("fine MinEpsilonFor = %v", fine)
 	}
 }
 

@@ -146,22 +146,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// MinEpsilonFor returns the smallest usable ε for a frequency set on a
-// pure-CPU workload: the relative size of the largest single frequency
-// step. An ε below this pins CPU-bound work at f_max (which is correct)
-// but also makes the ε bound unachievable for any lowering (§5: "its value
-// must be greater than the minimum performance step").
-func MinEpsilonFor(set units.FrequencySet) float64 {
-	worst := 0.0
-	for i := 1; i < len(set); i++ {
-		step := float64(set[i]-set[i-1]) / float64(set[i])
-		if step > worst {
-			worst = step
-		}
-	}
-	return worst
-}
-
 // Assignment is the scheduler's decision for one processor.
 type Assignment struct {
 	CPU int

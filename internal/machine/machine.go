@@ -294,9 +294,8 @@ func (m *Machine) StealTime(i int, seconds float64) error {
 
 // CPUPower returns the table power of CPU i at its current effective
 // frequency. Frequency zero means the processor is powered off entirely
-// (the power-down policy) and draws nothing, matching
-// baseline.AssignmentPower's convention; any non-zero frequency is floored
-// at the table's lowest operating point.
+// (the power-down policy) and draws nothing; any non-zero frequency is
+// floored at the table's lowest operating point.
 func (m *Machine) CPUPower(i int) units.Power {
 	f := m.EffectiveFrequency(i)
 	if f == 0 {

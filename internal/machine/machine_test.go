@@ -421,7 +421,11 @@ func TestCompletionHook(t *testing.T) {
 	}
 	// Reference run without a hook.
 	ref := newQuiet(t)
-	if err := ref.SetMix(0, workload.MustMix(prog("a", 1e6))); err != nil {
+	refMix, err := workload.NewMix(prog("a", 1e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SetMix(0, refMix); err != nil {
 		t.Fatal(err)
 	}
 	ref.RunQuanta(5)
@@ -432,7 +436,10 @@ func TestCompletionHook(t *testing.T) {
 
 	// Hooked run: same job, then the hook chains a second job in place.
 	m := newQuiet(t)
-	mix := workload.MustMix(prog("a", 1e6))
+	mix, err := workload.NewMix(prog("a", 1e6))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cur := mix.Jobs()[0]
 	if err := m.SetMix(0, mix); err != nil {
 		t.Fatal(err)

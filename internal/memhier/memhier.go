@@ -32,13 +32,6 @@ const (
 	numLevels
 )
 
-// Levels lists every level in order. BeyondL1 lists the levels whose service
-// time is frequency-invariant, i.e. the Nᵢ·Tᵢ terms of the IPC equation.
-var (
-	Levels   = []Level{L1, L2, L3, DRAM}
-	BeyondL1 = []Level{L2, L3, DRAM}
-)
-
 // String returns the conventional name of the level.
 func (l Level) String() string {
 	switch l {

@@ -44,7 +44,7 @@ func newTunedPipeWorld(tb testing.TB, n, cpus, relays int, tune func(w *pipeWorl
 		agentPD = topPD
 	}
 	w.topPD, w.agtPD = topPD, agentPD
-	progs := workload.Apps(1)
+	progs := []workload.Program{workload.Gzip(1), workload.Gap(1), workload.Mcf(1), workload.Health(1)}
 	for i := range progs {
 		progs[i].Loops = -1
 	}

@@ -204,16 +204,15 @@ type CPUTrace struct {
 	IPCError      float64 `json:"ipc_error,omitempty"`
 	IPCErrorValid bool    `json:"ipc_error_valid,omitempty"`
 	// Obs is the raw counter window Step 1 consumed for this decision,
-	// recorded so the trace is replayable: a counterfactual harness can
-	// re-run Steps 1–3 from identical inputs under perturbed knobs (see
-	// docs/optimality.md). Nil for idle or unobserved CPUs.
+	// so the trace carries every input of the pass. Nil for idle or
+	// unobserved CPUs.
 	Obs *ObsTrace `json:"obs,omitempty"`
 }
 
 // ObsTrace is one CPU's raw observation window: the counter deltas and
 // the exact frequency the window ran at. FreqHz is in hertz rather than
 // the MHz convention of the decision fields so the JSON round trip is
-// bit-exact — replay must reproduce the recorded decisions to the byte.
+// bit-exact.
 type ObsTrace struct {
 	WindowS      float64 `json:"window_s"`
 	Instructions uint64  `json:"instr"`

@@ -14,7 +14,8 @@ func scheduleEvent() Event {
 		CPUs: []CPUTrace{
 			{CPU: 0, DesiredMHz: 1000, ActualMHz: 650, VoltageV: 1.2,
 				PredictedLoss: 0.03, PredictedIPC: 0.9, ObservedIPC: 0.95,
-				IPCError: -0.02, IPCErrorValid: true},
+				IPCError: -0.02, IPCErrorValid: true,
+				Obs: &ObsTrace{WindowS: 0.02, Instructions: 100, Cycles: 200, FreqHz: 1e9}},
 			{CPU: 1, Idle: true, DesiredMHz: 250, ActualMHz: 250, VoltageV: 1.1},
 		},
 		Demotions: []DemotionTrace{
@@ -49,6 +50,12 @@ func TestJSONLWriterRoundTrips(t *testing.T) {
 	}
 	if e.CPUs[0].DesiredMHz != 1000 || e.CPUs[0].ActualMHz != 650 || !e.CPUs[0].IPCErrorValid {
 		t.Errorf("cpu trace mangled: %+v", e.CPUs[0])
+	}
+	if o := e.CPUs[0].Obs; o == nil || *o != *scheduleEvent().CPUs[0].Obs {
+		t.Errorf("observation window not round-tripped: %+v", o)
+	}
+	if e.CPUs[1].Obs != nil {
+		t.Error("idle CPU grew an observation")
 	}
 	if events[1].Type != EventQuantum || events[1].SystemPowerW != 500 {
 		t.Errorf("quantum event mangled: %+v", events[1])

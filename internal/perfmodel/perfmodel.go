@@ -107,20 +107,6 @@ func (p Predictor) Decompose(o Observation) (Decomposition, error) {
 	return Decomposition{InvAlpha: invAlpha, StallSecPerInstr: stall}, nil
 }
 
-// FromPhaseTruth builds the decomposition the predictor *would* recover
-// from a perfectly measured phase — useful for analytic experiments and the
-// saturation study of Figure 1. alpha is the phase's perfect-machine IPC
-// and stall the Σ r·T term.
-func FromPhaseTruth(alpha, stallSecPerInstr float64) (Decomposition, error) {
-	if alpha <= 0 || alpha > MaxAlpha {
-		return Decomposition{}, fmt.Errorf("perfmodel: alpha %v out of (0,%v]", alpha, MaxAlpha)
-	}
-	if stallSecPerInstr < 0 {
-		return Decomposition{}, fmt.Errorf("perfmodel: negative stall %v", stallSecPerInstr)
-	}
-	return Decomposition{InvAlpha: 1 / alpha, StallSecPerInstr: stallSecPerInstr}, nil
-}
-
 // IPCAt predicts instructions per cycle at frequency f.
 func (d Decomposition) IPCAt(f units.Frequency) float64 {
 	return 1 / (d.InvAlpha + d.StallSecPerInstr*f.Hz())

@@ -283,25 +283,6 @@ func TestDecomposeWithBounds(t *testing.T) {
 	}
 }
 
-func TestFromPhaseTruth(t *testing.T) {
-	d, err := FromPhaseTruth(1.4, 5e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.InvAlpha != 1/1.4 || d.StallSecPerInstr != 5e-9 {
-		t.Errorf("FromPhaseTruth = %+v", d)
-	}
-	if _, err := FromPhaseTruth(0, 1); err == nil {
-		t.Error("alpha=0 accepted")
-	}
-	if _, err := FromPhaseTruth(1, -1); err == nil {
-		t.Error("negative stall accepted")
-	}
-	if _, err := FromPhaseTruth(99, 0); err == nil {
-		t.Error("alpha=99 accepted")
-	}
-}
-
 // Property: prediction round-trip. For any physical workload, decomposing a
 // synthetic observation at frequency g and predicting at g itself must
 // reproduce the observed IPC.

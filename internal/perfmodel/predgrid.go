@@ -22,7 +22,6 @@ type PredGrid struct {
 	ipc   []float64 // nCPU × len(freqs), row-major
 	loss  []float64
 	valid []bool
-	decs  []Decomposition
 	heap  []DemotionKey // Step-2 scratch, see DemotionHeap
 }
 
@@ -33,8 +32,9 @@ type PredGrid struct {
 type DemotionKey struct{ Hi, Lo uint64 }
 
 // DemotionHeap returns the grid's reusable backing for Step 2's heap:
-// length 0, capacity at least NumCPUs. The grid only owns the memory, so
-// a scheduler that keeps its grid across passes allocates the heap once.
+// length 0, capacity at least the pass's processor count. The grid only
+// owns the memory, so a scheduler that keeps its grid across passes
+// allocates the heap once.
 func (g *PredGrid) DemotionHeap() []DemotionKey {
 	if cap(g.heap) < g.nCPU {
 		g.heap = make([]DemotionKey, 0, g.nCPU)
@@ -57,10 +57,8 @@ func (g *PredGrid) Reset(nCPU int, set units.FrequencySet) {
 	g.loss = g.loss[:need]
 	if cap(g.valid) < nCPU {
 		g.valid = make([]bool, nCPU)
-		g.decs = make([]Decomposition, nCPU)
 	}
 	g.valid = g.valid[:nCPU]
-	g.decs = g.decs[:nCPU]
 	for i := range g.valid {
 		g.valid[i] = false
 	}
@@ -70,7 +68,6 @@ func (g *PredGrid) Reset(nCPU int, set units.FrequencySet) {
 // marks it valid: IPC(f) for every set frequency, and PerfLoss versus the
 // set maximum.
 func (g *PredGrid) Fill(cpu int, d Decomposition) {
-	g.decs[cpu] = d
 	g.valid[cpu] = true
 	row := cpu * len(g.freqs)
 	fMax := g.freqs[len(g.freqs)-1]
@@ -89,13 +86,6 @@ func (g *PredGrid) Fill(cpu int, d Decomposition) {
 // Valid reports whether cpu's row was filled this pass (false for idle or
 // unobserved processors).
 func (g *PredGrid) Valid(cpu int) bool { return g.valid[cpu] }
-
-// Dec returns the decomposition behind cpu's row; meaningful only when
-// Valid(cpu).
-func (g *PredGrid) Dec(cpu int) Decomposition { return g.decs[cpu] }
-
-// NumCPUs returns the processor count of the current pass.
-func (g *PredGrid) NumCPUs() int { return g.nCPU }
 
 // NumFreqs returns the frequency count per row.
 func (g *PredGrid) NumFreqs() int { return len(g.freqs) }

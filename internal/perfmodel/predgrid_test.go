@@ -30,9 +30,6 @@ func TestPredGridMatchesDecomposition(t *testing.T) {
 		if !g.Valid(cpu) {
 			t.Fatalf("cpu %d not valid after Fill", cpu)
 		}
-		if g.Dec(cpu) != d {
-			t.Fatalf("cpu %d Dec mismatch", cpu)
-		}
 		for fi, f := range set {
 			if got, want := g.IPC(cpu, fi), d.IPCAt(f); got != want {
 				t.Errorf("cpu %d IPC(%v): grid %v direct %v", cpu, f, got, want)
@@ -42,8 +39,8 @@ func TestPredGridMatchesDecomposition(t *testing.T) {
 			}
 		}
 	}
-	if g.NumCPUs() != 3 || g.NumFreqs() != 4 {
-		t.Fatalf("shape %d×%d, want 3×4", g.NumCPUs(), g.NumFreqs())
+	if g.NumFreqs() != 4 {
+		t.Fatalf("%d frequencies per row, want 4", g.NumFreqs())
 	}
 	if g.Freq(0) != set.Min() || g.Freq(3) != set.Max() {
 		t.Fatal("Freq accessor disagrees with set order")

@@ -171,17 +171,3 @@ func WithVoltageVariation(base *Table, scales []float64) ([]*Table, error) {
 	}
 	return out, nil
 }
-
-// FitError returns the maximum relative error of the model against the
-// table, |P_model - P_table| / P_table, over all points.
-func FitError(m Model, t *Table) float64 {
-	worst := 0.0
-	for _, p := range t.Points() {
-		got := m.PowerAt(p.F, p.V).W()
-		rel := math.Abs(got-p.P.W()) / p.P.W()
-		if rel > worst {
-			worst = rel
-		}
-	}
-	return worst
-}

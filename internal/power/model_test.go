@@ -101,7 +101,7 @@ func TestFitModelRecoversKnownCoefficients(t *testing.T) {
 	if math.Abs(fit.B-truth.B)/truth.B > 1e-6 {
 		t.Errorf("fit B = %v, want %v", fit.B, truth.B)
 	}
-	if e := FitError(fit, tab); e > 1e-9 {
+	if e := fitError(fit, tab); e > 1e-9 {
 		t.Errorf("self-fit error = %v", e)
 	}
 }
@@ -123,7 +123,7 @@ func TestFitModelAgainstPaperTable1(t *testing.T) {
 	if m.B < 0 {
 		t.Errorf("fitted leakage %v negative", m.B)
 	}
-	if e := FitError(m, tab); e > 0.08 {
+	if e := fitError(m, tab); e > 0.08 {
 		t.Errorf("fit error %.3f exceeds 8%%", e)
 	}
 }
@@ -183,4 +183,18 @@ func TestModelPowerMonotoneInFrequency(t *testing.T) {
 	if err != nil {
 		t.Error(err)
 	}
+}
+
+// fitError returns the maximum relative error of the model against the
+// table, |P_model - P_table| / P_table, over all points.
+func fitError(m Model, t *Table) float64 {
+	worst := 0.0
+	for _, p := range t.Points() {
+		got := m.PowerAt(p.F, p.V).W()
+		rel := math.Abs(got-p.P.W()) / p.P.W()
+		if rel > worst {
+			worst = rel
+		}
+	}
+	return worst
 }

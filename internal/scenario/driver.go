@@ -212,7 +212,7 @@ func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 		// natively and the full checker suite stays consistent with it.
 		fcfg.Epsilon = opt.Policy.Epsilon
 	}
-	policy := NewPolicyRewrite(opt.Policy)
+	policy := newPolicyRewrite(opt.Policy)
 	core, err := cluster.NewCore(fcfg)
 	if err != nil {
 		return nil, err

@@ -66,16 +66,15 @@ func (k *PolicyKnobs) rewrites() bool {
 	return k != nil && (k.DebouncePasses >= 2 || (k.Allocator != "" && k.Allocator != AllocGreedy))
 }
 
-// PolicyRewrite re-decides the pass core just scheduled under the policy
+// policyRewrite re-decides the pass core just scheduled under the policy
 // knobs: Step-1 desires pass through the debounce filter, the chosen
 // allocator replaces Step 2 over the grid that pass filled (core.Grid, so
 // call it before the core's next pass), Step 3 re-reads the voltage
 // table. The demotion log is dropped — replacement allocators have no
-// least-loss demotion sequence to log. The scenario driver and
-// experiments.ReplayDecisions both run this one rewrite. The pass goes in
-// and out by value (its Assignments are rewritten in place): a pointer
-// through a func value would move every round's PassResult to the heap.
-type PolicyRewrite func(core *cluster.Core, inputs []cluster.ProcInput, pass cluster.PassResult, budget units.Power) (cluster.PassResult, error)
+// least-loss demotion sequence to log. The pass goes in and out by value
+// (its Assignments are rewritten in place): a pointer through a func
+// value would move every round's PassResult to the heap.
+type policyRewrite func(core *cluster.Core, inputs []cluster.ProcInput, pass cluster.PassResult, budget units.Power) (cluster.PassResult, error)
 
 // policyState carries the rewrite's debounce streaks across passes, keyed
 // by the trace identity (node name, CPU), not pass position, because
@@ -93,9 +92,9 @@ type procKey struct {
 // debounce: a held Step-1 desire, the latest candidate and its streak.
 type debounce struct{ held, last, run int }
 
-// NewPolicyRewrite returns the rewrite for k, or nil when the knobs need
+// newPolicyRewrite returns the rewrite for k, or nil when the knobs need
 // none (core.Schedule under k's ε already is the policy).
-func NewPolicyRewrite(k *PolicyKnobs) PolicyRewrite {
+func newPolicyRewrite(k *PolicyKnobs) policyRewrite {
 	if !k.rewrites() {
 		return nil
 	}

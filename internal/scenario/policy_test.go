@@ -245,9 +245,11 @@ func TestSoakMeasureGap(t *testing.T) {
 	}
 }
 
+// TestSchedulerConfigExport: the scheduling configuration a spec
+// resolves to carries its ε and a power table.
 func TestSchedulerConfigExport(t *testing.T) {
 	spec := Generate(3)
-	cfg, err := spec.SchedulerConfig()
+	cfg, err := spec.fvsstConfig()
 	if err != nil {
 		t.Fatal(err)
 	}

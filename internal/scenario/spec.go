@@ -445,13 +445,6 @@ func (s Spec) table() (*power.Table, error) {
 	}
 }
 
-// SchedulerConfig exposes the scheduling configuration a spec resolves
-// to. Replay harnesses need it to re-decide recorded passes with the
-// same table, ε and period the original run used.
-func (s Spec) SchedulerConfig() (fvsst.Config, error) {
-	return s.fvsstConfig()
-}
-
 // fvsstConfig is the shared scheduling configuration both drivers use.
 func (s Spec) fvsstConfig() (fvsst.Config, error) {
 	table, err := s.table()

@@ -217,11 +217,16 @@ func weibullShapeForCV(cv float64) (float64, error) {
 	return (lo + hi) / 2, nil
 }
 
-// Stream draws one client's arrival instants incrementally — the online
-// form of workload.RenewalArrivals, for open-ended serving runs where the
-// horizon is not known up front. All randomness comes from the seed, so a
-// (spec, seed) pair names the exact arrival sequence; experiments reuse
-// the same pair across policies to serve identical traffic.
+// Stream draws one client's arrival instants incrementally, for
+// open-ended serving runs where the horizon is not known up front. It is
+// a rate-modulated renewal process: each unit-mean gap is stretched by the
+// reciprocal of the instantaneous rate at the previous arrival. With
+// exponential gaps at a constant rate that is a Poisson process; for a
+// time-varying rate it is the standard inversion approximation, exact in
+// the limit of a rate varying slowly against the gap scale (diurnal
+// periods ≫ 1/rate). All randomness comes from the seed, so a (spec, seed)
+// pair names the exact arrival sequence; experiments reuse the same pair
+// across policies to serve identical traffic.
 type Stream struct {
 	rng  *rand.Rand
 	gaps workload.InterArrival

@@ -75,8 +75,8 @@ func workloadWeibullCV(k float64) float64 {
 	return math.Sqrt(m2/(m1*m1) - 1)
 }
 
-// TestStreamMatchesRenewal: the incremental stream and the batch
-// generator agree for the same spec and seed.
+// TestStreamDeterministicAndIncreasing: a fixed (spec, seed) pair
+// reproduces the exact arrival sequence, and the instants never go back.
 func TestStreamDeterministicAndIncreasing(t *testing.T) {
 	spec, err := ParseArrivalSpec("gamma:50,cv=2,depth=0.6,period=3")
 	if err != nil {

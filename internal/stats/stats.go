@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: summary statistics, deviation metrics for the predictor
-// accuracy study (Table 2), percentiles, histograms for the frequency
-// residency study (Figure 8), and time-weighted series reductions.
+// harness needs: the mean, a streaming mean/variance accumulator,
+// percentiles, and histograms — time-weighted occupancy for the frequency
+// residency study (Figure 8) and fixed buckets for latency.
 package stats
 
 import (
@@ -20,57 +20,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or NaN for an empty slice.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// MeanAbsDeviation returns mean(|a_i - b_i|) between two equal-length
-// series. This is the "IPC deviation" metric of the paper's Table 2.
-// It panics if the lengths differ (caller bug) and returns NaN when empty.
-func MeanAbsDeviation(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("stats: MeanAbsDeviation length mismatch %d vs %d", len(a), len(b)))
-	}
-	if len(a) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := range a {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum / float64(len(a))
-}
-
-// RMSDeviation returns sqrt(mean((a_i-b_i)²)) between two equal-length
-// series.
-func RMSDeviation(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("stats: RMSDeviation length mismatch %d vs %d", len(a), len(b)))
-	}
-	if len(a) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(a)))
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
@@ -125,45 +74,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Normalize divides each element by base, reproducing the paper's
-// "performance normalised to the unconstrained run" presentation. A zero
-// base yields a slice of NaNs rather than Inf to make mistakes obvious.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if base == 0 {
-			out[i] = math.NaN()
-		} else {
-			out[i] = x / base
-		}
-	}
-	return out
-}
-
-// Summary bundles the usual descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	P50    float64
-	P95    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		P50:    Percentile(xs, 50),
-		P95:    Percentile(xs, 95),
-	}
 }
 
 // Welford is a streaming mean/variance accumulator (Welford's algorithm),

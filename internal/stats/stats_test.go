@@ -8,15 +8,31 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// variance is the batch population variance of xs, the reference the
+// streaming accumulator is checked against.
+func variance(xs []float64) float64 {
+	m := Mean(xs)
+	sum := 0.0
+	for _, x := range xs {
+		d := x - m
+		sum += d * d
+	}
+	return sum / float64(len(xs))
+}
+
 func TestMeanVarianceStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := Variance(xs); got != 4 {
+	var w Welford
+	for _, x := range xs {
+		w.Add(x)
+	}
+	if got := w.Variance(); got != 4 {
 		t.Errorf("Variance = %v, want 4", got)
 	}
-	if got := StdDev(xs); got != 2 {
+	if got := w.StdDev(); got != 2 {
 		t.Errorf("StdDev = %v, want 2", got)
 	}
 }
@@ -24,44 +40,13 @@ func TestMeanVarianceStdDev(t *testing.T) {
 func TestEmptyInputsYieldNaN(t *testing.T) {
 	for name, got := range map[string]float64{
 		"Mean":       Mean(nil),
-		"Variance":   Variance(nil),
-		"StdDev":     StdDev(nil),
 		"Percentile": Percentile(nil, 50),
 		"Min":        Min(nil),
 		"Max":        Max(nil),
-		"MAD":        MeanAbsDeviation(nil, nil),
-		"RMS":        RMSDeviation(nil, nil),
 	} {
 		if !math.IsNaN(got) {
 			t.Errorf("%s(empty) = %v, want NaN", name, got)
 		}
-	}
-}
-
-func TestMeanAbsDeviation(t *testing.T) {
-	a := []float64{1.0, 2.0, 3.0}
-	b := []float64{1.1, 1.9, 3.0}
-	want := (0.1 + 0.1 + 0.0) / 3
-	if got := MeanAbsDeviation(a, b); !almostEqual(got, want, 1e-12) {
-		t.Errorf("MeanAbsDeviation = %v, want %v", got, want)
-	}
-}
-
-func TestDeviationLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on length mismatch")
-		}
-	}()
-	MeanAbsDeviation([]float64{1}, []float64{1, 2})
-}
-
-func TestRMSDeviation(t *testing.T) {
-	a := []float64{0, 0}
-	b := []float64{3, 4}
-	want := math.Sqrt((9.0 + 16.0) / 2)
-	if got := RMSDeviation(a, b); !almostEqual(got, want, 1e-12) {
-		t.Errorf("RMSDeviation = %v, want %v", got, want)
 	}
 }
 
@@ -108,25 +93,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{70, 140}, 140)
-	if !almostEqual(got[0], 0.5, 1e-12) || got[1] != 1 {
-		t.Errorf("Normalize = %v", got)
-	}
-	for _, v := range Normalize([]float64{1}, 0) {
-		if !math.IsNaN(v) {
-			t.Errorf("Normalize by zero = %v, want NaN", v)
-		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Errorf("Summarize = %+v", s)
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	xs := []float64{1.5, 2.5, 2.5, 9.0, -3.0, 0.25}
 	var w Welford
@@ -139,8 +105,8 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	if !almostEqual(w.Mean(), Mean(xs), 1e-12) {
 		t.Errorf("Welford mean %v vs batch %v", w.Mean(), Mean(xs))
 	}
-	if !almostEqual(w.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("Welford variance %v vs batch %v", w.Variance(), Variance(xs))
+	if !almostEqual(w.Variance(), variance(xs), 1e-9) {
+		t.Errorf("Welford variance %v vs batch %v", w.Variance(), variance(xs))
 	}
 }
 
@@ -163,7 +129,7 @@ func TestWelfordAgreesWithBatchProperty(t *testing.T) {
 			w.Add(xs[i])
 		}
 		return almostEqual(w.Mean(), Mean(xs), 1e-9) &&
-			almostEqual(w.Variance(), Variance(xs), 1e-6)
+			almostEqual(w.Variance(), variance(xs), 1e-6)
 	}, nil)
 	if err != nil {
 		t.Error(err)

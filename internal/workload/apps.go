@@ -178,8 +178,3 @@ func App(name string, scale AppScale) (Program, error) {
 		return Program{}, fmt.Errorf("workload: unknown application %q (want gzip, gap, mcf, health or idle)", name)
 	}
 }
-
-// Apps lists the four benchmark applications of §7.3 in paper order.
-func Apps(scale AppScale) []Program {
-	return []Program{Gzip(scale), Gap(scale), Mcf(scale), Health(scale)}
-}

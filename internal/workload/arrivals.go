@@ -44,38 +44,12 @@ func (s Schedule) Sorted() Schedule {
 	return out
 }
 
-// PoissonArrivals draws arrivals as a Poisson process with the given mean
-// rate (jobs/second) over [0, horizon), assigning jobs round-robin across
-// numCPUs and building each job with makeJob (called with the arrival
-// index).
-func PoissonArrivals(rng *rand.Rand, rate, horizon float64, numCPUs int, makeJob func(i int) Program) (Schedule, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("workload: nil rng")
-	}
-	if rate <= 0 || horizon <= 0 || numCPUs <= 0 {
-		return nil, fmt.Errorf("workload: rate %v, horizon %v, cpus %d must be positive", rate, horizon, numCPUs)
-	}
-	var out Schedule
-	t := 0.0
-	for i := 0; ; i++ {
-		t += rng.ExpFloat64() / rate
-		if t >= horizon {
-			break
-		}
-		out = append(out, Arrival{At: t, CPU: i % numCPUs, Program: makeJob(i)})
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // InterArrival draws unit-mean inter-arrival gaps for a renewal process.
 // Keeping the gap distribution at unit mean separates *shape* (burstiness,
 // expressed by the coefficient of variation) from *rate*: the generator
-// divides each gap by the instantaneous rate, so the same spec family
-// covers Poisson (CV 1), hyper-dispersed Gamma (CV > 1) and regular
-// Weibull (CV < 1) traffic.
+// (serve.Stream) divides each gap by the instantaneous rate, so the same
+// spec family covers Poisson (CV 1), hyper-dispersed Gamma (CV > 1) and
+// regular Weibull (CV < 1) traffic.
 type InterArrival interface {
 	// Gap draws the next unit-mean gap.
 	Gap(rng *rand.Rand) float64
@@ -167,42 +141,6 @@ func DiurnalRate(base, depth, period, phase float64) RateFn {
 	return func(t float64) float64 {
 		return base * (1 + depth*math.Sin(2*math.Pi*(t/period+phase)))
 	}
-}
-
-// RenewalArrivals draws a rate-modulated renewal process over [0, horizon):
-// each unit-mean gap from the distribution is stretched by the reciprocal
-// of the instantaneous rate at the previous arrival. For ExpGaps and a
-// constant rate this is exactly PoissonArrivals; for time-varying rates it
-// is the standard inversion approximation (exact in the limit of rates
-// varying slowly against the gap scale, which holds for diurnal periods
-// ≫ 1/rate). Jobs are assigned round-robin across numCPUs.
-func RenewalArrivals(rng *rand.Rand, gaps InterArrival, rate RateFn, horizon float64, numCPUs int, makeJob func(i int) Program) (Schedule, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("workload: nil rng")
-	}
-	if gaps == nil || rate == nil {
-		return nil, fmt.Errorf("workload: nil gap distribution or rate fn")
-	}
-	if horizon <= 0 || numCPUs <= 0 {
-		return nil, fmt.Errorf("workload: horizon %v, cpus %d must be positive", horizon, numCPUs)
-	}
-	var out Schedule
-	t := 0.0
-	for i := 0; ; i++ {
-		r := rate(t)
-		if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("workload: rate %v at t=%v not positive finite", r, t)
-		}
-		t += gaps.Gap(rng) / r
-		if t >= horizon {
-			break
-		}
-		out = append(out, Arrival{At: t, CPU: i % numCPUs, Program: makeJob(i)})
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // DiurnalArrivals draws arrivals from a time-varying Poisson process whose

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -14,7 +13,7 @@ func shortJob(i int) Program {
 }
 
 func TestMixAdd(t *testing.T) {
-	m := MustMix(Program{Name: "a", Phases: []Phase{{Name: "p", Alpha: 1, Instructions: 10}}})
+	m := mustMix(t, Program{Name: "a", Phases: []Phase{{Name: "p", Alpha: 1, Instructions: 10}}})
 	if err := m.Add(Program{Name: "b", Phases: []Phase{{Name: "p", Alpha: 1, Instructions: 10}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -23,48 +22,6 @@ func TestMixAdd(t *testing.T) {
 	}
 	if err := m.Add(Program{}); err == nil {
 		t.Error("invalid program admitted")
-	}
-}
-
-func TestPoissonArrivalsStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const rate, horizon = 50.0, 100.0
-	s, err := PoissonArrivals(rng, rate, horizon, 4, shortJob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mean count = rate·horizon = 5000; tolerate ±5σ (σ ≈ 71).
-	n := float64(len(s))
-	if math.Abs(n-5000) > 5*71 {
-		t.Errorf("arrival count %v far from 5000", n)
-	}
-	// Sorted in time, all within horizon, CPUs round-robin.
-	for i, a := range s {
-		if a.At < 0 || a.At >= horizon {
-			t.Fatalf("arrival %d at %v outside horizon", i, a.At)
-		}
-		if i > 0 && a.At < s[i-1].At {
-			t.Fatal("arrivals not time-ordered")
-		}
-		if a.CPU != i%4 {
-			t.Fatalf("arrival %d on cpu %d, want %d", i, a.CPU, i%4)
-		}
-	}
-}
-
-func TestPoissonArrivalsValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := PoissonArrivals(nil, 1, 1, 1, shortJob); err == nil {
-		t.Error("nil rng accepted")
-	}
-	if _, err := PoissonArrivals(rng, 0, 1, 1, shortJob); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := PoissonArrivals(rng, 1, 0, 1, shortJob); err == nil {
-		t.Error("zero horizon accepted")
-	}
-	if _, err := PoissonArrivals(rng, 1, 1, 0, shortJob); err == nil {
-		t.Error("zero cpus accepted")
 	}
 }
 

@@ -32,15 +32,6 @@ func NewMix(programs ...Program) (*Mix, error) {
 	return m, nil
 }
 
-// MustMix is NewMix for static configuration; it panics on error.
-func MustMix(programs ...Program) *Mix {
-	m, err := NewMix(programs...)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Jobs returns the mix's cursors (shared, for progress inspection).
 func (m *Mix) Jobs() []*Cursor { return m.jobs }
 
@@ -87,7 +78,3 @@ func (m *Mix) Reset() {
 	}
 	m.next = 0
 }
-
-// Single wraps one program as a mix, the common single-job-per-CPU case of
-// the paper's experiments.
-func Single(p Program) (*Mix, error) { return NewMix(p) }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,98 +62,6 @@ func TestGapDistributionsMoments(t *testing.T) {
 				t.Errorf("pooled CV = %v, want %v", cv, want)
 			}
 		})
-	}
-}
-
-// TestRenewalArrivalsDeterministic: a fixed seed must reproduce the exact
-// arrival sequence, byte for byte — the basis of every serving
-// experiment's determinism guarantee.
-func TestRenewalArrivalsDeterministic(t *testing.T) {
-	gen := func() string {
-		rng := rand.New(rand.NewSource(42))
-		sched, err := RenewalArrivals(rng, GammaGaps{Shape: 0.5}, DiurnalRate(30, 0.8, 10, 0), 20, 4, shortJob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := ""
-		for _, a := range sched {
-			out += fmt.Sprintf("%v/%d;", a.At, a.CPU)
-		}
-		return out
-	}
-	a, b := gen(), gen()
-	if a != b {
-		t.Fatal("same seed produced different arrival sequences")
-	}
-	if len(a) == 0 {
-		t.Fatal("no arrivals generated")
-	}
-}
-
-// TestRenewalArrivalsPoissonEquivalence: ExpGaps at constant rate is a
-// Poisson process — mean count over the horizon must match rate·horizon.
-func TestRenewalArrivalsPoissonEquivalence(t *testing.T) {
-	const rate, horizon = 50.0, 10.0
-	var total int
-	const seeds = 100
-	for s := int64(1); s <= seeds; s++ {
-		rng := rand.New(rand.NewSource(s))
-		sched, err := RenewalArrivals(rng, ExpGaps{}, ConstantRate(rate), horizon, 2, shortJob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < len(sched); i++ {
-			if sched[i].At < sched[i-1].At {
-				t.Fatal("arrivals out of order")
-			}
-		}
-		total += len(sched)
-	}
-	mean := float64(total) / seeds
-	if math.Abs(mean-rate*horizon) > 0.03*rate*horizon {
-		t.Errorf("mean count = %v, want %v ± 3%%", mean, rate*horizon)
-	}
-}
-
-// TestRenewalArrivalsDiurnalModulation: with a deep diurnal rate the
-// first half-period (rate above base) must receive more arrivals than
-// the second (rate below base).
-func TestRenewalArrivalsDiurnalModulation(t *testing.T) {
-	const base, depth, period = 100.0, 0.9, 8.0
-	rng := rand.New(rand.NewSource(3))
-	sched, err := RenewalArrivals(rng, ExpGaps{}, DiurnalRate(base, depth, period, 0), period, 1, shortJob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var up, down int
-	for _, a := range sched {
-		if a.At < period/2 {
-			up++
-		} else {
-			down++
-		}
-	}
-	if up <= down {
-		t.Errorf("peak half %d arrivals ≤ trough half %d", up, down)
-	}
-}
-
-func TestRenewalArrivalsValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := RenewalArrivals(nil, ExpGaps{}, ConstantRate(1), 1, 1, shortJob); err == nil {
-		t.Error("nil rng accepted")
-	}
-	if _, err := RenewalArrivals(rng, nil, ConstantRate(1), 1, 1, shortJob); err == nil {
-		t.Error("nil gaps accepted")
-	}
-	if _, err := RenewalArrivals(rng, ExpGaps{}, nil, 1, 1, shortJob); err == nil {
-		t.Error("nil rate accepted")
-	}
-	if _, err := RenewalArrivals(rng, ExpGaps{}, ConstantRate(0), 1, 1, shortJob); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := RenewalArrivals(rng, ExpGaps{}, ConstantRate(1), 0, 1, shortJob); err == nil {
-		t.Error("zero horizon accepted")
 	}
 }
 

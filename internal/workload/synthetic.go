@@ -6,29 +6,6 @@ import (
 	"repro/internal/memhier"
 )
 
-// SyntheticConfig parameterises the paper's synthetic benchmark (§7.3): a
-// single-threaded program with two phases, each with its own length and
-// ratio of CPU-intensive to memory-intensive work, plus short
-// initialisation and termination phases (whose exclusion defines the CPU3*
-// column of Table 2). The benchmark's memory footprint is far larger than
-// L3, so an L1 miss is highly likely to become a memory access.
-type SyntheticConfig struct {
-	// Phase1Intensity and Phase2Intensity are CPU intensities in percent:
-	// 100 = pure CPU work, 0 = maximally memory-intensive.
-	Phase1Intensity float64
-	Phase2Intensity float64
-	// Phase1Instructions and Phase2Instructions are the phase lengths.
-	Phase1Instructions uint64
-	Phase2Instructions uint64
-	// Loops is how many extra times the two phases repeat after the first
-	// pass; negative loops forever.
-	Loops int
-	// IncludeInitExit adds the benchmark's initialisation (allocating and
-	// touching the large footprint — memory-heavy) and termination
-	// (reporting — CPU-ish) phases.
-	IncludeInitExit bool
-}
-
 // Synthetic workload calibration constants. The post-L1 rate ramps from
 // synBaseRate at 100% CPU intensity (even pure-CPU phases suffer some
 // memory stalls, §8.3) to synBaseRate+synRampRate at 0%. The footprint
@@ -74,66 +51,6 @@ func SyntheticIntensityPhase(name string, intensityPct float64, instructions uin
 		Instructions:              instructions,
 		NonMemStallCyclesPerInstr: synNonMemStall,
 	}, nil
-}
-
-// Synthetic builds the full synthetic benchmark program.
-func Synthetic(cfg SyntheticConfig, h memhier.Hierarchy) (Program, error) {
-	p1, err := SyntheticIntensityPhase(
-		fmt.Sprintf("phase1-cpu%.0f", cfg.Phase1Intensity),
-		cfg.Phase1Intensity, cfg.Phase1Instructions, h)
-	if err != nil {
-		return Program{}, err
-	}
-	p2, err := SyntheticIntensityPhase(
-		fmt.Sprintf("phase2-cpu%.0f", cfg.Phase2Intensity),
-		cfg.Phase2Intensity, cfg.Phase2Instructions, h)
-	if err != nil {
-		return Program{}, err
-	}
-
-	prog := Program{
-		Name: fmt.Sprintf("synthetic-%.0f/%.0f", cfg.Phase1Intensity, cfg.Phase2Intensity),
-	}
-	if !cfg.IncludeInitExit {
-		prog.Phases = []Phase{p1, p2}
-		prog.Loops = cfg.Loops
-		if err := prog.Validate(); err != nil {
-			return Program{}, err
-		}
-		return prog, nil
-	}
-
-	initLen := (cfg.Phase1Instructions + cfg.Phase2Instructions) / 20
-	if initLen == 0 {
-		initLen = 1
-	}
-	initPhase, err := SyntheticIntensityPhase("init", synInitIntensity, initLen, h)
-	if err != nil {
-		return Program{}, err
-	}
-	exitPhase, err := SyntheticIntensityPhase("exit", synExitIntensity, initLen, h)
-	if err != nil {
-		return Program{}, err
-	}
-	switch {
-	case cfg.Loops < 0:
-		// Infinite runs loop the measurement phases and never reach exit.
-		prog.Phases = []Phase{initPhase, p1, p2}
-		prog.LoopFrom = 1
-		prog.Loops = -1
-	default:
-		// Init once, the measurement pair 1+Loops times, exit once. The
-		// cursor's loop suffix would repeat exit too, so unroll instead.
-		prog.Phases = []Phase{initPhase}
-		for i := 0; i <= cfg.Loops; i++ {
-			prog.Phases = append(prog.Phases, p1, p2)
-		}
-		prog.Phases = append(prog.Phases, exitPhase)
-	}
-	if err := prog.Validate(); err != nil {
-		return Program{}, err
-	}
-	return prog, nil
 }
 
 // HotIdle returns the Power4+ idle loop: a tight, CPU-intensive loop with

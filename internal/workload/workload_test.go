@@ -10,6 +10,16 @@ import (
 
 func h() memhier.Hierarchy { return memhier.P630() }
 
+// mustMix is NewMix for a test's fixed programs.
+func mustMix(t *testing.T, programs ...Program) *Mix {
+	t.Helper()
+	m, err := NewMix(programs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func validPhase() Phase {
 	return Phase{
 		Name:         "p",
@@ -297,55 +307,6 @@ func TestSyntheticIntensityValidation(t *testing.T) {
 	}
 }
 
-func TestSyntheticProgramShapes(t *testing.T) {
-	base := SyntheticConfig{
-		Phase1Intensity: 100, Phase1Instructions: 1000,
-		Phase2Intensity: 20, Phase2Instructions: 2000,
-	}
-
-	plain, err := Synthetic(base, h())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Phases) != 2 {
-		t.Errorf("plain phases = %d", len(plain.Phases))
-	}
-
-	withIE := base
-	withIE.IncludeInitExit = true
-	prog, err := Synthetic(withIE, h())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prog.Phases) != 4 || prog.Phases[0].Name != "init" || prog.Phases[3].Name != "exit" {
-		t.Errorf("init/exit structure wrong: %d phases", len(prog.Phases))
-	}
-
-	looped := withIE
-	looped.Loops = 2
-	prog, err = Synthetic(looped, h())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// init + 3×(p1,p2) + exit = 8 phases, unrolled.
-	if len(prog.Phases) != 8 {
-		t.Errorf("unrolled phases = %d, want 8", len(prog.Phases))
-	}
-	if prog.Loops != 0 {
-		t.Errorf("unrolled program still loops")
-	}
-
-	inf := withIE
-	inf.Loops = -1
-	prog, err = Synthetic(inf, h())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.Loops != -1 || prog.LoopFrom != 1 || len(prog.Phases) != 3 {
-		t.Errorf("infinite structure wrong: %+v", prog)
-	}
-}
-
 func TestHotIdleCharacteristics(t *testing.T) {
 	idle := HotIdle()
 	if err := idle.Validate(); err != nil {
@@ -365,7 +326,7 @@ func TestHotIdleCharacteristics(t *testing.T) {
 }
 
 func TestAppProfilesValid(t *testing.T) {
-	for _, p := range Apps(1) {
+	for _, p := range []Program{Gzip(1), Gap(1), Mcf(1), Health(1)} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
@@ -463,7 +424,7 @@ func TestMixRoundRobin(t *testing.T) {
 func TestMixSkipsDoneJobs(t *testing.T) {
 	a := Program{Name: "a", Phases: []Phase{{Name: "p", Alpha: 1, Instructions: 10}}}
 	b := Program{Name: "b", Phases: []Phase{{Name: "p", Alpha: 1, Instructions: 1000}}}
-	m := MustMix(a, b)
+	m := mustMix(t, a, b)
 	// Exhaust job a.
 	for _, j := range m.Jobs() {
 		if j.Program().Name == "a" {
@@ -483,7 +444,7 @@ func TestMixSkipsDoneJobs(t *testing.T) {
 
 func TestMixDone(t *testing.T) {
 	a := Program{Name: "a", Phases: []Phase{{Name: "p", Alpha: 1, Instructions: 10}}}
-	m := MustMix(a)
+	m := mustMix(t, a)
 	m.Jobs()[0].Advance(10)
 	if !m.Done() {
 		t.Error("mix should be done")
