@@ -1,11 +1,17 @@
 package repro_test
 
-// The dead-export guard: every exported top-level func, type, var and
-// const in non-test Go under internal/ and cmd/ must be referenced from a
-// non-test file outside bench/, or be listed in unusedAllow with its
-// reason. An allowlist entry that no longer names an unused declaration
-// fails too, so the list can only shrink. Methods are out of scope:
-// interface satisfaction defeats name matching.
+// The dead-export guard. In non-test Go under internal/ and cmd/, every
+// exported top-level func, type, var and const must be referenced, every
+// exported method called, and every exported field of an option struct
+// set, by a non-test file outside bench/ — or be listed in unusedAllow
+// with its reason. An allowlist entry that no longer names an unused
+// declaration fails too, so the list can only shrink.
+//
+// Methods and fields match by name, on any receiver: a selector .M
+// anywhere counts as a call of every method M. A method that an
+// interface names (one declared in the module, or one of stdlibMethods)
+// is exempt, since it can be called through the interface without ever
+// being selected on its own type.
 
 import (
 	"go/ast"
@@ -23,7 +29,8 @@ import (
 const modulePath = "repro"
 
 // unusedAllow names the exported declarations kept without a shipping
-// caller, keyed "<package dir>.<Name>", each with why it stays.
+// caller, keyed "<package dir>.<Name>", "<package dir>.<Type>.<Method>"
+// or "<package dir>.<Type>.<Field>", each with why it stays.
 var unusedAllow = map[string]string{
 	"internal/engine.NewTimeline":            "bench-pinned (bench/des.go, bench/probes.go); ROADMAP 1(b) deletes it",
 	"internal/netcluster.NewRoot":            "bench-pinned (bench/rounds.go); ROADMAP 1(b) builds rounds with NewFleet",
@@ -37,6 +44,43 @@ var unusedAllow = map[string]string{
 	"internal/experiments.DefaultOptions":    "cross-package test input: paper-scale options for the root testing.B harness",
 	"internal/farm.NewHolder":                "cross-package test input: a lone lease holder for the cluster and invariant tests",
 	"internal/power.WithVoltageVariation":    "cross-package test input: per-CPU varied tables for the fvsst, cluster, farm and invariant tests",
+
+	"internal/engine.Timeline.Post":               "bench-pinned (bench/des.go, bench/probes.go); ROADMAP 1(b) deletes the Timeline",
+	"internal/engine.Timeline.Cancel":             "bench-pinned with its Timeline (the engine tests and FuzzTimelineOps drive it); ROADMAP 1(b) deletes the Timeline",
+	"internal/engine.HandlerFunc":                 "bench-pinned (bench/probes.go); ROADMAP 1(b) deletes the Timeline",
+	"internal/machine.Machine.NextArrivalAt":      "bench-pinned (bench/des.go); goes with ROADMAP 1's bench work",
+	"internal/fvsst.Scheduler.SetDecisionLogging": "bench-pinned (bench/probes.go); goes with ROADMAP 1's bench work",
+	"internal/netcluster.Root.RootDecisions":      "bench-pinned (bench/rounds.go); goes with ROADMAP 1's bench work",
+	"internal/machine.Machine.AdvanceStats":       "planned: ROADMAP 8(c) wires the fast-forward counts into obs",
+	"internal/invariant.StepTwoBruteForce":        "test oracle: brute force, the independent witness for the optimal comparator",
+
+	// The paper's optional modes (README), which only fvsst tests turn on.
+	"internal/fvsst.Config.UseHaltedCycles":        "paper mode (§5 halted-cycle idle signal) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
+	"internal/fvsst.Config.UseTwoPointCalibration": "paper mode (§4.3 footnote calibration) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
+	"internal/fvsst.Config.LatencyBoundLo":         "paper mode (ref [17] latency bounds) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
+	"internal/fvsst.Config.LatencyBoundHi":         "paper mode (ref [17] latency bounds) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
+	"internal/fvsst.Config.VoltageTables":          "paper mode (§5 per-processor voltage tables) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
+	"internal/fvsst.Overhead.Distributed":          "paper mode (§9 distributed scheduler overhead) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
+}
+
+// stdlibMethods are the methods of standard-library interfaces the
+// module's types satisfy, which the standard library calls for them.
+var stdlibMethods = map[string]bool{
+	// fmt.Stringer, fmt.GoStringer, fmt.Formatter
+	"String": true, "GoString": true, "Format": true,
+	// error, and what errors.Unwrap/Is/As look for
+	"Error": true, "Unwrap": true, "Is": true, "As": true,
+	// http.Handler
+	"ServeHTTP": true,
+	// io.Reader, io.Writer, io.Closer
+	"Read": true, "Write": true, "Close": true,
+	// the rest of net.Conn
+	"LocalAddr": true, "RemoteAddr": true,
+	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
+	// sort.Interface, container/heap.Interface
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	// json.Marshaler, json.Unmarshaler
+	"MarshalJSON": true, "UnmarshalJSON": true,
 }
 
 func TestNoUnusedExports(t *testing.T) {
@@ -77,9 +121,22 @@ type srcFile struct {
 	file *ast.File
 }
 
-// unusedExports returns one line per exported top-level name under
-// internal/ or cmd/ that no non-test file outside bench/ references and
-// allow does not list, and one per allow entry that is not such a name.
+// exportScan is what one pass over the module collects.
+type exportScan struct {
+	declared map[string]string          // key → the problem if it goes unused
+	used     map[string]bool            // top-level keys something references
+	structs  map[string]*ast.StructType // every struct type, by top-level key
+	methods  map[string]string          // method key → its name
+	fields   map[string]string          // option-field key → its name
+
+	selected   map[string]bool // every .Name selected outside tests and bench/
+	interfaces map[string]bool // every method name a module interface declares
+	written    map[string]bool // every field name written outside tests and bench/
+}
+
+// unusedExports returns one line per exported name under internal/ or
+// cmd/ that no non-test file outside bench/ uses and allow does not list,
+// and one per allow entry that is not such a name.
 func unusedExports(files []srcFile, allow map[string]string) []string {
 	// Package name per directory, for imports without an alias.
 	pkgName := map[string]string{}
@@ -89,19 +146,18 @@ func unusedExports(files []srcFile, allow map[string]string) []string {
 		}
 	}
 
-	declared := map[string]bool{} // "<dir>.<Name>"
-	used := map[string]bool{}
+	s := exportScan{
+		declared: map[string]string{}, used: map[string]bool{},
+		structs: map[string]*ast.StructType{}, methods: map[string]string{}, fields: map[string]string{},
+		selected: map[string]bool{}, interfaces: map[string]bool{}, written: map[string]bool{},
+	}
 	for _, sf := range files {
 		if strings.HasSuffix(sf.path, "_test.go") {
 			continue
 		}
 		dir := path.Dir(sf.path)
 		if strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/") {
-			for _, id := range topLevelNames(sf.file) {
-				if id.IsExported() {
-					declared[dir+"."+id.Name] = true
-				}
-			}
+			s.declare(sf.file, dir)
 		}
 		if dir == "bench" || strings.HasPrefix(dir, "bench/") {
 			continue
@@ -119,24 +175,173 @@ func unusedExports(files []srcFile, allow map[string]string) []string {
 			}
 			imports[local] = target
 		}
-		markUses(sf.file, dir, imports, used)
+		markUses(sf.file, dir, imports, s.used)
+		s.markMembers(sf.file)
 	}
+	s.declareOptionFields()
 
+	isUnused := func(key string) bool {
+		if name, ok := s.methods[key]; ok {
+			return !s.selected[name] && !s.interfaces[name] && !stdlibMethods[name]
+		}
+		if name, ok := s.fields[key]; ok {
+			return !s.written[name]
+		}
+		return !s.used[key]
+	}
 	var problems []string
-	for key := range declared {
-		if !used[key] {
+	for key, problem := range s.declared {
+		if isUnused(key) {
 			if _, ok := allow[key]; !ok {
-				problems = append(problems, key+" is exported but no non-test code outside bench/ uses it: delete it, unexport it, or allowlist it with a reason")
+				problems = append(problems, key+problem)
 			}
 		}
 	}
 	for key := range allow {
-		if !declared[key] || used[key] {
+		if _, ok := s.declared[key]; !ok || !isUnused(key) {
 			problems = append(problems, key+" is a stale allowlist entry: it is gone or has a caller now")
 		}
 	}
 	sort.Strings(problems)
 	return problems
+}
+
+const (
+	unusedName   = " is exported but no non-test code outside bench/ uses it: delete it, unexport it, or allowlist it with a reason"
+	unusedMethod = " is exported but no non-test code outside bench/ calls it and no interface names it: delete it, unexport it, or allowlist it with a reason"
+	unsetField   = " is an option field no non-test code outside bench/ sets: delete it, or allowlist it with a reason"
+)
+
+// declare records f's exported top-level names and methods, and its
+// struct types for declareOptionFields.
+func (s *exportScan) declare(f *ast.File, dir string) {
+	for _, id := range topLevelNames(f) {
+		if id.IsExported() {
+			s.declared[dir+"."+id.Name] = unusedName
+		}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv != nil && d.Name.IsExported() {
+				key := dir + "." + receiverType(d) + "." + d.Name.Name
+				s.declared[key] = unusedMethod
+				s.methods[key] = d.Name.Name
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				if ts, ok := spec.(*ast.TypeSpec); ok {
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						s.structs[dir+"."+ts.Name.Name] = st
+					}
+				}
+			}
+		}
+	}
+}
+
+// declareOptionFields declares the exported fields of every exported
+// …Config or …Options struct under internal/, and of the same-package
+// struct types those hold by value.
+func (s *exportScan) declareOptionFields() {
+	var declareFields func(key string)
+	declareFields = func(key string) {
+		st := s.structs[key]
+		dir := key[:strings.LastIndex(key, ".")]
+		for _, field := range st.Fields.List {
+			for _, id := range field.Names {
+				if !id.IsExported() {
+					continue
+				}
+				if _, seen := s.declared[key+"."+id.Name]; seen {
+					continue
+				}
+				s.declared[key+"."+id.Name] = unsetField
+				s.fields[key+"."+id.Name] = id.Name
+				if t, ok := field.Type.(*ast.Ident); ok && s.structs[dir+"."+t.Name] != nil {
+					declareFields(dir + "." + t.Name)
+				}
+			}
+		}
+	}
+	for key := range s.structs {
+		name := key[strings.LastIndex(key, ".")+1:]
+		if strings.HasPrefix(key, "internal/") && ast.IsExported(name) &&
+			(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+			declareFields(key)
+		}
+	}
+}
+
+// markMembers records the member names f selects, the method names its
+// interface types declare, and the field names it writes: a
+// composite-literal key, an assignment or increment target, or an
+// address taken (a flag bound to a field sets it).
+func (s *exportScan) markMembers(f *ast.File) {
+	// Every field on the target's path is written: x.A.B = v sets B in A.
+	writeTarget := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				s.written[x.Sel.Name] = true
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.ParenExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			s.selected[n.Sel.Name] = true
+		case *ast.InterfaceType:
+			for _, m := range n.Methods.List {
+				for _, id := range m.Names {
+					s.interfaces[id.Name] = true
+				}
+			}
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						s.written[id.Name] = true
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				writeTarget(lhs)
+			}
+		case *ast.IncDecStmt:
+			writeTarget(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				writeTarget(n.X)
+			}
+		}
+		return true
+	})
+}
+
+// receiverType returns the base type name of a method's receiver.
+func receiverType(d *ast.FuncDecl) string {
+	t := d.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
+	}
+	return t.(*ast.Ident).Name
 }
 
 // topLevelNames returns the identifiers a file declares at package
@@ -172,11 +377,11 @@ func specNames(spec ast.Spec) []*ast.Ident {
 
 // markUses records in used every reference f makes to a module package:
 // a selector on an import of it, or a bare identifier naming something
-// of f's own package dir. A method's receiver type is a reference, so a
-// type with methods counts as used. Field names and selected members are
-// not references, and neither is a name inside its own top-level
-// declaration — the declaring identifier, a recursive call, a
-// self-referencing type.
+// of f's own package dir. Field names and selected members are not
+// references, and neither is a name inside its own top-level declaration
+// — the declaring identifier, a recursive call, a self-referencing type —
+// nor a type named inside its own methods, receiver included, so a type
+// only its methods mention counts as unused.
 func markUses(f *ast.File, dir string, imports map[string]string, used map[string]bool) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
@@ -184,9 +389,8 @@ func markUses(f *ast.File, dir string, imports map[string]string, used map[strin
 			self := map[string]bool{}
 			if d.Recv == nil {
 				self[d.Name.Name] = true
-			}
-			if d.Recv != nil {
-				walkUses(d.Recv, dir, imports, self, used)
+			} else {
+				self[receiverType(d)] = true
 			}
 			walkUses(d.Type, dir, imports, self, used)
 			if d.Body != nil {
@@ -276,9 +480,9 @@ func TestUnusedExportsChecker(t *testing.T) {
 			},
 		},
 		{
-			name: "recursion is no use, a method receiver is",
+			name: "recursion and self-reference are no use",
 			files: map[string]string{
-				"internal/a/a.go": "package a\n\ntype T struct{ next *T }\n\nfunc Loop() { Loop() }\n\nfunc (T) M() {}\n",
+				"internal/a/a.go": "package a\n\ntype T struct{ next *T }\n\nvar _ T\n\nfunc Loop() { Loop() }\n",
 			},
 			want: []string{"internal/a.Loop is exported"},
 		},
@@ -307,6 +511,76 @@ func TestUnusedExportsChecker(t *testing.T) {
 				"internal/a.Gone":   "deleted",
 			},
 			want: []string{"internal/a.Gone is a stale", "internal/a.Used is a stale"},
+		},
+		{
+			name: "unused method",
+			files: map[string]string{
+				"internal/a/a.go":  "package a\n\ntype T struct{}\n\nfunc (T) Unused() {}\n\nfunc (T) unexported() {}\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { _ = a.T{} }\n",
+			},
+			want: []string{"internal/a.T.Unused is exported"},
+		},
+		{
+			name: "method called only through an interface-typed value",
+			files: map[string]string{
+				"internal/a/a.go":  "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\ntype runner interface{ M() }\n\nfunc main() {\n\tvar r runner = a.T{}\n\tr.M()\n}\n",
+			},
+		},
+		{
+			name: "method a module interface names, never selected",
+			files: map[string]string{
+				"internal/a/a.go":  "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\ntype runner interface{ M() }\n\nvar _ runner = a.T{}\n\nfunc main() {}\n",
+			},
+		},
+		{
+			name: "method selected only from a _test.go file or bench/",
+			files: map[string]string{
+				"internal/a/a.go":      "package a\n\ntype T struct{}\n\nfunc New() T { return T{} }\n\nfunc (T) M() {}\n",
+				"internal/a/a_test.go": "package a\n\nfunc use() { New().M() }\n",
+				"bench/run.go":         "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { a.New().M() }\n",
+				"cmd/tool/main.go":     "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { a.New() }\n",
+			},
+			want: []string{"internal/a.T.M is exported"},
+		},
+		{
+			name: "type named only by its own methods",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype T struct{}\n\nfunc (t T) String() string { return \"T\" }\n\nfunc (t *T) clone() *T { return &T{} }\n",
+			},
+			want: []string{"internal/a.T is exported"},
+		},
+		{
+			name: "Config field set only in a test",
+			files: map[string]string{
+				"internal/a/a.go":      "package a\n\ntype Config struct{ Set, Unset int }\n\nfunc Default() Config { return Config{Set: 1} }\n",
+				"internal/a/a_test.go": "package a\n\nfunc use() {\n\tc := Default()\n\tc.Unset = 2\n}\n",
+				"cmd/tool/main.go":     "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { a.Default() }\n",
+			},
+			want: []string{"internal/a.Config.Unset is an option field"},
+		},
+		{
+			name: "Options fields set by a composite-literal key or an assignment",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype Options struct {\n\tRate  int\n\tInner Overhead\n\tTail  Overhead\n}\n\n" +
+					"type Overhead struct{ Cost, Lag int }\n\ntype Point struct{ X int }\n\nvar _ Point\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\to := a.Options{Rate: 2}\n\to.Inner.Cost = 1\n\t_ = o\n}\n",
+			},
+			want: []string{"internal/a.Options.Tail is an option field", "internal/a.Overhead.Lag is an option field"},
+		},
+		{
+			name: "stale Type.Method and Type.Field entries",
+			files: map[string]string{
+				"internal/a/a.go":  "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n\ntype Config struct{ Rate int }\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\ta.T{}.M()\n\t_ = a.Config{Rate: 1}\n}\n",
+			},
+			allow: map[string]string{
+				"internal/a.T.M":         "has a caller now",
+				"internal/a.Config.Rate": "is set now",
+				"internal/a.T.Gone":      "deleted",
+			},
+			want: []string{"internal/a.Config.Rate is a stale", "internal/a.T.Gone is a stale", "internal/a.T.M is a stale"},
 		},
 	}
 	for _, tc := range cases {

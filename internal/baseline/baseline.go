@@ -1,10 +1,10 @@
 // Package baseline implements the comparator policies the paper positions
 // fvsst against (§1, §3): powering nodes down, slowing all processors
-// uniformly, utilisation-driven DVS in the style of Transmeta LongRun /
-// Intel Demand Based Switching, and doing nothing. Each policy answers the
-// same question fvsst does — "what frequency should each processor run at,
-// given a global power budget?" — so the ablation experiments can swap them
-// into an identical driver.
+// uniformly, and utilisation-driven DVS in the style of Transmeta LongRun /
+// Intel Demand Based Switching. Each policy answers the same question
+// fvsst does — "what frequency should each processor run at, given a
+// global power budget?" — so the ablation experiments can swap them into
+// an identical driver.
 package baseline
 
 import (
@@ -62,25 +62,6 @@ func (in Input) Validate() error {
 type Policy interface {
 	Name() string
 	Assign(in Input) ([]units.Frequency, error)
-}
-
-// NoManagement runs everything at maximum frequency regardless of budget —
-// the do-nothing comparator that cascades on a supply failure.
-type NoManagement struct{}
-
-// Name implements Policy.
-func (NoManagement) Name() string { return "none" }
-
-// Assign implements Policy.
-func (NoManagement) Assign(in Input) ([]units.Frequency, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]units.Frequency, len(in.Decs))
-	for i := range out {
-		out[i] = in.Table.MaxFrequency()
-	}
-	return out, nil
 }
 
 // Uniform slows all processors to the same highest setting that fits the

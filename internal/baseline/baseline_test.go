@@ -66,22 +66,6 @@ func TestInputValidate(t *testing.T) {
 	}
 }
 
-func TestNoManagementIgnoresBudget(t *testing.T) {
-	out, err := (NoManagement{}).Assign(fourCPUInput(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range out {
-		if f != units.GHz(1) {
-			t.Errorf("cpu %d at %v", i, f)
-		}
-	}
-	p, _ := assignmentPower(out, power.PaperTable1())
-	if p.W() != 560 {
-		t.Errorf("power = %v, want 560W (over the 100W budget, by design)", p)
-	}
-}
-
 func TestUniformFitsBudgetEqually(t *testing.T) {
 	out, err := (Uniform{}).Assign(fourCPUInput(294))
 	if err != nil {

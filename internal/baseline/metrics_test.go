@@ -10,7 +10,6 @@ import (
 
 func TestPolicyNames(t *testing.T) {
 	for pol, want := range map[Policy]string{
-		NoManagement{}:   "none",
 		Uniform{}:        "uniform",
 		PowerDown{}:      "powerdown",
 		UtilizationDVS{}: "util-dvs",

@@ -137,11 +137,6 @@ func (d Delta) HaltedFraction() float64 {
 	return float64(d.HaltedCycles) / float64(total)
 }
 
-// IsEmpty reports whether the delta saw no activity at all.
-func (d Delta) IsEmpty() bool {
-	return d.Instructions == 0 && d.Cycles == 0 && d.HaltedCycles == 0
-}
-
 // Validate sanity-checks a delta: non-negative window and an IPC that is
 // physically plausible (no machine retires more than ~8 instructions per
 // cycle).

@@ -150,8 +150,8 @@ func TestLeaseOverSimClock(t *testing.T) {
 	if !lease.Expire() {
 		t.Fatal("lease did not expire past its duration")
 	}
-	if !lease.Tripped() {
-		t.Fatal("Tripped false after expiry")
+	if !lease.tripped {
+		t.Fatal("tripped false after expiry")
 	}
 	// The expiry edge fires once.
 	clock.Tick()
@@ -160,8 +160,8 @@ func TestLeaseOverSimClock(t *testing.T) {
 	}
 	// Touch re-arms.
 	lease.Touch()
-	if lease.Tripped() {
-		t.Fatal("Tripped true right after Touch")
+	if lease.tripped {
+		t.Fatal("tripped true right after Touch")
 	}
 	clock.Advance(4)
 	if lease.Expire() {

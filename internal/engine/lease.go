@@ -48,6 +48,3 @@ func (l *Lease) Expire() bool {
 	l.tripped = true
 	return true
 }
-
-// Tripped reports whether the lease has expired since the last Touch.
-func (l *Lease) Tripped() bool { return l.tripped }

@@ -88,15 +88,3 @@ func (c DemandCurve) Validate() error {
 	}
 	return nil
 }
-
-// LossAt returns the predicted loss of the cheapest curve point fitting
-// the given budget, and ok=false when even the floor exceeds it (the loss
-// of the floor point is still returned — the cluster cannot go lower).
-func (c DemandCurve) LossAt(budget units.Power) (float64, bool) {
-	for _, p := range c.Points {
-		if p.Power <= budget {
-			return p.Loss, true
-		}
-	}
-	return c.Points[len(c.Points)-1].Loss, false
-}

@@ -29,8 +29,7 @@ type UPS struct {
 	// uncapped.
 	MaxOutput units.Power
 
-	drained   power.EnergyMeter
-	recharged power.EnergyMeter
+	drained power.EnergyMeter
 }
 
 // NewUPS builds a fully charged UPS with the given capacity whose budget
@@ -51,9 +50,6 @@ func (u *UPS) Capacity() units.Energy { return u.capacity }
 // Remaining returns the energy currently stored.
 func (u *UPS) Remaining() units.Energy { return u.stored }
 
-// Runway returns the configured runway in seconds.
-func (u *UPS) Runway() float64 { return u.runway }
-
 // Drained returns the total energy integrated out of the battery.
 func (u *UPS) Drained() units.Energy { return u.drained.Total() }
 
@@ -69,19 +65,6 @@ func (u *UPS) Drain(p units.Power, dt float64) error {
 	u.stored -= units.EnergyOver(p, dt)
 	if u.stored < 0 {
 		u.stored = 0
-	}
-	return nil
-}
-
-// Recharge integrates p over dt seconds back into the battery (grid power
-// returned), clamping the stored energy at capacity.
-func (u *UPS) Recharge(p units.Power, dt float64) error {
-	if err := u.recharged.Accumulate(p, dt); err != nil {
-		return fmt.Errorf("farm: UPS recharge: %w", err)
-	}
-	u.stored += units.EnergyOver(p, dt)
-	if u.stored > u.capacity {
-		u.stored = u.capacity
 	}
 	return nil
 }

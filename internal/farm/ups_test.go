@@ -78,9 +78,10 @@ func TestUPSRunwayGuarantee(t *testing.T) {
 	}
 }
 
-// TestUPSRecharge covers grid power returning: recharge refills the
-// battery, the budget recovers, and the store clamps at capacity.
-func TestUPSRecharge(t *testing.T) {
+// TestUPSDrainClamps covers the drain meter: it integrates what was
+// charged, the store clamps at zero and reports Empty, and a negative
+// window is refused.
+func TestUPSDrainClamps(t *testing.T) {
 	u, err := NewUPS(units.Joules(1000), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -91,38 +92,19 @@ func TestUPSRecharge(t *testing.T) {
 	if got := u.Remaining().J(); got != 500 {
 		t.Fatalf("remaining after drain = %vJ, want 500", got)
 	}
-	low := u.BudgetAt(5)
-	if err := u.Recharge(units.Watts(50), 4); err != nil { // +200 J
-		t.Fatal(err)
-	}
-	if got := u.Remaining().J(); got != 700 {
-		t.Fatalf("remaining after recharge = %vJ, want 700", got)
-	}
-	if b := u.BudgetAt(9); b <= low {
-		t.Errorf("budget did not recover after recharge: %v ≤ %v", b, low)
-	}
-	// Over-recharge clamps at capacity.
-	if err := u.Recharge(units.Watts(1000), 10); err != nil {
-		t.Fatal(err)
-	}
-	if got := u.Remaining(); got != u.Capacity() {
-		t.Errorf("remaining after over-recharge = %v, want capacity %v", got, u.Capacity())
-	}
-	if got := u.Drained().J(); got != 500 {
-		t.Errorf("drained meter = %vJ, want 500", got)
-	}
-	// Over-drain clamps at zero and reports Empty.
+	// Over-drain clamps at zero and reports Empty; the meter keeps the
+	// full charged energy.
 	if err := u.Drain(units.Watts(1e6), 10); err != nil {
 		t.Fatal(err)
 	}
 	if !u.Empty() || u.Remaining() != 0 {
 		t.Errorf("over-drain left %v stored, Empty=%v", u.Remaining(), u.Empty())
 	}
+	if got := u.Drained().J(); got != 500+1e7 {
+		t.Errorf("drained meter = %vJ, want %v", got, 500+1e7)
+	}
 	if err := u.Drain(units.Watts(10), -1); err == nil {
 		t.Error("negative dt accepted")
-	}
-	if err := u.Recharge(units.Watts(-10), 1); err == nil {
-		t.Error("negative recharge power accepted")
 	}
 }
 

@@ -89,8 +89,8 @@ func EpsilonIndexGrid(g *perfmodel.PredGrid, cpu int, epsilon float64) int {
 // P[idx] − P[idx−1] when the table's sums are exact in any order (whole
 // watts, n·P_max < 2⁵³ — Table 1 and the §5 table), which is then bit for
 // bit the re-sum; an O(n) re-sum per demotion for any other table
-// (Model.Tabulate, WithVoltageVariation), so the stop point is the same
-// on any input.
+// (fractional watts, as WithVoltageVariation gives), so the stop point is
+// the same on any input.
 //
 // This loop is the only production body of the Step-2 selection rule: Pass
 // runs it for every owner (Scheduler, cluster.Core's pass and demand

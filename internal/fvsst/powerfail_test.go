@@ -51,9 +51,6 @@ func TestCascadeWithoutBudgetReduction(t *testing.T) {
 	if !errors.Is(err, ErrCascade) {
 		t.Fatalf("expected cascade, got %v", err)
 	}
-	if !plant.Cascaded() {
-		t.Error("plant not marked cascaded")
-	}
 }
 
 // TestFVSSTAvertsCascade is the paper's raison d'être: the same failure,
@@ -89,9 +86,6 @@ func TestFVSSTAvertsCascade(t *testing.T) {
 	}
 	if err := drv.Run(3.0); err != nil {
 		t.Fatalf("cascade despite fvsst: %v", err)
-	}
-	if plant.Cascaded() {
-		t.Error("plant cascaded")
 	}
 	// Steady state: system under the surviving supply's capacity, and the
 	// workloads still make progress.

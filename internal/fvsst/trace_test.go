@@ -64,7 +64,7 @@ func TestDemotionsExplainDesireActualGap(t *testing.T) {
 	if err := drv.Run(0.25); err != nil {
 		t.Fatal(err)
 	}
-	set := s.Config().Table.Frequencies()
+	table := s.Config().Table
 	for i, d := range s.Decisions() {
 		steps := make(map[int]int)
 		for _, dm := range d.Demotions {
@@ -74,7 +74,7 @@ func TestDemotionsExplainDesireActualGap(t *testing.T) {
 			steps[dm.CPU]++
 		}
 		for _, a := range d.Assignments {
-			gap := set.Index(a.Desired) - set.Index(a.Actual)
+			gap := table.IndexOf(a.Desired) - table.IndexOf(a.Actual)
 			if gap < 0 {
 				t.Fatalf("decision %d cpu %d: actual above desired", i, a.CPU)
 			}

@@ -309,10 +309,11 @@ func (m *Machine) fastForwardSpan(n int, after func() error) (int, error) {
 }
 
 // AdvanceTo advances the machine to simulation time t — inclusive of the
-// quantum containing t, exactly like RunUntil — fast-forwarding steady
-// spans. The result is byte-identical to RunUntil(t) on every
-// configuration; the only difference is wall-clock cost. A NaN or
-// infinite t is a *StepError, not a silent no-op or a run without end.
+// quantum containing t, exactly like StepQuantum repeated while Now() < t
+// — fast-forwarding steady spans. The result is byte-identical to that
+// stepped loop on every configuration; the only difference is wall-clock
+// cost. A NaN or infinite t is a *StepError, not a silent no-op or a run
+// without end.
 func (m *Machine) AdvanceTo(t float64) error {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return m.stepError("advance", fmt.Errorf("target time %v is not finite", t))

@@ -23,8 +23,8 @@ func ffFingerprint(m *Machine) string {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Fprintf(&b, "cpu%d %+v last=%+v busy=%v f=%v idle=%v\n",
-			i, s, m.LastQuantum(i), m.BusySeconds(i), m.EffectiveFrequency(i), m.IsIdle(i))
+		fmt.Fprintf(&b, "cpu%d %+v last=%+v f=%v idle=%v\n",
+			i, s, m.LastQuantum(i), m.EffectiveFrequency(i), m.IsIdle(i))
 	}
 	for _, c := range m.Completions() {
 		fmt.Fprintf(&b, "done %d %s %v\n", c.CPU, c.Program, c.At)
@@ -33,7 +33,7 @@ func ffFingerprint(m *Machine) string {
 }
 
 // diffAdvance drives two identically configured machines — one with the
-// quantum reference engine (RunUntil), one with AdvanceTo — applying the
+// stepped reference (runUntil), one with AdvanceTo — applying the
 // same mutations at every checkpoint, and requires byte-identical
 // fingerprints throughout.
 func diffAdvance(t *testing.T, cfg Config, checkpoints []float64, apply func(m *Machine, ck float64)) {
@@ -51,7 +51,7 @@ func diffAdvance(t *testing.T, cfg Config, checkpoints []float64, apply func(m *
 		apply(des, 0)
 	}
 	for _, ck := range checkpoints {
-		ref.RunUntil(ck)
+		runUntil(ref, ck)
 		if err := des.AdvanceTo(ck); err != nil {
 			t.Fatalf("AdvanceTo(%v): %v", ck, err)
 		}
@@ -303,7 +303,7 @@ func TestAdvanceToHugeTargetStillReplays(t *testing.T) {
 		t.Fatalf("returned %v before the arrival completed", advance(m))
 		return nil
 	}
-	ref := run(func(m *Machine) error { return m.RunUntil(huge) })
+	ref := run(func(m *Machine) error { return runUntil(m, huge) })
 	des := run(func(m *Machine) error { return m.AdvanceTo(huge) })
 	if got, want := ffFingerprint(des), ffFingerprint(ref); got != want {
 		t.Fatalf("diverged at the completion:\n--- stepped ---\n%s--- advanced ---\n%s", want, got)
@@ -362,7 +362,7 @@ func TestCompletionHookOnAdvancePath(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			m.RunUntil(8.0)
+			runUntil(m, 8.0)
 		}
 		if len(m.Completions()) != 0 {
 			t.Fatal("hooked completions leaked into the slice")

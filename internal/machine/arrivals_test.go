@@ -30,11 +30,11 @@ func TestSubmitDeliversArrivalsOnTime(t *testing.T) {
 		t.Error("machine with pending arrivals reported done")
 	}
 	// Before the first arrival: CPU 0 idle.
-	m.RunUntil(0.04)
+	runUntil(m, 0.04)
 	if !m.IsIdle(0) {
 		t.Error("cpu0 busy before its arrival")
 	}
-	m.RunUntil(0.06)
+	runUntil(m, 0.06)
 	if m.IsIdle(0) {
 		t.Error("cpu0 idle after its arrival")
 	}
@@ -78,7 +78,7 @@ func TestSubmitIntoRunningMix(t *testing.T) {
 	if err := m.Submit(workload.Schedule{{At: 0.02, CPU: 0, Program: reqJob(1e6)}}); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntil(0.5)
+	runUntil(m, 0.5)
 	if len(mix.Jobs()) != 2 {
 		t.Errorf("mix jobs = %d, want 2 after arrival", len(mix.Jobs()))
 	}
@@ -109,7 +109,7 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestPastArrivalAdmittedImmediately(t *testing.T) {
 	m := newQuiet(t)
-	m.RunUntil(0.2)
+	runUntil(m, 0.2)
 	if err := m.Submit(workload.Schedule{{At: 0.05, CPU: 2, Program: reqJob(1e6)}}); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func hotPathMachine(tb testing.TB) *Machine {
 			tb.Fatal(err)
 		}
 	}
-	m.RunUntil(20) // reach steady state
+	runUntil(m, 20) // reach steady state
 	return m
 }
 

@@ -155,9 +155,6 @@ type cpu struct {
 	idleCursor  *workload.Cursor
 	last        QuantumStats
 	completions int
-	// busySeconds accumulates quanta spent with runnable work (for
-	// utilisation reporting).
-	busySeconds float64
 }
 
 // Machine is the running simulator. It is not safe for concurrent use; the
@@ -324,11 +321,6 @@ func (m *Machine) SystemPower() units.Power {
 	return m.cfg.NonCPU + m.TotalCPUPower()
 }
 
-// MeasuredSystemPower returns a sensor reading of system power, with noise.
-func (m *Machine) MeasuredSystemPower() units.Power {
-	return m.meter.Read(m.SystemPower())
-}
-
 // Energy returns the integrated total system energy so far.
 func (m *Machine) Energy() units.Energy { return m.energy.Total() }
 
@@ -357,19 +349,6 @@ func (m *Machine) Completions() []JobCompletion {
 
 // LastQuantum returns what CPU i did during the most recent Step.
 func (m *Machine) LastQuantum(i int) QuantumStats { return m.cpus[i].last }
-
-// BusySeconds returns how long CPU i has had runnable work, in simulated
-// seconds (quantum granularity).
-func (m *Machine) BusySeconds(i int) float64 { return m.cpus[i].busySeconds }
-
-// Utilization returns CPU i's busy fraction of the elapsed simulation, or
-// 0 before any quantum ran.
-func (m *Machine) Utilization(i int) float64 {
-	if m.clock.Now() == 0 {
-		return 0
-	}
-	return m.cpus[i].busySeconds / m.clock.Now()
-}
 
 // AllJobsDone reports whether every assigned mix has completed (idle CPUs
 // with no mix count as done). A machine with pending arrivals is not done.
@@ -557,9 +536,6 @@ func (m *Machine) stepCPU(i int, c *cpu, dt float64, partnerRate float64) {
 
 	stats.Idle = c.idleNow
 	stats.PostL1Rate = postL1Refs / dt
-	if !c.idleNow {
-		c.busySeconds += dt
-	}
 	c.last = stats
 }
 
@@ -633,28 +609,6 @@ func (m *Machine) runJob(c *cpu, job *workload.Cursor, f units.Frequency, latSca
 		avail -= dtUsed
 	}
 	return used, postL1
-}
-
-// RunQuanta advances the simulation n quanta, stopping at the first
-// *StepError.
-func (m *Machine) RunQuanta(n int) error {
-	for i := 0; i < n; i++ {
-		if err := m.StepQuantum(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunUntil advances the simulation until simulation time t (inclusive of
-// the quantum containing t), stopping at the first *StepError.
-func (m *Machine) RunUntil(t float64) error {
-	for m.clock.Now() < t {
-		if err := m.StepQuantum(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunUntilAllDone advances until every assigned job completes or the

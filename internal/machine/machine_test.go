@@ -31,6 +31,28 @@ func newQuiet(t *testing.T) *Machine {
 	return m
 }
 
+// runQuanta steps m n quanta, stopping at the first *StepError.
+func runQuanta(m *Machine, n int) error {
+	for i := 0; i < n; i++ {
+		if err := m.StepQuantum(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runUntil steps m one quantum at a time until simulation time t
+// (inclusive of the quantum containing t), stopping at the first
+// *StepError: the stepped reference AdvanceTo is held byte-identical to.
+func runUntil(m *Machine, t float64) error {
+	for m.Now() < t {
+		if err := m.StepQuantum(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func cpuPhase(alpha float64, instr uint64) workload.Phase {
 	return workload.Phase{Name: "cpu", Alpha: alpha, Instructions: instr}
 }
@@ -61,7 +83,7 @@ func TestFreshMachineIdlesHotAtNominal(t *testing.T) {
 	if m.NumCPUs() != 4 {
 		t.Fatalf("NumCPUs = %d", m.NumCPUs())
 	}
-	m.RunQuanta(10)
+	runQuanta(m, 10)
 	if math.Abs(m.Now()-0.1) > 1e-9 {
 		t.Errorf("Now = %v, want 0.1", m.Now())
 	}
@@ -91,7 +113,7 @@ func TestHaltingIdleCountsHaltedCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.RunQuanta(5)
+	runQuanta(m, 5)
 	s, _ := m.ReadCounters(0)
 	if s.Instructions != 0 {
 		t.Errorf("halting idle retired %d instructions", s.Instructions)
@@ -116,7 +138,7 @@ func TestWorkloadExecutionMatchesAnalyticModel(t *testing.T) {
 	if err := m.SetMix(3, mix); err != nil {
 		t.Fatal(err)
 	}
-	m.RunUntil(1.0)
+	runUntil(m, 1.0)
 	s, _ := m.ReadCounters(3)
 	if math.Abs(float64(s.Instructions)-2e9)/2e9 > 0.01 {
 		t.Errorf("instructions = %d, want ≈2e9", s.Instructions)
@@ -141,7 +163,7 @@ func TestMemoryBoundWorkloadSaturation(t *testing.T) {
 		if err := m.SetFrequency(0, f); err != nil {
 			t.Fatal(err)
 		}
-		m.RunUntil(1.0)
+		runUntil(m, 1.0)
 		s, _ := m.ReadCounters(0)
 		return s.Instructions
 	}
@@ -157,7 +179,7 @@ func TestMemoryBoundWorkloadSaturation(t *testing.T) {
 		mix, _ := workload.NewMix(workload.Program{Name: "c", Phases: []workload.Phase{cpuPhase(1.4, 1e12)}})
 		m.SetMix(0, mix)
 		m.SetFrequency(0, f)
-		m.RunUntil(1.0)
+		runUntil(m, 1.0)
 		s, _ := m.ReadCounters(0)
 		return s.Instructions
 	}
@@ -197,14 +219,14 @@ func TestPowerAccounting(t *testing.T) {
 	if got := m.CPUPower(0); math.Abs(got.W()-35) > 2 {
 		t.Errorf("CPU0 power at 500MHz = %v, want ≈35W", got)
 	}
-	if got := m.MeasuredSystemPower(); got != m.SystemPower() {
+	if got := m.meter.Read(m.SystemPower()); got != m.SystemPower() {
 		t.Errorf("noiseless measured power %v != true %v", got, m.SystemPower())
 	}
 }
 
 func TestEnergyIntegration(t *testing.T) {
 	m := newQuiet(t)
-	m.RunQuanta(100) // 1 s at 746 W
+	runQuanta(m, 100) // 1 s at 746 W
 	if got := m.Energy().J(); math.Abs(got-746) > 1 {
 		t.Errorf("energy = %v J, want ≈746", got)
 	}
@@ -240,7 +262,7 @@ func TestPredictorSeesAccurateCountersOnQuietMachine(t *testing.T) {
 	m.SetMix(0, mix)
 
 	before, _ := m.ReadCounters(0)
-	m.RunQuanta(10)
+	runQuanta(m, 10)
 	after, _ := m.ReadCounters(0)
 	delta, err := after.Sub(before)
 	if err != nil {
@@ -304,7 +326,7 @@ func TestMultiprogrammedAggregation(t *testing.T) {
 	}}}
 	mix, _ := workload.NewMix(cpu, mem)
 	m.SetMix(0, mix)
-	m.RunQuanta(100)
+	runQuanta(m, 100)
 	s, _ := m.ReadCounters(0)
 	memRate := float64(s.MemRefs) / float64(s.Instructions)
 	// Aggregate rate must sit strictly between the two jobs' rates.
@@ -330,7 +352,7 @@ func TestContentionSlowsSharedL2Partner(t *testing.T) {
 	}
 	mixA, _ := workload.NewMix(memProg("probe"))
 	alone.SetMix(0, mixA)
-	alone.RunUntil(1.0)
+	runUntil(alone, 1.0)
 	sAlone, _ := alone.ReadCounters(0)
 
 	// ...and with a memory-hog partner on CPU1 (shares the L2).
@@ -342,7 +364,7 @@ func TestContentionSlowsSharedL2Partner(t *testing.T) {
 	hog, _ := workload.NewMix(memProg("hog"))
 	together.SetMix(0, mixB)
 	together.SetMix(1, hog)
-	together.RunUntil(1.0)
+	runUntil(together, 1.0)
 	sTogether, _ := together.ReadCounters(0)
 
 	if sTogether.Instructions >= sAlone.Instructions {
@@ -359,7 +381,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		}
 		mix, _ := workload.NewMix(workload.Mcf(0.05))
 		m.SetMix(0, mix)
-		m.RunQuanta(200)
+		runQuanta(m, 200)
 		s, _ := m.ReadCounters(0)
 		return s
 	}
@@ -396,7 +418,7 @@ func TestZeroFrequencyStallsCPU(t *testing.T) {
 	mix, _ := workload.NewMix(workload.Program{Name: "j", Phases: []workload.Phase{cpuPhase(1, 1e9)}})
 	m.SetMix(0, mix)
 	m.SetFrequency(0, 0)
-	m.RunQuanta(10)
+	runQuanta(m, 10)
 	s, _ := m.ReadCounters(0)
 	if s.Instructions != 0 {
 		t.Errorf("fully throttled CPU retired %d instructions", s.Instructions)
@@ -428,7 +450,7 @@ func TestCompletionHook(t *testing.T) {
 	if err := ref.SetMix(0, refMix); err != nil {
 		t.Fatal(err)
 	}
-	ref.RunQuanta(5)
+	runQuanta(ref, 5)
 	refDone := ref.Completions()
 	if len(refDone) != 1 {
 		t.Fatalf("reference completions = %d", len(refDone))
@@ -451,7 +473,7 @@ func TestCompletionHook(t *testing.T) {
 			cur.Rebind(prog("b", 1e6))
 		}
 	})
-	m.RunQuanta(5)
+	runQuanta(m, 5)
 	if len(m.Completions()) != 0 {
 		t.Errorf("hooked machine still recorded %d completions in the slice", len(m.Completions()))
 	}
@@ -472,7 +494,7 @@ func TestCompletionHook(t *testing.T) {
 	// Clearing the hook restores slice recording.
 	m.SetCompletionHook(nil)
 	cur.Rebind(prog("c", 1e6))
-	m.RunQuanta(5)
+	runQuanta(m, 5)
 	if len(m.Completions()) != 1 {
 		t.Errorf("after clearing hook, completions = %d, want 1", len(m.Completions()))
 	}

@@ -98,9 +98,9 @@ func microRun(cfg microConfig, p workload.Phase, f units.Frequency, n uint64) (m
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	h := cfg.Hier
 	corePerInstr := 1/p.Alpha + p.NonMemStallCyclesPerInstr
-	cycPerL2 := h.CyclesAt(memhier.L2, f) * cfg.OverlapFactor
-	cycPerL3 := h.CyclesAt(memhier.L3, f) * cfg.OverlapFactor
-	cycPerMem := h.CyclesAt(memhier.DRAM, f) * cfg.OverlapFactor
+	cycPerL2 := h.ServiceTime(memhier.L2) * f.Hz() * cfg.OverlapFactor
+	cycPerL3 := h.ServiceTime(memhier.L3) * f.Hz() * cfg.OverlapFactor
+	cycPerMem := h.ServiceTime(memhier.DRAM) * f.Hz() * cfg.OverlapFactor
 
 	var res microResult
 	block := cfg.BlockSize

@@ -38,7 +38,7 @@ func TestMonteCarloMatchesAnalyticThroughput(t *testing.T) {
 		}
 		mix, _ := workload.NewMix(memPhaseProg(1e12))
 		m.SetMix(0, mix)
-		m.RunUntil(1.0)
+		runUntil(m, 1.0)
 		s, _ := m.ReadCounters(0)
 		return s.Instructions
 	}
@@ -58,7 +58,7 @@ func TestMonteCarloCounterRatesConverge(t *testing.T) {
 	}
 	mix, _ := workload.NewMix(memPhaseProg(1e12))
 	m.SetMix(0, mix)
-	m.RunUntil(1.0)
+	runUntil(m, 1.0)
 	s, _ := m.ReadCounters(0)
 	if s.Instructions == 0 {
 		t.Fatal("nothing retired")
@@ -134,7 +134,7 @@ func TestMonteCarloDeterministicPerSeed(t *testing.T) {
 		}
 		mix, _ := workload.NewMix(memPhaseProg(1e12))
 		m.SetMix(0, mix)
-		m.RunUntil(0.5)
+		runUntil(m, 0.5)
 		s, _ := m.ReadCounters(0)
 		return s.Cycles
 	}
@@ -153,7 +153,7 @@ func TestMonteCarloTimeAccounting(t *testing.T) {
 	}
 	mix, _ := workload.NewMix(memPhaseProg(1e12))
 	m.SetMix(2, mix)
-	m.RunUntil(2.0)
+	runUntil(m, 2.0)
 	s, _ := m.ReadCounters(2)
 	wantCycles := 2.0 * 1e9 // 2 s at 1 GHz
 	rel := math.Abs(float64(s.Cycles)-wantCycles) / wantCycles

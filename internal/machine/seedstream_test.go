@@ -43,7 +43,7 @@ func renderSeededStreams(t *testing.T) string {
 				t.Fatal(err)
 			}
 			fmt.Fprintf(&b, "mc=%v q=%d instr=%d cyc=%d l2=%d l3=%d mem=%d meter=%b\n",
-				mc, q, s.Instructions, s.Cycles, s.L2Refs, s.L3Refs, s.MemRefs, m.MeasuredSystemPower().W())
+				mc, q, s.Instructions, s.Cycles, s.L2Refs, s.L3Refs, s.MemRefs, m.meter.Read(m.SystemPower()).W())
 		}
 	}
 	return b.String()

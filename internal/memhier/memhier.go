@@ -116,14 +116,6 @@ func (h Hierarchy) ServiceTimes() (tL2, tL3, tMem float64) {
 	return h.ServiceTime(L2), h.ServiceTime(L3), h.ServiceTime(DRAM)
 }
 
-// CyclesAt converts a level's service time into core cycles at frequency f:
-// the number of cycles the core stalls per reference when clocked at f.
-// This is what makes memory-bound work saturate — the cycle cost falls with
-// the clock while core work does not.
-func (h Hierarchy) CyclesAt(l Level, f units.Frequency) float64 {
-	return h.ServiceTime(l) * f.Hz()
-}
-
 // AccessRates gives a workload's per-instruction reference rates to the
 // frequency-invariant levels. Rates are references per instruction; a rate
 // applies to the level that *services* the reference (an L3 rate counts

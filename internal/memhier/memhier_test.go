@@ -80,19 +80,6 @@ func TestServiceTimeIsFrequencyInvariant(t *testing.T) {
 	}
 }
 
-func TestCyclesAtScalesWithClock(t *testing.T) {
-	h := P630()
-	// A 393-cycle (at 1 GHz) DRAM access costs half the cycles at 500 MHz —
-	// this is the mechanism behind performance saturation.
-	got := h.CyclesAt(DRAM, units.MHz(500))
-	if math.Abs(got-196.5) > 1e-9 {
-		t.Errorf("CyclesAt(DRAM, 500MHz) = %v, want 196.5", got)
-	}
-	if full := h.CyclesAt(DRAM, units.GHz(1)); math.Abs(full-393) > 1e-9 {
-		t.Errorf("CyclesAt(DRAM, 1GHz) = %v, want 393", full)
-	}
-}
-
 func TestAccessRatesValidate(t *testing.T) {
 	good := AccessRates{L2PerInstr: 0.01, L3PerInstr: 0.002, MemPerInstr: 0.001}
 	if err := good.Validate(); err != nil {

@@ -97,14 +97,6 @@ func (a *Agent) Now() float64 {
 	return a.cfg.M.Now()
 }
 
-// FailsafeTripped reports whether the watchdog has fired since the last
-// coordinator contact.
-func (a *Agent) FailsafeTripped() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lease != nil && a.lease.Tripped()
-}
-
 // watchdog trips the failsafe after FailsafeLease of coordinator silence,
 // counted from Start.
 func (a *Agent) watchdog() {

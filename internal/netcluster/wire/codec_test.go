@@ -267,7 +267,7 @@ func TestConnMirror(t *testing.T) {
 	// JSON handshake phase.
 	send(coord, &proto.Message{Kind: proto.KindHeartbeat, ID: 1})
 	recv(agent, proto.KindHeartbeat)
-	if agent.Binary() {
+	if agent.binary {
 		t.Fatal("agent went binary on a JSON frame")
 	}
 	send(agent, &proto.Message{Kind: proto.KindHeartbeatAck, ID: 1})
@@ -277,7 +277,7 @@ func TestConnMirror(t *testing.T) {
 	coord.SetBinary(true)
 	send(coord, &proto.Message{Kind: proto.KindHeartbeat, ID: 2})
 	recv(agent, proto.KindHeartbeat)
-	if !agent.Binary() {
+	if !agent.binary {
 		t.Fatal("agent did not mirror binary")
 	}
 	send(agent, &proto.Message{Kind: proto.KindHeartbeatAck, ID: 2})

@@ -96,9 +96,6 @@ func DialStats(addr string, timeout time.Duration, st *Stats) (proto.Conn, error
 // synchronisation with the peer.
 func (c *Conn) SetBinary(on bool) { c.binary = on }
 
-// Binary reports whether hot kinds currently transmit binary.
-func (c *Conn) Binary() bool { return c.binary }
-
 // Send writes one message, stamping the protocol version. Hot kinds use
 // the binary codec when enabled; everything else is length-prefixed JSON.
 func (c *Conn) Send(m *proto.Message) error {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -146,54 +145,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				if _, err := fmt.Fprintf(w, "%s%s %s\n", f.Name, lp, formatFloat(s.Value)); err != nil {
 					return err
 				}
-			}
-		}
-	}
-	return nil
-}
-
-// jsonlSeries is the one-line-per-series JSONL snapshot schema.
-type jsonlSeries struct {
-	Name    string            `json:"name"`
-	Kind    Kind              `json:"kind"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Value   *float64          `json:"value,omitempty"`
-	Count   *uint64           `json:"count,omitempty"`
-	Sum     *float64          `json:"sum,omitempty"`
-	Buckets []jsonlBucket     `json:"buckets,omitempty"`
-}
-
-type jsonlBucket struct {
-	LE    float64 `json:"le"`
-	Count uint64  `json:"count"`
-}
-
-// WriteJSONL renders the registry as one JSON object per series per line
-// — the machine-readable sibling of WritePrometheus for post-run diffing
-// without a Prometheus parser.
-func (r *Registry) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, f := range r.Snapshot() {
-		for _, s := range f.Series {
-			line := jsonlSeries{Name: f.Name, Kind: f.Kind}
-			if len(f.Labels) > 0 {
-				line.Labels = make(map[string]string, len(f.Labels))
-				for i, n := range f.Labels {
-					line.Labels[n] = s.LabelValues[i]
-				}
-			}
-			if f.Kind == KindHistogram {
-				count, sum := s.Count, s.Sum
-				line.Count, line.Sum = &count, &sum
-				for i, bound := range f.Bounds {
-					line.Buckets = append(line.Buckets, jsonlBucket{LE: bound, Count: s.Cumulative[i]})
-				}
-			} else {
-				v := s.Value
-				line.Value = &v
-			}
-			if err := enc.Encode(line); err != nil {
-				return err
 			}
 		}
 	}

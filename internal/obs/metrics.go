@@ -8,8 +8,8 @@ import "strconv"
 // time-at-frequency residency and the online prediction-error
 // distribution.
 type Metrics struct {
-	// Registry backs every metric below; expose it via WritePrometheus,
-	// WriteJSONL or Handler.
+	// Registry backs every metric below; expose it via WritePrometheus or
+	// Handler.
 	Registry *Registry
 
 	decisions   *CounterVec // trigger

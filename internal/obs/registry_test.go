@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -117,36 +115,6 @@ err_count 3
 `
 	if sb.String() != want {
 		t.Errorf("exposition:\n%s\nwant:\n%s", sb.String(), want)
-	}
-}
-
-func TestWriteJSONLRoundTrips(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "", "l").With(`q"v`).Add(7)
-	r.Histogram("b", "", []float64{1}).With().Observe(2)
-	var sb strings.Builder
-	if err := r.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(strings.NewReader(sb.String()))
-	lines := 0
-	for sc.Scan() {
-		lines++
-		var m map[string]interface{}
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("line %d unparseable: %v", lines, err)
-		}
-		if m["name"] == "a_total" {
-			if m["value"].(float64) != 7 {
-				t.Errorf("a_total = %v", m["value"])
-			}
-			if m["labels"].(map[string]interface{})["l"] != `q"v` {
-				t.Errorf("labels = %v", m["labels"])
-			}
-		}
-	}
-	if lines != 2 {
-		t.Errorf("lines = %d, want 2", lines)
 	}
 }
 

@@ -14,7 +14,6 @@ package perfmodel
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/counters"
 	"repro/internal/memhier"
@@ -130,15 +129,6 @@ func (d Decomposition) PerfLoss(g, f units.Frequency) float64 {
 	return (pg - d.PerfAt(f)) / pg
 }
 
-// SaturationPerf returns the performance bound as f → ∞: 1/StallSecPerInstr
-// instructions per second, or +Inf for a pure-CPU workload.
-func (d Decomposition) SaturationPerf() float64 {
-	if d.StallSecPerInstr == 0 {
-		return math.Inf(1)
-	}
-	return 1 / d.StallSecPerInstr
-}
-
 // IdealFrequency computes the §5 closed form: the continuous frequency at
 // which the workload retains (1-ε) of its performance at fMax. CPU-bound
 // windows (predicted IPC at fMax above the ipcCutoff of 1, per the paper's
@@ -225,13 +215,4 @@ func (p Predictor) DecomposeWithBounds(o Observation, loScale, hiScale float64) 
 	// component; at lower frequencies that predicts *better* performance
 	// retention ("best case" for scaling down), and vice versa.
 	return Bounds{Best: mk(hiScale), Worst: mk(loScale)}, nil
-}
-
-// IPCRangeAt returns the predicted IPC interval at frequency f.
-func (b Bounds) IPCRangeAt(f units.Frequency) (lo, hi float64) {
-	x, y := b.Best.IPCAt(f), b.Worst.IPCAt(f)
-	if x > y {
-		x, y = y, x
-	}
-	return x, y
 }

@@ -48,8 +48,6 @@ func (m *Meter) Read(truth units.Power) units.Power {
 // figures of Table 3 ("Energy @ 140W" etc., normalised by the caller).
 type EnergyMeter struct {
 	total units.Energy
-	now   float64
-	begun bool
 }
 
 // Accumulate adds power p held constant over dt seconds.
@@ -61,8 +59,6 @@ func (e *EnergyMeter) Accumulate(p units.Power, dt float64) error {
 		return fmt.Errorf("power: energy meter power %v must be non-negative", p)
 	}
 	e.total += units.EnergyOver(p, dt)
-	e.now += dt
-	e.begun = true
 	return nil
 }
 
@@ -83,27 +79,11 @@ func (e *EnergyMeter) AccumulateRepeat(p units.Power, dt float64, n int) error {
 		return fmt.Errorf("power: energy meter power %v must be non-negative", p)
 	}
 	e.total = units.Energy(units.AddRepeat(float64(e.total), float64(units.EnergyOver(p, dt)), n))
-	e.now = units.AddRepeat(e.now, dt, n)
-	if n > 0 {
-		e.begun = true
-	}
 	return nil
 }
 
 // Total returns the accumulated energy.
 func (e *EnergyMeter) Total() units.Energy { return e.total }
-
-// Elapsed returns the integrated time span in seconds.
-func (e *EnergyMeter) Elapsed() float64 { return e.now }
-
-// AveragePower returns total energy over elapsed time, or 0 before any
-// accumulation.
-func (e *EnergyMeter) AveragePower() units.Power {
-	if !e.begun || e.now == 0 {
-		return 0
-	}
-	return units.Power(e.total.J() / e.now)
-}
 
 // SystemPower converts processor power into whole-system power using the
 // motivating example's breakdown: CPUs are 75% of a 746 W system, so the

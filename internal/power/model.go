@@ -78,29 +78,6 @@ func (m Model) PowerAt(f units.Frequency, v units.Voltage) units.Power {
 	return units.Power(m.C.F()*vv*f.Hz() + m.B*vv)
 }
 
-// ActivePower returns only the C·V²·f switching term.
-func (m Model) ActivePower(f units.Frequency, v units.Voltage) units.Power {
-	return units.Power(m.C.F() * v.Squared() * f.Hz())
-}
-
-// StaticPower returns only the B·V² leakage term.
-func (m Model) StaticPower(v units.Voltage) units.Power {
-	return units.Power(m.B * v.Squared())
-}
-
-// Tabulate evaluates the model at each frequency of set and returns the
-// resulting operating-point table — the computational approach the paper
-// describes: "calculate in advance the maximum power associated with each
-// available frequency setting using the minimum acceptable voltage".
-func (m Model) Tabulate(set units.FrequencySet) (*Table, error) {
-	points := make([]OperatingPoint, len(set))
-	for i, f := range set {
-		v := m.Curve.VoltageFor(f)
-		points[i] = OperatingPoint{F: f, V: v, P: m.PowerAt(f, v)}
-	}
-	return NewTable(points)
-}
-
 // FitModel least-squares fits C and B of P = C·V²f + B·V² to an existing
 // operating-point table (with the voltages the table carries). This is how
 // the reproduction recovers an analytic model from the paper's

@@ -63,23 +63,26 @@ func TestModelPowerDecomposition(t *testing.T) {
 	m := Model{C: units.Farads(80e-9), B: 2, Curve: DefaultVoltageCurve()}
 	f := units.GHz(1)
 	v := m.Curve.VoltageFor(f)
-	active := m.ActivePower(f, v)
-	static := m.StaticPower(v)
 	total := m.PowerAt(f, v)
-	if math.Abs(float64(active+static-total)) > 1e-9 {
-		t.Errorf("active %v + static %v != total %v", active, static, total)
-	}
-	// Active term: 80e-9 · 1.69 · 1e9 = 135.2 W.
-	if math.Abs(active.W()-135.2) > 1e-6 {
-		t.Errorf("active = %v, want 135.2W", active)
-	}
-	// Static term: 2 · 1.69 = 3.38 W.
-	if math.Abs(static.W()-3.38) > 1e-9 {
-		t.Errorf("static = %v, want 3.38W", static)
+	// Active C·V²·f = 80e-9 · 1.69 · 1e9 = 135.2 W; static B·V² = 2 · 1.69
+	// = 3.38 W.
+	if math.Abs(total.W()-(135.2+3.38)) > 1e-6 {
+		t.Errorf("total = %v, want 135.2W active + 3.38W static", total)
 	}
 	if got := m.Power(f); got != total {
 		t.Errorf("Power(f) = %v, want %v", got, total)
 	}
+}
+
+// tabulate evaluates m at each frequency of set at the curve's voltage:
+// the operating-point table an analytic model implies.
+func tabulate(m Model, set units.FrequencySet) (*Table, error) {
+	points := make([]OperatingPoint, len(set))
+	for i, f := range set {
+		v := m.Curve.VoltageFor(f)
+		points[i] = OperatingPoint{F: f, V: v, P: m.PowerAt(f, v)}
+	}
+	return NewTable(points)
 }
 
 func TestFitModelRecoversKnownCoefficients(t *testing.T) {
@@ -87,7 +90,7 @@ func TestFitModelRecoversKnownCoefficients(t *testing.T) {
 	truth := Model{C: units.Farads(75e-9), B: 3, Curve: DefaultVoltageCurve()}
 	set := units.MustFrequencySet(
 		units.MHz(250), units.MHz(500), units.MHz(750), units.GHz(1))
-	tab, err := truth.Tabulate(set)
+	tab, err := tabulate(truth, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,23 +154,6 @@ func TestFitModelNeedsTwoPoints(t *testing.T) {
 	tab := MustTable([]OperatingPoint{{F: units.GHz(1), V: units.Volts(1.3), P: units.Watts(140)}})
 	if _, err := FitModel(tab, DefaultVoltageCurve()); err == nil {
 		t.Error("single-point fit: want error")
-	}
-}
-
-func TestTabulateRoundTrip(t *testing.T) {
-	m := Model{C: units.Farads(80e-9), B: 1, Curve: DefaultVoltageCurve()}
-	set := PaperTable1().Frequencies()
-	tab, err := m.Tabulate(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != len(set) {
-		t.Fatalf("Tabulate len = %d, want %d", tab.Len(), len(set))
-	}
-	for _, p := range tab.Points() {
-		if got := m.Power(p.F); math.Abs(float64(got-p.P)) > 1e-9 {
-			t.Errorf("Tabulate(%v) = %v, model says %v", p.F, p.P, got)
-		}
 	}
 }
 

@@ -17,9 +17,6 @@ type Supply struct {
 	failed   bool
 }
 
-// Failed reports whether the supply is currently failed.
-func (s *Supply) Failed() bool { return s.failed }
-
 // Plant models the machine-room power feed: a set of supplies, the load
 // placed on them, and the cascade-failure rule. When the load exceeds the
 // combined capacity of the surviving supplies continuously for longer than
@@ -76,13 +73,6 @@ func (p *Plant) Capacity() units.Power {
 	return total
 }
 
-// Supplies returns the plant's supplies (shared, for inspection).
-func (p *Plant) Supplies() []*Supply { return p.supplies }
-
-// Cascaded reports whether a cascade failure has occurred; after a cascade
-// the plant delivers no power and the machine is down.
-func (p *Plant) Cascaded() bool { return p.cascaded }
-
 // FailSupply marks the named supply failed. It is the §2 time-T0 event.
 func (p *Plant) FailSupply(name string) error {
 	for _, s := range p.supplies {
@@ -91,26 +81,6 @@ func (p *Plant) FailSupply(name string) error {
 				return fmt.Errorf("power: supply %s already failed", name)
 			}
 			s.failed = true
-			return nil
-		}
-	}
-	return fmt.Errorf("power: no supply named %s", name)
-}
-
-// RestoreSupply brings a failed supply back (the paper's "restoration of a
-// power supply" trigger). Restoring after a cascade does not revive the
-// plant: a cascade is terminal for the run, so the call is rejected rather
-// than silently un-failing a supply the cascade took down.
-func (p *Plant) RestoreSupply(name string) error {
-	if p.cascaded {
-		return fmt.Errorf("power: cannot restore supply %s: plant has cascaded (terminal)", name)
-	}
-	for _, s := range p.supplies {
-		if s.Name == name {
-			if !s.failed {
-				return fmt.Errorf("power: supply %s not failed", name)
-			}
-			s.failed = false
 			return nil
 		}
 	}
@@ -141,15 +111,6 @@ func (p *Plant) Observe(now float64, load units.Power) bool {
 		p.overloadSince = -1
 	}
 	return p.cascaded
-}
-
-// OverloadedFor returns how long the plant has been continuously
-// overloaded, or 0 when it is not.
-func (p *Plant) OverloadedFor() float64 {
-	if p.overloadSince < 0 {
-		return 0
-	}
-	return p.now - p.overloadSince
 }
 
 // BudgetEvent is a scheduled change to the global power budget — the
@@ -207,12 +168,6 @@ func (b *BudgetSchedule) Events() []BudgetEvent {
 	out := make([]BudgetEvent, len(b.events))
 	copy(out, b.events)
 	return out
-}
-
-// ChangesBetween reports whether the budget differs between times t0 and t1
-// (t0 < t1) — how the scheduler's trigger loop detects a limit change.
-func (b *BudgetSchedule) ChangesBetween(t0, t1 float64) bool {
-	return b.At(t0) != b.At(t1)
 }
 
 // NextChangeAt returns the schedule's next event time strictly after now

@@ -175,8 +175,8 @@ func (t *Table) ExactSums(n int) bool {
 // demand curve and the farm divide share. When ExactSums holds (Table 1,
 // the §5 table) it is sum − (P[from] − P[from−1]), whose bits are the
 // re-sum's because no whole-watt sum rounds; for any other table
-// (Model.Tabulate, WithVoltageVariation) it re-sums in order, the only
-// arithmetic that is bit-faithful there.
+// (fractional watts, as WithVoltageVariation gives) it re-sums in order,
+// the only arithmetic that is bit-faithful there.
 func (t *Table) DemotedSum(sum units.Power, indices []int, from int) units.Power {
 	if t.ExactSums(len(indices)) {
 		return sum - (t.points[from].P - t.points[from-1].P)

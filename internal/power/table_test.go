@@ -238,12 +238,12 @@ func TestExactSums(t *testing.T) {
 			t.Errorf("%s: ExactSums(2000) = false, want true (whole watts)", name)
 		}
 	}
-	tabulated, err := Model{C: units.Farads(80e-9), B: 1, Curve: DefaultVoltageCurve()}.Tabulate(PaperTable1().Frequencies())
+	tabulated, err := tabulate(Model{C: units.Farads(80e-9), B: 1, Curve: DefaultVoltageCurve()}, PaperTable1().Frequencies())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tabulated.ExactSums(1) {
-		t.Error("Tabulate: ExactSums = true for analytic powers")
+		t.Error("tabulated model: ExactSums = true for analytic powers")
 	}
 	varied, err := WithVoltageVariation(PaperTable1(), []float64{1.05})
 	if err != nil {

@@ -34,10 +34,10 @@ func requireEquivalent(t *testing.T, seed int64) {
 			}
 			t.Errorf("seed %d: round %d: %s", seed, div.Round, div.Detail)
 		}
-		t.Fatalf("seed %d: quantum and DES engines diverged (%s vs %s)", seed, d.Ref.Hash, d.DES.Hash)
+		t.Fatalf("seed %d: quantum and DES engines diverged (%s vs %s)", seed, d.Base.Hash, d.Variant.Hash)
 	}
-	if d.Ref.Hash != d.DES.Hash || d.Ref.Text != d.DES.Text {
-		t.Fatalf("seed %d: hashes/text differ: %s vs %s", seed, d.Ref.Hash, d.DES.Hash)
+	if d.Base.Hash != d.Variant.Hash || d.Base.Text != d.Variant.Text {
+		t.Fatalf("seed %d: hashes/text differ: %s vs %s", seed, d.Base.Hash, d.Variant.Hash)
 	}
 }
 

@@ -70,25 +70,12 @@ func (n *nodeRun) roundSkippable(periods int) bool {
 	return n.feeder.NextAt() > now+float64(periods+2)*quantum
 }
 
-// DESDiffResult is one quantum-vs-DES differential: the same spec
-// stepped quantum by quantum (Ref) and through RunCluster (DES),
-// required byte-identical.
-type DESDiffResult struct {
-	Spec Spec       `json:"spec"`
-	Ref  *RunResult `json:"ref"`
-	DES  *RunResult `json:"des"`
-	// Divergences lists rounds whose rendered traces differ. Unlike the
-	// networked differential there are no fault windows: every
-	// difference is a bug in the event engine.
-	Divergences []Divergence `json:"divergences,omitempty"`
-	Equivalent  bool         `json:"equivalent"`
-}
-
-// RunDESDifferential runs the scenario on the per-quantum reference arm
-// and through RunCluster and compares round by round. No allowance is
-// made for faults, UPS or serving — the engine that ships must
-// reproduce all of them exactly.
-func RunDESDifferential(spec Spec, opt Options) (*DESDiffResult, error) {
+// RunDESDifferential runs the scenario stepped quantum by quantum (the
+// reference arm) and through RunCluster (the event engine that ships) and
+// compares round by round. No allowance is made for faults, UPS or
+// serving — the engine must reproduce all of them exactly, so every
+// differing round is a divergence, and the two hashes must match too.
+func RunDESDifferential(spec Spec, opt Options) (*DiffResult, error) {
 	ref, err := runCluster(spec, opt, true)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: quantum run: %w", err)
@@ -97,13 +84,7 @@ func RunDESDifferential(spec Spec, opt Options) (*DESDiffResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: DES run: %w", err)
 	}
-	d := &DESDiffResult{Spec: spec, Ref: ref, DES: des}
-	for r := 0; r < spec.Rounds; r++ {
-		a, b := renderOne(ref.Trace, r), renderOne(des.Trace, r)
-		if a != b {
-			d.Divergences = append(d.Divergences, Divergence{Round: r, Detail: firstDiff(a, b, "quantum", "des")})
-		}
-	}
-	d.Equivalent = len(d.Divergences) == 0 && ref.Hash == des.Hash
+	d := diffRuns(spec, ref, des, "quantum", "des", nil)
+	d.Equivalent = d.Equivalent && ref.Hash == des.Hash
 	return d, nil
 }

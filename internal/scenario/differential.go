@@ -13,12 +13,12 @@ type Divergence struct {
 }
 
 // DiffResult is one differential run: the same scenario through two
-// stacks (InProc the reference arm, Net the variant), compared round by
+// stacks (Base the reference arm, Variant the other), compared round by
 // round.
 type DiffResult struct {
-	Spec   Spec       `json:"spec"`
-	InProc *RunResult `json:"in_proc"`
-	Net    *RunResult `json:"net"`
+	Spec    Spec       `json:"spec"`
+	Base    *RunResult `json:"base"`
+	Variant *RunResult `json:"variant"`
 	// FaultRounds counts rounds inside declared fault windows, where
 	// RunDifferential allows (not requires) the traces to differ. The
 	// codec and tier differentials mask nothing and leave it zero.
@@ -103,7 +103,7 @@ func RunTierDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 // which masked reports true may differ (recorded, not failed); every
 // other difference is a divergence. A nil masked excuses nothing.
 func diffRuns(spec Spec, base, variant *RunResult, baseLabel, variantLabel string, masked func(round int) bool) *DiffResult {
-	d := &DiffResult{Spec: spec, InProc: base, Net: variant}
+	d := &DiffResult{Spec: spec, Base: base, Variant: variant}
 	for r := 0; r < spec.Rounds; r++ {
 		inWindow := masked != nil && masked(r)
 		if inWindow {

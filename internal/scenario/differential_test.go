@@ -27,10 +27,10 @@ func TestDifferentialFaultFree(t *testing.T) {
 		if d.FaultRounds != 0 || d.InWindowDiffs != 0 {
 			t.Fatalf("seed %d: fault rounds on a fault-free spec", seed)
 		}
-		if d.InProc.Text != d.Net.Text {
+		if d.Base.Text != d.Variant.Text {
 			t.Fatalf("seed %d: equivalent but full texts differ", seed)
 		}
-		if len(d.InProc.Violations) != 0 || len(d.Net.Violations) != 0 {
+		if len(d.Base.Violations) != 0 || len(d.Variant.Violations) != 0 {
 			t.Fatalf("seed %d: invariant violations during differential", seed)
 		}
 	}

@@ -35,9 +35,6 @@ const SabotageStepTwoInvert = "step2-invert"
 type Options struct {
 	// Sabotage optionally plants a known bug ("" or SabotageStepTwoInvert).
 	Sabotage string
-	// Checkers overrides the pass-level checker set (nil → the default
-	// suite). Ledger checks always run.
-	Checkers []invariant.Checker
 	// Sink, when set, receives the run's trace events: one schedule event
 	// and span tree per round plus per-node quantum power samples. The
 	// soak harness attaches an obs.FlightRecorder here so a violating
@@ -47,20 +44,12 @@ type Options struct {
 	// Policy re-runs the scenario under perturbed scheduling knobs — the
 	// counterfactual arm of `experiments policy-search`. An ε-only
 	// override keeps the full checker suite; debounce or allocator knobs
-	// rewrite passes post-Schedule, so (unless Checkers overrides) the
-	// policy-independent reduced suite runs instead. Incompatible with
-	// Sabotage.
+	// rewrite passes post-Schedule, so the policy-independent reduced
+	// suite runs instead. Incompatible with Sabotage.
 	Policy *PolicyKnobs
 	// MeasureGap solves every feasible pass exactly (internal/optimal)
 	// and aggregates actual-vs-optimal loss into RunResult.Gap.
 	MeasureGap bool
-}
-
-func (o Options) suite() *invariant.Suite {
-	if o.Checkers == nil {
-		return invariant.DefaultSuite()
-	}
-	return invariant.NewSuite(o.Checkers...)
 }
 
 // ServeTrace is one node's serving account at the end of a round
@@ -251,8 +240,8 @@ func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 	period := float64(spec.SchedulePeriods) * quantum
 	clock := engine.NewSimClock(period)
 	budget := source.BudgetAt(0)
-	suite := opt.suite()
-	if policy != nil && opt.Checkers == nil {
+	suite := invariant.DefaultSuite()
+	if policy != nil {
 		suite = policyCheckers()
 	}
 	res := &RunResult{Rounds: spec.Rounds}
@@ -293,15 +282,12 @@ func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 				return nil, err
 			}
 			for cpu := 0; cpu < n.m.NumCPUs(); cpu++ {
-				// Round-trip the delta through the wire report so both
-				// drivers feed the predictor byte-identical observations.
-				rep := reportFor(n.sampler.WindowAggregate(cpu, spec.SchedulePeriods), n.m.IsIdle(cpu))
 				in := cluster.ProcInput{
 					Proc: cluster.ProcRef{Node: i, CPU: cpu},
 					Node: n.name,
-					Idle: rep.idle,
+					Idle: n.m.IsIdle(cpu),
 				}
-				if o, ok := perfmodel.ObservationFrom(rep.delta); ok {
+				if o, ok := perfmodel.ObservationFrom(n.sampler.WindowAggregate(cpu, spec.SchedulePeriods)); ok {
 					in.Obs = &o
 				}
 				nodeInputs[i] = append(nodeInputs[i], len(inputs))
@@ -531,19 +517,6 @@ func worstCharge(n *nodeRun, table *power.Table) units.Power {
 		}
 	}
 	return units.Power(float64(n.m.NumCPUs())) * table.PowerAtIndex(table.Len()-1)
-}
-
-// report is the in-process stand-in for a wire counter report.
-type report struct {
-	delta counters.Delta
-	idle  bool
-}
-
-// reportFor mirrors proto.ReportFor∘Delta: the wire report carries the
-// delta fields losslessly (uint64 and float64 survive JSON round-trips
-// bit-exactly in Go), so the identity conversion is faithful.
-func reportFor(d counters.Delta, idle bool) report {
-	return report{delta: d, idle: idle}
 }
 
 // sabotageStepTwoInvert presents the pass as Step 2 would with its loss

@@ -3,8 +3,6 @@ package scenario
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/invariant"
 )
 
 func TestHelperFunctions(t *testing.T) {
@@ -62,18 +60,5 @@ func TestTruncateRoundsDropsOutOfRange(t *testing.T) {
 	}
 	if c.UPS != nil {
 		t.Fatal("UPS past the end survived truncation")
-	}
-}
-
-// TestOptionsCustomCheckers narrows the suite to a single checker and
-// verifies the driver honours it.
-func TestOptionsCustomCheckers(t *testing.T) {
-	spec := Generate(2).FaultFree()
-	r, err := RunCluster(spec, Options{Checkers: []invariant.Checker{invariant.VoltageMatch{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Violations) != 0 {
-		t.Fatalf("voltage checker alone found violations: %v", r.Violations[0])
 	}
 }

@@ -15,9 +15,6 @@ type NetOptions struct {
 	// RPCTimeout bounds each RPC attempt; a partitioned node costs about
 	// one timeout per round. Default 150 ms.
 	RPCTimeout time.Duration
-	// Relays is RunRelayNet's relay count (ignored by RunNet). Default
-	// 2, clamped to the node count; nodes split into contiguous groups.
-	Relays int
 }
 
 // RunNet runs the scenario through the real networked stack: one TCP
@@ -36,13 +33,13 @@ func RunNet(spec Spec, opt NetOptions) (*RunResult, error) {
 }
 
 // RunRelayNet runs the scenario through the hierarchical networked
-// stack: the nodes split into opt.Relays contiguous groups, each group
-// behind a netcluster.Relay (agent protocol upward, coordinator protocol
-// downward), driven by one netcluster.Root that divides the global
-// budget across the relays' aggregated demand curves. The returned trace
-// has the same canonical shape as RunNet's, reassembled from the relays'
-// per-node decisions in global node order — on a fault-free spec it is
-// byte-identical to the flat driver's.
+// stack: the nodes split into two contiguous groups (one for a one-node
+// spec), each behind a netcluster.Relay (agent protocol upward,
+// coordinator protocol downward), driven by one netcluster.Root that
+// divides the global budget across the relays' aggregated demand curves.
+// The returned trace has the same canonical shape as RunNet's,
+// reassembled from the relays' per-node decisions in global node order —
+// on a fault-free spec it is byte-identical to the flat driver's.
 //
 // Fault injection (partitions, message-fault policies) applies on the
 // relay→leaf links through one seeded faultnet per relay; root↔relay
@@ -50,11 +47,7 @@ func RunNet(spec Spec, opt NetOptions) (*RunResult, error) {
 // per-attempt deadline cover the relay tier's worst-case phase, so every
 // round settles exactly one decision per relay and the logs stay aligned.
 func RunRelayNet(spec Spec, opt NetOptions) (*RunResult, error) {
-	nRelays := opt.Relays
-	if nRelays == 0 {
-		nRelays = 2
-	}
-	return runNet(spec, opt, min(nRelays, len(spec.Nodes)), "")
+	return runNet(spec, opt, min(2, len(spec.Nodes)), "")
 }
 
 // runNet drives the scenario through a loopback netcluster.Fleet: flat

@@ -16,10 +16,10 @@ func TestCodecDifferentialFaultFree(t *testing.T) {
 		if !d.Equivalent {
 			t.Fatalf("seed %d diverged: %+v", seed, d.Divergences[0])
 		}
-		if d.InProc.Text != d.Net.Text {
+		if d.Base.Text != d.Variant.Text {
 			t.Fatalf("seed %d: equivalent but full texts differ", seed)
 		}
-		if len(d.Net.Violations) != 0 {
+		if len(d.Variant.Violations) != 0 {
 			t.Fatalf("seed %d: invariant violations on binary run", seed)
 		}
 	}
@@ -48,7 +48,7 @@ func TestCodecDifferentialFaulty(t *testing.T) {
 			t.Errorf("seed %d: %d rounds masked, %d differed under the mask; the codec differential masks none",
 				seed, d.FaultRounds, d.InWindowDiffs)
 		}
-		if d.InProc.Text != d.Net.Text {
+		if d.Base.Text != d.Variant.Text {
 			t.Errorf("seed %d: full texts differ", seed)
 		}
 	}
@@ -70,13 +70,13 @@ func TestTierDifferential(t *testing.T) {
 		if !d.Equivalent {
 			t.Fatalf("seed %d diverged: %+v", seed, d.Divergences[0])
 		}
-		if d.InProc.Text != d.Net.Text {
+		if d.Base.Text != d.Variant.Text {
 			t.Fatalf("seed %d: equivalent but full texts differ", seed)
 		}
-		if d.Net.MaxPassLatencyS <= 0 {
+		if d.Variant.MaxPassLatencyS <= 0 {
 			t.Fatalf("seed %d: relay run reported no pass latency", seed)
 		}
-		if len(d.Net.Violations) != 0 {
+		if len(d.Variant.Violations) != 0 {
 			t.Fatalf("seed %d: invariant violations on relay run", seed)
 		}
 	}

@@ -119,7 +119,7 @@ func TestDifferentialStripsServing(t *testing.T) {
 	if !d.Equivalent {
 		t.Fatalf("divergences: %+v", d.Divergences)
 	}
-	if strings.Contains(d.InProc.Text, " serve ") {
+	if strings.Contains(d.Base.Text, " serve ") {
 		t.Fatal("stripped run still traced serving")
 	}
 }

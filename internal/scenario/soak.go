@@ -248,33 +248,28 @@ func runClusterJob(res *SeedResult, cfg SoakConfig) {
 }
 
 func runDiffJob(res *SeedResult) {
-	d, err := RunDifferential(Generate(res.Seed), NetOptions{})
-	if err != nil {
-		res.Err = err.Error()
-		return
-	}
-	res.Rounds = d.Spec.Rounds
-	res.Hash = d.InProc.Hash
-	res.Violations = append(append([]invariant.Violation(nil), d.InProc.Violations...), d.Net.Violations...)
-	res.Equivalent = d.Equivalent
-	res.FaultRounds = d.FaultRounds
-	res.InWindowDiffs = d.InWindowDiffs
-	res.Divergences = d.Divergences
+	res.recordDiff(RunDifferential(Generate(res.Seed), NetOptions{}))
 }
 
 // runDESJob runs one quantum-vs-DES engine differential. Any round
 // whose rendered trace differs is a divergence — the event engine has
 // no fault-window allowance.
 func runDESJob(res *SeedResult) {
-	d, err := RunDESDifferential(Generate(res.Seed), Options{})
+	res.recordDiff(RunDESDifferential(Generate(res.Seed), Options{}))
+}
+
+// recordDiff fills res from one differential run, or its error.
+func (res *SeedResult) recordDiff(d *DiffResult, err error) {
 	if err != nil {
 		res.Err = err.Error()
 		return
 	}
 	res.Rounds = d.Spec.Rounds
-	res.Hash = d.Ref.Hash
-	res.Violations = append(append([]invariant.Violation(nil), d.Ref.Violations...), d.DES.Violations...)
+	res.Hash = d.Base.Hash
+	res.Violations = append(append([]invariant.Violation(nil), d.Base.Violations...), d.Variant.Violations...)
 	res.Equivalent = d.Equivalent
+	res.FaultRounds = d.FaultRounds
+	res.InWindowDiffs = d.InWindowDiffs
 	res.Divergences = d.Divergences
 }
 

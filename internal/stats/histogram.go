@@ -41,9 +41,6 @@ func (h *Histogram) MustAdd(bin, weight float64) {
 // Total returns the sum of all accumulated weight.
 func (h *Histogram) Total() float64 { return h.total }
 
-// Weight returns the accumulated weight of a single bin.
-func (h *Histogram) Weight(bin float64) float64 { return h.weights[bin] }
-
 // Fraction returns the bin's share of the total weight in [0,1], or 0 when
 // the histogram is empty.
 func (h *Histogram) Fraction(bin float64) float64 {

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: the mean, a streaming mean/variance accumulator,
-// percentiles, and histograms — time-weighted occupancy for the frequency
-// residency study (Figure 8) and fixed buckets for latency.
+// harness needs: the mean, percentiles, and histograms — time-weighted
+// occupancy for the frequency residency study (Figure 8) and fixed
+// buckets for latency.
 package stats
 
 import (
@@ -75,43 +75,3 @@ func Max(xs []float64) float64 {
 	}
 	return m
 }
-
-// Welford is a streaming mean/variance accumulator (Welford's algorithm),
-// used by the simulator's long-running telemetry so figures over millions of
-// quanta do not need to retain every sample.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean, or NaN before any observation.
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Variance returns the running population variance, or NaN before any
-// observation.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

@@ -8,32 +8,10 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// variance is the batch population variance of xs, the reference the
-// streaming accumulator is checked against.
-func variance(xs []float64) float64 {
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
-	}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if got := w.Variance(); got != 4 {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := w.StdDev(); got != 2 {
-		t.Errorf("StdDev = %v, want 2", got)
 	}
 }
 
@@ -93,49 +71,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesBatch(t *testing.T) {
-	xs := []float64{1.5, 2.5, 2.5, 9.0, -3.0, 0.25}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != len(xs) {
-		t.Errorf("N = %d", w.N())
-	}
-	if !almostEqual(w.Mean(), Mean(xs), 1e-12) {
-		t.Errorf("Welford mean %v vs batch %v", w.Mean(), Mean(xs))
-	}
-	if !almostEqual(w.Variance(), variance(xs), 1e-9) {
-		t.Errorf("Welford variance %v vs batch %v", w.Variance(), variance(xs))
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Variance()) {
-		t.Error("empty Welford should report NaN")
-	}
-}
-
-func TestWelfordAgreesWithBatchProperty(t *testing.T) {
-	err := quick.Check(func(raw []int8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var w Welford
-		for i, r := range raw {
-			xs[i] = float64(r) / 7
-			w.Add(xs[i])
-		}
-		return almostEqual(w.Mean(), Mean(xs), 1e-9) &&
-			almostEqual(w.Variance(), variance(xs), 1e-6)
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
 	h.MustAdd(600, 2)
@@ -147,8 +82,8 @@ func TestHistogramBasics(t *testing.T) {
 	if got := h.Fraction(600); !almostEqual(got, 0.4, 1e-12) {
 		t.Errorf("Fraction(600) = %v, want 0.4", got)
 	}
-	if got := h.Weight(1000); got != 6 {
-		t.Errorf("Weight(1000) = %v", got)
+	if got := h.weights[1000]; got != 6 {
+		t.Errorf("weight of bin 1000 = %v", got)
 	}
 	bins := h.Bins()
 	if len(bins) != 2 || bins[0] != 600 || bins[1] != 1000 {
@@ -176,8 +111,8 @@ func TestHistogramMerge(t *testing.T) {
 	b.MustAdd(1, 1)
 	b.MustAdd(2, 2)
 	a.Merge(b)
-	if a.Total() != 4 || a.Weight(1) != 2 || a.Weight(2) != 2 {
-		t.Errorf("after Merge: total=%v w1=%v w2=%v", a.Total(), a.Weight(1), a.Weight(2))
+	if a.Total() != 4 || a.weights[1] != 2 || a.weights[2] != 2 {
+		t.Errorf("after Merge: total=%v w1=%v w2=%v", a.Total(), a.weights[1], a.weights[2])
 	}
 }
 

@@ -7,7 +7,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 )
@@ -61,23 +60,6 @@ func (s *Series) Between(t0, t1 float64) *Series {
 		}
 	}
 	return out
-}
-
-// TimeWeightedMean integrates the series (held piecewise-constant between
-// points) and divides by the span. It returns NaN for fewer than 2 points.
-func (s *Series) TimeWeightedMean() float64 {
-	if len(s.Points) < 2 {
-		return math.NaN()
-	}
-	var area float64
-	for i := 1; i < len(s.Points); i++ {
-		area += s.Points[i-1].V * (s.Points[i].T - s.Points[i-1].T)
-	}
-	span := s.Points[len(s.Points)-1].T - s.Points[0].T
-	if span == 0 {
-		return math.NaN()
-	}
-	return area / span
 }
 
 // Recorder holds named series keyed by (group, metric).

@@ -36,26 +36,6 @@ func TestSeriesBetween(t *testing.T) {
 	}
 }
 
-func TestTimeWeightedMean(t *testing.T) {
-	var s Series
-	// 10 for 1 s then 20 for 1 s → mean 15 over [0,2].
-	s.MustAppend(0, 10)
-	s.MustAppend(1, 20)
-	s.MustAppend(2, 20)
-	if got := s.TimeWeightedMean(); math.Abs(got-15) > 1e-12 {
-		t.Errorf("TimeWeightedMean = %v, want 15", got)
-	}
-	var empty Series
-	if !math.IsNaN(empty.TimeWeightedMean()) {
-		t.Error("empty series mean should be NaN")
-	}
-	var single Series
-	single.MustAppend(1, 5)
-	if !math.IsNaN(single.TimeWeightedMean()) {
-		t.Error("single-point mean should be NaN")
-	}
-}
-
 func TestRecorder(t *testing.T) {
 	r := NewRecorder()
 	a := r.Series("ipc")

@@ -101,9 +101,6 @@ func New(kind Kind, nominal units.Frequency, steps int, settleSeconds float64) (
 // Kind returns the throttle's mechanism.
 func (t *Throttle) Kind() Kind { return t.kind }
 
-// Nominal returns the unthrottled frequency.
-func (t *Throttle) Nominal() units.Frequency { return t.nominal }
-
 // QuantizeDuty rounds a duty cycle to the nearest supported level in [0,1].
 func (t *Throttle) QuantizeDuty(d float64) float64 {
 	if d < 0 {

@@ -166,9 +166,6 @@ func Joules(v float64) Energy { return Energy(v) }
 // J returns the energy in joules as a plain float64.
 func (e Energy) J() float64 { return float64(e) }
 
-// WattHours returns the energy expressed in watt-hours.
-func (e Energy) WattHours() float64 { return float64(e) / 3600 }
-
 // String renders the energy with joule or kilojoule scale.
 func (e Energy) String() string {
 	if math.Abs(float64(e)) >= 1e3 {
@@ -253,12 +250,6 @@ func (s FrequencySet) Min() Frequency { return s[0] }
 // Max returns the highest frequency in the set — the paper's f_max.
 func (s FrequencySet) Max() Frequency { return s[len(s)-1] }
 
-// Contains reports whether f is one of the set's settings.
-func (s FrequencySet) Contains(f Frequency) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= f })
-	return i < len(s) && s[i] == f
-}
-
 // NextBelow returns the next lower setting than f (the paper's f_less) and
 // true, or 0 and false when f is already the minimum or not in range.
 func (s FrequencySet) NextBelow(f Frequency) (Frequency, bool) {
@@ -267,16 +258,6 @@ func (s FrequencySet) NextBelow(f Frequency) (Frequency, bool) {
 		return 0, false
 	}
 	return s[i-1], true
-}
-
-// NextAbove returns the next higher setting than f and true, or 0 and false
-// when f is already the maximum.
-func (s FrequencySet) NextAbove(f Frequency) (Frequency, bool) {
-	i := sort.Search(len(s), func(i int) bool { return s[i] > f })
-	if i >= len(s) {
-		return 0, false
-	}
-	return s[i], true
 }
 
 // FloorOf returns the highest setting ≤ f and true, or 0 and false when f is
@@ -314,29 +295,6 @@ func (s FrequencySet) ClampTo(f Frequency) Frequency {
 		return lo
 	}
 	return hi
-}
-
-// CapAt returns the subset of settings ≤ limit. An empty result means even
-// the minimum setting exceeds the cap.
-func (s FrequencySet) CapAt(limit Frequency) FrequencySet {
-	i := sort.Search(len(s), func(i int) bool { return s[i] > limit })
-	return s[:i]
-}
-
-// Index returns the position of f within the set, or -1.
-func (s FrequencySet) Index(f Frequency) int {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= f })
-	if i < len(s) && s[i] == f {
-		return i
-	}
-	return -1
-}
-
-// Clone returns an independent copy of the set.
-func (s FrequencySet) Clone() FrequencySet {
-	out := make(FrequencySet, len(s))
-	copy(out, s)
-	return out
 }
 
 // String renders the set as "{600MHz 700MHz ... 1GHz}".

@@ -72,11 +72,3 @@ func (p Phase) TrueCyclesPerInstr(h memhier.Hierarchy, fHz float64, latencyScale
 	mem := p.StallTimePerInstr(h) * latencyScale * fHz
 	return core + mem
 }
-
-// IsCPUBound reports whether the phase's memory time is under 10% of its
-// core time at the given nominal frequency.
-func (p Phase) IsCPUBound(h memhier.Hierarchy, fHz float64) bool {
-	core := 1 / p.Alpha
-	mem := p.StallTimePerInstr(h) * fHz
-	return mem < 0.1*core
-}

@@ -80,9 +80,6 @@ func (c *Cursor) Done() bool { return c.done }
 // cursor returns the last phase (harmless for bookkeeping).
 func (c *Cursor) Current() Phase { return c.prog.Phases[c.phaseIdx] }
 
-// PhaseIndex returns the index of the current phase.
-func (c *Cursor) PhaseIndex() int { return c.phaseIdx }
-
 // RemainingInPhase returns how many instructions are left in the current
 // phase.
 func (c *Cursor) RemainingInPhase() uint64 {
@@ -92,7 +89,7 @@ func (c *Cursor) RemainingInPhase() uint64 {
 // Advance consumes up to n instructions and returns how many were actually
 // consumed (less than n when the program completes mid-quantum). Phase
 // boundaries are honoured: the caller should re-read Current after an
-// Advance that crossed one, which it detects by comparing PhaseIndex.
+// Advance that may have crossed one.
 func (c *Cursor) Advance(n uint64) uint64 {
 	var consumed uint64
 	for n > 0 && !c.done {

@@ -84,17 +84,6 @@ func TestTrueCyclesPerInstr(t *testing.T) {
 	}
 }
 
-func TestIsCPUBound(t *testing.T) {
-	cpu := Phase{Alpha: 1.4, Instructions: 1}
-	if !cpu.IsCPUBound(h(), 1e9) {
-		t.Error("zero-rate phase should be CPU-bound")
-	}
-	mem := Phase{Alpha: 1.1, Rates: memhier.AccessRates{MemPerInstr: 0.02}, Instructions: 1}
-	if mem.IsCPUBound(h(), 1e9) {
-		t.Error("DRAM-heavy phase should not be CPU-bound")
-	}
-}
-
 func TestProgramValidate(t *testing.T) {
 	good := Program{Name: "x", Phases: []Phase{validPhase()}}
 	if err := good.Validate(); err != nil {
@@ -239,7 +228,7 @@ func TestCursorReset(t *testing.T) {
 		t.Fatal("not done")
 	}
 	c.Reset()
-	if c.Done() || c.PhaseIndex() != 0 {
+	if c.Done() || c.phaseIdx != 0 {
 		t.Error("Reset did not rewind")
 	}
 }
