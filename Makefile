@@ -51,8 +51,9 @@ examples:
 # permutation invariance, the DP's merge kernel against its sort
 # oracle), the Step-2 walk (fvsst.FitToBudgetGrid
 # against its two independent statements, StepTwoReplay and
-# optimal.Greedy), and the closed-form repeated addition under the bulk
-# replay (units.AddRepeat against the k additions, on the bits).
+# optimal.Greedy), the closed-form repeated addition under the bulk
+# replay (units.AddRepeat against the k additions, on the bits), and a
+# mix's round robin against the scan that never drops a finished job.
 fuzz:
 	$(GO) test -fuzz FuzzOptimalAssign -fuzztime 30s ./internal/optimal/
 	$(GO) test -fuzz FuzzStepTwoAgreement -fuzztime 30s ./internal/invariant/
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParsePower -fuzztime 30s ./internal/units/
 	$(GO) test -fuzz FuzzAddRepeat -fuzztime 30s ./internal/units/
 	$(GO) test -fuzz FuzzLoadProgram -fuzztime 30s ./internal/workload/
+	$(GO) test -fuzz FuzzMixRotation -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzParseScheduleSpec -fuzztime 30s ./internal/farm/
 	$(GO) test -fuzz FuzzParseArrivalSpec -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzRecvFrame -fuzztime 30s ./internal/netcluster/proto/

@@ -509,20 +509,8 @@ func NewTieredNode(mcfg machine.Config, tier TierSpec) (*Node, error) {
 	}
 	for i, prog := range tier.Programs {
 		cpu := i % mcfg.NumCPUs
-		existing := m.Mix(cpu)
-		if existing != nil {
-			// Merge into a fresh mix with the previous programs. Mixes are
-			// cheap; rebuild from the tier's program list for this CPU.
-			var progs []workload.Program
-			for _, j := range existing.Jobs() {
-				progs = append(progs, j.Program())
-			}
-			progs = append(progs, prog)
-			mix, err := workload.NewMix(progs...)
-			if err != nil {
-				return nil, err
-			}
-			if err := m.SetMix(cpu, mix); err != nil {
+		if existing := m.Mix(cpu); existing != nil {
+			if err := existing.Add(prog); err != nil {
 				return nil, err
 			}
 			continue

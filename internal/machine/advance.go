@@ -28,9 +28,10 @@ import (
 )
 
 // StepError is the structured failure the advance paths surface when a
-// quantum cannot be accounted (energy integration rejecting its inputs),
-// instead of crashing mid-simulation. Only the legacy Step wrapper still
-// panics, preserving its historical contract.
+// quantum cannot be run (an arrival that cannot be admitted) or accounted
+// (energy integration rejecting its inputs), instead of crashing
+// mid-simulation. Only the legacy Step wrapper still panics, preserving
+// its historical contract.
 type StepError struct {
 	Machine string
 	At      float64

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/workload"
@@ -116,5 +117,90 @@ func TestPastArrivalAdmittedImmediately(t *testing.T) {
 	m.Step()
 	if m.IsIdle(2) && m.PendingArrivals() > 0 {
 		t.Error("past-dated arrival not admitted at next step")
+	}
+}
+
+// burstMachine is a quiet machine with n one-quantum bursts submitted to
+// CPU 0, one arriving mid-way through each quantum from the first, each
+// finishing inside the quantum that admits it. Completions go to a hook
+// that counts them, so the log does not grow.
+func burstMachine(t *testing.T, n int) (*Machine, *int) {
+	t.Helper()
+	m := newQuiet(t)
+	completed := 0
+	m.SetCompletionHook(func(JobCompletion) { completed++ })
+	q := m.Config().Quantum
+	sched := make(workload.Schedule, n)
+	for i := range sched {
+		sched[i] = workload.Arrival{At: (float64(i) + 0.5) * q, CPU: 0, Program: reqJob(1e6)}
+	}
+	if err := m.Submit(sched); err != nil {
+		t.Fatal(err)
+	}
+	return m, &completed
+}
+
+// TestAdmitArrivalsZeroAlloc pins burst admission: once warm, a quantum
+// that admits a one-quantum burst onto a CPU whose last job finished
+// allocates nothing — the finished job's cursor is rebound to the new one.
+func TestAdmitArrivalsZeroAlloc(t *testing.T) {
+	const warm, runs = 50, 200
+	m, completed := burstMachine(t, warm+runs+10)
+	if err := runQuanta(m, warm); err != nil {
+		t.Fatal(err)
+	}
+	pending, before := m.PendingArrivals(), *completed
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := m.StepQuantum(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a quantum admitting a burst allocates %v, want 0", allocs)
+	}
+	// AllocsPerRun makes one extra warm-up call.
+	if got := pending - m.PendingArrivals(); got != runs+1 {
+		t.Fatalf("%d bursts admitted over %d quanta, want one a quantum", got, runs+1)
+	}
+	if got := *completed - before; got != runs+1 {
+		t.Fatalf("%d bursts completed over %d quanta, want one a quantum", got, runs+1)
+	}
+}
+
+// TestAdmitArrivalsBoundsMix: a CPU's mix holds its live jobs, not every
+// job it ever admitted.
+func TestAdmitArrivalsBoundsMix(t *testing.T) {
+	const bursts = 1000
+	m, completed := burstMachine(t, bursts)
+	if err := runQuanta(m, bursts+1); err != nil {
+		t.Fatal(err)
+	}
+	if *completed != bursts || m.PendingArrivals() != 0 {
+		t.Fatalf("%d of %d bursts completed, %d pending", *completed, bursts, m.PendingArrivals())
+	}
+	if n := len(m.Mix(0).Jobs()); n > 2 {
+		t.Fatalf("mix holds %d jobs after %d bursts, want ≤ 2", n, bursts)
+	}
+}
+
+// TestAdmitInvalidArrivalIsStepError plants arrivals that bypassed
+// Submit's validation: admitting one onto an idle CPU (a new mix) or a
+// busy one (Mix.Add) is a *StepError, not a panic.
+func TestAdmitInvalidArrivalIsStepError(t *testing.T) {
+	for _, cpu := range []int{0, 1} {
+		m := newQuiet(t)
+		mix, err := workload.NewMix(reqJob(1e9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetMix(1, mix); err != nil {
+			t.Fatal(err)
+		}
+		m.arrivals = workload.Schedule{{At: 0, CPU: cpu, Program: workload.Program{Name: "bad"}}}
+		err = m.StepQuantum()
+		var se *StepError
+		if !errors.As(err, &se) || se.Op != "admit" {
+			t.Fatalf("cpu %d: StepQuantum = %v, want *StepError with Op \"admit\"", cpu, err)
+		}
 	}
 }

@@ -384,8 +384,9 @@ func (m *Machine) Submit(arrivals workload.Schedule) error {
 // PendingArrivals returns how many submitted jobs have not yet arrived.
 func (m *Machine) PendingArrivals() int { return len(m.arrivals) }
 
-// admitArrivals moves matured arrivals into their CPUs' mixes.
-func (m *Machine) admitArrivals() {
+// admitArrivals moves matured arrivals into their CPUs' mixes. Submit
+// validated every arrival, so an error here means one bypassed it.
+func (m *Machine) admitArrivals() error {
 	for len(m.arrivals) > 0 && m.arrivals[0].At <= m.clock.Now() {
 		a := m.arrivals[0]
 		m.arrivals = m.arrivals[1:]
@@ -393,15 +394,16 @@ func (m *Machine) admitArrivals() {
 		if c.mix == nil {
 			mix, err := workload.NewMix(a.Program)
 			if err != nil {
-				panic(fmt.Sprintf("machine: admit arrival: %v", err)) // validated at Submit
+				return err
 			}
 			c.mix = mix
 			continue
 		}
 		if err := c.mix.Add(a.Program); err != nil {
-			panic(fmt.Sprintf("machine: admit arrival: %v", err))
+			return err
 		}
 	}
+	return nil
 }
 
 // Step is StepQuantum for a caller with no error path: it panics if the
@@ -417,12 +419,14 @@ func (m *Machine) Step() {
 }
 
 // StepQuantum advances the simulation by one dispatch quantum on every
-// CPU, returning a *StepError instead of panicking when energy
-// accounting fails — the advance path the cluster coordinator and the
-// DES drivers run on.
+// CPU, returning a *StepError instead of panicking when an arrival cannot
+// be admitted or energy accounting fails — the advance path the cluster
+// coordinator and the DES drivers run on.
 func (m *Machine) StepQuantum() error {
 	m.adv.Stepped++
-	m.admitArrivals()
+	if err := m.admitArrivals(); err != nil {
+		return m.stepError("admit", err)
+	}
 	dt := m.cfg.Quantum
 	// Contention couples through the *previous* quantum's traffic so each
 	// step remains an explicit (non-fixed-point) update. prevRates is a

@@ -441,10 +441,6 @@ func TestMixDone(t *testing.T) {
 	if m.PickNext() != nil {
 		t.Error("PickNext on done mix should be nil")
 	}
-	m.Reset()
-	if m.Done() {
-		t.Error("Reset did not revive mix")
-	}
 }
 
 func TestNewMixValidation(t *testing.T) {
