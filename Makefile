@@ -52,8 +52,9 @@ examples:
 # oracle), the Step-2 walk (fvsst.FitToBudgetGrid
 # against its two independent statements, StepTwoReplay and
 # optimal.Greedy), the closed-form repeated addition under the bulk
-# replay (units.AddRepeat against the k additions, on the bits), and a
-# mix's round robin against the scan that never drops a finished job.
+# replay (units.AddRepeat against the k additions, on the bits), a
+# mix's round robin against the scan that never drops a finished job,
+# and the soak's trace lines against their fmt rendering.
 fuzz:
 	$(GO) test -fuzz FuzzOptimalAssign -fuzztime 30s ./internal/optimal/
 	$(GO) test -fuzz FuzzStepTwoAgreement -fuzztime 30s ./internal/invariant/
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseArrivalSpec -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzRecvFrame -fuzztime 30s ./internal/netcluster/proto/
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s ./internal/netcluster/wire/
+	$(GO) test -fuzz FuzzRoundTraceRender -fuzztime 30s ./internal/scenario/
 
 # Randomized invariant soak: generated scenarios through the in-process
 # mirror (on the event-skipping engine, the one that ships), the

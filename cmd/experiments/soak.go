@@ -10,8 +10,8 @@ import (
 )
 
 // runSoak drives the invariant soak harness: N random cluster scenarios
-// through the in-process mirror and the full invariant suite (each run
-// twice and byte-compared for determinism), M differential scenarios
+// through the in-process mirror and the full invariant suite (each
+// replayed digest-only and compared for determinism), M differential scenarios
 // through both the in-process and networked stacks, K farm-layer
 // scenarios through the allocator contract checks, and D engine
 // differentials. The cluster scenarios run on the event-skipping engine

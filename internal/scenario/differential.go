@@ -109,7 +109,7 @@ func diffRuns(spec Spec, base, variant *RunResult, baseLabel, variantLabel strin
 		if inWindow {
 			d.FaultRounds++
 		}
-		a, b := renderOne(base.Trace, r), renderOne(variant.Trace, r)
+		a, b := renderOne(base, r), renderOne(variant, r)
 		if a == b {
 			continue
 		}
@@ -123,13 +123,17 @@ func diffRuns(spec Spec, base, variant *RunResult, baseLabel, variantLabel strin
 	return d
 }
 
-func renderOne(trace []RoundTrace, r int) string {
-	if r >= len(trace) {
+// renderOne is round r's lines, sliced from the run's rendered Text, or a
+// <missing> line past its last round.
+func renderOne(res *RunResult, r int) string {
+	if res == nil || r >= len(res.ends) {
 		return fmt.Sprintf("r=%d <missing>\n", r)
 	}
-	var b strings.Builder
-	trace[r].render(&b)
-	return b.String()
+	lo := 0
+	if r > 0 {
+		lo = res.ends[r-1]
+	}
+	return res.Text[lo:res.ends[r]]
 }
 
 // firstDiff returns the first differing line pair, labelled per side.

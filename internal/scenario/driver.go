@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"strings"
+	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -94,22 +96,74 @@ type RoundTrace struct {
 	Serve     []ServeTrace `json:"serve,omitempty"`
 }
 
-// render writes the round as deterministic text lines. %v on float64
-// uses Go's shortest-exact formatting, so equal traces render equal text
-// and differing bits always show.
-func (r RoundTrace) render(b *strings.Builder) {
-	fmt.Fprintf(b, "r=%d t=%v trig=%s budget=%v live=%v reserved=%v charged=%v met=%v deg=%s\n",
-		r.Round, r.At, r.Trigger, r.BudgetW, r.LiveW, r.ReservedW, r.ChargedW, r.Met,
-		strings.Join(r.Degraded, ","))
+// appendTo appends the round as deterministic text lines. Floats use Go's
+// shortest exact formatting ('g', -1: what %v prints), so equal traces
+// render equal text and differing bits always show.
+func (r RoundTrace) appendTo(b []byte) []byte {
+	b = appendInt(b, "r=", r.Round)
+	b = appendFloat(b, " t=", r.At)
+	b = append(append(b, " trig="...), r.Trigger...)
+	b = appendFloat(b, " budget=", r.BudgetW)
+	b = appendFloat(b, " live=", r.LiveW)
+	b = appendFloat(b, " reserved=", r.ReservedW)
+	b = appendFloat(b, " charged=", r.ChargedW)
+	b = appendBool(b, " met=", r.Met)
+	b = append(b, " deg="...)
+	for i, d := range r.Degraded {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, d...)
+	}
+	b = append(b, '\n')
 	for _, p := range r.Procs {
-		fmt.Fprintf(b, "  %s/cpu%d idle=%v des=%v act=%v v=%v\n",
-			p.Node, p.CPU, p.Idle, p.DesiredMHz, p.ActualMHz, p.VoltageV)
+		b = append(append(b, "  "...), p.Node...)
+		b = appendInt(b, "/cpu", p.CPU)
+		b = appendBool(b, " idle=", p.Idle)
+		b = appendFloat(b, " des=", p.DesiredMHz)
+		b = appendFloat(b, " act=", p.ActualMHz)
+		b = appendFloat(b, " v=", p.VoltageV)
+		b = append(b, '\n')
 	}
 	for _, sv := range r.Serve {
-		fmt.Fprintf(b, "  %s serve off=%d adm=%d rej=%d drop=%d done=%d to=%d bl=%d\n",
-			sv.Node, sv.Offered, sv.Admitted, sv.Rejected, sv.Dropped,
-			sv.Completed, sv.TimedOut, sv.Backlog)
+		b = append(append(append(b, "  "...), sv.Node...), " serve"...)
+		b = appendUint(b, " off=", sv.Offered)
+		b = appendUint(b, " adm=", sv.Admitted)
+		b = appendUint(b, " rej=", sv.Rejected)
+		b = appendUint(b, " drop=", sv.Dropped)
+		b = appendUint(b, " done=", sv.Completed)
+		b = appendUint(b, " to=", sv.TimedOut)
+		b = appendInt(b, " bl=", sv.Backlog)
+		b = append(b, '\n')
 	}
+	return b
+}
+
+// textSize estimates a trace's rendered length from the widest lines
+// generated scenarios render (a header under 128 bytes, a proc or serve
+// line under 64), so finishResult allocates its buffer once.
+func textSize(trace []RoundTrace) int {
+	n := 0
+	for _, r := range trace {
+		n += 128 + 64*(len(r.Procs)+len(r.Serve))
+	}
+	return n
+}
+
+func appendFloat(b []byte, key string, x float64) []byte {
+	return strconv.AppendFloat(append(b, key...), x, 'g', -1, 64)
+}
+
+func appendInt(b []byte, key string, x int) []byte {
+	return strconv.AppendInt(append(b, key...), int64(x), 10)
+}
+
+func appendUint(b []byte, key string, x uint64) []byte {
+	return strconv.AppendUint(append(b, key...), x, 10)
+}
+
+func appendBool(b []byte, key string, x bool) []byte {
+	return strconv.AppendBool(append(b, key...), x)
 }
 
 // RunResult is one driver run: the canonical trace, its hash, and every
@@ -137,17 +191,129 @@ type RunResult struct {
 	SLOResolved uint64  `json:"slo_resolved,omitempty"`
 	// Gap aggregates exact-comparator measurements when MeasureGap is on.
 	Gap *OptGapStats `json:"gap,omitempty"`
+
+	// ends[r] is the end offset of round r's lines in Text.
+	ends []int
+	// digests[r] is the SHA-256 of every value the invariant suite reads
+	// in round r (runCluster only; see roundDigest). Outside Text and Hash.
+	digests [][sha256.Size]byte
 }
 
+// finishResult renders and hashes the trace and keeps the suite's
+// violations; a nil suite (a digest-only run) reports none.
 func finishResult(res *RunResult, suite *invariant.Suite) {
-	var b strings.Builder
-	for _, r := range res.Trace {
-		r.render(&b)
+	b := make([]byte, 0, textSize(res.Trace))
+	res.ends = make([]int, len(res.Trace))
+	for i, r := range res.Trace {
+		b = r.appendTo(b)
+		res.ends[i] = len(b)
 	}
-	res.Text = b.String()
-	sum := sha256.Sum256([]byte(res.Text))
+	res.Text = string(b)
+	sum := sha256.Sum256(b)
 	res.Hash = hex.EncodeToString(sum[:8])
-	res.Violations = suite.Violations()
+	if suite != nil {
+		res.Violations = suite.Violations()
+	}
+}
+
+// roundDigest accumulates one round's checker inputs in a fixed binary
+// layout and keeps one SHA-256 per round. The checkers are pure functions
+// of these values and of the scheduler config, which the spec and Options
+// fix, so two runs with equal digests would get equal verdicts: one of
+// them need not run the suite.
+type roundDigest struct {
+	b    []byte
+	sums [][sha256.Size]byte
+}
+
+func (d *roundDigest) putFloat(x float64) {
+	d.b = binary.LittleEndian.AppendUint64(d.b, math.Float64bits(x))
+}
+
+func (d *roundDigest) putUint(x uint64) { d.b = binary.LittleEndian.AppendUint64(d.b, x) }
+
+func (d *roundDigest) putInt(x int) { d.putUint(uint64(x)) }
+
+func (d *roundDigest) putBool(x bool) {
+	if x {
+		d.b = append(d.b, 1)
+	} else {
+		d.b = append(d.b, 0)
+	}
+}
+
+func (d *roundDigest) putString(s string) {
+	d.putInt(len(s))
+	d.b = append(d.b, s...)
+}
+
+// pass feeds what passSnapshot hands the pass-level checkers.
+func (d *roundDigest) pass(at float64, budget units.Power, inputs []cluster.ProcInput, pass cluster.PassResult) {
+	d.putFloat(at)
+	d.putFloat(budget.W())
+	for k, in := range inputs {
+		d.putString(in.Node)
+		d.putInt(in.Proc.CPU)
+		d.putBool(in.Idle)
+		d.putBool(in.Obs != nil)
+		if o := in.Obs; o != nil {
+			d.putFloat(o.Freq.Hz())
+			d.putFloat(o.Delta.Window)
+			for _, c := range [...]uint64{o.Delta.Instructions, o.Delta.Cycles, o.Delta.HaltedCycles,
+				o.Delta.L2Refs, o.Delta.L3Refs, o.Delta.MemRefs} {
+				d.putUint(c)
+			}
+		}
+		a := pass.Assignments[k]
+		d.putFloat(a.Desired.Hz())
+		d.putFloat(a.Actual.Hz())
+		d.putFloat(a.Voltage.V())
+	}
+	d.putInt(len(pass.Demotions))
+	for _, m := range pass.Demotions {
+		d.putInt(m.CPU)
+		d.putFloat(m.From.Hz())
+		d.putFloat(m.To.Hz())
+		d.putFloat(m.PredictedLoss)
+	}
+	d.putFloat(pass.TablePower.W())
+	d.putBool(pass.BudgetMet)
+}
+
+func (d *roundDigest) ledger(l invariant.Ledger) {
+	d.putFloat(l.At)
+	for _, w := range [...]units.Power{l.Budget, l.Live, l.Reserved, l.Charged} {
+		d.putFloat(w.W())
+	}
+	d.putBool(l.Met)
+	d.putBool(l.AllLiveAtFloor)
+}
+
+func (d *roundDigest) queue(q invariant.QueueLedger) {
+	d.putString(q.Node)
+	d.putFloat(q.At)
+	for _, c := range [...]uint64{q.Offered, q.Admitted, q.Rejected, q.Dropped, q.Completed, q.TimedOut} {
+		d.putUint(c)
+	}
+	d.putInt(q.Queued)
+	d.putInt(q.InService)
+}
+
+// endRound closes the round's digest.
+func (d *roundDigest) endRound() {
+	d.sums = append(d.sums, sha256.Sum256(d.b))
+	d.b = d.b[:0]
+}
+
+// firstDigestDiff is the first round whose checker inputs differ between
+// two runCluster runs, or -1 when every round's digest matches.
+func firstDigestDiff(a, b *RunResult) int {
+	for r := range max(len(a.digests), len(b.digests)) {
+		if r >= len(a.digests) || r >= len(b.digests) || a.digests[r] != b.digests[r] {
+			return r
+		}
+	}
+	return -1
 }
 
 // nodeRun is one node's live state inside the in-process driver.
@@ -173,13 +339,17 @@ type nodeRun struct {
 // round ledger runs under the invariant checkers. Live nodes cross
 // quiet rounds on the machine's fast-forward path (see advanceNodeRound).
 func RunCluster(spec Spec, opt Options) (*RunResult, error) {
-	return runCluster(spec, opt, false)
+	return runCluster(spec, opt, false, true)
 }
 
 // runCluster is RunCluster's round loop; stepped selects the per-quantum
 // reference arm of advanceNodeRound and is true only under
-// RunDESDifferential.
-func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
+// RunDESDifferential. With check false the run is digest-only: it skips
+// the pass snapshot, the suite, PredLoss and Gap, and still records each
+// round's checker-input digest, so a caller that also ran the same spec
+// checked proves by comparing digests that this run would have been
+// judged the same.
+func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -240,14 +410,18 @@ func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 	period := float64(spec.SchedulePeriods) * quantum
 	clock := engine.NewSimClock(period)
 	budget := source.BudgetAt(0)
-	suite := invariant.DefaultSuite()
-	if policy != nil {
-		suite = policyCheckers()
+	var suite *invariant.Suite // nil on a digest-only run
+	if check {
+		suite = invariant.DefaultSuite()
+		if policy != nil {
+			suite = policyCheckers()
+		}
 	}
 	res := &RunResult{Rounds: spec.Rounds}
-	if opt.MeasureGap {
+	if opt.MeasureGap && check {
 		res.Gap = &OptGapStats{}
 	}
+	var digest roundDigest
 
 	for round := 0; round < spec.Rounds; round++ {
 		now := clock.Now()
@@ -359,21 +533,24 @@ func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 
 		// Invariants: the pass itself, then the round ledger. The snapshot
 		// also feeds the fitness sums and the exact-gap measurement.
-		p, err := passSnapshot(fcfg, now, liveBudget, inputs, pass)
-		if err != nil {
-			return nil, err
-		}
-		suite.Check(p)
-		g := p.Grid()
-		for k := range p.Procs {
-			if g.Valid(k) {
-				res.PredLoss += g.Loss(k, p.Procs[k].ActualIdx)
+		digest.pass(now, liveBudget, inputs, pass)
+		if suite != nil {
+			p, err := passSnapshot(fcfg, now, liveBudget, inputs, pass)
+			if err != nil {
+				return nil, err
+			}
+			suite.Check(p)
+			g := p.Grid()
+			for k := range p.Procs {
+				if g.Valid(k) {
+					res.PredLoss += g.Loss(k, p.Procs[k].ActualIdx)
+				}
+			}
+			if res.Gap != nil {
+				res.Gap.measure(p)
 			}
 		}
-		if res.Gap != nil {
-			res.Gap.measure(p)
-		}
-		suite.Report(invariant.CheckLedger(invariant.Ledger{
+		ledger := invariant.Ledger{
 			At:             now,
 			Budget:         budget,
 			Live:           liveCharged,
@@ -381,7 +558,11 @@ func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 			Charged:        charged,
 			Met:            charged <= budget,
 			AllLiveAtFloor: allLiveFloor,
-		})...)
+		}
+		digest.ledger(ledger)
+		if suite != nil {
+			suite.Report(invariant.CheckLedger(ledger)...)
+		}
 
 		// Serving scenarios: the queue-conservation law per node per round,
 		// plus a serve line in the canonical trace.
@@ -389,13 +570,17 @@ func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 		if spec.Serving != nil {
 			for _, n := range nodes {
 				a := n.st.Account()
-				suite.Report(invariant.CheckQueueConservation(invariant.QueueLedger{
+				q := invariant.QueueLedger{
 					Node: n.name, At: now,
 					Offered: a.Offered, Admitted: a.Admitted,
 					Rejected: a.Rejected, Dropped: a.Dropped,
 					Completed: a.Completed, TimedOut: a.TimedOut,
 					Queued: a.Queued, InService: a.InService,
-				})...)
+				}
+				digest.queue(q)
+				if suite != nil {
+					suite.Report(invariant.CheckQueueConservation(q)...)
+				}
 				serves = append(serves, ServeTrace{
 					Node: n.name, Offered: a.Offered, Admitted: a.Admitted,
 					Rejected: a.Rejected, Dropped: a.Dropped,
@@ -411,6 +596,7 @@ func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 		rt := roundTrace(round, now, trigger, budget, pass.TablePower, reserved, charged, degraded, inputs, pass)
 		rt.Serve = serves
 		res.Trace = append(res.Trace, rt)
+		digest.endRound()
 
 		if opt.Sink != nil {
 			passID := uint64(round + 1)
@@ -459,6 +645,7 @@ func runCluster(spec Spec, opt Options, stepped bool) (*RunResult, error) {
 			}
 		}
 	}
+	res.digests = digest.sums
 	finishResult(res, suite)
 	return res, nil
 }

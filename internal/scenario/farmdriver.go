@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"strings"
+	"strconv"
 
 	"repro/internal/farm"
 	"repro/internal/invariant"
@@ -190,7 +190,7 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 	}
 
 	suite := invariant.NewSuite()
-	var fp strings.Builder
+	var fp []byte
 	for step := 0; step <= spec.Steps; step++ {
 		now := float64(step) * farmDT
 		// The farm drew the charged power over the quantum that just ended.
@@ -214,11 +214,7 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 				suite.Report(invariant.Violation{Checker: "farm-allocation", At: now,
 					Detail: fmt.Sprintf("met=false with every member reachable and budget %v above the floor minimum", a.Budget)})
 			}
-			fmt.Fprintf(&fp, "%.2f %s %.6f", now, a.Trigger, a.Charged.W())
-			for _, l := range a.Leases {
-				fmt.Fprintf(&fp, " %s=%.6f", l.Member, l.Budget.W())
-			}
-			fp.WriteByte('\n')
+			fp = appendFarmLine(fp, now, a)
 		}
 		suite.Report(invariant.CheckFarmCharge(now, src.BudgetAt(now), alloc.Charged(now))...)
 		for i := range members {
@@ -226,9 +222,23 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 		}
 	}
 
-	res := &RunResult{Rounds: spec.Steps, Text: fp.String()}
-	sum := sha256.Sum256([]byte(res.Text))
+	res := &RunResult{Rounds: spec.Steps, Text: string(fp)}
+	sum := sha256.Sum256(fp)
 	res.Hash = hex.EncodeToString(sum[:8])
 	res.Violations = suite.Violations()
 	return res, nil
+}
+
+// appendFarmLine appends one reallocation pass as a trace line: the time
+// to 2 decimals, the trigger, the charged watts and each lease's watts to
+// 6 ("%.2f %s %.6f", then " %s=%.6f" per lease).
+func appendFarmLine(b []byte, now float64, a farm.Allocation) []byte {
+	b = strconv.AppendFloat(b, now, 'f', 2, 64)
+	b = append(append(append(b, ' '), a.Trigger...), ' ')
+	b = strconv.AppendFloat(b, a.Charged.W(), 'f', 6, 64)
+	for _, l := range a.Leases {
+		b = append(append(append(b, ' '), l.Member...), '=')
+		b = strconv.AppendFloat(b, l.Budget.W(), 'f', 6, 64)
+	}
+	return append(b, '\n')
 }

@@ -102,8 +102,9 @@ type SoakReport struct {
 }
 
 // Soak runs the campaign: cluster scenarios through the in-process
-// mirror plus the full invariant suite (twice each, byte-comparing the
-// traces), differential scenarios through both stacks, farm scenarios
+// mirror plus the full invariant suite (then once more digest-only,
+// comparing the traces byte for byte and the checker inputs round by
+// round), differential scenarios through both stacks, farm scenarios
 // through the allocator contract checks, and DES scenarios through the
 // quantum-vs-DES engine differential (RunCluster against its per-quantum
 // reference, byte-comparing per-round traces).
@@ -211,22 +212,33 @@ func runClusterJob(res *SeedResult, cfg SoakConfig) {
 		rec = obs.NewFlightRecorder(0, 0)
 		opt.Sink = rec
 	}
-	var last *RunResult
-	det := invariant.CheckDeterminism(fmt.Sprintf("cluster seed %d", res.Seed), func() (string, error) {
-		r, err := RunCluster(spec, opt)
+	// The first run is checked and feeds the recorder; the replay is
+	// digest-only, so determinism compares the text and the checker inputs.
+	label := fmt.Sprintf("cluster seed %d", res.Seed)
+	var runs []*RunResult
+	det := invariant.CheckDeterminism(label, func() (string, error) {
+		o, check := opt, len(runs) == 0
+		if !check {
+			o.Sink = nil
+		}
+		r, err := runCluster(spec, o, false, check)
 		if err != nil {
 			return "", err
 		}
-		last = r
+		runs = append(runs, r)
 		return r.Text, nil
 	})
-	if last == nil {
+	if len(runs) == 0 {
 		res.Err = det[0].Detail
 		return
 	}
-	res.Rounds, res.Hash = last.Rounds, last.Hash
-	res.Violations = append(last.Violations, det...)
-	res.Gap = last.Gap
+	first := runs[0]
+	if len(det) == 0 {
+		det = replayDivergence(label, first, runs[1])
+	}
+	res.Rounds, res.Hash = first.Rounds, first.Hash
+	res.Violations = append(first.Violations, det...)
+	res.Gap = first.Gap
 	if len(res.Violations) > 0 && rec != nil {
 		path := filepath.Join(cfg.DumpDir, fmt.Sprintf("flight-cluster-seed%d.json", res.Seed))
 		if f, err := os.Create(path); err == nil {
@@ -245,6 +257,17 @@ func runClusterJob(res *SeedResult, cfg SoakConfig) {
 	}
 	shrunk, attempts := Shrink(spec, fails, cfg.ShrinkMax)
 	res.Shrunk, res.ShrinkAttempts = &shrunk, attempts
+}
+
+// replayDivergence reports a determinism violation when a replay whose
+// text matched fed the checkers different inputs in some round.
+func replayDivergence(label string, first, replay *RunResult) []invariant.Violation {
+	r := firstDigestDiff(first, replay)
+	if r < 0 {
+		return nil
+	}
+	return []invariant.Violation{{Checker: "determinism",
+		Detail: fmt.Sprintf("%s: replay fed the checkers different inputs in round %d", label, r)}}
 }
 
 func runDiffJob(res *SeedResult) {
