@@ -80,7 +80,7 @@ func runList([]string) error {
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale (1 = paper-length runs)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	quiet := flag.Bool("quiet", false, "disable jitter/contention/sensor noise")
+	quiet := flag.Bool("quiet", false, "disable latency jitter, contention and throttle settling")
 	mc := flag.Bool("mc", false, "use Monte-Carlo execution instead of the analytic model")
 	csvDir := flag.String("csv", "", "directory to write full traces as CSV (fig5, fig9)")
 	parallel := flag.Int("parallel", 1, "worker-pool size for running experiments")

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +16,25 @@ import (
 // two simulated seconds. The run must complete, the charged power must
 // never exceed the budget, and the partitioned node must degrade and
 // rejoin with both transitions in the trace output.
+// eventLog is a trace sink that keeps every event in emission order.
+type eventLog struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (l *eventLog) Emit(e obs.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, e)
+}
+
+// all returns a copy of the events so far.
+func (l *eventLog) all() []obs.Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]obs.Event(nil), l.events...)
+}
+
 func TestAcceptanceScenario(t *testing.T) {
 	o := options{
 		nodes:        3,
@@ -143,8 +163,8 @@ func TestTraceReconstructsPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var buf obs.Buffer
-	if _, err := obs.ReplayJSONL(f, &buf); err != nil {
+	var log eventLog
+	if _, err := obs.ReplayJSONL(f, &log); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,7 +182,7 @@ func TestTraceReconstructsPasses(t *testing.T) {
 		}
 		return p
 	}
-	for _, e := range buf.Events() {
+	for _, e := range log.all() {
 		switch {
 		case e.Type == obs.EventSchedule:
 			get(e.PassID).schedule++

@@ -46,7 +46,7 @@ func run(o experiments.Options, w io.Writer) (int, error) {
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale (the farm's programs are endless; kept for option parity)")
 	seed := flag.Int64("seed", 1, "simulation seed (machines derive per-node seeds from it)")
-	quiet := flag.Bool("quiet", false, "disable jitter/contention/sensor noise")
+	quiet := flag.Bool("quiet", false, "disable latency jitter, contention and throttle settling")
 	mc := flag.Bool("mc", false, "use Monte-Carlo execution instead of the analytic model")
 	flag.Parse()
 

@@ -62,13 +62,17 @@ func main() {
 		}
 	}
 
-	if err := coord.Run(1.0); err != nil {
-		log.Fatal(err)
+	runUntil := func(t float64) {
+		for coord.Now() < t {
+			if err := coord.Step(); err != nil {
+				log.Fatal(err)
+			}
+		}
 	}
+
+	runUntil(1.0)
 	report("before cap")
-	if err := coord.Run(2.5); err != nil {
-		log.Fatal(err)
-	}
+	runUntil(2.5)
 	report("after cap")
 
 	fmt.Println("\nthe db tier (memory-bound) absorbed the cap; the app tier kept its clock.")

@@ -7,22 +7,26 @@ package repro_test
 // with its reason. An allowlist entry that no longer names an unused
 // declaration fails too, so the list can only shrink.
 //
-// Methods and fields match by name, on any receiver: a selector .M
-// anywhere counts as a call of every method M. A method that an
-// interface names (one declared in the module, or one of stdlibMethods)
-// is exempt, since it can be called through the interface without ever
-// being selected on its own type.
+// The guard type-checks the module (go/types, the standard library from
+// source) and matches uses by object, not by name: a selector .M counts
+// for the one method M it resolves to. A method is also called when
+// shipping code selects an interface method of the same name and the
+// method's type implements that interface, and it is exempt when its type
+// implements one of stdlibInterfaces, which the standard library calls.
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -51,6 +55,12 @@ var unusedAllow = map[string]string{
 	"internal/machine.Machine.NextArrivalAt":      "bench-pinned (bench/des.go); goes with ROADMAP 1's bench work",
 	"internal/fvsst.Scheduler.SetDecisionLogging": "bench-pinned (bench/probes.go); goes with ROADMAP 1's bench work",
 	"internal/netcluster.Root.RootDecisions":      "bench-pinned (bench/rounds.go); goes with ROADMAP 1's bench work",
+	"internal/machine.Machine.Step":               "bench-pinned (bench/probes.go); ROADMAP 1(b) deletes it once bench/ steps with StepQuantum",
+	"internal/machine.Machine.Energy":             "bench-pinned (bench/des.go digests it); goes with ROADMAP 1's bench work",
+	"internal/engine.Timeline.AdvanceTo":          "bench-pinned (bench/des.go, bench/probes.go); ROADMAP 1(b) deletes the Timeline",
+	"internal/netcluster.Relay.Coordinator":       "bench-pinned (bench/rounds.go); goes with ROADMAP 1's bench work",
+	"internal/serve.Station.QueueLen":             "bench-pinned (bench/probes.go); goes with ROADMAP 1's bench work",
+	"internal/machine.Config.MeterNoiseSigma":     "bench-pinned (bench/probes.go zeroes it); nothing reads it, and ROADMAP 1(a) drops the write",
 	"internal/machine.Machine.AdvanceStats":       "planned: ROADMAP 8(c) wires the fast-forward counts into obs",
 	"internal/invariant.StepTwoBruteForce":        "test oracle: brute force, the independent witness for the optimal comparator",
 
@@ -63,25 +73,28 @@ var unusedAllow = map[string]string{
 	"internal/fvsst.Overhead.Distributed":          "paper mode (§9 distributed scheduler overhead) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
 }
 
-// stdlibMethods are the methods of standard-library interfaces the
-// module's types satisfy, which the standard library calls for them.
-var stdlibMethods = map[string]bool{
-	// fmt.Stringer, fmt.GoStringer, fmt.Formatter
-	"String": true, "GoString": true, "Format": true,
-	// error, and what errors.Unwrap/Is/As look for
-	"Error": true, "Unwrap": true, "Is": true, "As": true,
-	// http.Handler
-	"ServeHTTP": true,
-	// io.Reader, io.Writer, io.Closer
-	"Read": true, "Write": true, "Close": true,
-	// the rest of net.Conn
-	"LocalAddr": true, "RemoteAddr": true,
-	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
-	// sort.Interface, container/heap.Interface
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	// json.Marshaler, json.Unmarshaler
-	"MarshalJSON": true, "UnmarshalJSON": true,
+// stdlibInterfaces are the standard-library interfaces, "<import
+// path>.<Name>", whose methods the standard library calls on the module's
+// types. A method is exempt when its type implements one that declares it,
+// and Unwrap, Is and As are exempt on any type that implements error.
+var stdlibInterfaces = []string{
+	"fmt.Stringer", "fmt.GoStringer", "fmt.Formatter",
+	"error",
+	"io.Reader", "io.Writer", "io.Closer",
+	"net.Conn", "net/http.Handler",
+	"sort.Interface", "container/heap.Interface",
+	"encoding/json.Marshaler", "encoding/json.Unmarshaler",
 }
+
+// errorConventions are the methods errors.Unwrap, errors.Is and errors.As
+// look for on an error.
+var errorConventions = map[string]bool{"Unwrap": true, "Is": true, "As": true}
+
+// stdlib imports the standard library from source, once per process:
+// every type-check shares its packages, so their types stay identical.
+var stdlib = sync.OnceValue(func() types.Importer {
+	return importer.ForCompiler(token.NewFileSet(), "source", nil)
+})
 
 func TestNoUnusedExports(t *testing.T) {
 	fset := token.NewFileSet()
@@ -97,7 +110,7 @@ func TestNoUnusedExports(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") {
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
@@ -110,7 +123,11 @@ func TestNoUnusedExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, problem := range unusedExports(files, unusedAllow) {
+	problems, err := unusedExports(fset, files, unusedAllow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, problem := range problems {
 		t.Error(problem)
 	}
 }
@@ -121,169 +138,261 @@ type srcFile struct {
 	file *ast.File
 }
 
-// exportScan is what one pass over the module collects.
-type exportScan struct {
-	declared map[string]string          // key → the problem if it goes unused
-	used     map[string]bool            // top-level keys something references
-	structs  map[string]*ast.StructType // every struct type, by top-level key
-	methods  map[string]string          // method key → its name
-	fields   map[string]string          // option-field key → its name
+// moduleImporter type-checks each module package once, from its non-test
+// files, and imports everything else from the standard library.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // non-test files by package dir
+	pkgs  map[string]*types.Package
+	infos map[string]*types.Info
+}
 
-	selected   map[string]bool // every .Name selected outside tests and bench/
-	interfaces map[string]bool // every method name a module interface declares
-	written    map[string]bool // every field name written outside tests and bench/
+func (m *moduleImporter) Import(importPath string) (*types.Package, error) {
+	if dir, ok := strings.CutPrefix(importPath, modulePath+"/"); ok {
+		return m.check(dir)
+	}
+	return stdlib().Import(importPath)
+}
+
+// check type-checks the package in dir, or returns the one already checked.
+func (m *moduleImporter) check(dir string) (*types.Package, error) {
+	if pkg, ok := m.pkgs[dir]; ok {
+		return pkg, nil
+	}
+	if len(m.files[dir]) == 0 {
+		return nil, fmt.Errorf("%s has no non-test Go files", dir)
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(modulePath+"/"+dir, m.fset, m.files[dir], info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[dir], m.infos[dir] = pkg, info
+	return pkg, nil
+}
+
+// exportScan is what one pass over the type-checked module collects.
+type exportScan struct {
+	keys    map[string]types.Object // key → the declared object
+	problem map[string]string       // key → the problem if it goes unused
+	fields  map[types.Object]bool   // the declared option fields
+
+	used     map[types.Object]bool // what shipping code refers to
+	written  map[types.Object]bool // the fields shipping code sets
+	selected ifaceSet              // the interface methods shipping code calls
+	stdlib   ifaceSet              // the methods of stdlibInterfaces
+}
+
+// ifaceSet holds, per method name, the interfaces that declare it.
+type ifaceSet map[string]map[*types.Interface]bool
+
+func (s ifaceSet) add(name string, iface *types.Interface) {
+	if s[name] == nil {
+		s[name] = map[*types.Interface]bool{}
+	}
+	s[name][iface] = true
+}
+
+// implementedBy reports whether t or *t implements one of the interfaces
+// that declare the method name.
+func (s ifaceSet) implementedBy(t types.Type, name string) bool {
+	for iface := range s[name] {
+		if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
+			return true
+		}
+	}
+	return false
 }
 
 // unusedExports returns one line per exported name under internal/ or
 // cmd/ that no non-test file outside bench/ uses and allow does not list,
-// and one per allow entry that is not such a name.
-func unusedExports(files []srcFile, allow map[string]string) []string {
-	// Package name per directory, for imports without an alias.
-	pkgName := map[string]string{}
+// and one per allow entry that is not such a name. Test files and bench/
+// are never type-checked.
+func unusedExports(fset *token.FileSet, files []srcFile, allow map[string]string) ([]string, error) {
+	m := &moduleImporter{fset: fset, files: map[string][]*ast.File{},
+		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{}}
+	var dirs []string
 	for _, sf := range files {
-		if !strings.HasSuffix(sf.path, "_test.go") {
-			pkgName[path.Dir(sf.path)] = sf.file.Name.Name
+		dir := path.Dir(sf.path)
+		if strings.HasSuffix(sf.path, "_test.go") || dir == "bench" || strings.HasPrefix(dir, "bench/") {
+			continue
 		}
+		if m.files[dir] == nil {
+			dirs = append(dirs, dir)
+		}
+		m.files[dir] = append(m.files[dir], sf.file)
 	}
+	sort.Strings(dirs)
 
 	s := exportScan{
-		declared: map[string]string{}, used: map[string]bool{},
-		structs: map[string]*ast.StructType{}, methods: map[string]string{}, fields: map[string]string{},
-		selected: map[string]bool{}, interfaces: map[string]bool{}, written: map[string]bool{},
+		keys: map[string]types.Object{}, problem: map[string]string{}, fields: map[types.Object]bool{},
+		used: map[types.Object]bool{}, written: map[types.Object]bool{},
+		selected: ifaceSet{}, stdlib: ifaceSet{},
 	}
-	for _, sf := range files {
-		if strings.HasSuffix(sf.path, "_test.go") {
-			continue
+	for _, dir := range dirs {
+		pkg, err := m.check(dir)
+		if err != nil {
+			return nil, err
 		}
-		dir := path.Dir(sf.path)
 		if strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/") {
-			s.declare(sf.file, dir)
+			s.declare(dir, pkg)
 		}
-		if dir == "bench" || strings.HasPrefix(dir, "bench/") {
-			continue
+		for _, f := range m.files[dir] {
+			s.markUses(m.infos[dir], f)
+			s.markWrites(m.infos[dir], f)
 		}
-		imports := map[string]string{} // local name → package dir
-		for _, imp := range sf.file.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			target, ok := strings.CutPrefix(p, modulePath+"/")
-			if !ok {
-				continue
-			}
-			local := pkgName[target]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = target
-		}
-		markUses(sf.file, dir, imports, s.used)
-		s.markMembers(sf.file)
 	}
-	s.declareOptionFields()
+	if err := s.loadStdlib(); err != nil {
+		return nil, err
+	}
 
-	isUnused := func(key string) bool {
-		if name, ok := s.methods[key]; ok {
-			return !s.selected[name] && !s.interfaces[name] && !stdlibMethods[name]
-		}
-		if name, ok := s.fields[key]; ok {
-			return !s.written[name]
-		}
-		return !s.used[key]
-	}
 	var problems []string
-	for key, problem := range s.declared {
-		if isUnused(key) {
+	for key, obj := range s.keys {
+		if s.isUnused(obj) {
 			if _, ok := allow[key]; !ok {
-				problems = append(problems, key+problem)
+				problems = append(problems, key+s.problem[key])
 			}
 		}
 	}
 	for key := range allow {
-		if _, ok := s.declared[key]; !ok || !isUnused(key) {
+		if obj, ok := s.keys[key]; !ok || !s.isUnused(obj) {
 			problems = append(problems, key+" is a stale allowlist entry: it is gone or has a caller now")
 		}
 	}
 	sort.Strings(problems)
-	return problems
+	return problems, nil
 }
 
 const (
 	unusedName   = " is exported but no non-test code outside bench/ uses it: delete it, unexport it, or allowlist it with a reason"
-	unusedMethod = " is exported but no non-test code outside bench/ calls it and no interface names it: delete it, unexport it, or allowlist it with a reason"
+	unusedMethod = " is exported but no non-test code outside bench/ calls it, directly or through an interface its type implements: delete it, unexport it, or allowlist it with a reason"
 	unsetField   = " is an option field no non-test code outside bench/ sets: delete it, or allowlist it with a reason"
 )
 
-// declare records f's exported top-level names and methods, and its
-// struct types for declareOptionFields.
-func (s *exportScan) declare(f *ast.File, dir string) {
-	for _, id := range topLevelNames(f) {
-		if id.IsExported() {
-			s.declared[dir+"."+id.Name] = unusedName
+func (s *exportScan) add(obj types.Object, key, problem string) {
+	s.keys[key] = obj
+	s.problem[key] = problem
+}
+
+// declare records pkg's exported top-level names, the exported methods of
+// its named types, and the exported fields of its …Config and …Options
+// structs under internal/.
+func (s *exportScan) declare(dir string, pkg *types.Package) {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if obj.Exported() {
+			s.add(obj, dir+"."+name, unusedName)
+		}
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named := tn.Type().(*types.Named)
+		for i := 0; i < named.NumMethods(); i++ {
+			if fn := named.Method(i); fn.Exported() {
+				s.add(fn, dir+"."+name+"."+fn.Name(), unusedMethod)
+			}
+		}
+		if strings.HasPrefix(dir, "internal/") && tn.Exported() &&
+			(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+			s.declareFields(dir, tn)
 		}
 	}
+}
+
+// declareFields declares the exported fields of tn's struct, and of the
+// same-package struct types those hold by value.
+func (s *exportScan) declareFields(dir string, tn *types.TypeName) {
+	st, ok := tn.Type().Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if !f.Exported() || f.Embedded() || s.fields[f] {
+			continue
+		}
+		s.add(f, dir+"."+tn.Name()+"."+f.Name(), unsetField)
+		s.fields[f] = true
+		if n, ok := types.Unalias(f.Type()).(*types.Named); ok && n.Obj().Pkg() == tn.Pkg() {
+			s.declareFields(dir, n.Obj())
+		}
+	}
+}
+
+// markUses records every object f refers to, and every interface method
+// it selects. A use inside the used name's own top-level declaration — the
+// declaring identifier, a recursive call, a self-referencing type — does
+// not count, nor does a type named inside its own methods, receiver
+// included, so a type only its methods mention counts as unused.
+func (s *exportScan) markUses(info *types.Info, f *ast.File) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			if d.Recv != nil && d.Name.IsExported() {
-				key := dir + "." + receiverType(d) + "." + d.Name.Name
-				s.declared[key] = unusedMethod
-				s.methods[key] = d.Name.Name
+			fn := info.Defs[d.Name].(*types.Func)
+			self := []types.Object{fn}
+			if recv := receiverNamed(fn); recv != nil {
+				self = append(self, recv.Obj())
 			}
+			s.walkUses(info, d, self)
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok {
-					if st, ok := ts.Type.(*ast.StructType); ok {
-						s.structs[dir+"."+ts.Name.Name] = st
+				var self []types.Object
+				switch sp := spec.(type) {
+				case *ast.ImportSpec:
+					continue
+				case *ast.TypeSpec:
+					self = append(self, info.Defs[sp.Name])
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						self = append(self, info.Defs[id])
 					}
 				}
+				s.walkUses(info, spec, self)
 			}
 		}
 	}
 }
 
-// declareOptionFields declares the exported fields of every exported
-// …Config or …Options struct under internal/, and of the same-package
-// struct types those hold by value.
-func (s *exportScan) declareOptionFields() {
-	var declareFields func(key string)
-	declareFields = func(key string) {
-		st := s.structs[key]
-		dir := key[:strings.LastIndex(key, ".")]
-		for _, field := range st.Fields.List {
-			for _, id := range field.Names {
-				if !id.IsExported() {
-					continue
-				}
-				if _, seen := s.declared[key+"."+id.Name]; seen {
-					continue
-				}
-				s.declared[key+"."+id.Name] = unsetField
-				s.fields[key+"."+id.Name] = id.Name
-				if t, ok := field.Type.(*ast.Ident); ok && s.structs[dir+"."+t.Name] != nil {
-					declareFields(dir + "." + t.Name)
-				}
+// walkUses is markUses' walk of one declaration; self holds the objects
+// that declaration introduces.
+func (s *exportScan) walkUses(info *types.Info, root ast.Node, self []types.Object) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := origin(info.Uses[id])
+		if obj == nil {
+			return true
+		}
+		for _, o := range self {
+			if o == obj {
+				return true
 			}
 		}
-	}
-	for key := range s.structs {
-		name := key[strings.LastIndex(key, ".")+1:]
-		if strings.HasPrefix(key, "internal/") && ast.IsExported(name) &&
-			(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
-			declareFields(key)
+		s.used[obj] = true
+		if fn, ok := obj.(*types.Func); ok {
+			if iface := interfaceOf(fn); iface != nil {
+				s.selected.add(fn.Name(), iface)
+			}
 		}
-	}
+		return true
+	})
 }
 
-// markMembers records the member names f selects, the method names its
-// interface types declare, and the field names it writes: a
-// composite-literal key, an assignment or increment target, or an
-// address taken (a flag bound to a field sets it).
-func (s *exportScan) markMembers(f *ast.File) {
-	// Every field on the target's path is written: x.A.B = v sets B in A.
+// markWrites records the fields f sets: a composite-literal key, an
+// assignment or increment target, or an address taken (a flag bound to a
+// field sets it). Every field on the target's path is written: x.A.B = v
+// sets B in A.
+func (s *exportScan) markWrites(info *types.Info, f *ast.File) {
 	writeTarget := func(e ast.Expr) {
 		for {
 			switch x := e.(type) {
 			case *ast.SelectorExpr:
-				s.written[x.Sel.Name] = true
+				s.written[origin(info.Uses[x.Sel])] = true
 				e = x.X
 			case *ast.IndexExpr:
 				e = x.X
@@ -298,19 +407,11 @@ func (s *exportScan) markMembers(f *ast.File) {
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			s.selected[n.Sel.Name] = true
-		case *ast.InterfaceType:
-			for _, m := range n.Methods.List {
-				for _, id := range m.Names {
-					s.interfaces[id.Name] = true
-				}
-			}
 		case *ast.CompositeLit:
 			for _, elt := range n.Elts {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					if id, ok := kv.Key.(*ast.Ident); ok {
-						s.written[id.Name] = true
+						s.written[origin(info.Uses[id])] = true
 					}
 				}
 			}
@@ -329,121 +430,97 @@ func (s *exportScan) markMembers(f *ast.File) {
 	})
 }
 
-// receiverType returns the base type name of a method's receiver.
-func receiverType(d *ast.FuncDecl) string {
-	t := d.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	switch x := t.(type) {
-	case *ast.IndexExpr:
-		t = x.X
-	case *ast.IndexListExpr:
-		t = x.X
-	}
-	return t.(*ast.Ident).Name
-}
-
-// topLevelNames returns the identifiers a file declares at package
-// level, methods excluded.
-func topLevelNames(f *ast.File) []*ast.Ident {
-	var ids []*ast.Ident
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				ids = append(ids, d.Name)
+// loadStdlib resolves stdlibInterfaces.
+func (s *exportScan) loadStdlib() error {
+	for _, name := range stdlibInterfaces {
+		var obj types.Object
+		if i := strings.LastIndex(name, "."); i < 0 {
+			obj = types.Universe.Lookup(name)
+		} else {
+			pkg, err := stdlib().Import(name[:i])
+			if err != nil {
+				return err
 			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				ids = append(ids, specNames(spec)...)
+			obj = pkg.Scope().Lookup(name[i+1:])
+		}
+		if obj == nil {
+			return fmt.Errorf("stdlibInterfaces: %s not found", name)
+		}
+		iface := obj.Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			s.stdlib.add(iface.Method(i).Name(), iface)
+		}
+		if name == "error" {
+			for m := range errorConventions {
+				s.stdlib.add(m, iface)
 			}
 		}
-	}
-	return ids
-}
-
-// specNames returns the names a type or value spec declares; none for an
-// import.
-func specNames(spec ast.Spec) []*ast.Ident {
-	switch s := spec.(type) {
-	case *ast.TypeSpec:
-		return []*ast.Ident{s.Name}
-	case *ast.ValueSpec:
-		return s.Names
 	}
 	return nil
 }
 
-// markUses records in used every reference f makes to a module package:
-// a selector on an import of it, or a bare identifier naming something
-// of f's own package dir. Field names and selected members are not
-// references, and neither is a name inside its own top-level declaration
-// — the declaring identifier, a recursive call, a self-referencing type —
-// nor a type named inside its own methods, receiver included, so a type
-// only its methods mention counts as unused.
-func markUses(f *ast.File, dir string, imports map[string]string, used map[string]bool) {
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			self := map[string]bool{}
-			if d.Recv == nil {
-				self[d.Name.Name] = true
-			} else {
-				self[receiverType(d)] = true
-			}
-			walkUses(d.Type, dir, imports, self, used)
-			if d.Body != nil {
-				walkUses(d.Body, dir, imports, self, used)
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				names := specNames(spec)
-				if names == nil {
-					continue // an import
-				}
-				self := map[string]bool{}
-				for _, id := range names {
-					self[id.Name] = true
-				}
-				walkUses(spec, dir, imports, self, used)
-			}
-		}
+// isUnused reports whether shipping code never uses the declared obj.
+func (s *exportScan) isUnused(obj types.Object) bool {
+	if s.fields[obj] {
+		return !s.written[obj]
 	}
-}
-
-// walkUses is markUses' walk of one declaration; self holds the names
-// that declaration introduces.
-func walkUses(root ast.Node, dir string, imports map[string]string, self, used map[string]bool) {
-	var visit func(ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if target, ok := imports[x.Name]; ok {
-					used[target+"."+n.Sel.Name] = true
-					return false
-				}
-			}
-			ast.Inspect(n.X, visit)
-			return false
-		case *ast.Field:
-			ast.Inspect(n.Type, visit)
-			return false
-		case *ast.Ident:
-			if !self[n.Name] {
-				used[dir+"."+n.Name] = true
-			}
-		}
+	if s.used[obj] {
+		return false
+	}
+	fn, ok := obj.(*types.Func)
+	if !ok {
 		return true
 	}
-	ast.Inspect(root, visit)
+	recv := receiverNamed(fn)
+	if recv == nil {
+		return true // a function: only a direct use counts
+	}
+	return !s.selected.implementedBy(recv, fn.Name()) && !s.stdlib.implementedBy(recv, fn.Name())
+}
+
+// receiverNamed returns the named type a method is declared on, or nil
+// for a function.
+func receiverNamed(fn *types.Func) *types.Named {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// interfaceOf returns the interface an abstract method is declared in, or
+// nil for a concrete method or a function.
+func interfaceOf(fn *types.Func) *types.Interface {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	iface, _ := recv.Type().Underlying().(*types.Interface)
+	return iface
+}
+
+// origin maps a use of an instantiated generic method or field to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }
 
 // TestUnusedExportsChecker feeds the checker in-memory sources, one
 // verdict per rule.
 func TestUnusedExportsChecker(t *testing.T) {
 	const decl = "package a\n\nfunc Used() {}\n\nfunc Unused() {}\n"
+	const typeT = "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n"
 	cases := []struct {
 		name  string
 		files map[string]string
@@ -523,16 +600,17 @@ func TestUnusedExportsChecker(t *testing.T) {
 		{
 			name: "method called only through an interface-typed value",
 			files: map[string]string{
-				"internal/a/a.go":  "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n",
+				"internal/a/a.go":  typeT,
 				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\ntype runner interface{ M() }\n\nfunc main() {\n\tvar r runner = a.T{}\n\tr.M()\n}\n",
 			},
 		},
 		{
 			name: "method a module interface names, never selected",
 			files: map[string]string{
-				"internal/a/a.go":  "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n",
+				"internal/a/a.go":  typeT,
 				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\ntype runner interface{ M() }\n\nvar _ runner = a.T{}\n\nfunc main() {}\n",
 			},
+			want: []string{"internal/a.T.M is exported"},
 		},
 		{
 			name: "method selected only from a _test.go file or bench/",
@@ -552,6 +630,51 @@ func TestUnusedExportsChecker(t *testing.T) {
 			want: []string{"internal/a.T is exported"},
 		},
 		{
+			name: "two types sharing a method name, only one of them called",
+			files: map[string]string{
+				"internal/a/a.go":  typeT + "\ntype U struct{}\n\nfunc (U) M() {}\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\ta.T{}.M()\n\t_ = a.U{}\n}\n",
+			},
+			want: []string{"internal/a.U.M is exported"},
+		},
+		{
+			name: "a method selected through an interface its type does not implement",
+			files: map[string]string{
+				"internal/a/a.go":  typeT,
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\ntype runner interface {\n\tM()\n\tN()\n}\n\nfunc main() {\n\tvar r runner\n\tr.M()\n\t_ = a.T{}\n}\n",
+			},
+			want: []string{"internal/a.T.M is exported"},
+		},
+		{
+			name: "Read(int) on a type that is not an io.Reader",
+			files: map[string]string{
+				"internal/a/a.go":  "package a\n\ntype Meter struct{}\n\nfunc (Meter) Read(cpu int) float64 { return 0 }\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { _ = a.Meter{} }\n",
+			},
+			want: []string{"internal/a.Meter.Read is exported"},
+		},
+		{
+			name: "Unwrap on an error type is exempt",
+			files: map[string]string{
+				"internal/a/a.go":  "package a\n\ntype E struct{ err error }\n\nfunc (e E) Error() string { return \"e\" }\n\nfunc (e E) Unwrap() error { return e.err }\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\tvar err error = a.E{}\n\t_ = err\n}\n",
+			},
+		},
+		{
+			name: "a method value counts as a use",
+			files: map[string]string{
+				"internal/a/a.go":  typeT,
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\tf := a.T{}.M\n\tf()\n}\n",
+			},
+		},
+		{
+			name: "a promoted method called through an embedding struct counts as a use",
+			files: map[string]string{
+				"internal/a/a.go":  typeT,
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\ntype outer struct{ a.T }\n\nfunc main() { outer{}.M() }\n",
+			},
+		},
+		{
 			name: "Config field set only in a test",
 			files: map[string]string{
 				"internal/a/a.go":      "package a\n\ntype Config struct{ Set, Unset int }\n\nfunc Default() Config { return Config{Set: 1} }\n",
@@ -568,6 +691,14 @@ func TestUnusedExportsChecker(t *testing.T) {
 				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\to := a.Options{Rate: 2}\n\to.Inner.Cost = 1\n\t_ = o\n}\n",
 			},
 			want: []string{"internal/a.Options.Tail is an option field", "internal/a.Overhead.Lag is an option field"},
+		},
+		{
+			name: "a field of another struct with an option field's name sets nothing",
+			files: map[string]string{
+				"internal/a/a.go":  "package a\n\ntype Config struct{ Rate int }\n\ntype Point struct{ Rate int }\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\t_ = a.Point{Rate: 1}\n\tvar c a.Config\n\t_ = c\n}\n",
+			},
+			want: []string{"internal/a.Config.Rate is an option field"},
 		},
 		{
 			name: "stale Type.Method and Type.Field entries",
@@ -594,7 +725,10 @@ func TestUnusedExportsChecker(t *testing.T) {
 				}
 				files = append(files, srcFile{path: p, file: f})
 			}
-			got := unusedExports(files, tc.allow)
+			got, err := unusedExports(fset, files, tc.allow)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(got) != len(tc.want) {
 				t.Fatalf("problems %q, want %q", got, tc.want)
 			}

@@ -10,15 +10,12 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
-	"time"
 
 	"repro/internal/counters"
 	"repro/internal/engine"
 	"repro/internal/farm"
 	"repro/internal/fvsst"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -101,10 +98,6 @@ type Coordinator struct {
 	// schedule-every-T cadence (engine.Loop replaces the coordinator's old
 	// hand-rolled now/quantum/collects accumulators).
 	loop *engine.Loop
-	sink obs.Sink
-	// passID counts global passes from the engine clock epoch; it stamps
-	// the pass's schedule event and spans (obs.Event.PassID).
-	passID uint64
 	// beforeQuantum/afterQuantum bracket the lockstep machine stepping —
 	// the hook serving stations use to deliver arrivals and expire
 	// timeouts per node (see SetQuantumHook).
@@ -170,17 +163,6 @@ func New(cfg fvsst.Config, budget units.Power, nodes ...*Node) (*Coordinator, er
 // Nodes returns the cluster's nodes.
 func (c *Coordinator) Nodes() []*Node { return c.nodes }
 
-// SetSink attaches an observability sink: one obs.EventSchedule per
-// global pass (CPU traces and demotions carry the node name), one
-// obs.EventQuantum per Step with the aggregate cluster power, and the
-// per-pass span tree (pass root plus grid-fill/step1/step2/step3/actuate
-// children). A nil sink — the default — disables tracing and the phase
-// clock reads with it.
-func (c *Coordinator) SetSink(sink obs.Sink) {
-	c.sink = sink
-	c.core.SetPhaseTiming(sink != nil)
-}
-
 // SetQuantumHook brackets every Step's machine advance: before runs
 // just ahead of the lockstep node stepping (with the pre-step time),
 // after just behind it (with the post-step time). Request-serving
@@ -230,7 +212,11 @@ func (c *Coordinator) procs() []ProcRef {
 // coordinator's collect/schedule protocol.
 func (c *Coordinator) Step() error {
 	// Budget change trigger.
-	if want := c.budgetWant(); want != c.budget {
+	want := c.budget
+	if c.source != nil {
+		want = c.source.BudgetAt(c.loop.Now())
+	}
+	if want != c.budget {
 		c.budget = want
 		if err := c.schedule("budget-change"); err != nil {
 			return err
@@ -272,16 +258,6 @@ func (c *Coordinator) Step() error {
 	if c.afterQuantum != nil {
 		c.afterQuantum(c.loop.Now())
 	}
-
-	if c.sink != nil {
-		c.sink.Emit(obs.Event{
-			Type:      obs.EventQuantum,
-			At:        c.loop.Now(),
-			BudgetW:   c.budget.W(),
-			CPUPowerW: c.TotalCPUPower().W(),
-		})
-	}
-
 	if due {
 		return c.schedule("timer")
 	}
@@ -362,13 +338,6 @@ func (c *Coordinator) DemandCurve() (farm.DemandCurve, error) {
 	return c.core.DemandCurve(inputs)
 }
 
-// UniformLoss predicts the aggregate loss of pinning every processor at
-// the given table index — the uniform-slowdown baseline.
-func (c *Coordinator) UniformLoss(fi int) (float64, error) {
-	_, inputs := c.buildInputs()
-	return c.core.UniformLoss(inputs, fi)
-}
-
 // FloorPower returns the aggregate table power with every processor at
 // the minimum setting — the cluster's farm lease floor.
 func (c *Coordinator) FloorPower() units.Power {
@@ -384,20 +353,10 @@ func (c *Coordinator) FloorPower() units.Power {
 // schedule runs the shared global pass and dispatches RTT-delayed
 // actuations.
 func (c *Coordinator) schedule(trigger string) error {
-	c.passID++
-	trace := c.sink != nil
-	var passStart time.Time
-	if trace {
-		passStart = time.Now()
-	}
 	procs, inputs := c.buildInputs()
 	res, err := c.core.Schedule(inputs, c.budget)
 	if err != nil {
 		return err
-	}
-	var actStart time.Time
-	if trace {
-		actStart = time.Now()
 	}
 	for i, p := range procs {
 		n := c.nodes[p.Node]
@@ -408,10 +367,6 @@ func (c *Coordinator) schedule(trigger string) error {
 			m:    n.M,
 		})
 	}
-	var actDur time.Duration
-	if trace {
-		actDur = time.Since(actStart)
-	}
 	c.decisions = append(c.decisions, Decision{
 		At:          c.loop.Now(),
 		Trigger:     trigger,
@@ -420,15 +375,6 @@ func (c *Coordinator) schedule(trigger string) error {
 		BudgetMet:   res.BudgetMet,
 		Assignments: res.Assignments,
 	})
-	if trace {
-		now := c.loop.Now()
-		ev := PassEvent(now, trigger, c.budget, inputs, res)
-		ev.PassID = c.passID
-		c.sink.Emit(ev)
-		fvsst.EmitStepSpans(c.sink, now, c.passID, res.Timings)
-		c.sink.Emit(obs.SpanEvent(now, c.passID, "", obs.SpanActuate, obs.SpanPass, actDur.Seconds()))
-		c.sink.Emit(obs.SpanEvent(now, c.passID, "", obs.SpanPass, "", time.Since(passStart).Seconds()))
-	}
 	return nil
 }
 
@@ -470,26 +416,6 @@ func (c *Coordinator) RunUntilAllDone(deadline float64) (bool, error) {
 		}
 	}
 	return c.AllJobsDone(), nil
-}
-
-// Completions gathers job completions across all nodes, sorted by time.
-type Completion struct {
-	Node    string
-	CPU     int
-	Program string
-	At      float64
-}
-
-// Completions returns all completions across the cluster in time order.
-func (c *Coordinator) Completions() []Completion {
-	var out []Completion
-	for _, n := range c.nodes {
-		for _, jc := range n.M.Completions() {
-			out = append(out, Completion{Node: n.Name, CPU: jc.CPU, Program: jc.Program, At: jc.At})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
 }
 
 // TierSpec describes one tier of a classic three-tier deployment.

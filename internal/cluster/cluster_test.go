@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/farm"
@@ -15,7 +17,6 @@ import (
 func quietMachineConfig() machine.Config {
 	cfg := machine.P630Config()
 	cfg.LatencyJitterSigma = 0
-	cfg.MeterNoiseSigma = 0
 	cfg.Contention = memhier.Contention{}
 	cfg.ThrottleSettle = 0
 	return cfg
@@ -85,6 +86,45 @@ func scheduleSource(t *testing.T, initial units.Power, events ...power.BudgetEve
 	return src
 }
 
+// runUntil steps c one quantum at a time until simulation time until.
+func runUntil(c *Coordinator, until float64) error {
+	for c.Now() < until {
+		if err := c.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// clusterFingerprint renders every decision with its assignments and
+// every node machine's clock, energy, counters and completions, all
+// through %v so single-bit float drift shows.
+func clusterFingerprint(c *Coordinator) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "t=%v budget=%v pending=%d\n", c.Now(), c.Budget(), len(c.pending))
+	for _, d := range c.Decisions() {
+		fmt.Fprintf(&b, "pass %v %s %v %v %v\n", d.At, d.Trigger, d.Budget, d.TablePower, d.BudgetMet)
+		for _, a := range d.Assignments {
+			fmt.Fprintf(&b, "  %d/%d %v %v %v %v %v\n",
+				a.Proc.Node, a.Proc.CPU, a.Desired, a.Actual, a.Voltage, a.PredictedLoss, a.Idle)
+		}
+	}
+	for _, n := range c.nodes {
+		fmt.Fprintf(&b, "node %s t=%v e=%v ce=%v\n", n.Name, n.M.Now(), n.M.Energy(), n.M.CPUEnergy())
+		for i := 0; i < n.M.NumCPUs(); i++ {
+			s, err := n.M.ReadCounters(i)
+			if err != nil {
+				panic(err)
+			}
+			fmt.Fprintf(&b, "  cpu%d %+v f=%v\n", i, s, n.M.EffectiveFrequency(i))
+		}
+		for _, jc := range n.M.Completions() {
+			fmt.Fprintf(&b, "  done %d %s %v\n", jc.CPU, jc.Program, jc.At)
+		}
+	}
+	return b.String()
+}
+
 func TestNewValidation(t *testing.T) {
 	cfg := clusterConfig()
 	if _, err := New(cfg, units.Watts(100)); err == nil {
@@ -104,7 +144,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("negative RTT accepted")
 	}
 	// Mismatched quanta are allowed: the cadence follows the first node
-	// and the others advance to its edges (see TestHeterogeneousQuanta).
+	// and the others advance to its edges (see TestHeterogeneousQuantaStepDeterministically).
 	mcfg := quietMachineConfig()
 	mcfg.Quantum = 0.005
 	m2, _ := machine.New(mcfg)
@@ -120,7 +160,7 @@ func TestNewValidation(t *testing.T) {
 func TestGlobalBudgetEnforcedAcrossNodes(t *testing.T) {
 	// Two 4-CPU nodes, global budget 600 W (< 2×560 W unconstrained).
 	c := newTwoNodeCluster(t, units.Watts(600))
-	if err := c.Run(1.0); err != nil {
+	if err := runUntil(c, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	decs := c.Decisions()
@@ -147,7 +187,7 @@ func TestWorkloadDiversityExploited(t *testing.T) {
 	// deeper than the CPU-bound app node — the paper's central cluster
 	// claim (§4.2).
 	c := newTwoNodeCluster(t, units.Watts(500))
-	if err := c.Run(1.0); err != nil {
+	if err := runUntil(c, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	decs := c.Decisions()
@@ -201,7 +241,7 @@ func TestBudgetScheduleTriggersGlobalReschedule(t *testing.T) {
 	c := newTwoNodeCluster(t, units.Watts(1120))
 	c.SetBudgetSource(scheduleSource(t, units.Watts(1120),
 		power.BudgetEvent{At: 0.3, Budget: units.Watts(500), Label: "site cap"}))
-	if err := c.Run(0.8); err != nil {
+	if err := runUntil(c, 0.8); err != nil {
 		t.Fatal(err)
 	}
 	var sawChange bool
@@ -241,16 +281,10 @@ func TestCompletionsAcrossNodes(t *testing.T) {
 	if !done {
 		t.Fatal("jobs did not finish")
 	}
-	comps := c.Completions()
-	if len(comps) != 2 {
-		t.Fatalf("completions = %+v", comps)
-	}
-	names := map[string]bool{}
-	for _, comp := range comps {
-		names[comp.Node] = true
-	}
-	if !names["a"] || !names["b"] {
-		t.Errorf("missing node in completions: %+v", comps)
+	for _, n := range c.Nodes() {
+		if comps := n.M.Completions(); len(comps) != 1 {
+			t.Errorf("node %s completions = %+v, want one", n.Name, comps)
+		}
 	}
 }
 
@@ -284,7 +318,7 @@ func TestTieredClusterConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(0.5); err != nil {
+	if err := runUntil(c, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.TotalCPUPower(); got > units.Watts(910) {

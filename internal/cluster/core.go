@@ -75,8 +75,6 @@ func NewCore(cfg fvsst.Config) (*Core, error) {
 		ignored = "UseTwoPointCalibration"
 	case cfg.LatencyBoundHi != 0:
 		ignored = "LatencyBoundLo/Hi"
-	case cfg.DebouncePasses >= 2:
-		ignored = "DebouncePasses"
 	case cfg.VoltageTables != nil:
 		ignored = "VoltageTables"
 	}

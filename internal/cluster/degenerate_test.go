@@ -166,11 +166,9 @@ func TestNewCoreRejectsIgnoredOptions(t *testing.T) {
 		set   func(*fvsst.Config)
 	}{
 		{"", func(c *fvsst.Config) { c.UseIdleSignal, c.UseIdealFrequency, c.Epsilon = true, true, 0.1 }},
-		{"", func(c *fvsst.Config) { c.DebouncePasses = 1 }}, // off, as in the scheduler
 		{"UseHaltedCycles", func(c *fvsst.Config) { c.UseHaltedCycles = true }},
 		{"UseTwoPointCalibration", func(c *fvsst.Config) { c.UseTwoPointCalibration = true }},
 		{"LatencyBoundLo/Hi", func(c *fvsst.Config) { c.LatencyBoundLo, c.LatencyBoundHi = 0.8, 1.2 }},
-		{"DebouncePasses", func(c *fvsst.Config) { c.DebouncePasses = 2 }},
 		{"VoltageTables", func(c *fvsst.Config) { c.VoltageTables = []*power.Table{c.Table} }},
 	} {
 		cfg := fvsst.DefaultConfig()

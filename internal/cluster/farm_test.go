@@ -14,7 +14,7 @@ import (
 // curve whose floor is every processor at the table minimum.
 func TestDemandCurveShape(t *testing.T) {
 	c := newTwoNodeCluster(t, units.Watts(1200))
-	if err := c.Run(0.5); err != nil {
+	if err := runUntil(c, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	curve, err := c.DemandCurve()
@@ -41,7 +41,7 @@ func TestDemandCurveShape(t *testing.T) {
 // on over the same inputs, because both walk the same greedy trajectory.
 func TestDemandCurveMatchesSchedule(t *testing.T) {
 	c := newTwoNodeCluster(t, units.Watts(1200))
-	if err := c.Run(0.5); err != nil {
+	if err := runUntil(c, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	_, inputs := c.buildInputs()
@@ -154,20 +154,20 @@ func TestCoordinatorBudgetSourceHolder(t *testing.T) {
 	}
 	c.SetBudgetSource(h)
 	// No lease yet: the first step drops the budget to the holder's floor.
-	if err := c.Run(0.2); err != nil {
+	if err := runUntil(c, 0.2); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Budget(); got.W() != 200 {
 		t.Fatalf("budget with no lease = %v, want the 200W floor", got)
 	}
 	h.Grant(farm.Lease{Member: "pair", Budget: units.Watts(600), Granted: c.Now(), Expires: c.Now() + 0.3})
-	if err := c.Run(c.Now() + 0.1); err != nil {
+	if err := runUntil(c, c.Now()+0.1); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Budget(); got.W() != 600 {
 		t.Fatalf("budget mid-lease = %v, want the 600W grant", got)
 	}
-	if err := c.Run(c.Now() + 0.4); err != nil {
+	if err := runUntil(c, c.Now()+0.4); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Budget(); got.W() != 200 {
@@ -188,15 +188,16 @@ func TestCoordinatorBudgetSourceHolder(t *testing.T) {
 // the table minimum predicts the most, indexes out of range error.
 func TestUniformLoss(t *testing.T) {
 	c := newTwoNodeCluster(t, units.Watts(1200))
-	if err := c.Run(0.5); err != nil {
+	if err := runUntil(c, 0.5); err != nil {
 		t.Fatal(err)
 	}
+	_, inputs := c.buildInputs()
 	top := c.cfg.Table.Len() - 1
-	atTop, err := c.UniformLoss(top)
+	atTop, err := c.core.UniformLoss(inputs, top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	atMin, err := c.UniformLoss(0)
+	atMin, err := c.core.UniformLoss(inputs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +207,10 @@ func TestUniformLoss(t *testing.T) {
 	if atMin <= atTop {
 		t.Errorf("loss at minimum (%v) not above loss at maximum (%v)", atMin, atTop)
 	}
-	if _, err := c.UniformLoss(-1); err == nil {
+	if _, err := c.core.UniformLoss(inputs, -1); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, err := c.UniformLoss(c.cfg.Table.Len()); err == nil {
+	if _, err := c.core.UniformLoss(inputs, c.cfg.Table.Len()); err == nil {
 		t.Error("out-of-range index accepted")
 	}
 }

@@ -33,7 +33,7 @@ func TestHeterogeneousNodeSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(0.8); err != nil {
+	if err := runUntil(c, 0.8); err != nil {
 		t.Fatal(err)
 	}
 	decs := c.Decisions()
@@ -80,7 +80,7 @@ func TestZeroRTTNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(0.8); err != nil {
+	if err := runUntil(c, 0.8); err != nil {
 		t.Fatal(err)
 	}
 	f := m.EffectiveFrequency(0)
@@ -119,7 +119,7 @@ func TestLargerClusterScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1.0); err != nil {
+	if err := runUntil(c, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.TotalCPUPower(); got > units.Watts(910) {
@@ -144,5 +144,54 @@ func TestLargerClusterScales(t *testing.T) {
 	}
 	if cpuSum <= memSum {
 		t.Errorf("diversity not exploited at scale: cpu tiers %.0f ≤ mem tiers %.0f", cpuSum, memSum)
+	}
+}
+
+// TestHeterogeneousQuantaStepDeterministically runs a 5 ms machine under
+// a 10 ms coordinator cadence: New accepts it, Step advances it to each
+// cadence edge, and two identical builds agree byte for byte.
+func TestHeterogeneousQuantaStepDeterministically(t *testing.T) {
+	mk := func() *Coordinator {
+		mkNode := func(name string, quantum float64, seed int64) *Node {
+			mcfg := quietMachineConfig()
+			mcfg.Quantum = quantum
+			mcfg.Seed = seed
+			m, err := machine.New(mcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mix, err := workload.NewMix(cpuProg(2e9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SetMix(0, mix); err != nil {
+				t.Fatal(err)
+			}
+			return &Node{Name: name, M: m, RTT: 0.005}
+		}
+		c, err := New(clusterConfig(), units.Watts(700),
+			mkNode("coarse", 0.010, 1), mkNode("fine", 0.005, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.homogeneous {
+			t.Fatal("a 5 ms node under a 10 ms cadence built a homogeneous cluster")
+		}
+		return c
+	}
+	a, b := mk(), mk()
+	for _, ck := range []float64{0.5, 2.0, 5.0} {
+		if err := runUntil(a, ck); err != nil {
+			t.Fatal(err)
+		}
+		if err := runUntil(b, ck); err != nil {
+			t.Fatal(err)
+		}
+		if fa, fb := clusterFingerprint(a), clusterFingerprint(b); fa != fb {
+			t.Fatalf("identical builds diverged at t=%v:\n--- a ---\n%s--- b ---\n%s", ck, fa, fb)
+		}
+	}
+	if len(a.Decisions()) == 0 {
+		t.Error("no decisions")
 	}
 }

@@ -63,3 +63,22 @@ func TestStaleActuationNotAppliedAfterMachineSwap(t *testing.T) {
 		}
 	}
 }
+
+func TestStaleWindowsMatchesQuantumRule(t *testing.T) {
+	// With every window exactly one quantum long, seconds-based staleness
+	// reproduces the old ⌈RTT/quantum⌉ window count.
+	c := newTwoNodeCluster(t, units.Watts(900))
+	if err := runUntil(c, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	hist := c.nodes[0].sampler.History(0)
+	q := c.loop.Quantum()
+	for _, tc := range []struct {
+		rtt  float64
+		want int
+	}{{0, 0}, {0.005, 1}, {0.010, 1}, {0.015, 2}, {0.045, 5}} {
+		if got := staleWindows(hist, tc.rtt); got != tc.want {
+			t.Errorf("staleWindows(rtt=%v) = %d, want %d (q=%v)", tc.rtt, got, tc.want, q)
+		}
+	}
+}

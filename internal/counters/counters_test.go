@@ -176,8 +176,8 @@ func TestSamplerCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumCPUs() != 2 {
-		t.Errorf("NumCPUs = %d", s.NumCPUs())
+	if len(s.history) != 2 {
+		t.Errorf("sampling %d CPUs, want 2", len(s.history))
 	}
 	// First collect primes only.
 	if err := s.Collect(); err != nil {

@@ -40,9 +40,6 @@ func NewSampler(reader Reader, histLen int) (*Sampler, error) {
 	return s, nil
 }
 
-// NumCPUs returns the processor count being sampled.
-func (s *Sampler) NumCPUs() int { return len(s.last) }
-
 // Collect reads every CPU once and appends the delta since the previous
 // collection to each CPU's history. The first collection only primes the
 // baselines and records nothing.

@@ -10,7 +10,6 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/units"
@@ -27,7 +26,7 @@ type Clock interface {
 }
 
 // SimClock is the deterministic simulated clock: time advances only when
-// the owner says so, one quantum (or an arbitrary dt) at a time. It is the
+// the owner says so, one quantum (or n quanta) at a time. It is the
 // single time accumulator behind machine.Machine, cluster.Coordinator and
 // the netcluster coordinator epoch. Not safe for concurrent use; the
 // simulation loops are single-threaded by design.
@@ -37,8 +36,7 @@ type SimClock struct {
 }
 
 // NewSimClock returns a simulated clock at t = 0 whose Tick advances by
-// quantum seconds. A zero quantum is allowed for owners that only use
-// Advance.
+// quantum seconds.
 func NewSimClock(quantum float64) *SimClock {
 	return &SimClock{quantum: quantum}
 }
@@ -58,15 +56,6 @@ func (c *SimClock) Tick() { c.now += c.quantum }
 // than adding n·quantum once; units.AddRepeat computes the repeated
 // addition's result per binade crossed instead of per quantum.
 func (c *SimClock) TickN(n int) { c.now = units.AddRepeat(c.now, c.quantum, n) }
-
-// Advance moves the clock forward by dt seconds. It panics on negative dt
-// — simulated time never runs backwards.
-func (c *SimClock) Advance(dt float64) {
-	if dt < 0 {
-		panic(fmt.Sprintf("engine: clock cannot run backwards (dt %v)", dt))
-	}
-	c.now += dt
-}
 
 // WallClock reads the OS monotonic clock, reporting seconds since the
 // clock was created. It is the Clock a control loop uses when driving

@@ -17,9 +17,9 @@ func TestSimClockTickAndAdvance(t *testing.T) {
 	if got := c.Now(); math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("100 ticks of 10ms = %v, want 1.0", got)
 	}
-	c.Advance(0.5)
+	c.TickN(50)
 	if got := c.Now(); math.Abs(got-1.5) > 1e-9 {
-		t.Fatalf("after Advance(0.5): %v, want 1.5", got)
+		t.Fatalf("after TickN(50): %v, want 1.5", got)
 	}
 	if c.Quantum() != 0.010 {
 		t.Fatalf("quantum %v, want 0.010", c.Quantum())
@@ -56,15 +56,6 @@ func TestTickNMatchesTick(t *testing.T) {
 	}
 }
 
-func TestSimClockNegativeAdvancePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance(-1) did not panic")
-		}
-	}()
-	NewSimClock(1).Advance(-1)
-}
-
 func TestWallClockMonotone(t *testing.T) {
 	c := NewWallClock()
 	a := c.Now()
@@ -92,8 +83,8 @@ func TestCadenceDueEveryN(t *testing.T) {
 	if due != 3 {
 		t.Fatalf("%d passes due over 35 ticks, want 3", due)
 	}
-	if cad.Ticks() != 35 || cad.Periods() != 10 {
-		t.Fatalf("ticks %d periods %d, want 35/10", cad.Ticks(), cad.Periods())
+	if cad.ticks != 35 || cad.periods != 10 {
+		t.Fatalf("ticks %d periods %d, want 35/10", cad.ticks, cad.periods)
 	}
 }
 
@@ -120,8 +111,8 @@ func TestLoopCadenceAndTime(t *testing.T) {
 	if got := l.Now(); math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("loop time %v after 100×10ms, want 1.0", got)
 	}
-	if l.Ticks() != 100 {
-		t.Fatalf("loop ticks %d, want 100", l.Ticks())
+	if l.cadence.ticks != 100 {
+		t.Fatalf("loop ticks %d, want 100", l.cadence.ticks)
 	}
 }
 
@@ -163,11 +154,14 @@ func TestLeaseOverSimClock(t *testing.T) {
 	if lease.tripped {
 		t.Fatal("tripped true right after Touch")
 	}
-	clock.Advance(4)
+	for i := 0; i < 4; i++ {
+		clock.Tick()
+	}
 	if lease.Expire() {
 		t.Fatal("re-armed lease expired early")
 	}
-	clock.Advance(2)
+	clock.Tick()
+	clock.Tick()
 	if !lease.Expire() {
 		t.Fatal("re-armed lease did not expire after its duration")
 	}

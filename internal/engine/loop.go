@@ -27,19 +27,6 @@ func (c *Cadence) Tick() bool {
 	return c.ticks%c.periods == 0
 }
 
-// Ticks returns how many dispatch periods have elapsed.
-func (c *Cadence) Ticks() int { return c.ticks }
-
-// TicksUntilDue returns how many further Ticks until the next due edge
-// (1 ≤ result ≤ periods) — the cadence's "next interesting time" on a
-// discrete-event timeline.
-func (c *Cadence) TicksUntilDue() int {
-	return c.periods - c.ticks%c.periods
-}
-
-// Periods returns n, the ticks per scheduling pass.
-func (c *Cadence) Periods() int { return c.periods }
-
 // Loop couples a simulated clock with a cadence: one Tick advances time by
 // a quantum and answers whether a scheduling pass is due at the new time.
 // It is the run-loop core shared by the in-process cluster coordinator and
@@ -75,27 +62,3 @@ func (l *Loop) Now() float64 { return l.clock.Now() }
 
 // Quantum returns the seconds advanced per tick.
 func (l *Loop) Quantum() float64 { return l.clock.Quantum() }
-
-// Ticks returns the number of quanta elapsed.
-func (l *Loop) Ticks() int { return l.cadence.Ticks() }
-
-// TicksUntilDue returns how many further Ticks until the next scheduling
-// pass is due.
-func (l *Loop) TicksUntilDue() int { return l.cadence.TicksUntilDue() }
-
-// SkipTicks advances the loop n quanta in one call, erroring rather than
-// silently crossing a due edge: a DES driver may only skip strictly up to
-// the next pass (n < TicksUntilDue), so no pass can be jumped over. The
-// clock lands on the bits n Ticks would leave (see SimClock.TickN), so
-// skipped time is bit-identical to ticked time.
-func (l *Loop) SkipTicks(n int) error {
-	if n < 0 {
-		return fmt.Errorf("engine: loop: cannot skip %d ticks", n)
-	}
-	if n >= l.cadence.TicksUntilDue() {
-		return fmt.Errorf("engine: loop: skipping %d ticks would cross the due edge in %d", n, l.cadence.TicksUntilDue())
-	}
-	l.clock.TickN(n)
-	l.cadence.ticks += n
-	return nil
-}

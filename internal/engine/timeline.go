@@ -72,17 +72,6 @@ func NewTimeline() *Timeline { return &Timeline{} }
 // Now returns the timeline's current time in seconds.
 func (t *Timeline) Now() float64 { return t.now }
 
-// Len returns the number of pending events.
-func (t *Timeline) Len() int { return len(t.heap) }
-
-// NextAt returns the due time of the earliest pending event.
-func (t *Timeline) NextAt() (float64, bool) {
-	if len(t.heap) == 0 {
-		return 0, false
-	}
-	return t.heap[0].at, true
-}
-
 // Post schedules h to run at time at (≥ Now) with the given tag and
 // returns an id usable with Cancel until the event fires.
 func (t *Timeline) Post(at float64, h Handler, tag uint64) (EventID, error) {

@@ -31,8 +31,8 @@ func TestTimelineOrdersByTime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if next, ok := tl.NextAt(); !ok || next != 0.5 {
-		t.Fatalf("NextAt = %v,%v want 0.5,true", next, ok)
+	if len(tl.heap) == 0 || tl.heap[0].at != 0.5 {
+		t.Fatalf("earliest pending event %+v, want one at 0.5", tl.heap)
 	}
 	if err := tl.AdvanceTo(10); err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func TestTimelineOrdersByTime(t *testing.T) {
 	if tl.Now() != 10 {
 		t.Errorf("Now = %v after AdvanceTo(10)", tl.Now())
 	}
-	if tl.Len() != 0 {
-		t.Errorf("Len = %d after draining", tl.Len())
+	if len(tl.heap) != 0 {
+		t.Errorf("%d events pending after draining", len(tl.heap))
 	}
 }
 
@@ -395,45 +395,5 @@ func BenchmarkTimelineDispatch(b *testing.B) {
 		if err := tl.AdvanceTo(now); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestLoopSkipTicks(t *testing.T) {
-	l, err := NewLoop(0.010, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference loop ticked one quantum at a time.
-	ref, err := NewLoop(0.010, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Tick() // ticks=1, due in 4
-	ref.Tick()
-	if got := l.TicksUntilDue(); got != 4 {
-		t.Fatalf("TicksUntilDue = %d, want 4", got)
-	}
-	if err := l.SkipTicks(4); err == nil {
-		t.Fatal("skip across the due edge succeeded")
-	}
-	if err := l.SkipTicks(3); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if ref.Tick() {
-			t.Fatal("reference due inside skip span")
-		}
-	}
-	if l.Now() != ref.Now() {
-		t.Fatalf("skipped clock %v != ticked clock %v", l.Now(), ref.Now())
-	}
-	if !l.Tick() {
-		t.Fatal("pass not due after skipping to the edge")
-	}
-	if !ref.Tick() {
-		t.Fatal("reference pass not due")
-	}
-	if l.Now() != ref.Now() || l.Ticks() != ref.Ticks() {
-		t.Fatalf("loop state (%v, %d) != reference (%v, %d)", l.Now(), l.Ticks(), ref.Now(), ref.Ticks())
 	}
 }

@@ -29,7 +29,7 @@ type Options struct {
 	Scale workload.AppScale
 	// Seed drives all stochastic machine effects.
 	Seed int64
-	// Quiet disables latency jitter, contention and sensor noise for
+	// Quiet disables latency jitter, contention and throttle settling for
 	// exact-arithmetic variants.
 	Quiet bool
 	// MonteCarlo switches the machine to per-block stochastic execution
@@ -52,7 +52,6 @@ func (o Options) machineConfig(numCPUs int) machine.Config {
 	cfg.MonteCarloExec = o.MonteCarlo
 	if o.Quiet {
 		cfg.LatencyJitterSigma = 0
-		cfg.MeterNoiseSigma = 0
 		cfg.Contention = memhier.Contention{}
 		cfg.ThrottleSettle = 0
 	}

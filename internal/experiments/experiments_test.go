@@ -290,6 +290,16 @@ func TestTable3ApplicationShape(t *testing.T) {
 	}
 }
 
+// residency returns r's entry for one app and cap, or nil.
+func residency(r *Figure8Report, app string, capMHz float64) *Figure8Residency {
+	for i := range r.Residencies {
+		if r.Residencies[i].App == app && r.Residencies[i].CapMHz == capMHz {
+			return &r.Residencies[i]
+		}
+	}
+	return nil
+}
+
 func TestFigure8ResidencyShape(t *testing.T) {
 	rep, err := Figure8(TestOptions())
 	if err != nil {
@@ -301,11 +311,11 @@ func TestFigure8ResidencyShape(t *testing.T) {
 	// CPU-bound apps pile up at the binding cap (§8.4: "must run at the
 	// fastest frequency available").
 	for _, app := range []string{"gzip", "gap"} {
-		r750 := rep.Residency(app, 750)
+		r750 := residency(rep, app, 750)
 		if r750 == nil || r750.ModeMHz != 750 || r750.FracAt[750] < 0.85 {
 			t.Errorf("%s at cap 750: %+v", app, r750)
 		}
-		r500 := rep.Residency(app, 500)
+		r500 := residency(rep, app, 500)
 		if r500 == nil || r500.ModeMHz != 500 {
 			t.Errorf("%s at cap 500: %+v", app, r500)
 		}
@@ -314,7 +324,7 @@ func TestFigure8ResidencyShape(t *testing.T) {
 	// concentrate in the 600–750 MHz band.
 	for _, app := range []string{"mcf", "health"} {
 		for _, capMHz := range []float64{1000, 750} {
-			r := rep.Residency(app, capMHz)
+			r := residency(rep, app, capMHz)
 			if r == nil {
 				t.Fatalf("%s at cap %v missing", app, capMHz)
 			}
@@ -329,7 +339,7 @@ func TestFigure8ResidencyShape(t *testing.T) {
 				t.Errorf("%s unconstrained mode %.0fMHz, want sub-900 saturation", app, r.ModeMHz)
 			}
 		}
-		if r := rep.Residency(app, 500); r == nil || r.ModeMHz != 500 {
+		if r := residency(rep, app, 500); r == nil || r.ModeMHz != 500 {
 			t.Errorf("%s at cap 500 not pinned: %+v", app, r)
 		}
 	}

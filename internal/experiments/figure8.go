@@ -77,16 +77,6 @@ func Figure8(o Options) (*Figure8Report, error) {
 	return rep, nil
 }
 
-// Residency returns the entry for one app and cap, or nil.
-func (r *Figure8Report) Residency(app string, capMHz float64) *Figure8Residency {
-	for i := range r.Residencies {
-		if r.Residencies[i].App == app && r.Residencies[i].CapMHz == capMHz {
-			return &r.Residencies[i]
-		}
-	}
-	return nil
-}
-
 // Render formats the report.
 func (r *Figure8Report) Render() string {
 	out := "Figure 8: percentage of time at each frequency\n"

@@ -35,13 +35,14 @@ type Result struct {
 // Determinism and the seeding convention: every experiment builds its
 // entire world — machines, workloads, RNG streams — from Options alone.
 // All randomness descends from Options.Seed through fixed offsets (a
-// machine's power meter draws from Seed+1000, netcluster node i from
-// Seed+i, and so on); nothing is shared mutably between experiments and
-// nothing reads global RNG or wall-clock state into results. Two RunAll
-// calls with equal Options and ids therefore produce byte-identical
-// Rendered output for ANY worker count, including compared against the
-// plain sequential loop — the property the parallel harness rests on and
-// internal/experiments' determinism regression tests pin.
+// serving station's request sizes from its machine's seed + 17,
+// netcluster node i from Seed+i, and so on); nothing is shared mutably
+// between experiments and nothing reads global RNG or wall-clock state
+// into results. Two RunAll calls with equal Options and ids therefore
+// produce byte-identical Rendered output for ANY worker count, including
+// compared against the plain sequential loop — the property the parallel
+// harness rests on and internal/experiments' determinism regression tests
+// pin.
 func RunAll(opts Options, ids []string, parallel int) []Result {
 	if parallel < 1 {
 		parallel = 1

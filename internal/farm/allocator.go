@@ -165,9 +165,6 @@ func NewAllocator(cfg AllocatorConfig) (*Allocator, error) {
 	return a, nil
 }
 
-// Members returns the configured members.
-func (a *Allocator) Members() []Member { return a.cfg.Members }
-
 // Holder returns member i's end of the lease protocol: the BudgetSource
 // its scheduler runs against. Every pass installs the member's fresh
 // lease in it; expiry events and counts go to the allocator's Sink and

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/units"
@@ -310,6 +311,19 @@ func (f *roundFixture) round(t *testing.T, i int) string {
 	return alloc.Trigger
 }
 
+// cadenceAt returns a cadence due every periods ticks, ticked n times.
+func cadenceAt(t *testing.T, periods, n int) engine.Cadence {
+	t.Helper()
+	c, err := engine.NewCadence(periods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range n {
+		c.Tick()
+	}
+	return c
+}
+
 // TestRoundCadence: the first call is the initial pass and does not tick;
 // with Periods = 3 a timer pass lands on every third later call and not
 // before.
@@ -318,8 +332,8 @@ func TestRoundCadence(t *testing.T) {
 	if got := f.round(t, 0); got != "initial" {
 		t.Fatalf("first round ran %q, want the initial pass", got)
 	}
-	if n := f.a.cadence.Ticks(); n != 0 {
-		t.Fatalf("initial pass left the cadence at %d ticks, want 0", n)
+	if f.a.cadence != cadenceAt(t, 3, 0) {
+		t.Fatalf("initial pass ticked the cadence: %+v", f.a.cadence)
 	}
 	for i := 0; i < 2; i++ {
 		h := f.a.Holder(i)
@@ -360,8 +374,8 @@ func TestTriggerEdges(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("Periods %d: rounds ran %q, want %q", tc.periods, got, tc.want)
 		}
-		if n := f.a.cadence.Ticks(); n != len(tc.want)-1 {
-			t.Errorf("Periods %d: cadence at %d ticks after %d later rounds", tc.periods, n, len(tc.want)-1)
+		if f.a.cadence != cadenceAt(t, tc.periods, len(tc.want)-1) {
+			t.Errorf("Periods %d: cadence %+v after %d later rounds", tc.periods, f.a.cadence, len(tc.want)-1)
 		}
 	}
 }

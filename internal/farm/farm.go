@@ -46,28 +46,12 @@ type RunwayReporter interface {
 	RunwayAt(now float64, draw units.Power) float64
 }
 
-// EdgeSource is the optional BudgetSource extension for sources that can
-// announce their next possible budget change — the bound a discrete-event
-// driver needs before it may skip a quiet span. NextChangeAt returns the
-// earliest time strictly after now at which BudgetAt may differ, or +Inf
-// when the budget can never change again. The bound must be conservative
-// (never later than the true next change); announcing an edge that
-// re-states the current budget is fine. A source that cannot bound its
-// next change returns now itself, which callers treat as "may change at
-// any time" and fall back to per-quantum polling.
-type EdgeSource interface {
-	NextChangeAt(now float64) float64
-}
-
 // Static is a constant budget — the degenerate source for scenarios where
 // the grid never fails.
 type Static units.Power
 
 // BudgetAt returns the constant budget.
 func (s Static) BudgetAt(float64) units.Power { return units.Power(s) }
-
-// NextChangeAt implements EdgeSource: a constant budget never changes.
-func (s Static) NextChangeAt(float64) float64 { return math.Inf(1) }
 
 // scheduleSource adapts the existing power.BudgetSchedule (time-ordered
 // budget events) to the BudgetSource interface without duplicating it.
@@ -85,9 +69,6 @@ func FromSchedule(s *power.BudgetSchedule) (BudgetSource, error) {
 
 func (b scheduleSource) BudgetAt(now float64) units.Power { return b.s.At(now) }
 
-// NextChangeAt implements EdgeSource via the schedule's next event time.
-func (b scheduleSource) NextChangeAt(now float64) float64 { return b.s.NextChangeAt(now) }
-
 // Failover switches from one source to another at a fixed time — the §2
 // supply-failure moment at farm scale: the grid feed until At, the UPS
 // after.
@@ -103,22 +84,6 @@ func (f Failover) BudgetAt(now float64) units.Power {
 		return f.Before.BudgetAt(now)
 	}
 	return f.After.BudgetAt(now)
-}
-
-// NextChangeAt implements EdgeSource: before the failover the switch time
-// itself is an edge, and either side's own edges pass through when that
-// side can announce them. An active side that is not an EdgeSource makes
-// the bound now (unbounded — callers poll).
-func (f Failover) NextChangeAt(now float64) float64 {
-	src, edge := f.Before, f.At
-	if now >= f.At {
-		src, edge = f.After, math.Inf(1)
-	}
-	next := now
-	if es, ok := src.(EdgeSource); ok {
-		next = es.NextChangeAt(now)
-	}
-	return math.Min(next, edge)
 }
 
 // RunwayAt delegates to the active source; a source without stored-energy

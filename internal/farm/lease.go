@@ -2,7 +2,6 @@ package farm
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/obs"
 	"repro/internal/units"
@@ -104,14 +103,4 @@ func (h *Holder) BudgetAt(now float64) units.Power {
 		h.metrics.countLeaseExpiry(h.name)
 	}
 	return h.floor
-}
-
-// NextChangeAt implements EdgeSource: a live lease's only edge is its
-// expiry; after the fall-back to the floor only the next Grant — which
-// the granting driver accounts for itself — changes the budget.
-func (h *Holder) NextChangeAt(now float64) float64 {
-	if h.live(now) {
-		return h.lease.Expires
-	}
-	return math.Inf(1)
 }

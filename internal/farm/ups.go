@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/power"
 	"repro/internal/units"
 )
 
@@ -22,14 +21,11 @@ import (
 // drops below the configured value, so the battery is never emptied by a
 // compliant consumer (a runway governor, not a countdown).
 type UPS struct {
-	capacity units.Energy
-	stored   units.Energy
-	runway   float64
+	stored units.Energy
+	runway float64
 	// MaxOutput optionally caps BudgetAt (an inverter limit); zero means
 	// uncapped.
 	MaxOutput units.Power
-
-	drained power.EnergyMeter
 }
 
 // NewUPS builds a fully charged UPS with the given capacity whose budget
@@ -41,17 +37,11 @@ func NewUPS(capacity units.Energy, runway float64) (*UPS, error) {
 	if runway <= 0 {
 		return nil, fmt.Errorf("farm: UPS runway %v must be positive", runway)
 	}
-	return &UPS{capacity: capacity, stored: capacity, runway: runway}, nil
+	return &UPS{stored: capacity, runway: runway}, nil
 }
-
-// Capacity returns the battery's full charge.
-func (u *UPS) Capacity() units.Energy { return u.capacity }
 
 // Remaining returns the energy currently stored.
 func (u *UPS) Remaining() units.Energy { return u.stored }
-
-// Drained returns the total energy integrated out of the battery.
-func (u *UPS) Drained() units.Energy { return u.drained.Total() }
 
 // Empty reports whether the battery has been drained to zero.
 func (u *UPS) Empty() bool { return u.stored <= 0 }
@@ -59,8 +49,8 @@ func (u *UPS) Empty() bool { return u.stored <= 0 }
 // Drain integrates p over dt seconds out of the battery, clamping the
 // stored energy at zero.
 func (u *UPS) Drain(p units.Power, dt float64) error {
-	if err := u.drained.Accumulate(p, dt); err != nil {
-		return fmt.Errorf("farm: UPS drain: %w", err)
+	if p < 0 || dt < 0 {
+		return fmt.Errorf("farm: UPS drain of %v over %vs: power and time must be non-negative", p, dt)
 	}
 	u.stored -= units.EnergyOver(p, dt)
 	if u.stored < 0 {

@@ -28,7 +28,7 @@ func TestDebounceStreakSurvivesStep2Demotion(t *testing.T) {
 		}
 	}
 	cfg := noOverheadConfig()
-	cfg.DebouncePasses = 3
+	cfg.debouncePasses = 3
 	s, err := New(cfg, m, units.Watts(560))
 	if err != nil {
 		t.Fatal(err)
@@ -106,9 +106,9 @@ func TestDebounceStreakSurvivesStep2Demotion(t *testing.T) {
 		copy(prevDesire, s.lastDesired)
 	}
 	for cpu := 0; cpu < n; cpu++ {
-		if s.desireStreak[cpu] < cfg.DebouncePasses {
+		if s.desireStreak[cpu] < cfg.debouncePasses {
 			t.Errorf("cpu %d: desire streak %d never matured past k=%d under sustained demotion",
-				cpu, s.desireStreak[cpu], cfg.DebouncePasses)
+				cpu, s.desireStreak[cpu], cfg.debouncePasses)
 		}
 	}
 

@@ -11,7 +11,7 @@ import (
 
 func TestConfigRejectsNegativeDebounce(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DebouncePasses = -1
+	cfg.debouncePasses = -1
 	if cfg.Validate() == nil {
 		t.Error("negative debounce accepted")
 	}
@@ -58,7 +58,7 @@ func TestDebounceDampsSteadyStateFlutter(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.Overhead = Overhead{}
-		cfg.DebouncePasses = debounce
+		cfg.debouncePasses = debounce
 		s, err := New(cfg, m, units.Watts(560))
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +93,7 @@ func TestDebounceNeverBlocksBudgetEnforcement(t *testing.T) {
 		m.SetMix(cpu, mix)
 	}
 	cfg := noOverheadConfig()
-	cfg.DebouncePasses = 5
+	cfg.debouncePasses = 5
 	s, err := New(cfg, m, units.Watts(560))
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestDebounceEventuallyFollowsPhaseChange(t *testing.T) {
 	mix, _ := workload.NewMix(prog)
 	m.SetMix(0, mix)
 	cfg := noOverheadConfig()
-	cfg.DebouncePasses = 2
+	cfg.debouncePasses = 2
 	s, err := New(cfg, m, units.Watts(560))
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ func TestSchedulerOverMonteCarloMachine(t *testing.T) {
 	cfg := machine.P630Config()
 	cfg.MonteCarloExec = true
 	cfg.LatencyJitterSigma = 0
-	cfg.MeterNoiseSigma = 0
 	cfg.Contention = memhier.Contention{}
 	m, err := machine.New(cfg)
 	if err != nil {

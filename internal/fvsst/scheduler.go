@@ -83,14 +83,16 @@ type Config struct {
 	// conservative.
 	LatencyBoundLo float64
 	LatencyBoundHi float64
-	// DebouncePasses, when ≥ 2, requires a processor's ε-constrained
+	// debouncePasses, when ≥ 2, requires a processor's ε-constrained
 	// frequency to repeat for that many consecutive passes before the
 	// scheduler actuates the change — a hysteresis knob that damps the
 	// one-step flutter borderline workloads produce under measurement
 	// noise (the same stability concern §6 addresses by making T a large
 	// multiple of t). Power-limit compliance always wins: downward moves
-	// demanded by Step 2 are never debounced.
-	DebouncePasses int
+	// demanded by Step 2 are never debounced. Only this package's tests
+	// set it: nothing shipping turns it on, and the debounce a policy
+	// search drives is scenario.PolicyKnobs.DebouncePasses.
+	debouncePasses int
 	// VoltageTables optionally gives each processor its own voltage table
 	// for Step 3, for machines with significant process variation (§5:
 	// "the voltage table is different for each processor"). Length must
@@ -140,8 +142,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("fvsst: latency bounds %v..%v invalid", c.LatencyBoundLo, c.LatencyBoundHi)
 		}
 	}
-	if c.DebouncePasses < 0 {
-		return fmt.Errorf("fvsst: DebouncePasses %d must be non-negative", c.DebouncePasses)
+	if c.debouncePasses < 0 {
+		return fmt.Errorf("fvsst: debounce passes %d must be non-negative", c.debouncePasses)
 	}
 	return nil
 }
@@ -447,7 +449,7 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 	// current setting. Step 2's forced downward moves are applied after
 	// this filter and are never debounced.
 	desired := p.Desired()
-	if k := s.cfg.DebouncePasses; k >= 2 {
+	if k := s.cfg.debouncePasses; k >= 2 {
 		for cpu := range assign {
 			df := s.set[desired[cpu]]
 			if df == s.lastDesired[cpu] {

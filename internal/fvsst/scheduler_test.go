@@ -17,7 +17,6 @@ func quietMachine(t testing.TB) *machine.Machine {
 	t.Helper()
 	cfg := machine.P630Config()
 	cfg.LatencyJitterSigma = 0
-	cfg.MeterNoiseSigma = 0
 	cfg.Contention = memhier.Contention{}
 	cfg.ThrottleSettle = 0
 	m, err := machine.New(cfg)
@@ -159,7 +158,6 @@ func TestIdleSignalDropsIdleCPUsToMinimum(t *testing.T) {
 func TestHaltedCycleIdleDetection(t *testing.T) {
 	mcfg := machine.P630Config()
 	mcfg.LatencyJitterSigma = 0
-	mcfg.MeterNoiseSigma = 0
 	mcfg.Contention = memhier.Contention{}
 	mcfg.Idle = machine.IdleHalt
 	m, err := machine.New(mcfg)

@@ -2,11 +2,31 @@ package fvsst
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/units"
 )
+
+// eventLog is a trace sink that keeps every event in emission order.
+type eventLog struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (l *eventLog) Emit(e obs.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, e)
+}
+
+// all returns a copy of the events so far.
+func (l *eventLog) all() []obs.Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]obs.Event(nil), l.events...)
+}
 
 // TestPredictionErrorOnePeriodLater: once two passes have observed a busy
 // processor, every further decision scores the previous pass's IPC
@@ -14,8 +34,8 @@ import (
 // that error small.
 func TestPredictionErrorOnePeriodLater(t *testing.T) {
 	drv, s := busyDriver(t)
-	var buf obs.Buffer
-	s.SetSink(&buf)
+	var log eventLog
+	s.SetSink(&log)
 	if err := drv.Run(0.55); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +62,7 @@ func TestPredictionErrorOnePeriodLater(t *testing.T) {
 	}
 	// The trace events carry the same quantity.
 	seen := false
-	for _, e := range buf.Events() {
+	for _, e := range log.all() {
 		for _, c := range e.CPUs {
 			if c.IPCErrorValid {
 				seen = true

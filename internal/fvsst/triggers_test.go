@@ -121,23 +121,27 @@ func TestTriggerAttribution(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			drv, s := tc.setup(t)
-			var buf obs.Buffer
-			s.SetSink(&buf)
+			var log eventLog
+			s.SetSink(&log)
 			if err := drv.Run(tc.until); err != nil {
 				t.Fatal(err)
 			}
-			if got := buf.Count(obs.EventSchedule, tc.trigger); got != 1 {
-				t.Errorf("%d trace events with trigger %q, want exactly 1", got, tc.trigger)
-			}
 			decs := s.Decisions()
 			var events, passSpans []obs.Event
-			for _, e := range buf.Events() {
+			triggered := 0
+			for _, e := range log.all() {
+				if e.Type == obs.EventSchedule && e.Trigger == tc.trigger {
+					triggered++
+				}
 				switch {
 				case e.Type == obs.EventSchedule:
 					events = append(events, e)
 				case e.Type == obs.EventSpan && e.Span == obs.SpanPass:
 					passSpans = append(passSpans, e)
 				}
+			}
+			if triggered != 1 {
+				t.Errorf("%d trace events with trigger %q, want exactly 1", triggered, tc.trigger)
 			}
 			if len(events) != len(decs) {
 				t.Fatalf("%d schedule events for %d decisions", len(events), len(decs))

@@ -23,8 +23,6 @@ const (
 // [0,1], be non-increasing in f, and vanish at f_max.
 type GridSanity struct{}
 
-func (GridSanity) Name() string { return "grid-sanity" }
-
 func (GridSanity) Check(p *Pass) []Violation {
 	var out []Violation
 	g := p.Grid()
@@ -78,8 +76,6 @@ func (GridSanity) Check(p *Pass) []Violation {
 // must sit at the floor; CPUs without a usable prediction at f_max.
 type EpsilonSaturation struct{}
 
-func (EpsilonSaturation) Name() string { return "step1-epsilon" }
-
 func (EpsilonSaturation) Check(p *Pass) []Violation {
 	var out []Violation
 	g := p.Grid()
@@ -118,8 +114,6 @@ func (EpsilonSaturation) Check(p *Pass) []Violation {
 // structural consequence of greedy least-loss selection over rows whose
 // candidate loss only grows as the index drops.
 type StepTwoReplay struct{}
-
-func (StepTwoReplay) Name() string { return "step2-least-loss" }
 
 func (StepTwoReplay) Check(p *Pass) []Violation {
 	var out []Violation
@@ -235,8 +229,6 @@ const DefaultMaxStates = 50000
 // strays furthest (see docs/invariants.md and docs/optimality.md).
 const DefaultGap = 0.2
 
-func (StepTwoBruteForce) Name() string { return "step2-brute-force" }
-
 func (c StepTwoBruteForce) Check(p *Pass) []Violation {
 	maxStates := c.MaxStates
 	if maxStates <= 0 {
@@ -344,8 +336,6 @@ func BruteForceOptimal(loss func(cpu, fi int) float64, upper []int, table *power
 // voltage for its assigned frequency.
 type VoltageMatch struct{}
 
-func (VoltageMatch) Name() string { return "step3-voltage" }
-
 func (VoltageMatch) Check(p *Pass) []Violation {
 	var out []Violation
 	for i, pr := range p.Procs {
@@ -364,8 +354,6 @@ func (VoltageMatch) Check(p *Pass) []Violation {
 // whenever the pass claims the budget was met, a missed budget is only
 // legal with every CPU at the floor, and Step 2 only ever demotes.
 type BudgetConservation struct{}
-
-func (BudgetConservation) Name() string { return "budget-conservation" }
 
 func (BudgetConservation) Check(p *Pass) []Violation {
 	var out []Violation

@@ -42,8 +42,6 @@ type StepTwoOptimal struct {
 	Gap float64
 }
 
-func (StepTwoOptimal) Name() string { return "step2-optimal" }
-
 func (c StepTwoOptimal) Check(p *Pass) []Violation { return c.check(p, p.Problem()) }
 
 // check is Check over an explicit Problem (p.Problem() outside tests).

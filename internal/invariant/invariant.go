@@ -39,22 +39,20 @@ func (v Violation) String() string {
 	return fmt.Sprintf("[%s] t=%.3f %s", v.Checker, v.At, v.Detail)
 }
 
-// Checker is one executable contract over a scheduling pass.
+// Checker is one executable contract over a scheduling pass. Each
+// violation it reports names it by its catalogue name (Violation.Checker).
 type Checker interface {
-	// Name identifies the checker in violations and the catalogue.
-	Name() string
 	// Check returns every way the pass breaks this contract (nil when it
 	// holds).
 	Check(p *Pass) []Violation
 }
 
 // Suite composes checkers and accumulates violations across a run. The
-// stored list is capped (keeping the earliest violations, which are the
-// ones a shrunk reproducer needs) while Total keeps the true count.
+// stored list is capped, keeping the earliest violations, which are the
+// ones a shrunk reproducer needs.
 type Suite struct {
 	checkers   []Checker
 	violations []Violation
-	total      int
 	max        int
 }
 
@@ -82,11 +80,6 @@ func DefaultSuite() *Suite {
 	)
 }
 
-// Add appends checkers to the suite.
-func (s *Suite) Add(checkers ...Checker) {
-	s.checkers = append(s.checkers, checkers...)
-}
-
 // Check runs every checker against the pass, recording violations.
 func (s *Suite) Check(p *Pass) {
 	for _, c := range s.checkers {
@@ -97,7 +90,6 @@ func (s *Suite) Check(p *Pass) {
 // Report funnels externally produced violations (ledger checks, farm
 // checks, determinism) into the suite's accounting.
 func (s *Suite) Report(violations ...Violation) {
-	s.total += len(violations)
 	room := s.max - len(s.violations)
 	if room <= 0 {
 		return
@@ -114,13 +106,6 @@ func (s *Suite) Violations() []Violation {
 	copy(out, s.violations)
 	return out
 }
-
-// Total returns the true violation count, including any dropped past the
-// retention cap.
-func (s *Suite) Total() int { return s.total }
-
-// OK reports whether every contract held.
-func (s *Suite) OK() bool { return s.total == 0 }
 
 // CheckDeterminism runs the closure twice and demands byte-identical
 // output — the repo's seed-only determinism convention (one seed

@@ -10,7 +10,6 @@ func ffProbeCfg() Config {
 	cfg := P630Config()
 	cfg.NumCPUs = 4
 	cfg.LatencyJitterSigma = 0
-	cfg.MeterNoiseSigma = 0
 	cfg.Contention = memhier.Contention{}
 	cfg.ThrottleSettle = 0
 	cfg.Idle = IdleHalt

@@ -73,7 +73,9 @@ type Config struct {
 	MonteCarloExec bool
 	// NonCPU is the constant non-processor system power.
 	NonCPU units.Power
-	// MeterNoiseSigma is the relative noise of the system power sensor.
+	// MeterNoiseSigma is read by nothing: the scheduler checks its budget
+	// against table power, never a sensor reading. It stays only because
+	// bench/probes.go sets it.
 	MeterNoiseSigma float64
 	Seed            int64
 }
@@ -96,7 +98,6 @@ func P630Config() Config {
 		ContentionSatRefs:  5e6,
 		LatencyJitterSigma: 0.03,
 		NonCPU:             power.MotivatingSystem().Base,
-		MeterNoiseSigma:    0.01,
 		Seed:               1,
 	}
 }
@@ -168,7 +169,6 @@ type Machine struct {
 	// rng is built by random on the first draw; only latency jitter and
 	// Monte-Carlo execution ever draw.
 	rng    *rand.Rand
-	meter  *power.Meter
 	energy power.EnergyMeter
 	// cpuEnergy integrates processor-only energy, the quantity Table 3
 	// normalises.
@@ -195,14 +195,9 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	meter, err := power.NewMeter(cfg.MeterNoiseSigma, cfg.Seed+1000)
-	if err != nil {
-		return nil, err
-	}
 	m := &Machine{
 		cfg:   cfg,
 		clock: *engine.NewSimClock(cfg.Quantum),
-		meter: meter,
 	}
 	for i := 0; i < cfg.NumCPUs; i++ {
 		th, err := throttle.New(cfg.ThrottleKind, cfg.Table.MaxFrequency(), cfg.ThrottleSteps, cfg.ThrottleSettle)

@@ -12,7 +12,6 @@ func mcConfig() Config {
 	cfg := P630Config()
 	cfg.MonteCarloExec = true
 	cfg.LatencyJitterSigma = 0 // variance comes from miss discreteness
-	cfg.MeterNoiseSigma = 0
 	cfg.Contention = memhier.Contention{}
 	cfg.ThrottleSettle = 0
 	return cfg

@@ -10,8 +10,8 @@ import (
 )
 
 // renderSeededStreams runs the two machine configurations that draw from
-// the seeded source — latency jitter and Monte-Carlo execution — plus a
-// noisy meter riding on each, and renders every counter and reading.
+// the seeded source — latency jitter and Monte-Carlo execution — and
+// renders every counter.
 func renderSeededStreams(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
@@ -19,7 +19,6 @@ func renderSeededStreams(t *testing.T) string {
 		cfg := mcConfig()
 		cfg.MonteCarloExec = mc
 		cfg.Seed = 42
-		cfg.MeterNoiseSigma = 0.02
 		if !mc {
 			cfg.LatencyJitterSigma = 0.1
 		}
@@ -42,17 +41,17 @@ func renderSeededStreams(t *testing.T) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&b, "mc=%v q=%d instr=%d cyc=%d l2=%d l3=%d mem=%d meter=%b\n",
-				mc, q, s.Instructions, s.Cycles, s.L2Refs, s.L3Refs, s.MemRefs, m.meter.Read(m.SystemPower()).W())
+			fmt.Fprintf(&b, "mc=%v q=%d instr=%d cyc=%d l2=%d l3=%d mem=%d\n",
+				mc, q, s.Instructions, s.Cycles, s.L2Refs, s.L3Refs, s.MemRefs)
 		}
 	}
 	return b.String()
 }
 
-// TestSeededStreamsMatchGolden pins the draws of a jittered machine, a
-// Monte-Carlo machine and their noisy meters to the bytes they produced
-// when New seeded both sources eagerly: building a source on first draw
-// must start the same stream.
+// TestSeededStreamsMatchGolden pins the draws of a jittered machine and a
+// Monte-Carlo machine to the bytes they produced when New seeded the
+// source eagerly: building a source on first draw must start the same
+// stream.
 func TestSeededStreamsMatchGolden(t *testing.T) {
 	got := renderSeededStreams(t)
 	want, err := os.ReadFile("testdata/seeded_streams.golden")

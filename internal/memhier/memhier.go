@@ -147,27 +147,3 @@ func (r AccessRates) StallTimePerInstr(h Hierarchy) float64 {
 	tL2, tL3, tMem := h.ServiceTimes()
 	return r.L2PerInstr*tL2 + r.L3PerInstr*tL3 + r.MemPerInstr*tMem
 }
-
-// Scale returns the rates multiplied by k, clamped to [0,1]. Used to derive
-// intensity-scaled variants of a base workload profile.
-func (r AccessRates) Scale(k float64) AccessRates {
-	clamp := func(v float64) float64 {
-		if v < 0 {
-			return 0
-		}
-		if v > 1 {
-			return 1
-		}
-		return v
-	}
-	return AccessRates{
-		L2PerInstr:  clamp(r.L2PerInstr * k),
-		L3PerInstr:  clamp(r.L3PerInstr * k),
-		MemPerInstr: clamp(r.MemPerInstr * k),
-	}
-}
-
-// IsZero reports whether the workload never leaves L1.
-func (r AccessRates) IsZero() bool {
-	return r.L2PerInstr == 0 && r.L3PerInstr == 0 && r.MemPerInstr == 0
-}

@@ -105,20 +105,6 @@ func TestStallTimePerInstr(t *testing.T) {
 	}
 }
 
-func TestAccessRatesScaleClamps(t *testing.T) {
-	r := AccessRates{L2PerInstr: 0.6, L3PerInstr: 0.2, MemPerInstr: 0.1}
-	doubled := r.Scale(2)
-	if doubled.L2PerInstr != 1 {
-		t.Errorf("Scale should clamp L2 to 1, got %v", doubled.L2PerInstr)
-	}
-	if doubled.MemPerInstr != 0.2 {
-		t.Errorf("Scale(2) mem = %v, want 0.2", doubled.MemPerInstr)
-	}
-	if !r.Scale(0).IsZero() {
-		t.Error("Scale(0) should be zero rates")
-	}
-}
-
 func TestMissModelValidate(t *testing.T) {
 	good := MissModel{FootprintBytes: 1 << 30, AccessesPerInstr: 0.3, L1MissRatio: 0.05, Theta: 0.5}
 	if err := good.Validate(); err != nil {

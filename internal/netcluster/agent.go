@@ -32,9 +32,6 @@ type AgentConfig struct {
 	// M is the node's machine. The agent owns it once started: all
 	// stepping and actuation go through the agent's lock.
 	M *machine.Machine
-	// Addr is the TCP listen address; empty means loopback with an
-	// OS-assigned port (the spawned-agent default).
-	Addr string
 	// FailsafeLease is the watchdog: after this much wall-clock silence
 	// from the coordinator, the agent drops every CPU to the minimum
 	// table frequency on its own, so a partitioned node can never draw
@@ -80,7 +77,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		return nil, err
 	}
 	a := &Agent{cfg: cfg, sampler: sampler}
-	a.setup(cfg.Name, cfg.Addr, a.handle)
+	a.setup(cfg.Name, a.handle)
 	if cfg.FailsafeLease > 0 {
 		if a.lease, err = engine.NewLease(cfg.FailsafeLease, nil); err != nil {
 			return nil, err

@@ -321,9 +321,6 @@ func (c *Coordinator) Close() {
 // Now returns the coordinator's scheduling epoch in seconds.
 func (c *Coordinator) Now() float64 { return c.clock.Now() }
 
-// Budget returns the current global budget.
-func (c *Coordinator) Budget() units.Power { return c.budget }
-
 // Decisions returns the round log.
 func (c *Coordinator) Decisions() []Decision {
 	out := make([]Decision, len(c.decisions))

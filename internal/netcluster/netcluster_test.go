@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,7 +26,6 @@ import (
 func quietMachineConfig(seed int64) machine.Config {
 	cfg := machine.P630Config()
 	cfg.LatencyJitterSigma = 0
-	cfg.MeterNoiseSigma = 0
 	cfg.Contention = memhier.Contention{}
 	cfg.ThrottleSettle = 0
 	cfg.Seed = seed
@@ -50,6 +51,44 @@ func memProg(instr uint64) workload.Program {
 		Rates:        memhier.AccessRates{L2PerInstr: 0.030, L3PerInstr: 0.006, MemPerInstr: 0.0186},
 		Instructions: instr,
 	}}}
+}
+
+// metricValue reads one series of met's registry: a counter's value or a
+// histogram's observation count. A series nothing touched reads 0.
+func metricValue(met *Metrics, name string, labels ...string) float64 {
+	for _, f := range met.Registry.Snapshot() {
+		if f.Name != name {
+			continue
+		}
+		for _, s := range f.Series {
+			if slices.Equal(s.LabelValues, labels) {
+				if f.Kind == obs.KindHistogram {
+					return float64(s.Count)
+				}
+				return s.Value
+			}
+		}
+	}
+	return 0
+}
+
+// eventLog is a trace sink that keeps every event in emission order.
+type eventLog struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (l *eventLog) Emit(e obs.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, e)
+}
+
+// all returns a copy of the events so far.
+func (l *eventLog) all() []obs.Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]obs.Event(nil), l.events...)
 }
 
 // startAgent spins up an agent on loopback whose CPU 0 runs a cpu-bound
@@ -182,10 +221,10 @@ func TestRoundTripScheduling(t *testing.T) {
 	if n := sink.Count(obs.EventSchedule, ""); n != rounds {
 		t.Errorf("%d schedule events, want %d", n, rounds)
 	}
-	if v := met.rpcLatency.With("n0", proto.KindCounterRequest).Count(); v == 0 {
+	if v := metricValue(met, "netcluster_rpc_latency_seconds", "n0", proto.KindCounterRequest); v == 0 {
 		t.Error("no counter-request latency observations")
 	}
-	if v := met.failures.With("n0", proto.KindHeartbeat).Value(); v != 0 {
+	if v := metricValue(met, "netcluster_rpc_failures_total", "n0", proto.KindHeartbeat); v != 0 {
 		t.Errorf("healthy run recorded %v heartbeat failures", v)
 	}
 }
@@ -215,7 +254,7 @@ func TestAgentErrorIsTerminal(t *testing.T) {
 	if !errors.As(err, &ae) {
 		t.Fatalf("got %v, want AgentError", err)
 	}
-	if v := met.retries.With("n0", proto.KindActuate).Value(); v != 0 {
+	if v := metricValue(met, "netcluster_rpc_retries_total", "n0", proto.KindActuate); v != 0 {
 		t.Errorf("semantic rejection burned %v retries", v)
 	}
 	if ns.conn == nil {
@@ -226,7 +265,7 @@ func TestAgentErrorIsTerminal(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("heartbeat after rejection: %v", err)
 	}
-	if v := met.reconnects.With("n0").Value(); v != 1 {
+	if v := metricValue(met, "netcluster_reconnects_total", "n0"); v != 1 {
 		t.Errorf("%v connects; the session should have survived", v)
 	}
 }
@@ -290,13 +329,13 @@ func TestTimeoutRetryAndRecovery(t *testing.T) {
 	if err := c.RunRound(); err != nil {
 		t.Fatal(err)
 	}
-	if v := met.timeouts.With("n0", proto.KindCounterRequest).Value(); v < 1 {
+	if v := metricValue(met, "netcluster_rpc_timeouts_total", "n0", proto.KindCounterRequest); v < 1 {
 		t.Errorf("%v timeouts recorded", v)
 	}
-	if v := met.retries.With("n0", proto.KindCounterRequest).Value(); v < 1 {
+	if v := metricValue(met, "netcluster_rpc_retries_total", "n0", proto.KindCounterRequest); v < 1 {
 		t.Errorf("%v retries recorded", v)
 	}
-	if v := met.failures.With("n0", proto.KindCounterRequest).Value(); v != 1 {
+	if v := metricValue(met, "netcluster_rpc_failures_total", "n0", proto.KindCounterRequest); v != 1 {
 		t.Errorf("%v failures recorded", v)
 	}
 	if d := c.Decisions()[1]; d.Reserved == 0 || d.Charged > d.Budget {
@@ -311,7 +350,7 @@ func TestTimeoutRetryAndRecovery(t *testing.T) {
 	if d := c.Decisions()[2]; d.Reserved != 0 || !d.BudgetMet {
 		t.Errorf("recovered round still reserves %v", d.Reserved)
 	}
-	if v := met.reconnects.With("n0").Value(); v < 2 {
+	if v := metricValue(met, "netcluster_reconnects_total", "n0"); v < 2 {
 		t.Errorf("%v connects; recovery should have redialled", v)
 	}
 	if st := c.Status()[0]; st.Degraded || st.Missed != 0 {
@@ -354,7 +393,7 @@ func TestDuplicatedFramesAreDiscarded(t *testing.T) {
 // against the budget — live assignments plus the worst-case reservation
 // for the silent node — never exceeds it.
 func TestPartitionDegradeRejoinBudgetSafety(t *testing.T) {
-	sink := &obs.Buffer{}
+	sink := &eventLog{}
 	a0, _ := startAgent(t, "n0", 1, 0, nil)
 	a1, _ := startAgent(t, "n1", 2, 0, nil)
 	a2, _ := startAgent(t, "n2", 3, 0, nil)
@@ -443,7 +482,7 @@ func TestPartitionDegradeRejoinBudgetSafety(t *testing.T) {
 
 	// Trace: one degrade, one rejoin, in that order, both naming n1.
 	var transitions []obs.Event
-	for _, e := range sink.Events() {
+	for _, e := range sink.all() {
 		if e.Type == obs.EventDegrade || e.Type == obs.EventRejoin {
 			transitions = append(transitions, e)
 		}
@@ -459,10 +498,10 @@ func TestPartitionDegradeRejoinBudgetSafety(t *testing.T) {
 	if st := c.Status()[1]; st.Degraded || !st.Connected {
 		t.Errorf("n1 did not rejoin: %+v", st)
 	}
-	if v := met.transitions.With("n1", "degrade").Value(); v != 1 {
+	if v := metricValue(met, "netcluster_node_transitions_total", "n1", "degrade"); v != 1 {
 		t.Errorf("%v degrade transitions", v)
 	}
-	if v := met.transitions.With("n1", "rejoin").Value(); v != 1 {
+	if v := metricValue(met, "netcluster_node_transitions_total", "n1", "rejoin"); v != 1 {
 		t.Errorf("%v rejoin transitions", v)
 	}
 
@@ -595,15 +634,9 @@ func TestHandshakeRejectsPeerWithoutBin1(t *testing.T) {
 func TestAgentFailsafeFloorsCPUs(t *testing.T) {
 	sink := &obs.Buffer{}
 	a, m := startAgent(t, "n0", 1, 60*time.Millisecond, sink)
-	// The watchdog floors the CPUs before it emits the event.
-	tripped := func() bool {
-		for _, e := range sink.Events() {
-			if e.Type == obs.EventFailsafe && e.Node == "n0" {
-				return true
-			}
-		}
-		return false
-	}
+	// The watchdog floors the CPUs before it emits the event; n0 is the
+	// only agent on the sink.
+	tripped := func() bool { return sink.Count(obs.EventFailsafe, "") > 0 }
 	deadline := time.Now().Add(2 * time.Second)
 	for !tripped() {
 		if time.Now().After(deadline) {

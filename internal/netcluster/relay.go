@@ -40,9 +40,6 @@ import (
 type RelayConfig struct {
 	// Name identifies the relay to its root coordinator.
 	Name string
-	// Addr is the upward TCP listen address; empty means loopback with an
-	// OS-assigned port.
-	Addr string
 }
 
 // Relay serves a coordinator subtree to an upstream Root. Create with
@@ -76,7 +73,7 @@ func NewRelay(cfg RelayConfig, coord *Coordinator) (*Relay, error) {
 		}
 	}
 	r := &Relay{coord: coord}
-	r.setup(cfg.Name, cfg.Addr, r.handle)
+	r.setup(cfg.Name, r.handle)
 	return r, nil
 }
 

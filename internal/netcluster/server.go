@@ -18,7 +18,6 @@ import (
 // request/reply loop and idempotent shutdown.
 type server struct {
 	name string // stamped on every reply
-	addr string // TCP listen address for Start
 	// handle answers one request and never returns nil. A session delivers
 	// its requests one at a time, but any number of sessions may be live
 	// at once (a redialling parent's old one still parked in Recv), so
@@ -37,12 +36,9 @@ type server struct {
 	wg     sync.WaitGroup
 }
 
-// setup prepares the embedded server; no addr means an OS-assigned loopback port.
-func (s *server) setup(name, addr string, handle func(*proto.Message) *proto.Message) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	s.name, s.addr, s.handle = name, addr, handle
+// setup prepares the embedded server.
+func (s *server) setup(name string, handle func(*proto.Message) *proto.Message) {
+	s.name, s.handle = name, handle
 	s.conns = make(map[proto.Conn]struct{})
 	s.closed = make(chan struct{})
 }
@@ -57,9 +53,10 @@ func (s *server) isClosed() bool {
 	}
 }
 
-// Start binds the TCP listener and begins serving; Addr then reports it.
+// Start binds a TCP listener on an OS-assigned loopback port and begins
+// serving; Addr then reports it.
 func (s *server) Start() error {
-	ln, err := net.Listen("tcp", s.addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fmt.Errorf("netcluster: %s listen: %w", s.name, err)
 	}

@@ -413,7 +413,7 @@ func TestFleetDerivesRootDeadline(t *testing.T) {
 			t.Errorf("n%d advanced to %v in %d rounds, want %v", i, got, rounds, want)
 		}
 	}
-	if v := met.retries.With("relay0", proto.KindDemandRequest).Value(); v != 0 {
+	if v := metricValue(met, "netcluster_rpc_retries_total", "relay0", proto.KindDemandRequest); v != 0 {
 		t.Errorf("root retried relay0's demand %v times", v)
 	}
 }

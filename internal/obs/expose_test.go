@@ -105,7 +105,7 @@ func TestHistogramSnapshotConsistency(t *testing.T) {
 	wg.Wait()
 	stop.Store(true)
 	<-done
-	if got := h.With("n0").Count(); got != writers*perWriter {
+	if got := h.With("n0").s.hist.Count(); got != writers*perWriter {
 		t.Errorf("final count = %d, want %d", got, writers*perWriter)
 	}
 }

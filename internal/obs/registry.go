@@ -146,13 +146,6 @@ func (c *Counter) Add(delta float64) {
 	c.s.mu.Unlock()
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.s.val
-}
-
 // GaugeVec is a gauge family; With resolves one labelled series.
 type GaugeVec struct{ f *family }
 
@@ -171,20 +164,6 @@ func (g *Gauge) Set(v float64) {
 	g.s.mu.Unlock()
 }
 
-// Add shifts the value.
-func (g *Gauge) Add(delta float64) {
-	g.s.mu.Lock()
-	g.s.val += delta
-	g.s.mu.Unlock()
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return g.s.val
-}
-
 // HistogramVec is a histogram family; With resolves one labelled series.
 type HistogramVec struct{ f *family }
 
@@ -201,11 +180,4 @@ func (h *Histogram) Observe(v float64) {
 	h.s.mu.Lock()
 	h.s.hist.Observe(v)
 	h.s.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	return h.s.hist.Count()
 }

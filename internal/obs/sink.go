@@ -61,15 +61,6 @@ func (b *Buffer) Emit(e Event) {
 	b.events = append(b.events, e)
 }
 
-// Events returns a copy of everything emitted so far.
-func (b *Buffer) Events() []Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Event, len(b.events))
-	copy(out, b.events)
-	return out
-}
-
 // Count returns how many events match the type and trigger; either
 // selector may be empty to match everything.
 func (b *Buffer) Count(typ, trigger string) int {
@@ -88,7 +79,7 @@ func (b *Buffer) Count(typ, trigger string) int {
 // line. Writes are buffered; call Close to flush. The first write or
 // encode error sticks and suppresses further output — simulation loops
 // should not die because a trace disk filled, so the error is surfaced
-// through Close/Err instead of panicking mid-run.
+// through Close instead of panicking mid-run.
 type JSONLWriter struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -118,13 +109,6 @@ func (j *JSONLWriter) Emit(e Event) {
 		return
 	}
 	j.err = j.w.WriteByte('\n')
-}
-
-// Err returns the sticky error, if any.
-func (j *JSONLWriter) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
 }
 
 // Close flushes the buffer and returns the sticky error.

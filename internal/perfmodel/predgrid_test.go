@@ -42,7 +42,7 @@ func TestPredGridMatchesDecomposition(t *testing.T) {
 	if g.NumFreqs() != 4 {
 		t.Fatalf("%d frequencies per row, want 4", g.NumFreqs())
 	}
-	if g.Freq(0) != set.Min() || g.Freq(3) != set.Max() {
+	if g.Freq(0) != set[0] || g.Freq(3) != set.Max() {
 		t.Fatal("Freq accessor disagrees with set order")
 	}
 }

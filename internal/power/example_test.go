@@ -26,7 +26,7 @@ func ExampleTable_MaxFrequencyUnder() {
 // 480 W supply leaves 294 W for the four processors.
 func ExampleMotivatingSystem() {
 	sys := power.MotivatingSystem()
-	fmt.Println("full system:", sys.Total(units.Watts(4*140)))
+	fmt.Println("full system:", sys.Base+units.Watts(4*140))
 	budget, ok := sys.CPUBudgetFor(units.Watts(480))
 	fmt.Println("CPU budget on one supply:", budget, ok)
 	// Output:

@@ -2,47 +2,9 @@ package power
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/units"
 )
-
-// Meter is the power-measurement path the paper's mechanism uses to
-// "monitor compliance" with the global limit (§5). Real sensors are noisy;
-// the meter applies multiplicative Gaussian noise from a seeded source so
-// experiments are reproducible.
-type Meter struct {
-	// rng is built from seed by the first noisy Read (same seed, same first
-	// draw, same stream); a noise-free meter never pays for a source.
-	rng  *rand.Rand
-	seed int64
-	// NoiseSigma is the relative standard deviation of a reading
-	// (0.01 = 1% sensor noise). Zero disables noise.
-	NoiseSigma float64
-}
-
-// NewMeter returns a meter with the given noise level and seed.
-func NewMeter(noiseSigma float64, seed int64) (*Meter, error) {
-	if noiseSigma < 0 || noiseSigma > 0.5 {
-		return nil, fmt.Errorf("power: meter noise sigma %v out of [0,0.5]", noiseSigma)
-	}
-	return &Meter{seed: seed, NoiseSigma: noiseSigma}, nil
-}
-
-// Read returns a noisy observation of the true power, clamped non-negative.
-func (m *Meter) Read(truth units.Power) units.Power {
-	if m.NoiseSigma == 0 {
-		return truth
-	}
-	if m.rng == nil {
-		m.rng = rand.New(rand.NewSource(m.seed))
-	}
-	obs := truth * units.Power(1+m.rng.NormFloat64()*m.NoiseSigma)
-	if obs < 0 {
-		obs = 0
-	}
-	return obs
-}
 
 // EnergyMeter integrates power over simulation time, producing the energy
 // figures of Table 3 ("Energy @ 140W" etc., normalised by the caller).
@@ -99,11 +61,8 @@ func MotivatingSystem() SystemPower {
 	return SystemPower{Base: units.Watts(746 - 4*140)}
 }
 
-// Total returns system power for a given aggregate CPU power.
-func (s SystemPower) Total(cpu units.Power) units.Power { return s.Base + cpu }
-
-// CPUBudgetFor inverts Total: the CPU power budget implied by a system-level
-// limit. ok is false when the limit cannot even cover the base load.
+// CPUBudgetFor returns the CPU power budget a system-level limit leaves
+// above the base. ok is false when the limit cannot even cover the base.
 func (s SystemPower) CPUBudgetFor(systemLimit units.Power) (units.Power, bool) {
 	if systemLimit <= s.Base {
 		return 0, false

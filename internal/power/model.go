@@ -65,13 +65,6 @@ type Model struct {
 	Curve VoltageCurve
 }
 
-// Power returns the peak power at frequency f with the curve's minimum
-// voltage for f.
-func (m Model) Power(f units.Frequency) units.Power {
-	v := m.Curve.VoltageFor(f)
-	return m.PowerAt(f, v)
-}
-
 // PowerAt returns the power at an explicit frequency/voltage pair.
 func (m Model) PowerAt(f units.Frequency, v units.Voltage) units.Power {
 	vv := v.Squared()

@@ -69,9 +69,6 @@ func TestModelPowerDecomposition(t *testing.T) {
 	if math.Abs(total.W()-(135.2+3.38)) > 1e-6 {
 		t.Errorf("total = %v, want 135.2W active + 3.38W static", total)
 	}
-	if got := m.Power(f); got != total {
-		t.Errorf("Power(f) = %v, want %v", got, total)
-	}
 }
 
 // tabulate evaluates m at each frequency of set at the curve's voltage:
@@ -164,7 +161,7 @@ func TestModelPowerMonotoneInFrequency(t *testing.T) {
 		if fa > fb {
 			fa, fb = fb, fa
 		}
-		return m.Power(fa) <= m.Power(fb)
+		return m.PowerAt(fa, m.Curve.VoltageFor(fa)) <= m.PowerAt(fb, m.Curve.VoltageFor(fb))
 	}, nil)
 	if err != nil {
 		t.Error(err)

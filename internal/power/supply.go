@@ -2,7 +2,6 @@ package power
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/units"
@@ -161,24 +160,4 @@ func (b *BudgetSchedule) At(t float64) units.Power {
 		}
 	}
 	return budget
-}
-
-// Events returns the schedule's events in time order.
-func (b *BudgetSchedule) Events() []BudgetEvent {
-	out := make([]BudgetEvent, len(b.events))
-	copy(out, b.events)
-	return out
-}
-
-// NextChangeAt returns the schedule's next event time strictly after now
-// — the budget edge a DES driver must stop at — or +Inf when no event
-// remains. Events that re-state the current budget still count as edges:
-// the bound is conservative, never late.
-func (b *BudgetSchedule) NextChangeAt(now float64) float64 {
-	for _, e := range b.events {
-		if e.At > now {
-			return e.At
-		}
-	}
-	return math.Inf(1)
 }

@@ -2,7 +2,6 @@ package power
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/units"
@@ -139,8 +138,8 @@ func TestBudgetSchedule(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %vW", c.t, got, c.want)
 		}
 	}
-	if len(sched.Events()) != 2 {
-		t.Errorf("Events() len = %d", len(sched.Events()))
+	if len(sched.events) != 2 {
+		t.Errorf("%d events, want 2", len(sched.events))
 	}
 }
 
@@ -166,78 +165,6 @@ func TestBudgetScheduleValidation(t *testing.T) {
 	}
 	if _, err := NewBudgetSchedule(units.Watts(100), BudgetEvent{At: 1, Budget: 0}); err == nil {
 		t.Error("zero event budget accepted")
-	}
-}
-
-func TestMeterNoise(t *testing.T) {
-	noiseless, err := NewMeter(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := noiseless.Read(units.Watts(100)); got.W() != 100 {
-		t.Errorf("noiseless read = %v", got)
-	}
-
-	noisy, err := NewMeter(0.05, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum, sumsq float64
-	const n = 4000
-	for i := 0; i < n; i++ {
-		r := noisy.Read(units.Watts(100)).W()
-		if r < 0 {
-			t.Fatal("negative power reading")
-		}
-		sum += r
-		sumsq += r * r
-	}
-	mean := sum / n
-	sd := math.Sqrt(sumsq/n - mean*mean)
-	if math.Abs(mean-100) > 1 {
-		t.Errorf("noisy mean = %v, want ≈100", mean)
-	}
-	if math.Abs(sd-5) > 1 {
-		t.Errorf("noisy stddev = %v, want ≈5", sd)
-	}
-}
-
-func TestMeterValidation(t *testing.T) {
-	if _, err := NewMeter(-0.1, 1); err == nil {
-		t.Error("negative sigma accepted")
-	}
-	if _, err := NewMeter(0.9, 1); err == nil {
-		t.Error("huge sigma accepted")
-	}
-}
-
-func TestMeterDeterministicPerSeed(t *testing.T) {
-	a, _ := NewMeter(0.05, 7)
-	b, _ := NewMeter(0.05, 7)
-	for i := 0; i < 10; i++ {
-		if a.Read(units.Watts(50)) != b.Read(units.Watts(50)) {
-			t.Fatal("same seed produced different readings")
-		}
-	}
-}
-
-// TestMeterSeedsOnFirstDraw: a noise-free meter never builds a source, and
-// a noisy one starts the stream an eagerly seeded source would.
-func TestMeterSeedsOnFirstDraw(t *testing.T) {
-	quiet, _ := NewMeter(0, 7)
-	for i := 0; i < 1000; i++ {
-		quiet.Read(units.Watts(50))
-	}
-	if quiet.rng != nil {
-		t.Fatal("noise-free meter built a random source")
-	}
-	noisy, _ := NewMeter(0.05, 7)
-	eager := rand.New(rand.NewSource(7))
-	for i := 0; i < 10; i++ {
-		want := units.Watts(50) * units.Power(1+eager.NormFloat64()*0.05)
-		if got := noisy.Read(units.Watts(50)); got != want {
-			t.Fatalf("read %d = %b, eagerly seeded stream gives %b", i, got.W(), want.W())
-		}
 	}
 }
 
@@ -329,9 +256,9 @@ func TestSystemPowerMotivatingBreakdown(t *testing.T) {
 	if s.Base.W() != 186 {
 		t.Errorf("base = %v, want 186W (746 - 4×140)", s.Base)
 	}
-	// Full CPU power reproduces the §2 total: 746 W.
-	if got := s.Total(units.Watts(560)); got.W() != 746 {
-		t.Errorf("Total(560W) = %v, want 746W", got)
+	// Full CPU power on top of the base reproduces the §2 total: 746 W.
+	if got := s.Base + units.Watts(560); got.W() != 746 {
+		t.Errorf("base + 560W = %v, want 746W", got)
 	}
 	// §2/§5: a single surviving 480 W supply leaves 294 W for the CPUs.
 	budget, ok := s.CPUBudgetFor(units.Watts(480))

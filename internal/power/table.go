@@ -2,8 +2,8 @@
 // frequency→power operating-point table the scheduler consults (the paper's
 // Table 1, generated there by the Lava circuit tool), the minimum-voltage
 // curve, the analytic P = C·V²·f + B·V² model, the dual power supplies of
-// the motivating example with their cascade-failure deadline, power
-// measurement with sensor noise, and energy integration.
+// the motivating example with their cascade-failure deadline, and energy
+// integration.
 package power
 
 import (

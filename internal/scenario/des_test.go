@@ -60,3 +60,27 @@ func TestDESDifferentialFaultySpecs(t *testing.T) {
 		requireEquivalent(t, seed)
 	}
 }
+
+func TestDESDifferentialBudgetEdges(t *testing.T) {
+	// A budget event and a UPS failover move the budget between rounds the
+	// DES crosses on fast-forward; the budget-change pass they trigger must
+	// land on the same round, with the same inputs, in both engines.
+	for _, seed := range pickSeeds(t, 2, func(s Spec) bool {
+		return s.Serving == nil && len(s.Events) > 0 && s.UPS != nil
+	}) {
+		requireEquivalent(t, seed)
+		r, err := RunCluster(Generate(seed), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		changes := 0
+		for _, rt := range r.Trace {
+			if rt.Trigger == "budget-change" {
+				changes++
+			}
+		}
+		if changes == 0 {
+			t.Errorf("seed %d: no budget-change round; the seed crosses no budget edge", seed)
+		}
+	}
+}

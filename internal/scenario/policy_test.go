@@ -222,29 +222,6 @@ func TestServingFitnessTotals(t *testing.T) {
 	}
 }
 
-// TestSoakMeasureGap: the soak harness aggregates per-seed gap stats
-// deterministically across worker counts.
-func TestSoakMeasureGap(t *testing.T) {
-	cfg := SoakConfig{Seeds: 3, MeasureGap: true}
-	a := Soak(cfg)
-	if !a.OK {
-		t.Fatalf("soak not OK: %d violations %d errors", a.Violations, a.Errors)
-	}
-	if a.Gap == nil || a.Gap.Passes == 0 {
-		t.Fatalf("soak aggregated no gap stats: %+v", a.Gap)
-	}
-	cfg.Parallel = 3
-	b := Soak(cfg)
-	if !reflect.DeepEqual(a.Gap, b.Gap) {
-		t.Fatalf("gap stats differ across worker counts:\n%+v\n%+v", a.Gap, b.Gap)
-	}
-	for _, r := range a.Results {
-		if r.Gap == nil {
-			t.Fatalf("seed %d: no per-seed gap stats", r.Seed)
-		}
-	}
-}
-
 // TestSchedulerConfigExport: the scheduling configuration a spec
 // resolves to carries its ε and a power table.
 func TestSchedulerConfigExport(t *testing.T) {

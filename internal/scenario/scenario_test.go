@@ -2,10 +2,30 @@ package scenario
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
 )
+
+// eventLog is a trace sink that keeps every event in emission order.
+type eventLog struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (l *eventLog) Emit(e obs.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, e)
+}
+
+// all returns a copy of the events so far.
+func (l *eventLog) all() []obs.Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]obs.Event(nil), l.events...)
+}
 
 func TestGenerateDeterministicAndValid(t *testing.T) {
 	for seed := int64(1); seed <= 150; seed++ {
@@ -143,7 +163,7 @@ func TestSabotageDetected(t *testing.T) {
 	// The property that defines the planted bug: an inverted comparison
 	// never finds a victim, so every round leaves every processor at its
 	// desire and logs no demotion.
-	var events obs.Buffer
+	var events eventLog
 	r, err := RunCluster(spec, Options{Sabotage: SabotageStepTwoInvert, Sink: &events})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +175,7 @@ func TestSabotageDetected(t *testing.T) {
 			}
 		}
 	}
-	for _, ev := range events.Events() {
+	for _, ev := range events.all() {
 		if ev.Type == obs.EventSchedule && len(ev.Demotions) != 0 {
 			t.Fatalf("t=%v: sabotaged pass logged %d demotions", ev.At, len(ev.Demotions))
 		}

@@ -45,9 +45,6 @@ type SoakConfig struct {
 	// suite fires, so the violating pass ships with its recent event and
 	// series history. Empty disables dumps.
 	DumpDir string `json:"dump_dir,omitempty"`
-	// MeasureGap turns on per-pass greedy-vs-exact-optimal measurement in
-	// cluster jobs; the report carries the aggregated OptGapStats.
-	MeasureGap bool `json:"measure_gap,omitempty"`
 }
 
 // Seed ranges per job kind, decorrelated so `-seeds N -diff M` never
@@ -78,10 +75,8 @@ type SeedResult struct {
 	// FlightDump is the path of the flight-recorder snapshot written for a
 	// violating cluster seed (DumpDir set).
 	FlightDump string `json:"flight_dump,omitempty"`
-	// Gap is the per-run greedy-vs-optimal measurement (MeasureGap).
-	Gap     *OptGapStats `json:"gap,omitempty"`
-	Skipped bool         `json:"skipped,omitempty"`
-	Err     string       `json:"err,omitempty"`
+	Skipped    bool   `json:"skipped,omitempty"`
+	Err        string `json:"err,omitempty"`
 }
 
 // SoakReport is the full campaign outcome, assembled in deterministic
@@ -95,10 +90,6 @@ type SoakReport struct {
 	Skipped     int          `json:"skipped"`
 	OK          bool         `json:"ok"`
 	ElapsedSec  float64      `json:"elapsed_sec"`
-	// Gap aggregates every cluster job's OptGapStats (MeasureGap set);
-	// Gap.WorstGap across a soak corpus is what invariant.DefaultGap is
-	// calibrated against.
-	Gap *OptGapStats `json:"gap,omitempty"`
 }
 
 // Soak runs the campaign: cluster scenarios through the in-process
@@ -192,12 +183,6 @@ func Soak(cfg SoakConfig) *SoakReport {
 		if r.Skipped {
 			rep.Skipped++
 		}
-		if r.Gap != nil {
-			if rep.Gap == nil {
-				rep.Gap = &OptGapStats{}
-			}
-			rep.Gap.Merge(*r.Gap)
-		}
 	}
 	rep.OK = rep.Violations == 0 && rep.Divergences == 0 && rep.Errors == 0
 	rep.ElapsedSec = time.Since(start).Seconds()
@@ -206,7 +191,7 @@ func Soak(cfg SoakConfig) *SoakReport {
 
 func runClusterJob(res *SeedResult, cfg SoakConfig) {
 	spec := Generate(res.Seed)
-	opt := Options{Sabotage: cfg.Sabotage, MeasureGap: cfg.MeasureGap}
+	opt := Options{Sabotage: cfg.Sabotage}
 	var rec *obs.FlightRecorder
 	if cfg.DumpDir != "" {
 		rec = obs.NewFlightRecorder(0, 0)
@@ -238,7 +223,6 @@ func runClusterJob(res *SeedResult, cfg SoakConfig) {
 	}
 	res.Rounds, res.Hash = first.Rounds, first.Hash
 	res.Violations = append(first.Violations, det...)
-	res.Gap = first.Gap
 	if len(res.Violations) > 0 && rec != nil {
 		path := filepath.Join(cfg.DumpDir, fmt.Sprintf("flight-cluster-seed%d.json", res.Seed))
 		if f, err := os.Create(path); err == nil {

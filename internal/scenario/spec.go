@@ -475,7 +475,6 @@ func (s Spec) machineConfig(i int) (machine.Config, error) {
 	cfg.Table = table
 	cfg.Quantum = quantum
 	cfg.LatencyJitterSigma = 0
-	cfg.MeterNoiseSigma = 0
 	cfg.Contention = memhier.Contention{}
 	cfg.ThrottleSettle = 0
 	cfg.Seed = s.Seed + 101 + int64(i)

@@ -13,7 +13,6 @@ func benchWorld(tb testing.TB) (*machine.Machine, *Station, *Feeder) {
 	cfg := machine.P630Config()
 	cfg.NumCPUs = 2
 	cfg.LatencyJitterSigma = 0
-	cfg.MeterNoiseSigma = 0
 	cfg.Contention = memhier.Contention{}
 	cfg.ThrottleSettle = 0
 	cfg.Seed = 21

@@ -116,8 +116,10 @@ type Config struct {
 	Seed int64
 	// Node labels emitted events (empty on a single machine).
 	Node string
-	// Sink receives EventServe snapshots; nil disables emission.
-	Sink obs.Sink
+	// sink receives EventServe snapshots; nil disables emission. No
+	// shipping caller attaches one yet (only this package's tests do), so
+	// it is unexported until one does.
+	sink obs.Sink
 	// EmitEvery is the number of quanta between serve events (default 10,
 	// one scheduling period at the paper's T = 100 ms, t = 10 ms).
 	EmitEvery int
@@ -365,7 +367,7 @@ func (s *Station) AfterQuantum(now float64) {
 		}
 	}
 	s.quanta++
-	if s.cfg.Sink != nil && s.quanta >= s.emitAt {
+	if s.cfg.sink != nil && s.quanta >= s.emitAt {
 		s.emitAt = s.quanta + s.cfg.EmitEvery
 		s.emit(now)
 	}
@@ -452,7 +454,7 @@ func (s *Station) InService(class int) int {
 func (s *Station) emit(now float64) {
 	for ci := range s.classes {
 		row := &s.score.classes[ci]
-		s.cfg.Sink.Emit(obs.Event{
+		s.cfg.sink.Emit(obs.Event{
 			Type:      obs.EventServe,
 			At:        now,
 			Node:      s.cfg.Node,

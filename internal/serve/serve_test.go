@@ -16,7 +16,6 @@ func quietMachine(t *testing.T, cpus int) *machine.Machine {
 	cfg := machine.P630Config()
 	cfg.NumCPUs = cpus
 	cfg.LatencyJitterSigma = 0
-	cfg.MeterNoiseSigma = 0
 	cfg.Contention = memhier.Contention{}
 	cfg.ThrottleSettle = 0
 	cfg.Seed = 11
@@ -232,7 +231,7 @@ func TestStationEmitsServeEvents(t *testing.T) {
 	led := obs.NewLedger()
 	st, err := NewStation(m, Config{
 		Classes: []Class{webClass()}, Clients: 1, Seed: 3,
-		Node: "n0", Sink: led, EmitEvery: 5,
+		Node: "n0", sink: led, EmitEvery: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import "math"
 // (no skipping — timeouts, dispatch and emits need every quantum), and
 // +Inf once drained and silent. Arrivals are the feeder's to bound.
 func (s *Station) NextWakeAt(now float64) float64 {
-	if s.Backlog() > 0 || s.cfg.Sink != nil {
+	if s.Backlog() > 0 || s.cfg.sink != nil {
 		return now
 	}
 	return math.Inf(1)

@@ -24,7 +24,7 @@ func TestStationNextWakeAt(t *testing.T) {
 	// A trace sink pins it too, even when drained.
 	rec := obs.NewFlightRecorder(8, 8)
 	st2, err := NewStation(quietMachine(t, 2), Config{
-		Classes: []Class{webClass()}, Clients: 1, Seed: 3, Sink: rec,
+		Classes: []Class{webClass()}, Clients: 1, Seed: 3, sink: rec,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,9 +38,6 @@ func (h *Histogram) MustAdd(bin, weight float64) {
 	}
 }
 
-// Total returns the sum of all accumulated weight.
-func (h *Histogram) Total() float64 { return h.total }
-
 // Fraction returns the bin's share of the total weight in [0,1], or 0 when
 // the histogram is empty.
 func (h *Histogram) Fraction(bin float64) float64 {
@@ -68,14 +65,6 @@ func (h *Histogram) Fractions() ([]float64, []float64) {
 		fracs[i] = h.Fraction(b)
 	}
 	return bins, fracs
-}
-
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for b, w := range other.weights {
-		h.weights[b] += w
-		h.total += w
-	}
 }
 
 // BucketHistogram is a fixed-bucket histogram in the Prometheus style:
@@ -132,13 +121,6 @@ func (h *BucketHistogram) Count() uint64 { return h.n }
 
 // Sum returns the sum of all observed values.
 func (h *BucketHistogram) Sum() float64 { return h.sum }
-
-// Bounds returns the finite upper bounds in ascending order.
-func (h *BucketHistogram) Bounds() []float64 {
-	out := make([]float64, len(h.bounds))
-	copy(out, h.bounds)
-	return out
-}
 
 // Quantile returns the p-quantile (p in [0,1]) of the observed
 // distribution, interpolated linearly within the owning bucket under the

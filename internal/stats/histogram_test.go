@@ -34,7 +34,7 @@ func TestBucketHistogramObserve(t *testing.T) {
 	if cum[0] != 2 || cum[1] != 3 || cum[2] != 4 {
 		t.Errorf("cumulative = %v", cum)
 	}
-	if got := h.Bounds(); len(got) != 3 || got[0] != 0.01 {
+	if got := h.bounds; len(got) != 3 || got[0] != 0.01 {
 		t.Errorf("bounds = %v", got)
 	}
 }

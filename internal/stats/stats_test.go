@@ -76,8 +76,8 @@ func TestHistogramBasics(t *testing.T) {
 	h.MustAdd(600, 2)
 	h.MustAdd(1000, 6)
 	h.MustAdd(600, 2)
-	if h.Total() != 10 {
-		t.Errorf("Total = %v", h.Total())
+	if h.total != 10 {
+		t.Errorf("total = %v", h.total)
 	}
 	if got := h.Fraction(600); !almostEqual(got, 0.4, 1e-12) {
 		t.Errorf("Fraction(600) = %v, want 0.4", got)
@@ -102,17 +102,6 @@ func TestHistogramEmptyFraction(t *testing.T) {
 	h := NewHistogram()
 	if got := h.Fraction(5); got != 0 {
 		t.Errorf("empty Fraction = %v, want 0", got)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.MustAdd(1, 1)
-	b.MustAdd(1, 1)
-	b.MustAdd(2, 2)
-	a.Merge(b)
-	if a.Total() != 4 || a.weights[1] != 2 || a.weights[2] != 2 {
-		t.Errorf("after Merge: total=%v w1=%v w2=%v", a.Total(), a.weights[1], a.weights[2])
 	}
 }
 

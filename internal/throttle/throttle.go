@@ -98,9 +98,6 @@ func New(kind Kind, nominal units.Frequency, steps int, settleSeconds float64) (
 	}, nil
 }
 
-// Kind returns the throttle's mechanism.
-func (t *Throttle) Kind() Kind { return t.kind }
-
 // QuantizeDuty rounds a duty cycle to the nearest supported level in [0,1].
 func (t *Throttle) QuantizeDuty(d float64) float64 {
 	if d < 0 {

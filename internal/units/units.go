@@ -41,15 +41,6 @@ func (f Frequency) MHz() float64 { return float64(f) / 1e6 }
 // GHz returns the frequency expressed in gigahertz.
 func (f Frequency) GHz() float64 { return float64(f) / 1e9 }
 
-// Period returns the clock period in seconds. It returns +Inf for a zero
-// frequency rather than panicking so idle/parked cores are representable.
-func (f Frequency) Period() float64 {
-	if f == 0 {
-		return math.Inf(1)
-	}
-	return 1 / float64(f)
-}
-
 // String renders the frequency with a scale that keeps 2–4 significant
 // digits, matching the paper's "750MHz" / "1.0GHz" style.
 func (f Frequency) String() string {
@@ -243,9 +234,6 @@ func MustFrequencySet(fs ...Frequency) FrequencySet {
 	}
 	return set
 }
-
-// Min returns the lowest frequency in the set.
-func (s FrequencySet) Min() Frequency { return s[0] }
 
 // Max returns the highest frequency in the set — the paper's f_max.
 func (s FrequencySet) Max() Frequency { return s[len(s)-1] }

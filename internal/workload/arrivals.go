@@ -53,8 +53,6 @@ func (s Schedule) Sorted() Schedule {
 type InterArrival interface {
 	// Gap draws the next unit-mean gap.
 	Gap(rng *rand.Rand) float64
-	// CV returns the distribution's coefficient of variation (σ/µ).
-	CV() float64
 }
 
 // ExpGaps is the exponential (memoryless) gap distribution: a renewal
@@ -63,9 +61,6 @@ type ExpGaps struct{}
 
 // Gap implements InterArrival.
 func (ExpGaps) Gap(rng *rand.Rand) float64 { return rng.ExpFloat64() }
-
-// CV implements InterArrival.
-func (ExpGaps) CV() float64 { return 1 }
 
 // GammaGaps draws Gamma(shape k, scale 1/k) gaps — unit mean, CV = 1/√k.
 // Shape < 1 yields bursty traffic (CV > 1), shape > 1 regular traffic.
@@ -78,9 +73,6 @@ func (g GammaGaps) Gap(rng *rand.Rand) float64 {
 	return sampleGamma(rng, g.Shape) / g.Shape
 }
 
-// CV implements InterArrival.
-func (g GammaGaps) CV() float64 { return 1 / math.Sqrt(g.Shape) }
-
 // WeibullGaps draws Weibull(shape k) gaps rescaled to unit mean
 // (scale = 1/Γ(1+1/k)). Shape > 1 gives sub-exponential variability
 // (ageing inter-arrival hazard), shape < 1 heavy-tailed bursts.
@@ -92,13 +84,6 @@ type WeibullGaps struct {
 func (w WeibullGaps) Gap(rng *rand.Rand) float64 {
 	// Inverse-CDF draw: (−ln(1−U))^(1/k), then normalise the mean away.
 	return math.Pow(-math.Log1p(-rng.Float64()), 1/w.Shape) / math.Gamma(1+1/w.Shape)
-}
-
-// CV implements InterArrival.
-func (w WeibullGaps) CV() float64 {
-	m1 := math.Gamma(1 + 1/w.Shape)
-	m2 := math.Gamma(1 + 2/w.Shape)
-	return math.Sqrt(m2/(m1*m1) - 1)
 }
 
 // sampleGamma draws Gamma(shape, 1) by Marsaglia–Tsang squeeze, with the

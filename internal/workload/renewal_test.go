@@ -29,18 +29,24 @@ func gapStats(t *testing.T, g InterArrival, seed int64, n int) (mean, cv float64
 
 // TestGapDistributionsMoments pools draws across 100 seeds per
 // distribution and checks the empirical mean is 1 and the empirical CV
-// matches the declared CV() within tolerance — the statistical contract
-// the serving layer's arrival specs rely on.
+// matches the distribution's analytic CV within tolerance — the
+// statistical contract the serving layer's arrival specs rely on.
 func TestGapDistributionsMoments(t *testing.T) {
+	// weibullCV is the coefficient of variation of a Weibull(k) draw.
+	weibullCV := func(k float64) float64 {
+		m1, m2 := math.Gamma(1+1/k), math.Gamma(1+2/k)
+		return math.Sqrt(m2/(m1*m1) - 1)
+	}
 	cases := []struct {
 		name string
 		g    InterArrival
+		cv   float64
 	}{
-		{"exp", ExpGaps{}},
-		{"gamma-cv2", GammaGaps{Shape: 0.25}},
-		{"gamma-cv0.5", GammaGaps{Shape: 4}},
-		{"weibull-k0.7", WeibullGaps{Shape: 0.7}},
-		{"weibull-k2", WeibullGaps{Shape: 2}},
+		{"exp", ExpGaps{}, 1},
+		{"gamma-cv2", GammaGaps{Shape: 0.25}, 2}, // 1/√k
+		{"gamma-cv0.5", GammaGaps{Shape: 4}, 0.5},
+		{"weibull-k0.7", WeibullGaps{Shape: 0.7}, weibullCV(0.7)},
+		{"weibull-k2", WeibullGaps{Shape: 2}, weibullCV(2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,7 +63,7 @@ func TestGapDistributionsMoments(t *testing.T) {
 			}
 			// CV estimators are biased low for heavy-tailed draws at
 			// finite n; allow a proportionally wider band.
-			want := tc.g.CV()
+			want := tc.cv
 			if math.Abs(cv-want) > 0.08*want+0.02 {
 				t.Errorf("pooled CV = %v, want %v", cv, want)
 			}

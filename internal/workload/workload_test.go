@@ -309,7 +309,7 @@ func TestHotIdleCharacteristics(t *testing.T) {
 	if ph.Alpha != 1.3 {
 		t.Errorf("idle alpha = %v, want 1.3", ph.Alpha)
 	}
-	if !ph.Rates.IsZero() {
+	if ph.Rates != (memhier.AccessRates{}) {
 		t.Error("idle loop must not touch memory")
 	}
 }
