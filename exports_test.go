@@ -47,7 +47,7 @@ var unusedAllow = map[string]string{
 	"internal/experiments.TestOptions":       "cross-package test input: the small-scale options the cmd/experiments and cmd/fvsst-farm tests run at",
 	"internal/experiments.DefaultOptions":    "cross-package test input: paper-scale options for the root testing.B harness",
 	"internal/farm.NewHolder":                "cross-package test input: a lone lease holder for the cluster and invariant tests",
-	"internal/power.WithVoltageVariation":    "cross-package test input: per-CPU varied tables for the fvsst, cluster, farm and invariant tests",
+	"internal/power.WithVoltageVariation":    "cross-package test input: per-CPU varied tables for the cluster, farm and invariant tests",
 
 	"internal/engine.Timeline.Post":               "bench-pinned (bench/des.go, bench/probes.go); ROADMAP 1(b) deletes the Timeline",
 	"internal/engine.Timeline.Cancel":             "bench-pinned with its Timeline (the engine tests and FuzzTimelineOps drive it); ROADMAP 1(b) deletes the Timeline",
@@ -63,14 +63,6 @@ var unusedAllow = map[string]string{
 	"internal/machine.Config.MeterNoiseSigma":     "bench-pinned (bench/probes.go zeroes it); nothing reads it, and ROADMAP 1(a) drops the write",
 	"internal/machine.Machine.AdvanceStats":       "planned: ROADMAP 8(c) wires the fast-forward counts into obs",
 	"internal/invariant.StepTwoBruteForce":        "test oracle: brute force, the independent witness for the optimal comparator",
-
-	// The paper's optional modes (README), which only fvsst tests turn on.
-	"internal/fvsst.Config.UseHaltedCycles":        "paper mode (§5 halted-cycle idle signal) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
-	"internal/fvsst.Config.UseTwoPointCalibration": "paper mode (§4.3 footnote calibration) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
-	"internal/fvsst.Config.LatencyBoundLo":         "paper mode (ref [17] latency bounds) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
-	"internal/fvsst.Config.LatencyBoundHi":         "paper mode (ref [17] latency bounds) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
-	"internal/fvsst.Config.VoltageTables":          "paper mode (§5 per-processor voltage tables) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
-	"internal/fvsst.Overhead.Distributed":          "paper mode (§9 distributed scheduler overhead) only fvsst tests turn on; the next re-anchor decides whether an experiment drives it or it goes",
 }
 
 // stdlibInterfaces are the standard-library interfaces, "<import

@@ -167,11 +167,11 @@ func TestVoltageAlwaysSufficientProperty(t *testing.T) {
 		}
 		for _, d := range s.Decisions() {
 			for _, a := range d.Assignments {
-				min, err := table.MinVoltage(a.Actual)
-				if err != nil {
+				i := table.IndexOf(a.Actual)
+				if i < 0 {
 					t.Fatalf("off-grid actual frequency %v", a.Actual)
 				}
-				if a.Voltage < min {
+				if min := table.VoltageAtIndex(i); a.Voltage < min {
 					t.Fatalf("undervolted: %v < %v at %v", a.Voltage, min, a.Actual)
 				}
 			}

@@ -60,26 +60,11 @@ type Core struct {
 func (c *Core) SetPhaseTiming(on bool) { c.pass.SetTiming(on) }
 
 // NewCore validates the configuration and builds the shared core. Of the
-// single-machine scheduler's options the core honours Epsilon,
-// UseIdleSignal and UseIdealFrequency; it refuses a configuration that
-// turns on one of the others rather than schedule a cluster without it.
+// single-machine scheduler's options the core honours every one that
+// shapes a pass: Epsilon, UseIdleSignal and UseIdealFrequency.
 func NewCore(cfg fvsst.Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	ignored := ""
-	switch {
-	case cfg.UseHaltedCycles:
-		ignored = "UseHaltedCycles"
-	case cfg.UseTwoPointCalibration:
-		ignored = "UseTwoPointCalibration"
-	case cfg.LatencyBoundHi != 0:
-		ignored = "LatencyBoundLo/Hi"
-	case cfg.VoltageTables != nil:
-		ignored = "VoltageTables"
-	}
-	if ignored != "" {
-		return nil, fmt.Errorf("cluster: the cluster core does not implement fvsst.Config.%s", ignored)
 	}
 	pred, err := perfmodel.New(cfg.Hier)
 	if err != nil {
@@ -237,15 +222,11 @@ func (c *Core) Schedule(inputs []ProcInput, budget units.Power) (PassResult, err
 	predIPC := make([]float64, n)
 	predValid := make([]bool, n)
 	for i, in := range inputs {
-		v, err := p.Voltage(i)
-		if err != nil {
-			return PassResult{}, fmt.Errorf("cluster: voltage for %s cpu %d: %w", in.Node, in.Proc.CPU, err)
-		}
 		a := Assignment{
 			Proc:    in.Proc,
 			Desired: table.FrequencyAtIndex(desired[i]),
 			Actual:  table.FrequencyAtIndex(actual[i]),
-			Voltage: v,
+			Voltage: p.Voltage(i),
 			Idle:    in.Idle,
 		}
 		a.PredictedLoss, predIPC[i], predValid[i] = p.Predicted(i)

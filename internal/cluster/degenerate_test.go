@@ -156,29 +156,18 @@ func TestEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestNewCoreRejectsIgnoredOptions: the core implements Epsilon,
-// UseIdleSignal and UseIdealFrequency of the single-machine scheduler's
-// options. Any other one switched on is an error naming the field, not a
-// cluster silently scheduled without it.
+// TestNewCoreRejectsIgnoredOptions: the core implements every option of
+// the single-machine scheduler that shapes a pass (Epsilon, UseIdleSignal,
+// UseIdealFrequency), so all of them switched on together are accepted,
+// and what it still refuses is what Config.Validate refuses.
 func TestNewCoreRejectsIgnoredOptions(t *testing.T) {
-	for _, tc := range []struct {
-		field string
-		set   func(*fvsst.Config)
-	}{
-		{"", func(c *fvsst.Config) { c.UseIdleSignal, c.UseIdealFrequency, c.Epsilon = true, true, 0.1 }},
-		{"UseHaltedCycles", func(c *fvsst.Config) { c.UseHaltedCycles = true }},
-		{"UseTwoPointCalibration", func(c *fvsst.Config) { c.UseTwoPointCalibration = true }},
-		{"LatencyBoundLo/Hi", func(c *fvsst.Config) { c.LatencyBoundLo, c.LatencyBoundHi = 0.8, 1.2 }},
-		{"VoltageTables", func(c *fvsst.Config) { c.VoltageTables = []*power.Table{c.Table} }},
-	} {
-		cfg := fvsst.DefaultConfig()
-		tc.set(&cfg)
-		_, err := NewCore(cfg)
-		switch {
-		case tc.field == "" && err != nil:
-			t.Errorf("supported options rejected: %v", err)
-		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), "fvsst.Config."+tc.field)):
-			t.Errorf("%s set: NewCore error %v, want one naming the field", tc.field, err)
-		}
+	cfg := fvsst.DefaultConfig()
+	cfg.UseIdleSignal, cfg.UseIdealFrequency, cfg.Epsilon = true, true, 0.1
+	if _, err := NewCore(cfg); err != nil {
+		t.Errorf("supported options rejected: %v", err)
+	}
+	cfg.Epsilon = 0
+	if _, err := NewCore(cfg); err == nil || !strings.Contains(err.Error(), "epsilon") {
+		t.Errorf("invalid epsilon: NewCore error %v, want Validate's", err)
 	}
 }

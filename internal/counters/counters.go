@@ -128,15 +128,6 @@ func (d Delta) ObservedFrequencyHz() float64 {
 	return float64(d.Cycles) / d.Window
 }
 
-// HaltedFraction returns the share of the window's cycles spent halted.
-func (d Delta) HaltedFraction() float64 {
-	total := d.Cycles + d.HaltedCycles
-	if total == 0 {
-		return 0
-	}
-	return float64(d.HaltedCycles) / float64(total)
-}
-
 // Validate sanity-checks a delta: non-negative window and an IPC that is
 // physically plausible (no machine retires more than ~8 instructions per
 // cycle).

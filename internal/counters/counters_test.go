@@ -61,15 +61,8 @@ func TestDeltaDerivedMetrics(t *testing.T) {
 
 func TestDeltaZeroGuards(t *testing.T) {
 	var d Delta
-	if d.IPC() != 0 || d.L2PerInstr() != 0 || d.ObservedFrequencyHz() != 0 || d.HaltedFraction() != 0 {
+	if d.IPC() != 0 || d.L2PerInstr() != 0 || d.ObservedFrequencyHz() != 0 {
 		t.Error("zero delta should produce zero metrics, not NaN")
-	}
-}
-
-func TestHaltedFraction(t *testing.T) {
-	d := Delta{Cycles: 25, HaltedCycles: 75}
-	if got := d.HaltedFraction(); got != 0.75 {
-		t.Errorf("HaltedFraction = %v, want 0.75", got)
 	}
 }
 

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -41,6 +44,49 @@ func TestRunAllParallelDeterminism(t *testing.T) {
 		}
 		if len(first[i]) == 0 {
 			t.Errorf("%s: empty render", id)
+		}
+	}
+}
+
+// TestRunAllMatchesSeed1Golden pins every experiment at paper scale: the
+// text `experiments -seed 1 all` prints, rendered at 1 and at 4 workers,
+// must equal the committed file byte for byte. A change that means to
+// move a printed digit regenerates it with
+//
+//	go run ./cmd/experiments -seed 1 all > internal/experiments/testdata/all_seed1.golden
+func TestRunAllMatchesSeed1Golden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "all_seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []int{1, 4} {
+		var b strings.Builder
+		for i, r := range RunAll(DefaultOptions(), IDs(), parallel) {
+			if r.Err != nil {
+				t.Fatalf("parallel %d: %v", parallel, r.Err)
+			}
+			if i > 0 {
+				b.WriteString(strings.Repeat("=", 78) + "\n")
+			}
+			b.WriteString(r.Rendered)
+		}
+		got := b.String()
+		if got == string(want) {
+			continue
+		}
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Errorf("parallel %d: line %d differs from testdata/all_seed1.golden:\n got: %q\nwant: %q", parallel, i+1, g, w)
+				break
+			}
 		}
 	}
 }

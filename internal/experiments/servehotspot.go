@@ -111,7 +111,6 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 				Classes: serveClasses(),
 				Clients: clients,
 				Seed:    mcfg.Seed + 17, // station seed convention: machine seed + 17
-				Node:    mcfg.Name,
 			})
 			if err != nil {
 				return HotspotOutcome{}, err

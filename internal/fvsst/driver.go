@@ -20,7 +20,7 @@ var ErrCascade = errors.New("fvsst: power plant cascade failure")
 // prototype daemon coupled with the kernel: each dispatch quantum the
 // machine advances and the daemon collects counters; every n-th quantum
 // (and on budget or idle events) it reschedules. The daemon's own cost is
-// stolen from its host CPU.
+// stolen from its host, CPU 0.
 type Driver struct {
 	M *machine.Machine
 	S *Scheduler
@@ -166,17 +166,7 @@ func (d *Driver) chargeCollect() error {
 	if oh.CollectPerCPU <= 0 {
 		return nil
 	}
-	if oh.Distributed {
-		// §9 redesign: each CPU's collector thread reads its own counters.
-		for cpu := 0; cpu < d.M.NumCPUs(); cpu++ {
-			if err := d.M.StealTime(cpu, oh.CollectPerCPU); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	cost := oh.CollectPerCPU * float64(d.M.NumCPUs())
-	return d.M.StealTime(oh.DaemonCPU, cost)
+	return d.M.StealTime(0, oh.CollectPerCPU*float64(d.M.NumCPUs()))
 }
 
 func (d *Driver) chargeSchedule() error {
@@ -184,17 +174,7 @@ func (d *Driver) chargeSchedule() error {
 	if oh.SchedulePass <= 0 {
 		return nil
 	}
-	if oh.Distributed {
-		n := d.M.NumCPUs()
-		share := oh.SchedulePass / float64(n)
-		for cpu := 0; cpu < n; cpu++ {
-			if err := d.M.StealTime(cpu, share); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return d.M.StealTime(oh.DaemonCPU, oh.SchedulePass)
+	return d.M.StealTime(0, oh.SchedulePass)
 }
 
 // record emits per-quantum telemetry for the traced CPU and the machine.

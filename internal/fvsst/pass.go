@@ -26,7 +26,6 @@ type Pass struct {
 	set     units.FrequencySet
 	epsilon float64
 	ideal   bool
-	voltage []*power.Table
 
 	grid    perfmodel.PredGrid
 	desired []int
@@ -52,15 +51,14 @@ type PassTimings struct {
 }
 
 // NewPass builds a pass from the fields of the configuration that are the
-// algorithm's own: Table, Epsilon, UseIdealFrequency and VoltageTables.
-// The others belong to the owner, which also validates the whole.
+// algorithm's own: Table, Epsilon and UseIdealFrequency. The others belong
+// to the owner, which also validates the whole.
 func NewPass(cfg Config) *Pass {
 	return &Pass{
 		table:   cfg.Table,
 		set:     cfg.Table.Frequencies(),
 		epsilon: cfg.Epsilon,
 		ideal:   cfg.UseIdealFrequency,
-		voltage: cfg.VoltageTables,
 	}
 }
 
@@ -121,9 +119,8 @@ func (p *Pass) Observe(i int, dec perfmodel.Decomposition) error {
 	return nil
 }
 
-// Desired returns the Step-1 table index per processor. Until Fit the
-// owner may overwrite entries (the Scheduler's debounce holds a processor
-// at its current setting this way).
+// Desired returns the Step-1 table index per processor, the desires Fit
+// starts from.
 func (p *Pass) Desired() []int { return p.desired }
 
 // Fit is Step 2: from the desired indices, demote least-loss processors
@@ -151,15 +148,9 @@ func (p *Pass) Actual() []int { return p.actual }
 // Demotions returns the ordered Step-2 reductions of the last Fit.
 func (p *Pass) Demotions() []Demotion { return p.demo }
 
-// Voltage is Step 3 for processor i: the minimum voltage for its actual
-// frequency — from its own table on a machine with process variation
-// (Config.VoltageTables), by index from the shared one otherwise.
-func (p *Pass) Voltage(i int) (units.Voltage, error) {
-	if p.voltage != nil {
-		return p.voltage[i].MinVoltage(p.table.FrequencyAtIndex(p.actual[i]))
-	}
-	return p.table.VoltageAtIndex(p.actual[i]), nil
-}
+// Voltage is Step 3 for processor i: the table's minimum voltage for its
+// actual frequency.
+func (p *Pass) Voltage(i int) units.Voltage { return p.table.VoltageAtIndex(p.actual[i]) }
 
 // Predicted returns processor i's predicted loss versus f_max and
 // predicted IPC at its actual setting; ok is false for an idle or

@@ -26,26 +26,18 @@ type Target interface {
 }
 
 // Overhead models the daemon's own cost (Figure 4): seconds charged per
-// counter collection per CPU and per scheduling pass, stolen from the CPU
-// the daemon runs on.
+// counter collection per CPU and per scheduling pass, stolen from CPU 0,
+// the processor the single-threaded daemon runs on.
 type Overhead struct {
 	CollectPerCPU float64
 	SchedulePass  float64
-	// DaemonCPU is the processor the single-threaded daemon runs on.
-	DaemonCPU int
-	// Distributed models the §9 multi-threaded redesign ("two threads per
-	// processor: one collects the counters at user level, the other
-	// controls the throttling"): each CPU pays for its own collection and
-	// an equal share of the scheduling pass, instead of the single daemon
-	// CPU paying for everything.
-	Distributed bool
 }
 
 // DefaultOverhead approximates the unoptimised prototype: ~60 µs per
 // per-CPU counter read and ~400 µs per scheduling pass, totalling under 3%
 // of a CPU at T = 100 ms (§8.1).
 func DefaultOverhead() Overhead {
-	return Overhead{CollectPerCPU: 60e-6, SchedulePass: 400e-6, DaemonCPU: 0}
+	return Overhead{CollectPerCPU: 60e-6, SchedulePass: 400e-6}
 }
 
 // Config parameterises the scheduler.
@@ -66,38 +58,9 @@ type Config struct {
 	// hot-idling processor looks CPU-bound and is scheduled at maximum
 	// frequency (§5, §7.1).
 	UseIdleSignal bool
-	// UseHaltedCycles treats a window that is >90% halted as idle, the
-	// alternative idle detection for halting processors.
-	UseHaltedCycles bool
 	// UseIdealFrequency replaces the Step 1 per-frequency scan with the
 	// closed-form f_ideal of §5.
 	UseIdealFrequency bool
-	// UseTwoPointCalibration enables the §4.3-footnote calibration: when
-	// the last two scheduling windows ran at different frequencies, the
-	// decomposition is derived from the two (frequency, CPI) points
-	// directly, without trusting the constant memory-latency assumption.
-	UseTwoPointCalibration bool
-	// LatencyBoundLo/Hi, when Hi > 0, enable the best/worst-case latency
-	// bounds of reference [17]: Step 1 uses the *worst-case* (low-latency-
-	// scale) decomposition for its ε-check, making frequency reductions
-	// conservative.
-	LatencyBoundLo float64
-	LatencyBoundHi float64
-	// debouncePasses, when ≥ 2, requires a processor's ε-constrained
-	// frequency to repeat for that many consecutive passes before the
-	// scheduler actuates the change — a hysteresis knob that damps the
-	// one-step flutter borderline workloads produce under measurement
-	// noise (the same stability concern §6 addresses by making T a large
-	// multiple of t). Power-limit compliance always wins: downward moves
-	// demanded by Step 2 are never debounced. Only this package's tests
-	// set it: nothing shipping turns it on, and the debounce a policy
-	// search drives is scenario.PolicyKnobs.DebouncePasses.
-	debouncePasses int
-	// VoltageTables optionally gives each processor its own voltage table
-	// for Step 3, for machines with significant process variation (§5:
-	// "the voltage table is different for each processor"). Length must
-	// equal the target's CPU count; nil uses Table for every processor.
-	VoltageTables []*power.Table
 	// Overhead is the daemon cost model; zero values disable it.
 	Overhead Overhead
 }
@@ -136,14 +99,6 @@ func (c Config) Validate() error {
 	}
 	if c.Overhead.CollectPerCPU < 0 || c.Overhead.SchedulePass < 0 {
 		return fmt.Errorf("fvsst: negative overhead")
-	}
-	if c.LatencyBoundHi != 0 {
-		if c.LatencyBoundLo <= 0 || c.LatencyBoundHi < c.LatencyBoundLo {
-			return fmt.Errorf("fvsst: latency bounds %v..%v invalid", c.LatencyBoundLo, c.LatencyBoundHi)
-		}
-	}
-	if c.debouncePasses < 0 {
-		return fmt.Errorf("fvsst: debounce passes %d must be non-negative", c.debouncePasses)
 	}
 	return nil
 }
@@ -198,18 +153,10 @@ type Scheduler struct {
 	sampler   *counters.Sampler
 	predictor perfmodel.Predictor
 	budget    units.Power
-	set       units.FrequencySet
 	decisions []Decision
 	// cadence owns the T = n·t rule: every n-th Collect makes a
 	// scheduling pass due.
 	cadence engine.Cadence
-	// prevObs holds the previous scheduling window per CPU for the
-	// two-point calibration mode.
-	prevObs   []perfmodel.Observation
-	prevValid []bool
-	// lastDesired/desireStreak back the debounce filter.
-	lastDesired  []units.Frequency
-	desireStreak []int
 	// lastPredIPC/lastPredValid hold each CPU's previous-pass IPC
 	// prediction so the next pass can score it against observation.
 	lastPredIPC   []float64
@@ -256,9 +203,6 @@ func New(cfg Config, target Target, budget units.Power) (*Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.VoltageTables != nil && len(cfg.VoltageTables) != target.NumCPUs() {
-		return nil, fmt.Errorf("fvsst: %d voltage tables for %d CPUs", len(cfg.VoltageTables), target.NumCPUs())
-	}
 	cadence, err := engine.NewCadence(cfg.SchedulePeriods)
 	if err != nil {
 		return nil, err
@@ -270,12 +214,7 @@ func New(cfg Config, target Target, budget units.Power) (*Scheduler, error) {
 		sampler:       sampler,
 		predictor:     pred,
 		budget:        budget,
-		set:           cfg.Table.Frequencies(),
 		cadence:       cadence,
-		prevObs:       make([]perfmodel.Observation, n),
-		prevValid:     make([]bool, n),
-		lastDesired:   make([]units.Frequency, n),
-		desireStreak:  make([]int, n),
 		lastPredIPC:   make([]float64, n),
 		lastPredValid: make([]bool, n),
 		pass:          NewPass(cfg),
@@ -334,70 +273,6 @@ func (s *Scheduler) observationFor(cpu int) (perfmodel.Observation, bool) {
 	return perfmodel.ObservationFrom(s.sampler.WindowAggregate(cpu, s.cfg.SchedulePeriods))
 }
 
-// decompose derives the cycle decomposition for one CPU's window,
-// honouring the configured calibration modes. The window is banked as the
-// CPU's previous observation whether or not decomposition succeeds.
-func (s *Scheduler) decompose(cpu int, obs perfmodel.Observation) (perfmodel.Decomposition, error) {
-	dec, err := s.decomposeWindow(cpu, obs)
-	s.prevObs[cpu] = obs
-	s.prevValid[cpu] = true
-	return dec, err
-}
-
-func (s *Scheduler) decomposeWindow(cpu int, obs perfmodel.Observation) (perfmodel.Decomposition, error) {
-	if s.cfg.UseTwoPointCalibration && s.prevValid[cpu] {
-		prev := s.prevObs[cpu]
-		// Two usable points need meaningfully distinct frequencies or the
-		// slope estimate blows up on noise.
-		if prev.Freq > 0 && relDiff(prev.Freq.Hz(), obs.Freq.Hz()) > 0.02 {
-			if dec, err := perfmodel.CalibrateTwoPoint(prev, obs); err == nil {
-				return dec, nil
-			}
-			// Fall through to the single-point model on calibration error.
-		}
-	}
-	if s.cfg.LatencyBoundHi > 0 {
-		b, err := s.predictor.DecomposeWithBounds(obs, s.cfg.LatencyBoundLo, s.cfg.LatencyBoundHi)
-		if err != nil {
-			return perfmodel.Decomposition{}, err
-		}
-		// Worst case for scaling down: assume latencies at the low end of
-		// the band, i.e. the workload is less memory-bound than nominal.
-		return b.Worst, nil
-	}
-	return s.predictor.Decompose(obs)
-}
-
-func relDiff(a, b float64) float64 {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	m := a
-	if b > m {
-		m = b
-	}
-	if m == 0 {
-		return 0
-	}
-	return d / m
-}
-
-// isIdle decides whether cpu should be treated as idle under the
-// configured detection mechanisms.
-func (s *Scheduler) isIdle(cpu int) bool {
-	if s.cfg.UseIdleSignal && s.target.IsIdle(cpu) {
-		return true
-	}
-	if s.cfg.UseHaltedCycles {
-		delta := s.sampler.WindowAggregate(cpu, s.cfg.SchedulePeriods)
-		if delta.HaltedFraction() > 0.9 {
-			return true
-		}
-	}
-	return false
-}
-
 // Schedule runs one full pass of the Figure 3 algorithm and actuates the
 // result. trigger labels the cause in the decision log ("timer",
 // "budget-change", "idle-transition").
@@ -405,8 +280,8 @@ func (s *Scheduler) isIdle(cpu int) bool {
 // The steps themselves run in the scheduler's Pass, in operating-point
 // index space over its prediction grid. What is the scheduler's own is
 // around them: which processors count as idle, how a counter window becomes
-// a decomposition, the debounce between Step 1 and the fit, actuation,
-// scoring the previous prediction, and the decision log.
+// a decomposition, actuation, scoring the previous prediction, and the
+// decision log.
 func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 	s.passID++
 	// trace gates every clock read and span emission: with no sink the
@@ -423,7 +298,7 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 	// Step 1: ε-constrained frequency per processor.
 	for cpu := range assign {
 		assign[cpu] = Assignment{CPU: cpu}
-		if s.isIdle(cpu) {
+		if s.cfg.UseIdleSignal && s.target.IsIdle(cpu) {
 			assign[cpu].Idle = true
 			p.Idle(cpu)
 			continue
@@ -434,7 +309,7 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 			continue
 		}
 		p.StartFill()
-		dec, err := s.decompose(cpu, obsv)
+		dec, err := s.predictor.Decompose(obsv)
 		if err != nil {
 			return Decision{}, fmt.Errorf("fvsst: cpu %d: %w", cpu, err)
 		}
@@ -444,38 +319,13 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 		assign[cpu].ObservedIPC = obsv.Delta.IPC()
 	}
 
-	// Debounce: a new ε-constrained frequency must persist for k passes
-	// before the scheduler acts on it; until then the processor holds its
-	// current setting. Step 2's forced downward moves are applied after
-	// this filter and are never debounced.
-	desired := p.Desired()
-	if k := s.cfg.debouncePasses; k >= 2 {
-		for cpu := range assign {
-			df := s.set[desired[cpu]]
-			if df == s.lastDesired[cpu] {
-				s.desireStreak[cpu]++
-			} else {
-				s.lastDesired[cpu] = df
-				s.desireStreak[cpu] = 1
-			}
-			cur := s.set.ClampTo(s.target.EffectiveFrequency(cpu))
-			if df != cur && s.desireStreak[cpu] < k {
-				desired[cpu] = s.cfg.Table.IndexOf(cur)
-			}
-		}
-	}
-
 	// Step 2: fit the aggregate power to the budget; the pass records every
 	// reduction for the decision's demotion attribution.
 	met := p.Fit(s.budget)
 
 	// Step 3: voltages.
 	for cpu := range assign {
-		v, err := p.Voltage(cpu)
-		if err != nil {
-			return Decision{}, fmt.Errorf("fvsst: voltage for cpu %d: %w", cpu, err)
-		}
-		assign[cpu].Voltage = v
+		assign[cpu].Voltage = p.Voltage(cpu)
 	}
 	steps := p.Finish()
 
@@ -484,6 +334,7 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 	if trace {
 		actStart = time.Now()
 	}
+	desired := p.Desired()
 	for cpu, ai := range p.Actual() {
 		a := &assign[cpu]
 		a.Desired = s.cfg.Table.FrequencyAtIndex(desired[cpu])
@@ -526,9 +377,8 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 		ev := d.Event()
 		ev.PassID = s.passID
 		s.sink.Emit(ev)
-		// Span tree: debounce time rides inside step1's remainder; the
-		// grid fill (decompose + sweep) is broken out so children stay
-		// disjoint.
+		// Span tree: the grid fill (decompose + sweep) is broken out of
+		// step1 so children stay disjoint.
 		EmitStepSpans(s.sink, d.At, s.passID, steps)
 		s.sink.Emit(obs.SpanEvent(d.At, s.passID, "", obs.SpanActuate, obs.SpanPass, actDur.Seconds()))
 		s.sink.Emit(obs.SpanEvent(d.At, s.passID, "", obs.SpanPass, "", time.Since(passStart).Seconds()))

@@ -50,15 +50,14 @@ type Pass struct {
 }
 
 // NewPass validates the snapshot and fills the checker-owned prediction
-// grid. Config features beyond the plain two-pass algorithm (ideal
-// frequency, two-point calibration, latency bounds) change
-// Step-1 semantics in ways these checkers do not model, so such configs
-// are rejected rather than silently mis-checked.
+// grid. The closed-form ideal frequency (UseIdealFrequency) changes Step-1
+// semantics in ways these checkers do not model, so a config that turns it
+// on is rejected rather than silently mis-checked.
 func NewPass(cfg fvsst.Config, at float64, budget units.Power, procs []Proc, demotions []fvsst.Demotion, charged units.Power, met bool) (*Pass, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("invariant: config: %w", err)
 	}
-	if cfg.UseIdealFrequency || cfg.UseTwoPointCalibration || cfg.LatencyBoundLo != 0 || cfg.LatencyBoundHi != 0 {
+	if cfg.UseIdealFrequency {
 		return nil, fmt.Errorf("invariant: config uses Step-1 variants the checkers do not model")
 	}
 	p := &Pass{

@@ -37,12 +37,6 @@ const (
 	// renewal: the cluster falls back to its floor budget on its own, the
 	// farm-level analogue of the node agent failsafe.
 	EventLeaseExpire = "lease-expire"
-	// EventServe is one serving station's cumulative per-class request
-	// account at a quantum boundary (internal/serve): offered/admitted/
-	// rejected/dropped/timed-out/completed/SLO-met counters plus the
-	// instantaneous queue depth — the open-workload analogue of the
-	// quantum power sample.
-	EventServe = "serve"
 	// EventSpan is one timed phase of a scheduling or reallocation pass.
 	// Spans form a two-level causal tree per pass: a "pass" root plus
 	// children ("grid-fill", "step1"…, "poll", "rpc:actuate"…) that share
@@ -141,24 +135,6 @@ type Event struct {
 	ChargedW  float64 `json:"charged_w,omitempty"`
 	ReservedW float64 `json:"reserved_w,omitempty"`
 	Detail    string  `json:"detail,omitempty"`
-
-	// Serving fields (EventServe, internal/serve): one request class's
-	// cumulative counters since the station started, plus the
-	// instantaneous queue depth and in-service count. Counters are
-	// cumulative so a trace consumer can difference any two events of the
-	// same (Node, Class) without replaying the whole stream. P99S is the
-	// class's p99 latency so far in simulated seconds.
-	Class     string  `json:"class,omitempty"`
-	Offered   uint64  `json:"offered,omitempty"`
-	Admitted  uint64  `json:"admitted,omitempty"`
-	Rejected  uint64  `json:"rejected,omitempty"`
-	Dropped   uint64  `json:"dropped,omitempty"`
-	TimedOut  uint64  `json:"timed_out,omitempty"`
-	Completed uint64  `json:"completed,omitempty"`
-	SLOOk     uint64  `json:"slo_ok,omitempty"`
-	QueueLen  int     `json:"queue_len,omitempty"`
-	InService int     `json:"in_service,omitempty"`
-	P99S      float64 `json:"p99_s,omitempty"`
 
 	// Farm fields (internal/farm). RunwaySeconds is how long the budget
 	// source can sustain the charged draw (the UPS runway); Clusters is the

@@ -44,14 +44,6 @@ type Ledger struct {
 
 	// Wall-clock pass latency from "pass" spans, capped.
 	passDur []float64
-
-	// Serving accounting: the latest cumulative serve event per
-	// (node, class), folded into per-class totals at Summary time.
-	serve map[serveKey]Event
-}
-
-type serveKey struct {
-	node, class string
 }
 
 // maxLatencySamples bounds the retained pass-latency samples; beyond it
@@ -145,14 +137,6 @@ func (l *Ledger) Emit(e Event) {
 				l.predMax = err
 			}
 		}
-	case EventServe:
-		if l.serve == nil {
-			l.serve = make(map[serveKey]Event)
-		}
-		k := serveKey{e.Node, e.Class}
-		if prev, ok := l.serve[k]; !ok || e.At >= prev.At {
-			l.serve[k] = e
-		}
 	case EventSpan:
 		if e.Span == SpanPass && len(l.passDur) < maxLatencySamples {
 			l.passDur = append(l.passDur, e.DurS)
@@ -185,27 +169,6 @@ type LatencySummary struct {
 	MaxMs  float64 `json:"max_ms"`
 }
 
-// ServeClassTotals is one request class's row of the serving section,
-// summed over every node's latest cumulative serve event. P99S is the
-// worst per-node p99 (quantiles cannot be summed across nodes).
-// Attainment is SLOOk/(Completed+TimedOut): timed-out requests were
-// admitted and count against the SLO; rejected/dropped requests are
-// admission-control outcomes reported separately.
-type ServeClassTotals struct {
-	Class      string  `json:"class"`
-	Offered    uint64  `json:"offered"`
-	Admitted   uint64  `json:"admitted"`
-	Rejected   uint64  `json:"rejected,omitempty"`
-	Dropped    uint64  `json:"dropped,omitempty"`
-	TimedOut   uint64  `json:"timed_out,omitempty"`
-	Completed  uint64  `json:"completed"`
-	SLOOk      uint64  `json:"slo_ok"`
-	Attainment float64 `json:"attainment"`
-	QueueLen   int     `json:"queue_len,omitempty"`
-	InService  int     `json:"in_service,omitempty"`
-	P99S       float64 `json:"p99_s"`
-}
-
 // LedgerSummary is the frozen account, JSON-renderable. Latency is nil
 // when the latency section is deselected or no pass spans were seen.
 type LedgerSummary struct {
@@ -224,10 +187,6 @@ type LedgerSummary struct {
 	PredMeanAbsErr   float64         `json:"pred_mean_abs_err"`
 	PredMaxAbsErr    float64         `json:"pred_max_abs_err"`
 	Latency          *LatencySummary `json:"latency,omitempty"`
-	// Serving rows, class-sorted; nil when the trace has no serve events
-	// or the section is deselected. Fully simulated-time, so included in
-	// deterministic comparisons.
-	Serving []ServeClassTotals `json:"serving,omitempty"`
 }
 
 // Summary freezes the account. Node rows are name-sorted; the unnamed
@@ -284,35 +243,6 @@ func (l *Ledger) Summary() LedgerSummary {
 		s.Triggers = append(s.Triggers, TriggerCount{Trigger: t, Passes: c})
 	}
 	sort.Slice(s.Triggers, func(i, j int) bool { return s.Triggers[i].Trigger < s.Triggers[j].Trigger })
-	if len(l.serve) > 0 {
-		byClass := make(map[string]*ServeClassTotals)
-		for k, e := range l.serve {
-			row, ok := byClass[k.class]
-			if !ok {
-				row = &ServeClassTotals{Class: k.class}
-				byClass[k.class] = row
-			}
-			row.Offered += e.Offered
-			row.Admitted += e.Admitted
-			row.Rejected += e.Rejected
-			row.Dropped += e.Dropped
-			row.TimedOut += e.TimedOut
-			row.Completed += e.Completed
-			row.SLOOk += e.SLOOk
-			row.QueueLen += e.QueueLen
-			row.InService += e.InService
-			if e.P99S > row.P99S {
-				row.P99S = e.P99S
-			}
-		}
-		for _, row := range byClass {
-			if resolved := row.Completed + row.TimedOut; resolved > 0 {
-				row.Attainment = float64(row.SLOOk) / float64(resolved)
-			}
-			s.Serving = append(s.Serving, *row)
-		}
-		sort.Slice(s.Serving, func(i, j int) bool { return s.Serving[i].Class < s.Serving[j].Class })
-	}
 	if len(l.passDur) > 0 {
 		d := append([]float64(nil), l.passDur...)
 		sort.Float64s(d)
@@ -343,15 +273,11 @@ const (
 	SectionEnergy     = "energy"
 	SectionCompliance = "compliance"
 	SectionPrediction = "prediction"
-	// SectionServing is the request-latency/SLO account from serve events
-	// (simulated time, deterministic). Distinct from SectionLatency, which
-	// reports *wall-clock* scheduling-pass latency.
-	SectionServing = "serving"
-	SectionLatency = "latency"
+	SectionLatency    = "latency"
 )
 
 // AllSections lists every report section in render order.
-var AllSections = []string{SectionEnergy, SectionCompliance, SectionPrediction, SectionServing, SectionLatency}
+var AllSections = []string{SectionEnergy, SectionCompliance, SectionPrediction, SectionLatency}
 
 // ParseSections parses a comma-separated section list ("all" or "" for
 // everything), preserving render order and rejecting unknown names.
@@ -400,9 +326,6 @@ func (s LedgerSummary) Filter(sections []string) LedgerSummary {
 		out.Nodes = nil
 		out.TotalJoules, out.BudgetJoules, out.ChargedJoules = 0, 0, 0
 	}
-	if !has(SectionServing) {
-		out.Serving = nil
-	}
 	if !has(SectionLatency) {
 		out.Latency = nil
 	}
@@ -438,16 +361,6 @@ func (s LedgerSummary) WriteText(w io.Writer, sections []string) error {
 			fmt.Fprintf(bw, "prediction\n")
 			fmt.Fprintf(bw, "  samples %d  mean |err| %.4f  max |err| %.4f\n",
 				s.PredSamples, s.PredMeanAbsErr, s.PredMaxAbsErr)
-		case SectionServing:
-			fmt.Fprintf(bw, "serving\n")
-			if len(s.Serving) == 0 {
-				fmt.Fprintf(bw, "  no serve events in trace\n")
-			}
-			for _, c := range s.Serving {
-				fmt.Fprintf(bw, "  %-12s offered %d  admitted %d  completed %d  slo-ok %d (%.2f%%)  rejected %d  dropped %d  timeout %d  queued %d  p99 %.4f s\n",
-					c.Class, c.Offered, c.Admitted, c.Completed, c.SLOOk, 100*c.Attainment,
-					c.Rejected, c.Dropped, c.TimedOut, c.QueueLen, c.P99S)
-			}
 		case SectionLatency:
 			fmt.Fprintf(bw, "latency (wall-clock, nondeterministic)\n")
 			if s.Latency == nil {

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -142,47 +140,5 @@ func TestReplayJSONL(t *testing.T) {
 	}
 	if _, err := ReplayJSONL(strings.NewReader("{broken"), l); err == nil {
 		t.Error("malformed line accepted")
-	}
-}
-
-func TestLedgerServingSection(t *testing.T) {
-	l := NewLedger()
-	// Two nodes, same class: totals sum counters, p99 takes the worst
-	// node, and only the latest event per (node, class) counts.
-	l.Emit(Event{Type: EventServe, At: 1, Node: "n0", Class: "web",
-		Offered: 10, Admitted: 9, Rejected: 1, Completed: 8, TimedOut: 1, SLOOk: 6, QueueLen: 0, P99S: 0.030})
-	l.Emit(Event{Type: EventServe, At: 2, Node: "n0", Class: "web",
-		Offered: 20, Admitted: 18, Rejected: 2, Completed: 16, TimedOut: 2, SLOOk: 12, QueueLen: 1, P99S: 0.040})
-	l.Emit(Event{Type: EventServe, At: 2, Node: "n1", Class: "web",
-		Offered: 10, Admitted: 10, Completed: 10, SLOOk: 9, P99S: 0.070})
-	l.Emit(Event{Type: EventServe, At: 2, Node: "n1", Class: "batch",
-		Offered: 5, Admitted: 5, Completed: 4, SLOOk: 4, InService: 1, P99S: 0.500})
-	s := l.Summary()
-	if len(s.Serving) != 2 {
-		t.Fatalf("serving rows = %d, want 2", len(s.Serving))
-	}
-	if s.Serving[0].Class != "batch" || s.Serving[1].Class != "web" {
-		t.Fatalf("rows not class-sorted: %+v", s.Serving)
-	}
-	web := s.Serving[1]
-	if web.Offered != 30 || web.Admitted != 28 || web.Completed != 26 || web.SLOOk != 21 {
-		t.Errorf("web totals = %+v", web)
-	}
-	if web.P99S != 0.070 {
-		t.Errorf("web p99 = %v, want worst-node 0.070", web.P99S)
-	}
-	if want := 21.0 / 28.0; math.Abs(web.Attainment-want) > 1e-12 {
-		t.Errorf("web attainment = %v, want %v", web.Attainment, want)
-	}
-	// Deselecting the section drops the rows.
-	if f := s.Filter([]string{SectionEnergy}); f.Serving != nil {
-		t.Error("filter kept serving rows")
-	}
-	var buf bytes.Buffer
-	if err := s.WriteText(&buf, []string{SectionServing}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "web") || !strings.Contains(buf.String(), "batch") {
-		t.Errorf("text rendering missing rows:\n%s", buf.String())
 	}
 }

@@ -7,9 +7,8 @@
 //	IPC(f) = 1 / (1/α + (Σᵢ (Nᵢ/Instr)·Tᵢ) · f)
 //	Perf(f) = IPC(f) · f
 //
-// The package also provides the paper's PerfLoss metric, the closed-form
-// ideal frequency of §5, the two-frequency calibration mentioned in the
-// §4.3 footnote, and the best/worst-case latency bounds of reference [17].
+// The package also provides the paper's PerfLoss metric and the
+// closed-form ideal frequency of §5.
 package perfmodel
 
 import (
@@ -154,65 +153,4 @@ func (d Decomposition) IdealFrequency(fMax units.Frequency, epsilon float64) (un
 		f = fMax
 	}
 	return f, nil
-}
-
-// CalibrateTwoPoint recovers a decomposition from observations of the same
-// workload at two different frequencies, the approach of [2] referenced in
-// the §4.3 footnote: it needs no assumed service times, since two
-// (frequency, CPI) points determine both components:
-//
-//	CPI(f) = InvAlpha + Stall·f.
-func CalibrateTwoPoint(a, b Observation) (Decomposition, error) {
-	if err := a.Validate(); err != nil {
-		return Decomposition{}, err
-	}
-	if err := b.Validate(); err != nil {
-		return Decomposition{}, err
-	}
-	if a.Freq == b.Freq {
-		return Decomposition{}, fmt.Errorf("perfmodel: two-point calibration needs distinct frequencies")
-	}
-	cpiA, cpiB := 1/a.Delta.IPC(), 1/b.Delta.IPC()
-	stall := (cpiB - cpiA) / (b.Freq.Hz() - a.Freq.Hz())
-	if stall < 0 {
-		stall = 0
-	}
-	invAlpha := cpiA - stall*a.Freq.Hz()
-	if invAlpha < 1/MaxAlpha {
-		invAlpha = 1 / MaxAlpha
-	}
-	return Decomposition{InvAlpha: invAlpha, StallSecPerInstr: stall}, nil
-}
-
-// Bounds is the best/worst-case prediction interval of reference [17]:
-// instead of one constant latency per level, the true service time is
-// bracketed between scale factors applied to the nominal latencies.
-type Bounds struct {
-	Best, Worst Decomposition
-}
-
-// DecomposeWithBounds is Decompose with a latency uncertainty band:
-// loScale and hiScale multiply the nominal service times (e.g. 0.9 and 1.3
-// for −10%/+30% latency uncertainty).
-func (p Predictor) DecomposeWithBounds(o Observation, loScale, hiScale float64) (Bounds, error) {
-	if loScale <= 0 || hiScale < loScale {
-		return Bounds{}, fmt.Errorf("perfmodel: bad latency scales %v..%v", loScale, hiScale)
-	}
-	base, err := p.Decompose(o)
-	if err != nil {
-		return Bounds{}, err
-	}
-	mk := func(scale float64) Decomposition {
-		stall := base.StallSecPerInstr * scale
-		cpi := base.InvAlpha + base.StallSecPerInstr*o.Freq.Hz() // observed CPI reconstructed
-		invAlpha := cpi - stall*o.Freq.Hz()
-		if invAlpha < 1/MaxAlpha {
-			invAlpha = 1 / MaxAlpha
-		}
-		return Decomposition{InvAlpha: invAlpha, StallSecPerInstr: stall}
-	}
-	// A larger assumed latency shifts cost from the core to the memory
-	// component; at lower frequencies that predicts *better* performance
-	// retention ("best case" for scaling down), and vice versa.
-	return Bounds{Best: mk(hiScale), Worst: mk(loScale)}, nil
 }

@@ -223,58 +223,6 @@ func TestIdealFrequencyNeverExceedsFmaxProperty(t *testing.T) {
 	}
 }
 
-func TestCalibrateTwoPoint(t *testing.T) {
-	alpha := 1.3
-	rates := memhier.AccessRates{L2PerInstr: 0.015, MemPerInstr: 0.008}
-	a := Observation{Delta: syntheticDelta(alpha, rates, 1e9, units.GHz(1)), Freq: units.GHz(1)}
-	b := Observation{Delta: syntheticDelta(alpha, rates, 1e9, units.MHz(600)), Freq: units.MHz(600)}
-	d, err := CalibrateTwoPoint(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStall := rates.StallTimePerInstr(memhier.P630())
-	if math.Abs(d.StallSecPerInstr-wantStall)/wantStall > 1e-3 {
-		t.Errorf("two-point stall = %v, want %v", d.StallSecPerInstr, wantStall)
-	}
-	if math.Abs(d.InvAlpha-1/alpha) > 1e-2 {
-		t.Errorf("two-point invAlpha = %v, want %v", d.InvAlpha, 1/alpha)
-	}
-}
-
-func TestCalibrateTwoPointRejectsSameFrequency(t *testing.T) {
-	o := Observation{
-		Delta: counters.Delta{Window: 0.01, Instructions: 100, Cycles: 200},
-		Freq:  units.GHz(1),
-	}
-	if _, err := CalibrateTwoPoint(o, o); err == nil {
-		t.Error("same-frequency calibration accepted")
-	}
-}
-
-func TestDecomposeWithBounds(t *testing.T) {
-	p := pred(t)
-	rates := memhier.AccessRates{MemPerInstr: 0.01}
-	obs := Observation{Delta: syntheticDelta(1.2, rates, 1e9, units.GHz(1)), Freq: units.GHz(1)}
-	b, err := p.DecomposeWithBounds(obs, 0.9, 1.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := b.Best.IPCAt(units.MHz(500)), b.Worst.IPCAt(units.MHz(500))
-	lo, hi = min(lo, hi), max(lo, hi)
-	// The nominal prediction lies within the band.
-	base, _ := p.Decompose(obs)
-	nominal := base.IPCAt(units.MHz(500))
-	if nominal < lo-1e-9 || nominal > hi+1e-9 {
-		t.Errorf("nominal %v outside [%v,%v]", nominal, lo, hi)
-	}
-	if _, err := p.DecomposeWithBounds(obs, 0, 1); err == nil {
-		t.Error("zero loScale accepted")
-	}
-	if _, err := p.DecomposeWithBounds(obs, 1.2, 0.9); err == nil {
-		t.Error("inverted scales accepted")
-	}
-}
-
 // Property: prediction round-trip. For any physical workload, decomposing a
 // synthetic observation at frequency g and predicting at g itself must
 // reproduce the observed IPC.

@@ -181,3 +181,21 @@ func fitError(m Model, t *Table) float64 {
 	}
 	return worst
 }
+
+func TestWithVoltageVariationValidation(t *testing.T) {
+	if _, err := WithVoltageVariation(PaperTable1(), []float64{0.5}); err == nil {
+		t.Error("extreme scale accepted")
+	}
+	tables, err := WithVoltageVariation(PaperTable1(), []float64{1.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Power scales as V²: 140 W × 1.21 at 1 GHz.
+	p, err := tables[0].PowerAt(units.GHz(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.W(); got < 169.3 || got > 169.5 {
+		t.Errorf("scaled power = %v, want 169.4W", got)
+	}
+}

@@ -25,9 +25,10 @@ type OperatingPoint struct {
 }
 
 // Table is the scheduler-facing operating-point table, ascending in
-// frequency. Step 3 of the scheduling algorithm ("v = MinVoltage(f)") and
-// the power lookups of Step 2 are both table lookups here, exactly as the
-// paper prescribes for processors with a small fixed frequency set.
+// frequency. Step 3 of the scheduling algorithm (the minimum voltage for
+// f, VoltageAtIndex) and the power lookups of Step 2 are both table
+// lookups here, exactly as the paper prescribes for processors with a
+// small fixed frequency set.
 type Table struct {
 	points []OperatingPoint
 	// integral is true when every power is a whole number of watts (see
@@ -188,15 +189,6 @@ func (t *Table) DemotedSum(sum units.Power, indices []int, from int) units.Power
 func (t *Table) PowerAt(f units.Frequency) (units.Power, error) {
 	if i := t.lookup(f); i >= 0 {
 		return t.points[i].P, nil
-	}
-	return 0, fmt.Errorf("power: frequency %v not in table", f)
-}
-
-// MinVoltage returns the minimum reliable voltage at exactly the table
-// frequency f — Step 3 of the scheduling algorithm.
-func (t *Table) MinVoltage(f units.Frequency) (units.Voltage, error) {
-	if i := t.lookup(f); i >= 0 {
-		return t.points[i].V, nil
 	}
 	return 0, fmt.Errorf("power: frequency %v not in table", f)
 }

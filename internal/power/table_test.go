@@ -102,18 +102,18 @@ func TestTableLookupsErrorOffGrid(t *testing.T) {
 	if _, err := tab.PowerAt(units.MHz(725)); err == nil {
 		t.Error("PowerAt off-grid: want error")
 	}
-	if _, err := tab.MinVoltage(units.MHz(725)); err == nil {
-		t.Error("MinVoltage off-grid: want error")
+	if i := tab.IndexOf(units.MHz(725)); i != -1 {
+		t.Errorf("IndexOf off-grid = %d, want -1", i)
 	}
 }
 
 func TestMinVoltageMonotone(t *testing.T) {
 	tab := PaperTable1()
 	prev := units.Voltage(0)
-	for _, p := range tab.Points() {
-		v, err := tab.MinVoltage(p.F)
-		if err != nil {
-			t.Fatal(err)
+	for i, p := range tab.Points() {
+		v := tab.VoltageAtIndex(tab.IndexOf(p.F))
+		if v != p.V {
+			t.Errorf("VoltageAtIndex(%d) = %v, want the point's %v", i, v, p.V)
 		}
 		if v < prev {
 			t.Errorf("voltage decreased at %v: %v < %v", p.F, v, prev)

@@ -1,6 +1,10 @@
 package scenario
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/serve"
+)
 
 // pickSeeds scans the generator for the first n seeds whose specs
 // satisfy want, so the differential always covers the shapes it claims
@@ -82,5 +86,39 @@ func TestDESDifferentialBudgetEdges(t *testing.T) {
 		if changes == 0 {
 			t.Errorf("seed %d: no budget-change round; the seed crosses no budget edge", seed)
 		}
+	}
+}
+
+// TestRoundSkippable: a node without a station always skips; a serving
+// node skips only while its station is drained and no arrival matures
+// inside the round.
+func TestRoundSkippable(t *testing.T) {
+	spec := servingSpec(7)
+	m, err := spec.newMachine(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := (&nodeRun{m: m}); !n.roundSkippable(spec.SchedulePeriods) {
+		t.Fatal("node without a station not skippable")
+	}
+	st, feeder, err := spec.newStation(0, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := &nodeRun{m: m, st: st, feeder: &serve.Feeder{}}
+	if !n.roundSkippable(spec.SchedulePeriods) {
+		t.Fatal("drained station with no arrivals not skippable")
+	}
+	// An arrival maturing inside the round pins per-quantum processing.
+	n.feeder = feeder
+	periods := int(feeder.NextAt()/quantum) + 1
+	if n.roundSkippable(periods) {
+		t.Fatalf("round of %d quanta skippable with an arrival at %v", periods, feeder.NextAt())
+	}
+	// So does work in flight, whatever the feeder says.
+	n.feeder = &serve.Feeder{}
+	st.Offer(m.Now(), 0, 0)
+	if n.roundSkippable(spec.SchedulePeriods) {
+		t.Fatal("backlogged station skippable")
 	}
 }

@@ -7,10 +7,7 @@
 // byte; nothing else in the package can reach it.
 package scenario
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // advanceNodeRound carries one live node across a round's quanta.
 // RunCluster (stepped=false) first asks roundSkippable whether the round
@@ -23,11 +20,6 @@ func advanceNodeRound(n *nodeRun, periods int, stepped bool) error {
 	if !stepped && n.roundSkippable(periods) {
 		if err := n.m.FastForwardQuanta(periods, n.sampler.Collect); err != nil {
 			return fmt.Errorf("scenario: %s fast-forward: %w", n.name, err)
-		}
-		if n.st != nil {
-			// Keep the emit cadence aligned with the quanta AfterQuantum
-			// would have counted.
-			n.st.SkipQuanta(periods)
 		}
 		return nil
 	}
@@ -55,19 +47,15 @@ func advanceNodeRound(n *nodeRun, periods int, stepped bool) error {
 
 // roundSkippable reports whether the whole round is hands-off for this
 // node: non-serving nodes always are (the machine layer guards itself),
-// serving nodes only while the station is drained and silent and the
-// next arrival lands safely past the round's end. The two-quantum
+// serving nodes only while the station is drained and the next arrival
+// lands safely past the round's end. The two-quantum
 // margin keeps float accumulation on the arrival clock from pulling an
 // edge case inside the span.
 func (n *nodeRun) roundSkippable(periods int) bool {
 	if n.st == nil {
 		return true
 	}
-	now := n.m.Now()
-	if !math.IsInf(n.st.NextWakeAt(now), 1) {
-		return false
-	}
-	return n.feeder.NextAt() > now+float64(periods+2)*quantum
+	return n.st.Backlog() == 0 && n.feeder.NextAt() > n.m.Now()+float64(periods+2)*quantum
 }
 
 // RunDESDifferential runs the scenario stepped quantum by quantum (the

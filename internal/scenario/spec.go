@@ -532,7 +532,6 @@ func (s Spec) newStation(i int, m *machine.Machine) (*serve.Station, *serve.Feed
 		Classes: classes,
 		Clients: clients,
 		Seed:    s.Seed + 101 + int64(i) + 17,
-		Node:    fmt.Sprintf("n%d", i),
 	})
 	if err != nil {
 		return nil, nil, err

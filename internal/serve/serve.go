@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/memhier"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -114,15 +113,6 @@ type Config struct {
 	// Seed drives the request-size draws. By convention experiments use
 	// machine seed + 17.
 	Seed int64
-	// Node labels emitted events (empty on a single machine).
-	Node string
-	// sink receives EventServe snapshots; nil disables emission. No
-	// shipping caller attaches one yet (only this package's tests do), so
-	// it is unexported until one does.
-	sink obs.Sink
-	// EmitEvery is the number of quanta between serve events (default 10,
-	// one scheduling period at the paper's T = 100 ms, t = 10 ms).
-	EmitEvery int
 }
 
 // Outcome is the admission result of one offered request.
@@ -213,8 +203,6 @@ type Station struct {
 	buckets []bucket
 	cpus    []cpuState
 	score   *Scoreboard
-	quanta  int
-	emitAt  int
 }
 
 // NewStation builds a station over the machine, installs one reusable
@@ -241,9 +229,6 @@ func NewStation(m *machine.Machine, cfg Config) (*Station, error) {
 		}
 		seen[c.Name] = true
 	}
-	if cfg.EmitEvery <= 0 {
-		cfg.EmitEvery = 10
-	}
 	s := &Station{
 		m:       m,
 		cfg:     cfg,
@@ -252,7 +237,6 @@ func NewStation(m *machine.Machine, cfg Config) (*Station, error) {
 		queues:  make([]ring, len(cfg.Classes)),
 		buckets: make([]bucket, len(cfg.Classes)),
 		cpus:    make([]cpuState, m.NumCPUs()),
-		emitAt:  cfg.EmitEvery,
 	}
 	for i, c := range s.classes {
 		s.queues[i].buf = make([]request, c.QueueCap)
@@ -350,8 +334,8 @@ func (s *Station) BeforeQuantum(now float64) {
 	}
 }
 
-// AfterQuantum expires timed-out queue heads and emits the periodic
-// serve events. Call it immediately after each machine Step.
+// AfterQuantum expires timed-out queue heads. Call it immediately after
+// each machine Step.
 func (s *Station) AfterQuantum(now float64) {
 	for ci := range s.queues {
 		to := s.classes[ci].Timeout
@@ -365,11 +349,6 @@ func (s *Station) AfterQuantum(now float64) {
 			r := q.pop()
 			s.score.timedOut(r.class, r.client)
 		}
-	}
-	s.quanta++
-	if s.cfg.sink != nil && s.quanta >= s.emitAt {
-		s.emitAt = s.quanta + s.cfg.EmitEvery
-		s.emit(now)
 	}
 }
 
@@ -438,40 +417,6 @@ func (s *Station) Backlog() int {
 
 // QueueLen returns the queued (not yet serving) count of one class.
 func (s *Station) QueueLen(class int) int { return s.queues[class].n }
-
-// InService returns how many CPUs are serving the class right now.
-func (s *Station) InService(class int) int {
-	n := 0
-	for i := range s.cpus {
-		if s.cpus[i].busy && s.cpus[i].req.class == class {
-			n++
-		}
-	}
-	return n
-}
-
-// emit publishes one cumulative EventServe per class.
-func (s *Station) emit(now float64) {
-	for ci := range s.classes {
-		row := &s.score.classes[ci]
-		s.cfg.sink.Emit(obs.Event{
-			Type:      obs.EventServe,
-			At:        now,
-			Node:      s.cfg.Node,
-			Class:     s.classes[ci].Name,
-			Offered:   row.offered,
-			Admitted:  row.admitted,
-			Rejected:  row.rejected,
-			Dropped:   row.dropped,
-			TimedOut:  row.timedOut,
-			Completed: row.completed,
-			SLOOk:     row.sloOK,
-			QueueLen:  s.queues[ci].n,
-			InService: s.InService(ci),
-			P99S:      row.quantile(0.99),
-		})
-	}
-}
 
 // Account is the station's conservation snapshot: every offered request
 // is in exactly one terminal or live state. The invariant package checks

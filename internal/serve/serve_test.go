@@ -7,7 +7,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/machine"
 	"repro/internal/memhier"
-	"repro/internal/obs"
 )
 
 // quietMachine is a deterministic (noise-free) p630 for serving tests.
@@ -221,40 +220,6 @@ func TestStationAdmissionAndTimeout(t *testing.T) {
 	a = st.Account()
 	if a.TimedOut == 0 {
 		t.Error("no queue-wait timeouts despite 50 ms bound")
-	}
-}
-
-// TestStationEmitsServeEvents: the obs sink receives cumulative per-class
-// events that a Ledger folds into the serving section.
-func TestStationEmitsServeEvents(t *testing.T) {
-	m := quietMachine(t, 2)
-	led := obs.NewLedger()
-	st, err := NewStation(m, Config{
-		Classes: []Class{webClass()}, Clients: 1, Seed: 3,
-		Node: "n0", sink: led, EmitEvery: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := ParseArrivalSpec("poisson:200")
-	stm, err := spec.NewStream(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var feeder Feeder
-	feeder.Add(0, 0, stm)
-	for q := 0; q < 100; q++ {
-		feeder.DeliverUpTo(m.Now(), st)
-		st.BeforeQuantum(m.Now())
-		m.Step()
-		st.AfterQuantum(m.Now())
-	}
-	sum := led.Summary()
-	if len(sum.Serving) != 1 || sum.Serving[0].Class != "web" {
-		t.Fatalf("serving summary = %+v", sum.Serving)
-	}
-	if sum.Serving[0].Completed == 0 || sum.Serving[0].Attainment == 0 {
-		t.Errorf("serving row empty: %+v", sum.Serving[0])
 	}
 }
 

@@ -248,16 +248,6 @@ func (s FrequencySet) NextBelow(f Frequency) (Frequency, bool) {
 	return s[i-1], true
 }
 
-// FloorOf returns the highest setting ≤ f and true, or 0 and false when f is
-// below the minimum setting.
-func (s FrequencySet) FloorOf(f Frequency) (Frequency, bool) {
-	i := sort.Search(len(s), func(i int) bool { return s[i] > f })
-	if i == 0 {
-		return 0, false
-	}
-	return s[i-1], true
-}
-
 // CeilOf returns the lowest setting ≥ f and true, or 0 and false when f is
 // above the maximum setting.
 func (s FrequencySet) CeilOf(f Frequency) (Frequency, bool) {
@@ -266,23 +256,6 @@ func (s FrequencySet) CeilOf(f Frequency) (Frequency, bool) {
 		return 0, false
 	}
 	return s[i], true
-}
-
-// ClampTo returns the set member nearest to f, preferring the lower member
-// on ties; f below the range clamps to Min and above to Max.
-func (s FrequencySet) ClampTo(f Frequency) Frequency {
-	if f <= s[0] {
-		return s[0]
-	}
-	if f >= s[len(s)-1] {
-		return s[len(s)-1]
-	}
-	hi, _ := s.CeilOf(f)
-	lo, _ := s.FloorOf(f)
-	if float64(f-lo) <= float64(hi-f) {
-		return lo
-	}
-	return hi
 }
 
 // String renders the set as "{600MHz 700MHz ... 1GHz}".

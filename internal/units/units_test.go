@@ -199,43 +199,15 @@ func TestFrequencySetNeighbours(t *testing.T) {
 
 func TestFrequencySetFloorCeil(t *testing.T) {
 	set := paperSet(t)
-	if f, ok := set.FloorOf(MHz(850)); !ok || f != MHz(800) {
-		t.Errorf("FloorOf(850MHz) = %v,%v", f, ok)
-	}
 	if f, ok := set.CeilOf(MHz(850)); !ok || f != MHz(900) {
 		t.Errorf("CeilOf(850MHz) = %v,%v", f, ok)
-	}
-	if _, ok := set.FloorOf(MHz(100)); ok {
-		t.Error("FloorOf below range: want ok=false")
 	}
 	if _, ok := set.CeilOf(GHz(2)); ok {
 		t.Error("CeilOf above range: want ok=false")
 	}
-	// Exact member is both its own floor and ceiling.
-	if f, _ := set.FloorOf(MHz(700)); f != MHz(700) {
-		t.Errorf("FloorOf(member) = %v", f)
-	}
+	// An exact member is its own ceiling.
 	if f, _ := set.CeilOf(MHz(700)); f != MHz(700) {
 		t.Errorf("CeilOf(member) = %v", f)
-	}
-}
-
-func TestFrequencySetClampTo(t *testing.T) {
-	set := paperSet(t)
-	cases := []struct {
-		in, want Frequency
-	}{
-		{MHz(100), MHz(600)},
-		{GHz(3), GHz(1)},
-		{MHz(840), MHz(800)},
-		{MHz(860), MHz(900)},
-		{MHz(850), MHz(800)}, // tie prefers lower
-		{MHz(700), MHz(700)},
-	}
-	for _, c := range cases {
-		if got := set.ClampTo(c.in); got != c.want {
-			t.Errorf("ClampTo(%v) = %v, want %v", c.in, got, c.want)
-		}
 	}
 }
 
@@ -253,26 +225,6 @@ func TestMustFrequencySetPanics(t *testing.T) {
 		}
 	}()
 	MustFrequencySet()
-}
-
-// Property: for any frequency within range, ClampTo returns a member whose
-// distance to the input is minimal over the whole set.
-func TestClampToIsNearestProperty(t *testing.T) {
-	set := MustFrequencySet(MHz(250), MHz(400), MHz(650), MHz(1000))
-	err := quick.Check(func(raw uint16) bool {
-		f := MHz(float64(raw%1200) + 1)
-		got := set.ClampTo(f)
-		best := math.Inf(1)
-		for _, m := range set {
-			if d := math.Abs(float64(m - f)); d < best {
-				best = d
-			}
-		}
-		return math.Abs(float64(got-f)) == best
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: NextBelow inverts the step up the set — every member above
