@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,6 +52,24 @@ func TestOptGapCampaign(t *testing.T) {
 	a.WriteText(&s3)
 	if want := "total: exact comparator failed on 3 pass(es), first: optimal: dp re-check failed\n"; !strings.Contains(s3.String(), want) {
 		t.Fatalf("rendering lacks %q:\n%s", want, s3.String())
+	}
+}
+
+// TestOptGapMatchesGolden pins `experiments optgap -seeds 60` byte for
+// byte, so any drift in the exact comparator's answers fails, not only
+// drift between worker counts. Regenerate, after a change meant to move
+// it, with
+//
+//	go run ./cmd/experiments optgap -seeds 60 > internal/experiments/testdata/optgap_seeds60.golden
+func TestOptGapMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "optgap_seeds60.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	OptGap(OptGapConfig{Seeds: 60, Parallel: 2}).WriteText(&got)
+	if got.String() != string(want) {
+		t.Fatalf("optgap -seeds 60 differs from testdata/optgap_seeds60.golden:\n--- got ---\n%s\n--- want ---\n%s", got.String(), want)
 	}
 }
 

@@ -29,7 +29,9 @@ func (p *Pass) Problem() optimal.Problem {
 //
 //   - feasibility: met=true exactly when the all-floor assignment fits
 //     the budget;
-//   - comparator sanity: the greedy never beats the exact optimum;
+//   - comparator sanity: Bound ≤ optimum ≤ greedy, within the solver's
+//     Margin — the convex-hull relaxation's LP* (optimal.Assignment)
+//     never exceeds the exact optimum, which never exceeds the greedy;
 //   - near-optimality: the greedy's total predicted loss is within Gap of
 //     the optimum. Gap is empirical (see DefaultGap): the greedy can
 //     strand a CPU on a cheap plateau while a one-shot deeper demotion
@@ -90,7 +92,12 @@ func (c StepTwoOptimal) check(p *Pass, prob optimal.Problem) []Violation {
 			greedyLoss += g.Loss(i, pr.ActualIdx)
 		}
 	}
-	if greedyLoss < sol.Loss-tiny {
+	if sol.Bound > sol.Loss+sol.Margin {
+		out = append(out, Violation{"step2-optimal", p.At,
+			fmt.Sprintf("exact optimum %g below its relaxation bound %g by more than margin %g (%s): comparator broken",
+				sol.Loss, sol.Bound, sol.Margin, sol.Method)})
+	}
+	if greedyLoss < sol.Loss-sol.Margin {
 		out = append(out, Violation{"step2-optimal", p.At,
 			fmt.Sprintf("greedy loss %g beats exact optimum %g (%s): comparator broken", greedyLoss, sol.Loss, sol.Method)})
 	}

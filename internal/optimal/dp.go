@@ -2,6 +2,7 @@ package optimal
 
 import (
 	"errors"
+	"math"
 	"slices"
 
 	"repro/internal/units"
@@ -48,27 +49,60 @@ type run struct {
 // candidates sorted by (power, loss, prev, choice) keeps, element for
 // element (dp_oracle_test.go holds that scan as the oracle). Stages share
 // one arena, stage i at arena[off[i]:off[i+1]].
+//
+// The winner must also pass the relaxation bound. Every Loss(i, k) is
+// read once, before the first stage, into the solve's slab; the greedy's
+// CPU-order loss on those rows is the incumbent U, and relax turns the
+// rows into the critical multiplier λ* and one threshold per stage. A
+// winner s of stage i is dropped when fl(s.loss + fl(λ*·s.power)) >
+// thr[i]: no completion of s can come within the margin of U. relax says
+// why that removes exactly the frontier states that cannot win, so Idx,
+// Loss and Power are those of the unpruned program and only States falls.
 func solveDP(p *Problem, lim Limits) (Assignment, error) {
 	n := len(p.Upper)
 	width := 0
 	for _, u := range p.Upper {
 		width = max(width, u+1)
 	}
-	powers := make([]units.Power, width)
+	// One float slab: the table powers, row i's losses at
+	// rows[i*width:], the stage thresholds and the hull walk's slopes. One
+	// int slab: row i's hull at hull[i*width:], the walk's position on
+	// each hull and the stage offsets.
+	fs := make([]float64, width*(n+1)+2*n)
+	powers, fs := fs[:width], fs[width:]
+	rows, fs := fs[:n*width], fs[n*width:]
+	thr, slopes := fs[:n], fs[n:]
+	is := make([]int, n*width+2*n+2)
+	hull, is := is[:n*width], is[n*width:]
+	pos, off := is[:n], is[n:]
 	for k := range powers {
-		powers[k] = p.Table.PowerAtIndex(k)
+		powers[k] = p.Table.PowerAtIndex(k).W()
 	}
-	losses := make([]float64, width)
+	for i, u := range p.Upper {
+		for k := 0; k <= u; k++ {
+			rows[i*width+k] = p.Loss(i, k)
+		}
+	}
+	idx := make([]int, n) // the greedy's assignment first, the witness last
+	copy(idx, p.Upper)
+	demote(idx, p.Budget, func(k int) units.Power { return units.Power(powers[k]) },
+		func(i, k int) float64 { return rows[i*width+k] })
+	incumbent := 0.0
+	for i, k := range idx {
+		incumbent += rows[i*width+k]
+	}
+	lam := criticalSlope(powers, rows, p.Upper, p.Budget.W(), hull, pos, slopes)
+	bound, margin := relax(powers, rows, p.Upper, p.Budget.W(), incumbent, lam, thr)
+
 	runs := make([]run, width)
-	off := make([]int, n+2)
 	off[1] = 1
 	arena := append(make([]state, 0, 4*(n+1)), state{prev: -1, choice: -1})
 	for i := 0; i < n; i++ {
 		prev := arena[off[i]:off[i+1]]
+		losses := rows[i*width : i*width+p.Upper[i]+1]
 		live := runs[:0]
-		for k := 0; k <= p.Upper[i]; k++ {
-			losses[k] = p.Loss(i, k)
-			if pow := prev[0].power + powers[k]; pow <= p.Budget {
+		for k := range losses {
+			if pow := prev[0].power + units.Power(powers[k]); pow <= p.Budget {
 				live = append(live, run{pow: pow, k: int32(k)})
 			}
 		}
@@ -90,7 +124,7 @@ func solveDP(p *Problem, lim Limits) (Assignment, error) {
 						r.j = -1
 						break
 					}
-					r.pow = prev[r.j].power + powers[r.k]
+					r.pow = prev[r.j].power + units.Power(powers[r.k])
 				}
 				if r.j < 0 || r.pow > p.Budget { // the run is spent
 					live[ri] = live[len(live)-1]
@@ -99,7 +133,8 @@ func solveDP(p *Problem, lim Limits) (Assignment, error) {
 					ri++
 				}
 			}
-			if last := len(arena) - 1; last < off[i+1] || best.loss < arena[last].loss {
+			if last := len(arena) - 1; (last < off[i+1] || best.loss < arena[last].loss) &&
+				!(best.loss+float64(lam*best.power.W()) > thr[i]) {
 				if len(arena) == cap(arena) {
 					arena = slices.Grow(arena, len(arena)) // double: append's 1.25× copies a long arena 5×
 				}
@@ -111,10 +146,11 @@ func solveDP(p *Problem, lim Limits) (Assignment, error) {
 		case size == 0:
 			// SolveLimits already handled the infeasible case; an empty
 			// frontier can only mean the floor fits but every extension was
-			// dropped, which cannot happen (the all-floor path survives).
+			// dropped, which cannot happen (the optimum's prefixes pass
+			// every stage's bound and the dominance test).
 			return Assignment{}, errors.New("optimal: dp lost the floor assignment")
 		case size > lim.MaxFrontier:
-			return Assignment{}, errFrontier
+			return Assignment{Bound: bound, Margin: margin}, errFrontier
 		}
 	}
 	final := arena[off[n]:]
@@ -126,7 +162,6 @@ func solveDP(p *Problem, lim Limits) (Assignment, error) {
 			best = si
 		}
 	}
-	idx := make([]int, n)
 	si := int32(best)
 	for i := n - 1; i >= 0; i-- {
 		s := arena[off[i+1]+int(si)]
@@ -140,5 +175,152 @@ func solveDP(p *Problem, lim Limits) (Assignment, error) {
 		Feasible: true,
 		Method:   "dp",
 		States:   len(arena),
+		Bound:    bound,
+		Margin:   margin,
 	}, nil
+}
+
+// criticalSlope solves the relaxation of the instance that lets each CPU
+// time-share two table points (arXiv 1203.5160): CPU i may then reach any
+// point of the lower convex hull of its (P(k), L_i(k)), k ≤ Upper[i]. It
+// builds that hull once per row, from the floor to the first
+// minimum-loss point, in hull[i*width:], starts every row at its
+// minimum-loss end and walks the hull segments across all rows in
+// ascending price μ = Δloss/Δpower (a k-way merge: each row's prices
+// rise towards the floor by convexity). The segment on which the total
+// power reaches the budget prices the budget: its μ is the critical
+// multiplier λ*, returned; 0 when the minimum-loss points already fit.
+// LP* is then the Lagrangian dual at λ* (relax).
+//
+// Only tightness rests on this walk. relax's bound holds for any λ ≥ 0,
+// so a hull rounded one way or the other changes which states are pruned,
+// never whether the optimum survives.
+func criticalSlope(powers, rows []float64, upper []int, budget float64, hull, pos []int, slopes []float64) float64 {
+	width := len(powers)
+	// slope is the price of row i's next segment towards the floor.
+	slope := func(i int) float64 {
+		h, at := hull[i*width:], pos[i]
+		if at == 0 {
+			return math.Inf(1)
+		}
+		a, b := h[at-1], h[at]
+		return (rows[i*width+a] - rows[i*width+b]) / (powers[b] - powers[a])
+	}
+	total := 0.0
+	for i, u := range upper {
+		row, h := rows[i*width:i*width+u+1], hull[i*width:]
+		kmin := 0
+		for k, l := range row {
+			if l < row[kmin] {
+				kmin = k
+			}
+		}
+		m := 0
+		for k := 0; k <= kmin; k++ {
+			// Pop the last vertex while it lies on or above the chord from
+			// the one before it to k.
+			for ; m >= 2; m-- {
+				a, b := h[m-2], h[m-1]
+				if (powers[b]-powers[a])*(row[k]-row[a]) > (row[b]-row[a])*(powers[k]-powers[a]) {
+					break
+				}
+			}
+			h[m] = k
+			m++
+		}
+		pos[i] = m - 1
+		slopes[i] = slope(i)
+		total += powers[kmin]
+	}
+	lam := 0.0
+	for total > budget {
+		next := -1
+		for i := range upper {
+			if pos[i] > 0 && (next < 0 || slopes[i] < slopes[next]) {
+				next = i
+			}
+		}
+		if next < 0 {
+			break // every row at its floor: over the budget by rounding only
+		}
+		h, at := hull[next*width:], pos[next]
+		lam = slopes[next]
+		total -= powers[h[at]] - powers[h[at-1]]
+		pos[next]--
+		slopes[next] = slope(next)
+	}
+	return lam
+}
+
+// relax fills thr with the per-stage prune thresholds for multiplier λ ≥
+// 0 and incumbent U, and returns the Lagrangian dual LP* = S_0 − λ·B (at
+// λ*, the relaxation's optimum) with the margin it holds to. With m_j =
+// min_k fl(L_j(k) + fl(λ·P(k))) and S_i = m_i + S_{i+1} summed from the
+// last CPU, weak duality bounds any completion of a prefix (power, loss)
+// over CPUs 0..i that fits the budget B:
+//
+//	Σ_{j>i} L_j(k_j) ≥ Σ_{j>i} (L_j(k_j) + λ·P(k_j)) − λ·(B − power) ≥ S_{i+1} − λ·(B − power),
+//
+// so such a prefix cannot beat U when loss + λ·power > U + λ·B − S_{i+1}.
+// thr[i] is fl(fl(fl(U + margin_i) + fl(λ·B)) − S_{i+1}), and the test is
+// fl(loss + fl(λ·power)) > thr[i]. That test is
+//
+//   - monotone: each operation is non-decreasing in power and in loss, so
+//     if a state fails it, so does every state it dominates;
+//   - strict: a prefix that meets the threshold is kept;
+//   - one expression per stage, and never true on NaN or when the
+//     magnitudes overflow (then every threshold is +Inf).
+//
+// The margin is derived, not tuned. Let M = Σ_i max_k |L_i(k)| + λ·(B +
+// Σ_i P(Upper[i])) and e = 2^-52·M, twice the unit roundoff times M:
+// every sum, product and threshold above is bounded by 2M, so each
+// rounding moves it by at most e. Two facts follow, with margin_i =
+// (2n − i)·32e:
+//
+//   - The optimum's prefixes pass. The witness's own completion is one of
+//     those the bound ranges over, so a prefix of the DP's optimal witness
+//     has test value − (thr[i] − margin_i) ≤ (optimum − U) + λ·(its power
+//     − B) + (5n + 6)·e. The optimum's loss is ≤ U and its power ≤ B, and
+//     margin_i ≥ (n + 1)·32e covers the rest.
+//   - A failing prefix fails for good. Extending a state at stage i−1 by
+//     any k adds L_i(k) + λ·P(k) ≥ m_i to its test value and removes m_i
+//     from the threshold, so within 16e its test value rises at least as
+//     much as its threshold falls; margin_{i−1} − margin_i = 32e covers it.
+//
+// Together with monotonicity the second fact means the pruned stage i is
+// exactly the unpruned frontier less the states that fail the test: a
+// dominated state the pruned program never met the dominator of would
+// fail through that dominator's failing ancestor. The survivors keep
+// their order, so ties fall to the same (loss, prev, choice) winner, and
+// by the first fact the optimal witness is among them. The returned
+// margin is margin_0: LP* ≤ Loss holds to within it.
+func relax(powers, rows []float64, upper []int, budget, incumbent, lam float64, thr []float64) (lp, margin float64) {
+	width, n := len(powers), len(upper)
+	mag, ptot := 0.0, 0.0
+	for i, u := range upper {
+		most := 0.0
+		for _, l := range rows[i*width : i*width+u+1] {
+			most = max(most, math.Abs(l))
+		}
+		mag += most
+		ptot += powers[u]
+	}
+	mag += float64(lam * (budget + ptot))
+	step := math.Ldexp(mag, -47) // 32e
+	lb := float64(lam * budget)
+	suffix := 0.0
+	for i := n - 1; i >= 0; i-- {
+		thr[i] = incumbent + float64(2*n-i)*step + lb - suffix
+		m := math.Inf(1)
+		for k, l := range rows[i*width : i*width+upper[i]+1] {
+			m = min(m, l+float64(lam*powers[k]))
+		}
+		suffix += m
+	}
+	if !(mag <= math.MaxFloat64) {
+		for i := range thr {
+			thr[i] = math.Inf(1)
+		}
+	}
+	return suffix - lb, float64(2*n) * step
 }

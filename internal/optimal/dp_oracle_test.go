@@ -14,10 +14,11 @@ import (
 )
 
 // solveDPSort is the sort-based body solveDP shipped with until its
-// stages became a k-way merge, kept verbatim as the merge's oracle: every
-// candidate of a stage is materialised, sorted by the total order (power,
-// loss, prev, choice) and scanned for the Pareto frontier. solveDP must
-// return the same Idx, Loss bits, Power, States and error on any instance.
+// stages became a k-way merge, kept verbatim as the oracle of the merge
+// and of the relaxation prune: every candidate of a stage is
+// materialised, sorted by the total order (power, loss, prev, choice) and
+// scanned for the unpruned Pareto frontier. solveDP must return the same
+// Idx, Loss bits and Power on any instance, keeping no more States.
 func solveDPSort(p *Problem, lim Limits) (Assignment, error) {
 	n := len(p.Upper)
 	stages := make([][]state, n+1)
@@ -103,11 +104,18 @@ func solveDPSort(p *Problem, lim Limits) (Assignment, error) {
 }
 
 // DiffSortOracle solves p with the shipped merge and with the sort oracle
-// and reports the first field on which they disagree. Exported for the
-// external test package (FuzzOptimalAssign's oracle arm).
+// and reports the first field on which they disagree: the witness, the
+// Loss bits, the Power, more States than the oracle kept, or the error.
+// The pruned frontier is a subset of the unpruned one, so it trips a cap
+// only where the oracle does; where only the pruned solve fits under the
+// cap, it is held to the uncapped oracle. Exported for the external test
+// package (FuzzOptimalAssign's oracle arm).
 func DiffSortOracle(p Problem, lim Limits) error {
 	got, gotErr := solveDP(&p, lim)
 	want, wantErr := solveDPSort(&p, lim)
+	if gotErr == nil && errors.Is(wantErr, errFrontier) {
+		want, wantErr = solveDPSort(&p, Limits{MaxFrontier: math.MaxInt})
+	}
 	if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, errFrontier) != errors.Is(wantErr, errFrontier) {
 		return fmt.Errorf("merge error %v, sort oracle error %v", gotErr, wantErr)
 	}
@@ -117,7 +125,7 @@ func DiffSortOracle(p Problem, lim Limits) error {
 	if !slices.Equal(got.Idx, want.Idx) {
 		return fmt.Errorf("merge witness %v, sort oracle %v", got.Idx, want.Idx)
 	}
-	if math.Float64bits(got.Loss) != math.Float64bits(want.Loss) || got.Power != want.Power || got.States != want.States {
+	if math.Float64bits(got.Loss) != math.Float64bits(want.Loss) || got.Power != want.Power || got.States > want.States {
 		return fmt.Errorf("merge (loss %b, power %v, states %d), sort oracle (loss %b, power %v, states %d)",
 			got.Loss, got.Power, got.States, want.Loss, want.Power, want.States)
 	}
@@ -196,9 +204,9 @@ func oracleProblem(rng *rand.Rand, tableFamily, lossFamily, maxCPU, maxFreq int)
 	return p
 }
 
-// TestSolveDPMatchesSortOracle pins the merge to the sort body it
-// replaced, on every table family × loss family, with the default cap and
-// with caps small enough to trip errFrontier mid-solve.
+// TestSolveDPMatchesSortOracle pins the pruned merge to the unpruned sort
+// body it replaced, on every table family × loss family, with the default
+// cap and with caps small enough to trip errFrontier mid-solve.
 func TestSolveDPMatchesSortOracle(t *testing.T) {
 	for tf := 0; tf < tableFamilies; tf++ {
 		for lf := 0; lf < lossFamilies; lf++ {
@@ -242,15 +250,21 @@ func TestSolveDPEqualPowerAlongRun(t *testing.T) {
 	if !(a < b) || a+hi != b+hi {
 		t.Fatalf("prefixes %b and %b no longer collide under +%v; pick another table", a.W(), b.W(), hi)
 	}
-	// Eighths add exactly. After cpu2 the frontier is (0.3 W, 0.75),
-	// (a, 0.625), (b, 0.375), (0.9 W, 0.25); cpu3's choice 1 then puts
-	// 0.625 and 0.375 on one power, and 0.375 is the optimum.
-	losses := [][]float64{{0, 0}, {0.25, 0.125}, {0.5, 0.125}, {0.25, 0}}
+	// Sixteenths add exactly. After cpu2 the frontier is (0.3 W, 0.4375),
+	// (a, 0.3125), (b, 0.25), (0.9 W, 0.125); cpu3's choice 1 then puts
+	// 0.3125 and 0.25 on one power, and 0.25 is the optimum. The greedy
+	// demotes cpu2 (the least loss at the lower point, 0.1875) and lands on
+	// a's extension, so the incumbent is 0.3125 and a, the greedy's own
+	// prefix, survives the relaxation prune to take part in the collision.
+	losses := [][]float64{{0, 0}, {0.25, 0.125}, {0.1875, 0}, {0.25, 0}}
 	p := Problem{
 		Table:  table,
 		Budget: a + hi,
 		Upper:  []int{0, 1, 1, 1},
 		Loss:   func(cpu, fi int) float64 { return losses[cpu][fi] },
+	}
+	if g := Greedy(p); !slices.Equal(g.Idx, []int{0, 1, 0, 1}) || g.Loss != 0.3125 {
+		t.Fatalf("greedy %+v no longer ends on a's extension", g)
 	}
 	if err := DiffSortOracle(p, Limits{MaxFrontier: DefaultMaxFrontier}); err != nil {
 		t.Fatal(err)
@@ -259,8 +273,13 @@ func TestSolveDPEqualPowerAlongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []int{0, 0, 1, 1}; !slices.Equal(sol.Idx, want) || sol.Loss != 0.375 || sol.Power != a+hi || sol.States != 1+1+2+4+4 {
-		t.Fatalf("got %+v, want idx %v, loss 0.375, power %v, 12 states", sol, want, a+hi)
+	// 1+1+2+4+2 states: the whole unpruned frontier up to cpu2, then the
+	// prune drops cpu3's two lowest-power states (the oracle keeps 12).
+	if o, _ := solveDPSort(&p, Limits{MaxFrontier: DefaultMaxFrontier}); o.States != 12 {
+		t.Fatalf("oracle keeps %d states, want 12", o.States)
+	}
+	if want := []int{0, 0, 1, 1}; !slices.Equal(sol.Idx, want) || sol.Loss != 0.25 || sol.Power != a+hi || sol.States != 10 {
+		t.Fatalf("got %+v, want idx %v, loss 0.25, power %v, 10 states", sol, want, a+hi)
 	}
 }
 
@@ -298,13 +317,14 @@ func BenchmarkSolveDP(b *testing.B) {
 	}
 }
 
-// TestSolveDPAllocs pins the kernel's allocations: five fixed slices and
+// TestSolveDPAllocs pins the kernel's allocations: the float and int
+// slabs (rows, hulls and thresholds included), the runs, the arena and
 // the witness, plus the arena's doublings — logarithmic in the states
-// kept (10 889 at 16 CPUs make 13 allocations, 198 841 at 64 make 16),
-// where the sort body's per-stage frontiers and candidate regrowth made
-// 243 and 1140. The bound is loose because a race-detector build does
-// not elide slices.Grow's temporary and counts each doubling twice (21
-// and 25).
+// kept (4 297 at 16 CPUs make 10 allocations, 76 062 at 64 make 14),
+// where the unpruned merge kept 10 889 and 198 841 in 13 and 16, and the
+// sort body's per-stage frontiers and candidate regrowth made 243 and
+// 1140. A race-detector build does not elide slices.Grow's temporary and
+// counts most doublings twice (15 and 22), hence the bound.
 func TestSolveDPAllocs(t *testing.T) {
 	for _, n := range []int{16, 64} {
 		p := table1Problem(n)
@@ -313,8 +333,65 @@ func TestSolveDPAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 32 {
-			t.Errorf("%d CPUs: %v allocations per solve, want ≤ 32", n, allocs)
+		if allocs > 24 {
+			t.Errorf("%d CPUs: %v allocations per solve, want ≤ 24", n, allocs)
 		}
+	}
+}
+
+// TestSolveDPPruneHalvesTable1 pins the prune's reach on bench/'s
+// optimal.dp_us_16x16 instance: the answer is the oracle's and fewer
+// than half its 10 889 states are kept.
+func TestSolveDPPruneHalvesTable1(t *testing.T) {
+	p := table1Problem(16)
+	lim := Limits{MaxFrontier: DefaultMaxFrontier}
+	if err := DiffSortOracle(p, lim); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := solveDP(&p, lim)
+	want, _ := solveDPSort(&p, lim)
+	if 2*got.States >= want.States {
+		t.Fatalf("pruned solve keeps %d of the oracle's %d states, want under half", got.States, want.States)
+	}
+}
+
+// TestSolveDPPruneKeepsTightWitness is the prune at equality. Both loss
+// rows are linear in power, so the relaxation is integral: the greedy is
+// optimal and LP* meets the incumbent exactly (dyadic values, no
+// rounding). Every prefix of the optimum then sits exactly on its stage's
+// bound less the margin, and the strict test must keep it.
+func TestSolveDPPruneKeepsTightWitness(t *testing.T) {
+	table := power.MustTable([]power.OperatingPoint{
+		{F: units.MHz(100), V: units.Volts(1.0), P: units.Watts(1)},
+		{F: units.MHz(200), V: units.Volts(1.1), P: units.Watts(2)},
+		{F: units.MHz(300), V: units.Volts(1.2), P: units.Watts(3)},
+		{F: units.MHz(400), V: units.Volts(1.3), P: units.Watts(4)},
+	})
+	// 0.25 and 1 per watt: the greedy demotes cpu0 twice, (3,3) → (1,3),
+	// the relaxation's critical multiplier is cpu0's 0.25, and LP* = 0.5.
+	losses := [][]float64{{0.75, 0.5, 0.25, 0}, {3, 2, 1, 0}}
+	p := Problem{
+		Table:  table,
+		Budget: units.Watts(6),
+		Upper:  []int{3, 3},
+		Loss:   func(cpu, fi int) float64 { return losses[cpu][fi] },
+	}
+	g := Greedy(p)
+	if !slices.Equal(g.Idx, []int{1, 3}) || g.Loss != 0.5 {
+		t.Fatalf("greedy %+v, want idx [1 3] at loss 0.5", g)
+	}
+	lim := Limits{MaxFrontier: DefaultMaxFrontier}
+	if err := DiffSortOracle(p, lim); err != nil {
+		t.Fatal(err)
+	}
+	sol, err := solveDP(&p, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sol.Idx, g.Idx) || sol.Loss != g.Loss || sol.Bound != g.Loss {
+		t.Fatalf("got %+v, want the greedy's witness %v with loss and bound %v", sol, g.Idx, g.Loss)
+	}
+	if want, _ := solveDPSort(&p, lim); sol.States >= want.States {
+		t.Fatalf("prune kept %d of the oracle's %d states; the instance no longer prunes", sol.States, want.States)
 	}
 }

@@ -20,9 +20,14 @@ import (
 //  3. permutation invariance — relabelling CPUs changes only the float
 //     accumulation order, so the optimal loss moves by rounding at most
 //     (and feasibility not at all);
-//  4. the sort oracle — the DP's merge kernel agrees with the sort-based
-//     body it replaced (dp_oracle_test.go) on witness, loss bits, power,
-//     states and error, at the default frontier cap and at a small one.
+//  4. the sort oracle — the DP's pruned merge kernel agrees with the
+//     unpruned sort-based body it replaced (dp_oracle_test.go) on
+//     witness, loss bits, power and error and keeps no more states, at
+//     the default frontier cap and at a small one;
+//  5. the certificate — the relaxation bound sits below the optimum, to
+//     within its margin;
+//  6. brute force — where the instance has at most 2^14 assignments, the
+//     optimal loss is invariant.BruteForceOptimal's to the bit.
 func FuzzOptimalAssign(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), 0.5)
 	f.Add(int64(42), uint8(1), uint8(8), 0.0)
@@ -92,6 +97,19 @@ func FuzzOptimalAssign(f *testing.F) {
 		}
 		if sol.Feasible && sol.Loss > g.Loss {
 			t.Fatalf("optimum %g worse than greedy %g", sol.Loss, g.Loss)
+		}
+		if sol.Feasible && sol.Bound > sol.Loss+sol.Margin {
+			t.Fatalf("relaxation bound %v above the optimum %v (margin %v)", sol.Bound, sol.Loss, sol.Margin)
+		}
+		assignments := 1
+		for _, u := range upper {
+			assignments *= u + 1
+		}
+		if assignments <= 1<<14 {
+			best, found := bruteForce(p, losses)
+			if found != sol.Feasible || found && math.Float64bits(best) != math.Float64bits(sol.Loss) {
+				t.Fatalf("Solve (feasible %v, loss %b), brute force (found %v, loss %b)", sol.Feasible, sol.Loss, found, best)
+			}
 		}
 
 		// Permute CPUs: same instance, relabelled. Feasibility must match

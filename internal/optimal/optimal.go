@@ -10,8 +10,10 @@
 //	subject to Σ_i P(idx_i) ≤ Budget,   0 ≤ idx_i ≤ Upper_i.
 //
 // Solve runs a dynamic program over the Pareto frontier of exact
-// (power, loss) prefix sums with an exact re-check of the winner, falling
-// back to depth-first branch-and-bound when the frontier outgrows its cap
+// (power, loss) prefix sums, pruned by the problem's own convex-hull
+// relaxation with the greedy as incumbent, and re-checks the winner
+// exactly. It falls back to depth-first branch-and-bound when the
+// frontier outgrows its cap
 // (which only synthetic tables with irrational power spreads reach — real
 // tables quantise to integer watts, keeping the frontier tiny). Both
 // solvers accumulate losses and powers in CPU order, exactly like the
@@ -73,6 +75,11 @@ func FromGrid(g *perfmodel.PredGrid, upper []int, table *power.Table, budget uni
 // Assignment is one solved frequency assignment. Loss and Power are the
 // CPU-order sums over Idx — the same accumulation order every comparator
 // in this repo uses, so equal assignments render to equal bytes.
+//
+// Bound is the convex-hull relaxation's optimum LP* (the Lagrangian dual
+// at the critical multiplier), a lower bound on the optimal Loss to
+// within Margin, the rounding allowance the DP's prune is derived with.
+// Both are set by "dp" and "bb" solves and zero otherwise.
 type Assignment struct {
 	Idx      []int
 	Loss     float64
@@ -80,6 +87,8 @@ type Assignment struct {
 	Feasible bool
 	Method   string // "dp", "bb", "floor", "greedy" or "energy"
 	States   int    // DP states kept or B&B nodes visited
+	Bound    float64
+	Margin   float64
 }
 
 // Limits bounds the solvers. MaxFrontier caps the DP's Pareto frontier
@@ -155,7 +164,11 @@ func SolveLimits(p Problem, lim Limits) (Assignment, error) {
 	}
 	a, err := solveDP(&p, lim)
 	if errors.Is(err, errFrontier) {
+		// The relaxation solveDP built before its frontier outgrew the cap
+		// bounds the branch-and-bound answer just the same.
+		bound, margin := a.Bound, a.Margin
 		a, err = solveBB(&p, lim)
+		a.Bound, a.Margin = bound, margin
 	}
 	if err != nil {
 		return Assignment{}, err
@@ -185,36 +198,41 @@ func SolveLimits(p Problem, lim Limits) (Assignment, error) {
 // the one production body fvsst.FitToBudgetGrid and held bit-compatible
 // with it by invariant.FuzzStepTwoAgreement.
 func Greedy(p Problem) Assignment {
-	n := len(p.Upper)
-	idx := make([]int, n)
+	idx := make([]int, len(p.Upper))
 	copy(idx, p.Upper)
-	met := false
+	met := demote(idx, p.Budget, p.Table.PowerAtIndex, p.Loss)
+	pow, loss := p.sums(idx)
+	return Assignment{Idx: idx, Loss: loss, Power: pow, Feasible: met, Method: "greedy"}
+}
+
+// demote is Greedy's rule in place: from the desired indices in idx it
+// demotes the CPU whose next-lower point has the least loss, ties to the
+// higher current index, until the CPU-order power sum fits the budget,
+// and reports whether it did. solveDP runs it on its rows for the
+// incumbent.
+func demote(idx []int, budget units.Power, power func(k int) units.Power, loss func(cpu, k int) float64) bool {
 	for {
 		var sum units.Power
-		for i := 0; i < n; i++ {
-			sum += p.Table.PowerAtIndex(idx[i])
+		for _, k := range idx {
+			sum += power(k)
 		}
-		if sum <= p.Budget {
-			met = true
-			break
+		if sum <= budget {
+			return true
 		}
 		best, bestLoss := -1, 0.0
-		for i := 0; i < n; i++ {
-			if idx[i] == 0 {
+		for i, k := range idx {
+			if k == 0 {
 				continue
 			}
-			loss := p.Loss(i, idx[i]-1)
-			if best < 0 || loss < bestLoss || (loss == bestLoss && idx[i] > idx[best]) {
-				best, bestLoss = i, loss
+			if l := loss(i, k-1); best < 0 || l < bestLoss || (l == bestLoss && k > idx[best]) {
+				best, bestLoss = i, l
 			}
 		}
 		if best < 0 {
-			break
+			return false
 		}
 		idx[best]--
 	}
-	pow, loss := p.sums(idx)
-	return Assignment{Idx: idx, Loss: loss, Power: pow, Feasible: met, Method: "greedy"}
 }
 
 // EnergyOptimal is the energy-optimal-configuration baseline (arXiv

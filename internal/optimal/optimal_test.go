@@ -245,10 +245,11 @@ func TestDPStatesReported(t *testing.T) {
 
 // TestDifferentialBruteForce is the satellite differential test: across
 // 300 seeded random instances with ≤4 CPUs × ≤8 frequencies, the DP, the
-// forced branch-and-bound, and invariant.BruteForceOptimal's exhaustive
+// branch-and-bound, and invariant.BruteForceOptimal's exhaustive
 // enumeration must agree on the optimal loss to the last bit, and on
 // feasibility. The shared CPU-order accumulation makes bit equality the
-// contract, not an accident — see docs/optimality.md.
+// contract, not an accident — see docs/optimality.md. The relaxation
+// bound must sit below the optimum, to within its margin.
 func TestDifferentialBruteForce(t *testing.T) {
 	feasible, infeasible, viaBB := 0, 0, 0
 	for seed := int64(1); seed <= 300; seed++ {
@@ -271,26 +272,35 @@ func TestDifferentialBruteForce(t *testing.T) {
 		if math.Float64bits(sol.Loss) != math.Float64bits(bfBest) {
 			t.Fatalf("seed %d: dp loss %b != brute force %b", seed, sol.Loss, bfBest)
 		}
+		if sol.Bound > bfBest+sol.Margin {
+			t.Fatalf("seed %d: relaxation bound %v above the optimum %v (margin %v)", seed, sol.Bound, bfBest, sol.Margin)
+		}
 
-		// Force the branch-and-bound path (a frontier cap of 1 trips it on
-		// any instance whose frontier ever holds two states) and demand
-		// the same bits from that solver too.
-		bb, err := optimal.SolveLimits(p, optimal.Limits{MaxFrontier: 1})
+		// Branch-and-bound on its own, then through Solve's fallback (a
+		// frontier cap of 1 trips it whenever a pruned frontier still holds
+		// two states): the same bits from both.
+		bb, err := optimal.SolveBB(p)
 		if err != nil {
-			t.Fatalf("seed %d: SolveLimits(bb): %v", seed, err)
+			t.Fatalf("seed %d: SolveBB: %v", seed, err)
 		}
 		if math.Float64bits(bb.Loss) != math.Float64bits(bfBest) {
-			t.Fatalf("seed %d: %s loss %b != brute force %b", seed, bb.Method, bb.Loss, bfBest)
+			t.Fatalf("seed %d: bb loss %b != brute force %b", seed, bb.Loss, bfBest)
 		}
-		if bb.Method == "bb" {
+		capped, err := optimal.SolveLimits(p, optimal.Limits{MaxFrontier: 1})
+		if err != nil {
+			t.Fatalf("seed %d: SolveLimits(cap 1): %v", seed, err)
+		}
+		if math.Float64bits(capped.Loss) != math.Float64bits(bfBest) || capped.Bound != sol.Bound {
+			t.Fatalf("seed %d: %s (loss %b, bound %v) != brute force %b, dp bound %v",
+				seed, capped.Method, capped.Loss, capped.Bound, bfBest, sol.Bound)
+		}
+		if capped.Method == "bb" {
 			viaBB++
 		}
 	}
-	if feasible < 100 || infeasible < 10 {
-		t.Fatalf("corpus imbalance: %d feasible, %d infeasible — regenerate the instance mix", feasible, infeasible)
-	}
-	if viaBB < feasible/2 {
-		t.Fatalf("bb path exercised only %d of %d feasible instances", viaBB, feasible)
+	if feasible < 100 || infeasible < 10 || viaBB == 0 {
+		t.Fatalf("corpus imbalance: %d feasible (%d through the fallback), %d infeasible — regenerate the instance mix",
+			feasible, viaBB, infeasible)
 	}
 }
 
