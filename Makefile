@@ -47,11 +47,12 @@ examples:
 # Short fuzz sessions over the parsers, the profile loader, the farm
 # budget-schedule parser, the arrival-spec parser, the JSON and binary
 # wire decoders, the event-timeline op sequencer, the exact
-# optimal-assignment solver (feasibility, greedy domination,
-# permutation invariance, the DP's merge kernel against its sort
-# oracle), the Step-2 walk (fvsst.FitToBudgetGrid
-# against its two independent statements, StepTwoReplay and
-# optimal.Greedy), the closed-form repeated addition under the bulk
+# optimal-assignment solver on whole-watt random tables (feasibility,
+# greedy domination, permutation invariance, the DP's merge kernel
+# against its sort oracle, brute force), the Step-2 walk
+# (fvsst.FitToBudgetGrid against its two independent statements,
+# StepTwoReplay and optimal.Greedy, on the paper's and on wide whole-watt
+# tables), the closed-form repeated addition under the bulk
 # replay (units.AddRepeat against the k additions, on the bits), a
 # mix's round robin against the scan that never drops a finished job,
 # and the soak's trace lines against their fmt rendering.

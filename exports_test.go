@@ -47,7 +47,6 @@ var unusedAllow = map[string]string{
 	"internal/experiments.TestOptions":       "cross-package test input: the small-scale options the cmd/experiments and cmd/fvsst-farm tests run at",
 	"internal/experiments.DefaultOptions":    "cross-package test input: paper-scale options for the root testing.B harness",
 	"internal/farm.NewHolder":                "cross-package test input: a lone lease holder for the cluster and invariant tests",
-	"internal/power.WithVoltageVariation":    "cross-package test input: per-CPU varied tables for the cluster, farm and invariant tests",
 
 	"internal/engine.Timeline.Post":               "bench-pinned (bench/des.go, bench/probes.go); ROADMAP 1(b) deletes the Timeline",
 	"internal/engine.Timeline.Cancel":             "bench-pinned with its Timeline (the engine tests and FuzzTimelineOps drive it); ROADMAP 1(b) deletes the Timeline",

@@ -128,9 +128,8 @@ func (c *Core) DemandCurve(inputs []ProcInput) (farm.DemandCurve, error) {
 // the processor-order sum FitToBudgetGrid's stop test compares, so a
 // member handed Points[k].Power as its budget demotes to exactly point k
 // (TestDemandCurveMatchesSchedule). As there, power.Table.DemotedSum
-// carries the aggregate from point to point: a running difference when
-// whole-watt sums cannot round, a processor-order re-sum per point for
-// any other table.
+// carries the aggregate from point to point as a running difference,
+// which whole-watt sums make the processor-order re-sum's bits.
 func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, error) {
 	if len(inputs) == 0 {
 		return farm.DemandCurve{}, nil, fmt.Errorf("cluster: demand curve needs at least one processor")
@@ -163,7 +162,7 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 			sumLoss += grid.Loss(d.CPU, k-1) - grid.Loss(d.CPU, k)
 		}
 		idx[d.CPU] = k - 1
-		sum = table.DemotedSum(sum, idx, k)
+		sum = table.DemotedSum(sum, k)
 		prev := curve.Points[len(curve.Points)-1]
 		p := farm.DemandPoint{
 			Power: sum,

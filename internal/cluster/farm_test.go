@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/farm"
@@ -123,24 +124,26 @@ func TestDemandCurveMatchesScheduleWide(t *testing.T) {
 	}
 }
 
-// TestDemandCurveMatchesScheduleFractionalWatts runs the property over a
-// V²-scaled table: its sums are not exact, so both the pass and the curve
-// take the re-summing stop test, and must still agree to the bit.
-func TestDemandCurveMatchesScheduleFractionalWatts(t *testing.T) {
-	cfg := fvsst.DefaultConfig()
-	scaled, err := power.WithVoltageVariation(cfg.Table, []float64{1.05})
-	if err != nil {
-		t.Fatal(err)
+// TestDemandCurveMatchesScheduleWideSteps runs the property over Table 1's
+// frequencies and voltages with random whole-watt powers, steps of 1 to
+// 5000 W, so the running stop-test sums reach millions of watts.
+func TestDemandCurveMatchesScheduleWideSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for range 4 {
+		cfg := fvsst.DefaultConfig()
+		pts := cfg.Table.Points()
+		w := 0
+		for i := range pts {
+			w += 1 + rng.Intn(5000)
+			pts[i].P = units.Watts(float64(w))
+		}
+		cfg.Table = power.MustTable(pts)
+		core, err := NewCore(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCurveIsWalk(t, core, syntheticInputs(48, 4), 1)
 	}
-	cfg.Table = scaled[0]
-	if cfg.Table.ExactSums(48) {
-		t.Fatal("scaled table still reports exact sums")
-	}
-	core, err := NewCore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCurveIsWalk(t, core, syntheticInputs(48, 4), 1)
 }
 
 // TestCoordinatorBudgetSourceHolder plugs a farm lease Holder in as the

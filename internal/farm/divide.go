@@ -23,14 +23,13 @@ import (
 // rounding at the boundary: desired[i] holds member i's initial
 // per-processor table indices (curve point 0), summed once in flat
 // processor order. After that power.Table.DemotedSum carries it exactly
-// as in fvsst.FitToBudgetGrid: when sums of whole watts cannot round,
-// each advance costs sum −= P[idx] − P[idx−1], which is bit for bit what
-// re-summing would give; for any other table every processor is
-// re-summed in flat order per advance. The division is then
+// as in fvsst.FitToBudgetGrid: each advance costs sum −= P[idx] −
+// P[idx−1], which is bit for bit what re-summing would give because sums
+// of whole watts cannot round (power.NewTable). The division is then
 // byte-identical to the flat schedule on any input, at O(members) per
-// demotion on the tables that ship. met is false when every curve is at
-// its floor with the budget still exceeded. A member with no processors
-// and an empty curve is skipped.
+// demotion. met is false when every curve is at its floor with the budget
+// still exceeded. A member with no processors and an empty curve is
+// skipped.
 //
 // Curves and desired indices arrive off the wire from relays, so they are
 // checked, not trusted: a desired index outside the table, or a step key
@@ -78,7 +77,7 @@ func DivideLeastLossExact(curves []DemandCurve, desired [][]int, table *power.Ta
 		}
 		actual[g] = step.Idx - 1
 		pos[best]++
-		sum = table.DemotedSum(sum, actual, step.Idx)
+		sum = table.DemotedSum(sum, step.Idx)
 	}
 }
 

@@ -141,26 +141,28 @@ func randomMember(rng *rand.Rand, nProc, tableLen int) member {
 	return m
 }
 
-// scaledTable is divideTable with every voltage scaled 5 %: its powers are
-// no longer whole watts, so the division must take the re-summing stop
-// test instead of the running sum.
+// scaledTable is divideTable with every power multiplied by 9000: whole
+// watts up to 990 000 W, near NewTable's 2²⁰ W cap, so a 40 × 50 fleet's
+// running stop-test sum passes 10⁹ W and must still carry the re-sum's
+// bits.
 func scaledTable(t *testing.T) *power.Table {
 	t.Helper()
-	tabs, err := power.WithVoltageVariation(divideTable(t), []float64{1.05})
+	pts := divideTable(t).Points()
+	for i := range pts {
+		pts[i].P *= 9000
+	}
+	tab, err := power.NewTable(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tabs[0].ExactSums(1) {
-		t.Fatal("voltage-scaled table still reports exact sums")
-	}
-	return tabs[0]
+	return tab
 }
 
 // TestDivideMatchesFlatGreedy is the merge property the relay tier
 // depends on: interleaving locally-greedy demand curves by step key
 // reproduces the flat greedy over the union, for every budget level —
 // on small random fleets and on a 40-member × 50-processor one, over a
-// whole-watt table (running-sum stop test) and a scaled one (re-sum).
+// whole-watt table and over the same table scaled toward the 2²⁰ W cap.
 func TestDivideMatchesFlatGreedy(t *testing.T) {
 	tables := []struct {
 		name string

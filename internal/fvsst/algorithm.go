@@ -86,11 +86,8 @@ func EpsilonIndexGrid(g *perfmodel.PredGrid, cpu int, epsilon float64) int {
 //
 // The stop test is the aggregate table power summed in processor order,
 // carried across demotions by power.Table.DemotedSum: a running sum −=
-// P[idx] − P[idx−1] when the table's sums are exact in any order (whole
-// watts, n·P_max < 2⁵³ — Table 1 and the §5 table), which is then bit for
-// bit the re-sum; an O(n) re-sum per demotion for any other table
-// (fractional watts, as WithVoltageVariation gives), so the stop point is
-// the same on any input.
+// P[idx] − P[idx−1], bit for bit the re-sum because sums of a table's
+// whole-watt powers are exact in any order (power.NewTable).
 //
 // This loop is the only production body of the Step-2 selection rule: Pass
 // runs it for every owner (Scheduler, cluster.Core's pass and demand
@@ -128,7 +125,7 @@ func FitToBudgetGrid(g *perfmodel.PredGrid, actualIdx []int, table *power.Table,
 			h = h[:len(h)-1]
 		}
 		siftDown(h, 0)
-		if sum = table.DemotedSum(sum, actualIdx, idx); sum <= budget {
+		if sum = table.DemotedSum(sum, idx); sum <= budget {
 			return demotions, true
 		}
 	}

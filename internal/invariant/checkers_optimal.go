@@ -32,26 +32,19 @@ func (p *Pass) Problem() optimal.Problem {
 //   - comparator sanity: Bound ≤ optimum ≤ greedy, within the solver's
 //     Margin — the convex-hull relaxation's LP* (optimal.Assignment)
 //     never exceeds the exact optimum, which never exceeds the greedy;
-//   - near-optimality: the greedy's total predicted loss is within Gap of
-//     the optimum. Gap is empirical (see DefaultGap): the greedy can
+//   - near-optimality: the greedy's total predicted loss is within
+//     DefaultGap of the optimum. The bound is empirical: the greedy can
 //     strand a CPU on a cheap plateau while a one-shot deeper demotion
 //     elsewhere was cheaper overall.
 //
 // StepTwoBruteForce remains as the independent differential witness for
 // the comparator itself; the default suite runs this checker.
-type StepTwoOptimal struct {
-	// Gap bounds greedyLoss − optimalLoss. 0 means DefaultGap.
-	Gap float64
-}
+type StepTwoOptimal struct{}
 
 func (c StepTwoOptimal) Check(p *Pass) []Violation { return c.check(p, p.Problem()) }
 
 // check is Check over an explicit Problem (p.Problem() outside tests).
-func (c StepTwoOptimal) check(p *Pass, prob optimal.Problem) []Violation {
-	gap := c.Gap
-	if gap <= 0 {
-		gap = DefaultGap
-	}
+func (StepTwoOptimal) check(p *Pass, prob optimal.Problem) []Violation {
 	n := len(p.Procs)
 	var out []Violation
 	var floorPower units.Power
@@ -69,9 +62,9 @@ func (c StepTwoOptimal) check(p *Pass, prob optimal.Problem) []Violation {
 	}
 	sol, err := optimal.Solve(prob)
 	if errors.Is(err, optimal.ErrTooLarge) {
-		// Beyond the solver limits (only reachable on synthetic tables):
-		// skip, never approximate — the replay and budget checkers still
-		// cover the pass.
+		// Past the DP's frontier cap (over 500 CPUs on Table 1): skip,
+		// never approximate — the replay and budget checkers still cover
+		// the pass.
 		return out
 	}
 	if err != nil {
@@ -101,9 +94,9 @@ func (c StepTwoOptimal) check(p *Pass, prob optimal.Problem) []Violation {
 		out = append(out, Violation{"step2-optimal", p.At,
 			fmt.Sprintf("greedy loss %g beats exact optimum %g (%s): comparator broken", greedyLoss, sol.Loss, sol.Method)})
 	}
-	if greedyLoss > sol.Loss+gap {
+	if greedyLoss > sol.Loss+DefaultGap {
 		out = append(out, Violation{"step2-optimal", p.At,
-			fmt.Sprintf("greedy loss %g exceeds exact optimum %g by more than gap %g", greedyLoss, sol.Loss, gap)})
+			fmt.Sprintf("greedy loss %g exceeds exact optimum %g by more than gap %g", greedyLoss, sol.Loss, DefaultGap)})
 	}
 	return out
 }
@@ -111,8 +104,8 @@ func (c StepTwoOptimal) check(p *Pass, prob optimal.Problem) []Violation {
 // OptGap measures one pass's greedy-vs-optimal story for reporting (the
 // `experiments optgap` table): the greedy's CPU-order loss sum, the exact
 // optimum, and the unconstrained energy-per-instruction baseline. It
-// returns ok=false when the pass is infeasible, empty, or beyond the
-// solver limits — callers count those as unsolved rather than gap zero —
+// returns ok=false when the pass is infeasible, empty, or past the DP's
+// frontier cap — callers count those as unsolved rather than gap zero —
 // and ok=false with the error when the comparator itself failed.
 func (p *Pass) OptGap() (greedy, opt float64, energy optimal.Assignment, ok bool, err error) {
 	return p.optGap(p.Problem())

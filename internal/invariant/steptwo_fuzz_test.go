@@ -24,8 +24,8 @@ const (
 	poisonNaN     // a row of NaN
 	poisonInf     // one +Inf cell mid-row
 
-	shapeWide   = 1 << 3 // 200–455 CPUs instead of 1–12: a heap nine levels deep
-	shapeScaled = 1 << 4 // V²-scaled table: fractional watts, so the re-summing stop test
+	shapeWide      = 1 << 3 // 200–455 CPUs instead of 1–12: a heap nine levels deep
+	shapeWideSteps = 1 << 4 // the table's powers redrawn as whole watts, steps of 1–5000 W
 )
 
 // poisonRow returns the decomposition for a poison kind, the table index
@@ -64,9 +64,9 @@ func poisonRow(kind uint8, table *power.Table) (perfmodel.Decomposition, int, fu
 // sequence step for step, and every logged loss must carry the bits of
 // the grid cell it was chosen by.
 //
-// The shape argument widens the draw to what the heap and the two stop
-// tests of FitToBudgetGrid can get wrong: hundreds of CPUs, a table of
-// fractional watts, and poisoned rows. StepTwoReplay decomposes its own
+// The shape argument widens the draw to what the heap and the running stop
+// test of FitToBudgetGrid can get wrong: hundreds of CPUs, a table of wide
+// random whole-watt steps, and poisoned rows. StepTwoReplay decomposes its own
 // grid from observations, so it sits poisoned runs out; optimal.Greedy
 // reads the poisoned grid through its loss function. NaN and +Inf are the
 // one place the statements differ by construction — the oracles start
@@ -97,12 +97,14 @@ func FuzzStepTwoAgreement(f *testing.F) {
 		if seed%2 != 0 {
 			cfg.Table = power.Section5Table()
 		}
-		if shape&shapeScaled != 0 {
-			scaled, err := power.WithVoltageVariation(cfg.Table, []float64{1.05})
-			if err != nil {
-				t.Fatal(err)
+		if shape&shapeWideSteps != 0 {
+			pts := cfg.Table.Points()
+			w := 0
+			for i := range pts {
+				w += 1 + rng.Intn(5000)
+				pts[i].P = units.Watts(float64(w))
 			}
-			cfg.Table = scaled[0]
+			cfg.Table = power.MustTable(pts)
 		}
 		table := cfg.Table
 		nf := table.Len()

@@ -8,10 +8,6 @@ import (
 	"repro/internal/units"
 )
 
-// errFrontier is the internal signal that the Pareto frontier outgrew its
-// cap and the caller should fall back to branch-and-bound.
-var errFrontier = errors.New("optimal: dp frontier exceeded cap")
-
 // state is one Pareto-optimal prefix: the exact CPU-order power and loss
 // sums of a concrete partial assignment, plus enough to backtrack it.
 type state struct {
@@ -40,15 +36,18 @@ type run struct {
 // suffix can bring them back under. The minimum loss on the final
 // frontier is therefore bit-identical to exhaustive enumeration.
 //
-// A frontier is strictly increasing in power, so by the same monotonicity
-// each choice's extensions already come in non-decreasing power: a stage
-// is a k-way merge of those runs, not a sort. Candidates that land on one
-// power — across runs or along one — compete under the total order (loss,
-// prev, choice), and the winner is kept iff it is the stage's first state
-// or strictly beats every lower-power loss; that is what scanning the
-// candidates sorted by (power, loss, prev, choice) keeps, element for
-// element (dp_oracle_test.go holds that scan as the oracle). Stages share
-// one arena, stage i at arena[off[i]:off[i+1]].
+// A frontier is strictly increasing in power, and whole-watt sums are
+// exact (power.NewTable), so each choice's extensions come in strictly
+// increasing power: a stage is a k-way merge of those runs, not a sort,
+// and holds at most one state per integer power between its floor and
+// top sums. Candidates that land on one power, one per run at most,
+// compete under the total order (loss, prev, choice), and the winner is
+// kept iff it is the stage's first state or strictly beats every
+// lower-power loss; that is what scanning the candidates sorted by
+// (power, loss, prev, choice) keeps, element for element
+// (dp_oracle_test.go holds that scan as the oracle). Stages share one
+// arena, stage i at arena[off[i]:off[i+1]]. A stage of more than
+// maxFrontier states ends the solve with ErrTooLarge.
 //
 // The winner must also pass the relaxation bound. Every Loss(i, k) is
 // read once, before the first stage, into the solve's slab; the greedy's
@@ -58,7 +57,7 @@ type run struct {
 // thr[i]: no completion of s can come within the margin of U. relax says
 // why that removes exactly the frontier states that cannot win, so Idx,
 // Loss and Power are those of the unpruned program and only States falls.
-func solveDP(p *Problem, lim Limits) (Assignment, error) {
+func solveDP(p *Problem, maxFrontier int) (Assignment, error) {
 	n := len(p.Upper)
 	width := 0
 	for _, u := range p.Upper {
@@ -114,7 +113,7 @@ func solveDP(p *Problem, lim Limits) (Assignment, error) {
 			best := state{choice: -1}
 			for ri := 0; ri < len(live); {
 				r := &live[ri]
-				for r.pow == low {
+				if r.pow == low {
 					c := state{power: low, loss: prev[r.j].loss + losses[r.k], prev: r.j, choice: r.k}
 					if best.choice < 0 || c.loss < best.loss || c.loss == best.loss &&
 						(c.prev < best.prev || c.prev == best.prev && c.choice < best.choice) {
@@ -122,9 +121,9 @@ func solveDP(p *Problem, lim Limits) (Assignment, error) {
 					}
 					if r.j++; int(r.j) == len(prev) {
 						r.j = -1
-						break
+					} else {
+						r.pow = prev[r.j].power + units.Power(powers[r.k])
 					}
-					r.pow = prev[r.j].power + units.Power(powers[r.k])
 				}
 				if r.j < 0 || r.pow > p.Budget { // the run is spent
 					live[ri] = live[len(live)-1]
@@ -144,13 +143,13 @@ func solveDP(p *Problem, lim Limits) (Assignment, error) {
 		off[i+2] = len(arena)
 		switch size := off[i+2] - off[i+1]; {
 		case size == 0:
-			// SolveLimits already handled the infeasible case; an empty
+			// Solve already handled the infeasible case; an empty
 			// frontier can only mean the floor fits but every extension was
 			// dropped, which cannot happen (the optimum's prefixes pass
 			// every stage's bound and the dominance test).
 			return Assignment{}, errors.New("optimal: dp lost the floor assignment")
-		case size > lim.MaxFrontier:
-			return Assignment{Bound: bound, Margin: margin}, errFrontier
+		case size > maxFrontier:
+			return Assignment{}, ErrTooLarge
 		}
 	}
 	final := arena[off[n]:]

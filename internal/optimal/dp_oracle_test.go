@@ -19,7 +19,7 @@ import (
 // materialised, sorted by the total order (power, loss, prev, choice) and
 // scanned for the unpruned Pareto frontier. solveDP must return the same
 // Idx, Loss bits and Power on any instance, keeping no more States.
-func solveDPSort(p *Problem, lim Limits) (Assignment, error) {
+func solveDPSort(p *Problem, maxFrontier int) (Assignment, error) {
 	n := len(p.Upper)
 	stages := make([][]state, n+1)
 	stages[0] = []state{{prev: -1, choice: -1}}
@@ -65,15 +65,15 @@ func solveDPSort(p *Problem, lim Limits) (Assignment, error) {
 				bestLoss = c.loss
 			}
 		}
-		if len(frontier) > lim.MaxFrontier {
-			return Assignment{}, errFrontier
+		if len(frontier) > maxFrontier {
+			return Assignment{}, ErrTooLarge
 		}
 		stages[i+1] = frontier
 		kept += len(frontier)
 	}
 	final := stages[n]
 	if len(final) == 0 {
-		// SolveLimits already handled the infeasible case; an empty final
+		// Solve already handled the infeasible case; an empty final
 		// frontier can only mean the floor fits but every extension was
 		// dropped, which cannot happen (the all-floor path survives).
 		return Assignment{}, errors.New("optimal: dp lost the floor assignment")
@@ -110,13 +110,13 @@ func solveDPSort(p *Problem, lim Limits) (Assignment, error) {
 // only where the oracle does; where only the pruned solve fits under the
 // cap, it is held to the uncapped oracle. Exported for the external test
 // package (FuzzOptimalAssign's oracle arm).
-func DiffSortOracle(p Problem, lim Limits) error {
-	got, gotErr := solveDP(&p, lim)
-	want, wantErr := solveDPSort(&p, lim)
-	if gotErr == nil && errors.Is(wantErr, errFrontier) {
-		want, wantErr = solveDPSort(&p, Limits{MaxFrontier: math.MaxInt})
+func DiffSortOracle(p Problem, maxFrontier int) error {
+	got, gotErr := solveDP(&p, maxFrontier)
+	want, wantErr := solveDPSort(&p, maxFrontier)
+	if gotErr == nil && errors.Is(wantErr, ErrTooLarge) {
+		want, wantErr = solveDPSort(&p, math.MaxInt)
 	}
-	if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, errFrontier) != errors.Is(wantErr, errFrontier) {
+	if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrTooLarge) != errors.Is(wantErr, ErrTooLarge) {
 		return fmt.Errorf("merge error %v, sort oracle error %v", gotErr, wantErr)
 	}
 	if gotErr != nil {
@@ -132,13 +132,13 @@ func DiffSortOracle(p Problem, lim Limits) error {
 	return nil
 }
 
-// Table families for the oracle differential. Random-float steps keep
-// prefix powers distinct (long frontiers); whole-watt and 0.1 W steps make
-// many prefixes collide on one power, the second also through rounding.
+// Table families for the oracle differential, both whole watts as
+// power.NewTable demands. Steps of 1 to 5000 W keep prefix powers
+// distinct (long frontiers); steps of 1 to 12 W make many prefixes
+// collide on one power.
 const (
-	tableFloat = iota
+	tableWide = iota
 	tableWatt
-	tableTenth
 	tableFamilies
 )
 
@@ -154,28 +154,23 @@ const (
 
 func oracleTable(rng *rand.Rand, family, nf int) *power.Table {
 	pts := make([]power.OperatingPoint, nf)
-	w, tenths := 0.0, 0
+	step, w := 5000, 0
+	if family == tableWatt {
+		step = 12
+	}
 	for i := range pts {
-		switch family {
-		case tableFloat:
-			w += 0.5 + rng.Float64()*50
-		case tableWatt:
-			w += float64(1 + rng.Intn(12))
-		case tableTenth:
-			tenths += 1 + rng.Intn(3)
-			w = float64(tenths) / 10
-		}
+		w += 1 + rng.Intn(step)
 		pts[i] = power.OperatingPoint{
 			F: units.MHz(100 * float64(i+1)),
 			V: units.Volts(1 + 0.1*float64(i)),
-			P: units.Watts(w),
+			P: units.Watts(float64(w)),
 		}
 	}
 	return power.MustTable(pts)
 }
 
 // oracleProblem draws an instance whose all-floor assignment fits the
-// budget (solveDP's precondition; SolveLimits answers the rest itself).
+// budget (solveDP's precondition; Solve answers the rest itself).
 func oracleProblem(rng *rand.Rand, tableFamily, lossFamily, maxCPU, maxFreq int) Problem {
 	n, nf := 1+rng.Intn(maxCPU), 1+rng.Intn(maxFreq)
 	table := oracleTable(rng, tableFamily, nf)
@@ -206,7 +201,7 @@ func oracleProblem(rng *rand.Rand, tableFamily, lossFamily, maxCPU, maxFreq int)
 
 // TestSolveDPMatchesSortOracle pins the pruned merge to the unpruned sort
 // body it replaced, on every table family × loss family, with the default
-// cap and with caps small enough to trip errFrontier mid-solve.
+// cap and with caps small enough to trip ErrTooLarge mid-solve.
 func TestSolveDPMatchesSortOracle(t *testing.T) {
 	for tf := 0; tf < tableFamilies; tf++ {
 		for lf := 0; lf < lossFamilies; lf++ {
@@ -214,13 +209,13 @@ func TestSolveDPMatchesSortOracle(t *testing.T) {
 			for seed := int64(1); seed <= 400; seed++ {
 				rng := rand.New(rand.NewSource(seed<<8 | int64(tf<<4|lf)))
 				p := oracleProblem(rng, tf, lf, 10, 12)
-				for _, lim := range []Limits{{MaxFrontier: DefaultMaxFrontier}, {MaxFrontier: 1 + rng.Intn(40)}} {
-					if err := DiffSortOracle(p, lim); err != nil {
-						t.Fatalf("table family %d, loss family %d, seed %d, cap %d: %v", tf, lf, seed, lim.MaxFrontier, err)
+				for _, maxFrontier := range []int{DefaultMaxFrontier, 1 + rng.Intn(40)} {
+					if err := DiffSortOracle(p, maxFrontier); err != nil {
+						t.Fatalf("table family %d, loss family %d, seed %d, cap %d: %v", tf, lf, seed, maxFrontier, err)
 					}
-					if _, err := solveDP(&p, lim); err == nil {
+					if _, err := solveDP(&p, maxFrontier); err == nil {
 						solved++
-					} else if errors.Is(err, errFrontier) {
+					} else if errors.Is(err, ErrTooLarge) {
 						capped++
 					} else {
 						t.Fatalf("table family %d, loss family %d, seed %d: %v", tf, lf, seed, err)
@@ -232,54 +227,6 @@ func TestSolveDPMatchesSortOracle(t *testing.T) {
 				t.Fatalf("table family %d, loss family %d: %d solved, %d capped — regenerate the instance mix", tf, lf, solved, capped)
 			}
 		}
-	}
-}
-
-// TestSolveDPEqualPowerAlongRun is the case a merge that looked only at
-// run heads would get wrong: on a 0.1 W-step table two neighbouring
-// frontier states, one ulp apart, round onto the same power under the
-// same choice, so one run holds two candidates of one power and the later
-// one (the lower loss) must win the group.
-func TestSolveDPEqualPowerAlongRun(t *testing.T) {
-	table := power.MustTable([]power.OperatingPoint{
-		{F: units.MHz(100), V: units.Volts(1.0), P: units.Watts(0.1)},
-		{F: units.MHz(200), V: units.Volts(1.1), P: units.Watts(0.4)},
-	})
-	lo, hi := table.PowerAtIndex(0), table.PowerAtIndex(1)
-	a, b := (lo+hi)+lo, (lo+lo)+hi // prefixes (0,1,0) and (0,0,1)
-	if !(a < b) || a+hi != b+hi {
-		t.Fatalf("prefixes %b and %b no longer collide under +%v; pick another table", a.W(), b.W(), hi)
-	}
-	// Sixteenths add exactly. After cpu2 the frontier is (0.3 W, 0.4375),
-	// (a, 0.3125), (b, 0.25), (0.9 W, 0.125); cpu3's choice 1 then puts
-	// 0.3125 and 0.25 on one power, and 0.25 is the optimum. The greedy
-	// demotes cpu2 (the least loss at the lower point, 0.1875) and lands on
-	// a's extension, so the incumbent is 0.3125 and a, the greedy's own
-	// prefix, survives the relaxation prune to take part in the collision.
-	losses := [][]float64{{0, 0}, {0.25, 0.125}, {0.1875, 0}, {0.25, 0}}
-	p := Problem{
-		Table:  table,
-		Budget: a + hi,
-		Upper:  []int{0, 1, 1, 1},
-		Loss:   func(cpu, fi int) float64 { return losses[cpu][fi] },
-	}
-	if g := Greedy(p); !slices.Equal(g.Idx, []int{0, 1, 0, 1}) || g.Loss != 0.3125 {
-		t.Fatalf("greedy %+v no longer ends on a's extension", g)
-	}
-	if err := DiffSortOracle(p, Limits{MaxFrontier: DefaultMaxFrontier}); err != nil {
-		t.Fatal(err)
-	}
-	sol, err := SolveLimits(p, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1+1+2+4+2 states: the whole unpruned frontier up to cpu2, then the
-	// prune drops cpu3's two lowest-power states (the oracle keeps 12).
-	if o, _ := solveDPSort(&p, Limits{MaxFrontier: DefaultMaxFrontier}); o.States != 12 {
-		t.Fatalf("oracle keeps %d states, want 12", o.States)
-	}
-	if want := []int{0, 0, 1, 1}; !slices.Equal(sol.Idx, want) || sol.Loss != 0.25 || sol.Power != a+hi || sol.States != 10 {
-		t.Fatalf("got %+v, want idx %v, loss 0.25, power %v, 10 states", sol, want, a+hi)
 	}
 }
 
@@ -309,7 +256,7 @@ func BenchmarkSolveDP(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := solveDP(&p, Limits{MaxFrontier: DefaultMaxFrontier}); err != nil {
+				if _, err := solveDP(&p, DefaultMaxFrontier); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -329,7 +276,7 @@ func TestSolveDPAllocs(t *testing.T) {
 	for _, n := range []int{16, 64} {
 		p := table1Problem(n)
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := solveDP(&p, Limits{MaxFrontier: DefaultMaxFrontier}); err != nil {
+			if _, err := solveDP(&p, DefaultMaxFrontier); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -344,12 +291,11 @@ func TestSolveDPAllocs(t *testing.T) {
 // than half its 10 889 states are kept.
 func TestSolveDPPruneHalvesTable1(t *testing.T) {
 	p := table1Problem(16)
-	lim := Limits{MaxFrontier: DefaultMaxFrontier}
-	if err := DiffSortOracle(p, lim); err != nil {
+	if err := DiffSortOracle(p, DefaultMaxFrontier); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := solveDP(&p, lim)
-	want, _ := solveDPSort(&p, lim)
+	got, _ := solveDP(&p, DefaultMaxFrontier)
+	want, _ := solveDPSort(&p, DefaultMaxFrontier)
 	if 2*got.States >= want.States {
 		t.Fatalf("pruned solve keeps %d of the oracle's %d states, want under half", got.States, want.States)
 	}
@@ -380,18 +326,95 @@ func TestSolveDPPruneKeepsTightWitness(t *testing.T) {
 	if !slices.Equal(g.Idx, []int{1, 3}) || g.Loss != 0.5 {
 		t.Fatalf("greedy %+v, want idx [1 3] at loss 0.5", g)
 	}
-	lim := Limits{MaxFrontier: DefaultMaxFrontier}
-	if err := DiffSortOracle(p, lim); err != nil {
+	if err := DiffSortOracle(p, DefaultMaxFrontier); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := solveDP(&p, lim)
+	sol, err := solveDP(&p, DefaultMaxFrontier)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(sol.Idx, g.Idx) || sol.Loss != g.Loss || sol.Bound != g.Loss {
 		t.Fatalf("got %+v, want the greedy's witness %v with loss and bound %v", sol, g.Idx, g.Loss)
 	}
-	if want, _ := solveDPSort(&p, lim); sol.States >= want.States {
+	if want, _ := solveDPSort(&p, DefaultMaxFrontier); sol.States >= want.States {
 		t.Fatalf("prune kept %d of the oracle's %d states; the instance no longer prunes", sol.States, want.States)
+	}
+}
+
+// TestSolveTooLarge: a frontier past the cap ends the solve with
+// ErrTooLarge, never an approximate answer.
+func TestSolveTooLarge(t *testing.T) {
+	p := table1Problem(4)
+	if _, err := solveDP(&p, 1); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("cap 1: got %v, want ErrTooLarge", err)
+	}
+	if _, err := solveDP(&p, DefaultMaxFrontier); err != nil {
+		t.Fatalf("default cap: %v", err)
+	}
+}
+
+// wattSpreadBound is the frontier bound whole-watt tables give: after CPU
+// i a stage holds at most one state per integer power from the floor sum
+// to the top sum, Σ_{j≤i} (P(Upper_j) − P(0)) + 1, and the empty prefix
+// is one more.
+func wattSpreadBound(p *Problem) int {
+	bound, spread := 1, 0
+	for _, u := range p.Upper {
+		spread += int((p.Table.PowerAtIndex(u) - p.Table.PowerAtIndex(0)).W())
+		bound += spread + 1
+	}
+	return bound
+}
+
+// TestSolveDPFrontierWithinWattSpread tests the bound that lets the
+// solver stop at its frontier cap: the pruned DP and the unpruned sort
+// oracle both keep at most wattSpreadBound states, on Table 1, on the §5
+// table and on random whole-watt tables. On 1 W steps with losses linear
+// in power every integer power is on the frontier, and the oracle meets
+// the bound exactly.
+func TestSolveDPFrontierWithinWattSpread(t *testing.T) {
+	var problems []Problem
+	for _, n := range []int{1, 16, 32} {
+		problems = append(problems, table1Problem(n))
+	}
+	s5 := table1Problem(24)
+	s5.Table = power.Section5Table()
+	for i := range s5.Upper {
+		s5.Upper[i] = i % s5.Table.Len()
+	}
+	s5.Budget = s5.Table.SumAtIndices(s5.Upper) * 7 / 10
+	problems = append(problems, s5)
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		problems = append(problems, oracleProblem(rng, int(seed)%tableFamilies, lossDense, 10, 12))
+	}
+	for pi, p := range problems {
+		bound := wattSpreadBound(&p)
+		got, err := solveDP(&p, DefaultMaxFrontier)
+		if err != nil {
+			t.Fatalf("problem %d: %v", pi, err)
+		}
+		want, err := solveDPSort(&p, DefaultMaxFrontier)
+		if err != nil {
+			t.Fatalf("problem %d: sort oracle: %v", pi, err)
+		}
+		if got.States > bound || want.States > bound {
+			t.Fatalf("problem %d: %d states kept, %d by the oracle, over the watt-spread bound %d", pi, got.States, want.States, bound)
+		}
+	}
+
+	steps := power.MustTable([]power.OperatingPoint{
+		{F: units.MHz(100), V: units.Volts(1.0), P: units.Watts(1)},
+		{F: units.MHz(200), V: units.Volts(1.1), P: units.Watts(2)},
+		{F: units.MHz(300), V: units.Volts(1.2), P: units.Watts(3)},
+	})
+	tight := Problem{
+		Table:  steps,
+		Budget: units.Watts(100),
+		Upper:  []int{2, 1, 2, 2, 0, 2},
+		Loss:   func(cpu, fi int) float64 { return float64(2 - fi) },
+	}
+	if o, _ := solveDPSort(&tight, DefaultMaxFrontier); o.States != wattSpreadBound(&tight) {
+		t.Fatalf("1 W steps: oracle keeps %d states, want the bound %d", o.States, wattSpreadBound(&tight))
 	}
 }

@@ -85,7 +85,7 @@ func FuzzOptimalAssign(f *testing.F) {
 
 		if sol.Feasible { // the floor fits: the DP kernel's precondition
 			for _, maxFrontier := range []int{optimal.DefaultMaxFrontier, 1 + int(nFreq)%40} {
-				if err := optimal.DiffSortOracle(p, optimal.Limits{MaxFrontier: maxFrontier}); err != nil {
+				if err := optimal.DiffSortOracle(p, maxFrontier); err != nil {
 					t.Fatalf("frontier cap %d: %v", maxFrontier, err)
 				}
 			}

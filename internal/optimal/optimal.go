@@ -12,14 +12,16 @@
 // Solve runs a dynamic program over the Pareto frontier of exact
 // (power, loss) prefix sums, pruned by the problem's own convex-hull
 // relaxation with the greedy as incumbent, and re-checks the winner
-// exactly. It falls back to depth-first branch-and-bound when the
-// frontier outgrows its cap
-// (which only synthetic tables with irrational power spreads reach — real
-// tables quantise to integer watts, keeping the frontier tiny). Both
-// solvers accumulate losses and powers in CPU order, exactly like the
-// exhaustive enumerator in internal/invariant, so on any instance both
-// solvers and the enumerator agree on the optimal loss to the last bit —
-// the differential tests pin this. EnergyOptimal is the unconstrained
+// exactly. Table powers are whole watts (power.NewTable), so a stage's
+// frontier holds at most one state per reachable integer power: Σ_{j≤i}
+// (P(Upper_j) − P(0)) + 1 states after CPU i, at most 131·n + 1 after n
+// CPUs of Table 1 — the multiple-choice knapsack's pseudo-polynomial
+// bound. Past DefaultMaxFrontier states in one stage (over 500 CPUs on
+// Table 1) Solve returns ErrTooLarge rather than approximate. The DP
+// accumulates losses and powers in CPU order, exactly like the exhaustive
+// enumerator in internal/invariant, so on any instance the two agree on
+// the optimal loss to the last bit — the differential tests pin this.
+// EnergyOptimal is the unconstrained
 // energy-per-instruction baseline of arXiv 1805.00998 for the same
 // snapshot. See docs/optimality.md.
 package optimal
@@ -79,38 +81,27 @@ func FromGrid(g *perfmodel.PredGrid, upper []int, table *power.Table, budget uni
 // Bound is the convex-hull relaxation's optimum LP* (the Lagrangian dual
 // at the critical multiplier), a lower bound on the optimal Loss to
 // within Margin, the rounding allowance the DP's prune is derived with.
-// Both are set by "dp" and "bb" solves and zero otherwise.
+// Both are set by "dp" solves and zero otherwise.
 type Assignment struct {
 	Idx      []int
 	Loss     float64
 	Power    units.Power
 	Feasible bool
-	Method   string // "dp", "bb", "floor", "greedy" or "energy"
-	States   int    // DP states kept or B&B nodes visited
+	Method   string // "dp", "floor", "greedy" or "energy"
+	States   int    // DP states kept
 	Bound    float64
 	Margin   float64
 }
 
-// Limits bounds the solvers. MaxFrontier caps the DP's Pareto frontier
-// per stage (beyond it Solve switches to branch-and-bound); MaxNodes caps
-// the branch-and-bound search. Zero fields take the defaults.
-type Limits struct {
-	MaxFrontier int
-	MaxNodes    int
-}
+// DefaultMaxFrontier caps the DP's Pareto frontier per stage. Whole-watt
+// powers keep a stage to its integer power spread plus one, so the cap
+// binds only past 500 CPUs on Table 1.
+const DefaultMaxFrontier = 1 << 16
 
-const (
-	// DefaultMaxFrontier comfortably covers real tables: integer-watt
-	// powers give at most a few thousand distinct prefix sums.
-	DefaultMaxFrontier = 1 << 16
-	// DefaultMaxNodes bounds the branch-and-bound fallback; past it the
-	// instance is declared too large rather than silently approximated.
-	DefaultMaxNodes = 5_000_000
-)
-
-// ErrTooLarge reports an instance beyond both solvers' limits. Callers
-// treat it like the enumerator's state cap: skip, never approximate.
-var ErrTooLarge = errors.New("optimal: instance exceeds solver limits")
+// ErrTooLarge reports an instance whose DP frontier outgrew
+// DefaultMaxFrontier. Callers treat it like the enumerator's state cap:
+// skip, never approximate.
+var ErrTooLarge = errors.New("optimal: dp frontier exceeds its cap")
 
 func (p *Problem) validate() error {
 	if p.Table == nil {
@@ -138,44 +129,25 @@ func (p *Problem) sums(idx []int) (units.Power, float64) {
 	return pow, loss
 }
 
-// Solve returns the minimum-loss feasible assignment with the default
-// limits. When no assignment fits the budget — not even the all-floor one
-// — it returns the floor assignment with Feasible=false, mirroring what
-// Step 2 actuates in that case.
+// Solve returns the minimum-loss feasible assignment, or ErrTooLarge past
+// the frontier cap. When no assignment fits the budget — not even the
+// all-floor one — it returns the floor assignment with Feasible=false,
+// mirroring what Step 2 actuates in that case.
 func Solve(p Problem) (Assignment, error) {
-	return SolveLimits(p, Limits{})
-}
-
-// SolveLimits is Solve with explicit solver limits.
-func SolveLimits(p Problem, lim Limits) (Assignment, error) {
 	if err := p.validate(); err != nil {
 		return Assignment{}, err
 	}
-	if lim.MaxFrontier <= 0 {
-		lim.MaxFrontier = DefaultMaxFrontier
-	}
-	if lim.MaxNodes <= 0 {
-		lim.MaxNodes = DefaultMaxNodes
-	}
-	n := len(p.Upper)
-	idx := make([]int, n)
+	idx := make([]int, len(p.Upper))
 	if floorPow, floorLoss := p.sums(idx); floorPow > p.Budget {
 		return Assignment{Idx: idx, Loss: floorLoss, Power: floorPow, Feasible: false, Method: "floor"}, nil
 	}
-	a, err := solveDP(&p, lim)
-	if errors.Is(err, errFrontier) {
-		// The relaxation solveDP built before its frontier outgrew the cap
-		// bounds the branch-and-bound answer just the same.
-		bound, margin := a.Bound, a.Margin
-		a, err = solveBB(&p, lim)
-		a.Bound, a.Margin = bound, margin
-	}
+	a, err := solveDP(&p, DefaultMaxFrontier)
 	if err != nil {
 		return Assignment{}, err
 	}
 	// Exact re-check: the winner must reproduce the solver's sums bit for
 	// bit when recomputed from scratch — this catches any bookkeeping bug
-	// in the frontier or the search before a caller trusts the bound.
+	// in the frontier before a caller trusts the bound.
 	pow, loss := p.sums(a.Idx)
 	if pow != a.Power || math.Float64bits(loss) != math.Float64bits(a.Loss) || pow > p.Budget {
 		return Assignment{}, fmt.Errorf("optimal: %s re-check failed: got (%v, %b), solver claimed (%v, %b)",

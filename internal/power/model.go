@@ -113,31 +113,3 @@ func FitModel(t *Table, curve VoltageCurve) (Model, error) {
 	}
 	return Model{C: units.Farads(c), B: b, Curve: curve}, nil
 }
-
-// WithVoltageVariation derives per-processor operating-point tables from a
-// shared base table for machines with process variation (§5: "the voltage
-// table is different for each processor if there is significant process
-// variation among them"). Each scale multiplies the minimum voltage of
-// every operating point of that processor's table; power follows as V²
-// (both the active and static terms are quadratic in V). Scales must be
-// positive and within ±20% of nominal — anything further is a binning
-// error, not variation.
-func WithVoltageVariation(base *Table, scales []float64) ([]*Table, error) {
-	out := make([]*Table, len(scales))
-	for i, s := range scales {
-		if s < 0.8 || s > 1.2 {
-			return nil, fmt.Errorf("power: voltage scale %v for cpu %d out of [0.8,1.2]", s, i)
-		}
-		pts := base.Points()
-		for j := range pts {
-			pts[j].V = units.Voltage(pts[j].V.V() * s)
-			pts[j].P = units.Power(pts[j].P.W() * s * s)
-		}
-		t, err := NewTable(pts)
-		if err != nil {
-			return nil, fmt.Errorf("power: variation table for cpu %d: %w", i, err)
-		}
-		out[i] = t
-	}
-	return out, nil
-}

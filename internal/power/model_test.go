@@ -71,25 +71,26 @@ func TestModelPowerDecomposition(t *testing.T) {
 	}
 }
 
-// tabulate evaluates m at each frequency of set at the curve's voltage:
-// the operating-point table an analytic model implies.
-func tabulate(m Model, set units.FrequencySet) (*Table, error) {
-	points := make([]OperatingPoint, len(set))
-	for i, f := range set {
-		v := m.Curve.VoltageFor(f)
-		points[i] = OperatingPoint{F: f, V: v, P: m.PowerAt(f, v)}
-	}
-	return NewTable(points)
-}
-
 func TestFitModelRecoversKnownCoefficients(t *testing.T) {
-	// Build a table from a known model, then fit it back.
-	truth := Model{C: units.Farads(75e-9), B: 3, Curve: DefaultVoltageCurve()}
-	set := units.MustFrequencySet(
-		units.MHz(250), units.MHz(500), units.MHz(750), units.GHz(1))
-	tab, err := tabulate(truth, set)
+	// Build a table from a known model, then fit it back. Tables are whole
+	// watts, so the voltages are picked for V² to make the model's powers
+	// integers: V²·(C·f + B) = (9/16)·32, 1·48, (25/16)·64 and (9/4)·80 W.
+	truth := Model{C: units.Farads(64e-9), B: 16, Curve: DefaultVoltageCurve()}
+	points := []OperatingPoint{
+		{F: units.MHz(250), V: units.Volts(0.75)},
+		{F: units.MHz(500), V: units.Volts(1)},
+		{F: units.MHz(750), V: units.Volts(1.25)},
+		{F: units.GHz(1), V: units.Volts(1.5)},
+	}
+	for i, p := range points {
+		points[i].P = units.Watts(math.Round(truth.PowerAt(p.F, p.V).W()))
+	}
+	tab, err := NewTable(points)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := tab.PowerAtIndex(0); got != units.Watts(18) {
+		t.Fatalf("P(250 MHz) = %v, want 18 W", got)
 	}
 	fit, err := FitModel(tab, truth.Curve)
 	if err != nil {
@@ -133,9 +134,9 @@ func TestFitModelClampsNegativeCoefficients(t *testing.T) {
 	// negative; construct a nearly-flat table and check the clamp leaves
 	// physical (non-negative) coefficients.
 	pts := []OperatingPoint{
-		{F: units.MHz(500), V: units.Volts(1.0), P: units.Watts(100)},
-		{F: units.MHz(600), V: units.Volts(1.0), P: units.Watts(100.1)},
-		{F: units.MHz(700), V: units.Volts(1.0), P: units.Watts(100.2)},
+		{F: units.MHz(500), V: units.Volts(1.0), P: units.Watts(1000)},
+		{F: units.MHz(600), V: units.Volts(1.0), P: units.Watts(1001)},
+		{F: units.MHz(700), V: units.Volts(1.0), P: units.Watts(1002)},
 	}
 	tab := MustTable(pts)
 	m, err := FitModel(tab, DefaultVoltageCurve())
@@ -180,22 +181,4 @@ func fitError(m Model, t *Table) float64 {
 		}
 	}
 	return worst
-}
-
-func TestWithVoltageVariationValidation(t *testing.T) {
-	if _, err := WithVoltageVariation(PaperTable1(), []float64{0.5}); err == nil {
-		t.Error("extreme scale accepted")
-	}
-	tables, err := WithVoltageVariation(PaperTable1(), []float64{1.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Power scales as V²: 140 W × 1.21 at 1 GHz.
-	p, err := tables[0].PowerAt(units.GHz(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.W(); got < 169.3 || got > 169.5 {
-		t.Errorf("scaled power = %v, want 169.4W", got)
-	}
 }

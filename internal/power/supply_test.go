@@ -189,17 +189,14 @@ func TestEnergyMeter(t *testing.T) {
 
 // TestAccumulateRepeatMatchesAccumulate holds the closed-form repeat to the
 // n Accumulate calls it stands for — the total, on the bits —
-// for Table 1's whole-watt powers and the fractional ones a V²-scaled table
-// produces, and to Accumulate's verdict on bad inputs.
+// for Table 1's whole-watt powers and the fractional ones machine power
+// takes between table points (PowerInterp), here each Table 1 power
+// scaled by 1.05², and to Accumulate's verdict on bad inputs.
 func TestAccumulateRepeatMatchesAccumulate(t *testing.T) {
-	varied, err := WithVoltageVariation(PaperTable1(), []float64{1.05})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var powers []units.Power
-	for _, tab := range []*Table{PaperTable1(), varied[0]} {
-		for _, pt := range tab.Points() {
-			powers = append(powers, pt.P, 4*pt.P+units.Watts(186))
+	for _, pt := range PaperTable1().Points() {
+		for _, p := range []units.Power{pt.P, units.Watts(pt.P.W() * 1.05 * 1.05)} {
+			powers = append(powers, p, 4*p+units.Watts(186))
 		}
 	}
 	powers = append(powers, 0)

@@ -31,15 +31,20 @@ type OperatingPoint struct {
 // small fixed frequency set.
 type Table struct {
 	points []OperatingPoint
-	// integral is true when every power is a whole number of watts (see
-	// ExactSums).
-	integral bool
 }
+
+// maxPower is the largest table power NewTable accepts, 2²⁰ W.
+const maxPower = 1 << 20
 
 // NewTable validates and sorts the given operating points: frequencies must
 // be unique and positive, and voltage and power must be non-decreasing in
 // frequency (a higher clock can never need less voltage or draw less peak
-// power).
+// power). Every power must be a whole number of watts, at most 2²⁰ W, as
+// the paper's Table 1 and §5 table are. Then any sum of fewer than 2³³
+// table powers, and any difference of two such sums, is an integer below
+// 2⁵³: exact in float64 whatever the order of the additions. Step 2's
+// running stop test (DemotedSum) and the exact comparator's frontier
+// bound (internal/optimal) rest on that.
 func NewTable(points []OperatingPoint) (*Table, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("power: table must have at least one operating point")
@@ -47,11 +52,7 @@ func NewTable(points []OperatingPoint) (*Table, error) {
 	ps := make([]OperatingPoint, len(points))
 	copy(ps, points)
 	sort.Slice(ps, func(i, j int) bool { return ps[i].F < ps[j].F })
-	integral := true
 	for i, p := range ps {
-		if w := p.P.W(); w != math.Trunc(w) {
-			integral = false
-		}
 		if p.F <= 0 {
 			return nil, fmt.Errorf("power: operating point %d has non-positive frequency %v", i, p.F)
 		}
@@ -60,6 +61,9 @@ func NewTable(points []OperatingPoint) (*Table, error) {
 		}
 		if p.P <= 0 {
 			return nil, fmt.Errorf("power: operating point %v has non-positive power %v", p.F, p.P)
+		}
+		if w := p.P.W(); w != math.Trunc(w) || w > maxPower {
+			return nil, fmt.Errorf("power: operating point %v power %v is not a whole number of watts up to 2^20 W", p.F, p.P)
 		}
 		if i > 0 {
 			prev := ps[i-1]
@@ -74,7 +78,7 @@ func NewTable(points []OperatingPoint) (*Table, error) {
 			}
 		}
 	}
-	return &Table{points: ps, integral: integral}, nil
+	return &Table{points: ps}, nil
 }
 
 // MustTable is NewTable for static tables; it panics on error.
@@ -161,28 +165,13 @@ func (t *Table) SumAtIndices(indices []int) units.Power {
 	return sum
 }
 
-// ExactSums reports whether a sum of n of this table's powers is exact in
-// float64 whatever the order of the additions: every power is a whole
-// number of watts and n·P_max stays below 2⁵³, so every partial sum and
-// every difference of two powers is an integer float64 holds exactly.
-func (t *Table) ExactSums(n int) bool {
-	const maxExact = 1 << 53
-	return t.integral && float64(n)*t.points[len(t.points)-1].P.W() < maxExact
-}
-
-// DemotedSum returns SumAtIndices(indices) for an assignment one of whose
-// entries has just stepped down from index from to from−1, given the
-// aggregate sum before the step — the stop-test arithmetic Step 2, the
-// demand curve and the farm divide share. When ExactSums holds (Table 1,
-// the §5 table) it is sum − (P[from] − P[from−1]), whose bits are the
-// re-sum's because no whole-watt sum rounds; for any other table
-// (fractional watts, as WithVoltageVariation gives) it re-sums in order,
-// the only arithmetic that is bit-faithful there.
-func (t *Table) DemotedSum(sum units.Power, indices []int, from int) units.Power {
-	if t.ExactSums(len(indices)) {
-		return sum - (t.points[from].P - t.points[from-1].P)
-	}
-	return t.SumAtIndices(indices)
+// DemotedSum returns SumAtIndices for an assignment one of whose entries
+// has just stepped down from index from to from−1, given the aggregate sum
+// before the step: sum − (P[from] − P[from−1]), the stop-test arithmetic
+// Step 2, the demand curve and the farm divide share. Whole-watt sums
+// cannot round (NewTable), so its bits are the processor-order re-sum's.
+func (t *Table) DemotedSum(sum units.Power, from int) units.Power {
+	return sum - (t.points[from].P - t.points[from-1].P)
 }
 
 // PowerAt returns the peak power at exactly the table frequency f.
@@ -235,12 +224,12 @@ func (t *Table) MaxFrequencyUnder(budget units.Power) (units.Frequency, bool) {
 // UniformIndexUnder returns the highest table index whose n-way power,
 // P[i]·n, is at most budget: the one setting a uniform policy pins n
 // processors at. When even the table minimum overshoots it returns 0 — a
-// uniform pin has nowhere lower to go. The test is P·n ≤ budget, not
-// MaxFrequencyUnder(budget/n): on whole-watt tables the two agree, but
-// where powers are fractional the product and the quotient round
-// independently (0.2 W × 43 fits 8.6 W; 8.6 W / 43 is below 0.2 W), and
-// the studies that pin a fleet were written with the product.
-// baseline.Uniform, which hands each processor budget/n, keeps the other.
+// uniform pin has nowhere lower to go. The test is P·n ≤ budget, the form
+// the studies that pin a fleet were written with. For n < 2³³ the product
+// of a whole-watt power is exact (NewTable), so it answers as
+// MaxFrequencyUnder(budget/n) does: the quotient rounds, but never onto a
+// whole-watt power it lies below. baseline.Uniform, which hands each
+// processor budget/n, keeps the quotient.
 func (t *Table) UniformIndexUnder(budget units.Power, n int) int {
 	fi := 0
 	for i, p := range t.points {

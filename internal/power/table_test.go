@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/units"
@@ -51,6 +52,10 @@ func TestNewTableValidation(t *testing.T) {
 	if _, err := NewTable(good); err != nil {
 		t.Errorf("good table rejected: %v", err)
 	}
+	widest := append(good[:1:1], OperatingPoint{F: units.GHz(1), V: units.Volts(1.3), P: units.Watts(1 << 20)})
+	if _, err := NewTable(widest); err != nil {
+		t.Errorf("2^20 W top point rejected: %v", err)
+	}
 	cases := []struct {
 		name string
 		pts  []OperatingPoint
@@ -70,6 +75,14 @@ func TestNewTableValidation(t *testing.T) {
 		{"power not increasing", []OperatingPoint{
 			{F: units.MHz(500), V: units.Volts(0.9), P: units.Watts(35)},
 			{F: units.GHz(1), V: units.Volts(1.3), P: units.Watts(35)},
+		}},
+		{"fractional step", []OperatingPoint{
+			{F: units.MHz(500), V: units.Volts(0.9), P: units.Watts(35)},
+			{F: units.GHz(1), V: units.Volts(1.3), P: units.Watts(140.5)},
+		}},
+		{"over 2^20 W", []OperatingPoint{
+			{F: units.MHz(500), V: units.Volts(0.9), P: units.Watts(35)},
+			{F: units.GHz(1), V: units.Volts(1.3), P: units.Watts(1<<20 + 1)},
 		}},
 	}
 	for _, c := range cases {
@@ -171,10 +184,6 @@ func TestMaxFrequencyUnder(t *testing.T) {
 
 func TestUniformIndexUnder(t *testing.T) {
 	paper := PaperTable1()
-	tenths := MustTable([]OperatingPoint{
-		{F: units.MHz(100), V: units.Volts(1), P: units.Watts(0.1)},
-		{F: units.MHz(200), V: units.Volts(1), P: units.Watts(0.2)},
-	})
 	cases := []struct {
 		name   string
 		tab    *Table
@@ -189,18 +198,24 @@ func TestUniformIndexUnder(t *testing.T) {
 		{"fractional budget between points", paper, 8*35 - 0.5, 8, 4},
 		{"exactly the 8-way minimum", paper, 72, 8, 0},
 		{"below the minimum pins the minimum", paper, 10, 8, 0},
-		// Where MaxFrequencyUnder(budget/n) answers one step lower: 0.2·43
-		// rounds to exactly 8.6, 8.6/43 to just under 0.2.
-		{"product fits where the quotient does not", tenths, 8.6, 43, 1},
 	}
 	for _, c := range cases {
 		if got := c.tab.UniformIndexUnder(units.Watts(c.budget), c.n); got != c.want {
 			t.Errorf("%s: UniformIndexUnder(%vW, %d) = %d, want %d", c.name, c.budget, c.n, got, c.want)
 		}
 	}
-	b, n := 8.6, 43.0 // variables: the constant expression 8.6/43 is exact
-	if f, _ := tenths.MaxFrequencyUnder(units.Watts(b / n)); f != units.MHz(100) {
-		t.Errorf("MaxFrequencyUnder(8.6W/43) = %v: the quotient form agrees, so the last row no longer shows the difference", f)
+	// Whole-watt products are exact, so the quotient form agrees, even one
+	// ulp either side of every n-way power.
+	for n := 1; n <= 200; n++ {
+		for _, pt := range paper.Points() {
+			at := pt.P.W() * float64(n)
+			for _, b := range []float64{math.Nextafter(at, 0), at, math.Nextafter(at, math.Inf(1))} {
+				f, _ := paper.MaxFrequencyUnder(units.Watts(b / float64(n)))
+				if got, want := paper.UniformIndexUnder(units.Watts(b), n), max(paper.IndexOf(f), 0); got != want {
+					t.Fatalf("%d-way at %vW: product index %d, quotient index %d", n, b, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -229,39 +244,6 @@ func TestMustTablePanics(t *testing.T) {
 	MustTable(nil)
 }
 
-// TestExactSums pins the property the Step-2 running sum rests on: true
-// for the whole-watt tables every shipped path builds, false as soon as a
-// power is fractional or n of the largest could reach 2⁵³.
-func TestExactSums(t *testing.T) {
-	for name, tab := range map[string]*Table{"PaperTable1": PaperTable1(), "Section5Table": Section5Table()} {
-		if !tab.ExactSums(2000) {
-			t.Errorf("%s: ExactSums(2000) = false, want true (whole watts)", name)
-		}
-	}
-	tabulated, err := tabulate(Model{C: units.Farads(80e-9), B: 1, Curve: DefaultVoltageCurve()}, PaperTable1().Frequencies())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tabulated.ExactSums(1) {
-		t.Error("tabulated model: ExactSums = true for analytic powers")
-	}
-	varied, err := WithVoltageVariation(PaperTable1(), []float64{1.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if varied[0].ExactSums(1) {
-		t.Error("WithVoltageVariation: ExactSums = true for V²-scaled powers")
-	}
-
-	// 2⁵³ / 140 W: the last n that keeps n·P_max below 2⁵³, and the first
-	// that does not.
-	const limit = (1 << 53) / 140
-	if tab := PaperTable1(); !tab.ExactSums(limit) || tab.ExactSums(limit+1) {
-		t.Errorf("PaperTable1: ExactSums(%d) = %v, ExactSums(%d) = %v, want true then false",
-			limit, tab.ExactSums(limit), limit+1, tab.ExactSums(limit+1))
-	}
-}
-
 func TestSumAtIndices(t *testing.T) {
 	tab := Section5Table()
 	if got := tab.SumAtIndices([]int{0, 4, 2}); got != units.Watts(48+140+84) {
@@ -272,23 +254,40 @@ func TestSumAtIndices(t *testing.T) {
 	}
 }
 
-// TestDemotedSumIsTheResum: on a whole-watt table (running difference)
-// and on a V²-scaled one (re-sum) alike, carrying the aggregate down a
-// walk gives the bits of summing each assignment afresh.
+// TestDemotedSumIsTheResum: carrying the aggregate down a walk gives the
+// bits of summing each assignment afresh, on the paper's tables and on
+// random whole-watt ones with steps up to 5000 W.
 func TestDemotedSumIsTheResum(t *testing.T) {
-	varied, err := WithVoltageVariation(PaperTable1(), []float64{1.05})
-	if err != nil {
-		t.Fatal(err)
+	tables := []*Table{PaperTable1(), Section5Table()}
+	rng := rand.New(rand.NewSource(1))
+	for len(tables) < 22 {
+		pts := make([]OperatingPoint, 2+rng.Intn(15))
+		w := 0
+		for i := range pts {
+			w += 1 + rng.Intn(5000)
+			pts[i] = OperatingPoint{F: units.MHz(float64(100 * (i + 1))), V: units.Volts(1), P: units.Watts(float64(w))}
+		}
+		tables = append(tables, MustTable(pts))
 	}
-	for _, tab := range []*Table{PaperTable1(), varied[0]} {
-		idx := []int{15, 3, 9, 15, 1, 12}
+	for ti, tab := range tables {
+		// Every processor walks from a random index to the floor, the
+		// steps interleaved at random.
+		idx := make([]int, 1+rng.Intn(100))
+		var steps []int
+		for cpu := range idx {
+			idx[cpu] = rng.Intn(tab.Len())
+			for range idx[cpu] {
+				steps = append(steps, cpu)
+			}
+		}
+		rng.Shuffle(len(steps), func(a, b int) { steps[a], steps[b] = steps[b], steps[a] })
 		sum := tab.SumAtIndices(idx)
-		for _, cpu := range []int{0, 3, 0, 2, 5, 1, 4, 0} {
+		for _, cpu := range steps {
 			from := idx[cpu]
 			idx[cpu]--
-			sum = tab.DemotedSum(sum, idx, from)
+			sum = tab.DemotedSum(sum, from)
 			if want := tab.SumAtIndices(idx); math.Float64bits(sum.W()) != math.Float64bits(want.W()) {
-				t.Fatalf("exact=%v: after cpu %d steps down from %d: carried %v, re-sum %v", tab.ExactSums(len(idx)), cpu, from, sum, want)
+				t.Fatalf("table %d: after cpu %d steps down from %d: carried %v, re-sum %v", ti, cpu, from, sum, want)
 			}
 		}
 	}
