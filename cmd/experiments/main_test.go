@@ -33,7 +33,7 @@ func TestRegistryWellFormed(t *testing.T) {
 // TestRegistryRunnersProduceOutput spot-checks the cheap analytic entries
 // end to end through the registry plumbing.
 func TestRegistryRunnersProduceOutput(t *testing.T) {
-	o := experiments.TestOptions()
+	o := experiments.Options{Scale: 0.05, Seed: 1}
 	for _, id := range []string{"table1", "worked", "ab-policies", "ab-ideal"} {
 		spec, ok := experiments.Lookup(id)
 		if !ok {

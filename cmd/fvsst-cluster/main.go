@@ -8,7 +8,7 @@
 // Usage examples:
 //
 //	fvsst-cluster
-//	fvsst-cluster -nodes 3 -budget 900 -drop-to 600 -drop-at 1 \
+//	fvsst-cluster -nodes 3 -budget-schedule 900,1:600 \
 //	    -partition 1 -partition-at 0.5 -partition-for 2 -duration 4
 //	fvsst-cluster -budget-schedule "900,1:600,3:0.75kW"
 //	fvsst-cluster -trace out.jsonl -metrics out.prom -seed 7
@@ -33,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/farm"
 	"repro/internal/fvsst"
 	"repro/internal/machine"
 	"repro/internal/netcluster"
@@ -42,7 +41,6 @@ import (
 	"repro/internal/netcluster/wire"
 	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -50,10 +48,7 @@ import (
 type options struct {
 	nodes        int
 	cpus         int
-	budgetW      float64
 	scheduleSpec string
-	dropToW      float64
-	dropAt       float64
 	partition    int
 	partitionAt  float64
 	partitionFor float64
@@ -281,34 +276,6 @@ func run(o options, out io.Writer) (result, error) {
 	return res, nil
 }
 
-// budgetConfig wires the flags' budget trajectory into the coordinator
-// config: an explicit schedule spec through the farm budget-source
-// plumbing (the same interface hierarchical allocation feeds clusters
-// through), or the legacy one-drop flags.
-func budgetConfig(o options, ccfg *netcluster.Config) error {
-	switch {
-	case o.scheduleSpec != "":
-		src, err := farm.ParseScheduleSpec(o.scheduleSpec)
-		if err != nil {
-			return fmt.Errorf("-budget-schedule: %w", err)
-		}
-		ccfg.Source = src
-		ccfg.Budget = src.BudgetAt(0)
-	case o.dropToW > 0 && o.dropAt > 0:
-		sched, err := power.NewBudgetSchedule(units.Watts(o.budgetW),
-			power.BudgetEvent{At: o.dropAt, Budget: units.Watts(o.dropToW), Label: "budget drop"})
-		if err != nil {
-			return err
-		}
-		src, err := farm.FromSchedule(sched)
-		if err != nil {
-			return err
-		}
-		ccfg.Source = src
-	}
-	return nil
-}
-
 // drive is the run loop: cut and heal the partition target on the fabric,
 // step one round, count budget violations and log the rounds of interest
 // (budget changes, degraded rounds, every -log-every'th timer round). It
@@ -404,11 +371,16 @@ func runFleet(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metri
 			return wire.DialStats(addr, timeout, stats)
 		})
 	}
+	sched, err := power.ParseScheduleSpec(o.scheduleSpec)
+	if err != nil {
+		return fmt.Errorf("-budget-schedule: %w", err)
+	}
+	budget := sched.BudgetAt(0)
 	// A relay's sub-coordinator reaches its agents directly — no fault
 	// fabric, sink or metrics — and its budget arrives by grant.
 	sub := netcluster.Config{
 		Fvsst:      fcfg,
-		Budget:     units.Watts(o.budgetW),
+		Budget:     budget,
 		MissK:      o.missK,
 		RPCTimeout: o.rpcTimeout,
 		Dialer:     &netcluster.TCPDialer{Stats: stats},
@@ -419,9 +391,7 @@ func runFleet(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metri
 	top := sub
 	top.Seed, top.Dialer = o.seed, fabric
 	top.Sink, top.Metrics, top.WireStats = sink, metrics, stats
-	if err := budgetConfig(o, &top); err != nil {
-		return err
-	}
+	top.Source = sched
 	fleet, err := netcluster.NewFleet(specs, o.relays, pd, func(name string, group int) netcluster.Config {
 		c := top
 		if group >= 0 {
@@ -444,9 +414,9 @@ func runFleet(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metri
 		// NewFleet's rule: the root outwaits a relay whose leaf costs it
 		// every timeout and retry it has.
 		fmt.Fprintf(out, "%d nodes up behind %d relays (%s transport, root deadline %v); budget %.0fW; seed %d\n",
-			o.nodes, o.relays, o.transport, max(top.RPCTimeout, sub.WorstCasePhase()), o.budgetW, o.seed)
+			o.nodes, o.relays, o.transport, max(top.RPCTimeout, sub.WorstCasePhase()), budget.W(), o.seed)
 	} else {
-		fmt.Fprintf(out, "%d nodes up; budget %.0fW; seed %d\n", o.nodes, o.budgetW, o.seed)
+		fmt.Fprintf(out, "%d nodes up; budget %.0fW; seed %d\n", o.nodes, budget.W(), o.seed)
 	}
 	worst, err := drive(o, out, fabric, partitionName, fleet, res)
 	if err != nil {
@@ -462,32 +432,34 @@ func runFleet(o options, out io.Writer, sink obs.Sink, metrics *netcluster.Metri
 	return nil
 }
 
+// bindFlags registers the command line on fs, writing into o.
+func bindFlags(fs *flag.FlagSet, o *options) {
+	fs.IntVar(&o.nodes, "nodes", 3, "number of node agents to spawn")
+	fs.IntVar(&o.cpus, "cpus", 0, "CPUs per node (0 = machine config default)")
+	fs.IntVar(&o.relays, "relays", 0, "relay coordinators in a 2-level tree (0 = flat single coordinator)")
+	fs.StringVar(&o.transport, "transport", "tcp", "agent transport: tcp sockets or in-process pipes (pipe scales past fd limits)")
+	fs.DurationVar(&o.maxPassLat, "max-pass-latency", 0, "fail the run if any relay-tree pass exceeds this wall-clock latency (0 = report only)")
+	fs.StringVar(&o.scheduleSpec, "budget-schedule", "900,1:600", `global CPU power budget over time "W0,t1:W1,..." (watts at simulated seconds)`)
+	fs.IntVar(&o.partition, "partition", 1, "node index to partition (-1 = none)")
+	fs.Float64Var(&o.partitionAt, "partition-at", 0.5, "simulated time the partition starts")
+	fs.Float64Var(&o.partitionFor, "partition-for", 2, "simulated seconds the partition lasts")
+	fs.Float64Var(&o.duration, "duration", 4, "simulated seconds to run")
+	fs.Float64Var(&o.epsilon, "epsilon", 0.05, "acceptable performance loss ε")
+	fs.Float64Var(&o.scale, "scale", 0.5, "workload scale")
+	fs.Int64Var(&o.seed, "seed", 1, "scenario seed (machines, fault fabric, retry jitter)")
+	fs.IntVar(&o.missK, "miss-k", 3, "consecutive missed rounds before a node is marked degraded")
+	fs.DurationVar(&o.rpcTimeout, "rpc-timeout", 100*time.Millisecond, "per-attempt RPC deadline")
+	fs.DurationVar(&o.lease, "lease", time.Second, "agent failsafe lease (0 disables the watchdog)")
+	fs.IntVar(&o.logEvery, "log-every", 5, "print every n-th routine timer decision")
+	fs.StringVar(&o.tracePath, "trace", "", "write one JSONL trace event per decision/transition to this file")
+	fs.StringVar(&o.metricsPath, "metrics", "", "write Prometheus text-format transport metrics to this file at exit")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live Prometheus /metrics endpoint on this address (e.g. :9090)")
+	fs.StringVar(&o.report, "report", "", "print the energy & compliance ledger at exit (comma-separated sections, or \"all\")")
+}
+
 func main() {
 	var o options
-	flag.IntVar(&o.nodes, "nodes", 3, "number of node agents to spawn")
-	flag.IntVar(&o.cpus, "cpus", 0, "CPUs per node (0 = machine config default)")
-	flag.IntVar(&o.relays, "relays", 0, "relay coordinators in a 2-level tree (0 = flat single coordinator)")
-	flag.StringVar(&o.transport, "transport", "tcp", "agent transport: tcp sockets or in-process pipes (pipe scales past fd limits)")
-	flag.DurationVar(&o.maxPassLat, "max-pass-latency", 0, "fail the run if any relay-tree pass exceeds this wall-clock latency (0 = report only)")
-	flag.Float64Var(&o.budgetW, "budget", 900, "initial global CPU power budget (watts)")
-	flag.StringVar(&o.scheduleSpec, "budget-schedule", "", `budget schedule "W0,t1:W1,..." (overrides -budget/-drop-to/-drop-at)`)
-	flag.Float64Var(&o.dropToW, "drop-to", 600, "budget after the drop (watts, 0 = never drops)")
-	flag.Float64Var(&o.dropAt, "drop-at", 1, "simulated time of the budget drop (seconds, 0 = never)")
-	flag.IntVar(&o.partition, "partition", 1, "node index to partition (-1 = none)")
-	flag.Float64Var(&o.partitionAt, "partition-at", 0.5, "simulated time the partition starts")
-	flag.Float64Var(&o.partitionFor, "partition-for", 2, "simulated seconds the partition lasts")
-	flag.Float64Var(&o.duration, "duration", 4, "simulated seconds to run")
-	flag.Float64Var(&o.epsilon, "epsilon", 0.05, "acceptable performance loss ε")
-	flag.Float64Var(&o.scale, "scale", 0.5, "workload scale")
-	flag.Int64Var(&o.seed, "seed", 1, "scenario seed (machines, fault fabric, retry jitter)")
-	flag.IntVar(&o.missK, "miss-k", 3, "consecutive missed rounds before a node is marked degraded")
-	flag.DurationVar(&o.rpcTimeout, "rpc-timeout", 100*time.Millisecond, "per-attempt RPC deadline")
-	flag.DurationVar(&o.lease, "lease", time.Second, "agent failsafe lease (0 disables the watchdog)")
-	flag.IntVar(&o.logEvery, "log-every", 5, "print every n-th routine timer decision")
-	flag.StringVar(&o.tracePath, "trace", "", "write one JSONL trace event per decision/transition to this file")
-	flag.StringVar(&o.metricsPath, "metrics", "", "write Prometheus text-format transport metrics to this file at exit")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live Prometheus /metrics endpoint on this address (e.g. :9090)")
-	flag.StringVar(&o.report, "report", "", "print the energy & compliance ledger at exit (comma-separated sections, or \"all\")")
+	bindFlags(flag.CommandLine, &o)
 	flag.Parse()
 
 	res, err := run(o, os.Stdout)

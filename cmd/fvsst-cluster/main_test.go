@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,11 +12,6 @@ import (
 	"repro/internal/obs"
 )
 
-// TestAcceptanceScenario is the issue's end-to-end check: three nodes on
-// loopback, budget 900 W dropping to 600 W at t=1, node1 partitioned for
-// two simulated seconds. The run must complete, the charged power must
-// never exceed the budget, and the partitioned node must degrade and
-// rejoin with both transitions in the trace output.
 // eventLog is a trace sink that keeps every event in emission order.
 type eventLog struct {
 	mu     sync.Mutex
@@ -35,12 +31,15 @@ func (l *eventLog) all() []obs.Event {
 	return append([]obs.Event(nil), l.events...)
 }
 
+// TestAcceptanceScenario is the end-to-end check: three nodes on
+// loopback, budget 900 W dropping to 600 W at t=1, node1 partitioned for
+// two simulated seconds. The run must complete, the charged power must
+// never exceed the budget, and the partitioned node must degrade and
+// rejoin with both transitions in the trace output.
 func TestAcceptanceScenario(t *testing.T) {
 	o := options{
 		nodes:        3,
-		budgetW:      900,
-		dropToW:      600,
-		dropAt:       1,
+		scheduleSpec: "900,1:600",
 		partition:    1,
 		partitionAt:  0.5,
 		partitionFor: 2,
@@ -84,26 +83,18 @@ func TestAcceptanceScenario(t *testing.T) {
 	}
 }
 
-// TestBudgetScheduleFlag runs the same trajectory through the farm
-// budget-source plumbing: "-budget-schedule 900,1:600" must produce the
-// 900W → 600W ramp and shadow the legacy drop flags entirely.
+// TestBudgetScheduleFlag checks the one budget input: the default flags
+// give the 900 W → 600 W drop at t=1, the header shows a non-default
+// schedule's initial budget, and a malformed schedule is rejected.
 func TestBudgetScheduleFlag(t *testing.T) {
-	o := options{
-		nodes:        2,
-		budgetW:      450, // shadowed by the schedule's 900
-		scheduleSpec: "900,1:600",
-		dropToW:      300, // shadowed too
-		dropAt:       0.5,
-		partition:    -1,
-		duration:     2,
-		epsilon:      0.05,
-		scale:        0.5,
-		seed:         1,
-		missK:        3,
-		rpcTimeout:   40 * time.Millisecond,
-		lease:        800 * time.Millisecond,
-		logEvery:     5,
+	fs := flag.NewFlagSet("fvsst-cluster", flag.ContinueOnError)
+	var o options
+	bindFlags(fs, &o)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
 	}
+	o.nodes, o.partition, o.duration = 2, -1, 2
+	o.rpcTimeout, o.lease = 40*time.Millisecond, 800*time.Millisecond
 	var out strings.Builder
 	res, err := run(o, &out)
 	if err != nil {
@@ -112,9 +103,24 @@ func TestBudgetScheduleFlag(t *testing.T) {
 	if res.violations != 0 {
 		t.Errorf("charged power exceeded the budget in %d rounds", res.violations)
 	}
-	first, last := res.decisions[0], res.decisions[len(res.decisions)-1]
-	if first.Budget.W() != 900 || last.Budget.W() != 600 {
-		t.Errorf("budget trajectory %v → %v, want the schedule's 900W → 600W", first.Budget, last.Budget)
+	for _, d := range res.decisions {
+		want := 900.0
+		if d.At >= 1 {
+			want = 600
+		}
+		if d.Budget.W() != want {
+			t.Errorf("default schedule: budget %v at t=%.2f, want %vW", d.Budget, d.At, want)
+		}
+	}
+
+	o.relays, o.transport, o.duration = 1, "pipe", 0.5
+	o.scheduleSpec = "1200,1:600"
+	out.Reset()
+	if _, err := run(o, &out); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "budget 1200W") {
+		t.Errorf("header does not show the schedule's initial 1200W:\n%s", out.String())
 	}
 
 	o.scheduleSpec = "garbage"
@@ -132,20 +138,20 @@ func TestBudgetScheduleFlag(t *testing.T) {
 func TestTraceReconstructsPasses(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 	o := options{
-		nodes:       2,
-		budgetW:     700,
-		partition:   -1,
-		duration:    1,
-		epsilon:     0.05,
-		scale:       0.5,
-		seed:        3,
-		missK:       3,
-		rpcTimeout:  40 * time.Millisecond,
-		lease:       800 * time.Millisecond,
-		logEvery:    5,
-		tracePath:   tracePath,
-		metricsAddr: "127.0.0.1:0",
-		report:      "all",
+		nodes:        2,
+		scheduleSpec: "700",
+		partition:    -1,
+		duration:     1,
+		epsilon:      0.05,
+		scale:        0.5,
+		seed:         3,
+		missK:        3,
+		rpcTimeout:   40 * time.Millisecond,
+		lease:        800 * time.Millisecond,
+		logEvery:     5,
+		tracePath:    tracePath,
+		metricsAddr:  "127.0.0.1:0",
+		report:       "all",
 	}
 	var out strings.Builder
 	res, err := run(o, &out)
@@ -236,9 +242,7 @@ func TestRelayTreeScenario(t *testing.T) {
 		nodes:        6,
 		relays:       2,
 		transport:    "pipe",
-		budgetW:      1800,
-		dropToW:      1200,
-		dropAt:       1,
+		scheduleSpec: "1800,1:1200",
 		partition:    1,
 		partitionAt:  0.5,
 		partitionFor: 1,

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"repro/internal/cluster"
-	"repro/internal/farm"
 	"repro/internal/fvsst"
 	"repro/internal/machine"
 	"repro/internal/power"
@@ -32,13 +31,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched, err := power.NewBudgetSchedule(units.Watts(1680),
+	capping, err := power.NewBudgetSchedule(units.Watts(1680),
 		power.BudgetEvent{At: 1.0, Budget: units.Watts(900), Label: "site capping request"},
 	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	capping, err := farm.FromSchedule(sched)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,17 +36,13 @@ const modulePath = "repro"
 // caller, keyed "<package dir>.<Name>", "<package dir>.<Type>.<Method>"
 // or "<package dir>.<Type>.<Field>", each with why it stays.
 var unusedAllow = map[string]string{
-	"internal/engine.NewTimeline":            "bench-pinned (bench/des.go, bench/probes.go); ROADMAP 1(b) deletes it",
-	"internal/netcluster.NewRoot":            "bench-pinned (bench/rounds.go); ROADMAP 1(b) builds rounds with NewFleet",
-	"internal/optimal.Greedy":                "bench-pinned (bench/probes.go); ROADMAP 1(b) moves it into _test.go",
-	"internal/stats.Mean":                    "bench-pinned (bench/run.go); ROADMAP 1(a) gives bench/ its own copies of what only it uses",
-	"internal/stats.Min":                     "bench-pinned (bench/compare.go); ROADMAP 1(a) gives bench/ its own copies of what only it uses",
-	"internal/stats.Max":                     "bench-pinned (bench/compare.go, bench/run.go); ROADMAP 1(a) gives bench/ its own copies of what only it uses",
-	"internal/scenario.RunCodecDifferential": "differential oracle: JSON codec against bin1, driven by scenario tests",
-	"internal/scenario.RunTierDifferential":  "differential oracle: flat against relay tree, driven by scenario tests",
-	"internal/experiments.TestOptions":       "cross-package test input: the small-scale options the cmd/experiments and cmd/fvsst-farm tests run at",
-	"internal/experiments.DefaultOptions":    "cross-package test input: paper-scale options for the root testing.B harness",
-	"internal/farm.NewHolder":                "cross-package test input: a lone lease holder for the cluster and invariant tests",
+	"internal/engine.NewTimeline": "bench-pinned (bench/des.go, bench/probes.go); ROADMAP 1(b) deletes it",
+	"internal/netcluster.NewRoot": "bench-pinned (bench/rounds.go); ROADMAP 1(b) builds rounds with NewFleet",
+	"internal/optimal.Greedy":     "bench-pinned (bench/probes.go); ROADMAP 1(b) moves it into _test.go",
+	"internal/stats.Mean":         "bench-pinned (bench/run.go); ROADMAP 1(a) gives bench/ its own copies of what only it uses",
+	"internal/stats.Min":          "bench-pinned (bench/compare.go); ROADMAP 1(a) gives bench/ its own copies of what only it uses",
+	"internal/stats.Max":          "bench-pinned (bench/compare.go, bench/run.go); ROADMAP 1(a) gives bench/ its own copies of what only it uses",
+	"internal/farm.NewHolder":     "cross-package test input: a lone lease holder for the cluster and invariant tests",
 
 	"internal/engine.Timeline.Post":               "bench-pinned (bench/des.go, bench/probes.go); ROADMAP 1(b) deletes the Timeline",
 	"internal/engine.Timeline.Cancel":             "bench-pinned with its Timeline (the engine tests and FuzzTimelineOps drive it); ROADMAP 1(b) deletes the Timeline",

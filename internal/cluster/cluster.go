@@ -17,6 +17,7 @@ import (
 	"repro/internal/fvsst"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
+	"repro/internal/power"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -88,9 +89,9 @@ type Coordinator struct {
 	nodes  []*Node
 	budget units.Power
 	// source, when set, drives the budget over time — a lease Holder under
-	// a farm allocator, a UPS runway governor, or a schedule adapter
-	// (farm.FromSchedule). A change fires the budget-change trigger.
-	source farm.BudgetSource
+	// a farm allocator, a UPS runway governor, or a power.BudgetSchedule.
+	// A change fires the budget-change trigger.
+	source power.BudgetSource
 
 	pending   []pendingActuation
 	decisions []Decision
@@ -175,12 +176,12 @@ func (c *Coordinator) SetQuantumHook(before, after func(now float64)) {
 	c.afterQuantum = after
 }
 
-// SetBudgetSource drives the global budget from a farm.BudgetSource
+// SetBudgetSource drives the global budget from a power.BudgetSource
 // instead of the constant handed to New. This is how a cluster plugs into
 // the farm layer: hand it the farm.Holder holding its lease and every
 // grant or expiry becomes a budget-change pass; a power.BudgetSchedule
-// goes through farm.FromSchedule.
-func (c *Coordinator) SetBudgetSource(src farm.BudgetSource) { c.source = src }
+// plugs in directly.
+func (c *Coordinator) SetBudgetSource(src power.BudgetSource) { c.source = src }
 
 // Now returns the cluster simulation time.
 func (c *Coordinator) Now() float64 { return c.loop.Now() }

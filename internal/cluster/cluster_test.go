@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/farm"
 	"repro/internal/fvsst"
 	"repro/internal/machine"
 	"repro/internal/memhier"
@@ -69,21 +68,6 @@ func newTwoNodeCluster(t *testing.T, budget units.Power) *Coordinator {
 		t.Fatal(err)
 	}
 	return c
-}
-
-// scheduleSource wraps a budget schedule the way every caller hands one
-// to SetBudgetSource.
-func scheduleSource(t *testing.T, initial units.Power, events ...power.BudgetEvent) farm.BudgetSource {
-	t.Helper()
-	sched, err := power.NewBudgetSchedule(initial, events...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := farm.FromSchedule(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return src
 }
 
 // runUntil steps c one quantum at a time until simulation time until.
@@ -239,8 +223,12 @@ func TestActuationDelayedByRTT(t *testing.T) {
 
 func TestBudgetScheduleTriggersGlobalReschedule(t *testing.T) {
 	c := newTwoNodeCluster(t, units.Watts(1120))
-	c.SetBudgetSource(scheduleSource(t, units.Watts(1120),
-		power.BudgetEvent{At: 0.3, Budget: units.Watts(500), Label: "site cap"}))
+	sched, err := power.NewBudgetSchedule(units.Watts(1120),
+		power.BudgetEvent{At: 0.3, Budget: units.Watts(500), Label: "site cap"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetBudgetSource(sched)
 	if err := runUntil(c, 0.8); err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func TestDemandCurveMatchesScheduleWideSteps(t *testing.T) {
 // budget-change passes, and the budget tracks lease → floor.
 func TestCoordinatorBudgetSourceHolder(t *testing.T) {
 	c := newTwoNodeCluster(t, units.Watts(900))
-	h, err := farm.NewHolder("pair", units.Watts(200), nil, nil)
+	h, err := farm.NewHolder("pair", units.Watts(200), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

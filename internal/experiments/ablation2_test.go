@@ -6,7 +6,7 @@ import (
 )
 
 func TestAblationMaskingShowsHiddenLoss(t *testing.T) {
-	rep, err := AblationMasking(TestOptions())
+	rep, err := AblationMasking(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestAblationMaskingShowsHiddenLoss(t *testing.T) {
 }
 
 func TestAblationActuatorFidelity(t *testing.T) {
-	rep, err := AblationActuator(TestOptions())
+	rep, err := AblationActuator(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAblationActuatorFidelity(t *testing.T) {
 }
 
 func TestAblationEpsilonTradeoff(t *testing.T) {
-	rep, err := AblationEpsilon(TestOptions())
+	rep, err := AblationEpsilon(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

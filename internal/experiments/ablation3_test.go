@@ -6,7 +6,7 @@ import (
 )
 
 func TestAblationExecModelAgreement(t *testing.T) {
-	rep, err := AblationExecModel(TestOptions())
+	rep, err := AblationExecModel(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,12 +47,7 @@ func (o Options) clusterRun(budget units.Power, uniform bool) (map[string]float6
 		// Pre-assign the uniform cap and never reschedule: the classic
 		// "slow all nodes uniformly" response. 12 processors share the
 		// budget equally.
-		table := cfg.Table
-		per := units.Power(budget.W() / 12)
-		f, ok := table.MaxFrequencyUnder(per)
-		if !ok {
-			f = table.MinFrequency()
-		}
+		f := cfg.Table.FrequencyAtIndex(cfg.Table.UniformIndexUnder(budget, 12))
 		for _, n := range nodes {
 			for cpu := 0; cpu < n.M.NumCPUs(); cpu++ {
 				if err := n.M.SetFrequency(cpu, f); err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestClusterStudyShape(t *testing.T) {
-	rep, err := ClusterStudy(TestOptions())
+	rep, err := ClusterStudy(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

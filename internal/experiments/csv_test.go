@@ -9,7 +9,7 @@ import (
 
 func TestWriteCSVToExportsTraces(t *testing.T) {
 	dir := t.TempDir()
-	o := TestOptions()
+	o := testOptions()
 
 	f5, err := Figure5(o)
 	if err != nil {

@@ -37,12 +37,6 @@ type Options struct {
 	MonteCarlo bool
 }
 
-// DefaultOptions is the paper-scale configuration.
-func DefaultOptions() Options { return Options{Scale: 1, Seed: 1} }
-
-// TestOptions is the fast configuration used by the test suite.
-func TestOptions() Options { return Options{Scale: 0.05, Seed: 1} }
-
 // machineConfig builds a machine config with the experiment options
 // applied.
 func (o Options) machineConfig(numCPUs int) machine.Config {

@@ -12,6 +12,9 @@ import (
 // dominate. Absolute paper numbers are recorded in EXPERIMENTS.md from a
 // full-scale run.
 
+// testOptions is the fast configuration the experiment tests run at.
+func testOptions() Options { return Options{Scale: 0.05, Seed: 1} }
+
 func TestTable1ModelRegeneratesShape(t *testing.T) {
 	rep, err := Table1()
 	if err != nil {
@@ -39,7 +42,7 @@ func TestTable1ModelRegeneratesShape(t *testing.T) {
 }
 
 func TestFigure1SaturationShape(t *testing.T) {
-	rep, err := Figure1(TestOptions())
+	rep, err := Figure1(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func TestFigure1SaturationShape(t *testing.T) {
 }
 
 func TestTable2PredictorErrorShape(t *testing.T) {
-	rep, err := Table2(TestOptions())
+	rep, err := Table2(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func TestTable2PredictorErrorShape(t *testing.T) {
 }
 
 func TestFigure4OverheadSmall(t *testing.T) {
-	rep, err := Figure4(TestOptions())
+	rep, err := Figure4(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,7 @@ func TestFigure4OverheadSmall(t *testing.T) {
 }
 
 func TestFigure5PhaseTracking(t *testing.T) {
-	rep, err := Figure5(TestOptions())
+	rep, err := Figure5(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +161,7 @@ func TestFigure5PhaseTracking(t *testing.T) {
 }
 
 func TestFigure6PowerLimitShape(t *testing.T) {
-	rep, err := Figure6(TestOptions())
+	rep, err := Figure6(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +206,7 @@ func TestFigure6PowerLimitShape(t *testing.T) {
 }
 
 func TestFigure7TwoPhaseShape(t *testing.T) {
-	rep, err := Figure7(TestOptions())
+	rep, err := Figure7(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +235,7 @@ func TestFigure7TwoPhaseShape(t *testing.T) {
 }
 
 func TestTable3ApplicationShape(t *testing.T) {
-	rep, err := Table3(TestOptions())
+	rep, err := Table3(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +304,7 @@ func residency(r *Figure8Report, app string, capMHz float64) *Figure8Residency {
 }
 
 func TestFigure8ResidencyShape(t *testing.T) {
-	rep, err := Figure8(TestOptions())
+	rep, err := Figure8(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +349,7 @@ func TestFigure8ResidencyShape(t *testing.T) {
 }
 
 func TestFigure9GapTrace(t *testing.T) {
-	rep, err := Figure9(TestOptions())
+	rep, err := Figure9(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +445,7 @@ func TestAblationIdealAgreement(t *testing.T) {
 }
 
 func TestAblationIdleSavings(t *testing.T) {
-	rep, err := AblationIdle(TestOptions())
+	rep, err := AblationIdle(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +460,7 @@ func TestAblationIdleSavings(t *testing.T) {
 }
 
 func TestRendersAreNonEmpty(t *testing.T) {
-	o := TestOptions()
+	o := testOptions()
 	renders := []func() (string, error){
 		func() (string, error) { r, err := Table1(); return render(r, err) },
 		func() (string, error) { r, err := Figure1(o); return render(r, err) },

@@ -18,12 +18,12 @@ import (
 // check that fails when all three loops drift together.
 func TestFarmLoopsGolden(t *testing.T) {
 	var b strings.Builder
-	pf, err := FarmPowerFail(TestOptions())
+	pf, err := FarmPowerFail(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString("== farm-powerfail ==\n" + pf.Render())
-	hs, err := ServeHotspot(TestOptions())
+	hs, err := ServeHotspot(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/memhier"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
+	"repro/internal/power"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -110,7 +111,7 @@ func (o Options) farmNodes(spec farmClusterSpec) ([]*cluster.Node, error) {
 
 // farmSource builds the grid→UPS failover source; the *UPS is returned
 // for draining and runway checks.
-func farmSource() (farm.BudgetSource, *farm.UPS, error) {
+func farmSource() (power.BudgetSource, *farm.UPS, error) {
 	ups, err := farm.NewUPS(units.Joules(farmUPSJoules), farmRunwaySec)
 	if err != nil {
 		return nil, nil, err
@@ -159,7 +160,6 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 		return FarmPolicyOutcome{}, err
 	}
 	sink := &obs.Buffer{}
-	metrics := farm.NewMetrics()
 
 	cfg := o.schedConfig()
 	cfg.UseIdleSignal = true
@@ -188,7 +188,6 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 		Safety:   farmSafety,
 		Policy:   policy,
 		Sink:     sink,
-		Metrics:  metrics,
 	})
 	if err != nil {
 		return FarmPolicyOutcome{}, err
@@ -224,9 +223,7 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 			if err := c.Step(); err != nil {
 				return FarmPolicyOutcome{}, err
 			}
-			p := c.TotalCPUPower()
-			draw += p
-			metrics.SetUsed(specs[ci].name, p)
+			draw += c.TotalCPUPower()
 			if d, ok := c.LastDecision(); ok {
 				var loss float64
 				for _, as := range d.Assignments {

@@ -11,7 +11,7 @@ import (
 // shrinking budget (even across the data cluster's partition, which must
 // expire at least one lease), and renders deterministically.
 func TestFarmPowerFail(t *testing.T) {
-	r, err := FarmPowerFail(TestOptions())
+	r, err := FarmPowerFail(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestFarmPowerFail(t *testing.T) {
 // TestFarmPowerFailDeterministic: the full report is byte-identical
 // across runs with the same options.
 func TestFarmPowerFailDeterministic(t *testing.T) {
-	a, err := FarmPowerFail(TestOptions())
+	a, err := FarmPowerFail(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FarmPowerFail(TestOptions())
+	b, err := FarmPowerFail(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

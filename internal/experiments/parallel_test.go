@@ -18,7 +18,7 @@ func TestRunAllParallelDeterminism(t *testing.T) {
 		t.Skip("cluster run too slow for -short")
 	}
 	ids := []string{"table2", "cluster", "farm-powerfail"}
-	opts := TestOptions()
+	opts := testOptions()
 
 	render := func(results []Result) []string {
 		t.Helper()
@@ -61,7 +61,7 @@ func TestRunAllMatchesSeed1Golden(t *testing.T) {
 	}
 	for _, parallel := range []int{1, 4} {
 		var b strings.Builder
-		for i, r := range RunAll(DefaultOptions(), IDs(), parallel) {
+		for i, r := range RunAll(Options{Scale: 1, Seed: 1}, IDs(), parallel) {
 			if r.Err != nil {
 				t.Fatalf("parallel %d: %v", parallel, r.Err)
 			}
@@ -96,7 +96,7 @@ func TestRunAllMatchesSeed1Golden(t *testing.T) {
 var benchIDs = []string{"table1", "worked", "ab-policies", "ab-ideal", "ab-idle", "ab-masking"}
 
 func benchRunAll(b *testing.B, parallel int) {
-	opts := TestOptions()
+	opts := testOptions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, r := range RunAll(opts, benchIDs, parallel) {
@@ -116,7 +116,7 @@ func BenchmarkRunAllParallel4(b *testing.B)  { benchRunAll(b, 4) }
 // TestRunAllOrderAndErrors checks input-order results and the error paths:
 // an unknown id is reported in place without failing the whole run.
 func TestRunAllOrderAndErrors(t *testing.T) {
-	results := RunAll(TestOptions(), []string{"worked", "no-such-id", "table1"}, 2)
+	results := RunAll(testOptions(), []string{"worked", "no-such-id", "table1"}, 2)
 	if len(results) != 3 {
 		t.Fatalf("%d results for 3 ids", len(results))
 	}

@@ -19,12 +19,11 @@ type Result struct {
 	Err      error
 	// WallSeconds is the experiment's wall-clock run time.
 	WallSeconds float64
-	// AllocBytes/Allocs are the process-wide heap-allocation deltas over
-	// the run (runtime.MemStats.TotalAlloc / Mallocs). They are exact when
-	// parallel = 1; under a parallel pool concurrent experiments' traffic
-	// lands in whichever delta is open, so treat them as an upper bound.
-	AllocBytes uint64
-	Allocs     uint64
+	// Allocs is the process-wide heap-allocation count delta over the run
+	// (runtime.MemStats.Mallocs). It is exact when parallel = 1; under a
+	// parallel pool concurrent experiments' traffic lands in whichever
+	// delta is open, so treat it as an upper bound.
+	Allocs uint64
 }
 
 // RunAll executes the named experiments on a pool of `parallel` workers
@@ -81,7 +80,6 @@ func runOne(opts Options, id string) Result {
 	rep, err := spec.Run(opts)
 	res.WallSeconds = time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
-	res.AllocBytes = after.TotalAlloc - before.TotalAlloc
 	res.Allocs = after.Mallocs - before.Mallocs
 	if err != nil {
 		res.Err = fmt.Errorf("%s: %w", id, err)

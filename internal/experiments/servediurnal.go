@@ -209,7 +209,7 @@ func (o Options) serveDiurnalRun(uniform bool, period, horizon, dropStart, dropE
 		if uniform {
 			// Pin all CPUs at the highest table frequency whose 8-way power
 			// fits the current budget.
-			fi := table.UniformIndexUnder(budgets.At(now), m.NumCPUs())
+			fi := table.UniformIndexUnder(budgets.BudgetAt(now), m.NumCPUs())
 			if fi != lastFi {
 				f := table.FrequencyAtIndex(fi)
 				for c := 0; c < m.NumCPUs(); c++ {

@@ -6,7 +6,7 @@ import "testing"
 // traffic, and fvsst strictly ahead of uniform on drop-window web SLO
 // attainment, whole-run web p99 and mean power.
 func TestServeDiurnalDrop(t *testing.T) {
-	rep, err := ServeDiurnalDrop(TestOptions())
+	rep, err := ServeDiurnalDrop(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestServeDiurnalDrop(t *testing.T) {
 // reports — the property the CI serve-smoke job byte-compares.
 func TestServeDiurnalDeterministic(t *testing.T) {
 	run := func() string {
-		rep, err := ServeDiurnalDrop(TestOptions())
+		rep, err := ServeDiurnalDrop(testOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,6 @@ type HotspotOutcome struct {
 
 // hotspotNode bundles one node's serving state.
 type hotspotNode struct {
-	m      *machine.Machine
 	st     *serve.Station
 	feeder *serve.Feeder
 }
@@ -83,7 +82,6 @@ type hotspotNode struct {
 // hotspotRun serves the scenario under one farm division policy.
 func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcome, error) {
 	specs := hotspotSpecs()
-	metrics := farm.NewMetrics()
 	cfg := o.schedConfig()
 	cfg.UseIdleSignal = true
 
@@ -138,7 +136,7 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 				}
 				feeder.Add(1, clients-1, stm)
 			}
-			nodesBy[ci] = append(nodesBy[ci], hotspotNode{m: m, st: st, feeder: feeder})
+			nodesBy[ci] = append(nodesBy[ci], hotspotNode{st: st, feeder: feeder})
 			cnodes = append(cnodes, &cluster.Node{Name: mcfg.Name, M: m, RTT: 0.002})
 		}
 		c, err := cluster.New(cfg, units.Watts(hotspotBudgetW/float64(len(specs))), cnodes...)
@@ -174,7 +172,6 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 		LeaseTTL: hotspotLeaseTTL,
 		Safety:   hotspotSafety,
 		Policy:   policy,
-		Metrics:  metrics,
 	})
 	if err != nil {
 		return HotspotOutcome{}, err
@@ -225,12 +222,10 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 			if err := c.Step(); err != nil {
 				return HotspotOutcome{}, err
 			}
-			metrics.SetUsed(specs[ci].name, c.TotalCPUPower())
 			backlog := 0
 			for k := range nodesBy[ci] {
 				backlog += nodesBy[ci][k].st.Backlog()
 			}
-			metrics.SetBacklog(specs[ci].name, backlog)
 			if backlog > peakBacklog[ci] {
 				peakBacklog[ci] = backlog
 			}

@@ -7,7 +7,7 @@ import "testing"
 // attainment (and tail latency), because it moves stranded cold-cluster
 // watts to where the requests are.
 func TestServeHotspot(t *testing.T) {
-	rep, err := ServeHotspot(TestOptions())
+	rep, err := ServeHotspot(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestServeHotspot(t *testing.T) {
 // reports.
 func TestServeHotspotDeterministic(t *testing.T) {
 	run := func() string {
-		rep, err := ServeHotspot(TestOptions())
+		rep, err := ServeHotspot(testOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestServerFarmDemandTracking(t *testing.T) {
-	rep, err := ServerFarm(TestOptions())
+	rep, err := ServerFarm(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/power"
 	"repro/internal/units"
 )
 
@@ -65,7 +66,7 @@ const (
 // AllocatorConfig configures the farm allocator.
 type AllocatorConfig struct {
 	// Source yields the global budget over time.
-	Source BudgetSource
+	Source power.BudgetSource
 	// Members are the clusters, in a fixed order that Demand slices and
 	// lease bookkeeping index.
 	Members []Member
@@ -88,8 +89,7 @@ type AllocatorConfig struct {
 	// Policy defaults to PolicyLeastLoss.
 	Policy Policy
 
-	Sink    obs.Sink
-	Metrics *Metrics
+	Sink obs.Sink
 }
 
 // Allocator divides a time-varying global budget across clusters by least
@@ -160,15 +160,14 @@ func NewAllocator(cfg AllocatorConfig) (*Allocator, error) {
 		demands: make([]Demand, n),
 	}
 	for i, m := range cfg.Members {
-		a.holders[i] = Holder{name: m.Name, floor: m.Floor, sink: cfg.Sink, metrics: cfg.Metrics}
+		a.holders[i] = Holder{name: m.Name, floor: m.Floor, sink: cfg.Sink}
 	}
 	return a, nil
 }
 
-// Holder returns member i's end of the lease protocol: the BudgetSource
+// Holder returns member i's end of the lease protocol: the budget source
 // its scheduler runs against. Every pass installs the member's fresh
-// lease in it; expiry events and counts go to the allocator's Sink and
-// Metrics.
+// lease in it; expiry events go to the allocator's Sink.
 func (a *Allocator) Holder(i int) *Holder { return &a.holders[i] }
 
 // charge is the power held against the budget for member i at now: its
@@ -382,27 +381,16 @@ func (a *Allocator) equalSplit(avail units.Power, demands []Demand) bool {
 	return met
 }
 
-// observe emits the reallocation trace event and updates the gauges.
+// observe emits the reallocation trace event.
 func (a *Allocator) observe(alloc *Allocation, demands []Demand) {
-	a.cfg.Metrics.countRealloc(alloc.Trigger)
-	a.cfg.Metrics.setGlobal(alloc.Budget, alloc.Charged)
-	runway := math.Inf(1)
-	if rr, ok := a.cfg.Source.(RunwayReporter); ok {
-		runway = rr.RunwayAt(alloc.At, alloc.Charged)
-	}
-	if !math.IsInf(runway, 1) {
-		a.cfg.Metrics.setRunway(runway)
+	if a.cfg.Sink == nil {
+		return
 	}
 	var clusters []obs.ClusterAlloc
 	for i, m := range a.cfg.Members {
-		charge := a.charge(i, alloc.At)
-		a.cfg.Metrics.setAllocated(m.Name, charge)
-		if a.cfg.Sink == nil {
-			continue
-		}
 		ca := obs.ClusterAlloc{
 			Cluster:     m.Name,
-			AllocatedW:  charge.W(),
+			AllocatedW:  a.charge(i, alloc.At).W(),
 			FloorW:      m.Floor.W(),
 			Unreachable: !demands[i].Reachable,
 		}
@@ -415,9 +403,6 @@ func (a *Allocator) observe(alloc *Allocation, demands []Demand) {
 		}
 		clusters = append(clusters, ca)
 	}
-	if a.cfg.Sink == nil {
-		return
-	}
 	ev := obs.Event{
 		Type:         obs.EventRealloc,
 		At:           alloc.At,
@@ -429,8 +414,10 @@ func (a *Allocator) observe(alloc *Allocation, demands []Demand) {
 		BudgetMissed: !alloc.Met,
 		Clusters:     clusters,
 	}
-	if !math.IsInf(runway, 1) {
-		ev.RunwaySeconds = runway
+	if rr, ok := a.cfg.Source.(RunwayReporter); ok {
+		if runway := rr.RunwayAt(alloc.At, alloc.Charged); !math.IsInf(runway, 1) {
+			ev.RunwaySeconds = runway
+		}
 	}
 	a.cfg.Sink.Emit(ev)
 }

@@ -265,12 +265,8 @@ type roundFixture struct {
 
 func newRoundFixture(t *testing.T, periods int, ttl, dropTo float64) *roundFixture {
 	t.Helper()
-	sched, err := power.NewBudgetSchedule(units.Watts(200),
+	src, err := power.NewBudgetSchedule(units.Watts(200),
 		power.BudgetEvent{At: 0.35, Budget: units.Watts(dropTo), Label: "drop"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := FromSchedule(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +465,7 @@ func TestEqualSplitPolicy(t *testing.T) {
 // re-arms the edge.
 func TestHolderExpiryOnce(t *testing.T) {
 	var buf obs.Buffer
-	h, err := NewHolder("web", units.Watts(50), &buf, nil)
+	h, err := NewHolder("web", units.Watts(50), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,10 +491,10 @@ func TestHolderExpiryOnce(t *testing.T) {
 	if n := buf.Count(obs.EventLeaseExpire, ""); n != 2 {
 		t.Errorf("%d lease-expire events after second expiry, want 2", n)
 	}
-	if _, err := NewHolder("", units.Watts(1), nil, nil); err == nil {
+	if _, err := NewHolder("", units.Watts(1), nil); err == nil {
 		t.Error("unnamed holder accepted")
 	}
-	if _, err := NewHolder("x", 0, nil, nil); err == nil {
+	if _, err := NewHolder("x", 0, nil); err == nil {
 		t.Error("zero floor accepted")
 	}
 }

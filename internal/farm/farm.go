@@ -4,7 +4,7 @@
 // one level up (§1–§2 scale the motivating supply-failure scenario from
 // one machine room to a farm "serving millions of users").
 //
-// The package has three parts. BudgetSource abstracts where the global
+// The package has three parts. A power.BudgetSource says where the global
 // budget comes from: a static number, a power.BudgetSchedule, or the UPS
 // battery model whose budget shrinks as the battery drains (a runway
 // governor). DemandCurve is what each cluster exports upward: its
@@ -22,24 +22,13 @@
 package farm
 
 import (
-	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/power"
 	"repro/internal/units"
 )
 
-// BudgetSource yields the global power budget in force at a simulation
-// time. Implementations must be deterministic functions of time and of
-// explicitly accumulated state (the UPS), never of wall clocks or global
-// RNGs, per the engine seeding convention.
-type BudgetSource interface {
-	BudgetAt(now float64) units.Power
-}
-
-// RunwayReporter is the optional BudgetSource extension for sources that
+// RunwayReporter is the optional power.BudgetSource extension for sources that
 // can say how long they could sustain a given draw — the UPS. Sources
 // without stored-energy limits report +Inf.
 type RunwayReporter interface {
@@ -53,29 +42,13 @@ type Static units.Power
 // BudgetAt returns the constant budget.
 func (s Static) BudgetAt(float64) units.Power { return units.Power(s) }
 
-// scheduleSource adapts the existing power.BudgetSchedule (time-ordered
-// budget events) to the BudgetSource interface without duplicating it.
-type scheduleSource struct {
-	s *power.BudgetSchedule
-}
-
-// FromSchedule wraps a power.BudgetSchedule as a BudgetSource.
-func FromSchedule(s *power.BudgetSchedule) (BudgetSource, error) {
-	if s == nil {
-		return nil, fmt.Errorf("farm: nil budget schedule")
-	}
-	return scheduleSource{s: s}, nil
-}
-
-func (b scheduleSource) BudgetAt(now float64) units.Power { return b.s.At(now) }
-
 // Failover switches from one source to another at a fixed time — the §2
 // supply-failure moment at farm scale: the grid feed until At, the UPS
 // after.
 type Failover struct {
 	At     float64
-	Before BudgetSource
-	After  BudgetSource
+	Before power.BudgetSource
+	After  power.BudgetSource
 }
 
 // BudgetAt delegates to the source active at now.
@@ -97,41 +70,4 @@ func (f Failover) RunwayAt(now float64, draw units.Power) float64 {
 		return rr.RunwayAt(now, draw)
 	}
 	return math.Inf(1)
-}
-
-// ParseScheduleSpec parses a compact budget-schedule spec of the form
-//
-//	"900"  or  "900,1:600,3:750W"
-//
-// — an initial budget followed by comma-separated t:budget events — into a
-// BudgetSource over a power.BudgetSchedule. Budgets accept units.ParsePower
-// syntax ("600", "600W", "0.6kW"); times are simulated seconds. It is the
-// shared plumbing behind the fvsst-cluster -budget-schedule flag.
-func ParseScheduleSpec(spec string) (BudgetSource, error) {
-	parts := strings.Split(spec, ",")
-	initial, err := units.ParsePower(parts[0])
-	if err != nil {
-		return nil, fmt.Errorf("farm: schedule spec %q: %w", spec, err)
-	}
-	var events []power.BudgetEvent
-	for _, part := range parts[1:] {
-		at, budget, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("farm: schedule spec %q: event %q is not t:budget", spec, part)
-		}
-		t, err := strconv.ParseFloat(strings.TrimSpace(at), 64)
-		if err != nil {
-			return nil, fmt.Errorf("farm: schedule spec %q: event time %q: %w", spec, at, err)
-		}
-		b, err := units.ParsePower(budget)
-		if err != nil {
-			return nil, fmt.Errorf("farm: schedule spec %q: event budget %q: %w", spec, budget, err)
-		}
-		events = append(events, power.BudgetEvent{At: t, Budget: b, Label: part})
-	}
-	sched, err := power.NewBudgetSchedule(initial, events...)
-	if err != nil {
-		return nil, fmt.Errorf("farm: schedule spec %q: %w", spec, err)
-	}
-	return FromSchedule(sched)
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/power"
 )
 
 // FuzzParseScheduleSpec drives the budget-schedule parser with arbitrary
@@ -24,7 +26,7 @@ func FuzzParseScheduleSpec(f *testing.F) {
 	f.Add("900,-1:600")
 	f.Add(strings.Repeat("9", 400))
 	f.Fuzz(func(t *testing.T, spec string) {
-		src, err := ParseScheduleSpec(spec)
+		src, err := power.ParseScheduleSpec(spec)
 		if err != nil {
 			if src != nil {
 				t.Fatalf("error %v with non-nil source", err)

@@ -21,7 +21,7 @@ type Lease struct {
 }
 
 // Holder is the cluster-side end of the lease protocol and itself a
-// BudgetSource: it yields the leased budget while the lease is live and
+// power.BudgetSource: it yields the leased budget while the lease is live and
 // the floor once it expires, emitting one obs.EventLeaseExpire on the
 // expiry edge (engine.Lease-style once-only semantics — a re-Grant
 // re-arms it). Plugging a Holder into cluster.Coordinator.SetBudgetSource
@@ -32,10 +32,9 @@ type Lease struct {
 // Holder is not synchronised; like engine.Lease it belongs to whatever
 // single-threaded loop owns the cluster.
 type Holder struct {
-	name    string
-	floor   units.Power
-	sink    obs.Sink
-	metrics *Metrics
+	name  string
+	floor units.Power
+	sink  obs.Sink
 
 	lease   Lease
 	granted bool
@@ -45,15 +44,15 @@ type Holder struct {
 // NewHolder builds a lone lease holder for a cluster with the given floor
 // budget, for a cluster driven without an Allocator; an Allocator's
 // members use Allocator.Holder. Until the first Grant it yields the floor.
-// sink and metrics may be nil.
-func NewHolder(name string, floor units.Power, sink obs.Sink, metrics *Metrics) (*Holder, error) {
+// sink may be nil.
+func NewHolder(name string, floor units.Power, sink obs.Sink) (*Holder, error) {
 	if name == "" {
 		return nil, fmt.Errorf("farm: holder needs a name")
 	}
 	if floor <= 0 {
 		return nil, fmt.Errorf("farm: holder %s floor %v must be positive", name, floor)
 	}
-	return &Holder{name: name, floor: floor, sink: sink, metrics: metrics}, nil
+	return &Holder{name: name, floor: floor, sink: sink}, nil
 }
 
 // Name returns the holder's cluster name.
@@ -83,7 +82,7 @@ func (h *Holder) Expired(now float64) bool { return !h.live(now) }
 
 // BudgetAt yields the budget the cluster may schedule against at now: the
 // leased budget while live, the floor after expiry. The first call past
-// the expiry emits the lease-expire trace event and counts the metric.
+// the expiry emits the lease-expire trace event.
 func (h *Holder) BudgetAt(now float64) units.Power {
 	if !h.Expired(now) {
 		return h.lease.Budget
@@ -100,7 +99,6 @@ func (h *Holder) BudgetAt(now float64) units.Power {
 					h.lease.Budget, h.lease.Granted, h.lease.Expires, h.floor),
 			})
 		}
-		h.metrics.countLeaseExpiry(h.name)
 	}
 	return h.floor
 }

@@ -147,7 +147,7 @@ func runConservation(t *testing.T, seed int64) string {
 	scn := makeScenario(seed)
 	rng := rand.New(rand.NewSource(seed*31 + 7)) // per-run draws: demand curves
 
-	var src BudgetSource
+	var src power.BudgetSource
 	var ups *UPS
 	if scn.useUPS {
 		var err error
@@ -157,11 +157,7 @@ func runConservation(t *testing.T, seed int64) string {
 		}
 		src = Failover{At: scn.failAt, Before: Static(scn.gridW), After: ups}
 	} else {
-		var err error
-		src, err = FromSchedule(scn.sched)
-		if err != nil {
-			t.Fatal(err)
-		}
+		src = scn.sched
 	}
 
 	a, err := NewAllocator(AllocatorConfig{

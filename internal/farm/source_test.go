@@ -17,27 +17,6 @@ func TestStaticSource(t *testing.T) {
 	}
 }
 
-func TestFromSchedule(t *testing.T) {
-	sched, err := power.NewBudgetSchedule(units.Watts(900),
-		power.BudgetEvent{At: 1, Budget: units.Watts(600), Label: "drop"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := FromSchedule(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := src.BudgetAt(0.5).W(); got != 900 {
-		t.Errorf("before the event = %vW, want 900", got)
-	}
-	if got := src.BudgetAt(1.5).W(); got != 600 {
-		t.Errorf("after the event = %vW, want 600", got)
-	}
-	if _, err := FromSchedule(nil); err == nil {
-		t.Error("nil schedule accepted")
-	}
-}
-
 func TestFailover(t *testing.T) {
 	ups, err := NewUPS(units.Joules(6000), 3)
 	if err != nil {
@@ -60,7 +39,7 @@ func TestFailover(t *testing.T) {
 }
 
 func TestParseScheduleSpec(t *testing.T) {
-	src, err := ParseScheduleSpec("900")
+	src, err := power.ParseScheduleSpec("900")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +47,7 @@ func TestParseScheduleSpec(t *testing.T) {
 		t.Errorf("flat spec at t=10 = %vW, want 900", got)
 	}
 
-	src, err = ParseScheduleSpec("900,1:600,3:0.75kW")
+	src, err = power.ParseScheduleSpec("900,1:600,3:0.75kW")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +70,7 @@ func TestParseScheduleSpec(t *testing.T) {
 		"900,-1:600", // negative event time
 		"900,1:0",    // non-positive event budget
 	} {
-		if _, err := ParseScheduleSpec(spec); err == nil {
+		if _, err := power.ParseScheduleSpec(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
 	}

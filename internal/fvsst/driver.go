@@ -26,7 +26,7 @@ type Driver struct {
 	S *Scheduler
 	// Budgets is the CPU-power budget over time; nil keeps the
 	// scheduler's initial budget forever.
-	Budgets *power.BudgetSchedule
+	Budgets power.BudgetSource
 	// Plant, when non-nil, is fed the true system power each quantum and
 	// enforces the §2 cascade-failure rule; Step returns ErrCascade if the
 	// system overloads the surviving supplies for longer than ΔT.
@@ -90,7 +90,7 @@ func (d *Driver) Step() error {
 	// clock reaches it — checked right after the step so any decision
 	// made at this timestamp (timer or idle) sees the new limit.
 	if d.Budgets != nil {
-		want := d.Budgets.At(d.M.Now())
+		want := d.Budgets.BudgetAt(d.M.Now())
 		if want != d.S.Budget() {
 			if err := d.S.SetBudget(want); err != nil {
 				return err

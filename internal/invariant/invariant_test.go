@@ -427,7 +427,7 @@ func TestCheckFarmChargeAndHolder(t *testing.T) {
 		t.Fatalf("overdraw not flagged: %v", vs)
 	}
 
-	h, err := farm.NewHolder("c0", 15, nil, nil)
+	h, err := farm.NewHolder("c0", 15, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,14 +148,13 @@ type QuantumStats struct {
 }
 
 type cpu struct {
-	mix         *workload.Mix
-	throt       *throttle.Throttle
-	totals      counters.Sample
-	stolenDebt  float64 // seconds of daemon time to steal from upcoming quanta
-	idleNow     bool
-	idleCursor  *workload.Cursor
-	last        QuantumStats
-	completions int
+	mix        *workload.Mix
+	throt      *throttle.Throttle
+	totals     counters.Sample
+	stolenDebt float64 // seconds of daemon time to steal from upcoming quanta
+	idleNow    bool
+	idleCursor *workload.Cursor
+	last       QuantumStats
 }
 
 // Machine is the running simulator. It is not safe for concurrent use; the
@@ -515,7 +514,6 @@ func (m *Machine) stepCPU(i int, c *cpu, dt float64, partnerRate float64) {
 		} else {
 			m.completions = append(m.completions, done)
 		}
-		c.completions++
 	}
 	// The CPU is idle exactly when it has no runnable work left.
 	c.idleNow = c.mix == nil || c.mix.Done()

@@ -10,12 +10,12 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/farm"
 	"repro/internal/fvsst"
 	"repro/internal/netcluster/proto"
 	"repro/internal/netcluster/wire"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
+	"repro/internal/power"
 	"repro/internal/units"
 )
 
@@ -54,8 +54,8 @@ type Config struct {
 	Budget units.Power
 	// Source optionally drives the budget over time: a lease Holder, a UPS
 	// runway governor, or a power.BudgetSchedule (supply failures, site
-	// capping) wrapped by farm.FromSchedule.
-	Source farm.BudgetSource
+	// capping).
+	Source power.BudgetSource
 	// MissK is how many consecutive failed rounds mark a node degraded.
 	// Degraded or not, an unreachable node is always charged its
 	// worst-case-under-silence power; MissK only gates the degrade
@@ -80,7 +80,7 @@ type Config struct {
 	// Codec is the hot-message payload encoding. The zero value (or
 	// wire.CodecName) is the binary codec, which is what ships: a peer
 	// whose capabilities do not advertise it fails the handshake. "json"
-	// keeps hot frames on JSON for scenario.RunCodecDifferential's oracle
+	// keeps hot frames on JSON for scenario.runCodecDifferential's oracle
 	// arm, its only setter outside tests.
 	Codec string
 	// WireStats, when non-nil, is read each round to emit per-pass

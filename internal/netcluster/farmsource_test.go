@@ -3,15 +3,15 @@ package netcluster
 import (
 	"testing"
 
-	"repro/internal/farm"
+	"repro/internal/power"
 	"repro/internal/units"
 )
 
-// TestBudgetSourceDrivesRounds: a farm.BudgetSource plugged into the
+// TestBudgetSourceDrivesRounds: a power.BudgetSource plugged into the
 // networked coordinator fires the budget-change trigger.
 func TestBudgetSourceDrivesRounds(t *testing.T) {
 	a0, _ := startAgent(t, "n0", 1, 0, nil)
-	src, err := farm.ParseScheduleSpec("900,0.1:600")
+	src, err := power.ParseScheduleSpec("900,0.1:600")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/farm"
 	"repro/internal/fvsst"
 	"repro/internal/machine"
 	"repro/internal/memhier"
@@ -398,12 +397,8 @@ func TestPartitionDegradeRejoinBudgetSafety(t *testing.T) {
 	a1, _ := startAgent(t, "n1", 2, 0, nil)
 	a2, _ := startAgent(t, "n2", 3, 0, nil)
 	fabric := faultnet.New(9)
-	budgets, err := power.NewBudgetSchedule(units.Watts(900),
+	source, err := power.NewBudgetSchedule(units.Watts(900),
 		power.BudgetEvent{At: 0.25, Budget: units.Watts(600)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	source, err := farm.FromSchedule(budgets)
 	if err != nil {
 		t.Fatal(err)
 	}

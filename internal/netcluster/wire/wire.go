@@ -4,7 +4,7 @@
 // traffic — hello, capabilities, errors — stays JSON, so the handshake is
 // always inspectable; a coordinator refuses a peer whose capabilities do
 // not name the codec. JSON hot frames still decode (and encode, until
-// SetBinary): that is the oracle scenario.RunCodecDifferential compares
+// SetBinary): that is the oracle scenario.runCodecDifferential compares
 // the binary path against.
 //
 // Framing is unchanged from package proto: a 4-byte big-endian length

@@ -3,6 +3,8 @@ package power
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/units"
 )
@@ -122,22 +124,31 @@ type BudgetEvent struct {
 	Label  string
 }
 
+// BudgetSource yields the global power budget in force at a simulation
+// time. Implementations must be deterministic functions of time and of
+// explicitly accumulated state (the farm UPS), never of wall clocks or
+// global RNGs, per the engine seeding convention.
+type BudgetSource interface {
+	BudgetAt(now float64) units.Power
+}
+
 // BudgetSchedule is a time-ordered list of budget events with a lookup for
-// the budget in force at any time.
+// the budget in force at any time; it is itself a BudgetSource.
 type BudgetSchedule struct {
 	initial units.Power
 	events  []BudgetEvent
 }
 
 // NewBudgetSchedule starts with an initial budget and applies the given
-// events in time order.
+// events in time order; events at the same time apply in list order, so
+// the later-listed one wins.
 func NewBudgetSchedule(initial units.Power, events ...BudgetEvent) (*BudgetSchedule, error) {
 	if initial <= 0 {
 		return nil, fmt.Errorf("power: initial budget %v must be positive", initial)
 	}
 	evs := make([]BudgetEvent, len(events))
 	copy(evs, events)
-	sort.Slice(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
 	for i, e := range evs {
 		if e.At < 0 {
 			return nil, fmt.Errorf("power: budget event %d at negative time %v", i, e.At)
@@ -149,8 +160,8 @@ func NewBudgetSchedule(initial units.Power, events ...BudgetEvent) (*BudgetSched
 	return &BudgetSchedule{initial: initial, events: evs}, nil
 }
 
-// At returns the budget in force at simulation time t.
-func (b *BudgetSchedule) At(t float64) units.Power {
+// BudgetAt returns the budget in force at simulation time t.
+func (b *BudgetSchedule) BudgetAt(t float64) units.Power {
 	budget := b.initial
 	for _, e := range b.events {
 		if e.At <= t {
@@ -160,4 +171,41 @@ func (b *BudgetSchedule) At(t float64) units.Power {
 		}
 	}
 	return budget
+}
+
+// ParseScheduleSpec parses a compact budget-schedule spec of the form
+//
+//	"900"  or  "900,1:600,3:750W"
+//
+// — an initial budget followed by comma-separated t:budget events — into a
+// BudgetSchedule. Budgets accept units.ParsePower syntax ("600", "600W",
+// "0.6kW"); times are simulated seconds. It is the plumbing behind the
+// fvsst-cluster -budget-schedule flag.
+func ParseScheduleSpec(spec string) (*BudgetSchedule, error) {
+	parts := strings.Split(spec, ",")
+	initial, err := units.ParsePower(parts[0])
+	if err != nil {
+		return nil, fmt.Errorf("power: schedule spec %q: %w", spec, err)
+	}
+	var events []BudgetEvent
+	for _, part := range parts[1:] {
+		at, budget, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("power: schedule spec %q: event %q is not t:budget", spec, part)
+		}
+		t, err := strconv.ParseFloat(strings.TrimSpace(at), 64)
+		if err != nil {
+			return nil, fmt.Errorf("power: schedule spec %q: event time %q: %w", spec, at, err)
+		}
+		b, err := units.ParsePower(budget)
+		if err != nil {
+			return nil, fmt.Errorf("power: schedule spec %q: event budget %q: %w", spec, budget, err)
+		}
+		events = append(events, BudgetEvent{At: t, Budget: b, Label: part})
+	}
+	sched, err := NewBudgetSchedule(initial, events...)
+	if err != nil {
+		return nil, fmt.Errorf("power: schedule spec %q: %w", spec, err)
+	}
+	return sched, nil
 }

@@ -134,8 +134,8 @@ func TestBudgetSchedule(t *testing.T) {
 		{0, 560}, {9.99, 560}, {10, 294}, {15, 294}, {20, 560}, {100, 560},
 	}
 	for _, c := range cases {
-		if got := sched.At(c.t); got.W() != c.want {
-			t.Errorf("At(%v) = %v, want %vW", c.t, got, c.want)
+		if got := sched.BudgetAt(c.t); got.W() != c.want {
+			t.Errorf("BudgetAt(%v) = %v, want %vW", c.t, got, c.want)
 		}
 	}
 	if len(sched.events) != 2 {
@@ -144,15 +144,36 @@ func TestBudgetSchedule(t *testing.T) {
 }
 
 func TestBudgetScheduleSortsEvents(t *testing.T) {
-	sched, err := NewBudgetSchedule(units.Watts(100),
-		BudgetEvent{At: 20, Budget: units.Watts(50)},
-		BudgetEvent{At: 10, Budget: units.Watts(75)},
-	)
-	if err != nil {
-		t.Fatal(err)
+	// Thirteen events listed latest first, the second and third both at
+	// t=12: past the sort's insertion-sort cutoff, so only a stable sort
+	// keeps the later-listed 102 W in force.
+	var tied []BudgetEvent
+	for i := 0; i < 13; i++ {
+		at := float64(13 - i)
+		if i == 2 {
+			at = 12
+		}
+		tied = append(tied, BudgetEvent{At: at, Budget: units.Watts(100 + float64(i))})
 	}
-	if got := sched.At(15); got.W() != 75 {
-		t.Errorf("At(15) = %v, want 75W (events must be sorted)", got)
+	for _, c := range []struct {
+		name   string
+		events []BudgetEvent
+		at     float64
+		want   float64
+	}{
+		{"out of order", []BudgetEvent{
+			{At: 20, Budget: units.Watts(50)},
+			{At: 10, Budget: units.Watts(75)},
+		}, 15, 75},
+		{"same time in list order", tied, 12.5, 102},
+	} {
+		sched, err := NewBudgetSchedule(units.Watts(100), c.events...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sched.BudgetAt(c.at); got.W() != c.want {
+			t.Errorf("%s: BudgetAt(%v) = %v, want %vW", c.name, c.at, got, c.want)
+		}
 	}
 }
 

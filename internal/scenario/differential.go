@@ -56,7 +56,7 @@ func RunDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 	return diffRuns(spec, inproc, netRun, "in-proc", "net", spec.faultAffected), nil
 }
 
-// RunCodecDifferential runs the same scenario through the networked
+// runCodecDifferential runs the same scenario through the networked
 // stack twice — JSON hot frames, the oracle, against the binary codec
 // that ships — and compares the traces with no fault-window mask. The
 // codecs carry the same values losslessly (floats travel as their exact
@@ -64,7 +64,7 @@ func RunDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 // keyed only on send order, which the codec does not change: both arms
 // see the same drops, duplicates and partitions, so every round must
 // match byte for byte, faulted or not.
-func RunCodecDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
+func runCodecDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 	spec = spec.WithoutUPS().WithoutServing()
 	jsonRun, err := runNet(spec, opt, 0, "json")
 	if err != nil {
@@ -77,7 +77,7 @@ func RunCodecDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 	return diffRuns(spec, jsonRun, binRun, "json", "bin", nil), nil
 }
 
-// RunTierDifferential runs the fault-free projection of the scenario
+// runTierDifferential runs the fault-free projection of the scenario
 // through the flat coordinator and through the 2-level relay tree — the
 // same codec on both, so topology is the only variable — and compares the
 // traces, which must match byte for byte on every round: the hierarchical
@@ -86,7 +86,7 @@ func RunCodecDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 // stripped (rather than windowed) because the two topologies draw from
 // differently-shaped fault streams, so in-window behaviour is not
 // comparable.
-func RunTierDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
+func runTierDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 	spec = spec.FaultFree().WithoutUPS().WithoutServing()
 	flat, err := RunNet(spec, opt)
 	if err != nil {

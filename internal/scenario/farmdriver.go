@@ -151,7 +151,7 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed*31 + 7)) // demand-curve draws
 
-	var src farm.BudgetSource
+	var src power.BudgetSource
 	var ups *farm.UPS
 	if spec.UseUPS {
 		var err error
@@ -169,9 +169,7 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if src, err = farm.FromSchedule(sched); err != nil {
-			return nil, err
-		}
+		src = sched
 	}
 
 	members := make([]farm.Member, len(spec.Members))

@@ -54,7 +54,7 @@ func RunRelayNet(spec Spec, opt NetOptions) (*RunResult, error) {
 // when nRelays is 0, a 2-level tree otherwise. A flat coordinator is the
 // one-leaf case of the tree's trace reassembly. codec is every tier's
 // netcluster.Config.Codec: "" (bin1 hot frames) for everything that ships,
-// "json" for RunCodecDifferential's oracle arm.
+// "json" for runCodecDifferential's oracle arm.
 func runNet(spec Spec, opt NetOptions, nRelays int, codec string) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -588,7 +588,7 @@ func (c CPUSpec) program() (workload.Program, bool) {
 // source builds the budget source shared by both drivers: the event
 // schedule, failed over onto the UPS when the spec has one. The returned
 // UPS (nil without one) is the live battery the in-process driver drains.
-func (s Spec) source() (farm.BudgetSource, *farm.UPS, error) {
+func (s Spec) source() (power.BudgetSource, *farm.UPS, error) {
 	period := float64(s.SchedulePeriods) * quantum
 	var events []power.BudgetEvent
 	for _, e := range s.Events {
@@ -598,13 +598,9 @@ func (s Spec) source() (farm.BudgetSource, *farm.UPS, error) {
 			Label:  fmt.Sprintf("r%d", e.Round),
 		})
 	}
-	sched, err := power.NewBudgetSchedule(units.Watts(s.BudgetW), events...)
+	src, err := power.NewBudgetSchedule(units.Watts(s.BudgetW), events...)
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario: budget schedule: %w", err)
-	}
-	src, err := farm.FromSchedule(sched)
-	if err != nil {
-		return nil, nil, err
 	}
 	if s.UPS == nil {
 		return src, nil, nil

@@ -38,23 +38,18 @@ func (c *classScore) quantile(p float64) float64 {
 	return c.hist.Quantile(p)
 }
 
-// clientScore accumulates one client's goodput for the fairness index.
-type clientScore struct {
-	completed uint64
-	sloOK     uint64
-	timedOut  uint64
-}
-
 // Scoreboard is the station's scoring account: per-class latency
 // histograms and outcome counters plus per-client goodput. Everything
 // is keyed to simulated time, so equal seeds give byte-equal summaries.
 type Scoreboard struct {
 	classes []classScore
-	clients []clientScore
+	// clientOK counts each client's SLO-meeting completions, its goodput
+	// for the fairness index.
+	clientOK []uint64
 }
 
 func newScoreboard(classes []Class, clients int) *Scoreboard {
-	sb := &Scoreboard{clients: make([]clientScore, clients)}
+	sb := &Scoreboard{clientOK: make([]uint64, clients)}
 	for _, c := range classes {
 		sb.classes = append(sb.classes, classScore{
 			name: c.Name,
@@ -70,20 +65,15 @@ func (sb *Scoreboard) admitted(class int) { sb.classes[class].admitted++ }
 func (sb *Scoreboard) rejected(class int) { sb.classes[class].rejected++ }
 func (sb *Scoreboard) dropped(class int)  { sb.classes[class].dropped++ }
 
-func (sb *Scoreboard) timedOut(class, client int) {
-	sb.classes[class].timedOut++
-	sb.clients[client].timedOut++
-}
+func (sb *Scoreboard) timedOut(class int) { sb.classes[class].timedOut++ }
 
 func (sb *Scoreboard) completed(class, client int, latency float64) {
 	row := &sb.classes[class]
 	row.completed++
 	row.hist.Observe(latency)
-	cl := &sb.clients[client]
-	cl.completed++
 	if latency <= row.slo {
 		row.sloOK++
-		cl.sloOK++
+		sb.clientOK[client]++
 	}
 }
 
@@ -152,17 +142,15 @@ func (sb *Scoreboard) Summarize(elapsed float64) Summary {
 // completions.
 func (sb *Scoreboard) JainIndex() float64 {
 	var sum, sumSq float64
-	n := 0
-	for i := range sb.clients {
-		x := float64(sb.clients[i].sloOK)
+	for _, ok := range sb.clientOK {
+		x := float64(ok)
 		sum += x
 		sumSq += x * x
-		n++
 	}
-	if n == 0 || sumSq == 0 {
+	if len(sb.clientOK) == 0 || sumSq == 0 {
 		return 1
 	}
-	return sum * sum / (float64(n) * sumSq)
+	return sum * sum / (float64(len(sb.clientOK)) * sumSq)
 }
 
 // Render writes the summary as a fixed-precision text block, one line

@@ -193,7 +193,6 @@ type cpuState struct {
 // Station glues arrival streams, class queues and a machine together.
 // It is not safe for concurrent use (the simulation is single-threaded).
 type Station struct {
-	m       *machine.Machine
 	cfg     Config
 	classes []Class
 	order   []int // class indices, highest priority first
@@ -230,7 +229,6 @@ func NewStation(m *machine.Machine, cfg Config) (*Station, error) {
 		seen[c.Name] = true
 	}
 	s := &Station{
-		m:       m,
 		cfg:     cfg,
 		classes: append([]Class(nil), cfg.Classes...),
 		sizeRng: rand.New(rand.NewSource(cfg.Seed)),
@@ -347,7 +345,7 @@ func (s *Station) AfterQuantum(now float64) {
 		// head.
 		for q.n > 0 && now-q.peek().arrival > to {
 			r := q.pop()
-			s.score.timedOut(r.class, r.client)
+			s.score.timedOut(r.class)
 		}
 	}
 }
@@ -376,7 +374,7 @@ func (s *Station) startNext(cpu int, now float64) {
 		for q.n > 0 {
 			if to > 0 && now-q.peek().arrival > to {
 				r := q.pop()
-				s.score.timedOut(r.class, r.client)
+				s.score.timedOut(r.class)
 				continue
 			}
 			s.serveOn(cpu, q.pop())
