@@ -22,20 +22,28 @@ func (p *Pass) Problem() optimal.Problem {
 	return optimal.FromGrid(p.Grid(), upper, p.Table, p.Budget)
 }
 
-// StepTwoOptimal checks Step 2's near-optimality against the exact DP
-// comparator in internal/optimal on every pass — the upgrade of
-// StepTwoBruteForce's small-grid enumeration to all grids (ROADMAP item
-// 4). Same three facts:
+// StepTwoOptimal checks Step 2's near-optimality on every pass:
+// certificate first, then the exact DP from internal/optimal where the
+// certificate cannot close. Three facts:
 //
 //   - feasibility: met=true exactly when the all-floor assignment fits
 //     the budget;
 //   - comparator sanity: Bound ≤ optimum ≤ greedy, within the solver's
-//     Margin — the convex-hull relaxation's LP* (optimal.Assignment)
-//     never exceeds the exact optimum, which never exceeds the greedy;
+//     Margin — the convex-hull relaxation's LP* (optimal.Relax) never
+//     exceeds the exact optimum, which never exceeds the greedy;
 //   - near-optimality: the greedy's total predicted loss is within
 //     DefaultGap of the optimum. The bound is empirical: the greedy can
 //     strand a CPU on a cheap plateau while a one-shot deeper demotion
 //     elsewhere was cheaper overall.
+//
+// The certificate is the relaxation alone, O(n·k): the optimum is at
+// least LP* − Margin, so a pass whose loss satisfies Bound ≤ loss +
+// Margin (weak duality, which every assignment that fits the budget
+// does) and loss − Bound + Margin ≤ DefaultGap is within the gap of the
+// optimum, and the DP would pass it too. Any other pass runs the DP and
+// its three checks. A pass the certificate cannot close and the DP cannot
+// solve (optimal.ErrTooLarge) is a violation: its near-optimality is
+// unproven, and it is never skipped.
 //
 // StepTwoBruteForce remains as the independent differential witness for
 // the comparator itself; the default suite runs this checker.
@@ -44,6 +52,9 @@ type StepTwoOptimal struct{}
 func (c StepTwoOptimal) Check(p *Pass) []Violation { return c.check(p, p.Problem()) }
 
 // check is Check over an explicit Problem (p.Problem() outside tests).
+// The pass's loss is read through prob's loss surface, which for
+// p.Problem() is the grid's with the zero-loss convention: the same bits
+// as summing the valid rows.
 func (StepTwoOptimal) check(p *Pass, prob optimal.Problem) []Violation {
 	n := len(p.Procs)
 	var out []Violation
@@ -60,12 +71,19 @@ func (StepTwoOptimal) check(p *Pass, prob optimal.Problem) []Violation {
 	if !p.Met || n == 0 {
 		return out
 	}
+	greedyLoss := 0.0
+	for i, pr := range p.Procs {
+		greedyLoss += prob.Loss(i, pr.ActualIdx)
+	}
+	bound, margin, err := optimal.Relax(prob)
+	if err == nil && bound <= greedyLoss+margin && greedyLoss-bound+margin <= DefaultGap {
+		return out
+	}
 	sol, err := optimal.Solve(prob)
 	if errors.Is(err, optimal.ErrTooLarge) {
-		// Past the DP's frontier cap (over 500 CPUs on Table 1): skip,
-		// never approximate — the replay and budget checkers still cover
-		// the pass.
-		return out
+		return append(out, Violation{"step2-optimal", p.At,
+			fmt.Sprintf("greedy loss %g is not certified within gap %g of its relaxation bound %g (margin %g), and the exact comparator is past its frontier cap",
+				greedyLoss, DefaultGap, bound, margin)})
 	}
 	if err != nil {
 		// Anything else is the comparator contradicting itself (its exact
@@ -77,13 +95,6 @@ func (StepTwoOptimal) check(p *Pass, prob optimal.Problem) []Violation {
 		out = append(out, Violation{"step2-optimal", p.At,
 			"met=true but the exact comparator found no feasible assignment"})
 		return out
-	}
-	g := p.Grid()
-	greedyLoss := 0.0
-	for i, pr := range p.Procs {
-		if g.Valid(i) {
-			greedyLoss += g.Loss(i, pr.ActualIdx)
-		}
 	}
 	if sol.Bound > sol.Loss+sol.Margin {
 		out = append(out, Violation{"step2-optimal", p.At,

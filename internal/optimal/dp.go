@@ -49,40 +49,23 @@ type run struct {
 // arena, stage i at arena[off[i]:off[i+1]]. A stage of more than
 // maxFrontier states ends the solve with ErrTooLarge.
 //
-// The winner must also pass the relaxation bound. Every Loss(i, k) is
-// read once, before the first stage, into the solve's slab; the greedy's
-// CPU-order loss on those rows is the incumbent U, and relax turns the
-// rows into the critical multiplier λ* and one threshold per stage. A
-// winner s of stage i is dropped when fl(s.loss + fl(λ*·s.power)) >
-// thr[i]: no completion of s can come within the margin of U. relax says
-// why that removes exactly the frontier states that cannot win, so Idx,
-// Loss and Power are those of the unpruned program and only States falls.
+// The winner must also pass the relaxation bound. newRelaxation reads
+// every Loss(i, k) once, before the first stage, and prices the rows at
+// the critical multiplier λ*; the greedy's CPU-order loss on those rows
+// is the incumbent U, and U with relax's sums makes one threshold per
+// stage. A winner s of stage i is dropped when fl(s.loss +
+// fl(λ*·s.power)) > thr[i]: no completion of s can come within the
+// margin of U. relax says why that removes exactly the frontier states
+// that cannot win, so Idx, Loss and Power are those of the unpruned
+// program and only States falls.
 func solveDP(p *Problem, maxFrontier int) (Assignment, error) {
 	n := len(p.Upper)
-	width := 0
-	for _, u := range p.Upper {
-		width = max(width, u+1)
-	}
-	// One float slab: the table powers, row i's losses at
-	// rows[i*width:], the stage thresholds and the hull walk's slopes. One
-	// int slab: row i's hull at hull[i*width:], the walk's position on
-	// each hull and the stage offsets.
-	fs := make([]float64, width*(n+1)+2*n)
-	powers, fs := fs[:width], fs[width:]
-	rows, fs := fs[:n*width], fs[n*width:]
-	thr, slopes := fs[:n], fs[n:]
-	is := make([]int, n*width+2*n+2)
-	hull, is := is[:n*width], is[n*width:]
-	pos, off := is[:n], is[n:]
-	for k := range powers {
-		powers[k] = p.Table.PowerAtIndex(k).W()
-	}
-	for i, u := range p.Upper {
-		for k := 0; k <= u; k++ {
-			rows[i*width+k] = p.Loss(i, k)
-		}
-	}
-	idx := make([]int, n) // the greedy's assignment first, the witness last
+	rx := newRelaxation(p)
+	width, powers, rows := rx.width, rx.powers, rx.rows
+	// The greedy's assignment first, the witness last; then the stage
+	// offsets.
+	is := make([]int, 2*n+2)
+	idx, off := is[:n:n], is[n:]
 	copy(idx, p.Upper)
 	demote(idx, p.Budget, func(k int) units.Power { return units.Power(powers[k]) },
 		func(i, k int) float64 { return rows[i*width+k] })
@@ -90,8 +73,14 @@ func solveDP(p *Problem, maxFrontier int) (Assignment, error) {
 	for i, k := range idx {
 		incumbent += rows[i*width+k]
 	}
-	lam := criticalSlope(powers, rows, p.Upper, p.Budget.W(), hull, pos, slopes)
-	bound, margin := relax(powers, rows, p.Upper, p.Budget.W(), incumbent, lam, thr)
+	// The stage thresholds (relax), in place of the suffix sums.
+	lam, lb, thr := rx.lam, float64(rx.lam*p.Budget.W()), rx.suffix
+	for i := range thr {
+		thr[i] = incumbent + float64(2*n-i)*rx.step + lb - thr[i]
+		if !(rx.step <= math.MaxFloat64) {
+			thr[i] = math.Inf(1)
+		}
+	}
 
 	runs := make([]run, width)
 	off[1] = 1
@@ -174,8 +163,8 @@ func solveDP(p *Problem, maxFrontier int) (Assignment, error) {
 		Feasible: true,
 		Method:   "dp",
 		States:   len(arena),
-		Bound:    bound,
-		Margin:   margin,
+		Bound:    rx.bound,
+		Margin:   rx.margin,
 	}, nil
 }
 
@@ -251,17 +240,80 @@ func criticalSlope(powers, rows []float64, upper []int, budget float64, hull, po
 	return lam
 }
 
-// relax fills thr with the per-stage prune thresholds for multiplier λ ≥
-// 0 and incumbent U, and returns the Lagrangian dual LP* = S_0 − λ·B (at
-// λ*, the relaxation's optimum) with the margin it holds to. With m_j =
-// min_k fl(L_j(k) + fl(λ·P(k))) and S_i = m_i + S_{i+1} summed from the
-// last CPU, weak duality bounds any completion of a prefix (power, loss)
-// over CPUs 0..i that fits the budget B:
+// relaxation is the convex-hull relaxation of one instance, built from
+// its rows read once. solveDP prunes by it; Relax reports its bound.
+type relaxation struct {
+	width  int       // the widest row, max_i Upper[i] + 1
+	powers []float64 // P(k) in watts
+	rows   []float64 // row i's losses L_i(k), k ≤ Upper[i], at rows[i*width:]
+	suffix []float64 // suffix[i] = S_{i+1} (relax)
+	lam    float64   // the critical multiplier λ*
+	step   float64   // 32e (relax)
+	bound  float64   // LP*
+	margin float64   // what LP* ≤ any fitting assignment's loss holds to
+}
+
+// newRelaxation reads every Loss(i, k), k ≤ Upper[i], once, builds each
+// row's hull and walks them to λ* (criticalSlope), then prices the rows
+// at λ* (relax). It is O(n·k) in time and memory.
+func newRelaxation(p *Problem) relaxation {
+	n := len(p.Upper)
+	r := relaxation{}
+	for _, u := range p.Upper {
+		r.width = max(r.width, u+1)
+	}
+	width := r.width
+	// One float slab: the table powers, the rows, the suffix sums and
+	// the hull walk's slopes. One int slab: row i's hull at
+	// hull[i*width:] and the walk's position on each hull.
+	fs := make([]float64, width*(n+1)+2*n)
+	r.powers, fs = fs[:width], fs[width:]
+	r.rows, fs = fs[:n*width], fs[n*width:]
+	r.suffix, fs = fs[:n], fs[n:]
+	is := make([]int, n*width+n)
+	for k := range r.powers {
+		r.powers[k] = p.Table.PowerAtIndex(k).W()
+	}
+	for i, u := range p.Upper {
+		for k := 0; k <= u; k++ {
+			r.rows[i*width+k] = p.Loss(i, k)
+		}
+	}
+	budget := p.Budget.W()
+	r.lam = criticalSlope(r.powers, r.rows, p.Upper, budget, is[:n*width], is[n*width:], fs)
+	r.bound, r.step = relax(r.powers, r.rows, p.Upper, budget, r.lam, r.suffix)
+	r.margin = float64(2*n) * r.step
+	return r
+}
+
+// Relax returns the convex-hull relaxation's optimum LP* for p — the
+// Lagrangian dual at the critical multiplier, in O(n·k) — and the
+// rounding margin it holds to: no assignment that fits the budget has a
+// CPU-order loss below LP* − margin, so the exact optimum is at least
+// that. They are the bits Solve reports as Assignment.Bound and Margin
+// when its DP runs, from the same code. See docs/optimality.md, "The
+// certificate".
+func Relax(p Problem) (bound, margin float64, err error) {
+	if err := p.validate(); err != nil {
+		return 0, 0, err
+	}
+	r := newRelaxation(&p)
+	return r.bound, r.margin, nil
+}
+
+// relax prices the rows at multiplier λ ≥ 0 (at λ*, the relaxation's
+// optimum): it fills suffix[i] = S_{i+1} and returns the Lagrangian dual
+// LP* = S_0 − λ·B and the rounding step 32e the margins are made of.
+// With m_j = min_k fl(L_j(k) + fl(λ·P(k))) and S_i = m_i + S_{i+1}
+// summed from the last CPU, weak duality bounds any completion of a
+// prefix (power, loss) over CPUs 0..i that fits the budget B:
 //
 //	Σ_{j>i} L_j(k_j) ≥ Σ_{j>i} (L_j(k_j) + λ·P(k_j)) − λ·(B − power) ≥ S_{i+1} − λ·(B − power),
 //
-// so such a prefix cannot beat U when loss + λ·power > U + λ·B − S_{i+1}.
-// thr[i] is fl(fl(fl(U + margin_i) + fl(λ·B)) − S_{i+1}), and the test is
+// and at i = −1 (the empty prefix) every fitting assignment's loss is at
+// least LP*. So a prefix cannot beat the incumbent U when loss + λ·power
+// > U + λ·B − S_{i+1}. solveDP's threshold for stage i is thr[i] =
+// fl(fl(fl(U + margin_i) + fl(λ·B)) − S_{i+1}), and its test is
 // fl(loss + fl(λ·power)) > thr[i]. That test is
 //
 //   - monotone: each operation is non-decreasing in power and in loss, so
@@ -291,9 +343,11 @@ func criticalSlope(powers, rows []float64, upper []int, budget float64, hull, po
 // dominated state the pruned program never met the dominator of would
 // fail through that dominator's failing ancestor. The survivors keep
 // their order, so ties fall to the same (loss, prev, choice) winner, and
-// by the first fact the optimal witness is among them. The returned
-// margin is margin_0: LP* ≤ Loss holds to within it.
-func relax(powers, rows []float64, upper []int, budget, incumbent, lam float64, thr []float64) (lp, margin float64) {
+// by the first fact the optimal witness is among them. The relaxation's
+// margin is margin_0 = 2n·32e: the same (5n + 6)·e argument over a whole
+// assignment that fits B gives LP* ≤ its loss within it, the optimum's
+// included.
+func relax(powers, rows []float64, upper []int, budget, lam float64, suffix []float64) (lp, step float64) {
 	width, n := len(powers), len(upper)
 	mag, ptot := 0.0, 0.0
 	for i, u := range upper {
@@ -305,21 +359,15 @@ func relax(powers, rows []float64, upper []int, budget, incumbent, lam float64, 
 		ptot += powers[u]
 	}
 	mag += float64(lam * (budget + ptot))
-	step := math.Ldexp(mag, -47) // 32e
-	lb := float64(lam * budget)
-	suffix := 0.0
+	step = math.Ldexp(mag, -47) // 32e; +Inf or NaN exactly when mag overflows
+	s := 0.0
 	for i := n - 1; i >= 0; i-- {
-		thr[i] = incumbent + float64(2*n-i)*step + lb - suffix
+		suffix[i] = s
 		m := math.Inf(1)
 		for k, l := range rows[i*width : i*width+upper[i]+1] {
 			m = min(m, l+float64(lam*powers[k]))
 		}
-		suffix += m
+		s += m
 	}
-	if !(mag <= math.MaxFloat64) {
-		for i := range thr {
-			thr[i] = math.Inf(1)
-		}
-	}
-	return suffix - lb, float64(2*n) * step
+	return s - float64(lam*budget), step
 }

@@ -230,6 +230,44 @@ func TestSolveDPMatchesSortOracle(t *testing.T) {
 	}
 }
 
+// TestRelaxMatchesSolve pins Relax to the DP's own relaxation: on every
+// table family × loss family, and on Table 1, Relax returns the Bound
+// and Margin bits a "dp" solve reports, and the greedy's loss — a
+// fitting assignment's — is at least Bound − Margin.
+func TestRelaxMatchesSolve(t *testing.T) {
+	var problems []Problem
+	for tf := 0; tf < tableFamilies; tf++ {
+		for lf := 0; lf < lossFamilies; lf++ {
+			for seed := int64(1); seed <= 200; seed++ {
+				rng := rand.New(rand.NewSource(seed<<8 | int64(tf<<4|lf)))
+				problems = append(problems, oracleProblem(rng, tf, lf, 10, 12))
+			}
+		}
+	}
+	for _, n := range []int{1, 16, 64} {
+		problems = append(problems, table1Problem(n))
+	}
+	for pi, p := range problems {
+		sol, err := Solve(p)
+		if err != nil {
+			t.Fatalf("problem %d: %v", pi, err)
+		}
+		bound, margin, err := Relax(p)
+		if err != nil {
+			t.Fatalf("problem %d: Relax: %v", pi, err)
+		}
+		if math.Float64bits(bound) != math.Float64bits(sol.Bound) || math.Float64bits(margin) != math.Float64bits(sol.Margin) {
+			t.Fatalf("problem %d: Relax (%b, %b), Solve (%b, %b)", pi, bound, margin, sol.Bound, sol.Margin)
+		}
+		if g := Greedy(p); !(g.Loss >= bound-margin) {
+			t.Fatalf("problem %d: greedy loss %v below the bound %v less margin %v", pi, g.Loss, bound, margin)
+		}
+	}
+	if _, _, err := Relax(Problem{Upper: []int{0}}); err == nil {
+		t.Fatal("Relax accepted a nil table")
+	}
+}
+
 // table1Problem is bench/'s optimal.dp_us_16x16 instance generalised to n
 // CPUs: every CPU free over the whole of Table 1, 60 % of maximum power.
 func table1Problem(n int) Problem {
@@ -266,7 +304,7 @@ func BenchmarkSolveDP(b *testing.B) {
 
 // TestSolveDPAllocs pins the kernel's allocations: the float and int
 // slabs (rows, hulls and thresholds included), the runs, the arena and
-// the witness, plus the arena's doublings — logarithmic in the states
+// the witness (the stage offsets share its slab), plus the arena's doublings — logarithmic in the states
 // kept (4 297 at 16 CPUs make 10 allocations, 76 062 at 64 make 14),
 // where the unpruned merge kept 10 889 and 198 841 in 13 and 16, and the
 // sort body's per-stage frontiers and candidate regrowth made 243 and

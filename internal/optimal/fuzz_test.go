@@ -25,7 +25,8 @@ import (
 //     witness, loss bits, power and error and keeps no more states, at
 //     the default frontier cap and at a small one;
 //  5. the certificate — the relaxation bound sits below the optimum, to
-//     within its margin;
+//     within its margin, and Relax returns the solve's Bound and Margin
+//     bits;
 //  6. brute force — where the instance has at most 2^14 assignments, the
 //     optimal loss is invariant.BruteForceOptimal's to the bit.
 func FuzzOptimalAssign(f *testing.F) {
@@ -100,6 +101,12 @@ func FuzzOptimalAssign(f *testing.F) {
 		}
 		if sol.Feasible && sol.Bound > sol.Loss+sol.Margin {
 			t.Fatalf("relaxation bound %v above the optimum %v (margin %v)", sol.Bound, sol.Loss, sol.Margin)
+		}
+		if sol.Feasible {
+			bound, margin, err := optimal.Relax(p)
+			if err != nil || math.Float64bits(bound) != math.Float64bits(sol.Bound) || math.Float64bits(margin) != math.Float64bits(sol.Margin) {
+				t.Fatalf("Relax (%b, %b, %v), Solve (%b, %b)", bound, margin, err, sol.Bound, sol.Margin)
+			}
 		}
 		assignments := 1
 		for _, u := range upper {

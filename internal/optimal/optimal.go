@@ -81,7 +81,8 @@ func FromGrid(g *perfmodel.PredGrid, upper []int, table *power.Table, budget uni
 // Bound is the convex-hull relaxation's optimum LP* (the Lagrangian dual
 // at the critical multiplier), a lower bound on the optimal Loss to
 // within Margin, the rounding allowance the DP's prune is derived with.
-// Both are set by "dp" solves and zero otherwise.
+// Both are set by "dp" solves and zero otherwise; Relax computes the
+// same pair without the DP.
 type Assignment struct {
 	Idx      []int
 	Loss     float64
@@ -99,8 +100,9 @@ type Assignment struct {
 const DefaultMaxFrontier = 1 << 16
 
 // ErrTooLarge reports an instance whose DP frontier outgrew
-// DefaultMaxFrontier. Callers treat it like the enumerator's state cap:
-// skip, never approximate.
+// DefaultMaxFrontier. Callers never approximate: a gap report skips the
+// pass, and the invariant checker reports it unless Relax's certificate
+// already proved it.
 var ErrTooLarge = errors.New("optimal: dp frontier exceeds its cap")
 
 func (p *Problem) validate() error {

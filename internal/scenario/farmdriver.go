@@ -121,22 +121,19 @@ func (s FarmSpec) allReachable(now float64) bool {
 }
 
 // randomFarmCurve draws a demand curve whose floor is exactly the member
-// floor: strictly decreasing power, non-decreasing loss.
+// floor: strictly decreasing power, non-decreasing loss. It draws from the
+// floor up and fills the points from the back, in one exact-size slice.
 func randomFarmCurve(rng *rand.Rand, floor units.Power) farm.DemandCurve {
 	steps := 2 + rng.Intn(8)
-	powers := make([]units.Power, steps)
-	losses := make([]float64, steps)
-	powers[0] = floor
-	losses[0] = 0.2 + rng.Float64()*0.7
-	for i := 1; i < steps; i++ {
-		powers[i] = powers[i-1] + units.Watts(1+rng.Float64()*30)
-		losses[i] = losses[i-1] * rng.Float64() * 0.9
+	pts := make([]farm.DemandPoint, steps)
+	pt := farm.DemandPoint{Power: floor, Loss: 0.2 + rng.Float64()*0.7}
+	pts[steps-1] = pt
+	for i := steps - 2; i >= 0; i-- {
+		pt.Power += units.Watts(1 + rng.Float64()*30)
+		pt.Loss = pt.Loss * rng.Float64() * 0.9
+		pts[i] = pt
 	}
-	var c farm.DemandCurve
-	for i := steps - 1; i >= 0; i-- {
-		c.Points = append(c.Points, farm.DemandPoint{Power: powers[i], Loss: losses[i]})
-	}
-	return c
+	return farm.DemandCurve{Points: pts}
 }
 
 // RunFarm drives one farm scenario under the invariant checks: every
