@@ -3,8 +3,10 @@ package repro_test
 // The dead-export guard. In non-test Go under internal/ and cmd/, every
 // exported top-level func, type, var and const must be referenced, every
 // exported method called, and every exported field of an option struct
-// set, by a non-test file outside bench/ — or be listed in unusedAllow
-// with its reason. An allowlist entry that no longer names an unused
+// both set and read, by a non-test file outside bench/ — or be listed in
+// unusedAllow with its reason. A read inside the option type's own
+// Validate method does not count: a field only its check reads changes
+// nothing. An allowlist entry that no longer names an unused
 // declaration fails too, so the list can only shrink.
 //
 // The guard type-checks the module (go/types, the standard library from
@@ -52,6 +54,7 @@ var unusedAllow = map[string]string{
 	"internal/netcluster.Root.RootDecisions":      "bench-pinned (bench/rounds.go); goes with ROADMAP 1's bench work",
 	"internal/machine.Machine.Step":               "bench-pinned (bench/probes.go); ROADMAP 1(b) deletes it once bench/ steps with StepQuantum",
 	"internal/machine.Machine.Energy":             "bench-pinned (bench/des.go digests it); goes with ROADMAP 1's bench work",
+	"internal/machine.Machine.AdvanceTo":          "bench-pinned (bench/des.go, bench/probes.go); no shipping loop advances a machine to a time, and ROADMAP 1(b) unexports it",
 	"internal/engine.Timeline.AdvanceTo":          "bench-pinned (bench/des.go, bench/probes.go); ROADMAP 1(b) deletes the Timeline",
 	"internal/netcluster.Relay.Coordinator":       "bench-pinned (bench/rounds.go); goes with ROADMAP 1's bench work",
 	"internal/serve.Station.QueueLen":             "bench-pinned (bench/probes.go); goes with ROADMAP 1's bench work",
@@ -161,12 +164,14 @@ func (m *moduleImporter) check(dir string) (*types.Package, error) {
 
 // exportScan is what one pass over the type-checked module collects.
 type exportScan struct {
-	keys    map[string]types.Object // key → the declared object
-	problem map[string]string       // key → the problem if it goes unused
-	fields  map[types.Object]bool   // the declared option fields
+	keys    map[string]types.Object          // key → the declared object
+	problem map[string]string                // key → the problem if it goes unused
+	fields  map[types.Object]*types.TypeName // option field → its option type
 
 	used     map[types.Object]bool // what shipping code refers to
 	written  map[types.Object]bool // the fields shipping code sets
+	read     map[types.Object]bool // the fields shipping code reads
+	writeSel map[*ast.Ident]bool   // selector names in a write position
 	selected ifaceSet              // the interface methods shipping code calls
 	stdlib   ifaceSet              // the methods of stdlibInterfaces
 }
@@ -213,9 +218,9 @@ func unusedExports(fset *token.FileSet, files []srcFile, allow map[string]string
 	sort.Strings(dirs)
 
 	s := exportScan{
-		keys: map[string]types.Object{}, problem: map[string]string{}, fields: map[types.Object]bool{},
-		used: map[types.Object]bool{}, written: map[types.Object]bool{},
-		selected: ifaceSet{}, stdlib: ifaceSet{},
+		keys: map[string]types.Object{}, problem: map[string]string{}, fields: map[types.Object]*types.TypeName{},
+		used: map[types.Object]bool{}, written: map[types.Object]bool{}, read: map[types.Object]bool{},
+		writeSel: map[*ast.Ident]bool{}, selected: ifaceSet{}, stdlib: ifaceSet{},
 	}
 	for _, dir := range dirs {
 		pkg, err := m.check(dir)
@@ -225,9 +230,12 @@ func unusedExports(fset *token.FileSet, files []srcFile, allow map[string]string
 		if strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/") {
 			s.declare(dir, pkg)
 		}
+	}
+	for _, dir := range dirs {
 		for _, f := range m.files[dir] {
 			s.markUses(m.infos[dir], f)
 			s.markWrites(m.infos[dir], f)
+			s.markReads(m.infos[dir], f)
 		}
 	}
 	if err := s.loadStdlib(); err != nil {
@@ -238,7 +246,7 @@ func unusedExports(fset *token.FileSet, files []srcFile, allow map[string]string
 	for key, obj := range s.keys {
 		if s.isUnused(obj) {
 			if _, ok := allow[key]; !ok {
-				problems = append(problems, key+s.problem[key])
+				problems = append(problems, key+s.problemOf(key, obj))
 			}
 		}
 	}
@@ -255,11 +263,21 @@ const (
 	unusedName   = " is exported but no non-test code outside bench/ uses it: delete it, unexport it, or allowlist it with a reason"
 	unusedMethod = " is exported but no non-test code outside bench/ calls it, directly or through an interface its type implements: delete it, unexport it, or allowlist it with a reason"
 	unsetField   = " is an option field no non-test code outside bench/ sets: delete it, or allowlist it with a reason"
+	unreadField  = " is an option field no non-test code outside bench/ reads, its type's Validate aside: delete it, or allowlist it with a reason"
 )
 
 func (s *exportScan) add(obj types.Object, key, problem string) {
 	s.keys[key] = obj
 	s.problem[key] = problem
+}
+
+// problemOf returns the problem an unused declaration reports: for an
+// option field that is set but never read, the read rule's.
+func (s *exportScan) problemOf(key string, obj types.Object) string {
+	if s.fields[obj] != nil && s.written[obj] {
+		return unreadField
+	}
+	return s.problem[key]
 }
 
 // declare records pkg's exported top-level names, the exported methods of
@@ -284,27 +302,28 @@ func (s *exportScan) declare(dir string, pkg *types.Package) {
 		}
 		if strings.HasPrefix(dir, "internal/") && tn.Exported() &&
 			(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
-			s.declareFields(dir, tn)
+			s.declareFields(dir, tn, tn)
 		}
 	}
 }
 
 // declareFields declares the exported fields of tn's struct, and of the
-// same-package struct types those hold by value.
-func (s *exportScan) declareFields(dir string, tn *types.TypeName) {
+// same-package struct types those hold by value, as fields of the option
+// type opt.
+func (s *exportScan) declareFields(dir string, tn, opt *types.TypeName) {
 	st, ok := tn.Type().Underlying().(*types.Struct)
 	if !ok {
 		return
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if !f.Exported() || f.Embedded() || s.fields[f] {
+		if !f.Exported() || f.Embedded() || s.fields[f] != nil {
 			continue
 		}
 		s.add(f, dir+"."+tn.Name()+"."+f.Name(), unsetField)
-		s.fields[f] = true
+		s.fields[f] = opt
 		if n, ok := types.Unalias(f.Type()).(*types.Named); ok && n.Obj().Pkg() == tn.Pkg() {
-			s.declareFields(dir, n.Obj())
+			s.declareFields(dir, n.Obj(), opt)
 		}
 	}
 }
@@ -380,6 +399,7 @@ func (s *exportScan) markWrites(info *types.Info, f *ast.File) {
 			switch x := e.(type) {
 			case *ast.SelectorExpr:
 				s.written[origin(info.Uses[x.Sel])] = true
+				s.writeSel[x.Sel] = true
 				e = x.X
 			case *ast.IndexExpr:
 				e = x.X
@@ -417,6 +437,31 @@ func (s *exportScan) markWrites(info *types.Info, f *ast.File) {
 	})
 }
 
+// markReads records the option fields f reads: a selector that names
+// one outside a write position (markWrites runs first), except inside the
+// field's own option type's Validate method.
+func (s *exportScan) markReads(info *types.Info, f *ast.File) {
+	for _, decl := range f.Decls {
+		var validated types.Object
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "Validate" {
+			if recv := receiverNamed(info.Defs[fd.Name].(*types.Func)); recv != nil {
+				validated = recv.Obj()
+			}
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || s.writeSel[sel.Sel] {
+				return true
+			}
+			obj := origin(info.Uses[sel.Sel])
+			if opt := s.fields[obj]; opt != nil && opt != validated {
+				s.read[obj] = true
+			}
+			return true
+		})
+	}
+}
+
 // loadStdlib resolves stdlibInterfaces.
 func (s *exportScan) loadStdlib() error {
 	for _, name := range stdlibInterfaces {
@@ -448,8 +493,8 @@ func (s *exportScan) loadStdlib() error {
 
 // isUnused reports whether shipping code never uses the declared obj.
 func (s *exportScan) isUnused(obj types.Object) bool {
-	if s.fields[obj] {
-		return !s.written[obj]
+	if s.fields[obj] != nil {
+		return !s.written[obj] || !s.read[obj]
 	}
 	if s.used[obj] {
 		return false
@@ -664,7 +709,7 @@ func TestUnusedExportsChecker(t *testing.T) {
 		{
 			name: "Config field set only in a test",
 			files: map[string]string{
-				"internal/a/a.go":      "package a\n\ntype Config struct{ Set, Unset int }\n\nfunc Default() Config { return Config{Set: 1} }\n",
+				"internal/a/a.go":      "package a\n\ntype Config struct{ Set, Unset int }\n\nfunc Default() Config { return Config{Set: 1} }\n\nfunc (c Config) sum() int { return c.Set + c.Unset }\n",
 				"internal/a/a_test.go": "package a\n\nfunc use() {\n\tc := Default()\n\tc.Unset = 2\n}\n",
 				"cmd/tool/main.go":     "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { a.Default() }\n",
 			},
@@ -674,7 +719,8 @@ func TestUnusedExportsChecker(t *testing.T) {
 			name: "Options fields set by a composite-literal key or an assignment",
 			files: map[string]string{
 				"internal/a/a.go": "package a\n\ntype Options struct {\n\tRate  int\n\tInner Overhead\n\tTail  Overhead\n}\n\n" +
-					"type Overhead struct{ Cost, Lag int }\n\ntype Point struct{ X int }\n\nvar _ Point\n",
+					"type Overhead struct{ Cost, Lag int }\n\ntype Point struct{ X int }\n\nvar _ Point\n\n" +
+					"func (o Options) sum() int { return o.Rate + o.Inner.Cost + o.Tail.Lag }\n",
 				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\to := a.Options{Rate: 2}\n\to.Inner.Cost = 1\n\t_ = o\n}\n",
 			},
 			want: []string{"internal/a.Options.Tail is an option field", "internal/a.Overhead.Lag is an option field"},
@@ -688,10 +734,34 @@ func TestUnusedExportsChecker(t *testing.T) {
 			want: []string{"internal/a.Config.Rate is an option field"},
 		},
 		{
+			name: "option fields read only in their type's Validate or on a write path",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype Config struct {\n\tRate  int\n\tUsed  int\n\tInner Overhead\n}\n\n" +
+					"type Overhead struct{ Cost int }\n\nfunc (c *Config) Validate() bool { return c.Rate >= 0 && c.Inner.Cost >= 0 }\n\n" +
+					"func Run(c Config) int { return c.Used }\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\tc := a.Config{Rate: 1, Used: 2}\n" +
+					"\tc.Inner.Cost = 3\n\t_ = c.Validate()\n\ta.Run(c)\n}\n",
+				"internal/a/a_test.go": "package a\n\nfunc use(c Config) int { return c.Rate + c.Inner.Cost }\n",
+			},
+			want: []string{
+				"internal/a.Config.Inner is an option field no non-test code outside bench/ reads",
+				"internal/a.Config.Rate is an option field no non-test code outside bench/ reads",
+				"internal/a.Overhead.Cost is an option field no non-test code outside bench/ reads",
+			},
+		},
+		{
+			name: "an option field read outside its own type's Validate",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype Config struct{ Rate int }\n\nfunc (c Config) Validate() bool { return c.Rate > 0 }\n\n" +
+					"type Spec struct{ C Config }\n\nfunc (s Spec) Validate() bool { return s.C.Validate() && s.C.Rate < 9 }\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { _ = a.Spec{C: a.Config{Rate: 1}}.Validate() }\n",
+			},
+		},
+		{
 			name: "stale Type.Method and Type.Field entries",
 			files: map[string]string{
 				"internal/a/a.go":  "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n\ntype Config struct{ Rate int }\n",
-				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\ta.T{}.M()\n\t_ = a.Config{Rate: 1}\n}\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\ta.T{}.M()\n\t_ = a.Config{Rate: 1}.Rate\n}\n",
 			},
 			allow: map[string]string{
 				"internal/a.T.M":         "has a caller now",

@@ -95,27 +95,22 @@ type Coordinator struct {
 
 	pending   []pendingActuation
 	decisions []Decision
-	// loop owns the cluster's simulated time and the collect-every-quantum /
-	// schedule-every-T cadence (engine.Loop replaces the coordinator's old
-	// hand-rolled now/quantum/collects accumulators).
-	loop *engine.Loop
+	// clock is the cluster's simulated time, one machine quantum per Step;
+	// cadence answers whether the Step's collection is the n-th, which
+	// makes a scheduling pass due.
+	clock   engine.SimClock
+	cadence engine.Cadence
 	// beforeQuantum/afterQuantum bracket the lockstep machine stepping —
 	// the hook serving stations use to deliver arrivals and expire
 	// timeouts per node (see SetQuantumHook).
 	beforeQuantum func(now float64)
 	afterQuantum  func(now float64)
-	// homogeneous records whether every machine shares the coordinator's
-	// cadence quantum (the exact-lockstep fast case).
-	homogeneous bool
 }
 
 // New builds a coordinator over the nodes with a global processor power
-// budget. The coordinator's collect/schedule cadence follows the first
-// node's dispatch quantum; nodes whose machines run a different (e.g.
-// finer) quantum are advanced to each cadence edge with the machine's
-// variable-dt path instead of stepping in exact lockstep. Counter
-// staleness is measured in simulated seconds of RTT, never in quanta, so
-// the mixed-quantum case observes the same wall-clock lag.
+// budget. A cluster has one dispatch quantum: every node's machine must
+// run the first node's, and the nodes step in lockstep, one quantum per
+// Step, with a pass due every SchedulePeriods Steps.
 func New(cfg fvsst.Config, budget units.Power, nodes ...*Node) (*Coordinator, error) {
 	core, err := NewCore(cfg)
 	if err != nil {
@@ -133,31 +128,30 @@ func New(cfg fvsst.Config, budget units.Power, nodes ...*Node) (*Coordinator, er
 		}
 	}
 	quantum := nodes[0].M.Config().Quantum
-	homogeneous := true
 	for _, n := range nodes {
-		if n.M.Config().Quantum != quantum {
-			homogeneous = false
+		if q := n.M.Config().Quantum; q != quantum {
+			return nil, fmt.Errorf("cluster: node %s runs a %v s quantum, node %s %v s: a cluster has one quantum",
+				n.Name, q, nodes[0].Name, quantum)
 		}
 		// History capacity: the aggregation window plus the most windows an
-		// RTT can hold in flight (each collected window spans at least one
-		// cadence quantum).
+		// RTT can hold in flight (each collected window spans one quantum).
 		sampler, err := counters.NewSampler(n.M, 4*cfg.SchedulePeriods+int(math.Ceil(n.RTT/quantum)))
 		if err != nil {
 			return nil, err
 		}
 		n.sampler = sampler
 	}
-	loop, err := engine.NewLoop(quantum, cfg.SchedulePeriods)
+	cadence, err := engine.NewCadence(cfg.SchedulePeriods)
 	if err != nil {
 		return nil, err
 	}
 	return &Coordinator{
-		cfg:         cfg,
-		core:        core,
-		nodes:       nodes,
-		budget:      budget,
-		loop:        loop,
-		homogeneous: homogeneous,
+		cfg:     cfg,
+		core:    core,
+		nodes:   nodes,
+		budget:  budget,
+		clock:   *engine.NewSimClock(quantum),
+		cadence: cadence,
 	}, nil
 }
 
@@ -184,7 +178,7 @@ func (c *Coordinator) SetQuantumHook(before, after func(now float64)) {
 func (c *Coordinator) SetBudgetSource(src power.BudgetSource) { c.source = src }
 
 // Now returns the cluster simulation time.
-func (c *Coordinator) Now() float64 { return c.loop.Now() }
+func (c *Coordinator) Now() float64 { return c.clock.Now() }
 
 // Budget returns the current global budget.
 func (c *Coordinator) Budget() units.Power { return c.budget }
@@ -215,7 +209,7 @@ func (c *Coordinator) Step() error {
 	// Budget change trigger.
 	want := c.budget
 	if c.source != nil {
-		want = c.source.BudgetAt(c.loop.Now())
+		want = c.source.BudgetAt(c.clock.Now())
 	}
 	if want != c.budget {
 		c.budget = want
@@ -227,7 +221,7 @@ func (c *Coordinator) Step() error {
 	// Deliver matured actuations (they spent one RTT in flight).
 	kept := c.pending[:0]
 	for _, p := range c.pending {
-		if p.due <= c.loop.Now() {
+		if p.due <= c.clock.Now() {
 			n := c.nodes[p.proc.Node]
 			if n.M != p.m {
 				// The node's machine was swapped or reset while this
@@ -245,35 +239,25 @@ func (c *Coordinator) Step() error {
 	c.pending = kept
 
 	if c.beforeQuantum != nil {
-		c.beforeQuantum(c.loop.Now())
+		c.beforeQuantum(c.clock.Now())
 	}
 	for _, n := range c.nodes {
-		if err := c.advanceNode(n); err != nil {
+		if err := n.M.StepQuantum(); err != nil {
 			return err
 		}
 		if err := n.sampler.Collect(); err != nil {
 			return err
 		}
 	}
-	due := c.loop.Tick()
+	c.clock.Tick()
+	due := c.cadence.Tick()
 	if c.afterQuantum != nil {
-		c.afterQuantum(c.loop.Now())
+		c.afterQuantum(c.clock.Now())
 	}
 	if due {
 		return c.schedule("timer")
 	}
 	return nil
-}
-
-// advanceNode moves one node's machine through the current cadence
-// quantum: the exact per-quantum step when the machine shares the
-// coordinator's quantum, the variable-dt advance to the quantum's end
-// otherwise. Machine accounting failures surface as *machine.StepError.
-func (c *Coordinator) advanceNode(n *Node) error {
-	if c.homogeneous {
-		return n.M.StepQuantum()
-	}
-	return n.M.AdvanceTo(c.loop.Now() + c.loop.Quantum())
 }
 
 // staleWindows returns how many of the newest history windows are still
@@ -362,14 +346,14 @@ func (c *Coordinator) schedule(trigger string) error {
 	for i, p := range procs {
 		n := c.nodes[p.Node]
 		c.pending = append(c.pending, pendingActuation{
-			due:  c.loop.Now() + n.RTT,
+			due:  c.clock.Now() + n.RTT,
 			proc: p,
 			f:    res.Assignments[i].Actual,
 			m:    n.M,
 		})
 	}
 	c.decisions = append(c.decisions, Decision{
-		At:          c.loop.Now(),
+		At:          c.clock.Now(),
 		Trigger:     trigger,
 		Budget:      c.budget,
 		TablePower:  res.TablePower,
@@ -408,7 +392,7 @@ func (c *Coordinator) AllJobsDone() bool {
 // RunUntilAllDone advances until all workloads finish or the deadline
 // passes.
 func (c *Coordinator) RunUntilAllDone(deadline float64) (bool, error) {
-	for c.loop.Now() < deadline {
+	for c.clock.Now() < deadline {
 		if c.AllJobsDone() {
 			return true, nil
 		}

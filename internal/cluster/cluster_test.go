@@ -127,17 +127,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg, units.Watts(100), &Node{Name: "x", M: m, RTT: -1}); err == nil {
 		t.Error("negative RTT accepted")
 	}
-	// Mismatched quanta are allowed: the cadence follows the first node
-	// and the others advance to its edges (see TestHeterogeneousQuantaStepDeterministically).
+	// A cluster has one quantum: a node whose machine runs another is an
+	// input error.
 	mcfg := quietMachineConfig()
 	mcfg.Quantum = 0.005
 	m2, _ := machine.New(mcfg)
-	c, err := New(cfg, units.Watts(100),
-		&Node{Name: "a", M: m}, &Node{Name: "b", M: m2})
-	if err != nil {
-		t.Errorf("mismatched quanta rejected: %v", err)
-	} else if c.loop.Quantum() != quietMachineConfig().Quantum {
-		t.Errorf("cadence quantum %v, want the first node's %v", c.loop.Quantum(), quietMachineConfig().Quantum)
+	if _, err := New(cfg, units.Watts(100),
+		&Node{Name: "a", M: m}, &Node{Name: "b", M: m2}); err == nil || !strings.Contains(err.Error(), "one quantum") {
+		t.Errorf("mismatched quanta: err %v, want a one-quantum rejection", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/farm"
 	"repro/internal/fvsst"
+	"repro/internal/memhier"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/units"
@@ -66,7 +67,7 @@ func NewCore(cfg fvsst.Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pred, err := perfmodel.New(cfg.Hier)
+	pred, err := perfmodel.New(memhier.P630())
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/counters"
 	"repro/internal/fvsst"
-	"repro/internal/memhier"
 	"repro/internal/perfmodel"
 	"repro/internal/power"
 	"repro/internal/units"
@@ -35,7 +34,6 @@ func singlePointCore(t *testing.T) *Core {
 	}
 	cfg := fvsst.DefaultConfig()
 	cfg.Table = table
-	cfg.Hier = memhier.P630()
 	cfg.UseIdleSignal = true
 	core, err := NewCore(cfg)
 	if err != nil {

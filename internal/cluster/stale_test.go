@@ -72,7 +72,7 @@ func TestStaleWindowsMatchesQuantumRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	hist := c.nodes[0].sampler.History(0)
-	q := c.loop.Quantum()
+	q := c.nodes[0].M.Config().Quantum
 	for _, tc := range []struct {
 		rtt  float64
 		want int

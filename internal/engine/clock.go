@@ -44,9 +44,6 @@ func NewSimClock(quantum float64) *SimClock {
 // Now returns the simulated time in seconds.
 func (c *SimClock) Now() float64 { return c.now }
 
-// Quantum returns the per-Tick advance in seconds.
-func (c *SimClock) Quantum() float64 { return c.quantum }
-
 // Tick advances the clock by one quantum.
 func (c *SimClock) Tick() { c.now += c.quantum }
 

@@ -21,9 +21,6 @@ func TestSimClockTickAndAdvance(t *testing.T) {
 	if got := c.Now(); math.Abs(got-1.5) > 1e-9 {
 		t.Fatalf("after TickN(50): %v, want 1.5", got)
 	}
-	if c.Quantum() != 0.010 {
-		t.Fatalf("quantum %v, want 0.010", c.Quantum())
-	}
 }
 
 // TestTickNMatchesTick walks a 10 ms clock from 0 to 3600 s — some 18
@@ -91,37 +88,6 @@ func TestCadenceDueEveryN(t *testing.T) {
 func TestCadenceRejectsBadPeriods(t *testing.T) {
 	if _, err := NewCadence(0); err == nil {
 		t.Fatal("NewCadence(0) accepted")
-	}
-}
-
-func TestLoopCadenceAndTime(t *testing.T) {
-	l, err := NewLoop(0.010, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	passes := 0
-	for i := 0; i < 100; i++ {
-		if l.Tick() {
-			passes++
-		}
-	}
-	if passes != 10 {
-		t.Fatalf("%d passes over 100 quanta at n=10, want 10", passes)
-	}
-	if got := l.Now(); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("loop time %v after 100×10ms, want 1.0", got)
-	}
-	if l.cadence.ticks != 100 {
-		t.Fatalf("loop ticks %d, want 100", l.cadence.ticks)
-	}
-}
-
-func TestLoopRejectsBadConfig(t *testing.T) {
-	if _, err := NewLoop(0, 10); err == nil {
-		t.Fatal("zero quantum accepted")
-	}
-	if _, err := NewLoop(0.01, 0); err == nil {
-		t.Fatal("zero periods accepted")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fvsst"
 	"repro/internal/machine"
+	"repro/internal/memhier"
 	"repro/internal/perfmodel"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -36,8 +37,8 @@ type AblationMaskingReport struct {
 
 // jobDecomposition folds a program's phases into one instruction-weighted
 // decomposition (its "true" average behaviour).
-func jobDecomposition(p workload.Program, o Options) (perfmodel.Decomposition, error) {
-	h := o.machineConfig(1).Hier
+func jobDecomposition(p workload.Program) (perfmodel.Decomposition, error) {
+	h := memhier.P630()
 	var instr, invAlphaW, stallW float64
 	for _, ph := range p.Phases {
 		w := float64(ph.Instructions)
@@ -56,7 +57,7 @@ func jobDecomposition(p workload.Program, o Options) (perfmodel.Decomposition, e
 
 // AblationMasking runs the multiprogramming study.
 func AblationMasking(o Options) (*AblationMaskingReport, error) {
-	h := o.machineConfig(1).Hier
+	h := memhier.P630()
 	mkSynth := func(name string, intensity, seconds float64) (workload.Program, error) {
 		probe, err := workload.SyntheticIntensityPhase(name, intensity, 1000, h)
 		if err != nil {
@@ -121,7 +122,7 @@ func AblationMasking(o Options) (*AblationMaskingReport, error) {
 	}
 	set := cfg.Table.Frequencies()
 	for _, p := range progs {
-		dec, err := jobDecomposition(p, o)
+		dec, err := jobDecomposition(p)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/scenario"
 )
@@ -49,41 +48,21 @@ func OptGap(cfg OptGapConfig) *OptGapReport {
 		cfg.BaseSeed = 1
 	}
 	rows := make([]OptGapSeed, cfg.Seeds)
-	workers := cfg.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				seed := cfg.BaseSeed + int64(i)
-				row := OptGapSeed{Seed: seed}
-				r, err := scenario.RunCluster(scenario.Generate(seed), scenario.Options{MeasureGap: true})
-				if err != nil {
-					row.Err = err.Error()
-				} else {
-					row.Rounds = r.Rounds
-					row.Violations = len(r.Violations)
-					if r.Gap != nil {
-						row.Gap = *r.Gap
-					}
-				}
-				rows[i] = row
+	forEachIndex(len(rows), cfg.Parallel, func(i int) {
+		seed := cfg.BaseSeed + int64(i)
+		row := OptGapSeed{Seed: seed}
+		r, err := scenario.RunCluster(scenario.Generate(seed), scenario.Options{MeasureGap: true})
+		if err != nil {
+			row.Err = err.Error()
+		} else {
+			row.Rounds = r.Rounds
+			row.Violations = len(r.Violations)
+			if r.Gap != nil {
+				row.Gap = *r.Gap
 			}
-		}()
-	}
-	for i := range rows {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+		}
+		rows[i] = row
+	})
 
 	rep := &OptGapReport{Config: cfg, Seeds: rows}
 	for _, row := range rows {

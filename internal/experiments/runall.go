@@ -43,27 +43,33 @@ type Result struct {
 // harness rests on and internal/experiments' determinism regression tests
 // pin.
 func RunAll(opts Options, ids []string, parallel int) []Result {
-	if parallel < 1 {
-		parallel = 1
-	}
 	results := make([]Result, len(ids))
-	jobs := make(chan int)
+	forEachIndex(len(ids), parallel, func(i int) { results[i] = runOne(opts, ids[i]) })
+	return results
+}
+
+// forEachIndex calls fn(i) for every i in [0, n) on up to workers
+// goroutines (at least one) and returns when all calls have. Each call
+// writes only its own index's result, so the outcome is the same for any
+// worker count.
+func forEachIndex(n, workers int, fn func(i int)) {
+	workers = min(max(workers, 1), n)
+	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				results[i] = runOne(opts, ids[i])
+			for i := range idx {
+				fn(i)
 			}
 		}()
 	}
-	for i := range ids {
-		jobs <- i
+	for i := 0; i < n; i++ {
+		idx <- i
 	}
-	close(jobs)
+	close(idx)
 	wg.Wait()
-	return results
 }
 
 // runOne executes a single experiment with timing and allocation stats.

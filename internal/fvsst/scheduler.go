@@ -43,13 +43,10 @@ func DefaultOverhead() Overhead {
 // Config parameterises the scheduler.
 type Config struct {
 	Table *power.Table
-	Hier  memhier.Hierarchy
 	// Epsilon is the acceptable predicted performance loss. It must
 	// exceed the minimum per-step loss of the frequency set or Step 1
 	// degenerates to f_max everywhere (§5).
 	Epsilon float64
-	// SamplePeriod is the dispatch/collection period t in seconds.
-	SamplePeriod float64
 	// SchedulePeriods is n: a scheduling pass runs every n collections
 	// (T = n·t).
 	SchedulePeriods int
@@ -66,14 +63,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the prototype's parameters: the Table 1 operating
-// points, ε = 5%, t = 10 ms, T = 100 ms (§8), idle signal off (the paper's
-// prototype lacks it, §7.1).
+// points, ε = 5%, n = 10 (T = 100 ms at the machine's 10 ms dispatch period
+// t, §8), idle signal off (the paper's prototype lacks it, §7.1).
 func DefaultConfig() Config {
 	return Config{
 		Table:           power.PaperTable1(),
-		Hier:            memhier.P630(),
 		Epsilon:         0.05,
-		SamplePeriod:    0.010,
 		SchedulePeriods: 10,
 		Overhead:        DefaultOverhead(),
 	}
@@ -85,14 +80,8 @@ func (c Config) Validate() error {
 	if c.Table == nil {
 		return fmt.Errorf("fvsst: operating-point table required")
 	}
-	if err := c.Hier.Validate(); err != nil {
-		return err
-	}
 	if c.Epsilon <= 0 || c.Epsilon >= 1 {
 		return fmt.Errorf("fvsst: epsilon %v out of (0,1)", c.Epsilon)
-	}
-	if c.SamplePeriod <= 0 {
-		return fmt.Errorf("fvsst: sample period %v must be positive", c.SamplePeriod)
 	}
 	if c.SchedulePeriods < 1 {
 		return fmt.Errorf("fvsst: schedule periods %d must be ≥ 1", c.SchedulePeriods)
@@ -195,7 +184,7 @@ func New(cfg Config, target Target, budget units.Power) (*Scheduler, error) {
 	if budget <= 0 {
 		return nil, fmt.Errorf("fvsst: budget %v must be positive", budget)
 	}
-	pred, err := perfmodel.New(cfg.Hier)
+	pred, err := perfmodel.New(memhier.P630())
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,6 @@ func TestConfigValidation(t *testing.T) {
 		"table":    func(c *Config) { c.Table = nil },
 		"eps0":     func(c *Config) { c.Epsilon = 0 },
 		"eps1":     func(c *Config) { c.Epsilon = 1 },
-		"period":   func(c *Config) { c.SamplePeriod = 0 },
 		"n":        func(c *Config) { c.SchedulePeriods = 0 },
 		"overhead": func(c *Config) { c.Overhead.SchedulePass = -1 },
 	} {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fvsst"
+	"repro/internal/memhier"
 	"repro/internal/perfmodel"
 	"repro/internal/power"
 	"repro/internal/units"
@@ -71,7 +72,7 @@ func NewPass(cfg fvsst.Config, at float64, budget units.Power, procs []Proc, dem
 		Procs:         procs,
 		Demotions:     demotions,
 	}
-	pred, err := perfmodel.New(cfg.Hier)
+	pred, err := perfmodel.New(memhier.P630())
 	if err != nil {
 		return nil, fmt.Errorf("invariant: predictor: %w", err)
 	}

@@ -266,7 +266,7 @@ func (m *Machine) fastForwardSpan(n int, after func() error) (int, error) {
 	// float additions would leave (AccumulateRepeat, TickN).
 	dt := m.cfg.Quantum
 	cpuP := m.TotalCPUPower()
-	sysP := m.cfg.NonCPU + cpuP
+	sysP := nonCPU + cpuP
 	if after == nil {
 		if err := m.cpuEnergy.AccumulateRepeat(cpuP, dt, k); err != nil {
 			return done, m.stepError("cpu-energy", err)

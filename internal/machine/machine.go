@@ -29,6 +29,16 @@ import (
 	"repro/internal/workload"
 )
 
+// The platform constants: the p630's memory hierarchy, the post-L1
+// reference rate (refs/s) at which a partner core saturates the shared L2,
+// and the non-processor system power of the §2 breakdown.
+var (
+	p630   = memhier.P630()
+	nonCPU = power.MotivatingSystem().Base
+)
+
+const contentionSatRefs = 5e6
+
 // IdleMode selects how a processor with no runnable work behaves.
 type IdleMode int
 
@@ -46,24 +56,19 @@ const (
 type Config struct {
 	Name    string
 	NumCPUs int
-	Hier    memhier.Hierarchy
 	// Table is the operating-point table (frequency/voltage/power) the
 	// machine's power draw follows.
 	Table *power.Table
 	// Quantum is the dispatch period t in seconds (10 ms on the paper's
 	// Linux 2.6 platform; smaller values interfere with the OS quantum).
 	Quantum float64
-	// ThrottleKind/Steps/Settle configure the frequency actuator.
-	ThrottleKind   throttle.Kind
+	// ThrottleSteps/Settle configure the fetch-throttle actuator.
 	ThrottleSteps  int
 	ThrottleSettle float64
 	// Idle selects hot-loop or halting idle.
 	Idle IdleMode
 	// Contention configures shared-L2 interference between core pairs.
 	Contention memhier.Contention
-	// ContentionSatRefs is the post-L1 reference rate (refs/s) at which a
-	// partner core saturates the shared L2.
-	ContentionSatRefs float64
 	// LatencyJitterSigma is the per-quantum relative σ of true memory
 	// latency around nominal. The predictor assumes constant latency.
 	LatencyJitterSigma float64
@@ -71,8 +76,6 @@ type Config struct {
 	// to per-block stochastic reference draws (see montecarlo.go): slower
 	// but with execution variance emerging from miss discreteness.
 	MonteCarloExec bool
-	// NonCPU is the constant non-processor system power.
-	NonCPU units.Power
 	// MeterNoiseSigma is read by nothing: the scheduler checks its budget
 	// against table power, never a sensor reading. It stays only because
 	// bench/probes.go sets it.
@@ -81,23 +84,19 @@ type Config struct {
 }
 
 // P630Config returns the paper's experimental platform: 4 CPUs, the Table 1
-// operating points, fetch throttling, 10 ms dispatch quanta, hot idle, and
-// the §2 system power breakdown.
+// operating points, 10 ms dispatch quanta and hot idle. The memory
+// hierarchy, fetch throttling and the §2 non-CPU power are fixed.
 func P630Config() Config {
 	return Config{
 		Name:               "p630",
 		NumCPUs:            4,
-		Hier:               memhier.P630(),
 		Table:              power.PaperTable1(),
 		Quantum:            0.010,
-		ThrottleKind:       throttle.Fetch,
 		ThrottleSteps:      100,
 		ThrottleSettle:     0.0005,
 		Idle:               IdleHot,
 		Contention:         memhier.Contention{MaxInflation: 1.25},
-		ContentionSatRefs:  5e6,
 		LatencyJitterSigma: 0.03,
-		NonCPU:             power.MotivatingSystem().Base,
 		Seed:               1,
 	}
 }
@@ -106,9 +105,6 @@ func P630Config() Config {
 func (c Config) Validate() error {
 	if c.NumCPUs <= 0 {
 		return fmt.Errorf("machine: NumCPUs %d must be positive", c.NumCPUs)
-	}
-	if err := c.Hier.Validate(); err != nil {
-		return err
 	}
 	if c.Table == nil {
 		return fmt.Errorf("machine: operating-point table required")
@@ -121,9 +117,6 @@ func (c Config) Validate() error {
 	}
 	if c.LatencyJitterSigma < 0 || c.LatencyJitterSigma > 0.5 {
 		return fmt.Errorf("machine: latency jitter %v out of [0,0.5]", c.LatencyJitterSigma)
-	}
-	if c.NonCPU < 0 {
-		return fmt.Errorf("machine: non-CPU power %v must be non-negative", c.NonCPU)
 	}
 	return nil
 }
@@ -199,7 +192,7 @@ func New(cfg Config) (*Machine, error) {
 		clock: *engine.NewSimClock(cfg.Quantum),
 	}
 	for i := 0; i < cfg.NumCPUs; i++ {
-		th, err := throttle.New(cfg.ThrottleKind, cfg.Table.MaxFrequency(), cfg.ThrottleSteps, cfg.ThrottleSettle)
+		th, err := throttle.New(cfg.Table.MaxFrequency(), cfg.ThrottleSteps, cfg.ThrottleSettle)
 		if err != nil {
 			return nil, err
 		}
@@ -312,7 +305,7 @@ func (m *Machine) TotalCPUPower() units.Power {
 
 // SystemPower returns the true total system power (CPUs + non-CPU base).
 func (m *Machine) SystemPower() units.Power {
-	return m.cfg.NonCPU + m.TotalCPUPower()
+	return nonCPU + m.TotalCPUPower()
 }
 
 // Energy returns the integrated total system energy so far.
@@ -441,19 +434,16 @@ func (m *Machine) StepQuantum() error {
 	if err := m.cpuEnergy.Accumulate(cpuP, dt); err != nil {
 		return m.stepError("cpu-energy", err)
 	}
-	if err := m.energy.Accumulate(m.cfg.NonCPU+cpuP, dt); err != nil {
+	if err := m.energy.Accumulate(nonCPU+cpuP, dt); err != nil {
 		return m.stepError("system-energy", err)
 	}
 	m.clock.Tick()
 	return nil
 }
 
-// partnerRate returns the shared-L2 partner's post-L1 rate for CPU i, or 0
-// when the hierarchy has private L2s or the partner does not exist.
+// partnerRate returns the post-L1 rate of the core CPU i shares its L2
+// with on the p630's dual-core modules, or 0 when that core does not exist.
 func (m *Machine) partnerRate(i int, rates []float64) float64 {
-	if m.cfg.Hier.L2SharedBy < 2 {
-		return 0
-	}
 	partner := i ^ 1
 	if partner >= len(m.cpus) {
 		return 0
@@ -550,7 +540,7 @@ func (m *Machine) random() *rand.Rand {
 // quantumLatencyScale draws this quantum's true memory-latency multiplier:
 // shared-cache contention times lognormal-ish jitter, floored at 0.5.
 func (m *Machine) quantumLatencyScale(partnerRate float64) float64 {
-	scale := m.cfg.Contention.Factor(partnerRate, m.cfg.ContentionSatRefs)
+	scale := m.cfg.Contention.Factor(partnerRate, contentionSatRefs)
 	if m.cfg.LatencyJitterSigma > 0 {
 		scale *= 1 + m.random().NormFloat64()*m.cfg.LatencyJitterSigma
 	}
@@ -574,7 +564,7 @@ func (m *Machine) execJob(c *cpu, job *workload.Cursor, f units.Frequency, latSc
 func (m *Machine) runJob(c *cpu, job *workload.Cursor, f units.Frequency, latScale, avail float64, stats *QuantumStats) (used float64, postL1 float64) {
 	for avail > 1e-12 && !job.Done() {
 		phase := job.Current()
-		cpi := phase.TrueCyclesPerInstr(m.cfg.Hier, f.Hz(), latScale)
+		cpi := phase.TrueCyclesPerInstr(p630, f.Hz(), latScale)
 		rate := f.Hz() / cpi // instructions per second
 		budget := uint64(rate * avail)
 		if budget == 0 {

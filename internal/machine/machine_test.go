@@ -67,7 +67,6 @@ func TestConfigValidate(t *testing.T) {
 		"quantum": func(c *Config) { c.Quantum = 0 },
 		"steps":   func(c *Config) { c.ThrottleSteps = 0 },
 		"jitter":  func(c *Config) { c.LatencyJitterSigma = 0.9 },
-		"noncpu":  func(c *Config) { c.NonCPU = -1 },
 	} {
 		cfg := P630Config()
 		mutate(&cfg)

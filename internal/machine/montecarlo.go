@@ -53,7 +53,7 @@ func poisson(rng *rand.Rand, lambda float64) uint64 {
 // block's worth) is carried as stolen-time debt into the next quantum so
 // long-run time accounting stays exact.
 func (m *Machine) runJobMC(c *cpu, job *workload.Cursor, f units.Frequency, latScale, avail float64, stats *QuantumStats) (used float64, postL1 float64) {
-	h := m.cfg.Hier
+	h := p630
 	tL2, tL3, tMem := h.ServiceTimes()
 	budgetCycles := avail * f.Hz()
 	var consumed float64

@@ -193,7 +193,7 @@ func TestRoundTripScheduling(t *testing.T) {
 	}
 	// The coordinator epoch and both node clocks advanced in lockstep:
 	// one period of SchedulePeriods quanta per round.
-	wantNow := float64(rounds) * c.clock.Quantum()
+	wantNow := float64(rounds) * (float64(c.cfg.Fvsst.SchedulePeriods) * c.quantum)
 	if c.Now() != wantNow {
 		t.Errorf("coordinator at %v, want %v", c.Now(), wantNow)
 	}

@@ -403,7 +403,8 @@ func TestFleetDerivesRootDeadline(t *testing.T) {
 			}
 		}
 	}
-	period := w.fleet.top.clock.Quantum()
+	top := w.fleet.top
+	period := float64(top.cfg.Fvsst.SchedulePeriods) * top.quantum
 	for i, m := range w.machines {
 		want := float64(rounds) * period
 		if i == blackholed {

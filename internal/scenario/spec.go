@@ -454,7 +454,6 @@ func (s Spec) fvsstConfig() (fvsst.Config, error) {
 	cfg := fvsst.DefaultConfig()
 	cfg.Table = table
 	cfg.Epsilon = s.Epsilon
-	cfg.SamplePeriod = quantum
 	cfg.SchedulePeriods = s.SchedulePeriods
 	cfg.UseIdleSignal = true
 	cfg.Overhead = fvsst.Overhead{}

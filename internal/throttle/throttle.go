@@ -1,7 +1,8 @@
 // Package throttle models the pipeline-throttling hardware the prototype
 // used in place of true frequency scaling (§6): the Power4+ can intersperse
-// fetch, dispatch or commit cycles with dead cycles, covering the whole
-// range from 0% to 100% of nominal frequency. fvsst treats a throttled
+// fetch cycles with dead cycles, covering the whole range from 0% to 100%
+// of nominal frequency. Gating fetch starves the whole pipeline, so a duty
+// d delivers exactly d·nominal. fvsst treats a throttled
 // processor exactly as if it ran at the equivalent lower clock; the paper
 // validates that approximation with microbenchmarks and ignores settling
 // time. This package keeps both the idealisation the scheduler sees and
@@ -15,52 +16,8 @@ import (
 	"repro/internal/units"
 )
 
-// Kind selects which pipeline stage the throttle gates.
-type Kind int
-
-// Throttle kinds. The prototype used fetch throttling; dispatch and commit
-// throttling exist on the hardware and are modelled with slightly different
-// effectiveness below.
-const (
-	Fetch Kind = iota
-	Dispatch
-	Commit
-)
-
-// String names the throttle kind.
-func (k Kind) String() string {
-	switch k {
-	case Fetch:
-		return "fetch"
-	case Dispatch:
-		return "dispatch"
-	case Commit:
-		return "commit"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// effectiveness is the fraction of the requested slowdown each mechanism
-// actually delivers: gating fetch starves the whole pipeline cleanly, while
-// gating later stages lets earlier ones keep fetching work that then stalls,
-// recovering some throughput.
-func (k Kind) effectiveness() float64 {
-	switch k {
-	case Fetch:
-		return 1.0
-	case Dispatch:
-		return 0.97
-	case Commit:
-		return 0.94
-	default:
-		return 1.0
-	}
-}
-
 // Throttle is one processor's throttling actuator.
 type Throttle struct {
-	kind    Kind
 	nominal units.Frequency
 	// steps is the duty-cycle quantisation: the hardware supports duty
 	// levels i/steps for i in 0..steps.
@@ -78,7 +35,7 @@ type Throttle struct {
 // New constructs a throttle for a processor with the given nominal
 // frequency. steps is the number of duty quantisation levels (≥1);
 // settleSeconds ≥ 0.
-func New(kind Kind, nominal units.Frequency, steps int, settleSeconds float64) (*Throttle, error) {
+func New(nominal units.Frequency, steps int, settleSeconds float64) (*Throttle, error) {
 	if nominal <= 0 {
 		return nil, fmt.Errorf("throttle: nominal frequency %v must be positive", nominal)
 	}
@@ -89,7 +46,6 @@ func New(kind Kind, nominal units.Frequency, steps int, settleSeconds float64) (
 		return nil, fmt.Errorf("throttle: settle time %v must be non-negative", settleSeconds)
 	}
 	return &Throttle{
-		kind:        kind,
 		nominal:     nominal,
 		steps:       steps,
 		settle:      settleSeconds,
@@ -137,9 +93,7 @@ func (t *Throttle) apply(now float64) {
 }
 
 // Effective returns the frequency the processor actually runs at, at
-// simulation time now, including the kind's effectiveness: a mechanism
-// that recovers some throughput behaves like a slightly *higher* effective
-// frequency than duty·nominal.
+// simulation time now.
 func (t *Throttle) Effective(now float64) units.Frequency {
 	t.apply(now)
 	return t.dutyToFreq(t.currentDuty)
@@ -149,10 +103,9 @@ func (t *Throttle) dutyToFreq(duty float64) units.Frequency {
 	if duty >= 1 {
 		return t.nominal
 	}
-	eff := t.kind.effectiveness()
-	// The delivered slowdown is eff·(1-duty); the rest leaks through.
-	slowdown := eff * (1 - duty)
-	return units.Frequency(t.nominal.Hz() * (1 - slowdown))
+	// nominal·(1 − (1 − duty)), not nominal·duty: the two differ in the
+	// last bit for some duties, and every golden was made with this form.
+	return units.Frequency(t.nominal.Hz() * (1 - (1 - duty)))
 }
 
 // Settling reports whether a requested change has not yet taken effect at

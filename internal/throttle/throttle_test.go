@@ -8,9 +8,9 @@ import (
 	"repro/internal/units"
 )
 
-func newFetch(t *testing.T, steps int, settle float64) *Throttle {
+func newThrottle(t *testing.T, steps int, settle float64) *Throttle {
 	t.Helper()
-	th, err := New(Fetch, units.GHz(1), steps, settle)
+	th, err := New(units.GHz(1), steps, settle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,34 +18,26 @@ func newFetch(t *testing.T, steps int, settle float64) *Throttle {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Fetch, 0, 10, 0); err == nil {
+	if _, err := New(0, 10, 0); err == nil {
 		t.Error("zero nominal accepted")
 	}
-	if _, err := New(Fetch, units.GHz(1), 0, 0); err == nil {
+	if _, err := New(units.GHz(1), 0, 0); err == nil {
 		t.Error("zero steps accepted")
 	}
-	if _, err := New(Fetch, units.GHz(1), 10, -1); err == nil {
+	if _, err := New(units.GHz(1), 10, -1); err == nil {
 		t.Error("negative settle accepted")
 	}
 }
 
-func TestKindString(t *testing.T) {
-	for k, want := range map[Kind]string{Fetch: "fetch", Dispatch: "dispatch", Commit: "commit", Kind(7): "Kind(7)"} {
-		if got := k.String(); got != want {
-			t.Errorf("%d = %q, want %q", int(k), got, want)
-		}
-	}
-}
-
 func TestStartsUnthrottled(t *testing.T) {
-	th := newFetch(t, 100, 0)
+	th := newThrottle(t, 100, 0)
 	if got := th.Effective(0); got != units.GHz(1) {
 		t.Errorf("fresh throttle effective = %v, want nominal", got)
 	}
 }
 
 func TestQuantizeDuty(t *testing.T) {
-	th := newFetch(t, 10, 0)
+	th := newThrottle(t, 10, 0)
 	cases := []struct{ in, want float64 }{
 		{0.0, 0.0}, {1.0, 1.0}, {0.72, 0.7}, {0.76, 0.8},
 		{-0.5, 0.0}, {1.5, 1.0}, {0.05, 0.1}, {0.04, 0.0},
@@ -58,7 +50,7 @@ func TestQuantizeDuty(t *testing.T) {
 }
 
 func TestRequestImmediateWithZeroSettle(t *testing.T) {
-	th := newFetch(t, 1000, 0)
+	th := newThrottle(t, 1000, 0)
 	got, err := th.Request(0, units.MHz(750))
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +64,7 @@ func TestRequestImmediateWithZeroSettle(t *testing.T) {
 }
 
 func TestRequestRejectsOutOfRange(t *testing.T) {
-	th := newFetch(t, 100, 0)
+	th := newThrottle(t, 100, 0)
 	if _, err := th.Request(0, units.GHz(2)); err == nil {
 		t.Error("above-nominal accepted")
 	}
@@ -82,7 +74,7 @@ func TestRequestRejectsOutOfRange(t *testing.T) {
 }
 
 func TestSettlingDelay(t *testing.T) {
-	th := newFetch(t, 1000, 0.005) // 5 ms settle
+	th := newThrottle(t, 1000, 0.005) // 5 ms settle
 	if _, err := th.Request(1.0, units.MHz(500)); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +93,7 @@ func TestSettlingDelay(t *testing.T) {
 }
 
 func TestRequestSupersedesPending(t *testing.T) {
-	th := newFetch(t, 1000, 0.005)
+	th := newThrottle(t, 1000, 0.005)
 	th.Request(0, units.MHz(500))
 	// Before the first matures, request something else.
 	th.Request(0.001, units.MHz(800))
@@ -116,37 +108,17 @@ func TestRequestSupersedesPending(t *testing.T) {
 }
 
 func TestDutyZeroStopsProcessor(t *testing.T) {
-	th := newFetch(t, 100, 0)
+	th := newThrottle(t, 100, 0)
 	th.Request(0, 0)
 	if eff := th.Effective(0); eff != 0 {
 		t.Errorf("duty 0 effective = %v, want 0", eff)
 	}
 }
 
-func TestKindEffectivenessOrdering(t *testing.T) {
-	// At the same duty, fetch throttling slows the machine the most and
-	// commit throttling the least.
-	mk := func(k Kind) units.Frequency {
-		th, err := New(k, units.GHz(1), 1000, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		th.Request(0, units.MHz(500))
-		return th.Effective(0)
-	}
-	fetch, dispatch, commit := mk(Fetch), mk(Dispatch), mk(Commit)
-	if !(fetch <= dispatch && dispatch <= commit) {
-		t.Errorf("effectiveness ordering violated: fetch=%v dispatch=%v commit=%v", fetch, dispatch, commit)
-	}
-	if math.Abs(fetch.MHz()-500) > 1 {
-		t.Errorf("fetch throttling should deliver the request exactly, got %v", fetch)
-	}
-}
-
 func TestFullDutyAlwaysNominalProperty(t *testing.T) {
-	err := quick.Check(func(stepsRaw uint8, kindRaw uint8) bool {
+	err := quick.Check(func(stepsRaw uint8) bool {
 		steps := int(stepsRaw%200) + 1
-		th, err := New(Kind(kindRaw%3), units.GHz(1), steps, 0)
+		th, err := New(units.GHz(1), steps, 0)
 		if err != nil {
 			return false
 		}
@@ -167,8 +139,8 @@ func TestEffectiveMonotoneInRequestProperty(t *testing.T) {
 		if fa > fb {
 			fa, fb = fb, fa
 		}
-		t1, _ := New(Fetch, units.GHz(1), 100, 0)
-		t2, _ := New(Fetch, units.GHz(1), 100, 0)
+		t1, _ := New(units.GHz(1), 100, 0)
+		t2, _ := New(units.GHz(1), 100, 0)
 		t1.Request(0, fa)
 		t2.Request(0, fb)
 		return t1.Effective(0) <= t2.Effective(0)

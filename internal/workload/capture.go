@@ -19,32 +19,27 @@ type WindowObservation struct {
 	FreqHz float64
 }
 
-// CaptureConfig tunes profile extraction.
+// CaptureConfig tunes profile extraction. Windows are inverted against
+// the p630 hierarchy, the one the predictor assumes.
 type CaptureConfig struct {
-	Hier memhier.Hierarchy
 	// MergeTolerance is the relative difference in per-instruction
 	// characteristics below which consecutive windows merge into one
 	// phase (0.15 = 15%).
 	MergeTolerance float64
-	// MaxAlpha clamps the recovered perfect-machine IPC.
-	MaxAlpha float64
 }
+
+// maxAlpha clamps the recovered perfect-machine IPC.
+const maxAlpha = 8.0
 
 // DefaultCaptureConfig matches the predictor's assumptions.
 func DefaultCaptureConfig() CaptureConfig {
-	return CaptureConfig{Hier: memhier.P630(), MergeTolerance: 0.15, MaxAlpha: 8}
+	return CaptureConfig{MergeTolerance: 0.15}
 }
 
 // Validate checks the capture configuration.
 func (c CaptureConfig) Validate() error {
-	if err := c.Hier.Validate(); err != nil {
-		return err
-	}
 	if c.MergeTolerance <= 0 || c.MergeTolerance > 1 {
 		return fmt.Errorf("workload: merge tolerance %v out of (0,1]", c.MergeTolerance)
-	}
-	if c.MaxAlpha <= 0 || c.MaxAlpha > 16 {
-		return fmt.Errorf("workload: max alpha %v out of (0,16]", c.MaxAlpha)
 	}
 	return nil
 }
@@ -65,6 +60,7 @@ func FromObservations(name string, obs []WindowObservation, cfg CaptureConfig) (
 	if len(obs) == 0 {
 		return Program{}, fmt.Errorf("workload: no observations")
 	}
+	h := memhier.P630()
 	var phases []Phase
 	for i, o := range obs {
 		d := o.Delta
@@ -83,9 +79,9 @@ func FromObservations(name string, obs []WindowObservation, cfg CaptureConfig) (
 			return Program{}, fmt.Errorf("workload: observation %d: %w", i, err)
 		}
 		cpi := 1 / d.IPC()
-		core := cpi - rates.StallTimePerInstr(cfg.Hier)*o.FreqHz
-		alpha := cfg.MaxAlpha
-		if core > 1/cfg.MaxAlpha {
+		core := cpi - rates.StallTimePerInstr(h)*o.FreqHz
+		alpha := maxAlpha
+		if core > 1/maxAlpha {
 			alpha = 1 / core
 		}
 		ph := Phase{
