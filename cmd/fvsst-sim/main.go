@@ -184,19 +184,20 @@ func run() error {
 		}()
 	}
 
-	printed := 0
 	timerSeen := 0
-	lastLogged := -1
+	// Every pass lands in a later quantum than the Step before it, so a
+	// newest pass whose time differs from the last one seen is new; of a
+	// Step's passes only the last is printed.
+	lastAt := -1.0
 	for m.Now() < *duration && !m.AllJobsDone() {
 		if err := drv.Step(); err != nil {
 			return err
 		}
-		decs := sched.Decisions()
-		if len(decs)-1 == lastLogged {
+		d, ok := sched.LastDecision()
+		if !ok || d.At == lastAt {
 			continue
 		}
-		lastLogged = len(decs) - 1
-		d := decs[lastLogged]
+		lastAt = d.At
 		if d.Trigger == "timer" {
 			timerSeen++
 			if timerSeen%*every != 0 {
@@ -204,7 +205,6 @@ func run() error {
 			}
 		}
 		fmt.Println(d)
-		printed++
 	}
 
 	fmt.Printf("\nfinished at t=%.2fs; system power %v; CPU energy %v\n",

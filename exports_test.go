@@ -6,7 +6,8 @@ package repro_test
 // both set and read, by a non-test file outside bench/ — or be listed in
 // unusedAllow with its reason. A read inside the option type's own
 // Validate method does not count: a field only its check reads changes
-// nothing. An allowlist entry that no longer names an unused
+// nothing. Nor does a default fill count as a set: x.F = d inside
+// if x.F == <zero> gives no caller a way to choose F. An allowlist entry that no longer names an unused
 // declaration fails too, so the list can only shrink.
 //
 // The guard type-checks the module (go/types, the standard library from
@@ -60,7 +61,6 @@ var unusedAllow = map[string]string{
 	"internal/serve.Station.QueueLen":             "bench-pinned (bench/probes.go); goes with ROADMAP 1's bench work",
 	"internal/machine.Config.MeterNoiseSigma":     "bench-pinned (bench/probes.go zeroes it); nothing reads it, and ROADMAP 1(a) drops the write",
 	"internal/machine.Machine.AdvanceStats":       "planned: ROADMAP 8(c) wires the fast-forward counts into obs",
-	"internal/invariant.StepTwoBruteForce":        "test oracle: brute force, the independent witness for the optimal comparator",
 }
 
 // stdlibInterfaces are the standard-library interfaces, "<import
@@ -392,13 +392,19 @@ func (s *exportScan) walkUses(info *types.Info, root ast.Node, self []types.Obje
 // markWrites records the fields f sets: a composite-literal key, an
 // assignment or increment target, or an address taken (a flag bound to a
 // field sets it). Every field on the target's path is written: x.A.B = v
-// sets B in A.
+// sets B in A. A default fill — x.F = e inside if x.F == <zero> { … },
+// zero being 0, "", nil or T{} — sets nothing: it only stands in for a
+// value no caller gave.
 func (s *exportScan) markWrites(info *types.Info, f *ast.File) {
+	fills := defaultFills(f)
 	writeTarget := func(e ast.Expr) {
+		fill := fills[e]
 		for {
 			switch x := e.(type) {
 			case *ast.SelectorExpr:
-				s.written[origin(info.Uses[x.Sel])] = true
+				if !fill {
+					s.written[origin(info.Uses[x.Sel])] = true
+				}
 				s.writeSel[x.Sel] = true
 				e = x.X
 			case *ast.IndexExpr:
@@ -435,6 +441,56 @@ func (s *exportScan) markWrites(info *types.Info, f *ast.File) {
 		}
 		return true
 	})
+}
+
+// defaultFills returns the assignment targets in f that are default
+// fills: x.F on the left of an = inside if x.F == <zero> { … }, matched on
+// the selector's source text.
+func defaultFills(f *ast.File) map[ast.Expr]bool {
+	fills := map[ast.Expr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		ifs, ok := n.(*ast.IfStmt)
+		if !ok {
+			return true
+		}
+		cond, ok := ifs.Cond.(*ast.BinaryExpr)
+		if !ok || cond.Op != token.EQL {
+			return true
+		}
+		sel, zero := cond.X, cond.Y
+		if isZero(sel) {
+			sel, zero = zero, sel
+		}
+		if _, ok := sel.(*ast.SelectorExpr); !ok || !isZero(zero) {
+			return true
+		}
+		want := types.ExprString(sel)
+		ast.Inspect(ifs.Body, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
+				for _, lhs := range as.Lhs {
+					if types.ExprString(lhs) == want {
+						fills[lhs] = true
+					}
+				}
+			}
+			return true
+		})
+		return true
+	})
+	return fills
+}
+
+// isZero reports whether e is written as a zero value: 0, "", nil or T{}.
+func isZero(e ast.Expr) bool {
+	switch x := e.(type) {
+	case *ast.BasicLit:
+		return x.Value == "0" || x.Value == `""`
+	case *ast.Ident:
+		return x.Name == "nil"
+	case *ast.CompositeLit:
+		return len(x.Elts) == 0
+	}
+	return false
 }
 
 // markReads records the option fields f reads: a selector that names
@@ -755,6 +811,28 @@ func TestUnusedExportsChecker(t *testing.T) {
 				"internal/a/a.go": "package a\n\ntype Config struct{ Rate int }\n\nfunc (c Config) Validate() bool { return c.Rate > 0 }\n\n" +
 					"type Spec struct{ C Config }\n\nfunc (s Spec) Validate() bool { return s.C.Validate() && s.C.Rate < 9 }\n",
 				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { _ = a.Spec{C: a.Config{Rate: 1}}.Validate() }\n",
+			},
+		},
+		{
+			name: "an option field whose only write is its own default fill",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype Options struct {\n\tTimeout int\n\tName    string\n\tNext    *Options\n}\n\n" +
+					"func Run(o Options) int {\n\tif o.Timeout == 0 {\n\t\to.Timeout = 150\n\t}\n\tif \"\" == o.Name {\n\t\to.Name = \"x\"\n\t}\n" +
+					"\tif o.Next == nil {\n\t\to.Next = &Options{}\n\t}\n\treturn o.Timeout + len(o.Name) + o.Next.Timeout\n}\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { a.Run(a.Options{}) }\n",
+			},
+			want: []string{
+				"internal/a.Options.Name is an option field no non-test code outside bench/ sets",
+				"internal/a.Options.Next is an option field no non-test code outside bench/ sets",
+				"internal/a.Options.Timeout is an option field no non-test code outside bench/ sets",
+			},
+		},
+		{
+			name: "a default-filled option field a caller also sets",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype Config struct{ Timeout int }\n\n" +
+					"func Run(c Config) int {\n\tif c.Timeout == 0 {\n\t\tc.Timeout = 150\n\t}\n\treturn c.Timeout\n}\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { a.Run(a.Config{Timeout: 40}) }\n",
 			},
 		},
 		{

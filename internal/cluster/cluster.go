@@ -2,9 +2,10 @@
 // server cluster (§1, §5): several nodes, each its own machine with local
 // performance counters, coordinated by one scheduler that enforces a
 // *global* power budget. The coordinator communicates with nodes over a
-// modelled network: counter data arrives one RTT stale and frequency
-// actuations take one RTT to land — the inter-node communication overhead
-// §5 says the long scheduling period T amortises.
+// modelled network with one 2 ms RTT on every node: counter data arrives
+// one RTT stale and frequency actuations take one RTT to land — the
+// inter-node communication overhead §5 says the long scheduling period T
+// amortises.
 package cluster
 
 import (
@@ -22,12 +23,14 @@ import (
 	"repro/internal/workload"
 )
 
+// rtt is the one-way coordinator↔node message latency in seconds, the
+// same on every node.
+const rtt = 0.002
+
 // Node is one cluster member.
 type Node struct {
 	Name string
 	M    *machine.Machine
-	// RTT is the one-way coordinator↔node message latency in seconds.
-	RTT float64
 
 	sampler *counters.Sampler
 }
@@ -39,9 +42,6 @@ func (n *Node) Validate() error {
 	}
 	if n.M == nil {
 		return fmt.Errorf("cluster: node %s has no machine", n.Name)
-	}
-	if n.RTT < 0 {
-		return fmt.Errorf("cluster: node %s has negative RTT", n.Name)
 	}
 	return nil
 }
@@ -135,7 +135,7 @@ func New(cfg fvsst.Config, budget units.Power, nodes ...*Node) (*Coordinator, er
 		}
 		// History capacity: the aggregation window plus the most windows an
 		// RTT can hold in flight (each collected window spans one quantum).
-		sampler, err := counters.NewSampler(n.M, 4*cfg.SchedulePeriods+int(math.Ceil(n.RTT/quantum)))
+		sampler, err := counters.NewSampler(n.M, 4*cfg.SchedulePeriods+int(math.Ceil(rtt/quantum)))
 		if err != nil {
 			return nil, err
 		}
@@ -261,11 +261,11 @@ func (c *Coordinator) Step() error {
 }
 
 // staleWindows returns how many of the newest history windows are still
-// in flight to the coordinator: staleness is the node's RTT in simulated
+// in flight to the coordinator: staleness is the RTT in simulated
 // seconds, so windows are skipped until their combined span covers it.
 // (With every window exactly one quantum long this equals the old
 // ⌈RTT/quantum⌉ rule.)
-func staleWindows(hist *counters.History, rtt float64) int {
+func staleWindows(hist *counters.History) int {
 	skip := 0
 	var span float64
 	for skip < hist.Len() && span < rtt {
@@ -281,7 +281,7 @@ func staleWindows(hist *counters.History, rtt float64) int {
 func (c *Coordinator) observation(p ProcRef) (perfmodel.Observation, bool) {
 	n := c.nodes[p.Node]
 	hist := n.sampler.History(p.CPU)
-	skip := staleWindows(hist, n.RTT)
+	skip := staleWindows(hist)
 	if hist.Len() <= skip {
 		return perfmodel.Observation{}, false
 	}
@@ -346,7 +346,7 @@ func (c *Coordinator) schedule(trigger string) error {
 	for i, p := range procs {
 		n := c.nodes[p.Node]
 		c.pending = append(c.pending, pendingActuation{
-			due:  c.clock.Now() + n.RTT,
+			due:  c.clock.Now() + rtt,
 			proc: p,
 			f:    res.Assignments[i].Actual,
 			m:    n.M,
@@ -408,7 +408,6 @@ type TierSpec struct {
 	Name string
 	// Programs are assigned round-robin to the node's CPUs.
 	Programs []workload.Program
-	RTT      float64
 }
 
 // NewTieredNode builds a node from a machine config and tier spec.
@@ -434,7 +433,7 @@ func NewTieredNode(mcfg machine.Config, tier TierSpec) (*Node, error) {
 			return nil, err
 		}
 	}
-	return &Node{Name: tier.Name, M: m, RTT: tier.RTT}, nil
+	return &Node{Name: tier.Name, M: m}, nil
 }
 
 // Tiered builds the paper's motivating cluster shape (§4.2: "some machines
@@ -443,13 +442,13 @@ func NewTieredNode(mcfg machine.Config, tier TierSpec) (*Node, error) {
 // CPU-bound work, and a db node with memory-bound work. scale trades run
 // length for harness time.
 func Tiered(mcfg machine.Config, scale workload.AppScale) ([]*Node, error) {
-	web := TierSpec{Name: "web", RTT: 0.002, Programs: []workload.Program{
+	web := TierSpec{Name: "web", Programs: []workload.Program{
 		workload.Gzip(scale), // static-content compression
 	}}
-	app := TierSpec{Name: "app", RTT: 0.002, Programs: []workload.Program{
+	app := TierSpec{Name: "app", Programs: []workload.Program{
 		workload.Gap(scale), workload.Gzip(scale), workload.Gap(scale), workload.Gap(scale),
 	}}
-	db := TierSpec{Name: "db", RTT: 0.002, Programs: []workload.Program{
+	db := TierSpec{Name: "db", Programs: []workload.Program{
 		workload.Mcf(scale), workload.Health(scale), workload.Mcf(scale), workload.Health(scale),
 	}}
 	var nodes []*Node

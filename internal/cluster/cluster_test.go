@@ -58,7 +58,7 @@ func newTwoNodeCluster(t *testing.T, budget units.Power) *Coordinator {
 		if err := m.SetMix(0, mix); err != nil {
 			t.Fatal(err)
 		}
-		return &Node{Name: name, M: m, RTT: 0.005}
+		return &Node{Name: name, M: m}
 	}
 	c, err := New(clusterConfig(), budget,
 		mkNode("app", cpuProg(1e12), 1),
@@ -123,9 +123,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(cfg, units.Watts(100), &Node{Name: "x", M: nil}); err == nil {
 		t.Error("machine-less node accepted")
-	}
-	if _, err := New(cfg, units.Watts(100), &Node{Name: "x", M: m, RTT: -1}); err == nil {
-		t.Error("negative RTT accepted")
 	}
 	// A cluster has one quantum: a node whose machine runs another is an
 	// input error.
@@ -192,7 +189,6 @@ func TestWorkloadDiversityExploited(t *testing.T) {
 func TestActuationDelayedByRTT(t *testing.T) {
 	c := newTwoNodeCluster(t, units.Watts(600))
 	// After the very first schedule pass, actuations are pending for RTT.
-	// Run one scheduling period plus a hair.
 	quanta := clusterConfig().SchedulePeriods
 	for i := 0; i < quanta; i++ {
 		if err := c.Step(); err != nil {
@@ -202,13 +198,19 @@ func TestActuationDelayedByRTT(t *testing.T) {
 	if len(c.pending) == 0 {
 		t.Fatal("no pending actuations right after a schedule pass")
 	}
+	for _, p := range c.pending {
+		if p.due != c.Now()+rtt {
+			t.Fatalf("actuation due at %v, want pass time %v + RTT %v", p.due, c.Now(), rtt)
+		}
+	}
 	// Within the RTT the idle CPUs are still at nominal.
 	n := c.Nodes()[0]
 	if f := n.M.EffectiveFrequency(1); f != units.GHz(1) {
 		t.Errorf("actuation landed before RTT: cpu1 at %v", f)
 	}
-	// After the RTT it lands (idle CPU → table minimum).
-	for i := 0; i < 2; i++ { // 2 quanta = 20 ms > 5 ms RTT
+	// After the RTT it lands (idle CPU → table minimum): the first Step
+	// runs the quantum that outlasts the RTT, the second delivers.
+	for i := 0; i < 2; i++ {
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +255,7 @@ func TestCompletionsAcrossNodes(t *testing.T) {
 		m, _ := machine.New(mcfg)
 		mix, _ := workload.NewMix(cpuProg(5e8))
 		m.SetMix(0, mix)
-		return &Node{Name: name, M: m, RTT: 0.001}
+		return &Node{Name: name, M: m}
 	}
 	c, err := New(clusterConfig(), units.Watts(1120), mkNode("a", 1), mkNode("b", 2))
 	if err != nil {

@@ -27,7 +27,7 @@ func TestHeterogeneousNodeSizes(t *testing.T) {
 		if err := m.SetMix(0, mix); err != nil {
 			t.Fatal(err)
 		}
-		return &Node{Name: name, M: m, RTT: 0.002}
+		return &Node{Name: name, M: m}
 	}
 	c, err := New(clusterConfig(), units.Watts(400), mk("small", 2, 1), mk("big", 4, 2))
 	if err != nil {
@@ -60,35 +60,6 @@ func TestHeterogeneousNodeSizes(t *testing.T) {
 	}
 }
 
-// TestZeroRTTNode exercises the degenerate local-node case: with RTT 0 the
-// coordinator behaves like a local scheduler (no staleness, immediate
-// actuation).
-func TestZeroRTTNode(t *testing.T) {
-	cfg := quietMachineConfig()
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix, err := workload.NewMix(memProg(1e12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetMix(0, mix); err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(clusterConfig(), units.Watts(560), &Node{Name: "local", M: m, RTT: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runUntil(c, 0.8); err != nil {
-		t.Fatal(err)
-	}
-	f := m.EffectiveFrequency(0)
-	if f > units.MHz(700) || f < units.MHz(600) {
-		t.Errorf("zero-RTT node scheduled at %v, want ≈650MHz", f)
-	}
-}
-
 // TestLargerClusterScales runs eight nodes (32 processors) under one
 // budget and checks the schedule remains globally consistent.
 func TestLargerClusterScales(t *testing.T) {
@@ -111,7 +82,7 @@ func TestLargerClusterScales(t *testing.T) {
 		if err := m.SetMix(0, mix); err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, &Node{Name: string(rune('a' + i)), M: m, RTT: 0.003})
+		nodes = append(nodes, &Node{Name: string(rune('a' + i)), M: m})
 	}
 	// 32 CPUs; busy ones are 8. Budget forces real choices: floor for the
 	// 24 idle (24×9=216W) + meaningful splits for the busy ones.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/machine"
@@ -73,12 +74,7 @@ func TestStaleWindowsMatchesQuantumRule(t *testing.T) {
 	}
 	hist := c.nodes[0].sampler.History(0)
 	q := c.nodes[0].M.Config().Quantum
-	for _, tc := range []struct {
-		rtt  float64
-		want int
-	}{{0, 0}, {0.005, 1}, {0.010, 1}, {0.015, 2}, {0.045, 5}} {
-		if got := staleWindows(hist, tc.rtt); got != tc.want {
-			t.Errorf("staleWindows(rtt=%v) = %d, want %d (q=%v)", tc.rtt, got, tc.want, q)
-		}
+	if got, want := staleWindows(hist), int(math.Ceil(rtt/q)); got != want {
+		t.Errorf("staleWindows = %d, want ⌈%v/%v⌉ = %d", got, rtt, q, want)
 	}
 }

@@ -15,7 +15,7 @@ func TestNewTieredNodeWrapsProgramsRoundRobin(t *testing.T) {
 		progs = append(progs, cpuProg(1e9))
 	}
 	n, err := NewTieredNode(quietMachineConfig(), TierSpec{
-		Name: "dense", Programs: progs, RTT: 0.001,
+		Name: "dense", Programs: progs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestCoordinatorAccessors(t *testing.T) {
 	}
 	mix, _ := workload.NewMix(cpuProg(5e8))
 	m.SetMix(0, mix)
-	c, err := New(clusterConfig(), units.Watts(700), &Node{Name: "n", M: m, RTT: 0.001})
+	c, err := New(clusterConfig(), units.Watts(700), &Node{Name: "n", M: m})
 	if err != nil {
 		t.Fatal(err)
 	}

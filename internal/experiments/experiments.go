@@ -58,12 +58,9 @@ func (o Options) schedConfig() fvsst.Config {
 	return fvsst.DefaultConfig()
 }
 
-// singleRun executes one program alone on a single-CPU machine under fvsst
-// with the given per-CPU power budget (the §8.3/§8.4 configuration: "the
-// system configured to use only a single processor"). It returns the
-// completion time in simulated seconds, the processor energy, and the
-// decision log. maxFreqCap, when non-zero, additionally caps the frequency
-// set (the Figure 8 presentation of budgets as frequency caps).
+// runResult is one scheduled or pinned run: the completion time in
+// simulated seconds, the processor energy, the decision log and, for a
+// traced run, its telemetry.
 type runResult struct {
 	Seconds   float64
 	CPUEnergy units.Energy
@@ -71,7 +68,10 @@ type runResult struct {
 	Recorder  *telemetry.Recorder
 }
 
-func (o Options) singleRun(prog workload.Program, budget units.Power, trace bool) (runResult, error) {
+// singleRun executes one program alone on a single-CPU machine under fvsst
+// with the given per-CPU power budget (the §8.3/§8.4 configuration: "the
+// system configured to use only a single processor").
+func (o Options) singleRun(prog workload.Program, budget units.Power) (runResult, error) {
 	mcfg := o.machineConfig(1)
 	m, err := machine.New(mcfg)
 	if err != nil {
@@ -89,10 +89,6 @@ func (o Options) singleRun(prog workload.Program, budget units.Power, trace bool
 		return runResult{}, err
 	}
 	drv := fvsst.NewDriver(m, s)
-	if trace {
-		drv.Recorder = telemetry.NewRecorder()
-		drv.TraceCPU = 0
-	}
 	total, _ := prog.TotalInstructions()
 	// Generous deadline: even at the 250 MHz floor with CPI 12 the run
 	// ends within this bound.
@@ -110,7 +106,6 @@ func (o Options) singleRun(prog workload.Program, budget units.Power, trace bool
 		Seconds:   end,
 		CPUEnergy: m.CPUEnergy(),
 		Decisions: s.Decisions(),
-		Recorder:  drv.Recorder,
 	}, nil
 }
 

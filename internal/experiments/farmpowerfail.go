@@ -104,7 +104,7 @@ func (o Options) farmNodes(spec farmClusterSpec) ([]*cluster.Node, error) {
 				return nil, err
 			}
 		}
-		nodes = append(nodes, &cluster.Node{Name: mcfg.Name, M: m, RTT: 0.002})
+		nodes = append(nodes, &cluster.Node{Name: mcfg.Name, M: m})
 	}
 	return nodes, nil
 }

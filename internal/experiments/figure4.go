@@ -35,7 +35,7 @@ func Figure4(o Options) (*Figure4Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		managed, err := o.singleRun(prog, budgetFor(140), false)
+		managed, err := o.singleRun(prog, budgetFor(140))
 		if err != nil {
 			return nil, err
 		}

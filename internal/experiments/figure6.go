@@ -47,7 +47,7 @@ func Figure6(o Options) (*Figure6Report, error) {
 		}
 		var base float64
 		for _, lim := range limits {
-			res, err := o.singleRun(prog, budgetFor(lim), false)
+			res, err := o.singleRun(prog, budgetFor(lim))
 			if err != nil {
 				return nil, err
 			}

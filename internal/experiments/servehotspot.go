@@ -137,7 +137,7 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 				feeder.Add(1, clients-1, stm)
 			}
 			nodesBy[ci] = append(nodesBy[ci], hotspotNode{st: st, feeder: feeder})
-			cnodes = append(cnodes, &cluster.Node{Name: mcfg.Name, M: m, RTT: 0.002})
+			cnodes = append(cnodes, &cluster.Node{Name: mcfg.Name, M: m})
 		}
 		c, err := cluster.New(cfg, units.Watts(hotspotBudgetW/float64(len(specs))), cnodes...)
 		if err != nil {

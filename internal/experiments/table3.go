@@ -62,7 +62,7 @@ func Table3(o Options) (*Table3Report, error) {
 		var base float64
 		cells := make([]Table3Cell, 0, len(rep.Budgets))
 		for _, lim := range rep.Budgets {
-			res, err := o.singleRun(prog, budgetFor(lim), false)
+			res, err := o.singleRun(prog, budgetFor(lim))
 			if err != nil {
 				return nil, err
 			}

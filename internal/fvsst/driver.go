@@ -31,11 +31,9 @@ type Driver struct {
 	// enforces the §2 cascade-failure rule; Step returns ErrCascade if the
 	// system overloads the surviving supplies for longer than ΔT.
 	Plant *power.Plant
-	// Recorder, when non-nil, receives per-quantum traces. TraceCPU
-	// selects the processor traced in the per-CPU series: a CPU index in
-	// [0, NumCPUs), or the sentinel -1 (the NewDriver default) to disable
-	// the per-CPU series while keeping the machine-wide ones. Any other
-	// value is rejected by Step.
+	// Recorder, when non-nil, receives per-quantum traces of the machine
+	// and of processor TraceCPU, which must lie in [0, NumCPUs). Both are
+	// read when the first Step runs.
 	Recorder *telemetry.Recorder
 	TraceCPU int
 	// Sink, when non-nil, receives one obs.EventQuantum per Step with the
@@ -50,20 +48,29 @@ type Driver struct {
 	series struct {
 		systemPower, cpuPower, budget    *telemetry.Series
 		ipc, freq, desiredMHz, actualMHz *telemetry.Series
-		from                             *telemetry.Recorder
 	}
 }
 
 // NewDriver wires a machine and scheduler together.
 func NewDriver(m *machine.Machine, s *Scheduler) *Driver {
-	return &Driver{M: m, S: s, TraceCPU: -1}
+	return &Driver{M: m, S: s}
 }
 
 // Step advances the coupled system by one dispatch quantum.
 func (d *Driver) Step() error {
 	if !d.started {
-		if d.TraceCPU < -1 || d.TraceCPU >= d.M.NumCPUs() {
-			return fmt.Errorf("fvsst: TraceCPU %d outside [0,%d) and not the -1 sentinel", d.TraceCPU, d.M.NumCPUs())
+		if d.Recorder != nil {
+			if d.TraceCPU < 0 || d.TraceCPU >= d.M.NumCPUs() {
+				return fmt.Errorf("fvsst: TraceCPU %d outside [0,%d)", d.TraceCPU, d.M.NumCPUs())
+			}
+			// Series() creates on lookup, in this order: the CSV columns.
+			d.series.systemPower = d.Recorder.Series("system-power-w")
+			d.series.cpuPower = d.Recorder.Series("cpu-power-w")
+			d.series.budget = d.Recorder.Series("budget-w")
+			d.series.ipc = d.Recorder.Series("ipc")
+			d.series.freq = d.Recorder.Series("freq-mhz")
+			d.series.desiredMHz = d.Recorder.Series("desired-mhz")
+			d.series.actualMHz = d.Recorder.Series("actual-mhz")
 		}
 		d.prevIdle = make([]bool, d.M.NumCPUs())
 		for i := range d.prevIdle {
@@ -177,53 +184,27 @@ func (d *Driver) chargeSchedule() error {
 	return d.M.StealTime(0, oh.SchedulePass)
 }
 
-// record emits per-quantum telemetry for the traced CPU and the machine.
-// Series handles are resolved once per Recorder and cached; the per-quantum
-// path is append-only.
+// record emits per-quantum telemetry for the traced CPU and the machine
+// into the series handles the first Step resolved, if it had a Recorder.
 func (d *Driver) record() {
-	if d.Recorder == nil {
+	if d.series.systemPower == nil {
 		return
-	}
-	if d.series.from != d.Recorder {
-		// New or replaced recorder: drop stale handles. Series are
-		// resolved on first use below, not eagerly, because Series()
-		// creates on lookup and an untraced driver must not create the
-		// per-CPU series (their presence shows in Names()/WriteCSV).
-		d.series.from = d.Recorder
-		d.series.systemPower = d.Recorder.Series("system-power-w")
-		d.series.cpuPower = d.Recorder.Series("cpu-power-w")
-		d.series.budget = d.Recorder.Series("budget-w")
-		d.series.ipc = nil
-		d.series.freq = nil
-		d.series.desiredMHz = nil
-		d.series.actualMHz = nil
 	}
 	now := d.M.Now()
 	d.series.systemPower.MustAppend(now, d.M.SystemPower().W())
 	d.series.cpuPower.MustAppend(now, d.M.TotalCPUPower().W())
 	d.series.budget.MustAppend(now, d.S.Budget().W())
-	if d.TraceCPU >= 0 && d.TraceCPU < d.M.NumCPUs() {
-		if d.series.ipc == nil {
-			d.series.ipc = d.Recorder.Series("ipc")
-			d.series.freq = d.Recorder.Series("freq-mhz")
-		}
-		q := d.M.LastQuantum(d.TraceCPU)
-		ipc := 0.0
-		if q.Cycles > 0 {
-			ipc = float64(q.Instructions) / float64(q.Cycles)
-		}
-		d.series.ipc.MustAppend(now, ipc)
-		d.series.freq.MustAppend(now, d.M.EffectiveFrequency(d.TraceCPU).MHz())
-		if dec, ok := d.S.LastDecision(); ok {
-			if d.series.desiredMHz == nil {
-				d.series.desiredMHz = d.Recorder.Series("desired-mhz")
-				d.series.actualMHz = d.Recorder.Series("actual-mhz")
-			}
-			a := dec.Assignments[d.TraceCPU]
-			d.series.desiredMHz.MustAppend(now, a.Desired.MHz())
-			d.series.actualMHz.MustAppend(now, a.Actual.MHz())
-		}
+	q := d.M.LastQuantum(d.TraceCPU)
+	ipc := 0.0
+	if q.Cycles > 0 {
+		ipc = float64(q.Instructions) / float64(q.Cycles)
 	}
+	d.series.ipc.MustAppend(now, ipc)
+	d.series.freq.MustAppend(now, d.M.EffectiveFrequency(d.TraceCPU).MHz())
+	dec, _ := d.S.LastDecision()
+	a := dec.Assignments[d.TraceCPU]
+	d.series.desiredMHz.MustAppend(now, a.Desired.MHz())
+	d.series.actualMHz.MustAppend(now, a.Actual.MHz())
 }
 
 // Run advances the coupled system until simulation time t.

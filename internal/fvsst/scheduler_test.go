@@ -2,6 +2,7 @@ package fvsst
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -324,7 +325,12 @@ func TestDriverTelemetry(t *testing.T) {
 	if err := drv.Run(0.3); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"system-power-w", "ipc", "freq-mhz", "desired-mhz"} {
+	// Creation order is the CSV column order.
+	want := []string{"system-power-w", "cpu-power-w", "budget-w", "ipc", "freq-mhz", "desired-mhz", "actual-mhz"}
+	if got := drv.Recorder.Names(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("series %v, want %v", got, want)
+	}
+	for _, name := range want {
 		if drv.Recorder.Series(name).Len() == 0 {
 			t.Errorf("series %q empty", name)
 		}
@@ -333,6 +339,30 @@ func TestDriverTelemetry(t *testing.T) {
 	pw := drv.Recorder.Series("system-power-w").Values()
 	if pw[len(pw)-1] >= 746 {
 		t.Errorf("final system power %v, want < 746 (CPU 0 saturated)", pw[len(pw)-1])
+	}
+}
+
+// TestDriverTraceCPURange: a Recorder needs a traced CPU in [0, NumCPUs);
+// without one TraceCPU is not read.
+func TestDriverTraceCPURange(t *testing.T) {
+	for _, tc := range []struct {
+		rec  bool
+		cpu  int
+		fail bool
+	}{{true, -1, true}, {true, 4, true}, {true, 3, false}, {false, -1, false}} {
+		m := quietMachine(t)
+		s, err := New(noOverheadConfig(), m, units.Watts(560))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drv := NewDriver(m, s)
+		if tc.rec {
+			drv.Recorder = telemetry.NewRecorder()
+		}
+		drv.TraceCPU = tc.cpu
+		if err := drv.Step(); (err != nil) != tc.fail {
+			t.Errorf("recorder=%v TraceCPU=%d: err = %v, want failure %v", tc.rec, tc.cpu, err, tc.fail)
+		}
 	}
 }
 

@@ -121,7 +121,14 @@ func (s *Summary) Render() string {
 		for m, f := range c.Residency {
 			bins = append(bins, bin{m, f})
 		}
-		sort.Slice(bins, func(i, j int) bool { return bins[i].frac > bins[j].frac })
+		// Largest share first; a tie goes to the lower frequency, so the
+		// ranking does not depend on the map's iteration order.
+		sort.Slice(bins, func(i, j int) bool {
+			if bins[i].frac != bins[j].frac {
+				return bins[i].frac > bins[j].frac
+			}
+			return bins[i].mhz < bins[j].mhz
+		})
 		top := ""
 		for i, b := range bins {
 			if i == 3 || b.frac < 0.01 {

@@ -61,6 +61,29 @@ func TestSummarizeCountsAndResidency(t *testing.T) {
 	}
 }
 
+// TestSummaryRenderTiesInFrequencyOrder: residencies with equal shares
+// rank lower frequency first, so the table is the same bytes every time
+// whatever order the residency map iterates in.
+func TestSummaryRenderTiesInFrequencyOrder(t *testing.T) {
+	var decisions []Decision
+	for _, mhz := range []float64{550, 350, 450, 250} {
+		decisions = append(decisions, Decision{Assignments: []Assignment{{CPU: 0, Actual: units.MHz(mhz), Desired: units.MHz(mhz)}}})
+	}
+	s, err := Summarize(decisions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.Render()
+	if !strings.Contains(want, "250MHz 25%, 350MHz 25%, 450MHz 25%") {
+		t.Fatalf("tied residencies not in frequency order:\n%s", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := s.Render(); got != want {
+			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+}
+
 func TestSummarizeRejectsRaggedLog(t *testing.T) {
 	decisions := []Decision{
 		{Assignments: []Assignment{{CPU: 0}}},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/power"
 	"repro/internal/units"
 )
 
@@ -195,30 +194,6 @@ func (StepTwoReplay) Check(p *Pass) []Violation {
 	return out
 }
 
-// StepTwoBruteForce checks Step 2 against exhaustive enumeration on small
-// grids. Two exact facts and one bound:
-//
-//   - feasibility: the pass reports met=true exactly when some assignment
-//     at or below the desired indices fits the budget (equivalently, the
-//     all-floor assignment fits);
-//   - enumeration sanity: no feasible assignment the greedy could have
-//     reached beats the optimum found by enumeration;
-//   - near-optimality: the greedy's total predicted loss is within Gap of
-//     the enumerated optimum. The greedy is not globally optimal — demoting
-//     by absolute next-step loss can strand a CPU on a cheap plateau while
-//     a one-shot deeper demotion elsewhere was cheaper overall — so Gap is
-//     an empirical bound, not zero (see docs/invariants.md).
-type StepTwoBruteForce struct {
-	// MaxStates bounds Π(desired_i+1); larger passes are skipped.
-	// 0 means DefaultMaxStates.
-	MaxStates int
-	// Gap bounds greedyLoss − optimalLoss. 0 means DefaultGap.
-	Gap float64
-}
-
-// DefaultMaxStates keeps exhaustive Step-2 checking under ~10⁵ states.
-const DefaultMaxStates = 50000
-
 // DefaultGap is the allowed greedy-vs-optimal total-loss gap, calibrated
 // empirically against the exact DP comparator (`experiments optgap`):
 // 600 random scenarios (8,833 measured passes) produced 427 non-optimal
@@ -228,109 +203,6 @@ const DefaultMaxStates = 50000
 // underestimate: it skipped exactly the large passes where the greedy
 // strays furthest (see docs/invariants.md and docs/optimality.md).
 const DefaultGap = 0.2
-
-func (c StepTwoBruteForce) Check(p *Pass) []Violation {
-	maxStates := c.MaxStates
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
-	gap := c.Gap
-	if gap <= 0 {
-		gap = DefaultGap
-	}
-	n := len(p.Procs)
-	states := 1
-	for _, pr := range p.Procs {
-		states *= pr.DesiredIdx + 1
-		if states > maxStates {
-			return nil // too large to enumerate; replay checker still covers it
-		}
-	}
-	var out []Violation
-	g := p.Grid()
-	lossAt := func(i, fi int) float64 {
-		if !g.Valid(i) {
-			return 0
-		}
-		return g.Loss(i, fi)
-	}
-	// Exact feasibility: demotions stop only at the floor, so met must
-	// equal "the all-floor assignment fits the budget".
-	var floorPower units.Power
-	for i := 0; i < n; i++ {
-		floorPower += p.Table.PowerAtIndex(0)
-	}
-	feasible := floorPower <= p.Budget
-	if p.Met != feasible {
-		out = append(out, Violation{"step2-brute-force", p.At,
-			fmt.Sprintf("met=%v but floor power %v vs budget %v implies feasible=%v",
-				p.Met, floorPower, p.Budget, feasible)})
-	}
-	if !p.Met || n == 0 {
-		return out
-	}
-	upper := make([]int, n)
-	for i, pr := range p.Procs {
-		upper[i] = pr.DesiredIdx
-	}
-	bestLoss, found := BruteForceOptimal(lossAt, upper, p.Table, p.Budget)
-	greedyLoss := 0.0
-	for i, pr := range p.Procs {
-		greedyLoss += lossAt(i, pr.ActualIdx)
-	}
-	if !found {
-		out = append(out, Violation{"step2-brute-force", p.At,
-			"met=true but enumeration found no feasible assignment"})
-		return out
-	}
-	if greedyLoss < bestLoss-tiny {
-		out = append(out, Violation{"step2-brute-force", p.At,
-			fmt.Sprintf("greedy loss %g beats enumerated optimum %g: enumeration broken", greedyLoss, bestLoss)})
-	}
-	if greedyLoss > bestLoss+gap {
-		out = append(out, Violation{"step2-brute-force", p.At,
-			fmt.Sprintf("greedy loss %g exceeds optimum %g by more than gap %g", greedyLoss, bestLoss, gap)})
-	}
-	return out
-}
-
-// BruteForceOptimal enumerates every assignment with idx_i ≤ upper_i by
-// odometer and returns the minimum total predicted loss of any assignment
-// whose table power fits the budget, or found=false when none does. Both
-// sums accumulate in CPU order, which makes the result bit-comparable to
-// internal/optimal's DP and branch-and-bound solvers — the differential
-// tests there pin all three to the identical float64. Callers bound the
-// state count themselves (Π(upper_i+1) grows fast); this function always
-// enumerates exhaustively.
-func BruteForceOptimal(loss func(cpu, fi int) float64, upper []int, table *power.Table, budget units.Power) (best float64, found bool) {
-	n := len(upper)
-	idx := make([]int, n)
-	best = math.Inf(1)
-	for {
-		var pow units.Power
-		total := 0.0
-		for i := 0; i < n; i++ {
-			pow += table.PowerAtIndex(idx[i])
-			total += loss(i, idx[i])
-		}
-		if pow <= budget && total < best {
-			best, found = total, true
-		}
-		k := 0
-		for k < n {
-			if idx[k] < upper[k] {
-				idx[k]++
-				break
-			}
-			idx[k] = 0
-			k++
-		}
-		if k == n {
-			break
-		}
-	}
-	return best, found
-}
 
 // VoltageMatch checks Step 3 (§4): every CPU runs at the table's minimum
 // voltage for its assigned frequency.

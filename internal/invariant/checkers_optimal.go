@@ -45,8 +45,8 @@ func (p *Pass) Problem() optimal.Problem {
 // solve (optimal.ErrTooLarge) is a violation: its near-optimality is
 // unproven, and it is never skipped.
 //
-// StepTwoBruteForce remains as the independent differential witness for
-// the comparator itself; the default suite runs this checker.
+// The DP itself is pinned bit-for-bit against an exhaustive enumeration
+// in internal/optimal's tests; the default suite runs this checker.
 type StepTwoOptimal struct{}
 
 func (c StepTwoOptimal) Check(p *Pass) []Violation { return c.check(p, p.Problem()) }

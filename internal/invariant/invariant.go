@@ -66,9 +66,8 @@ func NewSuite(checkers ...Checker) *Suite {
 
 // DefaultSuite returns every pass-level checker at its default settings —
 // the set a soak harness runs per scheduling pass. Step-2 near-optimality
-// runs against the exact DP comparator (StepTwoOptimal), which covers
-// every grid; the brute-force enumerator stays available as the
-// comparator's own differential witness.
+// runs against the hull certificate and, where it cannot close, the exact
+// DP comparator (StepTwoOptimal), which covers every grid.
 func DefaultSuite() *Suite {
 	return NewSuite(
 		GridSanity{},

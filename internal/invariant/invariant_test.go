@@ -203,48 +203,6 @@ func TestStepTwoReplayViolations(t *testing.T) {
 	}
 }
 
-func TestStepTwoBruteForce(t *testing.T) {
-	cfg := testConfig()
-	p := cleanPass(t, cfg)
-	if vs := (invariant.StepTwoBruteForce{}).Check(p); len(vs) != 0 {
-		t.Fatalf("clean pass flagged: %v", vs)
-	}
-
-	// met=false while the floor assignment fits: exact feasibility broken.
-	infeasible := *p
-	infeasible.Met = false
-	vs := invariant.StepTwoBruteForce{}.Check(&infeasible)
-	if len(vs) == 0 || !strings.Contains(vs[0].Detail, "feasible") {
-		t.Fatalf("feasibility mismatch not flagged: %v", vs)
-	}
-
-	// Every CPU floored under a generous budget: the enumerated optimum
-	// keeps them at their desired points with ~zero loss, so the greedy
-	// gap bound must fire.
-	nf := cfg.Table.Len()
-	fmax := cfg.Table.FrequencyAtIndex(nf - 1)
-	procs := []invariant.Proc{
-		{CPU: 0, Obs: obs(fmax, 500), DesiredIdx: nf - 1, ActualIdx: 0, Voltage: cfg.Table.VoltageAtIndex(0)},
-		{CPU: 1, Obs: obs(fmax, 500), DesiredIdx: nf - 1, ActualIdx: 0, Voltage: cfg.Table.VoltageAtIndex(0)},
-	}
-	floored := mustPass(t, cfg, units.Watts(1e6), procs, nil, cfg.Table.PowerAtIndex(0)*2, true)
-	vs = invariant.StepTwoBruteForce{}.Check(floored)
-	found := false
-	for _, v := range vs {
-		if strings.Contains(v.Detail, "exceeds optimum") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("needless flooring within gap: %v", vs)
-	}
-
-	// A state space above MaxStates is skipped, not enumerated.
-	if vs := (invariant.StepTwoBruteForce{MaxStates: 1}).Check(floored); vs != nil {
-		t.Fatalf("oversized pass not skipped: %v", vs)
-	}
-}
-
 func TestVoltageMatch(t *testing.T) {
 	p := cleanPass(t, testConfig())
 	if vs := (invariant.VoltageMatch{}).Check(p); len(vs) != 0 {
@@ -461,7 +419,6 @@ func TestCheckerNames(t *testing.T) {
 		}},
 		{"step1-epsilon", invariant.EpsilonSaturation{}, func(p *invariant.Pass) { p.Procs[2].DesiredIdx = 1 }},
 		{"step2-least-loss", invariant.StepTwoReplay{}, func(p *invariant.Pass) { p.Met = false }},
-		{"step2-brute-force", invariant.StepTwoBruteForce{}, func(p *invariant.Pass) { p.Met = false }},
 		{"step2-optimal", invariant.StepTwoOptimal{}, func(p *invariant.Pass) { p.Met = false }},
 		{"step3-voltage", invariant.VoltageMatch{}, func(p *invariant.Pass) { p.Procs[0].Voltage += units.Volts(0.1) }},
 		{"budget-conservation", invariant.BudgetConservation{}, func(p *invariant.Pass) { p.Charged += units.Watts(1) }},

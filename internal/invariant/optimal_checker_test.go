@@ -48,12 +48,6 @@ func TestStepTwoOptimal(t *testing.T) {
 		t.Fatalf("needless flooring within gap: %v", vs)
 	}
 
-	// Unlike the brute-force checker, the exact comparator has no
-	// small-grid restriction: the same floored pass at MaxStates=1 scale
-	// is still checked (the DP frontier over the paper table stays tiny).
-	if vs := (invariant.StepTwoBruteForce{MaxStates: 1}).Check(floored); vs != nil {
-		t.Fatalf("brute force should skip at MaxStates=1: %v", vs)
-	}
 	if vs := (invariant.StepTwoOptimal{}).Check(floored); len(vs) == 0 {
 		t.Fatal("exact comparator skipped a pass it must cover")
 	}

@@ -13,9 +13,8 @@ var RPCLatencyBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.0
 
 // Metrics instruments the coordinator's transport: per-node RPC latency,
 // retry/timeout/failure counts, reconnections, the degraded-node gauge
-// and the charged-power decomposition. It aggregates into an
-// obs.Registry, so it can share an exposition endpoint with the
-// scheduling metrics of obs.Metrics.
+// and the charged-power decomposition. It aggregates into its own
+// obs.Registry.
 type Metrics struct {
 	Registry *obs.Registry
 
@@ -35,10 +34,8 @@ type Metrics struct {
 }
 
 // NewMetrics builds the instrument set over a fresh registry.
-func NewMetrics() *Metrics { return NewMetricsInto(obs.NewRegistry()) }
-
-// NewMetricsInto builds the instrument set aggregating into r.
-func NewMetricsInto(r *obs.Registry) *Metrics {
+func NewMetrics() *Metrics {
+	r := obs.NewRegistry()
 	return &Metrics{
 		Registry: r,
 		rpcLatency: r.Histogram("netcluster_rpc_latency_seconds",

@@ -37,11 +37,8 @@ var PredictionErrorBuckets = []float64{0.005, 0.01, 0.02, 0.05, 0.10, 0.20, 0.50
 var LossBuckets = []float64{0.01, 0.02, 0.05, 0.10, 0.20, 0.50}
 
 // NewMetrics builds a Metrics sink over its own fresh registry.
-func NewMetrics() *Metrics { return NewMetricsInto(NewRegistry()) }
-
-// NewMetricsInto builds a Metrics sink aggregating into r, so several
-// producers (scheduler, driver, coordinator) can share one exposition.
-func NewMetricsInto(r *Registry) *Metrics {
+func NewMetrics() *Metrics {
+	r := NewRegistry()
 	return &Metrics{
 		Registry: r,
 		decisions: r.Counter("fvsst_decisions_total",

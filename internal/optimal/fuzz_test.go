@@ -28,7 +28,7 @@ import (
 //     within its margin, and Relax returns the solve's Bound and Margin
 //     bits;
 //  6. brute force — where the instance has at most 2^14 assignments, the
-//     optimal loss is invariant.BruteForceOptimal's to the bit.
+//     optimal loss is bruteForce's to the bit.
 func FuzzOptimalAssign(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), 0.5)
 	f.Add(int64(42), uint8(1), uint8(8), 0.0)

@@ -237,7 +237,7 @@ func TestDPStatesReported(t *testing.T) {
 
 // TestDifferentialBruteForce is the satellite differential test: across
 // 300 seeded random instances with ≤4 CPUs × ≤8 frequencies, Solve and
-// invariant.BruteForceOptimal's exhaustive enumeration must agree on the
+// bruteForce's exhaustive enumeration (diff_test.go) must agree on the
 // optimal loss to the last bit, and on feasibility. The shared CPU-order
 // accumulation makes bit equality the contract, not an accident — see
 // docs/optimality.md. The relaxation bound must sit below the optimum, to
@@ -271,10 +271,4 @@ func TestDifferentialBruteForce(t *testing.T) {
 	if feasible < 100 || infeasible < 10 {
 		t.Fatalf("corpus imbalance: %d feasible, %d infeasible — regenerate the instance mix", feasible, infeasible)
 	}
-}
-
-// bruteForce adapts a Problem to invariant.BruteForceOptimal via a local
-// wrapper kept in diff_test.go (which imports internal/invariant).
-func bruteForce(p optimal.Problem, losses [][]float64) (float64, bool) {
-	return invariantBruteForce(p, losses)
 }

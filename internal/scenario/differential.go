@@ -43,13 +43,13 @@ type DiffResult struct {
 // and models no message faults at all, while the networked arm lives both
 // through wall-clock RPC deadlines, and the two need not agree. The UPS and the serving overlay are stripped on both sides — the
 // transport models neither battery drain nor request streams.
-func RunDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
+func RunDifferential(spec Spec) (*DiffResult, error) {
 	spec = spec.WithoutUPS().WithoutServing()
 	inproc, err := RunCluster(spec, Options{})
 	if err != nil {
 		return nil, fmt.Errorf("scenario: in-process run: %w", err)
 	}
-	netRun, err := RunNet(spec, opt)
+	netRun, err := RunNet(spec)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: networked run: %w", err)
 	}
@@ -64,13 +64,13 @@ func RunDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 // keyed only on send order, which the codec does not change: both arms
 // see the same drops, duplicates and partitions, so every round must
 // match byte for byte, faulted or not.
-func runCodecDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
+func runCodecDifferential(spec Spec) (*DiffResult, error) {
 	spec = spec.WithoutUPS().WithoutServing()
-	jsonRun, err := runNet(spec, opt, 0, "json")
+	jsonRun, err := runNet(spec, 0, "json")
 	if err != nil {
 		return nil, fmt.Errorf("scenario: json run: %w", err)
 	}
-	binRun, err := RunNet(spec, opt)
+	binRun, err := RunNet(spec)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: binary run: %w", err)
 	}
@@ -86,13 +86,13 @@ func runCodecDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
 // stripped (rather than windowed) because the two topologies draw from
 // differently-shaped fault streams, so in-window behaviour is not
 // comparable.
-func runTierDifferential(spec Spec, opt NetOptions) (*DiffResult, error) {
+func runTierDifferential(spec Spec) (*DiffResult, error) {
 	spec = spec.FaultFree().WithoutUPS().WithoutServing()
-	flat, err := RunNet(spec, opt)
+	flat, err := RunNet(spec)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: flat run: %w", err)
 	}
-	tree, err := RunRelayNet(spec, opt)
+	tree, err := RunRelayNet(spec)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: relay run: %w", err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestDifferentialFaultFree(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		spec := Generate(seed).FaultFree()
-		d, err := RunDifferential(spec, NetOptions{})
+		d, err := RunDifferential(spec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -47,7 +47,7 @@ func TestDifferentialFaulty(t *testing.T) {
 			continue
 		}
 		tested++
-		d, err := RunDifferential(spec, NetOptions{})
+		d, err := RunDifferential(spec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -10,12 +10,9 @@ import (
 	"repro/internal/units"
 )
 
-// NetOptions tunes the loopback netcluster driver.
-type NetOptions struct {
-	// RPCTimeout bounds each RPC attempt; a partitioned node costs about
-	// one timeout per round. Default 150 ms.
-	RPCTimeout time.Duration
-}
+// netRPCTimeout bounds each RPC attempt of the loopback netcluster
+// driver; a partitioned node costs about one timeout per round.
+const netRPCTimeout = 150 * time.Millisecond
 
 // RunNet runs the scenario through the real networked stack: one TCP
 // agent per node on loopback, connected through a seeded faultnet that
@@ -28,8 +25,8 @@ type NetOptions struct {
 // The networked driver does not model UPS drain (the coordinator samples
 // a budget source; nothing in the transport integrates battery energy),
 // so specs with a UPS must be stripped with WithoutUPS first.
-func RunNet(spec Spec, opt NetOptions) (*RunResult, error) {
-	return runNet(spec, opt, 0, "")
+func RunNet(spec Spec) (*RunResult, error) {
+	return runNet(spec, 0, "")
 }
 
 // RunRelayNet runs the scenario through the hierarchical networked
@@ -46,8 +43,8 @@ func RunNet(spec Spec, opt NetOptions) (*RunResult, error) {
 // links are never faulted by this driver, and NewFleet makes the root's
 // per-attempt deadline cover the relay tier's worst-case phase, so every
 // round settles exactly one decision per relay and the logs stay aligned.
-func RunRelayNet(spec Spec, opt NetOptions) (*RunResult, error) {
-	return runNet(spec, opt, min(2, len(spec.Nodes)), "")
+func RunRelayNet(spec Spec) (*RunResult, error) {
+	return runNet(spec, min(2, len(spec.Nodes)), "")
 }
 
 // runNet drives the scenario through a loopback netcluster.Fleet: flat
@@ -55,15 +52,12 @@ func RunRelayNet(spec Spec, opt NetOptions) (*RunResult, error) {
 // one-leaf case of the tree's trace reassembly. codec is every tier's
 // netcluster.Config.Codec: "" (bin1 hot frames) for everything that ships,
 // "json" for runCodecDifferential's oracle arm.
-func runNet(spec Spec, opt NetOptions, nRelays int, codec string) (*RunResult, error) {
+func runNet(spec Spec, nRelays int, codec string) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if spec.UPS != nil {
 		return nil, fmt.Errorf("scenario: networked driver does not model UPS drain; use Spec.WithoutUPS")
-	}
-	if opt.RPCTimeout == 0 {
-		opt.RPCTimeout = 150 * time.Millisecond
 	}
 	fcfg, err := spec.fvsstConfig()
 	if err != nil {
@@ -114,7 +108,7 @@ func runNet(spec Spec, opt NetOptions, nRelays int, codec string) (*RunResult, e
 			Fvsst:       fcfg,
 			Budget:      source.BudgetAt(0),
 			MissK:       MissK,
-			RPCTimeout:  opt.RPCTimeout,
+			RPCTimeout:  netRPCTimeout,
 			Retries:     1,
 			BackoffBase: time.Millisecond,
 			BackoffMax:  2 * time.Millisecond,

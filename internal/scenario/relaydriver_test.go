@@ -9,7 +9,7 @@ import "testing"
 func TestCodecDifferentialFaultFree(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		spec := Generate(seed).FaultFree()
-		d, err := runCodecDifferential(spec, NetOptions{})
+		d, err := runCodecDifferential(spec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -37,7 +37,7 @@ func TestCodecDifferentialFaulty(t *testing.T) {
 			continue
 		}
 		tested++
-		d, err := runCodecDifferential(spec, NetOptions{})
+		d, err := runCodecDifferential(spec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -63,7 +63,7 @@ func TestCodecDifferentialFaulty(t *testing.T) {
 // global node order.
 func TestTierDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		d, err := runTierDifferential(Generate(seed), NetOptions{})
+		d, err := runTierDifferential(Generate(seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -108,7 +108,7 @@ func TestRelayNetFaultyBudgetSafety(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		spec := Generate(seed).WithoutUPS().WithoutServing()
-		res, err := RunRelayNet(spec, NetOptions{})
+		res, err := RunRelayNet(spec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -273,7 +273,7 @@ func TestRunNetRejectsUPS(t *testing.T) {
 			break
 		}
 	}
-	if _, err := RunNet(spec, NetOptions{}); err == nil {
+	if _, err := RunNet(spec); err == nil {
 		t.Fatal("RunNet accepted a UPS failover it cannot model")
 	}
 }

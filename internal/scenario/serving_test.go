@@ -109,7 +109,7 @@ func TestDifferentialStripsServing(t *testing.T) {
 	spec := servingSpec(11)
 	spec.Rounds = 6
 	spec.Events = nil
-	d, err := RunDifferential(spec, NetOptions{})
+	d, err := RunDifferential(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

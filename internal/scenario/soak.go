@@ -255,7 +255,7 @@ func replayDivergence(label string, first, replay *RunResult) []invariant.Violat
 }
 
 func runDiffJob(res *SeedResult) {
-	res.recordDiff(RunDifferential(Generate(res.Seed), NetOptions{}))
+	res.recordDiff(RunDifferential(Generate(res.Seed)))
 }
 
 // runDESJob runs one quantum-vs-DES engine differential. Any round
