@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAddRepeat -fuzztime 30s ./internal/units/
 	$(GO) test -fuzz FuzzLoadProgram -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzMixRotation -fuzztime 30s ./internal/workload/
+	$(GO) test -fuzz FuzzCursorCost -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzParseScheduleSpec -fuzztime 30s ./internal/farm/
 	$(GO) test -fuzz FuzzParseArrivalSpec -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzRecvFrame -fuzztime 30s ./internal/netcluster/proto/

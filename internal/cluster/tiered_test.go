@@ -41,6 +41,67 @@ func TestNewTieredNodeRejectsBadProgram(t *testing.T) {
 	}
 }
 
+// TestInvalidProgramErrorsOnEveryMixPath feeds a zero-phase program and an
+// α = 0 program through every public way into a mix. Each must return an
+// error: a cursor entering the first phase would index a phase that is not
+// there, or cache an infinite core CPI.
+func TestInvalidProgramErrorsOnEveryMixPath(t *testing.T) {
+	bad := []workload.Program{
+		{Name: "no-phases"},
+		{Name: "alpha-0", Phases: []workload.Phase{{Name: "p", Alpha: 0, Instructions: 1}}},
+	}
+	paths := []struct {
+		name string
+		add  func(*testing.T, workload.Program) error
+	}{
+		{"NewMix", func(t *testing.T, p workload.Program) error {
+			_, err := workload.NewMix(cpuProg(1e6), p)
+			return err
+		}},
+		{"Mix.Add/new cursor", func(t *testing.T, p workload.Program) error {
+			mix, err := workload.NewMix(cpuProg(1e6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mix.Add(p)
+		}},
+		{"Mix.Add/rebound cursor", func(t *testing.T, p workload.Program) error {
+			mix, err := workload.NewMix(cpuProg(10), cpuProg(1e6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first job finishes, so Add rebinds its cursor.
+			mix.PickNext().Advance(10)
+			return mix.Add(p)
+		}},
+		{"Machine.Submit", func(t *testing.T, p workload.Program) error {
+			m, err := machine.New(quietMachineConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.Submit(workload.Schedule{{At: 0.5, CPU: 1, Program: p}})
+		}},
+		{"NewTieredNode/first program", func(t *testing.T, p workload.Program) error {
+			_, err := NewTieredNode(quietMachineConfig(), TierSpec{Name: "t", Programs: []workload.Program{p}})
+			return err
+		}},
+		{"NewTieredNode/existing mix", func(t *testing.T, p workload.Program) error {
+			progs := []workload.Program{cpuProg(1e6), cpuProg(1e6), cpuProg(1e6), cpuProg(1e6), p}
+			_, err := NewTieredNode(quietMachineConfig(), TierSpec{Name: "t", Programs: progs})
+			return err
+		}},
+	}
+	for _, path := range paths {
+		for _, p := range bad {
+			t.Run(path.name+"/"+p.Name, func(t *testing.T) {
+				if err := path.add(t, p); err == nil {
+					t.Errorf("%s accepted %s", path.name, p.Name)
+				}
+			})
+		}
+	}
+}
+
 func TestCoordinatorAccessors(t *testing.T) {
 	m, err := machine.New(quietMachineConfig())
 	if err != nil {

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/workload"
@@ -105,6 +106,86 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if m.PendingArrivals() != 0 {
 		t.Error("rejected arrivals were queued")
+	}
+}
+
+// TestSubmitOrdersArrivalsStably: Submit keeps the pending arrivals sorted
+// by time across calls, equal times in submission order, and leaves the
+// caller's schedule as it was.
+func TestSubmitOrdersArrivalsStably(t *testing.T) {
+	m := newQuiet(t)
+	named := func(name string) workload.Program {
+		p := reqJob(1e9)
+		p.Name = name
+		return p
+	}
+	first := workload.Schedule{
+		{At: 0.2, CPU: 0, Program: named("c")},
+		{At: 0.1, CPU: 0, Program: named("a")},
+		{At: 0.1, CPU: 0, Program: named("b")},
+	}
+	if err := m.Submit(first); err != nil {
+		t.Fatal(err)
+	}
+	second := workload.Schedule{
+		{At: 0.1, CPU: 0, Program: named("d")},
+		{At: 0.05, CPU: 0, Program: named("z")},
+	}
+	if err := m.Submit(second); err != nil {
+		t.Fatal(err)
+	}
+	if first[0].Program.Name != "c" || first[1].Program.Name != "a" || second[0].Program.Name != "d" {
+		t.Error("Submit reordered the caller's schedule")
+	}
+	names := func() string {
+		var out []string
+		for _, a := range m.arrivals {
+			out = append(out, a.Program.Name)
+		}
+		return fmt.Sprint(out)
+	}
+	if got := names(); got != "[z a b d c]" {
+		t.Errorf("pending order %s, want [z a b d c]", got)
+	}
+	// Admitting z leaves the rest in order; a third Submit lands among them.
+	if err := runUntil(m, 0.06); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Submit(workload.Schedule{{At: 0.15, CPU: 0, Program: named("e")}, {At: 0.1, CPU: 0, Program: named("f")}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(); got != "[a b d f e c]" {
+		t.Errorf("pending order %s, want [a b d f e c]", got)
+	}
+	// Enough ties that an unstable sort would reorder them, on CPU 1 and
+	// after the run below.
+	var many workload.Schedule
+	for k := 0; k < 40; k++ {
+		many = append(many, workload.Arrival{At: float64(3 - k%2), CPU: 1, Program: named(fmt.Sprint(k))})
+	}
+	if err := m.Submit(many); err != nil {
+		t.Fatal(err)
+	}
+	for k, a := range m.arrivals[6:] {
+		want := 2*k + 1 // the twenty at t = 2, then the twenty at t = 3
+		if k >= 20 {
+			want = 2 * (k - 20)
+		}
+		if a.Program.Name != fmt.Sprint(want) {
+			t.Fatalf("pending arrival %d is %s, want %d", 6+k, a.Program.Name, want)
+		}
+	}
+	if err := runUntil(m, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	// Each job runs about a second, so all seven are still in the
+	// rotation, in the order they were admitted.
+	var got []string
+	for _, j := range m.Mix(0).Jobs() {
+		got = append(got, j.Program().Name)
+	}
+	if want := []string{"z", "a", "b", "d", "f", "e", "c"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("admission order %v, want %v", got, want)
 	}
 }
 

@@ -19,6 +19,7 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/counters"
 	"repro/internal/engine"
@@ -29,12 +30,13 @@ import (
 	"repro/internal/workload"
 )
 
-// The platform constants: the p630's memory hierarchy, the post-L1
-// reference rate (refs/s) at which a partner core saturates the shared L2,
-// and the non-processor system power of the §2 breakdown.
+// The platform constants: the service times of the p630's memory
+// hierarchy in seconds, the post-L1 reference rate (refs/s) at which a
+// partner core saturates the shared L2, and the non-processor system power
+// of the §2 breakdown.
 var (
-	p630   = memhier.P630()
-	nonCPU = power.MotivatingSystem().Base
+	p630L2, p630L3, p630Mem = memhier.P630().ServiceTimes()
+	nonCPU                  = power.MotivatingSystem().Base
 )
 
 const contentionSatRefs = 5e6
@@ -148,6 +150,10 @@ type cpu struct {
 	idleNow    bool
 	idleCursor *workload.Cursor
 	last       QuantumStats
+	// powF/powP memoise CPUPower: the table power powP at the non-zero
+	// frequency powF it was last looked up for.
+	powF units.Frequency
+	powP units.Power
 }
 
 // Machine is the running simulator. It is not safe for concurrent use; the
@@ -279,11 +285,17 @@ func (m *Machine) StealTime(i int, seconds float64) error {
 // CPUPower returns the table power of CPU i at its current effective
 // frequency. Frequency zero means the processor is powered off entirely
 // (the power-down policy) and draws nothing; any non-zero frequency is
-// floored at the table's lowest operating point.
+// floored at the table's lowest operating point. The table lookup is a
+// pure function of f, so it runs only when the CPU's frequency has changed
+// since its last call.
 func (m *Machine) CPUPower(i int) units.Power {
-	f := m.EffectiveFrequency(i)
+	c := m.cpus[i]
+	f := c.throt.Effective(m.clock.Now())
 	if f == 0 {
 		return 0
+	}
+	if f == c.powF {
+		return c.powP
 	}
 	p, err := m.cfg.Table.PowerInterp(f)
 	if err != nil {
@@ -291,6 +303,7 @@ func (m *Machine) CPUPower(i int) units.Power {
 		// interpolation cannot fail; keep the invariant loud.
 		panic(fmt.Sprintf("machine: power lookup at %v: %v", f, err))
 	}
+	c.powF, c.powP = f, p
 	return p
 }
 
@@ -363,8 +376,9 @@ func (m *Machine) Submit(arrivals workload.Schedule) error {
 			return fmt.Errorf("machine: arrival cpu %d out of range", a.CPU)
 		}
 	}
+	// Stable, so equal-time arrivals keep submission order.
 	m.arrivals = append(m.arrivals, arrivals...)
-	m.arrivals = m.arrivals.Sorted()
+	sort.SliceStable(m.arrivals, func(i, j int) bool { return m.arrivals[i].At < m.arrivals[j].At })
 	return nil
 }
 
@@ -563,8 +577,11 @@ func (m *Machine) execJob(c *cpu, job *workload.Cursor, f units.Frequency, latSc
 // the CPU's counters and the quantum stats.
 func (m *Machine) runJob(c *cpu, job *workload.Cursor, f units.Frequency, latScale, avail float64, stats *QuantumStats) (used float64, postL1 float64) {
 	for avail > 1e-12 && !job.Done() {
+		// The phase and its cost as entered; both stay on this phase when
+		// the advance below crosses into the next.
 		phase := job.Current()
-		cpi := phase.TrueCyclesPerInstr(p630, f.Hz(), latScale)
+		core, stall := job.PhaseCost()
+		cpi := core + stall*latScale*f.Hz()
 		rate := f.Hz() / cpi // instructions per second
 		budget := uint64(rate * avail)
 		if budget == 0 {

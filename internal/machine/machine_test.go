@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -217,6 +218,111 @@ func TestPowerAccounting(t *testing.T) {
 	if got := m.CPUPower(0); math.Abs(got.W()-35) > 2 {
 		t.Errorf("CPU0 power at 500MHz = %v, want ≈35W", got)
 	}
+}
+
+// TestCPUPowerMemoMatchesTable: CPUPower, memoised on each CPU's
+// frequency, is the table's interpolation at that CPU's effective
+// frequency at every quantum — through throttle settles, frequency
+// changes, a power-off and back, and a fast-forwarded span — and
+// TotalCPUPower is those values summed in processor order, bit for bit.
+func TestCPUPowerMemoMatchesTable(t *testing.T) {
+	cfg := quietConfig()
+	cfg.ThrottleSettle = 0.025 // a request takes effect 2.5 quanta later
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := 0
+	check := func() error {
+		checks++
+		var sum units.Power
+		for i := 0; i < m.NumCPUs(); i++ {
+			f := m.EffectiveFrequency(i)
+			var want units.Power
+			if f != 0 {
+				if want, err = cfg.Table.PowerInterp(f); err != nil {
+					return err
+				}
+			}
+			if got := m.CPUPower(i); math.Float64bits(got.W()) != math.Float64bits(want.W()) {
+				return fmt.Errorf("t=%v cpu %d at %v: CPUPower %v, table %v", m.Now(), i, f, got, want)
+			}
+			sum += want
+		}
+		if got := m.TotalCPUPower(); math.Float64bits(got.W()) != math.Float64bits(sum.W()) {
+			return fmt.Errorf("t=%v: TotalCPUPower %v, sum %v", m.Now(), got, sum)
+		}
+		return nil
+	}
+	step := func(n int) {
+		t.Helper()
+		for k := 0; k < n; k++ {
+			if err := m.StepQuantum(); err != nil {
+				t.Fatal(err)
+			}
+			if err := check(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	set := func(fs ...float64) {
+		t.Helper()
+		for i, x := range fs {
+			if x < 0 {
+				continue // leave this CPU as it is
+			}
+			if err := m.SetFrequency(i, units.Frequency(x*cfg.Table.MaxFrequency().Hz())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each CPU with work, so power follows the frequency of a busy CPU.
+	for i := 0; i < m.NumCPUs(); i++ {
+		mix, err := workload.NewMix(workload.Program{Name: "spin", Phases: []workload.Phase{cpuPhase(1.2, 1e12)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetMix(i, mix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := check(); err != nil {
+		t.Fatal(err)
+	}
+	step(2)
+	set(0.7, 0, 0.45, -1) // CPU 1 powers off
+	step(5)
+	set(1, 0.6, -1, 0.7) // CPU 1 back on; CPU 3 takes CPU 0's old frequency
+	step(2)
+	set(0.7, -1, 0.45, 0.2) // requests landing before the previous settle
+	step(5)
+	set(0.7, 0.7, 0.7, 0.7) // some unchanged: the memo must hold
+	step(5)
+
+	// Idle and settled: a fast-forward replays most of the span, and the
+	// after hook sees every quantum, replayed or stepped.
+	for i := 0; i < m.NumCPUs(); i++ {
+		if err := m.SetMix(i, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set(0.9, 0, -1, 0.3)
+	step(5)
+	before, stats := checks, m.AdvanceStats()
+	if err := m.FastForwardQuanta(300, check); err != nil {
+		t.Fatal(err)
+	}
+	if checks-before != 300 {
+		t.Fatalf("after hook ran %d times over 300 quanta", checks-before)
+	}
+	if m.AdvanceStats().Replayed == stats.Replayed {
+		t.Fatal("the span was never replayed")
+	}
+	set(0.55, 1, 0.55, -1)
+	step(4)
 }
 
 func TestEnergyIntegration(t *testing.T) {

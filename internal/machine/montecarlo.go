@@ -53,23 +53,22 @@ func poisson(rng *rand.Rand, lambda float64) uint64 {
 // block's worth) is carried as stolen-time debt into the next quantum so
 // long-run time accounting stays exact.
 func (m *Machine) runJobMC(c *cpu, job *workload.Cursor, f units.Frequency, latScale, avail float64, stats *QuantumStats) (used float64, postL1 float64) {
-	h := p630
-	tL2, tL3, tMem := h.ServiceTimes()
 	budgetCycles := avail * f.Hz()
 	var consumed float64
 	rng := m.random()
 	for consumed < budgetCycles && !job.Done() {
 		phase := job.Current()
+		coreCPI, _ := job.PhaseCost()
 		n, _ := job.AdvanceWithinPhase(mcBlock)
 		if n == 0 {
 			break
 		}
 		nf := float64(n)
-		core := (1/phase.Alpha + phase.NonMemStallCyclesPerInstr) * nf
+		core := coreCPI * nf
 		l2 := poisson(rng, nf*phase.Rates.L2PerInstr)
 		l3 := poisson(rng, nf*phase.Rates.L3PerInstr)
 		mem := poisson(rng, nf*phase.Rates.MemPerInstr)
-		memSeconds := latScale * (float64(l2)*tL2 + float64(l3)*tL3 + float64(mem)*tMem)
+		memSeconds := latScale * (float64(l2)*p630L2 + float64(l3)*p630L3 + float64(mem)*p630Mem)
 		cyc := core + memSeconds*f.Hz()
 		consumed += cyc
 

@@ -144,6 +144,11 @@ func (r AccessRates) Validate() error {
 // frequency-invariant time each instruction spends waiting on the memory
 // system, the denominator term of the predictor's IPC(f).
 func (r AccessRates) StallTimePerInstr(h Hierarchy) float64 {
-	tL2, tL3, tMem := h.ServiceTimes()
+	return r.StallTime(h.ServiceTimes())
+}
+
+// StallTime is StallTimePerInstr for a hierarchy whose ServiceTimes, in
+// seconds, the caller has already computed.
+func (r AccessRates) StallTime(tL2, tL3, tMem float64) float64 {
 	return r.L2PerInstr*tL2 + r.L3PerInstr*tL3 + r.MemPerInstr*tMem
 }

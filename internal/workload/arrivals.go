@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Arrival is one job arriving at a processor at a point in simulation time
@@ -34,14 +33,6 @@ func (s Schedule) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Sorted returns the schedule ordered by arrival time.
-func (s Schedule) Sorted() Schedule {
-	out := make(Schedule, len(s))
-	copy(out, s)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
 }
 
 // InterArrival draws unit-mean inter-arrival gaps for a renewal process.

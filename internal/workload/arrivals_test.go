@@ -78,23 +78,3 @@ func TestScheduleValidate(t *testing.T) {
 		t.Error("invalid program accepted")
 	}
 }
-
-func TestScheduleSortedStable(t *testing.T) {
-	s := Schedule{
-		{At: 2, CPU: 0, Program: shortJob(0)},
-		{At: 1, CPU: 1, Program: shortJob(1)},
-		{At: 1, CPU: 2, Program: shortJob(2)},
-	}
-	sorted := s.Sorted()
-	if sorted[0].At != 1 || sorted[1].At != 1 || sorted[2].At != 2 {
-		t.Errorf("not sorted: %+v", sorted)
-	}
-	// Stable: equal-time arrivals keep submission order.
-	if sorted[0].CPU != 1 || sorted[1].CPU != 2 {
-		t.Error("sort not stable")
-	}
-	// Original unchanged.
-	if s[0].At != 2 {
-		t.Error("Sorted mutated input")
-	}
-}

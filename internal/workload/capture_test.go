@@ -153,7 +153,7 @@ func TestCaptureReplayRoundTrip(t *testing.T) {
 	for !cur.Done() {
 		ph := cur.Current()
 		n, _ := cur.AdvanceWithinPhase(ph.Instructions)
-		obs = append(obs, windowFor(ph, n, 1e9))
+		obs = append(obs, windowFor(*ph, n, 1e9))
 	}
 	captured, err := FromObservations("mcf-replay", obs, DefaultCaptureConfig())
 	if err != nil {

@@ -73,11 +73,7 @@ func (m *Mix) Add(p Program) error {
 		m.jobs[live].Rebind(p)
 		return nil
 	}
-	c, err := NewCursor(p)
-	if err != nil {
-		return err
-	}
-	m.jobs = append(m.jobs, c)
+	m.jobs = append(m.jobs, newCursor(p))
 	return nil
 }
 

@@ -2,7 +2,13 @@ package workload
 
 import (
 	"fmt"
+
+	"repro/internal/memhier"
 )
+
+// The service times of the p630's memory hierarchy in seconds, the one
+// hierarchy the cursor's phase cost is computed for.
+var p630L2, p630L3, p630Mem = memhier.P630().ServiceTimes()
 
 // Program is a named sequence of phases with optional looping: after the
 // last phase completes, execution re-enters the phase at LoopFrom for Loops
@@ -60,6 +66,10 @@ type Cursor struct {
 	executed  uint64 // instructions executed within the current phase
 	loopsLeft int
 	done      bool
+	// core and stall are the current phase's cost, computed on entry:
+	// frequency-scaled cycles per instruction (1/α plus non-memory
+	// stalls) and the p630 memory time per instruction in seconds.
+	core, stall float64
 }
 
 // NewCursor positions a cursor at the start of the program.
@@ -67,7 +77,14 @@ func NewCursor(p Program) (*Cursor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cursor{prog: p, loopsLeft: p.Loops}, nil
+	return newCursor(p), nil
+}
+
+// newCursor is NewCursor for a program already validated.
+func newCursor(p Program) *Cursor {
+	c := &Cursor{prog: p, loopsLeft: p.Loops}
+	c.enterPhase()
+	return c
 }
 
 // Program returns the program being executed.
@@ -77,8 +94,23 @@ func (c *Cursor) Program() Program { return c.prog }
 func (c *Cursor) Done() bool { return c.done }
 
 // Current returns the phase the cursor is in. Calling Current on a done
-// cursor returns the last phase (harmless for bookkeeping).
-func (c *Cursor) Current() Phase { return c.prog.Phases[c.phaseIdx] }
+// cursor returns the last phase (harmless for bookkeeping). The phase is
+// the program's own; the pointer stays on it when the cursor moves on.
+func (c *Cursor) Current() *Phase { return &c.prog.Phases[c.phaseIdx] }
+
+// PhaseCost returns the current phase's cost as its entry cached it: the
+// frequency-scaled core cycles per instruction and the frequency-invariant
+// p630 memory time per instruction in seconds. core + stall·s·f is
+// Current().TrueCyclesPerInstr(memhier.P630(), f, s), bit for bit.
+func (c *Cursor) PhaseCost() (core, stall float64) { return c.core, c.stall }
+
+// enterPhase caches the cost of the phase the cursor has just entered, in
+// TrueCyclesPerInstr's evaluation order.
+func (c *Cursor) enterPhase() {
+	ph := &c.prog.Phases[c.phaseIdx]
+	c.core = 1/ph.Alpha + ph.NonMemStallCyclesPerInstr
+	c.stall = ph.Rates.StallTime(p630L2, p630L3, p630Mem)
+}
 
 // RemainingInPhase returns how many instructions are left in the current
 // phase.
@@ -131,19 +163,20 @@ func (c *Cursor) AdvanceWithinPhase(n uint64) (consumed uint64, phaseEnded bool)
 func (c *Cursor) nextPhase() {
 	c.executed = 0
 	c.phaseIdx++
-	if c.phaseIdx < len(c.prog.Phases) {
-		return
-	}
-	// End of pass: loop or finish.
-	if c.loopsLeft != 0 {
+	switch {
+	case c.phaseIdx < len(c.prog.Phases):
+	case c.loopsLeft != 0:
+		// End of pass: loop.
 		if c.loopsLeft > 0 {
 			c.loopsLeft--
 		}
 		c.phaseIdx = c.prog.LoopFrom
-		return
+	default:
+		// End of the last pass: finish on the last phase.
+		c.phaseIdx = len(c.prog.Phases) - 1
+		c.done = true
 	}
-	c.phaseIdx = len(c.prog.Phases) - 1
-	c.done = true
+	c.enterPhase()
 }
 
 // Reset rewinds the cursor to the start of the program.
@@ -152,6 +185,7 @@ func (c *Cursor) Reset() {
 	c.executed = 0
 	c.loopsLeft = c.prog.Loops
 	c.done = false
+	c.enterPhase()
 }
 
 // Rebind repoints the cursor at a new program and rewinds it, without
@@ -160,7 +194,9 @@ func (c *Cursor) Reset() {
 // program as the previous one completes, so the per-request steady-state
 // path stays at zero allocations. The program must be valid; callers on a
 // hot path validate the template once up front and then mutate only
-// instruction counts.
+// instruction counts. A phase's α, rates and stalls are read when the
+// cursor enters it, so a change to them reaches the cursor at its next
+// phase entry, a Reset or a Rebind.
 func (c *Cursor) Rebind(p Program) {
 	c.prog = p
 	c.Reset()
