@@ -55,7 +55,8 @@ examples:
 # tables), the closed-form repeated addition under the bulk
 # replay (units.AddRepeat against the k additions, on the bits), a
 # mix's round robin against the scan that never drops a finished job,
-# and the soak's trace lines against their fmt rendering.
+# the Monte-Carlo executor's batched blocks against the per-block loop
+# (on the bits), and the soak's trace lines against their fmt rendering.
 fuzz:
 	$(GO) test -fuzz FuzzOptimalAssign -fuzztime 30s ./internal/optimal/
 	$(GO) test -fuzz FuzzStepTwoAgreement -fuzztime 30s ./internal/invariant/
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadProgram -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzMixRotation -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzCursorCost -fuzztime 30s ./internal/workload/
+	$(GO) test -fuzz FuzzRunJobMC -fuzztime 30s ./internal/machine/
 	$(GO) test -fuzz FuzzParseScheduleSpec -fuzztime 30s ./internal/farm/
 	$(GO) test -fuzz FuzzParseArrivalSpec -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzRecvFrame -fuzztime 30s ./internal/netcluster/proto/

@@ -55,13 +55,35 @@ func TestRunAllParallelDeterminism(t *testing.T) {
 //
 //	go run ./cmd/experiments -seed 1 all > internal/experiments/testdata/all_seed1.golden
 func TestRunAllMatchesSeed1Golden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "all_seed1.golden"))
+	matchGolden(t, "all_seed1.golden", Options{Scale: 1, Seed: 1}, IDs())
+}
+
+// mcGoldenIDs are the experiments whose machines execute under the
+// Monte-Carlo model when Options.MonteCarlo is set, on every CPU they
+// run: the hot idle loop, the jobs and the predictor study of ab-exec.
+var mcGoldenIDs = []string{"table2", "fig4", "fig5", "fig7", "fig9", "ab-idle", "ab-masking", "ab-epsilon", "ab-exec"}
+
+// TestRunAllMonteCarloMatchesGolden pins the Monte-Carlo execution model's
+// draws through every CPU of those experiments at 1 and at 4 workers. A
+// change that means to move a printed digit regenerates it with
+//
+//	go run ./cmd/experiments -mc -scale 0.05 -seed 1 table2 fig4 fig5 fig7 fig9 ab-idle ab-masking ab-epsilon ab-exec > internal/experiments/testdata/mc_seed1.golden
+func TestRunAllMonteCarloMatchesGolden(t *testing.T) {
+	matchGolden(t, "mc_seed1.golden", Options{Scale: 0.05, Seed: 1, MonteCarlo: true}, mcGoldenIDs)
+}
+
+// matchGolden renders ids under opts as `experiments` prints them, at 1
+// and at 4 workers, and fails at the first line that differs from
+// testdata/name.
+func matchGolden(t *testing.T, name string, opts Options, ids []string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parallel := range []int{1, 4} {
 		var b strings.Builder
-		for i, r := range RunAll(Options{Scale: 1, Seed: 1}, IDs(), parallel) {
+		for i, r := range RunAll(opts, ids, parallel) {
 			if r.Err != nil {
 				t.Fatalf("parallel %d: %v", parallel, r.Err)
 			}
@@ -84,7 +106,7 @@ func TestRunAllMatchesSeed1Golden(t *testing.T) {
 				w = wl[i]
 			}
 			if g != w {
-				t.Errorf("parallel %d: line %d differs from testdata/all_seed1.golden:\n got: %q\nwant: %q", parallel, i+1, g, w)
+				t.Errorf("parallel %d: line %d differs from testdata/%s:\n got: %q\nwant: %q", parallel, i+1, name, g, w)
 				break
 			}
 		}

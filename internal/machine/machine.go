@@ -166,7 +166,10 @@ type Machine struct {
 	clock engine.SimClock
 	// rng is built by random on the first draw; only latency jitter and
 	// Monte-Carlo execution ever draw.
-	rng    *rand.Rand
+	rng *rand.Rand
+	// mcExp holds each CPU's exp(−λ) memos for its L2, L3 and memory
+	// draws; expMemos builds it on the first Monte-Carlo block.
+	mcExp  [][3]expMemo
 	energy power.EnergyMeter
 	// cpuEnergy integrates processor-only energy, the quantity Table 3
 	// normalises.
@@ -504,7 +507,7 @@ func (m *Machine) stepCPU(i int, c *cpu, dt float64, partnerRate float64) {
 		if job == nil {
 			break
 		}
-		used, refs := m.execJob(c, job, f, latScale, avail, &stats)
+		used, refs := m.execJob(i, c, job, f, latScale, avail, &stats)
 		postL1Refs += refs
 		avail -= used
 		if !job.Done() {
@@ -525,7 +528,7 @@ func (m *Machine) stepCPU(i int, c *cpu, dt float64, partnerRate float64) {
 	if avail > 1e-12 && c.idleNow {
 		switch m.cfg.Idle {
 		case IdleHot:
-			used, refs := m.execJob(c, c.idleCursor, f, latScale, avail, &stats)
+			used, refs := m.execJob(i, c, c.idleCursor, f, latScale, avail, &stats)
 			postL1Refs += refs
 			avail -= used
 		case IdleHalt:
@@ -564,10 +567,10 @@ func (m *Machine) quantumLatencyScale(partnerRate float64) float64 {
 	return scale
 }
 
-// execJob dispatches to the configured execution model.
-func (m *Machine) execJob(c *cpu, job *workload.Cursor, f units.Frequency, latScale, avail float64, stats *QuantumStats) (used float64, postL1 float64) {
+// execJob dispatches CPU i's work to the configured execution model.
+func (m *Machine) execJob(i int, c *cpu, job *workload.Cursor, f units.Frequency, latScale, avail float64, stats *QuantumStats) (used float64, postL1 float64) {
 	if m.cfg.MonteCarloExec {
-		return m.runJobMC(c, job, f, latScale, avail, stats)
+		return m.runJobMC(i, c, job, f, latScale, avail, stats)
 	}
 	return m.runJob(c, job, f, latScale, avail, stats)
 }

@@ -15,16 +15,24 @@ import (
 // workloads have) and sums individual service times. Execution-time
 // variance then emerges from the discreteness of misses rather than from
 // the injected latency jitter, giving a second, independent source of the
-// predictor noise studied in Table 2. Roughly two orders of magnitude
-// slower than the analytic mode; used for validation runs.
+// predictor noise studied in Table 2. Used for validation runs: a p630
+// quantum with one memory-bound job and three hot-idle CPUs costs about
+// 190 times the analytic one (73 µs against 0.38 µs on a 2-core Xeon,
+// go 1.24; docs/performance.md).
 
 // mcBlock is the instruction block sharing one draw.
 const mcBlock = 4096
 
+// expMemo is a one-entry memo of e^−λ, Knuth's stopping limit: limit is
+// math.Exp(-lambda) for the λ it last computed. A CPU's blocks repeat the
+// same λ until its phase or its block length changes.
+type expMemo struct{ lambda, limit float64 }
+
 // poisson draws Poisson(λ) — Knuth's product method for small λ, normal
 // approximation beyond (λ > 64 keeps the approximation error far below
-// the rates' natural variance).
-func poisson(rng *rand.Rand, lambda float64) uint64 {
+// the rates' natural variance). memo serves Knuth's limit; only that
+// path reads or writes it.
+func poisson(rng *rand.Rand, lambda float64, memo *expMemo) uint64 {
 	if lambda <= 0 {
 		return 0
 	}
@@ -35,7 +43,10 @@ func poisson(rng *rand.Rand, lambda float64) uint64 {
 		}
 		return uint64(v + 0.5)
 	}
-	limit := math.Exp(-lambda)
+	if lambda != memo.lambda {
+		memo.lambda, memo.limit = lambda, math.Exp(-lambda)
+	}
+	limit := memo.limit
 	p := 1.0
 	var k uint64
 	for {
@@ -49,25 +60,49 @@ func poisson(rng *rand.Rand, lambda float64) uint64 {
 
 // runJobMC is the Monte-Carlo counterpart of runJob: it executes cursor
 // work for at most avail seconds at frequency f, drawing reference counts
-// per block. Cycle overshoot past the quantum boundary (at most one
-// block's worth) is carried as stolen-time debt into the next quantum so
-// long-run time accounting stays exact.
-func (m *Machine) runJobMC(c *cpu, job *workload.Cursor, f units.Frequency, latScale, avail float64, stats *QuantumStats) (used float64, postL1 float64) {
+// per block, with CPU i's exp(−λ) memos for the L2, L3 and memory draws.
+// Cycle overshoot past the quantum boundary (at most one block's worth) is
+// carried as stolen-time debt into the next quantum so long-run time
+// accounting stays exact.
+func (m *Machine) runJobMC(i int, c *cpu, job *workload.Cursor, f units.Frequency, latScale, avail float64, stats *QuantumStats) (used float64, postL1 float64) {
 	budgetCycles := avail * f.Hz()
 	var consumed float64
 	rng := m.random()
+	memo := m.expMemos(i)
 	for consumed < budgetCycles && !job.Done() {
 		phase := job.Current()
 		coreCPI, _ := job.PhaseCost()
+		rates := &phase.Rates
+		if rates.L2PerInstr == 0 && rates.L3PerInstr == 0 && rates.MemPerInstr == 0 {
+			if full := job.RemainingInPhase() / mcBlock; full > 0 {
+				// A phase that never references past L1 draws nothing:
+				// each full block costs coreCPI·mcBlock cycles (the drawn
+				// memory time is latScale·0), so run them as one batch,
+				// adding the same cycles in the same order.
+				cyc := coreCPI * mcBlock
+				var k uint64
+				for k < full && consumed < budgetCycles {
+					consumed += cyc
+					k++
+				}
+				n, cycles := k*mcBlock, k*uint64(cyc)
+				job.AdvanceWithinPhase(n)
+				c.totals.Instructions += n
+				c.totals.Cycles += cycles
+				stats.Instructions += n
+				stats.Cycles += cycles
+				continue
+			}
+		}
 		n, _ := job.AdvanceWithinPhase(mcBlock)
 		if n == 0 {
 			break
 		}
 		nf := float64(n)
 		core := coreCPI * nf
-		l2 := poisson(rng, nf*phase.Rates.L2PerInstr)
-		l3 := poisson(rng, nf*phase.Rates.L3PerInstr)
-		mem := poisson(rng, nf*phase.Rates.MemPerInstr)
+		l2 := poisson(rng, nf*rates.L2PerInstr, &memo[0])
+		l3 := poisson(rng, nf*rates.L3PerInstr, &memo[1])
+		mem := poisson(rng, nf*rates.MemPerInstr, &memo[2])
 		memSeconds := latScale * (float64(l2)*p630L2 + float64(l3)*p630L3 + float64(mem)*p630Mem)
 		cyc := core + memSeconds*f.Hz()
 		consumed += cyc
@@ -87,4 +122,13 @@ func (m *Machine) runJobMC(c *cpu, job *workload.Cursor, f units.Frequency, latS
 		consumed = budgetCycles
 	}
 	return consumed / f.Hz(), postL1
+}
+
+// expMemos returns CPU i's exp(−λ) memos, building every CPU's on the
+// first Monte-Carlo block: an analytic machine never holds them.
+func (m *Machine) expMemos(i int) *[3]expMemo {
+	if m.mcExp == nil {
+		m.mcExp = make([][3]expMemo, len(m.cpus))
+	}
+	return &m.mcExp[i]
 }
