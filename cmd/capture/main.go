@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -25,23 +26,34 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "mcf", "workload to capture (gzip, gap, mcf, health)")
-	scale := flag.Float64("scale", 0.2, "workload scale")
-	freqStr := flag.String("freq", "1GHz", "frequency to run the capture at")
-	out := flag.String("o", "", "output profile path (default <app>-captured.json)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	merge := flag.Float64("merge", 0.15, "phase merge tolerance (relative)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is main's body: it parses args, captures, writes the profile and
+// reports to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("capture", flag.ExitOnError)
+	app := fs.String("app", "mcf", "workload to capture (gzip, gap, mcf, health)")
+	scale := fs.Float64("scale", 0.2, "workload scale")
+	freqStr := fs.String("freq", "1GHz", "frequency to run the capture at")
+	outPath := fs.String("o", "", "output profile path (default <app>-captured.json)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	merge := fs.Float64("merge", 0.15, "phase merge tolerance (relative)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	prog, err := workload.App(*app, workload.AppScale(*scale))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	f, err := units.ParseFrequency(*freqStr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	path := *out
+	path := *outPath
 	if path == "" {
 		path = fmt.Sprintf("%s-captured.json", *app)
 	}
@@ -52,17 +64,17 @@ func main() {
 	mcfg.Seed = *seed
 	m, err := machine.New(mcfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	mix, err := workload.NewMix(prog)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := m.SetMix(0, mix); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := m.SetFrequency(0, f); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var obs []workload.WindowObservation
@@ -71,15 +83,15 @@ func main() {
 	deadline := float64(total)*20/f.Hz() + 10
 	for m.Now() < deadline && !m.AllJobsDone() {
 		if err := m.StepQuantum(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cur, err := m.ReadCounters(0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		delta, err := cur.Sub(prev)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		prev = cur
 		fHz := delta.ObservedFrequencyHz()
@@ -89,25 +101,29 @@ func main() {
 		obs = append(obs, workload.WindowObservation{Delta: delta, FreqHz: fHz})
 	}
 	if !m.AllJobsDone() {
-		log.Fatalf("capture run did not finish within %v simulated seconds", deadline)
+		return fmt.Errorf("capture run did not finish within %v simulated seconds", deadline)
 	}
 
 	cfg := workload.DefaultCaptureConfig()
 	cfg.MergeTolerance = *merge
 	captured, err := workload.FromObservations(*app+"-captured", obs, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	file, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer file.Close()
 	if err := workload.SaveProgram(file, captured); err != nil {
-		log.Fatal(err)
+		file.Close()
+		return err
+	}
+	if err := file.Close(); err != nil {
+		return err
 	}
 	totalInstr, _ := captured.TotalInstructions()
-	fmt.Printf("captured %d windows of %s at %v into %d phases (%d instructions)\n",
+	fmt.Fprintf(out, "captured %d windows of %s at %v into %d phases (%d instructions)\n",
 		len(obs), *app, f, len(captured.Phases), totalInstr)
-	fmt.Printf("profile written to %s — replay with: fvsst-sim -jobs file:%s\n", path, path)
+	fmt.Fprintf(out, "profile written to %s — replay with: fvsst-sim -jobs file:%s\n", path, path)
+	return nil
 }

@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/fvsst"
 	"repro/internal/machine"
-	"repro/internal/memhier"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/units"
@@ -53,13 +52,7 @@ func parseJob(spec string, scale float64) (workload.Program, error) {
 		if err != nil {
 			return workload.Program{}, fmt.Errorf("bad synth intensity %q: %w", rest, err)
 		}
-		h := memhier.P630()
-		probe, err := workload.SyntheticIntensityPhase("p", intensity, 1000, h)
-		if err != nil {
-			return workload.Program{}, err
-		}
-		instr := workload.InstructionsForDuration(probe, h, 1e9, 30*scale)
-		phase, err := workload.SyntheticIntensityPhase("main", intensity, instr, h)
+		phase, err := workload.SyntheticPhase("main", intensity, 30*scale)
 		if err != nil {
 			return workload.Program{}, err
 		}

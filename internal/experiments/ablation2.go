@@ -57,18 +57,12 @@ func jobDecomposition(p workload.Program) (perfmodel.Decomposition, error) {
 
 // AblationMasking runs the multiprogramming study.
 func AblationMasking(o Options) (*AblationMaskingReport, error) {
-	h := memhier.P630()
 	mkSynth := func(name string, intensity, seconds float64) (workload.Program, error) {
-		probe, err := workload.SyntheticIntensityPhase(name, intensity, 1000, h)
-		if err != nil {
-			return workload.Program{}, err
-		}
 		span := seconds * float64(o.Scale)
 		if span < 0.5 {
 			span = 0.5
 		}
-		instr := workload.InstructionsForDuration(probe, h, 1e9, span)
-		phase, err := workload.SyntheticIntensityPhase(name, intensity, instr, h)
+		phase, err := workload.SyntheticPhase(name, intensity, span)
 		if err != nil {
 			return workload.Program{}, err
 		}

@@ -142,20 +142,13 @@ func (o Options) fixedRun(prog workload.Program, f units.Frequency) (runResult, 
 // syntheticSingle builds a one-phase synthetic program at the given CPU
 // intensity, sized to run roughly seconds at 1 GHz.
 func (o Options) syntheticSingle(intensity float64, seconds float64) (workload.Program, error) {
-	h := memhier.P630()
-	probe, err := workload.SyntheticIntensityPhase("probe", intensity, 1000, h)
-	if err != nil {
-		return workload.Program{}, err
-	}
 	// Floor the run length at ~1 s so the scheduler reaches steady state
 	// (≥10 scheduling periods) even at test scale.
 	span := seconds * float64(o.Scale)
 	if span < 1.0 {
 		span = 1.0
 	}
-	instr := workload.InstructionsForDuration(probe, h, 1e9, span)
-	phase, err := workload.SyntheticIntensityPhase(
-		fmt.Sprintf("cpu%.0f", intensity), intensity, instr, h)
+	phase, err := workload.SyntheticPhase(fmt.Sprintf("cpu%.0f", intensity), intensity, span)
 	if err != nil {
 		return workload.Program{}, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/memhier"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -29,16 +28,10 @@ type Figure5Report struct {
 
 // Figure5 runs the phase-tracking study on an unconstrained budget.
 func Figure5(o Options) (*Figure5Report, error) {
-	h := memhier.P630()
 	// Phase lengths ≫ T = 100 ms so the scheduler can track them (§8.2).
 	secs := 1.0*float64(o.Scale) + 0.4
 	mk := func(name string, intensity float64) (workload.Phase, error) {
-		probe, err := workload.SyntheticIntensityPhase(name, intensity, 1000, h)
-		if err != nil {
-			return workload.Phase{}, err
-		}
-		instr := workload.InstructionsForDuration(probe, h, 1e9, secs)
-		return workload.SyntheticIntensityPhase(name, intensity, instr, h)
+		return workload.SyntheticPhase(name, intensity, secs)
 	}
 	cpuPhase, err := mk("cpu-phase", 95)
 	if err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/memhier"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -30,15 +29,9 @@ type Figure7Report struct {
 
 // Figure7 runs the two-phase budget study.
 func Figure7(o Options) (*Figure7Report, error) {
-	h := memhier.P630()
 	secs := 0.8*float64(o.Scale) + 0.3
 	mk := func(name string, intensity float64) (workload.Phase, error) {
-		probe, err := workload.SyntheticIntensityPhase(name, intensity, 1000, h)
-		if err != nil {
-			return workload.Phase{}, err
-		}
-		instr := workload.InstructionsForDuration(probe, h, 1e9, secs)
-		return workload.SyntheticIntensityPhase(name, intensity, instr, h)
+		return workload.SyntheticPhase(name, intensity, secs)
 	}
 	p100, err := mk("cpu100", 100)
 	if err != nil {

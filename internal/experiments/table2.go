@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/memhier"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -34,15 +33,6 @@ type Table2Report struct {
 // a scheduling window, which is exactly what defeats the one-window
 // predictor and produces the paper's large CPU3-minus-CPU3* gap.
 func table2Program(o Options, intensity float64) (workload.Program, error) {
-	h := memhier.P630()
-	mk := func(name string, in float64, seconds float64) (workload.Phase, error) {
-		probe, err := workload.SyntheticIntensityPhase(name, in, 1000, h)
-		if err != nil {
-			return workload.Phase{}, err
-		}
-		instr := workload.InstructionsForDuration(probe, h, 1e9, seconds)
-		return workload.SyntheticIntensityPhase(name, in, instr, h)
-	}
 	var phases []workload.Phase
 	// Init: 8 alternating ~40 ms micro-phases (shorter than T = 100 ms).
 	for i := 0; i < 8; i++ {
@@ -50,7 +40,7 @@ func table2Program(o Options, intensity float64) (workload.Program, error) {
 		if i%2 == 1 {
 			in = 95
 		}
-		ph, err := mk("init", in, 0.04*float64(o.Scale)+0.02)
+		ph, err := workload.SyntheticPhase("init", in, 0.04*float64(o.Scale)+0.02)
 		if err != nil {
 			return workload.Program{}, err
 		}
@@ -58,7 +48,7 @@ func table2Program(o Options, intensity float64) (workload.Program, error) {
 	}
 	// Measurement: two phases at the row's intensity.
 	for i := 0; i < 2; i++ {
-		ph, err := mk(fmt.Sprintf("main%d", i), intensity, 1.5*float64(o.Scale)+0.3)
+		ph, err := workload.SyntheticPhase(fmt.Sprintf("main%d", i), intensity, 1.5*float64(o.Scale)+0.3)
 		if err != nil {
 			return workload.Program{}, err
 		}
@@ -70,7 +60,7 @@ func table2Program(o Options, intensity float64) (workload.Program, error) {
 		if i%2 == 1 {
 			in = 10
 		}
-		ph, err := mk("exit", in, 0.04*float64(o.Scale)+0.02)
+		ph, err := workload.SyntheticPhase("exit", in, 0.04*float64(o.Scale)+0.02)
 		if err != nil {
 			return workload.Program{}, err
 		}

@@ -11,24 +11,22 @@ import (
 // memory stalls, §8.3) to synBaseRate+synRampRate at 0%. The footprint
 // routes post-L1 traffic through the miss model so most of it reaches DRAM.
 const (
-	synAlpha         = 1.4
-	synBaseRate      = 0.001
-	synRampRate      = 0.019
-	synFootprint     = int64(3) << 30 // 3 GB, ≫ 32 MB L3
-	synNonMemStall   = 0.06           // invisible-to-counters stall cycles/instr
-	synInitIntensity = 15             // init touches the whole footprint
-	synExitIntensity = 90             // exit reports results
+	synAlpha       = 1.4
+	synBaseRate    = 0.001
+	synRampRate    = 0.019
+	synFootprint   = int64(3) << 30 // 3 GB, ≫ 32 MB L3
+	synNonMemStall = 0.06           // invisible-to-counters stall cycles/instr
 )
 
-// SyntheticIntensityPhase builds one phase of the synthetic benchmark at
-// the given CPU intensity (0–100) under hierarchy h.
-func SyntheticIntensityPhase(name string, intensityPct float64, instructions uint64, h memhier.Hierarchy) (Phase, error) {
+// SyntheticPhase builds one phase of the synthetic benchmark (§7.3) at the
+// given CPU intensity (0–100), sized to run about seconds at 1 GHz on the
+// P630 hierarchy without contention. It always has at least one
+// instruction.
+func SyntheticPhase(name string, intensityPct, seconds float64) (Phase, error) {
 	if intensityPct < 0 || intensityPct > 100 {
 		return Phase{}, fmt.Errorf("workload: intensity %v%% out of [0,100]", intensityPct)
 	}
-	if instructions == 0 {
-		return Phase{}, fmt.Errorf("workload: phase %q needs instructions", name)
-	}
+	h := memhier.P630()
 	m := 1 - intensityPct/100
 	postL1 := synBaseRate + synRampRate*m
 	// Route post-L1 traffic through the power-law miss model with the
@@ -44,13 +42,19 @@ func SyntheticIntensityPhase(name string, intensityPct float64, instructions uin
 	if err != nil {
 		return Phase{}, err
 	}
-	return Phase{
+	p := Phase{
 		Name:                      name,
 		Alpha:                     synAlpha,
 		Rates:                     rates,
-		Instructions:              instructions,
 		NonMemStallCyclesPerInstr: synNonMemStall,
-	}, nil
+	}
+	const fHz = 1e9
+	n := fHz / p.TrueCyclesPerInstr(h, fHz, 1) * seconds
+	p.Instructions = 1
+	if n >= 1 {
+		p.Instructions = uint64(n)
+	}
+	return p, nil
 }
 
 // HotIdle returns the Power4+ idle loop: a tight, CPU-intensive loop with
@@ -69,17 +73,4 @@ func HotIdle() Program {
 		LoopFrom: 0,
 		Loops:    -1,
 	}
-}
-
-// InstructionsForDuration estimates how many instructions of phase p run in
-// the given number of seconds at frequency fHz (ground truth without
-// contention), for sizing workloads to target wall-clock lengths.
-func InstructionsForDuration(p Phase, h memhier.Hierarchy, fHz, seconds float64) uint64 {
-	cpi := p.TrueCyclesPerInstr(h, fHz, 1)
-	rate := fHz / cpi // instructions per second
-	n := rate * seconds
-	if n < 1 {
-		return 1
-	}
-	return uint64(n)
 }

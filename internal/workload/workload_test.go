@@ -261,7 +261,7 @@ func TestCursorAdvanceConservesInstructions(t *testing.T) {
 func TestSyntheticIntensityMonotoneMemoryRates(t *testing.T) {
 	prev := math.Inf(1)
 	for _, intensity := range []float64{0, 25, 50, 75, 100} {
-		ph, err := SyntheticIntensityPhase("p", intensity, 1000, h())
+		ph, err := SyntheticPhase("p", intensity, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestSyntheticIntensityMonotoneMemoryRates(t *testing.T) {
 
 func TestSyntheticPhaseDRAMDominated(t *testing.T) {
 	// §7.3: the large footprint makes post-L1 misses mostly reach memory.
-	ph, err := SyntheticIntensityPhase("p", 20, 1000, h())
+	ph, err := SyntheticPhase("p", 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +285,35 @@ func TestSyntheticPhaseDRAMDominated(t *testing.T) {
 }
 
 func TestSyntheticIntensityValidation(t *testing.T) {
-	if _, err := SyntheticIntensityPhase("p", -1, 1000, h()); err == nil {
+	if _, err := SyntheticPhase("p", -1, 1); err == nil {
 		t.Error("intensity -1 accepted")
 	}
-	if _, err := SyntheticIntensityPhase("p", 101, 1000, h()); err == nil {
+	if _, err := SyntheticPhase("p", 101, 1); err == nil {
 		t.Error("intensity 101 accepted")
 	}
-	if _, err := SyntheticIntensityPhase("p", 50, 0, h()); err == nil {
-		t.Error("zero instructions accepted")
+}
+
+// SyntheticPhase sizes its instruction count from the target duration.
+func TestInstructionsForDuration(t *testing.T) {
+	tiny, err := SyntheticPhase("p", 50, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiny.Instructions != 1 {
+		t.Errorf("tiny duration should floor to 1, got %d", tiny.Instructions)
+	}
+	// The phase runs its target time at 1 GHz to within one instruction.
+	for _, intensity := range []float64{0, 37.5, 100} {
+		for _, secs := range []float64{0.04, 1, 30} {
+			ph, err := SyntheticPhase("p", intensity, secs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perInstr := ph.TrueCyclesPerInstr(h(), 1e9, 1) / 1e9
+			if got := float64(ph.Instructions) * perInstr; math.Abs(got-secs) > perInstr {
+				t.Errorf("%v%% for %v s: %d instructions run %v s", intensity, secs, ph.Instructions, got)
+			}
+		}
 	}
 }
 
@@ -377,18 +398,6 @@ func TestAppScale(t *testing.T) {
 	zt, _ := zero.TotalInstructions()
 	if zt != ft {
 		t.Errorf("zero scale = %d, want %d", zt, ft)
-	}
-}
-
-func TestInstructionsForDuration(t *testing.T) {
-	ph := Phase{Alpha: 1, Instructions: 1} // 1 cycle/instr, no stalls
-	// At 1 GHz for 2 s: 2e9 instructions.
-	got := InstructionsForDuration(ph, h(), 1e9, 2)
-	if got != 2e9 {
-		t.Errorf("InstructionsForDuration = %d, want 2e9", got)
-	}
-	if got := InstructionsForDuration(ph, h(), 1e9, 1e-12); got != 1 {
-		t.Errorf("tiny duration should floor to 1, got %d", got)
 	}
 }
 
