@@ -2,6 +2,7 @@ package farm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/power"
 	"repro/internal/units"
@@ -26,15 +27,18 @@ import (
 // as in fvsst.FitToBudgetGrid: each advance costs sum −= P[idx] −
 // P[idx−1], which is bit for bit what re-summing would give because sums
 // of whole watts cannot round (power.NewTable). The division is then
-// byte-identical to the flat schedule on any input, at O(members) per
-// demotion. met is false when every curve is at its floor with the budget
-// still exceeded. A member with no processors and an empty curve is
-// skipped.
+// byte-identical to the flat schedule on any input. The members' next
+// points sit in a min-heap ordered by step key, so a demotion costs
+// O(log members). met is false when every curve is at its floor with the
+// budget still exceeded. A member with no processors and an empty curve
+// is skipped.
 //
 // Curves and desired indices arrive off the wire from relays, so they are
 // checked, not trusted: a desired index outside the table, or a step key
 // that does not demote desired[i][Step.Proc] from Step.Idx ≥ 1, is an
-// error naming the member, processor and index.
+// error naming the member, processor and index; a step key whose loss is
+// NaN or infinite, or whose processor is not the member's, is an error
+// naming the member and the curve point.
 func DivideLeastLossExact(curves []DemandCurve, desired [][]int, table *power.Table, budget units.Power) (pos []int, met bool, err error) {
 	if len(desired) != len(curves) {
 		return nil, false, fmt.Errorf("farm: %d desired sets for %d curves", len(desired), len(curves))
@@ -59,39 +63,97 @@ func DivideLeastLossExact(curves []DemandCurve, desired [][]int, table *power.Ta
 	}
 	pos = make([]int, len(curves))
 	sum := table.SumAtIndices(actual)
-	for {
-		if sum <= budget {
-			return pos, true, nil
+	if sum <= budget {
+		return pos, true, nil
+	}
+	h := make([]curveHead, 0, len(curves))
+	for i, c := range curves {
+		if len(c.Points) > 1 {
+			hd, err := headAt(curves, desired, offsets, i, 1)
+			if err != nil {
+				return nil, false, err
+			}
+			h = append(h, hd)
 		}
-		best := bestHead(curves, offsets, pos)
-		if best < 0 {
-			return pos, false, nil
-		}
-		step := curves[best].Points[pos[best]+1].Step
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDownHeads(h, i)
+	}
+	for len(h) > 0 {
+		best, step := h[0].member, h[0].key
 		g := offsets[best] + step.Proc
 		if step.Idx < 1 {
 			return nil, false, fmt.Errorf("farm: member %d processor %d step key demotes from index %d, below the table floor", best, step.Proc, step.Idx)
 		}
-		if g < 0 || g >= len(actual) || actual[g] != step.Idx {
+		if actual[g] != step.Idx {
 			return nil, false, fmt.Errorf("farm: member %d step key (proc %d idx %d) inconsistent with its desired indices", best, step.Proc, step.Idx)
 		}
 		actual[g] = step.Idx - 1
 		pos[best]++
-		sum = table.DemotedSum(sum, step.Idx)
+		if next := pos[best] + 1; next < len(curves[best].Points) {
+			hd, err := headAt(curves, desired, offsets, best, next)
+			if err != nil {
+				return nil, false, err
+			}
+			h[0] = hd
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDownHeads(h, 0)
+		if sum = table.DemotedSum(sum, step.Idx); sum <= budget {
+			return pos, true, nil
+		}
 	}
+	return pos, false, nil
 }
 
-// bestHead picks the member whose next curve point has the smallest step
-// key (-1 when every member is exhausted).
-func bestHead(curves []DemandCurve, offsets, pos []int) int {
-	best := -1
-	for i, c := range curves {
-		if pos[i]+1 >= len(c.Points) {
-			continue
-		}
-		if best < 0 || c.Points[pos[i]+1].Step.Less(offsets[i], curves[best].Points[pos[best]+1].Step, offsets[best]) {
-			best = i
-		}
+// curveHead is a member's next curve point in the division's min-heap.
+type curveHead struct {
+	key    StepKey
+	off    int // the member's flat processor offset
+	member int
+}
+
+// before orders heads by step key. headAt admits only keys whose loss is
+// finite and whose processor is the member's own, so two heads never tie
+// and the order is the strict total one a scan over all heads would use.
+func (a curveHead) before(b curveHead) bool { return a.key.Less(a.off, b.key, b.off) }
+
+// headAt is member i's curve point k as a heap entry. A step loss that is
+// NaN or infinite is an error, since StepKey.Less is no order on it, and
+// so is a processor outside the member's, which could tie another
+// member's key.
+func headAt(curves []DemandCurve, desired [][]int, offsets []int, i, k int) (curveHead, error) {
+	step := curves[i].Points[k].Step
+	if math.IsNaN(step.Loss) || math.IsInf(step.Loss, 0) {
+		return curveHead{}, fmt.Errorf("farm: member %d point %d step loss %v is not finite", i, k, step.Loss)
 	}
-	return best
+	if step.Proc < 0 || step.Proc >= len(desired[i]) {
+		return curveHead{}, fmt.Errorf("farm: member %d point %d step key processor %d outside its %d processors", i, k, step.Proc, len(desired[i]))
+	}
+	return curveHead{key: step, off: offsets[i], member: i}, nil
+}
+
+// siftDownHeads restores the min-heap property below position i.
+func siftDownHeads(h []curveHead, i int) {
+	if i >= len(h) {
+		return
+	}
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }

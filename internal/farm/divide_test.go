@@ -2,6 +2,7 @@ package farm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -261,6 +262,26 @@ func TestDivideExactRejectsBadShapes(t *testing.T) {
 	}}
 	_, _, err := DivideLeastLossExact([]DemandCurve{floorStep}, [][]int{{0}}, tab, units.Watts(1))
 	wantErrNaming(t, err, "member 0", "processor 0", "index 0")
+
+	// A non-finite step loss has no place in the key order, so which head
+	// wins next would depend on where it sits: it is rejected wherever it
+	// becomes a member's next point, first or later.
+	for _, loss := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, k := range []int{1, 2} {
+			bad := DemandCurve{Points: append([]DemandPoint(nil), curve.Points...)}
+			bad.Points[k].Step.Loss = loss
+			_, _, err := DivideLeastLossExact([]DemandCurve{curve, bad}, [][]int{m.desired, m.desired}, tab, units.Watts(1))
+			wantErrNaming(t, err, "member 1", fmt.Sprintf("point %d", k), "not finite")
+		}
+	}
+	// A processor outside the member's own would land on another member's
+	// flat slot and could tie that member's key.
+	for _, proc := range []int{2, -1} {
+		bad := DemandCurve{Points: append([]DemandPoint(nil), curve.Points...)}
+		bad.Points[1].Step.Proc = proc
+		_, _, err := DivideLeastLossExact([]DemandCurve{bad, curve}, [][]int{m.desired, m.desired}, tab, units.Watts(1))
+		wantErrNaming(t, err, "member 0", "point 1", fmt.Sprintf("processor %d", proc))
+	}
 }
 
 func wantErrNaming(t *testing.T, err error, parts ...string) {

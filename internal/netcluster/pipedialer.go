@@ -14,9 +14,9 @@ import (
 // serve a pre-established stream connection (the server in Agent and Relay).
 type PipeServer interface{ ServeConn(net.Conn) }
 
-// PipeDialer connects coordinators to in-process servers over net.Pipe,
-// bypassing kernel sockets and fd limits entirely — a 10k-agent fleet
-// needs no listeners. Register each server under a name and use that
+// PipeDialer connects coordinators to in-process servers over a buffered
+// in-process pipe (newPipe), bypassing kernel sockets and fd limits
+// entirely — a 10k-agent fleet needs no listeners. Register each server under a name and use that
 // name as its NodeSpec address. PipeDialer implements Dialer directly;
 // DialTransport slots into faultnet.SetTransport so fault scenarios run
 // over pipes too.
@@ -49,7 +49,7 @@ func (d *PipeDialer) DialTransport(addr string, _ time.Duration) (proto.Conn, er
 	if !ok {
 		return nil, fmt.Errorf("netcluster: pipe transport has no server registered as %q", addr)
 	}
-	local, remote := net.Pipe()
+	local, remote := newPipe()
 	go s.ServeConn(remote)
 	return wire.NewConn(local, wire.Options{Stats: d.stats}), nil
 }

@@ -132,7 +132,7 @@ func (s *server) acceptLoop(ln net.Listener) {
 }
 
 // ServeConn serves one pre-established stream connection (an accepted
-// socket, or one end of a net.Pipe) until it closes; it blocks. The session
+// socket, or one end of PipeDialer's in-process pipe) until it closes; it blocks. The session
 // mirrors its peer's codec, switching to binary on the first binary frame,
 // so the codec differential's JSON oracle sees pure JSON. After Close it
 // hangs up at once, as a closed listener refuses the dial.

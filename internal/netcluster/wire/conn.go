@@ -64,7 +64,7 @@ func (f *frameBuffer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// NewConn wraps a stream connection (TCP, unix, net.Pipe) as a
+// NewConn wraps a stream connection (TCP, unix, an in-process pipe) as a
 // proto.Conn.
 func NewConn(c net.Conn, opts Options) *Conn {
 	return &Conn{c: c, br: bufio.NewReaderSize(c, recvBufSize), opts: opts}
@@ -160,8 +160,8 @@ func (c *Conn) writeFrame() error {
 //
 // It reads through the conn's buffered reader, never the transport itself:
 // the peer writes a frame in one Write, so header and payload arrive in one
-// transport read (one syscall on TCP, one rendezvous with the writer on
-// net.Pipe) where reading them apart cost two. The length is checked
+// transport read (one syscall on TCP, one copy out of the in-process
+// pipe's buffer) where reading them apart cost two. The length is checked
 // before any payload byte is waited for.
 func (c *Conn) Recv() (*proto.Message, error) {
 	// The header buffer is a conn field: a stack array would escape
