@@ -51,21 +51,9 @@ func (cur Sample) Sub(prev Sample) (Delta, error) {
 	if cur.Time < prev.Time {
 		return Delta{}, fmt.Errorf("counters: samples out of order (%v < %v)", cur.Time, prev.Time)
 	}
-	pairs := []struct {
-		name     string
-		old, new uint64
-	}{
-		{"instructions", prev.Instructions, cur.Instructions},
-		{"cycles", prev.Cycles, cur.Cycles},
-		{"halted", prev.HaltedCycles, cur.HaltedCycles},
-		{"l2", prev.L2Refs, cur.L2Refs},
-		{"l3", prev.L3Refs, cur.L3Refs},
-		{"mem", prev.MemRefs, cur.MemRefs},
-	}
-	for _, p := range pairs {
-		if p.new < p.old {
-			return Delta{}, fmt.Errorf("counters: %s counter ran backwards (%d < %d)", p.name, p.new, p.old)
-		}
+	if cur.Instructions < prev.Instructions || cur.Cycles < prev.Cycles || cur.HaltedCycles < prev.HaltedCycles ||
+		cur.L2Refs < prev.L2Refs || cur.L3Refs < prev.L3Refs || cur.MemRefs < prev.MemRefs {
+		return Delta{}, ranBackwards(cur, prev)
 	}
 	return Delta{
 		Window:       cur.Time - prev.Time,
@@ -76,6 +64,27 @@ func (cur Sample) Sub(prev Sample) (Delta, error) {
 		L3Refs:       cur.L3Refs - prev.L3Refs,
 		MemRefs:      cur.MemRefs - prev.MemRefs,
 	}, nil
+}
+
+// ranBackwards names the first counter, in field order, that is lower in
+// cur than in prev.
+func ranBackwards(cur, prev Sample) error {
+	for _, p := range [...]struct {
+		name     string
+		old, new uint64
+	}{
+		{"instructions", prev.Instructions, cur.Instructions},
+		{"cycles", prev.Cycles, cur.Cycles},
+		{"halted", prev.HaltedCycles, cur.HaltedCycles},
+		{"l2", prev.L2Refs, cur.L2Refs},
+		{"l3", prev.L3Refs, cur.L3Refs},
+		{"mem", prev.MemRefs, cur.MemRefs},
+	} {
+		if p.new < p.old {
+			return fmt.Errorf("counters: %s counter ran backwards (%d < %d)", p.name, p.new, p.old)
+		}
+	}
+	return nil
 }
 
 // Add merges another delta into d (aggregation across sampling windows, as

@@ -30,6 +30,32 @@ func TestSampleSubErrors(t *testing.T) {
 	}
 }
 
+// TestSampleSubErrorText pins each backwards counter's message, and that
+// with several backwards the first in field order is named.
+func TestSampleSubErrorText(t *testing.T) {
+	prev := Sample{Time: 1, Instructions: 9, Cycles: 9, HaltedCycles: 9, L2Refs: 9, L3Refs: 9, MemRefs: 9}
+	for _, c := range []struct {
+		set  func(*Sample)
+		want string
+	}{
+		{func(s *Sample) { s.Time = 0.5 }, "counters: samples out of order (0.5 < 1)"},
+		{func(s *Sample) { s.Instructions = 3 }, "counters: instructions counter ran backwards (3 < 9)"},
+		{func(s *Sample) { s.Cycles = 3 }, "counters: cycles counter ran backwards (3 < 9)"},
+		{func(s *Sample) { s.HaltedCycles = 3 }, "counters: halted counter ran backwards (3 < 9)"},
+		{func(s *Sample) { s.L2Refs = 3 }, "counters: l2 counter ran backwards (3 < 9)"},
+		{func(s *Sample) { s.L3Refs = 3 }, "counters: l3 counter ran backwards (3 < 9)"},
+		{func(s *Sample) { s.MemRefs = 3 }, "counters: mem counter ran backwards (3 < 9)"},
+		{func(s *Sample) { s.MemRefs, s.Cycles = 1, 2 }, "counters: cycles counter ran backwards (2 < 9)"},
+	} {
+		cur := prev
+		cur.Time = 2
+		c.set(&cur)
+		if _, err := cur.Sub(prev); err == nil || err.Error() != c.want {
+			t.Errorf("got %v, want %q", err, c.want)
+		}
+	}
+}
+
 func TestDeltaAdd(t *testing.T) {
 	a := Delta{Window: 0.01, Instructions: 10, Cycles: 20, L2Refs: 1}
 	b := Delta{Window: 0.01, Instructions: 30, Cycles: 40, MemRefs: 2}

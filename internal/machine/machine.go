@@ -41,6 +41,10 @@ var (
 
 const contentionSatRefs = 5e6
 
+// P630ThrottleSteps is the p630's fetch-throttle resolution, the
+// ThrottleSteps of P630Config.
+const P630ThrottleSteps = 100
+
 // IdleMode selects how a processor with no runnable work behaves.
 type IdleMode int
 
@@ -94,7 +98,7 @@ func P630Config() Config {
 		NumCPUs:            4,
 		Table:              power.PaperTable1(),
 		Quantum:            0.010,
-		ThrottleSteps:      100,
+		ThrottleSteps:      P630ThrottleSteps,
 		ThrottleSettle:     0.0005,
 		Idle:               IdleHot,
 		Contention:         memhier.Contention{MaxInflation: 1.25},

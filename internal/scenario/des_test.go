@@ -94,7 +94,11 @@ func TestDESDifferentialBudgetEdges(t *testing.T) {
 // inside the round.
 func TestRoundSkippable(t *testing.T) {
 	spec := servingSpec(7)
-	m, err := spec.newMachine(0)
+	table, err := spec.table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spec.newMachine(0, table)
 	if err != nil {
 		t.Fatal(err)
 	}

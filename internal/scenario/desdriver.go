@@ -74,6 +74,7 @@ func RunDESDifferential(spec Spec, opt Options) (*DiffResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: DES run: %w", err)
 	}
+	ref.renderLike(des)
 	return desDiff(spec, ref, des), nil
 }
 

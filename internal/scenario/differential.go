@@ -109,6 +109,9 @@ func diffRuns(spec Spec, base, variant *RunResult, baseLabel, variantLabel strin
 		if inWindow {
 			d.FaultRounds++
 		}
+		if sameRound(base, variant, r) {
+			continue
+		}
 		a, b := renderOne(base, r), renderOne(variant, r)
 		if a == b {
 			continue
@@ -123,17 +126,19 @@ func diffRuns(spec Spec, base, variant *RunResult, baseLabel, variantLabel strin
 	return d
 }
 
-// renderOne is round r's lines, sliced from the run's rendered Text, or a
-// <missing> line past its last round.
+// sameRound reports whether both runs have round r and it renders to
+// the same bytes in each, without rendering it.
+func sameRound(a, b *RunResult, r int) bool {
+	return a != nil && b != nil && r < len(a.Trace) && r < len(b.Trace) && a.Trace[r].equal(b.Trace[r])
+}
+
+// renderOne is round r's lines, or a <missing> line past the run's last
+// round.
 func renderOne(res *RunResult, r int) string {
-	if res == nil || r >= len(res.ends) {
+	if res == nil || r >= len(res.Trace) {
 		return fmt.Sprintf("r=%d <missing>\n", r)
 	}
-	lo := 0
-	if r > 0 {
-		lo = res.ends[r-1]
-	}
-	return res.Text[lo:res.ends[r]]
+	return string(res.Trace[r].appendTo(nil))
 }
 
 // firstDiff returns the first differing line pair, labelled per side.

@@ -1,8 +1,12 @@
 package scenario
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"testing"
+
+	"repro/internal/invariant"
 )
 
 // TestSuiteDoesNotReachText: a checked run and a digest-only run of the
@@ -31,6 +35,11 @@ func TestSuiteDoesNotReachText(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s seed %d digest-only: %v", c.name, c.spec.Seed, err)
 		}
+		if bare.Text != "" {
+			t.Fatalf("%s seed %d: runCluster rendered its trace", c.name, c.spec.Seed)
+		}
+		checked.render()
+		bare.render()
 		if checked.Text != bare.Text || checked.Hash != bare.Hash {
 			t.Fatalf("%s seed %d: the suite reached the trace (%s vs %s)", c.name, c.spec.Seed, checked.Hash, bare.Hash)
 		}
@@ -75,5 +84,57 @@ func TestDigestMismatchIsDivergence(t *testing.T) {
 	b.digests = b.digests[:2]
 	if d := desDiff(spec, a, &b); d.Equivalent || d.Divergences[0].Round != 2 {
 		t.Fatalf("short digest list: equivalent=%v %+v", d.Equivalent, d.Divergences)
+	}
+}
+
+// TestReplayOneULPIsDeterminismViolation: a replay whose only difference
+// is the last bit of one CPU's actual frequency is a determinism
+// violation, with the detail CheckDeterminism gives the two full texts:
+// the mutated proc line and both texts' lengths.
+func TestReplayOneULPIsDeterminismViolation(t *testing.T) {
+	spec := servingSpec(3)
+	const round, proc = 5, 1
+	replay := func(check bool) (*RunResult, error) {
+		r, err := runCluster(spec, Options{}, false, check)
+		if err == nil && !check {
+			p := &r.Trace[round].Procs[proc]
+			p.ActualMHz = math.Nextafter(p.ActualMHz, math.Inf(1))
+		}
+		return r, err
+	}
+	first, det := checkReplay("cluster seed 3", replay)
+	if first == nil || len(first.Violations) != 0 {
+		t.Fatalf("checked run: %+v", first)
+	}
+	mutated, err := replay(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated.render()
+	texts := []string{first.Text, mutated.Text}
+	want := invariant.CheckDeterminism("cluster seed 3", func() (string, error) {
+		text := texts[0]
+		texts = texts[1:]
+		return text, nil
+	})
+	line := 1 + proc + 1
+	for _, r := range first.Trace[:round] {
+		line += 1 + len(r.Procs) + len(r.Serve)
+	}
+	detail := fmt.Sprintf("cluster seed 3: replay diverged at line %d (%d vs %d bytes)", line, len(first.Text), len(mutated.Text))
+	if len(want) != 1 || want[0].Detail != detail {
+		t.Fatalf("oracle: %+v, want %q", want, detail)
+	}
+	if !slices.Equal(det, want) {
+		t.Fatalf("got %+v, want %+v", det, want)
+	}
+	d := diffRuns(spec, first, mutated, "checked", "replay", nil)
+	if len(d.Divergences) != 1 || d.Divergences[0].Round != round {
+		t.Fatalf("diffRuns: %+v", d.Divergences)
+	}
+	if _, det := checkReplay("cluster seed 3", func(check bool) (*RunResult, error) {
+		return runCluster(spec, Options{}, false, check)
+	}); det != nil {
+		t.Fatalf("an unmutated replay: %+v", det)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -139,9 +140,34 @@ func (r RoundTrace) appendTo(b []byte) []byte {
 	return b
 }
 
+// equal reports whether r and o render to the same bytes under appendTo,
+// without rendering either. Strings, ints and bools must match; floats
+// must have equal bits or both be NaN, because 'g' prints every NaN as
+// "NaN", -0 as "-0", and any other two bit patterns differently.
+func (r RoundTrace) equal(o RoundTrace) bool {
+	if r.Round != o.Round || r.Trigger != o.Trigger || r.Met != o.Met ||
+		!sameFloat(r.At, o.At) || !sameFloat(r.BudgetW, o.BudgetW) || !sameFloat(r.LiveW, o.LiveW) ||
+		!sameFloat(r.ReservedW, o.ReservedW) || !sameFloat(r.ChargedW, o.ChargedW) ||
+		!slices.Equal(r.Degraded, o.Degraded) || !slices.Equal(r.Serve, o.Serve) || len(r.Procs) != len(o.Procs) {
+		return false
+	}
+	for i, p := range r.Procs {
+		q := o.Procs[i]
+		if p.Node != q.Node || p.CPU != q.CPU || p.Idle != q.Idle || !sameFloat(p.DesiredMHz, q.DesiredMHz) ||
+			!sameFloat(p.ActualMHz, q.ActualMHz) || !sameFloat(p.VoltageV, q.VoltageV) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameFloat(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || x != x && y != y
+}
+
 // textSize estimates a trace's rendered length from the widest lines
 // generated scenarios render (a header under 128 bytes, a proc or serve
-// line under 64), so finishResult allocates its buffer once.
+// line under 64), so render allocates its buffer once.
 func textSize(trace []RoundTrace) int {
 	n := 0
 	for _, r := range trace {
@@ -192,28 +218,31 @@ type RunResult struct {
 	// Gap aggregates exact-comparator measurements when MeasureGap is on.
 	Gap *OptGapStats `json:"gap,omitempty"`
 
-	// ends[r] is the end offset of round r's lines in Text.
-	ends []int
 	// digests[r] is the SHA-256 of every value the invariant suite reads
 	// in round r (runCluster only; see roundDigest). Outside Text and Hash.
 	digests [][sha256.Size]byte
 }
 
-// finishResult renders and hashes the trace and keeps the suite's
-// violations; a nil suite (a digest-only run) reports none.
-func finishResult(res *RunResult, suite *invariant.Suite) {
+// render sets Text and Hash from the trace.
+func (res *RunResult) render() {
 	b := make([]byte, 0, textSize(res.Trace))
-	res.ends = make([]int, len(res.Trace))
-	for i, r := range res.Trace {
+	for _, r := range res.Trace {
 		b = r.appendTo(b)
-		res.ends[i] = len(b)
 	}
 	res.Text = string(b)
 	sum := sha256.Sum256(b)
 	res.Hash = hex.EncodeToString(sum[:8])
-	if suite != nil {
-		res.Violations = suite.Violations()
+}
+
+// renderLike sets Text and Hash like render, but takes them from like
+// when every round equals like's: a digest-only run compared with a
+// rendered one pays for text only when the two differ.
+func (res *RunResult) renderLike(like *RunResult) {
+	if slices.EqualFunc(res.Trace, like.Trace, RoundTrace.equal) {
+		res.Text, res.Hash = like.Text, like.Hash
+		return
 	}
+	res.render()
 }
 
 // roundDigest accumulates one round's checker inputs in a fixed binary
@@ -318,11 +347,13 @@ func firstDigestDiff(a, b *RunResult) int {
 
 // nodeRun is one node's live state inside the in-process driver.
 type nodeRun struct {
-	name      string
-	m         *machine.Machine
-	sampler   *counters.Sampler
-	missed    int
-	degraded  bool
+	name     string
+	m        *machine.Machine
+	sampler  *counters.Sampler
+	missed   int
+	degraded bool
+	// lastFreqs is the last actuation, rewritten in place each round the
+	// node is live; nil until its first.
 	lastFreqs []units.Frequency
 	// st/feeder are set only for serving scenarios. A partitioned node's
 	// machine freezes, so its streams hold matured arrivals until it
@@ -339,7 +370,12 @@ type nodeRun struct {
 // round ledger runs under the invariant checkers. Live nodes cross
 // quiet rounds on the machine's fast-forward path (see advanceNodeRound).
 func RunCluster(spec Spec, opt Options) (*RunResult, error) {
-	return runCluster(spec, opt, false, true)
+	res, err := runCluster(spec, opt, false, true)
+	if err != nil {
+		return nil, err
+	}
+	res.render()
+	return res, nil
 }
 
 // runCluster is RunCluster's round loop; stepped selects the per-quantum
@@ -348,7 +384,8 @@ func RunCluster(spec Spec, opt Options) (*RunResult, error) {
 // the pass snapshot, the suite, PredLoss and Gap, and still records each
 // round's checker-input digest, so a caller that also ran the same spec
 // checked proves by comparing digests that this run would have been
-// judged the same.
+// judged the same. The result is not rendered: callers set Text and Hash
+// with render or renderLike.
 func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -380,12 +417,23 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 	if err != nil {
 		return nil, err
 	}
+	table := fcfg.Table
 	nodes := make([]*nodeRun, len(spec.Nodes))
+	defer func() {
+		for _, n := range nodes {
+			if n != nil && n.st != nil {
+				n.st.Release()
+				n.feeder.Release()
+			}
+		}
+	}()
+	cpus := 0
 	for i := range spec.Nodes {
-		m, err := spec.newMachine(i)
+		m, err := spec.newMachine(i, table)
 		if err != nil {
 			return nil, err
 		}
+		cpus += m.NumCPUs()
 		// The round only ever reads the last SchedulePeriods deltas; the
 		// depth is fvsst.NewScheduler's and cluster.New's.
 		sampler, err := counters.NewSampler(m, 4*spec.SchedulePeriods)
@@ -405,7 +453,6 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 			nodes[i].st, nodes[i].feeder = st, feeder
 		}
 	}
-	table := fcfg.Table
 	core.SetPhaseTiming(opt.Sink != nil)
 	period := float64(spec.SchedulePeriods) * quantum
 	clock := engine.NewSimClock(period)
@@ -417,11 +464,19 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 			suite = policyCheckers()
 		}
 	}
-	res := &RunResult{Rounds: spec.Rounds}
+	res := &RunResult{Rounds: spec.Rounds, Trace: make([]RoundTrace, 0, spec.Rounds)}
 	if opt.MeasureGap && check {
 		res.Gap = &OptGapStats{}
 	}
-	var digest roundDigest
+	digest := roundDigest{sums: make([][sha256.Size]byte, 0, spec.Rounds)}
+
+	// The poll's scratch lives for the whole run: nothing a round keeps
+	// (its trace, its digest, the sink's events) points into it. Each
+	// observed CPU's observation sits in observations at its input index.
+	live := make([]bool, len(nodes))
+	inputs := make([]cluster.ProcInput, 0, cpus)
+	observations := make([]perfmodel.Observation, cpus)
+	nodeInputs := make([][]int, len(nodes))
 
 	for round := 0; round < spec.Rounds; round++ {
 		now := clock.Now()
@@ -438,11 +493,11 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 		// Phase 1: poll. Partitioned nodes freeze (their machine does not
 		// advance), exactly as a failed counter RPC leaves the remote
 		// machine untouched.
-		live := make([]bool, len(nodes))
-		var inputs []cluster.ProcInput
-		nodeInputs := make([][]int, len(nodes))
+		inputs = inputs[:0]
 		var reserved units.Power
 		for i, n := range nodes {
+			live[i] = false
+			nodeInputs[i] = nodeInputs[i][:0]
 			if spec.partitioned(i, round) {
 				n.missed++
 				if n.missed >= MissK {
@@ -462,7 +517,8 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 					Idle: n.m.IsIdle(cpu),
 				}
 				if o, ok := perfmodel.ObservationFrom(n.sampler.WindowAggregate(cpu, spec.SchedulePeriods)); ok {
-					in.Obs = &o
+					observations[len(inputs)] = o
+					in.Obs = &observations[len(inputs)]
 				}
 				nodeInputs[i] = append(nodeInputs[i], len(inputs))
 				inputs = append(inputs, in)
@@ -489,14 +545,15 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 			if !live[i] {
 				continue
 			}
-			freqs := make([]units.Frequency, len(nodeInputs[i]))
+			if n.lastFreqs == nil {
+				n.lastFreqs = make([]units.Frequency, len(nodeInputs[i]))
+			}
 			for cpu, idx := range nodeInputs[i] {
-				freqs[cpu] = pass.Assignments[idx].Actual
-				if err := n.m.SetFrequency(cpu, freqs[cpu]); err != nil {
+				n.lastFreqs[cpu] = pass.Assignments[idx].Actual
+				if err := n.m.SetFrequency(cpu, n.lastFreqs[cpu]); err != nil {
 					return nil, err
 				}
 			}
-			n.lastFreqs = freqs
 			n.missed = 0
 			n.degraded = false
 		}
@@ -568,6 +625,7 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 		// plus a serve line in the canonical trace.
 		var serves []ServeTrace
 		if spec.Serving != nil {
+			serves = make([]ServeTrace, 0, len(nodes))
 			for _, n := range nodes {
 				a := n.st.Account()
 				q := invariant.QueueLedger{
@@ -646,7 +704,9 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 		}
 	}
 	res.digests = digest.sums
-	finishResult(res, suite)
+	if suite != nil {
+		res.Violations = suite.Violations()
+	}
 	return res, nil
 }
 
@@ -662,16 +722,17 @@ func roundTrace(round int, at float64, trigger string, budget, live, reserved, c
 		ChargedW:  charged.W(),
 		Met:       charged <= budget,
 		Degraded:  degraded,
+		Procs:     make([]ProcTrace, len(pass.Assignments)),
 	}
 	for k, a := range pass.Assignments {
-		rt.Procs = append(rt.Procs, ProcTrace{
+		rt.Procs[k] = ProcTrace{
 			Node:       inputs[k].Node,
 			CPU:        a.Proc.CPU,
 			Idle:       a.Idle,
 			DesiredMHz: a.Desired.MHz(),
 			ActualMHz:  a.Actual.MHz(),
 			VoltageV:   a.Voltage.V(),
-		})
+		}
 	}
 	return rt
 }

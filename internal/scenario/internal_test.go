@@ -1,8 +1,14 @@
 package scenario
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/fvsst"
+	"repro/internal/machine"
+	"repro/internal/memhier"
 )
 
 func TestHelperFunctions(t *testing.T) {
@@ -60,5 +66,40 @@ func TestTruncateRoundsDropsOutOfRange(t *testing.T) {
 	}
 	if c.UPS != nil {
 		t.Fatal("UPS past the end survived truncation")
+	}
+}
+
+// TestConfigsMatchTheirDefaults: the configs the drivers build field by
+// field, to share one operating-point table, are fvsst.DefaultConfig and
+// machine.P630Config with exactly the spec's overrides.
+func TestConfigsMatchTheirDefaults(t *testing.T) {
+	s := Generate(4)
+	s.Table = "s5"
+	table, err := s.table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fvsst.DefaultConfig()
+	want.Table = table
+	want.Epsilon = s.Epsilon
+	want.SchedulePeriods = s.SchedulePeriods
+	want.UseIdleSignal = true
+	want.Overhead = fvsst.Overhead{}
+	if got, err := s.fvsstConfig(); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fvsstConfig = %+v, %v; want %+v", got, err, want)
+	}
+	for i := range s.Nodes {
+		want := machine.P630Config()
+		want.Name = fmt.Sprintf("n%d", i)
+		want.NumCPUs = len(s.Nodes[i].CPUs)
+		want.Table = table
+		want.Quantum = quantum
+		want.LatencyJitterSigma = 0
+		want.Contention = memhier.Contention{}
+		want.ThrottleSettle = 0
+		want.Seed = s.Seed + 101 + int64(i)
+		if got := s.machineConfig(i, table); !reflect.DeepEqual(got, want) {
+			t.Fatalf("machineConfig(%d) = %+v, want %+v", i, got, want)
+		}
 	}
 }

@@ -78,7 +78,7 @@ func runNet(spec Spec, nRelays int, codec string) (*RunResult, error) {
 		}
 	}()
 	for i := range spec.Nodes {
-		m, err := spec.newMachine(i)
+		m, err := spec.newMachine(i, fcfg.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +230,8 @@ func runNet(spec Spec, nRelays int, codec string) (*RunResult, error) {
 			AllLiveAtFloor: allAtFloor || unacked,
 		})...)
 	}
-	finishResult(res, suite)
+	res.Violations = suite.Violations()
+	res.render()
 	return res, nil
 }
 

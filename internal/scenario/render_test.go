@@ -95,8 +95,8 @@ func TestRoundTraceRenderMatchesFmt(t *testing.T) {
 	}
 }
 
-// TestRenderOneSlicesText: diffRuns compares rounds sliced out of Text,
-// so each slice must be exactly that round's rendering.
+// TestRenderOneSlicesText: diffRuns reports rounds rendered one at a
+// time, so each must be exactly that round's slice of Text.
 func TestRenderOneSlicesText(t *testing.T) {
 	res, err := RunCluster(servingSpec(5), Options{})
 	if err != nil {
@@ -119,14 +119,39 @@ func TestRenderOneSlicesText(t *testing.T) {
 }
 
 // FuzzRoundTraceRender holds appendTo and appendFarmLine to the fmt
-// oracles on arbitrary floats, ints, bools and strings.
+// oracles on arbitrary floats, ints, bools and strings, and holds
+// RoundTrace.equal to rendering: a round and its variants (at and w
+// swapped, met flipped, count moved) are equal exactly when they render
+// to equal bytes.
 func FuzzRoundTraceRender(f *testing.F) {
 	f.Add(3, 1, 0.06, 294.5, 1000.0, true, false, "timer", "n0|n1", uint64(17))
 	f.Add(-1, -7, math.NaN(), math.Inf(1), math.Inf(-1), false, true, "", "", uint64(0))
 	f.Add(0, 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1e21, true, true, "budget-change", "|", uint64(math.MaxUint64))
 	f.Add(1<<40, 9, 1e-5, 0.1+0.2, -0.005, false, false, "x=y\n", "a,b|\xff", uint64(1)<<63)
+	// Pairs the predicate must split or join exactly as the text does.
+	f.Add(2, 0, 0.0, math.Copysign(0, -1), 1.0, true, false, "timer", "n0", uint64(3))
+	f.Add(2, 0, math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000f00), 1.0, true, false, "timer", "n0", uint64(3))
+	f.Add(2, 0, math.Inf(1), math.Inf(-1), 1.0, true, false, "timer", "n0", uint64(3))
+	f.Add(2, 0, 1.0, math.Nextafter(1, 2), 1.0, true, false, "timer", "n0", uint64(3))
 	f.Fuzz(func(t *testing.T, round, cpu int, at, w, x float64, met, idle bool, trigger, nodes string, count uint64) {
 		r, a := renderCase(round, cpu, at, w, x, met, idle, trigger, nodes, count)
 		checkRender(t, r, at, a)
+		text := string(r.appendTo(nil))
+		for name, v := range map[string]func() (RoundTrace, farm.Allocation){
+			"swapped": func() (RoundTrace, farm.Allocation) {
+				return renderCase(round, cpu, w, at, x, met, idle, trigger, nodes, count)
+			},
+			"met": func() (RoundTrace, farm.Allocation) {
+				return renderCase(round, cpu, at, w, x, !met, idle, trigger, nodes, count)
+			},
+			"count": func() (RoundTrace, farm.Allocation) {
+				return renderCase(round, cpu, at, w, x, met, idle, trigger, nodes, count+1)
+			},
+		} {
+			o, _ := v()
+			if eq, same := r.equal(o), text == string(o.appendTo(nil)); eq != same || !o.equal(o) {
+				t.Errorf("%s: equal=%v, equal text=%v", name, eq, same)
+			}
+		}
 	})
 }

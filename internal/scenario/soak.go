@@ -94,11 +94,12 @@ type SoakReport struct {
 
 // Soak runs the campaign: cluster scenarios through the in-process
 // mirror plus the full invariant suite (then once more digest-only,
-// comparing the traces byte for byte and the checker inputs round by
-// round), differential scenarios through both stacks, farm scenarios
-// through the allocator contract checks, and DES scenarios through the
-// quantum-vs-DES engine differential (RunCluster against its per-quantum
-// reference, byte-comparing per-round traces).
+// comparing every round's trace values and checker inputs with the
+// checked run's; text is rendered only to report a mismatch),
+// differential scenarios through both stacks, farm scenarios through the
+// allocator contract checks, and DES scenarios through the quantum-vs-DES
+// engine differential (RunCluster against its per-quantum reference,
+// comparing per-round trace values).
 // Failing cluster seeds are shrunk to minimal reproducers.
 func Soak(cfg SoakConfig) *SoakReport {
 	start := time.Now()
@@ -198,28 +199,17 @@ func runClusterJob(res *SeedResult, cfg SoakConfig) {
 		opt.Sink = rec
 	}
 	// The first run is checked and feeds the recorder; the replay is
-	// digest-only, so determinism compares the text and the checker inputs.
-	label := fmt.Sprintf("cluster seed %d", res.Seed)
-	var runs []*RunResult
-	det := invariant.CheckDeterminism(label, func() (string, error) {
-		o, check := opt, len(runs) == 0
+	// digest-only.
+	first, det := checkReplay(fmt.Sprintf("cluster seed %d", res.Seed), func(check bool) (*RunResult, error) {
+		o := opt
 		if !check {
 			o.Sink = nil
 		}
-		r, err := runCluster(spec, o, false, check)
-		if err != nil {
-			return "", err
-		}
-		runs = append(runs, r)
-		return r.Text, nil
+		return runCluster(spec, o, false, check)
 	})
-	if len(runs) == 0 {
+	if first == nil {
 		res.Err = det[0].Detail
 		return
-	}
-	first := runs[0]
-	if len(det) == 0 {
-		det = replayDivergence(label, first, runs[1])
 	}
 	res.Rounds, res.Hash = first.Rounds, first.Hash
 	res.Violations = append(first.Violations, det...)
@@ -241,6 +231,37 @@ func runClusterJob(res *SeedResult, cfg SoakConfig) {
 	}
 	shrunk, attempts := Shrink(spec, fails, cfg.ShrinkMax)
 	res.Shrunk, res.ShrinkAttempts = &shrunk, attempts
+}
+
+// checkReplay is a cluster job's determinism check. It gets the checked
+// run from run(true) and renders it, then a digest-only replay from
+// run(false), and returns the checked run (nil if it failed) with any
+// violation: a failed run, a replay whose rounds differ from the checked
+// run's (rendered only then, so the detail names the first differing
+// line), or one that fed the checkers different inputs.
+func checkReplay(label string, run func(check bool) (*RunResult, error)) (*RunResult, []invariant.Violation) {
+	var runs []*RunResult
+	det := invariant.CheckDeterminism(label, func() (string, error) {
+		check := len(runs) == 0
+		r, err := run(check)
+		if err != nil {
+			return "", err
+		}
+		if check {
+			r.render()
+		} else {
+			r.renderLike(runs[0])
+		}
+		runs = append(runs, r)
+		return r.Text, nil
+	})
+	if len(runs) == 0 {
+		return nil, det
+	}
+	if len(det) == 0 {
+		det = replayDivergence(label, runs[0], runs[1])
+	}
+	return runs[0], det
 }
 
 // replayDivergence reports a determinism violation when a replay whose

@@ -402,7 +402,7 @@ func (s Spec) Validate() error {
 	if s.BudgetW <= 0 {
 		return fmt.Errorf("scenario: budget %vW must be positive", s.BudgetW)
 	}
-	if _, err := s.table(); err != nil {
+	if _, err := s.newTable(); err != nil {
 		return err
 	}
 	for _, e := range s.Events {
@@ -434,59 +434,64 @@ func policyWindows(ps []PolicyWindow) []Window {
 	return out
 }
 
-func (s Spec) table() (*power.Table, error) {
+// newTable is the constructor of the spec's operating-point table.
+func (s Spec) newTable() (func() *power.Table, error) {
 	switch s.Table {
 	case "paper", "":
-		return power.PaperTable1(), nil
+		return power.PaperTable1, nil
 	case "s5":
-		return power.Section5Table(), nil
+		return power.Section5Table, nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown table %q", s.Table)
 	}
 }
 
-// fvsstConfig is the shared scheduling configuration both drivers use.
+func (s Spec) table() (*power.Table, error) {
+	newTable, err := s.newTable()
+	if err != nil {
+		return nil, err
+	}
+	return newTable(), nil
+}
+
+// fvsstConfig is the shared scheduling configuration both drivers use:
+// fvsst.DefaultConfig's fields, each overridden, with the idle signal on.
+// Its table is the run's one table; newMachine shares it with every node
+// (a power.Table is never mutated).
 func (s Spec) fvsstConfig() (fvsst.Config, error) {
 	table, err := s.table()
 	if err != nil {
 		return fvsst.Config{}, err
 	}
-	cfg := fvsst.DefaultConfig()
-	cfg.Table = table
-	cfg.Epsilon = s.Epsilon
-	cfg.SchedulePeriods = s.SchedulePeriods
-	cfg.UseIdleSignal = true
-	cfg.Overhead = fvsst.Overhead{}
+	cfg := fvsst.Config{
+		Table:           table,
+		Epsilon:         s.Epsilon,
+		SchedulePeriods: s.SchedulePeriods,
+		UseIdleSignal:   true,
+	}
 	return cfg, cfg.Validate()
 }
 
-// machineConfig is node i's quiet (noise-free) machine: determinism and
-// trace equality need bit-identical simulation on both sides of the
-// differential, so jitter, meter noise and throttle settle are off.
-func (s Spec) machineConfig(i int) (machine.Config, error) {
-	table, err := s.table()
-	if err != nil {
-		return machine.Config{}, err
+// machineConfig is node i's quiet (noise-free) p630 over table: the
+// fields machine.P630Config sets, with jitter, contention and throttle
+// settle off, because determinism and trace equality need bit-identical
+// simulation on both sides of the differential.
+func (s Spec) machineConfig(i int, table *power.Table) machine.Config {
+	return machine.Config{
+		Name:          fmt.Sprintf("n%d", i),
+		NumCPUs:       len(s.Nodes[i].CPUs),
+		Table:         table,
+		Quantum:       quantum,
+		ThrottleSteps: machine.P630ThrottleSteps,
+		Idle:          machine.IdleHot,
+		Seed:          s.Seed + 101 + int64(i),
 	}
-	cfg := machine.P630Config()
-	cfg.Name = fmt.Sprintf("n%d", i)
-	cfg.NumCPUs = len(s.Nodes[i].CPUs)
-	cfg.Table = table
-	cfg.Quantum = quantum
-	cfg.LatencyJitterSigma = 0
-	cfg.Contention = memhier.Contention{}
-	cfg.ThrottleSettle = 0
-	cfg.Seed = s.Seed + 101 + int64(i)
-	return cfg, nil
 }
 
-// newMachine builds node i's machine with its CPUs' workloads installed.
-func (s Spec) newMachine(i int) (*machine.Machine, error) {
-	cfg, err := s.machineConfig(i)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(cfg)
+// newMachine builds node i's machine over table with its CPUs' workloads
+// installed.
+func (s Spec) newMachine(i int, table *power.Table) (*machine.Machine, error) {
+	m, err := machine.New(s.machineConfig(i, table))
 	if err != nil {
 		return nil, err
 	}

@@ -231,7 +231,7 @@ func NewStation(m *machine.Machine, cfg Config) (*Station, error) {
 	s := &Station{
 		cfg:     cfg,
 		classes: append([]Class(nil), cfg.Classes...),
-		sizeRng: rand.New(rand.NewSource(cfg.Seed)),
+		sizeRng: newRand(cfg.Seed),
 		queues:  make([]ring, len(cfg.Classes)),
 		buckets: make([]bucket, len(cfg.Classes)),
 		cpus:    make([]cpuState, m.NumCPUs()),

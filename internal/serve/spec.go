@@ -245,7 +245,7 @@ func (a ArrivalSpec) NewStream(seed int64) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Stream{rng: rand.New(rand.NewSource(seed)), gaps: gaps, rate: a.RateFn()}
+	s := &Stream{rng: newRand(seed), gaps: gaps, rate: a.RateFn()}
 	s.advance()
 	return s, nil
 }
