@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -62,28 +63,32 @@ func parseJob(spec string, scale float64) (workload.Program, error) {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// run is main's body with error returns instead of log.Fatal, so the
-// deferred trace flush and listener teardown execute on every exit path.
-func run() error {
-	jobs := flag.String("jobs", "mcf,idle,idle,idle", "comma-separated per-CPU jobs")
-	budgetW := flag.Float64("budget", 560, "initial CPU power budget (watts)")
-	failAt := flag.Float64("fail-at", 0, "simulated time of a power-supply failure dropping the budget to 294W (0 = never)")
-	duration := flag.Float64("duration", 5, "simulated seconds to run")
-	epsilon := flag.Float64("epsilon", 0.05, "acceptable performance loss ε")
-	idleSignal := flag.Bool("idle-signal", false, "enable the firmware idle indicator")
-	ideal := flag.Bool("ideal", false, "use the closed-form f_ideal instead of the ε-scan")
-	scale := flag.Float64("scale", 0.5, "workload scale")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	every := flag.Int("log-every", 10, "print every n-th timer decision")
-	tracePath := flag.String("trace", "", "write one JSONL trace event per scheduling decision to this file")
-	metricsPath := flag.String("metrics", "", "write Prometheus text-format metrics to this file at exit")
-	metricsAddr := flag.String("metrics-addr", "", "serve a live Prometheus /metrics endpoint on this address (e.g. :9090)")
-	flag.Parse()
+// run is main's body: it parses args and prints to out, with error
+// returns instead of log.Fatal, so the deferred trace flush and listener
+// teardown execute on every exit path.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("fvsst-sim", flag.ExitOnError)
+	jobs := fs.String("jobs", "mcf,idle,idle,idle", "comma-separated per-CPU jobs")
+	budgetW := fs.Float64("budget", 560, "initial CPU power budget (watts)")
+	failAt := fs.Float64("fail-at", 0, "simulated time of a power-supply failure dropping the budget to 294W (0 = never)")
+	duration := fs.Float64("duration", 5, "simulated seconds to run")
+	epsilon := fs.Float64("epsilon", 0.05, "acceptable performance loss ε")
+	idleSignal := fs.Bool("idle-signal", false, "enable the firmware idle indicator")
+	ideal := fs.Bool("ideal", false, "use the closed-form f_ideal instead of the ε-scan")
+	scale := fs.Float64("scale", 0.5, "workload scale")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	every := fs.Int("log-every", 10, "print every n-th timer decision (≤ 0: none)")
+	tracePath := fs.String("trace", "", "write one JSONL trace event per scheduling decision to this file")
+	metricsPath := fs.String("metrics", "", "write Prometheus text-format metrics to this file at exit")
+	metricsAddr := fs.String("metrics-addr", "", "serve a live Prometheus /metrics endpoint on this address (e.g. :9090)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	mcfg := machine.P630Config()
 	mcfg.Seed = *seed
@@ -169,7 +174,7 @@ func run() error {
 		defer ln.Close()
 		// Print the bound address, not the flag: with ":0" the OS picks
 		// the port, and scripts need to learn which one.
-		fmt.Printf("metrics endpoint listening on %s\n", ln.Addr())
+		fmt.Fprintf(out, "metrics endpoint listening on %s\n", ln.Addr())
 		go func() {
 			if err := http.Serve(ln, metrics.Registry.Handler()); err != nil && !errors.Is(err, net.ErrClosed) {
 				log.Printf("metrics endpoint: %v", err)
@@ -193,28 +198,28 @@ func run() error {
 		lastAt = d.At
 		if d.Trigger == "timer" {
 			timerSeen++
-			if timerSeen%*every != 0 {
+			if *every <= 0 || timerSeen%*every != 0 {
 				continue
 			}
 		}
-		fmt.Println(d)
+		fmt.Fprintln(out, d)
 	}
 
-	fmt.Printf("\nfinished at t=%.2fs; system power %v; CPU energy %v\n",
+	fmt.Fprintf(out, "\nfinished at t=%.2fs; system power %v; CPU energy %v\n",
 		m.Now(), m.SystemPower(), m.CPUEnergy())
 	for _, c := range m.Completions() {
-		fmt.Printf("  cpu%d %-10s done at %.2fs\n", c.CPU, c.Program, c.At)
+		fmt.Fprintf(out, "  cpu%d %-10s done at %.2fs\n", c.CPU, c.Program, c.At)
 	}
 	if sum, err := fvsst.Summarize(sched.Decisions()); err == nil {
-		fmt.Println()
-		fmt.Print(sum.Render())
+		fmt.Fprintln(out)
+		fmt.Fprint(out, sum.Render())
 	}
 
 	if trace != nil {
 		if err := trace.Close(); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
-		fmt.Printf("\ndecision trace written to %s\n", *tracePath)
+		fmt.Fprintf(out, "\ndecision trace written to %s\n", *tracePath)
 	}
 	if *metricsPath != "" {
 		f, err := os.Create(*metricsPath)
@@ -227,7 +232,7 @@ func run() error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("metrics written to %s\n", *metricsPath)
+		fmt.Fprintf(out, "metrics written to %s\n", *metricsPath)
 	}
 	return nil
 }

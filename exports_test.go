@@ -281,8 +281,9 @@ func (s *exportScan) problemOf(key string, obj types.Object) string {
 }
 
 // declare records pkg's exported top-level names, the exported methods of
-// its named types, and the exported fields of its …Config and …Options
-// structs under internal/.
+// its named types, and, under internal/, the exported fields of its
+// option structs: the …Config and …Options types and every exported type
+// with a Validate method.
 func (s *exportScan) declare(dir string, pkg *types.Package) {
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
@@ -295,13 +296,16 @@ func (s *exportScan) declare(dir string, pkg *types.Package) {
 			continue
 		}
 		named := tn.Type().(*types.Named)
+		validated := false
 		for i := 0; i < named.NumMethods(); i++ {
-			if fn := named.Method(i); fn.Exported() {
+			fn := named.Method(i)
+			if fn.Exported() {
 				s.add(fn, dir+"."+name+"."+fn.Name(), unusedMethod)
 			}
+			validated = validated || fn.Name() == "Validate"
 		}
 		if strings.HasPrefix(dir, "internal/") && tn.Exported() &&
-			(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+			(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || validated) {
 			s.declareFields(dir, tn, tn)
 		}
 	}
@@ -809,8 +813,22 @@ func TestUnusedExportsChecker(t *testing.T) {
 			name: "an option field read outside its own type's Validate",
 			files: map[string]string{
 				"internal/a/a.go": "package a\n\ntype Config struct{ Rate int }\n\nfunc (c Config) Validate() bool { return c.Rate > 0 }\n\n" +
-					"type Spec struct{ C Config }\n\nfunc (s Spec) Validate() bool { return s.C.Validate() && s.C.Rate < 9 }\n",
-				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { _ = a.Spec{C: a.Config{Rate: 1}}.Validate() }\n",
+					"type Spec struct{ C Config }\n\nfunc (s Spec) Valid() bool { return s.C.Validate() && s.C.Rate < 9 }\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { _ = a.Spec{C: a.Config{Rate: 1}}.Valid() }\n",
+			},
+		},
+		{
+			name: "an exported struct with a Validate method is an option type",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype Policy struct{ Drop, Jitter, Spare int }\n\n" +
+					"func (p Policy) Validate() bool { return p.Drop >= 0 && p.Jitter >= 0 }\n\n" +
+					"func Run(p Policy) int { return p.Drop + p.Spare }\n\n" +
+					"type hidden struct{ Unset int }\n\nfunc (h hidden) Validate() bool { return h.Unset > 0 }\n\nvar _ = hidden{}.Validate()\n",
+				"cmd/tool/main.go": "package main\n\nimport \"repro/internal/a\"\n\nfunc main() {\n\tp := a.Policy{Drop: 1, Jitter: 2}\n\t_ = p.Validate()\n\ta.Run(p)\n}\n",
+			},
+			want: []string{
+				"internal/a.Policy.Jitter is an option field no non-test code outside bench/ reads",
+				"internal/a.Policy.Spare is an option field no non-test code outside bench/ sets",
 			},
 		},
 		{

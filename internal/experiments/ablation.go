@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/fvsst"
-	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/power"
 	"repro/internal/telemetry"
@@ -164,25 +163,16 @@ type AblationIdleReport struct {
 // AblationIdle runs the idle-detection study.
 func AblationIdle(o Options) (*AblationIdleReport, error) {
 	run := func(useSignal bool) (float64, uint64, error) {
-		mcfg := o.machineConfig(4)
-		m, err := machine.New(mcfg)
+		m, err := newMachine(o.machineConfig(4), []workload.Program{workload.Gap(o.Scale)})
 		if err != nil {
 			return 0, 0, err
 		}
-		mix, err := workload.NewMix(workload.Gap(o.Scale))
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := m.SetMix(0, mix); err != nil {
-			return 0, 0, err
-		}
-		cfg := o.schedConfig()
+		cfg := fvsst.DefaultConfig()
 		cfg.UseIdleSignal = useSignal
-		s, err := fvsst.New(cfg, m, units.Watts(560))
+		drv, err := newDriver(m, cfg, units.Watts(560))
 		if err != nil {
 			return 0, 0, err
 		}
-		drv := fvsst.NewDriver(m, s)
 		seconds := 2*float64(o.Scale) + 0.5
 		if err := drv.Run(seconds); err != nil {
 			return 0, 0, err

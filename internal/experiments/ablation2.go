@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/fvsst"
-	"repro/internal/machine"
 	"repro/internal/memhier"
 	"repro/internal/perfmodel"
 	"repro/internal/telemetry"
@@ -82,28 +81,19 @@ func AblationMasking(o Options) (*AblationMaskingReport, error) {
 		progs = append(progs, memJob)
 	}
 
-	mcfg := o.machineConfig(1)
-	m, err := machine.New(mcfg)
+	m, err := newMachine(o.machineConfig(1), progs)
 	if err != nil {
 		return nil, err
 	}
-	mix, err := workload.NewMix(progs...)
+	cfg := fvsst.DefaultConfig()
+	drv, err := newDriver(m, cfg, units.Watts(140))
 	if err != nil {
 		return nil, err
 	}
-	if err := m.SetMix(0, mix); err != nil {
-		return nil, err
-	}
-	cfg := o.schedConfig()
-	s, err := fvsst.New(cfg, m, budgetFor(140))
-	if err != nil {
-		return nil, err
-	}
-	drv := fvsst.NewDriver(m, s)
 	if err := drv.Run(1.5); err != nil {
 		return nil, err
 	}
-	d, ok := s.LastDecision()
+	d, ok := drv.S.LastDecision()
 	if !ok {
 		return nil, fmt.Errorf("experiments: no decision")
 	}
@@ -181,34 +171,22 @@ func AblationActuator(o Options) (*AblationActuatorReport, error) {
 		mcfg := o.machineConfig(1)
 		mcfg.ThrottleSteps = v.steps
 		mcfg.ThrottleSettle = v.settle
-		m, err := machine.New(mcfg)
+		m, err := newMachine(mcfg, []workload.Program{workload.Gap(o.Scale)})
 		if err != nil {
 			return nil, err
 		}
-		mix, err := workload.NewMix(workload.Gap(o.Scale))
+		drv, err := newDriver(m, fvsst.DefaultConfig(), units.Watts(75))
 		if err != nil {
 			return nil, err
 		}
-		if err := m.SetMix(0, mix); err != nil {
-			return nil, err
-		}
-		s, err := fvsst.New(o.schedConfig(), m, budgetFor(75))
+		res, err := runToCompletion(m, drv, 600, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: actuator %s: %w", v.name, err)
 		}
-		drv := fvsst.NewDriver(m, s)
-		done, err := drv.RunUntilAllDone(600)
-		if err != nil {
-			return nil, err
-		}
-		if !done {
-			return nil, fmt.Errorf("experiments: actuator %s did not finish", v.name)
-		}
-		comps := m.Completions()
 		rep.Rows = append(rep.Rows, AblationActuatorRow{
 			Name:      v.name,
-			Seconds:   comps[len(comps)-1].At,
-			CPUEnergy: m.CPUEnergy(),
+			Seconds:   res.Seconds,
+			CPUEnergy: res.CPUEnergy,
 		})
 	}
 	return rep, nil
@@ -256,37 +234,24 @@ func AblationEpsilon(o Options) (*AblationEpsilonReport, error) {
 	}
 	rep := &AblationEpsilonReport{}
 	for _, eps := range []float64{0.02, 0.05, 0.10, 0.15, 0.25} {
-		mcfg := o.machineConfig(1)
-		m, err := machine.New(mcfg)
+		m, err := newMachine(o.machineConfig(1), []workload.Program{prog})
 		if err != nil {
 			return nil, err
 		}
-		mix, err := workload.NewMix(prog)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.SetMix(0, mix); err != nil {
-			return nil, err
-		}
-		cfg := o.schedConfig()
+		cfg := fvsst.DefaultConfig()
 		cfg.Epsilon = eps
-		s, err := fvsst.New(cfg, m, budgetFor(140))
+		drv, err := newDriver(m, cfg, units.Watts(140))
 		if err != nil {
 			return nil, err
 		}
-		drv := fvsst.NewDriver(m, s)
-		done, err := drv.RunUntilAllDone(600)
+		res, err := runToCompletion(m, drv, 600, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: epsilon %v: %w", eps, err)
 		}
-		if !done {
-			return nil, fmt.Errorf("experiments: epsilon %v run did not finish", eps)
-		}
-		comps := m.Completions()
 		rep.Rows = append(rep.Rows, AblationEpsilonRow{
 			Epsilon:    eps,
-			NormPerf:   ref.Seconds / comps[len(comps)-1].At,
-			NormEnergy: m.CPUEnergy().J() / ref.CPUEnergy.J(),
+			NormPerf:   ref.Seconds / res.Seconds,
+			NormEnergy: res.CPUEnergy.J() / ref.CPUEnergy.J(),
 		})
 	}
 	return rep, nil

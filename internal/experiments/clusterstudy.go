@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/fvsst"
+	"repro/internal/machine"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 )
@@ -36,25 +38,19 @@ func (o Options) clusterRun(budget units.Power, uniform bool) (map[string]float6
 	if err != nil {
 		return nil, 0, false, err
 	}
-	cfg := o.schedConfig()
-	cfg.UseIdleSignal = true
-	coord, err := cluster.New(cfg, budget, nodes...)
-	if err != nil {
-		return nil, 0, false, err
-	}
-
 	if uniform {
 		// Pre-assign the uniform cap and never reschedule: the classic
 		// "slow all nodes uniformly" response. 12 processors share the
 		// budget equally.
-		f := cfg.Table.FrequencyAtIndex(cfg.Table.UniformIndexUnder(budget, 12))
-		for _, n := range nodes {
-			for cpu := 0; cpu < n.M.NumCPUs(); cpu++ {
-				if err := n.M.SetFrequency(cpu, f); err != nil {
-					return nil, 0, false, err
-				}
-			}
+		ms := make([]*machine.Machine, len(nodes))
+		for i, n := range nodes {
+			ms[i] = n.M
 		}
+		fi, err := uniformPin(budget, -1, ms...)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		f := mcfg.Table.FrequencyAtIndex(fi)
 		// Drive the machines directly without the coordinator.
 		powerOK := true
 		now := 0.0
@@ -81,6 +77,12 @@ func (o Options) clusterRun(budget units.Power, uniform bool) (map[string]float6
 		return freqs, lastCompletion(nodes), powerOK, nil
 	}
 
+	cfg := fvsst.DefaultConfig()
+	cfg.UseIdleSignal = true
+	coord, err := cluster.New(cfg, budget, nodes...)
+	if err != nil {
+		return nil, 0, false, err
+	}
 	done, err := coord.RunUntilAllDone(3600)
 	if err != nil {
 		return nil, 0, false, err

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/fvsst"
 	"repro/internal/machine"
-	"repro/internal/memhier"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -29,9 +28,6 @@ type Options struct {
 	Scale workload.AppScale
 	// Seed drives all stochastic machine effects.
 	Seed int64
-	// Quiet disables latency jitter, contention and throttle settling for
-	// exact-arithmetic variants.
-	Quiet bool
 	// MonteCarlo switches the machine to per-block stochastic execution
 	// (internal/machine montecarlo.go) instead of the analytic CPI.
 	MonteCarlo bool
@@ -44,85 +40,150 @@ func (o Options) machineConfig(numCPUs int) machine.Config {
 	cfg.NumCPUs = numCPUs
 	cfg.Seed = o.Seed
 	cfg.MonteCarloExec = o.MonteCarlo
-	if o.Quiet {
-		cfg.LatencyJitterSigma = 0
-		cfg.Contention = memhier.Contention{}
-		cfg.ThrottleSettle = 0
-	}
 	return cfg
 }
 
-// schedConfig is the prototype scheduler configuration (T = 100 ms,
-// t = 10 ms, ε = 5%, Table 1 settings) used throughout §8.
-func (o Options) schedConfig() fvsst.Config {
-	return fvsst.DefaultConfig()
+// newMachine builds a machine from cfg with each CPU's programs
+// installed: progs[cpu] runs as one round-robin mix on CPU cpu, and a CPU
+// with no programs starts idle.
+func newMachine(cfg machine.Config, progs ...[]workload.Program) (*machine.Machine, error) {
+	m, err := machine.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for cpu, ps := range progs {
+		if len(ps) == 0 {
+			continue
+		}
+		mix, err := workload.NewMix(ps...)
+		if err != nil {
+			return nil, err
+		}
+		if err := m.SetMix(cpu, mix); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// newDriver couples m with an fvsst scheduler under cfg at budget. The
+// studies of §8 run the prototype's fvsst.DefaultConfig (T = 100 ms,
+// t = 10 ms, ε = 5%, Table 1) with at most the field they vary changed.
+func newDriver(m *machine.Machine, cfg fvsst.Config, budget units.Power) (*fvsst.Driver, error) {
+	s, err := fvsst.New(cfg, m, budget)
+	if err != nil {
+		return nil, err
+	}
+	return fvsst.NewDriver(m, s), nil
+}
+
+// step advances m by one quantum under drv, or at its pinned frequencies
+// when drv is nil.
+func step(m *machine.Machine, drv *fvsst.Driver) error {
+	if drv != nil {
+		return drv.Step()
+	}
+	return m.StepQuantum()
+}
+
+// uniformPin pins every CPU of ms at the highest table frequency whose
+// power, times the CPUs of ms, fits budget — the classic "slow everything
+// equally" response — and returns that frequency's index. It leaves the
+// CPUs alone when the index is last, the one it returned before.
+func uniformPin(budget units.Power, last int, ms ...*machine.Machine) (int, error) {
+	n := 0
+	for _, m := range ms {
+		n += m.NumCPUs()
+	}
+	table := ms[0].Config().Table
+	fi := table.UniformIndexUnder(budget, n)
+	if fi == last {
+		return fi, nil
+	}
+	f := table.FrequencyAtIndex(fi)
+	for _, m := range ms {
+		for cpu := 0; cpu < m.NumCPUs(); cpu++ {
+			if err := m.SetFrequency(cpu, f); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return fi, nil
 }
 
 // runResult is one scheduled or pinned run: the completion time in
-// simulated seconds, the processor energy, the decision log and, for a
-// traced run, its telemetry.
+// simulated seconds, the processor energy, the machine's completion log
+// and, for an fvsstRun, the decision log and the telemetry it recorded.
 type runResult struct {
-	Seconds   float64
-	CPUEnergy units.Energy
-	Decisions []fvsst.Decision
-	Recorder  *telemetry.Recorder
+	Seconds     float64
+	CPUEnergy   units.Energy
+	Completions []machine.JobCompletion
+	Decisions   []fvsst.Decision
+	Recorder    *telemetry.Recorder
 }
 
-// singleRun executes one program alone on a single-CPU machine under fvsst
-// with the given per-CPU power budget (the §8.3/§8.4 configuration: "the
-// system configured to use only a single processor").
-func (o Options) singleRun(prog workload.Program, budget units.Power) (runResult, error) {
-	mcfg := o.machineConfig(1)
-	m, err := machine.New(mcfg)
+// runToCompletion steps m (see step) until every job on it completes,
+// calling observe, if non-nil, after each step. It fails if a job is still
+// running at deadline.
+func runToCompletion(m *machine.Machine, drv *fvsst.Driver, deadline float64, observe func(*machine.Machine)) (runResult, error) {
+	for m.Now() < deadline && !m.AllJobsDone() {
+		if err := step(m, drv); err != nil {
+			return runResult{}, err
+		}
+		if observe != nil {
+			observe(m)
+		}
+	}
+	return finished(m, deadline)
+}
+
+// finished is the runResult of m's run to deadline, or an error if a job
+// is still running.
+func finished(m *machine.Machine, deadline float64) (runResult, error) {
+	if !m.AllJobsDone() {
+		return runResult{}, fmt.Errorf("experiments: jobs still running at the %v s deadline (%d not yet arrived)", deadline, m.PendingArrivals())
+	}
+	res := runResult{CPUEnergy: m.CPUEnergy(), Completions: m.Completions()}
+	if n := len(res.Completions); n > 0 {
+		res.Seconds = res.Completions[n-1].At
+	}
+	return res, nil
+}
+
+// fvsstRun runs prog alone on CPU cpu of a numCPUs machine under fvsst
+// at budget until it completes — with one CPU, the §8.3/§8.4
+// configuration ("the system configured to use only a single
+// processor"). A non-nil rec receives the driver's per-quantum telemetry
+// of that CPU; observe, if non-nil, is called after every step.
+func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.Power, rec *telemetry.Recorder, observe func(*machine.Machine)) (runResult, error) {
+	progs := make([][]workload.Program, cpu+1)
+	progs[cpu] = []workload.Program{prog}
+	m, err := newMachine(o.machineConfig(numCPUs), progs...)
 	if err != nil {
 		return runResult{}, err
 	}
-	mix, err := workload.NewMix(prog)
+	drv, err := newDriver(m, fvsst.DefaultConfig(), budget)
 	if err != nil {
 		return runResult{}, err
 	}
-	if err := m.SetMix(0, mix); err != nil {
-		return runResult{}, err
-	}
-	s, err := fvsst.New(o.schedConfig(), m, budget)
-	if err != nil {
-		return runResult{}, err
-	}
-	drv := fvsst.NewDriver(m, s)
+	drv.Recorder, drv.TraceCPU = rec, cpu
 	total, _ := prog.TotalInstructions()
 	// Generous deadline: even at the 250 MHz floor with CPI 12 the run
 	// ends within this bound.
-	deadline := float64(total)*12/250e6 + 10
-	done, err := drv.RunUntilAllDone(deadline)
+	res, err := runToCompletion(m, drv, float64(total)*12/250e6+10, observe)
 	if err != nil {
-		return runResult{}, err
+		return runResult{}, fmt.Errorf("experiments: %s: %w", prog.Name, err)
 	}
-	if !done {
-		return runResult{}, fmt.Errorf("experiments: %s did not finish within %v simulated seconds", prog.Name, deadline)
-	}
-	comps := m.Completions()
-	end := comps[len(comps)-1].At
-	return runResult{
-		Seconds:   end,
-		CPUEnergy: m.CPUEnergy(),
-		Decisions: s.Decisions(),
-	}, nil
+	res.Decisions, res.Recorder = drv.S.Decisions(), rec
+	return res, nil
 }
 
 // fixedRun executes a program alone on a single-CPU machine pinned at a
 // fixed frequency with no scheduler — the non-fvsst comparison system of
 // Table 3 and the frequency sweep of Figure 1.
 func (o Options) fixedRun(prog workload.Program, f units.Frequency) (runResult, error) {
-	mcfg := o.machineConfig(1)
-	m, err := machine.New(mcfg)
+	m, err := newMachine(o.machineConfig(1), []workload.Program{prog})
 	if err != nil {
-		return runResult{}, err
-	}
-	mix, err := workload.NewMix(prog)
-	if err != nil {
-		return runResult{}, err
-	}
-	if err := m.SetMix(0, mix); err != nil {
 		return runResult{}, err
 	}
 	if err := m.SetFrequency(0, f); err != nil {
@@ -130,13 +191,14 @@ func (o Options) fixedRun(prog workload.Program, f units.Frequency) (runResult, 
 	}
 	total, _ := prog.TotalInstructions()
 	deadline := float64(total)*20/f.Hz() + 10
-	if done, err := m.RunUntilAllDone(deadline); err != nil {
+	if _, err := m.RunUntilAllDone(deadline); err != nil {
 		return runResult{}, err
-	} else if !done {
-		return runResult{}, fmt.Errorf("experiments: %s at %v did not finish", prog.Name, f)
 	}
-	comps := m.Completions()
-	return runResult{Seconds: comps[len(comps)-1].At, CPUEnergy: m.CPUEnergy()}, nil
+	res, err := finished(m, deadline)
+	if err != nil {
+		return runResult{}, fmt.Errorf("experiments: %s at %v: %w", prog.Name, f, err)
+	}
+	return res, nil
 }
 
 // syntheticSingle builds a one-phase synthetic program at the given CPU
@@ -158,69 +220,39 @@ func (o Options) syntheticSingle(intensity float64, seconds float64) (workload.P
 	}, nil
 }
 
-// budgetFor converts the paper's "power limit" wattages into scheduler
-// budgets (they are per-processor CPU budgets in the single-CPU studies).
-func budgetFor(w float64) units.Power { return units.Watts(w) }
-
 // phaseAt is one time-stamped phase-name observation of the benchmark job.
 type phaseAt struct {
 	t    float64
 	name string
 }
 
-// tracedRunOn runs prog on CPU benchCPU of a numCPUs machine under fvsst
-// with full telemetry and a per-quantum phase trace of the benchmark job —
-// the shared machinery behind the Table 2, Figure 5 and Figure 9 studies.
-func (o Options) tracedRunOn(numCPUs, benchCPU int, prog workload.Program, budget units.Power) (runResult, []phaseAt, error) {
-	mcfg := o.machineConfig(numCPUs)
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return runResult{}, nil, err
-	}
-	mix, err := workload.NewMix(prog)
-	if err != nil {
-		return runResult{}, nil, err
-	}
-	if err := m.SetMix(benchCPU, mix); err != nil {
-		return runResult{}, nil, err
-	}
-	s, err := fvsst.New(o.schedConfig(), m, budget)
-	if err != nil {
-		return runResult{}, nil, err
-	}
-	drv := fvsst.NewDriver(m, s)
-	drv.Recorder = telemetry.NewRecorder()
-	drv.TraceCPU = benchCPU
+// phaseTrace is a traced run's per-step record of its benchmark job's
+// phase — what the Table 2, Figure 5 and Figure 7 studies split their
+// series at.
+type phaseTrace []phaseAt
 
-	var trace []phaseAt
-	job := mix.Jobs()[0]
-	total, _ := prog.TotalInstructions()
-	deadline := float64(total)*12/250e6 + 10
-	for m.Now() < deadline && !m.AllJobsDone() {
-		if err := drv.Step(); err != nil {
-			return runResult{}, nil, err
-		}
+// record returns an fvsstRun observer that appends, after each step, the
+// phase of the first job on CPU cpu ("done" once it has completed).
+func (p *phaseTrace) record(cpu int) func(*machine.Machine) {
+	return func(m *machine.Machine) {
+		job := m.Mix(cpu).Jobs()[0]
 		name := "done"
 		if !job.Done() {
 			name = job.Current().Name
 		}
-		trace = append(trace, phaseAt{t: m.Now(), name: name})
+		*p = append(*p, phaseAt{t: m.Now(), name: name})
 	}
-	if !m.AllJobsDone() {
-		return runResult{}, nil, fmt.Errorf("experiments: %s did not finish within %v simulated seconds", prog.Name, deadline)
-	}
-	comps := m.Completions()
-	return runResult{
-		Seconds:   comps[len(comps)-1].At,
-		CPUEnergy: m.CPUEnergy(),
-		Decisions: s.Decisions(),
-		Recorder:  drv.Recorder,
-	}, trace, nil
 }
 
-// tracedRun is tracedRunOn for the single-CPU configuration of §8.3.
-func (o Options) tracedRun(prog workload.Program, budget units.Power) (runResult, []phaseAt, error) {
-	return o.tracedRunOn(1, 0, prog, budget)
+// at is the phase at time t: the one recorded by the first step ending
+// at or after t.
+func (p phaseTrace) at(t float64) string {
+	for _, s := range p {
+		if s.t >= t {
+			return s.name
+		}
+	}
+	return "done"
 }
 
 // CSVWriter is implemented by reports that carry full traces worth

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/counters"
 	"repro/internal/farm"
+	"repro/internal/fvsst"
 	"repro/internal/machine"
 	"repro/internal/memhier"
 	"repro/internal/obs"
@@ -86,23 +87,18 @@ func farmSpecs() []farmClusterSpec {
 // farmNodes builds one cluster's four nodes with deterministic per-node
 // seeds.
 func (o Options) farmNodes(spec farmClusterSpec) ([]*cluster.Node, error) {
+	progs := make([][]workload.Program, spec.busyCPUs)
+	for cpu := range progs {
+		progs[cpu] = []workload.Program{spec.prog}
+	}
 	var nodes []*cluster.Node
 	for j := 0; j < 4; j++ {
 		mcfg := o.machineConfig(4)
 		mcfg.Seed = o.Seed + spec.seedOff + int64(j)
 		mcfg.Name = fmt.Sprintf("%s-%d", spec.name, j)
-		m, err := machine.New(mcfg)
+		m, err := newMachine(mcfg, progs...)
 		if err != nil {
 			return nil, err
-		}
-		for cpu := 0; cpu < spec.busyCPUs; cpu++ {
-			mix, err := workload.NewMix(spec.prog)
-			if err != nil {
-				return nil, err
-			}
-			if err := m.SetMix(cpu, mix); err != nil {
-				return nil, err
-			}
 		}
 		nodes = append(nodes, &cluster.Node{Name: mcfg.Name, M: m})
 	}
@@ -161,7 +157,7 @@ func (o Options) farmAllocRun(policy farm.Policy) (FarmPolicyOutcome, error) {
 	}
 	sink := &obs.Buffer{}
 
-	cfg := o.schedConfig()
+	cfg := fvsst.DefaultConfig()
 	cfg.UseIdleSignal = true
 	coords := make([]*cluster.Coordinator, len(specs))
 	members := make([]farm.Member, len(specs))
@@ -262,7 +258,7 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 	if err != nil {
 		return FarmPolicyOutcome{}, err
 	}
-	cfg := o.schedConfig()
+	cfg := fvsst.DefaultConfig()
 	cfg.UseIdleSignal = true
 	core, err := cluster.NewCore(cfg)
 	if err != nil {
@@ -276,6 +272,7 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 		sampler *counters.Sampler
 	}
 	var nodes []uniNode
+	var ms []*machine.Machine
 	nProcs := 0
 	quantum := 0.0
 	for ci, spec := range specs {
@@ -290,6 +287,7 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 				return FarmPolicyOutcome{}, err
 			}
 			nodes = append(nodes, uniNode{cluster: ci, m: n.M, sampler: s})
+			ms = append(ms, n.M)
 			nProcs += n.M.NumCPUs()
 		}
 	}
@@ -322,22 +320,13 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 		MinRunwaySec: math.Inf(1),
 	}
 	lossNow := make([]float64, len(specs))
-	lastFi := -1
+	fi := -1
 	steps := int(farmDuration/quantum + 0.5)
 	for i := 0; i < steps; i++ {
 		now := float64(i) * quantum
 		budget := src.BudgetAt(now)
-		fi := table.UniformIndexUnder(budget, nProcs)
-		if fi != lastFi {
-			f := table.FrequencyAtIndex(fi)
-			for _, n := range nodes {
-				for cpu := 0; cpu < n.m.NumCPUs(); cpu++ {
-					if err := n.m.SetFrequency(cpu, f); err != nil {
-						return FarmPolicyOutcome{}, err
-					}
-				}
-			}
-			lastFi = fi
+		if fi, err = uniformPin(budget, fi, ms...); err != nil {
+			return FarmPolicyOutcome{}, err
 		}
 		if i%farmPeriods == 0 {
 			for ci := range specs {

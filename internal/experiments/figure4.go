@@ -35,7 +35,7 @@ func Figure4(o Options) (*Figure4Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		managed, err := o.singleRun(prog, budgetFor(140))
+		managed, err := o.fvsstRun(1, 0, prog, units.Watts(140), nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/telemetry"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -49,7 +50,8 @@ func Figure5(o Options) (*Figure5Report, error) {
 
 	// Run traced; recover per-phase means by splitting the series at
 	// phase boundaries observed from the workload cursor.
-	res, trace, err := o.tracedRun(prog, budgetFor(140))
+	var trace phaseTrace
+	res, err := o.fvsstRun(1, 0, prog, units.Watts(140), telemetry.NewRecorder(), trace.record(0))
 	if err != nil {
 		return nil, err
 	}
@@ -57,18 +59,9 @@ func Figure5(o Options) (*Figure5Report, error) {
 
 	freq := res.Recorder.Series("freq-mhz")
 	pw := res.Recorder.Series("system-power-w")
-	inPhase := func(t float64) string {
-		for _, p := range trace {
-			if p.t >= t {
-				return p.name
-			}
-		}
-		return "done"
-	}
 	var fCPU, fMem, pCPU, pMem telemetry.Series
 	for i, pt := range freq.Points {
-		name := inPhase(pt.T)
-		switch name {
+		switch trace.at(pt.T) {
 		case "cpu-phase":
 			fCPU.MustAppend(pt.T, pt.V)
 			pCPU.MustAppend(pt.T, pw.Points[i].V)

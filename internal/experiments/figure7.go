@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/telemetry"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -49,7 +50,8 @@ func Figure7(o Options) (*Figure7Report, error) {
 	rep := &Figure7Report{}
 	var base float64
 	for _, lim := range Table1Budgets {
-		res, trace, err := o.tracedRun(prog, budgetFor(lim))
+		var trace phaseTrace
+		res, err := o.fvsstRun(1, 0, prog, units.Watts(lim), telemetry.NewRecorder(), trace.record(0))
 		if err != nil {
 			return nil, err
 		}
@@ -59,18 +61,10 @@ func Figure7(o Options) (*Figure7Report, error) {
 		}
 		b := Figure7Budget{LimitW: lim, NormPerf: perf / base}
 		freq := res.Recorder.Series("freq-mhz")
-		inPhase := func(t float64) string {
-			for _, p := range trace {
-				if p.t >= t {
-					return p.name
-				}
-			}
-			return "done"
-		}
 		var sum100, sum75 float64
 		var n100, n75 int
 		for _, pt := range freq.Points {
-			switch inPhase(pt.T) {
+			switch trace.at(pt.T) {
 			case "cpu100":
 				sum100 += pt.V
 				n100++

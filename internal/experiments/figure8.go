@@ -5,6 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/stats"
+	"repro/internal/telemetry"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -48,7 +50,7 @@ func Figure8(o Options) (*Figure8Report, error) {
 			return nil, err
 		}
 		for _, c := range figure8Caps {
-			res, _, err := o.tracedRun(prog, budgetFor(c.limitW))
+			res, err := o.fvsstRun(1, 0, prog, units.Watts(c.limitW), telemetry.NewRecorder(), nil)
 			if err != nil {
 				return nil, err
 			}

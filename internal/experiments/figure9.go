@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/telemetry"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -29,7 +30,7 @@ type Figure9Report struct {
 // Figure9 runs gap at 75 W with tracing.
 func Figure9(o Options) (*Figure9Report, error) {
 	prog := workload.Gap(o.Scale)
-	res, _, err := o.tracedRun(prog, budgetFor(75))
+	res, err := o.fvsstRun(1, 0, prog, units.Watts(75), telemetry.NewRecorder(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/engine"
 	"repro/internal/scenario"
 )
 
@@ -48,7 +49,7 @@ func OptGap(cfg OptGapConfig) *OptGapReport {
 		cfg.BaseSeed = 1
 	}
 	rows := make([]OptGapSeed, cfg.Seeds)
-	forEachIndex(len(rows), cfg.Parallel, func(i int) {
+	engine.ForEachIndex(len(rows), cfg.Parallel, func(i int) {
 		seed := cfg.BaseSeed + int64(i)
 		row := OptGapSeed{Seed: seed}
 		r, err := scenario.RunCluster(scenario.Generate(seed), scenario.Options{MeasureGap: true})

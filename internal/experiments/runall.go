@@ -3,8 +3,9 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // Result is one experiment's outcome under RunAll: the report and its
@@ -44,32 +45,8 @@ type Result struct {
 // pin.
 func RunAll(opts Options, ids []string, parallel int) []Result {
 	results := make([]Result, len(ids))
-	forEachIndex(len(ids), parallel, func(i int) { results[i] = runOne(opts, ids[i]) })
+	engine.ForEachIndex(len(ids), parallel, func(i int) { results[i] = runOne(opts, ids[i]) })
 	return results
-}
-
-// forEachIndex calls fn(i) for every i in [0, n) on up to workers
-// goroutines (at least one) and returns when all calls have. Each call
-// writes only its own index's result, so the outcome is the same for any
-// worker count.
-func forEachIndex(n, workers int, fn func(i int)) {
-	workers = min(max(workers, 1), n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }
 
 // runOne executes a single experiment with timing and allocation stats.

@@ -34,11 +34,10 @@ import (
 // that are actually serving.
 
 const (
-	serveCPUs      = 8
-	serveBudgetW   = 1120.0 // 8 × the 140 W table maximum
-	serveDropW     = 220.0
-	serveWebCount  = 4 // web client streams (class 0)
-	serveClientCnt = 5 // web clients + one batch client
+	serveCPUs     = 8
+	serveBudgetW  = 1120.0 // 8 × the 140 W table maximum
+	serveDropW    = 220.0
+	serveWebCount = 4 // web client streams (class 0), plus one batch client
 	// serveDrainSec extends the drop-window score past the budget
 	// restoration: requests slowed by the drop resolve (complete or time
 	// out) after it ends, and scoring only to the restoration instant
@@ -62,32 +61,57 @@ func serveClasses() []serve.Class {
 	}
 }
 
-// serveFeeder wires the per-client arrival streams: three diurnal bursty
-// web clients and one diurnal batch client, all peaking together.
-func (o Options) serveFeeder(period float64) (*serve.Feeder, error) {
-	f := &serve.Feeder{}
-	webSpec := fmt.Sprintf("gamma:2,cv=1.5,depth=0.5,period=%g", period)
-	for cl := 0; cl < serveWebCount; cl++ {
-		spec, err := serve.ParseArrivalSpec(webSpec)
-		if err != nil {
-			return nil, err
-		}
-		stm, err := spec.NewStream(o.Seed + 300 + int64(cl))
-		if err != nil {
-			return nil, err
-		}
-		f.Add(0, cl, stm)
-	}
-	spec, err := serve.ParseArrivalSpec(fmt.Sprintf("poisson:1,depth=0.5,period=%g", period))
+// servingNode is one machine serving the two SLO classes of
+// serveClasses, and the feeder of its clients' arrival streams.
+type servingNode struct {
+	m      *machine.Machine
+	st     *serve.Station
+	feeder *serve.Feeder
+}
+
+// newServingNode builds a bare machine from mcfg with a station serving
+// webClients web clients (class 0) of arrival spec webSpec and, when
+// batchSpec is not empty, one more client sending batch requests
+// (class 1). The station draws from mcfg.Seed+17 (the station seed
+// convention), web client cl from mcfg.Seed+streamOff+cl and the batch
+// client from mcfg.Seed+streamOff+50.
+func newServingNode(mcfg machine.Config, webClients int, webSpec, batchSpec string, streamOff int64) (servingNode, error) {
+	m, err := newMachine(mcfg)
 	if err != nil {
-		return nil, err
+		return servingNode{}, err
 	}
-	stm, err := spec.NewStream(o.Seed + 350)
+	clients := webClients
+	if batchSpec != "" {
+		clients++
+	}
+	st, err := serve.NewStation(m, serve.Config{Classes: serveClasses(), Clients: clients, Seed: mcfg.Seed + 17})
 	if err != nil {
-		return nil, err
+		return servingNode{}, err
 	}
-	f.Add(1, serveClientCnt-1, stm)
-	return f, nil
+	n := servingNode{m: m, st: st, feeder: &serve.Feeder{}}
+	add := func(class, client int, spec string, seed int64) error {
+		aspec, err := serve.ParseArrivalSpec(spec)
+		if err != nil {
+			return err
+		}
+		stm, err := aspec.NewStream(seed)
+		if err != nil {
+			return err
+		}
+		n.feeder.Add(class, client, stm)
+		return nil
+	}
+	for cl := 0; cl < webClients; cl++ {
+		if err := add(0, cl, webSpec, mcfg.Seed+streamOff+int64(cl)); err != nil {
+			return servingNode{}, err
+		}
+	}
+	if batchSpec != "" {
+		if err := add(1, webClients, batchSpec, mcfg.Seed+streamOff+50); err != nil {
+			return servingNode{}, err
+		}
+	}
+	return n, nil
 }
 
 // ServeWindow is one class's score over the budget-drop window.
@@ -142,22 +166,15 @@ func serveWindowDiff(a, b serve.ClassSummary) ServeWindow {
 
 // serveDiurnalRun serves the scenario under one policy.
 func (o Options) serveDiurnalRun(uniform bool, period, horizon, dropStart, dropEnd float64) (ServeDiurnalOutcome, error) {
-	m, err := machine.New(o.machineConfig(serveCPUs))
+	// Four diurnal bursty web clients and one diurnal batch client, all
+	// peaking together.
+	n, err := newServingNode(o.machineConfig(serveCPUs), serveWebCount,
+		fmt.Sprintf("gamma:2,cv=1.5,depth=0.5,period=%g", period),
+		fmt.Sprintf("poisson:1,depth=0.5,period=%g", period), 300)
 	if err != nil {
 		return ServeDiurnalOutcome{}, err
 	}
-	st, err := serve.NewStation(m, serve.Config{
-		Classes: serveClasses(),
-		Clients: serveClientCnt,
-		Seed:    o.Seed + 17, // station seed convention: machine seed + 17
-	})
-	if err != nil {
-		return ServeDiurnalOutcome{}, err
-	}
-	feeder, err := o.serveFeeder(period)
-	if err != nil {
-		return ServeDiurnalOutcome{}, err
-	}
+	m, st, feeder := n.m, n.st, n.feeder
 	budgets, err := power.NewBudgetSchedule(units.Watts(serveBudgetW),
 		power.BudgetEvent{At: dropStart, Budget: units.Watts(serveDropW)},
 		power.BudgetEvent{At: dropEnd, Budget: units.Watts(serveBudgetW)})
@@ -167,16 +184,13 @@ func (o Options) serveDiurnalRun(uniform bool, period, horizon, dropStart, dropE
 
 	var drv *fvsst.Driver
 	if !uniform {
-		cfg := o.schedConfig()
+		cfg := fvsst.DefaultConfig()
 		cfg.UseIdleSignal = true
-		s, err := fvsst.New(cfg, m, units.Watts(serveBudgetW))
-		if err != nil {
+		if drv, err = newDriver(m, cfg, units.Watts(serveBudgetW)); err != nil {
 			return ServeDiurnalOutcome{}, err
 		}
-		drv = fvsst.NewDriver(m, s)
 		drv.Budgets = budgets
 	}
-	table := m.Config().Table
 	lastFi := -1
 
 	out := ServeDiurnalOutcome{Policy: "fvsst"}
@@ -207,22 +221,11 @@ func (o Options) serveDiurnalRun(uniform bool, period, horizon, dropStart, dropE
 		}
 		st.BeforeQuantum(now)
 		if uniform {
-			// Pin all CPUs at the highest table frequency whose 8-way power
-			// fits the current budget.
-			fi := table.UniformIndexUnder(budgets.BudgetAt(now), m.NumCPUs())
-			if fi != lastFi {
-				f := table.FrequencyAtIndex(fi)
-				for c := 0; c < m.NumCPUs(); c++ {
-					if err := m.SetFrequency(c, f); err != nil {
-						return ServeDiurnalOutcome{}, err
-					}
-				}
-				lastFi = fi
-			}
-			if err := m.StepQuantum(); err != nil {
+			if lastFi, err = uniformPin(budgets.BudgetAt(now), lastFi, m); err != nil {
 				return ServeDiurnalOutcome{}, err
 			}
-		} else if err := drv.Step(); err != nil {
+		}
+		if err := step(m, drv); err != nil {
 			return ServeDiurnalOutcome{}, err
 		}
 		st.AfterQuantum(m.Now())

@@ -6,8 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/farm"
-	"repro/internal/machine"
-	"repro/internal/serve"
+	"repro/internal/fvsst"
 	"repro/internal/units"
 )
 
@@ -42,13 +41,13 @@ type hotspotClusterSpec struct {
 	name       string
 	webClients int
 	webSpec    string
-	batch      bool // one 1 req/s batch client per node
+	batchSpec  string // one batch client per node; "" for none
 	seedOff    int64
 }
 
 func hotspotSpecs() []hotspotClusterSpec {
 	return []hotspotClusterSpec{
-		{name: "hot", webClients: 4, webSpec: fmt.Sprintf("gamma:%g,cv=1.5", hotspotWebRate), batch: true, seedOff: 400},
+		{name: "hot", webClients: 4, webSpec: fmt.Sprintf("gamma:%g,cv=1.5", hotspotWebRate), batchSpec: "poisson:1", seedOff: 400},
 		{name: "cold", webClients: 2, webSpec: "poisson:0.5", seedOff: 500},
 	}
 }
@@ -73,21 +72,15 @@ type HotspotOutcome struct {
 	Jain     float64               // worst station's client fairness (hot cluster)
 }
 
-// hotspotNode bundles one node's serving state.
-type hotspotNode struct {
-	st     *serve.Station
-	feeder *serve.Feeder
-}
-
 // hotspotRun serves the scenario under one farm division policy.
 func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcome, error) {
 	specs := hotspotSpecs()
-	cfg := o.schedConfig()
+	cfg := fvsst.DefaultConfig()
 	cfg.UseIdleSignal = true
 
 	coords := make([]*cluster.Coordinator, len(specs))
 	members := make([]farm.Member, len(specs))
-	nodesBy := make([][]hotspotNode, len(specs))
+	nodesBy := make([][]servingNode, len(specs))
 	feeding := true
 	quantum := 0.0
 	for ci, spec := range specs {
@@ -96,48 +89,13 @@ func (o Options) hotspotRun(policy farm.Policy, duration float64) (HotspotOutcom
 			mcfg := o.machineConfig(hotspotNodeCPUs)
 			mcfg.Seed = o.Seed + spec.seedOff + int64(j)
 			mcfg.Name = fmt.Sprintf("%s-%d", spec.name, j)
-			m, err := machine.New(mcfg)
+			n, err := newServingNode(mcfg, spec.webClients, spec.webSpec, spec.batchSpec, 600)
 			if err != nil {
 				return HotspotOutcome{}, err
 			}
-			quantum = m.Config().Quantum
-			clients := spec.webClients
-			if spec.batch {
-				clients++
-			}
-			st, err := serve.NewStation(m, serve.Config{
-				Classes: serveClasses(),
-				Clients: clients,
-				Seed:    mcfg.Seed + 17, // station seed convention: machine seed + 17
-			})
-			if err != nil {
-				return HotspotOutcome{}, err
-			}
-			feeder := &serve.Feeder{}
-			for cl := 0; cl < spec.webClients; cl++ {
-				aspec, err := serve.ParseArrivalSpec(spec.webSpec)
-				if err != nil {
-					return HotspotOutcome{}, err
-				}
-				stm, err := aspec.NewStream(mcfg.Seed + 600 + int64(cl))
-				if err != nil {
-					return HotspotOutcome{}, err
-				}
-				feeder.Add(0, cl, stm)
-			}
-			if spec.batch {
-				aspec, err := serve.ParseArrivalSpec("poisson:1")
-				if err != nil {
-					return HotspotOutcome{}, err
-				}
-				stm, err := aspec.NewStream(mcfg.Seed + 650)
-				if err != nil {
-					return HotspotOutcome{}, err
-				}
-				feeder.Add(1, clients-1, stm)
-			}
-			nodesBy[ci] = append(nodesBy[ci], hotspotNode{st: st, feeder: feeder})
-			cnodes = append(cnodes, &cluster.Node{Name: mcfg.Name, M: m})
+			quantum = n.m.Config().Quantum
+			nodesBy[ci] = append(nodesBy[ci], n)
+			cnodes = append(cnodes, &cluster.Node{Name: mcfg.Name, M: n.m})
 		}
 		c, err := cluster.New(cfg, units.Watts(hotspotBudgetW/float64(len(specs))), cnodes...)
 		if err != nil {

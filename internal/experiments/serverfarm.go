@@ -60,8 +60,7 @@ type farmOutcome struct {
 }
 
 func (o Options) farmRun(managed bool, sched workload.Schedule, period, horizon float64) (farmOutcome, error) {
-	mcfg := o.machineConfig(4)
-	m, err := machine.New(mcfg)
+	m, err := newMachine(o.machineConfig(4))
 	if err != nil {
 		return farmOutcome{}, err
 	}
@@ -71,26 +70,16 @@ func (o Options) farmRun(managed bool, sched workload.Schedule, period, horizon 
 
 	var drv *fvsst.Driver
 	if managed {
-		cfg := o.schedConfig()
+		cfg := fvsst.DefaultConfig()
 		cfg.UseIdleSignal = true
-		s, err := fvsst.New(cfg, m, units.Watts(560))
-		if err != nil {
+		if drv, err = newDriver(m, cfg, units.Watts(560)); err != nil {
 			return farmOutcome{}, err
 		}
-		drv = fvsst.NewDriver(m, s)
 	}
 
 	var powerSum, peakSum, troughSum float64
 	var powerN, peakN, troughN int
-	deadline := horizon + 5
-	for m.Now() < deadline && !m.AllJobsDone() {
-		if managed {
-			if err := drv.Step(); err != nil {
-				return farmOutcome{}, err
-			}
-		} else if err := m.StepQuantum(); err != nil {
-			return farmOutcome{}, err
-		}
+	res, err := runToCompletion(m, drv, horizon+5, func(m *machine.Machine) {
 		p := m.SystemPower().W()
 		powerSum += p
 		powerN++
@@ -103,9 +92,9 @@ func (o Options) farmRun(managed bool, sched workload.Schedule, period, horizon 
 			troughSum += p
 			troughN++
 		}
-	}
-	if !m.AllJobsDone() {
-		return farmOutcome{}, fmt.Errorf("experiments: farm run did not drain (pending %d)", m.PendingArrivals())
+	})
+	if err != nil {
+		return farmOutcome{}, err
 	}
 
 	// Sojourn times: match completions to arrivals per CPU in FIFO order
@@ -116,7 +105,7 @@ func (o Options) farmRun(managed bool, sched workload.Schedule, period, horizon 
 		byCPUArr[a.CPU] = append(byCPUArr[a.CPU], a.At)
 	}
 	byCPUDone := map[int][]float64{}
-	for _, c := range m.Completions() {
+	for _, c := range res.Completions {
 		byCPUDone[c.CPU] = append(byCPUDone[c.CPU], c.At)
 	}
 	var sojourns []float64

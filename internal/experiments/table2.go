@@ -87,18 +87,10 @@ func table2Row(o Options, intensity float64) (Table2Row, error) {
 	if err != nil {
 		return Table2Row{}, err
 	}
-	res, trace, err := o.tracedRunOn(4, 3, prog, units.Watts(560))
+	var trace phaseTrace
+	res, err := o.fvsstRun(4, 3, prog, units.Watts(560), nil, trace.record(3))
 	if err != nil {
 		return Table2Row{}, err
-	}
-
-	phaseNameAt := func(t float64) string {
-		for _, p := range trace {
-			if p.t >= t {
-				return p.name
-			}
-		}
-		return "done"
 	}
 
 	// Deviation: the decision at window i predicts the IPC of window i+1;
@@ -121,7 +113,7 @@ func table2Row(o Options, intensity float64) (Table2Row, error) {
 			sums[cpu] += dev
 			counts[cpu]++
 			if cpu == 3 {
-				name := phaseNameAt(cur.At)
+				name := trace.at(cur.At)
 				if name != "init" && name != "exit" && name != "done" {
 					sumStar += dev
 					countStar++

@@ -62,7 +62,7 @@ func Table3(o Options) (*Table3Report, error) {
 		var base float64
 		cells := make([]Table3Cell, 0, len(rep.Budgets))
 		for _, lim := range rep.Budgets {
-			res, err := o.singleRun(prog, budgetFor(lim))
+			res, err := o.fvsstRun(1, 0, prog, units.Watts(lim), nil, nil)
 			if err != nil {
 				return nil, err
 			}

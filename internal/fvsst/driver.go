@@ -217,18 +217,4 @@ func (d *Driver) Run(until float64) error {
 	return nil
 }
 
-// RunUntilAllDone advances until every assigned job completes or the
-// deadline passes, returning whether all completed.
-func (d *Driver) RunUntilAllDone(deadline float64) (bool, error) {
-	for d.M.Now() < deadline {
-		if d.M.AllJobsDone() {
-			return true, nil
-		}
-		if err := d.Step(); err != nil {
-			return false, err
-		}
-	}
-	return d.M.AllJobsDone(), nil
-}
-
 var _ Target = (*machine.Machine)(nil)

@@ -58,9 +58,6 @@ type Hierarchy struct {
 	// CapacityBytes holds the capacity of each cache level (DRAM entry is
 	// main-memory size).
 	CapacityBytes [numLevels]int64
-	// L2SharedBy is how many cores share one L2 (2 on the p630's Power4+
-	// dual-core modules). 1 means private.
-	L2SharedBy int
 }
 
 // P630 returns the hierarchy of the paper's experimental platform, a 4-way
@@ -71,18 +68,14 @@ func P630() Hierarchy {
 		RefClock:      units.GHz(1),
 		LatencyCycles: [numLevels]float64{4.5, 15, 113, 393},
 		CapacityBytes: [numLevels]int64{64 << 10, 1440 << 10, 32 << 20, 4 << 30},
-		L2SharedBy:    2,
 	}
 }
 
 // Validate checks internal consistency: positive reference clock,
-// monotonically increasing latencies and capacities, sane sharing factor.
+// monotonically increasing latencies and capacities.
 func (h Hierarchy) Validate() error {
 	if h.RefClock <= 0 {
 		return fmt.Errorf("memhier: reference clock %v must be positive", h.RefClock)
-	}
-	if h.L2SharedBy < 1 {
-		return fmt.Errorf("memhier: L2SharedBy %d must be ≥ 1", h.L2SharedBy)
 	}
 	for i := 0; i < int(numLevels); i++ {
 		if h.LatencyCycles[i] <= 0 {

@@ -20,9 +20,6 @@ func TestP630MatchesPaperPlatform(t *testing.T) {
 	if h.LatencyCycles[L2] != 15 || h.LatencyCycles[L3] != 113 || h.LatencyCycles[DRAM] != 393 {
 		t.Errorf("latencies = %v", h.LatencyCycles)
 	}
-	if h.L2SharedBy != 2 {
-		t.Errorf("L2SharedBy = %d, want 2 (core pairs)", h.L2SharedBy)
-	}
 }
 
 func TestLevelString(t *testing.T) {
@@ -41,12 +38,6 @@ func TestValidateCatchesBrokenHierarchies(t *testing.T) {
 	broken.RefClock = 0
 	if broken.Validate() == nil {
 		t.Error("zero clock accepted")
-	}
-
-	broken = base
-	broken.L2SharedBy = 0
-	if broken.Validate() == nil {
-		t.Error("zero sharing accepted")
 	}
 
 	broken = base

@@ -42,8 +42,6 @@ type Policy struct {
 	DupProb float64
 	// Delay stalls every delivered message by this fixed latency.
 	Delay time.Duration
-	// DelayJitter adds a uniform [0, DelayJitter) draw on top of Delay.
-	DelayJitter time.Duration
 }
 
 // Validate checks the probabilities.
@@ -54,7 +52,7 @@ func (p Policy) Validate() error {
 	if p.DupProb < 0 || p.DupProb > 1 {
 		return fmt.Errorf("faultnet: duplicate probability %v out of [0,1]", p.DupProb)
 	}
-	if p.Delay < 0 || p.DelayJitter < 0 {
+	if p.Delay < 0 {
 		return fmt.Errorf("faultnet: negative delay")
 	}
 	return nil
@@ -182,16 +180,12 @@ func (f *faultConn) Send(m *proto.Message) error {
 	f.mu.Lock()
 	drop := p.DropProb > 0 && f.rng.Float64() < p.DropProb
 	dup := p.DupProb > 0 && f.rng.Float64() < p.DupProb
-	var jitter time.Duration
-	if p.DelayJitter > 0 {
-		jitter = time.Duration(f.rng.Int63n(int64(p.DelayJitter)))
-	}
 	f.mu.Unlock()
 	if drop {
 		return nil
 	}
-	if d := p.Delay + jitter; d > 0 {
-		time.Sleep(d)
+	if p.Delay > 0 {
+		time.Sleep(p.Delay)
 	}
 	if err := f.inner.Send(m); err != nil {
 		return err

@@ -120,33 +120,6 @@ func TestDelayStallsDelivery(t *testing.T) {
 	}
 }
 
-func TestDelayJitterIsSeeded(t *testing.T) {
-	draw := func(seed int64) time.Duration {
-		net := New(seed)
-		net.SetPolicy("n0", Policy{DelayJitter: 50 * time.Millisecond})
-		a, b := pipe()
-		fa := net.Wrap("n0", a)
-		defer fa.Close()
-		defer b.Close()
-		go collect(b, 400*time.Millisecond)
-		start := time.Now()
-		if err := fa.Send(&proto.Message{Kind: proto.KindHeartbeat}); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	a1, a2 := draw(7), draw(7)
-	diff := a1 - a2
-	if diff < 0 {
-		diff = -diff
-	}
-	// Same seed ⇒ same jitter draw; allow scheduler slop well under the
-	// 50 ms jitter range.
-	if diff > 15*time.Millisecond {
-		t.Errorf("same seed drew jitters %v and %v", a1, a2)
-	}
-}
-
 func TestPartitionRefusesDialAndEatsTraffic(t *testing.T) {
 	net := New(1)
 	a, b := pipe()

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/invariant"
 	"repro/internal/obs"
 )
@@ -150,29 +150,7 @@ func Soak(cfg SoakConfig) *SoakReport {
 		return res
 	}
 
-	workers := cfg.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = run(jobs[i])
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	engine.ForEachIndex(len(jobs), cfg.Parallel, func(i int) { results[i] = run(jobs[i]) })
 
 	rep := &SoakReport{Config: cfg, Results: results}
 	for _, r := range results {
