@@ -12,23 +12,23 @@
 //	    -partition 1 -partition-at 0.5 -partition-for 2 -duration 4
 //	fvsst-cluster -budget-schedule "900,1:600,3:0.75kW"
 //	fvsst-cluster -trace out.jsonl -metrics out.prom -seed 7
+//	experiments report out.jsonl
 //
 // Times are simulated seconds. The run prints every scheduling decision
 // of interest (budget changes, degraded rounds, every -log-every'th
 // timer round), every degrade/rejoin/failsafe transition, and a budget
 // safety summary: the run fails if the power charged against the budget
 // — live assignments plus worst-case reservations for silent nodes —
-// ever exceeds it.
+// ever exceeds it. -trace writes every decision and transition as JSONL,
+// from which `experiments report` renders the energy & compliance
+// ledger; -metrics and -metrics-addr expose the transport metrics.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -66,7 +66,6 @@ type options struct {
 	tracePath    string
 	metricsPath  string
 	metricsAddr  string
-	report       string
 }
 
 // result summarises a run for the safety check and the smoke test.
@@ -175,35 +174,14 @@ func run(o options, out io.Writer) (result, error) {
 		return res, fmt.Errorf("partition target %d out of range for %d nodes", o.partition, o.nodes)
 	}
 
+	metrics := netcluster.NewMetrics()
+	outs, err := obs.OpenOutputs(out, metrics.Registry, o.tracePath, o.metricsPath, o.metricsAddr)
+	if err != nil {
+		return res, err
+	}
+	defer outs.Close()
 	transitions := &transitionLog{w: out}
-	sinks := []obs.Sink{transitions}
-	var trace *obs.JSONLWriter
-	if o.tracePath != "" {
-		f, err := os.Create(o.tracePath)
-		if err != nil {
-			return res, err
-		}
-		defer f.Close()
-		trace = obs.NewJSONLWriter(f)
-		// Flush on every exit path (defers run before f.Close); the
-		// explicit Close further down reports the sticky error on the
-		// happy path. A trace truncated by an error exit is still valid
-		// JSONL up to its last complete line.
-		defer trace.Close()
-		sinks = append(sinks, trace)
-	}
-	var ledger *obs.Ledger
-	var reportSections []string
-	if o.report != "" {
-		var err error
-		reportSections, err = obs.ParseSections(o.report)
-		if err != nil {
-			return res, fmt.Errorf("-report: %w", err)
-		}
-		ledger = obs.NewLedger()
-		sinks = append(sinks, ledger)
-	}
-	sink := obs.Tee(sinks...)
+	sink := obs.Tee(transitions, outs.Trace())
 
 	wireStats := &wire.Stats{}
 	var pd *netcluster.PipeDialer
@@ -222,58 +200,12 @@ func run(o options, out io.Writer) (result, error) {
 		}
 	}()
 
-	metrics := netcluster.NewMetrics()
-	if o.metricsAddr != "" {
-		// Bind synchronously so an unusable address fails the run up front
-		// instead of racing against a short simulation (same contract as
-		// fvsst-sim -metrics-addr).
-		ln, err := net.Listen("tcp", o.metricsAddr)
-		if err != nil {
-			return res, fmt.Errorf("metrics endpoint: %w", err)
-		}
-		defer ln.Close()
-		// Print the bound address, not the flag: with ":0" the OS picks
-		// the port, and scripts need to learn which one.
-		fmt.Fprintf(out, "metrics endpoint listening on %s\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, metrics.Registry.Handler()); err != nil && !errors.Is(err, net.ErrClosed) {
-				log.Printf("metrics endpoint: %v", err)
-			}
-		}()
-	}
-
 	if err := runFleet(o, out, sink, metrics, wireStats, pd, specs, &res); err != nil {
 		return res, err
 	}
 	res.degrades = transitions.degrades
 	res.rejoins = transitions.rejoins
-
-	if ledger != nil {
-		fmt.Fprintln(out)
-		if err := ledger.Summary().WriteText(out, reportSections); err != nil {
-			return res, err
-		}
-	}
-	if trace != nil {
-		if err := trace.Close(); err != nil {
-			return res, err
-		}
-		fmt.Fprintf(out, "decision trace written to %s\n", o.tracePath)
-	}
-	if o.metricsPath != "" {
-		f, err := os.Create(o.metricsPath)
-		if err != nil {
-			return res, err
-		}
-		if err := metrics.Registry.WritePrometheus(f); err != nil {
-			return res, err
-		}
-		if err := f.Close(); err != nil {
-			return res, err
-		}
-		fmt.Fprintf(out, "metrics written to %s\n", o.metricsPath)
-	}
-	return res, nil
+	return res, outs.Finish()
 }
 
 // drive is the run loop: cut and heal the partition target on the fabric,
@@ -454,7 +386,6 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.tracePath, "trace", "", "write one JSONL trace event per decision/transition to this file")
 	fs.StringVar(&o.metricsPath, "metrics", "", "write Prometheus text-format transport metrics to this file at exit")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a live Prometheus /metrics endpoint on this address (e.g. :9090)")
-	fs.StringVar(&o.report, "report", "", "print the energy & compliance ledger at exit (comma-separated sections, or \"all\")")
 }
 
 func main() {

@@ -130,11 +130,12 @@ func TestBudgetScheduleFlag(t *testing.T) {
 }
 
 // TestTraceReconstructsPasses is the causal-tracing acceptance check: a
-// seeded fault-free loopback run with -trace and -report must produce a
-// JSONL stream from which every scheduling pass is reconstructable end
-// to end — schedule event, pass root span, the Figure-3 step children,
-// and per-node rpc:counters/rpc:actuate spans with a non-negative
-// queue/wire/apply latency breakdown — plus the ledger report on stdout.
+// seeded fault-free loopback run with -trace must produce a JSONL stream
+// from which every scheduling pass is reconstructable end to end —
+// schedule event, pass root span, the Figure-3 step children, and
+// per-node rpc:counters/rpc:actuate spans with a non-negative
+// queue/wire/apply latency breakdown — and which the ledger renders into
+// the energy and compliance report `experiments report` prints.
 func TestTraceReconstructsPasses(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 	o := options{
@@ -151,17 +152,14 @@ func TestTraceReconstructsPasses(t *testing.T) {
 		logEvery:     5,
 		tracePath:    tracePath,
 		metricsAddr:  "127.0.0.1:0",
-		report:       "all",
 	}
 	var out strings.Builder
 	res, err := run(o, &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
-	for _, want := range []string{"metrics endpoint listening on", "energy", "compliance", "overshoot"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
+	if !strings.Contains(out.String(), "metrics endpoint listening on") {
+		t.Errorf("output missing the endpoint address:\n%s", out.String())
 	}
 
 	f, err := os.Open(tracePath)
@@ -170,8 +168,18 @@ func TestTraceReconstructsPasses(t *testing.T) {
 	}
 	defer f.Close()
 	var log eventLog
-	if _, err := obs.ReplayJSONL(f, &log); err != nil {
+	ledger := obs.NewLedger()
+	if _, err := obs.ReplayJSONL(f, obs.Tee(&log, ledger)); err != nil {
 		t.Fatal(err)
+	}
+	var report strings.Builder
+	if err := ledger.Summary().WriteText(&report, obs.AllSections); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"energy", "compliance", "overshoot"} {
+		if !strings.Contains(report.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, report.String())
+		}
 	}
 
 	type passTree struct {

@@ -1,6 +1,8 @@
 // Command fvsst-sim runs the frequency/voltage scheduler against a
-// configurable simulated SMP and prints the decision log — the closest
-// thing to running the paper's daemon on real hardware.
+// configurable simulated SMP and prints each scheduling pass as it
+// happens — the closest thing to running the paper's daemon on real
+// hardware. Every startup, budget-change and idle-transition pass
+// prints, and every -log-every'th timer pass.
 //
 // Usage examples:
 //
@@ -14,19 +16,17 @@
 // profile saved with workload.SaveProgram).
 //
 // Observability (see docs/observability.md): -trace streams one JSONL
-// event per scheduling decision, -metrics writes a Prometheus text-format
-// snapshot at exit, and -metrics-addr serves a live /metrics endpoint
-// while the simulation runs.
+// event per scheduling decision and quantum, which `experiments report`
+// renders into the energy & compliance ledger; -metrics writes a
+// Prometheus text-format snapshot at a clean exit; -metrics-addr serves a
+// live /metrics endpoint while the simulation runs.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -135,74 +135,24 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	// Observability wiring: the decision trace goes to the JSONL file, the
-	// metrics aggregate everything including per-quantum power gauges.
-	var sinks []obs.Sink
-	var trace *obs.JSONLWriter
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		trace = obs.NewJSONLWriter(f)
-		// Flush on every exit path (defers run before f.Close); the
-		// explicit Close below reports the sticky error on the happy path.
-		defer trace.Close()
-		sinks = append(sinks, trace)
+	// Every pass and every per-quantum power sample fans out to the
+	// printer, the trace and the metrics: the JSONL trace then carries
+	// everything `experiments report` needs to integrate energy, not just
+	// the decision log.
+	metrics := obs.NewMetrics()
+	outs, err := obs.OpenOutputs(out, metrics.Registry, *tracePath, *metricsPath, *metricsAddr)
+	if err != nil {
+		return err
 	}
-	var metrics *obs.Metrics
-	if *metricsPath != "" || *metricsAddr != "" {
-		metrics = obs.NewMetrics()
-		sinks = append(sinks, metrics)
-	}
-	if len(sinks) > 0 {
-		// Decisions and per-quantum power samples both fan out to every
-		// sink: the JSONL trace then carries everything `experiments
-		// report` needs to integrate energy, not just the decision log.
-		all := obs.Tee(sinks...)
-		sched.SetSink(all)
-		drv.Sink = all
-	}
-	if *metricsAddr != "" {
-		// Bind synchronously so an unusable address fails the run up
-		// front instead of racing against a short simulation.
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics endpoint: %w", err)
-		}
-		defer ln.Close()
-		// Print the bound address, not the flag: with ":0" the OS picks
-		// the port, and scripts need to learn which one.
-		fmt.Fprintf(out, "metrics endpoint listening on %s\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, metrics.Registry.Handler()); err != nil && !errors.Is(err, net.ErrClosed) {
-				log.Printf("metrics endpoint: %v", err)
-			}
-		}()
-	}
+	defer outs.Close()
+	all := obs.Tee(&passPrinter{w: out, s: sched, every: *every}, outs.Trace(), metrics)
+	sched.SetSink(all)
+	drv.Sink = all
 
-	timerSeen := 0
-	// Every pass lands in a later quantum than the Step before it, so a
-	// newest pass whose time differs from the last one seen is new; of a
-	// Step's passes only the last is printed.
-	lastAt := -1.0
 	for m.Now() < *duration && !m.AllJobsDone() {
 		if err := drv.Step(); err != nil {
 			return err
 		}
-		d, ok := sched.LastDecision()
-		if !ok || d.At == lastAt {
-			continue
-		}
-		lastAt = d.At
-		if d.Trigger == "timer" {
-			timerSeen++
-			if *every <= 0 || timerSeen%*every != 0 {
-				continue
-			}
-		}
-		fmt.Fprintln(out, d)
 	}
 
 	fmt.Fprintf(out, "\nfinished at t=%.2fs; system power %v; CPU energy %v\n",
@@ -215,24 +165,32 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, sum.Render())
 	}
 
-	if trace != nil {
-		if err := trace.Close(); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		fmt.Fprintf(out, "\ndecision trace written to %s\n", *tracePath)
+	return outs.Finish()
+}
+
+// passPrinter is the decision log, a sink on the scheduler that prints
+// each pass as it happens: every startup, budget-change and
+// idle-transition pass, and every -log-every'th timer pass (none when
+// -log-every ≤ 0).
+type passPrinter struct {
+	w      io.Writer
+	s      *fvsst.Scheduler
+	every  int
+	timers int
+}
+
+// Emit prints the pass behind a schedule event; a pass's event is emitted
+// after it joins the scheduler's decision log.
+func (p *passPrinter) Emit(e obs.Event) {
+	if e.Type != obs.EventSchedule {
+		return
 	}
-	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			return err
+	if e.Trigger == "timer" {
+		p.timers++
+		if p.every <= 0 || p.timers%p.every != 0 {
+			return
 		}
-		if err := metrics.Registry.WritePrometheus(f); err != nil {
-			return fmt.Errorf("metrics: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "metrics written to %s\n", *metricsPath)
 	}
-	return nil
+	d, _ := p.s.LastDecision()
+	fmt.Fprintln(p.w, d)
 }

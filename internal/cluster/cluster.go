@@ -379,30 +379,6 @@ func (c *Coordinator) Decisions() []Decision {
 	return out
 }
 
-// AllJobsDone reports whether every node's workload completed.
-func (c *Coordinator) AllJobsDone() bool {
-	for _, n := range c.nodes {
-		if !n.M.AllJobsDone() {
-			return false
-		}
-	}
-	return true
-}
-
-// RunUntilAllDone advances until all workloads finish or the deadline
-// passes.
-func (c *Coordinator) RunUntilAllDone(deadline float64) (bool, error) {
-	for c.clock.Now() < deadline {
-		if c.AllJobsDone() {
-			return true, nil
-		}
-		if err := c.Step(); err != nil {
-			return false, err
-		}
-	}
-	return c.AllJobsDone(), nil
-}
-
 // TierSpec describes one tier of a classic three-tier deployment.
 type TierSpec struct {
 	Name string

@@ -80,6 +80,26 @@ func runUntil(c *Coordinator, until float64) error {
 	return nil
 }
 
+// runUntilDone steps c until every node's jobs complete or deadline
+// passes and reports whether every job completed.
+func runUntilDone(c *Coordinator, deadline float64) (bool, error) {
+	for c.Now() < deadline && !jobsDone(c) {
+		if err := c.Step(); err != nil {
+			return false, err
+		}
+	}
+	return jobsDone(c), nil
+}
+
+func jobsDone(c *Coordinator) bool {
+	for _, n := range c.Nodes() {
+		if !n.M.AllJobsDone() {
+			return false
+		}
+	}
+	return true
+}
+
 // clusterFingerprint renders every decision with its assignments and
 // every node machine's clock, energy, counters and completions, all
 // through %v so single-bit float drift shows.
@@ -261,7 +281,7 @@ func TestCompletionsAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := c.RunUntilAllDone(10)
+	done, err := runUntilDone(c, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,8 +122,8 @@ func TestCoordinatorAccessors(t *testing.T) {
 	if len(c.Nodes()) != 1 {
 		t.Errorf("Nodes = %d", len(c.Nodes()))
 	}
-	// Deadline path of RunUntilAllDone.
-	done, err := c.RunUntilAllDone(0.05)
+	// A run cut at its deadline.
+	done, err := runUntilDone(c, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

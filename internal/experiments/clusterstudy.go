@@ -31,13 +31,18 @@ type ClusterStudyReport struct {
 
 // clusterRun builds a tiered cluster and runs it to completion under a
 // global budget; uniform mode pins every processor at the highest common
-// frequency fitting the budget instead of consulting the predictor.
+// frequency fitting the budget instead of consulting the predictor. Both
+// modes step the cluster one quantum at a time until every job is done.
 func (o Options) clusterRun(budget units.Power, uniform bool) (map[string]float64, float64, bool, error) {
 	mcfg := o.machineConfig(4)
 	nodes, err := cluster.Tiered(mcfg, o.Scale)
 	if err != nil {
 		return nil, 0, false, err
 	}
+	freqs := map[string]float64{}
+	powerOK := true
+	var coord *cluster.Coordinator
+	var step func() error
 	if uniform {
 		// Pre-assign the uniform cap and never reschedule: the classic
 		// "slow all nodes uniformly" response. 12 processors share the
@@ -50,47 +55,44 @@ func (o Options) clusterRun(budget units.Power, uniform bool) (map[string]float6
 		if err != nil {
 			return nil, 0, false, err
 		}
-		f := mcfg.Table.FrequencyAtIndex(fi)
+		for _, n := range nodes {
+			freqs[n.Name] = mcfg.Table.FrequencyAtIndex(fi).MHz()
+		}
 		// Drive the machines directly without the coordinator.
-		powerOK := true
-		now := 0.0
-		for !allDone(nodes) && now < 3600 {
+		step = func() error {
 			var total units.Power
 			for _, n := range nodes {
 				if err := n.M.StepQuantum(); err != nil {
-					return nil, 0, false, err
+					return err
 				}
 				total += n.M.TotalCPUPower()
 			}
 			if total > budget+units.Watts(1) {
 				powerOK = false
 			}
-			now += mcfg.Quantum
+			return nil
 		}
-		if !allDone(nodes) {
-			return nil, 0, false, fmt.Errorf("experiments: uniform cluster run did not finish")
+	} else {
+		cfg := fvsst.DefaultConfig()
+		cfg.UseIdleSignal = true
+		if coord, err = cluster.New(cfg, budget, nodes...); err != nil {
+			return nil, 0, false, err
 		}
-		freqs := map[string]float64{}
-		for _, n := range nodes {
-			freqs[n.Name] = f.MHz()
+		step = coord.Step
+	}
+	for now := 0.0; !allDone(nodes); now += mcfg.Quantum {
+		if now >= 3600 {
+			return nil, 0, false, fmt.Errorf("experiments: cluster run (uniform %v) did not finish", uniform)
 		}
+		if err := step(); err != nil {
+			return nil, 0, false, err
+		}
+	}
+	if uniform {
 		return freqs, lastCompletion(nodes), powerOK, nil
 	}
 
-	cfg := fvsst.DefaultConfig()
-	cfg.UseIdleSignal = true
-	coord, err := cluster.New(cfg, budget, nodes...)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	done, err := coord.RunUntilAllDone(3600)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if !done {
-		return nil, 0, false, fmt.Errorf("experiments: fvsst cluster run did not finish")
-	}
-	powerOK := coord.TotalCPUPower() <= budget+units.Watts(1)
+	powerOK = coord.TotalCPUPower() <= budget+units.Watts(1)
 	// Mean busy-processor frequency per tier across every decision of the
 	// run (a tier that finishes early goes idle and stops contributing).
 	sum := map[string]float64{}
@@ -105,7 +107,6 @@ func (o Options) clusterRun(budget units.Power, uniform bool) (map[string]float6
 			count[name]++
 		}
 	}
-	freqs := map[string]float64{}
 	for name, s := range sum {
 		freqs[name] = s / float64(count[name])
 	}

@@ -190,11 +190,7 @@ func (o Options) fixedRun(prog workload.Program, f units.Frequency) (runResult, 
 		return runResult{}, err
 	}
 	total, _ := prog.TotalInstructions()
-	deadline := float64(total)*20/f.Hz() + 10
-	if _, err := m.RunUntilAllDone(deadline); err != nil {
-		return runResult{}, err
-	}
-	res, err := finished(m, deadline)
+	res, err := runToCompletion(m, nil, float64(total)*20/f.Hz()+10, nil)
 	if err != nil {
 		return runResult{}, fmt.Errorf("experiments: %s at %v: %w", prog.Name, f, err)
 	}

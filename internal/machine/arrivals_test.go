@@ -41,7 +41,7 @@ func TestSubmitDeliversArrivalsOnTime(t *testing.T) {
 		t.Error("cpu0 idle after its arrival")
 	}
 	// Run everything out.
-	if done, err := m.RunUntilAllDone(2.0); err != nil || !done {
+	if done, err := runUntilDone(m, 2.0); err != nil || !done {
 		t.Fatalf("jobs did not finish: %v", err)
 	}
 	comps := m.Completions()

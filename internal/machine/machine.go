@@ -621,18 +621,3 @@ func (m *Machine) runJob(c *cpu, job *workload.Cursor, f units.Frequency, latSca
 	}
 	return used, postL1
 }
-
-// RunUntilAllDone advances until every assigned job completes or the
-// deadline (simulation seconds) passes; it returns true when all jobs
-// finished, or the *StepError that stopped it.
-func (m *Machine) RunUntilAllDone(deadline float64) (bool, error) {
-	for m.clock.Now() < deadline {
-		if m.AllJobsDone() {
-			return true, nil
-		}
-		if err := m.StepQuantum(); err != nil {
-			return false, err
-		}
-	}
-	return m.AllJobsDone(), nil
-}
