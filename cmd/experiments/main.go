@@ -15,8 +15,7 @@
 // state, so the rendered output is byte-identical at any worker count.
 // `-run <regex>` filters the selection by id.
 // `optgap` measures the paper's greedy Step 2 against the exact optimal
-// comparator across a scenario corpus; `policy-search` runs the
-// deterministic coordinate descent over the scheduling knobs.
+// comparator across a scenario corpus.
 // `report` renders the energy & compliance ledger from a JSONL trace.
 //
 // Performance is measured by `go run ./bench` (see bench/README.md), not
@@ -49,7 +48,6 @@ var subcommands = []subcommand{
 	{"all", nil},
 	{"soak", runSoak},
 	{"optgap", runOptGap},
-	{"policy-search", runPolicySearch},
 	{"report", func(args []string) error { return runReport(args, os.Stdout) }},
 }
 

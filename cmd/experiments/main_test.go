@@ -54,7 +54,8 @@ func TestRegistryRunnersProduceOutput(t *testing.T) {
 // TestUsageListsEveryExperiment pins the anti-drift property this command
 // was refactored for: the usage text is generated from the registry and
 // the subcommands table, so every id, description and subcommand appears
-// in it, and the benchmark writers retired onto `go run ./bench` do not.
+// in it, and neither the benchmark writers retired onto `go run ./bench`
+// nor the deleted counterfactual policy search do.
 func TestUsageListsEveryExperiment(t *testing.T) {
 	var b strings.Builder
 	prev := flag.CommandLine.Output()
@@ -78,13 +79,27 @@ func TestUsageListsEveryExperiment(t *testing.T) {
 	}
 	// Spelled in halves so a repo-wide grep for the retired names stays
 	// empty.
-	retired := []string{"hot" + "path", "bench" + "-out"}
+	retired := []string{"hot" + "path", "bench" + "-out", "policy" + "-search"}
 	for _, stem := range []string{"farm", "obs", "serve", "des", "net", "opt"} {
 		retired = append(retired, stem+"bench")
 	}
 	for _, name := range retired {
 		if strings.Contains(text, name) {
 			t.Errorf("usage text still offers retired %q", name)
+		}
+	}
+}
+
+// TestSoakRejectsEmptySelection: a negative count, or zero scenarios of
+// every kind, is an error before anything runs — such a soak checks
+// nothing and must not report that all invariants held.
+func TestSoakRejectsEmptySelection(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seeds", "-1", "-diff", "0", "-farm", "0", "-des", "0"},
+		{"-seeds", "0", "-diff", "0", "-farm", "0", "-des", "0"},
+	} {
+		if err := runSoak(args); err == nil {
+			t.Errorf("soak %s accepted", strings.Join(args, " "))
 		}
 	}
 }

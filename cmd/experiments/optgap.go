@@ -24,11 +24,14 @@ func runOptGap(args []string) error {
 		return err
 	}
 
-	rep := experiments.OptGap(experiments.OptGapConfig{
+	rep, err := experiments.OptGap(experiments.OptGapConfig{
 		Seeds:    *seeds,
 		BaseSeed: *baseSeed,
 		Parallel: *parallel,
 	})
+	if err != nil {
+		return err
+	}
 
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")

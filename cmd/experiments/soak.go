@@ -18,7 +18,8 @@ import (
 // (scenario.RunCluster, the one that ships); -des compares it byte for
 // byte with the per-quantum oracle. Exits nonzero on any
 // violation, divergence or error; failing cluster seeds are shrunk to a
-// minimal reproducer printed with the report.
+// minimal reproducer printed with the report. A negative count, or zero
+// scenarios of every kind, is an error: such a run checks nothing.
 func runSoak(args []string) error {
 	fs := flag.NewFlagSet("soak", flag.ExitOnError)
 	seeds := fs.Int("seeds", 25, "cluster invariant scenarios to run")
@@ -34,6 +35,20 @@ func runSoak(args []string) error {
 	jsonOut := fs.String("json", "", "write the full report as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	counts := []struct {
+		flag string
+		n    int
+	}{{"-seeds", *seeds}, {"-diff", *diff}, {"-farm", *farm}, {"-des", *des}}
+	total := 0
+	for _, c := range counts {
+		if c.n < 0 {
+			return fmt.Errorf("%s %d: a scenario count cannot be negative", c.flag, c.n)
+		}
+		total += c.n
+	}
+	if total == 0 {
+		return fmt.Errorf("-seeds, -diff, -farm and -des are all 0: no scenario selected")
 	}
 
 	rep := scenario.Soak(scenario.SoakConfig{

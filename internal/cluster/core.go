@@ -74,14 +74,6 @@ func NewCore(cfg fvsst.Config) (*Core, error) {
 	return &Core{cfg: cfg, pred: pred, pass: fvsst.NewPass(cfg)}, nil
 }
 
-// Config returns the core's scheduler configuration.
-func (c *Core) Config() fvsst.Config { return c.cfg }
-
-// Grid returns the prediction grid the core's last pass filled, for
-// read-only use until the next pass overwrites it: a counterfactual that
-// re-decides a pass reads its losses here instead of refilling a grid.
-func (c *Core) Grid() *perfmodel.PredGrid { return c.pass.Grid() }
-
 // begin starts a pass over the inputs and marks each processor: idle when
 // the idle signal is enabled and raised, unobserved when no counter data
 // reached the coordinator, observed otherwise. Shared by Schedule,

@@ -82,7 +82,7 @@ func checkCurveIsWalk(t *testing.T, core *Core, inputs []ProcInput, stride int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := core.Config().Table
+	table := core.cfg.Table
 	for k, pt := range curve.Points {
 		if k%stride != 0 && k != len(curve.Points)-1 {
 			continue

@@ -43,8 +43,12 @@ type OptGapReport struct {
 // scheduling pass is re-solved exactly (internal/optimal) and the loss
 // of the greedy assignment that actually ran is compared against the
 // true optimum. Every job derives all randomness from its seed, so the
-// report is deterministic at any worker count.
-func OptGap(cfg OptGapConfig) *OptGapReport {
+// report is deterministic at any worker count. A campaign of fewer than
+// one seed is an error: it would measure nothing and pass any gate.
+func OptGap(cfg OptGapConfig) (*OptGapReport, error) {
+	if cfg.Seeds < 1 {
+		return nil, fmt.Errorf("experiments: optgap needs at least one seed, got %d", cfg.Seeds)
+	}
 	if cfg.BaseSeed == 0 {
 		cfg.BaseSeed = 1
 	}
@@ -74,7 +78,7 @@ func OptGap(cfg OptGapConfig) *OptGapReport {
 		rep.Violations += row.Violations
 		rep.Total.Merge(row.Gap)
 	}
-	return rep
+	return rep, nil
 }
 
 // WriteText renders the gap table: one fixed-format row per seed plus

@@ -91,8 +91,7 @@ func EpsilonIndexGrid(g *perfmodel.PredGrid, cpu int, epsilon float64) int {
 //
 // This loop is the only production body of the Step-2 selection rule: Pass
 // runs it for every owner (Scheduler, cluster.Core's pass and demand
-// curve, the baseline policy), the scenario policy rewrite for its
-// debounced counterfactual. invariant.StepTwoReplay and
+// curve, the baseline policy). invariant.StepTwoReplay and
 // optimal.Greedy state the rule independently, as scans, to check it;
 // invariant.FuzzStepTwoAgreement holds the three to the same walk.
 func FitToBudgetGrid(g *perfmodel.PredGrid, actualIdx []int, table *power.Table, budget units.Power, demotions []Demotion) ([]Demotion, bool) {

@@ -44,12 +44,6 @@ type Options struct {
 	// seed ships its own post-mortem. Events never influence the
 	// deterministic Text/Hash.
 	Sink obs.Sink
-	// Policy re-runs the scenario under perturbed scheduling knobs — the
-	// counterfactual arm of `experiments policy-search`. An ε-only
-	// override keeps the full checker suite; debounce or allocator knobs
-	// rewrite passes post-Schedule, so the policy-independent reduced
-	// suite runs instead. Incompatible with Sabotage.
-	Policy *PolicyKnobs
 	// MeasureGap solves every feasible pass exactly (internal/optimal)
 	// and aggregates actual-vs-optimal loss into RunResult.Gap.
 	MeasureGap bool
@@ -203,18 +197,6 @@ type RunResult struct {
 	// MaxPassLatencyS is the slowest root pass in seconds (relay driver
 	// only); excluded from Text so it never perturbs trace hashes.
 	MaxPassLatencyS float64 `json:"max_pass_latency_s,omitempty"`
-	// Fitness ingredients for the policy search (cluster engine only),
-	// derived from values the round loop already holds, in round order,
-	// so they are as deterministic as the trace itself. PredLoss sums
-	// each pass's predicted performance loss at the actual assignment;
-	// EnergyJ integrates the charged table power over round periods (a
-	// table-energy proxy, not metered machine energy); SLOOk/SLOResolved
-	// total the serving scoreboards (zero without a serving overlay).
-	// None of these enter Text/Hash.
-	PredLoss    float64 `json:"pred_loss,omitempty"`
-	EnergyJ     float64 `json:"energy_j,omitempty"`
-	SLOOk       uint64  `json:"slo_ok,omitempty"`
-	SLOResolved uint64  `json:"slo_resolved,omitempty"`
 	// Gap aggregates exact-comparator measurements when MeasureGap is on.
 	Gap *OptGapStats `json:"gap,omitempty"`
 
@@ -381,7 +363,7 @@ func RunCluster(spec Spec, opt Options) (*RunResult, error) {
 // runCluster is RunCluster's round loop; stepped selects the per-quantum
 // reference arm of advanceNodeRound and is true only under
 // RunDESDifferential. With check false the run is digest-only: it skips
-// the pass snapshot, the suite, PredLoss and Gap, and still records each
+// the pass snapshot, the suite and Gap, and still records each
 // round's checker-input digest, so a caller that also ran the same spec
 // checked proves by comparing digests that this run would have been
 // judged the same. The result is not rendered: callers set Text and Hash
@@ -393,22 +375,10 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 	if opt.Sabotage != "" && opt.Sabotage != SabotageStepTwoInvert {
 		return nil, fmt.Errorf("scenario: unknown sabotage %q", opt.Sabotage)
 	}
-	if err := opt.Policy.validate(); err != nil {
-		return nil, err
-	}
-	if opt.Policy != nil && opt.Sabotage != "" {
-		return nil, fmt.Errorf("scenario: policy knobs and sabotage are mutually exclusive")
-	}
 	fcfg, err := spec.fvsstConfig()
 	if err != nil {
 		return nil, err
 	}
-	if opt.Policy != nil && opt.Policy.Epsilon > 0 {
-		// The ε knob flows through the scheduler config, so Step 1 runs it
-		// natively and the full checker suite stays consistent with it.
-		fcfg.Epsilon = opt.Policy.Epsilon
-	}
-	policy := newPolicyRewrite(opt.Policy)
 	core, err := cluster.NewCore(fcfg)
 	if err != nil {
 		return nil, err
@@ -460,9 +430,6 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 	var suite *invariant.Suite // nil on a digest-only run
 	if check {
 		suite = invariant.DefaultSuite()
-		if policy != nil {
-			suite = policyCheckers()
-		}
 	}
 	res := &RunResult{Rounds: spec.Rounds, Trace: make([]RoundTrace, 0, spec.Rounds)}
 	if opt.MeasureGap && check {
@@ -534,11 +501,6 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 		if opt.Sabotage == SabotageStepTwoInvert {
 			sabotageStepTwoInvert(table, &pass, liveBudget)
 		}
-		if policy != nil {
-			if pass, err = policy(core, inputs, pass, liveBudget); err != nil {
-				return nil, err
-			}
-		}
 
 		// Phase 3: actuate the live nodes.
 		for i, n := range nodes {
@@ -589,7 +551,7 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 		}
 
 		// Invariants: the pass itself, then the round ledger. The snapshot
-		// also feeds the fitness sums and the exact-gap measurement.
+		// also feeds the exact-gap measurement.
 		digest.pass(now, liveBudget, inputs, pass)
 		if suite != nil {
 			p, err := passSnapshot(fcfg, now, liveBudget, inputs, pass)
@@ -597,12 +559,6 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 				return nil, err
 			}
 			suite.Check(p)
-			g := p.Grid()
-			for k := range p.Procs {
-				if g.Valid(k) {
-					res.PredLoss += g.Loss(k, p.Procs[k].ActualIdx)
-				}
-			}
 			if res.Gap != nil {
 				res.Gap.measure(p)
 			}
@@ -685,23 +641,12 @@ func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error)
 			opt.Sink.Emit(obs.SpanEvent(now, passID, "", obs.SpanPass, "", time.Since(passStart).Seconds()))
 		}
 
-		res.EnergyJ += charged.W() * period
-
 		if ups != nil {
 			if err := ups.Drain(charged, period); err != nil {
 				return nil, err
 			}
 		}
 		clock.Tick()
-	}
-	if spec.Serving != nil {
-		for _, n := range nodes {
-			sum := n.st.Scoreboard().Summarize(0)
-			for _, cs := range sum.Classes {
-				res.SLOOk += cs.SLOOk
-				res.SLOResolved += cs.Completed + cs.TimedOut
-			}
-		}
 	}
 	res.digests = digest.sums
 	if suite != nil {

@@ -277,3 +277,59 @@ func TestRunNetRejectsUPS(t *testing.T) {
 		t.Fatal("RunNet accepted a UPS failover it cannot model")
 	}
 }
+
+// TestMeasureGap turns on the exact-optimal comparison across generated
+// seeds: the paper's greedy must never beat the exact optimum, and the
+// gap sums must be deterministic.
+func TestMeasureGap(t *testing.T) {
+	measured := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		spec := Generate(seed)
+		r1, err := RunCluster(spec, Options{MeasureGap: true})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(r1.Violations) != 0 {
+			t.Fatalf("seed %d: %+v", seed, r1.Violations)
+		}
+		g := r1.Gap
+		if g == nil {
+			t.Fatalf("seed %d: MeasureGap produced no stats", seed)
+		}
+		if g.GreedyLoss < g.OptimalLoss-1e-12 {
+			t.Fatalf("seed %d: greedy %v beats exact optimum %v", seed, g.GreedyLoss, g.OptimalLoss)
+		}
+		if g.WorstGap < 0 {
+			t.Fatalf("seed %d: negative worst gap %v", seed, g.WorstGap)
+		}
+		if g.Passes > 0 {
+			measured++
+		}
+		r2, err := RunCluster(spec, Options{MeasureGap: true})
+		if err != nil {
+			t.Fatalf("seed %d replay: %v", seed, err)
+		}
+		if !reflect.DeepEqual(r1.Gap, r2.Gap) {
+			t.Fatalf("seed %d: gap measurement nondeterministic", seed)
+		}
+	}
+	if measured == 0 {
+		t.Fatal("no seed produced a measurable pass")
+	}
+}
+
+// TestSchedulerConfigExport: the scheduling configuration a spec
+// resolves to carries its ε and a power table.
+func TestSchedulerConfigExport(t *testing.T) {
+	spec := Generate(3)
+	cfg, err := spec.fvsstConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Epsilon != spec.Epsilon {
+		t.Fatalf("config ε %v, spec ε %v", cfg.Epsilon, spec.Epsilon)
+	}
+	if cfg.Table == nil {
+		t.Fatal("config lacks a power table")
+	}
+}
