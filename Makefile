@@ -56,23 +56,30 @@ examples:
 # replay (units.AddRepeat against the k additions, on the bits), a
 # mix's round robin against the scan that never drops a finished job,
 # the Monte-Carlo executor's batched blocks against the per-block loop
-# (on the bits), and the soak's trace lines against their fmt rendering.
+# (on the bits), the farm allocator's conservation of the budget, and the
+# soak's trace lines against their fmt rendering. This is the one list of
+# fuzz targets: TestMakeFuzzListsEveryTarget (guards_test.go) fails when a
+# test file declares a Fuzz function it does not name. Each session runs
+# FUZZTIME (make fuzz FUZZTIME=10s for a short pass).
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test -fuzz FuzzOptimalAssign -fuzztime 30s ./internal/optimal/
-	$(GO) test -fuzz FuzzStepTwoAgreement -fuzztime 30s ./internal/invariant/
-	$(GO) test -fuzz FuzzTimelineOps -fuzztime 30s ./internal/engine/
-	$(GO) test -fuzz FuzzParseFrequency -fuzztime 30s ./internal/units/
-	$(GO) test -fuzz FuzzParsePower -fuzztime 30s ./internal/units/
-	$(GO) test -fuzz FuzzAddRepeat -fuzztime 30s ./internal/units/
-	$(GO) test -fuzz FuzzLoadProgram -fuzztime 30s ./internal/workload/
-	$(GO) test -fuzz FuzzMixRotation -fuzztime 30s ./internal/workload/
-	$(GO) test -fuzz FuzzCursorCost -fuzztime 30s ./internal/workload/
-	$(GO) test -fuzz FuzzRunJobMC -fuzztime 30s ./internal/machine/
-	$(GO) test -fuzz FuzzParseScheduleSpec -fuzztime 30s ./internal/farm/
-	$(GO) test -fuzz FuzzParseArrivalSpec -fuzztime 30s ./internal/serve/
-	$(GO) test -fuzz FuzzRecvFrame -fuzztime 30s ./internal/netcluster/proto/
-	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s ./internal/netcluster/wire/
-	$(GO) test -fuzz FuzzRoundTraceRender -fuzztime 30s ./internal/scenario/
+	$(GO) test -fuzz FuzzOptimalAssign -fuzztime $(FUZZTIME) ./internal/optimal/
+	$(GO) test -fuzz FuzzStepTwoAgreement -fuzztime $(FUZZTIME) ./internal/invariant/
+	$(GO) test -fuzz FuzzTimelineOps -fuzztime $(FUZZTIME) ./internal/engine/
+	$(GO) test -fuzz FuzzParseFrequency -fuzztime $(FUZZTIME) ./internal/units/
+	$(GO) test -fuzz FuzzParsePower -fuzztime $(FUZZTIME) ./internal/units/
+	$(GO) test -fuzz FuzzAddRepeat -fuzztime $(FUZZTIME) ./internal/units/
+	$(GO) test -fuzz FuzzLoadProgram -fuzztime $(FUZZTIME) ./internal/workload/
+	$(GO) test -fuzz FuzzMixRotation -fuzztime $(FUZZTIME) ./internal/workload/
+	$(GO) test -fuzz FuzzCursorCost -fuzztime $(FUZZTIME) ./internal/workload/
+	$(GO) test -fuzz FuzzRunJobMC -fuzztime $(FUZZTIME) ./internal/machine/
+	$(GO) test -fuzz FuzzParseScheduleSpec -fuzztime $(FUZZTIME) ./internal/farm/
+	$(GO) test -fuzz FuzzAllocatorConservation -fuzztime $(FUZZTIME) ./internal/farm/
+	$(GO) test -fuzz FuzzParseArrivalSpec -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz FuzzRecvFrame -fuzztime $(FUZZTIME) ./internal/netcluster/proto/
+	$(GO) test -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/netcluster/wire/
+	$(GO) test -fuzz FuzzRoundTraceRender -fuzztime $(FUZZTIME) ./internal/scenario/
 
 # Randomized invariant soak: generated scenarios through the in-process
 # mirror (on the event-skipping engine, the one that ships), the

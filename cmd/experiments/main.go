@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -38,9 +39,10 @@ import (
 // dispatch both read the subcommands table, so they cannot disagree.
 type subcommand struct {
 	name string
-	// run handles the remaining arguments and ends the invocation. It is
-	// nil for `all`, which only expands to every registered id.
-	run func(args []string) error
+	// run handles the remaining arguments, prints to out and ends the
+	// invocation. It is nil for `all`, which only expands to every
+	// registered id.
+	run func(args []string, out io.Writer) error
 }
 
 var subcommands = []subcommand{
@@ -48,7 +50,7 @@ var subcommands = []subcommand{
 	{"all", nil},
 	{"soak", runSoak},
 	{"optgap", runOptGap},
-	{"report", func(args []string) error { return runReport(args, os.Stdout) }},
+	{"report", runReport},
 }
 
 func usage() {
@@ -65,12 +67,12 @@ func usage() {
 	flag.PrintDefaults()
 }
 
-func runList([]string) error {
+func runList(_ []string, out io.Writer) error {
 	ids := experiments.IDs()
 	sort.Strings(ids)
 	for _, id := range ids {
 		s, _ := experiments.Lookup(id)
-		fmt.Printf("  %-12s %s\n", id, s.Desc)
+		fmt.Fprintf(out, "  %-12s %s\n", id, s.Desc)
 	}
 	return nil
 }
@@ -103,7 +105,7 @@ func main() {
 			args = experiments.IDs()
 			break
 		}
-		if err := c.run(args[1:]); err != nil {
+		if err := c.run(args[1:], os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
 			os.Exit(1)
 		}

@@ -2,6 +2,9 @@ package main
 
 import (
 	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -98,8 +101,32 @@ func TestSoakRejectsEmptySelection(t *testing.T) {
 		{"-seeds", "-1", "-diff", "0", "-farm", "0", "-des", "0"},
 		{"-seeds", "0", "-diff", "0", "-farm", "0", "-des", "0"},
 	} {
-		if err := runSoak(args); err == nil {
+		if err := runSoak(args, io.Discard); err == nil {
 			t.Errorf("soak %s accepted", strings.Join(args, " "))
 		}
+	}
+}
+
+// TestOptGapCommand runs `experiments optgap -seeds 60 -max-gap 0.2` at
+// -parallel 4 and at -parallel 2: each rendering must equal the committed
+// golden, so the two equal each other. A -max-gap below the campaign's
+// worst per-pass gap must fail the run with the gate's error.
+func TestOptGapCommand(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", "optgap_seeds60.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []string{"4", "2"} {
+		var out strings.Builder
+		if err := runOptGap([]string{"-seeds", "60", "-parallel", parallel, "-max-gap", "0.2"}, &out); err != nil {
+			t.Fatalf("-parallel %s: %v", parallel, err)
+		}
+		if out.String() != string(want) {
+			t.Errorf("-parallel %s differs from optgap_seeds60.golden:\n--- got ---\n%s\n--- want ---\n%s", parallel, out.String(), want)
+		}
+	}
+	err = runOptGap([]string{"-seeds", "60", "-parallel", "2", "-max-gap", "1e-9"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "exceeds -max-gap 1e-09") {
+		t.Errorf("-max-gap 1e-9: err = %v, want the gate's error", err)
 	}
 }

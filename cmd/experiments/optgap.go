@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -13,7 +14,7 @@ import (
 // optimal comparator across a scenario corpus and renders the gap
 // table. Exits nonzero on invariant violations, run errors, a failed
 // comparator, or a worst per-pass gap above -max-gap.
-func runOptGap(args []string) error {
+func runOptGap(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("optgap", flag.ExitOnError)
 	seeds := fs.Int("seeds", 300, "scenario seeds to measure")
 	baseSeed := fs.Int64("seed", 1, "first seed of the range")
@@ -42,7 +43,7 @@ func runOptGap(args []string) error {
 			return err
 		}
 	}
-	rep.WriteText(os.Stdout)
+	rep.WriteText(out)
 
 	if rep.Errors > 0 || rep.Violations > 0 {
 		return fmt.Errorf("%d error(s), %d violation(s)", rep.Errors, rep.Violations)

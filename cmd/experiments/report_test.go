@@ -10,7 +10,8 @@ import (
 // TestReportGolden pins `experiments report` output — text and JSON —
 // against committed goldens for a committed trace. The deterministic
 // sections only: latency is wall-clock and excluded by -sections, which
-// is exactly how the CI report-smoke job byte-compares two live runs.
+// is exactly how TestReportDeterministic (cmd/fvsst-cluster) byte-compares
+// two live runs.
 func TestReportGolden(t *testing.T) {
 	trace := filepath.Join("testdata", "trace.jsonl")
 	cases := []struct {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/scenario"
@@ -20,7 +21,7 @@ import (
 // violation, divergence or error; failing cluster seeds are shrunk to a
 // minimal reproducer printed with the report. A negative count, or zero
 // scenarios of every kind, is an error: such a run checks nothing.
-func runSoak(args []string) error {
+func runSoak(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("soak", flag.ExitOnError)
 	seeds := fs.Int("seeds", 25, "cluster invariant scenarios to run")
 	diff := fs.Int("diff", 5, "differential (in-process vs networked) scenarios to run")
@@ -74,50 +75,50 @@ func runSoak(args []string) error {
 		}
 	}
 
-	fmt.Printf("soak: %d cluster + %d diff + %d farm + %d des scenarios in %.1fs (parallel=%d)\n",
+	fmt.Fprintf(out, "soak: %d cluster + %d diff + %d farm + %d des scenarios in %.1fs (parallel=%d)\n",
 		*seeds, *diff, *farm, *des, rep.ElapsedSec, *parallel)
 	for _, r := range rep.Results {
 		if r.Skipped {
-			fmt.Printf("  %-7s seed %-6d SKIPPED (wall budget)\n", r.Kind, r.Seed)
+			fmt.Fprintf(out, "  %-7s seed %-6d SKIPPED (wall budget)\n", r.Kind, r.Seed)
 			continue
 		}
 		if r.Err != "" {
-			fmt.Printf("  %-7s seed %-6d ERROR: %s\n", r.Kind, r.Seed, r.Err)
+			fmt.Fprintf(out, "  %-7s seed %-6d ERROR: %s\n", r.Kind, r.Seed, r.Err)
 			continue
 		}
 		if len(r.Violations) == 0 && len(r.Divergences) == 0 {
 			continue
 		}
-		fmt.Printf("  %-7s seed %-6d %d violation(s), %d divergence(s)\n",
+		fmt.Fprintf(out, "  %-7s seed %-6d %d violation(s), %d divergence(s)\n",
 			r.Kind, r.Seed, len(r.Violations), len(r.Divergences))
 		for i, v := range r.Violations {
 			if i == 3 {
-				fmt.Printf("    ... %d more\n", len(r.Violations)-i)
+				fmt.Fprintf(out, "    ... %d more\n", len(r.Violations)-i)
 				break
 			}
-			fmt.Printf("    [%s] t=%.3f %s\n", v.Checker, v.At, v.Detail)
+			fmt.Fprintf(out, "    [%s] t=%.3f %s\n", v.Checker, v.At, v.Detail)
 		}
 		for i, d := range r.Divergences {
 			if i == 3 {
-				fmt.Printf("    ... %d more\n", len(r.Divergences)-i)
+				fmt.Fprintf(out, "    ... %d more\n", len(r.Divergences)-i)
 				break
 			}
-			fmt.Printf("    divergence r=%d: %s\n", d.Round, d.Detail)
+			fmt.Fprintf(out, "    divergence r=%d: %s\n", d.Round, d.Detail)
 		}
 		if r.FlightDump != "" {
-			fmt.Printf("    flight recorder: %s\n", r.FlightDump)
+			fmt.Fprintf(out, "    flight recorder: %s\n", r.FlightDump)
 		}
 		if r.Shrunk != nil {
 			data, _ := json.Marshal(r.Shrunk)
-			fmt.Printf("    minimal reproducer (%d shrink runs): %s\n", r.ShrinkAttempts, data)
+			fmt.Fprintf(out, "    minimal reproducer (%d shrink runs): %s\n", r.ShrinkAttempts, data)
 		}
 	}
 	if rep.Skipped > 0 {
-		fmt.Printf("  %d job(s) skipped by the -wall budget\n", rep.Skipped)
+		fmt.Fprintf(out, "  %d job(s) skipped by the -wall budget\n", rep.Skipped)
 	}
 	if !rep.OK {
 		return fmt.Errorf("%d violation(s), %d divergence(s), %d error(s)", rep.Violations, rep.Divergences, rep.Errors)
 	}
-	fmt.Println("soak: all invariants held")
+	fmt.Fprintln(out, "soak: all invariants held")
 	return nil
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -126,6 +128,67 @@ func TestBudgetScheduleFlag(t *testing.T) {
 	o.scheduleSpec = "garbage"
 	if _, err := run(o, &strings.Builder{}); err == nil {
 		t.Error("invalid -budget-schedule accepted")
+	}
+}
+
+// TestReportDeterministic is the observability acceptance path: two
+// runs of `fvsst-cluster -duration 2 -seed 7 -trace …` over loopback,
+// the default partition and budget drop included, render byte-identical
+// energy, compliance and prediction reports, in text and in JSON, through
+// the calls `experiments report` makes. The latency section is wall-clock
+// and left out.
+func TestReportDeterministic(t *testing.T) {
+	sections, err := obs.ParseSections("energy,compliance,prediction")
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(i int) (text, js string) {
+		tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
+		fs := flag.NewFlagSet("fvsst-cluster", flag.ContinueOnError)
+		var o options
+		bindFlags(fs, &o)
+		if err := fs.Parse([]string{"-duration", "2", "-seed", "7", "-trace", tracePath}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := run(o, io.Discard)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if res.violations != 0 {
+			t.Errorf("run %d: charged power exceeded the budget in %d rounds", i, res.violations)
+		}
+		f, err := os.Open(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		ledger := obs.NewLedger()
+		if _, err := obs.ReplayJSONL(f, ledger); err != nil {
+			t.Fatal(err)
+		}
+		sum := ledger.Summary()
+		var b strings.Builder
+		if err := sum.WriteText(&b, sections); err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.MarshalIndent(sum.Filter(sections), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), string(data)
+	}
+	text1, json1 := render(1)
+	text2, json2 := render(2)
+	if text1 != text2 {
+		t.Errorf("text reports differ:\n%s\n---\n%s", text1, text2)
+	}
+	if json1 != json2 {
+		t.Errorf("JSON reports differ:\n%s\n---\n%s", json1, json2)
+	}
+	for _, want := range []string{"energy", "compliance", "budget-change=1", "prediction"} {
+		if !strings.Contains(text1, want) {
+			t.Errorf("report has no %q:\n%s", want, text1)
+		}
 	}
 }
 

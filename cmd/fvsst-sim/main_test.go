@@ -3,9 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -85,5 +87,47 @@ func TestLogEveryZeroPrintsNoTimerDecisions(t *testing.T) {
 		if strings.Contains(got, " timer ") {
 			t.Errorf("-fail-at %s: timer decision printed in\n%s", failAt, got)
 		}
+	}
+}
+
+// TestFailAtReportsBudgetChange is the supply-failure scenario end to end:
+// two runs of -fail-at 1 print the same bytes, including the budget-change
+// pass that shares its quantum with the 1 s timer pass, and the -trace of
+// such a run, replayed into the ledger and rendered the way `experiments
+// report` renders it, counts that one budget change.
+func TestFailAtReportsBudgetChange(t *testing.T) {
+	var first, second strings.Builder
+	if err := run([]string{"-fail-at", "1"}, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-fail-at", "1"}, &second); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Fatalf("two runs differ:\n%s\n---\n%s", first.String(), second.String())
+	}
+	if !regexp.MustCompile(`(?m)^t= *1\.00s budget-change `).MatchString(first.String()) {
+		t.Errorf("no 1.00s budget-change line in\n%s", first.String())
+	}
+
+	tracePath := filepath.Join(t.TempDir(), "sim.jsonl")
+	if err := run([]string{"-fail-at", "1", "-trace", tracePath}, new(strings.Builder)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ledger := obs.NewLedger()
+	if _, err := obs.ReplayJSONL(f, ledger); err != nil {
+		t.Fatal(err)
+	}
+	var report strings.Builder
+	if err := ledger.Summary().WriteText(&report, obs.AllSections); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(report.String(), "budget-change=1") {
+		t.Errorf("report counts no budget-change=1:\n%s", report.String())
 	}
 }

@@ -86,7 +86,11 @@ var stdlib = sync.OnceValue(func() types.Importer {
 	return importer.ForCompiler(token.NewFileSet(), "source", nil)
 })
 
-func TestNoUnusedExports(t *testing.T) {
+// theModule loads the module once per test binary: every .go file outside
+// testdata and hidden directories is parsed, and loadModule type-checks
+// the non-test packages outside bench/. The dead-export guard and the structural
+// guards in guards_test.go both read it.
+var theModule = sync.OnceValues(func() (*module, error) {
 	fset := token.NewFileSet()
 	var files []srcFile
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -100,7 +104,7 @@ func TestNoUnusedExports(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
@@ -111,9 +115,17 @@ func TestNoUnusedExports(t *testing.T) {
 		return nil
 	})
 	if err != nil {
+		return nil, err
+	}
+	return loadModule(fset, files)
+})
+
+func TestNoUnusedExports(t *testing.T) {
+	m, err := theModule()
+	if err != nil {
 		t.Fatal(err)
 	}
-	problems, err := unusedExports(fset, files, unusedAllow)
+	problems, err := unusedExports(m, unusedAllow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,16 +140,48 @@ type srcFile struct {
 	file *ast.File
 }
 
-// moduleImporter type-checks each module package once, from its non-test
-// files, and imports everything else from the standard library.
-type moduleImporter struct {
+// module is the module's non-test Go outside bench/, type-checked one
+// package at a time, and its test files, parsed only. As the importer of
+// its own packages it checks each once, from its non-test files, and
+// imports everything else from the standard library.
+type module struct {
 	fset  *token.FileSet
+	dirs  []string               // the package dirs, sorted
 	files map[string][]*ast.File // non-test files by package dir
+	tests []*ast.File            // the _test.go files
 	pkgs  map[string]*types.Package
 	infos map[string]*types.Info
 }
 
-func (m *moduleImporter) Import(importPath string) (*types.Package, error) {
+// loadModule type-checks the non-test files outside bench/ by package dir
+// and keeps the test files outside bench/ parsed. Test files and bench/
+// are never type-checked.
+func loadModule(fset *token.FileSet, files []srcFile) (*module, error) {
+	m := &module{fset: fset, files: map[string][]*ast.File{},
+		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{}}
+	for _, sf := range files {
+		dir := path.Dir(sf.path)
+		switch {
+		case dir == "bench" || strings.HasPrefix(dir, "bench/"):
+		case strings.HasSuffix(sf.path, "_test.go"):
+			m.tests = append(m.tests, sf.file)
+		default:
+			if m.files[dir] == nil {
+				m.dirs = append(m.dirs, dir)
+			}
+			m.files[dir] = append(m.files[dir], sf.file)
+		}
+	}
+	sort.Strings(m.dirs)
+	for _, dir := range m.dirs {
+		if _, err := m.check(dir); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+func (m *module) Import(importPath string) (*types.Package, error) {
 	if dir, ok := strings.CutPrefix(importPath, modulePath+"/"); ok {
 		return m.check(dir)
 	}
@@ -145,7 +189,7 @@ func (m *moduleImporter) Import(importPath string) (*types.Package, error) {
 }
 
 // check type-checks the package in dir, or returns the one already checked.
-func (m *moduleImporter) check(dir string) (*types.Package, error) {
+func (m *module) check(dir string) (*types.Package, error) {
 	if pkg, ok := m.pkgs[dir]; ok {
 		return pkg, nil
 	}
@@ -199,39 +243,19 @@ func (s ifaceSet) implementedBy(t types.Type, name string) bool {
 
 // unusedExports returns one line per exported name under internal/ or
 // cmd/ that no non-test file outside bench/ uses and allow does not list,
-// and one per allow entry that is not such a name. Test files and bench/
-// are never type-checked.
-func unusedExports(fset *token.FileSet, files []srcFile, allow map[string]string) ([]string, error) {
-	m := &moduleImporter{fset: fset, files: map[string][]*ast.File{},
-		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{}}
-	var dirs []string
-	for _, sf := range files {
-		dir := path.Dir(sf.path)
-		if strings.HasSuffix(sf.path, "_test.go") || dir == "bench" || strings.HasPrefix(dir, "bench/") {
-			continue
-		}
-		if m.files[dir] == nil {
-			dirs = append(dirs, dir)
-		}
-		m.files[dir] = append(m.files[dir], sf.file)
-	}
-	sort.Strings(dirs)
-
+// and one per allow entry that is not such a name.
+func unusedExports(m *module, allow map[string]string) ([]string, error) {
 	s := exportScan{
 		keys: map[string]types.Object{}, problem: map[string]string{}, fields: map[types.Object]*types.TypeName{},
 		used: map[types.Object]bool{}, written: map[types.Object]bool{}, read: map[types.Object]bool{},
 		writeSel: map[*ast.Ident]bool{}, selected: ifaceSet{}, stdlib: ifaceSet{},
 	}
-	for _, dir := range dirs {
-		pkg, err := m.check(dir)
-		if err != nil {
-			return nil, err
-		}
+	for _, dir := range m.dirs {
 		if strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/") {
-			s.declare(dir, pkg)
+			s.declare(dir, m.pkgs[dir])
 		}
 	}
-	for _, dir := range dirs {
+	for _, dir := range m.dirs {
 		for _, f := range m.files[dir] {
 			s.markUses(m.infos[dir], f)
 			s.markWrites(m.infos[dir], f)
@@ -878,7 +902,11 @@ func TestUnusedExportsChecker(t *testing.T) {
 				}
 				files = append(files, srcFile{path: p, file: f})
 			}
-			got, err := unusedExports(fset, files, tc.allow)
+			m, err := loadModule(fset, files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := unusedExports(m, tc.allow)
 			if err != nil {
 				t.Fatal(err)
 			}

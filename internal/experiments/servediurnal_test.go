@@ -39,16 +39,20 @@ func TestServeDiurnalDrop(t *testing.T) {
 }
 
 // TestServeDiurnalDeterministic: equal options give byte-identical
-// reports — the property the CI serve-smoke job byte-compares.
+// reports, the property the study's cross-policy comparison rests on —
+// at the test options and at `experiments -scale 0.05 -seed 7
+// serve-diurnal-drop`.
 func TestServeDiurnalDeterministic(t *testing.T) {
-	run := func() string {
-		rep, err := ServeDiurnalDrop(testOptions())
-		if err != nil {
-			t.Fatal(err)
+	for _, o := range []Options{testOptions(), {Scale: 0.05, Seed: 7}} {
+		run := func() string {
+			rep, err := ServeDiurnalDrop(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep.Render()
 		}
-		return rep.Render()
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("renders differ:\n%s\n---\n%s", a, b)
+		if a, b := run(), run(); a != b {
+			t.Fatalf("seed %d: renders differ:\n%s\n---\n%s", o.Seed, a, b)
+		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 // Everything except the latency section derives from simulated
 // timestamps and simulated power, so for a fixed seed the summary is
 // byte-identical across runs — the property `experiments report` and
-// the report-smoke CI job pin. The latency section is wall-clock and
-// excluded from deterministic comparisons.
+// fvsst-cluster's TestReportDeterministic pin. The latency section is
+// wall-clock and excluded from deterministic comparisons.
 type Ledger struct {
 	mu    sync.Mutex
 	nodes map[string]*nodeAcct

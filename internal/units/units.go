@@ -182,11 +182,12 @@ func Farads(v float64) Capacitance { return Capacitance(v) }
 func (c Capacitance) F() float64 { return float64(c) }
 
 // trimFloat formats a float with up to three decimals and trims trailing
-// zeros so 750 prints as "750" and 1.3 as "1.3". Values too small for
-// three decimals fall back to scientific notation rather than collapsing
-// to "0".
+// zeros so 750 prints as "750" and 1.3 as "1.3". Three decimals keep a
+// value of at least 0.5 within 0.1 %; a nonzero value below 0.5 prints
+// exactly, in the shortest form that parses back to it, rather than
+// rounding to a few significant digits or collapsing to "0".
 func trimFloat(v float64) string {
-	if v != 0 && math.Abs(v) < 0.001 {
+	if v != 0 && math.Abs(v) < 0.5 {
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	}
 	s := strconv.FormatFloat(v, 'f', 3, 64)
