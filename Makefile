@@ -33,7 +33,8 @@ experiments:
 bench:
 	bench/run.sh
 
-# One testing.B benchmark per table/figure plus microbenchmarks.
+# Every package's testing.B benchmarks: BenchmarkExperiments/<id> times
+# each registered experiment at paper scale, plus the microbenchmarks.
 bench-paper:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -1,12 +1,10 @@
-// Package repro_test holds the benchmark harness: one testing.B benchmark
-// per table and figure of the paper's evaluation, plus the ablations. Each
-// benchmark regenerates its artifact at paper scale and reports the
-// headline quantity through b.ReportMetric, so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the entire evaluation in one command. EXPERIMENTS.md records
-// a full run against the paper's published numbers.
+// Package repro_test holds the module-level benchmarks: BenchmarkExperiments
+// regenerates every registered experiment at paper scale (one
+// sub-benchmark per registry ID, so `go test -bench=Experiments/fig8 .`
+// runs one), and the scheduler benchmarks bound the cost of the
+// observability sinks. They time the code; the experiments' claims are
+// checked by internal/experiments' TestRunAllClaims, and the repository's
+// performance is measured by `go run ./bench`.
 package repro_test
 
 import (
@@ -21,10 +19,6 @@ import (
 	"repro/internal/units"
 	"repro/internal/workload"
 )
-
-func paperScale() experiments.Options {
-	return experiments.Options{Scale: 1, Seed: 1}
-}
 
 // benchSchedulerDriver runs one simulated second of the coupled
 // machine+scheduler system per iteration — the end-to-end scheduler hot
@@ -78,244 +72,16 @@ func BenchmarkSchedulerObsSinks(b *testing.B) {
 	})
 }
 
-func BenchmarkTable1PowerModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.WorstError*100, "worst-fit-err-%")
-	}
-}
-
-func BenchmarkFigure1Saturation(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Figure1(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Headline: saturation frequency of the most memory-intensive
-		// setting (MHz).
-		b.ReportMetric(rep.Curves[len(rep.Curves)-1].SaturationFreq.MHz(), "sat-MHz")
-	}
-}
-
-func BenchmarkTable2PredictorError(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Table2(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		for _, row := range rep.Rows {
-			sum += row.DevCPU3Star
-		}
-		b.ReportMetric(sum/float64(len(rep.Rows)), "mean-CPU3*-dev")
-	}
-}
-
-func BenchmarkFigure4Overhead(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Figure4(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst := 0.0
-		for _, row := range rep.Rows {
-			if row.Degradation > worst {
-				worst = row.Degradation
+// BenchmarkExperiments regenerates every registered experiment at paper
+// scale, one sub-benchmark per registry ID.
+func BenchmarkExperiments(b *testing.B) {
+	for _, spec := range experiments.Registry() {
+		b.Run(spec.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := spec.Run(experiments.Options{Scale: 1, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(worst*100, "worst-degradation-%")
-	}
-}
-
-func BenchmarkFigure5PhaseTracking(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Figure5(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.MeanFreqCPUPhaseMHz-rep.MeanFreqMemPhaseMHz, "phase-freq-gap-MHz")
-	}
-}
-
-func BenchmarkFigure6PowerLimits(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Figure6(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.MemKneeW, "mem-knee-W")
-	}
-}
-
-func BenchmarkFigure7TwoPhase(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Figure7(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.Budgets[len(rep.Budgets)-1].NormPerf, "perf-at-35W")
-	}
-}
-
-func BenchmarkTable3Applications(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Table3(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Headline: mcf energy at full budget (paper: 0.43).
-		b.ReportMetric(rep.Cells["mcf"][0].Energy, "mcf-energy-at-140W")
-	}
-}
-
-func BenchmarkFigure8Residency(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Figure8(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rep.Residencies {
-			if r.App == "mcf" && r.CapMHz == 1000 {
-				b.ReportMetric(r.ModeMHz, "mcf-mode-MHz")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure9GapTrace(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Figure9(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.FracClipped*100, "clipped-%")
-	}
-}
-
-func BenchmarkWorkedExampleSection5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.WorkedExample()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.T1PowerW, "T1-power-W")
-	}
-}
-
-func BenchmarkAblationPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.AblationPolicies()
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Headline: fvsst's margin over uniform at the motivating 294 W.
-		var margin float64
-		for j, w := range rep.BudgetsW {
-			if w == 294 {
-				margin = rep.Perf["fvsst"][j] - rep.Perf["uniform"][j]
-			}
-		}
-		b.ReportMetric(margin, "fvsst-minus-uniform")
-	}
-}
-
-func BenchmarkAblationIdeal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.AblationIdeal()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*float64(rep.Agreements)/float64(rep.Total), "agreement-%")
-	}
-}
-
-func BenchmarkAblationIdle(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.AblationIdle(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.SavedW, "saved-W")
-	}
-}
-
-func BenchmarkAblationMasking(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.AblationMasking(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.MaskedJobLoss*100, "masked-loss-%")
-	}
-}
-
-func BenchmarkAblationActuator(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.AblationActuator(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Headline: ideal-DVFS runtime relative to the fetch throttle.
-		b.ReportMetric(rep.Rows[2].Seconds/rep.Rows[0].Seconds, "dvfs-vs-throttle")
-	}
-}
-
-func BenchmarkClusterStudy(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.ClusterStudy(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.MakespanUniform/rep.MakespanFVSST, "uniform-vs-fvsst-makespan")
-	}
-}
-
-func BenchmarkAblationExecModel(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.AblationExecModel(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.DevMonteCarlo/rep.DevAnalytic, "mc-vs-analytic-dev")
-	}
-}
-
-func BenchmarkServerFarm(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.ServerFarm(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*(1-rep.MeanPowerFVSSTW/rep.MeanPowerUnmanagedW), "power-saved-%")
-	}
-}
-
-func BenchmarkAblationEpsilon(b *testing.B) {
-	o := paperScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.AblationEpsilon(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Headline: energy at the default ε = 5%.
-		b.ReportMetric(rep.Rows[1].NormEnergy, "energy-at-eps5")
+		})
 	}
 }

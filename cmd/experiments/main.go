@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -53,18 +54,42 @@ var subcommands = []subcommand{
 	{"report", runReport},
 }
 
-func usage() {
-	w := flag.CommandLine.Output()
-	fmt.Fprintf(w, "Usage: experiments [flags] [")
-	for _, c := range subcommands {
-		fmt.Fprintf(w, "%s | ", c.name)
+// settings are the global flags the experiment path reads.
+type settings struct {
+	scale     float64
+	seed      int64
+	mc        bool
+	csvDir    string
+	parallel  int
+	runFilter string
+}
+
+// flags declares the global flags on a new flag set whose usage text goes
+// to w.
+func flags(w io.Writer) (*flag.FlagSet, *settings) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.SetOutput(w)
+	s := &settings{}
+	fs.Float64Var(&s.scale, "scale", 1.0, "workload scale (1 = paper-length runs)")
+	fs.Int64Var(&s.seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&s.mc, "mc", false, "use Monte-Carlo execution instead of the analytic model")
+	fs.StringVar(&s.csvDir, "csv", "", "directory to write full traces as CSV (fig5, fig9)")
+	fs.IntVar(&s.parallel, "parallel", 1, "worker-pool size for running experiments")
+	fs.StringVar(&s.runFilter, "run", "", "regexp filtering the selected experiment ids")
+	fs.Usage = func() {
+		w := fs.Output()
+		fmt.Fprintf(w, "Usage: experiments [flags] [")
+		for _, c := range subcommands {
+			fmt.Fprintf(w, "%s | ", c.name)
+		}
+		fmt.Fprintf(w, "<id>...]\n\nExperiments:\n")
+		for _, s := range experiments.Registry() {
+			fmt.Fprintf(w, "  %-12s %s\n", s.ID, s.Desc)
+		}
+		fmt.Fprintf(w, "\nFlags:\n")
+		fs.PrintDefaults()
 	}
-	fmt.Fprintf(w, "<id>...]\n\nExperiments:\n")
-	for _, s := range experiments.Registry() {
-		fmt.Fprintf(w, "  %-12s %s\n", s.ID, s.Desc)
-	}
-	fmt.Fprintf(w, "\nFlags:\n")
-	flag.PrintDefaults()
+	return fs, s
 }
 
 func runList(_ []string, out io.Writer) error {
@@ -78,22 +103,29 @@ func runList(_ []string, out io.Writer) error {
 }
 
 func main() {
-	scale := flag.Float64("scale", 1.0, "workload scale (1 = paper-length runs)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	mc := flag.Bool("mc", false, "use Monte-Carlo execution instead of the analytic model")
-	csvDir := flag.String("csv", "", "directory to write full traces as CSV (fig5, fig9)")
-	parallel := flag.Int("parallel", 1, "worker-pool size for running experiments")
-	runFilter := flag.String("run", "", "regexp filtering the selected experiment ids")
-	flag.Usage = usage
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
+// run parses the global flags from args, then hands the rest to a
+// subcommand or runs the selected experiments, printing to out. A -scale
+// that is not finite and positive, an unknown id and a -run that selects
+// nothing are errors before anything runs.
+func run(args []string, out io.Writer) error {
+	fs, s := flags(os.Stderr)
+	fs.Parse(args) // ExitOnError: a bad flag exits with the usage text
+	if !(s.scale > 0) || math.IsInf(s.scale, 1) {
+		return fmt.Errorf("-scale %v: want a finite positive workload scale", s.scale)
+	}
 	opts := experiments.Options{
-		Scale:      workload.AppScale(*scale),
-		Seed:       *seed,
-		MonteCarlo: *mc,
+		Scale:      workload.AppScale(s.scale),
+		Seed:       s.seed,
+		MonteCarlo: s.mc,
 	}
 
-	args := flag.Args()
+	args = fs.Args()
 	if len(args) == 0 {
 		args = []string{"all"}
 	}
@@ -105,26 +137,21 @@ func main() {
 			args = experiments.IDs()
 			break
 		}
-		if err := c.run(args[1:], os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
-			os.Exit(1)
+		if err := c.run(args[1:], out); err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
 		}
-		return
+		return nil
 	}
 
-	// Validate before running anything: an unknown id aborts the whole
-	// invocation, exactly like the old sequential loop's first iteration.
 	for _, id := range args {
 		if _, ok := experiments.Lookup(id); !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try: experiments list)\n", id)
-			os.Exit(1)
+			return fmt.Errorf("unknown experiment %q (try: experiments list)", id)
 		}
 	}
-	if *runFilter != "" {
-		re, err := regexp.Compile(*runFilter)
+	if s.runFilter != "" {
+		re, err := regexp.Compile(s.runFilter)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -run pattern: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("bad -run pattern: %w", err)
 		}
 		kept := args[:0]
 		for _, id := range args {
@@ -132,27 +159,28 @@ func main() {
 				kept = append(kept, id)
 			}
 		}
+		if len(kept) == 0 {
+			return fmt.Errorf("-run %q selects no experiment", s.runFilter)
+		}
 		args = kept
 	}
 
-	for i, res := range experiments.RunAll(opts, args, *parallel) {
+	for i, res := range experiments.RunAll(opts, args, s.parallel) {
 		if res.Err != nil {
-			// res.Err already carries the id prefix.
-			fmt.Fprintf(os.Stderr, "%v\n", res.Err)
-			os.Exit(1)
+			return res.Err // already prefixed with the id
 		}
 		if i > 0 {
-			fmt.Println(strings.Repeat("=", 78))
+			fmt.Fprintln(out, strings.Repeat("=", 78))
 		}
-		fmt.Print(res.Rendered)
-		if *csvDir != "" {
+		fmt.Fprint(out, res.Rendered)
+		if s.csvDir != "" {
 			if w, ok := res.Report.(experiments.CSVWriter); ok {
-				if err := w.WriteCSVTo(*csvDir); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: write csv: %v\n", res.ID, err)
-					os.Exit(1)
+				if err := w.WriteCSVTo(s.csvDir); err != nil {
+					return fmt.Errorf("%s: write csv: %w", res.ID, err)
 				}
-				fmt.Printf("(traces written to %s)\n", *csvDir)
+				fmt.Fprintf(out, "(traces written to %s)\n", s.csvDir)
 			}
 		}
 	}
+	return nil
 }

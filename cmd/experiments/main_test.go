@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -33,27 +32,6 @@ func TestRegistryWellFormed(t *testing.T) {
 	}
 }
 
-// TestRegistryRunnersProduceOutput spot-checks the cheap analytic entries
-// end to end through the registry plumbing.
-func TestRegistryRunnersProduceOutput(t *testing.T) {
-	o := experiments.Options{Scale: 0.05, Seed: 1}
-	for _, id := range []string{"table1", "worked", "ab-policies", "ab-ideal"} {
-		spec, ok := experiments.Lookup(id)
-		if !ok {
-			t.Errorf("%s: not registered", id)
-			continue
-		}
-		rep, err := spec.Run(o)
-		if err != nil {
-			t.Errorf("%s: %v", id, err)
-			continue
-		}
-		if len(rep.Render()) < 40 {
-			t.Errorf("%s: render too short", id)
-		}
-	}
-}
-
 // TestUsageListsEveryExperiment pins the anti-drift property this command
 // was refactored for: the usage text is generated from the registry and
 // the subcommands table, so every id, description and subcommand appears
@@ -61,10 +39,8 @@ func TestRegistryRunnersProduceOutput(t *testing.T) {
 // nor the deleted counterfactual policy search do.
 func TestUsageListsEveryExperiment(t *testing.T) {
 	var b strings.Builder
-	prev := flag.CommandLine.Output()
-	flag.CommandLine.SetOutput(&b)
-	defer flag.CommandLine.SetOutput(prev)
-	usage()
+	fs, _ := flags(&b)
+	fs.Usage()
 	text := b.String()
 	for _, s := range experiments.Registry() {
 		if !strings.Contains(text, s.ID) {
@@ -90,6 +66,30 @@ func TestUsageListsEveryExperiment(t *testing.T) {
 		if strings.Contains(text, name) {
 			t.Errorf("usage text still offers retired %q", name)
 		}
+	}
+}
+
+// TestRunRejectsBadSelection: a -scale that is not finite and positive,
+// an unknown id and a -run that matches no selected id are errors before
+// anything runs or prints. A NaN scale once hung `experiments all`, and
+// the others ran silently or failed with a misleading deadline error.
+func TestRunRejectsBadSelection(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "NaN", "table1"},
+		{"-scale", "0", "table1"},
+		{"-scale", "-1", "table1"},
+		{"-scale", "+Inf", "table1"},
+		{"-run", "nomatch", "all"},
+		{"no-such-id"},
+	} {
+		var out strings.Builder
+		if err := run(args, &out); err == nil || out.Len() > 0 {
+			t.Errorf("experiments %s: err = %v, printed %d bytes", strings.Join(args, " "), err, out.Len())
+		}
+	}
+	var out strings.Builder
+	if err := run([]string{"-scale", "0.05", "-run", "^table1$", "all"}, &out); err != nil || !strings.HasPrefix(out.String(), "Table 1") {
+		t.Errorf("-run ^table1$ all: err = %v, output %q", err, out.String())
 	}
 }
 

@@ -11,20 +11,24 @@ package repro_test
 // declaration fails too, so the list can only shrink.
 //
 // The guard type-checks the module (go/types, the standard library from
-// source) and matches uses by object, not by name: a selector .M counts
+// the compiler's export data) and matches uses by object, not by name: a selector .M counts
 // for the one method M it resolves to. A method is also called when
 // shipping code selects an interface method of the same name and the
 // method's type implements that interface, and it is exempt when its type
 // implements one of stdlibInterfaces, which the standard library calls.
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"sort"
@@ -80,17 +84,62 @@ var stdlibInterfaces = []string{
 // look for on an error.
 var errorConventions = map[string]bool{"Unwrap": true, "Is": true, "As": true}
 
-// stdlib imports the standard library from source, once per process:
-// every type-check shares its packages, so their types stay identical.
-var stdlib = sync.OnceValue(func() types.Importer {
-	return importer.ForCompiler(token.NewFileSet(), "source", nil)
+// stdlib imports the standard library from the compiler's export data,
+// once per process: every type-check shares its packages, so their types
+// stay identical. One `go list -export -deps ./...` names the export file
+// of every standard package the module imports; a package outside that set
+// (the checker's self-test modules and stdlibInterfaces import
+// container/heap) is listed on its first import.
+var stdlib = sync.OnceValues(func() (types.Importer, error) {
+	exports, err := stdlibExports("./...")
+	if err != nil {
+		return nil, err
+	}
+	lookup := func(importPath string) (io.ReadCloser, error) {
+		if _, ok := exports[importPath]; !ok {
+			more, err := stdlibExports(importPath)
+			if err != nil {
+				return nil, err
+			}
+			exports[importPath] = more[importPath]
+		}
+		if exports[importPath] == "" {
+			return nil, fmt.Errorf("no export data for %s", importPath)
+		}
+		return os.Open(exports[importPath])
+	}
+	return importer.ForCompiler(token.NewFileSet(), "gc", lookup), nil
 })
+
+// stdlibExports maps every standard package in the import graph of pattern
+// to its export data file, building what the build cache lacks.
+func stdlibExports(pattern string) (map[string]string, error) {
+	out, err := exec.Command("go", "list", "-export", "-deps",
+		"-f", "{{if .Standard}}{{.ImportPath}}\t{{.Export}}{{end}}", pattern).Output()
+	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = fmt.Errorf("%w: %s", err, exit.Stderr)
+		}
+		return nil, fmt.Errorf("go list -export %s: %w", pattern, err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if importPath, file, ok := strings.Cut(line, "\t"); ok {
+			exports[importPath] = file
+		}
+	}
+	return exports, nil
+}
 
 // theModule loads the module once per test binary: every .go file outside
 // testdata and hidden directories is parsed, and loadModule type-checks
 // the non-test packages outside bench/. The dead-export guard and the structural
 // guards in guards_test.go both read it.
 var theModule = sync.OnceValues(func() (*module, error) {
+	if _, err := stdlib(); err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
 	var files []srcFile
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -185,7 +234,11 @@ func (m *module) Import(importPath string) (*types.Package, error) {
 	if dir, ok := strings.CutPrefix(importPath, modulePath+"/"); ok {
 		return m.check(dir)
 	}
-	return stdlib().Import(importPath)
+	std, err := stdlib()
+	if err != nil {
+		return nil, err
+	}
+	return std.Import(importPath)
 }
 
 // check type-checks the package in dir, or returns the one already checked.
@@ -553,7 +606,11 @@ func (s *exportScan) loadStdlib() error {
 		if i := strings.LastIndex(name, "."); i < 0 {
 			obj = types.Universe.Lookup(name)
 		} else {
-			pkg, err := stdlib().Import(name[:i])
+			std, err := stdlib()
+			if err != nil {
+				return err
+			}
+			pkg, err := std.Import(name[:i])
 			if err != nil {
 				return err
 			}

@@ -1,12 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§7–§8) plus the §5 worked example and three ablations, each
-// as a function returning a typed report with a Render method. The cmd/
-// experiments binary prints them; bench_test.go at the repository root
-// exposes one testing.B benchmark per experiment.
+// evaluation (§7–§8) plus the §5 worked example, the ablations and the
+// cluster, farm and serving studies, each as a function returning a typed
+// report with a Render method, listed in Registry. The cmd/experiments
+// binary prints them; BenchmarkExperiments in bench_test.go at the
+// repository root times each registry entry.
 //
 // Shape, not absolute numbers: the substrate is a simulator, so each report
 // records the qualitative claims that must hold (who wins, where the knees
-// are) and the experiment tests assert those.
+// are). The claim table in claims_test.go states them per registry ID, and
+// TestRunAllClaims checks every one at test scale.
 package experiments
 
 import (

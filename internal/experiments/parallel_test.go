@@ -7,47 +7,6 @@ import (
 	"testing"
 )
 
-// TestRunAllParallelDeterminism pins the harness's core property: the same
-// Options produce byte-identical rendered reports at any worker count,
-// because every experiment derives all randomness from Options.Seed with
-// fixed offsets and shares no mutable state (see the RunAll doc for the
-// seeding convention). Table2 exercises the single-node path, cluster the
-// multi-node coordinator, farm-powerfail the hierarchical allocator.
-func TestRunAllParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster run too slow for -short")
-	}
-	ids := []string{"table2", "cluster", "farm-powerfail"}
-	opts := testOptions()
-
-	render := func(results []Result) []string {
-		t.Helper()
-		out := make([]string, len(results))
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("%s: %v", r.ID, r.Err)
-			}
-			out[i] = r.Rendered
-		}
-		return out
-	}
-
-	first := render(RunAll(opts, ids, 4))
-	second := render(RunAll(opts, ids, 4))
-	sequential := render(RunAll(opts, ids, 1))
-	for i, id := range ids {
-		if first[i] != second[i] {
-			t.Errorf("%s: two parallel-4 runs differ", id)
-		}
-		if first[i] != sequential[i] {
-			t.Errorf("%s: parallel-4 differs from sequential", id)
-		}
-		if len(first[i]) == 0 {
-			t.Errorf("%s: empty render", id)
-		}
-	}
-}
-
 // TestRunAllMatchesSeed1Golden pins every experiment at paper scale: the
 // text `experiments -seed 1 all` prints, rendered at 1 and at 4 workers,
 // must equal the committed file byte for byte. A change that means to

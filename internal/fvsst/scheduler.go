@@ -80,7 +80,7 @@ func (c Config) Validate() error {
 	if c.Table == nil {
 		return fmt.Errorf("fvsst: operating-point table required")
 	}
-	if c.Epsilon <= 0 || c.Epsilon >= 1 {
+	if !(c.Epsilon > 0 && c.Epsilon < 1) {
 		return fmt.Errorf("fvsst: epsilon %v out of (0,1)", c.Epsilon)
 	}
 	if c.SchedulePeriods < 1 {
@@ -181,7 +181,7 @@ func New(cfg Config, target Target, budget units.Power) (*Scheduler, error) {
 	if target == nil {
 		return nil, fmt.Errorf("fvsst: nil target")
 	}
-	if budget <= 0 {
+	if !(budget > 0) {
 		return nil, fmt.Errorf("fvsst: budget %v must be positive", budget)
 	}
 	pred, err := perfmodel.New(memhier.P630())
@@ -239,7 +239,7 @@ func (s *Scheduler) Budget() units.Power { return s.budget }
 // SetBudget changes the global power limit — trigger 1 of §5. It does not
 // itself reschedule; callers follow with Schedule("budget-change").
 func (s *Scheduler) SetBudget(p units.Power) error {
-	if p <= 0 {
+	if !(p > 0) {
 		return fmt.Errorf("fvsst: budget %v must be positive", p)
 	}
 	s.budget = p

@@ -55,6 +55,7 @@ func TestConfigValidation(t *testing.T) {
 		"table":    func(c *Config) { c.Table = nil },
 		"eps0":     func(c *Config) { c.Epsilon = 0 },
 		"eps1":     func(c *Config) { c.Epsilon = 1 },
+		"epsNaN":   func(c *Config) { c.Epsilon = math.NaN() },
 		"n":        func(c *Config) { c.SchedulePeriods = 0 },
 		"overhead": func(c *Config) { c.Overhead.SchedulePass = -1 },
 	} {
@@ -73,6 +74,21 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(noOverheadConfig(), m, 0); err == nil {
 		t.Error("zero budget accepted")
+	}
+	if _, err := New(noOverheadConfig(), m, units.Watts(math.NaN())); err == nil {
+		t.Error("NaN budget accepted")
+	}
+	s, err := New(noOverheadConfig(), m, units.Watts(560))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{0, -1, math.NaN()} {
+		if s.SetBudget(units.Watts(w)) == nil {
+			t.Errorf("SetBudget(%v) accepted", w)
+		}
+	}
+	if s.Budget() != units.Watts(560) {
+		t.Errorf("rejected SetBudget changed the budget to %v", s.Budget())
 	}
 }
 

@@ -134,7 +134,7 @@ func (d Decomposition) PerfLoss(g, f units.Frequency) float64 {
 // "fideal = fmax if IPC > 1") return fMax directly, as do workloads whose
 // saturation performance cannot support the target.
 func (d Decomposition) IdealFrequency(fMax units.Frequency, epsilon float64) (units.Frequency, error) {
-	if epsilon <= 0 || epsilon >= 1 {
+	if !(epsilon > 0 && epsilon < 1) {
 		return 0, fmt.Errorf("perfmodel: epsilon %v out of (0,1)", epsilon)
 	}
 	if fMax <= 0 {

@@ -202,6 +202,9 @@ func TestIdealFrequencyValidation(t *testing.T) {
 	if _, err := d.IdealFrequency(units.GHz(1), 1); err == nil {
 		t.Error("epsilon=1 accepted")
 	}
+	if _, err := d.IdealFrequency(units.GHz(1), math.NaN()); err == nil {
+		t.Error("epsilon=NaN accepted")
+	}
 	if _, err := d.IdealFrequency(0, 0.05); err == nil {
 		t.Error("fmax=0 accepted")
 	}

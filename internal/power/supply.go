@@ -2,6 +2,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -143,18 +144,18 @@ type BudgetSchedule struct {
 // events in time order; events at the same time apply in list order, so
 // the later-listed one wins.
 func NewBudgetSchedule(initial units.Power, events ...BudgetEvent) (*BudgetSchedule, error) {
-	if initial <= 0 {
-		return nil, fmt.Errorf("power: initial budget %v must be positive", initial)
+	if !(initial > 0) || math.IsInf(float64(initial), 1) {
+		return nil, fmt.Errorf("power: initial budget %v must be positive and finite", initial)
 	}
 	evs := make([]BudgetEvent, len(events))
 	copy(evs, events)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
 	for i, e := range evs {
-		if e.At < 0 {
-			return nil, fmt.Errorf("power: budget event %d at negative time %v", i, e.At)
+		if !(e.At >= 0) || math.IsInf(e.At, 1) {
+			return nil, fmt.Errorf("power: budget event %d at time %v, want finite and non-negative", i, e.At)
 		}
-		if e.Budget <= 0 {
-			return nil, fmt.Errorf("power: budget event %q has non-positive budget %v", e.Label, e.Budget)
+		if !(e.Budget > 0) || math.IsInf(float64(e.Budget), 1) {
+			return nil, fmt.Errorf("power: budget event %q has budget %v, want positive and finite", e.Label, e.Budget)
 		}
 	}
 	return &BudgetSchedule{initial: initial, events: evs}, nil

@@ -187,6 +187,18 @@ func TestBudgetScheduleValidation(t *testing.T) {
 	if _, err := NewBudgetSchedule(units.Watts(100), BudgetEvent{At: 1, Budget: 0}); err == nil {
 		t.Error("zero event budget accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, w := range []float64{nan, inf} {
+		if _, err := NewBudgetSchedule(units.Watts(w)); err == nil {
+			t.Errorf("initial budget %v accepted", w)
+		}
+		if _, err := NewBudgetSchedule(units.Watts(100), BudgetEvent{At: 1, Budget: units.Watts(w)}); err == nil {
+			t.Errorf("event budget %v accepted", w)
+		}
+		if _, err := NewBudgetSchedule(units.Watts(100), BudgetEvent{At: w, Budget: units.Watts(50)}); err == nil {
+			t.Errorf("event time %v accepted", w)
+		}
+	}
 }
 
 func TestEnergyMeter(t *testing.T) {
