@@ -32,6 +32,27 @@ func TestRegistryWellFormed(t *testing.T) {
 	}
 }
 
+// TestRegistryRunnersProduceOutput spot-checks the cheap analytic entries
+// end to end through the registry plumbing.
+func TestRegistryRunnersProduceOutput(t *testing.T) {
+	o := experiments.Options{Scale: 0.05, Seed: 1}
+	for _, id := range []string{"table1", "worked", "ab-policies", "ab-ideal"} {
+		spec, ok := experiments.Lookup(id)
+		if !ok {
+			t.Errorf("%s: not registered", id)
+			continue
+		}
+		rep, err := spec.Run(o)
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+			continue
+		}
+		if len(rep.Render()) < 40 {
+			t.Errorf("%s: render too short", id)
+		}
+	}
+}
+
 // TestUsageListsEveryExperiment pins the anti-drift property this command
 // was refactored for: the usage text is generated from the registry and
 // the subcommands table, so every id, description and subcommand appears

@@ -638,30 +638,10 @@ var claims = map[string][]claim{
 	},
 }
 
-// runRegistry runs every registered experiment at o on 4 workers and on 1,
-// and fails unless each renders at least 40 bytes, byte-equal across the
-// two runs.
-func runRegistry(t *testing.T, o Options) []Result {
-	t.Helper()
-	par, seq := RunAll(o, IDs(), 4), RunAll(o, IDs(), 1)
-	for i, r := range par {
-		switch {
-		case r.Err != nil || seq[i].Err != nil:
-			t.Fatalf("seed %d: %s: %v / %v", o.Seed, r.ID, r.Err, seq[i].Err)
-		case len(r.Rendered) < 40:
-			t.Errorf("seed %d: %s: render suspiciously short: %q", o.Seed, r.ID, r.Rendered)
-		case r.Rendered != seq[i].Rendered:
-			t.Errorf("seed %d: %s: 4-worker render differs from sequential:\n%s\n---\n%s", o.Seed, r.ID, r.Rendered, seq[i].Rendered)
-		}
-	}
-	return par
-}
-
-// TestRunAllClaims is the experiment test. Every registered experiment
-// renders the same bytes on 4 workers and on 1 at test scale, under seed 1
-// and under seed 7 (`experiments -scale 0.05 -seed 7`); every claim holds
-// at seed 1, each its own subtest <experiment id>/<slug>; and the table
-// and the registry name the same experiments.
+// TestRunAllClaims is the experiment test: every claim holds at test
+// scale, each its own subtest <experiment id>/<slug>, and the table and
+// the registry name the same experiments. TestRunAllParallelDeterminism
+// and TestRendersAreNonEmpty hold the same runs to their bytes.
 func TestRunAllClaims(t *testing.T) {
 	ids := map[string]bool{}
 	for _, id := range IDs() {
@@ -675,7 +655,10 @@ func TestRunAllClaims(t *testing.T) {
 			t.Errorf("claims lists %s, which is not a registry ID", id)
 		}
 	}
-	for _, r := range runRegistry(t, testOptions()) {
+	for _, r := range RunAll(testOptions(), IDs(), 4) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
+		}
 		t.Run(r.ID, func(t *testing.T) {
 			for _, c := range claims[r.ID] {
 				t.Run(c.slug, func(t *testing.T) {
@@ -686,7 +669,6 @@ func TestRunAllClaims(t *testing.T) {
 			}
 		})
 	}
-	runRegistry(t, Options{Scale: 0.05, Seed: 7})
 }
 
 // TestExperimentsDocCitesEveryClaim binds EXPERIMENTS.md to the table:

@@ -7,6 +7,103 @@ import (
 	"testing"
 )
 
+// TestRunAllParallelDeterminism pins the harness's core property: the same
+// Options produce byte-identical rendered reports at any worker count,
+// because every experiment derives all randomness from Options.Seed with
+// fixed offsets and shares no mutable state (see the RunAll doc for the
+// seeding convention). Every registered experiment renders twice on 4
+// workers and once on 1, at test scale under seed 1 and under seed 7
+// (`experiments -scale 0.05 -seed 7`).
+func TestRunAllParallelDeterminism(t *testing.T) {
+	for _, opts := range []Options{testOptions(), {Scale: 0.05, Seed: 7}} {
+		render := func(parallel int) []string {
+			t.Helper()
+			results := RunAll(opts, IDs(), parallel)
+			out := make([]string, len(results))
+			for i, r := range results {
+				if r.Err != nil {
+					t.Fatalf("seed %d: %s: %v", opts.Seed, r.ID, r.Err)
+				}
+				out[i] = r.Rendered
+			}
+			return out
+		}
+		first, second, sequential := render(4), render(4), render(1)
+		for i, id := range IDs() {
+			if first[i] != second[i] {
+				t.Errorf("seed %d: %s: two parallel-4 runs differ", opts.Seed, id)
+			}
+			if first[i] != sequential[i] {
+				t.Errorf("seed %d: %s: parallel-4 differs from sequential:\n%s\n---\n%s", opts.Seed, id, first[i], sequential[i])
+			}
+		}
+	}
+}
+
+// TestRendersAreNonEmpty: every registered experiment renders at least 40
+// bytes at test scale.
+func TestRendersAreNonEmpty(t *testing.T) {
+	for _, r := range RunAll(testOptions(), IDs(), 4) {
+		if r.Err != nil {
+			t.Errorf("%s: %v", r.ID, r.Err)
+			continue
+		}
+		if len(r.Rendered) < 40 {
+			t.Errorf("%s: render suspiciously short: %q", r.ID, r.Rendered)
+		}
+	}
+}
+
+// TestFarmPowerFailDeterministic: the full report is byte-identical
+// across runs with the same options.
+func TestFarmPowerFailDeterministic(t *testing.T) {
+	a, err := FarmPowerFail(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := FarmPowerFail(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Render() != b.Render() {
+		t.Errorf("renders differ:\n--- first\n%s\n--- second\n%s", a.Render(), b.Render())
+	}
+}
+
+// TestServeDiurnalDeterministic: equal options give byte-identical
+// reports, the property the study's cross-policy comparison rests on —
+// at the test options and at `experiments -scale 0.05 -seed 7
+// serve-diurnal-drop`.
+func TestServeDiurnalDeterministic(t *testing.T) {
+	for _, o := range []Options{testOptions(), {Scale: 0.05, Seed: 7}} {
+		run := func() string {
+			rep, err := ServeDiurnalDrop(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep.Render()
+		}
+		if a, b := run(), run(); a != b {
+			t.Fatalf("seed %d: renders differ:\n%s\n---\n%s", o.Seed, a, b)
+		}
+	}
+}
+
+// TestServeHotspotDeterministic: equal options give byte-identical
+// reports.
+func TestServeHotspotDeterministic(t *testing.T) {
+	run := func() string {
+		rep, err := ServeHotspot(testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Render()
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("renders differ:\n%s\n---\n%s", a, b)
+	}
+}
+
 // TestRunAllMatchesSeed1Golden pins every experiment at paper scale: the
 // text `experiments -seed 1 all` prints, rendered at 1 and at 4 workers,
 // must equal the committed file byte for byte. A change that means to

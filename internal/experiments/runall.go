@@ -41,8 +41,8 @@ type Result struct {
 // into results. Two RunAll calls with equal Options and ids therefore
 // produce byte-identical Rendered output for ANY worker count, including
 // compared against the plain sequential loop — the property the parallel
-// harness rests on and TestRunAllClaims pins for every registered
-// experiment.
+// harness rests on and TestRunAllParallelDeterminism pins for every
+// registered experiment.
 func RunAll(opts Options, ids []string, parallel int) []Result {
 	results := make([]Result, len(ids))
 	engine.ForEachIndex(len(ids), parallel, func(i int) { results[i] = runOne(opts, ids[i]) })
