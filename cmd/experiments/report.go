@@ -6,20 +6,19 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/obs"
 )
 
-// runReport renders the energy & compliance ledger from a JSONL trace:
-// per-node and cluster Joule totals, budget compliance (overshoot
-// seconds/Joules/peak), predicted-vs-actual IPC loss, and pass-latency
-// percentiles. The energy, compliance and prediction sections integrate
-// over simulated time only, so two runs of the same seed render
-// byte-identical reports; the latency section is wall-clock and is
-// excluded by `-sections energy,compliance,prediction` when comparing.
+// runReport renders the energy & compliance ledger from a JSONL trace,
+// one section per name of obs.AllSections, which -sections selects from.
+// Every section but latency integrates over simulated time only, so two
+// runs of the same seed render byte-identical reports; latency is
+// wall-clock, and a comparison selects the other sections.
 func runReport(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	sectionsSpec := fs.String("sections", "all", "comma-separated report sections (energy, compliance, prediction, latency; \"all\")")
+	sectionsSpec := fs.String("sections", "all", "comma-separated report sections ("+strings.Join(obs.AllSections, ", ")+"; \"all\")")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "Usage: experiments report [flags] <trace.jsonl | ->\n\nRenders the energy & compliance ledger from a JSONL trace (fvsst-sim\nor fvsst-cluster -trace output). \"-\" reads the trace from stdin.\n\nFlags:\n")

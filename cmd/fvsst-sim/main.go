@@ -15,6 +15,13 @@
 // synth:<cpu-intensity-percent>, or file:<profile.json> (a workload
 // profile saved with workload.SaveProgram).
 //
+// At exit it prints the completions and the ledger's compliance and
+// residency sections: per trigger pass counts, missed budgets, demotions
+// and overshoot, then each processor's mean frequency, clipped and idle
+// shares, demotions and top frequency residencies — exactly what
+// `experiments report -sections compliance,residency` prints for the
+// run's -trace.
+//
 // Observability (see docs/observability.md): -trace streams one JSONL
 // event per scheduling decision and quantum, which `experiments report`
 // renders into the energy & compliance ledger; -metrics writes a
@@ -136,16 +143,18 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Every pass and every per-quantum power sample fans out to the
-	// printer, the trace and the metrics: the JSONL trace then carries
-	// everything `experiments report` needs to integrate energy, not just
-	// the decision log.
+	// printer, the trace, the metrics and the ledger: the JSONL trace then
+	// carries everything `experiments report` needs to integrate energy,
+	// not just the decision log, and the ledger folds the same events
+	// into the closing report.
 	metrics := obs.NewMetrics()
 	outs, err := obs.OpenOutputs(out, metrics.Registry, *tracePath, *metricsPath, *metricsAddr)
 	if err != nil {
 		return err
 	}
 	defer outs.Close()
-	all := obs.Tee(&passPrinter{w: out, s: sched, every: *every}, outs.Trace(), metrics)
+	ledger := obs.NewLedger()
+	all := obs.Tee(&passPrinter{w: out, s: sched, every: *every}, outs.Trace(), metrics, ledger)
 	sched.SetSink(all)
 	drv.Sink = all
 
@@ -160,13 +169,17 @@ func run(args []string, out io.Writer) error {
 	for _, c := range m.Completions() {
 		fmt.Fprintf(out, "  cpu%d %-10s done at %.2fs\n", c.CPU, c.Program, c.At)
 	}
-	if sum, err := fvsst.Summarize(sched.Decisions()); err == nil {
-		fmt.Fprintln(out)
-		fmt.Fprint(out, sum.Render())
+	fmt.Fprintln(out)
+	if err := ledger.Summary().WriteText(out, closingSections); err != nil {
+		return err
 	}
-
 	return outs.Finish()
 }
+
+// closingSections are the ledger sections printed at exit: the run's
+// decision log in brief. Energy and prediction are left to `experiments
+// report`; latency is wall-clock and would differ run to run.
+var closingSections = []string{obs.SectionCompliance, obs.SectionResidency}
 
 // passPrinter is the decision log, a sink on the scheduler that prints
 // each pass as it happens: every startup, budget-change and

@@ -92,9 +92,8 @@ func TestLogEveryZeroPrintsNoTimerDecisions(t *testing.T) {
 
 // TestFailAtReportsBudgetChange is the supply-failure scenario end to end:
 // two runs of -fail-at 1 print the same bytes, including the budget-change
-// pass that shares its quantum with the 1 s timer pass, and the -trace of
-// such a run, replayed into the ledger and rendered the way `experiments
-// report` renders it, counts that one budget change.
+// pass that shares its quantum with the 1 s timer pass, and the closing
+// report counts that one budget change.
 func TestFailAtReportsBudgetChange(t *testing.T) {
 	var first, second strings.Builder
 	if err := run([]string{"-fail-at", "1"}, &first); err != nil {
@@ -109,25 +108,49 @@ func TestFailAtReportsBudgetChange(t *testing.T) {
 	if !regexp.MustCompile(`(?m)^t= *1\.00s budget-change `).MatchString(first.String()) {
 		t.Errorf("no 1.00s budget-change line in\n%s", first.String())
 	}
+	if !strings.Contains(first.String(), "  budget-change=1  ") {
+		t.Errorf("closing report counts no budget-change=1:\n%s", first.String())
+	}
+}
 
-	tracePath := filepath.Join(t.TempDir(), "sim.jsonl")
-	if err := run([]string{"-fail-at", "1", "-trace", tracePath}, new(strings.Builder)); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ledger := obs.NewLedger()
-	if _, err := obs.ReplayJSONL(f, ledger); err != nil {
-		t.Fatal(err)
-	}
-	var report strings.Builder
-	if err := ledger.Summary().WriteText(&report, obs.AllSections); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(report.String(), "budget-change=1") {
-		t.Errorf("report counts no budget-change=1:\n%s", report.String())
+// TestClosingBlockIsTheReport: the block run prints at exit, before the
+// trace's own line, is what `experiments report -sections
+// compliance,residency` prints for the run's -trace — the trace replayed
+// into a fresh ledger and its summary rendered with those sections — for
+// the default run and for -fail-at 1.
+func TestClosingBlockIsTheReport(t *testing.T) {
+	for _, args := range [][]string{nil, {"-fail-at", "1"}} {
+		tracePath := filepath.Join(t.TempDir(), "sim.jsonl")
+		var out strings.Builder
+		if err := run(append(args, "-trace", tracePath), &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		f, err := os.Open(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger := obs.NewLedger()
+		_, err = obs.ReplayJSONL(f, ledger)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sections, err := obs.ParseSections("compliance,residency")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var report strings.Builder
+		if err := ledger.Summary().WriteText(&report, sections); err != nil {
+			t.Fatal(err)
+		}
+		// The block follows a blank line and precedes the line the trace
+		// output prints when it is flushed.
+		want := "\n\n" + report.String() + "decision trace written to " + tracePath + "\n"
+		if got := out.String(); !strings.HasSuffix(got, want) {
+			t.Errorf("%v: output\n%s\ndoes not close with the trace's report\n%s", args, got, want)
+		}
+		if !strings.Contains(report.String(), "\nresidency\n") || !strings.Contains(report.String(), "cpu3 ") {
+			t.Errorf("%v: report has no residency rows:\n%s", args, report.String())
+		}
 	}
 }

@@ -54,6 +54,10 @@ var guards = []guard{
 		why: "every farm loop runs on Allocator.Round: outside internal/farm, non-test Go builds no lone Holder"},
 	{callee: "repro/internal/farm.Allocator.Allocate", allowed: []string{"internal/farm"},
 		why: "every farm loop runs on Allocator.Round: outside internal/farm, non-test Go runs no allocation pass by hand"},
+	{callee: "repro/internal/telemetry.Recorder", allowed: []string{"internal/telemetry", "internal/experiments", "examples"},
+		why: "the figure series are recorded by the experiments' per-step observer; the scheduler packages carry no recorder of their own"},
+	{callee: "repro/internal/obs.NewLedger", allowed: []string{"internal/obs", "cmd/experiments", "cmd/fvsst-sim"},
+		why: "a run's summary is the ledger's report: experiments report renders it from a trace, fvsst-sim prints its sections at exit, and no package keeps a second account"},
 	{decl: "ReplayCell", why: replayWhy},
 	{decl: "ReplayCells", why: replayWhy},
 }
@@ -130,11 +134,11 @@ func guardProblems(m *module, gs []guard) ([]string, error) {
 	return problems, nil
 }
 
-// allows reports whether file is one of g's allowed files or lies in one
-// of its allowed package dirs.
+// allows reports whether file is one of g's allowed files or lies under
+// one of its allowed dirs.
 func (g guard) allows(file string) bool {
 	for _, a := range g.allowed {
-		if a == file || a == path.Dir(file) {
+		if a == file || strings.HasPrefix(file, a+"/") {
 			return true
 		}
 	}
@@ -194,7 +198,8 @@ func refersTo(obj, target types.Object) bool {
 func TestGuardsChecker(t *testing.T) {
 	files := map[string]string{
 		"internal/obs/obs.go": "package obs\n\nimport \"io\"\n\ntype Registry struct{}\n\n" +
-			"func (*Registry) WritePrometheus(io.Writer) error { return nil }\n\nfunc NewJSONLWriter(io.Writer) {}\n",
+			"func (*Registry) WritePrometheus(io.Writer) error { return nil }\n\nfunc NewJSONLWriter(io.Writer) {}\n\n" +
+			"func NewLedger() {}\n\nfunc report() { NewLedger() }\n",
 		"internal/obs/outputs.go": "package obs\n\nimport (\n\t\"net\"\n\t\"net/http\"\n)\n\n" +
 			"func open() {\n\tln, _ := net.Listen(\"tcp\", \"\")\n\t_ = http.Serve(ln, nil)\n\tNewJSONLWriter(nil)\n}\n",
 		"internal/farm/farm.go": "package farm\n\ntype Allocator struct{}\n\nfunc (*Allocator) Allocate() {}\n\n" +
@@ -208,6 +213,12 @@ func TestGuardsChecker(t *testing.T) {
 			"type door struct{}\n\nfunc (door) Accept() {}\n\n" +
 			"func main() {\n\to.NewJSONLWriter(nil)\n\t_ = new(o.Registry).WritePrometheus(nil)\n\tf.NewHolder()\n" +
 			"\tall := (*f.Allocator).Allocate\n\t_ = all\n\tnet.Pipe()\n\tdoor{}.Accept()\n}\n",
+		"internal/telemetry/telemetry.go": "package telemetry\n\ntype Recorder struct{}\n",
+		"internal/experiments/run.go": "package experiments\n\nimport (\n\t\"repro/internal/obs\"\n\tt \"repro/internal/telemetry\"\n)\n\n" +
+			"func run(rec *t.Recorder) { obs.NewLedger() }\n",
+		"internal/fvsst/driver.go":   "package fvsst\n\nimport \"repro/internal/telemetry\"\n\ntype Driver struct{ Recorder *telemetry.Recorder }\n",
+		"examples/phases/main.go":    "package main\n\nimport \"repro/internal/telemetry\"\n\nfunc main() { _ = new(telemetry.Recorder) }\n",
+		"cmd/fvsst-sim/main.go":      "package main\n\nimport \"repro/internal/obs\"\n\nfunc main() { obs.NewLedger() }\n",
 		"internal/machine/m.go":      "package machine\n\ntype M struct{}\n\nfunc (M) ReplayCell() {}\n",
 		"internal/machine/m_test.go": "package machine\n\nfunc ReplayCells() {}\n",
 		"bench/run.go":               "package main\n\nimport \"net\"\n\nfunc main() { net.Pipe() }\n",
@@ -218,6 +229,8 @@ func TestGuardsChecker(t *testing.T) {
 		"cmd/tool/main.go:17:4: refers to repro/internal/farm.NewHolder",
 		"cmd/tool/main.go:18:24: refers to repro/internal/farm.Allocator.Allocate",
 		"cmd/tool/main.go:20:6: refers to net.Pipe",
+		"internal/experiments/run.go:8:33: refers to repro/internal/obs.NewLedger",
+		"internal/fvsst/driver.go:5:41: refers to repro/internal/telemetry.Recorder",
 		"internal/machine/m.go:5:10: names ReplayCell",
 		"internal/machine/m_test.go:3:6: names ReplayCells",
 		"internal/netcluster/relay.go:10:5: refers to net.Listener.Accept",

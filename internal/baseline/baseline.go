@@ -77,13 +77,9 @@ func (Uniform) Assign(in Input) ([]units.Frequency, error) {
 		return nil, err
 	}
 	n := len(in.Decs)
-	perCPU := units.Power(in.Budget.W() / float64(n))
-	f, ok := in.Table.MaxFrequencyUnder(perCPU)
-	if !ok {
-		// Even the minimum setting exceeds the per-CPU share: floor at the
-		// minimum (the uniform policy has no other lever).
-		f = in.Table.MinFrequency()
-	}
+	// When even the minimum setting overshoots, this floors at it: the
+	// uniform policy has no other lever.
+	f := in.Table.FrequencyAtIndex(in.Table.UniformIndexUnder(in.Budget, n))
 	out := make([]units.Frequency, n)
 	for i := range out {
 		out[i] = f

@@ -155,8 +155,10 @@ func finished(m *machine.Machine, deadline float64) (runResult, error) {
 // fvsstRun runs prog alone on CPU cpu of a numCPUs machine under fvsst
 // at budget until it completes — with one CPU, the §8.3/§8.4
 // configuration ("the system configured to use only a single
-// processor"). A non-nil rec receives the driver's per-quantum telemetry
-// of that CPU; observe, if non-nil, is called after every step.
+// processor"). A non-nil rec receives, after every step, the machine's
+// power and budget and that CPU's IPC, frequency and scheduled desire
+// and actual (see recordStep); observe, if non-nil, is called after every
+// step too.
 func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.Power, rec *telemetry.Recorder, observe func(*machine.Machine)) (runResult, error) {
 	progs := make([][]workload.Program, cpu+1)
 	progs[cpu] = []workload.Program{prog}
@@ -168,7 +170,15 @@ func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.
 	if err != nil {
 		return runResult{}, err
 	}
-	drv.Recorder, drv.TraceCPU = rec, cpu
+	if rec != nil {
+		record, then := recordStep(rec, drv.S, cpu), observe
+		observe = func(m *machine.Machine) {
+			record(m)
+			if then != nil {
+				then(m)
+			}
+		}
+	}
 	total, _ := prog.TotalInstructions()
 	// Generous deadline: even at the 250 MHz floor with CPI 12 the run
 	// ends within this bound.
@@ -178,6 +188,38 @@ func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.
 	}
 	res.Decisions, res.Recorder = drv.S.Decisions(), rec
 	return res, nil
+}
+
+// recordStep returns an observer that appends one sample per step to
+// seven series of rec, created here in CSV column order: the machine's
+// system and CPU power and s's budget, then CPU cpu's IPC over the last
+// quantum, its effective frequency, and the desired and actual frequency
+// of s's latest decision.
+func recordStep(rec *telemetry.Recorder, s *fvsst.Scheduler, cpu int) func(*machine.Machine) {
+	systemPower := rec.Series("system-power-w")
+	cpuPower := rec.Series("cpu-power-w")
+	budget := rec.Series("budget-w")
+	ipc := rec.Series("ipc")
+	freq := rec.Series("freq-mhz")
+	desired := rec.Series("desired-mhz")
+	actual := rec.Series("actual-mhz")
+	return func(m *machine.Machine) {
+		now := m.Now()
+		systemPower.MustAppend(now, m.SystemPower().W())
+		cpuPower.MustAppend(now, m.TotalCPUPower().W())
+		budget.MustAppend(now, s.Budget().W())
+		q := m.LastQuantum(cpu)
+		v := 0.0
+		if q.Cycles > 0 {
+			v = float64(q.Instructions) / float64(q.Cycles)
+		}
+		ipc.MustAppend(now, v)
+		freq.MustAppend(now, m.EffectiveFrequency(cpu).MHz())
+		dec, _ := s.LastDecision()
+		a := dec.Assignments[cpu]
+		desired.MustAppend(now, a.Desired.MHz())
+		actual.MustAppend(now, a.Actual.MHz())
+	}
 }
 
 // fixedRun executes a program alone on a single-CPU machine pinned at a

@@ -2,12 +2,10 @@ package fvsst
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/telemetry"
 )
 
 // ErrCascade is returned by Driver.Step when the power plant cascade-fails:
@@ -31,11 +29,6 @@ type Driver struct {
 	// enforces the §2 cascade-failure rule; Step returns ErrCascade if the
 	// system overloads the surviving supplies for longer than ΔT.
 	Plant *power.Plant
-	// Recorder, when non-nil, receives per-quantum traces of the machine
-	// and of processor TraceCPU, which must lie in [0, NumCPUs). Both are
-	// read when the first Step runs.
-	Recorder *telemetry.Recorder
-	TraceCPU int
 	// Sink, when non-nil, receives one obs.EventQuantum per Step with the
 	// machine's power draw and the active budget — the quantum-granularity
 	// companion to the scheduler's per-decision events.
@@ -43,12 +36,6 @@ type Driver struct {
 
 	prevIdle []bool
 	started  bool
-	// series caches the Recorder's series handles so record() does not
-	// repeat the by-name map lookups every quantum.
-	series struct {
-		systemPower, cpuPower, budget    *telemetry.Series
-		ipc, freq, desiredMHz, actualMHz *telemetry.Series
-	}
 }
 
 // NewDriver wires a machine and scheduler together.
@@ -59,19 +46,6 @@ func NewDriver(m *machine.Machine, s *Scheduler) *Driver {
 // Step advances the coupled system by one dispatch quantum.
 func (d *Driver) Step() error {
 	if !d.started {
-		if d.Recorder != nil {
-			if d.TraceCPU < 0 || d.TraceCPU >= d.M.NumCPUs() {
-				return fmt.Errorf("fvsst: TraceCPU %d outside [0,%d)", d.TraceCPU, d.M.NumCPUs())
-			}
-			// Series() creates on lookup, in this order: the CSV columns.
-			d.series.systemPower = d.Recorder.Series("system-power-w")
-			d.series.cpuPower = d.Recorder.Series("cpu-power-w")
-			d.series.budget = d.Recorder.Series("budget-w")
-			d.series.ipc = d.Recorder.Series("ipc")
-			d.series.freq = d.Recorder.Series("freq-mhz")
-			d.series.desiredMHz = d.Recorder.Series("desired-mhz")
-			d.series.actualMHz = d.Recorder.Series("actual-mhz")
-		}
 		d.prevIdle = make([]bool, d.M.NumCPUs())
 		for i := range d.prevIdle {
 			d.prevIdle[i] = d.M.IsIdle(i)
@@ -155,7 +129,6 @@ func (d *Driver) Step() error {
 		}
 	}
 
-	d.record()
 	if d.Sink != nil {
 		d.Sink.Emit(obs.Event{
 			Type:         obs.EventQuantum,
@@ -182,29 +155,6 @@ func (d *Driver) chargeSchedule() error {
 		return nil
 	}
 	return d.M.StealTime(0, oh.SchedulePass)
-}
-
-// record emits per-quantum telemetry for the traced CPU and the machine
-// into the series handles the first Step resolved, if it had a Recorder.
-func (d *Driver) record() {
-	if d.series.systemPower == nil {
-		return
-	}
-	now := d.M.Now()
-	d.series.systemPower.MustAppend(now, d.M.SystemPower().W())
-	d.series.cpuPower.MustAppend(now, d.M.TotalCPUPower().W())
-	d.series.budget.MustAppend(now, d.S.Budget().W())
-	q := d.M.LastQuantum(d.TraceCPU)
-	ipc := 0.0
-	if q.Cycles > 0 {
-		ipc = float64(q.Instructions) / float64(q.Cycles)
-	}
-	d.series.ipc.MustAppend(now, ipc)
-	d.series.freq.MustAppend(now, d.M.EffectiveFrequency(d.TraceCPU).MHz())
-	dec, _ := d.S.LastDecision()
-	a := dec.Assignments[d.TraceCPU]
-	d.series.desiredMHz.MustAppend(now, a.Desired.MHz())
-	d.series.actualMHz.MustAppend(now, a.Actual.MHz())
 }
 
 // Run advances the coupled system until simulation time t.

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/power"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // eventLog is a trace sink that keeps every event in emission order.
@@ -119,5 +121,45 @@ func TestDecisionString(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("String() = %q, missing %q", got, want)
 		}
+	}
+}
+
+// TestLedgerResidencyEndToEnd: the scheduler's events, folded by the
+// ledger, count one startup and one budget-change pass, and leave the
+// memory-bound CPU mostly in its saturation band.
+func TestLedgerResidencyEndToEnd(t *testing.T) {
+	m := quietMachine(t)
+	mix, _ := workload.NewMix(memProgram("mem", 1e12))
+	m.SetMix(3, mix)
+	cfg := noOverheadConfig()
+	// Without the idle signal, the 294 W cap would make the three
+	// hot-idle CPUs compete with the benchmark and drive it to the floor
+	// (the §5 pathology); park them so CPU 3 keeps its saturation band.
+	cfg.UseIdleSignal = true
+	s, err := New(cfg, m, units.Watts(560))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := obs.NewLedger()
+	s.SetSink(ledger)
+	drv := NewDriver(m, s)
+	drv.Budgets, _ = power.NewBudgetSchedule(units.Watts(560),
+		power.BudgetEvent{At: 0.5, Budget: units.Watts(294)})
+	if err := drv.Run(1.0); err != nil {
+		t.Fatal(err)
+	}
+	sum := ledger.Summary()
+	triggers := map[string]int{}
+	for _, tc := range sum.Triggers {
+		triggers[tc.Trigger] = tc.Passes
+	}
+	if triggers["budget-change"] != 1 || triggers["startup"] != 1 {
+		t.Errorf("triggers = %v", sum.Triggers)
+	}
+	if len(sum.Residency) != 4 {
+		t.Fatalf("residency rows = %+v", sum.Residency)
+	}
+	if top := sum.Residency[3].Top; len(top) == 0 || top[0].MHz < 600 || top[0].MHz > 700 {
+		t.Errorf("CPU 3's residencies %+v, want the largest in 600–700 MHz", top)
 	}
 }

@@ -13,8 +13,9 @@ import (
 // Ledger is a Sink that integrates a trace into the run's energy and
 // compliance account: per-node and total Joules (power integrated over
 // simulated time), budget and charged-power integrals, budget-overshoot
-// seconds, Step-2 demotion counts, the online prediction-error summary,
-// and (from span events) wall-clock pass-latency percentiles.
+// seconds, Step-2 demotion counts, per-processor frequency residency,
+// the online prediction-error summary, and (from span events) wall-clock
+// pass-latency percentiles.
 //
 // Everything except the latency section derives from simulated
 // timestamps and simulated power, so for a fixed seed the summary is
@@ -37,6 +38,9 @@ type Ledger struct {
 	passes, missedPasses int
 	triggers             map[string]int
 	demotions            int
+
+	// Per-processor frequency residency over the schedule passes.
+	cpus map[cpuKey]*cpuAcct
 
 	// Prediction accuracy (|relative IPC error|, one period late).
 	predCount           int
@@ -61,9 +65,24 @@ type nodeAcct struct {
 	samples         int
 }
 
+// cpuKey addresses one processor: its node (empty on a single machine)
+// and its CPU index there.
+type cpuKey struct {
+	node string
+	cpu  int
+}
+
+type cpuAcct struct {
+	passes, clipped, idle, demotions int
+	sumMHz                           float64
+	// byMHz counts the passes that left the processor at each actual
+	// frequency.
+	byMHz map[float64]int
+}
+
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{nodes: make(map[string]*nodeAcct), triggers: make(map[string]int)}
+	return &Ledger{nodes: make(map[string]*nodeAcct), triggers: make(map[string]int), cpus: make(map[cpuKey]*cpuAcct)}
 }
 
 // Emit folds one event into the account.
@@ -124,6 +143,7 @@ func (l *Ledger) Emit(e Event) {
 		}
 		l.demotions += len(e.Demotions)
 		for _, c := range e.CPUs {
+			l.residency(e.Node, c)
 			if !c.IPCErrorValid {
 				continue
 			}
@@ -137,10 +157,43 @@ func (l *Ledger) Emit(e Event) {
 				l.predMax = err
 			}
 		}
+		// A demotion lands on a row its pass's CPUs opened.
+		for _, dm := range e.Demotions {
+			if a := l.cpus[cpuKey{nodeOr(dm.Node, e.Node), dm.CPU}]; a != nil {
+				a.demotions++
+			}
+		}
 	case EventSpan:
 		if e.Span == SpanPass && len(l.passDur) < maxLatencySamples {
 			l.passDur = append(l.passDur, e.DurS)
 		}
+	}
+}
+
+// nodeOr is a CPU's or demotion's own node label, else its event's.
+func nodeOr(own, event string) string {
+	if own != "" {
+		return own
+	}
+	return event
+}
+
+// residency folds one processor's slice of a schedule pass into its row.
+func (l *Ledger) residency(node string, c CPUTrace) {
+	k := cpuKey{nodeOr(c.Node, node), c.CPU}
+	a := l.cpus[k]
+	if a == nil {
+		a = &cpuAcct{byMHz: make(map[float64]int)}
+		l.cpus[k] = a
+	}
+	a.passes++
+	a.sumMHz += c.ActualMHz
+	a.byMHz[c.ActualMHz]++
+	if c.DesiredMHz > c.ActualMHz {
+		a.clipped++
+	}
+	if c.Idle {
+		a.idle++
 	}
 }
 
@@ -157,6 +210,31 @@ type NodeEnergy struct {
 type TriggerCount struct {
 	Trigger string `json:"trigger"`
 	Passes  int    `json:"passes"`
+}
+
+// CPUResidency is one processor's row of the residency section: over the
+// passes that scheduled it, the mean actual frequency, the share of
+// passes where the budget fit left it below its ε-constrained desire
+// (Figure 9's actual-vs-desired gap), the share that saw it idle, the
+// Step-2 demotions that landed on it, and its largest frequency
+// residencies — the aggregation Figure 8 presents per benchmark.
+type CPUResidency struct {
+	Node      string  `json:"node"`
+	CPU       int     `json:"cpu"`
+	Passes    int     `json:"passes"`
+	MeanMHz   float64 `json:"mean_mhz"`
+	Clipped   float64 `json:"clipped"`
+	Idle      float64 `json:"idle"`
+	Demotions int     `json:"demotions"`
+	// Top holds up to three residencies of at least 1 % of the passes,
+	// largest first, a tie going to the lower frequency.
+	Top []FreqShare `json:"top"`
+}
+
+// FreqShare is the share of a processor's passes spent at one frequency.
+type FreqShare struct {
+	MHz   float64 `json:"mhz"`
+	Share float64 `json:"share"`
 }
 
 // LatencySummary is the wall-clock pass-latency section. Nondeterministic
@@ -183,14 +261,16 @@ type LedgerSummary struct {
 	Triggers         []TriggerCount  `json:"triggers,omitempty"`
 	MissedPasses     int             `json:"missed_passes"`
 	Demotions        int             `json:"demotions"`
+	Residency        []CPUResidency  `json:"residency,omitempty"`
 	PredSamples      int             `json:"pred_samples"`
 	PredMeanAbsErr   float64         `json:"pred_mean_abs_err"`
 	PredMaxAbsErr    float64         `json:"pred_max_abs_err"`
 	Latency          *LatencySummary `json:"latency,omitempty"`
 }
 
-// Summary freezes the account. Node rows are name-sorted; the unnamed
-// single-machine key renders as "(machine)". The total sums named nodes
+// Summary freezes the account. Node rows are name-sorted, residency rows
+// sorted by node then CPU; the unnamed single-machine key renders as
+// "(machine)". The total sums named nodes
 // when any exist (the unnamed key is then an aggregate duplicate), else
 // the unnamed row.
 func (l *Ledger) Summary() LedgerSummary {
@@ -243,6 +323,19 @@ func (l *Ledger) Summary() LedgerSummary {
 		s.Triggers = append(s.Triggers, TriggerCount{Trigger: t, Passes: c})
 	}
 	sort.Slice(s.Triggers, func(i, j int) bool { return s.Triggers[i].Trigger < s.Triggers[j].Trigger })
+	keys := make([]cpuKey, 0, len(l.cpus))
+	for k := range l.cpus {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].node != keys[j].node {
+			return keys[i].node < keys[j].node
+		}
+		return keys[i].cpu < keys[j].cpu
+	})
+	for _, k := range keys {
+		s.Residency = append(s.Residency, l.cpus[k].row(k))
+	}
 	if len(l.passDur) > 0 {
 		d := append([]float64(nil), l.passDur...)
 		sort.Float64s(d)
@@ -267,17 +360,54 @@ func (l *Ledger) Summary() LedgerSummary {
 	return s
 }
 
+// row freezes one processor's account.
+func (a *cpuAcct) row(k cpuKey) CPUResidency {
+	n := float64(a.passes)
+	r := CPUResidency{
+		Node:      k.node,
+		CPU:       k.cpu,
+		Passes:    a.passes,
+		MeanMHz:   a.sumMHz / n,
+		Clipped:   float64(a.clipped) / n,
+		Idle:      float64(a.idle) / n,
+		Demotions: a.demotions,
+	}
+	if k.node == "" {
+		r.Node = "(machine)"
+	}
+	shares := make([]FreqShare, 0, len(a.byMHz))
+	for mhz, c := range a.byMHz {
+		shares = append(shares, FreqShare{MHz: mhz, Share: float64(c) / n})
+	}
+	// Largest share first; a tie goes to the lower frequency, so the
+	// ranking does not depend on the map's iteration order.
+	sort.Slice(shares, func(i, j int) bool {
+		if shares[i].Share != shares[j].Share {
+			return shares[i].Share > shares[j].Share
+		}
+		return shares[i].MHz < shares[j].MHz
+	})
+	for _, f := range shares {
+		if len(r.Top) == 3 || f.Share < 0.01 {
+			break
+		}
+		r.Top = append(r.Top, f)
+	}
+	return r
+}
+
 // Report sections, for LedgerSummary.WriteText and the `experiments
 // report -sections` flag.
 const (
 	SectionEnergy     = "energy"
 	SectionCompliance = "compliance"
+	SectionResidency  = "residency"
 	SectionPrediction = "prediction"
 	SectionLatency    = "latency"
 )
 
 // AllSections lists every report section in render order.
-var AllSections = []string{SectionEnergy, SectionCompliance, SectionPrediction, SectionLatency}
+var AllSections = []string{SectionEnergy, SectionCompliance, SectionResidency, SectionPrediction, SectionLatency}
 
 // ParseSections parses a comma-separated section list ("all" or "" for
 // everything), preserving render order and rejecting unknown names.
@@ -310,8 +440,9 @@ func ParseSections(spec string) ([]string, error) {
 }
 
 // Filter returns a copy restricted to the given sections: deselecting
-// latency nils the Latency pointer so both the text and JSON renderings
-// stay deterministic.
+// energy zeroes its rows and integrals, deselecting residency nils its
+// rows, and deselecting latency nils the Latency pointer so both the text
+// and JSON renderings stay deterministic.
 func (s LedgerSummary) Filter(sections []string) LedgerSummary {
 	has := func(name string) bool {
 		for _, x := range sections {
@@ -325,6 +456,9 @@ func (s LedgerSummary) Filter(sections []string) LedgerSummary {
 	if !has(SectionEnergy) {
 		out.Nodes = nil
 		out.TotalJoules, out.BudgetJoules, out.ChargedJoules = 0, 0, 0
+	}
+	if !has(SectionResidency) {
+		out.Residency = nil
 	}
 	if !has(SectionLatency) {
 		out.Latency = nil
@@ -357,6 +491,18 @@ func (s LedgerSummary) WriteText(w io.Writer, sections []string) error {
 			fmt.Fprintf(bw, "  demotions %d\n", s.Demotions)
 			fmt.Fprintf(bw, "  overshoot %.3f s, %.3f J, peak %.2f W over budget\n",
 				s.OvershootSeconds, s.OvershootJoules, s.PeakOvershootW)
+		case SectionResidency:
+			fmt.Fprintf(bw, "residency\n")
+			for _, r := range s.Residency {
+				fmt.Fprintf(bw, "  %-12s cpu%-3d passes %6d  mean %4.0f MHz  clipped %3.0f%%  idle %3.0f%%  demoted %5d  top",
+					r.Node, r.CPU, r.Passes, r.MeanMHz, r.Clipped*100, r.Idle*100, r.Demotions)
+				sep := " "
+				for _, f := range r.Top {
+					fmt.Fprintf(bw, "%s%g MHz %.0f%%", sep, f.MHz, f.Share*100)
+					sep = ", "
+				}
+				fmt.Fprintf(bw, "\n")
+			}
 		case SectionPrediction:
 			fmt.Fprintf(bw, "prediction\n")
 			fmt.Fprintf(bw, "  samples %d  mean |err| %.4f  max |err| %.4f\n",

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -140,5 +141,124 @@ func TestReplayJSONL(t *testing.T) {
 	}
 	if _, err := ReplayJSONL(strings.NewReader("{broken"), l); err == nil {
 		t.Error("malformed line accepted")
+	}
+}
+
+// schedule is a one-CPU schedule pass for the residency tests.
+func schedule(trigger string, missed bool, actualMHz, desiredMHz float64, idle bool) Event {
+	return Event{Type: EventSchedule, Trigger: trigger, BudgetMissed: missed,
+		CPUs: []CPUTrace{{CPU: 0, ActualMHz: actualMHz, DesiredMHz: desiredMHz, Idle: idle}}}
+}
+
+// TestLedgerResidency: the compliance counts and one processor's
+// residency row — mean actual frequency, clipped share (desire above the
+// actual), idle share and frequency shares — over four passes.
+func TestLedgerResidency(t *testing.T) {
+	l := NewLedger()
+	l.Emit(schedule("timer", false, 650, 650, false))
+	l.Emit(schedule("timer", false, 650, 650, false))
+	l.Emit(schedule("budget-change", false, 500, 1000, false))
+	l.Emit(schedule("timer", true, 250, 1000, true))
+	s := l.Summary()
+	if s.Passes != 4 || s.MissedPasses != 1 {
+		t.Errorf("passes=%d missed=%d", s.Passes, s.MissedPasses)
+	}
+	if len(s.Triggers) != 2 || s.Triggers[0] != (TriggerCount{"budget-change", 1}) || s.Triggers[1] != (TriggerCount{"timer", 3}) {
+		t.Errorf("triggers = %+v", s.Triggers)
+	}
+	if len(s.Residency) != 1 {
+		t.Fatalf("residency rows = %+v", s.Residency)
+	}
+	r := s.Residency[0]
+	if r.Node != "(machine)" || r.CPU != 0 || r.Passes != 4 {
+		t.Errorf("row = %+v", r)
+	}
+	if r.MeanMHz != (650+650+500+250)/4.0 || r.Clipped != 0.5 || r.Idle != 0.25 {
+		t.Errorf("mean %v clipped %v idle %v", r.MeanMHz, r.Clipped, r.Idle)
+	}
+	want := []FreqShare{{650, 0.5}, {250, 0.25}, {500, 0.25}}
+	if len(r.Top) != 3 || r.Top[0] != want[0] || r.Top[1] != want[1] || r.Top[2] != want[2] {
+		t.Errorf("top = %+v, want %+v", r.Top, want)
+	}
+	var sb strings.Builder
+	if err := s.WriteText(&sb, []string{SectionResidency}); err != nil {
+		t.Fatal(err)
+	}
+	if row := "  (machine)    cpu0   passes      4  mean  512 MHz  clipped  50%  idle  25%  demoted     0  top 650 MHz 50%, 250 MHz 25%, 500 MHz 25%\n"; sb.String() != "residency\n"+row {
+		t.Errorf("residency section:\n%s", sb.String())
+	}
+}
+
+// TestLedgerResidencyTiesInFrequencyOrder: residencies with equal shares
+// rank lower frequency first, at most three are listed, and one under 1 %
+// is not, so the section is the same bytes every time whatever order the
+// residency map iterates in.
+func TestLedgerResidencyTiesInFrequencyOrder(t *testing.T) {
+	l := NewLedger()
+	for _, mhz := range []float64{550, 350, 450, 250} {
+		l.Emit(schedule("timer", false, mhz, mhz, false))
+	}
+	render := func(l *Ledger) string {
+		var sb strings.Builder
+		if err := l.Summary().WriteText(&sb, []string{SectionResidency}); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	want := render(l)
+	if !strings.HasSuffix(want, "top 250 MHz 25%, 350 MHz 25%, 450 MHz 25%\n") {
+		t.Fatalf("tied residencies not in frequency order:\n%s", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := render(l); got != want {
+			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+
+	rare := NewLedger()
+	rare.Emit(schedule("startup", false, 1000, 1000, false))
+	for i := 0; i < 100; i++ {
+		rare.Emit(schedule("timer", false, 650, 650, false))
+	}
+	if top := rare.Summary().Residency[0].Top; len(top) != 1 || top[0].MHz != 650 {
+		t.Errorf("a residency under 1 %% listed: %+v", top)
+	}
+}
+
+// TestLedgerResidencyPerNode: a cluster pass keys each processor by its
+// own node label (else the event's), demotions land on the row they
+// name, and deselecting the section drops its rows from the JSON.
+func TestLedgerResidencyPerNode(t *testing.T) {
+	l := NewLedger()
+	l.Emit(Event{Type: EventSchedule, Trigger: "timer",
+		CPUs:      []CPUTrace{{CPU: 1, Node: "b", ActualMHz: 600}, {CPU: 0, Node: "a", ActualMHz: 800}, {CPU: 0, Node: "b", ActualMHz: 700}},
+		Demotions: []DemotionTrace{{CPU: 0, Node: "b"}, {CPU: 0, Node: "b"}, {CPU: 1, Node: "a"}}})
+	l.Emit(Event{Type: EventSchedule, Trigger: "timer", Node: "a",
+		CPUs: []CPUTrace{{CPU: 0, ActualMHz: 600}}, Demotions: []DemotionTrace{{CPU: 0}}})
+	s := l.Summary()
+	if s.Demotions != 4 {
+		t.Errorf("demotions = %d, want 4", s.Demotions)
+	}
+	type key struct {
+		node           string
+		cpu, passes, d int
+		mean           float64
+	}
+	want := []key{{"a", 0, 2, 1, 700}, {"b", 0, 1, 2, 700}, {"b", 1, 1, 0, 600}}
+	if len(s.Residency) != len(want) {
+		t.Fatalf("rows = %+v", s.Residency)
+	}
+	for i, w := range want {
+		r := s.Residency[i]
+		if (key{r.Node, r.CPU, r.Passes, r.Demotions, r.MeanMHz}) != w {
+			t.Errorf("row %d = %+v, want %+v", i, r, w)
+		}
+	}
+	data, err := json.Marshal(s.Filter([]string{SectionCompliance}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "residency") {
+		t.Errorf("deselected residency in JSON: %s", data)
 	}
 }

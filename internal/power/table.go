@@ -228,8 +228,7 @@ func (t *Table) MaxFrequencyUnder(budget units.Power) (units.Frequency, bool) {
 // the studies that pin a fleet were written with. For n < 2³³ the product
 // of a whole-watt power is exact (NewTable), so it answers as
 // MaxFrequencyUnder(budget/n) does: the quotient rounds, but never onto a
-// whole-watt power it lies below. baseline.Uniform, which hands each
-// processor budget/n, keeps the quotient.
+// whole-watt power it lies below.
 func (t *Table) UniformIndexUnder(budget units.Power, n int) int {
 	fi := 0
 	for i, p := range t.points {
