@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -95,6 +96,10 @@ func run(args []string, out io.Writer) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve a live Prometheus /metrics endpoint on this address (e.g. :9090)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Any positive duration runs the startup pass; none leaves an empty trace.
+	if !(*duration > 0) || math.IsInf(*duration, 1) {
+		return fmt.Errorf("-duration %v must be finite and positive", *duration)
 	}
 
 	mcfg := machine.P630Config()
@@ -192,8 +197,8 @@ type passPrinter struct {
 	timers int
 }
 
-// Emit prints the pass behind a schedule event; a pass's event is emitted
-// after it joins the scheduler's decision log.
+// Emit prints the pass behind a schedule event; the scheduler emits a
+// pass's event after the pass becomes its LastDecision.
 func (p *passPrinter) Emit(e obs.Event) {
 	if e.Type != obs.EventSchedule {
 		return

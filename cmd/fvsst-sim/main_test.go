@@ -117,7 +117,8 @@ func TestFailAtReportsBudgetChange(t *testing.T) {
 // trace's own line, is what `experiments report -sections
 // compliance,residency` prints for the run's -trace — the trace replayed
 // into a fresh ledger and its summary rendered with those sections — for
-// the default run and for -fail-at 1.
+// the default run and for -fail-at 1. A -duration that allows no pass is
+// refused before any trace exists, so there is no empty block to compare.
 func TestClosingBlockIsTheReport(t *testing.T) {
 	for _, args := range [][]string{nil, {"-fail-at", "1"}} {
 		tracePath := filepath.Join(t.TempDir(), "sim.jsonl")
@@ -151,6 +152,19 @@ func TestClosingBlockIsTheReport(t *testing.T) {
 		}
 		if !strings.Contains(report.String(), "\nresidency\n") || !strings.Contains(report.String(), "cpu3 ") {
 			t.Errorf("%v: report has no residency rows:\n%s", args, report.String())
+		}
+	}
+	// A duration that runs no pass would close with an empty report on an
+	// empty trace, which the report rejects: run refuses it before it
+	// opens the trace.
+	for _, d := range []string{"0", "-1", "NaN", "+Inf"} {
+		tracePath := filepath.Join(t.TempDir(), "sim.jsonl")
+		var out strings.Builder
+		if err := run([]string{"-duration", d, "-trace", tracePath}, &out); err == nil {
+			t.Errorf("-duration %s accepted:\n%s", d, out.String())
+		}
+		if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
+			t.Errorf("-duration %s left a trace file (stat: %v)", d, err)
 		}
 	}
 }

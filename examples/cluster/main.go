@@ -42,11 +42,10 @@ func main() {
 	report := func(when string) {
 		fmt.Printf("%s: t=%.2fs, cluster CPU power %v (budget %v)\n",
 			when, coord.Now(), coord.TotalCPUPower(), coord.Budget())
-		decs := coord.Decisions()
-		if len(decs) == 0 {
+		last, ok := coord.LastDecision()
+		if !ok {
 			return
 		}
-		last := decs[len(decs)-1]
 		perNode := map[int][]string{}
 		for _, a := range last.Assignments {
 			perNode[a.Proc.Node] = append(perNode[a.Proc.Node],

@@ -55,7 +55,7 @@ var unusedAllow = map[string]string{
 	"internal/engine.Timeline.Cancel":             "bench-pinned with its Timeline (the engine tests and FuzzTimelineOps drive it); ROADMAP 1(b) deletes the Timeline",
 	"internal/engine.HandlerFunc":                 "bench-pinned (bench/probes.go); ROADMAP 1(b) deletes the Timeline",
 	"internal/machine.Machine.NextArrivalAt":      "bench-pinned (bench/des.go); goes with ROADMAP 1's bench work",
-	"internal/fvsst.Scheduler.SetDecisionLogging": "bench-pinned (bench/probes.go); goes with ROADMAP 1's bench work",
+	"internal/fvsst.Scheduler.SetDecisionLogging": "no-op; deleted with ROADMAP 1(a)",
 	"internal/netcluster.Root.RootDecisions":      "bench-pinned (bench/rounds.go); goes with ROADMAP 1's bench work",
 	"internal/machine.Machine.Step":               "bench-pinned (bench/probes.go); ROADMAP 1(b) deletes it once bench/ steps with StepQuantum",
 	"internal/machine.Machine.Energy":             "bench-pinned (bench/des.go digests it); goes with ROADMAP 1's bench work",

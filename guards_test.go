@@ -58,6 +58,8 @@ var guards = []guard{
 		why: "the figure series are recorded by the experiments' per-step observer; the scheduler packages carry no recorder of their own"},
 	{callee: "repro/internal/obs.NewLedger", allowed: []string{"internal/obs", "cmd/experiments", "cmd/fvsst-sim"},
 		why: "a run's summary is the ledger's report: experiments report renders it from a trace, fvsst-sim prints its sections at exit, and no package keeps a second account"},
+	{callee: "repro/internal/fvsst.Scheduler.SetDecisionLogging",
+		why: "the scheduler keeps no pass history, so the switch is a no-op that only bench/ (which no guard scans) may still call"},
 	{decl: "ReplayCell", why: replayWhy},
 	{decl: "ReplayCells", why: replayWhy},
 }
@@ -216,14 +218,17 @@ func TestGuardsChecker(t *testing.T) {
 		"internal/telemetry/telemetry.go": "package telemetry\n\ntype Recorder struct{}\n",
 		"internal/experiments/run.go": "package experiments\n\nimport (\n\t\"repro/internal/obs\"\n\tt \"repro/internal/telemetry\"\n)\n\n" +
 			"func run(rec *t.Recorder) { obs.NewLedger() }\n",
-		"internal/fvsst/driver.go":   "package fvsst\n\nimport \"repro/internal/telemetry\"\n\ntype Driver struct{ Recorder *telemetry.Recorder }\n",
-		"examples/phases/main.go":    "package main\n\nimport \"repro/internal/telemetry\"\n\nfunc main() { _ = new(telemetry.Recorder) }\n",
-		"cmd/fvsst-sim/main.go":      "package main\n\nimport \"repro/internal/obs\"\n\nfunc main() { obs.NewLedger() }\n",
+		"internal/fvsst/driver.go": "package fvsst\n\nimport \"repro/internal/telemetry\"\n\ntype Driver struct{ Recorder *telemetry.Recorder }\n\n" +
+			"type Scheduler struct{}\n\nfunc (*Scheduler) SetDecisionLogging(bool) {}\n",
+		"examples/phases/main.go": "package main\n\nimport \"repro/internal/telemetry\"\n\nfunc main() { _ = new(telemetry.Recorder) }\n",
+		"cmd/fvsst-sim/main.go": "package main\n\nimport (\n\t\"repro/internal/fvsst\"\n\t\"repro/internal/obs\"\n)\n\n" +
+			"func main() {\n\tobs.NewLedger()\n\tnew(fvsst.Scheduler).SetDecisionLogging(false)\n}\n",
 		"internal/machine/m.go":      "package machine\n\ntype M struct{}\n\nfunc (M) ReplayCell() {}\n",
 		"internal/machine/m_test.go": "package machine\n\nfunc ReplayCells() {}\n",
 		"bench/run.go":               "package main\n\nimport \"net\"\n\nfunc main() { net.Pipe() }\n",
 	}
 	want := []string{ // sorted as text: relay.go's line 10 sorts before its 8
+		"cmd/fvsst-sim/main.go:10:23: refers to repro/internal/fvsst.Scheduler.SetDecisionLogging",
 		"cmd/tool/main.go:15:4: refers to repro/internal/obs.NewJSONLWriter",
 		"cmd/tool/main.go:16:22: refers to repro/internal/obs.Registry.WritePrometheus",
 		"cmd/tool/main.go:17:4: refers to repro/internal/farm.NewHolder",

@@ -7,11 +7,16 @@ package repro_test
 // counters — regardless of workload mix, budget trajectory or seed.
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/fvsst"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -98,31 +103,46 @@ func TestBudgetComplianceProperty(t *testing.T) {
 	}
 }
 
-// TestSchedulerDeterminism: identical seeds produce identical decision
-// logs across the whole stack.
+// scheduleTrace is a sink that writes each schedule event as one JSONL
+// line and drops the spans, whose durations are wall-clock.
+type scheduleTrace struct{ w *obs.JSONLWriter }
+
+func (s scheduleTrace) Emit(e obs.Event) {
+	if e.Type == obs.EventSchedule {
+		s.w.Emit(e)
+	}
+}
+
+// TestSchedulerDeterminism: identical seeds produce byte-identical
+// schedule-event traces across the whole stack.
 func TestSchedulerDeterminism(t *testing.T) {
-	run := func() []fvsst.Decision {
+	run := func() string {
 		_, drv, s := randomScenario(t, 42)
+		var buf bytes.Buffer
+		w := obs.NewJSONLWriter(&buf)
+		s.SetSink(scheduleTrace{w})
 		for step := 0; step < 200; step++ {
 			if err := drv.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return s.Decisions()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
 	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("decision counts differ: %d vs %d", len(a), len(b))
+	if n := strings.Count(a, "\n"); n < 20 {
+		t.Fatalf("trace holds %d passes, want ≥ 20", n)
 	}
-	for i := range a {
-		if a[i].At != b[i].At || a[i].Budget != b[i].Budget || a[i].TablePower != b[i].TablePower {
-			t.Fatalf("decision %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-		for cpu := range a[i].Assignments {
-			if a[i].Assignments[cpu] != b[i].Assignments[cpu] {
-				t.Fatalf("decision %d cpu %d differs", i, cpu)
+	if a != b {
+		al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+		for i := 0; i < len(al) && i < len(bl); i++ {
+			if al[i] != bl[i] {
+				t.Fatalf("pass %d differs:\n%s\n%s", i+1, al[i], bl[i])
 			}
 		}
+		t.Fatalf("the traces hold %d and %d lines", len(al), len(bl))
 	}
 }
 
@@ -160,21 +180,35 @@ func TestVoltageAlwaysSufficientProperty(t *testing.T) {
 	table := power.PaperTable1()
 	for seed := int64(1); seed <= 4; seed++ {
 		_, drv, s := randomScenario(t, seed+200)
+		s.SetSink(voltageCheck{t, table, s})
 		for step := 0; step < 200; step++ {
 			if err := drv.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, d := range s.Decisions() {
-			for _, a := range d.Assignments {
-				i := table.IndexOf(a.Actual)
-				if i < 0 {
-					t.Fatalf("off-grid actual frequency %v", a.Actual)
-				}
-				if min := table.VoltageAtIndex(i); a.Voltage < min {
-					t.Fatalf("undervolted: %v < %v at %v", a.Voltage, min, a.Actual)
-				}
-			}
+	}
+}
+
+// voltageCheck is a sink that checks each pass's Decision, read from the
+// scheduler as the pass's schedule event arrives.
+type voltageCheck struct {
+	t     *testing.T
+	table *power.Table
+	s     *fvsst.Scheduler
+}
+
+func (v voltageCheck) Emit(e obs.Event) {
+	if e.Type != obs.EventSchedule {
+		return
+	}
+	d, _ := v.s.LastDecision()
+	for _, a := range d.Assignments {
+		i := v.table.IndexOf(a.Actual)
+		if i < 0 {
+			v.t.Fatalf("off-grid actual frequency %v", a.Actual)
+		}
+		if min := v.table.VoltageAtIndex(i); a.Voltage < min {
+			v.t.Fatalf("undervolted: %v < %v at %v", a.Voltage, min, a.Actual)
 		}
 	}
 }
@@ -227,6 +261,83 @@ func TestInformedSystemNeverCascades(t *testing.T) {
 		}
 		if err := drv.Run(failAt + 2); err != nil {
 			t.Fatalf("seed %d (failure at %.2fs): %v", seed, failAt, err)
+		}
+	}
+}
+
+// TestSchedulersKeepNoPassHistory: a daemon reschedules every period T for
+// as long as it runs, so neither in-process scheduler may keep its passes.
+// With no sink attached, running n and then 10·n passes must leave the
+// live heap where it was. A Decision kept per pass would add 9·n of them,
+// hundreds of bytes each on these 4- and 12-CPU systems; the bound allows
+// 64 bytes a pass.
+func TestSchedulersKeepNoPassHistory(t *testing.T) {
+	const n = 500
+	cfg := fvsst.DefaultConfig()
+	systems := []struct {
+		name string
+		// build returns one scheduling period's Step and the latest pass.
+		build func() (step func() error, last func() (float64, bool))
+	}{
+		{"fvsst.Scheduler", func() (func() error, func() (float64, bool)) {
+			m, err := machine.New(machine.P630Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			apps := []func(workload.AppScale) workload.Program{workload.Gzip, workload.Gap, workload.Mcf, workload.Health}
+			for cpu, app := range apps {
+				mix, err := workload.NewMix(app(100))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.SetMix(cpu, mix); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := fvsst.New(cfg, m, units.Watts(294))
+			if err != nil {
+				t.Fatal(err)
+			}
+			drv := fvsst.NewDriver(m, s)
+			return drv.Step, func() (float64, bool) { d, ok := s.LastDecision(); return d.At, ok }
+		}},
+		{"cluster.Coordinator", func() (func() error, func() (float64, bool)) {
+			nodes, err := cluster.Tiered(machine.P630Config(), 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := cluster.New(cfg, units.Watts(900), nodes...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c.Step, func() (float64, bool) { d, ok := c.LastDecision(); return d.At, ok }
+		}},
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for _, sys := range systems {
+		step, last := sys.build()
+		run := func(passes int) {
+			for i := 0; i < passes*cfg.SchedulePeriods; i++ {
+				if err := step(); err != nil {
+					t.Fatalf("%s: %v", sys.name, err)
+				}
+			}
+		}
+		run(n)
+		before := liveHeap()
+		run(9 * n)
+		after := liveHeap()
+		if at, ok := last(); !ok || at < float64(10*n-1)*0.1 {
+			t.Fatalf("%s: last pass at %v s (ok %v), want one near %v s", sys.name, at, ok, float64(10*n)*0.1)
+		}
+		if after > before && after-before > 9*n*64 {
+			t.Errorf("%s: live heap grew %d B over %d more passes (%d B a pass)",
+				sys.name, after-before, 9*n, (after-before)/(9*n))
 		}
 	}
 }

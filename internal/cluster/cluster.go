@@ -93,8 +93,10 @@ type Coordinator struct {
 	// A change fires the budget-change trigger.
 	source power.BudgetSource
 
-	pending   []pendingActuation
-	decisions []Decision
+	pending []pendingActuation
+	// last is the latest global pass, nil before the first; the
+	// coordinator keeps no older pass.
+	last *Decision
 	// clock is the cluster's simulated time, one machine quantum per Step;
 	// cadence answers whether the Step's collection is the n-th, which
 	// makes a scheduling pass due.
@@ -352,31 +354,24 @@ func (c *Coordinator) schedule(trigger string) error {
 			m:    n.M,
 		})
 	}
-	c.decisions = append(c.decisions, Decision{
+	c.last = &Decision{
 		At:          c.clock.Now(),
 		Trigger:     trigger,
 		Budget:      c.budget,
 		TablePower:  res.TablePower,
 		BudgetMet:   res.BudgetMet,
 		Assignments: res.Assignments,
-	})
+	}
 	return nil
 }
 
-// LastDecision returns the most recent global pass, if any ran. The
-// assignments slice is shared with the log — callers must not mutate it.
+// LastDecision returns the most recent global pass, if any ran. Its slices
+// are that pass's own, valid after later passes; callers must not mutate them.
 func (c *Coordinator) LastDecision() (Decision, bool) {
-	if len(c.decisions) == 0 {
+	if c.last == nil {
 		return Decision{}, false
 	}
-	return c.decisions[len(c.decisions)-1], true
-}
-
-// Decisions returns the coordinator's decision log.
-func (c *Coordinator) Decisions() []Decision {
-	out := make([]Decision, len(c.decisions))
-	copy(out, c.decisions)
-	return out
+	return *c.last, true
 }
 
 // TierSpec describes one tier of a classic three-tier deployment.

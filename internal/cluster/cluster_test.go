@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -80,6 +79,20 @@ func runUntil(c *Coordinator, until float64) error {
 	return nil
 }
 
+// watchBudgetChanges collects c's budget-change passes through its
+// quantum hook. Step runs such a pass before the machines step, so the
+// hook sees it as the last decision even when the Step ends in a timer
+// pass, which a check after Step would see instead.
+func watchBudgetChanges(c *Coordinator) *[]Decision {
+	var seen []Decision
+	c.SetQuantumHook(func(now float64) {
+		if d, ok := c.LastDecision(); ok && d.Trigger == "budget-change" && d.At == now {
+			seen = append(seen, d)
+		}
+	}, nil)
+	return &seen
+}
+
 // runUntilDone steps c until every node's jobs complete or deadline
 // passes and reports whether every job completed.
 func runUntilDone(c *Coordinator, deadline float64) (bool, error) {
@@ -98,35 +111,6 @@ func jobsDone(c *Coordinator) bool {
 		}
 	}
 	return true
-}
-
-// clusterFingerprint renders every decision with its assignments and
-// every node machine's clock, energy, counters and completions, all
-// through %v so single-bit float drift shows.
-func clusterFingerprint(c *Coordinator) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "t=%v budget=%v pending=%d\n", c.Now(), c.Budget(), len(c.pending))
-	for _, d := range c.Decisions() {
-		fmt.Fprintf(&b, "pass %v %s %v %v %v\n", d.At, d.Trigger, d.Budget, d.TablePower, d.BudgetMet)
-		for _, a := range d.Assignments {
-			fmt.Fprintf(&b, "  %d/%d %v %v %v %v %v\n",
-				a.Proc.Node, a.Proc.CPU, a.Desired, a.Actual, a.Voltage, a.PredictedLoss, a.Idle)
-		}
-	}
-	for _, n := range c.nodes {
-		fmt.Fprintf(&b, "node %s t=%v e=%v ce=%v\n", n.Name, n.M.Now(), n.M.Energy(), n.M.CPUEnergy())
-		for i := 0; i < n.M.NumCPUs(); i++ {
-			s, err := n.M.ReadCounters(i)
-			if err != nil {
-				panic(err)
-			}
-			fmt.Fprintf(&b, "  cpu%d %+v f=%v\n", i, s, n.M.EffectiveFrequency(i))
-		}
-		for _, jc := range n.M.Completions() {
-			fmt.Fprintf(&b, "  done %d %s %v\n", jc.CPU, jc.Program, jc.At)
-		}
-	}
-	return b.String()
 }
 
 func TestNewValidation(t *testing.T) {
@@ -161,11 +145,10 @@ func TestGlobalBudgetEnforcedAcrossNodes(t *testing.T) {
 	if err := runUntil(c, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	decs := c.Decisions()
-	if len(decs) == 0 {
+	last, ok := c.LastDecision()
+	if !ok {
 		t.Fatal("no decisions")
 	}
-	last := decs[len(decs)-1]
 	if !last.BudgetMet {
 		t.Error("600W across 8 CPUs should be feasible")
 	}
@@ -188,8 +171,7 @@ func TestWorkloadDiversityExploited(t *testing.T) {
 	if err := runUntil(c, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	decs := c.Decisions()
-	last := decs[len(decs)-1]
+	last, _ := c.LastDecision()
 	var appF, dbF units.Frequency
 	for _, a := range last.Assignments {
 		if a.Proc.CPU != 0 {
@@ -248,19 +230,16 @@ func TestBudgetScheduleTriggersGlobalReschedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetBudgetSource(sched)
+	changes := watchBudgetChanges(c)
 	if err := runUntil(c, 0.8); err != nil {
 		t.Fatal(err)
 	}
-	var sawChange bool
-	for _, d := range c.Decisions() {
-		if d.Trigger == "budget-change" {
-			sawChange = true
-			if d.Budget.W() != 500 {
-				t.Errorf("budget-change decision budget = %v", d.Budget)
-			}
+	for _, d := range *changes {
+		if d.Budget.W() != 500 {
+			t.Errorf("budget-change decision budget = %v", d.Budget)
 		}
 	}
-	if !sawChange {
+	if len(*changes) == 0 {
 		t.Error("no budget-change decision")
 	}
 	if got := c.TotalCPUPower(); got > units.Watts(510) {

@@ -199,7 +199,7 @@ func (c *Core) UniformLoss(inputs []ProcInput, fi int) (float64, error) {
 // data is available); Step 2 demotes least-loss processors until the
 // aggregate table power fits the budget; Step 3 assigns minimum voltages.
 // The returned Assignments and Demotions are freshly allocated (callers
-// retain them in decision logs); the intermediate per-frequency work runs
+// keep them past later passes); the intermediate per-frequency work runs
 // on the core's reusable scratch.
 func (c *Core) Schedule(inputs []ProcInput, budget units.Power) (PassResult, error) {
 	if err := c.begin(inputs); err != nil {

@@ -36,11 +36,10 @@ func TestHeterogeneousNodeSizes(t *testing.T) {
 	if err := runUntil(c, 0.8); err != nil {
 		t.Fatal(err)
 	}
-	decs := c.Decisions()
-	if len(decs) == 0 {
+	last, ok := c.LastDecision()
+	if !ok {
 		t.Fatal("no decisions")
 	}
-	last := decs[len(decs)-1]
 	if len(last.Assignments) != 6 {
 		t.Fatalf("assignments = %d, want 6 (2+4)", len(last.Assignments))
 	}
@@ -96,8 +95,7 @@ func TestLargerClusterScales(t *testing.T) {
 	if got := c.TotalCPUPower(); got > units.Watts(910) {
 		t.Errorf("cluster power %v over budget", got)
 	}
-	decs := c.Decisions()
-	last := decs[len(decs)-1]
+	last, _ := c.LastDecision()
 	if len(last.Assignments) != 32 {
 		t.Fatalf("assignments = %d", len(last.Assignments))
 	}

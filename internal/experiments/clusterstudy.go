@@ -41,6 +41,8 @@ func (o Options) clusterRun(budget units.Power, uniform bool) (map[string]float6
 	}
 	freqs := map[string]float64{}
 	powerOK := true
+	sum := map[string]float64{}
+	count := map[string]int{}
 	var coord *cluster.Coordinator
 	var step func() error
 	if uniform {
@@ -78,7 +80,25 @@ func (o Options) clusterRun(budget units.Power, uniform bool) (map[string]float6
 		if coord, err = cluster.New(cfg, budget, nodes...); err != nil {
 			return nil, 0, false, err
 		}
-		step = coord.Step
+		// Mean busy-processor frequency per tier across every pass of the
+		// run (a tier that finishes early goes idle and stops
+		// contributing). The budget is fixed, so a Step runs at most one
+		// pass: the timer pass that ends it.
+		lastAt := -1.0
+		step = func() error {
+			err := coord.Step()
+			if d, ok := coord.LastDecision(); ok && d.At != lastAt {
+				lastAt = d.At
+				for _, a := range d.Assignments {
+					if !a.Idle {
+						name := nodes[a.Proc.Node].Name
+						sum[name] += a.Actual.MHz()
+						count[name]++
+					}
+				}
+			}
+			return err
+		}
 	}
 	for now := 0.0; !allDone(nodes); now += mcfg.Quantum {
 		if now >= 3600 {
@@ -93,20 +113,6 @@ func (o Options) clusterRun(budget units.Power, uniform bool) (map[string]float6
 	}
 
 	powerOK = coord.TotalCPUPower() <= budget+units.Watts(1)
-	// Mean busy-processor frequency per tier across every decision of the
-	// run (a tier that finishes early goes idle and stops contributing).
-	sum := map[string]float64{}
-	count := map[string]int{}
-	for _, d := range coord.Decisions() {
-		for _, a := range d.Assignments {
-			if a.Idle {
-				continue
-			}
-			name := nodes[a.Proc.Node].Name
-			sum[name] += a.Actual.MHz()
-			count[name]++
-		}
-	}
 	for name, s := range sum {
 		freqs[name] = s / float64(count[name])
 	}

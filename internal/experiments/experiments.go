@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/fvsst"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -115,13 +116,22 @@ func uniformPin(budget units.Power, last int, ms ...*machine.Machine) (int, erro
 
 // runResult is one scheduled or pinned run: the completion time in
 // simulated seconds, the processor energy, the machine's completion log
-// and, for an fvsstRun, the decision log and the telemetry it recorded.
+// and, for an fvsstRun, the telemetry it recorded.
 type runResult struct {
 	Seconds     float64
 	CPUEnergy   units.Energy
 	Completions []machine.JobCompletion
-	Decisions   []fvsst.Decision
 	Recorder    *telemetry.Recorder
+}
+
+// passLog is a sink that keeps a run's schedule events, the pass history
+// Figure 9 and Table 2 read, and drops the passes' span events.
+type passLog []obs.Event
+
+func (l *passLog) Emit(e obs.Event) {
+	if e.Type == obs.EventSchedule {
+		*l = append(*l, e)
+	}
 }
 
 // runToCompletion steps m (see step) until every job on it completes,
@@ -158,8 +168,8 @@ func finished(m *machine.Machine, deadline float64) (runResult, error) {
 // processor"). A non-nil rec receives, after every step, the machine's
 // power and budget and that CPU's IPC, frequency and scheduled desire
 // and actual (see recordStep); observe, if non-nil, is called after every
-// step too.
-func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.Power, rec *telemetry.Recorder, observe func(*machine.Machine)) (runResult, error) {
+// step too; and sink, if non-nil, receives the scheduler's pass events.
+func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.Power, rec *telemetry.Recorder, observe func(*machine.Machine), sink obs.Sink) (runResult, error) {
 	progs := make([][]workload.Program, cpu+1)
 	progs[cpu] = []workload.Program{prog}
 	m, err := newMachine(o.machineConfig(numCPUs), progs...)
@@ -170,6 +180,7 @@ func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.
 	if err != nil {
 		return runResult{}, err
 	}
+	drv.S.SetSink(sink)
 	if rec != nil {
 		record, then := recordStep(rec, drv.S, cpu), observe
 		observe = func(m *machine.Machine) {
@@ -186,7 +197,7 @@ func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.
 	if err != nil {
 		return runResult{}, fmt.Errorf("experiments: %s: %w", prog.Name, err)
 	}
-	res.Decisions, res.Recorder = drv.S.Decisions(), rec
+	res.Recorder = rec
 	return res, nil
 }
 

@@ -51,7 +51,7 @@ func Figure5(o Options) (*Figure5Report, error) {
 	// Run traced; recover per-phase means by splitting the series at
 	// phase boundaries observed from the workload cursor.
 	var trace phaseTrace
-	res, err := o.fvsstRun(1, 0, prog, units.Watts(140), telemetry.NewRecorder(), trace.record(0))
+	res, err := o.fvsstRun(1, 0, prog, units.Watts(140), telemetry.NewRecorder(), trace.record(0), nil)
 	if err != nil {
 		return nil, err
 	}

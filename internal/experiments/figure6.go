@@ -47,7 +47,7 @@ func Figure6(o Options) (*Figure6Report, error) {
 		}
 		var base float64
 		for _, lim := range limits {
-			res, err := o.fvsstRun(1, 0, prog, units.Watts(lim), nil, nil)
+			res, err := o.fvsstRun(1, 0, prog, units.Watts(lim), nil, nil, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -51,7 +51,7 @@ func Figure7(o Options) (*Figure7Report, error) {
 	var base float64
 	for _, lim := range Table1Budgets {
 		var trace phaseTrace
-		res, err := o.fvsstRun(1, 0, prog, units.Watts(lim), telemetry.NewRecorder(), trace.record(0))
+		res, err := o.fvsstRun(1, 0, prog, units.Watts(lim), telemetry.NewRecorder(), trace.record(0), nil)
 		if err != nil {
 			return nil, err
 		}

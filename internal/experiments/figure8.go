@@ -50,7 +50,7 @@ func Figure8(o Options) (*Figure8Report, error) {
 			return nil, err
 		}
 		for _, c := range figure8Caps {
-			res, err := o.fvsstRun(1, 0, prog, units.Watts(c.limitW), telemetry.NewRecorder(), nil)
+			res, err := o.fvsstRun(1, 0, prog, units.Watts(c.limitW), telemetry.NewRecorder(), nil, nil)
 			if err != nil {
 				return nil, err
 			}

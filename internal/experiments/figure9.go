@@ -30,7 +30,8 @@ type Figure9Report struct {
 // Figure9 runs gap at 75 W with tracing.
 func Figure9(o Options) (*Figure9Report, error) {
 	prog := workload.Gap(o.Scale)
-	res, err := o.fvsstRun(1, 0, prog, units.Watts(75), telemetry.NewRecorder(), nil)
+	var passes passLog
+	res, err := o.fvsstRun(1, 0, prog, units.Watts(75), telemetry.NewRecorder(), nil, &passes)
 	if err != nil {
 		return nil, err
 	}
@@ -39,14 +40,14 @@ func Figure9(o Options) (*Figure9Report, error) {
 		Actual:  res.Recorder.Series("actual-mhz"),
 	}
 	clipped, total := 0, 0
-	for _, d := range res.Decisions {
-		a := d.Assignments[0]
+	for _, e := range passes {
+		c := e.CPUs[0]
 		total++
-		if a.Desired > a.Actual {
+		if c.DesiredMHz > c.ActualMHz {
 			clipped++
 		}
-		if mhz := a.Actual.MHz(); mhz > rep.MaxActualMHz {
-			rep.MaxActualMHz = mhz
+		if c.ActualMHz > rep.MaxActualMHz {
+			rep.MaxActualMHz = c.ActualMHz
 		}
 	}
 	if total > 0 {

@@ -88,24 +88,23 @@ func table2Row(o Options, intensity float64) (Table2Row, error) {
 		return Table2Row{}, err
 	}
 	var trace phaseTrace
-	res, err := o.fvsstRun(4, 3, prog, units.Watts(560), nil, trace.record(3))
-	if err != nil {
+	var passes passLog
+	if _, err := o.fvsstRun(4, 3, prog, units.Watts(560), nil, trace.record(3), &passes); err != nil {
 		return Table2Row{}, err
 	}
 
-	// Deviation: the decision at window i predicts the IPC of window i+1;
+	// Deviation: the pass at window i predicts the IPC of window i+1;
 	// compare against window i+1's observation.
-	decisions := res.Decisions
 	row := Table2Row{IntensityPct: intensity}
 	var sums [4]float64
 	var counts [4]int
 	var sumStar float64
 	var countStar int
-	for i := 1; i < len(decisions); i++ {
-		prev, cur := decisions[i-1], decisions[i]
+	for i := 1; i < len(passes); i++ {
+		prev, cur := passes[i-1], passes[i]
 		for cpu := 0; cpu < 4; cpu++ {
-			pred := prev.Assignments[cpu].PredictedIPC
-			obs := cur.Assignments[cpu].ObservedIPC
+			pred := prev.CPUs[cpu].PredictedIPC
+			obs := cur.CPUs[cpu].ObservedIPC
 			if pred == 0 || obs == 0 {
 				continue
 			}

@@ -19,7 +19,7 @@ func TestDriverTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := telemetry.NewRecorder()
-	if _, err := o.fvsstRun(4, 1, prog, units.Watts(560), rec, nil); err != nil {
+	if _, err := o.fvsstRun(4, 1, prog, units.Watts(560), rec, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"system-power-w", "cpu-power-w", "budget-w", "ipc", "freq-mhz", "desired-mhz", "actual-mhz"}

@@ -10,8 +10,7 @@ import (
 
 // hotPathScheduler builds a quiet p630 with long-running mixed workloads on
 // every CPU and a scheduler warmed past its first few windows, the
-// steady-state the allocation guarantees cover. Decision logging is off —
-// the log append is, by design, the one allocation the logging mode keeps.
+// steady-state the allocation guarantees cover.
 func hotPathScheduler(tb testing.TB) (*machine.Machine, *Scheduler) {
 	tb.Helper()
 	m := quietMachine(tb)
@@ -39,7 +38,6 @@ func hotPathScheduler(tb testing.TB) (*machine.Machine, *Scheduler) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s.SetDecisionLogging(false)
 	// Warm up: fill the sampler windows and let every reusable buffer
 	// reach its steady-state capacity.
 	for i := 0; i < 5*cfg.SchedulePeriods; i++ {
@@ -59,7 +57,7 @@ func hotPathScheduler(tb testing.TB) (*machine.Machine, *Scheduler) {
 
 // TestScheduleZeroAlloc pins the headline property of the hot-path
 // refactor: a steady-state scheduling pass — collect, Figure 3 pass,
-// actuation — performs zero heap allocations once decision logging is off.
+// actuation — performs zero heap allocations.
 func TestScheduleZeroAlloc(t *testing.T) {
 	m, s := hotPathScheduler(t)
 	allocs := testing.AllocsPerRun(200, func() {

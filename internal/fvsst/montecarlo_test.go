@@ -38,6 +38,7 @@ func TestSchedulerOverMonteCarloMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	drv := NewDriver(m, s)
+	rec := recordDecisions(s)
 	if err := drv.Run(2.0); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestSchedulerOverMonteCarloMachine(t *testing.T) {
 	}
 	// Prediction error under MC execution is non-zero but bounded.
 	var devs, n float64
-	decs := s.Decisions()
+	decs := rec.decs
 	for i := 2; i < len(decs); i++ {
 		a := decs[i].Assignments[3]
 		p := decs[i-1].Assignments[3]

@@ -77,6 +77,7 @@ func TestFVSSTAvertsCascade(t *testing.T) {
 	drv.Budgets = budgets
 	plant := power.MotivatingPlant(0.5)
 	drv.Plant = plant
+	rec := recordDecisions(s)
 
 	if err := drv.Run(0.2); err != nil {
 		t.Fatalf("healthy phase: %v", err)
@@ -102,7 +103,7 @@ func TestFVSSTAvertsCascade(t *testing.T) {
 	// Response time: the budget-change decision lands within ΔT of the
 	// failure.
 	var reacted bool
-	for _, d := range s.Decisions() {
+	for _, d := range rec.decs {
 		if d.Trigger == "budget-change" && d.At <= 0.2+0.5 {
 			reacted = true
 		}

@@ -142,7 +142,6 @@ type Scheduler struct {
 	sampler   *counters.Sampler
 	predictor perfmodel.Predictor
 	budget    units.Power
-	decisions []Decision
 	// cadence owns the T = n·t rule: every n-th Collect makes a
 	// scheduling pass due.
 	cadence engine.Cadence
@@ -163,13 +162,10 @@ type Scheduler struct {
 	// performs no allocation.
 	pass          *Pass
 	scratchAssign []Assignment
-	// logDecisions gates the decision log. On (the default) every pass
-	// copies its assignments and demotions into a fresh Decision and
-	// appends it; off, Schedule's Decision aliases the scratch buffers —
-	// valid only until the next pass — and Decisions()/LastDecision see
-	// nothing. Long-running daemons turn it off: an unbounded log is a
-	// leak, and the append is the hot path's one remaining allocation.
-	logDecisions bool
+	// last is the latest complete pass, aliasing the scratch the next pass
+	// reuses; no older pass is kept (a pass's record is its event).
+	last   Decision
+	lastOK bool
 }
 
 // New builds a scheduler over the target with an initial processor power
@@ -208,7 +204,6 @@ func New(cfg Config, target Target, budget units.Power) (*Scheduler, error) {
 		lastPredValid: make([]bool, n),
 		pass:          NewPass(cfg),
 		scratchAssign: make([]Assignment, n),
-		logDecisions:  true,
 	}
 	return s, nil
 }
@@ -222,13 +217,9 @@ func (s *Scheduler) SetSink(sink obs.Sink) {
 	s.pass.SetTiming(sink != nil)
 }
 
-// SetDecisionLogging toggles the in-memory decision log (default on).
-// With logging off the Decision returned by Schedule aliases the
-// scheduler's reusable scratch — it is valid until the next pass and is
-// never retained, so the steady-state Schedule path performs zero heap
-// allocations — and Decisions()/LastDecision report nothing. Long-running
-// deployments disable it: the log grows without bound.
-func (s *Scheduler) SetDecisionLogging(on bool) { s.logDecisions = on }
+// SetDecisionLogging has no effect: the scheduler keeps no pass history.
+// It stays only while the benchmark's probes still call it.
+func (s *Scheduler) SetDecisionLogging(bool) {}
 
 // Config returns the scheduler's configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
@@ -263,16 +254,21 @@ func (s *Scheduler) observationFor(cpu int) (perfmodel.Observation, bool) {
 }
 
 // Schedule runs one full pass of the Figure 3 algorithm and actuates the
-// result. trigger labels the cause in the decision log ("timer",
+// result. trigger labels the cause in the pass's event ("timer",
 // "budget-change", "idle-transition").
+//
+// The returned Decision aliases the scheduler's scratch and is valid until
+// the next pass; a caller that keeps passes reads their events.
 //
 // The steps themselves run in the scheduler's Pass, in operating-point
 // index space over its prediction grid. What is the scheduler's own is
 // around them: which processors count as idle, how a counter window becomes
 // a decomposition, actuation, scoring the previous prediction, and the
-// decision log.
+// pass's event.
 func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 	s.passID++
+	// The pass overwrites the scratch the last Decision aliases.
+	s.lastOK = false
 	// trace gates every clock read and span emission: with no sink the
 	// pass performs no timing work (TestScheduleZeroAlloc pins this path).
 	trace := s.sink != nil
@@ -318,7 +314,7 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 	}
 	steps := p.Finish()
 
-	// Actuate and log.
+	// Actuate and emit.
 	var actStart time.Time
 	if trace {
 		actStart = time.Now()
@@ -341,26 +337,19 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 		}
 		s.lastPredIPC[cpu], s.lastPredValid[cpu] = a.PredictedIPC, predicted
 	}
-	demotions := p.Demotions()
 	d := Decision{
-		At:         s.target.Now(),
-		Trigger:    trigger,
-		Budget:     s.budget,
-		TablePower: p.TablePower(),
-		BudgetMet:  met,
+		At:          s.target.Now(),
+		Trigger:     trigger,
+		Budget:      s.budget,
+		TablePower:  p.TablePower(),
+		BudgetMet:   met,
+		Assignments: assign,
 	}
-	if s.logDecisions {
-		d.Assignments = append([]Assignment(nil), assign...)
-		if len(demotions) > 0 {
-			d.Demotions = append([]Demotion(nil), demotions...)
-		}
-		s.decisions = append(s.decisions, d)
-	} else {
-		d.Assignments = assign
-		if len(demotions) > 0 {
-			d.Demotions = demotions
-		}
+	if demotions := p.Demotions(); len(demotions) > 0 {
+		d.Demotions = demotions
 	}
+	// A sink that reads LastDecision on the pass's event sees this pass.
+	s.last, s.lastOK = d, true
 	if trace {
 		actDur := time.Since(actStart)
 		ev := d.Event()
@@ -375,18 +364,9 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 	return d, nil
 }
 
-// Decisions returns the full decision log.
-func (s *Scheduler) Decisions() []Decision {
-	out := make([]Decision, len(s.decisions))
-	copy(out, s.decisions)
-	return out
-}
-
-// LastDecision returns the most recent decision and true, or false when no
-// pass has run yet.
+// LastDecision returns the most recent pass and true, or false before the
+// first pass completes and after a pass that failed. Like Schedule's
+// result, it aliases the scheduler's scratch until the next pass.
 func (s *Scheduler) LastDecision() (Decision, bool) {
-	if len(s.decisions) == 0 {
-		return Decision{}, false
-	}
-	return s.decisions[len(s.decisions)-1], true
+	return s.last, s.lastOK
 }

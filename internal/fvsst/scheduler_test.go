@@ -186,14 +186,15 @@ func TestBudgetChangeTriggersReschedule(t *testing.T) {
 	}
 	drv := NewDriver(m, s)
 	drv.Budgets = budgets
+	rec := recordDecisions(s)
 	if err := drv.Run(0.5); err != nil {
 		t.Fatal(err)
 	}
 	// Find the budget-change decision.
 	var found *Decision
-	for i, d := range s.Decisions() {
+	for i, d := range rec.decs {
 		if d.Trigger == "budget-change" {
-			found = &s.Decisions()[i]
+			found = &rec.decs[i]
 			break
 		}
 	}
@@ -337,10 +338,11 @@ func TestPredictedVersusObservedIPCClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	drv := NewDriver(m, s)
+	rec := recordDecisions(s)
 	if err := drv.Run(1.0); err != nil {
 		t.Fatal(err)
 	}
-	decisions := s.Decisions()
+	decisions := rec.decs
 	if len(decisions) < 4 {
 		t.Fatalf("only %d decisions", len(decisions))
 	}

@@ -30,6 +30,31 @@ func (l *eventLog) all() []obs.Event {
 	return append([]obs.Event(nil), l.events...)
 }
 
+// decisionLog is a sink that keeps a copy of every pass's Decision, in
+// order: on each schedule event it copies the scheduler's LastDecision,
+// whose slices the next pass overwrites.
+type decisionLog struct {
+	s    *Scheduler
+	decs []Decision
+}
+
+// recordDecisions makes a decisionLog the sink of s, teed with also.
+func recordDecisions(s *Scheduler, also ...obs.Sink) *decisionLog {
+	l := &decisionLog{s: s}
+	s.SetSink(obs.Tee(append(also, l)...))
+	return l
+}
+
+func (l *decisionLog) Emit(e obs.Event) {
+	if e.Type != obs.EventSchedule {
+		return
+	}
+	d, _ := l.s.LastDecision()
+	d.Assignments = append([]Assignment(nil), d.Assignments...)
+	d.Demotions = append([]Demotion(nil), d.Demotions...)
+	l.decs = append(l.decs, d)
+}
+
 // TestPredictionErrorOnePeriodLater: once two passes have observed a busy
 // processor, every further decision scores the previous pass's IPC
 // prediction against the elapsed window, and the noise-free machine keeps
@@ -37,11 +62,11 @@ func (l *eventLog) all() []obs.Event {
 func TestPredictionErrorOnePeriodLater(t *testing.T) {
 	drv, s := busyDriver(t)
 	var log eventLog
-	s.SetSink(&log)
+	rec := recordDecisions(s, &log)
 	if err := drv.Run(0.55); err != nil {
 		t.Fatal(err)
 	}
-	decs := s.Decisions()
+	decs := rec.decs
 	if len(decs) < 4 {
 		t.Fatalf("only %d decisions", len(decs))
 	}
@@ -83,11 +108,12 @@ func TestDemotionsExplainDesireActualGap(t *testing.T) {
 	if err := s.SetBudget(units.Watts(294)); err != nil {
 		t.Fatal(err)
 	}
+	rec := recordDecisions(s)
 	if err := drv.Run(0.25); err != nil {
 		t.Fatal(err)
 	}
 	table := s.Config().Table
-	for i, d := range s.Decisions() {
+	for i, d := range rec.decs {
 		steps := make(map[int]int)
 		for _, dm := range d.Demotions {
 			if dm.From <= dm.To {

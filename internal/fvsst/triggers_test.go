@@ -32,13 +32,14 @@ func TestIdleTransitionTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	drv := NewDriver(m, s)
+	rec := recordDecisions(s)
 	if err := drv.Run(0.4); err != nil {
 		t.Fatal(err)
 	}
 	var transition *Decision
-	for i, d := range s.Decisions() {
+	for i, d := range rec.decs {
 		if d.Trigger == "idle-transition" {
-			transition = &s.Decisions()[i]
+			transition = &rec.decs[i]
 			break
 		}
 	}
@@ -62,7 +63,7 @@ func TestIdleTransitionTrigger(t *testing.T) {
 // TestTriggerAttribution: each of the paper's reschedule causes — the
 // startup pass, the periodic timer, a budget change and an idle
 // transition — produces exactly one trace event carrying its trigger
-// label, and the event stream mirrors the decision log one-to-one.
+// label, and the event stream mirrors the passes one-to-one.
 func TestTriggerAttribution(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -122,11 +123,11 @@ func TestTriggerAttribution(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			drv, s := tc.setup(t)
 			var log eventLog
-			s.SetSink(&log)
+			rec := recordDecisions(s, &log)
 			if err := drv.Run(tc.until); err != nil {
 				t.Fatal(err)
 			}
-			decs := s.Decisions()
+			decs := rec.decs
 			var events, passSpans []obs.Event
 			triggered := 0
 			for _, e := range log.all() {
@@ -208,10 +209,11 @@ func TestBudgetChangePreemptsTimer(t *testing.T) {
 	}
 	drv := NewDriver(m, s)
 	drv.Budgets = budgets
+	rec := recordDecisions(s)
 	if err := drv.Run(0.35); err != nil {
 		t.Fatal(err)
 	}
-	decs := s.Decisions()
+	decs := rec.decs
 	for i := 1; i < len(decs); i++ {
 		if decs[i].Trigger == "timer" && decs[i].Budget.W() == 560 && decs[i].At > 0.2 {
 			t.Errorf("timer decision at %.2fs still on the old budget", decs[i].At)

@@ -129,10 +129,10 @@ func (m *Machine) steadyEligible() bool {
 		if c.stolenDebt > 0 {
 			return false
 		}
-		if c.throt.Settling(now) {
+		if c.throt.settling(now) {
 			return false
 		}
-		if c.throt.Effective(now) > 0 {
+		if c.throt.effective(now) > 0 {
 			anyHot = true
 		}
 	}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/memhier"
 	"repro/internal/power"
-	"repro/internal/throttle"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -121,6 +120,9 @@ func (c Config) Validate() error {
 	if c.ThrottleSteps < 1 {
 		return fmt.Errorf("machine: throttle steps %d must be ≥ 1", c.ThrottleSteps)
 	}
+	if !(c.ThrottleSettle >= 0) {
+		return fmt.Errorf("machine: throttle settle time %v must be non-negative", c.ThrottleSettle)
+	}
 	if c.LatencyJitterSigma < 0 || c.LatencyJitterSigma > 0.5 {
 		return fmt.Errorf("machine: latency jitter %v out of [0,0.5]", c.LatencyJitterSigma)
 	}
@@ -148,7 +150,7 @@ type QuantumStats struct {
 
 type cpu struct {
 	mix        *workload.Mix
-	throt      *throttle.Throttle
+	throt      *throttle
 	totals     counters.Sample
 	stolenDebt float64 // seconds of daemon time to steal from upcoming quanta
 	idleNow    bool
@@ -205,10 +207,7 @@ func New(cfg Config) (*Machine, error) {
 		clock: *engine.NewSimClock(cfg.Quantum),
 	}
 	for i := 0; i < cfg.NumCPUs; i++ {
-		th, err := throttle.New(cfg.Table.MaxFrequency(), cfg.ThrottleSteps, cfg.ThrottleSettle)
-		if err != nil {
-			return nil, err
-		}
+		th := newThrottle(cfg.Table.MaxFrequency(), cfg.ThrottleSteps, cfg.ThrottleSettle)
 		idleCur, err := workload.NewCursor(workload.HotIdle())
 		if err != nil {
 			return nil, err
@@ -257,13 +256,13 @@ func (m *Machine) SetFrequency(i int, f units.Frequency) error {
 	if i < 0 || i >= len(m.cpus) {
 		return fmt.Errorf("machine: cpu %d out of range", i)
 	}
-	_, err := m.cpus[i].throt.Request(m.clock.Now(), f)
+	_, err := m.cpus[i].throt.request(m.clock.Now(), f)
 	return err
 }
 
 // EffectiveFrequency returns the frequency CPU i currently runs at.
 func (m *Machine) EffectiveFrequency(i int) units.Frequency {
-	return m.cpus[i].throt.Effective(m.clock.Now())
+	return m.cpus[i].throt.effective(m.clock.Now())
 }
 
 // IsIdle reports whether CPU i currently has no runnable work — the signal
@@ -297,7 +296,7 @@ func (m *Machine) StealTime(i int, seconds float64) error {
 // since its last call.
 func (m *Machine) CPUPower(i int) units.Power {
 	c := m.cpus[i]
-	f := c.throt.Effective(m.clock.Now())
+	f := c.throt.effective(m.clock.Now())
 	if f == 0 {
 		return 0
 	}
@@ -473,7 +472,7 @@ func (m *Machine) partnerRate(i int, rates []float64) float64 {
 }
 
 func (m *Machine) stepCPU(i int, c *cpu, dt float64, partnerRate float64) {
-	f := c.throt.Effective(m.clock.Now())
+	f := c.throt.effective(m.clock.Now())
 	stats := QuantumStats{Freq: f}
 	avail := dt
 

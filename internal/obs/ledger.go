@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -247,25 +248,39 @@ type LatencySummary struct {
 	MaxMs  float64 `json:"max_ms"`
 }
 
-// LedgerSummary is the frozen account, JSON-renderable. Latency is nil
-// when the latency section is deselected or no pass spans were seen.
+// LedgerSummary is the frozen account, JSON-renderable. The energy,
+// compliance and prediction sections are embedded groups whose fields the
+// JSON flattens, so Filter drops a section's keys by nilling its group.
+// Latency is nil when deselected or when no pass spans were seen.
 type LedgerSummary struct {
-	Nodes            []NodeEnergy    `json:"nodes,omitempty"`
-	TotalJoules      float64         `json:"total_joules"`
-	BudgetJoules     float64         `json:"budget_joules"`
-	ChargedJoules    float64         `json:"charged_joules"`
-	OvershootSeconds float64         `json:"overshoot_seconds"`
-	OvershootJoules  float64         `json:"overshoot_joules"`
-	PeakOvershootW   float64         `json:"peak_overshoot_w"`
-	Passes           int             `json:"passes"`
-	Triggers         []TriggerCount  `json:"triggers,omitempty"`
-	MissedPasses     int             `json:"missed_passes"`
-	Demotions        int             `json:"demotions"`
-	Residency        []CPUResidency  `json:"residency,omitempty"`
-	PredSamples      int             `json:"pred_samples"`
-	PredMeanAbsErr   float64         `json:"pred_mean_abs_err"`
-	PredMaxAbsErr    float64         `json:"pred_max_abs_err"`
-	Latency          *LatencySummary `json:"latency,omitempty"`
+	*energySection
+	*complianceSection
+	Residency []CPUResidency `json:"residency,omitempty"`
+	*predictionSection
+	Latency *LatencySummary `json:"latency,omitempty"`
+}
+
+type energySection struct {
+	Nodes         []NodeEnergy `json:"nodes,omitempty"`
+	TotalJoules   float64      `json:"total_joules"`
+	BudgetJoules  float64      `json:"budget_joules"`
+	ChargedJoules float64      `json:"charged_joules"`
+}
+
+type complianceSection struct {
+	OvershootSeconds float64        `json:"overshoot_seconds"`
+	OvershootJoules  float64        `json:"overshoot_joules"`
+	PeakOvershootW   float64        `json:"peak_overshoot_w"`
+	Passes           int            `json:"passes"`
+	Triggers         []TriggerCount `json:"triggers,omitempty"`
+	MissedPasses     int            `json:"missed_passes"`
+	Demotions        int            `json:"demotions"`
+}
+
+type predictionSection struct {
+	PredSamples    int     `json:"pred_samples"`
+	PredMeanAbsErr float64 `json:"pred_mean_abs_err"`
+	PredMaxAbsErr  float64 `json:"pred_max_abs_err"`
 }
 
 // Summary freezes the account. Node rows are name-sorted, residency rows
@@ -277,16 +292,16 @@ func (l *Ledger) Summary() LedgerSummary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := LedgerSummary{
-		BudgetJoules:     l.budgetJ,
-		ChargedJoules:    l.chargedJ,
-		OvershootSeconds: l.overshootS,
-		OvershootJoules:  l.overshootJ,
-		PeakOvershootW:   l.peakOvershootW,
-		Passes:           l.passes,
-		MissedPasses:     l.missedPasses,
-		Demotions:        l.demotions,
-		PredSamples:      l.predCount,
-		PredMaxAbsErr:    l.predMax,
+		energySection: &energySection{BudgetJoules: l.budgetJ, ChargedJoules: l.chargedJ},
+		complianceSection: &complianceSection{
+			OvershootSeconds: l.overshootS,
+			OvershootJoules:  l.overshootJ,
+			PeakOvershootW:   l.peakOvershootW,
+			Passes:           l.passes,
+			MissedPasses:     l.missedPasses,
+			Demotions:        l.demotions,
+		},
+		predictionSection: &predictionSection{PredSamples: l.predCount, PredMaxAbsErr: l.predMax},
 	}
 	if l.predCount > 0 {
 		s.PredMeanAbsErr = l.predAbsSum / float64(l.predCount)
@@ -439,26 +454,23 @@ func ParseSections(spec string) ([]string, error) {
 	return out, nil
 }
 
-// Filter returns a copy restricted to the given sections: deselecting
-// energy zeroes its rows and integrals, deselecting residency nils its
-// rows, and deselecting latency nils the Latency pointer so both the text
-// and JSON renderings stay deterministic.
+// Filter returns a copy whose JSON carries exactly the given sections
+// (leaving out latency keeps it deterministic). A deselected section's
+// group or field is nil, so a filtered copy's are not to be read.
 func (s LedgerSummary) Filter(sections []string) LedgerSummary {
-	has := func(name string) bool {
-		for _, x := range sections {
-			if x == name {
-				return true
-			}
-		}
-		return false
-	}
+	has := func(name string) bool { return slices.Contains(sections, name) }
 	out := s
 	if !has(SectionEnergy) {
-		out.Nodes = nil
-		out.TotalJoules, out.BudgetJoules, out.ChargedJoules = 0, 0, 0
+		out.energySection = nil
+	}
+	if !has(SectionCompliance) {
+		out.complianceSection = nil
 	}
 	if !has(SectionResidency) {
 		out.Residency = nil
+	}
+	if !has(SectionPrediction) {
+		out.predictionSection = nil
 	}
 	if !has(SectionLatency) {
 		out.Latency = nil

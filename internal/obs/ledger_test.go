@@ -262,3 +262,43 @@ func TestLedgerResidencyPerNode(t *testing.T) {
 		t.Errorf("deselected residency in JSON: %s", data)
 	}
 }
+
+// sectionKeys are the JSON keys of each report section on a ledger where
+// every section has rows.
+var sectionKeys = map[string][]string{
+	SectionEnergy:     {"nodes", "total_joules", "budget_joules", "charged_joules"},
+	SectionCompliance: {"overshoot_seconds", "overshoot_joules", "peak_overshoot_w", "passes", "triggers", "missed_passes", "demotions"},
+	SectionResidency:  {"residency"},
+	SectionPrediction: {"pred_samples", "pred_mean_abs_err", "pred_max_abs_err"},
+	SectionLatency:    {"latency"},
+}
+
+// TestFilterJSONCarriesOnlySelectedSections: with one section selected,
+// the JSON holds exactly that section's keys, one subtest per section.
+func TestFilterJSONCarriesOnlySelectedSections(t *testing.T) {
+	l := NewLedger()
+	feedLedger(l)
+	if len(sectionKeys) != len(AllSections) {
+		t.Fatalf("sectionKeys covers %d sections, AllSections has %d", len(sectionKeys), len(AllSections))
+	}
+	for _, sec := range AllSections {
+		t.Run(sec, func(t *testing.T) {
+			data, err := json.Marshal(l.Summary().Filter([]string{sec}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got map[string]json.RawMessage
+			if err := json.Unmarshal(data, &got); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range sectionKeys[sec] {
+				if _, ok := got[k]; !ok {
+					t.Errorf("selected key %q missing from %s", k, data)
+				}
+			}
+			if len(got) != len(sectionKeys[sec]) {
+				t.Errorf("JSON carries keys of deselected sections: %s", data)
+			}
+		})
+	}
+}
