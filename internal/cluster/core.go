@@ -49,10 +49,20 @@ type PassResult struct {
 // and the rest of the per-pass scratch; the core's own part is translating
 // ProcInputs into the pass's marks and the pass's answer into node-labelled
 // assignments. Not safe for concurrent Schedule calls.
+//
+// A pass's outputs that callers only read before the next pass live in
+// the core's scratch: Schedule's Demotions and prediction columns, and
+// DemandCurveScratch's curve and desire. Schedule's Assignments are the
+// one per-pass allocation, since decision logs keep them.
 type Core struct {
 	cfg  fvsst.Config
 	pred perfmodel.Predictor
 	pass *fvsst.Pass
+
+	curve     []farm.DemandPoint
+	desired   []int
+	predIPC   []float64
+	predValid []bool
 }
 
 // SetPhaseTiming toggles the per-phase wall-clock breakdown on Schedule
@@ -77,7 +87,7 @@ func NewCore(cfg fvsst.Config) (*Core, error) {
 // begin starts a pass over the inputs and marks each processor: idle when
 // the idle signal is enabled and raised, unobserved when no counter data
 // reached the coordinator, observed otherwise. Shared by Schedule,
-// DemandCurveDesired and UniformLoss.
+// DemandCurveScratch and UniformLoss.
 func (c *Core) begin(inputs []ProcInput) error {
 	p := c.pass
 	p.Begin(len(inputs))
@@ -106,24 +116,38 @@ func (c *Core) begin(inputs []ProcInput) error {
 // ε-constrained desire, each further point applies one more least-loss
 // Step-2 demotion, and the last point is the floor with every processor
 // at the table minimum. Only the grid rows a scheduling pass fills anyway
-// are evaluated, so the curve costs no extra prediction work.
+// are evaluated, so the curve costs no extra prediction work. The curve is
+// the caller's to keep.
 func (c *Core) DemandCurve(inputs []ProcInput) (farm.DemandCurve, error) {
 	curve, _, err := c.DemandCurveDesired(inputs)
 	return curve, err
 }
 
 // DemandCurveDesired is DemandCurve plus a copy of the Step-1 desired
-// table index per processor — the relay tier ships both upward so a root
+// table index per processor — what a relay ships upward so a root
 // coordinator can replay the flat Step-2 arithmetic exactly
-// (farm.DivideLeastLossExact). The curve has no selection rule of its
-// own: fvsst.FitToBudgetGrid walks the set to the floor once and the
-// points replay its demotion list. Each point's Power carries the bits of
-// the processor-order sum FitToBudgetGrid's stop test compares, so a
-// member handed Points[k].Power as its budget demotes to exactly point k
+// (farm.DivideLeastLossExact). Both are the caller's to keep, so one core
+// can price several processor sets side by side.
+func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, error) {
+	curve, desired, err := c.DemandCurveScratch(inputs)
+	curve.Points = append([]farm.DemandPoint(nil), curve.Points...)
+	return curve, append([]int(nil), desired...), err
+}
+
+// DemandCurveScratch is DemandCurveDesired on the core's scratch: the
+// curve's points and the desire alias buffers the core reuses, valid until
+// its next pass (Schedule, UniformLoss or a demand curve). A caller that
+// keeps them longer copies them; the relay encodes them at once.
+//
+// The curve has no selection rule of its own: fvsst.FitToBudgetGrid walks
+// the set to the floor once and the points replay its demotion list. Each
+// point's Power carries the bits of the processor-order sum
+// FitToBudgetGrid's stop test compares, so a member handed Points[k].Power
+// as its budget demotes to exactly point k
 // (TestDemandCurveMatchesSchedule). As there, power.Table.DemotedSum
 // carries the aggregate from point to point as a running difference,
 // which whole-watt sums make the processor-order re-sum's bits.
-func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, error) {
+func (c *Core) DemandCurveScratch(inputs []ProcInput) (farm.DemandCurve, []int, error) {
 	if len(inputs) == 0 {
 		return farm.DemandCurve{}, nil, fmt.Errorf("cluster: demand curve needs at least one processor")
 	}
@@ -132,7 +156,8 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 	}
 	p, table := c.pass, c.cfg.Table
 	grid := p.Grid()
-	desired := append([]int(nil), p.Desired()...)
+	desired := append(c.desired[:0], p.Desired()...)
+	c.desired = desired
 	// No finite power sum fits −Inf, so the walk stops only at the floor.
 	p.Fit(units.Power(math.Inf(-1)))
 	demotions := p.Demotions()
@@ -147,8 +172,7 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 			sumLoss += grid.Loss(i, k)
 		}
 	}
-	curve := farm.DemandCurve{Points: make([]farm.DemandPoint, 1, len(demotions)+1)}
-	curve.Points[0] = farm.DemandPoint{Power: sum, Loss: sumLoss}
+	points := append(c.curve[:0], farm.DemandPoint{Power: sum, Loss: sumLoss})
 	for _, d := range demotions {
 		k := idx[d.CPU]
 		if grid.Valid(d.CPU) {
@@ -156,7 +180,7 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 		}
 		idx[d.CPU] = k - 1
 		sum = table.DemotedSum(sum, k)
-		prev := curve.Points[len(curve.Points)-1]
+		prev := points[len(points)-1]
 		p := farm.DemandPoint{
 			Power: sum,
 			Loss:  sumLoss,
@@ -166,10 +190,11 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 			p.Loss = prev.Loss // absorb float jitter; model loss is monotone in frequency
 		}
 		if p.Power < prev.Power {
-			curve.Points = append(curve.Points, p)
+			points = append(points, p)
 		}
 	}
-	return curve, desired, nil
+	c.curve = points
+	return farm.DemandCurve{Points: points}, desired, nil
 }
 
 // UniformLoss predicts the aggregate performance loss of pinning every
@@ -198,9 +223,10 @@ func (c *Core) UniformLoss(inputs []ProcInput, fi int) (float64, error) {
 // idle processors when the idle signal is enabled, f_max when no counter
 // data is available); Step 2 demotes least-loss processors until the
 // aggregate table power fits the budget; Step 3 assigns minimum voltages.
-// The returned Assignments and Demotions are freshly allocated (callers
-// keep them past later passes); the intermediate per-frequency work runs
-// on the core's reusable scratch.
+// The returned Assignments are freshly allocated: decision logs keep them
+// past later passes. Demotions and the prediction columns PassEvent reads
+// alias the core's scratch and stay valid until its next pass, as
+// fvsst.Scheduler's do; a caller that keeps them longer copies them.
 func (c *Core) Schedule(inputs []ProcInput, budget units.Power) (PassResult, error) {
 	if err := c.begin(inputs); err != nil {
 		return PassResult{}, err
@@ -211,8 +237,10 @@ func (c *Core) Schedule(inputs []ProcInput, budget units.Power) (PassResult, err
 	n := len(inputs)
 	desired, actual := p.Desired(), p.Actual()
 	assignments := make([]Assignment, n)
-	predIPC := make([]float64, n)
-	predValid := make([]bool, n)
+	if cap(c.predIPC) < n {
+		c.predIPC, c.predValid = make([]float64, n), make([]bool, n)
+	}
+	predIPC, predValid := c.predIPC[:n], c.predValid[:n]
 	for i, in := range inputs {
 		a := Assignment{
 			Proc:    in.Proc,
@@ -234,7 +262,7 @@ func (c *Core) Schedule(inputs []ProcInput, budget units.Power) (PassResult, err
 		predValid: predValid,
 	}
 	if demotions := p.Demotions(); len(demotions) > 0 {
-		res.Demotions = append([]fvsst.Demotion(nil), demotions...)
+		res.Demotions = demotions
 	}
 	return res, nil
 }

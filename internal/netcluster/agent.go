@@ -139,24 +139,24 @@ func (a *Agent) touch() {
 	a.mu.Unlock()
 }
 
-// handle answers one coordinator request; any request is contact.
-func (a *Agent) handle(req *proto.Message) *proto.Message {
+// handle answers one coordinator request in out; any request is contact.
+func (a *Agent) handle(req *proto.Message, out *reply) *proto.Message {
 	a.touch()
 	switch req.Kind {
 	case proto.KindHello:
 		return a.handleHello()
 	case proto.KindHeartbeat:
-		return &proto.Message{Kind: proto.KindHeartbeatAck, Now: a.Now()}
+		return out.ack(proto.KindHeartbeatAck, a.Now())
 	case proto.KindCounterRequest:
 		if req.CounterRequest == nil {
 			return fail("counter-request without payload")
 		}
-		return a.handleCounters(*req.CounterRequest)
+		return a.handleCounters(*req.CounterRequest, out)
 	case proto.KindActuate:
 		if req.Actuate == nil {
 			return fail("actuate without payload")
 		}
-		return a.handleActuate(*req.Actuate)
+		return a.handleActuate(*req.Actuate, out)
 	default:
 		return fail("unknown kind %q", req.Kind)
 	}
@@ -174,7 +174,7 @@ func (a *Agent) handleHello() *proto.Message {
 	})
 }
 
-func (a *Agent) handleCounters(req proto.CounterRequest) *proto.Message {
+func (a *Agent) handleCounters(req proto.CounterRequest, out *reply) *proto.Message {
 	if req.AdvanceQuanta < 0 || req.AdvanceQuanta > 100000 {
 		return fail("advance quanta %d out of range", req.AdvanceQuanta)
 	}
@@ -192,31 +192,37 @@ func (a *Agent) handleCounters(req proto.CounterRequest) *proto.Message {
 			return fail("collect: %v", err)
 		}
 	}
-	report := &proto.CounterReport{
-		CPUs:         make([]proto.CPUReport, m.NumCPUs()),
+	report := &out.counterRep
+	*report = proto.CounterReport{
+		CPUs:         report.CPUs[:0],
 		CPUPowerW:    m.TotalCPUPower().W(),
 		SystemPowerW: m.SystemPower().W(),
 	}
 	for cpu := 0; cpu < m.NumCPUs(); cpu++ {
 		delta := a.sampler.WindowAggregate(cpu, req.WindowQuanta)
-		report.CPUs[cpu] = proto.ReportFor(delta, m.IsIdle(cpu))
+		report.CPUs = append(report.CPUs, proto.ReportFor(delta, m.IsIdle(cpu)))
 	}
-	return &proto.Message{Kind: proto.KindCounterReport, Now: m.Now(), CounterReport: report}
+	resp := out.ack(proto.KindCounterReport, m.Now())
+	resp.CounterReport = report
+	return resp
 }
 
-func (a *Agent) handleActuate(req proto.Actuate) *proto.Message {
+func (a *Agent) handleActuate(req proto.Actuate, out *reply) *proto.Message {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	m := a.cfg.M
 	if len(req.FreqsMHz) != m.NumCPUs() {
 		return fail("%d frequencies for %d CPUs", len(req.FreqsMHz), m.NumCPUs())
 	}
-	applied := make([]float64, len(req.FreqsMHz))
+	ack := &out.actuateAck
+	ack.AppliedMHz = ack.AppliedMHz[:0]
 	for cpu, mhz := range req.FreqsMHz {
 		if err := m.SetFrequency(cpu, units.MHz(mhz)); err != nil {
 			return fail("cpu %d: %v", cpu, err)
 		}
-		applied[cpu] = mhz
+		ack.AppliedMHz = append(ack.AppliedMHz, mhz)
 	}
-	return &proto.Message{Kind: proto.KindActuateAck, Now: m.Now(), ActuateAck: &proto.ActuateAck{AppliedMHz: applied}}
+	resp := out.ack(proto.KindActuateAck, m.Now())
+	resp.ActuateAck = ack
+	return resp
 }

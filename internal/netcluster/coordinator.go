@@ -152,6 +152,44 @@ type nodeState struct {
 	acked bool
 	rng   *rand.Rand
 	reqID uint64
+
+	// req is the node's request scratch: every RPC of a round is built in
+	// it, its payload pointing at one of the fields below, and a retry
+	// resends it under a fresh ID. proto.Conn.Send does not retain a
+	// message, so one per node serves every round.
+	req        proto.Message
+	trace      proto.TraceContext
+	counterReq proto.CounterRequest
+	actuate    proto.Actuate
+	grant      proto.Grant
+	// freqs is the actuation in flight; lastFreqs takes a copy on ack.
+	freqs []units.Frequency
+}
+
+// request resets the node's request scratch to a payload-less kind request
+// of pass passID.
+func (ns *nodeState) request(kind string, passID uint64) *proto.Message {
+	ns.trace.PassID = passID
+	ns.req = proto.Message{Kind: kind, Trace: &ns.trace}
+	return &ns.req
+}
+
+// counterRequest is request carrying a counter poll's (or a relay demand
+// poll's) quanta: advance and window both one round's periods.
+func (ns *nodeState) counterRequest(kind string, passID uint64, periods int) *proto.Message {
+	req := ns.request(kind, passID)
+	ns.counterReq = proto.CounterRequest{AdvanceQuanta: periods, WindowQuanta: periods}
+	req.CounterRequest = &ns.counterReq
+	return req
+}
+
+// resize returns s at length n, reusing its backing array when it is large
+// enough. The contents are stale; callers overwrite every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NodeStatus is a point-in-time external view of one node.
@@ -231,6 +269,10 @@ type Coordinator struct {
 	// lastWire is the previous round's codec counter snapshot, so the
 	// encode/decode spans report per-pass deltas of the cumulative stats.
 	lastWire wire.StatsSnapshot
+	// round and times are the per-round scratch pollRound and startTimes
+	// hand out: each round overwrites the last one's.
+	round polledRound
+	times roundTimes
 
 	// work[i] hands node i's worker its share of a fan-out (eachNode); nil
 	// while no workers run. phase counts one fan-out's unfinished calls,
@@ -378,7 +420,7 @@ func (c *Coordinator) ensureConn(ns *nodeState) error {
 		Kind:  proto.KindHello,
 		ID:    ns.reqID,
 		Hello: hello,
-	})
+	}, time.Now().Add(c.cfg.RPCTimeout))
 	if err != nil {
 		conn.Close()
 		return err
@@ -442,14 +484,14 @@ func (c *Coordinator) validateCaps(ns *nodeState, caps proto.Capabilities) error
 	return nil
 }
 
-// exchange performs one deadline-bounded request/response on conn,
-// discarding responses whose ID does not match (late retransmissions,
-// faultnet duplicates). It arms the deadline and never clears it: exchange
-// is the only reader and writer of a coordinator-side conn and every
-// attempt, hello included, arms a fresh one before its first byte, so a
-// deadline left over from the last attempt can expire on nothing.
-func (c *Coordinator) exchange(conn proto.Conn, node string, req *proto.Message) (*proto.Message, error) {
-	if err := conn.SetDeadline(time.Now().Add(c.cfg.RPCTimeout)); err != nil {
+// exchange performs one request/response on conn by deadline, discarding
+// responses whose ID does not match (late retransmissions, faultnet
+// duplicates). It arms the deadline and never clears it: exchange is the
+// only reader and writer of a coordinator-side conn and every attempt,
+// hello included, arms a fresh one before its first byte, so a deadline
+// left over from the last attempt can expire on nothing.
+func (c *Coordinator) exchange(conn proto.Conn, node string, req *proto.Message, deadline time.Time) (*proto.Message, error) {
+	if err := conn.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
 	if err := conn.Send(req); err != nil {
@@ -505,27 +547,44 @@ type rpcTime struct {
 	service float64
 }
 
-// rpc runs one request against the node with per-attempt deadlines and
-// bounded, jittered retry, redialling broken sessions between attempts.
-// build receives the fresh request ID for each attempt.
-func (c *Coordinator) rpc(ns *nodeState, kind string, build func(id uint64) *proto.Message) (*proto.Message, rpcTime, error) {
-	start := time.Now()
+// rpc runs req (the node's request scratch) against the node with
+// per-attempt deadlines and bounded, jittered retry, redialling broken
+// sessions between attempts; each attempt sends it under a fresh ID.
+//
+// An attempt on a live session reads the clock twice: when it sends, which
+// also gives it its deadline, and when the answer is in. The RPC's
+// observed latency runs from its first read to its last, so it covers
+// every attempt; when the RPC opens with a dial, one more read before the
+// dial makes it cover that too.
+func (c *Coordinator) rpc(ns *nodeState, req *proto.Message) (*proto.Message, rpcTime, error) {
+	kind := req.Kind
+	var start time.Time
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			c.cfg.Metrics.countRetry(ns.spec.Name, kind)
 			time.Sleep(backoffDelay(attempt-1, c.cfg.BackoffBase, c.cfg.BackoffMax, ns.rng))
 		}
-		if err := c.ensureConn(ns); err != nil {
-			lastErr = err
-			continue
+		if ns.conn == nil {
+			if start.IsZero() {
+				start = time.Now()
+			}
+			if err := c.ensureConn(ns); err != nil {
+				lastErr = err
+				continue
+			}
 		}
 		ns.reqID++
-		attemptStart := time.Now()
-		resp, err := c.exchange(ns.conn, ns.spec.Name, build(ns.reqID))
+		req.ID = ns.reqID
+		sent := time.Now()
+		if start.IsZero() {
+			start = sent
+		}
+		resp, err := c.exchange(ns.conn, ns.spec.Name, req, sent.Add(c.cfg.RPCTimeout))
 		if err == nil {
-			c.cfg.Metrics.observeRPC(ns.spec.Name, kind, time.Since(start))
-			return resp, rpcTime{sentAt: attemptStart, rtt: time.Since(attemptStart), service: resp.ServiceSec}, nil
+			done := time.Now()
+			c.cfg.Metrics.observeRPC(ns.spec.Name, kind, done.Sub(start))
+			return resp, rpcTime{sentAt: sent, rtt: done.Sub(sent), service: resp.ServiceSec}, nil
 		}
 		lastErr = err
 		var ae *AgentError
@@ -640,12 +699,14 @@ type poll struct {
 // one. The flat coordinator settles it at once; a relay holds it from the
 // demand-request to the grant, so the subtree is advanced exactly once per
 // round and the grant schedules the very counter windows the exported
-// curve was derived from.
+// curve was derived from. Each Coordinator owns one, which every round's
+// poll overwrites: the inputs' observations point into obs.
 type polledRound struct {
 	passID     uint64
 	polls      []poll
 	inputs     []cluster.ProcInput
 	nodeInputs [][]int
+	obs        []perfmodel.Observation
 	reserved   units.Power
 }
 
@@ -661,8 +722,17 @@ type roundTimes struct {
 	pollRPC, actRPC     []rpcTime
 }
 
-func (c *Coordinator) newRoundTimes(passStart time.Time) *roundTimes {
-	return &roundTimes{passStart: passStart, pollRPC: make([]rpcTime, len(c.nodes)), actRPC: make([]rpcTime, len(c.nodes))}
+// startTimes resets the coordinator's round timing scratch for a round
+// that began at passStart.
+func (c *Coordinator) startTimes(passStart time.Time) *roundTimes {
+	t := &c.times
+	if t.pollRPC == nil {
+		t.pollRPC, t.actRPC = make([]rpcTime, len(c.nodes)), make([]rpcTime, len(c.nodes))
+	}
+	clear(t.pollRPC)
+	clear(t.actRPC)
+	*t = roundTimes{passStart: passStart, pollRPC: t.pollRPC, actRPC: t.actRPC}
+	return t
 }
 
 // pollRound is the first half of a round: parallel counter poll, then
@@ -675,14 +745,14 @@ func (c *Coordinator) newRoundTimes(passStart time.Time) *roundTimes {
 // is received on that node's connection — which holds: actuation only
 // starts in the settle half.
 func (c *Coordinator) pollRound(passID uint64, t *roundTimes) *polledRound {
-	p := &polledRound{passID: passID, polls: make([]poll, len(c.nodes)), nodeInputs: make([][]int, len(c.nodes))}
+	p := &c.round
+	if p.polls == nil {
+		p.polls, p.nodeInputs = make([]poll, len(c.nodes)), make([][]int, len(c.nodes))
+	}
+	clear(p.polls)
+	p.passID, p.inputs, p.reserved = passID, p.inputs[:0], 0
 	c.eachNode(func(i int, ns *nodeState) {
-		resp, rt, err := c.rpc(ns, proto.KindCounterRequest, func(id uint64) *proto.Message {
-			return &proto.Message{Kind: proto.KindCounterRequest, ID: id, Trace: &proto.TraceContext{PassID: passID}, CounterRequest: &proto.CounterRequest{
-				AdvanceQuanta: c.cfg.Fvsst.SchedulePeriods,
-				WindowQuanta:  c.cfg.Fvsst.SchedulePeriods,
-			}}
-		})
+		resp, rt, err := c.rpc(ns, ns.counterRequest(proto.KindCounterRequest, passID, c.cfg.Fvsst.SchedulePeriods))
 		if err != nil || resp.CounterReport == nil {
 			c.recordMiss(ns, err)
 			return
@@ -699,7 +769,14 @@ func (c *Coordinator) pollRound(passID uint64, t *roundTimes) *polledRound {
 	if t != nil {
 		t.poll = time.Since(t.passStart)
 	}
+	cpus := 0
+	for i := range p.polls {
+		cpus += len(p.polls[i].reports)
+	}
+	// Sized before the first pointer into it is taken: no append may move it.
+	p.obs = resize(p.obs, cpus)
 	for i, ns := range c.nodes {
+		p.nodeInputs[i] = p.nodeInputs[i][:0]
 		if !p.polls[i].ok {
 			p.reserved += c.worstCharge(ns)
 			continue
@@ -711,7 +788,8 @@ func (c *Coordinator) pollRound(passID uint64, t *roundTimes) *polledRound {
 				Idle: rep.Idle,
 			}
 			if o, ok := perfmodel.ObservationFrom(rep.Delta()); ok {
-				in.Obs = &o
+				p.obs[len(p.inputs)] = o
+				in.Obs = &p.obs[len(p.inputs)]
 			}
 			p.nodeInputs[i] = append(p.nodeInputs[i], len(p.inputs))
 			p.inputs = append(p.inputs, in)
@@ -722,26 +800,27 @@ func (c *Coordinator) pollRound(passID uint64, t *roundTimes) *polledRound {
 
 // actuatePhase is parallel actuation of every polled node. lastFreqs only
 // advances on ack; settleRound charges it and holds the sum for silence.
-func (c *Coordinator) actuatePhase(p *polledRound, assignments []cluster.Assignment, t *roundTimes) (acked []bool) {
-	acked = make([]bool, len(c.nodes))
+// acked is the round's Decision.Acked, the one slice it allocates.
+func (c *Coordinator) actuatePhase(p *polledRound, assignments []cluster.Assignment, t *roundTimes) []bool {
+	acked := make([]bool, len(c.nodes))
 	c.eachNode(func(i int, ns *nodeState) {
 		if !p.polls[i].ok {
 			return
 		}
-		freqs := make([]units.Frequency, len(p.nodeInputs[i]))
-		mhz := make([]float64, len(p.nodeInputs[i]))
+		n := len(p.nodeInputs[i])
+		ns.freqs, ns.actuate.FreqsMHz = resize(ns.freqs, n), resize(ns.actuate.FreqsMHz, n)
 		for cpu, idx := range p.nodeInputs[i] {
-			freqs[cpu] = assignments[idx].Actual
-			mhz[cpu] = freqs[cpu].MHz()
+			ns.freqs[cpu] = assignments[idx].Actual
+			ns.actuate.FreqsMHz[cpu] = ns.freqs[cpu].MHz()
 		}
-		_, rt, err := c.rpc(ns, proto.KindActuate, func(id uint64) *proto.Message {
-			return &proto.Message{Kind: proto.KindActuate, ID: id, Trace: &proto.TraceContext{PassID: p.passID}, Actuate: &proto.Actuate{FreqsMHz: mhz}}
-		})
+		req := ns.request(proto.KindActuate, p.passID)
+		req.Actuate = &ns.actuate
+		_, rt, err := c.rpc(ns, req)
 		if err != nil {
 			c.recordMiss(ns, err)
 			return
 		}
-		ns.lastFreqs = freqs
+		ns.lastFreqs = append(ns.lastFreqs[:0], ns.freqs...)
 		acked[i] = true
 		if t != nil {
 			t.actRPC[i] = rt
@@ -839,7 +918,7 @@ func (c *Coordinator) settleRound(p *polledRound, trigger string, budget, live u
 func (c *Coordinator) RunRound() error {
 	var t *roundTimes
 	if c.cfg.Sink != nil {
-		t = c.newRoundTimes(time.Now())
+		t = c.startTimes(time.Now())
 	}
 	passID, trigger, err := c.openRound("node")
 	if err != nil {

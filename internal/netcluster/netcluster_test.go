@@ -246,9 +246,7 @@ func TestAgentErrorIsTerminal(t *testing.T) {
 	// must surface it as an AgentError without burning retries or the
 	// connection.
 	ns := c.nodes[0]
-	_, _, err = c.rpc(ns, proto.KindActuate, func(id uint64) *proto.Message {
-		return &proto.Message{Kind: proto.KindActuate, ID: id, Actuate: &proto.Actuate{FreqsMHz: []float64{1000}}}
-	})
+	_, _, err = c.rpc(ns, &proto.Message{Kind: proto.KindActuate, Actuate: &proto.Actuate{FreqsMHz: []float64{1000}}})
 	var ae *AgentError
 	if !errors.As(err, &ae) {
 		t.Fatalf("got %v, want AgentError", err)
@@ -259,9 +257,7 @@ func TestAgentErrorIsTerminal(t *testing.T) {
 	if ns.conn == nil {
 		t.Fatal("semantic rejection cost the connection")
 	}
-	if _, _, err := c.rpc(ns, proto.KindHeartbeat, func(id uint64) *proto.Message {
-		return &proto.Message{Kind: proto.KindHeartbeat, ID: id}
-	}); err != nil {
+	if _, _, err := c.rpc(ns, &proto.Message{Kind: proto.KindHeartbeat}); err != nil {
 		t.Fatalf("heartbeat after rejection: %v", err)
 	}
 	if v := metricValue(met, "netcluster_reconnects_total", "n0"); v != 1 {

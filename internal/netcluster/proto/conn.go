@@ -6,7 +6,12 @@ import "time"
 // stream implementation is wire.Conn; faultnet wraps any Conn to inject
 // deterministic failures at message granularity.
 type Conn interface {
-	// Send writes one message. It stamps m.V with the protocol version.
+	// Send writes one message. It stamps m.V with the protocol version
+	// and retains neither m nor anything m points to once it returns, so
+	// the caller may overwrite the message at once: the coordinator
+	// reuses one request per node and a server one reply per session.
+	// Wrappers keep the property (faultnet sends its delayed message and
+	// its duplicate before returning).
 	Send(m *Message) error
 	// Recv reads the next message, rejecting malformed frames and version
 	// mismatches.

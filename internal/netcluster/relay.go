@@ -51,7 +51,8 @@ type Relay struct {
 	// mu serialises upward requests; see handle.
 	mu sync.Mutex
 	// pending carries the poll a demand-request performed across to the
-	// grant that settles it.
+	// grant that settles it: the sub-coordinator's own polledRound, which
+	// only the next demand overwrites.
 	pending *polledRound
 }
 
@@ -93,24 +94,24 @@ func (r *Relay) Close() error {
 // handle serialises upward requests: the wrapped Coordinator is not
 // concurrency-safe, and a round's demand/grant pair must not interleave
 // with a redialled connection's handshake.
-func (r *Relay) handle(req *proto.Message) *proto.Message {
+func (r *Relay) handle(req *proto.Message, out *reply) *proto.Message {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch req.Kind {
 	case proto.KindHello:
 		return r.handleHello()
 	case proto.KindHeartbeat:
-		return &proto.Message{Kind: proto.KindHeartbeatAck, Now: r.coord.clock.Now()}
+		return out.ack(proto.KindHeartbeatAck, r.coord.clock.Now())
 	case proto.KindDemandRequest:
 		if req.CounterRequest == nil {
 			return fail("demand-request without payload")
 		}
-		return r.handleDemand(req)
+		return r.handleDemand(req, out)
 	case proto.KindGrant:
 		if req.Grant == nil {
 			return fail("grant without payload")
 		}
-		return r.handleGrant(req)
+		return r.handleGrant(req, out)
 	default:
 		return fail("unknown kind %q", req.Kind)
 	}
@@ -131,8 +132,11 @@ func (r *Relay) handleHello() *proto.Message {
 
 // handleDemand is the poll half of a round: poll the subtree (which
 // advances every reachable child one scheduling period), export its
-// demand curve and Step-1 desire, and hold the poll for the grant.
-func (r *Relay) handleDemand(req *proto.Message) *proto.Message {
+// demand curve and Step-1 desire, and hold the poll for the grant. The
+// report is the session's: the curve and desire are encoded from the
+// core's scratch into it, so a second session's demand cannot change them
+// while this reply is still being sent.
+func (r *Relay) handleDemand(req *proto.Message, out *reply) *proto.Message {
 	cr := *req.CounterRequest
 	want := r.coord.cfg.Fvsst.SchedulePeriods
 	if cr.AdvanceQuanta != want || cr.WindowQuanta != want {
@@ -148,7 +152,13 @@ func (r *Relay) handleDemand(req *proto.Message) *proto.Message {
 	r.coord.passID = passID
 
 	p := r.coord.pollRound(passID, nil)
-	rep := &proto.DemandReport{ReservedW: p.reserved.W()}
+	rep := &out.demandRep
+	*rep = proto.DemandReport{
+		Points:    rep.Points[:0],
+		Desired:   rep.Desired[:0],
+		Degraded:  rep.Degraded[:0],
+		ReservedW: p.reserved.W(),
+	}
 	for i := range p.polls {
 		if p.polls[i].ok {
 			rep.CPUPowerW += p.polls[i].cpuPowerW
@@ -160,30 +170,31 @@ func (r *Relay) handleDemand(req *proto.Message) *proto.Message {
 		}
 	}
 	if len(p.inputs) > 0 {
-		curve, desired, err := r.coord.core.DemandCurveDesired(p.inputs)
+		curve, desired, err := r.coord.core.DemandCurveScratch(p.inputs)
 		if err != nil {
 			return fail("demand curve: %v", err)
 		}
-		rep.Points = make([]proto.DemandPoint, len(curve.Points))
-		for i, pt := range curve.Points {
-			rep.Points[i] = proto.DemandPoint{
+		for _, pt := range curve.Points {
+			rep.Points = append(rep.Points, proto.DemandPoint{
 				PowerW:   pt.Power.W(),
 				Loss:     pt.Loss,
 				StepLoss: pt.Step.Loss,
 				StepIdx:  pt.Step.Idx,
 				StepProc: pt.Step.Proc,
-			}
+			})
 		}
-		rep.Desired = desired
+		rep.Desired = append(rep.Desired, desired...)
 	}
 	r.pending = p
-	return &proto.Message{Kind: proto.KindDemandReport, Now: r.coord.clock.Now(), DemandReport: rep}
+	resp := out.ack(proto.KindDemandReport, r.coord.clock.Now())
+	resp.DemandReport = rep
+	return resp
 }
 
 // handleGrant is the settle half of the round the preceding
 // demand-request opened: schedule the held counter windows under the
 // granted budget, actuate, and acknowledge the resulting ledger.
-func (r *Relay) handleGrant(req *proto.Message) *proto.Message {
+func (r *Relay) handleGrant(req *proto.Message, out *reply) *proto.Message {
 	p := r.pending
 	if p == nil {
 		return fail("grant without a preceding demand-request")
@@ -198,16 +209,15 @@ func (r *Relay) handleGrant(req *proto.Message) *proto.Message {
 	if err != nil {
 		return fail("settle: %v", err)
 	}
-	return &proto.Message{
-		Kind: proto.KindGrantAck,
-		Now:  r.coord.clock.Now(),
-		GrantAck: &proto.GrantAck{
-			ChargedW:    dec.Charged.W(),
-			TablePowerW: dec.TablePower.W(),
-			ReservedW:   dec.Reserved.W(),
-			Met:         dec.BudgetMet,
-		},
+	out.grantAck = proto.GrantAck{
+		ChargedW:    dec.Charged.W(),
+		TablePowerW: dec.TablePower.W(),
+		ReservedW:   dec.Reserved.W(),
+		Met:         dec.BudgetMet,
 	}
+	resp := out.ack(proto.KindGrantAck, r.coord.clock.Now())
+	resp.GrantAck = &out.grantAck
+	return resp
 }
 
 // RelayGrant is one relay's slice of a root round.
@@ -246,6 +256,15 @@ type RootDecision struct {
 type Root struct {
 	*Coordinator
 	rootDecisions []RootDecision
+
+	// demands holds each relay's last demand, its curve and desire copied
+	// out of the connection's decode buffers into storage reused round
+	// after round; members, curves and desired are the division's inputs.
+	// Only a RootDecision's Grants are allocated per round.
+	demands []demandPoll
+	members []int
+	curves  []farm.DemandCurve
+	desired [][]int
 }
 
 // NewRoot validates the configuration and prepares (but does not
@@ -268,7 +287,8 @@ func (r *Root) RootDecisions() []RootDecision {
 }
 
 // demandPoll is one relay's demand-phase result, deep-copied out of the
-// connection-owned decode buffers inside the poll goroutine.
+// connection-owned decode buffers inside the poll goroutine into slices
+// the next round's poll overwrites.
 type demandPoll struct {
 	ok        bool
 	curve     farm.DemandCurve
@@ -280,37 +300,33 @@ type demandPoll struct {
 // demandPhase polls every relay for its aggregated demand curve.
 func (r *Root) demandPhase(passID uint64, t *roundTimes) []demandPoll {
 	c := r.Coordinator
-	demands := make([]demandPoll, len(c.nodes))
+	if r.demands == nil {
+		r.demands = make([]demandPoll, len(c.nodes))
+	}
 	c.eachNode(func(i int, ns *nodeState) {
-		resp, rt, err := c.rpc(ns, proto.KindDemandRequest, func(id uint64) *proto.Message {
-			return &proto.Message{Kind: proto.KindDemandRequest, ID: id, Trace: &proto.TraceContext{PassID: passID}, CounterRequest: &proto.CounterRequest{
-				AdvanceQuanta: c.cfg.Fvsst.SchedulePeriods,
-				WindowQuanta:  c.cfg.Fvsst.SchedulePeriods,
-			}}
-		})
+		d := &r.demands[i]
+		d.ok = false
+		resp, rt, err := c.rpc(ns, ns.counterRequest(proto.KindDemandRequest, passID, c.cfg.Fvsst.SchedulePeriods))
 		if err != nil || resp.DemandReport == nil {
 			c.recordMiss(ns, err)
 			return
 		}
 		rep := resp.DemandReport
-		d := demandPoll{ok: true, reservedW: rep.ReservedW, cpuPowerW: rep.CPUPowerW}
+		d.ok, d.reservedW, d.cpuPowerW = true, rep.ReservedW, rep.CPUPowerW
 		// The report's slices live in the connection's reusable decode
 		// buffers; copy before the grant RPC reuses them.
-		if len(rep.Points) > 0 {
-			d.curve.Points = make([]farm.DemandPoint, len(rep.Points))
-			for k, p := range rep.Points {
-				d.curve.Points[k] = farm.DemandPoint{
-					Power: units.Watts(p.PowerW),
-					Loss:  p.Loss,
-					Step:  farm.StepKey{Loss: p.StepLoss, Idx: p.StepIdx, Proc: p.StepProc},
-				}
-			}
-			d.desired = append([]int(nil), rep.Desired...)
+		d.curve.Points = d.curve.Points[:0]
+		for _, p := range rep.Points {
+			d.curve.Points = append(d.curve.Points, farm.DemandPoint{
+				Power: units.Watts(p.PowerW),
+				Loss:  p.Loss,
+				Step:  farm.StepKey{Loss: p.StepLoss, Idx: p.StepIdx, Proc: p.StepProc},
+			})
 		}
-		demands[i] = d
+		d.desired = append(d.desired[:0], rep.Desired...)
 		t.pollRPC[i] = rt
 	})
-	return demands
+	return r.demands
 }
 
 // RunRound executes one hierarchical scheduling period: demand-poll the
@@ -320,7 +336,7 @@ func (r *Root) demandPhase(passID uint64, t *roundTimes) []demandPoll {
 func (r *Root) RunRound() error {
 	c := r.Coordinator
 	// Always timed: the pass latency is part of the decision.
-	t := c.newRoundTimes(time.Now())
+	t := c.startTimes(time.Now())
 	passID, trigger, err := c.openRound("relay")
 	if err != nil {
 		return err
@@ -333,9 +349,7 @@ func (r *Root) RunRound() error {
 	// Phase 2: hold the out-of-division charges, then divide the
 	// remainder across the reachable curves in exact flat-greedy order.
 	var reserved units.Power
-	var members []int
-	var curves []farm.DemandCurve
-	var desired [][]int
+	members, curves, desired := r.members[:0], r.curves[:0], r.desired[:0]
 	for i, ns := range c.nodes {
 		if !demands[i].ok {
 			reserved += c.worstCharge(ns)
@@ -348,6 +362,7 @@ func (r *Root) RunRound() error {
 			desired = append(desired, demands[i].desired)
 		}
 	}
+	r.members, r.curves, r.desired = members, curves, desired
 	liveBudget := c.budget - reserved
 	divideStart := time.Now()
 	pos, divideMet, err := farm.DivideLeastLossExact(curves, desired, c.cfg.Fvsst.Table, liveBudget)
@@ -371,9 +386,10 @@ func (r *Root) RunRound() error {
 		if !demands[i].ok {
 			return
 		}
-		resp, rt, err := c.rpc(ns, proto.KindGrant, func(id uint64) *proto.Message {
-			return &proto.Message{Kind: proto.KindGrant, ID: id, Trace: &proto.TraceContext{PassID: passID}, Grant: &proto.Grant{BudgetW: g.Grant.W()}}
-		})
+		req := ns.request(proto.KindGrant, passID)
+		ns.grant = proto.Grant{BudgetW: g.Grant.W()}
+		req.Grant = &ns.grant
+		resp, rt, err := c.rpc(ns, req)
 		if err != nil || resp.GrantAck == nil {
 			c.recordMiss(ns, err)
 			return

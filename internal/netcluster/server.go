@@ -21,8 +21,9 @@ type server struct {
 	// handle answers one request and never returns nil. A session delivers
 	// its requests one at a time, but any number of sessions may be live
 	// at once (a redialling parent's old one still parked in Recv), so
-	// handle does its own locking.
-	handle func(req *proto.Message) *proto.Message
+	// handle does its own locking. It answers in out, its session's reply
+	// scratch, or with a fresh message (hello-acks and errors).
+	handle func(req *proto.Message, out *reply) *proto.Message
 	// daemon, when set, runs from Start until closed closes, then calls
 	// wg.Done: the agent's lease watchdog. A pipe-registered server runs none.
 	daemon func()
@@ -36,8 +37,29 @@ type server struct {
 	wg     sync.WaitGroup
 }
 
+// reply is one session's reply scratch: the message a handler answers in
+// and every payload it can carry, reused request after request. serve owns
+// one per session, never the Agent or the Relay: two live sessions each
+// send from their own, so one cannot overwrite a reply the other is still
+// encoding. Conn.Send does not retain a message, so a reply is free again
+// once sent.
+type reply struct {
+	msg        proto.Message
+	counterRep proto.CounterReport
+	actuateAck proto.ActuateAck
+	demandRep  proto.DemandReport
+	grantAck   proto.GrantAck
+}
+
+// ack resets the reply message to an acknowledgement of kind at now, with
+// no payload attached yet.
+func (r *reply) ack(kind string, now float64) *proto.Message {
+	r.msg = proto.Message{Kind: kind, Now: now}
+	return &r.msg
+}
+
 // setup prepares the embedded server.
-func (s *server) setup(name string, handle func(*proto.Message) *proto.Message) {
+func (s *server) setup(name string, handle func(*proto.Message, *reply) *proto.Message) {
 	s.name, s.handle = name, handle
 	s.conns = make(map[proto.Conn]struct{})
 	s.closed = make(chan struct{})
@@ -164,13 +186,14 @@ func (s *server) serve(c proto.Conn) {
 		s.smu.Unlock()
 		c.Close()
 	}()
+	var out reply
 	for {
 		req, err := c.Recv()
 		if err != nil {
 			return // connection gone; the parent will redial
 		}
 		start := time.Now()
-		resp := s.handle(req)
+		resp := s.handle(req, &out)
 		// Every reply, fail(...) included, echoes the request's ID and
 		// trace context and reports the handling time, so the parent can
 		// split its round trip into wire and apply (the rpc:* spans).

@@ -3,6 +3,7 @@ package netcluster
 import (
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -217,6 +218,58 @@ func TestServerLifecycle(t *testing.T) {
 				waitGoroutines(t, before, "after Close")
 			})
 		}
+	}
+}
+
+// TestSessionsReplyFromTheirOwnScratch: two sessions live at once on one
+// tier each answer from their own reply scratch. Each sends the tier's hot
+// requests in a loop from its own goroutine; under -race a reply buffer
+// the tier shared would be written by one session's handle while the
+// other session was still encoding from it.
+func TestSessionsReplyFromTheirOwnScratch(t *testing.T) {
+	for _, tier := range []string{"agent", "relay"} {
+		t.Run(tier, func(t *testing.T) {
+			s := newServedTier(t, tier)
+			pd := NewPipeDialer(nil)
+			spec, err := s.Listen(pd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.close()
+			var wg sync.WaitGroup
+			for k := 0; k < 2; k++ {
+				c, err := pd.DialTransport(spec.Addr, time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.SetBinary(true)
+				c.SetDeadline(time.Now().Add(10 * time.Second))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer c.Close()
+					for i := 0; i < 50; i++ {
+						for j, valid := range s.valid {
+							req := *valid
+							req.ID = uint64(len(s.valid)*i + j + 1)
+							if err := c.Send(&req); err != nil {
+								t.Errorf("session %d: send: %v", k, err)
+								return
+							}
+							resp, err := c.Recv()
+							if err != nil {
+								t.Errorf("session %d: recv: %v", k, err)
+								return
+							}
+							if resp.ID != req.ID {
+								t.Errorf("session %d: %s %d answered as %d", k, req.Kind, req.ID, resp.ID)
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

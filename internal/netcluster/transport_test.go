@@ -1,11 +1,14 @@
 package netcluster
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/netcluster/faultnet"
+	"repro/internal/netcluster/proto"
 	"repro/internal/netcluster/wire"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -216,7 +219,10 @@ func waitGoroutines(t *testing.T, want int, what string) {
 
 // TestWorkerLifecycle: the per-connection workers start once, not once a
 // round; Close stops them, and a round after Close brings them and the
-// sessions back.
+// sessions back. In the tree a relay's sub-coordinator is closed mid-run
+// too: its round scratch, request messages and the agents' reply scratch
+// live through the Close and the redial, and every round still decides
+// what the same fleet decides without the Close.
 func TestWorkerLifecycle(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -226,6 +232,12 @@ func TestWorkerLifecycle(t *testing.T) {
 			// Unstarted agents run no goroutine, so this is the figure with
 			// no control plane at all.
 			before := runtime.NumGoroutine()
+			var ref *pipeWorld
+			if tc.relays > 0 {
+				ref = newPipeWorld(t, tc.agents, 1, tc.relays)
+				ref.run(t, 60)
+				ref.fleet.Close()
+			}
 			w := newPipeWorld(t, tc.agents, 1, tc.relays)
 
 			w.run(t, 1)
@@ -247,8 +259,124 @@ func TestWorkerLifecycle(t *testing.T) {
 			w.run(t, 2)
 			waitGoroutines(t, running, "after a Close and two more rounds")
 
+			if ref != nil {
+				// One relay's subtree alone: the next demand restarts its
+				// workers and redials its agents.
+				w.fleet.relays[0].coord.Close()
+				w.run(t, 7)
+				waitGoroutines(t, running, "after a relay's Close and seven more rounds")
+				sameDecisions(t, w.fleet.Leaves(), ref.fleet.Leaves())
+			}
+
 			w.fleet.Close()
 			waitGoroutines(t, before, "after Fleet.Close")
+		})
+	}
+}
+
+// sameDecisions fails on the first round whose leaf decision differs
+// between got and want, field for field.
+func sameDecisions(t *testing.T, got, want [][]Decision) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d leaves, want %d", len(got), len(want))
+	}
+	for j := range want {
+		if len(got[j]) != len(want[j]) {
+			t.Fatalf("leaf %d: %d decisions, want %d", j, len(got[j]), len(want[j]))
+		}
+		for r := range want[j] {
+			if !reflect.DeepEqual(got[j][r], want[j][r]) {
+				t.Fatalf("leaf %d round %d: decision %+v, want %+v", j, r, got[j][r], want[j][r])
+			}
+		}
+	}
+}
+
+// TestSendRetainsNoMessage pins the proto.Conn contract the coordinator's
+// per-node request and the servers' per-session reply reuse rely on: Send
+// is done with m when it returns. The sender overwrites everything the
+// message points to right after Send, before the peer reads a byte; the
+// peer must decode the original — both copies of it when faultnet
+// duplicates it after a delay — in either codec.
+func TestSendRetainsNoMessage(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		wrap   func(proto.Conn) proto.Conn
+		copies int
+	}{
+		{"wire", func(c proto.Conn) proto.Conn { return c }, 1},
+		{"faultnet", func(c proto.Conn) proto.Conn {
+			n := faultnet.New(1)
+			if err := n.SetPolicy("peer", faultnet.Policy{DupProb: 1, Delay: time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
+			return n.Wrap("peer", c)
+		}, 2},
+	} {
+		for _, binary := range []bool{false, true} {
+			a, b := newPipe()
+			tx := tc.wrap(wire.NewConn(a, wire.Options{}))
+			rx := wire.NewConn(b, wire.Options{Mirror: true})
+			tx.SetBinary(binary)
+			trace := proto.TraceContext{PassID: 3}
+			act := proto.Actuate{FreqsMHz: []float64{250, 1000}}
+			m := &proto.Message{Kind: proto.KindActuate, ID: 7, Trace: &trace, Actuate: &act}
+			if err := tx.Send(m); err != nil {
+				t.Fatalf("%s binary=%v: send: %v", tc.name, binary, err)
+			}
+			*m = proto.Message{Kind: proto.KindHeartbeat, ID: 8, Trace: &trace, Actuate: &act}
+			trace.PassID, act.FreqsMHz[0], act.FreqsMHz[1] = 4, 500, 500
+			rx.SetDeadline(time.Now().Add(5 * time.Second))
+			for k := 0; k < tc.copies; k++ {
+				got, err := rx.Recv()
+				if err != nil {
+					t.Fatalf("%s binary=%v copy %d: recv: %v", tc.name, binary, k, err)
+				}
+				if got.Kind != proto.KindActuate || got.ID != 7 || got.Trace == nil || got.Trace.PassID != 3 ||
+					got.Actuate == nil || !reflect.DeepEqual(got.Actuate.FreqsMHz, []float64{250, 1000}) {
+					t.Errorf("%s binary=%v copy %d: peer decoded %+v (trace %+v, actuate %+v), not the message as sent",
+						tc.name, binary, k, got, got.Trace, got.Actuate)
+				}
+			}
+			a.Close()
+			b.Close()
+		}
+	}
+}
+
+// TestRoundAllocsDoNotGrowWithFleet pins what a steady-state round
+// allocates: only what the decision logs keep (each coordinator's
+// Assignments, NodeCharged and Acked, the root's Grants and the logs'
+// own growth) and a fan-out closure per phase. Every other buffer, from
+// the request and reply messages to the scheduler inputs and the root's
+// curve copies, is reused, so the count per round does not depend on how
+// many agents answer.
+func TestRoundAllocsDoNotGrowWithFleet(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		cpus, relays int
+		agents       [2]int
+	}{
+		{"flat", 4, 0, [2]int{16, 64}},
+		{"tree", 1, 4, [2]int{100, 400}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var allocs [2]float64
+			for k, n := range tc.agents {
+				w := newPipeWorld(t, n, tc.cpus, tc.relays)
+				w.run(t, 20) // full reports, then grown buffers
+				allocs[k] = testing.AllocsPerRun(20, func() { w.run(t, 1) })
+				w.fleet.Close()
+			}
+			t.Logf("%d agents: %.0f allocations per round; %d agents: %.0f", tc.agents[0], allocs[0], tc.agents[1], allocs[1])
+			if allocs[1] > allocs[0] {
+				t.Errorf("allocations per round grew with the fleet: %.0f at %d agents, %.0f at %d",
+					allocs[0], tc.agents[0], allocs[1], tc.agents[1])
+			}
+			if allocs[1] > 100 {
+				t.Errorf("%.0f allocations per round at %d agents, want at most 100", allocs[1], tc.agents[1])
+			}
 		})
 	}
 }
