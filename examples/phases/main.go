@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"repro/internal/experiments"
 	"repro/internal/workload"
@@ -22,14 +23,14 @@ func main() {
 	fmt.Print(rep.Render())
 	fmt.Printf("\nphase transitions tracked: %d\n", rep.Transitions)
 
-	// The full per-quantum traces are exportable as CSV for plotting.
-	f, err := os.CreateTemp("", "phases-*.csv")
+	// The full per-quantum traces are exportable as CSV for plotting,
+	// the same file cmd/experiments -csv writes.
+	dir, err := os.MkdirTemp("", "phases-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	if err := rep.Recorder.WriteCSV(f); err != nil {
+	if err := rep.WriteCSVTo(dir); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("full traces written to %s\n", f.Name())
+	fmt.Printf("full traces written to %s\n", filepath.Join(dir, "fig5.csv"))
 }

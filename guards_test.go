@@ -8,7 +8,8 @@ package repro_test
 // object it resolves to, so an aliased import or a method value cannot
 // slip past. A guard on an interface method also matches a method of the
 // same name on any type that implements the interface. A decl guard
-// forbids a name outright, in test files too.
+// forbids a name outright, in test files too, within its dirs if it
+// names any.
 
 import (
 	"fmt"
@@ -26,19 +27,25 @@ import (
 
 // guard is one row of the table: a callee ("<import path>.<Name>" or
 // "<import path>.<Type>.<Method>") that only the allowed files and
-// package dirs may refer to, or a decl name that no file may declare or
-// name.
+// package dirs may refer to, or a decl name that no file (under the
+// within dirs, if any) may declare or name.
 type guard struct {
 	callee  string
 	decl    string
 	allowed []string
+	within  []string
 	why     string
 }
 
 const (
 	outputsWhy = "the daemons open their trace, metrics file and /metrics endpoint through obs.OpenOutputs, not by hand"
 	replayWhy  = "the bulk replay moves the clock and the meters through units.AddRepeat; the per-cell accessors the fused loop once needed stay gone"
+	figureWhy  = "the figure series are recorded by internal/experiments' per-step observer; the scheduler packages carry no recorder of their own"
 )
+
+// schedulerDirs are the packages that schedule: the figure code observes
+// them from internal/experiments, which they cannot import.
+var schedulerDirs = []string{"internal/fvsst", "internal/cluster", "internal/netcluster"}
 
 var guards = []guard{
 	{callee: "net.Listen", allowed: []string{"internal/netcluster/server.go", "internal/obs/outputs.go"},
@@ -54,8 +61,8 @@ var guards = []guard{
 		why: "every farm loop runs on Allocator.Round: outside internal/farm, non-test Go builds no lone Holder"},
 	{callee: "repro/internal/farm.Allocator.Allocate", allowed: []string{"internal/farm"},
 		why: "every farm loop runs on Allocator.Round: outside internal/farm, non-test Go runs no allocation pass by hand"},
-	{callee: "repro/internal/telemetry.Recorder", allowed: []string{"internal/telemetry", "internal/experiments", "examples"},
-		why: "the figure series are recorded by the experiments' per-step observer; the scheduler packages carry no recorder of their own"},
+	{decl: "recorder", within: schedulerDirs, why: figureWhy},
+	{decl: "Recorder", within: schedulerDirs, why: figureWhy},
 	{callee: "repro/internal/obs.NewLedger", allowed: []string{"internal/obs", "cmd/experiments", "cmd/fvsst-sim"},
 		why: "a run's summary is the ledger's report: experiments report renders it from a trace, fvsst-sim prints its sections at exit, and no package keeps a second account"},
 	{callee: "repro/internal/fvsst.Scheduler.SetDecisionLogging",
@@ -97,9 +104,9 @@ func guardProblems(m *module, gs []guard) ([]string, error) {
 	report := func(id *ast.Ident, what, why string) {
 		problems = append(problems, fmt.Sprintf("%s: %s: %s", m.fset.Position(id.Pos()), what, why))
 	}
-	named := func(id *ast.Ident) {
+	named := func(file string, id *ast.Ident) {
 		for _, g := range gs {
-			if g.decl != "" && id.Name == g.decl {
+			if g.decl != "" && id.Name == g.decl && (len(g.within) == 0 || under(file, g.within)) {
 				report(id, "names "+g.decl, g.why)
 			}
 		}
@@ -113,7 +120,7 @@ func guardProblems(m *module, gs []guard) ([]string, error) {
 				if !ok {
 					return true
 				}
-				named(id)
+				named(file, id)
 				obj := origin(info.Uses[id])
 				for i, g := range gs {
 					if targets[i] != nil && refersTo(obj, targets[i]) && !g.allows(file) {
@@ -125,9 +132,10 @@ func guardProblems(m *module, gs []guard) ([]string, error) {
 		}
 	}
 	for _, f := range m.tests {
+		file := m.fset.Position(f.Pos()).Filename
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				named(id)
+				named(file, id)
 			}
 			return true
 		})
@@ -138,8 +146,11 @@ func guardProblems(m *module, gs []guard) ([]string, error) {
 
 // allows reports whether file is one of g's allowed files or lies under
 // one of its allowed dirs.
-func (g guard) allows(file string) bool {
-	for _, a := range g.allowed {
+func (g guard) allows(file string) bool { return under(file, g.allowed) }
+
+// under reports whether file is one of paths or lies under one of them.
+func under(file string, paths []string) bool {
+	for _, a := range paths {
 		if a == file || strings.HasPrefix(file, a+"/") {
 			return true
 		}
@@ -215,12 +226,12 @@ func TestGuardsChecker(t *testing.T) {
 			"type door struct{}\n\nfunc (door) Accept() {}\n\n" +
 			"func main() {\n\to.NewJSONLWriter(nil)\n\t_ = new(o.Registry).WritePrometheus(nil)\n\tf.NewHolder()\n" +
 			"\tall := (*f.Allocator).Allocate\n\t_ = all\n\tnet.Pipe()\n\tdoor{}.Accept()\n}\n",
-		"internal/telemetry/telemetry.go": "package telemetry\n\ntype Recorder struct{}\n",
-		"internal/experiments/run.go": "package experiments\n\nimport (\n\t\"repro/internal/obs\"\n\tt \"repro/internal/telemetry\"\n)\n\n" +
-			"func run(rec *t.Recorder) { obs.NewLedger() }\n",
-		"internal/fvsst/driver.go": "package fvsst\n\nimport \"repro/internal/telemetry\"\n\ntype Driver struct{ Recorder *telemetry.Recorder }\n\n" +
+		"internal/experiments/run.go": "package experiments\n\nimport \"repro/internal/obs\"\n\n" +
+			"type recorder struct{}\n\nfunc run(rec *recorder) { obs.NewLedger() }\n",
+		"internal/fvsst/driver.go": "package fvsst\n\ntype recorder struct{ samples []float64 }\n\ntype Driver struct{ rec *recorder }\n\n" +
 			"type Scheduler struct{}\n\nfunc (*Scheduler) SetDecisionLogging(bool) {}\n",
-		"examples/phases/main.go": "package main\n\nimport \"repro/internal/telemetry\"\n\nfunc main() { _ = new(telemetry.Recorder) }\n",
+		"internal/netcluster/trace_test.go": "package netcluster\n\ntype Recorder struct{}\n",
+		"examples/phases/main.go":           "package main\n\ntype Recorder struct{}\n\nfunc main() { _ = new(Recorder) }\n",
 		"cmd/fvsst-sim/main.go": "package main\n\nimport (\n\t\"repro/internal/fvsst\"\n\t\"repro/internal/obs\"\n)\n\n" +
 			"func main() {\n\tobs.NewLedger()\n\tnew(fvsst.Scheduler).SetDecisionLogging(false)\n}\n",
 		"internal/machine/m.go":      "package machine\n\ntype M struct{}\n\nfunc (M) ReplayCell() {}\n",
@@ -234,13 +245,15 @@ func TestGuardsChecker(t *testing.T) {
 		"cmd/tool/main.go:17:4: refers to repro/internal/farm.NewHolder",
 		"cmd/tool/main.go:18:24: refers to repro/internal/farm.Allocator.Allocate",
 		"cmd/tool/main.go:20:6: refers to net.Pipe",
-		"internal/experiments/run.go:8:33: refers to repro/internal/obs.NewLedger",
-		"internal/fvsst/driver.go:5:41: refers to repro/internal/telemetry.Recorder",
+		"internal/experiments/run.go:7:31: refers to repro/internal/obs.NewLedger",
+		"internal/fvsst/driver.go:3:6: names recorder",
+		"internal/fvsst/driver.go:5:26: names recorder",
 		"internal/machine/m.go:5:10: names ReplayCell",
 		"internal/machine/m_test.go:3:6: names ReplayCells",
 		"internal/netcluster/relay.go:10:5: refers to net.Listener.Accept",
 		"internal/netcluster/relay.go:8:4: refers to net.Listen",
 		"internal/netcluster/relay.go:9:4: refers to net.Listener.Accept",
+		"internal/netcluster/trace_test.go:3:6: names Recorder",
 	}
 	fset := token.NewFileSet()
 	var srcs []srcFile

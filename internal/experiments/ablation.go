@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/baseline"
 	"repro/internal/fvsst"
 	"repro/internal/perfmodel"
 	"repro/internal/power"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -24,41 +23,48 @@ type AblationPoliciesReport struct {
 	WorstLoss map[string][]float64
 }
 
-// AblationPolicies runs the policy comparison analytically on the fixed
-// diverse-workload decomposition (the same shape the machine tests exercise
-// end to end).
-func AblationPolicies() (*AblationPoliciesReport, error) {
+// ablationBudgetsW is AblationPolicies' budget sweep: from the 4-CPU
+// machine's full 560 W, past the motivating 294 W, down to 60 W, still
+// above Table 1's 4 × 9 W floor.
+var ablationBudgetsW = []float64{560, 420, 294, 200, 150, 100, 60}
+
+// ablationInput is AblationPolicies' fixed diverse-workload decomposition
+// (the same shape the machine tests exercise end to end): one CPU-bound,
+// two memory-bound and one idle processor. Its Budget is unset.
+func ablationInput() policyInput {
 	mk := func(alpha, stallNs float64) *perfmodel.Decomposition {
 		return &perfmodel.Decomposition{InvAlpha: 1 / alpha, StallSecPerInstr: stallNs * 1e-9}
 	}
-	in := baseline.Input{
+	return policyInput{
 		Decs:    []*perfmodel.Decomposition{mk(1.4, 0.1), mk(1.1, 8.44), mk(1.0, 12), nil},
 		Idle:    []bool{false, false, false, true},
 		Util:    []float64{1, 1, 1, 0},
 		Table:   power.PaperTable1(),
 		Epsilon: 0.05,
 	}
-	budgets := []float64{560, 420, 294, 200, 150, 100, 60}
-	policies := []baseline.Policy{
-		baseline.FVSST{}, baseline.Uniform{}, baseline.PowerDown{}, baseline.UtilizationDVS{},
-	}
+}
+
+// AblationPolicies runs the policy comparison analytically on
+// ablationInput over ablationBudgetsW.
+func AblationPolicies() (*AblationPoliciesReport, error) {
+	in := ablationInput()
 	rep := &AblationPoliciesReport{
-		BudgetsW:  budgets,
+		BudgetsW:  slices.Clone(ablationBudgetsW),
 		Perf:      map[string][]float64{},
 		WorstLoss: map[string][]float64{},
 	}
 	set := in.Table.Frequencies()
 	for _, pol := range policies {
-		for _, b := range budgets {
+		for _, b := range ablationBudgetsW {
 			in.Budget = units.Watts(b)
-			out, err := pol.Assign(in)
+			out, err := pol.assign(in)
 			if err != nil {
 				return nil, err
 			}
-			rep.Perf[pol.Name()] = append(rep.Perf[pol.Name()],
-				baseline.MeanNormPerf(in.Decs, in.Idle, out, set.Max()))
-			rep.WorstLoss[pol.Name()] = append(rep.WorstLoss[pol.Name()],
-				baseline.WorstCaseLoss(in.Decs, in.Idle, out, set))
+			rep.Perf[pol.name] = append(rep.Perf[pol.name],
+				meanNormPerf(in.Decs, in.Idle, out, set.Max()))
+			rep.WorstLoss[pol.name] = append(rep.WorstLoss[pol.name],
+				worstCaseLoss(in.Decs, in.Idle, out, set))
 		}
 	}
 	return rep, nil
@@ -66,16 +72,19 @@ func AblationPolicies() (*AblationPoliciesReport, error) {
 
 // Render formats the report.
 func (r *AblationPoliciesReport) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   "Ablation: policy comparison (mean per-CPU normalised perf | worst per-CPU loss)",
-		Headers: []string{"Budget", "fvsst", "uniform", "powerdown", "util-dvs"},
+		Headers: []string{"Budget"},
+	}
+	for _, pol := range policies {
+		t.Headers = append(t.Headers, pol.name)
 	}
 	for i, b := range r.BudgetsW {
-		cell := func(name string) string {
-			return fmt.Sprintf("%.3f|%.2f", r.Perf[name][i], r.WorstLoss[name][i])
+		row := []string{fmt.Sprintf("%.0fW", b)}
+		for _, pol := range policies {
+			row = append(row, fmt.Sprintf("%.3f|%.2f", r.Perf[pol.name][i], r.WorstLoss[pol.name][i]))
 		}
-		t.MustAddRow(fmt.Sprintf("%.0fW", b),
-			cell("fvsst"), cell("uniform"), cell("powerdown"), cell("util-dvs"))
+		t.addRow(row...)
 	}
 	return t.String()
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/fvsst"
 	"repro/internal/memhier"
 	"repro/internal/perfmodel"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -194,13 +193,13 @@ func AblationActuator(o Options) (*AblationActuatorReport, error) {
 
 // Render formats the report.
 func (r *AblationActuatorReport) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   "Ablation: actuator fidelity (gap at 75W budget)",
 		Headers: []string{"Actuator", "runtime (s)", "CPU energy", "vs default"},
 	}
 	base := r.Rows[0].Seconds
 	for _, row := range r.Rows {
-		t.MustAddRow(row.Name,
+		t.addRow(row.Name,
 			fmt.Sprintf("%.2f", row.Seconds),
 			row.CPUEnergy.String(),
 			fmt.Sprintf("%+.1f%%", (row.Seconds/base-1)*100))
@@ -259,12 +258,12 @@ func AblationEpsilon(o Options) (*AblationEpsilonReport, error) {
 
 // Render formats the report.
 func (r *AblationEpsilonReport) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   "Ablation: ε sweep (mcf, unconstrained budget, vs fixed 1GHz run)",
 		Headers: []string{"ε", "norm perf", "norm CPU energy"},
 	}
 	for _, row := range r.Rows {
-		t.MustAddRow(
+		t.addRow(
 			fmt.Sprintf("%.0f%%", row.Epsilon*100),
 			fmt.Sprintf("%.3f", row.NormPerf),
 			fmt.Sprintf("%.3f", row.NormEnergy),

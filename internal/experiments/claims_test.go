@@ -226,7 +226,7 @@ var claims = map[string][]claim{
 				failIf(r.Transitions < 5, "only %d phase transitions seen", r.Transitions),
 			}
 			for _, s := range []string{"ipc", "freq-mhz", "system-power-w"} {
-				errs = append(errs, failIf(r.Recorder.Series(s).Len() == 0, "series %s empty", s))
+				errs = append(errs, failIf(len(r.rec.series(s).Points) == 0, "series %s empty", s))
 			}
 			return errors.Join(errs...)
 		}),
@@ -357,12 +357,12 @@ var claims = map[string][]claim{
 			return errors.Join(
 				failIf(r.MaxActualMHz > 755, "actual frequency %v exceeds the 750MHz cap", r.MaxActualMHz),
 				failIf(r.FracClipped < 0.9, "only %.0f%% of windows clipped, want ≥90%%", r.FracClipped*100),
-				failIf(r.ZoomActual == nil || r.ZoomActual.Len() == 0, "Figure 10 zoom empty"))
+				failIf(r.zoomActual == nil || len(r.zoomActual.Points) == 0, "Figure 10 zoom empty"))
 		}),
 		// The desired frequency, held between samples, averaged over the run.
 		on("desired-above-cap", func(r *Figure9Report) error {
 			var area float64
-			pts := r.Desired.Points
+			pts := r.desired.Points
 			for i := 1; i < len(pts); i++ {
 				area += pts[i-1].V * (pts[i].T - pts[i-1].T)
 			}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fvsst"
 	"repro/internal/machine"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -164,12 +163,12 @@ func ClusterStudy(o Options) (*ClusterStudyReport, error) {
 
 // Render formats the report.
 func (r *ClusterStudyReport) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   fmt.Sprintf("Cluster study: 3-tier cluster under a %.0fW global cap", r.GlobalBudgetW),
 		Headers: []string{"Tier", "fvsst mean f", "uniform f"},
 	}
 	for _, tier := range []string{"web", "app", "db"} {
-		t.MustAddRow(tier,
+		t.addRow(tier,
 			fmt.Sprintf("%.0fMHz", r.TierFreqFVSST[tier]),
 			fmt.Sprintf("%.0fMHz", r.TierFreqUniform[tier]))
 	}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/fvsst"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -115,13 +114,12 @@ func uniformPin(budget units.Power, last int, ms ...*machine.Machine) (int, erro
 }
 
 // runResult is one scheduled or pinned run: the completion time in
-// simulated seconds, the processor energy, the machine's completion log
-// and, for an fvsstRun, the telemetry it recorded.
+// simulated seconds, the processor energy and the machine's completion
+// log.
 type runResult struct {
 	Seconds     float64
 	CPUEnergy   units.Energy
 	Completions []machine.JobCompletion
-	Recorder    *telemetry.Recorder
 }
 
 // passLog is a sink that keeps a run's schedule events, the pass history
@@ -169,7 +167,7 @@ func finished(m *machine.Machine, deadline float64) (runResult, error) {
 // power and budget and that CPU's IPC, frequency and scheduled desire
 // and actual (see recordStep); observe, if non-nil, is called after every
 // step too; and sink, if non-nil, receives the scheduler's pass events.
-func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.Power, rec *telemetry.Recorder, observe func(*machine.Machine), sink obs.Sink) (runResult, error) {
+func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.Power, rec *recorder, observe func(*machine.Machine), sink obs.Sink) (runResult, error) {
 	progs := make([][]workload.Program, cpu+1)
 	progs[cpu] = []workload.Program{prog}
 	m, err := newMachine(o.machineConfig(numCPUs), progs...)
@@ -197,7 +195,6 @@ func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.
 	if err != nil {
 		return runResult{}, fmt.Errorf("experiments: %s: %w", prog.Name, err)
 	}
-	res.Recorder = rec
 	return res, nil
 }
 
@@ -206,30 +203,30 @@ func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.
 // system and CPU power and s's budget, then CPU cpu's IPC over the last
 // quantum, its effective frequency, and the desired and actual frequency
 // of s's latest decision.
-func recordStep(rec *telemetry.Recorder, s *fvsst.Scheduler, cpu int) func(*machine.Machine) {
-	systemPower := rec.Series("system-power-w")
-	cpuPower := rec.Series("cpu-power-w")
-	budget := rec.Series("budget-w")
-	ipc := rec.Series("ipc")
-	freq := rec.Series("freq-mhz")
-	desired := rec.Series("desired-mhz")
-	actual := rec.Series("actual-mhz")
+func recordStep(rec *recorder, s *fvsst.Scheduler, cpu int) func(*machine.Machine) {
+	systemPower := rec.series("system-power-w")
+	cpuPower := rec.series("cpu-power-w")
+	budget := rec.series("budget-w")
+	ipc := rec.series("ipc")
+	freq := rec.series("freq-mhz")
+	desired := rec.series("desired-mhz")
+	actual := rec.series("actual-mhz")
 	return func(m *machine.Machine) {
 		now := m.Now()
-		systemPower.MustAppend(now, m.SystemPower().W())
-		cpuPower.MustAppend(now, m.TotalCPUPower().W())
-		budget.MustAppend(now, s.Budget().W())
+		systemPower.add(now, m.SystemPower().W())
+		cpuPower.add(now, m.TotalCPUPower().W())
+		budget.add(now, s.Budget().W())
 		q := m.LastQuantum(cpu)
 		v := 0.0
 		if q.Cycles > 0 {
 			v = float64(q.Instructions) / float64(q.Cycles)
 		}
-		ipc.MustAppend(now, v)
-		freq.MustAppend(now, m.EffectiveFrequency(cpu).MHz())
+		ipc.add(now, v)
+		freq.add(now, m.EffectiveFrequency(cpu).MHz())
 		dec, _ := s.LastDecision()
 		a := dec.Assignments[cpu]
-		desired.MustAppend(now, a.Desired.MHz())
-		actual.MustAppend(now, a.Actual.MHz())
+		desired.add(now, a.Desired.MHz())
+		actual.add(now, a.Actual.MHz())
 	}
 }
 
@@ -312,14 +309,14 @@ type CSVWriter interface {
 	WriteCSVTo(dir string) error
 }
 
-// writeCSVFile writes one recorder to dir/name.
-func writeCSVFile(dir, name string, rec *telemetry.Recorder) error {
+// writeCSVFile writes ss to dir/name (see writeCSV).
+func writeCSVFile(dir, name string, ss ...*series) error {
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return rec.WriteCSV(f)
+	return writeCSV(f, ss...)
 }
 
 // Table1Budgets are the three operating budgets of Table 3 / §8.4.

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/power"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -421,14 +420,14 @@ func (r *FarmPowerFailReport) Outcomes() []FarmPolicyOutcome {
 
 // Render formats the report.
 func (r *FarmPowerFailReport) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title: fmt.Sprintf(
 			"Farm power-fail: 3 clusters × 4 nodes × 4 CPUs; grid %.0fW fails at t=%.0fs onto a %.0fJ UPS (%.0fs runway); \"data\" partitioned t∈[%.1f,%.1f)s",
 			r.GridW, r.FailAt, r.UPSJoules, r.RunwaySec, r.PartStart, r.PartEnd),
 		Headers: []string{"Policy", "loss·s", "compute", "data", "web", "overshoot", "min runway", "UPS left"},
 	}
 	for _, p := range r.Outcomes() {
-		t.MustAddRow(p.Policy,
+		t.addRow(p.Policy,
 			fmt.Sprintf("%.3f", p.LossSeconds),
 			fmt.Sprintf("%.3f", p.ClusterLoss["compute"]),
 			fmt.Sprintf("%.3f", p.ClusterLoss["data"]),

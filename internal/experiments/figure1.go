@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/power"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -64,7 +63,7 @@ func Figure1(o Options) (*Figure1Report, error) {
 
 // Render formats the report.
 func (r *Figure1Report) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   "Figure 1: performance saturation (normalised throughput vs frequency)",
 		Headers: []string{"Frequency", "cpu100", "cpu75", "cpu50", "cpu25", "cpu10"},
 	}
@@ -76,7 +75,7 @@ func (r *Figure1Report) Render() string {
 		for _, c := range r.Curves {
 			row = append(row, fmt.Sprintf("%.3f", c.NormPerf[i]))
 		}
-		t.MustAddRow(row...)
+		t.addRow(row...)
 	}
 	out := t.String()
 	for _, c := range r.Curves {

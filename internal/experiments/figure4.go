@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -49,12 +48,12 @@ func Figure4(o Options) (*Figure4Report, error) {
 
 // Render formats the report.
 func (r *Figure4Report) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   "Figure 4: fvsst overhead (throughput degradation vs unmanaged run)",
 		Headers: []string{"CPU intensity", "degradation"},
 	}
 	for _, row := range r.Rows {
-		t.MustAddRow(fmt.Sprintf("%.0f", row.IntensityPct), fmt.Sprintf("%.2f%%", row.Degradation*100))
+		t.addRow(fmt.Sprintf("%.0f", row.IntensityPct), fmt.Sprintf("%.2f%%", row.Degradation*100))
 	}
 	return t.String()
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -13,8 +12,8 @@ import (
 // on timescales longer than T; the scheduler's frequency must track the
 // IPC, and power must track the frequency.
 type Figure5Report struct {
-	// Recorder holds the ipc, freq-mhz, desired-mhz and power series.
-	Recorder *telemetry.Recorder
+	// rec holds the seven per-step series recordStep writes.
+	rec *recorder
 	// MeanFreqCPUPhaseMHz and MeanFreqMemPhaseMHz are the time-weighted
 	// mean frequencies during the two phase types.
 	MeanFreqCPUPhaseMHz float64
@@ -51,35 +50,34 @@ func Figure5(o Options) (*Figure5Report, error) {
 	// Run traced; recover per-phase means by splitting the series at
 	// phase boundaries observed from the workload cursor.
 	var trace phaseTrace
-	res, err := o.fvsstRun(1, 0, prog, units.Watts(140), telemetry.NewRecorder(), trace.record(0), nil)
-	if err != nil {
+	rec := &recorder{}
+	if _, err := o.fvsstRun(1, 0, prog, units.Watts(140), rec, trace.record(0), nil); err != nil {
 		return nil, err
 	}
-	rep := &Figure5Report{Recorder: res.Recorder}
+	rep := &Figure5Report{rec: rec}
 
-	freq := res.Recorder.Series("freq-mhz")
-	pw := res.Recorder.Series("system-power-w")
-	var fCPU, fMem, pCPU, pMem telemetry.Series
+	freq := rec.series("freq-mhz")
+	pw := rec.series("system-power-w")
+	var fCPU, fMem, pCPU, pMem series
 	for i, pt := range freq.Points {
 		switch trace.at(pt.T) {
 		case "cpu-phase":
-			fCPU.MustAppend(pt.T, pt.V)
-			pCPU.MustAppend(pt.T, pw.Points[i].V)
+			fCPU.add(pt.T, pt.V)
+			pCPU.add(pt.T, pw.Points[i].V)
 		case "mem-phase":
-			fMem.MustAppend(pt.T, pt.V)
-			pMem.MustAppend(pt.T, pw.Points[i].V)
+			fMem.add(pt.T, pt.V)
+			pMem.add(pt.T, pw.Points[i].V)
 		}
 	}
-	mean := func(s *telemetry.Series) float64 {
-		vals := s.Values()
-		if len(vals) == 0 {
+	mean := func(s *series) float64 {
+		if len(s.Points) == 0 {
 			return 0
 		}
 		sum := 0.0
-		for _, v := range vals {
-			sum += v
+		for _, p := range s.Points {
+			sum += p.V
 		}
-		return sum / float64(len(vals))
+		return sum / float64(len(s.Points))
 	}
 	rep.MeanFreqCPUPhaseMHz = mean(&fCPU)
 	rep.MeanFreqMemPhaseMHz = mean(&fMem)
@@ -97,15 +95,15 @@ func Figure5(o Options) (*Figure5Report, error) {
 
 // WriteCSVTo writes the full per-quantum traces to dir/fig5.csv.
 func (r *Figure5Report) WriteCSVTo(dir string) error {
-	return writeCSVFile(dir, "fig5.csv", r.Recorder)
+	return writeCSVFile(dir, "fig5.csv", r.rec.all...)
 }
 
 // Render formats the report.
 func (r *Figure5Report) Render() string {
 	out := "Figure 5: fvsst response to phase behaviour\n"
-	out += telemetry.AsciiChart(r.Recorder.Series("ipc"), 8, 72)
-	out += telemetry.AsciiChart(r.Recorder.Series("freq-mhz"), 8, 72)
-	out += telemetry.AsciiChart(r.Recorder.Series("system-power-w"), 8, 72)
+	for _, name := range []string{"ipc", "freq-mhz", "system-power-w"} {
+		out += asciiPlot(name, 8, 72, r.rec.series(name))
+	}
 	out += fmt.Sprintf("mean frequency: cpu-phase %.0fMHz, mem-phase %.0fMHz\n",
 		r.MeanFreqCPUPhaseMHz, r.MeanFreqMemPhaseMHz)
 	out += fmt.Sprintf("mean system power: cpu-phase %.0fW, mem-phase %.0fW\n",

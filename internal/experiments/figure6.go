@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/power"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -69,7 +68,7 @@ func Figure6(o Options) (*Figure6Report, error) {
 
 // Render formats the report.
 func (r *Figure6Report) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   "Figure 6: performance vs power limit (normalised to 140W)",
 		Headers: []string{"Limit", "Freq cap", "cpu-intensive (100%)", "mem-intensive (20%)"},
 	}
@@ -81,7 +80,7 @@ func (r *Figure6Report) Render() string {
 		if ok {
 			capStr = cap.String()
 		}
-		t.MustAddRow(
+		t.addRow(
 			fmt.Sprintf("%.0fW", lim),
 			capStr,
 			fmt.Sprintf("%.3f", r.CPUIntensive[i].NormPerf),

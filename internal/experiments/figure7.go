@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -51,7 +50,8 @@ func Figure7(o Options) (*Figure7Report, error) {
 	var base float64
 	for _, lim := range Table1Budgets {
 		var trace phaseTrace
-		res, err := o.fvsstRun(1, 0, prog, units.Watts(lim), telemetry.NewRecorder(), trace.record(0), nil)
+		rec := &recorder{}
+		res, err := o.fvsstRun(1, 0, prog, units.Watts(lim), rec, trace.record(0), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +60,7 @@ func Figure7(o Options) (*Figure7Report, error) {
 			base = perf
 		}
 		b := Figure7Budget{LimitW: lim, NormPerf: perf / base}
-		freq := res.Recorder.Series("freq-mhz")
+		freq := rec.series("freq-mhz")
 		var sum100, sum75 float64
 		var n100, n75 int
 		for _, pt := range freq.Points {
@@ -86,12 +86,12 @@ func Figure7(o Options) (*Figure7Report, error) {
 
 // Render formats the report.
 func (r *Figure7Report) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   "Figure 7: 100%/75% two-phase benchmark under power constraints",
 		Headers: []string{"Limit", "mean f (100% phase)", "mean f (75% phase)", "norm perf"},
 	}
 	for _, b := range r.Budgets {
-		t.MustAddRow(
+		t.addRow(
 			fmt.Sprintf("%.0fW", b.LimitW),
 			fmt.Sprintf("%.0fMHz", b.MeanFreq100),
 			fmt.Sprintf("%.0fMHz", b.MeanFreq75),

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -50,12 +49,12 @@ func Figure8(o Options) (*Figure8Report, error) {
 			return nil, err
 		}
 		for _, c := range figure8Caps {
-			res, err := o.fvsstRun(1, 0, prog, units.Watts(c.limitW), telemetry.NewRecorder(), nil, nil)
-			if err != nil {
+			rec := &recorder{}
+			if _, err := o.fvsstRun(1, 0, prog, units.Watts(c.limitW), rec, nil, nil); err != nil {
 				return nil, err
 			}
 			hist := stats.NewHistogram()
-			freq := res.Recorder.Series("freq-mhz")
+			freq := rec.series("freq-mhz")
 			for i := 1; i < len(freq.Points); i++ {
 				dt := freq.Points[i].T - freq.Points[i-1].T
 				// Quantise to the nearest 50 MHz grid step so throttle

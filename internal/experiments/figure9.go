@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -14,12 +13,10 @@ import (
 // clipped at 750 MHz, so gap "spends more time at 750 MHz than it did
 // previously".
 type Figure9Report struct {
-	// Desired and Actual are the full traces (MHz over seconds).
-	Desired *telemetry.Series
-	Actual  *telemetry.Series
-	// Zoom is the Figure 10 magnification window.
-	ZoomDesired *telemetry.Series
-	ZoomActual  *telemetry.Series
+	// desired and actual are the full traces (MHz over seconds).
+	desired, actual *series
+	// zoomDesired and zoomActual are the Figure 10 magnification window.
+	zoomDesired, zoomActual *series
 	// FracClipped is the fraction of scheduling windows in which the
 	// desired frequency exceeded the actual.
 	FracClipped float64
@@ -31,13 +28,13 @@ type Figure9Report struct {
 func Figure9(o Options) (*Figure9Report, error) {
 	prog := workload.Gap(o.Scale)
 	var passes passLog
-	res, err := o.fvsstRun(1, 0, prog, units.Watts(75), telemetry.NewRecorder(), nil, &passes)
-	if err != nil {
+	rec := &recorder{}
+	if _, err := o.fvsstRun(1, 0, prog, units.Watts(75), rec, nil, &passes); err != nil {
 		return nil, err
 	}
 	rep := &Figure9Report{
-		Desired: res.Recorder.Series("desired-mhz"),
-		Actual:  res.Recorder.Series("actual-mhz"),
+		desired: rec.series("desired-mhz"),
+		actual:  rec.series("actual-mhz"),
 	}
 	clipped, total := 0, 0
 	for _, e := range passes {
@@ -54,27 +51,27 @@ func Figure9(o Options) (*Figure9Report, error) {
 		rep.FracClipped = float64(clipped) / float64(total)
 	}
 	// Figure 10: magnify the middle fifth of the run.
-	if n := rep.Actual.Len(); n > 0 {
-		t0 := rep.Actual.Points[2*n/5].T
-		t1 := rep.Actual.Points[3*n/5].T
-		rep.ZoomDesired = rep.Desired.Between(t0, t1)
-		rep.ZoomActual = rep.Actual.Between(t0, t1)
+	if n := len(rep.actual.Points); n > 0 {
+		t0 := rep.actual.Points[2*n/5].T
+		t1 := rep.actual.Points[3*n/5].T
+		rep.zoomDesired = rep.desired.between(t0, t1)
+		rep.zoomActual = rep.actual.between(t0, t1)
 	}
 	return rep, nil
 }
 
 // WriteCSVTo writes the desired/actual traces to dir/fig9.csv.
 func (r *Figure9Report) WriteCSVTo(dir string) error {
-	rec := telemetry.RecorderFromSeries(r.Desired, r.Actual)
-	return writeCSVFile(dir, "fig9.csv", rec)
+	return writeCSVFile(dir, "fig9.csv", r.desired, r.actual)
 }
 
 // Render formats the report.
 func (r *Figure9Report) Render() string {
+	label := r.desired.Name + "(*) vs " + r.actual.Name + "(+)"
 	out := "Figure 9: actual and desired frequencies for gap at 750MHz (75W limit)\n"
-	out += telemetry.AsciiOverlay(r.Desired, r.Actual, 10, 72)
+	out += asciiPlot(label, 10, 72, r.desired, r.actual)
 	out += "Figure 10: magnified slice\n"
-	out += telemetry.AsciiOverlay(r.ZoomDesired, r.ZoomActual, 10, 72)
+	out += asciiPlot(label, 10, 72, r.zoomDesired, r.zoomActual)
 	out += fmt.Sprintf("windows clipped by the cap: %.0f%%; max actual %.0fMHz\n",
 		r.FracClipped*100, r.MaxActualMHz)
 	return out

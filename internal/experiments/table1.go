@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/power"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -59,12 +58,12 @@ func Table1() (*Table1Report, error) {
 
 // Render formats the report as text.
 func (r *Table1Report) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   "Table 1: frequencies available for scheduling (paper vs fitted CV²f+BV² model)",
 		Headers: []string{"Frequency", "Vmin", "Paper (W)", "Model (W)", "err"},
 	}
 	for _, row := range r.Rows {
-		t.MustAddRow(
+		t.addRow(
 			row.Freq.String(),
 			row.Voltage.String(),
 			fmt.Sprintf("%.0f", row.PaperW),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -134,12 +133,12 @@ func table2Row(o Options, intensity float64) (Table2Row, error) {
 
 // Render formats the report.
 func (r *Table2Report) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   "Table 2: predictor error (mean |predicted−observed| IPC per window)",
 		Headers: []string{"CPU intensity", "CPU0", "CPU1", "CPU2", "CPU3", "CPU3*"},
 	}
 	for _, row := range r.Rows {
-		t.MustAddRow(
+		t.addRow(
 			fmt.Sprintf("%.0f", row.IntensityPct),
 			fmt.Sprintf("%.3f", row.DevCPU[0]),
 			fmt.Sprintf("%.3f", row.DevCPU[1]),

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -82,7 +81,7 @@ func Table3(o Options) (*Table3Report, error) {
 
 // Render formats the report with measured-vs-paper pairs.
 func (r *Table3Report) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   "Table 3: performance and energy under constraint (measured / paper)",
 		Headers: []string{"Metric", "gzip", "gap", "mcf", "health"},
 	}
@@ -90,19 +89,19 @@ func (r *Table3Report) Render() string {
 		row := []string{fmt.Sprintf("Perf @ %.0fW", lim)}
 		for _, app := range r.Apps {
 			row = append(row, fmt.Sprintf("%s / %s",
-				telemetry.FormatNorm(r.Cells[app][bi].Perf),
-				telemetry.FormatNorm(r.Paper[app][bi].Perf)))
+				formatNorm(r.Cells[app][bi].Perf),
+				formatNorm(r.Paper[app][bi].Perf)))
 		}
-		t.MustAddRow(row...)
+		t.addRow(row...)
 	}
 	for bi, lim := range r.Budgets {
 		row := []string{fmt.Sprintf("Energy @ %.0fW", lim)}
 		for _, app := range r.Apps {
 			row = append(row, fmt.Sprintf("%s / %s",
-				telemetry.FormatNorm(r.Cells[app][bi].Energy),
-				telemetry.FormatNorm(r.Paper[app][bi].Energy)))
+				formatNorm(r.Cells[app][bi].Energy),
+				formatNorm(r.Paper[app][bi].Energy)))
 		}
-		t.MustAddRow(row...)
+		t.addRow(row...)
 	}
 	return t.String()
 }

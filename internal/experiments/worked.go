@@ -6,7 +6,6 @@ import (
 	"repro/internal/fvsst"
 	"repro/internal/perfmodel"
 	"repro/internal/power"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -81,15 +80,15 @@ func WorkedExample() (*WorkedExampleReport, error) {
 
 // Render formats the report.
 func (r *WorkedExampleReport) Render() string {
-	t := telemetry.Table{
+	t := textTable{
 		Title:   fmt.Sprintf("§5 worked example (budget %.0fW, set {0.6..1.0GHz})", r.BudgetW),
 		Headers: []string{"", "CPU0", "CPU1", "CPU2", "CPU3", "ΣP"},
 	}
 	fm := func(fs []units.Frequency, i int) string { return fs[i].String() }
-	t.MustAddRow("T0 ε-constrained", fm(r.T0Desired, 0), fm(r.T0Desired, 1), fm(r.T0Desired, 2), fm(r.T0Desired, 3), "")
-	t.MustAddRow("T0 actual", fm(r.T0Actual, 0), fm(r.T0Actual, 1), fm(r.T0Actual, 2), fm(r.T0Actual, 3), fmt.Sprintf("%.0fW", r.T0PowerW))
-	t.MustAddRow("T1 ε-constrained", fm(r.T1Desired, 0), fm(r.T1Desired, 1), fm(r.T1Desired, 2), fm(r.T1Desired, 3), "")
-	t.MustAddRow("T1 actual", fm(r.T1Actual, 0), fm(r.T1Actual, 1), fm(r.T1Actual, 2), fm(r.T1Actual, 3), fmt.Sprintf("%.0fW", r.T1PowerW))
+	t.addRow("T0 ε-constrained", fm(r.T0Desired, 0), fm(r.T0Desired, 1), fm(r.T0Desired, 2), fm(r.T0Desired, 3), "")
+	t.addRow("T0 actual", fm(r.T0Actual, 0), fm(r.T0Actual, 1), fm(r.T0Actual, 2), fm(r.T0Actual, 3), fmt.Sprintf("%.0fW", r.T0PowerW))
+	t.addRow("T1 ε-constrained", fm(r.T1Desired, 0), fm(r.T1Desired, 1), fm(r.T1Desired, 2), fm(r.T1Desired, 3), "")
+	t.addRow("T1 actual", fm(r.T1Actual, 0), fm(r.T1Actual, 1), fm(r.T1Actual, 2), fm(r.T1Actual, 3), fmt.Sprintf("%.0fW", r.T1PowerW))
 	out := t.String()
 	out += "T0 losses:"
 	for _, l := range r.T0Losses {
