@@ -17,8 +17,8 @@ import (
 // the injected latency jitter, giving a second, independent source of the
 // predictor noise studied in Table 2. Used for validation runs: a p630
 // quantum with one memory-bound job and three hot-idle CPUs costs about
-// 190 times the analytic one (73 µs against 0.38 µs on a 2-core Xeon,
-// go 1.24; docs/performance.md).
+// 200 times the analytic one (54.5 µs against 0.28 µs on a 2-core Xeon,
+// go 1.24; docs/performance.md, section "paper-suite").
 
 // mcBlock is the instruction block sharing one draw.
 const mcBlock = 4096

@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkSoakBatch is one bench/ soak-mix operation on one worker: 75
 // cluster + 30 farm + 15 DES scenarios under the default checker suite.
-// It exists to be profiled (docs/performance.md, "soak-mix"):
+// It exists to be profiled (docs/performance.md, section "soak-mix"):
 //
 //	go test -run '^$' -bench SoakBatch -benchtime 20x -cpuprofile cpu.out -memprofile mem.out ./internal/scenario/
 func BenchmarkSoakBatch(b *testing.B) {
