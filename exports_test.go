@@ -65,6 +65,7 @@ var unusedAllow = map[string]string{
 	"internal/serve.Station.QueueLen":             "bench-pinned (bench/probes.go); goes with ROADMAP 1's bench work",
 	"internal/machine.Config.MeterNoiseSigma":     "bench-pinned (bench/probes.go zeroes it); nothing reads it, and ROADMAP 1(a) drops the write",
 	"internal/machine.Machine.AdvanceStats":       "planned: ROADMAP 8(c) wires the fast-forward counts into obs",
+	"internal/cluster.Core.DemandCurveDesired":    "bench-pinned (bench/probes.go keeps 20 curves from one core); ROADMAP 1(b) moves the copy into bench/",
 }
 
 // stdlibInterfaces are the standard-library interfaces, "<import

@@ -32,7 +32,28 @@ type Node struct {
 	Name string
 	M    *machine.Machine
 
+	// sampler reads sampled, the machine it was built on. Step and
+	// DemandCurve build a new one when M has been swapped since
+	// (reprovisioned, reset).
 	sampler *counters.Sampler
+	sampled *machine.Machine
+}
+
+// buildSampler builds the node's counter sampler on its current machine,
+// which must run the cluster's quantum. The history holds the aggregation
+// window plus the most windows an RTT can hold in flight (each collected
+// window spans one quantum).
+func (n *Node) buildSampler(quantum float64, periods int) error {
+	if q := n.M.Config().Quantum; q != quantum {
+		return fmt.Errorf("cluster: node %s runs a %v s quantum, the cluster %v s: a cluster has one quantum",
+			n.Name, q, quantum)
+	}
+	s, err := counters.NewSampler(n.M, 4*periods+int(math.Ceil(rtt/quantum)))
+	if err != nil {
+		return err
+	}
+	n.sampler, n.sampled = s, n.M
+	return nil
 }
 
 // Validate checks the node.
@@ -94,12 +115,19 @@ type Coordinator struct {
 	source power.BudgetSource
 
 	pending []pendingActuation
-	// last is the latest global pass, nil before the first; the
+	// last is the latest global pass, valid once ran is set; the
 	// coordinator keeps no older pass.
-	last *Decision
-	// clock is the cluster's simulated time, one machine quantum per Step;
-	// cadence answers whether the Step's collection is the n-th, which
-	// makes a scheduling pass due.
+	last Decision
+	ran  bool
+	// inputs and obs are the pass inputs buildInputs refills on every
+	// call: each observed input's Obs points into obs.
+	inputs []ProcInput
+	obs    []perfmodel.Observation
+	// quantum is the dispatch quantum every node's machine runs; clock is
+	// the cluster's simulated time, one quantum per Step; cadence answers
+	// whether the Step's collection is the n-th, which makes a scheduling
+	// pass due.
+	quantum float64
 	clock   engine.SimClock
 	cadence engine.Cadence
 	// beforeQuantum/afterQuantum bracket the lockstep machine stepping —
@@ -131,17 +159,9 @@ func New(cfg fvsst.Config, budget units.Power, nodes ...*Node) (*Coordinator, er
 	}
 	quantum := nodes[0].M.Config().Quantum
 	for _, n := range nodes {
-		if q := n.M.Config().Quantum; q != quantum {
-			return nil, fmt.Errorf("cluster: node %s runs a %v s quantum, node %s %v s: a cluster has one quantum",
-				n.Name, q, nodes[0].Name, quantum)
-		}
-		// History capacity: the aggregation window plus the most windows an
-		// RTT can hold in flight (each collected window spans one quantum).
-		sampler, err := counters.NewSampler(n.M, 4*cfg.SchedulePeriods+int(math.Ceil(rtt/quantum)))
-		if err != nil {
+		if err := n.buildSampler(quantum, cfg.SchedulePeriods); err != nil {
 			return nil, err
 		}
-		n.sampler = sampler
 	}
 	cadence, err := engine.NewCadence(cfg.SchedulePeriods)
 	if err != nil {
@@ -152,6 +172,7 @@ func New(cfg fvsst.Config, budget units.Power, nodes ...*Node) (*Coordinator, er
 		core:    core,
 		nodes:   nodes,
 		budget:  budget,
+		quantum: quantum,
 		clock:   *engine.NewSimClock(quantum),
 		cadence: cadence,
 	}, nil
@@ -194,20 +215,25 @@ func (c *Coordinator) TotalCPUPower() units.Power {
 	return sum
 }
 
-// procs enumerates every processor in the cluster in (node, cpu) order.
-func (c *Coordinator) procs() []ProcRef {
-	var out []ProcRef
-	for ni, n := range c.nodes {
-		for cpu := 0; cpu < n.M.NumCPUs(); cpu++ {
-			out = append(out, ProcRef{Node: ni, CPU: cpu})
+// resample gives every node whose machine was swapped since its sampler
+// was built a sampler on the new machine, which is read from then on.
+func (c *Coordinator) resample() error {
+	for _, n := range c.nodes {
+		if n.M != n.sampled {
+			if err := n.buildSampler(c.quantum, c.cfg.SchedulePeriods); err != nil {
+				return err
+			}
 		}
 	}
-	return out
+	return nil
 }
 
 // Step advances every node by one dispatch quantum and runs the
 // coordinator's collect/schedule protocol.
 func (c *Coordinator) Step() error {
+	if err := c.resample(); err != nil {
+		return err
+	}
 	// Budget change trigger.
 	want := c.budget
 	if c.source != nil {
@@ -296,33 +322,50 @@ func (c *Coordinator) observation(p ProcRef) (perfmodel.Observation, bool) {
 	return perfmodel.ObservationFrom(agg)
 }
 
-// buildInputs assembles the per-processor inputs a global pass sees: the
-// idle signal and the RTT-stale counter observations. Shared by schedule
-// and DemandCurve so the farm allocator prices exactly the state the next
-// pass would schedule from.
-func (c *Coordinator) buildInputs() ([]ProcRef, []ProcInput) {
-	procs := c.procs()
-	inputs := make([]ProcInput, len(procs))
-	for i, p := range procs {
-		n := c.nodes[p.Node]
-		in := ProcInput{Proc: p, Node: n.Name}
-		if c.cfg.UseIdleSignal && n.M.IsIdle(p.CPU) {
-			in.Idle = true
-		} else if o, ok := c.observation(p); ok {
-			o := o
-			in.Obs = &o
-		}
-		inputs[i] = in
+// buildInputs assembles the per-processor inputs a global pass sees, in
+// (node, cpu) order: the idle signal and the RTT-stale counter
+// observations. Shared by schedule and DemandCurve so the farm allocator
+// prices exactly the state the next pass would schedule from. The inputs
+// live in the coordinator's buffers until its next call; the processors
+// are enumerated afresh each time, since a swapped machine may have
+// another CPU count.
+func (c *Coordinator) buildInputs() []ProcInput {
+	cpus := 0
+	for _, n := range c.nodes {
+		cpus += n.M.NumCPUs()
 	}
-	return procs, inputs
+	// Sized before the first pointer into it is taken: no append may move it.
+	if cap(c.obs) < cpus {
+		c.obs = make([]perfmodel.Observation, cpus)
+	}
+	inputs := c.inputs[:0]
+	for ni, n := range c.nodes {
+		for cpu := 0; cpu < n.M.NumCPUs(); cpu++ {
+			p := ProcRef{Node: ni, CPU: cpu}
+			in := ProcInput{Proc: p, Node: n.Name}
+			if c.cfg.UseIdleSignal && n.M.IsIdle(cpu) {
+				in.Idle = true
+			} else if o, ok := c.observation(p); ok {
+				c.obs[len(inputs)] = o
+				in.Obs = &c.obs[len(inputs)]
+			}
+			inputs = append(inputs, in)
+		}
+	}
+	c.inputs = inputs
+	return inputs
 }
 
 // DemandCurve exports the cluster's current budget→predicted-loss curve
 // for the farm allocator, priced from the same stale observations the
-// next scheduling pass would use.
+// next scheduling pass would use. The curve lives on the coordinator's
+// scratch: it is valid until the coordinator's next Step, DemandCurve or
+// pass, and a caller that keeps it longer copies its points.
 func (c *Coordinator) DemandCurve() (farm.DemandCurve, error) {
-	_, inputs := c.buildInputs()
-	return c.core.DemandCurve(inputs)
+	if err := c.resample(); err != nil {
+		return farm.DemandCurve{}, err
+	}
+	return c.core.DemandCurve(c.buildInputs())
 }
 
 // FloorPower returns the aggregate table power with every processor at
@@ -340,39 +383,33 @@ func (c *Coordinator) FloorPower() units.Power {
 // schedule runs the shared global pass and dispatches RTT-delayed
 // actuations.
 func (c *Coordinator) schedule(trigger string) error {
-	procs, inputs := c.buildInputs()
+	inputs := c.buildInputs()
 	res, err := c.core.Schedule(inputs, c.budget)
 	if err != nil {
 		return err
 	}
-	for i, p := range procs {
-		n := c.nodes[p.Node]
+	for i, in := range inputs {
 		c.pending = append(c.pending, pendingActuation{
 			due:  c.clock.Now() + rtt,
-			proc: p,
+			proc: in.Proc,
 			f:    res.Assignments[i].Actual,
-			m:    n.M,
+			m:    c.nodes[in.Proc.Node].M,
 		})
 	}
-	c.last = &Decision{
+	c.last, c.ran = Decision{
 		At:          c.clock.Now(),
 		Trigger:     trigger,
 		Budget:      c.budget,
 		TablePower:  res.TablePower,
 		BudgetMet:   res.BudgetMet,
 		Assignments: res.Assignments,
-	}
+	}, true
 	return nil
 }
 
 // LastDecision returns the most recent global pass, if any ran. Its slices
 // are that pass's own, valid after later passes; callers must not mutate them.
-func (c *Coordinator) LastDecision() (Decision, bool) {
-	if c.last == nil {
-		return Decision{}, false
-	}
-	return *c.last, true
-}
+func (c *Coordinator) LastDecision() (Decision, bool) { return c.last, c.ran }
 
 // TierSpec describes one tier of a classic three-tier deployment.
 type TierSpec struct {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -41,28 +42,44 @@ func cpuProg(instr uint64) workload.Program {
 	}}}
 }
 
+// busyMachine is a quiet machine running prog on CPU 0, the rest idle.
+func busyMachine(t *testing.T, prog workload.Program, seed int64) *machine.Machine {
+	t.Helper()
+	mcfg := quietMachineConfig()
+	mcfg.Seed = seed
+	m, err := machine.New(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := workload.NewMix(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetMix(0, mix); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// newTwoNodeCluster is one CPU-bound node and one memory-bound node.
 func newTwoNodeCluster(t *testing.T, budget units.Power) *Coordinator {
 	t.Helper()
-	mkNode := func(name string, prog workload.Program, seed int64) *Node {
-		mcfg := quietMachineConfig()
-		mcfg.Seed = seed
-		m, err := machine.New(mcfg)
-		if err != nil {
-			t.Fatal(err)
+	return newCluster(t, budget, 2)
+}
+
+// newCluster builds n nodes alternating CPU-bound and memory-bound
+// machines, each node with its own seed.
+func newCluster(t *testing.T, budget units.Power, n int) *Coordinator {
+	t.Helper()
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		prog := cpuProg(1e12)
+		if i%2 == 1 {
+			prog = memProg(1e12)
 		}
-		mix, err := workload.NewMix(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMix(0, mix); err != nil {
-			t.Fatal(err)
-		}
-		return &Node{Name: name, M: m}
+		nodes[i] = &Node{Name: fmt.Sprint("n", i), M: busyMachine(t, prog, int64(i+1))}
 	}
-	c, err := New(clusterConfig(), budget,
-		mkNode("app", cpuProg(1e12), 1),
-		mkNode("db", memProg(1e12), 2),
-	)
+	c, err := New(clusterConfig(), budget, nodes...)
 	if err != nil {
 		t.Fatal(err)
 	}

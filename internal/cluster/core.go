@@ -51,9 +51,10 @@ type PassResult struct {
 // assignments. Not safe for concurrent Schedule calls.
 //
 // A pass's outputs that callers only read before the next pass live in
-// the core's scratch: Schedule's Demotions and prediction columns, and
-// DemandCurveScratch's curve and desire. Schedule's Assignments are the
-// one per-pass allocation, since decision logs keep them.
+// the core's scratch: Schedule's Demotions and prediction columns, and the
+// curve and desire of DemandCurve and DemandCurveScratch. Schedule's
+// Assignments are the one per-pass allocation, since decision logs keep
+// them; DemandCurveDesired is the copying form of the curve.
 type Core struct {
 	cfg  fvsst.Config
 	pred perfmodel.Predictor
@@ -116,28 +117,30 @@ func (c *Core) begin(inputs []ProcInput) error {
 // ε-constrained desire, each further point applies one more least-loss
 // Step-2 demotion, and the last point is the floor with every processor
 // at the table minimum. Only the grid rows a scheduling pass fills anyway
-// are evaluated, so the curve costs no extra prediction work. The curve is
-// the caller's to keep.
+// are evaluated, so the curve costs no extra prediction work. The curve's
+// points are the core's scratch, valid until its next pass (Schedule,
+// UniformLoss or a demand curve); a caller that keeps them longer copies
+// them.
 func (c *Core) DemandCurve(inputs []ProcInput) (farm.DemandCurve, error) {
-	curve, _, err := c.DemandCurveDesired(inputs)
+	curve, _, err := c.DemandCurveScratch(inputs)
 	return curve, err
 }
 
-// DemandCurveDesired is DemandCurve plus a copy of the Step-1 desired
-// table index per processor — what a relay ships upward so a root
-// coordinator can replay the flat Step-2 arithmetic exactly
-// (farm.DivideLeastLossExact). Both are the caller's to keep, so one core
-// can price several processor sets side by side.
+// DemandCurveDesired is DemandCurveScratch copied: the curve and the
+// desire are the caller's to keep, so one core can price several
+// processor sets side by side.
 func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, error) {
 	curve, desired, err := c.DemandCurveScratch(inputs)
 	curve.Points = append([]farm.DemandPoint(nil), curve.Points...)
 	return curve, append([]int(nil), desired...), err
 }
 
-// DemandCurveScratch is DemandCurveDesired on the core's scratch: the
-// curve's points and the desire alias buffers the core reuses, valid until
-// its next pass (Schedule, UniformLoss or a demand curve). A caller that
-// keeps them longer copies them; the relay encodes them at once.
+// DemandCurveScratch is DemandCurve plus the Step-1 desired table index
+// per processor — what a relay ships upward so a root coordinator can
+// replay the flat Step-2 arithmetic exactly (farm.DivideLeastLossExact).
+// The curve's points and the desire alias buffers the core reuses, valid
+// until its next pass (Schedule, UniformLoss or a demand curve). A caller
+// that keeps them longer copies them; the relay encodes them at once.
 //
 // The curve has no selection rule of its own: fvsst.FitToBudgetGrid walks
 // the set to the floor once and the points replay its demotion list. Each

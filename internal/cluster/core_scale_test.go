@@ -90,3 +90,38 @@ func TestCoreScheduleAllocsFlat(t *testing.T) {
 		t.Errorf("allocations per pass: %v at 64 CPUs, %v at 2000; want equal", allocs[0], allocs[1])
 	}
 }
+
+// TestCoordinatorRoundAllocsFlat: a warm in-process round reuses the
+// coordinator's input and observation buffers and its core's curve
+// scratch. DemandCurve allocates nothing, and a timer pass allocates at
+// most the Assignments its decision keeps — the same count at 2 nodes as
+// at 8.
+func TestCoordinatorRoundAllocsFlat(t *testing.T) {
+	var passes [2]float64
+	for k, nodes := range []int{2, 8} {
+		c := newCluster(t, units.Watts(100*float64(nodes)), nodes)
+		if err := runUntil(c, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		curve := func() {
+			if _, err := c.DemandCurve(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pass := func() {
+			c.pending = c.pending[:0] // no Step delivers them here
+			if err := c.schedule("timer"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		curve() // warm the buffers
+		pass()
+		if n := testing.AllocsPerRun(50, curve); n != 0 {
+			t.Errorf("%d nodes: a warm DemandCurve allocates %v times, want 0", nodes, n)
+		}
+		passes[k] = testing.AllocsPerRun(50, pass)
+	}
+	if passes[0] != passes[1] || passes[1] > 2 {
+		t.Errorf("allocations per timer pass: %v at 2 nodes, %v at 8; want equal and at most 2", passes[0], passes[1])
+	}
+}

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/farm"
@@ -45,7 +48,7 @@ func TestDemandCurveMatchesSchedule(t *testing.T) {
 	if err := runUntil(c, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	_, inputs := c.buildInputs()
+	inputs := c.buildInputs()
 	curve := checkCurveIsWalk(t, c.core, inputs, 1)
 	for _, budget := range []units.Power{curve.Desired() + 10, 600, 300, 150, curve.Floor()} {
 		res, err := c.core.Schedule(inputs, budget)
@@ -189,7 +192,7 @@ func TestUniformLoss(t *testing.T) {
 	if err := runUntil(c, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	_, inputs := c.buildInputs()
+	inputs := c.buildInputs()
 	top := c.cfg.Table.Len() - 1
 	atTop, err := c.core.UniformLoss(inputs, top)
 	if err != nil {
@@ -210,5 +213,65 @@ func TestUniformLoss(t *testing.T) {
 	}
 	if _, err := c.core.UniformLoss(inputs, c.cfg.Table.Len()); err == nil {
 		t.Error("out-of-range index accepted")
+	}
+}
+
+// TestAllocatorRoundAliasedCurves: Coordinator.DemandCurve hands back a
+// curve on its core's scratch, and each member's curve lives on its own
+// core. The allocator reads the gathered curves only during Round, so a
+// Round over the aliased curves grants exactly what one over deep copies
+// does, leases included.
+func TestAllocatorRoundAliasedCurves(t *testing.T) {
+	coords := make([]*Coordinator, 3)
+	members := make([]farm.Member, len(coords))
+	var floors, desires units.Power
+	for i := range coords {
+		c := newCluster(t, units.Watts(900), i+1)
+		if err := runUntil(c, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		curve, err := c.DemandCurve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		coords[i] = c
+		members[i] = farm.Member{Name: fmt.Sprint("c", i), Floor: c.FloorPower()}
+		floors += curve.Floor()
+		desires += curve.Desired()
+	}
+	// Halfway between the floors and the desires: the allocator must demote.
+	budget := (floors + desires) / 2
+	round := func(gather func(i int) (farm.DemandCurve, error)) farm.Allocation {
+		t.Helper()
+		src, err := power.NewBudgetSchedule(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := farm.NewAllocator(farm.AllocatorConfig{
+			Source: src, Members: members, Periods: 10, LeaseTTL: 0.3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc, ran, err := a.Round(0, func(i int) (farm.DemandCurve, bool, error) {
+			curve, err := gather(i)
+			return curve, true, err
+		})
+		if err != nil || !ran {
+			t.Fatalf("round ran=%v err=%v", ran, err)
+		}
+		return alloc
+	}
+	aliased := round(func(i int) (farm.DemandCurve, error) { return coords[i].DemandCurve() })
+	copied := round(func(i int) (farm.DemandCurve, error) {
+		curve, err := coords[i].DemandCurve()
+		curve.Points = slices.Clone(curve.Points)
+		return curve, err
+	})
+	if !reflect.DeepEqual(aliased, copied) {
+		t.Errorf("aliased curves allocate\n%+v\ndeep copies\n%+v", aliased, copied)
+	}
+	if len(aliased.Leases) != len(coords) || !aliased.Met || aliased.Charged > budget || aliased.Charged >= desires {
+		t.Errorf("allocation %+v: want a met pass granting all %d members below their %v desire", aliased, len(coords), desires)
 	}
 }

@@ -78,3 +78,34 @@ func TestStaleWindowsMatchesQuantumRule(t *testing.T) {
 		t.Errorf("staleWindows = %d, want ⌈%v/%v⌉ = %d", got, rtt, q, want)
 	}
 }
+
+// A node's sampler reads the machine it was built on. After a swap, Step
+// samples the replacement: a busy CPU there has its own observation once
+// one aggregation window has cleared the RTT (plus the quantum that
+// primes the new sampler), instead of the old machine's last windows
+// standing in for it for good.
+func TestSwappedMachineIsSampled(t *testing.T) {
+	c := newTwoNodeCluster(t, units.Watts(200))
+	if err := runUntil(c, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	// The memory-bound db node becomes a CPU-bound one.
+	c.nodes[1].M = busyMachine(t, cpuProg(1e12), 99)
+	steps := c.cfg.SchedulePeriods + int(math.Ceil(rtt/c.quantum)) + 1
+	for range steps {
+		if err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, in := range c.buildInputs() {
+		if in.Proc != (ProcRef{Node: 1, CPU: 0}) {
+			continue
+		}
+		if in.Obs == nil {
+			t.Fatalf("swapped-in busy CPU unobserved after %d Steps", steps)
+		}
+		if d := in.Obs.Delta; d.Instructions == 0 || d.MemRefs != 0 {
+			t.Errorf("observation %+v is not the CPU-bound replacement's", d)
+		}
+	}
+}

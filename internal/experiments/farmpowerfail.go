@@ -294,8 +294,13 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 	// inputs assembles one cluster's ProcInputs from the samplers, over
 	// the same aggregation window the coordinators use (without their RTT
 	// staleness — the baseline sees fresher data than the real policies).
+	// Every call refills the same two buffers, which UniformLoss reads
+	// only during its call: each observed input's Obs points into obsBuf,
+	// sized for the whole farm so no cluster outgrows it.
+	var inBuf []cluster.ProcInput
+	obsBuf := make([]perfmodel.Observation, nProcs)
 	inputs := func(ci int) []cluster.ProcInput {
-		var out []cluster.ProcInput
+		inBuf = inBuf[:0]
 		for ni, n := range nodes {
 			if n.cluster != ci {
 				continue
@@ -305,12 +310,13 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 				if n.m.IsIdle(cpu) {
 					in.Idle = true
 				} else if o, ok := perfmodel.ObservationFrom(n.sampler.WindowAggregate(cpu, cfg.SchedulePeriods)); ok {
-					in.Obs = &o
+					obsBuf[len(inBuf)] = o
+					in.Obs = &obsBuf[len(inBuf)]
 				}
-				out = append(out, in)
+				inBuf = append(inBuf, in)
 			}
 		}
-		return out
+		return inBuf
 	}
 
 	out := FarmPolicyOutcome{

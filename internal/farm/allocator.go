@@ -199,7 +199,10 @@ func (a *Allocator) Charged(now float64) units.Power {
 // (ok == false: the member is unreachable and contributes no curve),
 // allocates, and installs every fresh lease in its member's Holder. The
 // returned bool reports whether a pass ran. A gather error comes back
-// naming the member, with no lease changed.
+// naming the member, with no lease changed. The allocator reads each
+// gathered curve only during the call, so a gather may hand back a curve
+// on its member's scratch, as cluster.Coordinator.DemandCurve does, as
+// long as no later gather of the same Round overwrites it.
 func (a *Allocator) Round(now float64, gather func(i int) (DemandCurve, bool, error)) (Allocation, bool, error) {
 	trigger := "initial"
 	if a.passID > 0 {
