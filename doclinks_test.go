@@ -1,19 +1,28 @@
 package repro_test
 
-// The documentation link guard. Every relative link in the root *.md
-// files and docs/*.md names a file that exists, every #fragment into a
-// .md file names one of its headings, and every Go comment that cites
-// docs/<name>.md names a file that exists. bench/README.md is not
-// scanned: it changes only with the benchmark.
+// The documentation guards. The link guard (TestDocLinksResolve): every
+// relative link in the root *.md files and docs/*.md names a file that
+// exists, every #fragment into a .md file names one of its headings, and
+// every Go comment that cites docs/<name>.md names a file that exists.
+// The identifier guard (TestDocIdentifiersResolve): every code name a
+// code span of those docs cites, outside fenced blocks and the planning
+// docs at the root, resolves against the type-checked module
+// (theModule), its test files or BENCHMARK.json's metrics. Neither scans
+// bench/README.md: it is the benchmark's own guide, and it changes only
+// with the benchmark.
 
 import (
+	"encoding/json"
+	"go/ast"
 	"go/scanner"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"net/url"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -135,15 +144,7 @@ func checkDocLinks(root string, docs []string) []string {
 // file, a #fragment that names no heading of its .md target, and a Go
 // comment that cites a docs/*.md page that does not exist.
 func TestDocLinksResolve(t *testing.T) {
-	var docs []string
-	for _, pattern := range []string{"*.md", "docs/*.md"} {
-		m, err := filepath.Glob(pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs = append(docs, m...)
-	}
-	for _, msg := range checkDocLinks(".", docs) {
+	for _, msg := range checkDocLinks(".", docFiles(t)) {
 		t.Error(msg)
 	}
 
@@ -220,6 +221,242 @@ func TestDocLinksChecker(t *testing.T) {
 		"A.md:12: docs/missing.md names no file",
 		"A.md:13: docs/b.md#step-2 names no heading of docs/b.md",
 		"A.md:14: #top-2 names no heading of A.md",
+	}, "\n")
+	if got != want {
+		t.Errorf("checker found\n%s\nwant\n%s", got, want)
+	}
+}
+
+var (
+	// chainRE matches a dotted chain of identifiers: pkg.Name,
+	// Type.Member, pkg.Type.Member, pkg.metric_name.
+	chainRE = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+`)
+	// testNameRE matches the name of a test, fuzz target or benchmark.
+	testNameRE = regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*$`)
+	// snakeRE matches a lower-case name such as a metric's.
+	snakeRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+	// fileNameRE matches a chain that is a file name, such as proto.go.
+	fileNameRE = regexp.MustCompile(`\.(?:go|md|json|jsonl|golden)$`)
+	// wordRE matches an identifier.
+	wordRE = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
+)
+
+// docIdents is what a code span in the docs may name: the module's
+// packages by name, its exported types by name, the test functions its
+// test files declare, and BENCHMARK.json's metrics.
+type docIdents struct {
+	pkgs    map[string]*types.Package
+	types   map[string][]*types.TypeName
+	tests   map[string]map[string]bool // test name → the package names declaring it
+	metrics map[string]bool
+}
+
+func newDocIdents(m *module, benchmarkJSON string) (*docIdents, error) {
+	d := &docIdents{pkgs: map[string]*types.Package{}, types: map[string][]*types.TypeName{},
+		tests: map[string]map[string]bool{}, metrics: map[string]bool{}}
+	for _, dir := range m.dirs {
+		pkg := m.pkgs[dir]
+		if pkg.Name() == "main" {
+			continue
+		}
+		d.pkgs[pkg.Name()] = pkg
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				d.types[name] = append(d.types[name], tn)
+			}
+		}
+	}
+	for _, f := range m.tests {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testNameRE.MatchString(fn.Name.Name) {
+				if d.tests[fn.Name.Name] == nil {
+					d.tests[fn.Name.Name] = map[string]bool{}
+				}
+				d.tests[fn.Name.Name][strings.TrimSuffix(f.Name.Name, "_test")] = true
+			}
+		}
+	}
+	b, err := os.ReadFile(benchmarkJSON)
+	if err != nil {
+		return nil, err
+	}
+	var spec struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(b, &spec); err != nil {
+		return nil, err
+	}
+	for _, metric := range append(spec.EndToEnd, spec.PerLayer...) {
+		d.metrics[metric.Name] = true
+	}
+	return d, nil
+}
+
+// check returns what is wrong with the dotted chain of names, or "" when
+// it resolves or does not start with a module package or exported type.
+func (d *docIdents) check(parts []string) string {
+	if pkg, ok := d.pkgs[parts[0]]; ok {
+		pkgName, name := parts[0], parts[1]
+		obj := pkg.Scope().Lookup(name)
+		switch {
+		case obj != nil:
+			return members(obj, parts[:2], parts[2:])
+		case len(parts) > 2: // the member's owner is missing
+		case d.metrics[pkgName+"."+name], d.tests[name][pkgName]:
+			return ""
+		case testNameRE.MatchString(name):
+			return "no test file of package " + pkgName + " declares " + name
+		case snakeRE.MatchString(name):
+			return "BENCHMARK.json has no such metric"
+		}
+		return "package " + pkgName + " declares no " + name
+	}
+	tns := d.types[parts[0]]
+	for _, tn := range tns {
+		if members(tn, parts[:1], parts[1:]) == "" {
+			return ""
+		}
+	}
+	if tns == nil {
+		return ""
+	}
+	return "no module type named " + parts[0] + " has it"
+}
+
+// members resolves each of rest as a field or method of the type of the
+// object before it, starting at obj, which prefix names.
+func members(obj types.Object, prefix, rest []string) string {
+	for i, name := range rest {
+		sel, _, _ := types.LookupFieldOrMethod(obj.Type(), true, obj.Pkg(), name)
+		if sel == nil {
+			return strings.Join(append(prefix, rest[:i]...), ".") + " has no field or method " + name
+		}
+		obj = sel
+	}
+	return ""
+}
+
+// checkDocIdentifiers returns one message per name in a code span of the
+// named docs, paths relative to root, that does not resolve: a chain that
+// starts with a module package or exported module type and names nothing
+// of it, a pkg.snake_name that is no metric of root's BENCHMARK.json, and
+// a Test, Fuzz or Benchmark function no test file declares. Fenced blocks
+// are not scanned.
+func checkDocIdentifiers(m *module, root string, docs []string) ([]string, error) {
+	d, err := newDocIdents(m, filepath.Join(root, "BENCHMARK.json"))
+	if err != nil {
+		return nil, err
+	}
+	var bad []string
+	for _, doc := range docs {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			return nil, err
+		}
+		prose := strings.Join(proseLines(string(src)), "\n")
+		for _, span := range codeSpanRE.FindAllStringIndex(prose, -1) {
+			code := prose[span[0]:span[1]]
+			where := func(at int) string {
+				return doc + ":" + strconv.Itoa(1+strings.Count(prose[:span[0]+at], "\n")) + ": "
+			}
+			for _, c := range chainRE.FindAllStringIndex(code, -1) {
+				chain := code[c[0]:c[1]]
+				if c[0] > 0 && strings.ContainsAny(code[c[0]-1:c[0]], "./-") || fileNameRE.MatchString(chain) {
+					continue // a path, a file, a flag or the tail of a longer chain
+				}
+				if problem := d.check(strings.Split(chain, ".")); problem != "" {
+					bad = append(bad, where(c[0])+chain+": "+problem)
+				}
+			}
+			for _, w := range wordRE.FindAllStringIndex(code, -1) {
+				name := code[w[0]:w[1]]
+				inChain := (w[0] > 0 && code[w[0]-1] == '.') || (w[1] < len(code) && code[w[1]] == '.')
+				if !inChain && testNameRE.MatchString(name) && d.tests[name] == nil {
+					bad = append(bad, where(w[0])+name+": no test file declares it")
+				}
+			}
+		}
+	}
+	return bad, nil
+}
+
+// docFiles returns the root *.md files and docs/*.md, less those named
+// in skip.
+func docFiles(t *testing.T, skip ...string) []string {
+	var docs []string
+	for _, pattern := range []string{"*.md", "docs/*.md"} {
+		m, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, doc := range m {
+			if !slices.Contains(skip, doc) {
+				docs = append(docs, doc)
+			}
+		}
+	}
+	return docs
+}
+
+// TestDocIdentifiersResolve fails on a code span in the docs that names a
+// declaration, field, method, metric or test the module does not have.
+func TestDocIdentifiersResolve(t *testing.T) {
+	m, err := theModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At the root only the docs that describe the code as it stands are
+	// checked; the planning docs name code that is gone or not yet written.
+	current := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md", "PAPERS.md", "SNIPPETS.md"}
+	docs := slices.DeleteFunc(docFiles(t), func(doc string) bool {
+		return filepath.Dir(doc) == "." && !slices.Contains(current, doc)
+	})
+	bad, err := checkDocIdentifiers(m, ".", docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range bad {
+		t.Error(msg)
+	}
+}
+
+// TestDocIdentifiersChecker runs the identifier checker against the real
+// module on a small doc set holding one good and one broken reference of
+// each form, and a broken one in a fenced block, which is not scanned.
+func TestDocIdentifiersChecker(t *testing.T) {
+	m, err := theModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	files := map[string]string{
+		"BENCHMARK.json": `{"end_to_end": [{"name": "op_ms_p50"}], "per_layer": [{"name": "cluster.budget_fill"}]}`,
+		"A.md": "`fvsst.FitToBudgetGrid` and `fvsst.NoSuch`\n" +
+			"`Machine.Step` and `Machine.NoSuch` and `x.NoSuch`\n" +
+			"`machine.Machine.Step()` and `machine.Machine.NoSuch`\n" +
+			"`cluster.budget_fill` and `cluster.no_such_metric` and `internal/fvsst/no_such.go` and `proto.go`\n" +
+			"`TestDocLinksChecker` and `TestNoSuch/sub`\n" +
+			"`invariant.FuzzStepTwoAgreement` and\n`invariant.FuzzNoSuch`\n" +
+			"```\n`fvsst.NoSuchInFence` TestNoSuchInFence\n```\n",
+	}
+	for name, text := range files {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad, err := checkDocIdentifiers(m, root, []string{"A.md"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(bad, "\n")
+	want := strings.Join([]string{
+		"A.md:1: fvsst.NoSuch: package fvsst declares no NoSuch",
+		"A.md:2: Machine.NoSuch: no module type named Machine has it",
+		"A.md:3: machine.Machine.NoSuch: machine.Machine has no field or method NoSuch",
+		"A.md:4: cluster.no_such_metric: BENCHMARK.json has no such metric",
+		"A.md:5: TestNoSuch: no test file declares it",
+		"A.md:7: invariant.FuzzNoSuch: no test file of package invariant declares FuzzNoSuch",
 	}, "\n")
 	if got != want {
 		t.Errorf("checker found\n%s\nwant\n%s", got, want)
