@@ -128,6 +128,44 @@ func TestSoakRejectsEmptySelection(t *testing.T) {
 	}
 }
 
+// TestSoakTraceRoundTrip: a sabotaged soak fails and prints one
+// "trace:" line per violating seed, naming a file in -dump-dir that
+// experiments report renders.
+func TestSoakTraceRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	var out strings.Builder
+	err := runSoak([]string{"-seeds", "4", "-diff", "0", "-farm", "0", "-des", "0", "-shrink", "0",
+		"-sabotage", "step2-invert", "-dump-dir", dir}, &out)
+	if err == nil {
+		t.Fatalf("sabotaged soak exited 0:\n%s", out.String())
+	}
+	var violating int
+	var traces []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "  cluster ") && strings.Contains(line, "violation(s)") {
+			violating++
+		}
+		if path, ok := strings.CutPrefix(line, "    trace: "); ok {
+			traces = append(traces, path)
+		}
+	}
+	if violating == 0 || len(traces) != violating {
+		t.Fatalf("%d violating seeds, %d trace lines; want one each:\n%s", violating, len(traces), out.String())
+	}
+	for _, path := range traces {
+		if filepath.Dir(path) != dir {
+			t.Fatalf("trace %s is outside -dump-dir %s", path, dir)
+		}
+		var rep strings.Builder
+		if err := runReport([]string{"-sections", "compliance", path}, &rep); err != nil {
+			t.Fatalf("report %s: %v", path, err)
+		}
+		if !strings.HasPrefix(rep.String(), "compliance\n") {
+			t.Fatalf("report %s rendered:\n%s", path, rep.String())
+		}
+	}
+}
+
 // TestOptGapCommand runs `experiments optgap -seeds 60 -max-gap 0.2` at
 // -parallel 4 and at -parallel 2: each rendering must equal the committed
 // golden, so the two equal each other. A -max-gap below the campaign's

@@ -21,7 +21,7 @@ func runReport(args []string, out io.Writer) error {
 	sectionsSpec := fs.String("sections", "all", "comma-separated report sections ("+strings.Join(obs.AllSections, ", ")+"; \"all\")")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "Usage: experiments report [flags] <trace.jsonl | ->\n\nRenders the energy & compliance ledger from a JSONL trace (fvsst-sim\nor fvsst-cluster -trace output). \"-\" reads the trace from stdin.\n\nFlags:\n")
+		fmt.Fprintf(fs.Output(), "Usage: experiments report [flags] <trace.jsonl | ->\n\nRenders the energy & compliance ledger from a JSONL trace (fvsst-sim\nor fvsst-cluster -trace output, or a soak -dump-dir trace). \"-\" reads the trace from stdin.\n\nFlags:\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

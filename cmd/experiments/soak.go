@@ -19,8 +19,10 @@ import (
 // (scenario.RunCluster, the one that ships); -des compares it byte for
 // byte with the per-quantum oracle. Exits nonzero on any
 // violation, divergence or error; failing cluster seeds are shrunk to a
-// minimal reproducer printed with the report. A negative count, or zero
-// scenarios of every kind, is an error: such a run checks nothing.
+// minimal reproducer printed with the report, and each one's JSONL trace
+// is written to -dump-dir as cluster-seed<N>.jsonl (its path printed on a
+// "trace:" line; experiments report renders it). A negative count, or
+// zero scenarios of every kind, is an error: such a run checks nothing.
 func runSoak(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("soak", flag.ExitOnError)
 	seeds := fs.Int("seeds", 25, "cluster invariant scenarios to run")
@@ -32,7 +34,7 @@ func runSoak(args []string, out io.Writer) error {
 	wall := fs.Duration("wall", 0, "wall-clock budget; jobs not started in time are marked skipped (0 = unbounded)")
 	sabotage := fs.String("sabotage", "", "inject a deliberate defect into cluster runs (step2-invert); the checkers must catch it")
 	shrink := fs.Int("shrink", 400, "max candidate runs when shrinking a failing cluster seed (0 = off)")
-	dumpDir := fs.String("dump-dir", os.TempDir(), "directory for flight-recorder snapshots of violating cluster seeds (empty = off)")
+	dumpDir := fs.String("dump-dir", os.TempDir(), "directory for the JSONL traces of violating cluster seeds (empty = off)")
 	jsonOut := fs.String("json", "", "write the full report as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -105,8 +107,11 @@ func runSoak(args []string, out io.Writer) error {
 			}
 			fmt.Fprintf(out, "    divergence r=%d: %s\n", d.Round, d.Detail)
 		}
-		if r.FlightDump != "" {
-			fmt.Fprintf(out, "    flight recorder: %s\n", r.FlightDump)
+		if r.Trace != "" {
+			fmt.Fprintf(out, "    trace: %s\n", r.Trace)
+		}
+		if r.TraceErr != "" {
+			fmt.Fprintf(out, "    trace not written: %s\n", r.TraceErr)
 		}
 		if r.Shrunk != nil {
 			data, _ := json.Marshal(r.Shrunk)

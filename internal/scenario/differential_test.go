@@ -1,8 +1,10 @@
 package scenario
 
 import (
-	"encoding/json"
 	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -117,51 +119,113 @@ func TestSoakSabotage(t *testing.T) {
 	if !shrunk {
 		t.Fatal("no failing seed carried a shrunk reproducer")
 	}
+	// With DumpDir empty no trace is written, not even to the working
+	// directory.
+	for _, r := range rep.Results {
+		if r.Trace != "" || r.TraceErr != "" {
+			t.Fatalf("seed %d wrote a trace with DumpDir empty: %q %q", r.Seed, r.Trace, r.TraceErr)
+		}
+	}
+	if m, _ := filepath.Glob("cluster-seed*.jsonl"); len(m) > 0 {
+		t.Fatalf("soak without DumpDir wrote %v", m)
+	}
 }
 
-// TestSoakFlightDump: with DumpDir set, every violating cluster seed
-// writes a flight-recorder snapshot whose ring still holds the violating
-// pass (a schedule event with the violation's pass ID).
-func TestSoakFlightDump(t *testing.T) {
+// TestSoakTraceDump: with DumpDir set, every violating cluster seed
+// writes cluster-seed<N>.jsonl, and nothing else lands in the directory.
+// Each trace replays through obs.ReplayJSONL and holds the whole run —
+// one schedule event per round, in order — so the last violation's pass
+// is there with a pass ID joining it to its span tree.
+func TestSoakTraceDump(t *testing.T) {
 	dir := t.TempDir()
 	rep := Soak(SoakConfig{Seeds: 4, Parallel: 2, Sabotage: SabotageStepTwoInvert, DumpDir: dir})
 	if rep.OK {
 		t.Fatal("sabotaged soak reported OK")
 	}
-	dumped := 0
+	var want []string
 	for _, r := range rep.Results {
 		if len(r.Violations) == 0 {
+			if r.Trace != "" {
+				t.Fatalf("passing seed %d wrote a trace", r.Seed)
+			}
 			continue
 		}
-		if r.FlightDump == "" {
-			t.Fatalf("violating seed %d has no flight dump", r.Seed)
+		if r.Trace == "" || r.TraceErr != "" {
+			t.Fatalf("violating seed %d has no trace (err %q)", r.Seed, r.TraceErr)
 		}
-		data, err := os.ReadFile(r.FlightDump)
+		want = append(want, filepath.Base(r.Trace))
+		f, err := os.Open(r.Trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var snap obs.FlightSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			t.Fatalf("seed %d dump: %v", r.Seed, err)
+		var log eventLog
+		_, err = obs.ReplayJSONL(f, &log)
+		f.Close()
+		if err != nil {
+			t.Fatalf("seed %d trace: %v", r.Seed, err)
 		}
-		// The ring keeps the most recent events, so at minimum the last
-		// violation's pass — matched by simulated time — must still be
-		// present, with a pass ID joining it to its span tree.
+		var passes []obs.Event
+		for _, e := range log.all() {
+			if e.Type == obs.EventSchedule {
+				passes = append(passes, e)
+			}
+		}
+		if len(passes) != r.Rounds {
+			t.Fatalf("seed %d trace holds %d schedule events, want one per round (%d)", r.Seed, len(passes), r.Rounds)
+		}
+		for i, e := range passes {
+			if e.PassID != uint64(i+1) {
+				t.Fatalf("seed %d: schedule event %d has pass ID %d, want %d", r.Seed, i, e.PassID, i+1)
+			}
+		}
 		last := r.Violations[len(r.Violations)-1]
 		found := false
-		for _, e := range snap.Events {
-			if e.Type == obs.EventSchedule && e.At == last.At && e.PassID > 0 {
+		for _, e := range passes {
+			if e.At == last.At && e.PassID > 0 {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Fatalf("seed %d dump is missing the violating pass at t=%v", r.Seed, last.At)
+			t.Fatalf("seed %d trace is missing the violating pass at t=%v", r.Seed, last.At)
 		}
-		dumped++
 	}
-	if dumped == 0 {
-		t.Fatal("no violating seed produced a flight dump")
+	if len(want) == 0 {
+		t.Fatal("no violating seed produced a trace")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("dump dir holds %v, want exactly the violating seeds' traces %v", got, want)
+	}
+}
+
+// TestSoakTraceDumpError: a trace that cannot be written is reported on
+// its seed, not dropped, and is no job error — the seed's violations
+// still count.
+func TestSoakTraceDumpError(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep := Soak(SoakConfig{Seeds: 2, Sabotage: SabotageStepTwoInvert, DumpDir: notDir})
+	if rep.Violations == 0 || rep.Errors != 0 {
+		t.Fatalf("got %d violations, %d errors; want violations and no errors", rep.Violations, rep.Errors)
+	}
+	for _, r := range rep.Results {
+		if len(r.Violations) == 0 {
+			continue
+		}
+		if r.Trace != "" || r.TraceErr == "" || r.Err != "" {
+			t.Fatalf("seed %d: trace %q, trace error %q, err %q; want only a trace error", r.Seed, r.Trace, r.TraceErr, r.Err)
+		}
 	}
 }
 

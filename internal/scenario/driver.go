@@ -40,8 +40,8 @@ type Options struct {
 	Sabotage string
 	// Sink, when set, receives the run's trace events: one schedule event
 	// and span tree per round plus per-node quantum power samples. The
-	// soak harness attaches an obs.FlightRecorder here so a violating
-	// seed ships its own post-mortem. Events never influence the
+	// soak harness re-runs a violating seed with a JSONL trace here, so
+	// it ships its own post-mortem. Events never influence the
 	// deterministic Text/Hash.
 	Sink obs.Sink
 	// MeasureGap solves every feasible pass exactly (internal/optimal)

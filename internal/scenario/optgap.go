@@ -66,7 +66,8 @@ func (s *OptGapStats) broken(n int, detail string) {
 	}
 }
 
-// Merge folds another run's stats into s (soak aggregation).
+// Merge folds another run's stats into s (a campaign's total over
+// its scenarios).
 func (s *OptGapStats) Merge(o OptGapStats) {
 	s.Passes += o.Passes
 	s.Skipped += o.Skipped

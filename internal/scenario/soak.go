@@ -2,7 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"time"
 
@@ -40,10 +40,10 @@ type SoakConfig struct {
 	// ShrinkMax caps candidate runs when shrinking a failing cluster seed
 	// to a minimal reproducer. 0 disables shrinking.
 	ShrinkMax int `json:"shrink_max,omitempty"`
-	// DumpDir, when set, receives a flight-recorder snapshot
-	// (flight-cluster-seed<N>.json) for every cluster seed whose invariant
-	// suite fires, so the violating pass ships with its recent event and
-	// series history. Empty disables dumps.
+	// DumpDir, when set, receives the JSONL trace
+	// (cluster-seed<N>.jsonl) of every cluster seed whose invariant suite
+	// fires, so the violating pass ships with the whole run's events.
+	// Empty disables dumps.
 	DumpDir string `json:"dump_dir,omitempty"`
 }
 
@@ -72,11 +72,13 @@ type SeedResult struct {
 	// Shrunk is the minimal reproducer found for a failing cluster seed.
 	Shrunk         *Spec `json:"shrunk,omitempty"`
 	ShrinkAttempts int   `json:"shrink_attempts,omitempty"`
-	// FlightDump is the path of the flight-recorder snapshot written for a
-	// violating cluster seed (DumpDir set).
-	FlightDump string `json:"flight_dump,omitempty"`
-	Skipped    bool   `json:"skipped,omitempty"`
-	Err        string `json:"err,omitempty"`
+	// Trace is the path of the JSONL trace written for a violating
+	// cluster seed (DumpDir set); TraceErr says why it could not be
+	// written. Neither is a job error: the violations stand either way.
+	Trace    string `json:"trace,omitempty"`
+	TraceErr string `json:"trace_err,omitempty"`
+	Skipped  bool   `json:"skipped,omitempty"`
+	Err      string `json:"err,omitempty"`
 }
 
 // SoakReport is the full campaign outcome, assembled in deterministic
@@ -171,19 +173,8 @@ func Soak(cfg SoakConfig) *SoakReport {
 func runClusterJob(res *SeedResult, cfg SoakConfig) {
 	spec := Generate(res.Seed)
 	opt := Options{Sabotage: cfg.Sabotage}
-	var rec *obs.FlightRecorder
-	if cfg.DumpDir != "" {
-		rec = obs.NewFlightRecorder(0, 0)
-		opt.Sink = rec
-	}
-	// The first run is checked and feeds the recorder; the replay is
-	// digest-only.
 	first, det := checkReplay(fmt.Sprintf("cluster seed %d", res.Seed), func(check bool) (*RunResult, error) {
-		o := opt
-		if !check {
-			o.Sink = nil
-		}
-		return runCluster(spec, o, false, check)
+		return runCluster(spec, opt, false, check)
 	})
 	if first == nil {
 		res.Err = det[0].Detail
@@ -191,16 +182,18 @@ func runClusterJob(res *SeedResult, cfg SoakConfig) {
 	}
 	res.Rounds, res.Hash = first.Rounds, first.Hash
 	res.Violations = append(first.Violations, det...)
-	if len(res.Violations) > 0 && rec != nil {
-		path := filepath.Join(cfg.DumpDir, fmt.Sprintf("flight-cluster-seed%d.json", res.Seed))
-		if f, err := os.Create(path); err == nil {
-			if err := rec.DumpJSON(f); err == nil {
-				res.FlightDump = path
-			}
-			f.Close()
+	if len(res.Violations) == 0 {
+		return
+	}
+	if cfg.DumpDir != "" {
+		path, err := dumpTrace(spec, opt, cfg.DumpDir)
+		if err != nil {
+			res.TraceErr = err.Error()
+		} else {
+			res.Trace = path
 		}
 	}
-	if len(res.Violations) == 0 || cfg.ShrinkMax <= 0 {
+	if cfg.ShrinkMax <= 0 {
 		return
 	}
 	fails := func(s Spec) bool {
@@ -209,6 +202,27 @@ func runClusterJob(res *SeedResult, cfg SoakConfig) {
 	}
 	shrunk, attempts := Shrink(spec, fails, cfg.ShrinkMax)
 	res.Shrunk, res.ShrinkAttempts = &shrunk, attempts
+}
+
+// dumpTrace re-runs a violating cluster seed digest-only with a JSONL
+// trace sink and returns the path of <dir>/cluster-seed<N>.jsonl. The
+// run is deterministic (checkReplay has just proved it), so the trace
+// holds the checked run's every round, the violating passes included.
+func dumpTrace(spec Spec, opt Options, dir string) (string, error) {
+	path := filepath.Join(dir, fmt.Sprintf("cluster-seed%d.jsonl", spec.Seed))
+	out, err := obs.OpenOutputs(io.Discard, nil, path, "", "")
+	if err != nil {
+		return "", err
+	}
+	defer out.Close()
+	opt.Sink = out.Trace()
+	if _, err := runCluster(spec, opt, false, false); err != nil {
+		return "", err
+	}
+	if err := out.Finish(); err != nil {
+		return "", err
+	}
+	return path, nil
 }
 
 // checkReplay is a cluster job's determinism check. It gets the checked
