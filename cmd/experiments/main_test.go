@@ -116,11 +116,14 @@ func TestRunRejectsBadSelection(t *testing.T) {
 
 // TestSoakRejectsEmptySelection: a negative count, or zero scenarios of
 // every kind, is an error before anything runs — such a soak checks
-// nothing and must not report that all invariants held.
+// nothing and must not report that all invariants held. So is a negative
+// -wall or -shrink, which would otherwise run unbounded or not shrink.
 func TestSoakRejectsEmptySelection(t *testing.T) {
 	for _, args := range [][]string{
 		{"-seeds", "-1", "-diff", "0", "-farm", "0", "-des", "0"},
 		{"-seeds", "0", "-diff", "0", "-farm", "0", "-des", "0"},
+		{"-seeds", "1", "-diff", "0", "-farm", "0", "-des", "0", "-wall", "-1s"},
+		{"-seeds", "1", "-diff", "0", "-farm", "0", "-des", "0", "-shrink", "-5"},
 	} {
 		if err := runSoak(args, io.Discard); err == nil {
 			t.Errorf("soak %s accepted", strings.Join(args, " "))

@@ -12,17 +12,19 @@ import (
 
 // runSoak drives the invariant soak harness: N random cluster scenarios
 // through the in-process mirror and the full invariant suite (each
-// replayed digest-only and compared for determinism), M differential scenarios
-// through both the in-process and networked stacks, K farm-layer
-// scenarios through the allocator contract checks, and D engine
-// differentials. The cluster scenarios run on the event-skipping engine
-// (scenario.RunCluster, the one that ships); -des compares it byte for
-// byte with the per-quantum oracle. Exits nonzero on any
-// violation, divergence or error; failing cluster seeds are shrunk to a
-// minimal reproducer printed with the report, and each one's JSONL trace
+// replayed digest-only and compared round by round with the checked run,
+// as -des compares the engines), M differential scenarios through both
+// the in-process and networked stacks, K farm-layer scenarios through the
+// allocator contract checks, and D engine differentials. The cluster
+// scenarios run on the event-skipping engine (scenario.RunCluster, the
+// one that ships); -des compares it byte for byte with the per-quantum
+// oracle. Exits nonzero on any violation, divergence or error; cluster
+// seeds whose invariant suite fires are shrunk to a minimal reproducer
+// printed with the report, and each violating cluster seed's JSONL trace
 // is written to -dump-dir as cluster-seed<N>.jsonl (its path printed on a
 // "trace:" line; experiments report renders it). A negative count, or
 // zero scenarios of every kind, is an error: such a run checks nothing.
+// So is a negative -wall or -shrink, which would mean unbounded or off.
 func runSoak(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("soak", flag.ExitOnError)
 	seeds := fs.Int("seeds", 25, "cluster invariant scenarios to run")
@@ -52,6 +54,12 @@ func runSoak(args []string, out io.Writer) error {
 	}
 	if total == 0 {
 		return fmt.Errorf("-seeds, -diff, -farm and -des are all 0: no scenario selected")
+	}
+	if *wall < 0 {
+		return fmt.Errorf("-wall %v: a wall-clock budget cannot be negative", *wall)
+	}
+	if *shrink < 0 {
+		return fmt.Errorf("-shrink %d: a shrink budget cannot be negative", *shrink)
 	}
 
 	rep := scenario.Soak(scenario.SoakConfig{

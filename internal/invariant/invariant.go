@@ -15,9 +15,11 @@
 // Checkers implement Checker over a Pass snapshot (one scheduling pass);
 // Suite composes them and accumulates Violations. System-level predicates
 // that do not fit the pass shape — the transport budget ledger, the farm
-// allocator's lease conservation, lease-holder floor safety, determinism
-// — are plain functions returning the same Violation type, so a harness
-// can funnel everything through one Suite via Report.
+// allocator's lease conservation, lease-holder floor safety — are plain
+// functions returning the same Violation type, so a harness can funnel
+// everything through one Suite via Report. Determinism is no predicate
+// over one run: the scenario harness compares two runs of a seed and
+// reports a mismatch as a "determinism" Violation.
 //
 // The catalogue of invariants, with formal statements and the paper
 // sections they come from, is docs/invariants.md.
@@ -87,7 +89,7 @@ func (s *Suite) Check(p *Pass) {
 }
 
 // Report funnels externally produced violations (ledger checks, farm
-// checks, determinism) into the suite's accounting.
+// checks) into the suite's accounting.
 func (s *Suite) Report(violations ...Violation) {
 	room := s.max - len(s.violations)
 	if room <= 0 {
@@ -104,41 +106,4 @@ func (s *Suite) Violations() []Violation {
 	out := make([]Violation, len(s.violations))
 	copy(out, s.violations)
 	return out
-}
-
-// CheckDeterminism runs the closure twice and demands byte-identical
-// output — the repo's seed-only determinism convention (one seed
-// reproduces the whole run, at any worker count, because runs share no
-// mutable state). A mismatch or error is reported as a "determinism"
-// violation.
-func CheckDeterminism(label string, run func() (string, error)) []Violation {
-	first, err := run()
-	if err != nil {
-		return []Violation{{Checker: "determinism", Detail: fmt.Sprintf("%s: first run failed: %v", label, err)}}
-	}
-	second, err := run()
-	if err != nil {
-		return []Violation{{Checker: "determinism", Detail: fmt.Sprintf("%s: second run failed: %v", label, err)}}
-	}
-	if first == second {
-		return nil
-	}
-	line := 1
-	n := len(first)
-	if len(second) < n {
-		n = len(second)
-	}
-	for i := 0; i < n; i++ {
-		if first[i] != second[i] {
-			break
-		}
-		if first[i] == '\n' {
-			line++
-		}
-	}
-	return []Violation{{
-		Checker: "determinism",
-		Detail: fmt.Sprintf("%s: replay diverged at line %d (%d vs %d bytes)",
-			label, line, len(first), len(second)),
-	}}
 }

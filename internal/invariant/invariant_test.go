@@ -1,7 +1,6 @@
 package invariant_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -284,37 +283,6 @@ func TestSuiteAdd(t *testing.T) {
 	s.Check(p)
 	if n := len(s.Violations()); n != 1 {
 		t.Fatalf("added checker did not run: %d violations", n)
-	}
-}
-
-func TestCheckDeterminism(t *testing.T) {
-	if vs := invariant.CheckDeterminism("ok", func() (string, error) { return "a\nb\n", nil }); len(vs) != 0 {
-		t.Fatalf("identical runs flagged: %v", vs)
-	}
-	calls := 0
-	vs := invariant.CheckDeterminism("flip", func() (string, error) {
-		calls++
-		if calls == 1 {
-			return "a\nb\nc\n", nil
-		}
-		return "a\nb\nX\n", nil
-	})
-	if len(vs) != 1 || !strings.Contains(vs[0].Detail, "line 3") {
-		t.Fatalf("divergence line wrong: %v", vs)
-	}
-	if vs := invariant.CheckDeterminism("err1", func() (string, error) { return "", errors.New("boom") }); len(vs) != 1 {
-		t.Fatalf("first-run error not reported: %v", vs)
-	}
-	calls = 0
-	vs = invariant.CheckDeterminism("err2", func() (string, error) {
-		calls++
-		if calls == 1 {
-			return "fine", nil
-		}
-		return "", errors.New("boom")
-	})
-	if len(vs) != 1 || !strings.Contains(vs[0].Detail, "second run") {
-		t.Fatalf("second-run error not reported: %v", vs)
 	}
 }
 

@@ -60,11 +60,11 @@ func (n *nodeRun) roundSkippable(periods int) bool {
 
 // RunDESDifferential runs the scenario stepped quantum by quantum (the
 // reference arm) and through RunCluster (the event engine that ships) and
-// compares round by round. No allowance is made for faults, UPS or
-// serving — the engine must reproduce all of them exactly, so every
-// differing round is a divergence, and the two hashes must match too.
-// Only the shipped arm runs the invariant suite; the reference arm is
-// digest-only, and a round whose checker inputs differ is a divergence.
+// compares them with diffClusterRuns. No allowance is made for faults,
+// UPS or serving — the engine must reproduce all of them exactly, so
+// every differing round is a divergence. Only the shipped arm runs the
+// invariant suite and is hashed; the reference arm is digest-only, and a
+// round whose checker inputs differ is a divergence.
 func RunDESDifferential(spec Spec, opt Options) (*DiffResult, error) {
 	ref, err := runCluster(spec, opt, true, false)
 	if err != nil {
@@ -74,17 +74,5 @@ func RunDESDifferential(spec Spec, opt Options) (*DiffResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: DES run: %w", err)
 	}
-	ref.renderLike(des)
-	return desDiff(spec, ref, des), nil
-}
-
-// desDiff compares the arms' rendered rounds, then, when those all agree,
-// their checker-input digests, naming the first round that differs.
-func desDiff(spec Spec, ref, des *RunResult) *DiffResult {
-	d := diffRuns(spec, ref, des, "quantum", "des", nil)
-	if r := firstDigestDiff(ref, des); r >= 0 && d.Equivalent {
-		d.Divergences = append(d.Divergences, Divergence{Round: r, Detail: "quantum and des fed the checkers different inputs"})
-	}
-	d.Equivalent = len(d.Divergences) == 0 && ref.Hash == des.Hash
-	return d
+	return diffClusterRuns(spec, ref, des, "quantum", "des"), nil
 }

@@ -42,7 +42,7 @@ type Options struct {
 	// and span tree per round plus per-node quantum power samples. The
 	// soak harness re-runs a violating seed with a JSONL trace here, so
 	// it ships its own post-mortem. Events never influence the
-	// deterministic Text/Hash.
+	// deterministic Hash.
 	Sink obs.Sink
 	// MeasureGap solves every feasible pass exactly (internal/optimal)
 	// and aggregates actual-vs-optimal loss into RunResult.Gap.
@@ -159,17 +159,6 @@ func sameFloat(x, y float64) bool {
 	return math.Float64bits(x) == math.Float64bits(y) || x != x && y != y
 }
 
-// textSize estimates a trace's rendered length from the widest lines
-// generated scenarios render (a header under 128 bytes, a proc or serve
-// line under 64), so render allocates its buffer once.
-func textSize(trace []RoundTrace) int {
-	n := 0
-	for _, r := range trace {
-		n += 128 + 64*(len(r.Procs)+len(r.Serve))
-	}
-	return n
-}
-
 func appendFloat(b []byte, key string, x float64) []byte {
 	return strconv.AppendFloat(append(b, key...), x, 'g', -1, 64)
 }
@@ -191,40 +180,33 @@ func appendBool(b []byte, key string, x bool) []byte {
 type RunResult struct {
 	Rounds     int                   `json:"rounds"`
 	Trace      []RoundTrace          `json:"-"`
-	Text       string                `json:"-"`
 	Hash       string                `json:"hash"`
 	Violations []invariant.Violation `json:"violations,omitempty"`
 	// MaxPassLatencyS is the slowest root pass in seconds (relay driver
-	// only); excluded from Text so it never perturbs trace hashes.
+	// only); outside the rendered trace, so it never perturbs Hash.
 	MaxPassLatencyS float64 `json:"max_pass_latency_s,omitempty"`
 	// Gap aggregates exact-comparator measurements when MeasureGap is on.
 	Gap *OptGapStats `json:"gap,omitempty"`
 
 	// digests[r] is the SHA-256 of every value the invariant suite reads
-	// in round r (runCluster only; see roundDigest). Outside Text and Hash.
+	// in round r (runCluster only; see roundDigest). Outside Hash.
 	digests [][sha256.Size]byte
+	// fingerprint is RunFarm's pass history, one line per reallocation
+	// pass, and Hash is taken over it. The farm job compares a replay's
+	// with it line by line.
+	fingerprint []byte
 }
 
-// render sets Text and Hash from the trace.
+// render sets Hash: the SHA-256 of the trace rendered by appendTo,
+// streamed a round at a time.
 func (res *RunResult) render() {
-	b := make([]byte, 0, textSize(res.Trace))
+	h := sha256.New()
+	var b []byte
 	for _, r := range res.Trace {
-		b = r.appendTo(b)
+		b = r.appendTo(b[:0])
+		h.Write(b)
 	}
-	res.Text = string(b)
-	sum := sha256.Sum256(b)
-	res.Hash = hex.EncodeToString(sum[:8])
-}
-
-// renderLike sets Text and Hash like render, but takes them from like
-// when every round equals like's: a digest-only run compared with a
-// rendered one pays for text only when the two differ.
-func (res *RunResult) renderLike(like *RunResult) {
-	if slices.EqualFunc(res.Trace, like.Trace, RoundTrace.equal) {
-		res.Text, res.Hash = like.Text, like.Hash
-		return
-	}
-	res.render()
+	res.Hash = hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // roundDigest accumulates one round's checker inputs in a fixed binary
@@ -327,6 +309,22 @@ func firstDigestDiff(a, b *RunResult) int {
 	return -1
 }
 
+// diffClusterRuns is the one comparison of two runCluster runs of a spec,
+// labelled la and lb: the soak's replay check and the quantum-vs-DES
+// differential both call it. It compares the rounds by value with
+// diffRuns, rendering only a round that differs, and when every round
+// agrees, the checker-input digests, reporting the first round whose
+// digest differs as a divergence too. Equal rounds render equal bytes,
+// so an equivalent pair also hashes equal.
+func diffClusterRuns(spec Spec, a, b *RunResult, la, lb string) *DiffResult {
+	d := diffRuns(spec, a, b, la, lb, nil)
+	if r := firstDigestDiff(a, b); r >= 0 && d.Equivalent {
+		d.Divergences = append(d.Divergences, Divergence{Round: r, Detail: la + " and " + lb + " fed the checkers different inputs"})
+		d.Equivalent = false
+	}
+	return d
+}
+
 // nodeRun is one node's live state inside the in-process driver.
 type nodeRun struct {
 	name     string
@@ -366,8 +364,8 @@ func RunCluster(spec Spec, opt Options) (*RunResult, error) {
 // the pass snapshot, the suite and Gap, and still records each
 // round's checker-input digest, so a caller that also ran the same spec
 // checked proves by comparing digests that this run would have been
-// judged the same. The result is not rendered: callers set Text and Hash
-// with render or renderLike.
+// judged the same. The result is not rendered: a caller that reports
+// Hash calls render.
 func runCluster(spec Spec, opt Options, stepped, check bool) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -140,8 +140,8 @@ func randomFarmCurve(rng *rand.Rand, floor units.Power) farm.DemandCurve {
 // reallocation pass through CheckAllocation, and at every quantum the
 // continuous conservation check (Σ charged ≤ source budget, through the
 // partition window and UPS decay) plus every holder's lease-floor
-// safety. The returned Text fingerprints every pass for determinism
-// checking.
+// safety. Hash is taken over a fingerprint of every pass, which the
+// soak's farm job compares with a replay's for determinism.
 func RunFarm(spec FarmSpec) (*RunResult, error) {
 	if len(spec.Members) == 0 || spec.Steps <= 0 {
 		return nil, fmt.Errorf("scenario: empty farm spec")
@@ -217,7 +217,7 @@ func RunFarm(spec FarmSpec) (*RunResult, error) {
 		}
 	}
 
-	res := &RunResult{Rounds: spec.Steps, Text: string(fp)}
+	res := &RunResult{Rounds: spec.Steps, fingerprint: fp}
 	sum := sha256.Sum256(fp)
 	res.Hash = hex.EncodeToString(sum[:8])
 	res.Violations = suite.Violations()

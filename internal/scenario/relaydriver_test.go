@@ -16,8 +16,8 @@ func TestCodecDifferentialFaultFree(t *testing.T) {
 		if !d.Equivalent {
 			t.Fatalf("seed %d diverged: %+v", seed, d.Divergences[0])
 		}
-		if d.Base.Text != d.Variant.Text {
-			t.Fatalf("seed %d: equivalent but full texts differ", seed)
+		if d.Base.Hash != d.Variant.Hash {
+			t.Fatalf("seed %d: equivalent but hashes differ", seed)
 		}
 		if len(d.Variant.Violations) != 0 {
 			t.Fatalf("seed %d: invariant violations on binary run", seed)
@@ -48,8 +48,8 @@ func TestCodecDifferentialFaulty(t *testing.T) {
 			t.Errorf("seed %d: %d rounds masked, %d differed under the mask; the codec differential masks none",
 				seed, d.FaultRounds, d.InWindowDiffs)
 		}
-		if d.Base.Text != d.Variant.Text {
-			t.Errorf("seed %d: full texts differ", seed)
+		if d.Base.Hash != d.Variant.Hash {
+			t.Errorf("seed %d: hashes differ", seed)
 		}
 	}
 	if tested < 4 {
@@ -70,8 +70,8 @@ func TestTierDifferential(t *testing.T) {
 		if !d.Equivalent {
 			t.Fatalf("seed %d diverged: %+v", seed, d.Divergences[0])
 		}
-		if d.Base.Text != d.Variant.Text {
-			t.Fatalf("seed %d: equivalent but full texts differ", seed)
+		if d.Base.Hash != d.Variant.Hash {
+			t.Fatalf("seed %d: equivalent but hashes differ", seed)
 		}
 		if d.Variant.MaxPassLatencyS <= 0 {
 			t.Fatalf("seed %d: relay run reported no pass latency", seed)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -96,13 +97,13 @@ type SoakReport struct {
 
 // Soak runs the campaign: cluster scenarios through the in-process
 // mirror plus the full invariant suite (then once more digest-only,
-// comparing every round's trace values and checker inputs with the
-// checked run's; text is rendered only to report a mismatch),
+// compared with the checked run as the DES differential compares its
+// arms: every round's trace values, then its checker inputs),
 // differential scenarios through both stacks, farm scenarios through the
-// allocator contract checks, and DES scenarios through the quantum-vs-DES
-// engine differential (RunCluster against its per-quantum reference,
-// comparing per-round trace values).
-// Failing cluster seeds are shrunk to minimal reproducers.
+// allocator contract checks (run twice, their pass histories compared),
+// and DES scenarios through the quantum-vs-DES engine differential
+// (RunCluster against its per-quantum reference). Cluster seeds whose
+// suite fires are shrunk to minimal reproducers.
 func Soak(cfg SoakConfig) *SoakReport {
 	start := time.Now()
 	base := cfg.BaseSeed
@@ -141,11 +142,11 @@ func Soak(cfg SoakConfig) *SoakReport {
 		}
 		switch j.kind {
 		case "cluster":
-			runClusterJob(&res, cfg)
+			runClusterJob(&res, cfg, runCluster)
 		case "diff":
 			runDiffJob(&res)
 		case "farm":
-			runFarmJob(&res)
+			runFarmJob(&res, RunFarm)
 		case "des":
 			runDESJob(&res)
 		}
@@ -170,18 +171,32 @@ func Soak(cfg SoakConfig) *SoakReport {
 	return rep
 }
 
-func runClusterJob(res *SeedResult, cfg SoakConfig) {
+// runClusterJob checks one cluster seed through run (runCluster, which
+// tests wrap to plant a fault): a checked run, then a digest-only replay.
+// A failed replay, and each round diffClusterRuns reports between the
+// two, is a determinism violation at that round's time. A seed with any
+// violation gets its trace dumped; one whose suite fired is also shrunk,
+// by a predicate that sees only the suite.
+func runClusterJob(res *SeedResult, cfg SoakConfig, run func(spec Spec, opt Options, stepped, check bool) (*RunResult, error)) {
 	spec := Generate(res.Seed)
 	opt := Options{Sabotage: cfg.Sabotage}
-	first, det := checkReplay(fmt.Sprintf("cluster seed %d", res.Seed), func(check bool) (*RunResult, error) {
-		return runCluster(spec, opt, false, check)
-	})
-	if first == nil {
-		res.Err = det[0].Detail
+	label := fmt.Sprintf("cluster seed %d", res.Seed)
+	first, err := run(spec, opt, false, true)
+	if err != nil {
+		res.Err = fmt.Sprintf("%s: first run failed: %v", label, err)
 		return
 	}
-	res.Rounds, res.Hash = first.Rounds, first.Hash
-	res.Violations = append(first.Violations, det...)
+	first.render()
+	res.Rounds, res.Hash, res.Violations = first.Rounds, first.Hash, first.Violations
+	if replay, err := run(spec, opt, false, false); err != nil {
+		res.Violations = append(res.Violations, invariant.Violation{Checker: "determinism",
+			Detail: fmt.Sprintf("%s: replay failed: %v", label, err)})
+	} else {
+		for _, d := range diffClusterRuns(spec, first, replay, "checked", "replay").Divergences {
+			res.Violations = append(res.Violations, invariant.Violation{Checker: "determinism", At: first.Trace[d.Round].At,
+				Detail: fmt.Sprintf("%s: round %d: %s", label, d.Round, d.Detail)})
+		}
+	}
 	if len(res.Violations) == 0 {
 		return
 	}
@@ -193,7 +208,7 @@ func runClusterJob(res *SeedResult, cfg SoakConfig) {
 			res.Trace = path
 		}
 	}
-	if cfg.ShrinkMax <= 0 {
+	if len(first.Violations) == 0 || cfg.ShrinkMax <= 0 {
 		return
 	}
 	fails := func(s Spec) bool {
@@ -205,8 +220,8 @@ func runClusterJob(res *SeedResult, cfg SoakConfig) {
 }
 
 // dumpTrace re-runs a violating cluster seed digest-only with a JSONL
-// trace sink and returns the path of <dir>/cluster-seed<N>.jsonl. The
-// run is deterministic (checkReplay has just proved it), so the trace
+// trace sink and returns the path of <dir>/cluster-seed<N>.jsonl. When
+// the replay matched the checked run, so does this run, and the trace
 // holds the checked run's every round, the violating passes included.
 func dumpTrace(spec Spec, opt Options, dir string) (string, error) {
 	path := filepath.Join(dir, fmt.Sprintf("cluster-seed%d.jsonl", spec.Seed))
@@ -225,57 +240,20 @@ func dumpTrace(spec Spec, opt Options, dir string) (string, error) {
 	return path, nil
 }
 
-// checkReplay is a cluster job's determinism check. It gets the checked
-// run from run(true) and renders it, then a digest-only replay from
-// run(false), and returns the checked run (nil if it failed) with any
-// violation: a failed run, a replay whose rounds differ from the checked
-// run's (rendered only then, so the detail names the first differing
-// line), or one that fed the checkers different inputs.
-func checkReplay(label string, run func(check bool) (*RunResult, error)) (*RunResult, []invariant.Violation) {
-	var runs []*RunResult
-	det := invariant.CheckDeterminism(label, func() (string, error) {
-		check := len(runs) == 0
-		r, err := run(check)
-		if err != nil {
-			return "", err
-		}
-		if check {
-			r.render()
-		} else {
-			r.renderLike(runs[0])
-		}
-		runs = append(runs, r)
-		return r.Text, nil
-	})
-	if len(runs) == 0 {
-		return nil, det
-	}
-	if len(det) == 0 {
-		det = replayDivergence(label, runs[0], runs[1])
-	}
-	return runs[0], det
-}
-
-// replayDivergence reports a determinism violation when a replay whose
-// text matched fed the checkers different inputs in some round.
-func replayDivergence(label string, first, replay *RunResult) []invariant.Violation {
-	r := firstDigestDiff(first, replay)
-	if r < 0 {
-		return nil
-	}
-	return []invariant.Violation{{Checker: "determinism",
-		Detail: fmt.Sprintf("%s: replay fed the checkers different inputs in round %d", label, r)}}
-}
-
 func runDiffJob(res *SeedResult) {
 	res.recordDiff(RunDifferential(Generate(res.Seed)))
 }
 
 // runDESJob runs one quantum-vs-DES engine differential. Any round
 // whose rendered trace differs is a divergence — the event engine has
-// no fault-window allowance.
+// no fault-window allowance. The job records the shipped arm's hash: the
+// reference arm is digest-only.
 func runDESJob(res *SeedResult) {
-	res.recordDiff(RunDESDifferential(Generate(res.Seed), Options{}))
+	d, err := RunDESDifferential(Generate(res.Seed), Options{})
+	res.recordDiff(d, err)
+	if err == nil {
+		res.Hash = d.Variant.Hash
+	}
 }
 
 // recordDiff fills res from one differential run, or its error.
@@ -293,21 +271,28 @@ func (res *SeedResult) recordDiff(d *DiffResult, err error) {
 	res.Divergences = d.Divergences
 }
 
-func runFarmJob(res *SeedResult) {
+// runFarmJob checks one farm seed through run (RunFarm, which tests
+// wrap to plant a fault) and runs it again: a failed replay, or one whose
+// pass history differs, is a determinism violation naming the first
+// differing line.
+func runFarmJob(res *SeedResult, run func(FarmSpec) (*RunResult, error)) {
 	spec := GenerateFarm(res.Seed)
-	var last *RunResult
-	det := invariant.CheckDeterminism(fmt.Sprintf("farm seed %d", res.Seed), func() (string, error) {
-		r, err := RunFarm(spec)
-		if err != nil {
-			return "", err
-		}
-		last = r
-		return r.Text, nil
-	})
-	if last == nil {
-		res.Err = det[0].Detail
+	label := fmt.Sprintf("farm seed %d", res.Seed)
+	first, err := run(spec)
+	if err != nil {
+		res.Err = fmt.Sprintf("%s: first run failed: %v", label, err)
 		return
 	}
-	res.Rounds, res.Hash = last.Rounds, last.Hash
-	res.Violations = append(last.Violations, det...)
+	res.Rounds, res.Hash, res.Violations = first.Rounds, first.Hash, first.Violations
+	replay, err := run(spec)
+	var detail string
+	switch {
+	case err != nil:
+		detail = fmt.Sprintf("replay failed: %v", err)
+	case !bytes.Equal(first.fingerprint, replay.fingerprint):
+		detail = "replay diverged: " + firstDiff(string(first.fingerprint), string(replay.fingerprint), "first", "replay")
+	default:
+		return
+	}
+	res.Violations = append(res.Violations, invariant.Violation{Checker: "determinism", Detail: label + ": " + detail})
 }
