@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 
 	"repro/internal/counters"
@@ -45,6 +46,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return fmt.Errorf("-scale %v: want a finite positive workload scale", *scale)
+	}
 	prog, err := workload.App(*app, workload.AppScale(*scale))
 	if err != nil {
 		return err
@@ -62,15 +66,8 @@ func run(args []string, out io.Writer) error {
 	mcfg := machine.P630Config()
 	mcfg.NumCPUs = 1
 	mcfg.Seed = *seed
-	m, err := machine.New(mcfg)
+	m, err := machine.New(mcfg, []workload.Program{prog})
 	if err != nil {
-		return err
-	}
-	mix, err := workload.NewMix(prog)
-	if err != nil {
-		return err
-	}
-	if err := m.SetMix(0, mix); err != nil {
 		return err
 	}
 	if err := m.SetFrequency(0, f); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -43,5 +44,20 @@ func TestCaptureRoundTrip(t *testing.T) {
 				t.Errorf("captured %d instructions, source ran %d: off by more than 5%%", got, want)
 			}
 		})
+	}
+}
+
+// TestRejectsBadScale: a -scale that is not finite and positive is an
+// error before anything runs, and no profile is written.
+func TestRejectsBadScale(t *testing.T) {
+	for _, s := range []string{"0", "-1", "NaN", "+Inf", "-Inf"} {
+		path := filepath.Join(t.TempDir(), "mcf.json")
+		err := run([]string{"-app", "mcf", "-scale", s, "-o", path}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale %s: err %v, want a -scale error", s, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("-scale %s wrote a profile (stat: %v)", s, err)
+		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -116,22 +117,17 @@ func buildAgents(o options, sink obs.Sink, pd *netcluster.PipeDialer) ([]*netclu
 		if o.cpus > 0 {
 			mcfg.NumCPUs = o.cpus
 		}
-		m, err := machine.New(mcfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		for cpu := 0; cpu < mcfg.NumCPUs; cpu++ {
+		progs := make([][]workload.Program, mcfg.NumCPUs)
+		for cpu := range progs {
 			prog, err := workload.App(apps[(i+cpu)%len(apps)], workload.AppScale(o.scale))
 			if err != nil {
 				return nil, nil, err
 			}
-			mix, err := workload.NewMix(prog)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := m.SetMix(cpu, mix); err != nil {
-				return nil, nil, err
-			}
+			progs[cpu] = []workload.Program{prog}
+		}
+		m, err := machine.New(mcfg, progs...)
+		if err != nil {
+			return nil, nil, err
 		}
 		name := fmt.Sprintf("node%d", i)
 		a, err := netcluster.NewAgent(netcluster.AgentConfig{
@@ -172,6 +168,16 @@ func run(o options, out io.Writer) (result, error) {
 		}
 	} else if o.partition >= o.nodes {
 		return res, fmt.Errorf("partition target %d out of range for %d nodes", o.partition, o.nodes)
+	}
+
+	if o.cpus < 0 {
+		return res, fmt.Errorf("-cpus %d must not be negative", o.cpus)
+	}
+	if !(o.duration > 0) || math.IsInf(o.duration, 1) {
+		return res, fmt.Errorf("-duration %v must be finite and positive", o.duration)
+	}
+	if !(o.scale > 0) || math.IsInf(o.scale, 1) {
+		return res, fmt.Errorf("-scale %v: want a finite positive workload scale", o.scale)
 	}
 
 	metrics := netcluster.NewMetrics()

@@ -368,4 +368,29 @@ func TestRunValidation(t *testing.T) {
 	if _, err := run(options{nodes: 2, partition: 5}, &strings.Builder{}); err == nil {
 		t.Error("out-of-range partition target accepted")
 	}
+	// A -duration that is not finite and positive (+Inf never ended), a
+	// -scale that is not (NaN ran 2⁶³ instructions a phase) and a
+	// negative -cpus (it fell back to 4) are refused before the trace is
+	// opened or any agent is built.
+	for _, args := range [][]string{
+		{"-duration", "0"}, {"-duration", "-1"}, {"-duration", "NaN"}, {"-duration", "+Inf"},
+		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}, {"-scale", "+Inf"}, {"-scale", "-Inf"},
+		{"-cpus", "-1"},
+	} {
+		fs := flag.NewFlagSet("fvsst-cluster", flag.ContinueOnError)
+		var o options
+		bindFlags(fs, &o)
+		tracePath := filepath.Join(t.TempDir(), "cluster.jsonl")
+		if err := fs.Parse(append(args, "-trace", tracePath)); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		_, err := run(o, &out)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%v: err %v, want a %s error; output:\n%s", args, err, args[0], out.String())
+		}
+		if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
+			t.Errorf("%v left a trace file (stat: %v)", args, err)
+		}
+	}
 }

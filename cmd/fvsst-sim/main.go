@@ -101,17 +101,17 @@ func run(args []string, out io.Writer) error {
 	if !(*duration > 0) || math.IsInf(*duration, 1) {
 		return fmt.Errorf("-duration %v must be finite and positive", *duration)
 	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return fmt.Errorf("-scale %v: want a finite positive workload scale", *scale)
+	}
 
 	mcfg := machine.P630Config()
 	mcfg.Seed = *seed
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return err
-	}
 	specs := strings.Split(*jobs, ",")
 	if len(specs) > mcfg.NumCPUs {
 		return fmt.Errorf("%d jobs for %d CPUs", len(specs), mcfg.NumCPUs)
 	}
+	progs := make([][]workload.Program, len(specs))
 	for cpu, spec := range specs {
 		spec = strings.TrimSpace(spec)
 		if spec == "idle" || spec == "" {
@@ -121,13 +121,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		mix, err := workload.NewMix(prog)
-		if err != nil {
-			return err
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			return err
-		}
+		progs[cpu] = []workload.Program{prog}
+	}
+	m, err := machine.New(mcfg, progs...)
+	if err != nil {
+		return err
 	}
 
 	cfg := fvsst.DefaultConfig()

@@ -168,3 +168,20 @@ func TestClosingBlockIsTheReport(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsBadScale: a -scale that is not finite and positive used to
+// run, a scale ≤ 0 silently as 1 and NaN or ±Inf as 2⁶³ instructions a
+// phase. run refuses it before it opens the trace.
+func TestRejectsBadScale(t *testing.T) {
+	for _, s := range []string{"0", "-1", "NaN", "+Inf", "-Inf"} {
+		tracePath := filepath.Join(t.TempDir(), "sim.jsonl")
+		var out strings.Builder
+		err := run([]string{"-scale", s, "-duration", "0.3", "-trace", tracePath}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale %s: err %v, want a -scale error; output:\n%s", s, err, out.String())
+		}
+		if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
+			t.Errorf("-scale %s left a trace file (stat: %v)", s, err)
+		}
+	}
+}

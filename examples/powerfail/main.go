@@ -28,24 +28,10 @@ const (
 )
 
 func buildMachine() (*machine.Machine, error) {
-	m, err := machine.New(machine.P630Config())
-	if err != nil {
-		return nil, err
-	}
 	// A diverse load: two CPU-bound, two memory-bound jobs.
-	jobs := []workload.Program{
-		workload.Gzip(0.5), workload.Gap(0.5), workload.Mcf(0.5), workload.Health(0.5),
-	}
-	for cpu, job := range jobs {
-		mix, err := workload.NewMix(job)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	return machine.New(machine.P630Config(),
+		[]workload.Program{workload.Gzip(0.5)}, []workload.Program{workload.Gap(0.5)},
+		[]workload.Program{workload.Mcf(0.5)}, []workload.Program{workload.Health(0.5)})
 }
 
 func run(informScheduler bool) error {

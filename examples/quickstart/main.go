@@ -16,18 +16,10 @@ import (
 
 func main() {
 	// The experimental platform of §7.1: 4×1 GHz Power4+, Table 1
-	// operating points, fetch throttling, hot idle.
-	m, err := machine.New(machine.P630Config())
+	// operating points, fetch throttling, hot idle. mcf (SPEC CPU2000)
+	// runs on CPU 3; CPUs 0–2 idle hot, as in §8.
+	m, err := machine.New(machine.P630Config(), nil, nil, nil, []workload.Program{workload.Mcf(0.5)})
 	if err != nil {
-		log.Fatal(err)
-	}
-
-	// mcf (SPEC CPU2000) on CPU 3; CPUs 0–2 idle hot, as in §8.
-	mix, err := workload.NewMix(workload.Mcf(0.5))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := m.SetMix(3, mix); err != nil {
 		log.Fatal(err)
 	}
 

@@ -67,6 +67,8 @@ var guards = []guard{
 		why: "a run's summary is the ledger's report: experiments report renders it from a trace, fvsst-sim prints its sections at exit, and no package keeps a second account"},
 	{callee: "repro/internal/fvsst.Scheduler.SetDecisionLogging",
 		why: "the scheduler keeps no pass history, so the switch is a no-op that only bench/ (which no guard scans) may still call"},
+	{callee: "repro/internal/machine.Machine.SetMix", allowed: []string{"internal/machine", "internal/serve"},
+		why: "a machine's programs are installed by machine.New; only a serving station installs cursors on a built machine"},
 	{decl: "ReplayCell", why: replayWhy},
 	{decl: "ReplayCells", why: replayWhy},
 }
@@ -234,7 +236,12 @@ func TestGuardsChecker(t *testing.T) {
 		"examples/phases/main.go":           "package main\n\ntype Recorder struct{}\n\nfunc main() { _ = new(Recorder) }\n",
 		"cmd/fvsst-sim/main.go": "package main\n\nimport (\n\t\"repro/internal/fvsst\"\n\t\"repro/internal/obs\"\n)\n\n" +
 			"func main() {\n\tobs.NewLedger()\n\tnew(fvsst.Scheduler).SetDecisionLogging(false)\n}\n",
-		"internal/machine/m.go":      "package machine\n\ntype M struct{}\n\nfunc (M) ReplayCell() {}\n",
+		"internal/machine/m.go": "package machine\n\ntype M struct{}\n\nfunc (M) ReplayCell() {}\n\n" +
+			"type Machine struct{}\n\nfunc (*Machine) SetMix() {}\n\nfunc idle(m *Machine) { m.SetMix() }\n",
+		"internal/serve/serve.go": "package serve\n\nimport \"repro/internal/machine\"\n\n" +
+			"func install(m *machine.Machine) { m.SetMix() }\n",
+		"internal/scenario/spec.go": "package scenario\n\nimport mc \"repro/internal/machine\"\n\n" +
+			"func build(m *mc.Machine) {\n\tset := m.SetMix\n\tset()\n}\n",
 		"internal/machine/m_test.go": "package machine\n\nfunc ReplayCells() {}\n",
 		"bench/run.go":               "package main\n\nimport \"net\"\n\nfunc main() { net.Pipe() }\n",
 	}
@@ -254,6 +261,7 @@ func TestGuardsChecker(t *testing.T) {
 		"internal/netcluster/relay.go:8:4: refers to net.Listen",
 		"internal/netcluster/relay.go:9:4: refers to net.Listener.Accept",
 		"internal/netcluster/trace_test.go:3:6: names Recorder",
+		"internal/scenario/spec.go:6:11: refers to repro/internal/machine.Machine.SetMix",
 	}
 	fset := token.NewFileSet()
 	var srcs []srcFile

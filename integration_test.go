@@ -29,29 +29,22 @@ func randomScenario(t *testing.T, seed int64) (*machine.Machine, *fvsst.Driver, 
 	rng := rand.New(rand.NewSource(seed))
 	mcfg := machine.P630Config()
 	mcfg.Seed = seed
-	m, err := machine.New(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	apps := []func(workload.AppScale) workload.Program{
 		workload.Gzip, workload.Gap, workload.Mcf, workload.Health,
 	}
-	for cpu := 0; cpu < m.NumCPUs(); cpu++ {
+	progs := make([][]workload.Program, mcfg.NumCPUs)
+	for cpu := range progs {
 		if rng.Intn(4) == 0 {
 			continue // leave idle
 		}
 		nJobs := 1 + rng.Intn(2)
-		var progs []workload.Program
 		for j := 0; j < nJobs; j++ {
-			progs = append(progs, apps[rng.Intn(len(apps))](workload.AppScale(0.05+0.1*rng.Float64())))
+			progs[cpu] = append(progs[cpu], apps[rng.Intn(len(apps))](workload.AppScale(0.05+0.1*rng.Float64())))
 		}
-		mix, err := workload.NewMix(progs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			t.Fatal(err)
-		}
+	}
+	m, err := machine.New(mcfg, progs...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg := fvsst.DefaultConfig()
 	cfg.UseIdleSignal = rng.Intn(2) == 0
@@ -227,18 +220,10 @@ func TestInformedSystemNeverCascades(t *testing.T) {
 		failAt := 0.2 + rng.Float64()
 		mcfg := machine.P630Config()
 		mcfg.Seed = seed
-		m, err := machine.New(mcfg)
+		gap := []workload.Program{workload.Gap(0.5)}
+		m, err := machine.New(mcfg, gap, gap, gap, gap)
 		if err != nil {
 			t.Fatal(err)
-		}
-		for cpu := 0; cpu < 4; cpu++ {
-			mix, err := workload.NewMix(workload.Gap(0.5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.SetMix(cpu, mix); err != nil {
-				t.Fatal(err)
-			}
 		}
 		s, err := fvsst.New(fvsst.DefaultConfig(), m, units.Watts(560))
 		if err != nil {
@@ -280,19 +265,11 @@ func TestSchedulersKeepNoPassHistory(t *testing.T) {
 		build func() (step func() error, last func() (float64, bool))
 	}{
 		{"fvsst.Scheduler", func() (func() error, func() (float64, bool)) {
-			m, err := machine.New(machine.P630Config())
+			m, err := machine.New(machine.P630Config(),
+				[]workload.Program{workload.Gzip(100)}, []workload.Program{workload.Gap(100)},
+				[]workload.Program{workload.Mcf(100)}, []workload.Program{workload.Health(100)})
 			if err != nil {
 				t.Fatal(err)
-			}
-			apps := []func(workload.AppScale) workload.Program{workload.Gzip, workload.Gap, workload.Mcf, workload.Health}
-			for cpu, app := range apps {
-				mix, err := workload.NewMix(app(100))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.SetMix(cpu, mix); err != nil {
-					t.Fatal(err)
-				}
 			}
 			s, err := fvsst.New(cfg, m, units.Watts(294))
 			if err != nil {

@@ -43,27 +43,17 @@ func TestSchedulerAndCoreAgree(t *testing.T) {
 func agreeRun(t *testing.T, ideal, idleSignal bool, seed int64, budget units.Power) {
 	mcfg := machine.P630Config()
 	mcfg.Seed = seed
-	m, err := machine.New(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cpuBound := workload.Phase{Name: "cpu", Alpha: 1.4, Instructions: 1e13}
 	memBound := workload.Phase{
 		Name: "mem", Alpha: 1.1, Instructions: 4e8,
 		Rates: memhier.AccessRates{L2PerInstr: 0.030, L3PerInstr: 0.006, MemPerInstr: 0.0186},
 	}
-	for cpu, p := range []workload.Program{
-		{Name: "cpu0", Phases: []workload.Phase{cpuBound}},
-		{Name: "cpu1", Phases: []workload.Phase{cpuBound}},
-		{Name: "turn2", Phases: []workload.Phase{memBound, cpuBound}},
-	} {
-		mix, err := workload.NewMix(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			t.Fatal(err)
-		}
+	m, err := machine.New(mcfg,
+		[]workload.Program{{Name: "cpu0", Phases: []workload.Phase{cpuBound}}},
+		[]workload.Program{{Name: "cpu1", Phases: []workload.Phase{cpuBound}}},
+		[]workload.Program{{Name: "turn2", Phases: []workload.Phase{memBound, cpuBound}}})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	cfg := fvsst.DefaultConfig()

@@ -411,61 +411,36 @@ func (c *Coordinator) schedule(trigger string) error {
 // are that pass's own, valid after later passes; callers must not mutate them.
 func (c *Coordinator) LastDecision() (Decision, bool) { return c.last, c.ran }
 
-// TierSpec describes one tier of a classic three-tier deployment.
-type TierSpec struct {
-	Name string
-	// Programs are assigned round-robin to the node's CPUs.
-	Programs []workload.Program
-}
-
-// NewTieredNode builds a node from a machine config and tier spec.
-func NewTieredNode(mcfg machine.Config, tier TierSpec) (*Node, error) {
-	mcfg.Name = tier.Name
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	for i, prog := range tier.Programs {
-		cpu := i % mcfg.NumCPUs
-		if existing := m.Mix(cpu); existing != nil {
-			if err := existing.Add(prog); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		mix, err := workload.NewMix(prog)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			return nil, err
-		}
-	}
-	return &Node{Name: tier.Name, M: m}, nil
-}
-
 // Tiered builds the paper's motivating cluster shape (§4.2: "some machines
 // run the web server, some the processing logic and some the database"):
 // a web node with light CPU work and idle capacity, an app node with
 // CPU-bound work, and a db node with memory-bound work. scale trades run
 // length for harness time.
 func Tiered(mcfg machine.Config, scale workload.AppScale) ([]*Node, error) {
-	web := TierSpec{Name: "web", Programs: []workload.Program{
-		workload.Gzip(scale), // static-content compression
-	}}
-	app := TierSpec{Name: "app", Programs: []workload.Program{
-		workload.Gap(scale), workload.Gzip(scale), workload.Gap(scale), workload.Gap(scale),
-	}}
-	db := TierSpec{Name: "db", Programs: []workload.Program{
-		workload.Mcf(scale), workload.Health(scale), workload.Mcf(scale), workload.Health(scale),
-	}}
+	tiers := []struct {
+		name     string
+		programs []workload.Program
+	}{
+		{"web", []workload.Program{workload.Gzip(scale)}}, // static-content compression
+		{"app", []workload.Program{workload.Gap(scale), workload.Gzip(scale), workload.Gap(scale), workload.Gap(scale)}},
+		{"db", []workload.Program{workload.Mcf(scale), workload.Health(scale), workload.Mcf(scale), workload.Health(scale)}},
+	}
+	if err := mcfg.Validate(); err != nil {
+		return nil, err
+	}
 	var nodes []*Node
-	for _, tier := range []TierSpec{web, app, db} {
-		n, err := NewTieredNode(mcfg, tier)
+	for _, tier := range tiers {
+		// The tier's programs go round-robin onto the node's CPUs.
+		progs := make([][]workload.Program, mcfg.NumCPUs)
+		for i, prog := range tier.programs {
+			progs[i%mcfg.NumCPUs] = append(progs[i%mcfg.NumCPUs], prog)
+		}
+		mcfg.Name = tier.name
+		m, err := machine.New(mcfg, progs...)
 		if err != nil {
 			return nil, err
 		}
-		nodes = append(nodes, n)
+		nodes = append(nodes, &Node{Name: tier.name, M: m})
 	}
 	return nodes, nil
 }

@@ -47,15 +47,8 @@ func busyMachine(t *testing.T, prog workload.Program, seed int64) *machine.Machi
 	t.Helper()
 	mcfg := quietMachineConfig()
 	mcfg.Seed = seed
-	m, err := machine.New(mcfg)
+	m, err := machine.New(mcfg, []workload.Program{prog})
 	if err != nil {
-		t.Fatal(err)
-	}
-	mix, err := workload.NewMix(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetMix(0, mix); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -268,9 +261,7 @@ func TestCompletionsAcrossNodes(t *testing.T) {
 	mkNode := func(name string, seed int64) *Node {
 		mcfg := quietMachineConfig()
 		mcfg.Seed = seed
-		m, _ := machine.New(mcfg)
-		mix, _ := workload.NewMix(cpuProg(5e8))
-		m.SetMix(0, mix)
+		m, _ := machine.New(mcfg, []workload.Program{cpuProg(5e8)})
 		return &Node{Name: name, M: m}
 	}
 	c, err := New(clusterConfig(), units.Watts(1120), mkNode("a", 1), mkNode("b", 2))

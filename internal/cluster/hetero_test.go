@@ -16,15 +16,8 @@ func TestHeterogeneousNodeSizes(t *testing.T) {
 		cfg := quietMachineConfig()
 		cfg.NumCPUs = cpus
 		cfg.Seed = seed
-		m, err := machine.New(cfg)
+		m, err := machine.New(cfg, []workload.Program{memProg(1e12)})
 		if err != nil {
-			t.Fatal(err)
-		}
-		mix, err := workload.NewMix(memProg(1e12))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMix(0, mix); err != nil {
 			t.Fatal(err)
 		}
 		return &Node{Name: name, M: m}
@@ -66,19 +59,12 @@ func TestLargerClusterScales(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cfg := quietMachineConfig()
 		cfg.Seed = int64(i + 1)
-		m, err := machine.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		prog := memProg(1e12)
 		if i%2 == 0 {
 			prog = cpuProg(1e12)
 		}
-		mix, err := workload.NewMix(prog)
+		m, err := machine.New(cfg, []workload.Program{prog})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMix(0, mix); err != nil {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, &Node{Name: string(rune('a' + i)), M: m})

@@ -8,36 +8,33 @@ import (
 	"repro/internal/workload"
 )
 
-func TestNewTieredNodeWrapsProgramsRoundRobin(t *testing.T) {
-	// Six programs on a 4-CPU node: CPUs 0 and 1 get two jobs each.
-	var progs []workload.Program
-	for i := 0; i < 6; i++ {
-		progs = append(progs, cpuProg(1e9))
-	}
-	n, err := NewTieredNode(quietMachineConfig(), TierSpec{
-		Name: "dense", Programs: progs,
-	})
+// TestTieredWrapsProgramsRoundRobin builds the three tiers on 2-CPU
+// nodes: a tier's programs go round-robin onto the CPUs, so web's one
+// program leaves CPU 1 idle and app and db put two jobs on each CPU.
+func TestTieredWrapsProgramsRoundRobin(t *testing.T) {
+	mcfg := quietMachineConfig()
+	mcfg.NumCPUs = 2
+	nodes, err := Tiered(mcfg, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJobs := []int{2, 2, 1, 1}
-	for cpu, want := range wantJobs {
-		mix := n.M.Mix(cpu)
-		if mix == nil {
-			t.Fatalf("cpu %d has no mix", cpu)
-		}
-		if got := len(mix.Jobs()); got != want {
-			t.Errorf("cpu %d jobs = %d, want %d", cpu, got, want)
-		}
+	want := map[string][]int{"web": {1, 0}, "app": {2, 2}, "db": {2, 2}}
+	if len(nodes) != len(want) {
+		t.Fatalf("%d nodes, want %d", len(nodes), len(want))
 	}
-}
-
-func TestNewTieredNodeRejectsBadProgram(t *testing.T) {
-	_, err := NewTieredNode(quietMachineConfig(), TierSpec{
-		Name: "bad", Programs: []workload.Program{{}},
-	})
-	if err == nil {
-		t.Error("invalid program accepted")
+	for _, n := range nodes {
+		if n.M.Config().Name != n.Name {
+			t.Errorf("node %s runs machine %q", n.Name, n.M.Config().Name)
+		}
+		for cpu, jobs := range want[n.Name] {
+			got := 0
+			if mix := n.M.Mix(cpu); mix != nil {
+				got = len(mix.Jobs())
+			}
+			if got != jobs {
+				t.Errorf("%s cpu %d jobs = %d, want %d", n.Name, cpu, got, jobs)
+			}
+		}
 	}
 }
 
@@ -81,13 +78,12 @@ func TestInvalidProgramErrorsOnEveryMixPath(t *testing.T) {
 			}
 			return m.Submit(workload.Schedule{{At: 0.5, CPU: 1, Program: p}})
 		}},
-		{"NewTieredNode/first program", func(t *testing.T, p workload.Program) error {
-			_, err := NewTieredNode(quietMachineConfig(), TierSpec{Name: "t", Programs: []workload.Program{p}})
+		{"machine.New/one program", func(t *testing.T, p workload.Program) error {
+			_, err := machine.New(quietMachineConfig(), nil, []workload.Program{p})
 			return err
 		}},
-		{"NewTieredNode/existing mix", func(t *testing.T, p workload.Program) error {
-			progs := []workload.Program{cpuProg(1e6), cpuProg(1e6), cpuProg(1e6), cpuProg(1e6), p}
-			_, err := NewTieredNode(quietMachineConfig(), TierSpec{Name: "t", Programs: progs})
+		{"machine.New/two programs on one CPU", func(t *testing.T, p workload.Program) error {
+			_, err := machine.New(quietMachineConfig(), []workload.Program{cpuProg(1e6), p})
 			return err
 		}},
 	}
@@ -103,12 +99,10 @@ func TestInvalidProgramErrorsOnEveryMixPath(t *testing.T) {
 }
 
 func TestCoordinatorAccessors(t *testing.T) {
-	m, err := machine.New(quietMachineConfig())
+	m, err := machine.New(quietMachineConfig(), []workload.Program{cpuProg(5e8)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix, _ := workload.NewMix(cpuProg(5e8))
-	m.SetMix(0, mix)
 	c, err := New(clusterConfig(), units.Watts(700), &Node{Name: "n", M: m})
 	if err != nil {
 		t.Fatal(err)

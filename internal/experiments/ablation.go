@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/fvsst"
+	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/power"
 	"repro/internal/units"
@@ -172,7 +173,7 @@ type AblationIdleReport struct {
 // AblationIdle runs the idle-detection study.
 func AblationIdle(o Options) (*AblationIdleReport, error) {
 	run := func(useSignal bool) (float64, uint64, error) {
-		m, err := newMachine(o.machineConfig(4), []workload.Program{workload.Gap(o.Scale)})
+		m, err := machine.New(o.machineConfig(4), []workload.Program{workload.Gap(o.Scale)})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/fvsst"
+	"repro/internal/machine"
 	"repro/internal/memhier"
 	"repro/internal/perfmodel"
 	"repro/internal/units"
@@ -80,7 +81,7 @@ func AblationMasking(o Options) (*AblationMaskingReport, error) {
 		progs = append(progs, memJob)
 	}
 
-	m, err := newMachine(o.machineConfig(1), progs)
+	m, err := machine.New(o.machineConfig(1), progs)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +171,7 @@ func AblationActuator(o Options) (*AblationActuatorReport, error) {
 		mcfg := o.machineConfig(1)
 		mcfg.ThrottleSteps = v.steps
 		mcfg.ThrottleSettle = v.settle
-		m, err := newMachine(mcfg, []workload.Program{workload.Gap(o.Scale)})
+		m, err := machine.New(mcfg, []workload.Program{workload.Gap(o.Scale)})
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +234,7 @@ func AblationEpsilon(o Options) (*AblationEpsilonReport, error) {
 	}
 	rep := &AblationEpsilonReport{}
 	for _, eps := range []float64{0.02, 0.05, 0.10, 0.15, 0.25} {
-		m, err := newMachine(o.machineConfig(1), []workload.Program{prog})
+		m, err := machine.New(o.machineConfig(1), []workload.Program{prog})
 		if err != nil {
 			return nil, err
 		}

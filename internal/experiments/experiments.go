@@ -45,29 +45,6 @@ func (o Options) machineConfig(numCPUs int) machine.Config {
 	return cfg
 }
 
-// newMachine builds a machine from cfg with each CPU's programs
-// installed: progs[cpu] runs as one round-robin mix on CPU cpu, and a CPU
-// with no programs starts idle.
-func newMachine(cfg machine.Config, progs ...[]workload.Program) (*machine.Machine, error) {
-	m, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for cpu, ps := range progs {
-		if len(ps) == 0 {
-			continue
-		}
-		mix, err := workload.NewMix(ps...)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
 // newDriver couples m with an fvsst scheduler under cfg at budget. The
 // studies of §8 run the prototype's fvsst.DefaultConfig (T = 100 ms,
 // t = 10 ms, ε = 5%, Table 1) with at most the field they vary changed.
@@ -170,7 +147,7 @@ func finished(m *machine.Machine, deadline float64) (runResult, error) {
 func (o Options) fvsstRun(numCPUs, cpu int, prog workload.Program, budget units.Power, rec *recorder, observe func(*machine.Machine), sink obs.Sink) (runResult, error) {
 	progs := make([][]workload.Program, cpu+1)
 	progs[cpu] = []workload.Program{prog}
-	m, err := newMachine(o.machineConfig(numCPUs), progs...)
+	m, err := machine.New(o.machineConfig(numCPUs), progs...)
 	if err != nil {
 		return runResult{}, err
 	}
@@ -234,7 +211,7 @@ func recordStep(rec *recorder, s *fvsst.Scheduler, cpu int) func(*machine.Machin
 // fixed frequency with no scheduler — the non-fvsst comparison system of
 // Table 3 and the frequency sweep of Figure 1.
 func (o Options) fixedRun(prog workload.Program, f units.Frequency) (runResult, error) {
-	m, err := newMachine(o.machineConfig(1), []workload.Program{prog})
+	m, err := machine.New(o.machineConfig(1), []workload.Program{prog})
 	if err != nil {
 		return runResult{}, err
 	}

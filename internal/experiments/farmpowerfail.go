@@ -95,7 +95,7 @@ func (o Options) farmNodes(spec farmClusterSpec) ([]*cluster.Node, error) {
 		mcfg := o.machineConfig(4)
 		mcfg.Seed = o.Seed + spec.seedOff + int64(j)
 		mcfg.Name = fmt.Sprintf("%s-%d", spec.name, j)
-		m, err := newMachine(mcfg, progs...)
+		m, err := machine.New(mcfg, progs...)
 		if err != nil {
 			return nil, err
 		}

@@ -76,7 +76,7 @@ type servingNode struct {
 // convention), web client cl from mcfg.Seed+streamOff+cl and the batch
 // client from mcfg.Seed+streamOff+50.
 func newServingNode(mcfg machine.Config, webClients int, webSpec, batchSpec string, streamOff int64) (servingNode, error) {
-	m, err := newMachine(mcfg)
+	m, err := machine.New(mcfg)
 	if err != nil {
 		return servingNode{}, err
 	}

@@ -60,7 +60,7 @@ type farmOutcome struct {
 }
 
 func (o Options) farmRun(managed bool, sched workload.Schedule, period, horizon float64) (farmOutcome, error) {
-	m, err := newMachine(o.machineConfig(4))
+	m, err := machine.New(o.machineConfig(4))
 	if err != nil {
 		return farmOutcome{}, err
 	}

@@ -13,24 +13,13 @@ import (
 // steady-state the allocation guarantees cover.
 func hotPathScheduler(tb testing.TB) (*machine.Machine, *Scheduler) {
 	tb.Helper()
-	m := quietMachine(tb)
 	// Big instruction budgets so no job completes during the measurement
 	// (completions append to the machine's completion log).
-	progs := []workload.Program{
-		cpuProgram("hot-cpu0", 1e15),
-		memProgram("hot-mem1", 1e15),
-		cpuProgram("hot-cpu2", 1e15),
-		memProgram("hot-mem3", 1e15),
-	}
-	for cpu, p := range progs {
-		mix, err := workload.NewMix(p)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	m := quietMachine(tb,
+		[]workload.Program{cpuProgram("hot-cpu0", 1e15)},
+		[]workload.Program{memProgram("hot-mem1", 1e15)},
+		[]workload.Program{cpuProgram("hot-cpu2", 1e15)},
+		[]workload.Program{memProgram("hot-mem3", 1e15)})
 	cfg := noOverheadConfig()
 	// A budget below 4×140 W keeps Step 2 busy so the measurement covers
 	// the demotion loop too.

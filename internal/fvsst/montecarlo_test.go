@@ -18,19 +18,12 @@ func TestSchedulerOverMonteCarloMachine(t *testing.T) {
 	cfg.MonteCarloExec = true
 	cfg.LatencyJitterSigma = 0
 	cfg.Contention = memhier.Contention{}
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix, err := workload.NewMix(workload.Program{Name: "mem", Phases: []workload.Phase{{
+	m, err := machine.New(cfg, nil, nil, nil, []workload.Program{{Name: "mem", Phases: []workload.Phase{{
 		Name: "m", Alpha: 1.1,
 		Rates:        memhier.AccessRates{L2PerInstr: 0.030, L3PerInstr: 0.006, MemPerInstr: 0.024},
 		Instructions: 1e12,
-	}}})
+	}}}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetMix(3, mix); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(noOverheadConfig(), m, units.Watts(560))

@@ -12,25 +12,8 @@ import (
 // benchSchedule measures one Schedule pass with the given sink attached —
 // the hot path the obs layer must not slow down when tracing is off.
 func benchSchedule(b *testing.B, sink obs.Sink) {
-	m := quietMachine(b)
-	for cpu := 0; cpu < 2; cpu++ {
-		mix, err := workload.NewMix(cpuProgram("cpu", 1e15))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for cpu := 2; cpu < 4; cpu++ {
-		mix, err := workload.NewMix(memProgram("mem", 1e15))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			b.Fatal(err)
-		}
-	}
+	cpu, mem := []workload.Program{cpuProgram("cpu", 1e15)}, []workload.Program{memProgram("mem", 1e15)}
+	m := quietMachine(b, cpu, cpu, mem, mem)
 	s, err := New(noOverheadConfig(), m, units.Watts(294))
 	if err != nil {
 		b.Fatal(err)

@@ -7,24 +7,13 @@ import (
 	"repro/internal/machine"
 	"repro/internal/power"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // loadedMachine builds the §2 motivating system with CPU-bound work on all
 // four processors, drawing the full 746 W.
 func loadedMachine(t *testing.T) *machine.Machine {
 	t.Helper()
-	m := quietMachine(t)
-	for cpu := 0; cpu < 4; cpu++ {
-		mix, err := workload.NewMix(cpuProgram("load", 1e12))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return m
+	return quietMachine(t, onEveryCPU(4, cpuProgram("load", 1e12))...)
 }
 
 // TestCascadeWithoutBudgetReduction replays §2 with a scheduler that never

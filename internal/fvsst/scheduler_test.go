@@ -11,18 +11,28 @@ import (
 	"repro/internal/workload"
 )
 
-// quietMachine returns a noise-free p630 for exact assertions.
-func quietMachine(t testing.TB) *machine.Machine {
+// quietMachine returns a noise-free p630 for exact assertions, running
+// progs[cpu] on each CPU as machine.New installs them.
+func quietMachine(t testing.TB, progs ...[]workload.Program) *machine.Machine {
 	t.Helper()
 	cfg := machine.P630Config()
 	cfg.LatencyJitterSigma = 0
 	cfg.Contention = memhier.Contention{}
 	cfg.ThrottleSettle = 0
-	m, err := machine.New(cfg)
+	m, err := machine.New(cfg, progs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// onEveryCPU lists prog alone on each of n CPUs, as machine.New takes it.
+func onEveryCPU(n int, prog workload.Program) [][]workload.Program {
+	progs := make([][]workload.Program, n)
+	for cpu := range progs {
+		progs[cpu] = []workload.Program{prog}
+	}
+	return progs
 }
 
 func noOverheadConfig() Config {
@@ -91,9 +101,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestSchedulerSaturatesMemoryBoundCPU(t *testing.T) {
-	m := quietMachine(t)
-	mix, _ := workload.NewMix(memProgram("mem", 1e12))
-	m.SetMix(3, mix)
+	m := quietMachine(t, nil, nil, nil, []workload.Program{memProgram("mem", 1e12)})
 	s, err := New(noOverheadConfig(), m, units.Watts(560))
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +131,7 @@ func TestSchedulerSaturatesMemoryBoundCPU(t *testing.T) {
 }
 
 func TestSchedulerKeepsCPUBoundAtMax(t *testing.T) {
-	m := quietMachine(t)
-	mix, _ := workload.NewMix(cpuProgram("cpu", 1e12))
-	m.SetMix(0, mix)
+	m := quietMachine(t, []workload.Program{cpuProgram("cpu", 1e12)})
 	s, err := New(noOverheadConfig(), m, units.Watts(560))
 	if err != nil {
 		t.Fatal(err)
@@ -141,11 +147,9 @@ func TestSchedulerKeepsCPUBoundAtMax(t *testing.T) {
 }
 
 func TestIdleSignalDropsIdleCPUsToMinimum(t *testing.T) {
-	m := quietMachine(t)
+	m := quietMachine(t, []workload.Program{cpuProgram("cpu", 1e12)})
 	cfg := noOverheadConfig()
 	cfg.UseIdleSignal = true
-	mix, _ := workload.NewMix(cpuProgram("cpu", 1e12))
-	m.SetMix(0, mix)
 	s, err := New(cfg, m, units.Watts(560))
 	if err != nil {
 		t.Fatal(err)
@@ -170,11 +174,7 @@ func TestIdleSignalDropsIdleCPUsToMinimum(t *testing.T) {
 }
 
 func TestBudgetChangeTriggersReschedule(t *testing.T) {
-	m := quietMachine(t)
-	for cpu := 0; cpu < 4; cpu++ {
-		mix, _ := workload.NewMix(cpuProgram("cpu", 1e12))
-		m.SetMix(cpu, mix)
-	}
+	m := quietMachine(t, onEveryCPU(4, cpuProgram("cpu", 1e12))...)
 	s, err := New(noOverheadConfig(), m, units.Watts(560))
 	if err != nil {
 		t.Fatal(err)
@@ -247,9 +247,7 @@ func TestInfeasibleBudgetFloorsAtMinimum(t *testing.T) {
 }
 
 func TestVoltageAssignmentsMonotoneWithFrequency(t *testing.T) {
-	m := quietMachine(t)
-	mix, _ := workload.NewMix(memProgram("mem", 1e12))
-	m.SetMix(0, mix)
+	m := quietMachine(t, []workload.Program{memProgram("mem", 1e12)})
 	s, err := New(noOverheadConfig(), m, units.Watts(560))
 	if err != nil {
 		t.Fatal(err)
@@ -274,11 +272,7 @@ func TestVoltageAssignmentsMonotoneWithFrequency(t *testing.T) {
 // 0, so its whole cost lands there and a busy CPU beside it loses nothing.
 func TestOverheadChargedToDaemonCPU(t *testing.T) {
 	run := func(oh Overhead) (cpu0, cpu1 uint64) {
-		m := quietMachine(t)
-		for cpu := 0; cpu < 2; cpu++ {
-			mix, _ := workload.NewMix(cpuProgram("cpu", 1e12))
-			m.SetMix(cpu, mix)
-		}
+		m := quietMachine(t, onEveryCPU(2, cpuProgram("cpu", 1e12))...)
 		cfg := noOverheadConfig()
 		cfg.Overhead = oh
 		s, err := New(cfg, m, units.Watts(560))
@@ -306,9 +300,7 @@ func TestOverheadChargedToDaemonCPU(t *testing.T) {
 }
 
 func TestIdealFrequencyModeEndToEnd(t *testing.T) {
-	m := quietMachine(t)
-	mix, _ := workload.NewMix(memProgram("mem", 1e12))
-	m.SetMix(3, mix)
+	m := quietMachine(t, nil, nil, nil, []workload.Program{memProgram("mem", 1e12)})
 	cfg := noOverheadConfig()
 	cfg.UseIdealFrequency = true
 	s, err := New(cfg, m, units.Watts(560))
@@ -330,9 +322,7 @@ func TestPredictedVersusObservedIPCClose(t *testing.T) {
 	// Table 2's premise: on steady phases the predictor's IPC matches the
 	// observed IPC closely. Compare prediction for the *current* frequency
 	// against the next window's observation.
-	m := quietMachine(t)
-	mix, _ := workload.NewMix(memProgram("mem", 1e12))
-	m.SetMix(3, mix)
+	m := quietMachine(t, nil, nil, nil, []workload.Program{memProgram("mem", 1e12)})
 	s, err := New(noOverheadConfig(), m, units.Watts(560))
 	if err != nil {
 		t.Fatal(err)

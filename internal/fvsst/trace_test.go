@@ -154,9 +154,7 @@ func TestDecisionString(t *testing.T) {
 // ledger, count one startup and one budget-change pass, and leave the
 // memory-bound CPU mostly in its saturation band.
 func TestLedgerResidencyEndToEnd(t *testing.T) {
-	m := quietMachine(t)
-	mix, _ := workload.NewMix(memProgram("mem", 1e12))
-	m.SetMix(3, mix)
+	m := quietMachine(t, nil, nil, nil, []workload.Program{memProgram("mem", 1e12)})
 	cfg := noOverheadConfig()
 	// Without the idle signal, the 294 W cap would make the three
 	// hot-idle CPUs compete with the benchmark and drive it to the floor

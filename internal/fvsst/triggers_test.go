@@ -13,18 +13,11 @@ import (
 // mid-period triggers an immediate "idle-transition" decision that parks
 // the processor, without waiting for the next timer pass.
 func TestIdleTransitionTrigger(t *testing.T) {
-	m := quietMachine(t)
 	// A job sized to finish at ≈0.23 s, i.e. mid-way between the timer
 	// passes at 0.2 and 0.3 s.
-	mix, err := workload.NewMix(workload.Program{Name: "short", Phases: []workload.Phase{
+	m := quietMachine(t, nil, nil, []workload.Program{{Name: "short", Phases: []workload.Phase{
 		{Name: "c", Alpha: 1.4, Instructions: 320e6},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetMix(2, mix); err != nil {
-		t.Fatal(err)
-	}
+	}}})
 	cfg := noOverheadConfig()
 	cfg.UseIdleSignal = true
 	s, err := New(cfg, m, units.Watts(560))
@@ -99,16 +92,9 @@ func TestTriggerAttribution(t *testing.T) {
 			// A job completing mid-period with the idle signal enabled.
 			name: "idle-transition", trigger: "idle-transition", until: 0.28,
 			setup: func(t *testing.T) (*Driver, *Scheduler) {
-				m := quietMachine(t)
-				mix, err := workload.NewMix(workload.Program{Name: "short", Phases: []workload.Phase{
+				m := quietMachine(t, nil, nil, []workload.Program{{Name: "short", Phases: []workload.Phase{
 					{Name: "c", Alpha: 1.4, Instructions: 320e6},
-				}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.SetMix(2, mix); err != nil {
-					t.Fatal(err)
-				}
+				}}})
 				cfg := noOverheadConfig()
 				cfg.UseIdleSignal = true
 				s, err := New(cfg, m, units.Watts(560))
@@ -171,16 +157,7 @@ func TestTriggerAttribution(t *testing.T) {
 // busyDriver couples a quiet machine running four long CPU-bound jobs
 // with a freshly built scheduler.
 func busyDriver(t *testing.T) (*Driver, *Scheduler) {
-	m := quietMachine(t)
-	for cpu := 0; cpu < 4; cpu++ {
-		mix, err := workload.NewMix(cpuProgram("cpu", 1e12))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			t.Fatal(err)
-		}
-	}
+	m := quietMachine(t, onEveryCPU(4, cpuProgram("cpu", 1e12))...)
 	s, err := New(noOverheadConfig(), m, units.Watts(560))
 	if err != nil {
 		t.Fatal(err)
@@ -192,11 +169,7 @@ func busyDriver(t *testing.T) (*Driver, *Scheduler) {
 // on the same quantum, the budget change is handled first (the safety-
 // critical ordering of Driver.Step).
 func TestBudgetChangePreemptsTimer(t *testing.T) {
-	m := quietMachine(t)
-	for cpu := 0; cpu < 4; cpu++ {
-		mix, _ := workload.NewMix(cpuProgram("cpu", 1e12))
-		m.SetMix(cpu, mix)
-	}
+	m := quietMachine(t, onEveryCPU(4, cpuProgram("cpu", 1e12))...)
 	s, err := New(noOverheadConfig(), m, units.Watts(560))
 	if err != nil {
 		t.Fatal(err)

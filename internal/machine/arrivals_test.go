@@ -69,20 +69,13 @@ func TestSubmitDeliversArrivalsOnTime(t *testing.T) {
 }
 
 func TestSubmitIntoRunningMix(t *testing.T) {
-	m := newQuiet(t)
-	mix, err := workload.NewMix(reqJob(1e9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetMix(0, mix); err != nil {
-		t.Fatal(err)
-	}
+	m := newQuiet(t, []workload.Program{reqJob(1e9)})
 	if err := m.Submit(workload.Schedule{{At: 0.02, CPU: 0, Program: reqJob(1e6)}}); err != nil {
 		t.Fatal(err)
 	}
 	runUntil(m, 0.5)
-	if len(mix.Jobs()) != 2 {
-		t.Errorf("mix jobs = %d, want 2 after arrival", len(mix.Jobs()))
+	if n := len(m.Mix(0).Jobs()); n != 2 {
+		t.Errorf("mix jobs = %d, want 2 after arrival", n)
 	}
 	// The short arrival completes while the long original keeps running.
 	done := 0
@@ -269,16 +262,9 @@ func TestAdmitArrivalsBoundsMix(t *testing.T) {
 // busy one (Mix.Add) is a *StepError, not a panic.
 func TestAdmitInvalidArrivalIsStepError(t *testing.T) {
 	for _, cpu := range []int{0, 1} {
-		m := newQuiet(t)
-		mix, err := workload.NewMix(reqJob(1e9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMix(1, mix); err != nil {
-			t.Fatal(err)
-		}
+		m := newQuiet(t, nil, []workload.Program{reqJob(1e9)})
 		m.arrivals = workload.Schedule{{At: 0, CPU: cpu, Program: workload.Program{Name: "bad"}}}
-		err = m.StepQuantum()
+		err := m.StepQuantum()
 		var se *StepError
 		if !errors.As(err, &se) || se.Op != "admit" {
 			t.Fatalf("cpu %d: StepQuantum = %v, want *StepError with Op \"admit\"", cpu, err)

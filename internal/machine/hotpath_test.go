@@ -12,23 +12,19 @@ import (
 // Noise stays on: the RNG draw is part of the steady-state step.
 func hotPathMachine(tb testing.TB) *Machine {
 	tb.Helper()
-	m, err := New(P630Config())
-	if err != nil {
-		tb.Fatal(err)
-	}
+	cfg := P630Config()
 	prog := workload.Program{Name: "endless", Phases: []workload.Phase{{
 		Name: "p", Alpha: 1.2,
 		Rates:        memhier.AccessRates{L2PerInstr: 0.02, L3PerInstr: 0.004, MemPerInstr: 0.01},
 		Instructions: 1e15,
 	}}}
-	for cpu := 0; cpu < m.NumCPUs(); cpu++ {
-		mix, err := workload.NewMix(prog)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			tb.Fatal(err)
-		}
+	progs := make([][]workload.Program, cfg.NumCPUs)
+	for cpu := range progs {
+		progs[cpu] = []workload.Program{prog}
+	}
+	m, err := New(cfg, progs...)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	runUntil(m, 20) // reach steady state
 	return m

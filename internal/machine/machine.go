@@ -196,11 +196,16 @@ type Machine struct {
 	adv AdvanceStats
 }
 
-// New builds a machine from the configuration. Every CPU starts at nominal
-// frequency running nothing (idle).
-func New(cfg Config) (*Machine, error) {
+// New builds a machine from the configuration with each CPU's programs
+// installed: progs[cpu] runs as one round-robin mix on CPU cpu, and a CPU
+// with no programs starts idle. Every CPU starts at nominal frequency.
+// More program lists than CPUs, or an invalid program, is an error.
+func New(cfg Config, progs ...[]workload.Program) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if len(progs) > cfg.NumCPUs {
+		return nil, fmt.Errorf("machine: %d program lists for %d CPUs", len(progs), cfg.NumCPUs)
 	}
 	m := &Machine{
 		cfg:   cfg,
@@ -213,6 +218,16 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.cpus = append(m.cpus, &cpu{throt: th, idleCursor: idleCur, idleNow: true})
+	}
+	for i, ps := range progs {
+		if len(ps) == 0 {
+			continue
+		}
+		mix, err := workload.NewMix(ps...)
+		if err != nil {
+			return nil, err
+		}
+		m.cpus[i].mix = mix
 	}
 	return m, nil
 }
@@ -237,8 +252,9 @@ func (m *Machine) ReadCounters(i int) (counters.Sample, error) {
 	return s, nil
 }
 
-// SetMix assigns the multiprogrammed workload of CPU i. A nil mix leaves
-// the CPU idle.
+// SetMix replaces the multiprogrammed workload of CPU i on a built
+// machine; New installs a machine's programs at construction. A nil mix
+// leaves the CPU idle.
 func (m *Machine) SetMix(i int, mix *workload.Mix) error {
 	if i < 0 || i >= len(m.cpus) {
 		return fmt.Errorf("machine: cpu %d out of range", i)

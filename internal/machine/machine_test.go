@@ -22,9 +22,9 @@ func quietConfig() Config {
 	return cfg
 }
 
-func newQuiet(t *testing.T) *Machine {
+func newQuiet(t *testing.T, progs ...[]workload.Program) *Machine {
 	t.Helper()
-	m, err := New(quietConfig())
+	m, err := New(quietConfig(), progs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +116,70 @@ func TestFreshMachineIdlesHotAtNominal(t *testing.T) {
 	}
 }
 
+// TestNewInstallsPrograms: a machine built with its programs steps
+// bit-identically to one built idle whose mixes are then installed with
+// SetMix; a CPU given no list, or an empty one, is idle; and more lists
+// than CPUs is an error.
+func TestNewInstallsPrograms(t *testing.T) {
+	cfg := P630Config() // full noise: jitter and contention draw
+	progs := [][]workload.Program{
+		{workload.Mcf(0.05), workload.Gzip(0.05)},
+		nil,
+		{workload.Gap(0.05)},
+	}
+	built, err := New(cfg, progs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cpu, ps := range progs {
+		if len(ps) == 0 {
+			continue
+		}
+		mix, err := workload.NewMix(ps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.SetMix(cpu, mix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cpu := range []int{1, 3} {
+		if built.Mix(cpu) != nil || !built.IsIdle(cpu) {
+			t.Errorf("cpu %d has no programs but is not idle", cpu)
+		}
+	}
+	if built.IsIdle(0) || built.IsIdle(2) {
+		t.Error("a CPU with programs reports idle")
+	}
+	for q := 0; q < 50; q++ {
+		if err := built.StepQuantum(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.StepQuantum(); err != nil {
+			t.Fatal(err)
+		}
+		for cpu := 0; cpu < cfg.NumCPUs; cpu++ {
+			a, _ := built.ReadCounters(cpu)
+			b, _ := ref.ReadCounters(cpu)
+			if a != b {
+				t.Fatalf("quantum %d cpu %d: counters %+v, SetMix reference %+v", q, cpu, a, b)
+			}
+		}
+		if built.Energy() != ref.Energy() || built.CPUEnergy() != ref.CPUEnergy() {
+			t.Fatalf("quantum %d: energy %v/%v, SetMix reference %v/%v",
+				q, built.Energy(), built.CPUEnergy(), ref.Energy(), ref.CPUEnergy())
+		}
+	}
+
+	if _, err := New(cfg, make([][]workload.Program, cfg.NumCPUs+1)...); err == nil {
+		t.Errorf("%d program lists for %d CPUs accepted", cfg.NumCPUs+1, cfg.NumCPUs)
+	}
+}
+
 func TestHaltingIdleCountsHaltedCycles(t *testing.T) {
 	cfg := quietConfig()
 	cfg.Idle = IdleHalt
@@ -137,17 +201,10 @@ func TestHaltingIdleCountsHaltedCycles(t *testing.T) {
 }
 
 func TestWorkloadExecutionMatchesAnalyticModel(t *testing.T) {
-	m := newQuiet(t)
 	// One CPU-bound job: α=2, no memory → 0.5 cycles/instr at any f.
 	// At 1 GHz for 1 s: 2e9 instructions.
 	prog := workload.Program{Name: "j", Phases: []workload.Phase{cpuPhase(2, 1e12)}}
-	mix, err := workload.NewMix(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetMix(3, mix); err != nil {
-		t.Fatal(err)
-	}
+	m := newQuiet(t, nil, nil, nil, []workload.Program{prog})
 	runUntil(m, 1.0)
 	s, _ := m.ReadCounters(3)
 	if math.Abs(float64(s.Instructions)-2e9)/2e9 > 0.01 {
@@ -162,14 +219,12 @@ func TestMemoryBoundWorkloadSaturation(t *testing.T) {
 	// The central physical mechanism: a DRAM-bound job completes almost
 	// the same work per second at 650 MHz as at 1 GHz.
 	run := func(f units.Frequency) uint64 {
-		m := newQuiet(t)
 		phase := workload.Phase{
 			Name: "mem", Alpha: 1.1,
 			Rates:        memhier.AccessRates{L2PerInstr: 0.030, L3PerInstr: 0.006, MemPerInstr: 0.0186},
 			Instructions: 1e12,
 		}
-		mix, _ := workload.NewMix(workload.Program{Name: "m", Phases: []workload.Phase{phase}})
-		m.SetMix(0, mix)
+		m := newQuiet(t, []workload.Program{{Name: "m", Phases: []workload.Phase{phase}}})
 		if err := m.SetFrequency(0, f); err != nil {
 			t.Fatal(err)
 		}
@@ -185,9 +240,7 @@ func TestMemoryBoundWorkloadSaturation(t *testing.T) {
 	}
 	// A CPU-bound job, by contrast, loses ≈35%.
 	runCPU := func(f units.Frequency) uint64 {
-		m := newQuiet(t)
-		mix, _ := workload.NewMix(workload.Program{Name: "c", Phases: []workload.Phase{cpuPhase(1.4, 1e12)}})
-		m.SetMix(0, mix)
+		m := newQuiet(t, []workload.Program{{Name: "c", Phases: []workload.Phase{cpuPhase(1.4, 1e12)}}})
 		m.SetFrequency(0, f)
 		runUntil(m, 1.0)
 		s, _ := m.ReadCounters(0)
@@ -348,10 +401,8 @@ func TestEnergyIntegration(t *testing.T) {
 }
 
 func TestJobCompletionRecorded(t *testing.T) {
-	m := newQuiet(t)
 	prog := workload.Program{Name: "quick", Phases: []workload.Phase{cpuPhase(1, 1e6)}}
-	mix, _ := workload.NewMix(prog)
-	m.SetMix(2, mix)
+	m := newQuiet(t, nil, nil, []workload.Program{prog})
 	if ok, err := runUntilDone(m, 1.0); err != nil || !ok {
 		t.Fatalf("job did not complete: %v", err)
 	}
@@ -367,11 +418,9 @@ func TestJobCompletionRecorded(t *testing.T) {
 func TestPredictorSeesAccurateCountersOnQuietMachine(t *testing.T) {
 	// End-to-end closure: run a known workload, sample counters, decompose,
 	// and check the prediction matches a run at the predicted frequency.
-	m := newQuiet(t)
 	rates := memhier.AccessRates{L2PerInstr: 0.02, MemPerInstr: 0.008}
 	phase := workload.Phase{Name: "p", Alpha: 1.2, Rates: rates, Instructions: 1e12}
-	mix, _ := workload.NewMix(workload.Program{Name: "w", Phases: []workload.Phase{phase}})
-	m.SetMix(0, mix)
+	m := newQuiet(t, []workload.Program{{Name: "w", Phases: []workload.Phase{phase}}})
 
 	before, _ := m.ReadCounters(0)
 	runQuanta(m, 10)
@@ -401,9 +450,7 @@ func TestPredictorSeesAccurateCountersOnQuietMachine(t *testing.T) {
 
 func TestStealTimeReducesThroughput(t *testing.T) {
 	run := func(steal bool) uint64 {
-		m := newQuiet(t)
-		mix, _ := workload.NewMix(workload.Program{Name: "c", Phases: []workload.Phase{cpuPhase(1.4, 1e12)}})
-		m.SetMix(0, mix)
+		m := newQuiet(t, []workload.Program{{Name: "c", Phases: []workload.Phase{cpuPhase(1.4, 1e12)}}})
 		for q := 0; q < 100; q++ {
 			if steal {
 				m.StealTime(0, 0.001) // 10% of each quantum
@@ -429,15 +476,13 @@ func TestStealTimeReducesThroughput(t *testing.T) {
 
 func TestMultiprogrammedAggregation(t *testing.T) {
 	// Two jobs time-sliced on one CPU: the counters show the aggregate.
-	m := newQuiet(t)
 	cpu := workload.Program{Name: "cpu", Phases: []workload.Phase{cpuPhase(1.4, 1e12)}}
 	mem := workload.Program{Name: "mem", Phases: []workload.Phase{{
 		Name: "m", Alpha: 1.1,
 		Rates:        memhier.AccessRates{MemPerInstr: 0.02},
 		Instructions: 1e12,
 	}}}
-	mix, _ := workload.NewMix(cpu, mem)
-	m.SetMix(0, mix)
+	m := newQuiet(t, []workload.Program{cpu, mem})
 	runQuanta(m, 100)
 	s, _ := m.ReadCounters(0)
 	memRate := float64(s.MemRefs) / float64(s.Instructions)
@@ -458,24 +503,18 @@ func TestContentionSlowsSharedL2Partner(t *testing.T) {
 		}}}
 	}
 	// Run the probe job alone on CPU0...
-	alone, err := New(cfg)
+	alone, err := New(cfg, []workload.Program{memProg("probe")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixA, _ := workload.NewMix(memProg("probe"))
-	alone.SetMix(0, mixA)
 	runUntil(alone, 1.0)
 	sAlone, _ := alone.ReadCounters(0)
 
 	// ...and with a memory-hog partner on CPU1 (shares the L2).
-	together, err := New(cfg)
+	together, err := New(cfg, []workload.Program{memProg("probe")}, []workload.Program{memProg("hog")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixB, _ := workload.NewMix(memProg("probe"))
-	hog, _ := workload.NewMix(memProg("hog"))
-	together.SetMix(0, mixB)
-	together.SetMix(1, hog)
 	runUntil(together, 1.0)
 	sTogether, _ := together.ReadCounters(0)
 
@@ -487,12 +526,10 @@ func TestContentionSlowsSharedL2Partner(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() counters.Sample {
 		cfg := P630Config() // full noise, fixed seed
-		m, err := New(cfg)
+		m, err := New(cfg, []workload.Program{workload.Mcf(0.05)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mix, _ := workload.NewMix(workload.Mcf(0.05))
-		m.SetMix(0, mix)
 		runQuanta(m, 200)
 		s, _ := m.ReadCounters(0)
 		return s
@@ -517,18 +554,14 @@ func TestReadCountersBounds(t *testing.T) {
 }
 
 func TestAllJobsDoneWhileJobRuns(t *testing.T) {
-	m := newQuiet(t)
-	mix, _ := workload.NewMix(workload.Program{Name: "long", Phases: []workload.Phase{cpuPhase(1, 1e15)}})
-	m.SetMix(0, mix)
+	m := newQuiet(t, []workload.Program{{Name: "long", Phases: []workload.Phase{cpuPhase(1, 1e15)}}})
 	if done, err := runUntilDone(m, 0.05); err != nil || done {
 		t.Errorf("impossibly long job: done %v, err %v", done, err)
 	}
 }
 
 func TestZeroFrequencyStallsCPU(t *testing.T) {
-	m := newQuiet(t)
-	mix, _ := workload.NewMix(workload.Program{Name: "j", Phases: []workload.Phase{cpuPhase(1, 1e9)}})
-	m.SetMix(0, mix)
+	m := newQuiet(t, []workload.Program{{Name: "j", Phases: []workload.Phase{cpuPhase(1, 1e9)}}})
 	m.SetFrequency(0, 0)
 	runQuanta(m, 10)
 	s, _ := m.ReadCounters(0)
@@ -554,14 +587,7 @@ func TestCompletionHook(t *testing.T) {
 		return workload.Program{Name: name, Phases: []workload.Phase{{Name: "p", Alpha: 1.3, Instructions: instr}}}
 	}
 	// Reference run without a hook.
-	ref := newQuiet(t)
-	refMix, err := workload.NewMix(prog("a", 1e6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.SetMix(0, refMix); err != nil {
-		t.Fatal(err)
-	}
+	ref := newQuiet(t, []workload.Program{prog("a", 1e6)})
 	runQuanta(ref, 5)
 	refDone := ref.Completions()
 	if len(refDone) != 1 {
@@ -569,15 +595,8 @@ func TestCompletionHook(t *testing.T) {
 	}
 
 	// Hooked run: same job, then the hook chains a second job in place.
-	m := newQuiet(t)
-	mix, err := workload.NewMix(prog("a", 1e6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := mix.Jobs()[0]
-	if err := m.SetMix(0, mix); err != nil {
-		t.Fatal(err)
-	}
+	m := newQuiet(t, []workload.Program{prog("a", 1e6)})
+	cur := m.Mix(0).Jobs()[0]
 	var got []JobCompletion
 	m.SetCompletionHook(func(jc JobCompletion) {
 		got = append(got, jc)

@@ -33,12 +33,10 @@ func TestMonteCarloMatchesAnalyticThroughput(t *testing.T) {
 	run := func(mc bool) uint64 {
 		cfg := mcConfig()
 		cfg.MonteCarloExec = mc
-		m, err := New(cfg)
+		m, err := New(cfg, []workload.Program{memPhaseProg(1e12)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mix, _ := workload.NewMix(memPhaseProg(1e12))
-		m.SetMix(0, mix)
 		runUntil(m, 1.0)
 		s, _ := m.ReadCounters(0)
 		return s.Instructions
@@ -53,12 +51,10 @@ func TestMonteCarloMatchesAnalyticThroughput(t *testing.T) {
 // TestMonteCarloCounterRatesConverge: drawn reference rates match the
 // phase's configured rates.
 func TestMonteCarloCounterRatesConverge(t *testing.T) {
-	m, err := New(mcConfig())
+	m, err := New(mcConfig(), []workload.Program{memPhaseProg(1e12)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix, _ := workload.NewMix(memPhaseProg(1e12))
-	m.SetMix(0, mix)
 	runUntil(m, 1.0)
 	s, _ := m.ReadCounters(0)
 	if s.Instructions == 0 {
@@ -87,12 +83,10 @@ func TestMonteCarloProducesWindowVariance(t *testing.T) {
 	windowIPCs := func(mc bool) []float64 {
 		cfg := mcConfig()
 		cfg.MonteCarloExec = mc
-		m, err := New(cfg)
+		m, err := New(cfg, []workload.Program{memPhaseProg(1e12)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mix, _ := workload.NewMix(memPhaseProg(1e12))
-		m.SetMix(0, mix)
 		var out []float64
 		var prevI, prevC uint64
 		for q := 0; q < 100; q++ {
@@ -129,12 +123,10 @@ func TestMonteCarloProducesWindowVariance(t *testing.T) {
 // exercised in the fvsst package tests via the Target interface.)
 func TestMonteCarloDeterministicPerSeed(t *testing.T) {
 	run := func() uint64 {
-		m, err := New(mcConfig())
+		m, err := New(mcConfig(), []workload.Program{memPhaseProg(1e12)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mix, _ := workload.NewMix(memPhaseProg(1e12))
-		m.SetMix(0, mix)
 		runUntil(m, 0.5)
 		s, _ := m.ReadCounters(0)
 		return s.Cycles
@@ -148,12 +140,10 @@ func TestMonteCarloDeterministicPerSeed(t *testing.T) {
 // consistent — total non-halted cycles stay within one block of
 // frequency × busy-time.
 func TestMonteCarloTimeAccounting(t *testing.T) {
-	m, err := New(mcConfig())
+	m, err := New(mcConfig(), nil, nil, []workload.Program{memPhaseProg(1e12)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix, _ := workload.NewMix(memPhaseProg(1e12))
-	m.SetMix(2, mix)
 	runUntil(m, 2.0)
 	s, _ := m.ReadCounters(2)
 	wantCycles := 2.0 * 1e9 // 2 s at 1 GHz

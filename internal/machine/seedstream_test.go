@@ -22,15 +22,8 @@ func renderSeededStreams(t *testing.T) string {
 		if !mc {
 			cfg.LatencyJitterSigma = 0.1
 		}
-		m, err := New(cfg)
+		m, err := New(cfg, []workload.Program{memPhaseProg(1e12)})
 		if err != nil {
-			t.Fatal(err)
-		}
-		mix, err := workload.NewMix(memPhaseProg(1e12))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMix(0, mix); err != nil {
 			t.Fatal(err)
 		}
 		for q := 0; q < 20; q++ {

@@ -94,18 +94,9 @@ func (l *eventLog) all() []obs.Event {
 // and CPU 1 a memory-bound endless program.
 func startAgent(t *testing.T, name string, seed int64, lease time.Duration, sink obs.Sink) (*Agent, *machine.Machine) {
 	t.Helper()
-	m, err := machine.New(quietMachineConfig(seed))
+	m, err := machine.New(quietMachineConfig(seed), []workload.Program{cpuProg(1e12)}, []workload.Program{memProg(1e12)})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for cpu, prog := range map[int]workload.Program{0: cpuProg(1e12), 1: memProg(1e12)} {
-		mix, err := workload.NewMix(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			t.Fatal(err)
-		}
 	}
 	a, err := NewAgent(AgentConfig{Name: name, M: m, FailsafeLease: lease, Sink: sink})
 	if err != nil {

@@ -56,18 +56,13 @@ func newTunedPipeWorld(tb testing.TB, n, cpus, relays int, tune func(w *pipeWorl
 		mcfg := machine.P630Config()
 		mcfg.NumCPUs = cpus
 		mcfg.Seed = int64(1000 + i)
-		m, err := machine.New(mcfg)
+		nodeProgs := make([][]workload.Program, cpus)
+		for cpu := range nodeProgs {
+			nodeProgs[cpu] = []workload.Program{progs[(i*cpus+cpu)%len(progs)]}
+		}
+		m, err := machine.New(mcfg, nodeProgs...)
 		if err != nil {
 			tb.Fatal(err)
-		}
-		for cpu := 0; cpu < cpus; cpu++ {
-			mix, err := workload.NewMix(progs[(i*cpus+cpu)%len(progs)])
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if err := m.SetMix(cpu, mix); err != nil {
-				tb.Fatal(err)
-			}
 		}
 		a, err := NewAgent(AgentConfig{Name: nodeName(i), M: m})
 		if err != nil {

@@ -19,8 +19,8 @@
 // bound. Past DefaultMaxFrontier states in one stage (over 500 CPUs on
 // Table 1) Solve returns ErrTooLarge rather than approximate. The DP
 // accumulates losses and powers in CPU order, exactly like the exhaustive
-// enumerator in internal/invariant, so on any instance the two agree on
-// the optimal loss to the last bit — the differential tests pin this.
+// enumerator bruteForce in diff_test.go, so on any instance the two agree
+// on the optimal loss to the last bit — the differential tests pin this.
 // EnergyOptimal is the unconstrained
 // energy-per-instruction baseline of arXiv 1805.00998 for the same
 // snapshot. See docs/optimality.md.

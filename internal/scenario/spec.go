@@ -489,31 +489,19 @@ func (s Spec) machineConfig(i int, table *power.Table) machine.Config {
 }
 
 // newMachine builds node i's machine over table with its CPUs' workloads
-// installed.
+// installed. In a serving scenario the station installs its own per-CPU
+// serving cursors, so the CPUs' workload kinds are ignored.
 func (s Spec) newMachine(i int, table *power.Table) (*machine.Machine, error) {
-	m, err := machine.New(s.machineConfig(i, table))
-	if err != nil {
-		return nil, err
-	}
-	if s.Serving != nil {
-		// Serving scenarios: the station installs its own per-CPU serving
-		// cursors, so CPU workload kinds are ignored.
-		return m, nil
-	}
-	for cpu, cs := range s.Nodes[i].CPUs {
-		prog, ok := cs.program()
-		if !ok {
-			continue // idle CPU: no mix
-		}
-		mix, err := workload.NewMix(prog)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.SetMix(cpu, mix); err != nil {
-			return nil, err
+	var progs [][]workload.Program
+	if s.Serving == nil {
+		progs = make([][]workload.Program, len(s.Nodes[i].CPUs))
+		for cpu, cs := range s.Nodes[i].CPUs {
+			if prog, ok := cs.program(); ok {
+				progs[cpu] = []workload.Program{prog}
+			}
 		}
 	}
-	return m, nil
+	return machine.New(s.machineConfig(i, table), progs...)
 }
 
 // servingSeedBase offsets the serving arrival-stream seeds away from the
